@@ -84,16 +84,22 @@ def load_direct(
                 (concept,), logical.properties[uid]
             )
     for rel_id, pairs in logical.links.items():
-        rel = logical.ontology.relationship(rel_id)
-        for src_uid, dst_uid in pairs:
-            src_vid, dst_vid = vertex_of[src_uid], vertex_of[dst_uid]
-            if rel.rel_type.is_structural:
-                # Instance-level isA/unionOf edges point child -> parent
-                # and member -> union (Section 5.3's query patterns),
-                # opposite to the ontology relationship's direction.
-                src_vid, dst_vid = dst_vid, src_vid
-            graph.add_edge(src_vid, dst_vid, rel.label)
+        _add_link_edges(
+            graph, logical.ontology.relationship(rel_id), pairs, vertex_of
+        )
     return graph
+
+
+def _add_link_edges(graph, rel, pairs, vertex_of) -> None:
+    """One bulk ingest of a relationship's links, in link order."""
+    srcs = [vertex_of[src_uid] for src_uid, _dst_uid in pairs]
+    dsts = [vertex_of[dst_uid] for _src_uid, dst_uid in pairs]
+    if rel.rel_type.is_structural:
+        # Instance-level isA/unionOf edges point child -> parent and
+        # member -> union (Section 5.3's query patterns), opposite to
+        # the ontology relationship's direction.
+        srcs, dsts = dsts, srcs
+    graph.add_edges(rel.label, srcs, dsts)
 
 
 def load_optimized(
@@ -124,21 +130,23 @@ def load_optimized(
             uid: root for root, members in groups.items()
             for uid in members
         }
+    concept_of = logical.concept_of
+    labels_for: dict[frozenset[str], frozenset[str]] = {}
     for root, members in groups.items():
-        concepts = {logical.concept_of[uid] for uid in members}
-        labels = set(concepts)
-        node_keys: set[str] | None = None
-        for concept in concepts:
-            resolved = set(mapping.resolve_concept(concept))
-            node_keys = (
-                resolved if node_keys is None else node_keys & resolved
-            )
-        if node_keys:
-            labels |= node_keys
+        concepts = frozenset(concept_of[uid] for uid in members)
+        labels = labels_for.get(concepts)
+        if labels is None:
+            node_keys: set[str] | None = None
+            for concept in concepts:
+                resolved = set(mapping.resolve_concept(concept))
+                node_keys = (
+                    resolved if node_keys is None else node_keys & resolved
+                )
+            labels = labels_for[concepts] = concepts | (node_keys or set())
         properties: dict[str, object] = {}
         for uid in sorted(members):
             properties.update(logical.properties[uid])
-        vid = graph.add_vertex(frozenset(labels), properties)
+        vid = graph.add_vertex(labels, properties)
         for uid in members:
             vertex_of[uid] = vid
 
@@ -146,12 +154,9 @@ def load_optimized(
     for rel_id, pairs in logical.links.items():
         if mapping.is_collapsed(rel_id):
             continue
-        rel = ontology.relationship(rel_id)
-        for src_uid, dst_uid in pairs:
-            src_vid, dst_vid = vertex_of[src_uid], vertex_of[dst_uid]
-            if rel.rel_type.is_structural:
-                src_vid, dst_vid = dst_vid, src_vid  # child/member first
-            graph.add_edge(src_vid, dst_vid, rel.label)
+        _add_link_edges(
+            graph, ontology.relationship(rel_id), pairs, vertex_of
+        )
 
     # 4. Replicated list properties.  Entries are grouped by
     #    (relationship, direction, list name, source): several schema
@@ -169,26 +174,32 @@ def load_optimized(
         )
         entry = grouped.setdefault(key, {"repl": repl, "owners": set()})
         entry["owners"].add(repl.owner_node)
+    properties_of = logical.properties
     for entry in grouped.values():
         repl = entry["repl"]
-        owners = entry["owners"]
+        owner_vids: set[int] = set()
+        for owner in entry["owners"]:
+            owner_vids.update(graph.vertices_with_label(owner))
         owner_is_src = repl.direction == "fwd"
+        concept, prop = repl.source_concept, repl.source_property
         lists: dict[int, list[object]] = {}
         for src_uid, dst_uid in logical.links_of(repl.rel_id):
             owner_uid = src_uid if owner_is_src else dst_uid
             partner_uid = dst_uid if owner_is_src else src_uid
             owner_vid = vertex_of[owner_uid]
-            if not owners & graph.vertex(owner_vid).labels:
+            if owner_vid not in owner_vids:
                 continue
-            value = _group_property(
-                logical, uf, groups, partner_uid,
-                repl.source_concept, repl.source_property,
-            )
-            if value is None:
-                continue
+            # The partner's own value, else one from its merged group.
+            value = properties_of[partner_uid].get(prop)
+            if value is None or concept_of[partner_uid] != concept:
+                value = _group_property(
+                    logical, uf, groups, partner_uid, concept, prop
+                )
+                if value is None:
+                    continue
             lists.setdefault(owner_vid, []).append(value)
         for vid, values in lists.items():
-            existing = graph.vertex(vid).properties.get(repl.list_name)
+            existing = graph.get_property(vid, repl.list_name)
             if isinstance(existing, list):
                 existing.extend(values)
             else:

@@ -41,6 +41,7 @@ join-check step uses instead of scanning a full adjacency list.
 from __future__ import annotations
 
 from collections.abc import MutableMapping
+from itertools import chain
 from typing import Iterable, Iterator
 
 from repro.exceptions import GraphError, TransactionError
@@ -728,6 +729,80 @@ class PropertyGraph:
             )
         self._epoch += 1
         self._view = None
+
+    def add_edges(
+        self, label: str, srcs: list[int], dsts: list[int]
+    ) -> range:
+        """Bulk :meth:`add_edge` of property-less ``label`` edges.
+
+        Adds ``srcs[i] -> dsts[i]`` for every ``i`` and returns the
+        (consecutive) eids.  Every endpoint is validated before
+        anything is applied, so a bad one leaves the graph untouched.
+
+        An unobserved graph - no listener, open transaction or live
+        statistics, which is every loader build - takes one pass: the
+        edge columns are extended, the adjacency filled, the epoch
+        bumped once, and the endpoint-pair index left deferred for its
+        first probe to build whole.  An observed graph goes through
+        :meth:`add_edge` per element, so listener events (WAL bytes),
+        undo entries and statistics hooks are the per-element ones, in
+        eid order.
+        """
+        srcs = list(srcs)
+        dsts = list(dsts)
+        count = len(srcs)
+        if len(dsts) != count:
+            raise GraphError(
+                f"add_edges: {count} sources for {len(dsts)} targets"
+            )
+        first = self._next_eid
+        if not count:
+            return range(first, first)
+        tids = self._v_tid
+        try:
+            # min() first: a negative vid must not index from the end.
+            known = (
+                min(srcs) >= 0 and min(dsts) >= 0
+                and min(map(tids.__getitem__, srcs)) >= 0
+                and min(map(tids.__getitem__, dsts)) >= 0
+            )
+        except (IndexError, TypeError):
+            known = False
+        if not known:
+            # Name the endpoint add_edge would have stopped at.
+            for endpoint in chain.from_iterable(zip(srcs, dsts)):
+                self._locate(endpoint)
+        if (
+            self._listeners
+            or self._undo is not None
+            or self._stats is not None
+        ):
+            for src, dst in zip(srcs, dsts):
+                self.add_edge(src, dst, label)
+            return range(first, first + count)
+        self._e_src.extend(srcs)
+        self._e_dst.extend(dsts)
+        self._e_label.extend([self._symbols.intern(label)] * count)
+        out = self._out
+        into = self._in
+        eid = first
+        for src, dst in zip(srcs, dsts):
+            adjacency = out[src]
+            bucket = adjacency.get(label)
+            if bucket is None:
+                bucket = adjacency[label] = {}
+            bucket[eid] = dst
+            adjacency = into[dst]
+            bucket = adjacency.get(label)
+            if bucket is None:
+                bucket = adjacency[label] = {}
+            bucket[eid] = src
+            eid += 1
+        self._next_eid = eid
+        self._num_edges += count
+        self._pairs = None
+        self._touch()
+        return range(first, eid)
 
     def set_property(self, vid: int, name: str, value: object) -> None:
         table, row = self._locate(vid)

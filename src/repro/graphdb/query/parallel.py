@@ -54,13 +54,7 @@ import time
 import multiprocessing as mp
 from multiprocessing import shared_memory
 
-try:  # pragma: no cover - exercised implicitly by every import
-    import numpy as np
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - CI images all carry numpy
-    np = None
-    HAVE_NUMPY = False
+import numpy as np
 
 from repro.exceptions import ParallelExecutionError
 from repro.graphdb import faults, observe
@@ -79,6 +73,7 @@ from repro.graphdb.query.ast import (
 )
 from repro.graphdb.query.executor import _resolve_props
 from repro.graphdb.query.planner import ScanStep
+from repro.graphdb.view import graph_pagerank, undirected_edge_index
 
 __all__ = [
     "WorkerPool",
@@ -759,8 +754,6 @@ class _Merger:
 def _shape_reason(query, plan, threshold: int) -> str | None:
     """Why this (already vectorized-qualified) plan should not go
     parallel.  ``None`` means dispatch."""
-    if not HAVE_NUMPY:
-        return "numpy-unavailable"
     if len(plan.steps) != 1 or not isinstance(plan.steps[0], ScanStep):
         return "multi-step"
     est = plan.steps[0].est_rows
@@ -1119,35 +1112,6 @@ def _handle_scan(payload):
 # ----------------------------------------------------------------------
 # Workload (b): morsel-parallel PageRank
 # ----------------------------------------------------------------------
-def _flat_undirected_edges(graph, vid_arr, inv):
-    """Vectorized flattening of the frozen view's out-CSRs into
-    undirected ``(src, dst)`` index arrays - both directions per edge,
-    exactly the adjacency :func:`view.graph_pagerank` builds."""
-    view = graph.freeze()
-    srcs = []
-    dsts = []
-    for _sid, (offsets, neighbors, _eids) in view.iter_csr("out"):
-        off = np.asarray(offsets, dtype=np.int64)
-        nbr = np.asarray(neighbors, dtype=np.int64)
-        counts = off[vid_arr + 1] - off[vid_arr]
-        total = int(counts.sum())
-        if total == 0:
-            continue
-        starts = off[vid_arr]
-        cum = np.cumsum(counts)
-        # Position j of the flattened neighbor list maps back into the
-        # CSR at start-of-run + offset-within-run.
-        pos = np.arange(total) + np.repeat(starts - (cum - counts), counts)
-        s = np.repeat(inv[vid_arr], counts)
-        d = inv[nbr[pos]]
-        srcs.extend((s, d))
-        dsts.extend((d, s))
-    if not srcs:
-        empty = np.zeros(0, dtype=np.int64)
-        return empty, empty
-    return np.concatenate(srcs), np.concatenate(dsts)
-
-
 def _dst_partitions(s_dst, n: int, workers: int) -> list[tuple[int, int]]:
     """Contiguous destination-space ranges covering ``[0, n)`` with
     roughly equal edge counts, aligned to dst-run boundaries."""
@@ -1176,21 +1140,15 @@ def parallel_pagerank(
     than the serial kernel's edge loop); iteration structure - teleport
     base, dangling-mass redistribution, L1 convergence test - is
     identical, with a barrier per iteration.  Falls back to the serial
-    kernel below 2 workers or without numpy.
+    kernel below 2 workers.
     """
     workers = resolve_parallelism(workers)
-    if workers < 2 or not HAVE_NUMPY:
-        from repro.graphdb.view import graph_pagerank
-
+    if workers < 2:
         return graph_pagerank(graph, damping, tol, max_iterations)
-    vids = graph.vertex_ids()
+    vids, src, dst = undirected_edge_index(graph)
     n = len(vids)
     if n == 0:
         return {}
-    vid_arr = np.asarray(vids, dtype=np.int64)
-    inv = np.full(int(vid_arr.max()) + 2, -1, dtype=np.int64)
-    inv[vid_arr] = np.arange(n, dtype=np.int64)
-    src, dst = _flat_undirected_edges(graph, vid_arr, inv)
     out_degree = np.bincount(src, minlength=n)
     dangling = out_degree == 0
     inv_degree = np.zeros(n, dtype=np.float64)
@@ -1292,7 +1250,7 @@ def parallel_build_stats(graph, workers: object = None,
     from repro.graphdb.statistics import GraphStatistics, PropertyStats
 
     workers = resolve_parallelism(workers)
-    if workers < 2 or not HAVE_NUMPY:
+    if workers < 2:
         return GraphStatistics.build(graph)
     stats = GraphStatistics()
     symbols = graph._symbols

@@ -48,13 +48,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-try:  # pragma: no cover - exercised implicitly by every import
-    import numpy as np
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - CI images all carry numpy
-    np = None
-    HAVE_NUMPY = False
+import numpy as np
 
 from repro.graphdb import observe
 from repro.graphdb.columnar import KIND_FLOAT, KIND_INT
@@ -296,16 +290,8 @@ class GraphArrays:
         view = self.graph.frozen_view
         if view is None:
             raise _Fallback("no-frozen-view")
-        arrays = {}
-        order = []
-        for sid, (offsets, neighbors, eids) in view.iter_csr(direction):
-            order.append(sid)
-            arrays[sid] = (
-                np.array(offsets, dtype=np.int64),
-                np.asarray(neighbors, dtype=np.int64),
-                np.asarray(eids, dtype=np.int64),
-            )
-        cached = (arrays, order)
+        arrays = dict(view.iter_csr(direction))
+        cached = (arrays, list(arrays))
         self._csr[direction] = cached
         return cached
 
@@ -360,8 +346,6 @@ def query_fallback_reason(query: Query, plan: Plan) -> str | None:
     this covers the clauses the plan does not describe: LIMIT, the
     RETURN surface, and variables the plan never binds.
     """
-    if not HAVE_NUMPY:
-        return "numpy-unavailable"
     if query.limit is not None and not query.order_by:
         # Batch granularity would coarsen LIMIT's short-circuit
         # laziness (and the work counters that pin it down).  Under

@@ -2,15 +2,24 @@
 
 :meth:`PropertyGraph.freeze` materializes a :class:`GraphView`: for
 every edge type, compressed-sparse-row adjacency in both directions -
-an offsets array indexed by vid plus flat neighbor and edge-id lists.
-On top of the flat arrays the build also pre-zips each (vertex, type)
-segment into a tuple of (eid, neighbor) pairs, so the executor's
-expand is one dict probe plus one ``extend`` with no per-call slicing.
-That is a deliberate speed-for-memory trade: the view holds both the
-CSR arrays (what the PageRank kernel and other bulk consumers iterate
-via :meth:`GraphView.iter_csr`) and the segment tuples (~one pair
-object per edge per direction); freezing a graph roughly doubles its
-adjacency footprint while it is held.
+three read-only int64 arrays, an offsets array indexed by vid plus
+flat neighbor and edge-id arrays.  The vectorized executor adopts
+those arrays as they are (:meth:`GraphArrays.csr
+<repro.graphdb.query.vectorized.GraphArrays.csr>`); PageRank flattens
+them with :func:`undirected_edge_index`.  On top of the flat arrays
+the build also cuts each (vertex, type) segment into a tuple of
+(eid, neighbor) pairs of plain ints, so the tuple executor's expand is
+one dict probe plus one ``extend`` with no per-call slicing.  That is
+a deliberate speed-for-memory trade: the view holds both the CSR
+arrays and the segment tuples (~one pair object per edge per
+direction); freezing a graph roughly doubles its adjacency footprint
+while it is held.
+
+The build is one stable sort of the live eids on (edge type, anchor
+vid) per direction - O(E log E) - with offsets from ``bincount`` /
+``cumsum`` and one segment tuple per (type, vid) pair that has edges.
+The only per-type cost is the offsets array itself (num_vid_slots+1
+entries, filled by numpy); no Python loop runs over vid slots.
 
 The view is *immutable by contract* and epoch-stamped: every graph
 mutation advances the graph's mutation epoch (the same machinery that
@@ -18,23 +27,26 @@ feeds the WAL listeners), which both drops the graph's cached view and
 lets any outstanding reference detect staleness via :attr:`valid`.
 Readers (the session's ``expand_pairs``, the PageRank kernel, the
 benchmarks) use the view when one is valid and fall back to the
-mutable dict adjacency otherwise - freezing is a deliberate, O(V + E)
-act for read-heavy phases, never an implicit per-query cost.
+mutable dict adjacency otherwise - freezing is a deliberate act for
+read-heavy phases, never an implicit per-query cost.
 
-Within one (vertex, edge type) bucket, neighbors appear in ascending
-edge-id order - the same order the mutable adjacency dict yields,
-since edge ids are never reused.
+Edge types keep the order of their first live eid in every
+per-direction dict (what untyped expansion iterates), and within one
+(vertex, edge type) bucket neighbors appear in ascending edge-id
+order - the same orders the mutable adjacency dicts yield, since edge
+ids are never reused.
 """
 
 from __future__ import annotations
 
-from array import array
 from typing import Iterator
 
-#: One direction of one edge type: (offsets, neighbors, eids).
-#: ``offsets`` is an array of length num_vid_slots+1; ``neighbors``
-#: and ``eids`` are flat lists sliced by consecutive offsets.
-Csr = tuple[array, list, list]
+import numpy as np
+
+#: One direction of one edge type: (offsets, neighbors, eids), all
+#: int64 arrays.  ``offsets`` has length num_vid_slots+1; ``neighbors``
+#: and ``eids`` are flat and sliced by consecutive offsets.
+Csr = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 class GraphView:
@@ -62,62 +74,60 @@ class GraphView:
     # ------------------------------------------------------------------
     def _build(self, graph) -> None:
         nslots = self.num_vid_slots
-        e_label = graph._e_label
-        e_src = graph._e_src
-        e_dst = graph._e_dst
-
-        for direction, anchors, fars, csrs in (
-            ("out", e_src, e_dst, self._out),
-            ("in", e_dst, e_src, self._in),
+        labels = np.array(graph._e_label, dtype=np.int64)
+        live = np.flatnonzero(labels >= 0)
+        if not len(live):
+            return
+        labels = labels[live]
+        # Edge types rank by their first live eid: the key order of
+        # the per-direction dicts, which untyped expansion iterates.
+        sids, first = np.unique(labels, return_index=True)
+        sids = sids[np.argsort(first)]
+        rank_of = np.empty(int(sids.max()) + 1, dtype=np.int64)
+        rank_of[sids] = np.arange(len(sids))
+        ranks = rank_of[labels]
+        type_ends = np.cumsum(np.bincount(ranks)).tolist()
+        sids = sids.tolist()
+        src = np.array(graph._e_src, dtype=np.int64)[live]
+        dst = np.array(graph._e_dst, dtype=np.int64)[live]
+        stride = nslots + 1
+        for anchors, fars, csrs, segments in (
+            (src, dst, self._out, self._out_segments),
+            (dst, src, self._in, self._in_segments),
         ):
-            counts: dict[int, array] = {}
-            for sid, anchor in zip(e_label, anchors):
-                if sid < 0:
-                    continue
-                per_vid = counts.get(sid)
-                if per_vid is None:
-                    per_vid = counts[sid] = array("q", bytes(8 * (nslots + 1)))
-                per_vid[anchor + 1] += 1
-            for sid, per_vid in counts.items():
-                total = 0
-                for i in range(1, nslots + 1):
-                    total += per_vid[i]
-                    per_vid[i] = total
-                csrs[sid] = (per_vid, [0] * total, [0] * total)
-            # Fill pass: edges arrive in ascending eid order, so each
-            # (vid, type) segment ends up eid-ordered.  The offsets
-            # array doubles as the write cursor and is restored by the
-            # final shift below.
-            cursors = {sid: array("q", csr[0]) for sid, csr in csrs.items()}
-            for eid, (sid, anchor, far) in enumerate(
-                zip(e_label, anchors, fars)
-            ):
-                if sid < 0:
-                    continue
-                cursor = cursors[sid]
-                slot = cursor[anchor]
-                cursor[anchor] = slot + 1
-                _offsets, neighbors, eids = csrs[sid]
-                neighbors[slot] = far
-                eids[slot] = eid
-            segments = (
-                self._out_segments if direction == "out"
-                else self._in_segments
-            )
-            for sid, (offsets, neighbors, eids) in csrs.items():
-                per_vid: dict[int, tuple] = {}
-                start = 0
-                # Walk segment boundaries via the anchor vids that
-                # actually carry edges (recovered from the flat fill),
-                # skipping the all-zero-degree majority.
-                for vid in range(nslots):
-                    end = offsets[vid + 1]
-                    if end > start:
-                        per_vid[vid] = tuple(
-                            zip(eids[start:end], neighbors[start:end])
-                        )
-                        start = end
-                segments[sid] = per_vid
+            # Stable sort on (type, anchor): live eids ascend, so each
+            # (type, vid) run ends up eid-ordered.
+            key = ranks * stride + anchors
+            order = np.argsort(key, kind="stable")
+            key = key[order]
+            neighbors = fars[order]
+            eids = live[order]
+            # Row t: how many type-t edges anchor below each vid slot.
+            offsets = np.bincount(
+                key + 1, minlength=len(sids) * stride
+            ).reshape(len(sids), stride)
+            np.cumsum(offsets, axis=1, out=offsets)
+            for column in (offsets, neighbors, eids):
+                column.flags.writeable = False
+            # One segment tuple per (type, vid) run of the sorted key.
+            starts = [0, *(np.flatnonzero(key[1:] != key[:-1]) + 1).tolist()]
+            pairs = list(zip(eids.tolist(), neighbors.tolist()))
+            runs = [
+                tuple(pairs[start:end])
+                for start, end in zip(starts, starts[1:] + [len(pairs)])
+            ]
+            run_vids = (key[starts] % stride).tolist()
+            run_ends = np.searchsorted(starts, type_ends).tolist()
+            start = run_start = 0
+            for rank, sid in enumerate(sids):
+                end, run_end = type_ends[rank], run_ends[rank]
+                csrs[sid] = (
+                    offsets[rank], neighbors[start:end], eids[start:end]
+                )
+                segments[sid] = dict(zip(
+                    run_vids[run_start:run_end], runs[run_start:run_end]
+                ))
+                start, run_start = end, run_end
 
     @property
     def valid(self) -> bool:
@@ -185,6 +195,32 @@ class GraphView:
         )
 
 
+def undirected_edge_index(graph) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """Live vids plus the graph's edges as undirected index arrays.
+
+    Freezes the graph (reusing a valid cached view) and flattens the
+    out-CSRs into parallel ``(src, dst)`` arrays of positions in the
+    returned vid list, both directions per edge - the adjacency the
+    serial and the morsel-parallel PageRank share.
+    """
+    vids = graph.vertex_ids()
+    view = graph.freeze()
+    index = np.full(view.num_vid_slots, -1, dtype=np.int64)
+    index[np.asarray(vids, dtype=np.int64)] = np.arange(len(vids))
+    slots = np.arange(view.num_vid_slots)
+    srcs = []
+    dsts = []
+    for _sid, (offsets, neighbors, _eids) in view.iter_csr("out"):
+        s = index[np.repeat(slots, np.diff(offsets))]
+        d = index[neighbors]
+        srcs.extend((s, d))
+        dsts.extend((d, s))
+    if not srcs:
+        empty = np.zeros(0, dtype=np.int64)
+        return vids, empty, empty
+    return vids, np.concatenate(srcs), np.concatenate(dsts)
+
+
 def graph_pagerank(
     graph,
     damping: float = 0.85,
@@ -201,28 +237,8 @@ def graph_pagerank(
     """
     from repro.optimizer.pagerank import pagerank_kernel
 
-    vids = graph.vertex_ids()
-    n = len(vids)
-    if n == 0:
-        return {}
-    index = {vid: i for i, vid in enumerate(vids)}
-    view = graph.freeze()
-    flat_src: list[int] = []
-    flat_dst: list[int] = []
-    for _sid, (offsets, neighbors, _eids) in view.iter_csr("out"):
-        for vid in vids:
-            start = offsets[vid]
-            end = offsets[vid + 1]
-            if end == start:
-                continue
-            i = index[vid]
-            for neighbor in neighbors[start:end]:
-                j = index[neighbor]
-                flat_src.append(i)
-                flat_dst.append(j)
-                flat_src.append(j)
-                flat_dst.append(i)
+    vids, src, dst = undirected_edge_index(graph)
     scores, _iterations = pagerank_kernel(
-        n, flat_src, flat_dst, damping, tol, max_iterations
+        len(vids), src.tolist(), dst.tolist(), damping, tol, max_iterations
     )
     return dict(zip(vids, scores))

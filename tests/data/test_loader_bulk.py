@@ -1,0 +1,64 @@
+"""The bulk loaders against their per-element reference, on the
+paper's two datasets: nothing a query, a snapshot or
+:mod:`repro.data.updates` can observe may differ.
+"""
+
+import pytest
+
+from repro.bench.harness import build_pipeline
+from repro.data.loader import LoadRegistry, load_direct, load_optimized
+from repro.graphdb.storage import graph_state
+from tests.data.loader_oracle import (
+    reference_load_direct,
+    reference_load_optimized,
+)
+from tests.graphdb.randgraph import ordered
+
+
+@pytest.fixture(scope="module", params=["med", "fin"])
+def pipeline(request, med_small, fin_small):
+    dataset = med_small if request.param == "med" else fin_small
+    return build_pipeline(dataset, scale=0.3, cache_dir=None)
+
+
+def assert_identical(graph, reference) -> None:
+    # Ids, label sets, property values and list element order ...
+    assert graph_state(graph) == graph_state(reference)
+    # ... the columns and interning order a snapshot writes ...
+    assert graph._e_src == reference._e_src
+    assert graph._e_dst == reference._e_dst
+    assert graph._e_label == reference._e_label
+    names = [graph.symbols.name(i) for i in range(len(graph.symbols))]
+    assert names == [
+        reference.symbols.name(i) for i in range(len(reference.symbols))
+    ]
+    assert [t.labels for t in graph.iter_tables()] == [
+        t.labels for t in reference.iter_tables()
+    ]
+    # ... and the adjacency order expansion walks.
+    assert ordered(graph._out) == ordered(reference._out)
+    assert ordered(graph._in) == ordered(reference._in)
+    assert ordered(graph._label_index) == ordered(reference._label_index)
+    assert ordered(graph._build_pairs()) == ordered(reference._build_pairs())
+
+
+def test_load_direct_matches_per_element_loader(pipeline):
+    registry, want_registry = LoadRegistry(), LoadRegistry()
+    graph = load_direct(pipeline.logical, "g", registry)
+    reference = reference_load_direct(pipeline.logical, "g", want_registry)
+    assert graph.num_edges == pipeline.logical.num_links > 0
+    assert_identical(graph, reference)
+    assert registry == want_registry
+
+
+def test_load_optimized_matches_per_element_loader(pipeline):
+    mapping = pipeline.result.mapping
+    assert mapping.collapsed and mapping.replications
+    registry, want_registry = LoadRegistry(), LoadRegistry()
+    graph = load_optimized(pipeline.logical, mapping, "g", registry)
+    reference = reference_load_optimized(
+        pipeline.logical, mapping, "g", want_registry
+    )
+    assert_identical(graph, reference)
+    assert registry == want_registry
+    assert list(registry.groups) == list(want_registry.groups)

@@ -1,0 +1,72 @@
+"""Random graph-building scripts shared by the bulk-ingest and freeze
+tests.
+
+A script is a list of steps over vertices and *batches* of same-label
+edges, with removals in between (tombstoned eids, removed tail vids,
+several edge types sharing endpoints).  :func:`run_script` applies it
+either through per-element ``add_edge`` or through bulk ``add_edges``;
+everything else is identical, so the two graphs must be too.
+"""
+
+from hypothesis import strategies as st
+
+from repro.graphdb.graph import PropertyGraph
+
+LABELSETS = [("A",), ("B",), ("A", "B")]
+EDGE_TYPES = ["T", "U", "W"]
+
+_index = st.integers(min_value=0, max_value=30)
+_step = st.one_of(
+    st.tuples(st.just("v"), st.sampled_from(LABELSETS)),
+    st.tuples(
+        st.just("e"),
+        st.sampled_from(EDGE_TYPES),
+        st.lists(st.tuples(_index, _index), max_size=8),
+    ),
+    st.tuples(st.just("rm_e"), _index),
+    st.tuples(st.just("rm_v"), _index),
+)
+
+#: A few vertices first, so that edge batches have endpoints.
+SCRIPTS = st.tuples(
+    st.lists(st.sampled_from(LABELSETS), min_size=2, max_size=5),
+    st.lists(_step, max_size=25),
+).map(lambda parts: [("v", labels) for labels in parts[0]] + parts[1])
+
+
+def run_script(
+    script, bulk: bool, graph: PropertyGraph | None = None
+) -> PropertyGraph:
+    """Apply ``script`` to ``graph`` (a new one by default)."""
+    if graph is None:
+        graph = PropertyGraph("scripted")
+    for step in script:
+        kind = step[0]
+        if kind == "v":
+            graph.add_vertex(step[1], {"n": graph.num_vertices})
+            continue
+        live = graph.vertex_ids()
+        if kind == "e":
+            if not live:
+                continue
+            srcs = [live[i % len(live)] for i, _j in step[2]]
+            dsts = [live[j % len(live)] for _i, j in step[2]]
+            if bulk:
+                graph.add_edges(step[1], srcs, dsts)
+            else:
+                for src, dst in zip(srcs, dsts):
+                    graph.add_edge(src, dst, step[1])
+        elif kind == "rm_e":
+            eids = list(graph._edges)
+            if eids:
+                graph.remove_edge(eids[step[1] % len(eids)])
+        elif live:  # rm_v
+            graph.remove_vertex(live[step[1] % len(live)])
+    return graph
+
+
+def ordered(mapping):
+    """Nested dicts as nested item lists: equality includes key order."""
+    if isinstance(mapping, dict):
+        return [(key, ordered(value)) for key, value in mapping.items()]
+    return mapping

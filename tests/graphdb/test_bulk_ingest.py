@@ -1,0 +1,168 @@
+"""Bulk ``add_edges`` must be indistinguishable from per-element
+``add_edge``: same edge columns, adjacency (order included), indexes,
+statistics, listener events, undo behaviour and WAL recovery.
+"""
+
+import pytest
+from hypothesis import given, settings
+
+from repro.exceptions import GraphError
+from repro.graphdb.graph import PropertyGraph
+from repro.graphdb.storage import GraphStore, graph_state, recover_graph
+from tests.graphdb.randgraph import SCRIPTS, ordered, run_script
+from tests.graphdb.test_statistics import snapshot_of
+
+
+def structures(graph: PropertyGraph) -> dict:
+    """Everything an edge insert touches, dict key order included."""
+    return {
+        "e_src": graph._e_src,
+        "e_dst": graph._e_dst,
+        "e_label": graph._e_label,
+        "e_props": graph._e_props,
+        "symbols": [
+            graph.symbols.name(sid) for sid in range(len(graph.symbols))
+        ],
+        "num_edges": graph.num_edges,
+        "next_eid": graph._next_eid,
+        "out": ordered(graph._out),
+        "in": ordered(graph._in),
+        "label_index": ordered(graph._label_index),
+        "pairs": ordered(graph._build_pairs()),
+    }
+
+
+def assert_same_graph(bulk: PropertyGraph, single: PropertyGraph) -> None:
+    assert structures(bulk) == structures(single)
+    assert graph_state(bulk) == graph_state(single)
+    assert snapshot_of(bulk.statistics()) == snapshot_of(single.statistics())
+
+
+@settings(max_examples=80, deadline=None)
+@given(SCRIPTS)
+def test_unobserved_graphs_agree(script):
+    bulk = run_script(script, bulk=True)
+    single = run_script(script, bulk=False)
+    assert_same_graph(bulk, single)
+
+
+@settings(max_examples=40, deadline=None)
+@given(SCRIPTS)
+def test_listener_events_and_live_statistics_agree(script):
+    graphs = []
+    for bulk in (True, False):
+        graph = PropertyGraph("scripted")
+        events: list = []
+        graph.add_listener(lambda op, args, log=events: log.append((op, args)))
+        graph.statistics()  # live from the first mutation on
+        run_script(script, bulk, graph)
+        graphs.append((graph, events))
+    (bulk, bulk_events), (single, single_events) = graphs
+    assert bulk_events == single_events
+    assert_same_graph(bulk, single)
+
+
+@settings(max_examples=40, deadline=None)
+@given(SCRIPTS, SCRIPTS)
+def test_rollback_restores_ids_and_counters(before, inside):
+    rolled = []
+    for bulk in (True, False):
+        graph = run_script(before, bulk)
+        graph.begin_transaction()
+        run_script(inside, bulk, graph)
+        graph.rollback_transaction()
+        rolled.append(graph)
+    assert_same_graph(*rolled)
+    # ... and both are the pre-transaction graph again.
+    baseline = run_script(before, bulk=False)
+    for graph in rolled:
+        assert graph_state(graph) == graph_state(baseline)
+        assert snapshot_of(graph.statistics()) == snapshot_of(
+            baseline.statistics()
+        )
+    # Rolled-back ids are handed out again.
+    run_script(inside, True, rolled[0])
+    run_script(inside, False, baseline)
+    assert graph_state(rolled[0]) == graph_state(baseline)
+
+
+@settings(max_examples=15, deadline=None)
+@given(SCRIPTS)
+def test_wal_backed_bulk_recovers_to_the_same_graph(tmp_path_factory, script):
+    states = []
+    files = []
+    for bulk in (True, False):
+        target = tmp_path_factory.mktemp("store") / "d"
+        store = GraphStore.create(target, PropertyGraph("scripted"))
+        run_script(script, bulk, store.graph)
+        live = graph_state(store.graph)
+        store.close()
+        assert graph_state(recover_graph(target)) == live
+        states.append(live)
+        files.append({
+            path.name: path.read_bytes() for path in target.iterdir()
+        })
+    assert states[0] == states[1]
+    assert files[0] == files[1]  # the same WAL, byte for byte
+
+
+class TestContract:
+    @pytest.fixture()
+    def graph(self):
+        graph = PropertyGraph()
+        for _ in range(3):
+            graph.add_vertex("N", {})
+        return graph
+
+    def test_returns_consecutive_eids(self, graph):
+        graph.add_edge(0, 1, "T")
+        assert graph.add_edges("T", [0, 1], [1, 2]) == range(1, 3)
+        assert graph.add_edges("T", [], []) == range(3, 3)
+        assert graph.add_edges("U", iter([2]), (0,)) == range(3, 4)
+        assert [graph.edge(eid).label for eid in range(4)] == list("TTTU")
+
+    def test_empty_batch_interns_nothing_and_keeps_the_view(self, graph):
+        view = graph.freeze()
+        graph.add_edges("never", [], [])
+        assert graph.symbols.sid("never") is None
+        assert view.valid
+
+    def test_one_epoch_bump_and_a_deferred_pair_index(self, graph):
+        epoch = graph.mutation_epoch
+        graph.add_edges("T", [0, 1, 0], [1, 2, 1])
+        assert graph.mutation_epoch == epoch + 1
+        assert graph._pairs is None
+        assert graph.first_edge_between(0, 1, "T") == 0
+        assert graph.first_edge_between(2, 1, "T", direction="in") == 1
+        assert not graph.has_edge_between(2, 0)
+
+    def test_observed_graph_keeps_a_materialized_pair_index(self, graph):
+        graph.statistics()
+        graph.add_edges("T", [0], [1])
+        assert graph._pairs is not None and graph.has_edge_between(0, 1)
+
+    @pytest.mark.parametrize("srcs, dsts, culprit", [
+        ([0, -1], [1, 1], "-1"),
+        ([0, 1], [1, 3], "3"),
+        ([0, 1], [9, 3], "9"),
+        ([0, "x"], [1, 1], "x"),
+        ([0, 1.0], [1, 1], "1.0"),
+        ([0, None], [1, 1], "None"),
+    ])
+    def test_bad_endpoint_leaves_the_graph_untouched(
+        self, graph, srcs, dsts, culprit
+    ):
+        graph.remove_vertex(2)
+        before = structures(graph)
+        epoch = graph.mutation_epoch
+        with pytest.raises(GraphError, match=f"unknown vertex {culprit}"):
+            graph.add_edges("T", srcs, dsts)
+        with pytest.raises(GraphError, match="unknown vertex 2"):
+            graph.add_edges("T", [0, 2], [1, 1])  # removed vertex
+        assert structures(graph) == before
+        assert graph.mutation_epoch == epoch
+
+    def test_length_mismatch(self, graph):
+        with pytest.raises(GraphError, match="1 sources for 2 targets"):
+            graph.add_edges("T", [0], [1, 2])
+        assert graph.num_edges == 0
