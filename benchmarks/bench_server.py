@@ -3,9 +3,11 @@
 
 Two measurements against a real ``GraphServer`` on a loopback socket:
 
-* **Remote vs in-process latency** - the same point lookup and scan
-  executed through ``connect(graph)`` and ``connect("repro://...")``;
-  the delta is the framing + TCP round-trip cost per query.
+* **Remote vs in-process latency** - the same point lookup, filtered
+  scan and row-heavy scan (a few hundred rows) executed through
+  ``connect(graph)`` and ``connect("repro://...")``, every row read;
+  the delta is the framing + TCP round-trip cost per query, and
+  ``us_per_row`` is that delta spread over the rows returned.
 * **Group-commit throughput** - 1 / 8 / 32 concurrent writer threads
   each committing single-vertex transactions through the server's
   single-writer path.  The ``repro_wal_group_commit_batch_size``
@@ -25,6 +27,7 @@ from __future__ import annotations
 import argparse
 import asyncio
 import json
+import os
 import statistics
 import sys
 import tempfile
@@ -97,15 +100,19 @@ def build_graph() -> PropertyGraph:
 
 def _time_queries(session, queries, iterations) -> dict:
     timings = {name: [] for name, _, _ in queries}
+    rows = {}
     for _ in range(iterations):
         for name, text, params in queries:
             started = time.perf_counter()
-            session.run(text, parameters=params).consume()
+            result = session.run(text, parameters=params)
+            rows[name] = sum(1 for _ in result)
+            result.consume()
             timings[name].append(time.perf_counter() - started)
     return {
         name: {
             "median_us": round(statistics.median(t) * 1e6, 1),
             "mean_us": round(statistics.fmean(t) * 1e6, 1),
+            "rows": rows[name],
         }
         for name, t in timings.items()
     }
@@ -118,6 +125,9 @@ def run_latency(iterations: int) -> dict:
          "MATCH (d:Drug {id: $id}) RETURN d.name", {"id": 1234}),
         ("scan_filter",
          "MATCH (d:Drug) WHERE d.tier = $t RETURN d.id", {"t": 3}),
+        ("scan_rows",
+         "MATCH (d:Drug) WHERE d.tier < $t RETURN d.name, d.tier",
+         {"t": 4}),
     ]
     local_db = connect(graph)
     with local_db.session() as session:
@@ -133,10 +143,14 @@ def run_latency(iterations: int) -> dict:
     report = {"iterations": iterations, "queries": {}}
     for name, _, _ in queries:
         overhead = remote[name]["median_us"] - local[name]["median_us"]
+        rows = remote[name].pop("rows")
+        assert rows == local[name].pop("rows"), name
         report["queries"][name] = {
             "in_process": local[name],
             "remote": remote[name],
             "wire_overhead_us": round(overhead, 1),
+            "rows": rows,
+            "us_per_row": round(overhead / rows, 2),
         }
     return report
 
@@ -231,6 +245,7 @@ def main(argv=None) -> int:
     target = 1.0 if args.smoke else TARGET_FSYNC_PER_COMMIT
     passed = peak["fsync_per_commit"] < target
     report = {
+        "cpus": len(os.sched_getaffinity(0)),
         "latency": latency,
         "group_commit": group,
         "target_fsync_per_commit": target,
@@ -243,7 +258,8 @@ def main(argv=None) -> int:
         print(
             f"  {name}: in-process {q['in_process']['median_us']:.0f} us"
             f" -> remote {q['remote']['median_us']:.0f} us"
-            f" (+{q['wire_overhead_us']:.0f} us wire)"
+            f" (+{q['wire_overhead_us']:.0f} us wire, {q['rows']} rows,"
+            f" {q['us_per_row']:.2f} us/row)"
         )
     for cfg in group.values():
         print(

@@ -3,9 +3,11 @@
 Presents the same Database / Session / Result / Transaction surface as
 the in-process driver, backed by one TCP connection per session
 speaking the framed protocol in :mod:`repro.graphdb.server.protocol`.
-Rows stream lazily: a :class:`RemoteResult` fetches PULL batches on
-demand, so consuming the first record of a large result transfers one
-batch, not the whole thing.  Server-side errors arrive as ERROR frames
+Rows stream in batches of ``fetch_size``: the first arrives with the
+RUN response (one round trip for a result that fits), and a
+:class:`RemoteResult` PULLs the later ones on demand, so consuming the
+first record of a large result transfers one batch, not the whole
+thing.  Server-side errors arrive as ERROR frames
 and re-raise as the *same* driver exception classes
 (:func:`~repro.graphdb.server.protocol.exception_for`), so remote and
 in-process failure handling is identical.
@@ -24,7 +26,8 @@ from repro.graphdb.api.result import Record
 from repro.graphdb.backends import BackendProfile, NEO4J_LIKE
 from repro.graphdb.server import protocol as wire
 
-#: Records fetched per PULL round-trip (overridable per session).
+#: Records per batch - the one RUN carries and each later PULL
+#: (overridable per session).
 DEFAULT_FETCH_SIZE = 1024
 
 
@@ -239,7 +242,7 @@ class RemoteSession:
         del parallelism  # server-side configuration
         self._finish_open_result()
         bound = {**(parameters or {}), **params}
-        options: dict[str, object] = {}
+        options: dict[str, object] = {"pull": self._fetch_size}
         if timeout is not None:
             options["timeout"] = timeout
         if max_rows is not None:
@@ -249,6 +252,7 @@ class RemoteSession:
         )
         result = RemoteResult(self, query, bound, meta)
         self._open_result = result
+        result._read_batch()  # the first pull rode on the RUN
         return result
 
     def explain(
@@ -398,11 +402,13 @@ class RemoteResult:
         self._session = session
         self._query = query
         self._parameters = parameters
+        self._header = meta
         self._columns = list(meta.get("columns", []))
         self.epoch = meta.get("epoch")
         self._buffer: list[Record] = []
         self._pos = 0
-        self._exhausted = False
+        #: Set once the server holds nothing more for this cursor
+        #: (last batch read, rest discarded, or a pull failed).
         self._summary: RemoteSummary | None = None
 
     def keys(self) -> list[str]:
@@ -416,35 +422,38 @@ class RemoteResult:
             yield record
 
     def _next_record(self) -> Record | None:
+        if self._pos == len(self._buffer) and self._summary is None:
+            self._fetch_batch()
         if self._pos < len(self._buffer):
             record = self._buffer[self._pos]
             self._pos += 1
             return record
-        if not self._exhausted:
-            self._fetch_batch()
-            if self._pos < len(self._buffer):
-                record = self._buffer[self._pos]
-                self._pos += 1
-                return record
         return None
 
     def _fetch_batch(self) -> None:
         session = self._session
-        conn = session._conn
-        conn.send(wire.encode_pull(session._fetch_size))
+        session._conn.send(wire.encode_pull(session._fetch_size))
+        self._read_batch()
+
+    def _read_batch(self) -> None:
+        """Read the answer to one pull: RECORD batches, then SUCCESS."""
+        conn = self._session._conn
+        columns = self._columns
         while True:
             msg_type, fields = conn.recv()
             if msg_type == wire.MSG_RECORD:
-                self._buffer.append(
-                    Record(self._columns, fields["values"])
-                )
+                self._buffer += [
+                    Record(columns, row) for row in fields["rows"]
+                ]
             elif msg_type == wire.MSG_SUCCESS:
                 meta = fields["meta"]
                 if not meta.get("has_more"):
                     self._settle(meta)
                 return
             elif msg_type == wire.MSG_ERROR:
-                self._exhausted = True
+                # The server dropped the result: the cursor ends at
+                # the rows that did arrive.
+                self._settle({**self._header, "rows": len(self._buffer)})
                 raise wire.exception_for(
                     fields["code"], fields["message"]
                 )
@@ -455,7 +464,6 @@ class RemoteResult:
                 )
 
     def _settle(self, meta: dict) -> None:
-        self._exhausted = True
         self._summary = RemoteSummary(
             self._query, dict(self._parameters), self._columns, meta
         )
@@ -488,20 +496,17 @@ class RemoteResult:
     def consume(self) -> RemoteSummary:
         """Discard unread records and return the run's summary."""
         if self._summary is None:
-            if not self._exhausted:
-                # DISCARD drops the server buffer in one round-trip
-                # (no point streaming records we are throwing away).
-                meta = self._session._conn.request(
-                    wire.encode_simple(wire.MSG_DISCARD)
-                )
-                self._settle(meta)
+            # DISCARD drops the server buffer in one round-trip
+            # (no point streaming records we are throwing away).
+            self._settle(self._session._conn.request(
+                wire.encode_simple(wire.MSG_DISCARD)
+            ))
         self._pos = len(self._buffer)
-        assert self._summary is not None
         return self._summary
 
     def _detach(self) -> None:
         """Buffer everything left so the session can run a new query."""
-        while not self._exhausted:
+        while self._summary is None:
             self._fetch_batch()
 
 

@@ -16,7 +16,7 @@ Message catalog (client -> server)::
 
     HELLO    0x01  version uvarint | client-info props
     RUN      0x02  query str | params props | options props
-    PULL     0x03  n uvarint
+    PULL     0x03  n uvarint (n >= 1)
     DISCARD  0x04  (empty)
     GOODBYE  0x0F  (empty)
     BEGIN    0x10  (empty)
@@ -27,11 +27,18 @@ Message catalog (client -> server)::
 and (server -> client)::
 
     SUCCESS  0x70  meta props
-    RECORD   0x71  n uvarint | n wire values
+    RECORD   0x71  rows uvarint | width uvarint | rows x width wire values
     ERROR    0x7F  code str | message str
 
+A pull is answered by its rows as ``RECORD`` batches (one frame per
+:data:`RECORD_CHUNK_BYTES` of encoded values) and one ``SUCCESS``
+whose ``has_more`` says whether to ``PULL`` again.  A message's
+fields fill its payload exactly: trailing bytes are an error.
+
 ``RUN`` options: ``timeout`` (float seconds), ``max_rows`` (int),
-``explain`` (1 = plan only, 2 = EXPLAIN ANALYZE).  ``MUTATE`` ops use
+``explain`` (1 = plan only, 2 = EXPLAIN ANALYZE), ``pull`` (int >= 1:
+the response carries the first pull of that many rows, so a result
+that fits is one round trip).  ``MUTATE`` ops use
 the WAL's mutation vocabulary (``add_vertex``, ``add_edge``,
 ``set_property``, ``remove_property``, ``remove_edge``,
 ``remove_vertex``, ``create_property_index``).
@@ -69,6 +76,8 @@ from repro.exceptions import (
 )
 from repro.graphdb.query.executor import EdgeBinding, VertexBinding
 from repro.graphdb.storage.codec import (
+    TAG_INT,
+    TAG_STR,
     CodecError,
     read_props,
     read_str,
@@ -81,7 +90,7 @@ from repro.graphdb.storage.codec import (
 )
 
 #: Protocol revision carried in HELLO; the server refuses mismatches.
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 #: Default TCP port (one off Bolt's 7687, to coexist with a real Neo4j).
 DEFAULT_PORT = 7688
@@ -91,6 +100,10 @@ FRAME_HEADER_BYTES = _FRAME.size
 
 #: A frame larger than this is a protocol violation, not data.
 MAX_FRAME_BYTES = 64 * 1024 * 1024
+
+#: A RECORD frame is closed once its rows encode to this much, so a
+#: big pull is many frames and none nears :data:`MAX_FRAME_BYTES`.
+RECORD_CHUNK_BYTES = 64 * 1024
 
 # Client -> server.
 MSG_HELLO = 0x01
@@ -296,12 +309,91 @@ def encode_success(meta: dict | None = None) -> bytes:
     return bytes(buf)
 
 
+def encode_records(rows, width: int) -> list[bytes]:
+    """RECORD payloads carrying ``rows`` (each of ``width`` values) in
+    order, a new one every :data:`RECORD_CHUNK_BYTES`."""
+    payloads = []
+    body = bytearray()
+    count = 0
+    for row in rows:
+        if len(row) != width:
+            raise ProtocolError(
+                f"row of {len(row)} values in a batch of width {width}"
+            )
+        for value in row:
+            # Inlined: the bytes write_wire_value would append for
+            # the two cases most result values are.
+            kind = type(value)
+            if kind is str:
+                encoded = value.encode("utf-8")
+                body.append(TAG_STR)
+                if len(encoded) < 0x80:
+                    body.append(len(encoded))
+                else:
+                    write_uvarint(body, len(encoded))
+                body += encoded
+            elif kind is int and 0 <= value < 0x40:
+                body.append(TAG_INT)
+                body.append(value << 1)
+            else:
+                write_wire_value(body, value)
+        count += 1
+        if len(body) >= RECORD_CHUNK_BYTES:
+            payloads.append(_record_payload(count, width, body))
+            body = bytearray()
+            count = 0
+    if count:
+        payloads.append(_record_payload(count, width, body))
+    return payloads
+
+
+def _record_payload(count: int, width: int, body: bytearray) -> bytes:
+    head = bytearray((MSG_RECORD,))
+    write_uvarint(head, count)
+    write_uvarint(head, width)
+    return bytes(head) + body
+
+
 def encode_record(values: tuple | list) -> bytes:
-    buf = bytearray((MSG_RECORD,))
-    write_uvarint(buf, len(values))
-    for value in values:
-        write_wire_value(buf, value)
-    return bytes(buf)
+    """The one-row form of a RECORD batch."""
+    return encode_records((values,), len(values))[0]
+
+
+def _read_records(payload: bytes, pos: int) -> tuple[list[tuple], int]:
+    count, pos = read_uvarint(payload, pos)
+    width, pos = read_uvarint(payload, pos)
+    # A value is at least its tag byte: whatever the header claims,
+    # the loops below are bounded by the frame's length.
+    if count * max(width, 1) > len(payload) - pos:
+        raise CodecError(f"no room for {count} rows of width {width}")
+    rows = []
+    columns = range(width)
+    try:
+        for _ in range(count):
+            row = []
+            for _ in columns:
+                # Inlined as in encode_records; an IndexError here is
+                # a value cut off by the end of the payload.
+                tag = payload[pos]
+                if tag == TAG_STR and payload[pos + 1] < 0x80:
+                    end = pos + 2 + payload[pos + 1]
+                    if end > len(payload):
+                        raise CodecError("truncated string")
+                    value = payload[pos + 2:end].decode("utf-8")
+                    pos = end
+                elif tag == TAG_INT and payload[pos + 1] < 0x80:
+                    zigzag = payload[pos + 1]
+                    value = (zigzag >> 1) ^ -(zigzag & 1)
+                    pos += 2
+                else:
+                    value, pos = read_wire_value(payload, pos)
+                row.append(value)
+            rows.append(tuple(row))
+    except IndexError:
+        raise CodecError("truncated record batch") from None
+    except UnicodeDecodeError as exc:
+        raise CodecError(f"invalid utf-8: {exc}") from None
+    return rows, pos
 
 
 def encode_error(code: str, message: str) -> bytes:
@@ -322,9 +414,9 @@ def encode_simple(msg_type: int) -> bytes:
 def decode_message(payload: bytes) -> tuple[int, dict]:
     """One payload -> ``(msg_type, fields)``.
 
-    Raises :class:`ProtocolError` for unknown types or malformed
-    bodies (codec errors are wrapped, so transport code has a single
-    failure type).
+    Raises :class:`ProtocolError` for unknown types, malformed bodies
+    (codec errors are wrapped, so transport code has a single failure
+    type) and bytes left over after the last field.
     """
     if not payload:
         raise ProtocolError("empty message payload")
@@ -334,18 +426,20 @@ def decode_message(payload: bytes) -> tuple[int, dict]:
         if msg_type == MSG_HELLO:
             version, pos = read_uvarint(payload, pos)
             client, pos = read_props(payload, pos)
-            return msg_type, {"version": version, "client": client}
-        if msg_type == MSG_RUN:
+            fields = {"version": version, "client": client}
+        elif msg_type == MSG_RUN:
             query, pos = read_str(payload, pos)
             params, pos = read_props(payload, pos)
             options, pos = read_props(payload, pos)
-            return msg_type, {
+            fields = {
                 "query": query, "params": params, "options": options,
             }
-        if msg_type == MSG_PULL:
+        elif msg_type == MSG_PULL:
             n, pos = read_uvarint(payload, pos)
-            return msg_type, {"n": n}
-        if msg_type == MSG_MUTATE:
+            if n < 1:
+                raise ProtocolError("PULL batch size must be positive")
+            fields = {"n": n}
+        elif msg_type == MSG_MUTATE:
             op, pos = read_str(payload, pos)
             args, pos = read_wire_value(payload, pos)
             if op not in MUTATION_OPS:
@@ -358,30 +452,30 @@ def decode_message(payload: bytes) -> tuple[int, dict]:
                     f"mutation {op!r} expects {MUTATION_OPS[op]} "
                     "arguments"
                 )
-            return msg_type, {"op": op, "args": args}
-        if msg_type == MSG_SUCCESS:
+            fields = {"op": op, "args": args}
+        elif msg_type == MSG_SUCCESS:
             meta, pos = read_props(payload, pos)
-            return msg_type, {"meta": meta}
-        if msg_type == MSG_RECORD:
-            count, pos = read_uvarint(payload, pos)
-            if count > MAX_FRAME_BYTES:
-                raise ProtocolError(f"record width {count} exceeds limit")
-            values = []
-            for _ in range(count):
-                value, pos = read_wire_value(payload, pos)
-                values.append(value)
-            return msg_type, {"values": tuple(values)}
-        if msg_type == MSG_ERROR:
+            fields = {"meta": meta}
+        elif msg_type == MSG_RECORD:
+            rows, pos = _read_records(payload, pos)
+            fields = {"rows": rows}
+        elif msg_type == MSG_ERROR:
             code, pos = read_str(payload, pos)
             message, pos = read_str(payload, pos)
-            return msg_type, {"code": code, "message": message}
-        if msg_type in (
+            fields = {"code": code, "message": message}
+        elif msg_type in (
             MSG_DISCARD, MSG_GOODBYE, MSG_BEGIN, MSG_COMMIT, MSG_ROLLBACK
         ):
-            return msg_type, {}
+            fields = {}
+        else:
+            raise ProtocolError(f"unknown message type 0x{msg_type:02x}")
     except CodecError as exc:
         raise ProtocolError(
             f"malformed {MSG_NAMES.get(msg_type, hex(msg_type))} "
             f"message: {exc}"
         ) from exc
-    raise ProtocolError(f"unknown message type 0x{msg_type:02x}")
+    if pos != len(payload):
+        raise ProtocolError(
+            f"trailing bytes after {MSG_NAMES[msg_type]} message"
+        )
+    return msg_type, fields

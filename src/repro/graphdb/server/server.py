@@ -7,8 +7,9 @@ the engine underneath:
 
 * **Readers are epoch-pinned (MVCC-style).**  A ``RUN`` executes on
   the event loop without yielding, pinned to the graph's mutation
-  epoch at that instant, and buffers its rows server-side; ``PULL``
-  then streams the buffer in client-paced batches.  Every row of a
+  epoch at that instant, and buffers its rows server-side; the first
+  client-paced batch rides on the ``RUN`` response (one round trip
+  for a result that fits) and ``PULL`` streams the rest.  Every row of a
   result therefore comes from exactly one epoch, no matter how many
   writes commit while the client is still pulling - the buffer *is*
   the snapshot.  Readers never take a lock and never block each
@@ -31,17 +32,19 @@ the engine underneath:
   same-connection read).
 
 Backpressure is layered: past ``max_connections`` new sockets are
-refused with an ERROR frame before handshake; per-connection response
-streaming awaits ``drain()``, so a slow consumer pauses its own
-result stream without occupying the loop; and each connection is
-served strictly request-by-request, so a client cannot pipeline the
-server into unbounded buffering.  Idle connections are reaped after
-``idle_timeout``; per-query budgets clamp onto the driver's
+refused with an ERROR frame before handshake; a response is
+assembled whole (all of it, or exactly one ERROR), written once and
+followed by one ``drain()``, so a slow consumer pauses its own stream
+with at most one client-paced batch in the transport buffer; and each
+connection is served strictly request-by-request, so a client cannot
+pipeline the server into unbounded buffering.  Idle connections are
+reaped after ``idle_timeout``; per-query budgets clamp onto the driver's
 :class:`~repro.graphdb.query.executor.ExecutionGuard` (server-side
 ``query_timeout`` / ``max_rows`` bound whatever the client asks for).
 
 ``server.accept`` / ``server.read`` / ``server.write`` failpoints
-fire at the corresponding I/O boundaries; an injected
+fire at the corresponding I/O boundaries (``server.write`` per frame,
+before the response's first byte); an injected
 :class:`~repro.graphdb.faults.SimulatedCrash` takes the whole server
 down *without* flushing the WAL - exactly like ``kill -9`` - which is
 what the kill-mid-commit torture tests exercise.
@@ -207,10 +210,6 @@ class _ServerResult:
         self.meta = meta
         self.pos = 0
 
-    @property
-    def remaining(self) -> int:
-        return len(self.rows) - self.pos
-
 
 class _ClientConnection:
     """One client socket's session, request loop, and tx state."""
@@ -243,11 +242,16 @@ class _ClientConnection:
         _BYTES_READ.inc(len(header) + len(payload))
         return wire.check_frame(header, payload)
 
-    async def _send(self, payload: bytes) -> None:
-        faults.fire(FP_WRITE)
-        frame = wire.pack_frame(payload)
-        self._writer.write(frame)
-        _BYTES_WRITTEN.inc(len(frame))
+    async def _send(self, *payloads: bytes) -> None:
+        # One response: every frame is built before the first byte
+        # goes out, so a failure here leaves nothing half-sent.
+        frames = []
+        for payload in payloads:
+            faults.fire(FP_WRITE)
+            frames.append(wire.pack_frame(payload))
+        data = b"".join(frames)
+        self._writer.write(data)
+        _BYTES_WRITTEN.inc(len(data))
         # Flow control: a slow consumer stalls its own stream here
         # instead of growing the transport buffer without bound.
         await self._writer.drain()
@@ -282,7 +286,9 @@ class _ClientConnection:
                 try:
                     await self._dispatch(msg_type, fields)
                 except ReproError as exc:
-                    # Driver-level failure: the connection survives.
+                    # Driver-level failure: the connection survives,
+                    # the result the request was about does not.
+                    self._result = None
                     try:
                         await self._send_error(exc)
                     except (ConnectionError, OSError):
@@ -307,7 +313,7 @@ class _ClientConnection:
         if msg_type == wire.MSG_RUN:
             await self._handle_run(**fields)
         elif msg_type == wire.MSG_PULL:
-            await self._handle_pull(fields["n"])
+            await self._send(*self._pull(fields["n"]))
         elif msg_type == wire.MSG_DISCARD:
             await self._handle_discard()
         elif msg_type == wire.MSG_BEGIN:
@@ -364,6 +370,9 @@ class _ClientConnection:
         max_rows = _clamp(
             options.get("max_rows"), server.config.max_rows
         )
+        pull = options.get("pull")
+        if pull is not None and (not isinstance(pull, int) or pull < 1):
+            raise wire.ProtocolError("RUN pull must be a positive int")
         explain = options.get("explain")
         if explain:
             text = self._session.explain(
@@ -392,28 +401,33 @@ class _ClientConnection:
             "plan_digest": summary.plan_digest,
         }
         self._result = _ServerResult(summary.columns, rows, meta)
-        await self._send(wire.encode_success({
+        header = wire.encode_success({
             "columns": summary.columns,
             "epoch": epoch,
             "mode": summary.mode,
-        }))
+        })
+        await self._send(header, *(self._pull(pull) if pull else ()))
 
-    async def _handle_pull(self, n: int) -> None:
+    def _pull(self, n: int) -> list[bytes]:
+        """The payloads answering one pull: the next ``n`` rows as
+        RECORD batches, then a SUCCESS saying whether more remain."""
         result = self._result
         if result is None:
             raise wire.ProtocolError("PULL without an open result")
         n = min(n, self._server.config.pull_batch_limit)
         end = min(result.pos + n, len(result.rows))
-        for i in range(result.pos, end):
-            await self._send(wire.encode_record(result.rows[i]))
+        payloads = wire.encode_records(
+            result.rows[result.pos:end], len(result.columns)
+        )
         result.pos = end
-        if result.remaining:
-            await self._send(wire.encode_success({"has_more": True}))
+        if end < len(result.rows):
+            payloads.append(wire.encode_success({"has_more": True}))
         else:
             self._result = None
-            await self._send(wire.encode_success(
+            payloads.append(wire.encode_success(
                 {"has_more": False, **result.meta}
             ))
+        return payloads
 
     async def _handle_discard(self) -> None:
         result = self._result

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import math
+import struct
 import zlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import (
     GraphError,
@@ -54,8 +58,6 @@ def test_length_mismatch_rejected():
 def test_oversized_frame_rejected_both_directions():
     with pytest.raises(wire.ProtocolError, match="exceeds"):
         wire.pack_frame(b"\x00" * (wire.MAX_FRAME_BYTES + 1))
-    import struct
-
     huge = struct.pack("<II", wire.MAX_FRAME_BYTES + 1, 0)
     with pytest.raises(wire.ProtocolError, match="exceeds"):
         wire.frame_length(huge)
@@ -98,6 +100,30 @@ def test_pull_and_simple_messages():
 def test_pull_batch_must_be_positive():
     with pytest.raises(wire.ProtocolError):
         wire.encode_pull(0)
+    # The server never sees a PULL it would answer "has_more" forever.
+    with pytest.raises(wire.ProtocolError, match="positive"):
+        wire.decode_message(bytes((wire.MSG_PULL, 0)))
+
+
+def test_trailing_bytes_rejected_for_every_message():
+    messages = [
+        wire.encode_hello({"app": "t"}),
+        wire.encode_run("MATCH (n) RETURN n", {"x": 1}, {"pull": 5}),
+        wire.encode_pull(5),
+        wire.encode_mutate("remove_edge", [1]),
+        wire.encode_success({"has_more": False}),
+        wire.encode_record(("x", 1)),
+        wire.encode_error("GraphError", "m"),
+    ] + [
+        wire.encode_simple(msg_type) for msg_type in (
+            wire.MSG_DISCARD, wire.MSG_GOODBYE, wire.MSG_BEGIN,
+            wire.MSG_COMMIT, wire.MSG_ROLLBACK,
+        )
+    ]
+    for payload in messages:
+        wire.decode_message(payload)
+        with pytest.raises(wire.ProtocolError, match="trailing"):
+            wire.decode_message(payload + b"junk")
 
 
 def test_record_roundtrip_with_entity_refs():
@@ -107,13 +133,145 @@ def test_record_roundtrip_with_entity_refs():
     )
     msg_type, fields = roundtrip(wire.encode_record(values))
     assert msg_type == wire.MSG_RECORD
-    assert fields["values"] == (
+    assert fields["rows"] == [(
         VertexBinding(3), EdgeBinding(9), "x", 42, 2.5, None, True,
         [VertexBinding(1), [EdgeBinding(2), "deep"]],
-    )
+    )]
     # Decoded refs are the executor's real binding types, so remote
     # rows compare equal to in-process rows.
-    assert isinstance(fields["values"][0], VertexBinding)
+    assert isinstance(fields["rows"][0][0], VertexBinding)
+
+
+# ----------------------------------------------------------------------
+# RECORD batches
+# ----------------------------------------------------------------------
+def decode_batch(payloads) -> list[tuple]:
+    rows = []
+    for payload in payloads:
+        msg_type, fields = roundtrip(payload)
+        assert msg_type == wire.MSG_RECORD
+        rows += fields["rows"]
+    return rows
+
+
+def same(a, b) -> bool:
+    """Equality that tells 0.0 from -0.0 and 1 from True."""
+    if isinstance(a, (list, tuple)):
+        return (
+            type(a) is type(b) and len(a) == len(b)
+            and all(map(same, a, b))
+        )
+    if isinstance(a, float) and isinstance(b, float):
+        return a == b and math.copysign(1, a) == math.copysign(1, b)
+    return type(a) is type(b) and a == b
+
+
+scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**70), 2**70),
+    st.integers(-70, 70),  # both sides of the one-byte inline limit
+    st.floats(allow_nan=False),
+    st.sampled_from([math.inf, -math.inf, -0.0, 0.0]),
+    st.text(max_size=8),
+    st.text(alphabet="a\u00e9\u4e2d", min_size=40, max_size=140),
+    st.sampled_from(["x" * 127, "x" * 128, "\u00e9" * 63, "\u00e9" * 64]),
+    st.builds(VertexBinding, st.integers(0, 2**40)),
+    st.builds(EdgeBinding, st.integers(0, 2**40)),
+)
+values = st.recursive(
+    scalars, lambda inner: st.lists(inner, max_size=4), max_leaves=8
+)
+
+
+@st.composite
+def batches(draw):
+    width = draw(st.sampled_from([1, 2, 12]))
+    return width, draw(st.lists(
+        st.tuples(*[values] * width), max_size=6
+    ))
+
+
+@settings(max_examples=150, deadline=None)
+@given(batch=batches())
+def test_record_batch_roundtrip(batch):
+    width, rows = batch
+    payloads = wire.encode_records(rows, width)
+    assert len(payloads) == (1 if rows else 0)
+    assert same(decode_batch(payloads), rows)
+
+
+def test_empty_batch_and_one_row_form():
+    assert wire.encode_records([], 3) == []
+    # An empty batch is still a well-formed message.
+    assert wire.decode_message(bytes((wire.MSG_RECORD, 0, 3))) == (
+        wire.MSG_RECORD, {"rows": []}
+    )
+    assert wire.encode_record(("a", 1)) == wire.encode_records(
+        [("a", 1)], 2
+    )[0]
+
+
+def test_ragged_batch_rejected_on_encode():
+    with pytest.raises(wire.ProtocolError, match="width 2"):
+        wire.encode_records([("a", 1), ("b",)], 2)
+
+
+def test_big_batch_is_chunked_into_several_frames():
+    rows = [(f"name-{i:06d}", i) for i in range(20_000)]
+    payloads = wire.encode_records(rows, 2)
+    assert len(payloads) > 1
+    # A frame closes with the row that reaches the chunk size.
+    slack = 2 * len(wire.encode_record(rows[-1]))
+    assert all(
+        len(payload) < wire.RECORD_CHUNK_BYTES + slack
+        for payload in payloads
+    )
+    assert decode_batch(payloads) == rows
+
+
+def test_batch_header_cannot_claim_more_than_the_frame_holds():
+    # 2**40 rows of width 0, and of width 1 with no bytes behind them:
+    # refused before any loop runs.
+    for width in (0, 1):
+        payload = bytearray((wire.MSG_RECORD,))
+        wire.write_uvarint(payload, 2**40)
+        wire.write_uvarint(payload, width)
+        with pytest.raises(wire.ProtocolError, match="malformed"):
+            wire.decode_message(bytes(payload))
+
+
+@settings(max_examples=60, deadline=None)
+@given(batch=batches(), data=st.data())
+def test_damaged_batch_is_a_protocol_error(batch, data):
+    """Every strict prefix and every one-byte corruption of a frame
+    fails as ProtocolError - never another exception, never a hang."""
+    width, rows = batch
+    if not rows:
+        rows = [("x",) * width]
+    payload = wire.encode_records(rows, width)[0]
+    for cut in range(len(payload)):
+        with pytest.raises(wire.ProtocolError):
+            wire.decode_message(payload[:cut])
+    frame = bytearray(wire.pack_frame(payload))
+    index = data.draw(st.integers(0, len(frame) - 1))
+    frame[index] ^= data.draw(st.integers(1, 255))
+    header, body = bytes(frame[:8]), bytes(frame[8:])
+    with pytest.raises(wire.ProtocolError):
+        wire.frame_length(header)
+        wire.decode_message(wire.check_frame(header, body))
+    # Past the CRC (a hostile peer computes its own) the decoder
+    # still only ever answers with rows or a ProtocolError.
+    try:
+        wire.decode_message(body)
+    except wire.ProtocolError:
+        pass
+
+
+def test_bad_utf8_in_an_inlined_string():
+    payload = bytes((wire.MSG_RECORD, 1, 1, 5, 2, 0xC3, 0x28))
+    with pytest.raises(wire.ProtocolError, match="utf-8"):
+        wire.decode_message(payload)
 
 
 def test_mutate_roundtrip_with_props_map():
@@ -187,8 +345,6 @@ def test_exception_for_rehydrates_driver_classes():
 def test_crc_is_of_payload_only():
     payload = wire.encode_success({"a": 1})
     frame = wire.pack_frame(payload)
-    import struct
-
     length, crc = struct.unpack("<II", frame[:8])
     assert length == len(payload)
     assert crc == zlib.crc32(payload)

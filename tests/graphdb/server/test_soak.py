@@ -41,6 +41,16 @@ def test_soak_readers_see_only_committed_prefixes(
 ):
     """32 streaming readers during a write burst: every result is a
     snapshot - whole transactions only, no torn or future state."""
+    _soak(server_factory, tmp_path, fetch_size=3)
+
+
+def test_soak_one_row_batches(server_factory, tmp_path):
+    """The same at ``fetch_size=1``: every row its own round trip, the
+    widest window for a commit to land inside a result."""
+    _soak(server_factory, tmp_path, fetch_size=1)
+
+
+def _soak(server_factory, tmp_path, fetch_size: int) -> None:
     from repro.graphdb.graph import PropertyGraph
 
     graph = PropertyGraph("soak")
@@ -71,9 +81,9 @@ def test_soak_readers_see_only_committed_prefixes(
         start.wait()
         try:
             with connect(harness.url) as db:
-                # fetch_size=3: a full result takes many PULL round
-                # trips, so commits land *while* it streams.
-                with db.session(fetch_size=3) as session:
+                # A small fetch_size: a full result takes many PULL
+                # round trips, so commits land *while* it streams.
+                with db.session(fetch_size=fetch_size) as session:
                     while not writer_done.is_set():
                         result = session.run(
                             "MATCH (m:Mark) RETURN m.gen AS g"
