@@ -16,6 +16,13 @@ dataset (full scale, DIR graph):
 * **filtered_sum_aggregate** - a filtered numeric aggregation
   (``WHERE s.cohortSize > 0 RETURN sum(...)``): mask kernel plus
   batch fold, also timed on both pipelines (target >=5x);
+* **string_project_scan** / **grouped_count** / **expand_collect_size**
+  - the shapes of the paper's own queries, on both pipelines: return a
+  string property of every vertex of the largest label; group that
+  label on the string and count; one hop folded into
+  ``size(collect())`` (FIN Q11's shape).  The group fold is a Python
+  fold on either path, so ``grouped_count`` gains less than the
+  numeric kernels do;
 * **two_hop_expand** - a 2-hop typed pattern
   (``(p:Patient)-[:takes]->(d:Drug)-[:treat]->(i:Indication)``):
   adjacency iteration dominates; both pipelines recorded;
@@ -160,6 +167,18 @@ def main(argv: list[str] | None = None) -> int:
     project_query = (
         f"MATCH (x:{scan_label}) RETURN count(x.{scan_prop})"
     )
+    string_prop = next(
+        name for name, value in sample.properties.items()
+        if isinstance(value, str)
+    )
+    string_query = f"MATCH (x:{scan_label}) RETURN x.{string_prop}"
+    grouped_query = (
+        f"MATCH (x:{scan_label}) RETURN x.{string_prop}, count(*)"
+    )
+    collect_query = (
+        "MATCH (p:Patient)-[:takes]->(d:Drug) "
+        "RETURN size(collect(d.name))"
+    )
     expand_query = (
         "MATCH (p:Patient)-[:takes]->(d:Drug)-[:treat]->(i:Indication) "
         "RETURN count(*)"
@@ -231,6 +250,23 @@ def main(argv: list[str] | None = None) -> int:
              "rows_scanned": graph.label_count("Study"),
              "runs_per_sample": batch,
              "target_speedup": TARGET_VECTOR_SPEEDUP},
+        ),
+        paired(
+            "string_project_scan", string_query,
+            {"label": scan_label, "prop": string_prop,
+             "rows": len(executor.run(string_query).rows),
+             "runs_per_sample": batch},
+        ),
+        paired(
+            "grouped_count", grouped_query,
+            {"label": scan_label, "key": string_prop,
+             "groups": len(executor.run(grouped_query).rows),
+             "runs_per_sample": batch},
+        ),
+        paired(
+            "expand_collect_size", collect_query,
+            {"result": executor.run(collect_query).single_value(),
+             "runs_per_sample": batch},
         ),
         paired(
             "two_hop_expand", expand_query,

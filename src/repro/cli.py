@@ -369,6 +369,7 @@ def cmd_query(args) -> int:
             "elapsed_ms": round(summary.elapsed_ms, 3),
             "plan_digest": summary.plan_digest,
             "mode": summary.mode,
+            "fallback_reason": summary.fallback_reason,
             "parameters": {
                 name: _jsonable(value)
                 for name, value in summary.parameters.items()

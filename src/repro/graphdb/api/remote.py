@@ -363,7 +363,8 @@ class RemoteSummary:
 
     __slots__ = (
         "query", "parameters", "columns", "rows", "epoch", "mode",
-        "latency_ms", "elapsed_ms", "plan_digest", "metrics", "trace",
+        "fallback_reason", "latency_ms", "elapsed_ms", "plan_digest",
+        "metrics", "trace",
     )
 
     def __init__(self, query, parameters, columns, meta):
@@ -375,6 +376,7 @@ class RemoteSummary:
         #: every row of the result came from this exact version.
         self.epoch = meta.get("epoch")
         self.mode = meta.get("mode", "tuple")
+        self.fallback_reason = meta.get("fallback_reason")
         self.latency_ms = meta.get("latency_ms", 0.0)
         self.elapsed_ms = meta.get("elapsed_ms", 0.0)
         self.plan_digest = meta.get("plan_digest", "")

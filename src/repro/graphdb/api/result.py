@@ -111,7 +111,7 @@ class ResultSummary:
     __slots__ = (
         "query", "parameters", "columns", "rows", "metrics",
         "latency_ms", "elapsed_ms", "plan_digest", "trace", "mode",
-        "_plan", "_plan_actual", "_plan_text",
+        "fallback_reason", "_plan", "_plan_actual", "_plan_text",
     )
 
     def __init__(
@@ -127,6 +127,7 @@ class ResultSummary:
         elapsed_ms: float = 0.0,
         trace: Trace | None = None,
         mode: str = "tuple",
+        fallback_reason: str | None = None,
     ):
         self.query = query
         self.parameters = parameters
@@ -149,6 +150,10 @@ class ResultSummary:
         #: Which pipeline ran this execution: ``"vectorized"`` (the
         #: batch path) or ``"tuple"`` (the generator pipeline).
         self.mode = mode
+        #: Why a ``"tuple"`` execution did not take the batch path
+        #: (``repro_vectorized_fallback_total``'s reason label, or
+        #: ``"plan"`` / ``"disabled"``); ``None`` when it did.
+        self.fallback_reason = fallback_reason
         self._plan = plan
         self._plan_actual = plan_actual
         self._plan_text: str | None = None
@@ -164,7 +169,8 @@ class ResultSummary:
         """
         if self._plan_text is None:
             self._plan_text = self._plan.describe(
-                actual=self._plan_actual, mode=self.mode
+                actual=self._plan_actual, mode=self.mode,
+                reason=self.fallback_reason,
             )
         return self._plan_text
 
@@ -324,7 +330,9 @@ class Result:
             counters["injected"] - self._fault_base["injected"]
         )
         plan = self._plan
-        mode = self._report.mode if self._report is not None else "tuple"
+        report = self._report
+        mode = report.mode if report is not None else "tuple"
+        reason = report.fallback_reason if report is not None else None
         if self._trace is not None:
             self._trace.complete(
                 plan.step_texts(),
@@ -332,6 +340,7 @@ class Result:
                 self._step_counts,
                 self._yielded,
                 mode=mode,
+                reason=reason,
             )
         _QUERIES.inc()
         _QUERY_ROWS.inc(self._yielded)
@@ -363,6 +372,7 @@ class Result:
             elapsed_ms=elapsed_ms,
             trace=self._trace,
             mode=mode,
+            fallback_reason=reason,
         )
         if observe.EVENTS.slow_query_ms is not None:
             observe.EVENTS.slow_query(
@@ -371,5 +381,7 @@ class Result:
                 plan.fingerprint,
                 self._yielded,
                 metrics.as_dict(),
+                mode,
+                reason,
             )
         self._owner._result_settled(self)

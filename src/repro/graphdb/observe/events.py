@@ -159,6 +159,8 @@ class EventLog:
         plan_digest: str,
         rows: int,
         metrics: dict,
+        mode: str | None = None,
+        fallback_reason: str | None = None,
     ) -> None:
         """Emit a ``slow_query`` event when the threshold is armed and
         crossed; the common (fast-query or unarmed) path is two
@@ -175,4 +177,6 @@ class EventLog:
             plan_digest=plan_digest,
             rows=rows,
             metrics=metrics,
+            mode=mode,
+            fallback_reason=fallback_reason,
         )

@@ -123,6 +123,7 @@ class Trace:
         actual_rows: list[int],
         rows: int,
         mode: str | None = None,
+        reason: str | None = None,
     ) -> "Trace":
         """Settle the trace: operator spans + execute/root end times.
 
@@ -130,13 +131,16 @@ class Trace:
         the same one ``EXPLAIN ANALYZE`` renders - and ``step_times``
         (when the traced pipeline filled it) supplies each operator's
         inclusive wall time.  ``mode`` tags the execute span with the
-        pipeline path that ran (``vectorized`` or ``tuple``).
+        pipeline path that ran (``vectorized`` or ``tuple``), and
+        ``reason`` with why a tuple run did not take the batch path.
         """
         execute = self._execute
         if execute is None:
             execute = self.begin_execute()
         if mode is not None:
             execute.attrs["mode"] = mode
+        if reason is not None:
+            execute.attrs["fallback_reason"] = reason
         times = self.step_times
         for i, text in enumerate(step_texts):
             span = Span(f"{i + 1}. {text}", start=execute.start)
@@ -178,6 +182,8 @@ class Trace:
             details.append(f"{span.attrs['rows']} row(s)")
         if "mode" in span.attrs:
             details.append(f"mode={span.attrs['mode']}")
+        if "fallback_reason" in span.attrs:
+            details.append(f"reason={span.attrs['fallback_reason']}")
         if "actual_rows" in span.attrs:
             est = span.attrs.get("est_rows")
             est_text = f"est~{est:.0f}, " if est is not None else ""

@@ -721,11 +721,13 @@ class Executor:
         from repro.graphdb.query import vectorized
 
         if not analyze:
-            mode = (
-                vectorized.static_mode(query, plan, self.session.graph)
-                if self.vectorize else "tuple"
+            reason = (
+                vectorized.static_reason(query, plan, self.session.graph)
+                if self.vectorize else "disabled"
             )
-            return plan.describe(mode=mode)
+            return plan.describe(
+                mode="tuple" if reason else "vectorized", reason=reason
+            )
         counts = [0] * len(plan.steps)
         report = vectorized.ExecutionReport()
         if not self.vectorize:
@@ -733,7 +735,9 @@ class Executor:
         self._execute(
             query, plan, parameters, step_counts=counts, report=report
         )
-        return plan.describe(actual=counts, mode=report.mode)
+        return plan.describe(
+            actual=counts, mode=report.mode, reason=report.fallback_reason
+        )
 
     # ------------------------------------------------------------------
     # Pattern matching (generator pipeline)

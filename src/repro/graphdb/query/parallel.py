@@ -759,6 +759,12 @@ def _shape_reason(query, plan, threshold: int) -> str | None:
     est = plan.steps[0].est_rows
     if est is not None and est < threshold:
         return "small-scan"
+    if any(
+        contains_aggregate(item.expr) for item in query.return_items
+    ) and not vectorized.plain_aggregates(query, plan):
+        # Grouped / collect / wrapped aggregates fold whole bindings;
+        # the mergers only know the streaming numeric folds.
+        return "aggregate-shape"
     return None
 
 
@@ -820,6 +826,12 @@ def build_parallel_pipeline(
         for f in step.filters:
             vectorized.compile_mask(probe_ctx, f)
         columns, _ = vectorized._compile_output(query, plan, probe_ctx)
+        for item in query.return_items:
+            # A projected string/list column is an object array the
+            # serial batch path reads in place; it cannot cross into
+            # shared memory.
+            if isinstance(item.expr, PropertyRef):
+                vectorized._require_typed(arrays.column(item.expr.prop))
     except vectorized._Fallback as fb:
         return decline(fb.reason)
 
@@ -874,7 +886,8 @@ def build_parallel_pipeline(
     for name in _collect_props(query, step):
         col = arrays.column(name)
         values_desc = (
-            None if col.values is None
+            # Typed values only: an object array holds pointers.
+            None if col.kind not in (KIND_INT, KIND_FLOAT)
             else pool.arena.share(("col", gkey, epoch, name, "v"), col.values)
         )
         present_desc = (

@@ -298,6 +298,7 @@ class Plan:
         self,
         actual: list[int] | None = None,
         mode: str | None = None,
+        reason: str | None = None,
     ) -> str:
         """Human-readable rendering of steps and pushed predicates.
 
@@ -305,7 +306,7 @@ class Plan:
         ``EXPLAIN ANALYZE``) adds an estimated-vs-actual column.
         ``mode`` appends the execution path (``vectorized``/``tuple``)
         the executor chose - or, for plain EXPLAIN, predicts - for
-        this plan.
+        this plan, and ``reason`` why that path is the tuple one.
         """
         lines = []
         for i, (step, text) in enumerate(zip(self.steps, self.step_texts())):
@@ -314,7 +315,9 @@ class Plan:
             )
             lines.append(f"{i + 1}. {text}")
         if mode is not None:
-            lines.append(f"mode={mode}")
+            lines.append(
+                f"mode={mode} reason={reason}" if reason else f"mode={mode}"
+            )
         return "\n".join(lines)
 
 

@@ -17,10 +17,15 @@ kernels over the columnar core's flat arrays:
 * **CSR-slice expansion** joins a whole batch of source vertices over
   the frozen :class:`~repro.graphdb.view.GraphView` offset arrays
   (``repeat``/``cumsum`` arithmetic) instead of per-vertex iteration;
-* **Batch aggregation** folds COUNT/SUM/MIN/MAX/AVG over masked
-  arrays, with exactness guards that drop to Python folds whenever
-  numpy's arithmetic could diverge from the tuple path (int64 sums
-  near overflow, NaN floats, pairwise float summation).
+* **Batch aggregation** folds bare global COUNT/SUM/MIN/MAX/AVG over
+  masked arrays as the batches stream, with exactness guards that
+  drop to Python folds whenever numpy's arithmetic could diverge from
+  the tuple path (int64 sums near overflow, NaN floats, pairwise
+  float summation); grouped aggregation, COLLECT, DISTINCT arguments
+  and SIZE/HEAD/COALESCE wrappers go through one grouped consumer
+  (:func:`_compile_grouped`) that keeps the id columns, folds with
+  the tuple path's own ``apply_aggregate`` and replays its re-read
+  charges in its order.
 
 The contract with the tuple path is *strict equivalence*: identical
 rows in identical order, and identical work counters (the session's
@@ -32,15 +37,18 @@ which path ran.  Page touches are charged in *runs* of consecutive
 same-page rows - the bulk equivalent of the per-row LRU touches the
 session makes - in the exact order the tuple path would make them.
 
-:func:`build_pipeline` returns ``(None, reason)`` instead of a
-pipeline whenever any part of the query cannot be vectorized without
-changing semantics: object-typed columns behind value reads,
-parameters resolved to non-numeric values, ``LIMIT`` (whose
-short-circuit laziness batch execution would coarsen), int64 ranges
-where float promotion loses precision, plans that expand without a
-valid frozen view, and so on.  Every fallback is counted per reason in
-``repro_vectorized_fallback_total`` and the executor reports the path
-that actually ran as ``mode=vectorized|tuple`` in EXPLAIN and traces.
+:func:`build_pipeline` returns ``None`` instead of a pipeline
+whenever any part of the query cannot be vectorized without changing
+semantics: object-typed (string, bool, list, mixed) columns behind a
+comparison or a numeric fold - returning, grouping on, counting and
+collecting them is fine, they are gathered as they are - parameters
+resolved to non-numeric values, ``LIMIT`` without ``ORDER BY`` (whose
+short-circuit laziness batch execution would coarsen), aggregates of
+anything but one leaf, int64 ranges where float promotion loses
+precision, plans that expand without a valid frozen view.  Every
+fallback is counted per reason in ``repro_vectorized_fallback_total``
+and the executor reports the path that actually ran as
+``mode=vectorized|tuple`` in EXPLAIN and traces.
 """
 
 from __future__ import annotations
@@ -53,6 +61,8 @@ import numpy as np
 from repro.graphdb import observe
 from repro.graphdb.columnar import KIND_FLOAT, KIND_INT
 from repro.graphdb.query.ast import (
+    AGGREGATE_FUNCTIONS,
+    SCALAR_FUNCTIONS,
     BoolOp,
     Comparison,
     Expr,
@@ -66,14 +76,17 @@ from repro.graphdb.query.ast import (
     Star,
     Variable,
     contains_aggregate,
+    walk,
 )
 from repro.graphdb.query.executor import (
     EdgeBinding,
     ExecutionGuard,
     VertexBinding,
+    _hashable,
     _resolve_props,
     _resolve_value,
 )
+from repro.graphdb.query.functions import apply_aggregate, apply_scalar
 from repro.graphdb.query.planner import ExpandStep, Plan, ScanStep
 
 _FALLBACKS = observe.REGISTRY.labeled_counter(
@@ -114,6 +127,11 @@ class ExecutionReport:
     parallel_reason: str | None = None
     batches: int = 0
 
+    @property
+    def fallback_reason(self) -> str | None:
+        """Why this execution ran tuple (None when it did not)."""
+        return self.reason if self.mode == "tuple" else None
+
 
 class _Fallback(Exception):
     """Raised during pipeline *construction* only - never mid-batch,
@@ -130,11 +148,13 @@ class _Fallback(Exception):
 class _Column:
     """One property key's values scattered into vid-indexed arrays.
 
-    ``kind`` is ``"int64"``/``"float64"`` (values + presence),
-    ``"object"``/``"mixed"`` (presence only - ``present`` is already
-    the *reads-non-null* mask, so a stored ``None`` in an object
-    column counts as absent, exactly as every read path reports it),
-    or ``"absent"`` (key never stored; reads are None everywhere).
+    ``kind`` is ``"int64"``/``"float64"`` (typed values + presence),
+    ``"object"``/``"mixed"`` (``values`` has dtype ``object`` and
+    holds the stored objects themselves, ``None`` where absent -
+    readable, never compared or added; ``present`` is already the
+    *reads-non-null* mask, so a stored ``None`` counts as absent,
+    exactly as every read path reports it), or ``"absent"`` (key
+    never stored; reads are None everywhere).
     """
 
     __slots__ = (
@@ -211,11 +231,12 @@ class GraphArrays:
         elif kinds == {KIND_FLOAT}:
             kind, dtype = KIND_FLOAT, np.float64
         else:
-            kind, dtype = ("object" if len(kinds) == 1 else "mixed"), None
+            kind, dtype = ("object" if len(kinds) == 1 else "mixed"), object
         present = np.zeros(self.nslots, dtype=bool)
+        # An object array starts out all-None: absent reads as None.
         values = (
-            np.zeros(self.nslots, dtype=dtype) if dtype is not None
-            else None
+            np.empty(self.nslots, dtype=object) if dtype is object
+            else np.zeros(self.nslots, dtype=dtype)
         )
         examined: dict[int, int] = {}
         for tid, table, col in parts:
@@ -234,13 +255,19 @@ class GraphArrays:
                 continue
             targets = vids[rows]
             present[targets] = True
-            if values is not None:
+            if dtype is object:
+                # Element by element: a list-valued property stays
+                # one element instead of becoming an array axis.
+                data = np.fromiter(
+                    col.data, dtype=object, count=len(col.data)
+                )
+            else:
                 # Copy, not frombuffer: a shared buffer export would
                 # forbid the live column from ever resizing again.
                 data = np.array(col.data, dtype=dtype)
-                values[targets] = data[rows]
+            values[targets] = data[rows]
         vmin = vmax = None
-        if values is not None and present.any():
+        if dtype is not object and present.any():
             selected = values[present]
             vmin = selected.min().item()
             vmax = selected.max().item()
@@ -336,7 +363,14 @@ def _charge_pages(session, kind: str, vids, dedup: bool) -> None:
 # ----------------------------------------------------------------------
 # Static qualification
 # ----------------------------------------------------------------------
-_AGG_NAMES = frozenset({"count", "sum", "min", "max", "avg"})
+#: Aggregates whose fold compares or adds values: they need a typed
+#: (int64/float64) column, where count/collect only read.
+_NUMERIC_FOLDS = frozenset({"sum", "min", "max", "avg"})
+#: Column kinds whose values can be gathered but not compared or
+#: added, and the refusal each reports.
+_BOXED_REASONS = {"object": "object-column", "mixed": "mixed-kind"}
+#: What the streaming :class:`_Aggregator` folds batch by batch.
+_STREAMED_FOLDS = _NUMERIC_FOLDS | {"count"}
 
 
 def query_fallback_reason(query: Query, plan: Plan) -> str | None:
@@ -354,11 +388,15 @@ def query_fallback_reason(query: Query, plan: Plan) -> str | None:
         # (``Executor._order``) picks the first ``limit`` - so ORDER
         # BY + LIMIT runs the batch pipeline and feeds the same heap.
         return "limit"
-    has_aggregate = any(
-        contains_aggregate(item.expr) for item in query.return_items
-    )
-    for item in query.return_items:
-        reason = _item_reason(item.expr, plan, has_aggregate)
+    grouped = [contains_aggregate(item.expr) for item in query.return_items]
+    # A non-aggregate item is a plain RETURN item, or - beside
+    # aggregates - a grouping key: a row-level leaf either way.
+    otherwise = "aggregate-shape" if any(grouped) else "return-shape"
+    for item, group_level in zip(query.return_items, grouped):
+        if group_level:
+            reason = _group_reason(item.expr, plan)
+        else:
+            reason = _leaf_reason(item.expr, plan, otherwise)
         if reason is not None:
             return reason
     # ORDER BY / DISTINCT need no check: the executor's shared tail
@@ -366,74 +404,92 @@ def query_fallback_reason(query: Query, plan: Plan) -> str | None:
     return None
 
 
-def _item_reason(expr: Expr, plan: Plan, aggregating: bool) -> str | None:
-    if aggregating:
-        if not isinstance(expr, FuncCall) or expr.name not in _AGG_NAMES:
-            # Grouped aggregation, collect(), scalar wrappers around
-            # aggregates: all still tuple-only.
-            return "aggregate-shape"
-        if expr.distinct or expr.flatten or len(expr.args) != 1:
-            return "aggregate-shape"
-        arg = expr.args[0]
-        if isinstance(arg, Star):
-            return None if expr.name == "count" else "aggregate-shape"
-        if isinstance(arg, Variable):
-            if expr.name != "count":
-                return "aggregate-shape"
-            return _bound_reason(arg.name, plan)
-        if isinstance(arg, PropertyRef):
-            reason = _bound_reason(arg.var, plan)
-            if reason is None and plan.slot_kinds.get(arg.var) != "vertex":
-                return "aggregate-shape"
-            return reason
-        return "aggregate-shape"
+def _leaf_reason(expr: Expr, plan: Plan, otherwise: str) -> str | None:
     if isinstance(expr, (Literal, Parameter)):
         return None
     if isinstance(expr, Variable):
         return _bound_reason(expr.name, plan)
     if isinstance(expr, PropertyRef):
         return _bound_reason(expr.var, plan)
-    return "return-shape"
+    return otherwise
+
+
+def _group_reason(expr: Expr, plan: Plan) -> str | None:
+    """A group-level item: scalar calls over aggregates over leaves."""
+    if not isinstance(expr, FuncCall):
+        return _leaf_reason(expr, plan, "aggregate-shape")
+    if expr.name in SCALAR_FUNCTIONS:
+        for arg in expr.args:
+            reason = _group_reason(arg, plan)
+            if reason is not None:
+                return reason
+        return None
+    if expr.name not in AGGREGATE_FUNCTIONS or len(expr.args) != 1:
+        return "aggregate-shape"
+    arg = expr.args[0]
+    if isinstance(arg, Star):
+        return None if expr.name == "count" else "aggregate-shape"
+    return _leaf_reason(arg, plan, "aggregate-shape")
+
+
+def plain_aggregates(query: Query, plan: Plan) -> bool:
+    """True when RETURN is only bare global numeric aggregates - the
+    shape the streaming :class:`_Aggregator` (and the parallel
+    mergers) fold without keeping a binding; every other admitted
+    aggregate shape goes to the grouped consumer."""
+    for item in query.return_items:
+        expr = item.expr
+        if (
+            not isinstance(expr, FuncCall)
+            or expr.name not in _STREAMED_FOLDS
+            or expr.distinct or expr.flatten or len(expr.args) != 1
+        ):
+            return False
+        arg = expr.args[0]
+        if isinstance(arg, PropertyRef):
+            if plan.slot_kinds.get(arg.var) != "vertex":
+                return False
+        elif expr.name != "count" or not isinstance(arg, (Star, Variable)):
+            return False
+    return True
 
 
 def _bound_reason(var: str, plan: Plan) -> str | None:
     return None if var in plan.slots else "unbound-variable"
 
 
-def static_mode(query: Query, plan: Plan, graph=None) -> str:
-    """The mode EXPLAIN (which never executes) should render.
+def static_reason(query: Query, plan: Plan, graph=None) -> str | None:
+    """Why EXPLAIN (which never executes) should render ``mode=tuple``
+    (None: it predicts the batch path).
 
     With ``graph``, schema-dependent fallbacks are predicted too:
-    object/mixed columns behind value reads, bool constants, and a
-    missing frozen view ahead of CSR expansion.  Parameter-dependent
-    fallbacks (a ``$param`` bound to a string, int-precision edge
-    cases) stay runtime decisions - EXPLAIN is optimistic there and
-    ``EXPLAIN ANALYZE`` / result summaries report what actually ran.
+    object/mixed columns behind comparisons and numeric folds, bool
+    constants, and a missing frozen view ahead of CSR expansion.
+    Parameter-dependent fallbacks (a ``$param`` bound to a string,
+    int-precision edge cases) stay runtime decisions - EXPLAIN is
+    optimistic there and ``EXPLAIN ANALYZE`` / result summaries report
+    what actually ran.
     """
     if not plan.batchable:
-        return "tuple"
-    if query_fallback_reason(query, plan) is not None:
-        return "tuple"
-    if graph is not None and _schema_reason(query, plan, graph):
-        return "tuple"
-    return "vectorized"
+        return "plan"
+    reason = query_fallback_reason(query, plan)
+    if reason is None and graph is not None:
+        reason = _schema_reason(query, plan, graph)
+    return reason
 
 
 def _schema_reason(query: Query, plan: Plan, graph) -> str | None:
-    needs_value: list[str] = []  # props whose *values* must be read
+    # Props whose values get compared or added, not just read.
+    needs_value = [
+        node.args[0].prop
+        for item in query.return_items
+        for node in walk(item.expr)
+        if isinstance(node, FuncCall)
+        and node.name in _NUMERIC_FOLDS
+        and isinstance(node.args[0], PropertyRef)
+        and plan.slot_kinds.get(node.args[0].var) == "vertex"
+    ]
     consts: list[tuple[str, object]] = []  # (prop, constant) checks
-    aggregating = any(
-        contains_aggregate(item.expr) for item in query.return_items
-    )
-    for item in query.return_items:
-        expr = item.expr
-        if aggregating:  # every item is a plain aggregate FuncCall here
-            arg = expr.args[0] if expr.args else None
-            if isinstance(arg, PropertyRef) and expr.name != "count":
-                needs_value.append(arg.prop)
-        elif isinstance(expr, PropertyRef):
-            if plan.slot_kinds.get(expr.var) == "vertex":
-                needs_value.append(expr.prop)
     has_expand = False
     for step in plan.steps:
         for f in step.filters:
@@ -446,17 +502,17 @@ def _schema_reason(query: Query, plan: Plan, graph) -> str | None:
     if has_expand and graph.frozen_view is None:
         return "no-frozen-view"
     for name in needs_value:
-        kind = _schema_kind(graph, name)
-        if kind in ("object", "mixed"):
-            return "object-column" if kind == "object" else "mixed-kind"
+        reason = _BOXED_REASONS.get(_schema_kind(graph, name))
+        if reason is not None:
+            return reason
     for name, value in consts:
         if isinstance(value, Parameter) or value is None:
             continue
         if isinstance(value, bool):
             return "bool-value"
-        kind = _schema_kind(graph, name)
-        if kind in ("object", "mixed"):
-            return "object-column" if kind == "object" else "mixed-kind"
+        reason = _BOXED_REASONS.get(_schema_kind(graph, name))
+        if reason is not None:
+            return reason
     return None
 
 
@@ -524,14 +580,11 @@ def _int_range_float_exact(col: _Column) -> bool:
     )
 
 
-def _value_column(arrays: GraphArrays, name: str) -> _Column:
-    """The column for value (not just presence) access, or fallback."""
-    col = arrays.column(name)
-    if col.kind in ("object", "mixed"):
-        raise _Fallback(
-            "object-column" if col.kind == "object" else "mixed-kind"
-        )
-    return col
+def _require_typed(col: _Column) -> None:
+    """Comparing or adding values needs an int64/float64 column."""
+    reason = _BOXED_REASONS.get(col.kind)
+    if reason is not None:
+        raise _Fallback(reason)
 
 
 # ----------------------------------------------------------------------
@@ -634,10 +687,7 @@ def _compile_comparison(ctx: _KernelContext, expr: Comparison):
     if value is not None and col.kind != "absent":
         # A null constant needs no values (null-is-false for every
         # op), so even object columns stay on the batch path then.
-        if col.kind in ("object", "mixed"):
-            raise _Fallback(
-                "object-column" if col.kind == "object" else "mixed-kind"
-            )
+        _require_typed(col)
         _check_const(col, value)
     gather = _charged_gather(ctx, ref)
     if col.kind == "absent" or value is None:
@@ -717,10 +767,7 @@ def _eq_spec(
         return ("presence", col, None)
     if col.kind == "absent":
         return ("nothing", col, value)
-    if col.kind in ("object", "mixed"):
-        raise _Fallback(
-            "object-column" if col.kind == "object" else "mixed-kind"
-        )
+    _require_typed(col)
     if isinstance(value, bool):
         raise _Fallback("bool-value")
     if isinstance(value, int):
@@ -1014,28 +1061,34 @@ def _build_expand(ctx: _KernelContext, step, spec, params):
 # ----------------------------------------------------------------------
 # Projection and aggregation
 # ----------------------------------------------------------------------
-def _vertex_prop_reader(ctx: _KernelContext, var: str, prop: str):
-    """Charged batch read of one vertex property column -> values.
+def _vertex_prop_reader(
+    ctx: _KernelContext, var: str, prop: str, charge: bool = True
+):
+    """Batch read of one vertex property column -> values.
 
-    Mirrors ``GraphSession.property_reader``: one property read and
-    one vertex-page touch per row (repeats on a page count as hits).
+    Charging mirrors ``GraphSession.property_reader``: one property
+    read and one vertex-page touch per row (repeats on a page count
+    as hits).  ``charge=False`` only gathers - the grouped consumer
+    charges its re-reads itself, in the tuple path's order.  Object
+    columns hand out the stored objects themselves, like the tuple
+    reader does.
     """
     col = ctx.arrays.column(prop)
-    if col.kind in ("object", "mixed"):
-        raise _Fallback(
-            "object-column" if col.kind == "object" else "mixed-kind"
-        )
+    boxed = col.kind in _BOXED_REASONS
     slot = ctx.slots[var]
     session = ctx.session
 
     def read(cols, n):
         vids = cols[slot]
-        session.metrics.property_reads += n
-        _charge_pages(session, "v", vids, dedup=False)
+        if charge:
+            session.metrics.property_reads += n
+            _charge_pages(session, "v", vids, dedup=False)
         if col.kind == "absent":
             return [None] * n
-        present = col.present[vids]
         values = col.values[vids].tolist()
+        if boxed:
+            return values  # absent slots of an object array hold None
+        present = col.present[vids]
         if present.all():
             return values
         return [
@@ -1046,15 +1099,18 @@ def _vertex_prop_reader(ctx: _KernelContext, var: str, prop: str):
     return read
 
 
-def _edge_prop_reader(ctx: _KernelContext, var: str, prop: str):
-    """Charged batch read of one edge property (sparse dict probes)."""
+def _edge_prop_reader(
+    ctx: _KernelContext, var: str, prop: str, charge: bool = True
+):
+    """Batch read of one edge property (sparse dict probes)."""
     slot = ctx.slots[var]
     session = ctx.session
     e_props = session.graph._e_props
 
     def read(cols, n):
-        # read_edge_property: one property read, no page touch.
-        session.metrics.property_reads += n
+        if charge:
+            # read_edge_property: one property read, no page touch.
+            session.metrics.property_reads += n
         out = []
         for eid in cols[slot].tolist():
             stored = e_props.get(eid)
@@ -1064,8 +1120,8 @@ def _edge_prop_reader(ctx: _KernelContext, var: str, prop: str):
     return read
 
 
-def _compile_item(ctx: _KernelContext, expr: Expr):
-    """Compile one RETURN item into ``fn(cols, n) -> list`` (plain
+def _compile_item(ctx: _KernelContext, expr: Expr, charge: bool = True):
+    """Compile one row-level leaf into ``fn(cols, n) -> list`` (plain
     Python output values, one per batch row)."""
     if isinstance(expr, Literal):
         value = expr.value
@@ -1084,8 +1140,8 @@ def _compile_item(ctx: _KernelContext, expr: Expr):
         ]
     if isinstance(expr, PropertyRef):
         if ctx.slot_kinds[expr.var] == "edge":
-            return _edge_prop_reader(ctx, expr.var, expr.prop)
-        return _vertex_prop_reader(ctx, expr.var, expr.prop)
+            return _edge_prop_reader(ctx, expr.var, expr.prop, charge)
+        return _vertex_prop_reader(ctx, expr.var, expr.prop, charge)
     raise _Fallback("return-shape")  # pragma: no cover - pre-checked
 
 
@@ -1110,11 +1166,8 @@ class _Aggregator:
             session = ctx.session
             slot = ctx.slots[arg.var]
             col = ctx.arrays.column(arg.prop)
-            if name != "count" and col.kind in ("object", "mixed"):
-                raise _Fallback(
-                    "object-column" if col.kind == "object"
-                    else "mixed-kind"
-                )
+            if name != "count":
+                _require_typed(col)
             self.col = col
             safe = 0
             if col.kind == KIND_INT and col.vmin is not None:
@@ -1207,37 +1260,164 @@ class _Aggregator:
         return self.best
 
 
+def _compile_grouped(items, ctx: _KernelContext):
+    """The batch consumer for grouped and wrapped aggregation.
+
+    Reproduces ``Executor._project``'s charge order, which the page
+    LRU makes observable.  While the match streams, each batch pays
+    its grouping-key reads.  After the drain, per group in first-seen
+    order and per RETURN item in order, a row-level leaf is re-read on
+    the group's first binding and an aggregate's argument on every
+    binding of the group: one ``property_reads`` bump and one
+    :func:`_charge_pages` call over that concatenated vid sequence
+    (rows stably sorted by group id give it).  Values are folded by
+    the tuple path's own ``apply_aggregate`` / ``apply_scalar``.
+    """
+    session = ctx.session
+    #: Post-drain readers in evaluation order: ``(gather, page slot
+    #: or None, charged as a property read, reads the whole group)``.
+    readers: list[tuple] = []
+
+    def reader(leaf: Expr, whole: bool) -> int:
+        is_prop = isinstance(leaf, PropertyRef)
+        paged = is_prop and ctx.slot_kinds[leaf.var] == "vertex"
+        if isinstance(leaf, Star):
+            gather = lambda cols, n: [1] * n  # noqa: E731
+        else:
+            gather = _compile_item(ctx, leaf, charge=False)
+        readers.append(
+            (gather, ctx.slots[leaf.var] if paged else None, is_prop, whole)
+        )
+        return len(readers) - 1
+
+    def compile_group(expr: Expr):
+        """``fn(vals, g, lo, hi)``: the item's value for group ``g``,
+        whose bindings are rows ``lo:hi`` of the sorted arrays."""
+        if isinstance(expr, FuncCall) and expr.name in SCALAR_FUNCTIONS:
+            name = expr.name
+            arg_fns = [compile_group(arg) for arg in expr.args]
+            return lambda vals, g, lo, hi: apply_scalar(
+                name, [fn(vals, g, lo, hi) for fn in arg_fns]
+            )
+        if isinstance(expr, FuncCall):
+            name, arg = expr.name, expr.args[0]
+            if (
+                name in _NUMERIC_FOLDS
+                and isinstance(arg, PropertyRef)
+                and ctx.slot_kinds[arg.var] == "vertex"
+            ):
+                _require_typed(ctx.arrays.column(arg.prop))
+            i = reader(arg, whole=True)
+            distinct, flatten = expr.distinct, expr.flatten
+            return lambda vals, g, lo, hi: apply_aggregate(
+                name, vals[i][lo:hi], distinct=distinct, flatten=flatten
+            )
+        i = reader(expr, whole=False)
+        return lambda vals, g, lo, hi: vals[i][g] if hi > lo else None
+
+    fns = [compile_group(item.expr) for item in items]
+    key_reads = [
+        _compile_item(ctx, item.expr)
+        for item in items
+        if not contains_aggregate(item.expr)
+    ]
+
+    def consume_grouped(batches):
+        ids: dict = {}
+        assign = ids.setdefault
+        kept, gids, total = [], [], 0
+        for cols, n in batches:
+            kept.append(cols)
+            total += n
+            if not key_reads:
+                continue
+            keys = [map(_hashable, read(cols, n)) for read in key_reads]
+            keys = keys[0] if len(keys) == 1 else zip(*keys)
+            gids.append(np.fromiter(
+                (assign(key, len(ids)) for key in keys),
+                dtype=np.int64, count=n,
+            ))
+        if total == 0:
+            if not key_reads:
+                # A global aggregate over zero matches is still a row.
+                yield tuple(fn([()] * len(readers), 0, 0, 0) for fn in fns)
+            return
+        cols = [
+            None if parts[0] is None else np.concatenate(parts)
+            for parts in zip(*kept)
+        ]
+        if key_reads:
+            gid = np.concatenate(gids)
+            order = np.argsort(gid, kind="stable")
+            cols = [None if c is None else c[order] for c in cols]
+            counts = np.bincount(gid, minlength=len(ids))
+        else:
+            counts = np.array([total])
+        hi = np.cumsum(counts)
+        lo = hi - counts
+        firsts = [None if c is None else c[lo] for c in cols]
+        ngroups = len(counts)
+        # The re-read sequence: groups outermost, then readers, then
+        # the group's bindings.  ``at`` walks each group's write
+        # position from its start, one reader at a time.
+        paged = [whole for _, slot, _, whole in readers if slot is not None]
+        if paged:
+            width = counts * paged.count(True) + paged.count(False)
+            at = np.cumsum(width) - width
+            seq = np.empty(int(np.sum(width)), dtype=np.int64)
+            within = np.arange(total) - np.repeat(lo, counts)
+            for _, slot, _, whole in readers:
+                if slot is None:
+                    continue
+                if whole:
+                    seq[np.repeat(at, counts) + within] = cols[slot]
+                    at = at + counts
+                else:
+                    seq[at] = firsts[slot]
+                    at = at + 1
+            _charge_pages(session, "v", seq, dedup=False)
+        session.metrics.property_reads += sum(
+            (total if whole else ngroups)
+            for _, _, charged, whole in readers if charged
+        )
+        vals = [
+            gather(cols, total) if whole else gather(firsts, ngroups)
+            for gather, _, _, whole in readers
+        ]
+        for g, (start, stop) in enumerate(zip(lo.tolist(), hi.tolist())):
+            yield tuple(fn(vals, g, start, stop) for fn in fns)
+
+    return consume_grouped
+
+
 def _compile_output(query: Query, plan: Plan, ctx: _KernelContext):
     """Compile RETURN into ``(columns, consume(batches) -> rows)``."""
     items = query.return_items
     columns = [item.output_name(i) for i, item in enumerate(items)]
-    if any(contains_aggregate(item.expr) for item in items):
-        aggs = [
-            _Aggregator(
-                ctx,
-                item.expr.name,
-                item.expr.args[0] if item.expr.args else None,
-            )
-            for item in items
-        ]
+    if not any(contains_aggregate(item.expr) for item in items):
+        fns = [_compile_item(ctx, item.expr) for item in items]
 
-        def consume_aggregate(batches):
+        def consume_plain(batches):
             for cols, n in batches:
-                for agg in aggs:
-                    agg.update(cols, n)
-            # A global aggregate always yields one row, even over
-            # zero matches (count=0, sum=0, min/max/avg=null).
-            yield tuple(agg.result() for agg in aggs)
+                yield from zip(*(fn(cols, n) for fn in fns))
 
-        return columns, consume_aggregate
+        return columns, consume_plain
+    if not plain_aggregates(query, plan):
+        return columns, _compile_grouped(items, ctx)
+    aggs = [
+        _Aggregator(ctx, item.expr.name, item.expr.args[0])
+        for item in items
+    ]
 
-    fns = [_compile_item(ctx, item.expr) for item in items]
-
-    def consume_plain(batches):
+    def consume_aggregate(batches):
         for cols, n in batches:
-            yield from zip(*(fn(cols, n) for fn in fns))
+            for agg in aggs:
+                agg.update(cols, n)
+        # A global aggregate always yields one row, even over
+        # zero matches (count=0, sum=0, min/max/avg=null).
+        yield tuple(agg.result() for agg in aggs)
 
-    return columns, consume_plain
+    return columns, consume_aggregate
 
 
 # ----------------------------------------------------------------------

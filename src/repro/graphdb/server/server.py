@@ -396,6 +396,7 @@ class _ClientConnection:
             "rows": summary.rows,
             "epoch": epoch,
             "mode": summary.mode,
+            "fallback_reason": summary.fallback_reason,
             "latency_ms": summary.latency_ms,
             "elapsed_ms": elapsed_ms,
             "plan_digest": summary.plan_digest,

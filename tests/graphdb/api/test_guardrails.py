@@ -176,7 +176,20 @@ class TestVectorizedGuardrails:
     def _assert_vectorized(self, session, text):
         summary = session.run(text).consume()
         assert summary.mode == "vectorized", summary.plan
+        assert summary.fallback_reason is None
         return summary
+
+    def test_a_tuple_run_says_why(self, vdb):
+        with vdb.session() as session:
+            summary = session.run(
+                "MATCH (p:Person) RETURN p.age LIMIT 3"
+            ).consume()
+            assert summary.mode == "tuple"
+            assert summary.fallback_reason == "limit"
+            assert summary.plan.endswith("mode=tuple reason=limit")
+            assert session.explain(
+                "MATCH (p:Person) RETURN p.age LIMIT 3"
+            ).endswith("mode=tuple reason=limit")
 
     def test_max_rows_trips_in_batch_pipeline(self, vdb):
         with vdb.session() as session:

@@ -10,13 +10,15 @@ the pieces the differential tests share:
 * :func:`build_differential_graph` - a deterministic medium graph whose
   schema deliberately covers every kernel-relevant column shape:
   int64 and float64 columns with missing values, NaN floats, a string
-  (object) column, a column that promotes to object mid-table, and
-  edge properties;
+  (object) column, a list-valued column, a column that promotes to
+  object mid-table, and edge properties;
 * :class:`QueryGen` - a seeded random generator over the Cypher subset
   (scans, 1-2 hop expands in all directions, WHERE trees with
   AND/OR/NOT and IS [NOT] NULL, parameters, DISTINCT, ORDER BY, and
-  the aggregate forms - including grouped/collect shapes that must
-  *fall back*);
+  the aggregate forms - global, grouped on up to two keys (null for
+  some rows, list-valued, edge properties), ``collect`` and its
+  ``size``/``head`` wrappers, DISTINCT arguments, with ORDER BY +
+  LIMIT or DISTINCT rows on top);
 * :func:`assert_equivalent` - runs one query through both pipelines on
   fresh sessions and asserts rows and counters match exactly.
 
@@ -51,7 +53,7 @@ WORK_COUNTERS = (
 #: queries, so it needs to know what exists where.
 VERTEX_PROPS = {
     "Patient": {"age": "int", "weight": "float", "name": "str", "pid": "int"},
-    "Drug": {"dose": "int", "name": "str", "code": "mixed"},
+    "Drug": {"dose": "int", "name": "str", "code": "mixed", "tags": "list"},
     "Visit": {"day": "int", "cost": "float"},
 }
 
@@ -88,6 +90,12 @@ CONST_POOL = {
 }
 
 NUMERIC_KINDS = ("int", "float")
+
+
+def _comparable(props: dict) -> list[str]:
+    """The properties a predicate can compare (no list literals)."""
+    return [p for p, kind in props.items() if kind != "list"]
+
 OPS = ("=", "<>", "<", "<=", ">", ">=")
 AGG_FUNCS = ("count", "sum", "min", "max", "avg")
 
@@ -115,6 +123,8 @@ def build_differential_graph(seed: int = 7) -> PropertyGraph:
         # The first half stores ints, the second half strings: the
         # column starts int64 and promotes to object mid-table.
         props["code"] = i * 3 if i < 20 else f"c{i}"
+        if i % 4:
+            props["tags"] = [f"t{i % 3}", f"t{i % 2}"][: i % 4 - 1]
         drugs.append(g.add_vertex("Drug", props))
     visits = []
     for i in range(60):
@@ -145,9 +155,9 @@ class QueryGen:
 
     Every produced query is valid against the differential schema.
     The mix intentionally includes shapes the vectorized path must
-    refuse (object-column predicates, grouped aggregation, collect,
-    LIMIT) so a corpus run exercises the fallback decision, not just
-    the happy path.
+    refuse (object-column predicates, min/max over strings, LIMIT)
+    so a corpus run exercises the fallback decision, not just the
+    happy path.
     """
 
     def __init__(self, rng: random.Random):
@@ -218,7 +228,7 @@ class QueryGen:
         rng = self.rng
         inner = var if label is None else f"{var}:{label}"
         if rng.random() < 0.25:
-            prop = rng.choice(list(props))
+            prop = rng.choice(_comparable(props))
             value = rng.choice(CONST_POOL[props[prop]])
             if rng.random() < 0.5:
                 name = self._param(value)
@@ -241,7 +251,7 @@ class QueryGen:
     def _predicate(self, bound: dict[str, dict]) -> str:
         rng = self.rng
         var = rng.choice(list(bound))
-        prop = rng.choice(list(bound[var]))
+        prop = rng.choice(_comparable(bound[var]))
         kind = bound[var][prop]
         if rng.random() < 0.20:
             null_op = rng.choice(["IS NULL", "IS NOT NULL"])
@@ -262,7 +272,7 @@ class QueryGen:
     def _return(self, bound: dict[str, dict], rel_vars: dict) -> str:
         rng = self.rng
         if rng.random() < 0.40:
-            return self._aggregate_return(bound)
+            return self._aggregate_return(bound, rel_vars)
         items = []
         pool = list(bound) + list(rel_vars)
         for _ in range(rng.randint(1, 3)):
@@ -282,36 +292,49 @@ class QueryGen:
             text += f" LIMIT {rng.randint(1, 10)}"
         return text
 
-    def _aggregate_return(self, bound: dict[str, dict]) -> str:
+    def _aggregate_return(self, bound: dict[str, dict], rel_vars: dict) -> str:
         rng = self.rng
-        var = rng.choice(list(bound))
-        props = bound[var]
-        func = rng.choice(AGG_FUNCS)
-        if func == "count" and rng.random() < 0.4:
-            arg = "*"
-        else:
-            if func in ("sum", "avg"):
-                allowed = [p for p, k in props.items() if k in NUMERIC_KINDS]
-            elif func in ("min", "max"):
-                # Mixed int/str columns make min/max raise TypeError in
-                # *both* pipelines - not a differential signal.
-                allowed = [p for p, k in props.items() if k != "mixed"]
-            else:
-                allowed = list(props)
-            prop = rng.choice(allowed or list(props))
-            arg = f"{var}.{prop}"
-        if func == "count" and arg != "*" and rng.random() < 0.2:
-            arg = f"DISTINCT {arg}"
-        item = f"{func}({arg}) AS agg"
-        if rng.random() < 0.25:
-            # A grouping key: grouped aggregation is tuple-only, so
-            # this shape exercises the fallback decision.
-            key_var = rng.choice(list(bound))
-            key = f"{key_var}.{rng.choice(list(bound[key_var]))}"
-            return f"RETURN {key}, {item}"
+        scope = {**bound, **rel_vars}  # edge properties group and fold too
+        items = [self._aggregate_item(scope, bound, "agg")]
         if rng.random() < 0.15:
-            return f"RETURN collect({arg if arg != '*' else var}) AS agg"
-        return f"RETURN {item}"
+            items.append(self._aggregate_item(scope, bound, "agg2"))
+        keys = []
+        for _ in range(rng.choices([0, 1, 2], weights=[55, 35, 10])[0]):
+            var = rng.choice(list(scope))
+            keys.append(f"{var}.{rng.choice(list(scope[var]))}")
+        keys = list(dict.fromkeys(keys))
+        distinct = "DISTINCT " if rng.random() < 0.10 else ""
+        text = f"RETURN {distinct}{', '.join(keys + items)}"
+        if rng.random() < 0.20:
+            order = rng.choice(keys + ["agg"])
+            desc = " DESC" if rng.random() < 0.5 else ""
+            text += f" ORDER BY {order}{desc} LIMIT {rng.randint(1, 6)}"
+        return text
+
+    def _aggregate_item(self, scope: dict, bound: dict, alias: str) -> str:
+        rng = self.rng
+        var = rng.choice(list(scope))
+        props = scope[var]
+        func = rng.choice(AGG_FUNCS + ("collect",))
+        if func == "count" and rng.random() < 0.4:
+            return f"count(*) AS {alias}"
+        if func in ("count", "collect") and var in bound and rng.random() < 0.1:
+            return f"{func}({var}) AS {alias}"
+        if func in ("sum", "avg"):
+            allowed = [p for p, k in props.items() if k in NUMERIC_KINDS]
+        elif func in ("min", "max"):
+            # Mixed int/str columns make min/max raise TypeError in
+            # *both* pipelines - not a differential signal.
+            allowed = [p for p, k in props.items() if k != "mixed"]
+        else:
+            allowed = list(props)
+        arg = f"{var}.{rng.choice(allowed or list(props))}"
+        if func in ("count", "collect") and rng.random() < 0.3:
+            arg = f"DISTINCT {arg}"
+        call = f"{func}({arg})"
+        if func == "collect" and rng.random() < 0.6:
+            call = f"{rng.choice(['size', 'head'])}({call})"
+        return f"{call} AS {alias}"
 
     # -- scalars --------------------------------------------------------
     def _literal(self, value: object) -> str:

@@ -176,12 +176,23 @@ class TestEventLogWiring:
                 summary = session.run(
                     "MATCH (d:Drug) RETURN d.name"
                 ).consume()
+                limited = session.run(
+                    "MATCH (d:Drug) RETURN d.name LIMIT 2", trace=True
+                ).consume()
         events = [
             json.loads(line)
             for line in log_path.read_text().splitlines()
         ]
         slow = [e for e in events if e["event"] == "slow_query"]
-        assert len(slow) == 1
+        assert len(slow) == 2
+        # A slow query says which path it took and, if tuple, why.
+        assert (slow[0]["mode"], slow[0]["fallback_reason"]) == (
+            "vectorized", None
+        )
+        assert (slow[1]["mode"], slow[1]["fallback_reason"]) == (
+            "tuple", "limit"
+        )
+        assert "mode=tuple, reason=limit" in limited.trace.render()
         event = slow[0]
         assert event["plan_digest"] == summary.plan_digest
         assert event["rows"] == 30

@@ -1,0 +1,77 @@
+"""The paper's 24 ops on the batch path, at the paper's scale.
+
+The differential graph (``tests/graphdb/diffquery.py``) is 190
+vertices - six vertex pages - so its ``page_hits``/``page_misses``
+equality says little about the 96-page ``neo4j-like`` cache.  Here MED
+and FIN are built at scale 1 (MED DIR spans about 180 vertex pages,
+FIN DIR about 420) and every (graph, query) op of Fig. 11 runs through
+both pipelines: the default executor must take the batch path for all
+24 - the regression guard for ``paper_local``'s ``vectorized_share`` -
+and agree with ``Executor(vectorize=False)`` on columns, rows in
+order, and all six work counters, on a cold cache and with the
+previous run's pages still resident.
+
+What this does *not* show: one op touches at most ~22 distinct pages
+at this scale (same-label vertices cluster), so nothing is evicted
+*within* an op.  The batch path touches pages operator by operator
+where the tuple path goes binding by binding; once a session's LRU
+evicts between those touches (six scale-2 ops sharing one 96-page
+cache do it) hit/miss counts can differ by a few percent.  That has
+held for every vectorized expand since the batch path exists and is
+recorded in docs/ARCHITECTURE.md; the other four counters never
+depend on it.
+"""
+
+import pytest
+
+from repro.bench.harness import build_pipeline
+from repro.datasets import build_fin, build_med
+from repro.graphdb.backends import JANUSGRAPH_LIKE, NEO4J_LIKE
+from repro.graphdb.query.executor import Executor
+from repro.graphdb.query.vectorized import ExecutionReport
+from repro.graphdb.session import GraphSession
+from tests.graphdb.diffquery import WORK_COUNTERS
+
+
+@pytest.fixture(scope="module", params=[build_med, build_fin])
+def paper_ops(request):
+    """``[(label, graph, query)]``: DIR runs the query text, OPT the
+    rewriter's ``Query`` object."""
+    dataset = request.param()
+    pipeline = build_pipeline(dataset, scale=1.0, cache_dir=None)
+    ops = []
+    for side, graph, queries in (
+        ("dir", pipeline.dir_graph, dataset.queries),
+        ("opt", pipeline.opt_graph, pipeline.rewritten),
+    ):
+        ops += [
+            (f"{dataset.name}.{side}.{qid}", graph, query)
+            for qid, query in queries.items()
+        ]
+    assert len(ops) == 12
+    return ops
+
+
+def run_once(session, query, vectorize):
+    executor = Executor(session, vectorize=vectorize, parallelism=1)
+    report = ExecutionReport()
+    _, _, columns, rows = executor.stream(query, {}, report=report)
+    rows = [tuple(row) for row in rows]
+    metrics = session.reset_metrics().as_dict()
+    return columns, rows, {k: metrics[k] for k in WORK_COUNTERS}, report
+
+
+@pytest.mark.parametrize(
+    "profile", [NEO4J_LIKE, JANUSGRAPH_LIKE], ids=lambda p: p.name
+)
+def test_batch_path_equals_tuple_path(paper_ops, profile):
+    for label, graph, query in paper_ops:
+        tuple_session = GraphSession(graph, profile)
+        batch_session = GraphSession(graph, profile)
+        # Second pass: same sessions, so the LRU starts out holding
+        # whatever the first pass left in it.
+        for cache in ("cold", "warm"):
+            expected = run_once(tuple_session, query, vectorize=False)
+            got = run_once(batch_session, query, vectorize=True)
+            assert got[3].mode == "vectorized", (label, got[3].reason)
+            assert got[:3] == expected[:3], (label, profile.name, cache)

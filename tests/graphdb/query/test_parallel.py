@@ -139,14 +139,52 @@ class TestParallelQueries:
         )
         assert report.mode == "vectorized"
         assert report.parallel_reason == "multi-step"
-        # Tuple-only shapes decline with the vectorized reason.
+        # Grouped aggregation folds whole bindings: serial batch only.
         _, _, _, report = run(
             diff_graph,
             "MATCH (p:Patient) RETURN p.name, count(*) AS n",
             parallelism=2,
         )
+        assert report.mode == "vectorized"
+        assert report.parallel_reason == "aggregate-shape"
+        # Shapes no batch path takes decline with the vectorized reason.
+        _, _, _, report = run(
+            diff_graph, "MATCH (p:Patient) RETURN p.age LIMIT 3",
+            parallelism=2,
+        )
         assert report.mode == "tuple"
-        assert report.parallel_reason is not None
+        assert report.parallel_reason == "limit"
+
+    def test_object_arrays_never_reach_shared_memory(
+        self, diff_graph, monkeypatch
+    ):
+        """A string projection above the threshold stays serial, and a
+        filter that only needs an object column's presence mask shares
+        the mask but not the pointer array."""
+        shared = []
+        arena = parallel.get_pool(2).arena
+        share = arena.share
+
+        def spy(key, arr):
+            shared.append((key, arr.dtype))
+            return share(key, arr)
+
+        monkeypatch.setattr(arena, "share", spy)
+        text = "MATCH (p:Patient) RETURN p.pid, p.name"
+        expected = run(diff_graph, text, vectorize=False)[:3]
+        cols, rows, work, report = run(diff_graph, text, parallelism=2)
+        assert report.mode == "vectorized"
+        assert report.parallel_reason == "object-column"
+        assert (cols, rows, work) == expected
+        assert shared == []
+        _, _, _, report = run(
+            diff_graph,
+            "MATCH (p:Patient) WHERE p.name IS NOT NULL RETURN p.pid",
+            parallelism=2,
+        )
+        assert report.mode == "parallel", report.parallel_reason
+        assert shared
+        assert all(dtype != object for _, dtype in shared)
 
     def test_order_by_limit_vectorizes(self, diff_graph):
         """Satellite: ORDER BY + LIMIT drains fully into the shared

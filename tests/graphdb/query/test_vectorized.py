@@ -25,6 +25,7 @@ from repro.graphdb.query.functions import compare
 from repro.graphdb.query.parser import parse_query
 from repro.graphdb.query.planner import build_plan
 from repro.graphdb.session import GraphSession
+from tests.graphdb.diffquery import WORK_COUNTERS
 
 OPS = ("=", "<>", "<", "<=", ">", ">=")
 
@@ -39,15 +40,36 @@ def column_graph(values, prop="x", freeze=False):
     return g
 
 
-def run_vectorized(graph, text, params=None):
+def run_vectorized(graph, text, params=None, guard=None):
     """Rows + report from the default (vectorize=True) executor."""
     session = GraphSession(graph, NEO4J_LIKE)
-    executor = Executor(session)
+    executor = Executor(session, parallelism=1)
     report = vectorized.ExecutionReport()
     _, _, columns, rows = executor.stream(
-        text, dict(params or {}), report=report
+        text, dict(params or {}), report=report, guard=guard
     )
     return [tuple(r) for r in rows], report
+
+
+def assert_matches_tuple(graph, text, params=None):
+    """The batch path ran, and agrees with the tuple path on rows (in
+    order) and on all six work counters."""
+    outcomes = []
+    for vectorize in (False, True):
+        session = GraphSession(graph, NEO4J_LIKE)
+        executor = Executor(session, vectorize=vectorize, parallelism=1)
+        report = vectorized.ExecutionReport()
+        _, _, columns, rows = executor.stream(
+            text, dict(params or {}), report=report
+        )
+        rows = [tuple(r) for r in rows]
+        metrics = session.reset_metrics().as_dict()
+        outcomes.append(
+            (columns, rows, {k: metrics[k] for k in WORK_COUNTERS})
+        )
+    assert report.mode == "vectorized", (text, report.reason)
+    assert outcomes[0] == outcomes[1], text
+    return outcomes[1][1]
 
 
 def norm(value):
@@ -216,15 +238,38 @@ class TestFallbackDecisions:
         self.expect(graph, "MATCH (n:P) RETURN n.x LIMIT 3", "limit")
 
     def test_grouped_aggregation_is_tuple_only(self, graph):
+        """Was tuple-only; the batch consumer now groups (name kept)."""
+        rows = assert_matches_tuple(
+            graph, "MATCH (n:P) RETURN n.flag, count(*) AS c"
+        )
+        assert rows == [(True, 5), (False, 5)]
+
+    def test_collect_is_tuple_only(self, graph):
+        """Was tuple-only; ``collect`` now folds on the batch path."""
+        rows = assert_matches_tuple(
+            graph, "MATCH (n:P) RETURN collect(n.x) AS c"
+        )
+        assert rows == [(list(range(10)),)]
+
+    def test_nested_aggregate_shapes_still_refuse(self, graph):
+        # What is left of aggregate-shape: a grouping key that is not
+        # a leaf, and an aggregate whose argument is not one.
         self.expect(
             graph,
-            "MATCH (n:P) RETURN n.x, count(*) AS c",
+            "MATCH (n:P) RETURN coalesce(n.x, 0), count(*) AS c",
+            "aggregate-shape",
+        )
+        self.expect(
+            graph,
+            "MATCH (n:P) RETURN sum(coalesce(n.x, 0)) AS s",
             "aggregate-shape",
         )
 
-    def test_collect_is_tuple_only(self, graph):
+    def test_summing_an_object_column_refuses(self, graph):
+        # Reading strings vectorizes; adding or comparing them does not.
         self.expect(
-            graph, "MATCH (n:P) RETURN collect(n.x) AS c", "aggregate-shape"
+            graph, "MATCH (n:P) RETURN n.x, max(n.flag) AS m",
+            "object-column",
         )
 
     def test_bool_column_is_object(self, graph):
@@ -271,35 +316,72 @@ class TestStaticModeFidelity:
     for every parameter-free query shape we emit."""
 
     CASES = [
-        "MATCH (n:P) RETURN n.x",
-        "MATCH (n:P) WHERE n.x > 3 RETURN n.x",
-        "MATCH (n:P) RETURN sum(n.x) AS s",
-        "MATCH (n:P) RETURN n.x LIMIT 2",
-        "MATCH (n:P) RETURN n.x, count(*) AS c",
-        "MATCH (n:P) WHERE n.name = 'a' RETURN n.x",
-        "MATCH (n:P) WHERE n.flag = true RETURN n.x",
-        "MATCH (a:P)-[:r]->(b:P) RETURN count(*) AS c",
+        ("MATCH (n:P) RETURN n.x", None),
+        ("MATCH (n:P) WHERE n.x > 3 RETURN n.x", None),
+        ("MATCH (n:P) RETURN sum(n.x) AS s", None),
+        ("MATCH (n:P) RETURN n.name", None),
+        ("MATCH (n:P) RETURN n.name, n.either, count(*) AS c", None),
+        ("MATCH (n:P) RETURN size(collect(n.name)) AS c", None),
+        ("MATCH (n:P) RETURN n.x, count(n.name) AS c", None),
+        ("MATCH (a:P)-[:r]->(b:P) RETURN count(*) AS c", None),
+        ("MATCH (a:P)-[:r]->(b:P) RETURN a.name, collect(b.name) AS c", None),
+        # One per refusal reason EXPLAIN can see without parameters.
+        ("MATCH (n:P) RETURN n.x LIMIT 2", "limit"),
+        ("MATCH (n:P) RETURN size(n.name)", "return-shape"),
+        ("MATCH (n:P) RETURN size(n.name), count(*) AS c", "aggregate-shape"),
+        ("MATCH (n:P) WHERE n.name = 'a' RETURN n.x", "object-column"),
+        ("MATCH (n:P) RETURN n.x, min(n.name) AS m", "object-column"),
+        ("MATCH (n:P {name: 'n1'}) RETURN n.x", "object-column"),
+        ("MATCH (n) WHERE n.either > 1 RETURN n.x", "mixed-kind"),
+        ("MATCH (n) RETURN max(n.either) AS m", "mixed-kind"),
+        ("MATCH (n:P) WHERE n.x = true RETURN n.x", "bool-value"),
     ]
+
+    def check(self, graph, query, reason, label):
+        parsed = parse_query(query) if isinstance(query, str) else query
+        plan = build_plan(parsed, graph)
+        predicted = vectorized.static_reason(parsed, plan, graph)
+        _, report = run_vectorized(graph, query)
+        assert predicted == report.reason == reason, (
+            label, predicted, report.reason
+        )
+        assert report.mode == ("tuple" if reason else "vectorized"), label
 
     def test_prediction_matches_runtime(self):
         g = PropertyGraph("sm")
         vids = [
             g.add_vertex(
-                "P", {"x": i, "name": f"n{i}", "flag": bool(i % 2)}
+                "P",
+                {"x": i, "name": f"n{i}", "flag": bool(i % 2), "either": i},
             )
             for i in range(8)
         ]
+        g.add_vertex("Q", {"either": 0.5})  # int here, float there
         for i in range(7):
             g.add_edge(vids[i], vids[i + 1], "r")
+        # Unfrozen, an expansion has no CSR to slice.
+        self.check(
+            g, "MATCH (a:P)-[:r]->(b:P) RETURN b.name",
+            "no-frozen-view", "unfrozen",
+        )
         g.freeze()
-        for text in self.CASES:
-            query = parse_query(text)
-            plan = build_plan(query, g)
-            predicted = vectorized.static_mode(query, plan, g)
-            _, report = run_vectorized(g, text)
-            assert predicted == report.mode, (
-                text, predicted, report.mode, report.reason
-            )
+        for text, reason in self.CASES:
+            self.check(g, text, reason, text)
+
+    def test_paper_queries_predict_vectorized(self, med_pipeline, fin_pipeline):
+        """The 24 ops of Fig. 11: DIR as text, OPT as the rewriter's
+        ``Query`` objects (which carry ``flatten`` aggregates)."""
+        for pipeline in (med_pipeline, fin_pipeline):
+            for graph, queries in (
+                (pipeline.dir_graph, pipeline.dataset.queries),
+                (pipeline.opt_graph, pipeline.rewritten),
+            ):
+                for qid, query in queries.items():
+                    self.check(graph, query, None, (graph.name, qid))
+                    assert (
+                        Executor(GraphSession(graph, NEO4J_LIKE))
+                        .explain(query).endswith("mode=vectorized")
+                    )
 
 
 class TestAggregationExactness:
@@ -348,6 +430,100 @@ class TestAggregationExactness:
         )
         assert rows == [(0, 0, None, None)]
         assert report.mode == "vectorized", report.reason
+
+
+class TestGroupedConsumer:
+    """The batch consumer for grouped / collect / wrapped aggregates,
+    on the edges the differential corpus reaches only by luck."""
+
+    def test_keyed_group_over_zero_matches_is_zero_rows(self):
+        graph = column_graph([1, 2, 3])
+        rows = assert_matches_tuple(
+            graph, "MATCH (n:L) WHERE n.x > 99 RETURN n.x, count(*) AS c"
+        )
+        assert rows == []
+
+    def test_global_wrapped_aggregate_over_zero_matches_is_one_row(self):
+        graph = column_graph([1, 2, 3])
+        rows = assert_matches_tuple(
+            graph,
+            "MATCH (n:L) WHERE n.x > 99 RETURN size(collect(n.x)) AS c, "
+            "head(collect(n.x)) AS h, coalesce(max(n.x), 7) AS m",
+        )
+        # A literal inside a wrapper is read off the group's first
+        # binding - an empty group has none, so it is null too.
+        assert rows == [(0, None, None)]
+
+    def test_unsatisfiable_scan_goes_through_the_consumer(self):
+        graph = column_graph([1, 2, 3])
+        params = {"v": None}  # `{x: $v}` with null matches nothing
+        rows = assert_matches_tuple(
+            graph, "MATCH (n:L {x: $v}) RETURN collect(n.x) AS c", params
+        )
+        assert rows == [([],)]
+        rows = assert_matches_tuple(
+            graph, "MATCH (n:L {x: $v}) RETURN n.x, count(*) AS c", params
+        )
+        assert rows == []
+
+    def test_groups_span_batches(self, monkeypatch):
+        monkeypatch.setattr(vectorized, "BATCH_ROWS", 7)
+        graph = column_graph([i % 5 for i in range(40)])
+        text = (
+            "MATCH (n:L) RETURN n.x, count(*) AS c, collect(n.x) AS xs, "
+            "sum(n.x) AS s"
+        )
+        rows = assert_matches_tuple(graph, text)
+        assert rows == [(k, 8, [k] * 8, 8 * k) for k in range(5)]
+        _, report = run_vectorized(graph, text)
+        assert report.batches == 6
+
+    def test_deadline_is_checked_between_batches(self, monkeypatch):
+        from repro.exceptions import QueryTimeoutError
+        from repro.graphdb.query.executor import ExecutionGuard
+
+        monkeypatch.setattr(vectorized, "BATCH_ROWS", 4)
+        graph = column_graph(range(20))
+        checks = []
+
+        class ThirdCheckExpires(ExecutionGuard):
+            def check_deadline(self):
+                checks.append(len(checks))
+                if len(checks) == 3:
+                    raise QueryTimeoutError("deadline")
+
+        with pytest.raises(QueryTimeoutError):
+            run_vectorized(
+                graph, "MATCH (n:L) RETURN n.x, count(*) AS c",
+                guard=ThirdCheckExpires(timeout=60.0),
+            )
+        # Stopped while draining, two batches short of the end.
+        assert len(checks) == 3
+
+    def test_stored_none_in_an_object_column_reads_as_absent(self):
+        graph = column_graph(["a", None, "b"], prop="s")
+        graph.set_property(2, "s", None)  # present slot, null value
+        rows = assert_matches_tuple(graph, "MATCH (n:L) RETURN n.s")
+        assert rows == [("a",), (None,), (None,)]
+        rows = assert_matches_tuple(
+            graph, "MATCH (n:L) RETURN n.s, count(n.s) AS c"
+        )
+        assert rows == [("a", 1), (None, 0)]
+
+    def test_projected_list_is_the_stored_object(self):
+        tags = ["t0", "t1"]
+        graph = PropertyGraph("lists")
+        vid = graph.add_vertex("L", {"tags": tags})
+        graph.add_vertex("L", {"tags": ["t0", "t1", "t2"]})
+        rows = assert_matches_tuple(graph, "MATCH (n:L) RETURN n.tags")
+        assert rows == [(["t0", "t1"],), (["t0", "t1", "t2"],)]
+        stored = GraphSession(graph, NEO4J_LIKE).read_property(vid, "tags")
+        assert rows[0][0] is stored
+        # Grouping on a list hashes a tuple copy but returns the list.
+        rows = assert_matches_tuple(
+            graph, "MATCH (n:L) RETURN n.tags, count(*) AS c"
+        )
+        assert rows[0][0] is stored
 
 
 class TestObservability:

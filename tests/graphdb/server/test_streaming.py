@@ -62,8 +62,18 @@ def test_any_fetch_size_streams_the_in_process_result(
             assert moved(before, "discard") == 0
     assert summary.rows == want.rows == ROWS
     assert summary.epoch == small_graph.mutation_epoch
-    assert summary.mode == want.mode
+    assert summary.mode == want.mode == "vectorized"
+    assert summary.fallback_reason is want.fallback_reason is None
     assert summary.plan_digest == want.plan_digest
+
+
+def test_the_refusal_reason_crosses_the_wire(server_factory, small_graph):
+    harness = server_factory(connect(small_graph))
+    with connect(harness.url) as db:
+        with db.session() as session:
+            summary = session.run(QUERY + " LIMIT 2").consume()
+    assert summary.mode == "tuple"
+    assert summary.fallback_reason == "limit"
 
 
 def test_a_big_batch_arrives_as_several_frames(server_factory):
