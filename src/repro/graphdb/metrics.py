@@ -72,6 +72,38 @@ class LruPageCache:
             pages[page_id] = None
         return False
 
+    def touch_many(self, kind: str, pages: list[int]) -> int:
+        """Access ``(kind, p)`` for every ``p`` of ``pages`` in order;
+        returns the number of misses.
+
+        Exactly ``sum(not self.touch((kind, p)) for p in pages)`` and
+        the same final recency order, in two passes over the call's
+        *distinct* pages.  While those are at most ``capacity``, every
+        page touched in the call sits behind all untouched residents in
+        eviction order and a miss on a full cache still finds an
+        untouched one to evict, so no page touched in the call leaves
+        before it ends.  Hence repeats always hit, what a first touch
+        finds depends only on the order of first touches, and the
+        touched pages end up in order of their last touch.
+        """
+        touch = self.touch
+        last = dict.fromkeys(reversed(pages))  # latest last touch first
+        if len(last) > self.capacity:
+            return sum(not touch((kind, p)) for p in pages)
+        resident = self._pages
+        keys = [(kind, p) for p in last]
+        misses = len(keys) - len(resident.keys() & keys)
+        if len(resident) + misses > self.capacity:
+            # Some miss evicts, and its victim may be a page this call
+            # only reaches later: make the first touches, in order.
+            misses = sum(
+                not touch((kind, p)) for p in dict.fromkeys(pages)
+            )
+        for key in reversed(keys):
+            resident.pop(key, None)
+            resident[key] = None
+        return misses
+
     def clear(self) -> None:
         self._pages.clear()
 

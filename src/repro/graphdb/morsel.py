@@ -12,7 +12,7 @@ these bounds.
 
 The parallel query path (:mod:`repro.graphdb.query.parallel`) keys its
 morsel size to the vectorized pipeline's batch size so that batch
-boundaries - and with them the page-run charging the work-counter
+boundaries - and with them the per-call page charges the work-counter
 equivalence contract depends on - are identical to serial execution.
 """
 

@@ -16,10 +16,11 @@ Three workloads run here:
   against a recording session, and the coordinator replays the
   recorded work-counter charges against the real session in exact
   serial order.  Because a morsel is exactly one serial batch
-  (``vectorized.BATCH_ROWS`` rows), page runs split identically and
-  the six work counters come out tuple-identical to both serial
-  paths - the differential harness asserts serial ≡ vectorized ≡
-  parallel on rows *and* counters.
+  (``vectorized.BATCH_ROWS`` rows), the recorded ``(kind, pages)``
+  charges are the serial ones call for call, and the six work
+  counters come out tuple-identical to both serial paths - the
+  differential harness asserts serial ≡ vectorized ≡ parallel on rows
+  *and* counters.
 * **PageRank** - the power iteration partitioned by destination
   vertex: edges are sorted by ``dst`` once, each worker owns a
   contiguous destination range, and every iteration is a barrier
@@ -97,7 +98,8 @@ START_METHOD_ENV = "REPRO_PARALLEL_START"
 DEFAULT_THRESHOLD = 8192
 
 #: The four work counters replayed additively; page hits/misses are
-#: replayed as ordered page runs through the real session's LRU.
+#: replayed as ordered ``(kind, pages)`` charges through the real
+#: session's LRU.
 _REPLAY_COUNTERS = (
     "vertex_reads", "property_reads", "index_lookups", "edge_traversals",
 )
@@ -305,7 +307,7 @@ class _Recorder:
     charges instead of applying them.
 
     The vectorized kernels only touch ``session.metrics`` (additive
-    counters) and ``session.charge_page_runs`` (ordered page runs), so
+    counters) and ``session.charge_pages`` (ordered page touches), so
     recording those two streams is enough to replay an execution's
     charges against the real session - in serial order, through the
     real page LRU, producing identical hit/miss splits.
@@ -319,12 +321,12 @@ class _Recorder:
     def __init__(self, vertices_per_page, adjacency_per_page, graph=None):
         self.graph = graph
         self.metrics = ExecutionMetrics()
-        self.page_log: list[tuple[str, list[int], int]] = []
+        self.page_log: list[tuple[str, list[int]]] = []
         self._vertices_per_page = vertices_per_page
         self._adjacency_per_page = adjacency_per_page
 
-    def charge_page_runs(self, kind, run_pages, extra_hits) -> None:
-        self.page_log.append((kind, list(run_pages), int(extra_hits)))
+    def charge_pages(self, kind, pages) -> None:
+        self.page_log.append((kind, pages))
 
     def take(self) -> tuple[tuple[int, int, int, int], list]:
         """Drain recorded charges: ``(counters, page_log)``.
@@ -353,8 +355,8 @@ def _replay(session, counters, page_log) -> None:
     m.property_reads += counters[1]
     m.index_lookups += counters[2]
     m.edge_traversals += counters[3]
-    for kind, run_pages, extra_hits in page_log:
-        session.charge_page_runs(kind, run_pages, extra_hits)
+    for kind, pages in page_log:
+        session.charge_pages(kind, pages)
 
 
 class _PlanStub:

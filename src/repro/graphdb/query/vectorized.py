@@ -33,9 +33,14 @@ vertex/property reads, index lookups, edge traversals, and page
 touches), so the differential harness in
 ``tests/graphdb/test_differential.py`` can assert multiset equality
 and every existing metrics-sensitive test keeps passing regardless of
-which path ran.  Page touches are charged in *runs* of consecutive
-same-page rows - the bulk equivalent of the per-row LRU touches the
-session makes - in the exact order the tuple path would make them.
+which path ran.  Page touches are charged one operator call at a time
+(:func:`_charge_pages` -> ``GraphSession.charge_pages``): every row's
+page in access order, settled by ``LruPageCache.touch_many`` in two
+passes over the call's distinct pages.  That is exact at every cache
+size - while the distinct pages fit the cache none of them can be
+evicted before the call ends, so repeats hit, first touches decide the
+misses and last touches the recency order; a call that does not fit
+runs the per-touch loop itself.
 
 :func:`build_pipeline` returns ``None`` instead of a pipeline
 whenever any part of the query cannot be vectorized without changing
@@ -333,31 +338,28 @@ def graph_arrays(graph) -> GraphArrays:
 
 
 # ----------------------------------------------------------------------
-# Page-run charging (bulk equivalents of the per-row LRU touches)
+# Page charging (the bulk equivalent of the per-row LRU touches)
 # ----------------------------------------------------------------------
 def _charge_pages(session, kind: str, vids, dedup: bool) -> None:
     """Charge page touches for ``vids`` accessed in order.
 
-    ``dedup=False`` is the per-row flavor (``accept_vertex`` /
+    One element handed to ``session.charge_pages`` is one counted
+    touch.  ``dedup=False`` is the per-row flavor (``accept_vertex`` /
     ``property_reader`` / ``expand_pairs``): every row touches its
-    page, so a run of consecutive same-page rows is one real LRU touch
-    followed by guaranteed hits.  ``dedup=True`` is the ``scan_rows``
-    flavor: repeats within a run are suppressed entirely.
+    page.  ``dedup=True`` is the ``scan_rows`` flavor, which skips a
+    row on the same page as the row before it: only run starts touch.
     """
-    n = len(vids)
-    if n == 0:
+    if len(vids) == 0:
         return
-    per = (
+    pages = vids // (
         session._vertices_per_page if kind == "v"
         else session._adjacency_per_page
     )
-    pages = vids // per
-    if n == 1:
-        run_pages = [int(pages[0])]
-    else:
-        starts = np.flatnonzero(np.diff(pages)) + 1
-        run_pages = pages[np.concatenate(([0], starts))].tolist()
-    session.charge_page_runs(kind, run_pages, 0 if dedup else n - len(run_pages))
+    if dedup:
+        starts = np.ones(len(pages), dtype=bool)
+        np.not_equal(pages[1:], pages[:-1], out=starts[1:])
+        pages = pages[starts]
+    session.charge_pages(kind, pages.tolist())
 
 
 # ----------------------------------------------------------------------

@@ -53,7 +53,10 @@ class GraphSession:
     ):
         self.graph = graph
         self.profile = profile
-        self.cache = cache or LruPageCache(profile.cache_pages)
+        # ``is None``, not truthiness: an empty cache has length 0.
+        self.cache = (
+            LruPageCache(profile.cache_pages) if cache is None else cache
+        )
         self.metrics = ExecutionMetrics()
         #: Durable backing store; set by :meth:`GraphSession.open`.
         self.store = None
@@ -79,26 +82,18 @@ class GraphSession:
         else:
             self.metrics.page_misses += 1
 
-    def charge_page_runs(
-        self, kind: str, run_pages: list[int], extra_hits: int
-    ) -> None:
-        """Bulk page charging for the vectorized path.
-
-        ``run_pages`` is one page number per run of consecutive
-        same-page accesses, in access order; each run costs one real
-        LRU touch.  ``extra_hits`` covers the within-run repeats that
-        per-row readers count as guaranteed hits (pass 0 for the
-        deduplicating :meth:`scan_rows` flavor, which suppresses
-        repeats entirely).
+    def charge_pages(self, kind: str, pages: list[int]) -> None:
+        """Bulk page charging for the batch path: one counted touch
+        per element of ``pages``, in order, through
+        :meth:`LruPageCache.touch_many` - the hit/miss split and the
+        recency order of that many :meth:`_touch_page` calls at every
+        cache size, for O(distinct pages) Python work.  Readers that
+        suppress repeats (:meth:`scan_rows`) pass run starts only.
         """
-        self.metrics.page_hits += extra_hits
-        touch = self.cache.touch
+        misses = self.cache.touch_many(kind, pages)
         metrics = self.metrics
-        for page in run_pages:
-            if touch((kind, page)):
-                metrics.page_hits += 1
-            else:
-                metrics.page_misses += 1
+        metrics.page_misses += misses
+        metrics.page_hits += len(pages) - misses
 
     # ------------------------------------------------------------------
     # Instrumented reads

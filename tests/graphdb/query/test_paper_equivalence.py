@@ -11,7 +11,7 @@ and agree with ``Executor(vectorize=False)`` on columns, rows in
 order, and all six work counters, on a cold cache and with the
 previous run's pages still resident.
 
-What this does *not* show: one op touches at most ~22 distinct pages
+What that does *not* show: one op touches at most ~22 distinct pages
 at this scale (same-label vertices cluster), so nothing is evicted
 *within* an op.  The batch path touches pages operator by operator
 where the tuple path goes binding by binding; once a session's LRU
@@ -20,6 +20,14 @@ cache do it) hit/miss counts can differ by a few percent.  That has
 held for every vectorized expand since the batch path exists and is
 recorded in docs/ARCHITECTURE.md; the other four counters never
 depend on it.
+
+What *is* pinned under eviction is the batch path against itself:
+``LruPageCache.touch_many`` settles an operator's touches in two
+passes over its distinct pages, and on caches of 1, 4, 22 and 96 pages
+- thrashing, smaller than one op's working set, about equal to it, the
+shipped size - the six ops of a session leave the same six counters
+and the same recency order as an LRU that touches page by page
+(``tests/graphdb/lru_oracle.py``).
 """
 
 import pytest
@@ -27,10 +35,12 @@ import pytest
 from repro.bench.harness import build_pipeline
 from repro.datasets import build_fin, build_med
 from repro.graphdb.backends import JANUSGRAPH_LIKE, NEO4J_LIKE
+from repro.graphdb.metrics import LruPageCache
 from repro.graphdb.query.executor import Executor
 from repro.graphdb.query.vectorized import ExecutionReport
 from repro.graphdb.session import GraphSession
 from tests.graphdb.diffquery import WORK_COUNTERS
+from tests.graphdb.lru_oracle import LoopLruPageCache
 
 
 @pytest.fixture(scope="module", params=[build_med, build_fin])
@@ -75,3 +85,24 @@ def test_batch_path_equals_tuple_path(paper_ops, profile):
             got = run_once(batch_session, query, vectorize=True)
             assert got[3].mode == "vectorized", (label, got[3].reason)
             assert got[:3] == expected[:3], (label, profile.name, cache)
+
+
+@pytest.mark.parametrize("capacity", [1, 4, 22, 96])
+def test_bulk_charging_equals_per_touch_charging(paper_ops, capacity):
+    for ops in (paper_ops[:6], paper_ops[6:]):  # one session per graph
+        graph = ops[0][1]
+        bulk = GraphSession(graph, NEO4J_LIKE, LruPageCache(capacity))
+        loop = GraphSession(graph, NEO4J_LIKE, LoopLruPageCache(capacity))
+        assert bulk.cache.capacity == loop.cache.capacity == capacity
+        # First pass warms the cache: the second finds it full of the
+        # other five ops' pages.
+        for cache in ("cold", "warm"):
+            for label, _, query in ops:
+                got = run_once(bulk, query, vectorize=True)
+                expected = run_once(loop, query, vectorize=True)
+                assert got[3].mode == expected[3].mode == "vectorized"
+                assert got[2] == expected[2], (label, capacity, cache)
+                assert list(bulk.cache._pages) == list(loop.cache._pages), (
+                    label, capacity, cache,
+                )
+        assert len(bulk.cache) <= capacity

@@ -24,6 +24,7 @@ from repro.exceptions import ParallelExecutionError, QueryTimeoutError
 from repro.graphdb import faults
 from repro.graphdb.api import connect
 from repro.graphdb.backends import NEO4J_LIKE
+from repro.graphdb.metrics import LruPageCache
 from repro.graphdb.morsel import Morsel, MorselSource
 from repro.graphdb.query import parallel, vectorized
 from repro.graphdb.query.executor import Executor
@@ -38,10 +39,10 @@ ROW_QUERY = "MATCH (p:Patient) WHERE p.age > 40 RETURN p.age, p.weight"
 
 
 def run(graph, text, params=None, parallelism=1, threshold=0,
-        vectorize=True, guard=None):
+        vectorize=True, guard=None, cache=None):
     """One execution on a fresh session; returns (cols, rows, work,
     report)."""
-    session = GraphSession(graph, NEO4J_LIKE)
+    session = GraphSession(graph, NEO4J_LIKE, cache)
     executor = Executor(
         session, vectorize=vectorize, parallelism=parallelism,
         parallel_threshold=threshold,
@@ -123,6 +124,26 @@ class TestParallelQueries:
             assert p_cols == t_cols
             assert norm_rows(p_rows) == norm_rows(t_rows)
             assert p_work == t_work, text
+
+    def test_recorded_charges_replay_under_eviction(
+        self, diff_graph, monkeypatch
+    ):
+        """Six vertex pages through a four-page cache, so every run
+        finds some of its pages evicted by the one before: the
+        replayed ``(kind, pages)`` log must leave the serial batch
+        run's counters and recency order."""
+        monkeypatch.setattr(vectorized, "BATCH_ROWS", 16)
+        serial, replayed = LruPageCache(4), LruPageCache(4)
+        visits = "MATCH (v:Visit) RETURN min(v.cost) AS m"
+        for text in (ROW_QUERY, visits, AGG_QUERY, visits):
+            _, _, s_work, _ = run(diff_graph, text, cache=serial)
+            _, _, p_work, report = run(
+                diff_graph, text, parallelism=2, cache=replayed
+            )
+            assert report.mode == "parallel", report.parallel_reason
+            assert p_work == s_work, text
+            assert p_work["page_misses"] > 0, text
+            assert list(replayed._pages) == list(serial._pages), text
 
     def test_fallback_reasons_are_recorded(self, diff_graph):
         # Estimated rows below the threshold: stays serial vectorized.

@@ -1,11 +1,17 @@
 """Tests for the instrumented graph session and metrics."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.graphdb.api import connect
 from repro.graphdb.backends import JANUSGRAPH_LIKE, NEO4J_LIKE
 from repro.graphdb.graph import PropertyGraph
 from repro.graphdb.metrics import ExecutionMetrics, LruPageCache
+from repro.graphdb.query.executor import Executor
+from repro.graphdb.query.vectorized import ExecutionReport
 from repro.graphdb.session import GraphSession
+from tests.graphdb.lru_oracle import LoopLruPageCache
 
 
 @pytest.fixture()
@@ -61,7 +67,128 @@ class TestLruCache:
         assert not cache.touch(("v", 1))
 
 
+def warm(capacity, pages):
+    """A cache that has touched ``("v", p)`` for ``pages``, in order."""
+    cache = LruPageCache(capacity)
+    for page in pages:
+        cache.touch(("v", page))
+    return cache
+
+
+def order(cache):
+    """Resident page numbers, least recently used first."""
+    return [page for _, page in cache._pages]
+
+
+@st.composite
+def touch_scripts(draw):
+    """``(capacity, steps)``: interleaved single and bulk touches of
+    two kinds over a small page alphabet, so that calls repeat pages,
+    straddle the capacity and find their pages half-evicted."""
+    capacity = draw(st.sampled_from([0, 1, 2, 4, 7, 96]))
+    page = st.integers(0, draw(st.integers(2, 30)) - 1)
+    kind = st.sampled_from(["v", "a"])
+    step = st.one_of(
+        st.tuples(kind, page),
+        st.tuples(kind, st.lists(page, min_size=1, max_size=60)),
+    )
+    return capacity, draw(st.lists(step, min_size=1, max_size=25))
+
+
+class TestTouchMany:
+    """``touch_many`` is one ``touch`` per page, in order: the same
+    misses, the same recency order afterwards."""
+
+    @given(touch_scripts())
+    @settings(max_examples=400, deadline=None)
+    def test_equals_the_loop(self, script):
+        capacity, steps = script
+        cache, oracle = LruPageCache(capacity), LoopLruPageCache(capacity)
+        for kind, arg in steps:
+            if isinstance(arg, list):
+                before = list(arg)
+                got = cache.touch_many(kind, arg)
+                assert arg == before
+                want = oracle.touch_many(kind, arg)
+            else:
+                got = cache.touch((kind, arg))
+                want = oracle.touch((kind, arg))
+            assert got == want, (capacity, kind, arg)
+            assert list(cache._pages) == list(oracle._pages), (kind, arg)
+
+    def test_victim_of_an_earlier_miss_is_touched_later(self):
+        # Page 1 is resident and least recent; the miss on 9 evicts it
+        # before the call reaches it, so its own touch misses too (and
+        # evicts 2).  Counting the absent pages up front would say 1.
+        cache = warm(3, [1, 2, 3])
+        assert cache.touch_many("v", [9, 1, 9]) == 2
+        assert order(cache) == [3, 1, 9]
+
+    def test_distinct_pages_fill_the_cache_exactly(self):
+        cache = warm(3, [1, 2, 3])
+        assert cache.touch_many("v", [4, 5, 6, 4, 4]) == 3
+        assert order(cache) == [5, 6, 4]
+        assert cache.touch_many("v", [6, 5, 6]) == 0
+        assert order(cache) == [4, 5, 6]
+
+    def test_one_distinct_page_too_many_thrashes(self):
+        # Four distinct pages, three frames: 1 is gone when the call
+        # comes back to it - within-call repeats are not hits here.
+        cache = warm(3, [1, 2, 3])
+        assert cache.touch_many("v", [1, 4, 5, 6, 1]) == 4
+        assert order(cache) == [5, 6, 1]
+
+    def test_no_eviction_keeps_untouched_pages_in_place(self):
+        cache = warm(8, [1, 2, 3, 4])
+        assert cache.touch_many("v", [3, 7, 1, 3]) == 1
+        assert order(cache) == [2, 4, 7, 1, 3]
+
+    def test_empty_call(self):
+        cache = warm(3, [1, 2])
+        assert cache.touch_many("v", []) == 0
+        assert order(cache) == [1, 2]
+
+    def test_zero_capacity_misses_every_touch(self):
+        cache = LruPageCache(0)
+        assert cache.touch_many("v", [1, 1, 2, 1]) == 4
+        assert len(cache) == 0
+
+    def test_kinds_do_not_alias(self):
+        cache = warm(4, [1])
+        assert cache.touch_many("a", [1, 1]) == 1
+        assert list(cache._pages) == [("v", 1), ("a", 1)]
+
+
 class TestSession:
+    def test_callers_cache_is_used(self, graph, tmp_path):
+        # A fresh cache is empty, and an empty cache is falsy.
+        cache = LruPageCache(4)
+        assert GraphSession(graph, NEO4J_LIKE, cache).cache is cache
+        with GraphSession.open(tmp_path / "data", cache=cache) as session:
+            assert session.cache is cache
+        with connect(graph) as db, db.session(cache=cache) as session:
+            assert session._graph_session.cache is cache
+            session.run("MATCH (n:N) RETURN n.x").consume()
+        assert 0 < len(cache) <= 4
+
+    def test_zero_capacity_session_never_hits(self, diff_graph):
+        # Within-run repeats are misses too, on both paths.
+        misses = {}
+        for vectorize in (False, True):
+            session = GraphSession(diff_graph, NEO4J_LIKE, LruPageCache(0))
+            executor = Executor(session, vectorize=vectorize, parallelism=1)
+            report = ExecutionReport()
+            _, _, _, rows = executor.stream(
+                "MATCH (p:Patient)-[:takes]->(d:Drug) RETURN p.pid, d.dose",
+                {}, report=report,
+            )
+            assert len(list(rows)) > 90
+            assert report.mode == ("vectorized" if vectorize else "tuple")
+            assert session.metrics.page_hits == 0
+            misses[report.mode] = session.metrics.page_misses
+        # At least one touch per property read.
+        assert misses["vectorized"] == misses["tuple"] > 2 * 90
+
     def test_counts_reads(self, graph):
         session = GraphSession(graph, NEO4J_LIKE)
         session.read_labels(0)
