@@ -19,7 +19,7 @@ Run directly::
 
     PYTHONPATH=src python benchmarks/bench_server.py [--out PATH] [--smoke]
 
-``benchmarks/run_bench.sh`` invokes it after the parallel sweep.
+``benchmarks/run_bench.sh`` invokes it last.
 """
 
 from __future__ import annotations

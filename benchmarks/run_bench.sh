@@ -2,12 +2,11 @@
 # Run the engine micro-benchmarks, the storage benchmarks, the
 # planner benchmarks, the graph-core benchmarks, the driver-API
 # benchmarks, the fault-injection benchmarks, the observability
-# benchmarks, the morsel-parallel worker sweep, and the network
-# server benchmarks, recording results at the repo root as
-# BENCH_engine.json, BENCH_storage.json, BENCH_planner.json,
-# BENCH_core.json, BENCH_api.json, BENCH_faults.json,
-# BENCH_observe.json, BENCH_parallel.json, and BENCH_server.json
-# (the perf trajectory artifacts).
+# benchmarks, and the network server benchmarks, recording results at
+# the repo root as BENCH_engine.json, BENCH_storage.json,
+# BENCH_planner.json, BENCH_core.json, BENCH_api.json,
+# BENCH_faults.json, BENCH_observe.json, and BENCH_server.json (the
+# perf trajectory artifacts).
 #
 # Usage: benchmarks/run_bench.sh [extra pytest args...]
 set -euo pipefail
@@ -53,7 +52,5 @@ python benchmarks/bench_api.py --out "$REPO_ROOT/BENCH_api.json"
 python benchmarks/bench_faults.py --out "$REPO_ROOT/BENCH_faults.json"
 
 python benchmarks/bench_observe.py --out "$REPO_ROOT/BENCH_observe.json"
-
-python benchmarks/bench_parallel.py --out "$REPO_ROOT/BENCH_parallel.json"
 
 python benchmarks/bench_server.py --out "$REPO_ROOT/BENCH_server.json"

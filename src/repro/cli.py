@@ -344,9 +344,7 @@ def cmd_query(args) -> int:
     from repro.graphdb.api import connect
 
     params = dict(args.params or [])
-    with connect(
-        args.data_dir, readonly=True, parallelism=args.parallel
-    ) as db:
+    with connect(args.data_dir, readonly=True) as db:
         with db.session() as session:
             result = session.run(
                 args.query, params,
@@ -670,11 +668,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace", action="store_true",
         help="record a span tree (parse -> plan -> execute, per-"
              "operator timings) and print it after the result",
-    )
-    p_query.add_argument(
-        "--parallel", type=int, default=None, metavar="WORKERS",
-        help="worker processes for morsel-parallel execution "
-             "(default: $REPRO_PARALLEL, else serial)",
     )
     p_query.set_defaults(fn=cmd_query)
 

@@ -76,15 +76,6 @@ class QueryTimeoutError(ResourceLimitError):
     """Raised when a query's wall-clock deadline expires mid-execution."""
 
 
-class ParallelExecutionError(GraphError):
-    """Raised when the morsel-parallel execution path fails mid-job.
-
-    A dead worker process or a failed worker task aborts the query
-    with this error; the pool respawns workers on the next job, so a
-    retry (or serial execution with ``parallelism=1``) succeeds.
-    """
-
-
 class RewriteError(ReproError):
     """Raised when a DIR query cannot be rewritten against an OPT schema."""
 

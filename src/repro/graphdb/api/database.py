@@ -47,7 +47,6 @@ def connect(
     sync: str = "batch",
     readonly: bool = False,
     observe: "observe_mod.ObserveConfig | dict | str | Path | None" = None,
-    parallelism: int | None = None,
 ) -> "Database":
     """Open ``target`` (graph, data directory, or snapshot file).
 
@@ -60,17 +59,11 @@ def connect(
     fields, or a bare event-log path) that can point the JSONL event
     sink somewhere, arm the slow-query log, or switch the metrics
     registry off entirely - see :mod:`repro.graphdb.observe`.
-    ``parallelism`` sets the default worker count for this database's
-    sessions (values above 1 enable morsel-parallel execution for
-    qualifying scans; unset, the ``REPRO_PARALLEL`` environment
-    variable applies, and serial remains the default).
     """
     if observe is not None:
         observe_mod.configure(observe)
     if isinstance(target, PropertyGraph):
-        return Database(
-            target, store=None, profile=profile, parallelism=parallelism
-        )
+        return Database(target, store=None, profile=profile)
     if isinstance(target, str) and target.startswith("repro://"):
         from repro.graphdb.api.remote import RemoteDatabase
 
@@ -81,10 +74,7 @@ def connect(
     ):
         from repro.graphdb.storage import read_snapshot
 
-        return Database(
-            read_snapshot(path), store=None, profile=profile,
-            parallelism=parallelism,
-        )
+        return Database(read_snapshot(path), store=None, profile=profile)
     if readonly:
         from repro.graphdb.storage import recover_graph
         from repro.graphdb.storage.recovery import RecoveryManager
@@ -96,14 +86,12 @@ def connect(
             raise GraphError(f"no graph store at {path}")
         return Database(
             recover_graph(path), store=None, profile=profile,
-            parallelism=parallelism, readonly=True,
+            readonly=True,
         )
     from repro.graphdb.storage import GraphStore
 
     store = GraphStore.open(path, create=create, sync=sync)
-    return Database(
-        store.graph, store=store, profile=profile, parallelism=parallelism
-    )
+    return Database(store.graph, store=store, profile=profile)
 
 
 class Database:
@@ -114,7 +102,6 @@ class Database:
         graph: PropertyGraph,
         store=None,
         profile: BackendProfile = NEO4J_LIKE,
-        parallelism: int | None = None,
         readonly: bool = False,
     ):
         self.graph = graph
@@ -123,9 +110,6 @@ class Database:
         self.store = store
         #: Default backend profile for sessions.
         self.profile = profile
-        #: Default worker count for sessions (``None`` defers to the
-        #: ``REPRO_PARALLEL`` environment variable, then to serial).
-        self.parallelism = parallelism
         #: ``connect(..., readonly=True)``: sessions refuse to open
         #: transactions, so a point-in-time view cannot be mutated by
         #: accident (the writes would silently never be logged).
@@ -139,21 +123,10 @@ class Database:
         self,
         profile: BackendProfile | None = None,
         cache=None,
-        cost_based: bool = True,
-        parallelism: int | None = None,
-        parallel_threshold: int | None = None,
     ) -> Session:
-        """A new unit-of-work session (use as a context manager).
-
-        ``parallelism`` overrides the database default for this
-        session; ``parallel_threshold`` sets the minimum estimated
-        scan rows before morsel dispatch engages."""
+        """A new unit-of-work session (use as a context manager)."""
         self._require_open()
-        return Session(
-            self, profile=profile, cache=cache, cost_based=cost_based,
-            parallelism=parallelism,
-            parallel_threshold=parallel_threshold,
-        )
+        return Session(self, profile=profile, cache=cache)
 
     # ------------------------------------------------------------------
     # Durability passthrough

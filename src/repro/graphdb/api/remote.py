@@ -158,14 +158,10 @@ class RemoteDatabase:
     def durable(self) -> bool:
         return True  # durability lives server-side
 
-    def session(self, fetch_size: int = DEFAULT_FETCH_SIZE,
-                **_ignored) -> "RemoteSession":
-        """A new unit-of-work session on its own connection.
-
-        Extra keyword arguments (``profile=``, ``parallelism=``, ...)
-        are accepted for parity with the in-process surface and
-        ignored: those knobs live server-side.
-        """
+    def session(
+        self, fetch_size: int = DEFAULT_FETCH_SIZE
+    ) -> "RemoteSession":
+        """A new unit-of-work session on its own connection."""
         self._require_open()
         return RemoteSession(self, fetch_size=fetch_size)
 
@@ -221,7 +217,6 @@ class RemoteSession:
         timeout: float | None = None,
         max_rows: int | None = None,
         trace: bool = False,
-        parallelism: int | None = None,
         **params: object,
     ) -> "RemoteResult":
         """Execute ``query`` on the server; returns a lazy cursor.
@@ -231,15 +226,13 @@ class RemoteSession:
         :class:`~repro.exceptions.QueryTimeoutError` /
         :class:`~repro.exceptions.ResourceLimitError` raise here
         exactly as they would in-process.  ``trace`` is not available
-        over the wire; ``parallelism`` is a server-side knob and is
-        ignored.
+        over the wire.
         """
         self._require_open()
         if trace:
             raise GraphError(
                 "trace=True is not supported over remote connections"
             )
-        del parallelism  # server-side configuration
         self._finish_open_result()
         bound = {**(parameters or {}), **params}
         options: dict[str, object] = {"pull": self._fetch_size}

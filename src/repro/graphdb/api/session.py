@@ -41,23 +41,12 @@ class Session:
         database,
         profile=None,
         cache=None,
-        cost_based: bool = True,
-        parallelism: int | None = None,
-        parallel_threshold: int | None = None,
     ):
         self._database = database
         self._graph_session = GraphSession(
             database.graph, profile or database.profile, cache
         )
-        self._executor = Executor(
-            self._graph_session,
-            cost_based=cost_based,
-            parallelism=(
-                parallelism if parallelism is not None
-                else getattr(database, "parallelism", None)
-            ),
-            parallel_threshold=parallel_threshold,
-        )
+        self._executor = Executor(self._graph_session)
         self._open_result: Result | None = None
         self._transaction: Transaction | None = None
         self._last_summary = None
@@ -73,7 +62,6 @@ class Session:
         timeout: float | None = None,
         max_rows: int | None = None,
         trace: bool = False,
-        parallelism: int | None = None,
         **params: object,
     ) -> Result:
         """Execute a query; parameters come from ``parameters`` and/or
@@ -91,10 +79,6 @@ class Session:
         span tree (parse -> plan -> execute, with per-operator child
         spans) surfaced as ``summary.trace`` once the cursor settles -
         the per-step timing adds overhead, so it is opt-in per query.
-        ``parallelism`` overrides the session's worker count for this
-        query only (see ``connect(parallelism=)`` / ``REPRO_PARALLEL``;
-        values above 1 enable morsel-parallel execution for qualifying
-        scans, and ``summary.mode`` reports ``"parallel"`` when it ran).
         """
         self._require_open()
         bound = {**(parameters or {}), **params}
@@ -111,26 +95,14 @@ class Session:
         )
         step_counts: list[int] = []
         report = ExecutionReport()
-        executor = self._executor
-        previous_parallelism = executor.parallelism
-        if parallelism is not None:
-            from repro.graphdb.query.parallel import resolve_parallelism
-
-            executor.parallelism = resolve_parallelism(parallelism)
-        try:
-            # The serial/parallel decision settles inside stream()
-            # (pipeline construction is eager; only rows are lazy), so
-            # restoring the session default here is safe.
-            parsed, plan, columns, rows = executor.stream(
-                query,
-                bound,
-                step_counts=step_counts,
-                guard=guard,
-                trace=trace_obj,
-                report=report,
-            )
-        finally:
-            executor.parallelism = previous_parallelism
+        parsed, plan, columns, rows = self._executor.stream(
+            query,
+            bound,
+            step_counts=step_counts,
+            guard=guard,
+            trace=trace_obj,
+            report=report,
+        )
         text = query if isinstance(query, str) else query_text(parsed)
         result = Result(
             self, text, bound, columns, rows, plan, step_counts,

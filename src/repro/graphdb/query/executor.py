@@ -38,6 +38,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator
@@ -93,8 +94,7 @@ _GUARDRAIL_TRIPS = observe.REGISTRY.labeled_counter(
 _QUERY_PATHS = observe.REGISTRY.labeled_counter(
     "repro_query_path_total",
     "path",
-    "Query executions per pipeline path (parallel, vectorized, or "
-    "tuple).",
+    "Query executions per pipeline path (vectorized or tuple).",
 )
 
 
@@ -473,21 +473,10 @@ class Executor:
         session: GraphSession,
         cost_based: bool = True,
         vectorize: bool = True,
-        parallelism: int | None = None,
-        parallel_threshold: int | None = None,
     ):
         self.session = session
         self.cost_based = cost_based
         self.vectorize = vectorize
-        # Lazy import: parallel -> vectorized -> executor would cycle
-        # at module load; by __init__ time this module is complete.
-        from repro.graphdb.query.parallel import (
-            resolve_parallelism,
-            resolve_threshold,
-        )
-
-        self.parallelism = resolve_parallelism(parallelism)
-        self.parallel_threshold = resolve_threshold(parallel_threshold)
 
     def run(
         self,
@@ -556,65 +545,34 @@ class Executor:
         a phase span; a cache hit collapses them into one instant
         ``plan`` span tagged ``cached``.
         """
-        if trace is not None:
-            return self._prepare_traced(query, trace)
         graph = self.session.graph
-        if not self.cost_based:
-            if isinstance(query, str):
-                query = parse_query(query)
-            return query, build_plan(query, graph, cost_based=False)
-        stats = graph.statistics()
-        key: Query | str | None = query
-        try:
-            hash(key)
-        except TypeError:  # AST embeds an unhashable (list) literal
-            key = None
-        cached = (
-            stats.plan_cache.get(key, stats.epoch)
-            if key is not None
-            else None
-        )
-        if cached is not None:
-            return cached
-        parsed = parse_query(query) if isinstance(query, str) else query
-        plan = build_plan(parsed, graph, statistics=stats)
-        if key is not None:
-            stats.plan_cache.put(key, stats.epoch, (parsed, plan))
-        return parsed, plan
-
-    def _prepare_traced(
-        self, query: Query | str, trace: Trace
-    ) -> tuple[Query, Plan]:
-        """:meth:`_prepare` with parse/plan phase spans recorded."""
-        graph = self.session.graph
-        if not self.cost_based:
-            if isinstance(query, str):
-                with trace.span("parse"):
-                    query = parse_query(query)
-            with trace.span("plan"):
-                return query, build_plan(query, graph, cost_based=False)
-        stats = graph.statistics()
-        key: Query | str | None = query
-        try:
-            hash(key)
-        except TypeError:
-            key = None
-        cached = (
-            stats.plan_cache.get(key, stats.epoch)
-            if key is not None
-            else None
-        )
-        if cached is not None:
-            span = trace.begin("plan").finish()
-            span.attrs["cached"] = True
-            return cached
+        stats = key = None
+        if self.cost_based:
+            stats = graph.statistics()
+            key = query
+            try:
+                hash(key)
+            except TypeError:  # AST embeds an unhashable (list) literal
+                key = None
+            cached = (
+                stats.plan_cache.get(key, stats.epoch)
+                if key is not None
+                else None
+            )
+            if cached is not None:
+                if trace is not None:
+                    trace.begin("plan").finish().attrs["cached"] = True
+                return cached
+        # Miss path only: untraced, nullcontext(name) is a no-op scope.
+        span = trace.span if trace is not None else nullcontext
+        parsed = query
         if isinstance(query, str):
-            with trace.span("parse"):
+            with span("parse"):
                 parsed = parse_query(query)
-        else:
-            parsed = query
-        with trace.span("plan"):
-            plan = build_plan(parsed, graph, statistics=stats)
+        with span("plan"):
+            plan = build_plan(
+                parsed, graph, statistics=stats, cost_based=self.cost_based
+            )
         if key is not None:
             stats.plan_cache.put(key, stats.epoch, (parsed, plan))
         return parsed, plan
@@ -632,29 +590,14 @@ class Executor:
         """Compile one execution: ``(columns, lazy row iterator)``."""
         params = _validate_params(query, parameters)
         rows = None
-        path = "vectorized"
         if self.vectorize and plan.batchable:
             from repro.graphdb.query import vectorized
 
-            pipeline = None
-            if self.parallelism > 1:
-                from repro.graphdb.query import parallel
-
-                pipeline = parallel.build_parallel_pipeline(
-                    query, plan, self.session, params,
-                    self.parallelism,
-                    guard=guard, step_counts=step_counts,
-                    step_times=step_times, report=report,
-                    threshold=self.parallel_threshold,
-                )
-                if pipeline is not None:
-                    path = "parallel"
-            if pipeline is None:
-                pipeline = vectorized.build_pipeline(
-                    query, plan, self.session, params,
-                    guard=guard, step_counts=step_counts,
-                    step_times=step_times, report=report,
-                )
+            pipeline = vectorized.build_pipeline(
+                query, plan, self.session, params,
+                guard=guard, step_counts=step_counts,
+                step_times=step_times, report=report,
+            )
             if pipeline is not None:
                 columns, rows = pipeline
         elif report is not None:
@@ -672,7 +615,7 @@ class Executor:
                 stream = _guarded_bindings(stream, guard)
             columns, rows = self._project(query, stream, evaluator)
         else:
-            _QUERY_PATHS.inc(path)
+            _QUERY_PATHS.inc("vectorized")
         if query.distinct:
             rows = _dedupe(rows)
         if query.order_by:

@@ -127,9 +127,6 @@ class ExecutionReport:
     #: Fallback reason when a batchable plan ran tuple (None when the
     #: plan was never batchable or the vectorized path ran).
     reason: str | None = None
-    #: Why a parallel-enabled execution stayed serial (None when it
-    #: ran parallel or parallelism was never requested).
-    parallel_reason: str | None = None
     batches: int = 0
 
     @property
@@ -436,9 +433,9 @@ def _group_reason(expr: Expr, plan: Plan) -> str | None:
 
 def plain_aggregates(query: Query, plan: Plan) -> bool:
     """True when RETURN is only bare global numeric aggregates - the
-    shape the streaming :class:`_Aggregator` (and the parallel
-    mergers) fold without keeping a binding; every other admitted
-    aggregate shape goes to the grouped consumer."""
+    shape the streaming :class:`_Aggregator` folds without keeping a
+    binding; every other admitted aggregate shape goes to the grouped
+    consumer."""
     for item in query.return_items:
         expr = item.expr
         if (

@@ -258,7 +258,7 @@ class GraphStatistics:
     # Construction
     # ------------------------------------------------------------------
     @classmethod
-    def build(cls, graph, parallelism: int | None = None) -> "GraphStatistics":
+    def build(cls, graph) -> "GraphStatistics":
         """One batch pass over the columns of a live :class:`PropertyGraph`.
 
         Instead of walking per-vertex label sets and property dicts,
@@ -270,18 +270,7 @@ class GraphStatistics:
         edge columns before fanning out to per-label counters.  The
         result is exactly what replaying every mutation through the
         incremental hooks would produce.
-
-        ``parallelism`` above 1 fans the per-table histogram and
-        edge-combo passes out over the morsel worker pool
-        (:func:`repro.graphdb.query.parallel.parallel_build_stats`);
-        Counter merges are order-independent, so the result matches
-        the serial build.
         """
-        if parallelism is not None and parallelism > 1:
-            # Lazy import: parallel imports this module's helpers.
-            from repro.graphdb.query.parallel import parallel_build_stats
-
-            return parallel_build_stats(graph, workers=parallelism)
         stats = cls()
         symbols = graph._symbols
         bump = cls._bump

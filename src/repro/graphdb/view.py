@@ -200,8 +200,8 @@ def undirected_edge_index(graph) -> tuple[list[int], np.ndarray, np.ndarray]:
 
     Freezes the graph (reusing a valid cached view) and flattens the
     out-CSRs into parallel ``(src, dst)`` arrays of positions in the
-    returned vid list, both directions per edge - the adjacency the
-    serial and the morsel-parallel PageRank share.
+    returned vid list, both directions per edge - the adjacency
+    :func:`graph_pagerank` iterates.
     """
     vids = graph.vertex_ids()
     view = graph.freeze()
@@ -231,14 +231,29 @@ def graph_pagerank(
 
     Treats the graph as undirected (every edge feeds rank both ways),
     matching the out-degree rule of the paper's OntologyPR.  Freezes
-    the graph (reusing a valid cached view) and runs the flat-array
-    kernel from :mod:`repro.optimizer.pagerank`.  Returns vid -> score
-    over live vertices.
+    the graph (reusing a valid cached view) and runs the power
+    iteration of :func:`repro.optimizer.pagerank.pagerank_kernel` -
+    same teleport base, uniform dangling-mass redistribution and L1
+    convergence test - as numpy passes over the flat edge arrays.
+    Returns vid -> score over live vertices.
     """
-    from repro.optimizer.pagerank import pagerank_kernel
-
     vids, src, dst = undirected_edge_index(graph)
-    scores, _iterations = pagerank_kernel(
-        len(vids), src.tolist(), dst.tolist(), damping, tol, max_iterations
-    )
-    return dict(zip(vids, scores))
+    n = len(vids)
+    if n == 0:
+        return {}
+    out_degree = np.bincount(src, minlength=n)
+    dangling = out_degree == 0
+    inv_degree = np.zeros(n)
+    inv_degree[~dangling] = 1.0 / out_degree[~dangling]
+    rank = np.full(n, 1.0 / n)
+    for _ in range(max_iterations):
+        base = (1.0 - damping) / n + damping * rank[dangling].sum() / n
+        incoming = np.bincount(
+            dst, weights=(rank * inv_degree)[src], minlength=n
+        )
+        new_rank = base + damping * incoming
+        delta = np.abs(new_rank - rank).sum()
+        rank = new_rank
+        if delta < tol:
+            break
+    return dict(zip(vids, rank.tolist()))

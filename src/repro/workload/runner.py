@@ -93,25 +93,20 @@ def run_queries(
     profile: BackendProfile,
     queries: list[tuple[str, Query | str]],
     collect_rows: bool = False,
-    cost_based: bool = True,
 ) -> WorkloadReport:
     """Execute ``queries`` (qid, text-or-AST pairs) on one session.
 
     ``graph`` may also be a path to a snapshot file or a durable data
     directory (see :func:`resolve_graph`), so persisted workloads can
     be replayed without manually recovering the store first.
-    ``cost_based=False`` runs the legacy syntactic planner instead of
-    the statistics-driven one (the planner benchmark's baseline).
     """
     graph = resolve_graph(graph)
-    if cost_based:
-        # Materialize statistics outside the timed loop: the one-time
-        # O(V+E) batch build must not inflate the first query's
-        # wall_ms.
-        graph.statistics()
+    # Materialize statistics outside the timed loop: the one-time
+    # O(V+E) batch build must not inflate the first query's wall_ms.
+    graph.statistics()
     database = Database(graph, profile=profile)
     report = WorkloadReport(backend=profile.name, graph_name=graph.name)
-    with database.session(cost_based=cost_based) as session:
+    with database.session() as session:
         for qid, query in queries:
             started = time.perf_counter()
             result = session.run(query)
@@ -140,9 +135,7 @@ def run_single(
     query: Query | str,
     qid: str = "q",
     collect_rows: bool = False,
-    cost_based: bool = True,
 ) -> QueryRun:
     return run_queries(
-        graph, profile, [(qid, query)],
-        collect_rows=collect_rows, cost_based=cost_based,
+        graph, profile, [(qid, query)], collect_rows=collect_rows
     ).runs[0]

@@ -351,20 +351,10 @@ class QueryGen:
 
 # -- execution + comparison ---------------------------------------------
 
-def run_path(graph, text, params, vectorize, parallelism=1):
-    """Execute on a fresh session; return (columns, rows, work, report).
-
-    ``parallelism`` defaults to 1 (not ``None``) so the serial and
-    vectorized legs stay deterministic even when ``REPRO_PARALLEL`` is
-    set in the environment; pass 2+ for the morsel-parallel leg.  The
-    threshold is pinned to 0 so the tiny differential graphs still
-    qualify for morsel dispatch.
-    """
+def run_path(graph, text, params, vectorize):
+    """Execute on a fresh session; return (columns, rows, work, report)."""
     session = GraphSession(graph, NEO4J_LIKE)
-    executor = Executor(
-        session, vectorize=vectorize, parallelism=parallelism,
-        parallel_threshold=0,
-    )
+    executor = Executor(session, vectorize=vectorize)
     report = ExecutionReport()
     _, _, columns, rows = executor.stream(text, dict(params), report=report)
     out = [tuple(row) for row in rows]
@@ -385,19 +375,10 @@ def norm_rows(rows):
     return [tuple(_norm_value(v) for v in row) for row in rows]
 
 
-def assert_equivalent(graph, text, params=(), parallel=True) -> ExecutionReport:
-    """All pipelines, strict check; returns the vectorized-path report
+def assert_equivalent(graph, text, params=()) -> ExecutionReport:
+    """Both pipelines, strict check; returns the vectorized-path report
     (``report.mode`` tells the caller whether the batch path ran or
-    fell back).
-
-    With ``parallel=True`` (the default) a third leg runs the same
-    query through a 2-worker morsel-parallel executor (threshold 0)
-    and must match the tuple pipeline on columns, rows, and all six
-    work counters too.  Its report is attached to the return value as
-    ``report.parallel_report`` - ``parallel_report.mode`` says whether
-    morsel dispatch actually engaged or fell back (and
-    ``parallel_report.parallel_reason`` says why).
-    """
+    fell back)."""
     params = dict(params)
     t_cols, t_rows, t_work, _ = run_path(graph, text, params, vectorize=False)
     v_cols, v_rows, v_work, report = run_path(graph, text, params, vectorize=True)
@@ -408,22 +389,4 @@ def assert_equivalent(graph, text, params=(), parallel=True) -> ExecutionReport:
         f"work-counter mismatch: {context}\n"
         f"  tuple:      {t_work}\n  vectorized: {v_work}"
     )
-    report.parallel_report = None
-    if parallel:
-        p_cols, p_rows, p_work, p_report = run_path(
-            graph, text, params, vectorize=True, parallelism=2
-        )
-        p_context = (
-            f"query={text!r} params={params!r} mode={p_report.mode} "
-            f"reason={p_report.parallel_reason}"
-        )
-        assert p_cols == t_cols, f"column mismatch: {p_context}"
-        assert norm_rows(p_rows) == norm_rows(t_rows), (
-            f"row mismatch: {p_context}"
-        )
-        assert p_work == t_work, (
-            f"work-counter mismatch: {p_context}\n"
-            f"  tuple:    {t_work}\n  parallel: {p_work}"
-        )
-        report.parallel_report = p_report
     return report

@@ -63,7 +63,7 @@ def paper_ops(request):
 
 
 def run_once(session, query, vectorize):
-    executor = Executor(session, vectorize=vectorize, parallelism=1)
+    executor = Executor(session, vectorize=vectorize)
     report = ExecutionReport()
     _, _, columns, rows = executor.stream(query, {}, report=report)
     rows = [tuple(row) for row in rows]

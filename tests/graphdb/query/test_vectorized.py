@@ -25,7 +25,7 @@ from repro.graphdb.query.functions import compare
 from repro.graphdb.query.parser import parse_query
 from repro.graphdb.query.planner import build_plan
 from repro.graphdb.session import GraphSession
-from tests.graphdb.diffquery import WORK_COUNTERS
+from tests.graphdb.diffquery import WORK_COUNTERS, assert_equivalent
 
 OPS = ("=", "<>", "<", "<=", ">", ">=")
 
@@ -43,7 +43,7 @@ def column_graph(values, prop="x", freeze=False):
 def run_vectorized(graph, text, params=None, guard=None):
     """Rows + report from the default (vectorize=True) executor."""
     session = GraphSession(graph, NEO4J_LIKE)
-    executor = Executor(session, parallelism=1)
+    executor = Executor(session)
     report = vectorized.ExecutionReport()
     _, _, columns, rows = executor.stream(
         text, dict(params or {}), report=report, guard=guard
@@ -57,7 +57,7 @@ def assert_matches_tuple(graph, text, params=None):
     outcomes = []
     for vectorize in (False, True):
         session = GraphSession(graph, NEO4J_LIKE)
-        executor = Executor(session, vectorize=vectorize, parallelism=1)
+        executor = Executor(session, vectorize=vectorize)
         report = vectorized.ExecutionReport()
         _, _, columns, rows = executor.stream(
             text, dict(params or {}), report=report
@@ -236,6 +236,19 @@ class TestFallbackDecisions:
 
     def test_limit_is_tuple_only(self, graph):
         self.expect(graph, "MATCH (n:P) RETURN n.x LIMIT 3", "limit")
+
+    def test_order_by_limit_vectorizes(self, diff_graph):
+        """ORDER BY + LIMIT drains fully into the shared top-k heap,
+        so it does not force the tuple path; bare LIMIT still does."""
+        text = (
+            "MATCH (p:Patient) WHERE p.age > 10 "
+            "RETURN p.age ORDER BY p.age DESC LIMIT 5"
+        )
+        report = assert_equivalent(diff_graph, text)
+        assert report.mode == "vectorized", report.reason
+        self.expect(
+            diff_graph, "MATCH (p:Patient) RETURN p.age LIMIT 3", "limit"
+        )
 
     def test_grouped_aggregation_is_tuple_only(self, graph):
         """Was tuple-only; the batch consumer now groups (name kept)."""
@@ -544,3 +557,18 @@ class TestObservability:
         rows, report = run_vectorized(graph, "MATCH (n:L) RETURN n.x")
         assert len(rows) == vectorized.BATCH_ROWS + 10
         assert report.batches == 2
+
+
+def test_scan_and_streaming_aggregate_span_batches(diff_graph, monkeypatch):
+    """Shrink the batch so a plain scan and the streaming aggregates
+    cross many batch boundaries; columns, rows and all six counters
+    must still equal the tuple path."""
+    monkeypatch.setattr(vectorized, "BATCH_ROWS", 16)
+    for text in (
+        "MATCH (p:Patient) WHERE p.age > 40 RETURN p.age, p.weight",
+        "MATCH (p:Patient) WHERE p.age > 20 RETURN sum(p.age) AS s",
+        "MATCH (v:Visit) RETURN min(v.cost) AS m",
+    ):
+        report = assert_equivalent(diff_graph, text)
+        assert report.mode == "vectorized", (text, report.reason)
+        assert report.batches > 1, text

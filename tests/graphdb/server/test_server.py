@@ -17,6 +17,7 @@ from repro.exceptions import (
 )
 from repro.graphdb import observe
 from repro.graphdb.api.database import connect
+from repro.graphdb.metrics import LruPageCache
 from repro.graphdb.query.executor import VertexBinding
 from repro.graphdb.server import ServerConfig
 
@@ -78,6 +79,17 @@ def test_lazy_pull_streaming_and_summary(server_factory, small_graph):
         assert summary.epoch == small_graph.mutation_epoch
         assert summary.plan_digest
         session.close()
+
+
+def test_session_rejects_unknown_keywords(server_factory, small_graph):
+    """A misspelt or in-process-only option is an error over
+    ``repro://``, not a silent no-op."""
+    harness = server_factory(connect(small_graph))
+    with connect(harness.url) as db:
+        with pytest.raises(TypeError):
+            db.session(fetchsize=10)
+        with pytest.raises(TypeError):
+            db.session(cache=LruPageCache(4))
 
 
 def test_new_run_detaches_previous_result(server_factory, small_graph):

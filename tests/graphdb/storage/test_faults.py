@@ -202,8 +202,7 @@ class TestCatalog:
         for name in names:
             layer = name.split(".")[0]
             assert layer in (
-                "wal", "snapshot", "store", "recovery", "parallel",
-                "server",
+                "wal", "snapshot", "store", "recovery", "server",
             )
 
 

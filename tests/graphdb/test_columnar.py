@@ -11,8 +11,9 @@ from repro.graphdb.columnar import (
     SymbolTable,
 )
 from repro.graphdb.graph import PropertyGraph
-from repro.graphdb.view import graph_pagerank
+from repro.graphdb.view import graph_pagerank, undirected_edge_index
 from repro.optimizer.pagerank import pagerank, pagerank_kernel
+from tests.graphdb.diffquery import build_differential_graph
 
 
 class TestSymbolTable:
@@ -301,6 +302,66 @@ class TestPageRankKernel:
             g.add_edge(leaf, hub, "to")
         scores = graph_pagerank(g)
         assert scores[hub] == max(scores.values())
+
+
+def _med_dir_graph():
+    from repro.bench.harness import build_pipeline
+    from repro.datasets import build_med
+
+    return build_pipeline(build_med(), scale=0.2).dir_graph
+
+
+def _graph_with_isolated_vertices():
+    g = PropertyGraph()
+    vids = [g.add_vertex("N", {}) for _ in range(9)]
+    for a, b in ((0, 1), (1, 2), (2, 0), (3, 4), (0, 3)):
+        g.add_edge(vids[a], vids[b], "e")
+    return g  # vids 5..8 have no edge: dangling mass every iteration
+
+
+def _graph_with_vid_gaps():
+    g = _graph_with_isolated_vertices()
+    g.add_edge(5, 6, "e")
+    g.remove_vertex(1)  # takes its edges along; vid 1 stays a hole
+    g.remove_vertex(7)
+    return g
+
+
+class TestGraphPageRankOracle:
+    """The numpy power iteration against the pure-Python kernel it
+    replaced, fed the same flat edge arrays."""
+
+    @pytest.fixture(
+        scope="class",
+        params=[
+            build_differential_graph,
+            _med_dir_graph,
+            _graph_with_isolated_vertices,
+            _graph_with_vid_gaps,
+        ],
+        ids=["diff", "med_dir", "isolated", "vid_gaps"],
+    )
+    def any_graph(self, request):
+        return request.param()
+
+    @pytest.mark.parametrize("max_iterations", [1, 100])
+    def test_equals_python_kernel(self, any_graph, max_iterations):
+        vids, src, dst = undirected_edge_index(any_graph)
+        expected, iterations = pagerank_kernel(
+            len(vids), src.tolist(), dst.tolist(),
+            0.85, 1e-8, max_iterations,
+        )
+        scores = graph_pagerank(
+            any_graph, tol=1e-8, max_iterations=max_iterations
+        )
+        assert list(scores) == vids
+        # The long run stops on tol, not on the cap.  Stopping one
+        # iteration apart moves some score by > 1e-10 on every graph
+        # here, so equal scores pin the iteration count too.
+        assert iterations < 100
+        worst = max(abs(scores[v] - e) for v, e in zip(vids, expected))
+        assert worst <= 1e-12, worst
+        assert sum(scores.values()) == pytest.approx(1.0, abs=1e-9)
 
 
 class TestFacadeErrors:

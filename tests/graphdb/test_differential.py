@@ -46,7 +46,7 @@ CORPUS_SIZE = 220
 class TestCorpus:
     def test_corpus_is_equivalent_on_both_paths(self, diff_graph):
         gen = QueryGen(random.Random(SEED))
-        vectorized = fallbacks = parallel = 0
+        vectorized = fallbacks = 0
         for i in range(CORPUS_SIZE):
             text, params = gen.query()
             try:
@@ -59,22 +59,13 @@ class TestCorpus:
                 vectorized += 1
             else:
                 fallbacks += 1
-            if (
-                report.parallel_report is not None
-                and report.parallel_report.mode == "parallel"
-            ):
-                parallel += 1
-        # The run must have exercised all three pipelines, or it
-        # proved nothing about their agreement.
+        # The run must have exercised both pipelines, or it proved
+        # nothing about their agreement.
         assert vectorized >= 100, (
             f"seed={SEED}: only {vectorized} queries ran vectorized"
         )
         assert fallbacks >= 10, (
             f"seed={SEED}: only {fallbacks} queries fell back"
-        )
-        assert parallel >= 20, (
-            f"seed={SEED}: only {parallel} queries took the "
-            "morsel-parallel path"
         )
 
     def test_object_column_queries_fall_back_and_agree(self, diff_graph):

@@ -176,7 +176,7 @@ class TestSession:
         misses = {}
         for vectorize in (False, True):
             session = GraphSession(diff_graph, NEO4J_LIKE, LruPageCache(0))
-            executor = Executor(session, vectorize=vectorize, parallelism=1)
+            executor = Executor(session, vectorize=vectorize)
             report = ExecutionReport()
             _, _, _, rows = executor.stream(
                 "MATCH (p:Patient)-[:takes]->(d:Drug) RETURN p.pid, d.dose",

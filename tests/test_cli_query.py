@@ -186,6 +186,11 @@ class TestQueryCommand:
             main(["query", data_dir])
         assert exc_info.value.code == 2
 
+    def test_removed_parallel_flag_exits_2(self, data_dir):
+        with pytest.raises(SystemExit) as exc_info:
+            main(["query", data_dir, "MATCH (d) RETURN d", "--parallel", "2"])
+        assert exc_info.value.code == 2
+
     def test_load_on_snapshot_file_exits_cleanly(self, tmp_path, capsys):
         from repro.graphdb.graph import PropertyGraph
         from repro.graphdb.storage import write_snapshot
