@@ -351,7 +351,9 @@ def cmd_query(args) -> int:
                 timeout=args.timeout, max_rows=args.max_rows,
                 trace=args.trace,
             )
-            records = [record.values() for record in result]
+            records = [
+                row for _, cols in result.batches() for row in zip(*cols)
+            ]
             summary = result.consume()
     if args.format == "json":
         # The full ResultSummary, not just rows: work counters, real

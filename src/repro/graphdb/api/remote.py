@@ -7,10 +7,12 @@ Rows stream in batches of ``fetch_size``: the first arrives with the
 RUN response (one round trip for a result that fits), and a
 :class:`RemoteResult` PULLs the later ones on demand, so consuming the
 first record of a large result transfers one batch, not the whole
-thing.  Server-side errors arrive as ERROR frames
-and re-raise as the *same* driver exception classes
-(:func:`~repro.graphdb.server.protocol.exception_for`), so remote and
-in-process failure handling is identical.
+thing.  A RECORD frame decodes into one column chunk of the cursor
+shared with the in-process ``Result``, dropped once read: iterating
+holds one batch, whatever the result's size.  Server-side errors
+arrive as ERROR frames and re-raise as the *same* driver exception
+classes (:func:`~repro.graphdb.server.protocol.exception_for`), so
+remote and in-process failure handling is identical.
 
 The client is deliberately synchronous (blocking sockets): the driver
 surface it mirrors is synchronous, and the asyncio half lives entirely
@@ -22,7 +24,7 @@ from __future__ import annotations
 import socket
 
 from repro.exceptions import GraphError, TransactionError
-from repro.graphdb.api.result import Record
+from repro.graphdb.api.result import _Cursor
 from repro.graphdb.backends import BackendProfile, NEO4J_LIKE
 from repro.graphdb.server import protocol as wire
 
@@ -389,57 +391,33 @@ class RemoteSummary:
         )
 
 
-class RemoteResult:
-    """Lazy cursor over one remote execution (batched PULL streaming)."""
+class RemoteResult(_Cursor):
+    """Lazy cursor over one remote execution (batched PULL streaming):
+    each RECORD frame is one chunk, held until its rows are read."""
 
     def __init__(self, session: RemoteSession, query: str,
                  parameters: dict, meta: dict):
+        super().__init__(list(meta.get("columns", [])))
         self._session = session
         self._query = query
         self._parameters = parameters
         self._header = meta
-        self._columns = list(meta.get("columns", []))
         self.epoch = meta.get("epoch")
-        self._buffer: list[Record] = []
-        self._pos = 0
-        #: Set once the server holds nothing more for this cursor
-        #: (last batch read, rest discarded, or a pull failed).
-        self._summary: RemoteSummary | None = None
 
-    def keys(self) -> list[str]:
-        return list(self._columns)
-
-    def __iter__(self):
-        while True:
-            record = self._next_record()
-            if record is None:
-                return
-            yield record
-
-    def _next_record(self) -> Record | None:
-        if self._pos == len(self._buffer) and self._summary is None:
-            self._fetch_batch()
-        if self._pos < len(self._buffer):
-            record = self._buffer[self._pos]
-            self._pos += 1
-            return record
-        return None
-
-    def _fetch_batch(self) -> None:
+    def _pull(self) -> tuple[int, list[list]] | None:
         session = self._session
         session._conn.send(wire.encode_pull(session._fetch_size))
         self._read_batch()
+        return self._chunks.popleft() if self._chunks else None
 
     def _read_batch(self) -> None:
-        """Read the answer to one pull: RECORD batches, then SUCCESS."""
+        """Read the answer to one pull: RECORD chunks, then SUCCESS."""
         conn = self._session._conn
-        columns = self._columns
         while True:
             msg_type, fields = conn.recv()
             if msg_type == wire.MSG_RECORD:
-                self._buffer += [
-                    Record(columns, row) for row in fields["rows"]
-                ]
+                self._pulled += fields["count"]
+                self._chunks.append((fields["count"], fields["columns"]))
             elif msg_type == wire.MSG_SUCCESS:
                 meta = fields["meta"]
                 if not meta.get("has_more"):
@@ -448,7 +426,7 @@ class RemoteResult:
             elif msg_type == wire.MSG_ERROR:
                 # The server dropped the result: the cursor ends at
                 # the rows that did arrive.
-                self._settle({**self._header, "rows": len(self._buffer)})
+                self._settle({**self._header, "rows": self._pulled})
                 raise wire.exception_for(
                     fields["code"], fields["message"]
                 )
@@ -467,42 +445,18 @@ class RemoteResult:
             session._open_result = None
         session._last_summary = self._summary
 
-    def single(self) -> Record:
-        """Exactly one record; raises :class:`GraphError` otherwise."""
-        from repro.exceptions import QueryError
-
-        first = self._next_record()
-        if first is None:
-            raise QueryError("expected a single record, got none")
-        second = self._next_record()
-        if second is not None:
-            self._pos -= 2  # keep both readable for debugging
-            raise QueryError(
-                "expected a single record, got more than one"
-            )
-        return first
-
-    def values(self) -> list[list]:
-        return [record.values() for record in self]
-
-    def records(self) -> list[Record]:
-        return list(self)
-
-    def consume(self) -> RemoteSummary:
-        """Discard unread records and return the run's summary."""
+    def _drain(self, keep: bool) -> None:
+        if keep:
+            self._chunks.extend(list(self.batches()))
+            return
+        self._rows = iter(())
+        self._chunks.clear()
         if self._summary is None:
             # DISCARD drops the server buffer in one round-trip
             # (no point streaming records we are throwing away).
             self._settle(self._session._conn.request(
                 wire.encode_simple(wire.MSG_DISCARD)
             ))
-        self._pos = len(self._buffer)
-        return self._summary
-
-    def _detach(self) -> None:
-        """Buffer everything left so the session can run a new query."""
-        while self._summary is None:
-            self._fetch_batch()
 
 
 class RemoteTransaction:

@@ -1,12 +1,17 @@
 """Driver result surface: :class:`Record`, :class:`Result`,
 :class:`ResultSummary`.
 
-A :class:`Result` is a *lazy* cursor over one query execution: rows
-are pulled from the executor's generator pipeline on demand, so
+A :class:`Result` is a *lazy* cursor over one query execution.  A
+row-level execution (the tuple path, aggregation, ``DISTINCT`` /
+``ORDER BY`` / ``LIMIT``, a guard) is read row by row on demand, so
 consuming only the first record of an un-aggregated query never
-materializes the full match (``LIMIT``-free point lookups stay cheap).
-Each row arrives as a :class:`Record` - an ordered, field-addressable
-view (`record["name"]`, ``record[0]``, ``record.data()``).
+materializes the full match; the batch path's plain projection
+arrives as ``(n, column lists)`` chunks.  Iterating yields
+:class:`Record` s - ordered, field-addressable views
+(`record["name"]`, ``record[0]``, ``record.data()``) built one per row
+actually iterated; :meth:`Result.batches` hands out column chunks and
+builds none.  The cursor itself (:class:`_Cursor`) is shared with
+:class:`~repro.graphdb.api.remote.RemoteResult`.
 
 ``consume()`` drains whatever the caller did not read and returns a
 :class:`ResultSummary` carrying the work counters, the simulated
@@ -16,7 +21,7 @@ Exhausting the cursor computes the same summary, so iterating to the
 end then calling ``consume()`` costs nothing extra.
 
 A session keeps at most one result open: starting a new query first
-detaches the previous result by buffering its remaining records, which
+detaches the previous result by buffering its remaining chunks, which
 also settles its metrics (the underlying
 :class:`~repro.graphdb.session.GraphSession` counts work globally, so
 attribution requires draining before the next query starts).
@@ -26,6 +31,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
+from itertools import chain, islice
 from typing import Iterator
 
 from repro.exceptions import QueryError, ResourceLimitError
@@ -181,7 +187,92 @@ class ResultSummary:
         )
 
 
-class Result:
+#: Rows :meth:`_Cursor.batches` gathers into one chunk at most.
+_BATCH_ROWS = 1024
+
+
+class _Cursor:
+    """The cursor both drivers share.  Rows arrive as ``(n, column
+    lists)`` chunks - the batch path's projected columns, a RECORD
+    frame - each dropped once its last row is handed out, or straight
+    from a row-level execution; a :class:`Record` exists per row
+    iterated.  A subclass provides ``_pull()`` (the source's next
+    chunk, or ``None`` having settled: set ``_summary``) and
+    ``_drain(keep)`` (settle now, keeping or dropping what is left).
+    """
+
+    def __init__(self, columns: list[str]):
+        self._columns = columns
+        #: Chunks pulled and not yet handed out (after a detach, or a
+        #: pull that took several frames).
+        self._chunks: deque[tuple[int, list[list]]] = deque()
+        #: Unread rows: of the chunk being iterated - or, for a
+        #: row-level execution, of the executor itself.
+        self._rows: Iterator[tuple] = iter(())
+        #: Rows pulled from the source so far.
+        self._pulled = 0
+        self._summary = None
+
+    def keys(self) -> list[str]:
+        """Output column names, in RETURN order."""
+        return list(self._columns)
+
+    def _next_chunk(self) -> tuple[int, list[list]] | None:
+        if self._chunks:
+            return self._chunks.popleft()
+        return self._pull() if self._summary is None else None
+
+    def batches(self) -> Iterator[tuple[int, list[list]]]:
+        """Remaining rows as ``(n, columns)`` chunks - ``columns[i][j]``
+        is column ``i`` of the chunk's row ``j`` - as the executor
+        produced them, no :class:`Record` built (drains the cursor)."""
+        while rest := list(islice(self._rows, _BATCH_ROWS)):
+            yield len(rest), list(map(list, zip(*rest, strict=True)))
+        yield from iter(self._next_chunk, None)
+
+    def __iter__(self) -> Iterator[Record]:
+        columns = self._columns
+        while True:
+            rows = self._rows
+            for row in rows:
+                yield Record(columns, row)
+            if rows is self._rows:  # else single() put rows back
+                chunk = self._next_chunk()
+                if chunk is None:
+                    return
+                self._rows = zip(*chunk[1])
+
+    def single(self) -> Record:
+        """Exactly one record; raises :class:`QueryError` otherwise."""
+        records = list(islice(self, 2))
+        if len(records) == 1:
+            return records[0]
+        if not records:
+            raise QueryError("expected a single record, got none")
+        # Put them back so the cursor stays usable for debugging.
+        self._rows = chain([r._values for r in records], self._rows)
+        raise QueryError("expected a single record, got more than one")
+
+    def values(self) -> list[list]:
+        """Remaining records as plain value lists (drains the cursor)."""
+        return [record.values() for record in self]
+
+    def records(self) -> list[Record]:
+        """Remaining records, materialized (drains the cursor)."""
+        return list(self)
+
+    def consume(self):
+        """Discard any unread records and return the run's summary."""
+        self._drain(keep=False)
+        return self._summary
+
+    def _detach(self) -> None:
+        """Buffer everything left so the session can run a new query
+        (which settles this one's counters, or drops it server-side)."""
+        self._drain(keep=True)
+
+
+class Result(_Cursor):
     """Lazy cursor over one query execution (iterate to stream)."""
 
     def __init__(
@@ -196,131 +287,62 @@ class Result:
         trace: Trace | None = None,
         report=None,
     ):
+        super().__init__(columns)
         self._owner = owner
         self._query = query
         self._parameters = parameters
-        self._columns = columns
-        self._rows = rows
+        #: ``rows`` yields chunks when the executor says so
+        #: (``report.chunked``); row tuples are read as they come.
+        self._source = rows
+        if report is None or not report.chunked:
+            self._source, self._rows = iter(()), self._counted(rows)
         self._plan = plan
         self._step_counts = step_counts
         self._trace = trace
         self._report = report
         self._started = time.perf_counter()
-        #: Records pulled but not yet handed to the caller (filled
-        #: when the session detaches this result to run a new query).
-        #: A deque: draining a large detached result pops from the
-        #: left once per record, which must stay O(1).
-        self._buffer: deque[Record] = deque()
-        self._yielded = 0
-        self._exhausted = False
-        self._summary: ResultSummary | None = None
         #: Process-global fault/retry counters at creation; _settle
         #: reports the delta, attributing storage-layer retry activity
         #: to the execution that was the open unit of work.
         self._fault_base = faults.REGISTRY.counters()
 
-    # ------------------------------------------------------------------
-    # Cursor
-    # ------------------------------------------------------------------
-    def keys(self) -> list[str]:
-        """Output column names, in RETURN order."""
-        return list(self._columns)
+    def _counted(self, rows: Iterator[tuple]) -> Iterator[tuple]:
+        for row in rows:
+            self._pulled += 1
+            yield row
 
-    def __iter__(self) -> Iterator[Record]:
-        while True:
-            record = self._next_record()
-            if record is None:
-                return
-            yield record
-
-    def _next_record(self) -> Record | None:
-        if self._buffer:
-            return self._buffer.popleft()
-        if self._exhausted:
-            return None
+    def _pull(self) -> tuple[int, list[list]] | None:
         try:
-            values = next(self._rows)
+            chunk = next(self._source)
         except StopIteration:
             self._settle()
             return None
-        self._yielded += 1
-        return Record(self._columns, values)
-
-    def single(self) -> Record:
-        """Exactly one record; raises :class:`QueryError` otherwise."""
-        first = self._next_record()
-        if first is None:
-            raise QueryError("expected a single record, got none")
-        second = self._next_record()
-        if second is not None:
-            # Put them back so the cursor stays usable for debugging.
-            self._buffer.extendleft([second, first])
-            raise QueryError(
-                "expected a single record, got more than one"
-            )
-        return first
-
-    def values(self) -> list[list]:
-        """Remaining records as plain value lists (drains the cursor)."""
-        return [record.values() for record in self]
-
-    def records(self) -> list[Record]:
-        """Remaining records, materialized (drains the cursor)."""
-        return list(self)
-
-    def consume(self) -> ResultSummary:
-        """Discard any unread records and return the run's summary."""
-        self._drain(keep=False)
-        self._buffer.clear()
-        assert self._summary is not None
-        return self._summary
-
-    # ------------------------------------------------------------------
-    # Session plumbing
-    # ------------------------------------------------------------------
-    def _detach(self) -> None:
-        """Buffer everything left so a new query can start.
-
-        Called by the owning session before it runs the next query:
-        the shared metrics counter must be settled for this execution
-        before another one starts adding to it.
-        """
-        self._drain(keep=True)
+        self._pulled += chunk[0]
+        return chunk
 
     def _drain(self, keep: bool) -> None:
-        """Pull the pipeline dry, optionally keeping the records.
-
-        ``keep=False`` (the consume path) counts rows without
-        constructing Record objects that would be thrown away.
-        ``keep=True`` is the detach path - the caller has moved on to
-        a new query - so a guardrail trip (deadline expiry, row cap)
-        on an *abandoned* cursor settles quietly instead of surfacing
-        from an unrelated ``session.run`` call; anyone actively
-        iterating or consuming still sees the error.
-        """
-        while not self._exhausted:
-            try:
-                values = next(self._rows)
-            except StopIteration:
-                self._settle()
-                break
-            except ResourceLimitError:
-                if not keep:
-                    self._settle()
-                    raise
-                self._settle()
-                break
-            self._yielded += 1
-            if keep:
-                self._buffer.append(Record(self._columns, values))
+        """Pull the pipeline dry, keeping the chunks or only counting
+        their rows.  ``keep`` is the detach path: a guardrail trip on
+        an *abandoned* cursor settles quietly instead of surfacing
+        from the unrelated ``session.run`` that detached it; anyone
+        actively iterating or consuming still sees the error."""
+        kept = []
+        try:
+            for chunk in self.batches():
+                if keep:
+                    kept.append(chunk)
+        except ResourceLimitError:
+            self._settle()
+            if not keep:
+                raise
+        self._chunks.extend(kept)
 
     def _settle(self) -> None:
         """The pipeline is exhausted: collect metrics into a summary."""
-        self._exhausted = True
         elapsed_ms = (time.perf_counter() - self._started) * 1000.0
         graph_session = self._owner._graph_session
         metrics = graph_session.reset_metrics()
-        metrics.rows = self._yielded
+        metrics.rows = self._pulled
         metrics.queries = 1
         counters = faults.REGISTRY.counters()
         metrics.io_retries = (
@@ -338,12 +360,12 @@ class Result:
                 plan.step_texts(),
                 [step.est_rows for step in plan.steps],
                 self._step_counts,
-                self._yielded,
+                self._pulled,
                 mode=mode,
                 reason=reason,
             )
         _QUERIES.inc()
-        _QUERY_ROWS.inc(self._yielded)
+        _QUERY_ROWS.inc(self._pulled)
         _QUERY_SECONDS.observe(elapsed_ms / 1000.0)
         if observe.REGISTRY.enabled:
             step_counts = self._step_counts
@@ -364,7 +386,7 @@ class Result:
             query=self._query,
             parameters=dict(self._parameters),
             columns=list(self._columns),
-            rows=self._yielded,
+            rows=self._pulled,
             metrics=metrics,
             latency_ms=graph_session.profile.latency_ms(metrics),
             plan=plan,
@@ -379,7 +401,7 @@ class Result:
                 elapsed_ms,
                 self._query,
                 plan.fingerprint,
-                self._yielded,
+                self._pulled,
                 metrics.as_dict(),
                 mode,
                 reason,

@@ -102,6 +102,7 @@ class Session:
             guard=guard,
             trace=trace_obj,
             report=report,
+            chunks=True,
         )
         text = query if isinstance(query, str) else query_text(parsed)
         result = Result(

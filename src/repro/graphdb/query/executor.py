@@ -494,8 +494,11 @@ class Executor:
         guard: ExecutionGuard | None = None,
         trace: Trace | None = None,
         report: object | None = None,
+        chunks: bool = False,
     ) -> tuple[Query, "Plan", list[str], Iterator[tuple]]:
-        """Lazily execute; returns ``(query, plan, columns, rows)``.
+        """Lazily execute; returns ``(query, plan, columns, rows)`` -
+        with ``chunks``, ``rows`` may yield ``(n, column lists)`` chunks
+        instead of row tuples, and ``report.chunked`` says if it does.
 
         The row iterator pulls the match pipeline on demand, so a
         consumer that stops early (``LIMIT``-free point lookups, a
@@ -529,6 +532,7 @@ class Executor:
             guard,
             step_times=trace.step_times if trace is not None else None,
             report=report,
+            chunks=chunks,
         )
         return query, plan, columns, rows
 
@@ -586,10 +590,11 @@ class Executor:
         guard: ExecutionGuard | None = None,
         step_times: list[float] | None = None,
         report: object | None = None,
+        chunks: bool = False,
     ) -> tuple[list[str], Iterator[tuple]]:
         """Compile one execution: ``(columns, lazy row iterator)``."""
         params = _validate_params(query, parameters)
-        rows = None
+        rows, chunked = None, False
         if self.vectorize and plan.batchable:
             from repro.graphdb.query import vectorized
 
@@ -599,7 +604,7 @@ class Executor:
                 step_times=step_times, report=report,
             )
             if pipeline is not None:
-                columns, rows = pipeline
+                columns, rows, chunked = pipeline
         elif report is not None:
             report.reason = "plan" if self.vectorize else "disabled"
         if rows is None:
@@ -616,6 +621,13 @@ class Executor:
             columns, rows = self._project(query, stream, evaluator)
         else:
             _QUERY_PATHS.inc("vectorized")
+        if chunked and chunks and report is not None and not (
+            query.distinct or query.order_by or guard and guard.armed
+        ):
+            report.chunked = True
+            return columns, rows  # the projected columns as they are
+        if chunked:
+            rows = (row for _, cols in rows for row in zip(*cols))
         if query.distinct:
             rows = _dedupe(rows)
         if query.order_by:

@@ -128,6 +128,8 @@ class ExecutionReport:
     #: plan was never batchable or the vectorized path ran).
     reason: str | None = None
     batches: int = 0
+    #: ``stream(chunks=True)`` yields ``(n, column lists)``, not rows.
+    chunked: bool = False
 
     @property
     def fallback_reason(self) -> str | None:
@@ -1390,7 +1392,8 @@ def _compile_grouped(items, ctx: _KernelContext):
 
 
 def _compile_output(query: Query, plan: Plan, ctx: _KernelContext):
-    """Compile RETURN into ``(columns, consume(batches) -> rows)``."""
+    """Compile RETURN into ``(columns, consume(batches), chunked)``: the
+    consumer yields rows, or ``(n, column lists)`` when ``chunked``."""
     items = query.return_items
     columns = [item.output_name(i) for i, item in enumerate(items)]
     if not any(contains_aggregate(item.expr) for item in items):
@@ -1398,11 +1401,11 @@ def _compile_output(query: Query, plan: Plan, ctx: _KernelContext):
 
         def consume_plain(batches):
             for cols, n in batches:
-                yield from zip(*(fn(cols, n) for fn in fns))
+                yield n, [fn(cols, n) for fn in fns]
 
-        return columns, consume_plain
+        return columns, consume_plain, True
     if not plain_aggregates(query, plan):
-        return columns, _compile_grouped(items, ctx)
+        return columns, _compile_grouped(items, ctx), False
     aggs = [
         _Aggregator(ctx, item.expr.name, item.expr.args[0])
         for item in items
@@ -1416,7 +1419,7 @@ def _compile_output(query: Query, plan: Plan, ctx: _KernelContext):
         # zero matches (count=0, sum=0, min/max/avg=null).
         yield tuple(agg.result() for agg in aggs)
 
-    return columns, consume_aggregate
+    return columns, consume_aggregate, False
 
 
 # ----------------------------------------------------------------------
@@ -1434,7 +1437,7 @@ def build_pipeline(
 ):
     """Compile a batchable plan, or fall back with a counted reason.
 
-    Returns ``(columns, row_iterator)`` on success and ``None`` when
+    Returns ``(columns, rows, chunked)`` on success and ``None`` when
     any part of this *execution* cannot be vectorized faithfully (the
     reason lands in ``repro_vectorized_fallback_total`` and on
     ``report.reason``).  All fallback decisions happen here, before
@@ -1464,7 +1467,7 @@ def build_pipeline(
                     unsat = True
                     break
                 ops.append(op)
-        columns, consume = _compile_output(query, plan, ctx)
+        columns, consume, chunked = _compile_output(query, plan, ctx)
     except _Fallback as fallback:
         _FALLBACKS.inc(fallback.reason)
         if report is not None:
@@ -1475,11 +1478,11 @@ def build_pipeline(
     if unsat:
         # Still route through the consumer: a global aggregate over
         # zero matches must produce its one (0/null) row.
-        return columns, consume(iter(()))
+        return columns, consume(iter(())), chunked
     batches = _drive(
         scan_gen, ops, guard, step_counts, step_times, report
     )
-    return columns, consume(batches)
+    return columns, consume(batches), chunked
 
 
 def _drive(scan_gen, ops, guard, step_counts, step_times, report):

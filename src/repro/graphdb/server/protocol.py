@@ -27,13 +27,28 @@ Message catalog (client -> server)::
 and (server -> client)::
 
     SUCCESS  0x70  meta props
-    RECORD   0x71  rows uvarint | width uvarint | rows x width wire values
+    RECORD   0x71  count uvarint | width uvarint | width x column
     ERROR    0x7F  code str | message str
 
-A pull is answered by its rows as ``RECORD`` batches (one frame per
-:data:`RECORD_CHUNK_BYTES` of encoded values) and one ``SUCCESS``
-whose ``has_more`` says whether to ``PULL`` again.  A message's
-fields fill its payload exactly: trailing bytes are an error.
+A ``RECORD`` carries ``count`` rows column by column - what the
+executor's batch path produces and the client cursor reads - so
+neither side dispatches on a value's type once per value.  A column
+is a tag byte and a body::
+
+    0x01  str:    count x uvarint byte length | the strings' UTF-8,
+                  concatenated          (every value a ``str``)
+    0x02  bytes:  count x u8            (every value an int in 0..255)
+    0x03  int64:  count x i64 LE        (every value an int)
+    0x00  values: count x wire value    (anything else: a ``bool``, a
+                  ``None`` among strings, floats, lists, entity refs)
+
+A pull is answered by its rows as ``RECORD`` frames and one
+``SUCCESS`` whose ``has_more`` says whether to ``PULL`` again.  Frames
+are cut by rows: a piece of more than :data:`RECORD_FRAME_VALUES`
+values is halved before anything is encoded, and again should a frame
+still come out over :data:`MAX_FRAME_BYTES`, so a pull fails only on
+a row too big for a frame of its own.  A message's fields fill its
+payload exactly: trailing bytes are an error.
 
 ``RUN`` options: ``timeout`` (float seconds), ``max_rows`` (int),
 ``explain`` (1 = plan only, 2 = EXPLAIN ANALYZE), ``pull`` (int >= 1:
@@ -63,6 +78,7 @@ from __future__ import annotations
 
 import struct
 import zlib
+from itertools import accumulate
 
 from repro.exceptions import (
     GraphError,
@@ -76,8 +92,6 @@ from repro.exceptions import (
 )
 from repro.graphdb.query.executor import EdgeBinding, VertexBinding
 from repro.graphdb.storage.codec import (
-    TAG_INT,
-    TAG_STR,
     CodecError,
     read_props,
     read_str,
@@ -90,7 +104,7 @@ from repro.graphdb.storage.codec import (
 )
 
 #: Protocol revision carried in HELLO; the server refuses mismatches.
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 
 #: Default TCP port (one off Bolt's 7687, to coexist with a real Neo4j).
 DEFAULT_PORT = 7688
@@ -101,9 +115,9 @@ FRAME_HEADER_BYTES = _FRAME.size
 #: A frame larger than this is a protocol violation, not data.
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 
-#: A RECORD frame is closed once its rows encode to this much, so a
-#: big pull is many frames and none nears :data:`MAX_FRAME_BYTES`.
-RECORD_CHUNK_BYTES = 64 * 1024
+#: Values (rows x width) a RECORD frame of several rows holds at most,
+#: so a big pull is many frames and none nears :data:`MAX_FRAME_BYTES`.
+RECORD_FRAME_VALUES = 4096
 
 # Client -> server.
 MSG_HELLO = 0x01
@@ -135,6 +149,12 @@ MSG_NAMES = {
     MSG_RECORD: "record",
     MSG_ERROR: "error",
 }
+
+# RECORD column tags.
+COL_VALUES = 0x00
+COL_STR = 0x01
+COL_BYTES = 0x02
+COL_INT64 = 0x03
 
 # Wire value tags (alongside the codec's 0-6 range).
 WIRE_VERTEX = 0x40
@@ -309,91 +329,127 @@ def encode_success(meta: dict | None = None) -> bytes:
     return bytes(buf)
 
 
-def encode_records(rows, width: int) -> list[bytes]:
-    """RECORD payloads carrying ``rows`` (each of ``width`` values) in
-    order, a new one every :data:`RECORD_CHUNK_BYTES`."""
-    payloads = []
-    body = bytearray()
-    count = 0
-    for row in rows:
-        if len(row) != width:
-            raise ProtocolError(
-                f"row of {len(row)} values in a batch of width {width}"
-            )
-        for value in row:
-            # Inlined: the bytes write_wire_value would append for
-            # the two cases most result values are.
-            kind = type(value)
-            if kind is str:
-                encoded = value.encode("utf-8")
-                body.append(TAG_STR)
-                if len(encoded) < 0x80:
-                    body.append(len(encoded))
-                else:
-                    write_uvarint(body, len(encoded))
-                body += encoded
-            elif kind is int and 0 <= value < 0x40:
-                body.append(TAG_INT)
-                body.append(value << 1)
-            else:
-                write_wire_value(body, value)
-        count += 1
-        if len(body) >= RECORD_CHUNK_BYTES:
-            payloads.append(_record_payload(count, width, body))
-            body = bytearray()
-            count = 0
-    if count:
-        payloads.append(_record_payload(count, width, body))
-    return payloads
+def encode_chunk(count: int, columns: list[list]) -> list[bytes]:
+    """RECORD payloads carrying one ``(count, columns)`` chunk - column
+    ``i`` holds the ``count`` values of result column ``i`` - in row
+    order, cut into frames by the rule in the module docstring."""
+    if any(len(column) != count for column in columns):
+        raise ProtocolError(
+            f"ragged chunk: columns of {[len(c) for c in columns]} "
+            f"values in a chunk of {count} rows"
+        )
+    return _record_frames(columns, 0, count)
 
 
-def _record_payload(count: int, width: int, body: bytearray) -> bytes:
-    head = bytearray((MSG_RECORD,))
-    write_uvarint(head, count)
-    write_uvarint(head, width)
-    return bytes(head) + body
+def _record_frames(columns: list[list], start: int, stop: int) -> list:
+    count = stop - start
+    if count <= 1 or count * len(columns) <= RECORD_FRAME_VALUES:
+        if not count:
+            return []
+        buf = bytearray((MSG_RECORD,))
+        write_uvarint(buf, count)
+        write_uvarint(buf, len(columns))
+        for column in columns:
+            _write_column(buf, column[start:stop])
+        if count == 1 or len(buf) <= MAX_FRAME_BYTES:
+            return [bytes(buf)]
+    half = (start + stop) // 2
+    return _record_frames(columns, start, half) + _record_frames(
+        columns, half, stop
+    )
+
+
+def _write_column(buf: bytearray, column: list) -> None:
+    kinds = set(map(type, column))
+    if kinds == {str}:
+        encoded = list(map(str.encode, column))
+        lengths = list(map(len, encoded))
+        buf.append(COL_STR)
+        if max(lengths) < 0x80:
+            buf += bytes(lengths)
+        else:
+            for length in lengths:
+                write_uvarint(buf, length)
+        buf += b"".join(encoded)
+        return
+    if kinds == {int}:
+        low, high = min(column), max(column)
+        if 0 <= low and high <= 0xFF:
+            buf.append(COL_BYTES)
+            buf += bytes(column)
+            return
+        if -(2 ** 63) <= low and high < 2 ** 63:
+            buf.append(COL_INT64)
+            buf += struct.pack(f"<{len(column)}q", *column)
+            return
+    buf.append(COL_VALUES)
+    for value in column:
+        write_wire_value(buf, value)
 
 
 def encode_record(values: tuple | list) -> bytes:
-    """The one-row form of a RECORD batch."""
-    return encode_records((values,), len(values))[0]
+    """The one-row form of a RECORD chunk."""
+    return encode_chunk(1, [[value] for value in values])[0]
 
 
-def _read_records(payload: bytes, pos: int) -> tuple[list[tuple], int]:
+def _read_chunk(payload: bytes, pos: int) -> tuple[int, list[list], int]:
     count, pos = read_uvarint(payload, pos)
     width, pos = read_uvarint(payload, pos)
-    # A value is at least its tag byte: whatever the header claims,
-    # the loops below are bounded by the frame's length.
-    if count * max(width, 1) > len(payload) - pos:
+    # A column is its tag and at least a byte per value: whatever the
+    # header claims, nothing below allocates or loops past the frame.
+    if width * (count + 1) > len(payload) - pos or count and not width:
         raise CodecError(f"no room for {count} rows of width {width}")
-    rows = []
-    columns = range(width)
-    try:
+    columns = []
+    for _ in range(width):
+        if pos >= len(payload):
+            raise CodecError("truncated column")
+        tag = payload[pos]
+        pos += 1
+        if tag == COL_STR:
+            column, pos = _read_str_column(payload, pos, count)
+        elif tag == COL_BYTES or tag == COL_INT64:
+            end = pos + (count if tag == COL_BYTES else 8 * count)
+            if end > len(payload):
+                raise CodecError("truncated int column")
+            column = list(
+                payload[pos:end] if tag == COL_BYTES
+                else struct.unpack_from(f"<{count}q", payload, pos)
+            )
+            pos = end
+        elif tag == COL_VALUES:
+            column = []
+            for _ in range(count):
+                value, pos = read_wire_value(payload, pos)
+                column.append(value)
+        else:
+            raise CodecError(f"unknown column tag 0x{tag:02x}")
+        columns.append(column)
+    return count, columns, pos
+
+
+def _read_str_column(payload: bytes, pos: int, count: int):
+    lengths = payload[pos:pos + count]
+    if len(lengths) == count and max(lengths, default=0) < 0x80:
+        pos += count  # every length is a one-byte uvarint
+    else:
+        lengths = []
         for _ in range(count):
-            row = []
-            for _ in columns:
-                # Inlined as in encode_records; an IndexError here is
-                # a value cut off by the end of the payload.
-                tag = payload[pos]
-                if tag == TAG_STR and payload[pos + 1] < 0x80:
-                    end = pos + 2 + payload[pos + 1]
-                    if end > len(payload):
-                        raise CodecError("truncated string")
-                    value = payload[pos + 2:end].decode("utf-8")
-                    pos = end
-                elif tag == TAG_INT and payload[pos + 1] < 0x80:
-                    zigzag = payload[pos + 1]
-                    value = (zigzag >> 1) ^ -(zigzag & 1)
-                    pos += 2
-                else:
-                    value, pos = read_wire_value(payload, pos)
-                row.append(value)
-            rows.append(tuple(row))
-    except IndexError:
-        raise CodecError("truncated record batch") from None
+            length, pos = read_uvarint(payload, pos)
+            lengths.append(length)
+    cuts = list(accumulate(lengths, initial=0))
+    blob = payload[pos:pos + cuts[-1]]
+    if len(blob) != cuts[-1]:
+        raise CodecError("truncated string column")
+    spans = zip(cuts, cuts[1:])
+    try:
+        if blob.isascii():  # decoded once: a character is a byte
+            text = blob.decode("ascii")
+            column = [text[a:b] for a, b in spans]
+        else:  # per value: a cut inside a UTF-8 sequence is an error
+            column = [blob[a:b].decode("utf-8") for a, b in spans]
     except UnicodeDecodeError as exc:
         raise CodecError(f"invalid utf-8: {exc}") from None
-    return rows, pos
+    return column, pos + cuts[-1]
 
 
 def encode_error(code: str, message: str) -> bytes:
@@ -457,8 +513,8 @@ def decode_message(payload: bytes) -> tuple[int, dict]:
             meta, pos = read_props(payload, pos)
             fields = {"meta": meta}
         elif msg_type == MSG_RECORD:
-            rows, pos = _read_records(payload, pos)
-            fields = {"rows": rows}
+            count, columns, pos = _read_chunk(payload, pos)
+            fields = {"count": count, "columns": columns}
         elif msg_type == MSG_ERROR:
             code, pos = read_str(payload, pos)
             message, pos = read_str(payload, pos)

@@ -200,13 +200,13 @@ class GroupCommitter:
 
 
 class _ServerResult:
-    """One executed query, buffered for PULL-paced streaming."""
+    """One executed query, buffered for PULL-paced streaming: the
+    cursor's chunks joined into one list per result column."""
 
-    __slots__ = ("columns", "rows", "meta", "pos")
+    __slots__ = ("columns", "meta", "pos")
 
-    def __init__(self, columns, rows, meta):
+    def __init__(self, columns, meta):
         self.columns = columns
-        self.rows = rows
         self.meta = meta
         self.pos = 0
 
@@ -389,7 +389,14 @@ class _ClientConnection:
         result = self._session.run(
             query, params, timeout=timeout, max_rows=max_rows
         )
-        rows = [tuple(record) for record in result]
+        columns = [[] for _ in result.keys()]
+        for _, chunk in result.batches():
+            if len(chunk) != len(columns):
+                raise wire.ProtocolError(
+                    f"chunk width {len(chunk)}, result width {len(columns)}"
+                )
+            for column, part in zip(columns, chunk):
+                column += part
         summary = result.consume()
         elapsed_ms = (time.perf_counter() - started) * 1000.0
         meta = {
@@ -401,7 +408,7 @@ class _ClientConnection:
             "elapsed_ms": elapsed_ms,
             "plan_digest": summary.plan_digest,
         }
-        self._result = _ServerResult(summary.columns, rows, meta)
+        self._result = _ServerResult(columns, meta)
         header = wire.encode_success({
             "columns": summary.columns,
             "epoch": epoch,
@@ -415,13 +422,14 @@ class _ClientConnection:
         result = self._result
         if result is None:
             raise wire.ProtocolError("PULL without an open result")
+        start, total = result.pos, result.meta["rows"]
         n = min(n, self._server.config.pull_batch_limit)
-        end = min(result.pos + n, len(result.rows))
-        payloads = wire.encode_records(
-            result.rows[result.pos:end], len(result.columns)
+        end = min(start + n, total)
+        payloads = wire.encode_chunk(
+            end - start, [column[start:end] for column in result.columns]
         )
         result.pos = end
-        if end < len(result.rows):
+        if end < total:
             payloads.append(wire.encode_success({"has_more": True}))
         else:
             self._result = None

@@ -110,10 +110,9 @@ def run_queries(
         for qid, query in queries:
             started = time.perf_counter()
             result = session.run(query)
-            rows = (
-                [tuple(record) for record in result]
-                if collect_rows else None
-            )
+            rows = [
+                row for _, cols in result.batches() for row in zip(*cols)
+            ] if collect_rows else None
             summary = result.consume()
             wall_ms = (time.perf_counter() - started) * 1000.0
             report.runs.append(

@@ -12,10 +12,12 @@ import pytest
 
 from repro.bench.harness import build_pipeline
 from repro.datasets import build_fin, build_med
+from repro.exceptions import ResourceLimitError
 from repro.graphdb.backends import NEO4J_LIKE
 from repro.graphdb.graph import PropertyGraph
-from repro.graphdb.query.executor import Executor
+from repro.graphdb.query.executor import ExecutionGuard, Executor
 from repro.graphdb.query.parser import parse_query
+from repro.graphdb.query.vectorized import ExecutionReport
 from repro.graphdb.session import GraphSession
 from repro.workload.runner import run_single
 
@@ -309,3 +311,41 @@ class TestRunnerRowCollection:
         )
         assert with_rows.result_rows is not None
         assert len(with_rows.result_rows) == with_rows.rows
+
+
+
+class TestChunkHandOver:
+    """``stream(chunks=True)``: the batch path's plain projection hands
+    its column lists over as they are; everything else stays rows."""
+
+    @pytest.mark.parametrize("tail, chunked", [
+        ("", True),
+        (" ORDER BY d.name", False),  # row-level clauses work on rows
+        (" LIMIT 5", False),  # and so does the tuple path
+    ])
+    def test_report_says_what_the_stream_yields(
+        self, med_graph, tail, chunked
+    ):
+        query = "MATCH (d:Drug) RETURN d.name, d.drugId" + tail
+        executor = Executor(GraphSession(med_graph, NEO4J_LIKE))
+        rows = list(executor.stream(query)[3])
+        report = ExecutionReport()
+        out = list(executor.stream(query, report=report, chunks=True)[3])
+        assert report.chunked is chunked
+        if chunked:
+            assert [len(columns) for _, columns in out] == [2]
+            out = [row for _, columns in out for row in zip(*columns)]
+        assert out == rows
+
+    def test_a_guard_keeps_the_stream_row_level(self, med_graph):
+        query = "MATCH (d:Drug) RETURN d.name"
+        executor = Executor(GraphSession(med_graph, NEO4J_LIKE))
+        report = ExecutionReport()
+        rows = executor.stream(
+            query, report=report, chunks=True,
+            guard=ExecutionGuard(max_rows=2),
+        )[3]
+        assert report.mode == "vectorized" and not report.chunked
+        assert len(next(rows)) == len(next(rows)) == 1
+        with pytest.raises(ResourceLimitError):
+            next(rows)

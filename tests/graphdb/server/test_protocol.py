@@ -17,6 +17,7 @@ from repro.exceptions import (
     ResourceLimitError,
     TransactionError,
 )
+from repro.graphdb.api.result import _Cursor
 from repro.graphdb.query.executor import EdgeBinding, VertexBinding
 from repro.graphdb.server import protocol as wire
 
@@ -133,123 +134,265 @@ def test_record_roundtrip_with_entity_refs():
     )
     msg_type, fields = roundtrip(wire.encode_record(values))
     assert msg_type == wire.MSG_RECORD
-    assert fields["rows"] == [(
-        VertexBinding(3), EdgeBinding(9), "x", 42, 2.5, None, True,
-        [VertexBinding(1), [EdgeBinding(2), "deep"]],
-    )]
+    assert fields == {"count": 1, "columns": [[v] for v in values]}
     # Decoded refs are the executor's real binding types, so remote
     # rows compare equal to in-process rows.
-    assert isinstance(fields["rows"][0][0], VertexBinding)
+    assert isinstance(fields["columns"][0][0], VertexBinding)
+    assert fields["columns"][6][0] is True
 
 
 # ----------------------------------------------------------------------
-# RECORD batches
+# RECORD chunks
 # ----------------------------------------------------------------------
-def decode_batch(payloads) -> list[tuple]:
-    rows = []
+def decode_chunk(payloads, width: int) -> tuple[int, list[list]]:
+    """The frames of one encoded chunk, joined back into one."""
+    count, columns = 0, [[] for _ in range(width)]
     for payload in payloads:
         msg_type, fields = roundtrip(payload)
         assert msg_type == wire.MSG_RECORD
-        rows += fields["rows"]
-    return rows
+        assert len(fields["columns"]) == width
+        count += fields["count"]
+        for column, part in zip(columns, fields["columns"]):
+            assert len(part) == fields["count"]
+            column += part
+    return count, columns
 
 
 def same(a, b) -> bool:
-    """Equality that tells 0.0 from -0.0 and 1 from True."""
+    """Equality that tells 0.0 from -0.0 and 1 from True, and finds
+    NaN equal to itself."""
     if isinstance(a, (list, tuple)):
         return (
             type(a) is type(b) and len(a) == len(b)
             and all(map(same, a, b))
         )
     if isinstance(a, float) and isinstance(b, float):
+        if math.isnan(a) or math.isnan(b):
+            return math.isnan(a) and math.isnan(b)
         return a == b and math.copysign(1, a) == math.copysign(1, b)
     return type(a) is type(b) and a == b
 
 
+strings = st.one_of(
+    st.text(max_size=8),  # the empty string included
+    st.text(alphabet="a\u00e9\u4e2d\U0001f600", min_size=40, max_size=140),
+    st.sampled_from(["x" * 127, "x" * 128, "\u00e9" * 63, "\u00e9" * 64]),
+)
 scalars = st.one_of(
     st.none(),
     st.booleans(),
     st.integers(-(2**70), 2**70),
-    st.integers(-70, 70),  # both sides of the one-byte inline limit
-    st.floats(allow_nan=False),
+    st.floats(allow_nan=True),
     st.sampled_from([math.inf, -math.inf, -0.0, 0.0]),
-    st.text(max_size=8),
-    st.text(alphabet="a\u00e9\u4e2d", min_size=40, max_size=140),
-    st.sampled_from(["x" * 127, "x" * 128, "\u00e9" * 63, "\u00e9" * 64]),
+    strings,
     st.builds(VertexBinding, st.integers(0, 2**40)),
     st.builds(EdgeBinding, st.integers(0, 2**40)),
 )
 values = st.recursive(
     scalars, lambda inner: st.lists(inner, max_size=4), max_leaves=8
 )
+#: What one column may hold: the typed forms, and every neighbour that
+#: must leave them - a bool beside ints (and come back a bool), an int
+#: one past either end of int64 or of a byte, a None among strings.
+column_values = [
+    strings,
+    st.integers(0, 255),
+    st.integers(-70, 300),
+    st.integers(-(2**63), 2**63 - 1),
+    st.sampled_from([-(2**63) - 1, -(2**63), -1, 0, 255, 256,
+                     2**63 - 1, 2**63]),
+    st.integers(-(2**70), 2**70),
+    st.one_of(st.booleans(), st.integers(0, 3)),
+    st.one_of(st.none(), strings),
+    st.floats(allow_nan=True),
+    values,
+]
 
 
 @st.composite
-def batches(draw):
-    width = draw(st.sampled_from([1, 2, 12]))
-    return width, draw(st.lists(
-        st.tuples(*[values] * width), max_size=6
+def chunks(draw, min_count=0):
+    width = draw(st.integers(1, 6))
+    count = draw(st.sampled_from(
+        [n for n in (0, 1, 2, 7) if n >= min_count]
     ))
+    return count, [
+        draw(st.lists(
+            draw(st.sampled_from(column_values)),
+            min_size=count, max_size=count,
+        ))
+        for _ in range(width)
+    ]
 
 
-@settings(max_examples=150, deadline=None)
-@given(batch=batches())
-def test_record_batch_roundtrip(batch):
-    width, rows = batch
-    payloads = wire.encode_records(rows, width)
-    assert len(payloads) == (1 if rows else 0)
-    assert same(decode_batch(payloads), rows)
+@settings(max_examples=200, deadline=None)
+@given(chunk=chunks())
+def test_record_batch_roundtrip(chunk):
+    count, columns = chunk
+    payloads = wire.encode_chunk(count, columns)
+    assert len(payloads) == (1 if count else 0)
+    decoded = decode_chunk(payloads, len(columns))
+    assert decoded[0] == count and same(decoded[1], columns)
+
+
+@pytest.mark.parametrize("column, tag", [
+    (["a", "", "\u4e2d"], wire.COL_STR),
+    ([0, 255], wire.COL_BYTES),
+    ([0, 256], wire.COL_INT64),
+    ([-1, 0], wire.COL_INT64),
+    ([-(2**63), 2**63 - 1], wire.COL_INT64),
+    ([0, 2**63], wire.COL_VALUES),
+    ([-(2**63) - 1], wire.COL_VALUES),
+    ([1, True], wire.COL_VALUES),
+    (["a", None], wire.COL_VALUES),
+    ([1.5, 2.5], wire.COL_VALUES),
+    ([1, "a"], wire.COL_VALUES),
+])
+def test_which_form_a_column_takes(column, tag):
+    payload = wire.encode_chunk(len(column), [column])[0]
+    assert payload[:4] == bytes((wire.MSG_RECORD, len(column), 1, tag))
+    assert same(wire.decode_message(payload)[1]["columns"], [column])
+
+
+def test_the_layout_is_pinned():
+    """Three fixed chunks against their bytes: the layout cannot
+    drift without this test - and PROTOCOL_VERSION - changing."""
+    golden = [
+        # str (one-byte lengths, a 2-byte char) | bytes | int64
+        ((3, [["ab", "", "d\u00e9"], [0, 7, 255], [-1, 256, 2**40]]),
+         "710303" "01" "020003" "616264c3a9" "02" "0007ff"
+         "03" "ffffffffffffffff" "0001000000000000" "0000000000010000"),
+        # values: None, bool, float, big int, vertex / edge ref, list
+        ((2, [[None, True], [1.5, 2**64], [VertexBinding(5), [EdgeBinding(6), "x"]]]),
+         "710203" "00" "0002" "00" "04000000000000f83f"
+         "0380808080808080808004" "00" "4005" "4202" "4106" "050178"),
+        # str with a two-byte length (130 x "x")
+        ((1, [["x" * 130]]), "710101" "01" "8201" + "78" * 130),
+    ]
+    for (count, columns), hexed in golden:
+        payload, = wire.encode_chunk(count, columns)
+        assert payload.hex() == hexed
+        assert same(
+            wire.decode_message(payload)[1],
+            {"count": count, "columns": columns},
+        )
 
 
 def test_empty_batch_and_one_row_form():
-    assert wire.encode_records([], 3) == []
-    # An empty batch is still a well-formed message.
-    assert wire.decode_message(bytes((wire.MSG_RECORD, 0, 3))) == (
-        wire.MSG_RECORD, {"rows": []}
+    assert wire.encode_chunk(0, [[], [], []]) == []
+    # An empty chunk is still a well-formed message: every column is
+    # there, with nothing in it.
+    empty = bytes((wire.MSG_RECORD, 0, 2, wire.COL_STR, wire.COL_VALUES))
+    assert wire.decode_message(empty) == (
+        wire.MSG_RECORD, {"count": 0, "columns": [[], []]}
     )
-    assert wire.encode_record(("a", 1)) == wire.encode_records(
-        [("a", 1)], 2
+    assert wire.encode_record(("a", 1)) == wire.encode_chunk(
+        1, [["a"], [1]]
     )[0]
 
 
 def test_ragged_batch_rejected_on_encode():
-    with pytest.raises(wire.ProtocolError, match="width 2"):
-        wire.encode_records([("a", 1), ("b",)], 2)
+    for count, columns in [
+        (2, [["a", "b"], [1]]),
+        (2, [["a", "b", "c"], [1, 2]]),
+        (1, [["a", "b"], [1, 2]]),
+    ]:
+        with pytest.raises(wire.ProtocolError, match="ragged"):
+            wire.encode_chunk(count, columns)
+    # And rows of two widths never become a chunk at all.
+    for rows in [("a", 1), ("b",)], [("a", 1), ("b", 2, 3)]:
+        cursor = _Cursor(["x", "y"])
+        cursor._rows = iter(rows)
+        with pytest.raises(ValueError):
+            next(cursor.batches())
 
 
 def test_big_batch_is_chunked_into_several_frames():
-    rows = [(f"name-{i:06d}", i) for i in range(20_000)]
-    payloads = wire.encode_records(rows, 2)
-    assert len(payloads) > 1
-    # A frame closes with the row that reaches the chunk size.
-    slack = 2 * len(wire.encode_record(rows[-1]))
-    assert all(
-        len(payload) < wire.RECORD_CHUNK_BYTES + slack
-        for payload in payloads
-    )
-    assert decode_batch(payloads) == rows
+    columns = [
+        [f"name-{i:06d}" for i in range(20_000)],
+        list(range(20_000)),
+        [None] * 20_000,
+    ]
+    payloads = wire.encode_chunk(20_000, columns)
+    # The cut is by rows and made before anything is encoded: a piece
+    # is halved until it holds at most RECORD_FRAME_VALUES values.
+    counts = [wire.decode_message(p)[1]["count"] for p in payloads]
+    assert counts == [20_000 // 16] * 16
+    assert 3 * counts[0] <= wire.RECORD_FRAME_VALUES < 6 * counts[0]
+    assert decode_chunk(payloads, 3) == (20_000, columns)
+    # One row wider than the budget still travels, alone.
+    wide = [[i] for i in range(wire.RECORD_FRAME_VALUES + 1)]
+    assert len(wire.encode_chunk(1, wide)) == 1
+    assert len(wire.encode_chunk(3, [c * 3 for c in wide])) == 3
+
+
+def test_frame_over_the_limit_is_halved_by_rows(monkeypatch):
+    monkeypatch.setattr(wire, "MAX_FRAME_BYTES", 600)
+    columns = [[f"{i:02d}" + "x" * 98 for i in range(64)], list(range(64))]
+    payloads = wire.encode_chunk(64, columns)
+    assert len(payloads) >= 16
+    assert all(len(payload) <= 600 for payload in payloads)
+    assert decode_chunk(payloads, 2) == (64, columns)
+    # One row too big for a frame of its own is left to pack_frame.
+    columns[0][40] = "y" * 2000
+    payloads = wire.encode_chunk(64, columns)
+    assert [len(p) > 600 for p in payloads].count(True) == 1
+    with pytest.raises(wire.ProtocolError, match="exceeds"):
+        [wire.pack_frame(payload) for payload in payloads]
 
 
 def test_batch_header_cannot_claim_more_than_the_frame_holds():
-    # 2**40 rows of width 0, and of width 1 with no bytes behind them:
-    # refused before any loop runs.
-    for width in (0, 1):
+    # 2**40 rows of width 0, of width 1 with no bytes behind them and
+    # of width 1 with a few: refused before anything is allocated or
+    # looped over.  So is a width with no room for its column tags.
+    for count, width, tail in [
+        (2**40, 0, b""), (2**40, 1, b""), (1, 0, b""),
+        (2**40, 1, bytes((wire.COL_INT64,)) + b"\0" * 64),
+        (2**40, 1, bytes((wire.COL_STR,)) + b"\0" * 64),
+        (0, 2**40, b""), (0, 3, bytes((wire.COL_STR,)) * 2),
+    ]:
         payload = bytearray((wire.MSG_RECORD,))
-        wire.write_uvarint(payload, 2**40)
+        wire.write_uvarint(payload, count)
         wire.write_uvarint(payload, width)
-        with pytest.raises(wire.ProtocolError, match="malformed"):
-            wire.decode_message(bytes(payload))
+        with pytest.raises(wire.ProtocolError, match="no room"):
+            wire.decode_message(bytes(payload) + tail)
+
+
+def record(count: int, width: int, *parts) -> bytes:
+    return bytes((wire.MSG_RECORD, count, width)) + b"".join(
+        part if isinstance(part, bytes) else bytes(part) for part in parts
+    )
+
+
+@pytest.mark.parametrize("payload, match", [
+    # a length block shorter than count (the frame ends inside it)
+    (record(3, 1, [wire.COL_STR, 1, 0x81, 0x81]), "truncated uvarint"),
+    # sum(lengths) past the end, by one byte and by 2**62
+    (record(2, 1, [wire.COL_STR, 1, 2], b"ab"), "truncated string"),
+    (record(2, 1, [wire.COL_STR, 0], b"\xff" * 8 + b"\x3f", b"ab"),
+     "truncated string"),
+    # an int column cut mid-value, a bytes column one short
+    (record(2, 1, [wire.COL_INT64], b"\0" * 15), "truncated int"),
+    (record(2, 2, [wire.COL_STR, 1, 0], b"a", [wire.COL_BYTES, 1]),
+     "truncated int"),
+    # a values column cut off, an unknown tag, a missing last column
+    (record(2, 1, [wire.COL_VALUES, 0, 5, 9]), "truncated"),
+    (record(1, 1, [0x7E, 0]), "unknown column tag"),
+    (record(1, 2, [wire.COL_BYTES, 1, 0]), "no room"),
+    (record(1, 2, [wire.COL_STR, 3], b"abc"), "truncated column"),
+    # bytes left after the last column
+    (record(1, 1, [wire.COL_BYTES, 1, 0]), "trailing"),
+])
+def test_hostile_column_frames(payload, match):
+    with pytest.raises(wire.ProtocolError, match=match):
+        wire.decode_message(payload)
 
 
 @settings(max_examples=60, deadline=None)
-@given(batch=batches(), data=st.data())
-def test_damaged_batch_is_a_protocol_error(batch, data):
+@given(chunk=chunks(min_count=1), data=st.data())
+def test_damaged_batch_is_a_protocol_error(chunk, data):
     """Every strict prefix and every one-byte corruption of a frame
     fails as ProtocolError - never another exception, never a hang."""
-    width, rows = batch
-    if not rows:
-        rows = [("x",) * width]
-    payload = wire.encode_records(rows, width)[0]
+    payload = wire.encode_chunk(*chunk)[0]
     for cut in range(len(payload)):
         with pytest.raises(wire.ProtocolError):
             wire.decode_message(payload[:cut])
@@ -261,17 +404,28 @@ def test_damaged_batch_is_a_protocol_error(batch, data):
         wire.frame_length(header)
         wire.decode_message(wire.check_frame(header, body))
     # Past the CRC (a hostile peer computes its own) the decoder
-    # still only ever answers with rows or a ProtocolError.
+    # still only ever answers with a chunk or a ProtocolError.
     try:
-        wire.decode_message(body)
+        msg_type, fields = wire.decode_message(body)
     except wire.ProtocolError:
-        pass
+        return
+    assert msg_type != wire.MSG_RECORD or all(
+        len(column) == fields["count"] for column in fields["columns"]
+    )
 
 
 def test_bad_utf8_in_an_inlined_string():
-    payload = bytes((wire.MSG_RECORD, 1, 1, 5, 2, 0xC3, 0x28))
+    bad = record(1, 1, [wire.COL_STR, 2, 0xC3, 0x28])
     with pytest.raises(wire.ProtocolError, match="utf-8"):
-        wire.decode_message(payload)
+        wire.decode_message(bad)
+    # A cut between two strings that splits a UTF-8 sequence is an
+    # error, not two mojibake values - though the blob as a whole is
+    # valid UTF-8.
+    split = record(2, 1, [wire.COL_STR, 2, 2], "a\u00e9b".encode())
+    with pytest.raises(wire.ProtocolError, match="utf-8"):
+        wire.decode_message(split)
+    whole = record(2, 1, [wire.COL_STR, 3, 1], "a\u00e9b".encode())
+    assert wire.decode_message(whole)[1]["columns"] == [["a\u00e9", "b"]]
 
 
 def test_mutate_roundtrip_with_props_map():

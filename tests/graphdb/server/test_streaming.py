@@ -219,19 +219,21 @@ def test_write_fault_mid_response_drops_the_connection(
 
 
 def test_v1_peer_is_refused_at_hello(server_factory, small_graph):
+    """So is a v2 peer: its row-major RECORD frames are gone."""
     harness = server_factory(connect(small_graph))
-    hello = bytearray((wire.MSG_HELLO,))
-    wire.write_uvarint(hello, 1)
-    wire.write_props(hello, {"app": "old-driver"})
-    with socket.create_connection(harness.server.address) as sock:
-        sock.sendall(wire.pack_frame(bytes(hello)))
-        stream = sock.makefile("rb")
-        header = stream.read(wire.FRAME_HEADER_BYTES)
-        payload = stream.read(wire.frame_length(header))
-        msg_type, fields = wire.decode_message(
-            wire.check_frame(header, payload)
-        )
-        assert msg_type == wire.MSG_ERROR
-        assert fields["code"] == "ProtocolError"
-        assert "version 1 unsupported" in fields["message"]
-        assert stream.read(1) == b""  # and hung up, not half-served
+    for version in range(1, wire.PROTOCOL_VERSION):
+        hello = bytearray((wire.MSG_HELLO,))
+        wire.write_uvarint(hello, version)
+        wire.write_props(hello, {"app": "old-driver"})
+        with socket.create_connection(harness.server.address) as sock:
+            sock.sendall(wire.pack_frame(bytes(hello)))
+            stream = sock.makefile("rb")
+            header = stream.read(wire.FRAME_HEADER_BYTES)
+            payload = stream.read(wire.frame_length(header))
+            msg_type, fields = wire.decode_message(
+                wire.check_frame(header, payload)
+            )
+            assert msg_type == wire.MSG_ERROR
+            assert fields["code"] == "ProtocolError"
+            assert f"version {version} unsupported" in fields["message"]
+            assert stream.read(1) == b""  # and hung up, not half-served
