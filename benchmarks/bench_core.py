@@ -35,7 +35,10 @@ dataset (full scale, DIR graph):
 * **load_direct** / **load_optimized** / **freeze** - the cold build
   of the paper pipeline on FIN (the larger dataset, where the build
   is three quarters of a cold round): bulk ingest of both graphs and
-  the CSR freeze of FIN-DIR.
+  the CSR freeze of FIN-DIR;
+* **adjacency_build** - the first ``out_edges`` on a bulk-loaded
+  FIN-DIR: the dict adjacency the loaders no longer build, paid only
+  by a graph that is read unfrozen or mutated per element.
 
 Run directly::
 
@@ -319,6 +322,14 @@ def main(argv: list[str] | None = None) -> int:
     ))
     benchmarks.append(bench(
         "freeze", lambda: GraphView(fin.dir_graph), repeats, fin_size,
+    ))
+
+    def first_out_edges():
+        fin.dir_graph._adjacency = None  # as a bulk load leaves it
+        fin.dir_graph.out_edges(0)
+
+    benchmarks.append(bench(
+        "adjacency_build", first_out_edges, repeats, fin_size,
     ))
 
     report = {

@@ -17,6 +17,11 @@
   4. replicated list properties are attached to the owning side, one
      list element per link (matching COLLECT-over-matches semantics);
      empty lists are left absent so existence semantics match DIR.
+
+Both build by column - one ``add_vertices`` per concept (or for all
+merged groups), one ``add_edges`` per relationship, one
+``set_properties`` per replication; the per-element loaders they
+replaced are the oracle in ``tests/data/loader_oracle.py``.
 """
 
 from __future__ import annotations
@@ -49,12 +54,15 @@ class _UnionFind:
         self._parent: dict[str, str] = {}
 
     def find(self, item: str) -> str:
-        parent = self._parent.setdefault(item, item)
-        if parent != item:
-            root = self.find(parent)
-            self._parent[item] = root
-            return root
-        return item
+        parent = self._parent
+        root = parent.setdefault(item, item)
+        while parent[root] != root:
+            root = parent[root]
+        # Path compression, iteratively: a merge chain can be as long
+        # as the dataset, far past the recursion limit.
+        while item != root:
+            parent[item], item = root, parent[item]
+        return root
 
     def union(self, a: str, b: str) -> None:
         root_a, root_b = self.find(a), self.find(b)
@@ -78,22 +86,30 @@ def load_direct(
     vertex_of: dict[str, int] = (
         registry.vertex_of if registry is not None else {}
     )
+    properties_of = logical.properties
     for concept, uids in logical.instances.items():
-        for uid in uids:
-            vertex_of[uid] = graph.add_vertex(
-                (concept,), logical.properties[uid]
-            )
+        vids = graph.add_vertices(
+            [(concept,)] * len(uids), [properties_of[uid] for uid in uids]
+        )
+        vertex_of.update(zip(uids, vids))
     for rel_id, pairs in logical.links.items():
         _add_link_edges(
-            graph, logical.ontology.relationship(rel_id), pairs, vertex_of
+            graph, logical.ontology.relationship(rel_id),
+            *_link_vids(pairs, vertex_of),
         )
     return graph
 
 
-def _add_link_edges(graph, rel, pairs, vertex_of) -> None:
+def _link_vids(pairs, vertex_of) -> tuple[list[int], list[int]]:
+    """A relationship's (source vids, target vids), in link order."""
+    return (
+        [vertex_of[src_uid] for src_uid, _dst_uid in pairs],
+        [vertex_of[dst_uid] for _src_uid, dst_uid in pairs],
+    )
+
+
+def _add_link_edges(graph, rel, srcs, dsts) -> None:
     """One bulk ingest of a relationship's links, in link order."""
-    srcs = [vertex_of[src_uid] for src_uid, _dst_uid in pairs]
-    dsts = [vertex_of[dst_uid] for _src_uid, dst_uid in pairs]
     if rel.rel_type.is_structural:
         # Instance-level isA/unionOf edges point child -> parent and
         # member -> union (Section 5.3's query patterns), opposite to
@@ -119,7 +135,7 @@ def load_optimized(
             uf.union(src_uid, dst_uid)
 
     # 2. One vertex per group, labelled with group concepts + the
-    #    surviving schema node.
+    #    surviving schema node: one bulk ingest, in group order.
     groups = uf.groups(logical.concept_of)
     vertex_of: dict[str, int] = (
         registry.vertex_of if registry is not None else {}
@@ -131,8 +147,11 @@ def load_optimized(
             for uid in members
         }
     concept_of = logical.concept_of
+    properties_of = logical.properties
     labels_for: dict[frozenset[str], frozenset[str]] = {}
-    for root, members in groups.items():
+    group_labels: list[frozenset[str]] = []
+    group_properties: list[dict[str, object]] = []
+    for members in groups.values():
         concepts = frozenset(concept_of[uid] for uid in members)
         labels = labels_for.get(concepts)
         if labels is None:
@@ -145,17 +164,23 @@ def load_optimized(
             labels = labels_for[concepts] = concepts | (node_keys or set())
         properties: dict[str, object] = {}
         for uid in sorted(members):
-            properties.update(logical.properties[uid])
-        vid = graph.add_vertex(labels, properties)
+            properties.update(properties_of[uid])
+        group_labels.append(labels)
+        group_properties.append(properties)
+    vids = graph.add_vertices(group_labels, group_properties)
+    for vid, members in zip(vids, groups.values()):
         for uid in members:
             vertex_of[uid] = vid
 
-    # 3. Edges for surviving relationships.
+    # 3. Edges for surviving relationships.  A relationship's endpoint
+    #    vids are computed once and shared with step 4.
+    link_vids: dict[str, tuple[list[int], list[int]]] = {}
     for rel_id, pairs in logical.links.items():
         if mapping.is_collapsed(rel_id):
             continue
+        link_vids[rel_id] = _link_vids(pairs, vertex_of)
         _add_link_edges(
-            graph, ontology.relationship(rel_id), pairs, vertex_of
+            graph, ontology.relationship(rel_id), *link_vids[rel_id]
         )
 
     # 4. Replicated list properties.  Entries are grouped by
@@ -166,44 +191,45 @@ def load_optimized(
     #    Conversely, the owner-label check keeps entries apart when
     #    *different* relationships feed the same list name on
     #    different nodes.
-    grouped: dict[tuple, dict] = {}
+    grouped: dict[tuple, set[str]] = {}
     for repl in mapping.replications:
         key = (
             repl.rel_id, repl.direction, repl.list_name,
             repl.source_concept, repl.source_property,
         )
-        entry = grouped.setdefault(key, {"repl": repl, "owners": set()})
-        entry["owners"].add(repl.owner_node)
-    properties_of = logical.properties
-    for entry in grouped.values():
-        repl = entry["repl"]
+        grouped.setdefault(key, set()).add(repl.owner_node)
+    #: list name -> vid -> the list this step stored there.
+    attached: dict[str, dict[int, list[object]]] = {}
+    for key, owners in grouped.items():
+        rel_id, direction, list_name, concept, prop = key
         owner_vids: set[int] = set()
-        for owner in entry["owners"]:
+        for owner in owners:
             owner_vids.update(graph.vertices_with_label(owner))
-        owner_is_src = repl.direction == "fwd"
-        concept, prop = repl.source_concept, repl.source_property
-        lists: dict[int, list[object]] = {}
-        for src_uid, dst_uid in logical.links_of(repl.rel_id):
-            owner_uid = src_uid if owner_is_src else dst_uid
-            partner_uid = dst_uid if owner_is_src else src_uid
-            owner_vid = vertex_of[owner_uid]
+        links = logical.links_of(rel_id)
+        if rel_id not in link_vids:
+            link_vids[rel_id] = _link_vids(links, vertex_of)
+        partner = 1 if direction == "fwd" else 0
+        # A list an earlier entry stored under this name is extended
+        # in place; the new ones go in with one bulk write.
+        stored = attached.setdefault(list_name, {})
+        fresh: dict[int, list[object]] = {}
+        for owner_vid, link in zip(link_vids[rel_id][1 - partner], links):
             if owner_vid not in owner_vids:
                 continue
             # The partner's own value, else one from its merged group.
-            value = properties_of[partner_uid].get(prop)
-            if value is None or concept_of[partner_uid] != concept:
+            uid = link[partner]
+            value = properties_of[uid].get(prop)
+            if value is None or concept_of[uid] != concept:
                 value = _group_property(
-                    logical, uf, groups, partner_uid, concept, prop
+                    logical, uf, groups, uid, concept, prop
                 )
                 if value is None:
                     continue
-            lists.setdefault(owner_vid, []).append(value)
-        for vid, values in lists.items():
-            existing = graph.get_property(vid, repl.list_name)
-            if isinstance(existing, list):
-                existing.extend(values)
-            else:
-                graph.set_property(vid, repl.list_name, values)
+            elements = stored.get(owner_vid)
+            if elements is None:
+                elements = stored[owner_vid] = fresh[owner_vid] = []
+            elements.append(value)
+        graph.set_properties(list_name, fresh)
     return graph
 
 

@@ -27,6 +27,7 @@ instead of hopping through per-vertex dicts.
 from __future__ import annotations
 
 from array import array
+from itertools import compress
 from typing import Iterator
 
 _I64_MIN = -(1 << 63)
@@ -218,6 +219,42 @@ class PropertyColumn:
             self.count += 1
         self.data[row] = value
 
+    def extend(
+        self, row: int, values: list, mask: bytearray | None = None
+    ) -> None:
+        """Bulk ``set(row + i, values[i])`` past the column's end, for
+        the ``i`` that ``mask`` marks (all of them when ``None``).
+        The dtype ends up where the per-value :meth:`set` guard would
+        have left it: one value the typed form cannot hold promotes
+        the whole column."""
+        if mask is None:
+            mask = b"\x01" * len(values)
+            present = values
+        else:
+            # Columns pad lazily: nothing is stored past the last set row.
+            mask = mask.rstrip(b"\x00")
+            values = values[:len(mask)]
+            present = list(compress(values, mask))
+        if not present:
+            return
+        kind = self.kind
+        if kind is KIND_INT:
+            fits = (
+                set(map(type, present)) == {int}
+                and _I64_MIN <= min(present) and max(present) <= _I64_MAX
+            )
+        else:
+            fits = kind is KIND_OBJ or set(map(type, present)) == {float}
+        if not fits:
+            self._promote()
+        if len(present) < len(values):
+            hole = None if self.kind is KIND_OBJ else 0
+            values = [v if bit else hole for v, bit in zip(values, mask)]
+        self._pad_to(row)
+        self.mask.extend(mask)
+        self.data.extend(values)
+        self.count += len(present)
+
     def unset(self, row: int) -> None:
         """Clear a slot (absent); frees object references."""
         if row >= len(self.mask) or not self.mask[row]:
@@ -279,6 +316,19 @@ class VertexTable:
                 value
             )
         column.set(row, value)
+
+    def append_column(
+        self, key_sid: int, row: int, values: list,
+        mask: bytearray | None = None,
+    ) -> None:
+        """Bulk ``set_prop(row + i, key_sid, values[i])`` for rows the
+        caller just appended; ``mask`` (all ones when ``None``) marks
+        the rows that carry the key, and at least one does."""
+        column = self.columns.get(key_sid)
+        if column is None:
+            first = values[mask.index(1)] if mask is not None else values[0]
+            column = self.columns[key_sid] = PropertyColumn.for_value(first)
+        column.extend(row, values, mask)
 
     def get_prop(
         self, row: int, key_sid: int | None, default: object = None

@@ -36,12 +36,18 @@ all O(1) while iteration order stays deterministic.  The
 endpoint-pair index additionally gives ``has_edge_between`` an O(1)
 answer to "is there a :T edge from u to v?", which the executor's
 join-check step uses instead of scanning a full adjacency list.
+
+The adjacency lists and the endpoint-pair index are *derived* state:
+bulk ingest (``add_vertices`` / ``add_edges`` / ``set_properties``) and
+the snapshot loader leave them unbuilt; the first reader or per-element
+mutation builds each whole from the edge columns.
 """
 
 from __future__ import annotations
 
 from collections.abc import MutableMapping
-from itertools import chain
+from itertools import chain, repeat
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 from repro.exceptions import GraphError, TransactionError
@@ -59,6 +65,7 @@ from repro.graphdb.view import GraphView
 #: eid -> neighbor vid (so expansion never dereferences edge records);
 #: the label/property/pair indexes ignore the values.
 _Bucket = dict
+_Adjacency = dict[int, dict[str, _Bucket]]
 
 _MISSING = object()
 
@@ -345,16 +352,21 @@ class PropertyGraph:
         self._num_edges = 0
         #: label sid -> insertion-ordered vid bucket.
         self._label_index: dict[int, _Bucket] = {}
-        self._out: dict[int, dict[str, _Bucket]] = {}
-        self._in: dict[int, dict[str, _Bucket]] = {}
+        #: (out, in) adjacency, each vid -> label -> eid -> neighbor
+        #: vid.  Derived state: ``None`` until a reader or a
+        #: per-element mutation needs it, then built whole from the
+        #: edge columns, maintained by every mutation from there on
+        #: and never dropped.  ``_out`` / ``_in`` read it, building
+        #: first; frozen reads expand over the CSR view instead.
+        self._adjacency: tuple[_Adjacency, _Adjacency] | None = None
         #: (src, dst) -> label -> ordered set of eids.  ``None`` means
-        #: "not materialized yet": the snapshot loader defers building
-        #: this index until the first endpoint probe, because batch
-        #: construction from the edge columns is cheaper than the
-        #: per-edge incremental path and many workloads never probe at
-        #: all.  While deferred, mutations leave it deferred (they are
-        #: visible to the eventual batch build); they must never create
-        #: a partially-populated index.
+        #: "not materialized yet": bulk ingest and the snapshot loader
+        #: defer building this index until the first endpoint probe,
+        #: because batch construction from the edge columns is cheaper
+        #: than the per-edge incremental path and many workloads never
+        #: probe at all.  While deferred, mutations leave it deferred
+        #: (they are visible to the eventual batch build); they must
+        #: never create a partially-populated index.
         self._pairs: dict[tuple[int, int], dict[str, _Bucket]] | None = {}
         self._property_indexes: dict[tuple[str, str], dict] = {}
         self._next_vid = 0
@@ -475,11 +487,7 @@ class PropertyGraph:
         elif op == "unadd_edge":
             self.remove_edge(entry[1])
         elif op == "unset_property":
-            _op, vid, name, old = entry
-            if old is None:
-                self.remove_property(vid, name)
-            else:
-                self.set_property(vid, name, old)
+            self.remove_property(entry[1], entry[2])
         elif op == "reset_property":
             _op, vid, name, old = entry
             self.set_property(vid, name, old)
@@ -599,6 +607,21 @@ class PropertyGraph:
             self._labelset_strs.append(labels)
         return self._tables[tid]
 
+    def _table_of(self, labels: Iterable[str] | str) -> VertexTable:
+        """The table for a ``labels`` argument (see ``_table_cache``)."""
+        cacheable = isinstance(labels, (str, tuple, frozenset))
+        table = self._table_cache.get(labels) if cacheable else None
+        if table is None:
+            names = (labels,) if isinstance(labels, str) else labels
+            intern = self._symbols.intern
+            label_sids = frozenset(intern(label) for label in names)
+            if not label_sids:
+                raise GraphError("a vertex needs at least one label")
+            table = self._table_for(label_sids)
+            if cacheable:
+                self._table_cache[labels] = table
+        return table
+
     def _row_properties(self, table: VertexTable, row: int) -> dict:
         name = self._symbols.name
         return {
@@ -615,25 +638,7 @@ class PropertyGraph:
         labels: Iterable[str] | str,
         properties: dict[str, object] | None = None,
     ) -> int:
-        table = (
-            self._table_cache.get(labels)
-            if isinstance(labels, (str, tuple, frozenset))
-            else None
-        )
-        if table is None:
-            cache_key = (
-                labels if isinstance(labels, (str, tuple, frozenset))
-                else None
-            )
-            if isinstance(labels, str):
-                labels = (labels,)
-            intern = self._symbols.intern
-            label_sids = frozenset(intern(label) for label in labels)
-            if not label_sids:
-                raise GraphError("a vertex needs at least one label")
-            table = self._table_for(label_sids)
-            if cache_key is not None:
-                self._table_cache[cache_key] = table
+        table = self._table_of(labels)
         props = dict(properties or {})
         vid = self._next_vid
         self._next_vid += 1
@@ -664,8 +669,10 @@ class PropertyGraph:
         label_index = self._label_index
         for sid in table.label_sids:
             label_index.setdefault(sid, {})[vid] = None
-        self._out[vid] = {}
-        self._in[vid] = {}
+        # (A build just now has the new element already: no-op writes.)
+        out, into = self._adjacency or self._build_adjacency()
+        out[vid] = {}
+        into[vid] = {}
         label_set = table.labels
         if self._property_indexes:
             for (label, prop), index in self._property_indexes.items():
@@ -677,6 +684,104 @@ class PropertyGraph:
             self._stats.on_add_vertex(label_set, props)
         self._epoch += 1
         self._view = None
+
+    def add_vertices(
+        self,
+        labels: Iterable[Iterable[str] | str],
+        properties: Iterable[dict[str, object] | None],
+    ) -> range:
+        """Bulk :meth:`add_vertex`: vertex ``i`` gets ``labels[i]``
+        and ``properties[i]``; returns the (consecutive) vids.
+
+        Lengths and label sets are validated before anything is
+        applied.  An observed graph (see :meth:`add_edges`; a property
+        index observes vertices too) goes through :meth:`add_vertex`
+        per element.  Otherwise the batch goes in by column: vertices
+        are bucketed by label-set table, each table's dicts transposed
+        into one value list per key and appended to that column in one
+        step, and the epoch is bumped once.  Symbols are interned in
+        the per-element order: a vertex's labels, then its keys.
+        """
+        labels = [
+            arg if isinstance(arg, (str, tuple, frozenset)) else tuple(arg)
+            for arg in labels
+        ]
+        properties = [props or {} for props in properties]
+        count = len(labels)
+        if len(properties) != count:
+            raise GraphError(
+                f"add_vertices: {count} label sets for "
+                f"{len(properties)} property dicts"
+            )
+        vids = range(self._next_vid, self._next_vid + count)
+        if any(not arg and not isinstance(arg, str) for arg in set(labels)):
+            raise GraphError("a vertex needs at least one label")
+        if self._observed() or self._property_indexes:
+            for arg, props in zip(labels, properties):
+                self.add_vertex(arg, props)
+            return vids
+        if not count:
+            return vids
+        # Gather: label argument -> its table's batch of
+        # (table, vids, property dicts, property name -> symbol id).
+        intern = self._symbols.intern
+        by_arg: dict = {}
+        batches: dict[int, tuple[VertexTable, list, list, dict]] = {}
+        v_tid: list[int] = []
+        v_row: list[int] = []
+        for vid, arg, props in zip(vids, labels, properties):
+            batch = by_arg.get(arg)
+            if batch is None:
+                table = self._table_of(arg)
+                batch = by_arg[arg] = batches.setdefault(
+                    table.labelset_id, (table, [], [], {})
+                )
+            table, members, rows, keys = batch
+            if not props.keys() <= keys.keys():
+                for name in props:
+                    keys[name] = intern(name)
+            v_tid.append(table.labelset_id)
+            v_row.append(len(table.vids) + len(members))
+            members.append(vid)
+            rows.append(props)
+        # Apply, table by table and column by column.
+        for table, members, rows, keys in batches.values():
+            row = len(table.vids)
+            table.vids.extend(members)
+            table.live += len(members)
+            for name, sid in keys.items():
+                try:
+                    values = list(map(itemgetter(name), rows))
+                    mask = None
+                except KeyError:  # some vertex lacks the key
+                    values = [props.get(name, _MISSING) for props in rows]
+                    mask = bytearray(v is not _MISSING for v in values)
+                table.append_column(sid, row, values, mask)
+        self._index_labels(
+            (table, members) for table, members, _, _ in batches.values()
+        )
+        self._v_tid.extend(v_tid)
+        self._v_row.extend(v_row)
+        if self._adjacency is not None:
+            for adjacency in self._adjacency:
+                adjacency.update((vid, {}) for vid in vids)
+        self._next_vid = vids.stop
+        self._touch()
+        return vids
+
+    def _index_labels(
+        self, batches: Iterable[tuple[VertexTable, list[int]]]
+    ) -> None:
+        """Append each table's new ``members`` (ascending vids) to its
+        labels' buckets; tables sharing a label interleave by vid."""
+        by_label: dict[int, list[list[int]]] = {}
+        for table, members in batches:
+            for sid in table.label_sids:
+                by_label.setdefault(sid, []).append(members)
+        for sid, groups in by_label.items():
+            self._label_index.setdefault(sid, {}).update(
+                dict.fromkeys(sorted(chain.from_iterable(groups)))
+            )
 
     def add_edge(
         self,
@@ -714,8 +819,9 @@ class PropertyGraph:
         statistics, and the epoch bump stay in one place.
         """
         self._num_edges += 1
-        self._out[src].setdefault(label, {})[eid] = dst
-        self._in[dst].setdefault(label, {})[eid] = src
+        out, into = self._adjacency or self._build_adjacency()
+        out[src].setdefault(label, {})[eid] = dst
+        into[dst].setdefault(label, {})[eid] = src
         if self._pairs is not None:
             self._pairs.setdefault((src, dst), {}).setdefault(label, {})[
                 eid
@@ -741,12 +847,12 @@ class PropertyGraph:
 
         An unobserved graph - no listener, open transaction or live
         statistics, which is every loader build - takes one pass: the
-        edge columns are extended, the adjacency filled, the epoch
-        bumped once, and the endpoint-pair index left deferred for its
-        first probe to build whole.  An observed graph goes through
-        :meth:`add_edge` per element, so listener events (WAL bytes),
-        undo entries and statistics hooks are the per-element ones, in
-        eid order.
+        edge columns are extended, the adjacency filled if built, the
+        epoch bumped once, and the endpoint-pair index left deferred
+        for its first probe to build whole.  An observed graph goes
+        through :meth:`add_edge` per element, so listener events (WAL
+        bytes), undo entries and statistics hooks are the per-element
+        ones, in eid order.
         """
         srcs = list(srcs)
         dsts = list(dsts)
@@ -755,38 +861,81 @@ class PropertyGraph:
             raise GraphError(
                 f"add_edges: {count} sources for {len(dsts)} targets"
             )
-        first = self._next_eid
+        eids = range(self._next_eid, self._next_eid + count)
         if not count:
-            return range(first, first)
+            return eids
+        self._require_vertices(srcs, dsts)
+        if self._observed():
+            for src, dst in zip(srcs, dsts):
+                self.add_edge(src, dst, label)
+            return eids
+        self._e_src.extend(srcs)
+        self._e_dst.extend(dsts)
+        self._e_label.extend([self._symbols.intern(label)] * count)
+        if self._adjacency is not None:
+            self._link(zip(eids, repeat(label), srcs, dsts))
+        self._next_eid = eids.stop
+        self._num_edges += count
+        self._pairs = None
+        self._touch()
+        return eids
+
+    def _require_vertices(self, *columns) -> None:
+        """Raise for the first unknown vid of the (non-empty, equally
+        long) ``columns``, read row by row as per element."""
         tids = self._v_tid
         try:
             # min() first: a negative vid must not index from the end.
-            known = (
-                min(srcs) >= 0 and min(dsts) >= 0
-                and min(map(tids.__getitem__, srcs)) >= 0
-                and min(map(tids.__getitem__, dsts)) >= 0
+            known = all(
+                min(vids) >= 0 and min(map(tids.__getitem__, vids)) >= 0
+                for vids in columns
             )
         except (IndexError, TypeError):
             known = False
         if not known:
-            # Name the endpoint add_edge would have stopped at.
-            for endpoint in chain.from_iterable(zip(srcs, dsts)):
-                self._locate(endpoint)
-        if (
+            for vid in chain.from_iterable(zip(*columns)):
+                self._locate(vid)
+
+    def _observed(self) -> bool:
+        """Whether mutations have per-element side effects to keep:
+        a listener (WAL), an open transaction or live statistics."""
+        return bool(
             self._listeners
             or self._undo is not None
             or self._stats is not None
-        ):
-            for src, dst in zip(srcs, dsts):
-                self.add_edge(src, dst, label)
-            return range(first, first + count)
-        self._e_src.extend(srcs)
-        self._e_dst.extend(dsts)
-        self._e_label.extend([self._symbols.intern(label)] * count)
-        out = self._out
-        into = self._in
-        eid = first
-        for src, dst in zip(srcs, dsts):
+        )
+
+    def _build_adjacency(self) -> tuple[_Adjacency, _Adjacency]:
+        """Materialize the adjacency from the id maps and edge columns
+        in ascending vid / eid order - insertion order, since only bulk
+        appends can have happened while it was unmaterialized."""
+        out: _Adjacency = {
+            vid: {} for vid, tid in enumerate(self._v_tid) if tid >= 0
+        }
+        adjacency = self._adjacency = (out, {vid: {} for vid in out})
+        names = self._symbols.names()
+        self._link(
+            (eid, names[sid], src, dst)
+            for eid, (sid, src, dst) in enumerate(
+                zip(self._e_label, self._e_src, self._e_dst)
+            )
+            if sid >= 0
+        )
+        return adjacency
+
+    @property
+    def _out(self) -> _Adjacency:
+        return (self._adjacency or self._build_adjacency())[0]
+
+    @property
+    def _in(self) -> _Adjacency:
+        return (self._adjacency or self._build_adjacency())[1]
+
+    def _link(self, edges: Iterable[tuple[int, str, int, int]]) -> None:
+        """Append ``(eid, label, src, dst)`` edges to both directions
+        of the materialized adjacency."""
+        out, into = self._adjacency
+        for eid, label, src, dst in edges:
             adjacency = out[src]
             bucket = adjacency.get(label)
             if bucket is None:
@@ -797,16 +946,11 @@ class PropertyGraph:
             if bucket is None:
                 bucket = adjacency[label] = {}
             bucket[eid] = src
-            eid += 1
-        self._next_eid = eid
-        self._num_edges += count
-        self._pairs = None
-        self._touch()
-        return range(first, eid)
 
     def set_property(self, vid: int, name: str, value: object) -> None:
         table, row = self._locate(vid)
         sid = self._symbols.intern(name)
+        stored = table.has_prop(row, sid)  # a stored None counts
         old = table.get_prop(row, sid)
         table.set_prop(row, sid, value)
         labels = table.labels
@@ -822,9 +966,27 @@ class PropertyGraph:
             self._stats.on_set_property(labels, name, old, value)
         self._touch()
         if self._undo is not None:
-            self._undo.append(("unset_property", vid, name, old))
+            undo = "reset_property" if stored else "unset_property"
+            self._undo.append((undo, vid, name, old))
         if self._listeners:
             self._emit("set_property", vid, name, value)
+
+    def set_properties(self, name: str, values: dict[int, object]) -> None:
+        """Bulk :meth:`set_property` of one key, ``values`` mapping vid
+        to value.  Every vid is validated first; an unobserved graph (as
+        for :meth:`add_vertices`) takes one epoch bump for the batch."""
+        if not values:
+            return
+        self._require_vertices(values)
+        if self._observed() or self._property_indexes:
+            for vid, value in values.items():
+                self.set_property(vid, name, value)
+            return
+        sid = self._symbols.intern(name)
+        tids, rows, tables = self._v_tid, self._v_row, self._tables
+        for vid, value in values.items():
+            tables[tids[vid]].set_prop(rows[vid], sid, value)
+        self._touch()
 
     def remove_property(self, vid: int, name: str) -> None:
         table, row = self._locate(vid)
@@ -861,6 +1023,7 @@ class PropertyGraph:
         labels = self._e_label
         if not (0 <= eid < len(labels)) or labels[eid] < 0:
             raise GraphError(f"unknown edge {eid}")
+        out, into = self._adjacency or self._build_adjacency()
         src = self._e_src[eid]
         dst = self._e_dst[eid]
         label = self._symbols.name(labels[eid])
@@ -875,8 +1038,8 @@ class PropertyGraph:
         labels[eid] = -1
         self._num_edges -= 1
         props = self._e_props.pop(eid, None)
-        self._adjacency_discard(self._out[src], label, eid)
-        self._adjacency_discard(self._in[dst], label, eid)
+        self._adjacency_discard(out[src], label, eid)
+        self._adjacency_discard(into[dst], label, eid)
         if self._pairs is not None:
             pair = self._pairs[(src, dst)]
             self._adjacency_discard(pair, label, eid)
@@ -910,8 +1073,9 @@ class PropertyGraph:
         gone.
         """
         table, row = self._locate(vid)
+        out, into = self._adjacency or self._build_adjacency()
         incident: list[int] = []
-        for adjacency in (self._out.get(vid, {}), self._in.get(vid, {})):
+        for adjacency in (out[vid], into[vid]):
             for bucket in adjacency.values():
                 incident.extend(bucket)
         e_labels = self._e_label
@@ -940,8 +1104,8 @@ class PropertyGraph:
                         self._index_discard(index, value, vid)
         table.tombstone(row)
         self._v_tid[vid] = -1
-        del self._out[vid]
-        del self._in[vid]
+        del out[vid]
+        del into[vid]
         if self._stats is not None:
             self._stats.on_remove_vertex(labels, props)
         self._touch()

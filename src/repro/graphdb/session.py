@@ -62,11 +62,6 @@ class GraphSession:
         self.store = None
         self._vertices_per_page = max(1, profile.vertices_per_page)
         self._adjacency_per_page = max(1, profile.adjacency_per_page)
-        # Hot-path aliases: the adjacency dicts and id-location lists
-        # are mutated in place by the graph, never replaced, so
-        # binding them once is safe.
-        self._graph_out = graph._out
-        self._graph_in = graph._in
         #: Edge-label tuple -> interned-sid tuple (symbol ids are
         #: append-only, so entries never go stale; labels the graph
         #: has not seen yet re-resolve on each miss until interned).
@@ -209,13 +204,15 @@ class GraphSession:
             pairs = view.expand_pairs(vid, sids, direction)
             self.metrics.edge_traversals += len(pairs)
             return pairs
+        # Derived state: the graph builds the dicts on first need.
+        out, into = graph._adjacency or graph._build_adjacency()
         pairs: list[tuple[int, int]] = []
         if direction != "in":
-            adjacency = self._graph_out.get(vid)
+            adjacency = out.get(vid)
             if adjacency:
                 self._collect_pairs(adjacency, labels, pairs)
         if direction != "out":
-            adjacency = self._graph_in.get(vid)
+            adjacency = into.get(vid)
             if adjacency:
                 self._collect_pairs(adjacency, labels, pairs)
         self.metrics.edge_traversals += len(pairs)

@@ -50,8 +50,8 @@ iteration order, id sequences and index bucket order exactly - deleted
 ids stay holes, ``_next_vid``/``_next_eid`` keep monotonic.  (Vertex
 and edge ids are never reused, so insertion order is ascending id
 order; the loader relies on this when regrouping label buckets.)  The
-endpoint-pair index is left unmaterialized (``_pairs = None``) - the
-graph rebuilds it in one batch pass on the first endpoint probe.
+adjacency dicts and the endpoint-pair index are left unmaterialized
+(``None``) - the graph rebuilds each in one batch pass on first need.
 
 Writes go to a temp file in the target directory, are fsynced, then
 atomically renamed over the destination - a crash mid-write never
@@ -69,7 +69,7 @@ import zlib
 from array import array
 from pathlib import Path
 
-from repro.exceptions import StorageError
+from repro.exceptions import GraphError, StorageError
 from repro.graphdb import faults, observe
 from repro.graphdb.columnar import KIND_FLOAT, KIND_INT, KIND_OBJ, PropertyColumn
 from repro.graphdb.graph import PropertyGraph
@@ -608,9 +608,6 @@ def _decode_graph(
 
     graph = PropertyGraph(name)
     symbols = graph._symbols
-    label_index = graph._label_index
-    out_adj = graph._out
-    in_adj = graph._in
     # snapshot string id -> graph symbol id, interned once up front.
     sym_ids = [symbols.intern(s) for s in strings]
 
@@ -651,27 +648,14 @@ def _decode_graph(
             v_row[vid] = len(table.vids)
             table.vids.append(vid)
             table.live += 1
-        out_adj.update(zip(vid_list, [{} for _ in range(count)]))
-        in_adj.update(zip(vid_list, [{} for _ in range(count)]))
     except IndexError:
         raise CodecError("vertex references unknown label set") from None
 
     # Label buckets: vertices were decoded in ascending-vid order, so
-    # each table's vid list is ascending and merging the per-table
-    # member lists by sorting restores the original per-label
-    # insertion order.
-    by_label: dict[int, list[list[int]]] = {}
-    for table in tables:
-        if not table.vids:
-            continue
-        for label_sid in table.label_sids:
-            by_label.setdefault(label_sid, []).append(table.vids)
-    for label_sid, groups in by_label.items():
-        if len(groups) == 1:
-            label_index[label_sid] = dict.fromkeys(groups[0])
-        else:
-            merged = sorted(vid for group in groups for vid in group)
-            label_index[label_sid] = dict.fromkeys(merged)
+    # each table's vid list is ascending.
+    graph._index_labels(
+        (table, table.vids) for table in tables if table.vids
+    )
 
     # Property columns: split each section column by owning table,
     # then bulk-adopt (dense prefix) or scatter into typed columns.
@@ -737,7 +721,9 @@ def _decode_graph(
     except (KeyError, IndexError):
         raise CodecError("property column references unknown id") from None
 
-    # EDGE (columnar, fused rebuild of edge columns + adjacency)
+    # EDGE (columnar; adjacency and the endpoint-pair index stay
+    # unmaterialized - the graph builds each whole on first need, see
+    # PropertyGraph._build_adjacency / _build_pairs)
     pos = sections[SECTION_EDGES][0]
     count, pos = read_uvarint(data, pos)
     if count != num_edges:
@@ -747,7 +733,8 @@ def _decode_graph(
     dst_list, pos = _read_array(data, pos, "q", count)
     lid_list, pos = _read_array(data, pos, "i", count)
     try:
-        label_list = list(map(strings.__getitem__, lid_list))
+        if count:
+            graph._require_vertices(src_list, dst_list)
         # Same id-space rule as vertices: removed tail eids stay holes.
         num_eid_slots = max(next_eid, max(eid_list, default=-1) + 1)
         e_src = graph._e_src
@@ -756,27 +743,15 @@ def _decode_graph(
         e_src.extend([0] * num_eid_slots)
         e_dst.extend([0] * num_eid_slots)
         e_label.extend([-1] * num_eid_slots)
-        for eid, src, dst, lid, label in zip(
-            eid_list, src_list, dst_list, lid_list, label_list
+        for eid, src, dst, lid in zip(
+            eid_list, src_list, dst_list, lid_list
         ):
             e_src[eid] = src
             e_dst[eid] = dst
             e_label[eid] = sym_ids[lid]
-            adjacency = out_adj[src]
-            bucket = adjacency.get(label)
-            if bucket is None:
-                bucket = adjacency[label] = {}
-            bucket[eid] = dst
-            adjacency = in_adj[dst]
-            bucket = adjacency.get(label)
-            if bucket is None:
-                bucket = adjacency[label] = {}
-            bucket[eid] = src
         graph._num_edges = count
-    except (KeyError, IndexError) as exc:
+    except (GraphError, IndexError) as exc:
         raise CodecError(f"edge references unknown id: {exc}") from None
-    # Defer the endpoint-pair index; the graph batch-builds it on the
-    # first probe (see PropertyGraph._build_pairs).
     graph._pairs = None
     nprops_edges, pos = read_uvarint(data, pos)
     for _ in range(nprops_edges):

@@ -6,7 +6,9 @@ and adopts an FPTAS.  Three solvers are provided:
 * :func:`knapsack_fptas` - benefit-scaling dynamic program over
   ``min-cost-to-reach-benefit`` states.  With scale factor
   ``K = eps * max_benefit / n`` the selected set's benefit is within
-  ``(1 - eps)`` of optimal.  The DP rows are numpy-vectorized and exact
+  ``(1 - eps)`` of optimal.  The DP rows are numpy-vectorized over the
+  states reachable so far (the items' scaled benefits sum up to them;
+  everything beyond is still infinite) and exact
   reconstruction uses per-item improvement bitmaps: walking backwards,
   the *latest* item that improved a state is the one the optimal chain
   used, and its predecessor state must have been improved by an earlier
@@ -111,15 +113,16 @@ def knapsack_fptas(
     dp = np.full(n_states, INF, dtype=np.int64)
     dp[0] = 0
     improved: list[np.ndarray] = []
+    reach = 1  # only states below it can be finite before this item
     for (_, item), sb in zip(priced, scaled):
         # dp[s] = min(dp[s], dp[s - sb] + cost), done in place on the
         # shifted view (INF + cost stays < 2*INF, no overflow).
-        candidate = dp[:-sb] + item.cost
-        better_tail = candidate < dp[sb:]
-        dp[sb:] = np.where(better_tail, candidate, dp[sb:])
-        better = np.zeros(n_states, dtype=bool)
-        better[sb:] = better_tail
-        improved.append(better)
+        candidate = dp[:reach] + item.cost
+        target = dp[sb:reach + sb]
+        better = candidate < target
+        np.copyto(target, candidate, where=better)
+        improved.append(better)  # better[s - sb]: this item improved s
+        reach += sb
 
     feasible = np.nonzero(dp <= capacity)[0]
     best_state = int(feasible[-1]) if len(feasible) else 0
@@ -130,9 +133,11 @@ def knapsack_fptas(
     while state > 0:
         found = False
         for idx in range(limit - 1, -1, -1):
-            if improved[idx][state]:
+            before = state - scaled[idx]
+            better = improved[idx]
+            if 0 <= before < len(better) and better[before]:
                 chosen.append(priced[idx][0])
-                state -= scaled[idx]
+                state = before
                 limit = idx
                 found = True
                 break

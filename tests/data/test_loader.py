@@ -3,8 +3,11 @@
 import pytest
 
 from repro.data.generator import generate_logical
-from repro.data.loader import load_direct, load_optimized
+from repro.data.loader import LoadRegistry, load_direct, load_optimized
+from repro.data.logical import LogicalDataset
+from repro.ontology.builder import OntologyBuilder
 from repro.ontology.model import RelationshipType
+from repro.optimizer.nsc import optimize_nsc
 from repro.rules.base import Selection
 from repro.rules.engine import transform
 from repro.schema.generate import generate_schema, optimize_schema_nsc
@@ -136,3 +139,27 @@ class TestLoadOptimized:
         b = load_optimized(logical, nsc_mapping)
         assert a.num_vertices == b.num_vertices
         assert a.num_edges == b.num_edges
+
+    def test_long_merge_chain_does_not_recurse(self):
+        # A collapsed 1:1 relationship whose links form one chain: the
+        # union-find walks it hop by hop, far past the recursion limit.
+        ontology = (
+            OntologyBuilder("versions")
+            .concept("Version", tag="STRING")
+            .one_to_one("supersedes", "Version", "Version")
+            .build()
+        )
+        mapping = optimize_nsc(ontology).mapping
+        (rel_id,) = mapping.collapsed
+        logical = LogicalDataset(ontology)
+        for i in range(3000):
+            logical.add_instance("Version", f"v{i}", {"tag": f"t{i}"})
+            if i:
+                logical.add_link(rel_id, f"v{i}", f"v{i - 1}")
+        registry = LoadRegistry()
+        graph = load_optimized(logical, mapping, registry=registry)
+        assert graph.num_vertices == 1 and graph.num_edges == 0
+        assert graph.labels_of(0) >= {"Version"}
+        assert len(registry.groups) == 1
+        assert set(registry.vertex_of.values()) == {0}
+        assert len(registry.vertex_of) == 3000

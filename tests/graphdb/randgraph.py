@@ -1,11 +1,14 @@
 """Random graph-building scripts shared by the bulk-ingest and freeze
 tests.
 
-A script is a list of steps over vertices and *batches* of same-label
-edges, with removals in between (tombstoned eids, removed tail vids,
-several edge types sharing endpoints).  :func:`run_script` applies it
-either through per-element ``add_edge`` or through bulk ``add_edges``;
-everything else is identical, so the two graphs must be too.
+A script is a list of steps over vertices, *batches* of vertices
+(interleaved label sets, ragged property dicts), batches of same-label
+edges and batches of one property's values, with removals in between
+(tombstoned eids, removed tail vids, several edge types sharing
+endpoints).  :func:`run_script` applies it either through per-element
+``add_vertex`` / ``add_edge`` / ``set_property`` or through bulk
+``add_vertices`` / ``add_edges`` / ``set_properties``; everything else
+is identical, so the two graphs must be too.
 """
 
 from hypothesis import strategies as st
@@ -15,13 +18,52 @@ from repro.graphdb.graph import PropertyGraph
 LABELSETS = [("A",), ("B",), ("A", "B")]
 EDGE_TYPES = ["T", "U", "W"]
 
+#: Every spelling of a label set ``add_vertex`` accepts; several name
+#: one table.
+LABEL_ARGS = LABELSETS + [
+    "A", ("B", "A"), frozenset({"A", "B"}), ["B"], ("C", "A"),
+]
+#: ``n`` is the int column every single-vertex step writes, so batches
+#: land on typed columns that already have rows.
+KEYS = ["n", "x", "y", "z"]
+VALUES = st.one_of(
+    st.integers(-3, 3),
+    st.sampled_from(
+        [-(1 << 63), (1 << 63) - 1, -(1 << 63) - 1, 1 << 63, 1 << 64]
+    ),
+    st.floats(allow_nan=False),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=2),
+    st.lists(st.text(max_size=2), max_size=2),
+)
+#: Mostly one type per key, so that columns also *stay* typed.
+_typed_props = st.fixed_dictionaries(
+    {}, optional={
+        "n": st.integers(-3, 3), "x": st.floats(allow_nan=False),
+        "y": st.text(max_size=2),
+    },
+)
+_props = st.one_of(
+    st.none(), _typed_props, st.dictionaries(st.sampled_from(KEYS), VALUES)
+)
+
 _index = st.integers(min_value=0, max_value=30)
 _step = st.one_of(
     st.tuples(st.just("v"), st.sampled_from(LABELSETS)),
     st.tuples(
+        st.just("vs"),
+        st.lists(st.tuples(st.sampled_from(LABEL_ARGS), _props), max_size=6),
+    ),
+    st.tuples(
         st.just("e"),
         st.sampled_from(EDGE_TYPES),
         st.lists(st.tuples(_index, _index), max_size=8),
+    ),
+    st.tuples(
+        st.just("p"),
+        st.sampled_from(KEYS),
+        st.lists(st.tuples(_index, VALUES), max_size=5),
     ),
     st.tuples(st.just("rm_e"), _index),
     st.tuples(st.just("rm_v"), _index),
@@ -45,6 +87,16 @@ def run_script(
         if kind == "v":
             graph.add_vertex(step[1], {"n": graph.num_vertices})
             continue
+        if kind == "vs":
+            if bulk:
+                graph.add_vertices(
+                    [labels for labels, _props in step[1]],
+                    [props for _labels, props in step[1]],
+                )
+            else:
+                for labels, props in step[1]:
+                    graph.add_vertex(labels, props)
+            continue
         live = graph.vertex_ids()
         if kind == "e":
             if not live:
@@ -56,6 +108,15 @@ def run_script(
             else:
                 for src, dst in zip(srcs, dsts):
                     graph.add_edge(src, dst, step[1])
+        elif kind == "p":
+            if not live:
+                continue
+            values = {live[i % len(live)]: value for i, value in step[2]}
+            if bulk:
+                graph.set_properties(step[1], values)
+            else:
+                for vid, value in values.items():
+                    graph.set_property(vid, step[1], value)
         elif kind == "rm_e":
             eids = list(graph._edges)
             if eids:

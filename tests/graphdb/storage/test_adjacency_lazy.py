@@ -1,0 +1,156 @@
+"""The dict adjacency is derived state, under the pair index's contract.
+
+A bulk-loaded or snapshot-recovered graph carries none
+(``_adjacency is None``); the first reader or per-element mutation
+builds it whole from the edge columns, in the order a graph that kept
+it from its first vertex would have, and it is maintained from there
+on.  The frozen read path never needs it - the guard at the bottom
+fails if that stops being true, because the memory and load time this
+saves would silently come back.
+"""
+
+import pytest
+
+from repro.bench.harness import build_pipeline
+from repro.graphdb.api import connect
+from repro.graphdb.graph import PropertyGraph
+from repro.graphdb.session import GraphSession
+from repro.graphdb.storage.snapshot import (
+    SnapshotError,
+    read_snapshot,
+    write_snapshot,
+)
+from tests.graphdb.randgraph import ordered
+
+LABELS = ["N", ("N", "M"), "N", "M", "N"]
+EDGES = {"T": ([0, 0, 1, 3, 0], [1, 2, 2, 3, 1]), "U": ([2, 4], [0, 0])}
+
+
+def eager_twin() -> PropertyGraph:
+    """Built per element, so the adjacency exists from vertex one;
+    then a vertex (with its edges) and an edge are removed."""
+    graph = PropertyGraph("g")
+    for vid, labels in enumerate(LABELS):
+        graph.add_vertex(labels, {"i": vid})
+    for label, (srcs, dsts) in EDGES.items():
+        for src, dst in zip(srcs, dsts):
+            graph.add_edge(src, dst, label)
+    assert graph._adjacency is not None
+    return graph
+
+
+def with_tombstones(graph: PropertyGraph) -> PropertyGraph:
+    graph.remove_vertex(4)  # takes eid 6 with it
+    graph.remove_edge(1)
+    return graph
+
+
+def bulk_loaded() -> PropertyGraph:
+    graph = PropertyGraph("g")
+    graph.add_vertices(LABELS, [{"i": vid} for vid in range(len(LABELS))])
+    for label, (srcs, dsts) in EDGES.items():
+        graph.add_edges(label, srcs, dsts)
+    return graph
+
+
+def recovered(tmp_path) -> PropertyGraph:
+    write_snapshot(with_tombstones(eager_twin()), tmp_path / "g.rpgs")
+    return read_snapshot(tmp_path / "g.rpgs")
+
+
+@pytest.fixture(params=["bulk", "snapshot"])
+def lazy_and_twin(request, tmp_path):
+    if request.param == "bulk":
+        pair = bulk_loaded(), eager_twin()
+    else:
+        pair = recovered(tmp_path), with_tombstones(eager_twin())
+    assert pair[0]._adjacency is None
+    return pair
+
+
+def rolled_back_removal(graph: PropertyGraph) -> None:
+    graph.begin_transaction()
+    graph.remove_vertex(0)
+    graph.add_edge(1, 2, "U")
+    graph.rollback_transaction()
+
+
+TRIGGERS = {
+    "out_edges": lambda graph: [e.eid for e in graph.out_edges(0)],
+    "in_edges": lambda graph: [e.eid for e in graph.in_edges(2, "T")],
+    "degree": lambda graph: graph.degree(3),
+    "add_edge": lambda graph: graph.add_edge(3, 0, "V"),
+    "add_vertex": lambda graph: graph.add_vertex("M", {}),
+    "remove_edge": lambda graph: graph.remove_edge(0),
+    "remove_vertex": lambda graph: graph.remove_vertex(2),
+    "rollback": rolled_back_removal,
+    "session.expand": lambda graph: [
+        e.eid for e in GraphSession(graph).expand(0, None, "any")
+    ],
+    "session.expand_pairs": lambda graph: GraphSession(graph).expand_pairs(
+        0, ("T",), "out"
+    ),
+}
+
+
+@pytest.mark.parametrize("trigger", TRIGGERS.values(), ids=list(TRIGGERS))
+def test_first_need_builds_what_an_eager_graph_has(lazy_and_twin, trigger):
+    lazy, twin = lazy_and_twin
+    assert trigger(lazy) == trigger(twin)
+    assert lazy._adjacency is not None
+    assert ordered(lazy._out) == ordered(twin._out)
+    assert ordered(lazy._in) == ordered(twin._in)
+    # ... and is maintained from there on, bulk appends included.
+    for graph in (lazy, twin):
+        new = graph.add_vertices(["M", "N"], [{}, {}])
+        graph.add_edges("T", [new[0], 0], [0, new[1]])
+        graph.remove_edge(3)
+    assert ordered(lazy._out) == ordered(twin._out)
+    assert ordered(lazy._in) == ordered(twin._in)
+
+
+def test_bulk_appends_and_frozen_reads_leave_it_unbuilt(lazy_and_twin):
+    lazy, _twin = lazy_and_twin
+    new = lazy.add_vertices(["M"], [{"i": 9}])
+    lazy.add_edges("T", [new[0]], [0])
+    lazy.freeze()
+    session = GraphSession(lazy)
+    assert session.expand_pairs(0, ("T",), "in") == [(7, new[0])]
+    lazy.statistics()
+    assert lazy._adjacency is None and lazy._pairs is None
+    # The unfrozen branch of the same call is a reader.
+    lazy.set_properties("i", {0: 0})
+    assert session.expand_pairs(0, ("T",), "in") == [(7, new[0])]
+    assert lazy._adjacency is not None
+
+
+@pytest.mark.parametrize("endpoint", [1, 7, -1])
+def test_snapshot_edge_to_a_dead_vertex_is_still_refused(tmp_path, endpoint):
+    graph = eager_twin()
+    if endpoint == 1:  # tombstone vertex 1 behind its edges' back
+        table, row = graph._locate(1)
+        table.tombstone(row)
+        graph._v_tid[1] = -1
+    else:
+        graph._e_dst[0] = endpoint
+    write_snapshot(graph, tmp_path / "bad.rpgs")
+    with pytest.raises(SnapshotError, match="edge references unknown id"):
+        read_snapshot(tmp_path / "bad.rpgs")
+
+
+@pytest.mark.parametrize("name", ["med", "fin"])
+def test_paper_queries_never_build_it(name, med_small, fin_small):
+    dataset = med_small if name == "med" else fin_small
+    pipeline = build_pipeline(dataset, scale=0.2, cache_dir=None)
+    runs = (
+        (pipeline.dir_graph, dataset.queries),
+        (pipeline.opt_graph, pipeline.rewritten),
+    )
+    for graph, queries in runs:
+        graph.statistics()
+        with connect(graph).session() as session:
+            for query in queries.values():
+                session.run(query).consume()
+        assert graph.num_edges and graph.frozen_view.valid
+        assert graph._adjacency is None, f"{graph.name}: adjacency built"
+        assert graph._pairs is None, f"{graph.name}: pair index built"

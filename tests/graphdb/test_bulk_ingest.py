@@ -1,6 +1,8 @@
-"""Bulk ``add_edges`` must be indistinguishable from per-element
-``add_edge``: same edge columns, adjacency (order included), indexes,
-statistics, listener events, undo behaviour and WAL recovery.
+"""Bulk ``add_vertices`` / ``add_edges`` / ``set_properties`` must be
+indistinguishable from per-element ``add_vertex`` / ``add_edge`` /
+``set_property``: same vertex tables and columns (kinds, masks, key
+order), edge columns, adjacency (order included), indexes, statistics,
+listener events, undo behaviour and WAL recovery.
 """
 
 import pytest
@@ -13,9 +15,30 @@ from tests.graphdb.randgraph import SCRIPTS, ordered, run_script
 from tests.graphdb.test_statistics import snapshot_of
 
 
+def columns_of(graph: PropertyGraph, table) -> list:
+    """A table's columns in key order: dtype, presence mask and the
+    present values (``repr``, so that ``True`` is not ``1``).  What a
+    hole's slot holds is not observable and not compared."""
+    return [
+        (
+            graph.symbols.name(sid), column.kind, bytes(column.mask),
+            column.count,
+            repr([v for v, bit in zip(column.data, column.mask) if bit]),
+        )
+        for sid, column in table.columns.items()
+    ]
+
+
 def structures(graph: PropertyGraph) -> dict:
-    """Everything an edge insert touches, dict key order included."""
+    """Everything an insert touches, dict key order included."""
     return {
+        "v_tid": graph._v_tid,
+        "v_row": graph._v_row,
+        "next_vid": graph._next_vid,
+        "tables": [
+            (table.labels, table.vids, table.live, columns_of(graph, table))
+            for table in graph.iter_tables()
+        ],
         "e_src": graph._e_src,
         "e_dst": graph._e_dst,
         "e_label": graph._e_label,
@@ -166,3 +189,98 @@ class TestContract:
         with pytest.raises(GraphError, match="1 sources for 2 targets"):
             graph.add_edges("T", [0], [1, 2])
         assert graph.num_edges == 0
+
+
+    # -- add_vertices --------------------------------------------------
+    def test_returns_consecutive_vids(self, graph):
+        assert graph.add_vertices(["N", ("M", "N")], [{"n": 1}, None]) == (
+            range(3, 5)
+        )
+        assert graph.add_vertices([], []) == range(5, 5)
+        assert graph.add_vertices(iter([["M"]]), ({"m": "x"},)) == range(5, 6)
+        assert [sorted(graph.labels_of(vid)) for vid in range(2, 6)] == [
+            ["N"], ["N"], ["M", "N"], ["M"]
+        ]
+        assert graph.get_property(3, "n") == 1
+        assert dict(graph.vertex(4).properties) == {}
+        assert graph.vertices_with_label("N") == [0, 1, 2, 3, 4]
+        assert graph.vertices_with_label("M") == [4, 5]
+
+    def test_empty_vertex_batch_interns_nothing_and_keeps_the_view(
+        self, graph
+    ):
+        view = graph.freeze()
+        symbols = len(graph.symbols)
+        graph.add_vertices([], [])
+        assert len(graph.symbols) == symbols
+        assert view.valid
+
+    def test_vertices_take_one_epoch_bump_and_typed_columns(self, graph):
+        epoch = graph.mutation_epoch
+        graph.add_vertices(
+            ["N", "M", "N"], [{"n": 1, "f": 0.5}, {"n": 2}, {"f": 1.5}]
+        )
+        assert graph.mutation_epoch == epoch + 1
+        columns = {
+            graph.symbols.name(sid): column
+            for sid, column in graph._locate(0)[0].columns.items()
+        }
+        assert columns["n"].kind == "int64"
+        # Rows 0-2 predate the key; no slot is stored past the last set.
+        assert bytes(columns["n"].mask) == b"\x00\x00\x00\x01"
+        assert columns["f"].kind == "float64"
+        assert bytes(columns["f"].mask) == b"\x00\x00\x00\x01\x01"
+
+    @pytest.mark.parametrize("labels, properties, message", [
+        (["N", ()], [{}, {}], "at least one label"),
+        (["N", []], [{}, {}], "at least one label"),
+        (["N", frozenset()], [{"fresh": 1}, {}], "at least one label"),
+        (["N", "M"], [{"fresh": 1}], "2 label sets for 1 property dicts"),
+        (["N"], [{}, {}], "1 label sets for 2 property dicts"),
+    ])
+    def test_bad_vertex_batch_leaves_the_graph_untouched(
+        self, graph, labels, properties, message
+    ):
+        before = structures(graph)
+        epoch = graph.mutation_epoch
+        with pytest.raises(GraphError, match=message):
+            graph.add_vertices(labels, properties)
+        assert structures(graph) == before
+        assert graph.mutation_epoch == epoch
+
+    def test_property_index_forces_the_per_element_path(self, graph):
+        graph.create_property_index("N", "n")
+        epoch = graph.mutation_epoch
+        graph.add_vertices(["N", "M", "N"], [{"n": 7}, {"n": 7}, {"n": 0}])
+        assert graph.mutation_epoch == epoch + 3  # one per element
+        assert graph.lookup_property("N", "n", 7) == [3]
+        assert graph.lookup_property("N", "n", 0) == [5]
+        graph.set_properties("n", {0: 7, 4: 7, 5: None})
+        assert graph.mutation_epoch == epoch + 6
+        assert graph.lookup_property("N", "n", 7) == [3, 0]
+        assert graph.lookup_property("N", "n", 0) == []
+
+    # -- set_properties ------------------------------------------------
+    def test_properties_take_one_epoch_bump_and_keep_the_dtype(self, graph):
+        graph.add_vertices(["N", "M"], [{"n": 0}, {}])
+        epoch = graph.mutation_epoch
+        graph.set_properties("n", {1: 5, 4: [1, 2]})
+        graph.set_properties("never", {})
+        assert graph.mutation_epoch == epoch + 1
+        assert graph.symbols.sid("never") is None
+        assert graph.get_property(1, "n") == 5
+        assert graph.get_property(4, "n") == [1, 2]
+        column = graph._locate(0)[0].columns[graph.symbols.sid("n")]
+        assert column.kind == "int64"
+
+    @pytest.mark.parametrize("vid", [-1, 3, "x", None])
+    def test_unknown_vertex_leaves_the_graph_untouched(self, graph, vid):
+        graph.remove_vertex(1)
+        before = structures(graph)
+        epoch = graph.mutation_epoch
+        with pytest.raises(GraphError, match=f"unknown vertex {vid}"):
+            graph.set_properties("fresh", {0: 1, vid: 2})
+        with pytest.raises(GraphError, match="unknown vertex 1"):
+            graph.set_properties("fresh", {0: 1, 1: 2})  # removed vertex
+        assert structures(graph) == before
+        assert graph.mutation_epoch == epoch

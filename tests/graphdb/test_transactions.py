@@ -162,3 +162,16 @@ class TestStateMachine:
         assert g.in_transaction
         g.commit_transaction()
         assert not g.in_transaction
+
+
+def test_rollback_restores_a_stored_none():
+    # Found by the bulk-ingest scripts: "old value None" used to mean
+    # "key was absent", so rolling back a write over a stored None
+    # removed the key instead of restoring it.
+    graph = PropertyGraph()
+    vid = graph.add_vertex("N", {"kept": None})
+    graph.begin_transaction()
+    graph.set_property(vid, "kept", 1)
+    graph.set_property(vid, "fresh", None)
+    graph.rollback_transaction()
+    assert dict(graph.vertex(vid).properties) == {"kept": None}

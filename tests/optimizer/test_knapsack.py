@@ -2,12 +2,14 @@
 
 from dataclasses import dataclass
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import OptimizationError
 from repro.optimizer.knapsack import (
+    _result,
     knapsack_exact,
     knapsack_fptas,
     knapsack_greedy,
@@ -33,6 +35,72 @@ def brute_force(items, capacity):
         if cost <= capacity:
             best = max(best, benefit)
     return best
+
+
+def full_width_fptas(items, capacity, eps=0.1, max_states=60_000):
+    """``knapsack_fptas`` as it was before the DP learnt to touch only
+    reachable states: every item sweeps all ``n_states``.  Kept
+    verbatim as the oracle for the narrowed loop."""
+    free = [i for i, item in enumerate(items)
+            if item.cost == 0 and item.benefit > 0]
+    priced = [
+        (i, item) for i, item in enumerate(items)
+        if item.cost > 0 and item.benefit > 0 and item.cost <= capacity
+    ]
+    if not priced:
+        return _result(items, free, effective_eps=0.0, states=0)
+
+    max_benefit = max(item.benefit for _, item in priced)
+    n = len(priced)
+    scale = eps * max_benefit / n
+    if scale <= 0.0:  # subnormal benefits: degrade to unit weights
+        scale = max_benefit if max_benefit > 0 else 1.0
+    total_scaled = sum(
+        int(item.benefit // scale) for _, item in priced
+    )
+    effective_eps = eps
+    if total_scaled > max_states:
+        scale *= total_scaled / max_states
+        effective_eps = eps * total_scaled / max_states
+        total_scaled = sum(
+            int(item.benefit // scale) for _, item in priced
+        )
+
+    scaled = [max(1, int(item.benefit // scale)) for _, item in priced]
+    n_states = sum(scaled) + 1
+
+    INF = np.iinfo(np.int64).max // 4
+    dp = np.full(n_states, INF, dtype=np.int64)
+    dp[0] = 0
+    improved: list[np.ndarray] = []
+    for (_, item), sb in zip(priced, scaled):
+        candidate = dp[:-sb] + item.cost
+        better_tail = candidate < dp[sb:]
+        dp[sb:] = np.where(better_tail, candidate, dp[sb:])
+        better = np.zeros(n_states, dtype=bool)
+        better[sb:] = better_tail
+        improved.append(better)
+
+    feasible = np.nonzero(dp <= capacity)[0]
+    best_state = int(feasible[-1]) if len(feasible) else 0
+
+    chosen: list[int] = []
+    state = best_state
+    limit = n  # only items with index < limit may explain the state
+    while state > 0:
+        for idx in range(limit - 1, -1, -1):
+            if improved[idx][state]:
+                chosen.append(priced[idx][0])
+                state -= scaled[idx]
+                limit = idx
+                break
+        else:
+            raise AssertionError("knapsack reconstruction failed")
+
+    return _result(
+        items, free + chosen, effective_eps=effective_eps,
+        states=n_states,
+    )
 
 
 ITEMS = st.lists(
@@ -105,6 +173,26 @@ class TestFptas:
         assert result.benefit == pytest.approx(
             sum(items[i].benefit for i in result.indices)
         )
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        items=st.lists(
+            st.tuples(
+                st.floats(0.0, 1e6, allow_nan=False), st.integers(0, 200)
+            ).map(lambda t: Item(*t)),
+            max_size=25,
+        ),
+        capacity=st.integers(0, 1500),
+        eps=st.sampled_from([0.01, 0.1, 0.5, 2.0]),
+        max_states=st.sampled_from([3, 40, 60_000]),  # 3 and 40 bind
+    )
+    def test_reachable_prefix_dp_equals_the_full_width_dp(
+        self, items, capacity, eps, max_states
+    ):
+        result = knapsack_fptas(items, capacity, eps, max_states)
+        assert result == full_width_fptas(items, capacity, eps, max_states)
+        optimum = knapsack_exact(items, capacity).benefit
+        assert result.benefit >= (1 - result.effective_eps) * optimum - 1e-6
 
     def test_max_states_cap_reports_effective_eps(self):
         items = [Item(float(i + 1), i + 1) for i in range(40)]
