@@ -36,6 +36,10 @@ dataset (full scale, DIR graph):
   of the paper pipeline on FIN (the larger dataset, where the build
   is three quarters of a cold round): bulk ingest of both graphs and
   the CSR freeze of FIN-DIR;
+* **segments_build** - the first untyped tuple-path expand on the
+  frozen FIN-DIR: cutting every edge type's (eid, neighbor) segments,
+  both directions, out of the CSR arrays - the part of the old freeze
+  that only the tuple executor reads, paid by the first such reader;
 * **adjacency_build** - the first ``out_edges`` on a bulk-loaded
   FIN-DIR: the dict adjacency the loaders no longer build, paid only
   by a graph that is read unfrozen or mutated per element.
@@ -322,6 +326,19 @@ def main(argv: list[str] | None = None) -> int:
     ))
     benchmarks.append(bench(
         "freeze", lambda: GraphView(fin.dir_graph), repeats, fin_size,
+    ))
+
+    view = fin.dir_graph.freeze()
+    session = GraphSession(fin.dir_graph)
+
+    def first_untyped_expand():
+        view._out_segments.clear()  # as freeze leaves them
+        view._in_segments.clear()
+        session.expand_pairs(0, (), "any")
+
+    benchmarks.append(bench(
+        "segments_build", first_untyped_expand, repeats,
+        {**fin_size, "edge_types": len(view.edge_types())},
     ))
 
     def first_out_edges():

@@ -991,13 +991,12 @@ class PropertyGraph:
     def remove_property(self, vid: int, name: str) -> None:
         table, row = self._locate(vid)
         sid = self._symbols.sid(name)
-        old = table.get_prop(row, sid)
-        if sid is not None:
-            table.unset_prop(row, sid)
-        if old is None:
+        if not table.has_prop(row, sid):  # a stored None counts
             return
+        old = table.get_prop(row, sid)
+        table.unset_prop(row, sid)
         labels = table.labels
-        if self._property_indexes:
+        if self._property_indexes and old is not None:
             for (label, prop), index in self._property_indexes.items():
                 if prop == name and label in labels:
                     self._index_discard(index, old, vid)

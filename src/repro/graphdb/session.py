@@ -183,10 +183,11 @@ class GraphSession:
         """(eid, neighbor) pairs of ``vid``; one page touch per expand.
 
         The fast path behind pattern expansion.  When the graph holds
-        a valid frozen CSR view the pairs come from two offset reads
-        and a slice per edge type; otherwise the mutable adjacency
-        dicts serve them (buckets store the neighbor id, so no edge
-        record is dereferenced either way).
+        a valid frozen CSR view the pairs come from its per-type
+        segments (cut from the CSR arrays the first time a type is
+        asked for); otherwise the mutable adjacency dicts serve them
+        (buckets store the neighbor id, so no edge record is
+        dereferenced either way).
         """
         self._touch_page(("a", vid // self._adjacency_per_page))
         graph = self.graph

@@ -3,38 +3,35 @@
 :meth:`PropertyGraph.freeze` materializes a :class:`GraphView`: for
 every edge type, compressed-sparse-row adjacency in both directions -
 three read-only int64 arrays, an offsets array indexed by vid plus
-flat neighbor and edge-id arrays.  The vectorized executor adopts
-those arrays as they are (:meth:`GraphArrays.csr
+flat neighbor and edge-id arrays - and nothing else.  The vectorized
+executor adopts those arrays as they are (:meth:`GraphArrays.csr
 <repro.graphdb.query.vectorized.GraphArrays.csr>`); PageRank flattens
-them with :func:`undirected_edge_index`.  On top of the flat arrays
-the build also cuts each (vertex, type) segment into a tuple of
-(eid, neighbor) pairs of plain ints, so the tuple executor's expand is
-one dict probe plus one ``extend`` with no per-call slicing.  That is
-a deliberate speed-for-memory trade: the view holds both the CSR
-arrays and the segment tuples (~one pair object per edge per
-direction); freezing a graph roughly doubles its adjacency footprint
-while it is held.
+them with :func:`undirected_edge_index`.  The build is one stable sort
+of the live eids on (edge type, anchor vid) per direction, offsets
+from ``bincount`` / ``cumsum``: O(E log E), no Python loop over vid
+slots or edges; the only per-type cost is the offsets array itself.
 
-The build is one stable sort of the live eids on (edge type, anchor
-vid) per direction - O(E log E) - with offsets from ``bincount`` /
-``cumsum`` and one segment tuple per (type, vid) pair that has edges.
-The only per-type cost is the offsets array itself (num_vid_slots+1
-entries, filled by numpy); no Python loop runs over vid slots.
+The tuple executor's expand reads *segments*: per (direction, edge
+type) a dict vid -> tuple of plain-int (eid, neighbor) pairs.  They
+are derived state, like the graph's ``_pairs`` and ``_adjacency``:
+the first :meth:`GraphView.expand_pairs` that asks for a type cuts
+its dict from that type's CSR triple into a local and publishes it
+with one assignment (racing readers build equal dicts; either may
+win), and it stays for the life of the view.  A graph that only runs
+batch-path queries never allocates a pair tuple.
 
 The view is *immutable by contract* and epoch-stamped: every graph
-mutation advances the graph's mutation epoch (the same machinery that
-feeds the WAL listeners), which both drops the graph's cached view and
-lets any outstanding reference detect staleness via :attr:`valid`.
-Readers (the session's ``expand_pairs``, the PageRank kernel, the
-benchmarks) use the view when one is valid and fall back to the
-mutable dict adjacency otherwise - freezing is a deliberate act for
-read-heavy phases, never an implicit per-query cost.
+mutation advances the graph's mutation epoch, which drops the graph's
+cached view and lets an outstanding reference detect staleness via
+:attr:`valid`.  Readers use the view while it is valid and fall back
+to the mutable dict adjacency otherwise; freezing is a deliberate act
+for read-heavy phases, never an implicit per-query cost.
 
-Edge types keep the order of their first live eid in every
-per-direction dict (what untyped expansion iterates), and within one
-(vertex, edge type) bucket neighbors appear in ascending edge-id
-order - the same orders the mutable adjacency dicts yield, since edge
-ids are never reused.
+Within a (vertex, edge type) bucket pairs ascend by edge id, as in
+the mutable adjacency, so a *typed* expansion reads the same frozen
+or not.  An *untyped* one concatenates types by first live eid
+graph-wide, the mutable adjacency by first edge at that vertex
+(``test_freeze.py::test_untyped_type_order_is_global_when_frozen``).
 """
 
 from __future__ import annotations
@@ -61,10 +58,8 @@ class GraphView:
         self.num_vid_slots = len(graph._v_tid)
         self._out: dict[int, Csr] = {}
         self._in: dict[int, Csr] = {}
-        #: Per edge type: vid -> tuple of (eid, neighbor) pairs - the
-        #: CSR segments pre-materialized once at freeze time, so an
-        #: expand is a dict probe plus one ``extend`` with no per-call
-        #: slicing.  Only vertices with matching edges have entries.
+        #: Derived state: edge type -> vid -> tuple of (eid, neighbor)
+        #: pairs, one type cut per first :meth:`expand_pairs` asking.
         self._out_segments: dict[int, dict[int, tuple]] = {}
         self._in_segments: dict[int, dict[int, tuple]] = {}
         self._build(graph)
@@ -73,7 +68,6 @@ class GraphView:
     # Construction
     # ------------------------------------------------------------------
     def _build(self, graph) -> None:
-        nslots = self.num_vid_slots
         labels = np.array(graph._e_label, dtype=np.int64)
         live = np.flatnonzero(labels >= 0)
         if not len(live):
@@ -86,20 +80,18 @@ class GraphView:
         rank_of = np.empty(int(sids.max()) + 1, dtype=np.int64)
         rank_of[sids] = np.arange(len(sids))
         ranks = rank_of[labels]
-        type_ends = np.cumsum(np.bincount(ranks)).tolist()
+        cuts = np.cumsum(np.bincount(ranks))[:-1]  # where each type ends
         sids = sids.tolist()
         src = np.array(graph._e_src, dtype=np.int64)[live]
         dst = np.array(graph._e_dst, dtype=np.int64)[live]
-        stride = nslots + 1
-        for anchors, fars, csrs, segments in (
-            (src, dst, self._out, self._out_segments),
-            (dst, src, self._in, self._in_segments),
+        stride = self.num_vid_slots + 1
+        for anchors, fars, csrs in (
+            (src, dst, self._out), (dst, src, self._in)
         ):
             # Stable sort on (type, anchor): live eids ascend, so each
             # (type, vid) run ends up eid-ordered.
             key = ranks * stride + anchors
             order = np.argsort(key, kind="stable")
-            key = key[order]
             neighbors = fars[order]
             eids = live[order]
             # Row t: how many type-t edges anchor below each vid slot.
@@ -109,25 +101,9 @@ class GraphView:
             np.cumsum(offsets, axis=1, out=offsets)
             for column in (offsets, neighbors, eids):
                 column.flags.writeable = False
-            # One segment tuple per (type, vid) run of the sorted key.
-            starts = [0, *(np.flatnonzero(key[1:] != key[:-1]) + 1).tolist()]
-            pairs = list(zip(eids.tolist(), neighbors.tolist()))
-            runs = [
-                tuple(pairs[start:end])
-                for start, end in zip(starts, starts[1:] + [len(pairs)])
-            ]
-            run_vids = (key[starts] % stride).tolist()
-            run_ends = np.searchsorted(starts, type_ends).tolist()
-            start = run_start = 0
-            for rank, sid in enumerate(sids):
-                end, run_end = type_ends[rank], run_ends[rank]
-                csrs[sid] = (
-                    offsets[rank], neighbors[start:end], eids[start:end]
-                )
-                segments[sid] = dict(zip(
-                    run_vids[run_start:run_end], runs[run_start:run_end]
-                ))
-                start, run_start = end, run_end
+            csrs.update(zip(sids, zip(
+                offsets, np.split(neighbors, cuts), np.split(eids, cuts)
+            )))
 
     @property
     def valid(self) -> bool:
@@ -143,35 +119,34 @@ class GraphView:
         label_sids: tuple[int | None, ...] | None,
         direction: str,
     ) -> list[tuple[int, int]]:
-        """(eid, neighbor) pairs of ``vid``; CSR slice per edge type.
+        """(eid, neighbor) pairs of ``vid``; one segment per edge type.
 
-        ``label_sids`` of ``None`` means every edge type; a ``None``
-        entry (a label the graph never interned) matches nothing.
+        ``label_sids`` of ``None`` means every edge type, in rank
+        order; a ``None`` entry (a label the graph never interned)
+        matches nothing.
         """
         pairs: list[tuple[int, int]] = []
         if direction != "in":
-            self._collect(self._out_segments, vid, label_sids, pairs)
+            self._collect(
+                self._out, self._out_segments, vid, label_sids, pairs
+            )
         if direction != "out":
-            self._collect(self._in_segments, vid, label_sids, pairs)
+            self._collect(
+                self._in, self._in_segments, vid, label_sids, pairs
+            )
         return pairs
 
     @staticmethod
     def _collect(
-        segments: dict[int, dict[int, tuple]],
-        vid: int,
-        label_sids,
-        pairs: list,
+        csrs: dict[int, Csr], segments: dict, vid: int, label_sids, pairs: list
     ) -> None:
-        if label_sids is None:
-            for per_vid in segments.values():
-                seg = per_vid.get(vid)
-                if seg:
-                    pairs.extend(seg)
-            return
-        for sid in label_sids:
+        for sid in csrs if label_sids is None else label_sids:
             per_vid = segments.get(sid)
             if per_vid is None:
-                continue
+                csr = csrs.get(sid)
+                if csr is None:
+                    continue
+                per_vid = segments[sid] = _cut_segments(csr)
             seg = per_vid.get(vid)
             if seg:
                 pairs.extend(seg)
@@ -193,6 +168,19 @@ class GraphView:
             f"types={len(self._out)} "
             f"{'valid' if self.valid else 'stale'}>"
         )
+
+
+def _cut_segments(csr: Csr) -> dict[int, tuple]:
+    """One type's CSR triple as vid -> tuple of (eid, neighbor) pairs
+    of plain ints, ascending vid, vertices with edges only."""
+    offsets, neighbors, eids = csr
+    vids = np.flatnonzero(offsets[1:] != offsets[:-1])
+    bounds = [*offsets[vids].tolist(), len(eids)]
+    pairs = list(zip(eids.tolist(), neighbors.tolist()))
+    return {
+        vid: tuple(pairs[start:end])
+        for vid, start, end in zip(vids.tolist(), bounds, bounds[1:])
+    }
 
 
 def undirected_edge_index(graph) -> tuple[list[int], np.ndarray, np.ndarray]:

@@ -30,8 +30,6 @@ from repro.optimizer.costmodel import CostBenefitModel, RuleItem
 from repro.optimizer.pagerank import ontology_pagerank
 from repro.optimizer.result import OptimizationResult
 from repro.rules.base import Thresholds
-from repro.rules.engine import transform
-from repro.schema.generate import generate_schema
 
 
 def concept_scores(
@@ -50,23 +48,15 @@ def concept_scores(
     return scores, pr.iterations
 
 
-def optimize_concept_centric(
-    ontology: Ontology,
-    stats: DataStatistics,
-    space_limit: int,
-    workload: WorkloadSummary | None = None,
-    thresholds: Thresholds | None = None,
+def select_concept_centric(
+    model: CostBenefitModel, space_limit: int
 ) -> OptimizationResult:
-    """Run the concept-centric algorithm under ``space_limit`` bytes."""
-    started = time.perf_counter()
-    thresholds = thresholds or Thresholds()
-    workload = workload or WorkloadSummary.uniform(ontology)
-    model = CostBenefitModel(ontology, stats, workload, thresholds)
-
-    scores, pr_iterations = concept_scores(ontology, stats, workload)
-    ranked_concepts = sorted(
-        ontology.concepts, key=lambda c: (-scores[c], c)
+    """CC's items under ``space_limit`` bytes, not yet realized."""
+    ontology = model.ontology
+    scores, pr_iterations = concept_scores(
+        ontology, model.stats, model.workload
     )
+    ranked_concepts = sorted(ontology.concepts, key=lambda c: (-scores[c], c))
 
     selected: list[RuleItem] = []
     seen: set[tuple[str, str, str | None]] = set()
@@ -86,25 +76,23 @@ def optimize_concept_centric(
             if item.cost <= remaining:
                 selected.append(item)
                 remaining -= item.cost
-
-    selection = model.selection_from_items(selected)
-    state = transform(ontology, selection, thresholds)
-    schema, mapping = generate_schema(state, name="cc")
-    elapsed = time.perf_counter() - started
     return OptimizationResult(
-        algorithm="CC",
-        schema=schema,
-        mapping=mapping,
-        state=state,
-        selection=selection,
-        selected_items=selected,
-        total_benefit=model.benefit_of(selected),
-        total_cost=model.cost_of(selected),
-        benefit_ratio=model.benefit_ratio(selected),
-        space_limit=space_limit,
-        elapsed_seconds=elapsed,
+        "CC", model, selected, space_limit,
         extras={
             "pagerank_iterations": pr_iterations,
             "concept_order": ranked_concepts,
         },
     )
+
+
+def optimize_concept_centric(
+    ontology: Ontology,
+    stats: DataStatistics,
+    space_limit: int,
+    workload: WorkloadSummary | None = None,
+    thresholds: Thresholds | None = None,
+) -> OptimizationResult:
+    """Run the concept-centric algorithm under ``space_limit`` bytes."""
+    started = time.perf_counter()
+    model = CostBenefitModel(ontology, stats, workload, thresholds)
+    return select_concept_centric(model, space_limit).realize(started)

@@ -27,8 +27,6 @@ from repro.ontology.workload import WorkloadSummary
 from repro.optimizer.costmodel import CostBenefitModel, RuleItem
 from repro.optimizer.result import OptimizationResult
 from repro.rules.base import Thresholds
-from repro.rules.engine import transform
-from repro.schema.generate import generate_schema
 
 #: Beyond this many priced items the enumeration is rejected (2^24
 #: subsets is already ~17M; the paper's MED has well over 100 items,
@@ -80,23 +78,8 @@ def optimize_exhaustive(
 ) -> OptimizationResult:
     """The paper's exhaustive baseline as a full optimizer."""
     started = time.perf_counter()
-    thresholds = thresholds or Thresholds()
-    workload = workload or WorkloadSummary.uniform(ontology)
     model = CostBenefitModel(ontology, stats, workload, thresholds)
     selected = optimal_selection(model.items, space_limit, max_items)
-    selection = model.selection_from_items(selected)
-    state = transform(ontology, selection, thresholds)
-    schema, mapping = generate_schema(state, name="exhaustive")
     return OptimizationResult(
-        algorithm="EXH",
-        schema=schema,
-        mapping=mapping,
-        state=state,
-        selection=selection,
-        selected_items=selected,
-        total_benefit=model.benefit_of(selected),
-        total_cost=model.cost_of(selected),
-        benefit_ratio=model.benefit_ratio(selected),
-        space_limit=space_limit,
-        elapsed_seconds=time.perf_counter() - started,
-    )
+        "EXH", model, selected, space_limit
+    ).realize(started)

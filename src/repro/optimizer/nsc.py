@@ -22,8 +22,6 @@ from repro.ontology.workload import WorkloadSummary
 from repro.optimizer.costmodel import CostBenefitModel
 from repro.optimizer.result import OptimizationResult
 from repro.rules.base import Selection, Thresholds
-from repro.rules.engine import transform
-from repro.schema.generate import generate_schema
 
 
 def optimize_nsc(
@@ -38,25 +36,11 @@ def optimize_nsc(
     unit cardinalities are assumed.
     """
     started = time.perf_counter()
-    thresholds = thresholds or Thresholds()
     if stats is None:
         from repro.ontology.stats import synthesize_statistics
 
         stats = synthesize_statistics(ontology, base_cardinality=1)
     model = CostBenefitModel(ontology, stats, workload, thresholds)
-    state = transform(ontology, Selection.all(), thresholds)
-    schema, mapping = generate_schema(state, name="nsc")
-    elapsed = time.perf_counter() - started
     return OptimizationResult(
-        algorithm="NSC",
-        schema=schema,
-        mapping=mapping,
-        state=state,
-        selection=Selection.all(),
-        selected_items=model.items,
-        total_benefit=model.total_benefit,
-        total_cost=model.total_cost,
-        benefit_ratio=1.0,
-        space_limit=None,
-        elapsed_seconds=elapsed,
-    )
+        "NSC", model, model.items, None, selection=Selection.all()
+    ).realize(started)

@@ -24,8 +24,21 @@ from repro.optimizer.costmodel import CostBenefitModel
 from repro.optimizer.knapsack import knapsack_fptas
 from repro.optimizer.result import OptimizationResult
 from repro.rules.base import Thresholds
-from repro.rules.engine import transform
-from repro.schema.generate import generate_schema
+
+
+def select_relation_centric(
+    model: CostBenefitModel, space_limit: int, eps: float = 0.1
+) -> OptimizationResult:
+    """RC's items under ``space_limit`` bytes, not yet realized."""
+    items = model.items
+    result = knapsack_fptas(items, space_limit, eps=eps)
+    return OptimizationResult(
+        "RC", model, result.select(items), space_limit,
+        extras={
+            "knapsack_states": result.states,
+            "knapsack_effective_eps": result.effective_eps,
+        },
+    )
 
 
 def optimize_relation_centric(
@@ -38,32 +51,5 @@ def optimize_relation_centric(
 ) -> OptimizationResult:
     """Run the relation-centric algorithm under ``space_limit`` bytes."""
     started = time.perf_counter()
-    thresholds = thresholds or Thresholds()
-    workload = workload or WorkloadSummary.uniform(ontology)
     model = CostBenefitModel(ontology, stats, workload, thresholds)
-
-    items = model.items
-    result = knapsack_fptas(items, space_limit, eps=eps)
-    selected = result.select(items)
-
-    selection = model.selection_from_items(selected)
-    state = transform(ontology, selection, thresholds)
-    schema, mapping = generate_schema(state, name="rc")
-    elapsed = time.perf_counter() - started
-    return OptimizationResult(
-        algorithm="RC",
-        schema=schema,
-        mapping=mapping,
-        state=state,
-        selection=selection,
-        selected_items=selected,
-        total_benefit=model.benefit_of(selected),
-        total_cost=model.cost_of(selected),
-        benefit_ratio=model.benefit_ratio(selected),
-        space_limit=space_limit,
-        elapsed_seconds=elapsed,
-        extras={
-            "knapsack_states": result.states,
-            "knapsack_effective_eps": result.effective_eps,
-        },
-    )
+    return select_relation_centric(model, space_limit, eps).realize(started)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import cached_property
 
 from repro.exceptions import SchemaError
 from repro.ontology.model import (
@@ -132,14 +133,22 @@ class Selection:
     def has_rel(self, rel_id: str) -> bool:
         return self.select_all or rel_id in self.rel_ids
 
+    @cached_property
+    def _props_by_rel(self) -> dict[tuple[str, str], frozenset[str]]:
+        """``list_props`` grouped by (rel, direction), once: the engine
+        asks per 1:M / M:N dispatch per fixpoint round.  Writes the
+        instance ``__dict__`` directly, so the dataclass stays frozen,
+        hashable and compared on its three fields."""
+        grouped: dict[tuple[str, str], set[str]] = {}
+        for rel_id, direction, prop in self.list_props:
+            grouped.setdefault((rel_id, direction), set()).add(prop)
+        return {key: frozenset(props) for key, props in grouped.items()}
+
     def props_for(self, rel_id: str, direction: str) -> frozenset[str] | None:
         """Enabled property names for a (rel, direction), or None for all."""
         if self.select_all:
             return None
-        return frozenset(
-            p for (r, d, p) in self.list_props
-            if r == rel_id and d == direction
-        )
+        return self._props_by_rel.get((rel_id, direction), frozenset())
 
     def is_empty(self) -> bool:
         return not self.select_all and not self.rel_ids and not self.list_props

@@ -6,7 +6,8 @@ builds it whole from the edge columns, in the order a graph that kept
 it from its first vertex would have, and it is maintained from there
 on.  The frozen read path never needs it - the guard at the bottom
 fails if that stops being true, because the memory and load time this
-saves would silently come back.
+saves would silently come back.  The frozen view's (eid, neighbor)
+segments follow the same contract one level up and share the guard.
 """
 
 import pytest
@@ -118,6 +119,10 @@ def test_bulk_appends_and_frozen_reads_leave_it_unbuilt(lazy_and_twin):
     assert session.expand_pairs(0, ("T",), "in") == [(7, new[0])]
     lazy.statistics()
     assert lazy._adjacency is None and lazy._pairs is None
+    # ... and of the view's own derived state, the one segment it read.
+    view = lazy.frozen_view
+    assert list(view._in_segments) == [lazy.symbols.sid("T")]
+    assert view._out_segments == {}
     # The unfrozen branch of the same call is a reader.
     lazy.set_properties("i", {0: 0})
     assert session.expand_pairs(0, ("T",), "in") == [(7, new[0])]
@@ -154,3 +159,7 @@ def test_paper_queries_never_build_it(name, med_small, fin_small):
         assert graph.num_edges and graph.frozen_view.valid
         assert graph._adjacency is None, f"{graph.name}: adjacency built"
         assert graph._pairs is None, f"{graph.name}: pair index built"
+        view = graph.frozen_view
+        assert view._out_segments == {} and view._in_segments == {}, (
+            f"{graph.name}: the tuple path's segments were cut"
+        )

@@ -63,6 +63,17 @@ class TestLogging:
         store.close()
         assert graph_state(recover_graph(target)) == graph_state(g)
 
+    def test_removed_stored_none_stays_removed_after_replay(self, tmp_path):
+        """The removal used to emit no event, so replay resurrected it."""
+        target = tmp_path / "d"
+        g = small_graph()
+        g.set_property(0, "n", None)
+        store = GraphStore.create(target, g)
+        store.graph.remove_property(0, "n")
+        store.close()
+        assert "n" not in store.graph.vertex(0).properties
+        assert graph_state(recover_graph(target)) == graph_state(store.graph)
+
     def test_unflushed_batch_is_lost_without_close(self, tmp_path):
         """Simulated crash: buffered records beyond batch never hit disk."""
         target = tmp_path / "d"

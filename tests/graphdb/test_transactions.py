@@ -175,3 +175,24 @@ def test_rollback_restores_a_stored_none():
     graph.set_property(vid, "fresh", None)
     graph.rollback_transaction()
     assert dict(graph.vertex(vid).properties) == {"kept": None}
+
+
+def test_removing_a_stored_none_is_a_mutation():
+    # "old value None" also used to mean "nothing to remove": the slot
+    # was unset, then the call returned before the epoch bump, the undo
+    # entry and the listener event.
+    graph = PropertyGraph()
+    vid = graph.add_vertex("N", {"kept": None, "other": 1})
+    events = []
+    graph.add_listener(lambda op, args: events.append((op, *args)))
+    view, epoch = graph.freeze(), graph.mutation_epoch
+    graph.begin_transaction()
+    graph.remove_property(vid, "kept")
+    assert dict(graph.vertex(vid).properties) == {"other": 1}
+    assert graph.mutation_epoch > epoch and not view.valid
+    assert ("remove_property", vid, "kept") in events
+    graph.remove_property(vid, "kept")     # absent now: not a mutation
+    graph.remove_property(vid, "unknown")  # never interned: neither
+    assert events.count(("remove_property", vid, "kept")) == 1
+    graph.rollback_transaction()
+    assert dict(graph.vertex(vid).properties) == {"other": 1, "kept": None}

@@ -1,6 +1,8 @@
 """Tests for the rule-engine working state."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.exceptions import SchemaError
 from repro.ontology.model import RelationshipType
@@ -65,6 +67,38 @@ class TestSelection:
         assert sel.props_for("r2", "fwd") == {"p"}
         assert sel.props_for("r2", "rev") == {"q"}
         assert sel.props_for("r3", "fwd") == frozenset()
+
+
+    @given(
+        st.frozensets(
+            st.tuples(
+                st.sampled_from(["r1", "r2", "r3"]),
+                st.sampled_from(["fwd", "rev"]),
+                st.sampled_from(["p", "q", "r", "s"]),
+            )
+        ),
+        st.booleans(),
+    )
+    def test_indexed_props_for_equals_the_scan(self, list_props, select_all):
+        sel = Selection(select_all=select_all, list_props=list_props)
+        twin = Selection(select_all=select_all, list_props=list_props)
+        for rel_id in ("r1", "r2", "r3", "r4"):
+            for direction in ("fwd", "rev"):
+                got = sel.props_for(rel_id, direction)
+                if select_all:
+                    assert got is None
+                    continue
+                assert type(got) is frozenset
+                assert got == frozenset(
+                    p for (r, d, p) in list_props
+                    if r == rel_id and d == direction
+                )
+        # The index is not a fourth field: an indexed selection still
+        # equals, hashes like and prints like one never asked.
+        assert sel == twin and hash(sel) == hash(twin)
+        assert repr(sel) == repr(twin)
+        with pytest.raises(AttributeError):
+            sel.list_props = frozenset()
 
 
 class TestSchemaState:

@@ -12,7 +12,11 @@ that by the book::
 
 The parent is checked out with ``git worktree add`` into a temporary
 directory that is removed on exit; nothing is written into the
-repository but the git-ignored ``benchmarks/e2e/out/``.  Each side is
+repository but the git-ignored ``benchmarks/e2e/out/``.  Where
+worktrees cannot be made, ``--parent-dir PATH`` in place of
+``--parent REV`` measures a checkout that already exists (a ``git
+clone`` or ``git archive`` of the parent) and leaves it as it is but
+for that checkout's own ``benchmarks/e2e/out/``.  Each side is
 measured by *its own* copy of the benchmark, started with the command
 ``BENCHMARK.json`` declares - this tool runs the benchmark, it never
 edits or re-implements it.  It prints every run made, then per
@@ -171,7 +175,12 @@ def print_tables(title: str, rows: list[dict]) -> None:
 
 def parse_args(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--parent", required=True, help="revision to compare with")
+    parent = parser.add_mutually_exclusive_group(required=True)
+    parent.add_argument("--parent", help="revision to compare with")
+    parent.add_argument(
+        "--parent-dir", type=Path,
+        help="an existing checkout of the parent, measured where it is",
+    )
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=CLAIM_PAIRS)
     parser.add_argument("--seed", type=int, default=23)
@@ -179,6 +188,8 @@ def parse_args(argv=None):
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
+    if args.parent_dir is not None and not args.parent_dir.is_dir():
+        parser.error(f"--parent-dir {args.parent_dir}: not a directory")
     return args
 
 
@@ -208,11 +219,16 @@ def main(argv=None) -> int:
     failed = {side: [0, 0] for side in SIDES}
     problems = []
     try:
-        commit = git("rev-parse", "--short=12", args.parent)
-        with parent_checkout(commit) as checkout:
+        if args.parent_dir is not None:
+            parent = str(args.parent_dir)
+            checked_out = contextlib.nullcontext(args.parent_dir.resolve())
+        else:
+            parent = git("rev-parse", "--short=12", args.parent)
+            checked_out = parent_checkout(parent)
+        with checked_out as checkout:
             roots = {"parent": checkout, "change": ROOT}
             print(
-                f"# ab_pairs parent={commit} change=working tree "
+                f"# ab_pairs parent={parent} change=working tree "
                 f"workload={args.workload} seed={args.seed} "
                 f"pairs={args.pairs} seconds={manifest['run_seconds']} "
                 f"smoke={args.smoke}"
@@ -242,7 +258,7 @@ def main(argv=None) -> int:
     print()
     print_tables(
         f"{args.workload}, seed {args.seed}, {args.pairs} alternating "
-        f"pair(s), parent {commit}" + (" (smoke)" if args.smoke else ""),
+        f"pair(s), parent {parent}" + (" (smoke)" if args.smoke else ""),
         [
             judge(metric, values["parent"][metric["name"]],
                   values["change"][metric["name"]])
