@@ -15,16 +15,14 @@ from repro.optimizer.costmodel import CostBenefitModel
 from repro.bench.harness import MICROBENCH_THRESHOLDS
 
 
-def test_knapsack_ablation(benchmark, med, fin):
+def test_knapsack_ablation(med, fin):
     def run():
         tables = []
         for dataset in (med, fin):
             tables.append(run_knapsack_ablation(dataset))
         return tables
 
-    med_table, fin_table = benchmark.pedantic(
-        run, rounds=1, iterations=1
-    )
+    med_table, fin_table = run()
     report(med_table, "ablation_knapsack_med.txt")
     report(fin_table, "ablation_knapsack_fin.txt")
     for table in (med_table, fin_table):
@@ -34,7 +32,7 @@ def test_knapsack_ablation(benchmark, med, fin):
             assert fptas >= greedy - 0.05
 
 
-def test_rule_family_contribution(benchmark, med, fin):
+def test_rule_family_contribution(med, fin):
     def run():
         table = ExperimentTable(
             "Benefit share per relationship-rule family",
@@ -63,7 +61,7 @@ def test_rule_family_contribution(benchmark, med, fin):
                 )
         return table
 
-    table = benchmark.pedantic(run, rounds=1, iterations=1)
+    table = run()
     report(table, "ablation_rule_families.txt")
     shares = {
         (row[0], row[1]): row[3] for row in table.rows

@@ -11,10 +11,8 @@ from conftest import report
 from repro.bench.harness import run_jaccard_sweep
 
 
-def test_fig10_jaccard_sweep_fin(benchmark, fin):
-    table = benchmark.pedantic(
-        run_jaccard_sweep, args=(fin,), rounds=1, iterations=1
-    )
+def test_fig10_jaccard_sweep_fin(fin):
+    table = run_jaccard_sweep(fin)
     report(table, "fig10_jaccard_fin.txt")
     for value in table.column("RC BR"):
         assert value >= 0.6

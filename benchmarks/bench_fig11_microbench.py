@@ -15,10 +15,8 @@ from repro.bench.harness import run_microbenchmark
 from repro.workload.queries import query_class
 
 
-def test_fig11_microbenchmark(benchmark, med, fin):
-    table = benchmark.pedantic(
-        run_microbenchmark, args=([med, fin],), rounds=1, iterations=1
-    )
+def test_fig11_microbenchmark(med, fin):
+    table = run_microbenchmark([med, fin])
     report(table, "fig11_microbench.txt")
 
     by_query = {}

@@ -12,11 +12,8 @@ from conftest import report
 from repro.bench.harness import run_workload_experiment
 
 
-def test_fig12_workload(benchmark, med, fin):
-    table = benchmark.pedantic(
-        run_workload_experiment, args=([med, fin],),
-        rounds=1, iterations=1,
-    )
+def test_fig12_workload(med, fin):
+    table = run_workload_experiment([med, fin])
     report(table, "fig12_workload.txt")
     speedups = {}
     for dataset, backend, direct_ms, opt_ms, ratio in table.rows:

@@ -10,10 +10,8 @@ from conftest import report
 from repro.bench.harness import run_space_sweep
 
 
-def test_fig8_space_sweep_med(benchmark, med):
-    table = benchmark.pedantic(
-        run_space_sweep, args=(med,), rounds=1, iterations=1
-    )
+def test_fig8_space_sweep_med(med):
+    table = run_space_sweep(med)
     report(table, "fig8_space_med.txt")
     rc = table.column("RC BR")
     cc = table.column("CC BR")

@@ -9,10 +9,8 @@ from conftest import report
 from repro.bench.harness import run_space_sweep
 
 
-def test_fig9_space_sweep_fin(benchmark, fin):
-    table = benchmark.pedantic(
-        run_space_sweep, args=(fin,), rounds=1, iterations=1
-    )
+def test_fig9_space_sweep_fin(fin):
+    table = run_space_sweep(fin)
     report(table, "fig9_space_fin.txt")
     rc = table.column("RC BR")
     cc = table.column("CC BR")

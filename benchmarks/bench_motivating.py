@@ -12,10 +12,8 @@ from conftest import report
 from repro.bench.harness import run_motivating
 
 
-def test_motivating_examples(benchmark):
-    table = benchmark.pedantic(
-        run_motivating, kwargs={"scale": 1.0}, rounds=1, iterations=1
-    )
+def test_motivating_examples():
+    table = run_motivating(scale=1.0)
     report(table, "motivating.txt")
     for row in table.rows:
         assert row[4] > 1.0, f"{row[0]} should win on the optimized PG"

@@ -50,7 +50,7 @@ def _cc_with_scores(dataset, scores, budget, model):
     return model.benefit_ratio(selected)
 
 
-def test_pagerank_ablation(benchmark, med, fin):
+def test_pagerank_ablation(med, fin):
     def run():
         table = ExperimentTable(
             "CC quality: OntologyPR vs vanilla PageRank",
@@ -77,7 +77,7 @@ def test_pagerank_ablation(benchmark, med, fin):
                 )
         return table
 
-    table = benchmark.pedantic(run, rounds=1, iterations=1)
+    table = run()
     report(table, "ablation_pagerank.txt")
     # Both variants must produce valid selections; OntologyPR should
     # not be systematically worse.

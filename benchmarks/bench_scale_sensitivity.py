@@ -15,7 +15,7 @@ from repro.graphdb.backends import NEO4J_LIKE
 from repro.workload.runner import run_queries
 
 
-def test_scale_sensitivity(benchmark, med, fin):
+def test_scale_sensitivity(med, fin):
     def run():
         table = ExperimentTable(
             "Speedup vs data scale (neo4j-like, ms simulated)",
@@ -41,7 +41,7 @@ def test_scale_sensitivity(benchmark, med, fin):
                 )
         return table
 
-    table = benchmark.pedantic(run, rounds=1, iterations=1)
+    table = run()
     report(table, "scale_sensitivity.txt")
     by_query: dict[str, list[float]] = {}
     for row in table.rows:

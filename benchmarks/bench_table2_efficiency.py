@@ -12,10 +12,8 @@ from conftest import report
 from repro.bench.harness import run_efficiency
 
 
-def test_table2_efficiency(benchmark, med, fin):
-    table = benchmark.pedantic(
-        run_efficiency, args=([med, fin],), rounds=1, iterations=1
-    )
+def test_table2_efficiency(med, fin):
+    table = run_efficiency([med, fin])
     report(table, "table2_efficiency.txt")
 
     by_dataset = {}

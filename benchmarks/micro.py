@@ -1,0 +1,497 @@
+#!/usr/bin/env python3
+"""Micro-benchmarks for what ``benchmarks/e2e`` cannot see -> BENCH_micro.json.
+
+``BENCHMARK.json``'s per-layer metrics already time parse, plan, both
+executors, the loaders, freeze, statistics, snapshots, the WAL,
+recovery and the wire on every PR; tier-1 tests already state what is
+deterministic (planner never loses, zero re-plans).  What is left has
+no e2e workload that would notice it, and lives here, in four sections:
+
+* ``paths`` - the tuple and the batch executor on one query each of
+  seven shapes (MED-DIR, frozen): per-query medians of both, their
+  ratio, and the mode the batch leg really ran in;
+* ``derived`` - first-use cost of state no e2e workload ever builds:
+  the tuple path's segments on a frozen graph, the dict adjacency of a
+  bulk-loaded one, the dict PageRank kernel at graph size;
+* ``group_commit`` - fsyncs per commit at 1 / 8 / 32 remote writers;
+* ``budgets`` - what switched-off instrumentation may cost: the
+  observe registry disabled against no-op handles (< 2 %), a traced
+  query against an untraced one (< 10 %), disarmed failpoints against
+  pass-throughs (< 2 %), and metrics on against off as information.
+
+Everything is timed by one loop on the e2e benchmark's clock (wall
+time divided by the host's slowdown at that moment,
+``e2e/hostspeed.py``), summarized by one estimator (median and
+inter-quartile range) and written as ``{name, unit, median, iqr, n,
+extra}`` rows under one environment header.  Legs that are compared
+run as alternating pairs inside this process and the *ratio's* median
+and IQR are reported; a budget whose IQR straddles it reads
+``resolved: false`` - not a pass the host cannot support.  Comparing
+two commits is ``tools/ab_pairs.py``'s job, so there is no
+``--compare``.
+
+    python3 benchmarks/micro.py [--out PATH] [--only SECTION] [--smoke]
+
+``--smoke`` runs every row once at scale 0.25 (CI's complexity canary:
+no timing gate, nothing written unless ``--out`` is given).  Exit 0
+means every row was produced and no gate failed: the batch leg of a
+``paths`` row ran vectorized, 32 writers share under 0.25 fsync per
+commit, no resolved budget is exceeded.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import sys
+import tempfile
+import threading
+from contextlib import contextmanager
+from pathlib import Path
+from time import perf_counter
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+for _path in (ROOT / "src", ROOT / "benchmarks" / "e2e"):
+    if str(_path) not in sys.path:
+        sys.path.insert(0, str(_path))
+
+from hostspeed import HostSpeed  # noqa: E402
+from run import git_commit  # noqa: E402
+from workloads import ServerThread  # noqa: E402
+
+from repro.bench.harness import build_pipeline  # noqa: E402
+from repro.datasets import build_fin, build_med  # noqa: E402
+from repro.graphdb import connect, faults, observe  # noqa: E402
+from repro.graphdb.api import result as result_mod  # noqa: E402
+from repro.graphdb.backends import NEO4J_LIKE  # noqa: E402
+from repro.graphdb.graph import PropertyGraph  # noqa: E402
+from repro.graphdb.query.executor import Executor  # noqa: E402
+from repro.graphdb.query.vectorized import ExecutionReport  # noqa: E402
+from repro.graphdb.server import GraphServer, ServerConfig  # noqa: E402
+from repro.graphdb.session import GraphSession  # noqa: E402
+from repro.graphdb.storage import GraphStore  # noqa: E402
+from repro.graphdb.storage.wal import WriteAheadLog  # noqa: E402
+from repro.optimizer.pagerank import pagerank  # noqa: E402
+
+SMOKE_SCALE = 0.25
+#: Executions per timed sample of a ``paths`` query: one is too short
+#: for the host-speed readings (25 ms apart) to land near it.
+RUNS_PER_SAMPLE = 40
+WRITERS = (1, 8, 32)
+COMMITS_EACH = 8
+#: How long the group committer lingers for more commits.  At the
+#: server's default of 0 this host's fsync ends before the next
+#: writer's transaction arrives, and every count reads 1.0.
+GROUP_WINDOW_S = 0.005
+MAX_FSYNC_PER_COMMIT = 0.25
+#: The ``paths`` shapes the batch path refuses today, and why (string
+#: equality does not vectorize): the row then shows what the refused
+#: attempt costs the default executor.  Every other shape must run
+#: vectorized.
+REFUSED = {"full_label_scan": "object-column"}
+
+
+class Bench:
+    """The timing loop, the estimator and the row shape - one each."""
+
+    def __init__(self, host: HostSpeed, smoke: bool):
+        self.host = host
+        self.smoke = smoke
+        self.scale = SMOKE_SCALE if smoke else 1.0
+        self.rows: list[dict] = []
+        self.failures: list[str] = []
+
+    def time(self, legs, rounds: int) -> list:
+        """Run every leg once untimed (plan caches, statistics, lazy
+        state), then once per round in an order that alternates from
+        round to round; corrected seconds, one array per leg."""
+        for leg in legs:
+            leg()
+        marks: list[list] = [[] for _ in legs]
+        order = range(len(legs))
+        for turn in range(1 if self.smoke else rounds):
+            for i in order if turn % 2 == 0 else reversed(order):
+                start = perf_counter()
+                legs[i]()
+                marks[i].append((start, perf_counter()))
+        return [self.host.correct(*zip(*pairs)) for pairs in marks]
+
+    @staticmethod
+    def quartiles(samples) -> tuple[float, float, float]:
+        q1, median, q3 = np.percentile(samples, (25, 50, 75))
+        return float(q1), float(median), float(q3)
+
+    def row(self, name: str, unit: str, samples, **extra) -> dict:
+        q1, median, q3 = self.quartiles(samples)
+        entry = {
+            "name": name, "unit": unit, "median": round(median, 4),
+            "iqr": round(q3 - q1, 4), "n": len(samples), "extra": extra,
+        }
+        self.rows.append(entry)
+        notes = " ".join(f"{key}={value}" for key, value in extra.items())
+        print(f"{name:42s} {median:10.4f} {unit:13s} iqr {q3 - q1:.4f} "
+              f"n={len(samples)} {notes}")
+        return entry
+
+    def ratio_row(self, name: str, legs, rounds: int, budget=None,
+                  **extra) -> None:
+        """``legs[0] / legs[1]`` over alternating pairs, against a
+        budget where there is one."""
+        variant, base = self.time(legs, rounds)
+        ratios = variant / base
+        q1, median, q3 = self.quartiles(ratios)
+        self.row(
+            name, "ratio", ratios, budget=budget,
+            resolved=budget is None or not q1 <= budget <= q3,
+            q1=round(q1, 4), q3=round(q3, 4), **extra,
+        )
+        if budget is not None and q1 > budget and not self.smoke:
+            self.failures.append(
+                f"{name}: {median:.4f} (quartiles {q1:.4f}-{q3:.4f}) "
+                f"against a budget of {budget}"
+            )
+
+
+# ----------------------------------------------------------------------
+# paths: tuple against batch, shape by shape
+# ----------------------------------------------------------------------
+def paths(bench: Bench) -> None:
+    graph = build_pipeline(build_med(), scale=bench.scale).dir_graph
+    # The largest label, so a scan examines the most rows there are.
+    label = max(graph.labels(), key=graph.label_count)
+    sample = graph.vertex(graph.vertices_with_label(label)[0]).properties
+    prop, value = next(iter(sample.items()))
+    text = next(k for k, v in sample.items() if isinstance(v, str))
+    shapes = {
+        "full_label_scan":
+            f"MATCH (x:{label}) WHERE x.{prop} = {value!r} RETURN count(*)",
+        "label_project_scan": f"MATCH (x:{label}) RETURN count(x.{prop})",
+        "filtered_sum_aggregate":
+            "MATCH (s:Study) WHERE s.cohortSize > 0 RETURN sum(s.cohortSize)",
+        "string_project_scan": f"MATCH (x:{label}) RETURN x.{text}",
+        "grouped_count": f"MATCH (x:{label}) RETURN x.{text}, count(*)",
+        "expand_collect_size":
+            "MATCH (p:Patient)-[:takes]->(d:Drug) "
+            "RETURN size(collect(d.name))",
+        "two_hop_expand":
+            "MATCH (p:Patient)-[:takes]->(d:Drug)-[:treat]->(i:Indication) "
+            "RETURN count(*)",
+    }
+    batch = Executor(GraphSession(graph, NEO4J_LIKE))
+    tuples = Executor(GraphSession(graph, NEO4J_LIKE), vectorize=False)
+    runs = 1 if bench.smoke else RUNS_PER_SAMPLE
+
+    def leg(executor, query):
+        def run():
+            for _ in range(runs):
+                executor.run(query)
+        return run
+
+    for name, query in shapes.items():
+        report = ExecutionReport()
+        rows = len(list(batch.stream(query, {}, report=report)[3]))
+        fast, slow = bench.time([leg(batch, query), leg(tuples, query)], 15)
+        _, tuple_us, _ = bench.quartiles(slow / runs * 1e6)
+        q1, ratio, q3 = bench.quartiles(slow / fast)
+        bench.row(
+            f"paths.{name}", "us", fast / runs * 1e6, mode=report.mode,
+            reason=report.fallback_reason, tuple_us=round(tuple_us, 1),
+            ratio=round(ratio, 2), ratio_iqr=round(q3 - q1, 2), rows=rows,
+        )
+        if report.fallback_reason != REFUSED.get(name):
+            bench.failures.append(
+                f"paths.{name}: the batch leg ran {report.mode} "
+                f"({report.fallback_reason}), not as recorded in REFUSED"
+            )
+
+
+# ----------------------------------------------------------------------
+# derived: state the first reader builds
+# ----------------------------------------------------------------------
+def derived(bench: Bench) -> None:
+    graph = build_pipeline(build_fin(), scale=bench.scale).dir_graph
+    size = {"vertices": graph.num_vertices, "edges": graph.num_edges}
+    view = graph.freeze()
+    session = GraphSession(graph)
+
+    def segments_build():
+        view._out_segments.clear()      # as freeze leaves them
+        view._in_segments.clear()
+        session.expand_pairs(0, (), "any")
+
+    def adjacency_build():
+        graph._adjacency = None         # as a bulk load leaves it
+        graph.out_edges(0)
+
+    neighbours: dict[int, list[int]] = {
+        v.vid: [] for v in graph.iter_vertices()
+    }
+    for edge in graph.iter_edges():
+        neighbours[edge.src].append(edge.dst)
+        neighbours[edge.dst].append(edge.src)
+    converged: dict[str, int] = {}
+
+    def pagerank_kernel():
+        converged["iterations"] = pagerank(neighbours, tol=1e-8)[1]
+
+    for fn, extra in (
+        (segments_build, {"edge_types": len(view.edge_types())}),
+        (adjacency_build, {}),
+        (pagerank_kernel, converged),
+    ):
+        (samples,) = bench.time([fn], 7)
+        bench.row(
+            f"derived.{fn.__name__}", "ms", samples * 1e3,
+            dataset="fin-dir", **size, **extra,
+        )
+
+
+# ----------------------------------------------------------------------
+# group_commit: fsyncs per commit under concurrent remote writers
+# ----------------------------------------------------------------------
+def group_commit(bench: Bench) -> None:
+    def histogram() -> np.ndarray:
+        snap = observe.REGISTRY.snapshot()["histograms"][
+            "repro_wal_group_commit_batch_size"
+        ]
+        return np.array([snap["count"], snap["sum"]])   # fsyncs, commits
+
+    for writers in WRITERS[:2] if bench.smoke else WRITERS:
+        errors: list[BaseException] = []
+        counts: list[np.ndarray] = []
+        with tempfile.TemporaryDirectory() as tmp:
+            GraphStore.create(Path(tmp) / "data", PropertyGraph("gc")).close()
+            database = connect(Path(tmp) / "data")
+            server = ServerThread(database)     # builds a default config
+            server.server = GraphServer(
+                database, ServerConfig(port=0, group_window=GROUP_WINDOW_S)
+            )
+            url = server.start()
+
+            def write(idx: int, barrier) -> None:
+                try:
+                    with connect(url) as db, db.session() as session:
+                        barrier.wait()
+                        for i in range(COMMITS_EACH):
+                            with session.begin_tx() as tx:
+                                tx.add_vertex("W", {"w": idx, "i": i})
+                                tx.commit()
+                except BaseException as exc:  # noqa: BLE001 - raised below
+                    errors.append(exc)
+
+            def burst() -> None:
+                before = histogram()
+                barrier = threading.Barrier(writers)
+                threads = [
+                    threading.Thread(target=write, args=(i, barrier))
+                    for i in range(writers)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(120)
+                counts.append(histogram() - before)
+
+            try:
+                (seconds,) = bench.time([burst], 5)
+            finally:
+                stopped = server.stop()
+                database.close()
+        if errors:
+            raise errors[0]
+        fsyncs, commits = np.array(counts[1:]).T    # [0] is the warm-up
+        if not stopped or (commits != writers * COMMITS_EACH).any():
+            raise RuntimeError(
+                f"{writers} writers committed {commits.tolist()} per burst; "
+                f"server thread stopped: {stopped}"
+            )
+        entry = bench.row(
+            f"group_commit.writers_{writers}", "fsync/commit",
+            fsyncs / commits, commits=int(commits.sum()),
+            fsyncs=int(fsyncs.sum()), group_window_s=GROUP_WINDOW_S,
+            commits_per_s=round(bench.quartiles(commits / seconds)[1], 1),
+        )
+        if writers == WRITERS[-1] and entry["median"] >= MAX_FSYNC_PER_COMMIT:
+            bench.failures.append(
+                f"{entry['name']}: {entry['median']} fsync/commit, "
+                f"the ceiling is {MAX_FSYNC_PER_COMMIT}"
+            )
+
+
+# ----------------------------------------------------------------------
+# budgets: what instrumentation that is switched off may cost
+# ----------------------------------------------------------------------
+POINT_QUERY = "MATCH (d:Drug {id: $id}) RETURN d.name"
+EXPAND_QUERY = (
+    "MATCH (d:Drug {grp: $g})-[:treats]->(c:Condition) RETURN d.name, c.cid"
+)
+
+
+class _Noop:
+    """Stands in for a Counter / Gauge / Histogram handle."""
+
+    def inc(self, *args) -> None:
+        pass
+
+    observe = set = inc
+
+
+@contextmanager
+def patched(values: dict):
+    """``{(owner, attribute): value}`` set for the length of one leg."""
+    saved = {key: getattr(*key) for key in values}
+    for key, value in values.items():
+        setattr(*key, value)
+    try:
+        yield
+    finally:
+        for key, value in saved.items():
+            setattr(*key, value)
+
+
+def budgets(bench: Bench) -> None:
+    graph = PropertyGraph("budgets")
+    drugs = [
+        graph.add_vertex("Drug", {"id": i, "name": f"d{i}", "grp": i % 20})
+        for i in range(1000)
+    ]
+    conditions = [graph.add_vertex("Condition", {"cid": i}) for i in range(200)]
+    for i, drug in enumerate(drugs):
+        for step in (1, 7, 31):
+            graph.add_edge(drug, conditions[i * step % 200], "treats")
+    graph.create_property_index("Drug", "id")
+    graph.create_property_index("Drug", "grp")
+
+    registry = observe.REGISTRY
+    enabled = {(registry, "enabled"): True}
+    disabled = {(registry, "enabled"): False}
+    noop = _Noop()
+    # The handles the driver updates once per query, as raw no-ops.
+    bare = {
+        **disabled,
+        (result_mod, "_QUERIES"): noop,
+        (result_mod, "_QUERY_ROWS"): noop,
+        (result_mod, "_QUERY_SECONDS"): noop,
+        (registry.plans, "record"): noop.inc,
+    }
+    passthrough = {
+        (faults, "fire"): lambda point: None,
+        (faults, "write"): lambda point, fh, data: fh.write(data),
+        (faults, "retrying"): lambda op, what: op(),
+    }
+    # A leg is ~20 ms: on a shared host longer legs meet more of its
+    # stalls and their ratios spread wider, not narrower.
+    scale = 0.05 if bench.smoke else 1.0
+
+    with connect(graph) as db, db.session() as session:
+        def points(patches: dict):
+            """Hot indexed point queries: ~40 us each, so a per-query
+            counter update is as visible as it will ever be."""
+            def run():
+                with patched(patches):
+                    for i in range(int(500 * scale)):
+                        session.run(POINT_QUERY, id=i % 1000).consume()
+            return run
+
+        def expands(traced: bool):
+            """A two-step expansion returning ~150 rows."""
+            def run():
+                for i in range(int(60 * scale)):
+                    session.run(EXPAND_QUERY, g=i % 20, trace=traced).consume()
+            return run
+
+        bench.ratio_row(
+            "budgets.observe_disabled_vs_noop",
+            [points(disabled), points(bare)], 40, budget=1.02,
+        )
+        bench.ratio_row(
+            "budgets.observe_traced_vs_untraced",
+            [expands(True), expands(False)], 40, budget=1.10,
+        )
+        bench.ratio_row(
+            "budgets.observe_enabled_vs_disabled",
+            [points(enabled), points(disabled)], 40,
+        )
+
+    # On tmpfs where there is one: a disk's fsync is most of this leg
+    # and all of its spread, and against the CPU-only path the hooks'
+    # share is at its largest - a budget held here holds on a disk.
+    shm = "/dev/shm" if Path("/dev/shm").is_dir() else None
+    with tempfile.TemporaryDirectory(dir=shm) as tmp:
+        def appends(patches: dict):
+            """WAL appends in batch-sync mode: every flush passes four
+            failpoint hooks."""
+            def run():
+                with patched(patches):
+                    path = Path(tmp) / "budget.rpgw"
+                    path.unlink(missing_ok=True)
+                    wal = WriteAheadLog(path, generation=1, sync="batch")
+                    for i in range(int(8000 * scale)):
+                        wal.append("set_property", (i % 1000, "w", float(i)))
+                    wal.close()
+            return run
+
+        faults.REGISTRY.reset()
+        bench.ratio_row(
+            "budgets.failpoints_disarmed_vs_passthrough",
+            [appends({}), appends(passthrough)], 40, budget=1.02,
+            failpoints=len(faults.registered_failpoints()),
+        )
+
+
+SECTIONS = {
+    "paths": paths, "derived": derived,
+    "group_commit": group_commit, "budgets": budgets,
+}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--out", type=Path)
+    parser.add_argument("--only", choices=sorted(SECTIONS), metavar="SECTION")
+    parser.add_argument("--smoke", action="store_true")
+    args = parser.parse_args(argv)
+    out = args.out or (None if args.smoke else ROOT / "BENCH_micro.json")
+
+    host = HostSpeed()
+    bench = Bench(host, args.smoke)
+    host.start()
+    started = perf_counter()
+    try:
+        for name in [args.only] if args.only else SECTIONS:
+            SECTIONS[name](bench)
+    finally:
+        host.stop()
+    ended = perf_counter()
+    header = {
+        "suite": "micro",
+        "commit": git_commit(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "nproc": os.cpu_count(),
+        "cpus": ",".join(map(str, sorted(os.sched_getaffinity(0)))),
+        "smoke": args.smoke,
+        "scale": bench.scale,
+        "seconds": round(ended - started, 1),
+        "host.slowdown_p50": round(host.slowdown(started, ended), 3),
+    }
+    print("# " + " ".join(f"{key}={value}" for key, value in header.items()))
+    if out is not None:
+        out.write_text(
+            json.dumps({"header": header, "rows": bench.rows}, indent=2) + "\n"
+        )
+        print(f"wrote {out}")
+    for failure in bench.failures:
+        sys.stderr.write(f"benchmarks/micro: {failure}\n")
+    return 1 if bench.failures else 0
+
+
+if __name__ == "__main__":
+    # One CPU for every thread, as benchmarks/e2e/run.py pins itself:
+    # hand-overs between two virtual CPUs are this host's noisiest cost.
+    os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
+    raise SystemExit(main())

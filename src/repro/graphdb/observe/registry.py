@@ -8,8 +8,8 @@ import time** - exactly like the failpoint catalog in
 one ``enabled`` check plus one locked add.  Disabling the registry
 (``REPRO_OBSERVE=off`` or ``registry.enabled = False``) turns every
 update into the check alone, which is what keeps the disabled-path
-overhead inside the same <2% budget the failpoint hooks met
-(``benchmarks/bench_observe.py`` enforces it).
+overhead inside the same <2% budget the failpoint hooks have
+(the ``budgets`` rows of ``benchmarks/micro.py`` measure both).
 
 Design points:
 

@@ -463,13 +463,15 @@ def static_reason(query: Query, plan: Plan, graph=None) -> str | None:
     """Why EXPLAIN (which never executes) should render ``mode=tuple``
     (None: it predicts the batch path).
 
-    With ``graph``, schema-dependent fallbacks are predicted too:
-    object/mixed columns behind comparisons and numeric folds, bool
-    constants, and a missing frozen view ahead of CSR expansion.
-    Parameter-dependent fallbacks (a ``$param`` bound to a string,
-    int-precision edge cases) stay runtime decisions - EXPLAIN is
-    optimistic there and ``EXPLAIN ANALYZE`` / result summaries report
-    what actually ran.
+    With ``graph``, what the schema and the query's literals decide is
+    predicted too: object/mixed columns behind comparisons and numeric
+    folds, bool, non-numeric and out-of-range literal constants, and a
+    missing frozen view ahead of CSR expansion.  What depends on the
+    data or on a ``$param`` stays a run-time decision - a parameter's
+    value, and a float literal against an int64 column, which falls
+    back only when the column's value *range* passes 2**53 - so
+    EXPLAIN is optimistic there and ``EXPLAIN ANALYZE`` / result
+    summaries report what actually ran.
     """
     if not plan.batchable:
         return "plan"
@@ -480,41 +482,67 @@ def static_reason(query: Query, plan: Plan, graph=None) -> str | None:
 
 
 def _schema_reason(query: Query, plan: Plan, graph) -> str | None:
-    # Props whose values get compared or added, not just read.
-    needs_value = [
-        node.args[0].prop
-        for item in query.return_items
-        for node in walk(item.expr)
-        if isinstance(node, FuncCall)
-        and node.name in _NUMERIC_FOLDS
-        and isinstance(node.args[0], PropertyRef)
-        and plan.slot_kinds.get(node.args[0].var) == "vertex"
-    ]
-    consts: list[tuple[str, object]] = []  # (prop, constant) checks
-    has_expand = False
+    """The refusals :func:`build_pipeline` raises from table metadata
+    and literals alone, found in the order it raises them."""
     for step in plan.steps:
+        scan = isinstance(step, ScanStep)
+        compared: list[tuple[str, object]] = []
         for f in step.filters:
-            _filter_consts(f, consts)
-        if isinstance(step, ScanStep):
-            consts.extend(step.check_props)
-        else:
-            has_expand = True
-            consts.extend(plan.node_specs[step.to_var].props.items())
-    if has_expand and graph.frozen_view is None:
-        return "no-frozen-view"
-    for name in needs_value:
-        reason = _BOXED_REASONS.get(_schema_kind(graph, name))
-        if reason is not None:
-            return reason
-    for name, value in consts:
-        if isinstance(value, Parameter) or value is None:
-            continue
-        if isinstance(value, bool):
-            return "bool-value"
-        reason = _BOXED_REASONS.get(_schema_kind(graph, name))
-        if reason is not None:
-            return reason
+            _filter_consts(f, compared)
+        node_map = (
+            step.check_props if scan
+            else plan.node_specs[step.to_var].props.items()
+        )
+        # A scan compiles its filters first, an expansion its far
+        # node's map first and its CSR arrays last.
+        checks = [(compared, False), (node_map, True)]
+        for consts, equality in checks if scan else reversed(checks):
+            for name, value in consts:
+                if value is None or isinstance(value, Parameter):
+                    continue    # nothing to refuse before run time
+                reason = _const_reason(
+                    _schema_kind(graph, name), value, equality
+                )
+                if reason is not None:
+                    return reason
+        if not scan and graph.frozen_view is None:
+            return "no-frozen-view"
+    for item in query.return_items:
+        for node in walk(item.expr):
+            # A fold that compares or adds values, not just reads them.
+            if (
+                isinstance(node, FuncCall)
+                and node.name in _NUMERIC_FOLDS
+                and isinstance(node.args[0], PropertyRef)
+                and plan.slot_kinds.get(node.args[0].var) == "vertex"
+            ):
+                kind = _schema_kind(graph, node.args[0].prop)
+                if kind in _BOXED_REASONS:
+                    return _BOXED_REASONS[kind]
     return None
+
+
+def _const_reason(kind: str, value: object, equality: bool) -> str | None:
+    """What :func:`_check_const` (a mask kernel's constant) or, under
+    ``equality``, :func:`_eq_spec` (a node-map entry) refuses knowing
+    only the column's kind, in the order they raise."""
+    if kind == "absent":
+        return None     # every read is null: no values to compare
+    if kind in _BOXED_REASONS:
+        return _BOXED_REASONS[kind]
+    if isinstance(value, bool):
+        return "bool-value"
+    if isinstance(value, int):
+        if not -(2 ** 63) <= value < 2 ** 63:
+            # No stored int64 equals it: a node map just matches nothing.
+            exact = equality and kind == KIND_INT
+            return None if exact else "int-precision"
+        if kind == KIND_FLOAT and abs(value) > _EXACT_FLOAT_INT:
+            return "int-precision"
+        return None
+    if isinstance(value, float) or equality:
+        return None     # a string never equals a stored number
+    return "non-numeric-value"
 
 
 def _filter_consts(expr: Expr, consts: list) -> None:

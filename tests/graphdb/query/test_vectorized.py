@@ -348,6 +348,20 @@ class TestStaticModeFidelity:
         ("MATCH (n) WHERE n.either > 1 RETURN n.x", "mixed-kind"),
         ("MATCH (n) RETURN max(n.either) AS m", "mixed-kind"),
         ("MATCH (n:P) WHERE n.x = true RETURN n.x", "bool-value"),
+        # Literal constants a kernel cannot compare exactly: one per
+        # refusal `_check_const` makes from the column kind alone ...
+        ("MATCH (n:P) WHERE n.x > 'a' RETURN n.x", "non-numeric-value"),
+        (f"MATCH (n:P) WHERE n.x < {2**63} RETURN n.x", "int-precision"),
+        (f"MATCH (n:P) WHERE n.f < {2**53 + 1} RETURN n.x", "int-precision"),
+        # ... and `_eq_spec`'s for a node map, where a constant no
+        # stored number can equal matches nothing instead of refusing.
+        (f"MATCH (n:P {{f: {2**63}}}) RETURN n.x", "int-precision"),
+        (f"MATCH (n:P {{x: {2**63}}}) RETURN n.x", None),
+        ("MATCH (n:P {x: 'a'}) RETURN n.x", None),
+        # The column's kind is checked before the constant's, and a
+        # never-stored key needs no constant check at all.
+        ("MATCH (n:P) WHERE n.flag = true RETURN n.x", "object-column"),
+        ("MATCH (n:P) WHERE n.nokey = true RETURN n.x", None),
     ]
 
     def check(self, graph, query, reason, label):
@@ -365,7 +379,8 @@ class TestStaticModeFidelity:
         vids = [
             g.add_vertex(
                 "P",
-                {"x": i, "name": f"n{i}", "flag": bool(i % 2), "either": i},
+                {"x": i, "name": f"n{i}", "flag": bool(i % 2), "either": i,
+                 "f": i + 0.5},
             )
             for i in range(8)
         ]
