@@ -157,8 +157,8 @@ class ResultSummary:
         #: batch path) or ``"tuple"`` (the generator pipeline).
         self.mode = mode
         #: Why a ``"tuple"`` execution did not take the batch path
-        #: (``repro_vectorized_fallback_total``'s reason label, or
-        #: ``"plan"`` / ``"disabled"``); ``None`` when it did.
+        #: (the batch compiler's refusal, or ``"disabled"``); ``None``
+        #: when it did.
         self.fallback_reason = fallback_reason
         self._plan = plan
         self._plan_actual = plan_actual

@@ -31,6 +31,16 @@ with ``cost_based=False`` to force the legacy syntactic ordering.
 :meth:`Executor.explain` renders the chosen plan; with
 ``analyze=True`` it also runs the query and pairs each step's
 estimated row count with the rows it actually produced.
+
+Which pipeline executes a plan - these generators, or the batch
+operators of :mod:`~repro.graphdb.query.vectorized` - is settled by
+one function, :meth:`Executor._batch_pipeline`: it asks the batch
+compiler for this execution's pipeline and takes its refusal as the
+answer.  Running a query and EXPLAINing it both go through it, so the
+``mode=`` line EXPLAIN prints is the verdict the run would reach; a
+refusal that follows from the query and plan alone is remembered
+beside the cached plan, one that depends on the data, the frozen view
+or the parameters never is.
 """
 
 from __future__ import annotations
@@ -135,6 +145,17 @@ class QueryResult:
 
 
 RowFn = Callable[[Binding], object]
+
+
+@dataclass
+class _Prepared:
+    """What the plan cache holds per (query, statistics epoch)."""
+
+    query: Query
+    plan: Plan
+    #: Why the batch compiler refuses this pair whatever the data and
+    #: the parameters are (``Refusal.shape``); None until it has.
+    refusal: str | None = None
 
 
 class _Evaluator:
@@ -462,10 +483,10 @@ class Executor:
     plan cache) and falls back to the legacy syntactic ordering - the
     baseline the planner benchmarks compare against.
     ``vectorize=False`` pins every execution to the tuple-at-a-time
-    generator pipeline; by default, plans the planner marked
-    ``batchable`` run through the batch pipeline in
-    :mod:`~repro.graphdb.query.vectorized` when the query's values
-    also qualify, falling back per execution otherwise.
+    generator pipeline; by default an execution runs the batch
+    pipeline of :mod:`~repro.graphdb.query.vectorized` whenever its
+    compiler accepts it (see :meth:`_batch_pipeline`), and this one
+    otherwise.
     """
 
     def __init__(
@@ -483,8 +504,7 @@ class Executor:
         query: Query | str,
         parameters: dict[str, object] | None = None,
     ) -> QueryResult:
-        query, plan = self._prepare(query)
-        return self._execute(query, plan, parameters)
+        return self._execute(self._prepare(query), parameters)
 
     def stream(
         self,
@@ -518,15 +538,15 @@ class Executor:
         :class:`~repro.graphdb.query.vectorized.ExecutionReport`)
         receives which pipeline path this execution took and why.
         """
-        query, plan = self._prepare(query, trace)
+        prepared = self._prepare(query, trace)
+        plan = prepared.plan
         if step_counts is not None and not step_counts:
             step_counts.extend([0] * len(plan.steps))
         if trace is not None:
             trace.step_times = [0.0] * len(plan.steps)
             trace.begin_execute()
         columns, rows = self._start(
-            query,
-            plan,
+            prepared,
             parameters,
             step_counts,
             guard,
@@ -534,11 +554,11 @@ class Executor:
             report=report,
             chunks=chunks,
         )
-        return query, plan, columns, rows
+        return prepared.query, plan, columns, rows
 
     def _prepare(
         self, query: Query | str, trace: Trace | None = None
-    ) -> tuple[Query, Plan]:
+    ) -> _Prepared:
         """Parse and plan, consulting the per-graph plan cache.
 
         The cache key is the query text, or - AST nodes are frozen
@@ -577,14 +597,50 @@ class Executor:
             plan = build_plan(
                 parsed, graph, statistics=stats, cost_based=self.cost_based
             )
+        prepared = _Prepared(parsed, plan)
         if key is not None:
-            stats.plan_cache.put(key, stats.epoch, (parsed, plan))
-        return parsed, plan
+            stats.plan_cache.put(key, stats.epoch, prepared)
+        return prepared
+
+    def _batch_pipeline(
+        self,
+        prepared: _Prepared,
+        params: dict[str, object],
+        report: object | None = None,
+        **run_args: object,
+    ):
+        """The one gate to the batch path: this execution's compiled
+        ``(columns, rows, chunked)``, or ``None`` with the reason on
+        ``report``.
+
+        The batch compiler decides, by compiling.  A refusal that
+        follows from the query and plan alone is kept with the
+        plan-cache entry, so a plan it cannot run pays for finding
+        that out once per planning; any other (a column's kind, a
+        missing frozen view, a parameter's value) is this execution's
+        only.  Compiling charges no counter and produces no row, which
+        is what lets EXPLAIN call this and drop the pipeline.
+        """
+        reason = prepared.refusal if self.vectorize else "disabled"
+        if reason is None:
+            from repro.graphdb.query import vectorized
+
+            try:
+                return vectorized.build_pipeline(
+                    prepared.query, prepared.plan, self.session, params,
+                    report=report, **run_args,
+                )
+            except vectorized.Refusal as refusal:
+                reason = refusal.reason
+                if refusal.shape:
+                    prepared.refusal = reason
+        if report is not None:
+            report.reason = reason
+        return None
 
     def _start(
         self,
-        query: Query,
-        plan: Plan,
+        prepared: _Prepared,
         parameters: dict[str, object] | None,
         step_counts: list[int] | None = None,
         guard: ExecutionGuard | None = None,
@@ -593,21 +649,14 @@ class Executor:
         chunks: bool = False,
     ) -> tuple[list[str], Iterator[tuple]]:
         """Compile one execution: ``(columns, lazy row iterator)``."""
+        query, plan = prepared.query, prepared.plan
         params = _validate_params(query, parameters)
-        rows, chunked = None, False
-        if self.vectorize and plan.batchable:
-            from repro.graphdb.query import vectorized
-
-            pipeline = vectorized.build_pipeline(
-                query, plan, self.session, params,
-                guard=guard, step_counts=step_counts,
-                step_times=step_times, report=report,
-            )
-            if pipeline is not None:
-                columns, rows, chunked = pipeline
-        elif report is not None:
-            report.reason = "plan" if self.vectorize else "disabled"
-        if rows is None:
+        chunked = False
+        pipeline = self._batch_pipeline(
+            prepared, params, report, guard=guard,
+            step_counts=step_counts, step_times=step_times,
+        )
+        if pipeline is None:
             _QUERY_PATHS.inc("tuple")
             evaluator = _Evaluator(self.session, plan, params)
             stream = self._match_stream(
@@ -621,6 +670,7 @@ class Executor:
             columns, rows = self._project(query, stream, evaluator)
         else:
             _QUERY_PATHS.inc("vectorized")
+            columns, rows, chunked = pipeline
         if chunked and chunks and report is not None and not (
             query.distinct or query.order_by or guard and guard.armed
         ):
@@ -640,14 +690,13 @@ class Executor:
 
     def _execute(
         self,
-        query: Query,
-        plan: Plan,
+        prepared: _Prepared,
         parameters: dict[str, object] | None = None,
         step_counts: list[int] | None = None,
         report: object | None = None,
     ) -> QueryResult:
         columns, row_iter = self._start(
-            query, plan, parameters, step_counts, report=report
+            prepared, parameters, step_counts, report=report
         )
         rows = list(row_iter)
         metrics = self.session.reset_metrics()
@@ -662,7 +711,9 @@ class Executor:
         analyze: bool = False,
         parameters: dict[str, object] | None = None,
     ) -> str:
-        """Render the plan (steps, access paths, pushed predicates).
+        """Render the plan (steps, access paths, pushed predicates)
+        and, as its last line, the execution path: ``mode=vectorized``
+        or ``mode=tuple reason=<why>``.
 
         ``analyze=True`` additionally *executes* the query, counting
         the bindings each step produced, and renders estimated vs
@@ -671,26 +722,30 @@ class Executor:
         the pipeline really pulled, not the full match.  Parameterized
         queries EXPLAIN without bindings; ANALYZE needs ``parameters``
         because it runs the query.
+
+        The mode line is :meth:`_batch_pipeline`'s verdict on the
+        graph as it is now, not a prediction.  With the run's
+        ``parameters`` it is the run's exactly; a ``$param`` it was
+        not given can refuse nothing, so the line is then what a run
+        with an acceptable value would report.
         """
-        query, plan = self._prepare(query)
+        prepared = self._prepare(query)
         from repro.graphdb.query import vectorized
 
-        if not analyze:
-            reason = (
-                vectorized.static_reason(query, plan, self.session.graph)
-                if self.vectorize else "disabled"
-            )
-            return plan.describe(
-                mode="tuple" if reason else "vectorized", reason=reason
-            )
-        counts = [0] * len(plan.steps)
         report = vectorized.ExecutionReport()
-        if not self.vectorize:
-            report.reason = "disabled"
-        self._execute(
-            query, plan, parameters, step_counts=counts, report=report
-        )
-        return plan.describe(
+        counts = None
+        if analyze:
+            counts = [0] * len(prepared.plan.steps)
+            self._execute(
+                prepared, parameters, step_counts=counts, report=report
+            )
+        else:
+            params = dict.fromkeys(
+                parameters_used(prepared.query), vectorized.UNBOUND
+            )
+            params.update(parameters or {})
+            self._batch_pipeline(prepared, params, report)
+        return prepared.plan.describe(
             actual=counts, mode=report.mode, reason=report.fallback_reason
         )
 

@@ -58,6 +58,11 @@ The planner also owns two jobs the executor used to do per row:
 Plans built from query *text* are cached per graph in the statistics
 object's LRU plan cache, keyed on ``(query text, stats epoch)`` - see
 :class:`~repro.graphdb.statistics.PlanCache`.
+
+A plan says *what* to match and in which order, never *how* it will be
+executed: steps carry no marking for any execution strategy, and which
+pipeline runs a plan is decided where the pipelines are built (see
+:mod:`~repro.graphdb.query.executor`).
 """
 
 from __future__ import annotations
@@ -75,8 +80,6 @@ from repro.graphdb.query.ast import (
     Expr,
     Literal,
     NodePattern,
-    NotOp,
-    NullCheck,
     Parameter,
     PropertyRef,
     Query,
@@ -148,10 +151,6 @@ class ScanStep:
     filters: tuple[Expr, ...] = ()
     #: Estimated bindings produced (None when planned syntactically).
     est_rows: float | None = None
-    #: Whether the vectorized executor has a batch operator for this
-    #: step's shape (set by :func:`_mark_batchable` after filter
-    #: attachment; value-dependent fallbacks stay the executor's call).
-    batchable: bool = False
 
 
 @dataclass(frozen=True)
@@ -167,8 +166,6 @@ class ExpandStep:
     walk_direction: str = "out"
     filters: tuple[Expr, ...] = ()
     est_rows: float | None = None
-    #: See :attr:`ScanStep.batchable`.
-    batchable: bool = False
 
 
 @dataclass(frozen=True)
@@ -179,8 +176,6 @@ class JoinCheckStep:
     rel_slot: int | None = None
     filters: tuple[Expr, ...] = ()
     est_rows: float | None = None
-    #: Join checks have no batch operator yet; always False.
-    batchable: bool = False
 
 
 @dataclass
@@ -275,25 +270,6 @@ class Plan:
             self._fingerprint = digest.hexdigest()[:12]
         return self._fingerprint
 
-    @property
-    def batchable(self) -> bool:
-        """Whether every step qualifies for the vectorized pipeline.
-
-        Step-level flags are set by :func:`_mark_batchable`; the plan
-        additionally requires the single-scan pipeline shape (one
-        leading scan, expansions after - no cartesian products, whose
-        memoized re-scan semantics the batch path does not model).
-        """
-        steps = self.steps
-        return (
-            bool(steps)
-            and isinstance(steps[0], ScanStep)
-            and all(step.batchable for step in steps)
-            and not any(
-                isinstance(step, ScanStep) for step in steps[1:]
-            )
-        )
-
     def describe(
         self,
         actual: list[int] | None = None,
@@ -304,9 +280,10 @@ class Plan:
 
         ``actual`` (per-step binding counts collected by
         ``EXPLAIN ANALYZE``) adds an estimated-vs-actual column.
-        ``mode`` appends the execution path (``vectorized``/``tuple``)
-        the executor chose - or, for plain EXPLAIN, predicts - for
-        this plan, and ``reason`` why that path is the tuple one.
+        ``mode`` / ``reason`` append the executor's verdict as a last
+        line: the execution path it ran this plan on - or, for plain
+        EXPLAIN, would run it on - and why not the other one.  The
+        planner has no say in either; it only renders them.
         """
         lines = []
         for i, (step, text) in enumerate(zip(self.steps, self.step_texts())):
@@ -414,63 +391,7 @@ def build_plan(
 
     steps, slots, slot_kinds, bound_after = _emit_steps(ops, specs, graph)
     _attach_filters(steps, bound_after, residual)
-    _mark_batchable(steps, slot_kinds)
     return Plan(steps, specs, slots, slot_kinds, ordering)
-
-
-# ----------------------------------------------------------------------
-# Batchability marking (vectorized-executor qualification)
-# ----------------------------------------------------------------------
-#: Comparison operators the mask-kernel compiler implements.
-_MASKABLE_OPS = frozenset({"=", "<>", "<", "<=", ">", ">="})
-
-
-def _mark_batchable(steps: list, slot_kinds: dict[str, str]) -> None:
-    """Flag the steps the vectorized executor has operators for.
-
-    Purely structural: label/all scans (index scans keep the tuple
-    path - their candidate sets are already tiny), plain single-hop
-    expansions, and pushed filters the mask-kernel compiler can shape
-    into single-column predicates over *vertex* properties.  Whether
-    the columns involved are actually numeric (or a parameter resolves
-    to a comparable value) is data the planner does not see; those
-    fallbacks happen per execution in
-    :mod:`~repro.graphdb.query.vectorized`.
-    """
-    for i, step in enumerate(steps):
-        if isinstance(step, ScanStep):
-            ok = step.access in ("label", "all")
-        elif isinstance(step, ExpandStep):
-            ok = step.edge.is_plain_hop
-        else:
-            continue  # join checks stay tuple-only
-        if ok and all(
-            _maskable(f, slot_kinds) for f in step.filters
-        ):
-            steps[i] = replace(step, batchable=True)
-
-
-def _maskable(expr: Expr, slot_kinds: dict[str, str]) -> bool:
-    """Whether one pushed predicate compiles to a batch mask kernel."""
-    if isinstance(expr, Comparison):
-        if expr.op not in _MASKABLE_OPS:
-            return False
-        sides = (expr.lhs, expr.rhs)
-        consts = [s for s in sides if isinstance(s, (Literal, Parameter))]
-        refs = [s for s in sides if isinstance(s, PropertyRef)]
-        if len(consts) != 1 or len(refs) != 1:
-            return False
-        return slot_kinds.get(refs[0].var) == "vertex"
-    if isinstance(expr, NullCheck):
-        return (
-            isinstance(expr.expr, PropertyRef)
-            and slot_kinds.get(expr.expr.var) == "vertex"
-        )
-    if isinstance(expr, BoolOp):
-        return all(_maskable(op, slot_kinds) for op in expr.operands)
-    if isinstance(expr, NotOp):
-        return _maskable(expr.operand, slot_kinds)
-    return False
 
 
 # ----------------------------------------------------------------------

@@ -2,10 +2,9 @@
 
 The tuple executor in :mod:`~repro.graphdb.query.executor` interprets
 one binding at a time through a chain of Python generators.  This
-module provides the batch alternative: plans whose every step the
-planner marked ``batchable`` (see ``Plan.batchable``) are compiled
-into a pipeline of operators that each process a :class:`Batch` - a
-set of parallel vid/eid arrays plus a selection mask - using numpy
+module provides the batch alternative: :func:`build_pipeline` compiles
+a plan into a pipeline of operators that each process a :class:`Batch`
+- a set of parallel vid/eid arrays plus a selection mask - using numpy
 kernels over the columnar core's flat arrays:
 
 * **Fused filter+project scans** gather an entire
@@ -42,18 +41,27 @@ evicted before the call ends, so repeats hit, first touches decide the
 misses and last touches the recency order; a call that does not fit
 runs the per-touch loop itself.
 
-:func:`build_pipeline` returns ``None`` instead of a pipeline
-whenever any part of the query cannot be vectorized without changing
-semantics: object-typed (string, bool, list, mixed) columns behind a
-comparison or a numeric fold - returning, grouping on, counting and
-collecting them is fine, they are gathered as they are - parameters
-resolved to non-numeric values, ``LIMIT`` without ``ORDER BY`` (whose
-short-circuit laziness batch execution would coarsen), aggregates of
-anything but one leaf, int64 ranges where float promotion loses
-precision, plans that expand without a valid frozen view.  Every
-fallback is counted per reason in ``repro_vectorized_fallback_total``
-and the executor reports the path that actually ran as
-``mode=vectorized|tuple`` in EXPLAIN and traces.
+**One gate.**  Whether a query can run here is decided in one place:
+the compile itself.  Every construct the batch path has no operator
+for raises :class:`Refusal` at the site that would have to compile it
+- a step list that is not one label/all scan followed by plain hops
+and a predicate that is not a single vertex column against a constant
+(``plan``), ``LIMIT`` without ``ORDER BY``, whose short-circuit
+laziness batch execution would coarsen (``limit``), a RETURN item
+that is not a leaf or an aggregate of one (``return-shape`` /
+``aggregate-shape`` / ``unbound-variable``) - and every value the
+kernels cannot treat exactly as the tuple path does raises in the one
+guard that looks at it: object-typed (string, bool, list, mixed)
+columns behind a comparison or a numeric fold - returning, grouping
+on, counting and collecting them is fine, they are gathered as they
+are - constants that are not numbers, int64 ranges where float
+promotion loses precision, an expansion without a valid frozen view.
+Nothing qualifies a plan ahead of the compile and nothing predicts
+its outcome beside it: the executor runs :func:`build_pipeline` to
+execute, runs it and drops the result to EXPLAIN, and remembers a
+refusal marked :attr:`Refusal.shape` with the cached plan.  A query
+with several causes reports the first one the compile meets, on both
+surfaces.
 """
 
 from __future__ import annotations
@@ -63,7 +71,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.graphdb import observe
 from repro.graphdb.columnar import KIND_FLOAT, KIND_INT
 from repro.graphdb.query.ast import (
     AGGREGATE_FUNCTIONS,
@@ -81,7 +88,6 @@ from repro.graphdb.query.ast import (
     Star,
     Variable,
     contains_aggregate,
-    walk,
 )
 from repro.graphdb.query.executor import (
     EdgeBinding,
@@ -93,16 +99,6 @@ from repro.graphdb.query.executor import (
 )
 from repro.graphdb.query.functions import apply_aggregate, apply_scalar
 from repro.graphdb.query.planner import ExpandStep, Plan, ScanStep
-
-_FALLBACKS = observe.REGISTRY.labeled_counter(
-    "repro_vectorized_fallback_total",
-    "reason",
-    "Batchable plans that fell back to tuple execution, per reason.",
-)
-_BATCHES = observe.REGISTRY.counter(
-    "repro_vectorized_batches_total",
-    "Batches processed by the vectorized pipeline.",
-)
 
 #: Rows per scan batch.  Large enough to amortize kernel dispatch,
 #: small enough that a batch's column slices stay cache-resident.
@@ -124,8 +120,8 @@ class ExecutionReport:
     """Which path one execution took, and why, settled per run."""
 
     mode: str = "tuple"
-    #: Fallback reason when a batchable plan ran tuple (None when the
-    #: plan was never batchable or the vectorized path ran).
+    #: Why the batch path was not taken: the compile's refusal, or
+    #: ``"disabled"`` (None when the vectorized path ran).
     reason: str | None = None
     batches: int = 0
     #: ``stream(chunks=True)`` yields ``(n, column lists)``, not rows.
@@ -137,13 +133,32 @@ class ExecutionReport:
         return self.reason if self.mode == "tuple" else None
 
 
-class _Fallback(Exception):
-    """Raised during pipeline *construction* only - never mid-batch,
-    so a fallback can never leave half-charged metrics behind."""
+#: The refusals that follow from the query and its plan alone: those
+#: the executor may remember with the cached plan.  Every other one
+#: depends on column kinds, the frozen view or this run's parameters,
+#: and is found out again by every execution.
+_SHAPE_REASONS = frozenset({
+    "plan", "limit", "return-shape", "aggregate-shape", "unbound-variable",
+})
+
+
+class Refusal(Exception):
+    """The batch path cannot run this execution, and why.
+
+    Raised during pipeline *construction* only - never mid-batch, so
+    a refusal can never leave half-charged metrics behind.
+    """
 
     def __init__(self, reason: str):
         super().__init__(reason)
         self.reason = reason
+        self.shape = reason in _SHAPE_REASONS
+
+
+#: What EXPLAIN binds a ``$param`` it was not given to: the constant
+#: guards (:func:`_check_const`, :func:`_eq_spec`) let it through, so
+#: an unknown value refuses nothing - the pipeline is dropped unrun.
+UNBOUND = object()
 
 
 # ----------------------------------------------------------------------
@@ -161,24 +176,15 @@ class _Column:
     never stored; reads are None everywhere).
     """
 
-    __slots__ = (
-        "kind", "values", "present", "has_tids", "examined",
-        "vmin", "vmax",
-    )
+    __slots__ = ("kind", "values", "present", "has_tids", "vmin", "vmax")
 
-    def __init__(self, kind, values, present, has_tids, examined, vmin, vmax):
+    def __init__(self, kind, values, present, has_tids, vmin, vmax):
         self.kind = kind
         self.values = values
         self.present = present
         #: Table ids that materialized a column for this key (drives
         #: scan_rows' column-missing charging shortcut).
         self.has_tids = has_tids
-        #: tid -> live rows within the column's *raw* (unpadded)
-        #: extent.  scan_rows zips vids against the lazily-padded
-        #: mask, so with a non-None target the rows past the mask's
-        #: end are never examined - and never charged.  Batch scans
-        #: must charge the same truncated count.
-        self.examined = examined
         self.vmin = vmin
         self.vmax = vmax
 
@@ -195,7 +201,7 @@ class GraphArrays:
         self.graph = graph
         self.epoch = graph.mutation_epoch
         self.nslots = len(graph._v_tid)
-        self.v_tid = np.asarray(graph._v_tid, dtype=np.int64)
+        self._v_tid = None
         self._columns: dict[str, _Column] = {}
         self._label_vids: dict[str, object] = {}
         self._table_vids: dict[int, object] = {}
@@ -228,7 +234,7 @@ class GraphArrays:
         if not parts:
             return _Column(
                 "absent", None, np.zeros(self.nslots, dtype=bool),
-                has_tids, {}, None, None,
+                has_tids, None, None,
             )
         if kinds == {KIND_INT}:
             kind, dtype = KIND_INT, np.int64
@@ -242,11 +248,8 @@ class GraphArrays:
             np.empty(self.nslots, dtype=object) if dtype is object
             else np.zeros(self.nslots, dtype=dtype)
         )
-        examined: dict[int, int] = {}
         for tid, table, col in parts:
             vids = np.asarray(table.vids, dtype=np.int64)
-            cap = min(len(vids), len(col.mask), len(col.data))
-            examined[tid] = int(np.count_nonzero(vids[:cap] >= 0))
             mask = np.zeros(len(vids), dtype=bool)
             if col.mask:
                 nn = col.notnull_mask()
@@ -275,11 +278,15 @@ class GraphArrays:
             selected = values[present]
             vmin = selected.min().item()
             vmax = selected.max().item()
-        return _Column(
-            kind, values, present, has_tids, examined, vmin, vmax
-        )
+        return _Column(kind, values, present, has_tids, vmin, vmax)
 
     # -- vid sets ------------------------------------------------------
+    def v_tid(self):
+        """vid -> table id (every row of a table shares one label set)."""
+        if self._v_tid is None:
+            self._v_tid = np.asarray(self.graph._v_tid, dtype=np.int64)
+        return self._v_tid
+
     def label_vids(self, label: str):
         cached = self._label_vids.get(label)
         if cached is None:
@@ -320,7 +327,7 @@ class GraphArrays:
             return cached
         view = self.graph.frozen_view
         if view is None:
-            raise _Fallback("no-frozen-view")
+            raise Refusal("no-frozen-view")
         arrays = dict(view.iter_csr(direction))
         cached = (arrays, list(arrays))
         self._csr[direction] = cached
@@ -361,8 +368,15 @@ def _charge_pages(session, kind: str, vids, dedup: bool) -> None:
     session.charge_pages(kind, pages.tolist())
 
 
+def _charge_reads(session, vids) -> None:
+    """One property read and one vertex-page touch per row of
+    ``vids``: what ``GraphSession.property_reader`` charges a call."""
+    session.metrics.property_reads += len(vids)
+    _charge_pages(session, "v", vids, dedup=False)
+
+
 # ----------------------------------------------------------------------
-# Static qualification
+# Aggregate shapes
 # ----------------------------------------------------------------------
 #: Aggregates whose fold compares or adds values: they need a typed
 #: (int64/float64) column, where count/collect only read.
@@ -372,65 +386,6 @@ _NUMERIC_FOLDS = frozenset({"sum", "min", "max", "avg"})
 _BOXED_REASONS = {"object": "object-column", "mixed": "mixed-kind"}
 #: What the streaming :class:`_Aggregator` folds batch by batch.
 _STREAMED_FOLDS = _NUMERIC_FOLDS | {"count"}
-
-
-def query_fallback_reason(query: Query, plan: Plan) -> str | None:
-    """Why this query's *shape* cannot vectorize (None = it can).
-
-    Plan-shape qualification is the planner's job (``Plan.batchable``);
-    this covers the clauses the plan does not describe: LIMIT, the
-    RETURN surface, and variables the plan never binds.
-    """
-    if query.limit is not None and not query.order_by:
-        # Batch granularity would coarsen LIMIT's short-circuit
-        # laziness (and the work counters that pin it down).  Under
-        # ORDER BY there is no laziness to lose - every row must be
-        # produced before the executor's shared top-k heap
-        # (``Executor._order``) picks the first ``limit`` - so ORDER
-        # BY + LIMIT runs the batch pipeline and feeds the same heap.
-        return "limit"
-    grouped = [contains_aggregate(item.expr) for item in query.return_items]
-    # A non-aggregate item is a plain RETURN item, or - beside
-    # aggregates - a grouping key: a row-level leaf either way.
-    otherwise = "aggregate-shape" if any(grouped) else "return-shape"
-    for item, group_level in zip(query.return_items, grouped):
-        if group_level:
-            reason = _group_reason(item.expr, plan)
-        else:
-            reason = _leaf_reason(item.expr, plan, otherwise)
-        if reason is not None:
-            return reason
-    # ORDER BY / DISTINCT need no check: the executor's shared tail
-    # (sort, dedupe) works on produced rows, identically per path.
-    return None
-
-
-def _leaf_reason(expr: Expr, plan: Plan, otherwise: str) -> str | None:
-    if isinstance(expr, (Literal, Parameter)):
-        return None
-    if isinstance(expr, Variable):
-        return _bound_reason(expr.name, plan)
-    if isinstance(expr, PropertyRef):
-        return _bound_reason(expr.var, plan)
-    return otherwise
-
-
-def _group_reason(expr: Expr, plan: Plan) -> str | None:
-    """A group-level item: scalar calls over aggregates over leaves."""
-    if not isinstance(expr, FuncCall):
-        return _leaf_reason(expr, plan, "aggregate-shape")
-    if expr.name in SCALAR_FUNCTIONS:
-        for arg in expr.args:
-            reason = _group_reason(arg, plan)
-            if reason is not None:
-                return reason
-        return None
-    if expr.name not in AGGREGATE_FUNCTIONS or len(expr.args) != 1:
-        return "aggregate-shape"
-    arg = expr.args[0]
-    if isinstance(arg, Star):
-        return None if expr.name == "count" else "aggregate-shape"
-    return _leaf_reason(arg, plan, "aggregate-shape")
 
 
 def plain_aggregates(query: Query, plan: Plan) -> bool:
@@ -455,148 +410,29 @@ def plain_aggregates(query: Query, plan: Plan) -> bool:
     return True
 
 
-def _bound_reason(var: str, plan: Plan) -> str | None:
-    return None if var in plan.slots else "unbound-variable"
-
-
-def static_reason(query: Query, plan: Plan, graph=None) -> str | None:
-    """Why EXPLAIN (which never executes) should render ``mode=tuple``
-    (None: it predicts the batch path).
-
-    With ``graph``, what the schema and the query's literals decide is
-    predicted too: object/mixed columns behind comparisons and numeric
-    folds, bool, non-numeric and out-of-range literal constants, and a
-    missing frozen view ahead of CSR expansion.  What depends on the
-    data or on a ``$param`` stays a run-time decision - a parameter's
-    value, and a float literal against an int64 column, which falls
-    back only when the column's value *range* passes 2**53 - so
-    EXPLAIN is optimistic there and ``EXPLAIN ANALYZE`` / result
-    summaries report what actually ran.
-    """
-    if not plan.batchable:
-        return "plan"
-    reason = query_fallback_reason(query, plan)
-    if reason is None and graph is not None:
-        reason = _schema_reason(query, plan, graph)
-    return reason
-
-
-def _schema_reason(query: Query, plan: Plan, graph) -> str | None:
-    """The refusals :func:`build_pipeline` raises from table metadata
-    and literals alone, found in the order it raises them."""
-    for step in plan.steps:
-        scan = isinstance(step, ScanStep)
-        compared: list[tuple[str, object]] = []
-        for f in step.filters:
-            _filter_consts(f, compared)
-        node_map = (
-            step.check_props if scan
-            else plan.node_specs[step.to_var].props.items()
-        )
-        # A scan compiles its filters first, an expansion its far
-        # node's map first and its CSR arrays last.
-        checks = [(compared, False), (node_map, True)]
-        for consts, equality in checks if scan else reversed(checks):
-            for name, value in consts:
-                if value is None or isinstance(value, Parameter):
-                    continue    # nothing to refuse before run time
-                reason = _const_reason(
-                    _schema_kind(graph, name), value, equality
-                )
-                if reason is not None:
-                    return reason
-        if not scan and graph.frozen_view is None:
-            return "no-frozen-view"
-    for item in query.return_items:
-        for node in walk(item.expr):
-            # A fold that compares or adds values, not just reads them.
-            if (
-                isinstance(node, FuncCall)
-                and node.name in _NUMERIC_FOLDS
-                and isinstance(node.args[0], PropertyRef)
-                and plan.slot_kinds.get(node.args[0].var) == "vertex"
-            ):
-                kind = _schema_kind(graph, node.args[0].prop)
-                if kind in _BOXED_REASONS:
-                    return _BOXED_REASONS[kind]
-    return None
-
-
-def _const_reason(kind: str, value: object, equality: bool) -> str | None:
-    """What :func:`_check_const` (a mask kernel's constant) or, under
-    ``equality``, :func:`_eq_spec` (a node-map entry) refuses knowing
-    only the column's kind, in the order they raise."""
-    if kind == "absent":
-        return None     # every read is null: no values to compare
-    if kind in _BOXED_REASONS:
-        return _BOXED_REASONS[kind]
-    if isinstance(value, bool):
-        return "bool-value"
-    if isinstance(value, int):
-        if not -(2 ** 63) <= value < 2 ** 63:
-            # No stored int64 equals it: a node map just matches nothing.
-            exact = equality and kind == KIND_INT
-            return None if exact else "int-precision"
-        if kind == KIND_FLOAT and abs(value) > _EXACT_FLOAT_INT:
-            return "int-precision"
-        return None
-    if isinstance(value, float) or equality:
-        return None     # a string never equals a stored number
-    return "non-numeric-value"
-
-
-def _filter_consts(expr: Expr, consts: list) -> None:
-    if isinstance(expr, Comparison):
-        for ref, const in ((expr.lhs, expr.rhs), (expr.rhs, expr.lhs)):
-            if isinstance(ref, PropertyRef) and isinstance(const, Literal):
-                if const.value is not None:
-                    consts.append((ref.prop, const.value))
-    elif isinstance(expr, BoolOp):
-        for operand in expr.operands:
-            _filter_consts(operand, consts)
-    elif isinstance(expr, NotOp):
-        _filter_consts(expr.operand, consts)
-    # NullCheck needs presence only: every column kind qualifies.
-
-
-def _schema_kind(graph, name: str) -> str:
-    """The global column kind, from table metadata alone (no arrays)."""
-    sid = graph._symbols.sid(name)
-    kinds = set()
-    if sid is not None:
-        for table in graph._tables:
-            col = table.columns.get(sid)
-            if col is not None:
-                kinds.add(col.kind)
-    if not kinds:
-        return "absent"
-    if kinds == {KIND_INT}:
-        return KIND_INT
-    if kinds == {KIND_FLOAT}:
-        return KIND_FLOAT
-    return "object" if len(kinds) == 1 else "mixed"
-
-
 # ----------------------------------------------------------------------
 # Constant guards
 # ----------------------------------------------------------------------
 def _check_const(col: _Column, value: object) -> None:
-    """Reject (via fallback) constants numpy cannot compare exactly."""
-    if value is None:
-        return  # null-is-false: the kernel returns zeros after charging
+    """Refuse a comparison numpy cannot make exactly as ``compare``."""
+    if value is None or value is UNBOUND or col.kind == "absent":
+        # A null constant or a never-stored key needs no values
+        # (null-is-false for every op): every column kind qualifies.
+        return
+    _require_typed(col)
     if isinstance(value, bool):
-        raise _Fallback("bool-value")
+        raise Refusal("bool-value")
     if isinstance(value, int):
         if not (-(2 ** 63) <= value < 2 ** 63):
-            raise _Fallback("int-precision")
+            raise Refusal("int-precision")
         if col.kind == KIND_FLOAT and abs(value) > _EXACT_FLOAT_INT:
-            raise _Fallback("int-precision")
+            raise Refusal("int-precision")
         return
     if isinstance(value, float):
         if col.kind == KIND_INT and not _int_range_float_exact(col):
-            raise _Fallback("int-precision")
+            raise Refusal("int-precision")
         return
-    raise _Fallback("non-numeric-value")
+    raise Refusal("non-numeric-value")
 
 
 def _int_range_float_exact(col: _Column) -> bool:
@@ -613,7 +449,7 @@ def _require_typed(col: _Column) -> None:
     """Comparing or adding values needs an int64/float64 column."""
     reason = _BOXED_REASONS.get(col.kind)
     if reason is not None:
-        raise _Fallback(reason)
+        raise Refusal(reason)
 
 
 # ----------------------------------------------------------------------
@@ -631,6 +467,14 @@ class _KernelContext:
         self.slot_kinds = plan.slot_kinds
         self.params = params
 
+    def slot(self, var: str) -> int:
+        """The id column RETURN reads ``var`` from."""
+        slot = self.slots.get(var)
+        if slot is None:
+            # The tuple path raises when (and only if) a row is made.
+            raise Refusal("unbound-variable")
+        return slot
+
 
 def compile_mask(ctx: _KernelContext, expr: Expr):
     """Compile a maskable predicate into ``fn(batch, idx) -> mask``.
@@ -641,8 +485,12 @@ def compile_mask(ctx: _KernelContext, expr: Expr):
     path's short-circuit evaluation exactly: AND operands see only the
     rows that survived earlier operands, OR operands only the rows
     still false, and both sides of a comparison always evaluate.
-    All fallback checks run here, at compile time - compiled kernels
-    cannot fail, so charges are never left half-applied.
+    All refusals happen here, at compile time - compiled kernels
+    cannot fail, so charges are never left half-applied.  A predicate
+    there is no kernel for (anything but one *vertex* property against
+    a literal or parameter, a null check of one, and AND/OR/NOT over
+    those) is refused as ``plan``, like a step there is no operator
+    for: the pushed-down filters are part of the plan's shape.
     """
     if isinstance(expr, Comparison):
         return _compile_comparison(ctx, expr)
@@ -677,21 +525,19 @@ def compile_mask(ctx: _KernelContext, expr: Expr):
     if isinstance(expr, NotOp):
         inner = compile_mask(ctx, expr.operand)
         return lambda batch, idx: ~inner(batch, idx)
-    raise _Fallback("predicate-shape")  # pragma: no cover - planner-gated
+    raise Refusal("plan")
 
 
 def _charged_gather(ctx: _KernelContext, ref: PropertyRef):
     """``fn(batch, idx) -> vids``: read-charge one column per row."""
     slot = ctx.slots.get(ref.var)
     if slot is None or ctx.slot_kinds.get(ref.var) != "vertex":
-        raise _Fallback("predicate-shape")  # pragma: no cover
+        raise Refusal("plan")  # edge properties: dict probes
     session = ctx.session
-    metrics = session.metrics
 
     def gather(batch, idx):
         vids = batch[slot][idx]
-        metrics.property_reads += len(vids)
-        _charge_pages(session, "v", vids, dedup=False)
+        _charge_reads(session, vids)
         return vids
 
     return gather
@@ -700,25 +546,21 @@ def _charged_gather(ctx: _KernelContext, ref: PropertyRef):
 def _compile_comparison(ctx: _KernelContext, expr: Comparison):
     lhs, op, rhs = expr.lhs, expr.op, expr.rhs
     if op not in _COMPARISON_OPS:
-        raise _Fallback("predicate-shape")  # pragma: no cover
+        raise Refusal("plan")
     if isinstance(lhs, PropertyRef) and isinstance(rhs, (Literal, Parameter)):
         ref, const_expr = lhs, rhs
     elif isinstance(rhs, PropertyRef) and isinstance(lhs, (Literal, Parameter)):
         ref, const_expr, op = rhs, lhs, _MIRROR[op]
     else:
-        raise _Fallback("predicate-shape")  # pragma: no cover
+        raise Refusal("plan")
+    gather = _charged_gather(ctx, ref)
     value = (
         _resolve_value(const_expr, ctx.params)
         if isinstance(const_expr, Parameter)
         else const_expr.value
     )
     col = ctx.arrays.column(ref.prop)
-    if value is not None and col.kind != "absent":
-        # A null constant needs no values (null-is-false for every
-        # op), so even object columns stay on the batch path then.
-        _require_typed(col)
-        _check_const(col, value)
-    gather = _charged_gather(ctx, ref)
+    _check_const(col, value)
     if col.kind == "absent" or value is None:
         # Every read is None (or the constant is): null-is-false, but
         # the tuple path still pays the reads before deciding that.
@@ -752,10 +594,9 @@ def _compile_comparison(ctx: _KernelContext, expr: Comparison):
 def _compile_nullcheck(ctx: _KernelContext, expr: NullCheck):
     ref = expr.expr
     if not isinstance(ref, PropertyRef):
-        raise _Fallback("predicate-shape")  # pragma: no cover
-    col = ctx.arrays.column(ref.prop)
+        raise Refusal("plan")
     gather = _charged_gather(ctx, ref)
-    present = col.present
+    present = ctx.arrays.column(ref.prop).present
     if expr.negated:
         return lambda batch, idx: present[gather(batch, idx)]
     return lambda batch, idx: ~present[gather(batch, idx)]
@@ -794,25 +635,25 @@ def _eq_spec(
     col = arrays.column(name)
     if value is None:
         return ("presence", col, None)
-    if col.kind == "absent":
+    if col.kind == "absent" or value is UNBOUND:
         return ("nothing", col, value)
     _require_typed(col)
     if isinstance(value, bool):
-        raise _Fallback("bool-value")
+        raise Refusal("bool-value")
     if isinstance(value, int):
         if not (-(2 ** 63) <= value < 2 ** 63):
             # Beyond int64 it cannot equal a stored int64; a float64
             # column could still hold it exactly, which numpy's
             # promotion would mis-compare.
             if col.kind == KIND_FLOAT:
-                raise _Fallback("int-precision")
+                raise Refusal("int-precision")
             return ("nothing", col, value)
         if col.kind == KIND_FLOAT and abs(value) > _EXACT_FLOAT_INT:
-            raise _Fallback("int-precision")
+            raise Refusal("int-precision")
         return ("compare", col, value)
     if isinstance(value, float):
         if col.kind == KIND_INT and not _int_range_float_exact(col):
-            raise _Fallback("int-precision")
+            raise Refusal("int-precision")
         return ("compare", col, value)
     # Strings/lists/etc. never equal a stored number.
     return ("nothing", col, value)
@@ -932,7 +773,6 @@ def _build_scan(ctx: _KernelContext, step: ScanStep, params, nslots):
                 metrics.vertex_reads += len(vids)
                 continue
             live = len(vids)
-            examined = live
             if primary is not None:
                 mode, col, value = primary_spec
                 if tid not in col.has_tids and value is not None:
@@ -941,12 +781,6 @@ def _build_scan(ctx: _KernelContext, step: ScanStep, params, nslots):
                     # else (no rows examined, no pages touched).
                     metrics.property_reads += live
                     continue
-                if value is not None:
-                    # A non-None target zips against the *unpadded*
-                    # column, so live rows past its raw extent are
-                    # never examined (a None target pads first and
-                    # examines everything).
-                    examined = col.examined.get(tid, live)
                 passing = vids[_eq_mask(mode, col, value, vids)]
             else:
                 passing = vids
@@ -959,8 +793,8 @@ def _build_scan(ctx: _KernelContext, step: ScanStep, params, nslots):
                     break
                 passing = passing[_eq_mask(mode, col, value, passing)]
             if count_labels:
-                metrics.vertex_reads += examined
-            metrics.property_reads += examined * n_props
+                metrics.vertex_reads += live
+            metrics.property_reads += live * n_props
             if len(passing):
                 yield from emit(passing)
 
@@ -1012,13 +846,13 @@ def _build_expand(ctx: _KernelContext, step, spec, params):
             triple = segments.get(sid)
             if triple is not None:
                 ranked.append(triple)
-    tid_ok = None
+    tid_ok = v_tid = None
     if far_labels is not None:
         tid_ok = np.array(
             [far_labels <= table.labels for table in graph._tables],
             dtype=bool,
         )
-    v_tid = arrays.v_tid
+        v_tid = arrays.v_tid()
 
     def op(batch):
         cols, n = batch
@@ -1067,8 +901,7 @@ def _build_expand(ctx: _KernelContext, step, spec, params):
             if not len(alive):
                 break
             sel = nbr[alive]
-            metrics.property_reads += len(sel)
-            _charge_pages(session, "v", sel, dedup=False)
+            _charge_reads(session, sel)
             alive = alive[_eq_mask(mode, col, value, sel)]
         if not len(alive):
             return None
@@ -1102,16 +935,15 @@ def _vertex_prop_reader(
     columns hand out the stored objects themselves, like the tuple
     reader does.
     """
+    slot = ctx.slot(var)
     col = ctx.arrays.column(prop)
     boxed = col.kind in _BOXED_REASONS
-    slot = ctx.slots[var]
     session = ctx.session
 
     def read(cols, n):
         vids = cols[slot]
         if charge:
-            session.metrics.property_reads += n
-            _charge_pages(session, "v", vids, dedup=False)
+            _charge_reads(session, vids)
         if col.kind == "absent":
             return [None] * n
         values = col.values[vids].tolist()
@@ -1132,7 +964,7 @@ def _edge_prop_reader(
     ctx: _KernelContext, var: str, prop: str, charge: bool = True
 ):
     """Batch read of one edge property (sparse dict probes)."""
-    slot = ctx.slots[var]
+    slot = ctx.slot(var)
     session = ctx.session
     e_props = session.graph._e_props
 
@@ -1149,9 +981,15 @@ def _edge_prop_reader(
     return read
 
 
-def _compile_item(ctx: _KernelContext, expr: Expr, charge: bool = True):
+def _compile_item(
+    ctx: _KernelContext,
+    expr: Expr,
+    charge: bool = True,
+    otherwise: str = "return-shape",
+):
     """Compile one row-level leaf into ``fn(cols, n) -> list`` (plain
-    Python output values, one per batch row)."""
+    Python output values, one per batch row).  Anything but a leaf is
+    refused as ``otherwise``: what the caller was compiling."""
     if isinstance(expr, Literal):
         value = expr.value
         return lambda cols, n: [value] * n
@@ -1159,7 +997,7 @@ def _compile_item(ctx: _KernelContext, expr: Expr, charge: bool = True):
         value = _resolve_value(expr, ctx.params)
         return lambda cols, n: [value] * n
     if isinstance(expr, Variable):
-        slot = ctx.slots[expr.name]
+        slot = ctx.slot(expr.name)
         if ctx.slot_kinds[expr.name] == "edge":
             return lambda cols, n: [
                 EdgeBinding(eid) for eid in cols[slot].tolist()
@@ -1168,10 +1006,10 @@ def _compile_item(ctx: _KernelContext, expr: Expr, charge: bool = True):
             VertexBinding(vid) for vid in cols[slot].tolist()
         ]
     if isinstance(expr, PropertyRef):
-        if ctx.slot_kinds[expr.var] == "edge":
+        if ctx.slot_kinds.get(expr.var) == "edge":
             return _edge_prop_reader(ctx, expr.var, expr.prop, charge)
         return _vertex_prop_reader(ctx, expr.var, expr.prop, charge)
-    raise _Fallback("return-shape")  # pragma: no cover - pre-checked
+    raise Refusal(otherwise)
 
 
 class _Aggregator:
@@ -1204,12 +1042,13 @@ class _Aggregator:
 
             def gather(cols, n):
                 vids = cols[slot]
-                session.metrics.property_reads += n
-                _charge_pages(session, "v", vids, dedup=False)
+                _charge_reads(session, vids)
                 return vids
 
             self.read = gather
             self._safe_mag = safe
+        elif isinstance(arg, Variable):
+            ctx.slot(arg.name)  # counted, never read: still must be bound
 
     def update(self, cols, n):
         if self.read is None:  # count(*) / count(var)
@@ -1308,12 +1147,14 @@ def _compile_grouped(items, ctx: _KernelContext):
     readers: list[tuple] = []
 
     def reader(leaf: Expr, whole: bool) -> int:
-        is_prop = isinstance(leaf, PropertyRef)
-        paged = is_prop and ctx.slot_kinds[leaf.var] == "vertex"
         if isinstance(leaf, Star):
             gather = lambda cols, n: [1] * n  # noqa: E731
         else:
-            gather = _compile_item(ctx, leaf, charge=False)
+            gather = _compile_item(
+                ctx, leaf, charge=False, otherwise="aggregate-shape"
+            )
+        is_prop = isinstance(leaf, PropertyRef)
+        paged = is_prop and ctx.slot_kinds[leaf.var] == "vertex"
         readers.append(
             (gather, ctx.slots[leaf.var] if paged else None, is_prop, whole)
         )
@@ -1329,14 +1170,19 @@ def _compile_grouped(items, ctx: _KernelContext):
                 name, [fn(vals, g, lo, hi) for fn in arg_fns]
             )
         if isinstance(expr, FuncCall):
+            # One aggregate of one leaf; only count takes ``*``.
+            if expr.name not in AGGREGATE_FUNCTIONS or len(expr.args) != 1:
+                raise Refusal("aggregate-shape")
             name, arg = expr.name, expr.args[0]
+            if isinstance(arg, Star) and name != "count":
+                raise Refusal("aggregate-shape")
+            i = reader(arg, whole=True)
             if (
                 name in _NUMERIC_FOLDS
                 and isinstance(arg, PropertyRef)
                 and ctx.slot_kinds[arg.var] == "vertex"
             ):
                 _require_typed(ctx.arrays.column(arg.prop))
-            i = reader(arg, whole=True)
             distinct, flatten = expr.distinct, expr.flatten
             return lambda vals, g, lo, hi: apply_aggregate(
                 name, vals[i][lo:hi], distinct=distinct, flatten=flatten
@@ -1344,12 +1190,13 @@ def _compile_grouped(items, ctx: _KernelContext):
         i = reader(expr, whole=False)
         return lambda vals, g, lo, hi: vals[i][g] if hi > lo else None
 
-    fns = [compile_group(item.expr) for item in items]
+    # A grouping key is a row-level leaf, read as the match streams.
     key_reads = [
-        _compile_item(ctx, item.expr)
+        _compile_item(ctx, item.expr, otherwise="aggregate-shape")
         for item in items
         if not contains_aggregate(item.expr)
     ]
+    fns = [compile_group(item.expr) for item in items]
 
     def consume_grouped(batches):
         ids: dict = {}
@@ -1463,44 +1310,59 @@ def build_pipeline(
     step_times: list[float] | None = None,
     report: ExecutionReport | None = None,
 ):
-    """Compile a batchable plan, or fall back with a counted reason.
+    """Compile this execution's batch pipeline, or raise why not.
 
-    Returns ``(columns, rows, chunked)`` on success and ``None`` when
-    any part of this *execution* cannot be vectorized faithfully (the
-    reason lands in ``repro_vectorized_fallback_total`` and on
-    ``report.reason``).  All fallback decisions happen here, before
-    any work-counter charge - a returned pipeline cannot fail over to
-    the tuple path mid-run.
+    Returns ``(columns, rows, chunked)``; raises :class:`Refusal` when
+    any part of the query, or of this *execution* of it, cannot be
+    vectorized faithfully.  This is the only place that is decided:
+    nothing qualifies a plan beforehand, and every refusal happens
+    here, before any work-counter charge and before any row - a
+    returned pipeline cannot fail over to the tuple path mid-run, and
+    dropping it unrun (EXPLAIN does) leaves no trace.
     """
-    try:
-        reason = query_fallback_reason(query, plan)
-        if reason is not None:
-            raise _Fallback(reason)
-        arrays = graph_arrays(session.graph)
-        ctx = _KernelContext(session, arrays, plan, params)
-        nslots = plan.num_slots
-        unsat = False
-        ops = []
-        scan_gen = _build_scan(ctx, plan.steps[0], params, nslots)
-        if scan_gen is _UNSAT:
-            unsat = True
-        else:
-            for step in plan.steps[1:]:
-                op = _build_expand(
-                    ctx, step, plan.node_specs[step.to_var], params
-                )
-                if op is _UNSAT:
-                    # The tuple generators return before pulling
-                    # upstream: zero rows, zero charges.
-                    unsat = True
-                    break
-                ops.append(op)
-        columns, consume, chunked = _compile_output(query, plan, ctx)
-    except _Fallback as fallback:
-        _FALLBACKS.inc(fallback.reason)
-        if report is not None:
-            report.reason = fallback.reason
-        return None
+    steps = plan.steps
+    # The pipeline's shape is one label/all scan (an index scan's
+    # candidates are already few) feeding plain hops: no cartesian
+    # re-scan, join check or variable-length step has an operator.
+    # Asked first, so that a plan refused at step 0 compiles nothing.
+    if not (
+        steps
+        and isinstance(steps[0], ScanStep)
+        and steps[0].access != "index"
+        and all(
+            isinstance(step, ExpandStep) and step.edge.is_plain_hop
+            for step in steps[1:]
+        )
+    ):
+        raise Refusal("plan")
+    if query.limit is not None and not query.order_by:
+        # Batch granularity would coarsen LIMIT's short-circuit
+        # laziness (and the work counters that pin it down).  Under
+        # ORDER BY there is no laziness to lose - every row must be
+        # produced before the executor's shared top-k heap
+        # (``Executor._order``) picks the first ``limit`` - so ORDER
+        # BY + LIMIT runs the batch pipeline and feeds the same heap.
+        raise Refusal("limit")
+    ctx = _KernelContext(session, graph_arrays(session.graph), plan, params)
+    unsat = False
+    ops = []
+    scan_gen = _build_scan(ctx, steps[0], params, plan.num_slots)
+    if scan_gen is _UNSAT:
+        unsat = True
+    else:
+        for step in steps[1:]:
+            op = _build_expand(
+                ctx, step, plan.node_specs[step.to_var], params
+            )
+            if op is _UNSAT:
+                # The tuple generators return before pulling
+                # upstream: zero rows, zero charges.
+                unsat = True
+                break
+            ops.append(op)
+    # ORDER BY / DISTINCT need no compile: the executor's shared tail
+    # (sort, dedupe) works on produced rows, identically per path.
+    columns, consume, chunked = _compile_output(query, plan, ctx)
     if report is not None:
         report.mode = "vectorized"
     if unsat:
@@ -1550,7 +1412,6 @@ def _drive(scan_gen, ops, guard, step_counts, step_times, report):
                     step_counts[i] += batch[1]
             if dropped:
                 continue
-            _BATCHES.inc()
             if report is not None:
                 report.batches += 1
             yield batch

@@ -388,6 +388,10 @@ class GraphSession:
                         ):
                             continue
                     yield vid
+                # Live rows past the column's end are absent: examined
+                # like the rest and (the target is not None, or the
+                # column would have been padded) never a match.
+                examined += sum(vid >= 0 for vid in vids[len(mask):])
             finally:
                 # Charged per examined row: one vertex read when the
                 # label set was checked, one property read per declared

@@ -13,7 +13,9 @@ the pieces the differential tests share:
   (object) column, a list-valued column, a column that promotes to
   object mid-table, and edge properties;
 * :class:`QueryGen` - a seeded random generator over the Cypher subset
-  (scans, 1-2 hop expands in all directions, WHERE trees with
+  (scans, 1-2 hop expands in all directions, the plan shapes the batch
+  path has no operator for - an indexed point read, a ``*1..2`` hop, a
+  triangle closed by a join check - WHERE trees with
   AND/OR/NOT and IS [NOT] NULL, parameters, DISTINCT, ORDER BY, and
   the aggregate forms - global, grouped on up to two keys (null for
   some rows, list-valued, edge properties), ``collect`` and its
@@ -76,6 +78,17 @@ CHAINS_2 = [
     [("Drug", "interacts", "-", "Drug"), ("Drug", "takes", "<", "Patient")],
 ]
 
+#: Plan shapes the batch path has no operator for (with the point read
+#: on the indexed ``Patient.pid``, which any ``pid`` equality draws):
+#: a variable-length hop, and a third hop that lands back on ``a`` - a
+#: cycle, closed by a join check.  Drawn rarely: they run tuple on both
+#: sides, so they test the refusal, not the kernels.
+CHAINS_TUPLE_ONLY = [
+    [("Drug", "interacts*1..2", ">", "Drug")],
+    [("Patient", "takes", ">", "Drug"), ("Drug", "interacts", "-", "Drug"),
+     ("Drug", "takes", "<", "Patient")],
+]
+
 #: edge label -> {prop: kind} (only edges that carry properties).
 EDGE_PROPS = {"takes": {"since": "int"}, "interacts": {"risk": "float"}}
 
@@ -100,7 +113,9 @@ OPS = ("=", "<>", "<", "<=", ">", ">=")
 AGG_FUNCS = ("count", "sum", "min", "max", "avg")
 
 
-def build_differential_graph(seed: int = 7) -> PropertyGraph:
+def build_differential_graph(
+    seed: int = 7, freeze: bool = True
+) -> PropertyGraph:
     """A deterministic graph covering every kernel-relevant shape."""
     rng = random.Random(seed)
     g = PropertyGraph("diff")
@@ -143,10 +158,13 @@ def build_differential_graph(seed: int = 7) -> PropertyGraph:
         for other in rng.sample(drugs, rng.randint(0, 2)):
             if other != d:
                 g.add_edge(d, other, "interacts", {"risk": round(rng.random(), 3)})
+    # ``pid`` is unique: an equality on it plans as an index lookup.
+    g.create_property_index("Patient", "pid")
     g.statistics()
     # Freeze last: the vectorized expand operator needs the CSR view,
     # and any mutation would invalidate it.
-    g.freeze()
+    if freeze:
+        g.freeze()
     return g
 
 
@@ -172,10 +190,12 @@ class QueryGen:
         r = self.rng.random()
         if r < 0.45:
             text = self._scan_query()
-        elif r < 0.80:
+        elif r < 0.79:
             text = self._hop_query(self.rng.choice(CHAINS_1))
-        else:
+        elif r < 0.97:
             text = self._hop_query(*self.rng.choice(CHAINS_2))
+        else:
+            text = self._hop_query(*self.rng.choice(CHAINS_TUPLE_ONLY))
         return text, self.params
 
     # -- pattern construction -------------------------------------------
@@ -195,7 +215,7 @@ class QueryGen:
 
     def _hop_query(self, *chain) -> str:
         rng = self.rng
-        names = "abc"
+        names = "abca"
         bound: dict[str, dict] = {}
         rel_vars: dict[str, dict] = {}
         parts = []
@@ -208,8 +228,9 @@ class QueryGen:
             if rng.random() < 0.35 and elabel in EDGE_PROPS:
                 rvar = f"r{i}"
                 rel_vars[rvar] = EDGE_PROPS[elabel]
-            etype = "" if rng.random() < 0.15 else f":{elabel}"
-            body = f"{rvar}{etype}"
+            etype, star, hops = elabel.partition("*")
+            etype = "" if rng.random() < 0.15 else f":{etype}"
+            body = f"{rvar}{etype}{star}{hops}"
             if direction == ">":
                 rel = f"-[{body}]->"
             elif direction == "<":
@@ -217,6 +238,9 @@ class QueryGen:
             else:
                 rel = f"-[{body}]-"
             far = names[i + 1]
+            if far in bound:
+                parts.append(f"{rel}({far})")  # described where it began
+                continue
             far_label = dst if rng.random() < 0.85 else None
             parts.append(rel + self._node(far, far_label, VERTEX_PROPS[dst]))
             bound[far] = VERTEX_PROPS[dst]
@@ -360,6 +384,12 @@ def run_path(graph, text, params, vectorize):
     out = [tuple(row) for row in rows]
     metrics = session.reset_metrics().as_dict()
     return columns, out, {k: metrics[k] for k in WORK_COUNTERS}, report
+
+
+def mode_line(report) -> str:
+    """The last line EXPLAIN [ANALYZE] renders for this execution."""
+    reason = report.fallback_reason
+    return f"mode={report.mode}" + (f" reason={reason}" if reason else "")
 
 
 def _norm_value(value):

@@ -182,10 +182,10 @@ class TestPlanCache:
             g.add_vertex("P", {"x": i % 2})
         executor = Executor(GraphSession(g, NEO4J_LIKE))
         query = "MATCH (p:P {x: 1}) RETURN p"
-        _parsed, before = executor._prepare(query)
+        before = executor._prepare(query).plan
         assert before.steps[0].access == "label"
         g.create_property_index("P", "x")  # bumps the stats epoch
-        _parsed, after = executor._prepare(query)
+        after = executor._prepare(query).plan
         assert after.steps[0].access == "index"
 
     def test_ast_queries_cached_too(self, skewed):

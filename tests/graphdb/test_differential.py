@@ -16,8 +16,9 @@ Two layers:
   reproducer.
 
 The corpus must exercise both paths: the generator deliberately emits
-object-column predicates, min/max over strings, and bare ``LIMIT`` -
-shapes the vectorized path refuses - so a run that never fell back
+object-column predicates, min/max over strings, bare ``LIMIT``, index
+point reads, variable-length hops and triangles - shapes the
+vectorized path refuses - so a run that never fell back
 (or never vectorized) fails loudly instead of silently testing one
 pipeline against itself.
 """
@@ -40,7 +41,10 @@ from tests.graphdb.diffquery import (
 #: Default corpus seed; override with REPRO_DIFF_SEED=<int> (the CI
 #: job runs one extra randomized seed and logs it for replay).
 SEED = int(os.environ.get("REPRO_DIFF_SEED", "20260808"))
-CORPUS_SIZE = 220
+#: 220 until the generator learned the plan shapes the batch path
+#: refuses (~6 % of its draws, tuple on both sides): the corpus grew by
+#: as much, so the floors below keep the margin they had.
+CORPUS_SIZE = 240
 
 
 class TestCorpus:

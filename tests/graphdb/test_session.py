@@ -256,6 +256,26 @@ class TestSession:
         assert len(session.label_scan("N")) == 100
         assert session.metrics.index_lookups == 1
 
+    def test_scan_rows_examines_rows_past_the_columns_end(self, graph):
+        """Columns pad lazily: a vertex added after the last write of
+        the checked key lies past its column's end.  It is absent, so
+        it never matches - but the scan examined it, and charges what
+        the per-vertex path charges for the same candidates."""
+        late = graph.add_vertex("N", {})
+        labels, props = frozenset({"N"}), (("x", 7),)
+        scan = GraphSession(graph, NEO4J_LIKE)
+        assert list(scan.scan_rows("N", labels, props)) == [7]
+        probe = GraphSession(graph, NEO4J_LIKE)
+        candidates = probe.label_scan("N")
+        assert candidates[-1] == late
+        assert [
+            vid for vid in candidates
+            if probe.accept_vertex(vid, labels, props)
+        ] == [7]
+        for counter in ("vertex_reads", "property_reads"):
+            assert getattr(scan.metrics, counter) == 101, counter
+            assert getattr(probe.metrics, counter) == 101, counter
+
 
 class TestBackendProfiles:
     def test_latency_formula(self):
