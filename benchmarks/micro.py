@@ -376,7 +376,6 @@ def budgets(bench: Bench) -> None:
         (result_mod, "_QUERIES"): noop,
         (result_mod, "_QUERY_ROWS"): noop,
         (result_mod, "_QUERY_SECONDS"): noop,
-        (registry.plans, "record"): noop.inc,
     }
     passthrough = {
         (faults, "fire"): lambda point: None,

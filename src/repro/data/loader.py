@@ -22,6 +22,13 @@ Both build by column - one ``add_vertices`` per concept (or for all
 merged groups), one ``add_edges`` per relationship, one
 ``set_properties`` per replication; the per-element loaders they
 replaced are the oracle in ``tests/data/loader_oracle.py``.
+
+What a mapping does to instances is decided here and nowhere else:
+``_add_link_edges`` (an edge's direction), ``_group_labels``,
+``_merged_properties`` and ``_replicated_lists`` are applied to the
+whole dataset by :func:`load_optimized` and to the vertices an update
+touched by :class:`~repro.data.updates.GraphUpdater`, so an updated
+graph equals a reload (``tests/data/test_update_parity.py``).
 """
 
 from __future__ import annotations
@@ -45,13 +52,18 @@ class LoadRegistry:
     vertex_of: dict[str, int] = field(default_factory=dict)
     #: group root uid -> member uids (OPT graphs only)
     groups: dict[str, list[str]] = field(default_factory=dict)
-    #: instance uid -> group root uid (OPT graphs only)
+    #: instance uid -> group root uid (OPT graphs only): the parent
+    #: map of the merge union-find, flat
     root_of: dict[str, str] = field(default_factory=dict)
 
 
 class _UnionFind:
-    def __init__(self) -> None:
-        self._parent: dict[str, str] = {}
+    """Over ``parent``, an instance -> root map (its own if none is
+    handed in) that is flat for every item :meth:`groups` was asked
+    about - ``LoadRegistry.root_of`` is one."""
+
+    def __init__(self, parent: dict[str, str] | None = None) -> None:
+        self._parent: dict[str, str] = {} if parent is None else parent
 
     def find(self, item: str) -> str:
         parent = self._parent
@@ -127,47 +139,33 @@ def load_optimized(
     """The OPT property graph conforming to ``mapping``'s schema."""
     ontology = logical.ontology
     graph = PropertyGraph(name)
+    registry = registry if registry is not None else LoadRegistry()
+    vertex_of = registry.vertex_of
 
     # 1. Merge along collapsed links.
-    uf = _UnionFind()
+    uf = _UnionFind(registry.root_of)
     for rel_id in mapping.collapsed:
         for src_uid, dst_uid in logical.links_of(rel_id):
             uf.union(src_uid, dst_uid)
 
-    # 2. One vertex per group, labelled with group concepts + the
-    #    surviving schema node: one bulk ingest, in group order.
-    groups = uf.groups(logical.concept_of)
-    vertex_of: dict[str, int] = (
-        registry.vertex_of if registry is not None else {}
-    )
-    if registry is not None:
-        registry.groups = groups
-        registry.root_of = {
-            uid: root for root, members in groups.items()
-            for uid in members
-        }
+    # 2. One vertex per group: one bulk ingest, in group order.
+    groups = registry.groups = uf.groups(logical.concept_of)
     concept_of = logical.concept_of
-    properties_of = logical.properties
     labels_for: dict[frozenset[str], frozenset[str]] = {}
     group_labels: list[frozenset[str]] = []
-    group_properties: list[dict[str, object]] = []
     for members in groups.values():
         concepts = frozenset(concept_of[uid] for uid in members)
         labels = labels_for.get(concepts)
         if labels is None:
-            node_keys: set[str] | None = None
-            for concept in concepts:
-                resolved = set(mapping.resolve_concept(concept))
-                node_keys = (
-                    resolved if node_keys is None else node_keys & resolved
-                )
-            labels = labels_for[concepts] = concepts | (node_keys or set())
-        properties: dict[str, object] = {}
-        for uid in sorted(members):
-            properties.update(properties_of[uid])
+            labels = labels_for[concepts] = _group_labels(mapping, concepts)
         group_labels.append(labels)
-        group_properties.append(properties)
-    vids = graph.add_vertices(group_labels, group_properties)
+    vids = graph.add_vertices(
+        group_labels,
+        [
+            _merged_properties(logical, members)
+            for members in groups.values()
+        ],
+    )
     for vid, members in zip(vids, groups.values()):
         for uid in members:
             vertex_of[uid] = vid
@@ -183,14 +181,63 @@ def load_optimized(
             graph, ontology.relationship(rel_id), *link_vids[rel_id]
         )
 
-    # 4. Replicated list properties.  Entries are grouped by
-    #    (relationship, direction, list name, source): several schema
-    #    nodes may share one replication (a dissolved concept resolves
-    #    to many nodes) and a merged vertex may carry more than one of
-    #    those node labels - the links must be applied exactly once.
-    #    Conversely, the owner-label check keeps entries apart when
-    #    *different* relationships feed the same list name on
-    #    different nodes.
+    # 4. Replicated list properties, one bulk write per entry.
+    for list_name, fresh in _replicated_lists(
+        logical, mapping, graph, registry, link_vids
+    ):
+        graph.set_properties(list_name, fresh)
+    return graph
+
+
+def _group_labels(
+    mapping: SchemaMapping, concepts: frozenset[str]
+) -> frozenset[str]:
+    """Labels of a vertex merging instances of ``concepts``: the
+    concepts themselves plus every schema node all of them resolve to."""
+    node_keys: set[str] | None = None
+    for concept in concepts:
+        resolved = set(mapping.resolve_concept(concept))
+        node_keys = resolved if node_keys is None else node_keys & resolved
+    return concepts | (node_keys or set())
+
+
+def _merged_properties(
+    logical: LogicalDataset, members: list[str]
+) -> dict[str, object]:
+    """Scalar properties of a merged vertex: on a shared name the
+    member with the greatest uid wins."""
+    properties: dict[str, object] = {}
+    for uid in sorted(members):
+        properties.update(logical.properties[uid])
+    return properties
+
+
+def _replicated_lists(
+    logical: LogicalDataset,
+    mapping: SchemaMapping,
+    graph: PropertyGraph,
+    registry: LoadRegistry,
+    link_vids: dict[str, tuple[list[int], list[int]]],
+    owners: set[int] | None = None,
+):
+    """Yield ``(list name, {owner vid: values})`` per replication
+    entry for the lists of ``owners`` (``None``: every vertex with an
+    owner label), one element per link, in link order.
+
+    Entries are grouped by (relationship, direction, list name,
+    source): several schema nodes may share one replication (a
+    dissolved concept resolves to many nodes) and a merged vertex may
+    carry more than one of those node labels - the links must be
+    applied exactly once.  Conversely, the owner-label check keeps
+    entries apart when *different* relationships feed the same list
+    name on different nodes.  A list an earlier entry yielded under
+    the same name is extended in place: a dict holds the lists its
+    entry started, and a list is final when the generator is
+    exhausted.  ``link_vids`` caches endpoint vids per relationship.
+    """
+    uf, groups = _UnionFind(registry.root_of), registry.groups
+    concept_of = logical.concept_of
+    properties_of = logical.properties
     grouped: dict[tuple, set[str]] = {}
     for repl in mapping.replications:
         key = (
@@ -198,39 +245,49 @@ def load_optimized(
             repl.source_concept, repl.source_property,
         )
         grouped.setdefault(key, set()).add(repl.owner_node)
-    #: list name -> vid -> the list this step stored there.
+    #: list name -> vid -> the list yielded for it.
     attached: dict[str, dict[int, list[object]]] = {}
-    for key, owners in grouped.items():
+    for key, owner_nodes in grouped.items():
         rel_id, direction, list_name, concept, prop = key
-        owner_vids: set[int] = set()
-        for owner in owners:
-            owner_vids.update(graph.vertices_with_label(owner))
+        if owners is None:
+            owner_vids: set[int] = set()
+            for owner in owner_nodes:
+                owner_vids.update(graph.vertices_with_label(owner))
+        else:
+            owner_vids = {
+                vid for vid in owners
+                if not owner_nodes.isdisjoint(graph.labels_of(vid))
+            }
+        if not owner_vids:
+            continue
         links = logical.links_of(rel_id)
         if rel_id not in link_vids:
-            link_vids[rel_id] = _link_vids(links, vertex_of)
+            link_vids[rel_id] = _link_vids(links, registry.vertex_of)
         partner = 1 if direction == "fwd" else 0
-        # A list an earlier entry stored under this name is extended
-        # in place; the new ones go in with one bulk write.
         stored = attached.setdefault(list_name, {})
         fresh: dict[int, list[object]] = {}
+        from_group: dict[str, object] = {}
         for owner_vid, link in zip(link_vids[rel_id][1 - partner], links):
             if owner_vid not in owner_vids:
                 continue
-            # The partner's own value, else one from its merged group.
+            # The partner's own value, else one from its merged group
+            # (one scan per group: NSC merges dozens of instances).
             uid = link[partner]
             value = properties_of[uid].get(prop)
             if value is None or concept_of[uid] != concept:
-                value = _group_property(
-                    logical, uf, groups, uid, concept, prop
-                )
+                root = uf.find(uid)
+                if root not in from_group:
+                    from_group[root] = _group_property(
+                        logical, uf, groups, uid, concept, prop
+                    )
+                value = from_group[root]
                 if value is None:
                     continue
             elements = stored.get(owner_vid)
             if elements is None:
                 elements = stored[owner_vid] = fresh[owner_vid] = []
             elements.append(value)
-        graph.set_properties(list_name, fresh)
-    return graph
+        yield list_name, fresh
 
 
 def _group_property(

@@ -54,6 +54,16 @@ class LogicalDataset:
                 raise DataGenerationError(f"unknown instance {uid!r}")
         self.links.setdefault(rel_id, []).append((src_uid, dst_uid))
 
+    def remove_link(self, rel_id: str, src_uid: str, dst_uid: str) -> None:
+        """Remove one ``src -> dst`` link of ``rel_id`` (the first, if
+        the pair is linked more than once)."""
+        try:
+            self.links_of(rel_id).remove((src_uid, dst_uid))
+        except ValueError:
+            raise DataGenerationError(
+                f"no link {src_uid} -> {dst_uid} in {rel_id}"
+            ) from None
+
     # ------------------------------------------------------------------
     # Access
     # ------------------------------------------------------------------

@@ -154,9 +154,9 @@ class Database:
     def metrics(self) -> dict:
         """A consistent snapshot of the process-global metrics registry.
 
-        Counters, gauges, histograms, and per-plan est-vs-actual
-        observations populated by every layer of the engine (WAL,
-        checkpoint, recovery, plan cache, query execution) - the same
+        Counters, gauges and histograms populated by every layer of
+        the engine (WAL, checkpoint, recovery, plan cache, query
+        execution) - the same
         payload ``repro metrics`` prints; for a Prometheus text
         exposition use :func:`repro.graphdb.observe.render_prometheus`.
         The registry is process-global, so the snapshot covers every

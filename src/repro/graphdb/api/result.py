@@ -147,8 +147,8 @@ class ResultSummary:
         self.latency_ms = latency_ms
         #: Real wall-clock time, ``session.run()`` to settled cursor.
         self.elapsed_ms = elapsed_ms
-        #: Short digest of the executed plan's shape (keys the
-        #: per-plan est-vs-actual observation store).
+        #: Short digest of the executed plan's shape (the slow-query
+        #: event and traces carry the same one).
         self.plan_digest = plan.fingerprint
         #: The span tree recorded with ``session.run(..., trace=True)``
         #: (``None`` on untraced executions).
@@ -367,21 +367,6 @@ class Result(_Cursor):
         _QUERIES.inc()
         _QUERY_ROWS.inc(self._pulled)
         _QUERY_SECONDS.observe(elapsed_ms / 1000.0)
-        if observe.REGISTRY.enabled:
-            step_counts = self._step_counts
-            observe.REGISTRY.plans.record(
-                plan.fingerprint,
-                lambda: [
-                    (
-                        text,
-                        step.est_rows,
-                        step_counts[i] if i < len(step_counts) else 0,
-                    )
-                    for i, (step, text) in enumerate(
-                        zip(plan.steps, plan.step_texts())
-                    )
-                ],
-            )
         self._summary = ResultSummary(
             query=self._query,
             parameters=dict(self._parameters),

@@ -1,8 +1,7 @@
 """Engine-wide observability: metrics, per-query traces, event log.
 
-Three pillars, one subsystem (the layer ROADMAP item 1's server
-metrics/health endpoint and item 4's self-tuning optimizer both plug
-into):
+Three pillars, one subsystem (the layer the server's metrics/health
+endpoint plugs into):
 
 * :data:`REGISTRY` - the process-global
   :class:`~repro.graphdb.observe.registry.MetricsRegistry` of named
@@ -53,7 +52,6 @@ from repro.graphdb.observe.registry import (
     Histogram,
     LabeledCounter,
     MetricsRegistry,
-    PlanObservations,
 )
 from repro.graphdb.observe.trace import Span, Trace
 
@@ -68,7 +66,6 @@ __all__ = [
     "LabeledCounter",
     "MetricsRegistry",
     "ObserveConfig",
-    "PlanObservations",
     "REGISTRY",
     "Span",
     "Trace",

@@ -18,8 +18,7 @@ Prometheus scraper ingests - the exact payload the future server's
 Naming follows the Prometheus conventions the metric catalog was
 designed to (``repro_`` prefix, ``_total`` counters, base units in
 seconds/bytes); histogram buckets are cumulative with ``le``
-(less-or-equal) bounds.  Plan observations are a structured store,
-not a scalar family, so they appear only in the JSON snapshot.
+(less-or-equal) bounds.
 """
 
 from __future__ import annotations

@@ -27,10 +27,6 @@ Design points:
   Prometheus ``le`` (less-or-equal) semantics: an observation equal to
   a bound lands in that bound's bucket, everything past the last bound
   lands in ``+Inf``.
-* **Plan observations.**  A bounded per-plan-fingerprint store of
-  estimated vs actual rows per step - the feed the self-tuning
-  optimizer (ROADMAP item 4) will consume.  Executions of the same
-  plan accumulate; a shape change (replan) resets the entry.
 
 Metric names follow Prometheus conventions (``repro_`` prefix,
 ``_total`` for counters, base units in seconds/bytes); see
@@ -52,7 +48,6 @@ __all__ = [
     "Histogram",
     "LabeledCounter",
     "MetricsRegistry",
-    "PlanObservations",
 ]
 
 #: Latency buckets (seconds): 100us .. 10s, roughly x3 steps.
@@ -218,101 +213,8 @@ class Histogram(_Instrument):
         self._count = 0
 
 
-class PlanObservations:
-    """Bounded per-plan-fingerprint record of est vs actual rows.
-
-    One entry per plan fingerprint (LRU-bounded), accumulating the
-    per-step actual row counts of every traced/driver execution next
-    to the planner's estimates.  This is the raw feed a self-tuning
-    optimizer needs: a persistent misestimate for a fingerprint is a
-    statistics correction waiting to be applied.
-    """
-
-    #: Executions folded exactly per fingerprint before sampling, and
-    #: the 1-in-N fold stride after - a hot cached plan stops paying
-    #: the per-step fold on every execution once its profile settles.
-    EXACT_EXECUTIONS = 16
-    SAMPLE_STRIDE = 16
-
-    def __init__(self, registry: "MetricsRegistry", capacity: int = 256):
-        self.capacity = max(1, capacity)
-        self._registry = registry
-        self._lock = registry._value_lock
-        self._entries: dict[str, dict] = {}
-
-    def record(
-        self,
-        fingerprint: str,
-        steps,
-    ) -> None:
-        """Fold one execution's ``(step text, est, actual)`` rows in.
-
-        ``steps`` is a list of ``(step text, est, actual)`` tuples or
-        a zero-argument callable producing it - the callable is only
-        invoked for *folded* executions, so sampled-out executions of
-        a hot plan never build the list at all.  ``executions`` counts
-        every execution; ``sampled`` counts the folded ones.
-        """
-        if not self._registry.enabled:
-            return
-        with self._lock:
-            entry = self._entries.pop(fingerprint, None)
-            if entry is not None:
-                executions = entry["executions"] + 1
-                entry["executions"] = executions
-                if (
-                    executions > self.EXACT_EXECUTIONS
-                    and executions % self.SAMPLE_STRIDE
-                ):
-                    self._entries[fingerprint] = entry  # LRU refresh
-                    return
-            if callable(steps):
-                steps = steps()
-            if entry is not None and len(entry["steps"]) != len(steps):
-                entry = None  # replanned into a different shape
-            if entry is None:
-                entry = {
-                    "executions": 1,
-                    "sampled": 0,
-                    "steps": [
-                        {
-                            "step": text,
-                            "est_rows": est,
-                            "actual_rows_total": 0,
-                            "actual_rows_last": 0,
-                        }
-                        for text, est, _ in steps
-                    ],
-                }
-            entry["sampled"] += 1
-            for slot, (text, est, actual) in zip(entry["steps"], steps):
-                slot["est_rows"] = est
-                slot["actual_rows_total"] += actual
-                slot["actual_rows_last"] = actual
-            while len(self._entries) >= self.capacity:
-                self._entries.pop(next(iter(self._entries)))
-            self._entries[fingerprint] = entry
-
-    def snapshot(self) -> dict[str, dict]:
-        with self._lock:
-            return {
-                fp: {
-                    "executions": entry["executions"],
-                    "sampled": entry["sampled"],
-                    "steps": [dict(slot) for slot in entry["steps"]],
-                }
-                for fp, entry in self._entries.items()
-            }
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def _reset(self) -> None:
-        self._entries.clear()
-
-
 class MetricsRegistry:
-    """Catalog of named instruments plus the plan-observation store."""
+    """Catalog of named instruments."""
 
     def __init__(self, enabled: bool = True):
         self.enabled = enabled
@@ -323,7 +225,6 @@ class MetricsRegistry:
         #: single lock keeps snapshots consistent across instruments).
         self._value_lock = threading.Lock()
         self._instruments: dict[str, _Instrument] = {}
-        self.plans = PlanObservations(self)
 
     # -- instrument creation (idempotent) ------------------------------
     def _get(self, cls, name: str, help: str, **kwargs) -> _Instrument:
@@ -402,7 +303,6 @@ class MetricsRegistry:
             "gauges": gauges,
             "labeled_counters": labeled,
             "histograms": histograms,
-            "plans": self.plans.snapshot(),
         }
 
     def reset(self) -> None:
@@ -410,4 +310,3 @@ class MetricsRegistry:
         with self._value_lock:
             for instrument in self._instruments.values():
                 instrument._reset()
-            self.plans._reset()

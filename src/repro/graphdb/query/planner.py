@@ -259,9 +259,10 @@ class Plan:
     def fingerprint(self) -> str:
         """Short stable digest of the plan shape (step texts).
 
-        Keys the per-plan est-vs-actual observation store; two queries
-        that plan into the same operator pipeline share a fingerprint,
-        and a replan that changes the pipeline changes it.
+        ``ResultSummary.plan_digest``, the slow-query event and traces
+        carry it; two queries that plan into the same operator pipeline
+        share a fingerprint, and a replan that changes the pipeline
+        changes it.
         """
         if self._fingerprint is None:
             digest = hashlib.sha1(

@@ -8,6 +8,7 @@ import pytest
 from repro.bench.harness import build_pipeline
 from repro.data.loader import LoadRegistry, load_direct, load_optimized
 from repro.graphdb.storage import graph_state
+from repro.schema.generate import optimize_schema_nsc
 from tests.data.loader_oracle import (
     reference_load_direct,
     reference_load_optimized,
@@ -62,3 +63,18 @@ def test_load_optimized_matches_per_element_loader(pipeline):
     assert_identical(graph, reference)
     assert registry == want_registry
     assert list(registry.groups) == list(want_registry.groups)
+
+
+def test_merged_group_fallback_matches_per_element_loader(med_small):
+    """NSC replicates properties that live on another member of the
+    partner's merged group - the ``_group_property`` scan, taken once
+    per group and entry, which the budgeted pipelines never reach."""
+    logical = med_small.logical(scale=0.3)
+    _, mapping = optimize_schema_nsc(med_small.ontology)
+    registry, want_registry = LoadRegistry(), LoadRegistry()
+    graph = load_optimized(logical, mapping, "g", registry)
+    reference = reference_load_optimized(
+        logical, mapping, "g", want_registry
+    )
+    assert_identical(graph, reference)
+    assert registry == want_registry

@@ -1,5 +1,7 @@
 """Tests for incremental update handling (Section 4.2)."""
 
+from collections import Counter
+
 import pytest
 
 from repro.data import (
@@ -9,9 +11,12 @@ from repro.data import (
     load_direct,
     load_optimized,
 )
+from repro.datasets import build_fin, build_med
 from repro.exceptions import DataGenerationError
 from repro.graphdb import Executor, GraphSession, NEO4J_LIKE
 from repro.schema.generate import optimize_schema_nsc
+from repro.schema.mapping import CollapseKind
+from tests.data.test_update_parity import Harness, build_mapping
 
 
 @pytest.fixture()
@@ -206,3 +211,95 @@ class TestSetProperty:
             "RETURN count(*)"
         )
         assert count(setup["dir"], dir_q) == count(setup["opt"], opt_q)
+
+
+class TestReloadParity:
+    """The first counter-examples of ``test_update_parity.py``, pinned:
+    each is one update after which the old updater's OPT graph was not
+    the graph ``load_optimized`` builds from the same logical data."""
+
+    def test_set_property_shadowed_inside_merged_vertex(self):
+        # FIN-NSC merges Corporation#0 with its LegalEntity and
+        # Organization twins; the merged value and the nine lists that
+        # read it through the group follow the loader's rule.
+        dataset = build_fin()
+        harness = Harness(dataset, build_mapping(dataset, "nsc"))
+        harness.updater.set_property("Corporation#0", "orgName", "renamed")
+        assert harness.difference() == ([], Counter(), Counter())
+
+    def test_delete_link_keeps_what_other_relationships_feed(self):
+        # Several relationships feed FinancialInstrument.* on one
+        # Officer vertex: deleting a link of one of them must not
+        # rebuild the list from that relationship alone.
+        dataset = build_fin()
+        harness = Harness(dataset, build_mapping(dataset, "pgsg-0.5"))
+        rel = dataset.ontology.find_relationship(
+            "finAssoc10", "FinancialInstrument", "Officer"
+        )
+        link = harness.logical.links_of(rel.rel_id)[0]
+        harness.updater.delete_link(rel.rel_id, *link)
+        assert harness.difference() == ([], Counter(), Counter())
+
+    def test_inserted_instance_carries_its_schema_node_label(self):
+        dataset = build_med()
+        harness = Harness(dataset, build_mapping(dataset, "pgsg-0.5"))
+        uid = harness.updater.insert_instance("Indication", {"desc": "x"})
+        vid = harness.opt_registry.vertex_of[uid]
+        assert harness.opt_graph.labels_of(vid) == {
+            "Indication", "IndicationCondition",
+        }
+        assert harness.difference() == ([], Counter(), Counter())
+
+
+    def test_twins_hold_the_properties_their_concept_declares(self):
+        # Officer and its Person parent both declare hasName: an empty
+        # Person twin answers FIN Q8's p.hasName with null on DIR and
+        # with the Officer's value on the merged OPT vertex.
+        dataset = build_fin()
+        harness = Harness(dataset, build_mapping(dataset, "pgsg-0.1"))
+        uid = harness.updater.insert_instance(
+            "Officer", {"hasName": "n", "title": "t"}
+        )
+        assert harness.logical.properties[f"Person|{uid}"] == {"hasName": "n"}
+        harness.assert_queries_equivalent()
+        assert harness.difference() == ([], Counter(), Counter())
+
+
+class TestCollapsedRelationship:
+    """A link of a merged 1:1 would merge or split OPT vertices."""
+
+    def test_insert_and_delete_refused_before_any_change(self, setup):
+        logical, mapping = setup["logical"], setup["mapping"]
+        has = setup["ontology"].find_relationship(
+            "has", "Indication", "Condition"
+        )
+        assert mapping.collapse_kind(has.rel_id) is CollapseKind.MERGE_1_1
+        links = list(logical.links_of(has.rel_id))
+        edges = setup["dir"].num_edges, setup["opt"].num_edges
+        src, dst = links[0]
+        for change in (
+            setup["updater"].insert_link, setup["updater"].delete_link
+        ):
+            with pytest.raises(
+                DataGenerationError, match=f"{has.rel_id}.*merge_1_1"
+            ):
+                change(has.rel_id, src, dst)
+        assert logical.links_of(has.rel_id) == links
+        assert (setup["dir"].num_edges, setup["opt"].num_edges) == edges
+
+
+class TestRemoveLink:
+    def test_removes_one_occurrence(self, setup):
+        logical = setup["logical"]
+        treat = setup["ontology"].find_relationship(
+            "treat", "Drug", "Indication"
+        )
+        src, dst = logical.links_of(treat.rel_id)[0]
+        logical.add_link(treat.rel_id, src, dst)
+        before = logical.links_of(treat.rel_id).count((src, dst))
+        logical.remove_link(treat.rel_id, src, dst)
+        assert logical.links_of(treat.rel_id).count((src, dst)) == before - 1
+
+    def test_missing_link_rejected(self, setup):
+        with pytest.raises(DataGenerationError, match="no link"):
+            setup["logical"].remove_link("nope", "a", "b")

@@ -176,50 +176,14 @@ class TestSnapshotReset:
         hist = snap["histograms"]["h"]
         assert hist["count"] == 1 and hist["sum"] == 0.5
         assert hist["buckets"][-1] == ["+Inf", 1]
-        assert snap["plans"] == {}
 
     def test_reset_zeroes_in_place(self, reg):
         c = reg.counter("c")
         h = reg.histogram("h", buckets=(1.0,))
         c.inc(5)
         h.observe(0.5)
-        reg.plans.record("fp", [("step", 1.0, 1)])
         reg.reset()
         assert c.value == 0
         assert h.count == 0 and h.sum == 0.0
-        assert len(reg.plans) == 0
         c.inc()  # handle still live after reset
         assert c.value == 1
-
-
-class TestPlanObservations:
-    def test_accumulates_per_fingerprint(self, reg):
-        reg.plans.record("fp1", [("Scan d", 50.0, 48)])
-        reg.plans.record("fp1", [("Scan d", 50.0, 52)])
-        snap = reg.plans.snapshot()
-        assert snap["fp1"]["executions"] == 2
-        step = snap["fp1"]["steps"][0]
-        assert step["est_rows"] == 50.0
-        assert step["actual_rows_total"] == 100
-        assert step["actual_rows_last"] == 52
-
-    def test_shape_change_resets_entry(self, reg):
-        reg.plans.record("fp", [("a", 1.0, 1), ("b", 2.0, 2)])
-        reg.plans.record("fp", [("a", 1.0, 1)])  # replanned: fewer steps
-        snap = reg.plans.snapshot()
-        assert snap["fp"]["executions"] == 1
-        assert len(snap["fp"]["steps"]) == 1
-
-    def test_lru_eviction_keeps_recent(self):
-        reg = MetricsRegistry()
-        reg.plans.capacity = 2
-        reg.plans.record("a", [("s", 1.0, 1)])
-        reg.plans.record("b", [("s", 1.0, 1)])
-        reg.plans.record("a", [("s", 1.0, 1)])  # refresh a
-        reg.plans.record("c", [("s", 1.0, 1)])  # evicts b (oldest)
-        assert set(reg.plans.snapshot()) == {"a", "c"}
-
-    def test_disabled_registry_records_nothing(self, reg):
-        reg.enabled = False
-        reg.plans.record("fp", [("s", 1.0, 1)])
-        assert len(reg.plans) == 0

@@ -28,7 +28,6 @@ class TestMetricsCommand:
         # Opening the store runs recovery, so the open itself counts.
         assert snap["counters"]["repro_recoveries_total"] >= 1
         assert "repro_query_seconds" in snap["histograms"]
-        assert "plans" in snap
 
     def test_query_flag_populates_query_metrics(self, data_dir, capsys):
         before_main = main(["metrics", data_dir])
@@ -43,9 +42,6 @@ class TestMetricsCommand:
         ]) == 0
         snap = json.loads(capsys.readouterr().out)
         assert snap["counters"]["repro_queries_total"] == before + 2
-        # Both queries share one plan shape (label scan); executions
-        # accumulate under its fingerprint.
-        assert sum(p["executions"] for p in snap["plans"].values()) >= 2
 
     def test_checkpoint_flag_counts_checkpoint(self, data_dir, capsys):
         assert main(["metrics", data_dir, "--checkpoint"]) == 0
