@@ -40,7 +40,14 @@ join-check step uses instead of scanning a full adjacency list.
 The adjacency lists and the endpoint-pair index are *derived* state:
 bulk ingest (``add_vertices`` / ``add_edges`` / ``set_properties``) and
 the snapshot loader leave them unbuilt; the first reader or per-element
-mutation builds each whole from the edge columns.
+mutation builds each whole from the edge columns.  So are the planner's
+statistics: :meth:`PropertyGraph.statistics` builds them from the
+columns and rebuilds them when enough mutations have made them stale;
+no mutation updates them.
+
+Ids only ever grow, so adding an element appends it to every bucket;
+a rolled-back removal puts it back where it was: in its table row, and
+before the first greater id of every bucket it was taken out of.
 """
 
 from __future__ import annotations
@@ -70,13 +77,48 @@ _Adjacency = dict[int, dict[str, _Bucket]]
 _MISSING = object()
 
 
+def _place(bucket: dict, key: int, value: object) -> None:
+    """``bucket[key] = value``, before the first greater id: where a
+    removal rolled back took ``key`` from, in O(len(bucket))."""
+    if bucket and key < next(reversed(bucket)):
+        _insert(bucket, next(i for i, k in enumerate(bucket) if k > key),
+                key, value)
+    else:
+        bucket[key] = value
+
+
+def _place_edge(
+    by_label: dict[str, _Bucket], label: str, eid: int, value: object
+) -> None:
+    """:func:`_place` ``eid`` in its label's bucket, then put the
+    labels back in first-eid order (the order
+    :meth:`PropertyGraph._build_adjacency` gives), which a new label or
+    a new first eid can have broken."""
+    _place(by_label.setdefault(label, {}), eid, value)
+    items = sorted(by_label.items(), key=_first_eid)
+    by_label.clear()
+    by_label.update(items)
+
+
+def _first_eid(item: tuple[str, _Bucket]) -> int:
+    return next(iter(item[1]))
+
+
+def _insert(mapping: dict, at: int, key: object, value: object) -> None:
+    """Insert ``key: value`` at position ``at`` of ``mapping``."""
+    items = list(mapping.items())
+    items.insert(at, (key, value))
+    mapping.clear()
+    mapping.update(items)
+
+
 class VertexProperties(MutableMapping):
     """Dict-like façade over one vertex's property columns.
 
     Reads go straight to the columns.  Writes mirror the old
     plain-dict semantics: they update the stored value *without*
-    touching property indexes, statistics, or WAL listeners - code
-    that needs those side effects calls
+    touching property indexes or WAL listeners - code that needs
+    those side effects calls
     :meth:`PropertyGraph.set_property` (exactly as before, when
     mutating ``vertex.properties`` bypassed the same machinery).
     """
@@ -385,12 +427,11 @@ class PropertyGraph:
         #: replays inverses that recovery must never see - the WAL
         #: frame is discarded wholesale instead).
         self._muted = False
-        #: Planner statistics, materialized lazily by
-        #: :meth:`statistics` (or attached by the snapshot loader) and
-        #: kept current by per-mutation hooks in the methods below.
-        #: Unlike the listeners, the hooks receive pre-mutation context
-        #: (removals need the labels/values being removed).
+        #: Planner statistics as last built by :meth:`statistics`, and
+        #: the element mutations applied since (every mutation counts
+        #: them in :meth:`_touch`).  An index change drops them.
         self._stats: GraphStatistics | None = None
+        self._stats_age = 0
         #: Mutation epoch + cached frozen CSR view.  Every mutation
         #: advances the epoch and drops the view; :meth:`freeze`
         #: rebuilds it on demand.
@@ -459,10 +500,9 @@ class PropertyGraph:
         """Revert every mutation of the open transaction.
 
         The undo log replays in reverse through the ordinary mutation
-        machinery (indexes and statistics stay consistent) with
-        listeners muted - the WAL instead gets one ``tx_rollback``
-        framing record closing the frame, so recovery skips the
-        rolled-back mutations wholesale.
+        machinery (indexes stay consistent) with listeners muted - the
+        WAL instead gets one ``tx_rollback`` framing record closing the
+        frame, so recovery skips the rolled-back mutations wholesale.
         """
         if self._undo is None:
             raise TransactionError("no active transaction")
@@ -495,8 +535,8 @@ class PropertyGraph:
             _op, eid, src, dst, label, props = entry
             self._restore_edge(eid, src, dst, label, props)
         elif op == "restore_vertex":
-            _op, vid, labels, props = entry
-            self._restore_vertex(vid, labels, props)
+            _op, vid, tid, row, props = entry
+            self._restore_vertex(vid, tid, row, props)
         elif op == "counters":
             # Applied last (it is the frame's first entry): every id
             # at or past the saved counters belonged to a rolled-back
@@ -516,19 +556,21 @@ class PropertyGraph:
             self._drop_property_index(label, prop)
 
     def _restore_vertex(
-        self, vid: int, labels: frozenset[str], props: dict
+        self, vid: int, tid: int, row: int, props: dict
     ) -> None:
-        """Re-materialize a removed vertex under its original vid.
+        """Re-materialize a removed vertex under its original vid, in
+        the table row it was removed from.
 
-        Mirrors :meth:`add_vertex` (indexes, statistics, epoch) but
-        reuses ``vid`` instead of allocating: the id maps still have
-        the slot (tombstoned), and ``vid < _next_vid`` always holds.
+        Mirrors :meth:`add_vertex` (indexes, epoch) but reuses ``vid``
+        and ``row`` instead of allocating: the id maps still have the
+        slot and the table the row (both tombstoned).
         """
-        intern = self._symbols.intern
-        table = self._table_for(frozenset(intern(l) for l in labels))
-        row = table.new_row(vid)
-        self._v_tid[vid] = table.labelset_id
+        table = self._tables[tid]
+        table.vids[row] = vid
+        table.live += 1
+        self._v_tid[vid] = tid
         self._v_row[vid] = row
+        intern = self._symbols.intern
         for name, value in props.items():
             table.set_prop(row, intern(name), value)
         self._attach_vertex(table, vid, props)
@@ -547,10 +589,8 @@ class PropertyGraph:
     def _drop_property_index(self, label: str, prop: str) -> None:
         """Undo of :meth:`create_property_index` (rollback only)."""
         self._property_indexes.pop((label, prop), None)
-        if self._stats is not None:
-            # Cached plans may embed the dropped index as their access
-            # path: force an epoch bump so they age out.
-            self._stats.on_create_index()
+        # Cached plans may embed the dropped index as their access path.
+        self._stats = None
         self._touch()
 
     # ------------------------------------------------------------------
@@ -560,10 +600,12 @@ class PropertyGraph:
     def mutation_epoch(self) -> int:
         return self._epoch
 
-    def _touch(self) -> None:
-        """Advance the mutation epoch; invalidates any frozen view."""
+    def _touch(self, elements: int = 1) -> None:
+        """Advance the mutation epoch (invalidating any frozen view) and
+        age the statistics by the ``elements`` mutated."""
         self._epoch += 1
         self._view = None
+        self._stats_age += elements
 
     def freeze(self) -> GraphView:
         """The CSR read view of the current epoch (built on demand).
@@ -662,13 +704,15 @@ class PropertyGraph:
         """Secondary-structure bookkeeping for a materialized vertex.
 
         Shared by :meth:`add_vertex` and the rollback path's
-        :meth:`_restore_vertex`, so the label index, property indexes,
-        statistics hooks, and epoch bump can never diverge between the
-        two.
+        :meth:`_restore_vertex`, so the label index, property indexes
+        and epoch bump can never diverge between the two.  An add
+        brings the greatest vid and appends; only a rollback brings
+        back an older one, which goes back where it was.
         """
+        put = dict.__setitem__ if vid == self._next_vid - 1 else _place
         label_index = self._label_index
         for sid in table.label_sids:
-            label_index.setdefault(sid, {})[vid] = None
+            put(label_index.setdefault(sid, {}), vid, None)
         # (A build just now has the new element already: no-op writes.)
         out, into = self._adjacency or self._build_adjacency()
         out[vid] = {}
@@ -679,11 +723,11 @@ class PropertyGraph:
                 if label in label_set:
                     value = props.get(prop)
                     if value is not None:
-                        index.setdefault(value, {})[vid] = None
-        if self._stats is not None:
-            self._stats.on_add_vertex(label_set, props)
+                        put(index.setdefault(value, {}), vid, None)
+        # _touch, inlined: this is the per-element hot path.
         self._epoch += 1
         self._view = None
+        self._stats_age += 1
 
     def add_vertices(
         self,
@@ -766,7 +810,7 @@ class PropertyGraph:
             for adjacency in self._adjacency:
                 adjacency.update((vid, {}) for vid in vids)
         self._next_vid = vids.stop
-        self._touch()
+        self._touch(count)
         return vids
 
     def _index_labels(
@@ -815,26 +859,28 @@ class PropertyGraph:
         """Secondary-structure bookkeeping for a materialized edge.
 
         Shared by :meth:`add_edge` and the rollback path's
-        :meth:`_restore_edge` - adjacency, the endpoint-pair index,
-        statistics, and the epoch bump stay in one place.
+        :meth:`_restore_edge` - adjacency, the endpoint-pair index and
+        the epoch bump stay in one place.  Placed as vertices are.
         """
         self._num_edges += 1
         out, into = self._adjacency or self._build_adjacency()
-        out[src].setdefault(label, {})[eid] = dst
-        into[dst].setdefault(label, {})[eid] = src
-        if self._pairs is not None:
-            self._pairs.setdefault((src, dst), {}).setdefault(label, {})[
-                eid
-            ] = None
-        if self._stats is not None:
-            tids = self._v_tid
-            self._stats.on_add_edge(
-                label,
-                self._labelset_strs[tids[src]],
-                self._labelset_strs[tids[dst]],
-            )
+        pairs = self._pairs
+        if eid == self._next_eid - 1:
+            out[src].setdefault(label, {})[eid] = dst
+            into[dst].setdefault(label, {})[eid] = src
+            if pairs is not None:
+                pair = pairs.setdefault((src, dst), {})
+                pair.setdefault(label, {})[eid] = None
+        else:
+            _place_edge(out[src], label, eid, dst)
+            _place_edge(into[dst], label, eid, src)
+            if pairs is not None:
+                pair = pairs.setdefault((src, dst), {})
+                _place_edge(pair, label, eid, None)
+        # _touch, inlined: this is the per-element hot path.
         self._epoch += 1
         self._view = None
+        self._stats_age += 1
 
     def add_edges(
         self, label: str, srcs: list[int], dsts: list[int]
@@ -845,14 +891,13 @@ class PropertyGraph:
         (consecutive) eids.  Every endpoint is validated before
         anything is applied, so a bad one leaves the graph untouched.
 
-        An unobserved graph - no listener, open transaction or live
-        statistics, which is every loader build - takes one pass: the
-        edge columns are extended, the adjacency filled if built, the
-        epoch bumped once, and the endpoint-pair index left deferred
-        for its first probe to build whole.  An observed graph goes
-        through :meth:`add_edge` per element, so listener events (WAL
-        bytes), undo entries and statistics hooks are the per-element
-        ones, in eid order.
+        An unobserved graph - no listener or open transaction, which is
+        every loader build - takes one pass: the edge columns are
+        extended, the adjacency filled if built, the epoch bumped once,
+        and the endpoint-pair index left deferred for its first probe to
+        build whole.  An observed graph goes through :meth:`add_edge`
+        per element, so listener events (WAL bytes) and undo entries
+        are the per-element ones, in eid order.
         """
         srcs = list(srcs)
         dsts = list(dsts)
@@ -877,7 +922,7 @@ class PropertyGraph:
         self._next_eid = eids.stop
         self._num_edges += count
         self._pairs = None
-        self._touch()
+        self._touch(count)
         return eids
 
     def _require_vertices(self, *columns) -> None:
@@ -898,12 +943,8 @@ class PropertyGraph:
 
     def _observed(self) -> bool:
         """Whether mutations have per-element side effects to keep:
-        a listener (WAL), an open transaction or live statistics."""
-        return bool(
-            self._listeners
-            or self._undo is not None
-            or self._stats is not None
-        )
+        a listener (WAL) or an open transaction."""
+        return bool(self._listeners or self._undo is not None)
 
     def _build_adjacency(self) -> tuple[_Adjacency, _Adjacency]:
         """Materialize the adjacency from the id maps and edge columns
@@ -962,8 +1003,6 @@ class PropertyGraph:
                     self._index_discard(index, old, vid)
                 if value is not None:
                     index.setdefault(value, {})[vid] = None
-        if self._stats is not None:
-            self._stats.on_set_property(labels, name, old, value)
         self._touch()
         if self._undo is not None:
             undo = "reset_property" if stored else "unset_property"
@@ -986,7 +1025,7 @@ class PropertyGraph:
         tids, rows, tables = self._v_tid, self._v_row, self._tables
         for vid, value in values.items():
             tables[tids[vid]].set_prop(rows[vid], sid, value)
-        self._touch()
+        self._touch(len(values))
 
     def remove_property(self, vid: int, name: str) -> None:
         table, row = self._locate(vid)
@@ -1000,8 +1039,6 @@ class PropertyGraph:
             for (label, prop), index in self._property_indexes.items():
                 if prop == name and label in labels:
                     self._index_discard(index, old, vid)
-        if self._stats is not None:
-            self._stats.on_remove_property(labels, name, old)
         self._touch()
         if self._undo is not None:
             self._undo.append(("reset_property", vid, name, old))
@@ -1026,14 +1063,6 @@ class PropertyGraph:
         src = self._e_src[eid]
         dst = self._e_dst[eid]
         label = self._symbols.name(labels[eid])
-        if self._stats is not None:
-            # Endpoint vertices still exist here (remove_vertex drops
-            # its incident edges before the vertex itself).
-            self._stats.on_remove_edge(
-                label,
-                self._labelset_strs[self._v_tid[src]],
-                self._labelset_strs[self._v_tid[dst]],
-            )
         labels[eid] = -1
         self._num_edges -= 1
         props = self._e_props.pop(eid, None)
@@ -1105,14 +1134,14 @@ class PropertyGraph:
         self._v_tid[vid] = -1
         del out[vid]
         del into[vid]
-        if self._stats is not None:
-            self._stats.on_remove_vertex(labels, props)
         self._touch()
         if self._undo is not None:
             # Cascaded remove_edge calls above recorded their own
             # entries; reverse replay restores the vertex first, then
             # its edges.
-            self._undo.append(("restore_vertex", vid, labels, props))
+            self._undo.append(
+                ("restore_vertex", vid, table.labelset_id, row, props)
+            )
         if self._listeners:
             self._emit("remove_vertex", vid)
         if frame:
@@ -1310,8 +1339,8 @@ class PropertyGraph:
                 if value is not None:
                     index.setdefault(value, {})[vid] = None
         self._property_indexes[key] = index
-        if self._stats is not None:
-            self._stats.on_create_index()
+        # The new access path changes the planner's best choice.
+        self._stats = None
         self._touch()
         if self._undo is not None:
             self._undo.append(("drop_index", label, prop))
@@ -1336,20 +1365,21 @@ class PropertyGraph:
     # Stats
     # ------------------------------------------------------------------
     def statistics(self) -> GraphStatistics:
-        """Planner statistics, built on first use, then incremental.
+        """Planner statistics: the cached build, rebuilt once stale.
 
-        The first call runs one batch pass over the property columns
-        and edge columns; afterwards every mutation keeps the counters
-        current, so repeated calls are O(1).  See
-        :mod:`repro.graphdb.statistics`.
+        A build is one batch pass over the property and edge columns;
+        it is reused until the element mutations since reach
+        ``max(64, size >> 4)`` (a bulk call counts each element it
+        applies), or an index is created or dropped.  A rebuild brings
+        an empty plan cache.  See :mod:`repro.graphdb.statistics`.
         """
-        if self._stats is None:
-            self._stats = GraphStatistics.build(self)
-        return self._stats
-
-    @property
-    def has_statistics(self) -> bool:
-        return self._stats is not None
+        stats = self._stats
+        if stats is None or self._stats_age >= max(
+            64, (stats.num_vertices + stats.num_edges) >> 4
+        ):
+            stats = self._stats = GraphStatistics.build(self)
+            self._stats_age = 0
+        return stats
 
     @property
     def num_vertices(self) -> int:

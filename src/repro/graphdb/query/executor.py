@@ -22,11 +22,10 @@ breakers - everything upstream of them still streams.
 
 Planning is cost-based by default: the planner prices candidate
 orderings against the graph's :class:`~repro.graphdb.statistics.
-GraphStatistics` (built lazily on first query, maintained
-incrementally afterwards), and plans built from query *text* are
-cached in the statistics object's LRU plan cache keyed on
-``(query text, stats epoch)``, so repeated queries skip parsing and
-planning until enough mutations accumulate.  Construct the executor
+GraphStatistics` (built on first query, rebuilt once enough mutations
+have made them stale), and plans are cached in the statistics
+object's LRU plan cache keyed on the query, so repeated queries skip
+parsing and planning until the next rebuild.  Construct the executor
 with ``cost_based=False`` to force the legacy syntactic ordering.
 :meth:`Executor.explain` renders the chosen plan; with
 ``analyze=True`` it also runs the query and pairs each step's
@@ -578,11 +577,7 @@ class Executor:
                 hash(key)
             except TypeError:  # AST embeds an unhashable (list) literal
                 key = None
-            cached = (
-                stats.plan_cache.get(key, stats.epoch)
-                if key is not None
-                else None
-            )
+            cached = stats.plan_cache.get(key) if key is not None else None
             if cached is not None:
                 if trace is not None:
                     trace.begin("plan").finish().attrs["cached"] = True
@@ -599,7 +594,7 @@ class Executor:
             )
         prepared = _Prepared(parsed, plan)
         if key is not None:
-            stats.plan_cache.put(key, stats.epoch, prepared)
+            stats.plan_cache.put(key, prepared)
         return prepared
 
     def _batch_pipeline(

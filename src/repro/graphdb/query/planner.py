@@ -55,9 +55,9 @@ The planner also owns two jobs the executor used to do per row:
   step that binds all of its variables, so non-matching bindings die
   as soon as possible.
 
-Plans built from query *text* are cached per graph in the statistics
-object's LRU plan cache, keyed on ``(query text, stats epoch)`` - see
-:class:`~repro.graphdb.statistics.PlanCache`.
+Plans are cached per graph in the statistics object's LRU plan cache,
+keyed on the query and dropped with the statistics they were priced
+on - see :class:`~repro.graphdb.statistics.PlanCache`.
 
 A plan says *what* to match and in which order, never *how* it will be
 executed: steps carry no marking for any execution strategy, and which

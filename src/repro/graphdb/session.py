@@ -8,13 +8,12 @@ adjacency pages; ids are clustered onto pages in insertion order, which
 approximates how both Neo4j record stores and JanusGraph's adjacency
 layout behave.
 
-Besides the classic per-read API (:meth:`GraphSession.read_labels`,
-:meth:`GraphSession.expand`, ...), the session exposes fused fast paths
-the streaming executor uses: :meth:`GraphSession.expand_pairs` (raw
-(eid, neighbor) pairs - served from the graph's frozen CSR view when
-one is valid, from the mutable dict adjacency otherwise),
-:meth:`GraphSession.accept_vertex` (label + property check in one
-call, reading property columns directly), and
+The reads are the fused paths the streaming executor uses:
+:meth:`GraphSession.expand_pairs` (raw (eid, neighbor) pairs - served
+from the graph's frozen CSR view when one is valid, from the mutable
+dict adjacency otherwise), :meth:`GraphSession.accept_vertex` (label
++ property check in one call, reading property columns directly),
+:meth:`GraphSession.property_reader` (one property per call) and
 :meth:`GraphSession.edge_between` (O(1) endpoint-pair join probe).
 :meth:`GraphSession.scan_rows` streams an entire label (or
 all-vertices) scan with a folded equality predicate as one columnar
@@ -38,7 +37,7 @@ from typing import Iterator
 
 from repro.exceptions import GraphError
 from repro.graphdb.backends import BackendProfile, NEO4J_LIKE
-from repro.graphdb.graph import Edge, PropertyGraph
+from repro.graphdb.graph import PropertyGraph
 from repro.graphdb.metrics import ExecutionMetrics, LruPageCache
 
 
@@ -93,25 +92,15 @@ class GraphSession:
     # ------------------------------------------------------------------
     # Instrumented reads
     # ------------------------------------------------------------------
-    def read_labels(self, vid: int) -> frozenset[str]:
-        self.metrics.vertex_reads += 1
-        self._touch_page(("v", vid // self._vertices_per_page))
-        return self.graph.labels_of(vid)
-
-    def read_property(self, vid: int, name: str) -> object:
-        self.metrics.property_reads += 1
-        self._touch_page(("v", vid // self._vertices_per_page))
-        return self.graph.get_property(vid, name)
-
     def property_reader(self, name: str):
         """A fused per-query closure for reading one vertex property.
 
         Resolves the property key's symbol id once and binds every
         hot attribute (metrics, page geometry, column maps) into the
         closure, so the executor's compiled projections pay one call
-        per row instead of four.  Safe to hold for one execution:
-        symbol ids are append-only and a query never mutates the
-        graph.  Accounting matches :meth:`read_property` exactly.
+        per row.  Safe to hold for one execution: symbol ids are
+        append-only and a query never mutates the graph.  Each read
+        counts one property read and touches the vertex's page.
         """
         graph = self.graph
         sid = graph._symbols.sid(name)
@@ -160,22 +149,6 @@ class GraphSession:
         if props is None:
             return None
         return props.get(name)
-
-    def expand(
-        self, vid: int, label: str | None, direction: str
-    ) -> list[Edge]:
-        """Adjacent edges of ``vid``; each returned edge is a traversal."""
-        self._touch_page(("a", vid // self._adjacency_per_page))
-        if direction == "out":
-            edges = self.graph.out_edges(vid, label)
-        elif direction == "in":
-            edges = self.graph.in_edges(vid, label)
-        else:
-            edges = self.graph.out_edges(vid, label) + self.graph.in_edges(
-                vid, label
-            )
-        self.metrics.edge_traversals += len(edges)
-        return edges
 
     def expand_pairs(
         self, vid: int, labels: tuple[str, ...], direction: str
@@ -241,9 +214,9 @@ class GraphSession:
         """Fused label/property acceptance check for one vertex.
 
         Counts one vertex read when labels are checked and one property
-        read per checked property, like the equivalent sequence of
-        :meth:`read_labels` / :meth:`read_property` calls.  Reads go
-        straight to the label-set table and its columns.
+        read per checked property, each with a touch of the vertex's
+        page.  Reads go straight to the label-set table and its
+        columns.
         """
         metrics = self.metrics
         touch_page = self._touch_page

@@ -1,6 +1,6 @@
 """Graph statistics: the cardinalities behind cost-based planning.
 
-:class:`GraphStatistics` tracks, per graph:
+:class:`GraphStatistics` holds, per graph:
 
 * **label cardinalities** - vertices per label, edges per edge type;
 * **degree statistics** - for every (edge type, vertex label) pair,
@@ -12,37 +12,28 @@
   values (NDV), which prices equality predicates (``x.p = literal``)
   and the label-scan vs. property-index choice.
 
-The first call to :meth:`PropertyGraph.statistics` builds everything
-in one batch pass; from then on every mutation the graph applies keeps
-the counters current *incrementally* (the same hook points that feed
-the WAL listeners, but with the pre-mutation context removals need).
-Statistics therefore survive WAL replay: recovery replays mutations
-through the ordinary graph API, which updates any attached statistics
-as a side effect.
+Statistics are derived state with one producer,
+:meth:`GraphStatistics.build` - one batch pass over the graph's
+columns.  :meth:`PropertyGraph.statistics` caches the build and
+rebuilds it once the element mutations since then reach
+``max(64, size >> 4)`` (about 6% of the graph); an index created or
+dropped discards it at once.  Plans stay *correct* on stale
+statistics - only their optimality decays - so the numbers may lag
+the graph by up to that many mutations.  Nothing is persisted: a
+reopened store builds on its first query, from the same columns, the
+same numbers.
 
-Two pieces of planner infrastructure live here because their lifetime
-is the statistics object's lifetime:
-
-* the **stats epoch** - a coarse version counter that advances after a
-  batch of mutations large enough to plausibly shift cardinalities
-  (one epoch per ~6% of graph size, minimum 64 mutations).  Plans are
-  valid regardless of stats staleness - only their *optimality* decays
-  - so the epoch exists purely to invalidate cached plans lazily;
-* the **plan cache** - a small LRU mapping
-  ``(query text, stats epoch)`` to a built
-  :class:`~repro.graphdb.query.planner.Plan`, so repeated queries skip
-  parsing and planning entirely until the epoch moves on.
-
-Persistence: snapshots carry a STATS section (see
-:mod:`repro.graphdb.storage.snapshot`) with the exact counters and a
-most-common-values truncation of each histogram, so a recovered store
-plans with warm statistics instead of paying a rebuild.
+The **plan cache** lives here because its lifetime is the statistics
+object's lifetime: a small LRU mapping a query (text or AST) to its
+built :class:`~repro.graphdb.query.planner.Plan`, so repeated queries
+skip parsing and planning.  A rebuild starts with an empty cache,
+which is what invalidates plans priced on the old numbers.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from itertools import compress
+from itertools import combinations, compress
 from typing import Iterable
 
 from repro.graphdb.columnar import KIND_OBJ
@@ -53,17 +44,12 @@ _PLAN_CACHE_HITS = _OBS.counter(
 )
 _PLAN_CACHE_MISSES = _OBS.counter(
     "repro_plan_cache_misses_total",
-    "Plan-cache lookups that required planning (includes epoch bumps).",
+    "Plan-cache lookups that required planning (includes rebuilds).",
 )
 _PLAN_CACHE_EVICTIONS = _OBS.counter(
     "repro_plan_cache_evictions_total",
     "Cached plans dropped by LRU capacity pressure.",
 )
-
-#: Histograms persisted into snapshots keep at most this many
-#: most-common values; the remainder is summarized as (extra distinct
-#: values, extra row count) and estimated uniformly.
-MCV_CAP = 64
 
 
 def is_hashable(value: object) -> bool:
@@ -86,107 +72,76 @@ class PropertyStats:
     ``hist`` maps each *hashable* value to its occurrence count among
     vertices carrying the label.  Unhashable values (lists) are only
     counted in aggregate - they can never drive an index lookup, so
-    their individual identities are irrelevant to planning.  After a
-    snapshot load the histogram may be truncated to its most common
-    values; ``extra_ndv`` / ``extra_count`` summarize the truncated
-    tail, and estimates for untracked values fall back to a uniform
-    spread over that tail.
+    their individual identities are irrelevant to planning.
     """
 
-    __slots__ = ("count", "unhashable", "hist", "extra_ndv", "extra_count")
+    __slots__ = ("count", "unhashable", "hist")
 
     def __init__(self) -> None:
         self.count = 0          # vertices with a non-null value
         self.unhashable = 0     # of which: unhashable (list) values
         self.hist: dict = {}    # value -> occurrences (hashable only)
-        self.extra_ndv = 0      # distinct values truncated at load
-        self.extra_count = 0    # rows truncated at load
 
     @property
     def ndv(self) -> int:
-        """Number of distinct (hashable) values, tail included."""
-        return len(self.hist) + self.extra_ndv
-
-    def add(self, value: object) -> None:
-        self.count += 1
-        if is_hashable(value):
-            self.hist[value] = self.hist.get(value, 0) + 1
-        else:
-            self.unhashable += 1
-
-    def remove(self, value: object) -> None:
-        self.count = max(0, self.count - 1)
-        if not is_hashable(value):
-            self.unhashable = max(0, self.unhashable - 1)
-            return
-        occurrences = self.hist.get(value)
-        if occurrences is None:
-            # Value fell in the truncated tail of a loaded histogram.
-            self.extra_count = max(0, self.extra_count - 1)
-        elif occurrences <= 1:
-            del self.hist[value]
-        else:
-            self.hist[value] = occurrences - 1
+        """Number of distinct (hashable) values."""
+        return len(self.hist)
 
     def eq_estimate(self, value: object) -> float:
         """Estimated rows matching ``prop = value``."""
         if is_hashable(value):
-            tracked = self.hist.get(value)
-            if tracked is not None:
-                return float(tracked)
-            if self.extra_ndv > 0:
-                return self.extra_count / self.extra_ndv
-            return 0.0
+            return float(self.hist.get(value, 0))
         # Unhashable literals can only match unhashable stored values.
         return float(self.unhashable)
 
 
 class PlanCache:
-    """LRU cache of built plans keyed on (query, stats epoch).
+    """LRU cache of built plans, one per statistics build.
 
-    The query key is the raw text or a hashable (frozen-dataclass)
+    The key is the raw query text or a hashable (frozen-dataclass)
     AST.  A cached plan is always *correct* - plans never embed row
     counts, only access choices and orderings - so entries are not
-    evicted on mutation.  They are keyed by epoch instead: once the
-    epoch advances, lookups miss and stale entries age out of the LRU.
+    evicted on mutation; a statistics rebuild replaces the whole cache.
     """
 
     def __init__(self, capacity: int = 128):
         self.capacity = max(1, capacity)
-        self._entries: dict = {}  # (query key, epoch) -> value
+        self._entries: dict = {}  # query key -> value
         self.hits = 0
         self.misses = 0
 
-    def get(self, query, epoch: int):
-        key = (query, epoch)
-        value = self._entries.pop(key, None)
+    def get(self, query):
+        value = self._entries.pop(query, None)
         if value is None:
             self.misses += 1
             _PLAN_CACHE_MISSES.inc()
             return None
-        self._entries[key] = value  # re-insert: most recently used
+        self._entries[query] = value  # re-insert: most recently used
         self.hits += 1
         _PLAN_CACHE_HITS.inc()
         return value
 
-    def put(self, query, epoch: int, value) -> None:
-        key = (query, epoch)
-        self._entries.pop(key, None)
+    def put(self, query, value) -> None:
+        self._entries.pop(query, None)
         while len(self._entries) >= self.capacity:
             oldest = next(iter(self._entries))
             del self._entries[oldest]
             _PLAN_CACHE_EVICTIONS.inc()
-        self._entries[key] = value
+        self._entries[query] = value
 
     def __len__(self) -> int:
         return len(self._entries)
+
+
+def _add(counter: dict, key, count: int) -> None:
+    counter[key] = counter.get(key, 0) + count
 
 
 def _column_histogram(table, column) -> tuple[Counter, int, int]:
     """(value histogram, unhashable count, non-null count) of a column.
 
     Considers live, present rows only and skips stored ``None`` values
-    (parity with the incremental hooks, which ignore null properties).
+    (a null property is no value to plan on).
     Typed columns can never hold ``None`` or unhashables, so they take
     a pure ``compress`` + ``Counter`` fast path.
     """
@@ -222,10 +177,9 @@ def _column_histogram(table, column) -> tuple[Counter, int, int]:
 
 
 class GraphStatistics:
-    """Incrementally maintained cardinality statistics for one graph."""
+    """Cardinality statistics of one graph, as of one :meth:`build`."""
 
     def __init__(self) -> None:
-        self.epoch = 0
         self.num_vertices = 0
         self.num_edges = 0
         #: label -> vertex count
@@ -251,8 +205,6 @@ class GraphStatistics:
         #: (vertex label, property name) -> histogram
         self.props: dict[tuple[str, str], PropertyStats] = {}
         self.plan_cache = PlanCache()
-        self._mutations = 0
-        self._next_epoch_at = 64
 
     # ------------------------------------------------------------------
     # Construction
@@ -267,25 +219,20 @@ class GraphStatistics:
         histogram is one :class:`collections.Counter` pass over a flat
         column, and edge degree statistics aggregate one
         ``(edge type, src label set, dst label set)`` Counter over the
-        edge columns before fanning out to per-label counters.  The
-        result is exactly what replaying every mutation through the
-        incremental hooks would produce.
+        edge columns before fanning out to per-label counters.
         """
         stats = cls()
         symbols = graph._symbols
-        bump = cls._bump
         for table in graph._tables:
             live = table.live
             if live == 0:
                 continue
             labels = table.labels
             stats.num_vertices += live
-            for pair in cls._pairs_of(labels):
-                bump(stats._label_pairs, pair, live)
+            for pair in combinations(sorted(labels), 2):
+                _add(stats._label_pairs, pair, live)
             for label in labels:
-                stats.label_counts[label] = (
-                    stats.label_counts.get(label, 0) + live
-                )
+                _add(stats.label_counts, label, live)
             for key_sid, column in table.columns.items():
                 hist, unhashable, total = _column_histogram(table, column)
                 if total == 0:
@@ -317,103 +264,17 @@ class GraphStatistics:
             src_labels = labelsets[src_tid]
             dst_labels = labelsets[dst_tid]
             stats.num_edges += count
-            bump(stats.edge_label_counts, label, count)
+            _add(stats.edge_label_counts, label, count)
             for src_label in src_labels:
-                bump(stats._src, (label, src_label), count)
-                bump(stats._src_total, src_label, count)
+                _add(stats._src, (label, src_label), count)
+                _add(stats._src_total, src_label, count)
             for dst_label in dst_labels:
-                bump(stats._dst, (label, dst_label), count)
-                bump(stats._dst_total, dst_label, count)
+                _add(stats._dst, (label, dst_label), count)
+                _add(stats._dst_total, dst_label, count)
             for src_label in src_labels:
                 for dst_label in dst_labels:
-                    bump(
-                        stats._triples, (label, src_label, dst_label), count
-                    )
-        stats._reset_epoch_trigger()
+                    _add(stats._triples, (label, src_label, dst_label), count)
         return stats
-
-    # ------------------------------------------------------------------
-    # Mutation hooks (called by PropertyGraph with pre-state context)
-    # ------------------------------------------------------------------
-    def on_add_vertex(self, labels: frozenset, props: dict) -> None:
-        self._vertex_added(labels, props)
-        self._tick()
-
-    def on_remove_vertex(self, labels: frozenset, props: dict) -> None:
-        self.num_vertices = max(0, self.num_vertices - 1)
-        for pair in self._pairs_of(labels):
-            self._bump(self._label_pairs, pair, -1)
-        for label in labels:
-            remaining = self.label_counts.get(label, 1) - 1
-            if remaining > 0:
-                self.label_counts[label] = remaining
-            else:
-                self.label_counts.pop(label, None)
-            for name, value in props.items():
-                stat = self.props.get((label, name))
-                if stat is not None and value is not None:
-                    stat.remove(value)
-        self._tick()
-
-    def on_add_edge(
-        self, label: str, src_labels: frozenset, dst_labels: frozenset
-    ) -> None:
-        self._edge_added(label, src_labels, dst_labels)
-        self._tick()
-
-    def on_remove_edge(
-        self, label: str, src_labels: frozenset, dst_labels: frozenset
-    ) -> None:
-        self.num_edges = max(0, self.num_edges - 1)
-        self._bump(self.edge_label_counts, label, -1)
-        for src_label in src_labels:
-            self._bump(self._src, (label, src_label), -1)
-            self._bump(self._src_total, src_label, -1)
-        for dst_label in dst_labels:
-            self._bump(self._dst, (label, dst_label), -1)
-            self._bump(self._dst_total, dst_label, -1)
-        for src_label in src_labels:
-            for dst_label in dst_labels:
-                self._bump(
-                    self._triples, (label, src_label, dst_label), -1
-                )
-        self._tick()
-
-    def on_set_property(
-        self,
-        labels: frozenset,
-        name: str,
-        old: object,
-        new: object,
-    ) -> None:
-        for label in labels:
-            stat = self.props.get((label, name))
-            if stat is None:
-                if new is None:
-                    continue
-                stat = self.props[(label, name)] = PropertyStats()
-            if old is not None:
-                stat.remove(old)
-            if new is not None:
-                stat.add(new)
-        self._tick()
-
-    def on_remove_property(
-        self, labels: frozenset, name: str, old: object
-    ) -> None:
-        if old is not None:
-            for label in labels:
-                stat = self.props.get((label, name))
-                if stat is not None:
-                    stat.remove(old)
-        self._tick()
-
-    def on_create_index(self) -> None:
-        # Index creation changes nothing the counters track, but it
-        # does change the planner's best choice - force an epoch bump
-        # so cached plans are rebuilt against the new access path.
-        self.epoch += 1
-        self._reset_epoch_trigger()
 
     # ------------------------------------------------------------------
     # Estimation API (what the planner consumes)
@@ -590,73 +451,10 @@ class GraphStatistics:
             return 1.0
         return min(1.0, self.avg_eq_estimate(label, prop) / base)
 
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-    def _vertex_added(self, labels: frozenset, props: dict) -> None:
-        self.num_vertices += 1
-        for pair in self._pairs_of(labels):
-            self._bump(self._label_pairs, pair, 1)
-        for label in labels:
-            self.label_counts[label] = self.label_counts.get(label, 0) + 1
-            for name, value in props.items():
-                if value is None:
-                    continue
-                stat = self.props.get((label, name))
-                if stat is None:
-                    stat = self.props[(label, name)] = PropertyStats()
-                stat.add(value)
-
-    def _edge_added(
-        self, label: str, src_labels: frozenset, dst_labels: frozenset
-    ) -> None:
-        self.num_edges += 1
-        self._bump(self.edge_label_counts, label, 1)
-        for src_label in src_labels:
-            self._bump(self._src, (label, src_label), 1)
-            self._bump(self._src_total, src_label, 1)
-        for dst_label in dst_labels:
-            self._bump(self._dst, (label, dst_label), 1)
-            self._bump(self._dst_total, dst_label, 1)
-        for src_label in src_labels:
-            for dst_label in dst_labels:
-                self._bump(
-                    self._triples, (label, src_label, dst_label), 1
-                )
-
-    @staticmethod
-    def _pairs_of(labels: frozenset) -> list[tuple[str, str]]:
-        if len(labels) < 2:
-            return []
-        ordered = sorted(labels)
-        return [
-            (ordered[i], ordered[j])
-            for i in range(len(ordered))
-            for j in range(i + 1, len(ordered))
-        ]
-
-    @staticmethod
-    def _bump(counter: dict, key, delta: int) -> None:
-        value = counter.get(key, 0) + delta
-        if value > 0:
-            counter[key] = value
-        else:
-            counter.pop(key, None)
-
-    def _tick(self) -> None:
-        self._mutations += 1
-        if self._mutations >= self._next_epoch_at:
-            self.epoch += 1
-            self._reset_epoch_trigger()
-
-    def _reset_epoch_trigger(self) -> None:
-        size = self.num_vertices + self.num_edges
-        self._next_epoch_at = self._mutations + max(64, size >> 4)
-
     def summary(self) -> str:
         return (
-            f"GraphStatistics epoch={self.epoch}: "
-            f"{self.num_vertices:,} vertices / {self.num_edges:,} edges, "
+            f"GraphStatistics: {self.num_vertices:,} vertices / "
+            f"{self.num_edges:,} edges, "
             f"{len(self.label_counts)} labels, "
             f"{len(self.props)} property histograms"
         )

@@ -25,9 +25,8 @@ id        payload
 4 EDGE    columnar: eid / src / dst arrays (i64) + label-id array
           (i32), then a sparse list of edges with properties
 5 INDEX   (label id, property id) pairs of existing property indexes
-6 STATS   planner statistics (optional): epoch, label / edge-type /
-          degree-pair / label-pair counters, and per-(label, property)
-          histograms truncated to their most common values
+6         retired (planner statistics); no longer written, and skipped
+          on read like any id the decoder does not know
 ========  =============================================================
 
 The layout is deliberately *columnar*, and since the columnar-core
@@ -52,6 +51,8 @@ and edge ids are never reused, so insertion order is ascending id
 order; the loader relies on this when regrouping label buckets.)  The
 adjacency dicts and the endpoint-pair index are left unmaterialized
 (``None``) - the graph rebuilds each in one batch pass on first need.
+Planner statistics are not stored either: the reopened graph builds
+them from its columns on its first query.
 
 Writes go to a temp file in the target directory, are fsynced, then
 atomically renamed over the destination - a crash mid-write never
@@ -73,7 +74,6 @@ from repro.exceptions import GraphError, StorageError
 from repro.graphdb import faults, observe
 from repro.graphdb.columnar import KIND_FLOAT, KIND_INT, KIND_OBJ, PropertyColumn
 from repro.graphdb.graph import PropertyGraph
-from repro.graphdb.statistics import MCV_CAP, GraphStatistics, PropertyStats
 from repro.graphdb.storage.codec import (
     CodecError,
     read_props,
@@ -94,7 +94,6 @@ SECTION_STRINGS = 2
 SECTION_VERTICES = 3
 SECTION_EDGES = 4
 SECTION_INDEXES = 5
-SECTION_STATS = 6
 
 #: Property-column types (mirroring the value-codec tags).
 COL_MIXED = 0
@@ -333,11 +332,6 @@ def _encode_sections(
         write_uvarint(xbuf, intern(label))
         write_uvarint(xbuf, intern(prop))
 
-    # STATS (optional: only when statistics are materialized) ----------
-    tbuf = None
-    if graph._stats is not None:
-        tbuf = _encode_stats(graph._stats, intern)
-
     # STRING -----------------------------------------------------------
     sbuf = bytearray()
     write_uvarint(sbuf, len(strings))
@@ -353,67 +347,13 @@ def _encode_sections(
     write_uvarint(mbuf, len(vids))
     write_uvarint(mbuf, len(eids))
 
-    sections = [
+    return [
         (SECTION_META, bytes(mbuf)),
         (SECTION_STRINGS, bytes(sbuf)),
         (SECTION_VERTICES, bytes(vbuf)),
         (SECTION_EDGES, bytes(ebuf)),
         (SECTION_INDEXES, bytes(xbuf)),
     ]
-    if tbuf is not None:
-        sections.append((SECTION_STATS, bytes(tbuf)))
-    return sections
-
-
-def _encode_stats(stats: GraphStatistics, intern) -> bytearray:
-    """Serialize planner statistics; histograms keep top-MCV_CAP values.
-
-    Only scalar values the tagged codec round-trips *hashably*
-    (bool/int/float/str) are persisted as most-common values; anything
-    else is folded into the summarized tail.
-    """
-    buf = bytearray()
-    write_uvarint(buf, stats.epoch)
-    write_uvarint(buf, stats.num_vertices)
-    write_uvarint(buf, stats.num_edges)
-
-    def write_counts(counter: dict, keys: int) -> None:
-        write_uvarint(buf, len(counter))
-        for key, count in counter.items():
-            if keys == 1:
-                write_uvarint(buf, intern(key))
-            else:
-                for part in key:
-                    write_uvarint(buf, intern(part))
-            write_uvarint(buf, count)
-
-    write_counts(stats.label_counts, 1)
-    write_counts(stats.edge_label_counts, 1)
-    write_counts(stats._src, 2)
-    write_counts(stats._dst, 2)
-    write_counts(stats._src_total, 1)
-    write_counts(stats._dst_total, 1)
-    write_counts(stats._label_pairs, 2)
-    write_counts(stats._triples, 3)
-
-    write_uvarint(buf, len(stats.props))
-    for (label, prop), stat in stats.props.items():
-        write_uvarint(buf, intern(label))
-        write_uvarint(buf, intern(prop))
-        write_uvarint(buf, stat.count)
-        write_uvarint(buf, stat.unhashable)
-        write_uvarint(buf, stat.ndv)
-        persistable = [
-            (value, count) for value, count in stat.hist.items()
-            if isinstance(value, (bool, int, float, str))
-        ]
-        persistable.sort(key=lambda item: -item[1])
-        mcvs = persistable[:MCV_CAP]
-        write_uvarint(buf, len(mcvs))
-        for value, count in mcvs:
-            write_value(buf, value)
-            write_uvarint(buf, count)
-    return buf
 
 
 def _column_type(values: list[object]) -> int:
@@ -775,76 +715,9 @@ def _decode_graph(
             except IndexError:
                 raise CodecError("index references unknown string") from None
 
-    # STATS (optional section; attached so planning starts warm)
-    if SECTION_STATS in sections:
-        pos = sections[SECTION_STATS][0]
-        graph._stats = _decode_stats(data, pos, strings)
-
     graph._next_vid = num_vid_slots
     graph._next_eid = num_eid_slots
     return graph, generation
-
-
-def _decode_stats(
-    data: bytes, pos: int, strings: list[str]
-) -> GraphStatistics:
-    stats = GraphStatistics()
-    try:
-        stats.epoch, pos = read_uvarint(data, pos)
-        stats.num_vertices, pos = read_uvarint(data, pos)
-        stats.num_edges, pos = read_uvarint(data, pos)
-
-        def read_counts(keys: int) -> tuple[dict, int]:
-            nonlocal pos
-            counter: dict = {}
-            count, pos = read_uvarint(data, pos)
-            for _ in range(count):
-                if keys == 1:
-                    sid, pos = read_uvarint(data, pos)
-                    key: object = strings[sid]
-                else:
-                    parts = []
-                    for _ in range(keys):
-                        sid, pos = read_uvarint(data, pos)
-                        parts.append(strings[sid])
-                    key = tuple(parts)
-                value, pos = read_uvarint(data, pos)
-                counter[key] = value
-            return counter, pos
-
-        stats.label_counts, pos = read_counts(1)
-        stats.edge_label_counts, pos = read_counts(1)
-        stats._src, pos = read_counts(2)
-        stats._dst, pos = read_counts(2)
-        stats._src_total, pos = read_counts(1)
-        stats._dst_total, pos = read_counts(1)
-        stats._label_pairs, pos = read_counts(2)
-        stats._triples, pos = read_counts(3)
-
-        nprops, pos = read_uvarint(data, pos)
-        for _ in range(nprops):
-            label_sid, pos = read_uvarint(data, pos)
-            prop_sid, pos = read_uvarint(data, pos)
-            stat = PropertyStats()
-            stat.count, pos = read_uvarint(data, pos)
-            stat.unhashable, pos = read_uvarint(data, pos)
-            ndv, pos = read_uvarint(data, pos)
-            n_mcv, pos = read_uvarint(data, pos)
-            mcv_total = 0
-            for _ in range(n_mcv):
-                value, pos = read_value(data, pos)
-                occurrences, pos = read_uvarint(data, pos)
-                stat.hist[value] = occurrences
-                mcv_total += occurrences
-            stat.extra_ndv = max(0, ndv - len(stat.hist))
-            stat.extra_count = max(
-                0, stat.count - stat.unhashable - mcv_total
-            )
-            stats.props[(strings[label_sid], strings[prop_sid])] = stat
-    except IndexError:
-        raise CodecError("stats section references unknown string") from None
-    stats._reset_epoch_trigger()
-    return stats
 
 
 # ----------------------------------------------------------------------

@@ -580,7 +580,7 @@ class TestGroupedConsumer:
         graph.add_vertex("L", {"tags": ["t0", "t1", "t2"]})
         rows = assert_matches_tuple(graph, "MATCH (n:L) RETURN n.tags")
         assert rows == [(["t0", "t1"],), (["t0", "t1", "t2"],)]
-        stored = GraphSession(graph, NEO4J_LIKE).read_property(vid, "tags")
+        stored = GraphSession(graph, NEO4J_LIKE).property_reader("tags")(vid)
         assert rows[0][0] is stored
         # Grouping on a list hashes a tuple copy but returns the list.
         rows = assert_matches_tuple(

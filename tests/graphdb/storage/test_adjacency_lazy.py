@@ -85,9 +85,9 @@ TRIGGERS = {
     "remove_edge": lambda graph: graph.remove_edge(0),
     "remove_vertex": lambda graph: graph.remove_vertex(2),
     "rollback": rolled_back_removal,
-    "session.expand": lambda graph: [
-        e.eid for e in GraphSession(graph).expand(0, None, "any")
-    ],
+    "session.expand": lambda graph: GraphSession(graph).expand_pairs(
+        0, (), "any"
+    ),
     "session.expand_pairs": lambda graph: GraphSession(graph).expand_pairs(
         0, ("T",), "out"
     ),

@@ -1,20 +1,43 @@
-"""Statistics persistence: the snapshot STATS section and recovery.
+"""Statistics across snapshots and stores: derived, never stored.
 
-Snapshots written from a graph with materialized statistics must carry
-them (exact counters, histograms truncated to most common values) and
-reattach them on load; stores recovered through snapshot + WAL replay
-must end up with statistics matching a fresh batch build, because
-replay goes through the ordinary mutation API.
+A snapshot carries no planner statistics (section 6 is retired and
+skipped on read).  A reopened graph builds them on its first query
+from the columns it decoded, so they equal the statistics of the graph
+that was written - exactly, histograms included - and a snapshot that
+still carries a section 6 opens and plans.
 """
 
-import pytest
+import base64
 
 from repro.graphdb.graph import PropertyGraph
-from repro.graphdb.statistics import MCV_CAP, GraphStatistics
+from repro.graphdb.query.executor import Executor
+from repro.graphdb.session import GraphSession
+from repro.graphdb.statistics import GraphStatistics
 from repro.graphdb.storage import (
     GraphStore,
     read_snapshot,
     write_snapshot,
+)
+from repro.graphdb.storage.snapshot import _validate_layout
+from tests.graphdb.test_statistics import snapshot_of
+
+#: A snapshot as the encoder wrote it while statistics were stored, in
+#: a section 6 after the other five: three ``Drug`` vertices (``name``
+#: d0-d2, ``tier`` 0/1/0), one ``Condition:Tagged`` (``desc`` "x"),
+#: three ``treats`` edges into it, an index on ``Drug.name``.
+SECTION_6_SNAPSHOT = base64.b64decode(
+    "UlBHU05BUDEBAAAABgAAAIf9oFcBkgAAAAAAAAATAAAAAAAAAPnxwGoCpQAAAAAAAAAt"
+    "AAAAAAAAAMLzb34D0gAAAAAAAACqAAAAAAAAAAhRWzUEfAEAAAAAAABWAAAAAAAAAPkh"
+    "F4YF0gEAAAAAAAADAAAAAAAAAJ/iimcG1QEAAAAAAABjAAAAAAAAAICNQmgNcGFyZW50"
+    "LWxheW91dAMEAwQDBwREcnVnCUNvbmRpdGlvbgZUYWdnZWQEbmFtZQR0aWVyBGRlc2MG"
+    "dHJlYXRzBAAAAAAAAAAAAQAAAAAAAAACAAAAAAAAAAMAAAAAAAAAAgEAAgECAAAAAAAA"
+    "AAAAAAAAAQAAAAMDAwUAAAAAAAAAAAEAAAAAAAAAAgAAAAAAAAACAAAAAgAAAAIAAAAG"
+    "ZDBkMWQyBAMDAAAAAAAAAAABAAAAAAAAAAIAAAAAAAAAAAAAAAAAAAABAAAAAAAAAAAA"
+    "AAAAAAAABQEFAwAAAAAAAAABAAAAAXgDAAAAAAAAAAABAAAAAAAAAAIAAAAAAAAAAAAA"
+    "AAAAAAABAAAAAAAAAAIAAAAAAAAAAwAAAAAAAAADAAAAAAAAAAMAAAAAAAAABgAAAAYA"
+    "AAAGAAAAAAEAAwAEAwMAAwEBAgEBBgMBBgADAgYBAwYCAwEAAwIBAwIDAQECAQIGAAED"
+    "BgACAwQAAwMAAwMFAmQwAQUCZDEBBQJkMgEABAMAAgIDAAIDAgEBBQEAAQEFAXgBAgUB"
+    "AAEBBQF4AQ=="
 )
 
 
@@ -34,6 +57,10 @@ def build_graph() -> PropertyGraph:
     return g
 
 
+def section_ids(path) -> list[int]:
+    return sorted(_validate_layout(path.read_bytes(), path))
+
+
 class TestSnapshotRoundtrip:
     def test_counters_survive(self, tmp_path):
         g = build_graph()
@@ -41,61 +68,61 @@ class TestSnapshotRoundtrip:
         path = tmp_path / "snap"
         write_snapshot(g, path, 1)
         loaded = read_snapshot(path)
-        assert loaded.has_statistics
-        restored = loaded._stats
-        assert restored.epoch == stats.epoch
-        assert restored.label_counts == stats.label_counts
-        assert restored.edge_label_counts == stats.edge_label_counts
-        assert restored._src == stats._src
-        assert restored._dst == stats._dst
-        assert restored._label_pairs == stats._label_pairs
-        assert restored._triples == stats._triples
-        assert restored.props.keys() == stats.props.keys()
-        assert restored.eq_estimate("Drug", "tier", 0) == 2.0
+        assert loaded._stats is None
+        assert snapshot_of(loaded.statistics()) == snapshot_of(stats)
+        assert loaded.statistics().eq_estimate("Drug", "tier", 0) == 2.0
 
     def test_without_stats_section(self, tmp_path):
-        g = build_graph()  # statistics never materialized
+        g = build_graph()
+        g.statistics()  # built, and still not written
         path = tmp_path / "snap"
         write_snapshot(g, path, 1)
-        loaded = read_snapshot(path)
-        assert not loaded.has_statistics
-        # ... and a lazy rebuild still works on the loaded graph.
-        assert loaded.statistics().label_count("Drug") == 6
+        assert section_ids(path) == [1, 2, 3, 4, 5]
+        assert read_snapshot(path).statistics().label_count("Drug") == 6
 
-    def test_mcv_truncation(self, tmp_path):
+    def test_histograms_are_whole_after_reload(self, tmp_path):
         g = PropertyGraph()
-        for i in range(3 * MCV_CAP):
-            # One common value, 2*MCV_CAP singletons: more distinct
-            # values than the persisted histogram keeps.
+        for i in range(3 * 64):
             value = "common" if i % 3 == 0 else f"rare{i}"
             g.add_vertex("P", {"v": value})
-        stats = g.statistics()
-        full = stats.props[("P", "v")]
+        full = g.statistics().props[("P", "v")]
         path = tmp_path / "snap"
         write_snapshot(g, path, 1)
-        restored = read_snapshot(path)._stats.props[("P", "v")]
-        assert len(restored.hist) == MCV_CAP
-        assert restored.hist["common"] == full.hist["common"]
-        assert restored.ndv == full.ndv
-        assert restored.count == full.count
-        # Untracked tail values estimate uniformly, not zero.
-        tail_estimate = restored.eq_estimate("rare-nonexistent")
-        assert tail_estimate == pytest.approx(1.0)
+        restored = read_snapshot(path).statistics().props[("P", "v")]
+        assert restored.hist == full.hist
+        assert restored.eq_estimate("rare-nonexistent") == 0.0
 
     def test_loaded_stats_stay_live(self, tmp_path):
-        g = build_graph()
-        g.statistics()
         path = tmp_path / "snap"
-        write_snapshot(g, path, 1)
+        write_snapshot(build_graph(), path, 1)
         loaded = read_snapshot(path)
-        loaded.remove_vertex(0)
+        stats = loaded.statistics()
+        loaded.remove_vertex(0)  # and its edge: two mutations
+        for _ in range(62):
+            loaded.add_vertex("Drug")
+        rebuilt = loaded.statistics()
+        assert rebuilt is not stats
         fresh = GraphStatistics.build(loaded)
-        assert loaded._stats.label_counts == fresh.label_counts
-        assert loaded._stats.edge_label_counts == fresh.edge_label_counts
+        assert snapshot_of(rebuilt) == snapshot_of(fresh)
+
+    def test_a_section_6_is_skipped_and_the_graph_plans(self, tmp_path):
+        path = tmp_path / "old.rpgs"
+        path.write_bytes(SECTION_6_SNAPSHOT)
+        assert section_ids(path) == [1, 2, 3, 4, 5, 6]
+        graph = read_snapshot(path)
+        assert graph._stats is None
+        assert graph.statistics().label_count("Drug") == 3
+        executor = Executor(GraphSession(graph))
+        query = (
+            "MATCH (d:Drug {name: 'd1'})-[:treats]->(c:Condition) "
+            "RETURN d.tier, c.desc"
+        )
+        assert executor.run(query).rows == [(1, "x")]
+        assert "index lookup (Drug.name = 'd1')" in executor.explain(query)
 
 
 class TestStoreRecovery:
-    def test_wal_replay_updates_attached_stats(self, tmp_path):
+    def test_recovered_statistics_equal_the_live_graphs(self, tmp_path):
         g = build_graph()
         g.statistics()
         store = GraphStore.create(tmp_path / "data", g)
@@ -106,22 +133,18 @@ class TestStoreRecovery:
 
         with GraphStore.open(tmp_path / "data", create=False) as opened:
             recovered = opened.graph
-            assert recovered.has_statistics
-            fresh = GraphStatistics.build(recovered)
-            live = recovered._stats
-            assert live.label_counts == fresh.label_counts
-            assert live.edge_label_counts == fresh.edge_label_counts
-            assert live._src == fresh._src
-            assert live._dst == fresh._dst
-            assert live._triples == fresh._triples
+            assert recovered._stats is None
+            assert snapshot_of(recovered.statistics()) == snapshot_of(
+                GraphStatistics.build(g)
+            )
 
-    def test_checkpoint_persists_current_stats(self, tmp_path):
+    def test_checkpointed_store_plans_from_its_graph(self, tmp_path):
         g = build_graph()
         g.statistics()
         store = GraphStore.create(tmp_path / "data", g)
         g.add_vertex("NewLabel")
-        store.checkpoint()
+        path = store.checkpoint()
         store.close()
+        assert section_ids(path) == [1, 2, 3, 4, 5]
         with GraphStore.open(tmp_path / "data", create=False) as opened:
-            assert opened.graph.has_statistics
-            assert opened.graph._stats.label_count("NewLabel") == 1
+            assert opened.graph.statistics().label_count("NewLabel") == 1

@@ -153,7 +153,7 @@ class TestSessionIntegration:
         GraphStore.create(target, small_graph()).close()
         with GraphSession.open(target) as session:
             vid = session.graph.add_vertex("C")
-            assert session.read_labels(vid) == frozenset({"C"})
+            assert session.accept_vertex(vid, frozenset({"C"}), ())
             session.checkpoint()
         recovered = recover_graph(target)
         assert recovered.num_vertices == 3

@@ -14,6 +14,9 @@ from repro.graphdb.session import GraphSession
 from tests.graphdb.lru_oracle import LoopLruPageCache
 
 
+N = frozenset({"N"})
+
+
 @pytest.fixture()
 def graph():
     g = PropertyGraph()
@@ -191,37 +194,37 @@ class TestSession:
 
     def test_counts_reads(self, graph):
         session = GraphSession(graph, NEO4J_LIKE)
-        session.read_labels(0)
-        session.read_property(0, "x")
+        assert session.accept_vertex(0, N, ())
+        assert session.property_reader("x")(0) == 0
         assert session.metrics.vertex_reads == 1
         assert session.metrics.property_reads == 1
 
     def test_expand_counts_traversals(self, graph):
         session = GraphSession(graph, NEO4J_LIKE)
-        edges = session.expand(5, "next", "out")
-        assert len(edges) == 1
+        pairs = session.expand_pairs(5, ("next",), "out")
+        assert len(pairs) == 1
         assert session.metrics.edge_traversals == 1
-        session.expand(5, "next", "any")
+        session.expand_pairs(5, ("next",), "any")
         assert session.metrics.edge_traversals == 3  # 1 out + 1 in + prev
 
     def test_expand_direction(self, graph):
         session = GraphSession(graph, NEO4J_LIKE)
-        assert session.expand(5, "next", "out")[0].dst == 6
-        assert session.expand(5, "next", "in")[0].src == 4
+        assert session.expand_pairs(5, ("next",), "out") == [(5, 6)]
+        assert session.expand_pairs(5, ("next",), "in") == [(4, 4)]
 
     def test_page_accounting(self, graph):
         session = GraphSession(graph, NEO4J_LIKE)
-        session.read_labels(0)
+        session.accept_vertex(0, N, ())
         assert session.metrics.page_misses == 1
-        session.read_labels(1)  # same page (32 vertices per page)
+        session.accept_vertex(1, N, ())  # same page (32 vertices per page)
         assert session.metrics.page_misses == 1
         assert session.metrics.page_hits == 1
-        session.read_labels(64)  # different page
+        session.accept_vertex(64, N, ())  # different page
         assert session.metrics.page_misses == 2
 
     def test_reset_metrics(self, graph):
         session = GraphSession(graph, NEO4J_LIKE)
-        session.read_labels(0)
+        session.accept_vertex(0, N, ())
         old = session.reset_metrics()
         assert old.vertex_reads == 1
         assert session.metrics.vertex_reads == 0
@@ -230,20 +233,20 @@ class TestSession:
         for profile in (NEO4J_LIKE, JANUSGRAPH_LIKE):
             session = GraphSession(graph, profile)
             for i in range(50):
-                session.expand(i, "next", "out")
+                session.expand_pairs(i, ("next",), "out")
             latency = session.latency_ms()
             assert latency > 0
         # Janus per-op costs dominate at small scale.
         neo = GraphSession(graph, NEO4J_LIKE)
         janus = GraphSession(graph, JANUSGRAPH_LIKE)
         for i in range(50):
-            neo.expand(i, "next", "out")
-            janus.expand(i, "next", "out")
+            neo.expand_pairs(i, ("next",), "out")
+            janus.expand_pairs(i, ("next",), "out")
         assert janus.latency_ms() > neo.latency_ms()
 
     def test_missing_property_is_none(self, graph):
         session = GraphSession(graph, NEO4J_LIKE)
-        assert session.read_property(0, "missing") is None
+        assert session.property_reader("missing")(0) is None
 
     def test_index_lookup_counts(self, graph):
         graph.create_property_index("N", "x")

@@ -1,18 +1,21 @@
-"""GraphStatistics: batch build, incremental maintenance, estimation.
+"""GraphStatistics: batch build, rebuild when stale, estimation.
 
-The load-bearing property is *parity*: after any mutation sequence,
-incrementally maintained statistics must equal a fresh batch build
-over the final graph - otherwise cost-based plans drift as the graph
-churns.  The estimation API is pinned down against hand-computable
+Statistics are derived state: ``PropertyGraph.statistics()`` is the
+cached build until enough element mutations have made it stale, and
+then a build of the current graph again - never a copy kept current
+by hand.  The estimation API is pinned down against hand-computable
 fixtures.
 """
 
-import random
-
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.graphdb.graph import PropertyGraph
-from repro.graphdb.statistics import GraphStatistics, PlanCache, PropertyStats
+from repro.graphdb.query.executor import Executor
+from repro.graphdb.session import GraphSession
+from repro.graphdb.statistics import GraphStatistics, PlanCache
+from tests.graphdb.randgraph import SCRIPTS, run_script
 
 
 def snapshot_of(stats: GraphStatistics) -> dict:
@@ -31,7 +34,6 @@ def snapshot_of(stats: GraphStatistics) -> dict:
         "props": {
             key: (stat.count, stat.unhashable, dict(stat.hist))
             for key, stat in stats.props.items()
-            if stat.count > 0
         },
     }
 
@@ -108,129 +110,105 @@ class TestBatchBuild:
 
     def test_statistics_is_idempotent(self, graph):
         assert graph.statistics() is graph.statistics()
-        assert graph.has_statistics
 
 
-class TestIncrementalParity:
-    def test_scripted_mutations(self, graph):
+class TestDerived:
+    """``statistics()`` returns the cached build until the element
+    mutations since it reach ``max(64, size >> 4)``, then rebuilds."""
+
+    def test_a_bulk_call_counts_each_element(self):
+        graph = PropertyGraph()
         stats = graph.statistics()
-        drug = graph.add_vertex("Drug", {"name": "late"})
-        ind = graph.add_vertex("Indication", {"desc": "x0"})
-        eid = graph.add_edge(drug, ind, "treat")
-        graph.set_property(drug, "name", "renamed")
-        graph.set_property(drug, "brand", "b9")
-        graph.remove_property(ind, "desc")
-        graph.remove_edge(eid)
-        graph.remove_vertex(drug)
-        assert snapshot_of(stats) == snapshot_of(
-            GraphStatistics.build(graph)
-        )
-
-    def test_remove_vertex_cascades_edges(self, graph):
+        graph.add_vertices(["A"] * 63, [{}] * 63)
+        assert graph.statistics() is stats  # 63 of 64
+        graph.add_vertex("A")
         stats = graph.statistics()
-        # Vertex 0 is a Drug with treat edges; cascading removal must
-        # decrement edge stats with endpoint labels still available.
-        graph.remove_vertex(0)
-        assert snapshot_of(stats) == snapshot_of(
-            GraphStatistics.build(graph)
-        )
+        assert stats.label_count("A") == 64
+        # Past 1024 elements the trigger is a sixteenth of the graph.
+        graph.add_vertices(["B"] * 2048, [{}] * 2048)
+        stats = graph.statistics()
+        graph.set_properties("p", dict.fromkeys(range(130), 1))
+        assert graph.statistics() is stats  # 130 of 2112 >> 4 = 132
+        graph.set_property(0, "p", 2)
+        graph.remove_vertex(1)
+        rebuilt = graph.statistics()
+        assert rebuilt is not stats
+        fresh = GraphStatistics.build(graph)
+        assert snapshot_of(rebuilt) == snapshot_of(fresh)
 
-    def test_randomized_churn(self):
-        rng = random.Random(7)
-        g = PropertyGraph()
-        g.statistics()  # maintain from the start
-        vids = []
-        eids = []
-        for step in range(400):
-            op = rng.random()
-            if op < 0.45 or len(vids) < 2:
-                labels = rng.sample(
-                    ["A", "B", "C", "D"], k=rng.randint(1, 2)
-                )
-                props = {
-                    "p": rng.randint(0, 5),
-                    "q": rng.choice(["x", "y", None]),
-                }
-                props = {k: v for k, v in props.items() if v is not None}
-                vids.append(g.add_vertex(labels, props))
-            elif op < 0.75:
-                src, dst = rng.choice(vids), rng.choice(vids)
-                eids.append(
-                    g.add_edge(src, dst, rng.choice(["e", "f"]))
-                )
-            elif op < 0.85 and vids:
-                g.set_property(
-                    rng.choice(vids), "p", rng.randint(0, 5)
-                )
-            elif op < 0.93 and eids:
-                eid = eids.pop(rng.randrange(len(eids)))
-                if eid in g._edges:
-                    g.remove_edge(eid)
-            elif vids:
-                vid = vids.pop(rng.randrange(len(vids)))
-                if vid in g._vertices:
-                    g.remove_vertex(vid)
-                eids = [e for e in eids if e in g._edges]
-        assert snapshot_of(g._stats) == snapshot_of(
-            GraphStatistics.build(g)
-        )
+    def test_no_cached_plan_survives_an_index_or_its_rollback(self):
+        graph = PropertyGraph()
+        for i in range(20):
+            graph.add_vertex("A", {"p": i % 4})
+        executor = Executor(GraphSession(graph))
+        query = "MATCH (a:A {p: 1}) RETURN a.p"
+        assert executor.run(query).rows == [(1,)] * 5
+        assert len(graph.statistics().plan_cache) == 1
+        graph.begin_transaction()
+        graph.create_property_index("A", "p")
+        assert len(graph.statistics().plan_cache) == 0
+        assert executor.run(query).rows == [(1,)] * 5
+        assert "index lookup" in executor.explain(query)
+        graph.rollback_transaction()
+        assert len(graph.statistics().plan_cache) == 0
+        # A plan that survived would look the dropped index up.
+        assert executor.run(query).rows == [(1,)] * 5
+        assert "label scan" in executor.explain(query)
 
 
-class TestEpoch:
-    def test_epoch_advances_after_enough_mutations(self):
-        g = PropertyGraph()
-        stats = g.statistics()
-        assert stats.epoch == 0
-        for _ in range(64):
-            g.add_vertex("A")
-        assert stats.epoch == 1
-
-    def test_index_creation_bumps_epoch_immediately(self):
-        g = PropertyGraph()
-        g.add_vertex("A", {"p": 1})
-        stats = g.statistics()
-        before = stats.epoch
-        g.create_property_index("A", "p")
-        assert stats.epoch == before + 1
-        # Re-creating an existing index is a no-op.
-        g.create_property_index("A", "p")
-        assert stats.epoch == before + 1
+@settings(max_examples=60, deadline=None)
+@given(SCRIPTS, SCRIPTS, st.booleans())
+def test_rebuilt_once_the_element_mutations_reach_the_trigger(
+    before, script, bulk
+):
+    """Over random scripts, per element or bulk: the same object until
+    the trigger, then equal to a build field for field.  A per-element
+    twin counts the mutations: its listener sees one event each."""
+    graph = run_script(before, bulk)
+    twin = run_script(before, bulk=False)
+    events: list = []
+    twin.add_listener(
+        lambda op, args: op.startswith("tx_") or events.append(op)
+    )
+    stats = graph.statistics()
+    for step in script * 3:
+        run_script([step], bulk, graph)
+        run_script([step], False, twin)
+        due = max(64, (stats.num_vertices + stats.num_edges) >> 4)
+        if len(events) < due:
+            assert graph.statistics() is stats
+            continue
+        rebuilt = graph.statistics()
+        assert rebuilt is not stats
+        fresh = GraphStatistics.build(graph)
+        assert snapshot_of(rebuilt) == snapshot_of(fresh)
+        stats = rebuilt
+        events.clear()
 
 
 class TestPropertyStats:
     def test_unhashable_values_counted_in_aggregate(self):
-        stat = PropertyStats()
-        stat.add([1, 2])
-        stat.add("x")
+        graph = PropertyGraph()
+        graph.add_vertex("A", {"v": [1, 2]})
+        graph.add_vertex("A", {"v": "x"})
+        stat = graph.statistics().props[("A", "v")]
         assert stat.count == 2
         assert stat.unhashable == 1
         assert stat.eq_estimate([1, 2]) == 1.0
-        stat.remove([1, 2])
-        assert stat.unhashable == 0
-
-    def test_truncated_tail_estimates_uniformly(self):
-        stat = PropertyStats()
-        stat.count = 20
-        stat.hist = {"common": 10}
-        stat.extra_ndv = 5
-        stat.extra_count = 10
-        assert stat.eq_estimate("common") == 10.0
-        assert stat.eq_estimate("rare") == 2.0
-        assert stat.ndv == 6
-        stat.remove("rare")  # untracked: shrinks the tail
-        assert stat.extra_count == 9
+        assert stat.eq_estimate("x") == 1.0
+        assert stat.ndv == 1
 
 
 class TestPlanCache:
-    def test_epoch_keys_and_lru_eviction(self):
+    def test_lru_eviction(self):
         cache = PlanCache(capacity=2)
-        cache.put("q1", 0, "plan1")
-        cache.put("q2", 0, "plan2")
-        assert cache.get("q1", 0) == "plan1"
-        assert cache.get("q1", 1) is None  # stale epoch misses
-        cache.put("q3", 0, "plan3")  # evicts q2 (q1 was touched)
-        assert cache.get("q2", 0) is None
-        assert cache.get("q1", 0) == "plan1"
-        assert cache.get("q3", 0) == "plan3"
+        cache.put("q1", "plan1")
+        cache.put("q2", "plan2")
+        assert cache.get("q1") == "plan1"
+        assert cache.get("q0") is None
+        cache.put("q3", "plan3")  # evicts q2 (q1 was touched)
+        assert cache.get("q2") is None
+        assert cache.get("q1") == "plan1"
+        assert cache.get("q3") == "plan3"
         assert cache.hits == 3
         assert cache.misses == 2
