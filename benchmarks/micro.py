@@ -45,6 +45,7 @@ import argparse
 import json
 import os
 import platform
+import subprocess
 import sys
 import tempfile
 import threading
@@ -448,6 +449,23 @@ SECTIONS = {
 }
 
 
+def tree_dirty() -> bool | None:
+    """Whether tracked files, this report aside, differ from the commit
+    the header names - the rows then time that commit plus those
+    edits; None where git cannot tell."""
+    try:
+        status = subprocess.run(
+            ["git", "-C", str(ROOT), "status", "--porcelain",
+             "--untracked-files=no"],
+            capture_output=True, text=True, check=True,
+        ).stdout
+    except (OSError, subprocess.CalledProcessError):
+        return None
+    return any(
+        not line.endswith("BENCH_micro.json") for line in status.splitlines()
+    )
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", type=Path)
@@ -469,6 +487,7 @@ def main(argv=None) -> int:
     header = {
         "suite": "micro",
         "commit": git_commit(),
+        "dirty": tree_dirty(),
         "python": platform.python_version(),
         "numpy": np.__version__,
         "nproc": os.cpu_count(),

@@ -65,7 +65,7 @@ from repro.graphdb.columnar import (
     SymbolTable,
     VertexTable,
 )
-from repro.graphdb.statistics import GraphStatistics
+from repro.graphdb.statistics import GraphStatistics, hashable
 from repro.graphdb.view import GraphView
 
 #: Insertion-ordered bucket keyed by id.  Adjacency buckets map
@@ -723,7 +723,7 @@ class PropertyGraph:
                 if label in label_set:
                     value = props.get(prop)
                     if value is not None:
-                        put(index.setdefault(value, {}), vid, None)
+                        put(index.setdefault(hashable(value), {}), vid, None)
         # _touch, inlined: this is the per-element hot path.
         self._epoch += 1
         self._view = None
@@ -1002,7 +1002,7 @@ class PropertyGraph:
                 if old is not None:
                     self._index_discard(index, old, vid)
                 if value is not None:
-                    index.setdefault(value, {})[vid] = None
+                    index.setdefault(hashable(value), {})[vid] = None
         self._touch()
         if self._undo is not None:
             undo = "reset_property" if stored else "unset_property"
@@ -1047,12 +1047,13 @@ class PropertyGraph:
 
     @staticmethod
     def _index_discard(index: dict, value: object, vid: int) -> None:
-        bucket = index.get(value)
+        key = hashable(value)
+        bucket = index.get(key)
         if bucket is None:
             return
         bucket.pop(vid, None)
         if not bucket:
-            del index[value]
+            del index[key]
 
     def remove_edge(self, eid: int) -> None:
         """Remove an edge (update handling, Section 4.2 of the paper)."""
@@ -1337,7 +1338,7 @@ class PropertyGraph:
                 table = self._tables[self._v_tid[vid]]
                 value = table.get_prop(self._v_row[vid], prop_sid)
                 if value is not None:
-                    index.setdefault(value, {})[vid] = None
+                    index.setdefault(hashable(value), {})[vid] = None
         self._property_indexes[key] = index
         # The new access path changes the planner's best choice.
         self._stats = None
@@ -1359,7 +1360,7 @@ class PropertyGraph:
             raise GraphError(
                 f"no property index on ({label!r}, {prop!r})"
             ) from None
-        return list(index.get(value, ()))
+        return list(index.get(hashable(value), ()))
 
     # ------------------------------------------------------------------
     # Stats

@@ -94,6 +94,7 @@ from repro.graphdb.query.planner import (
     build_plan,
 )
 from repro.graphdb.session import GraphSession
+from repro.graphdb.statistics import hashable
 
 _GUARDRAIL_TRIPS = observe.REGISTRY.labeled_counter(
     "repro_guardrail_trips_total",
@@ -605,7 +606,7 @@ class Executor:
         **run_args: object,
     ):
         """The one gate to the batch path: this execution's compiled
-        ``(columns, rows, chunked)``, or ``None`` with the reason on
+        ``(columns, chunks)``, or ``None`` with the reason on
         ``report``.
 
         The batch compiler decides, by compiling.  A refusal that
@@ -646,7 +647,6 @@ class Executor:
         """Compile one execution: ``(columns, lazy row iterator)``."""
         query, plan = prepared.query, prepared.plan
         params = _validate_params(query, parameters)
-        chunked = False
         pipeline = self._batch_pipeline(
             prepared, params, report, guard=guard,
             step_counts=step_counts, step_times=step_times,
@@ -665,13 +665,12 @@ class Executor:
             columns, rows = self._project(query, stream, evaluator)
         else:
             _QUERY_PATHS.inc("vectorized")
-            columns, rows, chunked = pipeline
-        if chunked and chunks and report is not None and not (
-            query.distinct or query.order_by or guard and guard.armed
-        ):
-            report.chunked = True
-            return columns, rows  # the projected columns as they are
-        if chunked:
+            columns, rows = pipeline
+            if chunks and report is not None and not (
+                query.distinct or query.order_by or guard and guard.armed
+            ):
+                report.chunked = True
+                return columns, rows  # the projected columns as they are
             rows = (row for _, cols in rows for row in zip(*cols))
         if query.distinct:
             rows = _dedupe(rows)
@@ -991,10 +990,10 @@ class Executor:
         if len(grouping) == 1:
             key_fn = grouping[0]
             for binding in stream:
-                setdefault(_hashable(key_fn(binding)), []).append(binding)
+                setdefault(hashable(key_fn(binding)), []).append(binding)
         else:
             for binding in stream:
-                key = tuple(_hashable(fn(binding)) for fn in grouping)
+                key = tuple(hashable(fn(binding)) for fn in grouping)
                 setdefault(key, []).append(binding)
         if not groups and not grouping:
             groups[()] = []  # global aggregate over zero matches
@@ -1062,12 +1061,6 @@ def _order_column(
     )
 
 
-def _hashable(value: object) -> object:
-    if isinstance(value, list):
-        return tuple(_hashable(v) for v in value)
-    return value
-
-
 def _sort_key(value: object) -> tuple:
     if value is None:
         return (1, 0, "")
@@ -1083,7 +1076,7 @@ def _sort_key(value: object) -> tuple:
 def _dedupe(rows: Iterable[tuple]) -> Iterator[tuple]:
     seen: set = set()
     for row in rows:
-        key = tuple(_hashable(v) for v in row)
+        key = tuple(hashable(v) for v in row)
         if key not in seen:
             seen.add(key)
             yield row

@@ -16,15 +16,15 @@ kernels over the columnar core's flat arrays:
 * **CSR-slice expansion** joins a whole batch of source vertices over
   the frozen :class:`~repro.graphdb.view.GraphView` offset arrays
   (``repeat``/``cumsum`` arithmetic) instead of per-vertex iteration;
-* **Batch aggregation** folds bare global COUNT/SUM/MIN/MAX/AVG over
-  masked arrays as the batches stream, with exactness guards that
-  drop to Python folds whenever numpy's arithmetic could diverge from
-  the tuple path (int64 sums near overflow, NaN floats, pairwise
-  float summation); grouped aggregation, COLLECT, DISTINCT arguments
-  and SIZE/HEAD/COALESCE wrappers go through one grouped consumer
-  (:func:`_compile_grouped`) that keeps the id columns, folds with
-  the tuple path's own ``apply_aggregate`` and replays its re-read
-  charges in its order.
+* **Column aggregation**: every aggregating RETURN, global or
+  grouped, goes through one consumer (:func:`_compile_grouped`).  It
+  keeps the id columns, groups on ids, replays the tuple path's
+  re-read charges in its order and folds each RETURN item as one
+  column function: COUNT (and SIZE of COLLECT) and int SUM/AVG/MIN/
+  MAX by one ``reduceat`` - exact to ``apply_aggregate``, int sums
+  only while they cannot overflow - and DISTINCT, COLLECT, float
+  folds and SIZE/HEAD/COALESCE wrappers by the tuple path's own
+  ``apply_aggregate`` / ``apply_scalar``, group by group.
 
 The contract with the tuple path is *strict equivalence*: identical
 rows in identical order, and identical work counters (the session's
@@ -68,6 +68,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -93,12 +94,12 @@ from repro.graphdb.query.executor import (
     EdgeBinding,
     ExecutionGuard,
     VertexBinding,
-    _hashable,
     _resolve_props,
     _resolve_value,
 )
 from repro.graphdb.query.functions import apply_aggregate, apply_scalar
 from repro.graphdb.query.planner import ExpandStep, Plan, ScanStep
+from repro.graphdb.statistics import hashable
 
 #: Rows per scan batch.  Large enough to amortize kernel dispatch,
 #: small enough that a batch's column slices stay cache-resident.
@@ -107,9 +108,10 @@ BATCH_ROWS = 4096
 #: Integers beyond this magnitude do not round-trip through float64;
 #: comparisons and sums that would promote past it fall back.
 _EXACT_FLOAT_INT = 2 ** 53
-#: int64 batch sums stay provably overflow-free below this bound
-#: (BATCH_ROWS * 2**50 < 2**63).
-_SAFE_SUM_MAGNITUDE = 2 ** 50
+#: An int64 sum over rows of magnitude at most ``bound`` cannot
+#: overflow while ``rows * bound`` stays below this.
+_SAFE_SUM = 2 ** 62
+_INT64 = np.iinfo(np.int64)
 
 _COMPARISON_OPS = frozenset({"=", "<>", "<", "<=", ">", ">="})
 _MIRROR = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "=", "<>": "<>"}
@@ -384,30 +386,6 @@ _NUMERIC_FOLDS = frozenset({"sum", "min", "max", "avg"})
 #: Column kinds whose values can be gathered but not compared or
 #: added, and the refusal each reports.
 _BOXED_REASONS = {"object": "object-column", "mixed": "mixed-kind"}
-#: What the streaming :class:`_Aggregator` folds batch by batch.
-_STREAMED_FOLDS = _NUMERIC_FOLDS | {"count"}
-
-
-def plain_aggregates(query: Query, plan: Plan) -> bool:
-    """True when RETURN is only bare global numeric aggregates - the
-    shape the streaming :class:`_Aggregator` folds without keeping a
-    binding; every other admitted aggregate shape goes to the grouped
-    consumer."""
-    for item in query.return_items:
-        expr = item.expr
-        if (
-            not isinstance(expr, FuncCall)
-            or expr.name not in _STREAMED_FOLDS
-            or expr.distinct or expr.flatten or len(expr.args) != 1
-        ):
-            return False
-        arg = expr.args[0]
-        if isinstance(arg, PropertyRef):
-            if plan.slot_kinds.get(arg.var) != "vertex":
-                return False
-        elif expr.name != "count" or not isinstance(arg, (Star, Variable)):
-            return False
-    return True
 
 
 # ----------------------------------------------------------------------
@@ -1012,289 +990,309 @@ def _compile_item(
     raise Refusal(otherwise)
 
 
-class _Aggregator:
-    """One aggregate RETURN item folded batch by batch.
+class _Groups:
+    """The drained match stably sorted by group id: the per-slot id
+    ``cols`` of its ``total`` rows, each group's row ``counts`` and
+    first row ``lo``, and the ids of its first binding (``firsts``; the
+    one group of a global aggregate over zero matches has none)."""
 
-    Exactness contract: results must be bit-identical to
-    ``apply_aggregate`` over the same value sequence - numpy is only
-    used where its arithmetic provably matches the Python fold
-    (int sums within overflow-safe bounds, NaN-free min/max); every
-    other case drops to an explicit Python fold in row order.
+    def __init__(self, cols, counts, total):
+        self.cols, self.counts, self.total = cols, counts, total
+        self.lo = np.cumsum(counts) - counts
+
+    @cached_property
+    def firsts(self):
+        return [None if c is None else c[self.lo] for c in self.cols]
+
+    def reduceat(self, ufunc, values):
+        """``ufunc`` over each group's rows of ``values``, in one call."""
+        if not self.total:
+            return np.zeros(1, dtype=values.dtype)
+        return ufunc.reduceat(values, self.lo)
+
+    def spans(self):
+        return zip(self.lo.tolist(), (self.lo + self.counts).tolist())
+
+
+def _leaf_charge(ctx: _KernelContext, leaf: Expr) -> tuple:
+    """What one read of ``leaf`` costs: ``(the slot whose vertex page
+    it touches or None, whether it counts as a property read)``."""
+    is_prop = isinstance(leaf, PropertyRef)
+    paged = is_prop and ctx.slot_kinds[leaf.var] == "vertex"
+    return (ctx.slots[leaf.var] if paged else None), is_prop
+
+
+def _group_key(ctx: _KernelContext, expr: Expr):
+    """One grouping key as ``(page slot, charged, codes, read)``.
+
+    The first two are :func:`_leaf_charge`'s; ``codes(cols, n)``
+    numbers a batch's rows so that rows reading the same element share
+    a code - the key's id column; None for a constant - and ``read``
+    reads values uncharged.  A typed float column hands out a fresh
+    float per read and a fresh NaN equals no dict key, so a NaN row is
+    a code (and a group) of its own, exactly as reading every row would
+    make it.
     """
+    read = _compile_item(ctx, expr, charge=False, otherwise="aggregate-shape")
+    if not isinstance(expr, (Variable, PropertyRef)):
+        return None, False, None, read
+    slot, charged = _leaf_charge(ctx, expr)
+    col = None if slot is None else ctx.arrays.column(expr.prop)
+    ids_slot = ctx.slots[expr.var if charged else expr.name]
 
-    def __init__(self, ctx, name, arg):
-        self.name = name
-        self.count = 0
-        self.total: object = 0
-        self.best: object = None
-        self.read = None
-        self.col = None
-        if isinstance(arg, PropertyRef):
-            session = ctx.session
-            slot = ctx.slots[arg.var]
-            col = ctx.arrays.column(arg.prop)
-            if name != "count":
-                _require_typed(col)
-            self.col = col
-            safe = 0
-            if col.kind == KIND_INT and col.vmin is not None:
-                safe = max(abs(col.vmin), abs(col.vmax))
+    def codes(cols, n):
+        ids = cols[ids_slot]
+        if col is not None and col.kind == KIND_FLOAT:
+            nan = np.isnan(col.values[ids])  # an absent slot holds 0.0
+            if nan.any():
+                return np.where(nan, -1 - np.arange(n), ids)
+        return ids
 
-            def gather(cols, n):
-                vids = cols[slot]
-                _charge_reads(session, vids)
-                return vids
-
-            self.read = gather
-            self._safe_mag = safe
-        elif isinstance(arg, Variable):
-            ctx.slot(arg.name)  # counted, never read: still must be bound
-
-    def update(self, cols, n):
-        if self.read is None:  # count(*) / count(var)
-            self.count += n
-            return
-        vids = self.read(cols, n)
-        col = self.col
-        present = col.present[vids]
-        k = int(present.sum())
-        if self.name == "count":
-            self.count += k
-            return
-        if k == 0:
-            return
-        self.count += k
-        values = col.values[vids][present]
-        if col.kind == KIND_INT:
-            self._fold_int(values, k)
-        else:
-            self._fold_float(values)
-
-    def _fold_int(self, values, k):
-        name = self.name
-        if name in ("sum", "avg"):
-            if self._safe_mag and k * self._safe_mag < 2 ** 62:
-                self.total += int(values.sum())
-            else:
-                self.total += sum(values.tolist())
-            return
-        m = int(values.min() if name == "min" else values.max())
-        best = self.best
-        if best is None:
-            self.best = m
-        elif name == "min":
-            self.best = m if m < best else best
-        else:
-            self.best = m if m > best else best
-
-    def _fold_float(self, values):
-        name = self.name
-        if name in ("sum", "avg"):
-            # Sequential left fold: bit-identical to Python sum().
-            self.total = sum(values.tolist(), self.total)
-            return
-        if np.isnan(values).any():
-            # builtin min/max semantics: a leading NaN sticks, a later
-            # one loses every comparison - fold explicitly.
-            best = self.best
-            for v in values.tolist():
-                if best is None:
-                    best = v
-                elif name == "min":
-                    if v < best:
-                        best = v
-                elif v > best:
-                    best = v
-            self.best = best
-            return
-        m = float(values.min() if name == "min" else values.max())
-        best = self.best
-        if best is None:
-            self.best = m
-        elif name == "min":
-            if m < best:  # False when best is NaN: NaN sticks
-                self.best = m
-        elif m > best:
-            self.best = m
-
-    def result(self):
-        name = self.name
-        if name == "count":
-            return self.count
-        if name == "sum":
-            return self.total
-        if name == "avg":
-            return self.total / self.count if self.count else None
-        return self.best
+    return slot, charged, codes, read
 
 
 def _compile_grouped(items, ctx: _KernelContext):
-    """The batch consumer for grouped and wrapped aggregation.
+    """The batch consumer for every aggregating RETURN.
 
-    Reproduces ``Executor._project``'s charge order, which the page
-    LRU makes observable.  While the match streams, each batch pays
-    its grouping-key reads.  After the drain, per group in first-seen
-    order and per RETURN item in order, a row-level leaf is re-read on
-    the group's first binding and an aggregate's argument on every
-    binding of the group: one ``property_reads`` bump and one
-    :func:`_charge_pages` call over that concatenated vid sequence
-    (rows stably sorted by group id give it).  Values are folded by
-    the tuple path's own ``apply_aggregate`` / ``apply_scalar``.
+    Groups come from ids.  As the match streams, each batch pays its
+    grouping-key reads binding by binding, as the tuple path makes
+    them; ``np.unique`` over the keys' id columns (:func:`_group_key`)
+    finds the batch's distinct id combinations, each reads its key
+    values once, and the hashed values take group ids from one dict in
+    first-row order - the tuple path's first-seen order.
+
+    After the drain the rows are stably sorted by group id and the
+    re-reads of ``Executor._project`` are charged in its order, which
+    the page LRU makes observable: per group in first-seen order and
+    per RETURN item in order, a row-level leaf on the group's first
+    binding and an aggregate's argument on every binding of the group
+    - one ``property_reads`` bump and one :func:`_charge_pages` call
+    over that concatenated vid sequence.  Each RETURN item is then one
+    column function over the sorted rows, exact to the tuple path's
+    ``apply_aggregate``: ``count`` - and ``size(collect(x))``, which is
+    ``count(x)`` by ``functions.py`` - is one ``np.add.reduceat`` of
+    per-row weights, int ``sum`` / ``avg`` / ``min`` / ``max`` one
+    ``reduceat`` while no sum can overflow; DISTINCT, ``collect``,
+    float folds and the ``size`` / ``head`` / ``coalesce`` wrappers
+    fold each group in Python inside theirs.  The consumer yields the
+    result as one ``(n_groups, column lists)`` chunk.
     """
     session = ctx.session
-    #: Post-drain readers in evaluation order: ``(gather, page slot
-    #: or None, charged as a property read, reads the whole group)``.
-    readers: list[tuple] = []
+    #: Post-drain re-reads in evaluation order: ``(page slot or None,
+    #: charged as a property read, reads the whole group)``.
+    rereads: list[tuple] = []
 
-    def reader(leaf: Expr, whole: bool) -> int:
+    def reader(leaf: Expr, whole: bool):
         if isinstance(leaf, Star):
             gather = lambda cols, n: [1] * n  # noqa: E731
         else:
             gather = _compile_item(
                 ctx, leaf, charge=False, otherwise="aggregate-shape"
             )
-        is_prop = isinstance(leaf, PropertyRef)
-        paged = is_prop and ctx.slot_kinds[leaf.var] == "vertex"
-        readers.append(
-            (gather, ctx.slots[leaf.var] if paged else None, is_prop, whole)
-        )
-        return len(readers) - 1
+        rereads.append((*_leaf_charge(ctx, leaf), whole))
+        return gather
 
-    def compile_group(expr: Expr):
-        """``fn(vals, g, lo, hi)``: the item's value for group ``g``,
-        whose bindings are rows ``lo:hi`` of the sorted arrays."""
+    def compile_fold(expr: FuncCall, name: str):
+        """One aggregate of one leaf (only count takes ``*``), folded
+        as ``name``."""
+        if expr.name not in AGGREGATE_FUNCTIONS or len(expr.args) != 1:
+            raise Refusal("aggregate-shape")
+        arg, distinct, flatten = expr.args[0], expr.distinct, expr.flatten
+        if isinstance(arg, Star) and expr.name != "count":
+            raise Refusal("aggregate-shape")
+        gather = reader(arg, whole=True)
+        slot, _ = _leaf_charge(ctx, arg)  # a vertex property's slot
+        col = None if slot is None else ctx.arrays.column(arg.prop)
+        if col is not None and name in _NUMERIC_FOLDS:
+            _require_typed(col)
+
+        def fold(gr):
+            vals = gather(gr.cols, gr.total)
+            return [
+                apply_aggregate(
+                    name, vals[lo:hi], distinct=distinct, flatten=flatten
+                )
+                for lo, hi in gr.spans()
+            ]
+
+        if distinct:
+            return fold
+        if name == "count" and isinstance(arg, (Star, Variable)):
+            return lambda gr: gr.counts.tolist()
+        if name == "count":
+            def count(gr):
+                if col is not None and not (
+                    flatten and col.kind in _BOXED_REASONS
+                ):
+                    weights = col.present[gr.cols[slot]].astype(np.int64)
+                else:  # what _flatten / _non_null keep of each row
+                    weights = np.fromiter((
+                        len(v) if flatten and isinstance(v, list)
+                        else v is not None
+                        for v in gather(gr.cols, gr.total)
+                    ), dtype=np.int64, count=gr.total)
+                return gr.reduceat(np.add, weights).tolist()
+
+            return count
+        if col is None or col.kind != KIND_INT or name == "collect":
+            return fold
+        bound = max(-col.vmin, col.vmax) if col.vmin is not None else 0
+
+        def int_fold(gr):
+            if name in ("sum", "avg") and bound * gr.total >= _SAFE_SUM:
+                return fold(gr)
+            vids = gr.cols[slot]
+            present, values = col.present[vids], col.values[vids]
+            if name in ("min", "max"):  # absent rows never win
+                fill = _INT64.max if name == "min" else _INT64.min
+                values = np.where(present, values, fill)
+            ufunc = {"min": np.minimum, "max": np.maximum}.get(name, np.add)
+            folded = gr.reduceat(ufunc, values).tolist()
+            if name == "sum":  # an absent slot holds 0
+                return folded
+            counts = gr.reduceat(np.add, present.astype(np.int64)).tolist()
+            if name == "avg":
+                return [s / c if c else None for s, c in zip(folded, counts)]
+            return [v if c else None for v, c in zip(folded, counts)]
+
+        return int_fold
+
+    def compile_column(expr: Expr):
+        """``fn(groups)``: the RETURN item's value for every group."""
         if isinstance(expr, FuncCall) and expr.name in SCALAR_FUNCTIONS:
-            name = expr.name
-            arg_fns = [compile_group(arg) for arg in expr.args]
-            return lambda vals, g, lo, hi: apply_scalar(
-                name, [fn(vals, g, lo, hi) for fn in arg_fns]
-            )
+            args = expr.args
+            if expr.name == "size" and len(args) == 1 and isinstance(
+                args[0], FuncCall
+            ) and args[0].name == "collect":
+                # collect never yields null and holds what count counts.
+                return compile_fold(args[0], "count")
+            name, arg_fns = expr.name, [compile_column(a) for a in args]
+            return lambda gr: [
+                apply_scalar(name, list(row))
+                for row in zip(*[fn(gr) for fn in arg_fns])
+            ]
         if isinstance(expr, FuncCall):
-            # One aggregate of one leaf; only count takes ``*``.
-            if expr.name not in AGGREGATE_FUNCTIONS or len(expr.args) != 1:
-                raise Refusal("aggregate-shape")
-            name, arg = expr.name, expr.args[0]
-            if isinstance(arg, Star) and name != "count":
-                raise Refusal("aggregate-shape")
-            i = reader(arg, whole=True)
-            if (
-                name in _NUMERIC_FOLDS
-                and isinstance(arg, PropertyRef)
-                and ctx.slot_kinds[arg.var] == "vertex"
-            ):
-                _require_typed(ctx.arrays.column(arg.prop))
-            distinct, flatten = expr.distinct, expr.flatten
-            return lambda vals, g, lo, hi: apply_aggregate(
-                name, vals[i][lo:hi], distinct=distinct, flatten=flatten
-            )
-        i = reader(expr, whole=False)
-        return lambda vals, g, lo, hi: vals[i][g] if hi > lo else None
+            return compile_fold(expr, expr.name)
+        gather = reader(expr, whole=False)
+        return lambda gr: (
+            gather(gr.firsts, len(gr.lo)) if gr.total else [None]
+        )
 
     # A grouping key is a row-level leaf, read as the match streams.
-    key_reads = [
-        _compile_item(ctx, item.expr, otherwise="aggregate-shape")
+    keys = [
+        _group_key(ctx, item.expr)
         for item in items
         if not contains_aggregate(item.expr)
     ]
-    fns = [compile_group(item.expr) for item in items]
+    fns = [compile_column(item.expr) for item in items]
+
+    def group_ids(cols, n, ids: dict):
+        """Each row's group id; new groups numbered in first-row order."""
+        # The key reads, binding by binding as the tuple path makes them.
+        pages = [cols[slot] for slot, *_ in keys if slot is not None]
+        if pages:
+            vids = np.stack(pages, axis=1).ravel()
+            _charge_pages(session, "v", vids, dedup=False)
+        session.metrics.property_reads += n * sum(
+            charged for _, charged, *_ in keys
+        )
+        parts = [codes(cols, n) for *_, codes, _ in keys if codes]
+        if len(parts) > 1:
+            _, first, inverse = np.unique(
+                np.stack(parts, axis=1), axis=0,
+                return_index=True, return_inverse=True,
+            )
+        else:
+            _, first, inverse = np.unique(
+                parts[0] if parts else np.zeros(n, dtype=np.int64),
+                return_index=True, return_inverse=True,
+            )
+        order = np.argsort(first)
+        rows = first[order]
+        sub = [None if c is None else c[rows] for c in cols]
+        values = [map(hashable, read(sub, len(rows))) for *_, read in keys]
+        gid = np.empty(len(rows), dtype=np.int64)
+        gid[order] = np.fromiter(
+            (ids.setdefault(key, len(ids)) for key in zip(*values)),
+            dtype=np.int64, count=len(rows),
+        )
+        return gid[inverse.reshape(-1)]
 
     def consume_grouped(batches):
         ids: dict = {}
-        assign = ids.setdefault
         kept, gids, total = [], [], 0
         for cols, n in batches:
             kept.append(cols)
             total += n
-            if not key_reads:
-                continue
-            keys = [map(_hashable, read(cols, n)) for read in key_reads]
-            keys = keys[0] if len(keys) == 1 else zip(*keys)
-            gids.append(np.fromiter(
-                (assign(key, len(ids)) for key in keys),
-                dtype=np.int64, count=n,
-            ))
+            if keys:
+                gids.append(group_ids(cols, n, ids))
         if total == 0:
-            if not key_reads:
+            if not keys:
                 # A global aggregate over zero matches is still a row.
-                yield tuple(fn([()] * len(readers), 0, 0, 0) for fn in fns)
+                empty = [np.empty(0, dtype=np.int64)] * len(ctx.slots)
+                gr = _Groups(empty, np.zeros(1, dtype=np.int64), 0)
+                yield 1, [fn(gr) for fn in fns]
             return
         cols = [
             None if parts[0] is None else np.concatenate(parts)
             for parts in zip(*kept)
         ]
-        if key_reads:
+        if keys:
             gid = np.concatenate(gids)
             order = np.argsort(gid, kind="stable")
             cols = [None if c is None else c[order] for c in cols]
             counts = np.bincount(gid, minlength=len(ids))
         else:
             counts = np.array([total])
-        hi = np.cumsum(counts)
-        lo = hi - counts
-        firsts = [None if c is None else c[lo] for c in cols]
+        gr = _Groups(cols, counts, total)
         ngroups = len(counts)
         # The re-read sequence: groups outermost, then readers, then
         # the group's bindings.  ``at`` walks each group's write
         # position from its start, one reader at a time.
-        paged = [whole for _, slot, _, whole in readers if slot is not None]
-        if paged:
-            width = counts * paged.count(True) + paged.count(False)
+        paged = [
+            (cols[slot] if whole else gr.firsts[slot], whole)
+            for slot, _, whole in rereads if slot is not None
+        ]
+        if len(paged) == 1:  # the scatter would copy it as it is
+            seq = paged[0][0]
+        elif paged:
+            wholes = sum(whole for _, whole in paged)
+            width = counts * wholes + (len(paged) - wholes)
             at = np.cumsum(width) - width
             seq = np.empty(int(np.sum(width)), dtype=np.int64)
-            within = np.arange(total) - np.repeat(lo, counts)
-            for _, slot, _, whole in readers:
-                if slot is None:
-                    continue
+            within = np.arange(total) - np.repeat(gr.lo, counts)
+            for vids, whole in paged:
                 if whole:
-                    seq[np.repeat(at, counts) + within] = cols[slot]
+                    seq[np.repeat(at, counts) + within] = vids
                     at = at + counts
                 else:
-                    seq[at] = firsts[slot]
+                    seq[at] = vids
                     at = at + 1
+        if paged:
             _charge_pages(session, "v", seq, dedup=False)
         session.metrics.property_reads += sum(
             (total if whole else ngroups)
-            for _, _, charged, whole in readers if charged
+            for _, charged, whole in rereads if charged
         )
-        vals = [
-            gather(cols, total) if whole else gather(firsts, ngroups)
-            for gather, _, _, whole in readers
-        ]
-        for g, (start, stop) in enumerate(zip(lo.tolist(), hi.tolist())):
-            yield tuple(fn(vals, g, start, stop) for fn in fns)
+        yield ngroups, [fn(gr) for fn in fns]
 
     return consume_grouped
 
 
-def _compile_output(query: Query, plan: Plan, ctx: _KernelContext):
-    """Compile RETURN into ``(columns, consume(batches), chunked)``: the
-    consumer yields rows, or ``(n, column lists)`` when ``chunked``."""
+def _compile_output(query: Query, ctx: _KernelContext):
+    """Compile RETURN into ``(columns, consume(batches))``; the
+    consumer yields ``(n, column lists)`` chunks."""
     items = query.return_items
     columns = [item.output_name(i) for i, item in enumerate(items)]
-    if not any(contains_aggregate(item.expr) for item in items):
-        fns = [_compile_item(ctx, item.expr) for item in items]
+    if any(contains_aggregate(item.expr) for item in items):
+        return columns, _compile_grouped(items, ctx)
+    fns = [_compile_item(ctx, item.expr) for item in items]
 
-        def consume_plain(batches):
-            for cols, n in batches:
-                yield n, [fn(cols, n) for fn in fns]
-
-        return columns, consume_plain, True
-    if not plain_aggregates(query, plan):
-        return columns, _compile_grouped(items, ctx), False
-    aggs = [
-        _Aggregator(ctx, item.expr.name, item.expr.args[0])
-        for item in items
-    ]
-
-    def consume_aggregate(batches):
+    def consume_plain(batches):
         for cols, n in batches:
-            for agg in aggs:
-                agg.update(cols, n)
-        # A global aggregate always yields one row, even over
-        # zero matches (count=0, sum=0, min/max/avg=null).
-        yield tuple(agg.result() for agg in aggs)
+            yield n, [fn(cols, n) for fn in fns]
 
-    return columns, consume_aggregate, False
+    return columns, consume_plain
 
 
 # ----------------------------------------------------------------------
@@ -1312,13 +1310,14 @@ def build_pipeline(
 ):
     """Compile this execution's batch pipeline, or raise why not.
 
-    Returns ``(columns, rows, chunked)``; raises :class:`Refusal` when
-    any part of the query, or of this *execution* of it, cannot be
-    vectorized faithfully.  This is the only place that is decided:
-    nothing qualifies a plan beforehand, and every refusal happens
-    here, before any work-counter charge and before any row - a
-    returned pipeline cannot fail over to the tuple path mid-run, and
-    dropping it unrun (EXPLAIN does) leaves no trace.
+    Returns ``(columns, chunks)``, the rows as ``(n, column lists)``
+    chunks; raises :class:`Refusal` when any part of the query, or of
+    this *execution* of it, cannot be vectorized faithfully.  This is
+    the only place that is decided: nothing qualifies a plan
+    beforehand, and every refusal happens here, before any work-counter
+    charge and before any row - a returned pipeline cannot fail over
+    to the tuple path mid-run, and dropping it unrun (EXPLAIN does)
+    leaves no trace.
     """
     steps = plan.steps
     # The pipeline's shape is one label/all scan (an index scan's
@@ -1362,17 +1361,17 @@ def build_pipeline(
             ops.append(op)
     # ORDER BY / DISTINCT need no compile: the executor's shared tail
     # (sort, dedupe) works on produced rows, identically per path.
-    columns, consume, chunked = _compile_output(query, plan, ctx)
+    columns, consume = _compile_output(query, ctx)
     if report is not None:
         report.mode = "vectorized"
     if unsat:
         # Still route through the consumer: a global aggregate over
         # zero matches must produce its one (0/null) row.
-        return columns, consume(iter(())), chunked
+        return columns, consume(iter(()))
     batches = _drive(
         scan_gen, ops, guard, step_counts, step_times, report
     )
-    return columns, consume(batches), chunked
+    return columns, consume(batches)
 
 
 def _drive(scan_gen, ops, guard, step_counts, step_times, report):

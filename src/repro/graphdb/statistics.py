@@ -53,17 +53,28 @@ _PLAN_CACHE_EVICTIONS = _OBS.counter(
 
 
 def is_hashable(value: object) -> bool:
-    """Whether ``value`` can key an index bucket or a histogram.
+    """Whether ``value`` can key a histogram as it is.
 
     The single hashability test shared by the histograms here and the
-    planner's fold/access logic - both must agree on what a property
-    index can look up.
+    planner's fold/access logic - both must agree on which literals an
+    index lookup is priced and planned for.
     """
     try:
         hash(value)
     except TypeError:
         return False
     return True
+
+
+def hashable(value: object) -> object:
+    """``value`` as a dict key: a list becomes a tuple, recursively.
+
+    What property-index buckets, grouping keys and DISTINCT rows are
+    keyed by, so that a list value buckets by its contents.
+    """
+    if isinstance(value, list):
+        return tuple(hashable(v) for v in value)
+    return value
 
 
 class PropertyStats:

@@ -315,8 +315,9 @@ class TestRunnerRowCollection:
 
 
 class TestChunkHandOver:
-    """``stream(chunks=True)``: the batch path's plain projection hands
-    its column lists over as they are; everything else stays rows."""
+    """``stream(chunks=True)``: the batch path hands its column lists
+    over as they are - a projection per batch, an aggregation as one
+    chunk; row-level clauses and the tuple path stay rows."""
 
     @pytest.mark.parametrize("tail, chunked", [
         ("", True),
@@ -336,6 +337,19 @@ class TestChunkHandOver:
             assert [len(columns) for _, columns in out] == [2]
             out = [row for _, columns in out for row in zip(*columns)]
         assert out == rows
+
+    @pytest.mark.parametrize("returns", [
+        "d.name, count(*) AS c", "size(collect(d.name)) AS n",
+    ])
+    def test_an_aggregation_is_one_chunk(self, med_graph, returns):
+        query = f"MATCH (d:Drug) RETURN {returns}"
+        executor = Executor(GraphSession(med_graph, NEO4J_LIKE))
+        rows = list(executor.stream(query)[3])
+        report = ExecutionReport()
+        out = list(executor.stream(query, report=report, chunks=True)[3])
+        assert report.chunked
+        assert [n for n, _ in out] == [len(rows)]
+        assert list(zip(*out[0][1])) == rows
 
     def test_a_guard_keeps_the_stream_row_level(self, med_graph):
         query = "MATCH (d:Drug) RETURN d.name"

@@ -8,26 +8,43 @@ an *independent* oracle - plain Python comprehensions over
 both pipelines cannot hide.  It also pins the fallback decision table
 (which query/column shapes must refuse the batch path, and the reason
 string each reports) and the aggregation kernels' exactness rules.
+
+The grouped consumer's column folds are drawn by Hypothesis against the
+tuple path; ``REPRO_DIFF_SEED`` seeds those draws, as it seeds the
+differential corpus, so a red randomized CI run reproduces locally.
 """
 
+import dataclasses
 import math
+import os
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from repro.graphdb import observe
 from repro.graphdb.backends import NEO4J_LIKE
 from repro.graphdb.graph import PropertyGraph
+from repro.graphdb.metrics import LruPageCache
 from repro.graphdb.query import vectorized
+from repro.graphdb.query.ast import FuncCall
 from repro.graphdb.query.executor import Executor
-from repro.graphdb.query.functions import compare
+from repro.graphdb.query.functions import (
+    apply_aggregate,
+    apply_scalar,
+    compare,
+)
+from repro.graphdb.query.parser import parse_query
 from repro.graphdb.session import GraphSession
 from tests.graphdb.diffquery import (
     WORK_COUNTERS,
     assert_equivalent,
     mode_line,
+    norm_rows,
 )
+
+SEED = int(os.environ.get("REPRO_DIFF_SEED", "20260808"))
 
 OPS = ("=", "<>", "<", "<=", ">", ">=")
 
@@ -495,9 +512,87 @@ class TestAggregationExactness:
         assert report.mode == "vectorized", report.reason
 
 
+#: Stored values per property, one property per way the grouped
+#: consumer groups on or folds a column: typed int64 (with magnitudes past
+#: the overflow guard), typed float64 (NaN, -0.0), object with ``True``
+#: beside ``1``, strings, lists and a stored None, strings alone, and
+#: lists beside scalars.  ``z`` is never stored.
+FOLD_COLUMNS = {
+    "i": st.sampled_from([1, 2, 3] * 3 + [-1, 2**62, -(2**62)]),
+    "f": st.sampled_from([0.5, 0.0, -0.0, 2.25, float("nan")]),
+    "m": st.sampled_from([True, 1, 1.0, 0, "a", None, [1, 2], ["a"], []]),
+    "s": st.sampled_from(["x", "y", "z"]),
+    "l": st.lists(st.sampled_from(["a", "b", 1]), max_size=3)
+    | st.sampled_from(["a", 2]),
+}
+#: One vertex: each property stored or absent, about evenly.
+FOLD_VERTEX = st.tuples(*(
+    st.one_of(st.just(KeyError), values) for values in FOLD_COLUMNS.values()
+)).map(lambda row: {
+    name: value for name, value in zip(FOLD_COLUMNS, row)
+    if value is not KeyError
+})
+FOLD_VALUE = st.one_of(
+    st.none(), st.integers(-3, 3), st.sampled_from([float("nan"), 0.5]),
+    st.text(max_size=1), st.lists(st.integers(-1, 1) | st.none(), max_size=3),
+)
+FOLD_KEYS = ("n.i", "n.f", "n.m", "n.s", "n.l", "n.z", "n")
+FOLD_AGGREGATES = (
+    "count(*)", "count(n)",
+    *(f"{fn}(n.{prop})" for fn in ("count", "collect") for prop in "imslz"),
+    *(f"{fn}(DISTINCT n.{prop})" for fn in ("count", "collect")
+      for prop in "fml"),
+    *(f"size(collect(n.{prop}))" for prop in "fmlz"),
+    "size(collect(DISTINCT n.m))", "head(collect(n.l))",
+    *(f"{fn}(n.{prop})" for fn in ("sum", "min", "max", "avg")
+      for prop in "ifz"),
+    "coalesce(max(n.i), n.s)",
+)
+
+
+def with_flatten(query):
+    """``query`` with every count / collect flattening list values:
+    the rewriter's ``FuncCall.flatten`` has no surface syntax."""
+
+    def walk(expr):
+        if not isinstance(expr, FuncCall):
+            return expr
+        return dataclasses.replace(
+            expr, args=tuple(map(walk, expr.args)),
+            flatten=expr.flatten or expr.name in ("count", "collect"),
+        )
+
+    return dataclasses.replace(query, return_items=tuple(
+        dataclasses.replace(item, expr=walk(item.expr))
+        for item in query.return_items
+    ))
+
+
+#: Four vertices a page, so a few dozen span pages a small cache evicts.
+SMALL_PAGES = dataclasses.replace(NEO4J_LIKE, vertices_per_page=4)
+
+
+def assert_same_at_capacity(graph, query, capacity):
+    outcomes = []
+    for vectorize in (False, True):
+        session = GraphSession(graph, SMALL_PAGES, LruPageCache(capacity))
+        report = vectorized.ExecutionReport()
+        _, _, columns, rows = Executor(session, vectorize=vectorize).stream(
+            query, {}, report=report
+        )
+        rows = norm_rows(rows)
+        work = session.reset_metrics().as_dict()
+        outcomes.append((
+            columns, rows, {k: work[k] for k in WORK_COUNTERS},
+            list(session.cache._pages),
+        ))
+    assert report.mode == "vectorized", report.reason
+    assert outcomes[0] == outcomes[1], (capacity, outcomes)
+
+
 class TestGroupedConsumer:
-    """The batch consumer for grouped / collect / wrapped aggregates,
-    on the edges the differential corpus reaches only by luck."""
+    """The batch consumer of every aggregating RETURN, on the edges
+    the differential corpus reaches only by luck."""
 
     def test_keyed_group_over_zero_matches_is_zero_rows(self):
         graph = column_graph([1, 2, 3])
@@ -587,6 +682,88 @@ class TestGroupedConsumer:
             graph, "MATCH (n:L) RETURN n.tags, count(*) AS c"
         )
         assert rows[0][0] is stored
+
+    # -- the column folds, drawn ------------------------------------------
+    @seed(SEED)
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(
+        vertices=st.lists(FOLD_VERTEX, min_size=3, max_size=30),
+        keys=st.lists(st.sampled_from(FOLD_KEYS), max_size=2),
+        aggregates=st.lists(st.sampled_from(FOLD_AGGREGATES), min_size=2,
+                            max_size=5),
+        flatten=st.booleans(),
+        matched=st.sampled_from([True] * 7 + [False]),
+        batch_rows=st.integers(1, 9),
+    )
+    def test_column_folds_equal_the_tuple_path(
+        self, vertices, keys, aggregates, flatten, matched, batch_rows
+    ):
+        """Rows in order, the six counters and the LRU's final recency
+        order equal the tuple path's at every cache size, with groups
+        spanning batches; a label nothing carries gives the zero-match
+        keyed and global cases."""
+        graph = PropertyGraph("folds")
+        for props in vertices:
+            graph.add_vertex("G", props)
+        items = list(dict.fromkeys(keys)) + [
+            f"{agg} AS a{i}" for i, agg in enumerate(aggregates)
+        ]
+        label = "G" if matched else "Nothing"
+        query = parse_query(f"MATCH (n:{label}) RETURN {', '.join(items)}")
+        if flatten:
+            query = with_flatten(query)
+        with mock.patch.object(vectorized, "BATCH_ROWS", batch_rows):
+            for capacity in (0, 1, 4, 96):
+                assert_same_at_capacity(graph, query, capacity)
+
+    def test_a_nan_key_is_a_group_per_row_even_on_one_vertex(self):
+        # Rows of one vertex share a group code, but two reads of its
+        # NaN are two fresh floats no dict key equals: the tuple path
+        # never merges them.
+        graph = PropertyGraph("nan")
+        a, b = (graph.add_vertex("G", {"f": v}) for v in (float("nan"), 1.0))
+        for src, dst in ((b, a), (b, a), (a, b), (b, b), (a, a)):
+            graph.add_edge(src, dst, "E")
+        graph.freeze()
+        text = "MATCH (s:G)-[:E]->(t:G) RETURN t.f, s.f, count(*) AS c"
+        assert_same_at_capacity(graph, parse_query(text), 96)
+        rows, _ = run_vectorized(graph, text)
+        assert [c for *_, c in rows] == [1, 1, 1, 1, 1]
+
+    def test_int_folds_whose_sums_pass_int64(self):
+        graph = column_graph([2**62, 2**62, None, 2**62, -1, 3] * 2)
+        for vid in graph.vertex_ids():
+            graph.set_property(vid, "k", vid % 2)
+        rows = assert_matches_tuple(
+            graph, "MATCH (n:L) RETURN n.k, sum(n.x) AS s, avg(n.x) AS a, "
+            "min(n.x) AS lo, max(n.x) AS hi",
+        )
+        assert [s for _, s, *_ in rows] == [2**63 - 2, 2**64 + 6]
+
+    def test_key_reads_are_charged_binding_by_binding(self):
+        # Two keys read one vertex after the other, as the tuple path
+        # reads them: on a one-page cache, rows of the same page hit.
+        graph = column_graph(range(12))
+        for vid in graph.vertex_ids():
+            graph.set_property(vid, "y", vid % 3)
+        query = parse_query("MATCH (n:L) RETURN n.x, n.y, count(*) AS c")
+        with mock.patch.object(vectorized, "BATCH_ROWS", 5):
+            for capacity in (1, 4):
+                assert_same_at_capacity(graph, query, capacity)
+
+    @seed(SEED)
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(
+        values=st.lists(FOLD_VALUE, max_size=8),
+        distinct=st.booleans(),
+        flatten=st.booleans(),
+    )
+    def test_size_of_collect_is_count(self, values, distinct, flatten):
+        """The identity the consumer folds ``size(collect(x))`` by."""
+        collected = apply_aggregate("collect", values, distinct, flatten)
+        assert apply_scalar("size", [collected]) == apply_aggregate(
+            "count", values, distinct, flatten
+        )
 
 
 class TestObservability:

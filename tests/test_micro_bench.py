@@ -26,7 +26,7 @@ def test_smoke_section_writes_the_schema(tmp_path, capsys):
     assert code == 0 and captured.err == ""
     report = json.loads(out.read_text())
     assert {
-        "commit", "python", "numpy", "cpus", "host.slowdown_p50"
+        "commit", "dirty", "python", "numpy", "cpus", "host.slowdown_p50"
     } <= set(report["header"])
     assert report["header"]["smoke"] is True
     assert [row["name"] for row in report["rows"]] == [
