@@ -149,13 +149,27 @@ RowFn = Callable[[Binding], object]
 
 @dataclass
 class _Prepared:
-    """What the plan cache holds per (query, statistics epoch)."""
+    """What the plan cache holds per (query, statistics epoch).
+
+    Besides the plan, two memos of the batch compiler's work on it:
+    a refusal that holds whatever the data and the parameters are, and
+    the last compiled :class:`~repro.graphdb.query.vectorized.Pipeline`
+    with its key - the ``GraphArrays`` it was compiled over (rebuilt
+    every mutation epoch, so it stands for the frozen view, the vid
+    sets and the interned symbols too) and the values of the
+    parameters the query uses.  A run whose key matches executes the
+    pipeline as it is, binding only its own session, guard and
+    counters; any other run compiles and replaces it, so one entry
+    keeps at most one ``GraphArrays`` alive.
+    """
 
     query: Query
     plan: Plan
     #: Why the batch compiler refuses this pair whatever the data and
     #: the parameters are (``Refusal.shape``); None until it has.
     refusal: str | None = None
+    #: ``(arrays, binding key, pipeline)`` of the last compile, or None.
+    compiled: tuple | None = None
 
 
 class _Evaluator:
@@ -311,6 +325,31 @@ def _resolve_props(
 @lru_cache(maxsize=256)
 def _parameters_of(query: Query) -> frozenset[str]:
     return frozenset(parameters_used(query))
+
+
+#: Parameter value types a compiled pipeline may be keyed on.
+_KEYED_TYPES = (type(None), bool, int, str)
+
+
+def _binding_key(query: Query, params: dict[str, object]) -> tuple | None:
+    """The values of the parameters ``query`` uses, as an exact key:
+    ``1``, ``1.0`` and ``True`` differ, and so do ``0.0`` and ``-0.0``.
+    None for a value no key can stand for exactly (a list, a map,
+    EXPLAIN's unbound marker): that binding is compiled, never kept."""
+    try:
+        names = sorted(_parameters_of(query))
+    except TypeError:  # an unhashable AST is never plan-cached either
+        return None
+    key = []
+    for name in names:
+        value = params[name]
+        kind = type(value)
+        if kind is float:
+            value = value.hex()
+        elif kind not in _KEYED_TYPES:
+            return None
+        key.append((kind, value))
+    return tuple(key)
 
 
 def _validate_params(
@@ -603,33 +642,50 @@ class Executor:
         prepared: _Prepared,
         params: dict[str, object],
         report: object | None = None,
-        **run_args: object,
     ):
-        """The one gate to the batch path: this execution's compiled
-        ``(columns, chunks)``, or ``None`` with the reason on
-        ``report``.
+        """The one gate to the batch path: the compiled
+        :class:`~repro.graphdb.query.vectorized.Pipeline` for this
+        binding on the graph as it is now, or ``None`` with the reason
+        on ``report``.
 
         The batch compiler decides, by compiling.  A refusal that
         follows from the query and plan alone is kept with the
         plan-cache entry, so a plan it cannot run pays for finding
         that out once per planning; any other (a column's kind, a
         missing frozen view, a parameter's value) is this execution's
-        only.  Compiling charges no counter and produces no row, which
-        is what lets EXPLAIN call this and drop the pipeline.
+        only.  An accepted compile is kept there too, keyed by the
+        graph's arrays and the parameter values (see
+        :class:`_Prepared`), and handed out again while both match.
+        Compiling charges no counter and produces no row, which is
+        what lets EXPLAIN call this and drop the pipeline.
         """
         reason = prepared.refusal if self.vectorize else "disabled"
         if reason is None:
             from repro.graphdb.query import vectorized
 
+            arrays = vectorized.graph_arrays(self.session.graph)
+            key = _binding_key(prepared.query, params)
+            compiled = prepared.compiled
+            if (
+                compiled is not None
+                and compiled[0] is arrays
+                and key is not None
+                and compiled[1] == key
+            ):
+                return compiled[2]
+            prepared.compiled = None
             try:
-                return vectorized.build_pipeline(
-                    prepared.query, prepared.plan, self.session, params,
-                    report=report, **run_args,
+                pipeline = vectorized.build_pipeline(
+                    prepared.query, prepared.plan, arrays, params
                 )
             except vectorized.Refusal as refusal:
                 reason = refusal.reason
                 if refusal.shape:
                     prepared.refusal = reason
+            else:
+                if key is not None:
+                    prepared.compiled = (arrays, key, pipeline)
+                return pipeline
         if report is not None:
             report.reason = reason
         return None
@@ -647,10 +703,7 @@ class Executor:
         """Compile one execution: ``(columns, lazy row iterator)``."""
         query, plan = prepared.query, prepared.plan
         params = _validate_params(query, parameters)
-        pipeline = self._batch_pipeline(
-            prepared, params, report, guard=guard,
-            step_counts=step_counts, step_times=step_times,
-        )
+        pipeline = self._batch_pipeline(prepared, params, report)
         if pipeline is None:
             _QUERY_PATHS.inc("tuple")
             evaluator = _Evaluator(self.session, plan, params)
@@ -665,7 +718,9 @@ class Executor:
             columns, rows = self._project(query, stream, evaluator)
         else:
             _QUERY_PATHS.inc("vectorized")
-            columns, rows = pipeline
+            columns, rows = pipeline.run(
+                self.session, guard, step_counts, step_times, report
+            )
             if chunks and report is not None and not (
                 query.distinct or query.order_by or guard and guard.armed
             ):
@@ -738,7 +793,8 @@ class Executor:
                 parameters_used(prepared.query), vectorized.UNBOUND
             )
             params.update(parameters or {})
-            self._batch_pipeline(prepared, params, report)
+            if self._batch_pipeline(prepared, params, report) is not None:
+                report.mode = "vectorized"
         return prepared.plan.describe(
             actual=counts, mode=report.mode, reason=report.fallback_reason
         )

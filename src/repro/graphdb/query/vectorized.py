@@ -62,6 +62,14 @@ execute, runs it and drops the result to EXPLAIN, and remembers a
 refusal marked :attr:`Refusal.shape` with the cached plan.  A query
 with several causes reports the first one the compile meets, on both
 surfaces.
+
+**Compiled once, bound per run.**  :func:`build_pipeline` reads the
+plan, the graph's :class:`GraphArrays` and the parameter values, and
+nothing else; the :class:`Pipeline` it returns takes the session (its
+metrics and page cache), the guard, the step counters and the report
+as arguments of :meth:`Pipeline.run`.  The executor therefore keeps
+the last compiled pipeline with the cached plan and runs it again
+while the arrays object and the parameter values are the same.
 """
 
 from __future__ import annotations
@@ -357,17 +365,17 @@ def _charge_pages(session, kind: str, vids, dedup: bool) -> None:
     page.  ``dedup=True`` is the ``scan_rows`` flavor, which skips a
     row on the same page as the row before it: only run starts touch.
     """
-    if len(vids) == 0:
+    n = len(vids)
+    if n == 0:
         return
     pages = vids // (
         session._vertices_per_page if kind == "v"
         else session._adjacency_per_page
     )
-    if dedup:
-        starts = np.ones(len(pages), dtype=bool)
-        np.not_equal(pages[1:], pages[:-1], out=starts[1:])
-        pages = pages[starts]
-    session.charge_pages(kind, pages.tolist())
+    starts = np.ones(n, dtype=bool)
+    np.not_equal(pages[1:], pages[:-1], out=starts[1:])
+    runs = pages[starts]
+    session.charge_pages(kind, runs.tolist(), 0 if dedup else n - len(runs))
 
 
 def _charge_reads(session, vids) -> None:
@@ -434,12 +442,14 @@ def _require_typed(col: _Column) -> None:
 # Mask kernels
 # ----------------------------------------------------------------------
 class _KernelContext:
-    """What compiled kernels close over for one execution."""
+    """What compiled kernels close over: the graph's arrays, the plan's
+    slots and one binding of the parameters - nothing of an execution.
+    The session a run charges is an argument of every compiled
+    function instead."""
 
-    __slots__ = ("session", "arrays", "slots", "slot_kinds", "params")
+    __slots__ = ("arrays", "slots", "slot_kinds", "params")
 
-    def __init__(self, session, arrays, plan: Plan, params):
-        self.session = session
+    def __init__(self, arrays: GraphArrays, plan: Plan, params):
         self.arrays = arrays
         self.slots = plan.slots
         self.slot_kinds = plan.slot_kinds
@@ -455,11 +465,13 @@ class _KernelContext:
 
 
 def compile_mask(ctx: _KernelContext, expr: Expr):
-    """Compile a maskable predicate into ``fn(batch, idx) -> mask``.
+    """Compile a maskable predicate into ``fn(session, batch, idx) ->
+    mask``.
 
-    ``batch`` is the list of per-slot id arrays, ``idx`` the positions
-    (within those arrays) still alive; the returned boolean mask is
-    aligned to ``idx``.  Work-counter charges replicate the tuple
+    ``session`` is the run's, charged for the reads; ``batch`` is the
+    list of per-slot id arrays, ``idx`` the positions (within those
+    arrays) still alive; the returned boolean mask is aligned to
+    ``idx``.  Work-counter charges replicate the tuple
     path's short-circuit evaluation exactly: AND operands see only the
     rows that survived earlier operands, OR operands only the rows
     still false, and both sides of a comparison always evaluate.
@@ -478,42 +490,42 @@ def compile_mask(ctx: _KernelContext, expr: Expr):
         fns = [compile_mask(ctx, op) for op in expr.operands]
         if expr.op == "and":
 
-            def k_and(batch, idx):
-                out = fns[0](batch, idx)
+            def k_and(session, batch, idx):
+                out = fns[0](session, batch, idx)
                 for fn in fns[1:]:
                     alive = idx[out]
                     if not len(alive):
                         break
-                    out[out] = fn(batch, alive)
+                    out[out] = fn(session, batch, alive)
                 return out
 
             return k_and
 
-        def k_or(batch, idx):
-            out = fns[0](batch, idx)
+        def k_or(session, batch, idx):
+            out = fns[0](session, batch, idx)
             for fn in fns[1:]:
                 rem = ~out
                 pending = idx[rem]
                 if not len(pending):
                     break
-                out[rem] = fn(batch, pending)
+                out[rem] = fn(session, batch, pending)
             return out
 
         return k_or
     if isinstance(expr, NotOp):
         inner = compile_mask(ctx, expr.operand)
-        return lambda batch, idx: ~inner(batch, idx)
+        return lambda session, batch, idx: ~inner(session, batch, idx)
     raise Refusal("plan")
 
 
 def _charged_gather(ctx: _KernelContext, ref: PropertyRef):
-    """``fn(batch, idx) -> vids``: read-charge one column per row."""
+    """``fn(session, batch, idx) -> vids``: read-charge one column per
+    row."""
     slot = ctx.slots.get(ref.var)
     if slot is None or ctx.slot_kinds.get(ref.var) != "vertex":
         raise Refusal("plan")  # edge properties: dict probes
-    session = ctx.session
 
-    def gather(batch, idx):
+    def gather(session, batch, idx):
         vids = batch[slot][idx]
         _charge_reads(session, vids)
         return vids
@@ -542,15 +554,15 @@ def _compile_comparison(ctx: _KernelContext, expr: Comparison):
     if col.kind == "absent" or value is None:
         # Every read is None (or the constant is): null-is-false, but
         # the tuple path still pays the reads before deciding that.
-        def k_false(batch, idx):
-            vids = gather(batch, idx)
+        def k_false(session, batch, idx):
+            vids = gather(session, batch, idx)
             return np.zeros(len(vids), dtype=bool)
 
         return k_false
     values, present = col.values, col.present
 
-    def kernel(batch, idx):
-        vids = gather(batch, idx)
+    def kernel(session, batch, idx):
+        vids = gather(session, batch, idx)
         stored = values[vids]
         if op == "=":
             hit = stored == value
@@ -576,11 +588,13 @@ def _compile_nullcheck(ctx: _KernelContext, expr: NullCheck):
     gather = _charged_gather(ctx, ref)
     present = ctx.arrays.column(ref.prop).present
     if expr.negated:
-        return lambda batch, idx: present[gather(batch, idx)]
-    return lambda batch, idx: ~present[gather(batch, idx)]
+        return lambda session, batch, idx: (
+            present[gather(session, batch, idx)]
+        )
+    return lambda session, batch, idx: ~present[gather(session, batch, idx)]
 
 
-def _apply_filters(filters, cols, n):
+def _apply_filters(session, filters, cols, n):
     """Run pushed filter kernels with per-filter short-circuiting.
 
     Later filters see only the survivors of earlier ones - the batch
@@ -593,7 +607,7 @@ def _apply_filters(filters, cols, n):
     for kernel in filters:
         if not len(idx):
             break
-        idx = idx[kernel(cols, idx)]
+        idx = idx[kernel(session, cols, idx)]
     if len(idx) == n:
         return cols, n
     return [c[idx] if c is not None else None for c in cols], len(idx)
@@ -652,7 +666,8 @@ _UNSAT = object()  # a resolved constraint no row can satisfy
 
 
 def _build_scan(ctx: _KernelContext, step: ScanStep, params, nslots):
-    """Compile the leading scan into a batch-generator factory.
+    """Compile the leading scan into a batch-generator factory,
+    ``gen(session)``.
 
     Returns :data:`_UNSAT` when a ``$param`` resolved to null (the
     tuple generators yield nothing and charge nothing then).  The
@@ -660,12 +675,13 @@ def _build_scan(ctx: _KernelContext, step: ScanStep, params, nslots):
     ``label_scan`` charging exactly - including the per-table
     shortcuts that charge without examining rows.
 
-    Candidate vid arrays are captured *now*, at build time: the whole
-    pipeline executes against one consistent snapshot, so a mutation
-    while a lazy cursor is open cannot leave the compiled column
-    arrays and a live vid list disagreeing about graph size.  (The
-    charges themselves stay lazy - an unconsumed cursor charges
-    nothing, like the tuple generators.)
+    Candidate vid arrays are captured *now*, at compile time, from the
+    :class:`GraphArrays` the pipeline is compiled over: every run of it
+    executes against that one consistent snapshot, so a mutation while
+    a lazy cursor is open cannot leave the compiled column arrays and
+    a live vid list disagreeing about graph size.  (The charges
+    themselves stay lazy - an unconsumed cursor charges nothing, like
+    the tuple generators.)
     """
     check_labels = (
         frozenset(step.check_labels) if step.check_labels else None
@@ -674,19 +690,18 @@ def _build_scan(ctx: _KernelContext, step: ScanStep, params, nslots):
     if props is None:
         return _UNSAT
     filters = [compile_mask(ctx, f) for f in step.filters]
-    session = ctx.session
     arrays = ctx.arrays
-    graph = session.graph
+    graph = arrays.graph
     slot = step.slot
     access = step.access
     access_label = step.access_label
 
-    def emit(vids):
+    def emit(session, vids):
         for start in range(0, len(vids), BATCH_ROWS):
             chunk = vids[start:start + BATCH_ROWS]
             cols: list = [None] * nslots
             cols[slot] = chunk
-            cols, n = _apply_filters(filters, cols, len(chunk))
+            cols, n = _apply_filters(session, filters, cols, len(chunk))
             if n:
                 yield cols, n
 
@@ -696,16 +711,16 @@ def _build_scan(ctx: _KernelContext, step: ScanStep, params, nslots):
         if access == "label":
             candidates = arrays.label_vids(access_label)
 
-            def gen_label():
+            def gen_label(session):
                 session.metrics.index_lookups += 1
-                yield from emit(candidates)
+                yield from emit(session, candidates)
 
             return gen_label
 
         all_candidates = arrays.all_vids()
 
-        def gen_all():
-            yield from emit(all_candidates)
+        def gen_all(session):
+            yield from emit(session, all_candidates)
 
         return gen_all
 
@@ -725,7 +740,7 @@ def _build_scan(ctx: _KernelContext, step: ScanStep, params, nslots):
         if label_sid is None:
             # An un-interned label matches nothing; the lookup is
             # still charged (scan_rows returns after charging it).
-            def gen_nothing():
+            def gen_nothing(session):
                 session.metrics.index_lookups += 1
                 return
                 yield  # pragma: no cover - makes this a generator
@@ -737,7 +752,7 @@ def _build_scan(ctx: _KernelContext, step: ScanStep, params, nslots):
         if table.live > 0
     ]
 
-    def gen_checked():
+    def gen_checked(session):
         metrics = session.metrics
         metrics.index_lookups += 1
         for tid, tbl_labels, tbl_label_sids, vids in tables:
@@ -774,7 +789,7 @@ def _build_scan(ctx: _KernelContext, step: ScanStep, params, nslots):
                 metrics.vertex_reads += live
             metrics.property_reads += live * n_props
             if len(passing):
-                yield from emit(passing)
+                yield from emit(session, passing)
 
     return gen_checked
 
@@ -783,7 +798,8 @@ def _build_scan(ctx: _KernelContext, step: ScanStep, params, nslots):
 # CSR expand operator
 # ----------------------------------------------------------------------
 def _build_expand(ctx: _KernelContext, step, spec, params):
-    """Compile one plain-hop expansion into a batch-to-batch operator.
+    """Compile one plain-hop expansion into a batch-to-batch operator,
+    ``op(session, batch)``.
 
     Pair production joins the whole batch against the frozen view's
     CSR offset arrays (repeat/cumsum arithmetic instead of per-vertex
@@ -796,9 +812,8 @@ def _build_expand(ctx: _KernelContext, step, spec, params):
     props = _resolve_props(tuple(spec.props.items()), params)
     if props is None:
         return _UNSAT
-    session = ctx.session
     arrays = ctx.arrays
-    graph = session.graph
+    graph = arrays.graph
     prop_specs = [
         _eq_spec(arrays, name, value) for name, value in props
     ]
@@ -832,7 +847,7 @@ def _build_expand(ctx: _KernelContext, step, spec, params):
         )
         v_tid = arrays.v_tid()
 
-    def op(batch):
+    def op(session, batch):
         cols, n = batch
         src = cols[from_slot]
         metrics = session.metrics
@@ -890,7 +905,7 @@ def _build_expand(ctx: _KernelContext, step, spec, params):
         out[to_slot] = nbr[alive]
         if rel_slot is not None:
             out[rel_slot] = eid[alive]
-        out, n_out = _apply_filters(filters, out, len(rep_out))
+        out, n_out = _apply_filters(session, filters, out, len(rep_out))
         if n_out == 0:
             return None
         return out, n_out
@@ -904,7 +919,8 @@ def _build_expand(ctx: _KernelContext, step, spec, params):
 def _vertex_prop_reader(
     ctx: _KernelContext, var: str, prop: str, charge: bool = True
 ):
-    """Batch read of one vertex property column -> values.
+    """Batch read of one vertex property column,
+    ``read(session, cols, n) -> values``.
 
     Charging mirrors ``GraphSession.property_reader``: one property
     read and one vertex-page touch per row (repeats on a page count
@@ -916,9 +932,8 @@ def _vertex_prop_reader(
     slot = ctx.slot(var)
     col = ctx.arrays.column(prop)
     boxed = col.kind in _BOXED_REASONS
-    session = ctx.session
 
-    def read(cols, n):
+    def read(session, cols, n):
         vids = cols[slot]
         if charge:
             _charge_reads(session, vids)
@@ -943,10 +958,9 @@ def _edge_prop_reader(
 ):
     """Batch read of one edge property (sparse dict probes)."""
     slot = ctx.slot(var)
-    session = ctx.session
-    e_props = session.graph._e_props
+    e_props = ctx.arrays.graph._e_props
 
-    def read(cols, n):
+    def read(session, cols, n):
         if charge:
             # read_edge_property: one property read, no page touch.
             session.metrics.property_reads += n
@@ -965,22 +979,22 @@ def _compile_item(
     charge: bool = True,
     otherwise: str = "return-shape",
 ):
-    """Compile one row-level leaf into ``fn(cols, n) -> list`` (plain
-    Python output values, one per batch row).  Anything but a leaf is
-    refused as ``otherwise``: what the caller was compiling."""
+    """Compile one row-level leaf into ``fn(session, cols, n) -> list``
+    (plain Python output values, one per batch row).  Anything but a
+    leaf is refused as ``otherwise``: what the caller was compiling."""
     if isinstance(expr, Literal):
         value = expr.value
-        return lambda cols, n: [value] * n
+        return lambda session, cols, n: [value] * n
     if isinstance(expr, Parameter):
         value = _resolve_value(expr, ctx.params)
-        return lambda cols, n: [value] * n
+        return lambda session, cols, n: [value] * n
     if isinstance(expr, Variable):
         slot = ctx.slot(expr.name)
         if ctx.slot_kinds[expr.name] == "edge":
-            return lambda cols, n: [
+            return lambda session, cols, n: [
                 EdgeBinding(eid) for eid in cols[slot].tolist()
             ]
-        return lambda cols, n: [
+        return lambda session, cols, n: [
             VertexBinding(vid) for vid in cols[slot].tolist()
         ]
     if isinstance(expr, PropertyRef):
@@ -994,9 +1008,11 @@ class _Groups:
     """The drained match stably sorted by group id: the per-slot id
     ``cols`` of its ``total`` rows, each group's row ``counts`` and
     first row ``lo``, and the ids of its first binding (``firsts``; the
-    one group of a global aggregate over zero matches has none)."""
+    one group of a global aggregate over zero matches has none) - and
+    the ``session`` of the run that drained it."""
 
-    def __init__(self, cols, counts, total):
+    def __init__(self, session, cols, counts, total):
+        self.session = session
         self.cols, self.counts, self.total = cols, counts, total
         self.lo = np.cumsum(counts) - counts
 
@@ -1028,10 +1044,10 @@ def _group_key(ctx: _KernelContext, expr: Expr):
     The first two are :func:`_leaf_charge`'s; ``codes(cols, n)``
     numbers a batch's rows so that rows reading the same element share
     a code - the key's id column; None for a constant - and ``read``
-    reads values uncharged.  A typed float column hands out a fresh
-    float per read and a fresh NaN equals no dict key, so a NaN row is
-    a code (and a group) of its own, exactly as reading every row would
-    make it.
+    (:func:`_compile_item`'s signature) reads values uncharged.  A
+    typed float column hands out a fresh float per read and a fresh NaN
+    equals no dict key, so a NaN row is a code (and a group) of its
+    own, exactly as reading every row would make it.
     """
     read = _compile_item(ctx, expr, charge=False, otherwise="aggregate-shape")
     if not isinstance(expr, (Variable, PropertyRef)):
@@ -1074,17 +1090,18 @@ def _compile_grouped(items, ctx: _KernelContext):
     per-row weights, int ``sum`` / ``avg`` / ``min`` / ``max`` one
     ``reduceat`` while no sum can overflow; DISTINCT, ``collect``,
     float folds and the ``size`` / ``head`` / ``coalesce`` wrappers
-    fold each group in Python inside theirs.  The consumer yields the
-    result as one ``(n_groups, column lists)`` chunk.
+    fold each group in Python inside theirs.  The consumer,
+    ``consume(session, batches)``, yields the result as one
+    ``(n_groups, column lists)`` chunk; what one drain accumulates
+    (the group-id dict, the kept id columns) is local to its call.
     """
-    session = ctx.session
     #: Post-drain re-reads in evaluation order: ``(page slot or None,
     #: charged as a property read, reads the whole group)``.
     rereads: list[tuple] = []
 
     def reader(leaf: Expr, whole: bool):
         if isinstance(leaf, Star):
-            gather = lambda cols, n: [1] * n  # noqa: E731
+            gather = lambda session, cols, n: [1] * n  # noqa: E731
         else:
             gather = _compile_item(
                 ctx, leaf, charge=False, otherwise="aggregate-shape"
@@ -1107,7 +1124,7 @@ def _compile_grouped(items, ctx: _KernelContext):
             _require_typed(col)
 
         def fold(gr):
-            vals = gather(gr.cols, gr.total)
+            vals = gather(gr.session, gr.cols, gr.total)
             return [
                 apply_aggregate(
                     name, vals[lo:hi], distinct=distinct, flatten=flatten
@@ -1129,7 +1146,7 @@ def _compile_grouped(items, ctx: _KernelContext):
                     weights = np.fromiter((
                         len(v) if flatten and isinstance(v, list)
                         else v is not None
-                        for v in gather(gr.cols, gr.total)
+                        for v in gather(gr.session, gr.cols, gr.total)
                     ), dtype=np.int64, count=gr.total)
                 return gr.reduceat(np.add, weights).tolist()
 
@@ -1175,7 +1192,8 @@ def _compile_grouped(items, ctx: _KernelContext):
             return compile_fold(expr, expr.name)
         gather = reader(expr, whole=False)
         return lambda gr: (
-            gather(gr.firsts, len(gr.lo)) if gr.total else [None]
+            gather(gr.session, gr.firsts, len(gr.lo)) if gr.total
+            else [None]
         )
 
     # A grouping key is a row-level leaf, read as the match streams.
@@ -1186,7 +1204,7 @@ def _compile_grouped(items, ctx: _KernelContext):
     ]
     fns = [compile_column(item.expr) for item in items]
 
-    def group_ids(cols, n, ids: dict):
+    def group_ids(session, cols, n, ids: dict):
         """Each row's group id; new groups numbered in first-row order."""
         # The key reads, binding by binding as the tuple path makes them.
         pages = [cols[slot] for slot, *_ in keys if slot is not None]
@@ -1210,7 +1228,9 @@ def _compile_grouped(items, ctx: _KernelContext):
         order = np.argsort(first)
         rows = first[order]
         sub = [None if c is None else c[rows] for c in cols]
-        values = [map(hashable, read(sub, len(rows))) for *_, read in keys]
+        values = [
+            map(hashable, read(session, sub, len(rows))) for *_, read in keys
+        ]
         gid = np.empty(len(rows), dtype=np.int64)
         gid[order] = np.fromiter(
             (ids.setdefault(key, len(ids)) for key in zip(*values)),
@@ -1218,19 +1238,19 @@ def _compile_grouped(items, ctx: _KernelContext):
         )
         return gid[inverse.reshape(-1)]
 
-    def consume_grouped(batches):
+    def consume_grouped(session, batches):
         ids: dict = {}
         kept, gids, total = [], [], 0
         for cols, n in batches:
             kept.append(cols)
             total += n
             if keys:
-                gids.append(group_ids(cols, n, ids))
+                gids.append(group_ids(session, cols, n, ids))
         if total == 0:
             if not keys:
                 # A global aggregate over zero matches is still a row.
                 empty = [np.empty(0, dtype=np.int64)] * len(ctx.slots)
-                gr = _Groups(empty, np.zeros(1, dtype=np.int64), 0)
+                gr = _Groups(session, empty, np.zeros(1, dtype=np.int64), 0)
                 yield 1, [fn(gr) for fn in fns]
             return
         cols = [
@@ -1244,7 +1264,7 @@ def _compile_grouped(items, ctx: _KernelContext):
             counts = np.bincount(gid, minlength=len(ids))
         else:
             counts = np.array([total])
-        gr = _Groups(cols, counts, total)
+        gr = _Groups(session, cols, counts, total)
         ngroups = len(counts)
         # The re-read sequence: groups outermost, then readers, then
         # the group's bindings.  ``at`` walks each group's write
@@ -1280,17 +1300,17 @@ def _compile_grouped(items, ctx: _KernelContext):
 
 
 def _compile_output(query: Query, ctx: _KernelContext):
-    """Compile RETURN into ``(columns, consume(batches))``; the
-    consumer yields ``(n, column lists)`` chunks."""
+    """Compile RETURN into ``(columns, consume(session, batches))``;
+    the consumer yields ``(n, column lists)`` chunks."""
     items = query.return_items
     columns = [item.output_name(i) for i, item in enumerate(items)]
     if any(contains_aggregate(item.expr) for item in items):
         return columns, _compile_grouped(items, ctx)
     fns = [_compile_item(ctx, item.expr) for item in items]
 
-    def consume_plain(batches):
+    def consume_plain(session, batches):
         for cols, n in batches:
-            yield n, [fn(cols, n) for fn in fns]
+            yield n, [fn(session, cols, n) for fn in fns]
 
     return columns, consume_plain
 
@@ -1298,26 +1318,75 @@ def _compile_output(query: Query, ctx: _KernelContext):
 # ----------------------------------------------------------------------
 # Pipeline assembly
 # ----------------------------------------------------------------------
+class Pipeline:
+    """A plan compiled over one :class:`GraphArrays` for one binding of
+    its parameters: every operator, kernel and consumer built, nothing
+    of an execution captured.
+
+    :meth:`run` binds what belongs to one execution - the session it
+    charges, the guard, the step counters and timers, the report - and
+    returns ``(columns, chunks)``; the run's drain state lives in the
+    generators it creates.  One compiled pipeline therefore serves any
+    session, any number of times, and two cursors open over it at once
+    stay independent.
+    """
+
+    __slots__ = ("columns", "source", "ops", "consume")
+
+    def __init__(self, columns, source, ops, consume):
+        self.columns = columns
+        #: ``gen(session)`` yielding scan batches; None when a ``$param``
+        #: made the match unsatisfiable (zero rows, zero charges).
+        self.source = source
+        self.ops = ops
+        self.consume = consume
+
+    def run(
+        self,
+        session,
+        guard: ExecutionGuard | None = None,
+        step_counts: list[int] | None = None,
+        step_times: list[float] | None = None,
+        report: ExecutionReport | None = None,
+    ):
+        """One execution: ``(columns, chunks)``, rows as lazy
+        ``(n, column lists)`` chunks charged to ``session``."""
+        if report is not None:
+            report.mode = "vectorized"
+        if self.source is None:
+            # Still route through the consumer: a global aggregate over
+            # zero matches must produce its one (0/null) row.
+            batches = iter(())
+        else:
+            batches = _drive(
+                session, self.source, self.ops,
+                guard, step_counts, step_times, report,
+            )
+        return self.columns, self.consume(session, batches)
+
+
 def build_pipeline(
     query: Query,
     plan: Plan,
-    session,
+    arrays: GraphArrays,
     params: dict[str, object],
-    guard: ExecutionGuard | None = None,
-    step_counts: list[int] | None = None,
-    step_times: list[float] | None = None,
-    report: ExecutionReport | None = None,
-):
-    """Compile this execution's batch pipeline, or raise why not.
+) -> Pipeline:
+    """Compile ``plan`` over ``arrays`` for these ``params``, or raise
+    why not.
 
-    Returns ``(columns, chunks)``, the rows as ``(n, column lists)``
-    chunks; raises :class:`Refusal` when any part of the query, or of
-    this *execution* of it, cannot be vectorized faithfully.  This is
-    the only place that is decided: nothing qualifies a plan
-    beforehand, and every refusal happens here, before any work-counter
-    charge and before any row - a returned pipeline cannot fail over
-    to the tuple path mid-run, and dropping it unrun (EXPLAIN does)
-    leaves no trace.
+    Returns a :class:`Pipeline`; raises :class:`Refusal` when any part
+    of the query, or of this binding of it on this graph, cannot be
+    vectorized faithfully.  This is the only place that is decided:
+    nothing qualifies a plan beforehand, and every refusal happens
+    here, before any work-counter charge and before any row - a
+    compiled pipeline cannot fail over to the tuple path mid-run, and
+    dropping it unrun (EXPLAIN does) leaves no trace.
+
+    What is compiled depends on three inputs only: the plan, the
+    graph's ``arrays`` (its epoch's columns, vid sets and frozen view)
+    and the values of the parameters the query uses.  A caller may
+    keep the result and run it again while all three are unchanged -
+    the executor does, one entry per cached plan.
     """
     steps = plan.steps
     # The pipeline's shape is one label/all scan (an index scan's
@@ -1342,12 +1411,11 @@ def build_pipeline(
         # (``Executor._order``) picks the first ``limit`` - so ORDER
         # BY + LIMIT runs the batch pipeline and feeds the same heap.
         raise Refusal("limit")
-    ctx = _KernelContext(session, graph_arrays(session.graph), plan, params)
-    unsat = False
+    ctx = _KernelContext(arrays, plan, params)
     ops = []
-    scan_gen = _build_scan(ctx, steps[0], params, plan.num_slots)
-    if scan_gen is _UNSAT:
-        unsat = True
+    source = _build_scan(ctx, steps[0], params, plan.num_slots)
+    if source is _UNSAT:
+        source = None
     else:
         for step in steps[1:]:
             op = _build_expand(
@@ -1356,63 +1424,50 @@ def build_pipeline(
             if op is _UNSAT:
                 # The tuple generators return before pulling
                 # upstream: zero rows, zero charges.
-                unsat = True
+                source = None
                 break
             ops.append(op)
     # ORDER BY / DISTINCT need no compile: the executor's shared tail
     # (sort, dedupe) works on produced rows, identically per path.
     columns, consume = _compile_output(query, ctx)
-    if report is not None:
-        report.mode = "vectorized"
-    if unsat:
-        # Still route through the consumer: a global aggregate over
-        # zero matches must produce its one (0/null) row.
-        return columns, consume(iter(()))
-    batches = _drive(
-        scan_gen, ops, guard, step_counts, step_times, report
-    )
-    return columns, consume(batches)
+    return Pipeline(columns, source, ops, consume)
 
 
-def _drive(scan_gen, ops, guard, step_counts, step_times, report):
+def _drive(session, source, ops, guard, step_counts, step_times, report):
     """The batch loop: pull scan batches, push them through the
     expand operators, with per-batch deadline checks and the same
     per-step binding counts (and trace timings) the tuple pipeline's
     ``_counted`` / ``_timed_counted`` wrappers collect."""
     timing = step_times is not None
     perf = time.perf_counter
-
-    def batches():
-        source = scan_gen()
-        while True:
-            started = perf() if timing else 0.0
-            try:
-                batch = next(source)
-            except StopIteration:
-                if timing:
-                    step_times[0] += perf() - started
-                return
+    scan = source(session)
+    while True:
+        started = perf() if timing else 0.0
+        try:
+            batch = next(scan)
+        except StopIteration:
             if timing:
                 step_times[0] += perf() - started
-            if guard is not None:
-                guard.check_deadline()
+            return
+        if timing:
+            step_times[0] += perf() - started
+        if guard is not None:
+            guard.check_deadline()
+        if step_counts is not None:
+            step_counts[0] += batch[1]
+        dropped = False
+        for i, op in enumerate(ops, start=1):
+            started = perf() if timing else 0.0
+            batch = op(session, batch)
+            if timing:
+                step_times[i] += perf() - started
+            if batch is None:
+                dropped = True
+                break
             if step_counts is not None:
-                step_counts[0] += batch[1]
-            dropped = False
-            for i, op in enumerate(ops, start=1):
-                started = perf() if timing else 0.0
-                batch = op(batch)
-                if timing:
-                    step_times[i] += perf() - started
-                if batch is None:
-                    dropped = True
-                    break
-                if step_counts is not None:
-                    step_counts[i] += batch[1]
-            if dropped:
-                continue
-            if report is not None:
-                report.batches += 1
-            yield batch
-
-    return batches()
+                step_counts[i] += batch[1]
+        if dropped:
+            continue
+        if report is not None:
+            report.batches += 1
+        yield batch

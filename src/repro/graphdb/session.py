@@ -76,18 +76,27 @@ class GraphSession:
         else:
             self.metrics.page_misses += 1
 
-    def charge_pages(self, kind: str, pages: list[int]) -> None:
+    def charge_pages(self, kind: str, pages: list[int], repeats: int) -> None:
         """Bulk page charging for the batch path: one counted touch
         per element of ``pages``, in order, through
         :meth:`LruPageCache.touch_many` - the hit/miss split and the
         recency order of that many :meth:`_touch_page` calls at every
         cache size, for O(distinct pages) Python work.  Readers that
-        suppress repeats (:meth:`scan_rows`) pass run starts only.
+        suppress repeats (:meth:`scan_rows`) pass run starts only and
+        ``repeats=0``.
+
+        ``repeats`` counts further touches that each repeat the page
+        touched just before them (the rest of a run of same-page rows,
+        passed once in ``pages``): on a cache with room for a page such
+        a touch hits and moves nothing, on a zero-capacity one it
+        misses.
         """
         misses = self.cache.touch_many(kind, pages)
+        if not self.cache.capacity:
+            misses += repeats
         metrics = self.metrics
         metrics.page_misses += misses
-        metrics.page_hits += len(pages) - misses
+        metrics.page_hits += len(pages) + repeats - misses
 
     # ------------------------------------------------------------------
     # Instrumented reads

@@ -1,5 +1,6 @@
 """Tests for the instrumented graph session and metrics."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,7 +10,7 @@ from repro.graphdb.backends import JANUSGRAPH_LIKE, NEO4J_LIKE
 from repro.graphdb.graph import PropertyGraph
 from repro.graphdb.metrics import ExecutionMetrics, LruPageCache
 from repro.graphdb.query.executor import Executor
-from repro.graphdb.query.vectorized import ExecutionReport
+from repro.graphdb.query.vectorized import ExecutionReport, _charge_pages
 from repro.graphdb.session import GraphSession
 from tests.graphdb.lru_oracle import LoopLruPageCache
 
@@ -160,6 +161,49 @@ class TestTouchMany:
         cache = warm(4, [1])
         assert cache.touch_many("a", [1, 1]) == 1
         assert list(cache._pages) == [("v", 1), ("a", 1)]
+
+
+@st.composite
+def charge_scripts(draw):
+    """``(capacity, warm-up pages, [(vids, dedup)])``: vid arrays that
+    are often ascending (long same-page runs) and sometimes not."""
+    capacity = draw(st.sampled_from([0, 1, 4, 96]))
+    vid = st.integers(0, draw(st.integers(1, 400)))
+    vids = st.lists(vid, max_size=80)
+    call = st.tuples(
+        st.one_of(vids.map(sorted), vids), st.booleans()
+    )
+    warm_up = draw(st.lists(st.integers(0, 40), max_size=20))
+    return capacity, warm_up, draw(st.lists(call, min_size=1, max_size=8))
+
+
+class TestChargePages:
+    """The batch path's ``_charge_pages`` hands the cache one page per
+    same-page run: every counter and the recency order must equal one
+    ``_touch_page`` per row (``dedup=False``) or per run start
+    (``dedup=True``)."""
+
+    @given(charge_scripts())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_one_touch_per_row(self, script):
+        capacity, warm_up, calls = script
+        graph = PropertyGraph()
+        bulk = GraphSession(graph, NEO4J_LIKE, LruPageCache(capacity))
+        loop = GraphSession(graph, NEO4J_LIKE, LoopLruPageCache(capacity))
+        for session in (bulk, loop):
+            for page in warm_up:
+                session.cache.touch(("v", page))
+        per_page = bulk._vertices_per_page
+        for vids, dedup in calls:
+            _charge_pages(bulk, "v", np.array(vids, dtype=np.int64), dedup)
+            last = None
+            for vid in vids:
+                page = vid // per_page
+                if not (dedup and page == last):
+                    loop._touch_page(("v", page))
+                last = page
+            assert bulk.metrics == loop.metrics, (capacity, vids, dedup)
+            assert list(bulk.cache._pages) == list(loop.cache._pages)
 
 
 class TestSession:
