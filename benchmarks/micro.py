@@ -5,19 +5,23 @@
 executors, the loaders, freeze, statistics, snapshots, the WAL,
 recovery and the wire on every PR; tier-1 tests already state what is
 deterministic (planner never loses, zero re-plans).  What is left has
-no e2e workload that would notice it, and lives here, in four sections:
+no e2e workload that would notice it, and lives here, in five sections:
 
 * ``paths`` - the tuple and the batch executor on one query each of
   seven shapes (MED-DIR, frozen): per-query medians of both, their
   ratio, and the mode the batch leg really ran in;
 * ``derived`` - first-use cost of state no e2e workload ever builds:
   the tuple path's segments on a frozen graph, the dict adjacency of a
-  bulk-loaded one, the dict PageRank kernel at graph size;
+  bulk-loaded one, and the ontology PageRank on the MED and FIN
+  ontologies (the only inputs it ever gets);
 * ``group_commit`` - fsyncs per commit at 1 / 8 / 32 remote writers;
 * ``budgets`` - what switched-off instrumentation may cost: the
   observe registry disabled against no-op handles (< 2 %), a traced
   query against an untraced one (< 10 %), disarmed failpoints against
-  pass-throughs (< 2 %), and metrics on against off as information.
+  pass-throughs (< 2 %), and metrics on against off as information;
+* ``driver`` - the driver's fixed cost per query: a warm one-row query
+  through ``Session.run`` + iterate + ``consume`` minus the same query
+  through ``Executor.run``.
 
 Everything is timed by one loop on the e2e benchmark's clock (wall
 time divided by the host's slowdown at that moment,
@@ -76,12 +80,16 @@ from repro.graphdb.server import GraphServer, ServerConfig  # noqa: E402
 from repro.graphdb.session import GraphSession  # noqa: E402
 from repro.graphdb.storage import GraphStore  # noqa: E402
 from repro.graphdb.storage.wal import WriteAheadLog  # noqa: E402
-from repro.optimizer.pagerank import pagerank  # noqa: E402
+from repro.optimizer.pagerank import ontology_pagerank  # noqa: E402
 
 SMOKE_SCALE = 0.25
 #: Executions per timed sample of a ``paths`` query: one is too short
 #: for the host-speed readings (25 ms apart) to land near it.
 RUNS_PER_SAMPLE = 40
+#: ``ontology_pagerank`` calls per timed sample (one is ~0.1-1 ms).
+PAGERANK_RUNS = 20
+#: Warm driver and executor runs per timed ``driver`` sample.
+DRIVER_RUNS = 200
 WRITERS = (1, 8, 32)
 COMMITS_EACH = 8
 #: How long the group committer lingers for more commits.  At the
@@ -228,26 +236,30 @@ def derived(bench: Bench) -> None:
         graph._adjacency = None         # as a bulk load leaves it
         graph.out_edges(0)
 
-    neighbours: dict[int, list[int]] = {
-        v.vid: [] for v in graph.iter_vertices()
-    }
-    for edge in graph.iter_edges():
-        neighbours[edge.src].append(edge.dst)
-        neighbours[edge.dst].append(edge.src)
-    converged: dict[str, int] = {}
-
-    def pagerank_kernel():
-        converged["iterations"] = pagerank(neighbours, tol=1e-8)[1]
-
     for fn, extra in (
         (segments_build, {"edge_types": len(view.edge_types())}),
         (adjacency_build, {}),
-        (pagerank_kernel, converged),
     ):
         (samples,) = bench.time([fn], 7)
         bench.row(
             f"derived.{fn.__name__}", "ms", samples * 1e3,
             dataset="fin-dir", **size, **extra,
+        )
+    # The paper's PageRank runs over an ontology's concepts (tens of
+    # them), once per optimization, never over an instance graph.
+    runs = 1 if bench.smoke else PAGERANK_RUNS
+    for dataset in (build_med(), build_fin()):
+        ontology = dataset.ontology
+
+        def ranks():
+            for _ in range(runs):
+                ontology_pagerank(ontology)
+
+        (samples,) = bench.time([ranks], 15)
+        bench.row(
+            f"derived.ontology_pagerank.{dataset.name.lower()}", "us",
+            samples / runs * 1e6, concepts=len(ontology.concepts),
+            iterations=ontology_pagerank(ontology).iterations,
         )
 
 
@@ -443,9 +455,54 @@ def budgets(bench: Bench) -> None:
         )
 
 
+# ----------------------------------------------------------------------
+# driver: what Session.run + iterate + consume adds to Executor.run
+# ----------------------------------------------------------------------
+DRIVER_QUERY = "MATCH (d:Drug) WHERE d.id = $id RETURN d.name"
+
+
+def driver(bench: Bench) -> None:
+    """The driver's fixed cost per query: a warm one-row point query
+    (a label scan with a pushed equality, batch path) through
+    ``Session.run`` + iterate + ``consume`` against the same query
+    through ``Executor.run`` on a twin session, as alternating pairs.
+    Their difference is the seam alone: every end-to-end workload
+    times it together with the executor's work."""
+    graph = PropertyGraph("driver")
+    for i in range(200):
+        graph.add_vertex("Drug", {"id": i, "name": f"d{i}"})
+    graph.freeze()
+    runs = 1 if bench.smoke else DRIVER_RUNS
+    executor = Executor(GraphSession(graph, NEO4J_LIKE))
+    report = ExecutionReport()
+    rows = len(list(executor.stream(DRIVER_QUERY, {"id": 7}, report=report)[3]))
+    executor.session.reset_metrics()
+
+    with connect(graph) as db, db.session() as session:
+        def through_driver():
+            for _ in range(runs):
+                result = session.run(DRIVER_QUERY, id=7)
+                for _ in result:
+                    pass
+                result.consume()
+
+        def through_executor():
+            for _ in range(runs):
+                executor.run(DRIVER_QUERY, {"id": 7})
+
+        seam, bare = bench.time([through_driver, through_executor], 41)
+    _, driver_us, _ = bench.quartiles(seam / runs * 1e6)
+    _, executor_us, _ = bench.quartiles(bare / runs * 1e6)
+    bench.row(
+        "driver.fixed_us", "us", (seam - bare) / runs * 1e6,
+        driver_us=round(driver_us, 2), executor_us=round(executor_us, 2),
+        rows=rows, mode=report.mode,
+    )
+
+
 SECTIONS = {
     "paths": paths, "derived": derived,
-    "group_commit": group_commit, "budgets": budgets,
+    "group_commit": group_commit, "budgets": budgets, "driver": driver,
 }
 
 

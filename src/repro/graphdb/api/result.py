@@ -9,8 +9,10 @@ materializes the full match; the batch path's plain projection
 arrives as ``(n, column lists)`` chunks.  Iterating yields
 :class:`Record` s - ordered, field-addressable views
 (`record["name"]`, ``record[0]``, ``record.data()``) built one per row
-actually iterated; :meth:`Result.batches` hands out column chunks and
-builds none.  The cursor itself (:class:`_Cursor`) is shared with
+actually iterated, by ``map`` over the chunk's rows: no Python frame
+runs per row but ``Record.__init__``.  :meth:`Result.batches` hands
+out column chunks and builds none.  The cursor itself
+(:class:`_Cursor`) is shared with
 :class:`~repro.graphdb.api.remote.RemoteResult`.
 
 ``consume()`` drains whatever the caller did not read and returns a
@@ -18,7 +20,9 @@ builds none.  The cursor itself (:class:`_Cursor`) is shared with
 backend latency, and the executed plan rendered with estimated *and*
 actual rows per step (the driver always runs with step counting on).
 Exhausting the cursor computes the same summary, so iterating to the
-end then calling ``consume()`` costs nothing extra.
+end then calling ``consume()`` costs nothing extra.  What a summary
+can derive - the latency, the plan text, an AST query's text - it
+derives when first read.
 
 A session keeps at most one result open: starting a new query first
 detaches the previous result by buffering its remaining chunks, which
@@ -31,13 +35,15 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from itertools import chain, islice
+from itertools import chain, count, islice, repeat
+from operator import itemgetter
 from typing import Iterator
 
 from repro.exceptions import QueryError, ResourceLimitError
 from repro.graphdb import faults, observe
 from repro.graphdb.metrics import ExecutionMetrics
 from repro.graphdb.observe.trace import Trace
+from repro.graphdb.query.ast import Query, query_text
 
 _QUERIES = observe.REGISTRY.counter(
     "repro_queries_total", "Driver query executions settled."
@@ -47,7 +53,8 @@ _QUERY_ROWS = observe.REGISTRY.counter(
 )
 _QUERY_SECONDS = observe.REGISTRY.histogram(
     "repro_query_seconds",
-    help="Driver query wall time, run() to settled cursor.",
+    help="Driver query wall time, run() to settled cursor (parse, plan "
+    "and compile included).",
 )
 
 
@@ -115,19 +122,19 @@ class ResultSummary:
     """What one consumed query execution did."""
 
     __slots__ = (
-        "query", "parameters", "columns", "rows", "metrics",
-        "latency_ms", "elapsed_ms", "plan_digest", "trace", "mode",
+        "_query", "parameters", "columns", "rows", "metrics", "_profile",
+        "_latency_ms", "elapsed_ms", "plan_digest", "trace", "mode",
         "fallback_reason", "_plan", "_plan_actual", "_plan_text",
     )
 
     def __init__(
         self,
-        query: str,
+        query: str | Query,
         parameters: dict[str, object],
         columns: list[str],
         rows: int,
         metrics: ExecutionMetrics,
-        latency_ms: float,
+        profile,
         plan,
         plan_actual: list[int],
         elapsed_ms: float = 0.0,
@@ -135,7 +142,7 @@ class ResultSummary:
         mode: str = "tuple",
         fallback_reason: str | None = None,
     ):
-        self.query = query
+        self._query = query
         self.parameters = parameters
         #: Output column names, in RETURN order.
         self.columns = columns
@@ -143,9 +150,10 @@ class ResultSummary:
         self.rows = rows
         #: Work counters (vertex/property reads, traversals, pages).
         self.metrics = metrics
-        #: Simulated backend latency for those counters.
-        self.latency_ms = latency_ms
-        #: Real wall-clock time, ``session.run()`` to settled cursor.
+        self._profile = profile
+        self._latency_ms: float | None = None
+        #: Real wall-clock time, ``session.run()`` to settled cursor:
+        #: parse, plan and compile included.
         self.elapsed_ms = elapsed_ms
         #: Short digest of the executed plan's shape (the slow-query
         #: event and traces carry the same one).
@@ -163,6 +171,22 @@ class ResultSummary:
         self._plan = plan
         self._plan_actual = plan_actual
         self._plan_text: str | None = None
+
+    @property
+    def query(self) -> str:
+        """The query's text: as given, or a query AST rendered back to
+        Cypher on first read."""
+        if not isinstance(self._query, str):
+            self._query = query_text(self._query)
+        return self._query
+
+    @property
+    def latency_ms(self) -> float:
+        """Simulated backend latency for :attr:`metrics`, computed on
+        first read."""
+        if self._latency_ms is None:
+            self._latency_ms = self._profile.latency_ms(self.metrics)
+        return self._latency_ms
 
     @property
     def plan(self) -> str:
@@ -222,6 +246,19 @@ class _Cursor:
             return self._chunks.popleft()
         return self._pull() if self._summary is None else None
 
+    def _runs(self) -> Iterator[Iterator[tuple]]:
+        """The row iterators to read in turn: the unread rows, then
+        each further chunk's.  Only its caller's ``chain`` resumes it,
+        once per chunk, never per row."""
+        while True:
+            rows = self._rows
+            yield rows
+            if rows is self._rows:  # else single() put rows back
+                chunk = self._next_chunk()
+                if chunk is None:
+                    return
+                self._rows = zip(*chunk[1])
+
     def batches(self) -> Iterator[tuple[int, list[list]]]:
         """Remaining rows as ``(n, columns)`` chunks - ``columns[i][j]``
         is column ``i`` of the chunk's row ``j`` - as the executor
@@ -231,16 +268,9 @@ class _Cursor:
         yield from iter(self._next_chunk, None)
 
     def __iter__(self) -> Iterator[Record]:
-        columns = self._columns
-        while True:
-            rows = self._rows
-            for row in rows:
-                yield Record(columns, row)
-            if rows is self._rows:  # else single() put rows back
-                chunk = self._next_chunk()
-                if chunk is None:
-                    return
-                self._rows = zip(*chunk[1])
+        return map(
+            Record, repeat(self._columns), chain.from_iterable(self._runs())
+        )
 
     def single(self) -> Record:
         """Exactly one record; raises :class:`QueryError` otherwise."""
@@ -255,7 +285,7 @@ class _Cursor:
 
     def values(self) -> list[list]:
         """Remaining records as plain value lists (drains the cursor)."""
-        return [record.values() for record in self]
+        return list(map(list, chain.from_iterable(self._runs())))
 
     def records(self) -> list[Record]:
         """Remaining records, materialized (drains the cursor)."""
@@ -278,43 +308,43 @@ class Result(_Cursor):
     def __init__(
         self,
         owner,
-        query: str,
+        query: str | Query,
         parameters: dict[str, object],
         columns: list[str],
-        rows: Iterator[tuple],
+        rows: Iterator,
         plan,
         step_counts: list[int],
-        trace: Trace | None = None,
-        report=None,
+        trace: Trace | None,
+        report,
+        started: float,
     ):
         super().__init__(columns)
         self._owner = owner
         self._query = query
         self._parameters = parameters
-        #: ``rows`` yields chunks when the executor says so
-        #: (``report.chunked``); row tuples are read as they come.
-        self._source = rows
-        if report is None or not report.chunked:
-            self._source, self._rows = iter(()), self._counted(rows)
+        #: Rows read from a row-level execution: counted as they pass,
+        #: by ``zip`` against this, with no Python frame per row.
+        self._tally = count()
+        if report.chunked:
+            self._source = rows
+        else:
+            self._source = iter(())
+            self._rows = map(itemgetter(0), zip(rows, self._tally))
         self._plan = plan
         self._step_counts = step_counts
         self._trace = trace
         self._report = report
-        self._started = time.perf_counter()
+        #: ``perf_counter()`` taken in ``session.run``, before parse.
+        self._started = started
         #: Process-global fault/retry counters at creation; _settle
         #: reports the delta, attributing storage-layer retry activity
         #: to the execution that was the open unit of work.
-        self._fault_base = faults.REGISTRY.counters()
-
-    def _counted(self, rows: Iterator[tuple]) -> Iterator[tuple]:
-        for row in rows:
-            self._pulled += 1
-            yield row
+        self._retries = faults.REGISTRY.retries
+        self._injected = faults.REGISTRY.injected
 
     def _pull(self) -> tuple[int, list[list]] | None:
-        try:
-            chunk = next(self._source)
-        except StopIteration:
+        chunk = next(self._source, None)
+        if chunk is None:
             self._settle()
             return None
         self._pulled += chunk[0]
@@ -342,51 +372,40 @@ class Result(_Cursor):
         elapsed_ms = (time.perf_counter() - self._started) * 1000.0
         graph_session = self._owner._graph_session
         metrics = graph_session.reset_metrics()
-        metrics.rows = self._pulled
+        rows = self._pulled = self._pulled + next(self._tally)
+        metrics.rows = rows
         metrics.queries = 1
-        counters = faults.REGISTRY.counters()
-        metrics.io_retries = (
-            counters["retries"] - self._fault_base["retries"]
-        )
-        metrics.faults_injected = (
-            counters["injected"] - self._fault_base["injected"]
-        )
+        registry = faults.REGISTRY
+        metrics.io_retries = registry.retries - self._retries
+        metrics.faults_injected = registry.injected - self._injected
         plan = self._plan
         report = self._report
-        mode = report.mode if report is not None else "tuple"
-        reason = report.fallback_reason if report is not None else None
+        mode = report.mode
+        reason = report.fallback_reason
         if self._trace is not None:
             self._trace.complete(
                 plan.step_texts(),
                 [step.est_rows for step in plan.steps],
                 self._step_counts,
-                self._pulled,
+                rows,
                 mode=mode,
                 reason=reason,
             )
         _QUERIES.inc()
-        _QUERY_ROWS.inc(self._pulled)
+        _QUERY_ROWS.inc(rows)
         _QUERY_SECONDS.observe(elapsed_ms / 1000.0)
-        self._summary = ResultSummary(
-            query=self._query,
-            parameters=dict(self._parameters),
-            columns=list(self._columns),
-            rows=self._pulled,
-            metrics=metrics,
-            latency_ms=graph_session.profile.latency_ms(metrics),
-            plan=plan,
-            plan_actual=self._step_counts,
-            elapsed_ms=elapsed_ms,
-            trace=self._trace,
-            mode=mode,
-            fallback_reason=reason,
+        summary = self._summary = ResultSummary(
+            self._query, self._parameters, list(self._columns), rows,
+            metrics, graph_session.profile, plan, self._step_counts,
+            elapsed_ms, self._trace, mode, reason,
         )
-        if observe.EVENTS.slow_query_ms is not None:
+        threshold = observe.EVENTS.slow_query_ms
+        if threshold is not None and elapsed_ms >= threshold:
             observe.EVENTS.slow_query(
                 elapsed_ms,
-                self._query,
+                summary.query,
                 plan.fingerprint,
-                self._pulled,
+                rows,
                 metrics.as_dict(),
                 mode,
                 reason,

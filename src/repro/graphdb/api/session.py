@@ -22,6 +22,8 @@ first, settling its metrics.
 
 from __future__ import annotations
 
+from time import perf_counter
+
 from repro.exceptions import TransactionError
 from repro.graphdb.api.result import Result
 from repro.graphdb.api.transaction import Transaction
@@ -81,8 +83,11 @@ class Session:
         the per-step timing adds overhead, so it is opt-in per query.
         """
         self._require_open()
-        bound = {**(parameters or {}), **params}
         self._finish_open_result()
+        # Past the detach (the old query's time), before parse and plan.
+        started = perf_counter()
+        if parameters:
+            params = {**parameters, **params}
         guard = (
             ExecutionGuard(timeout=timeout, max_rows=max_rows)
             if timeout is not None or max_rows is not None
@@ -95,19 +100,18 @@ class Session:
         )
         step_counts: list[int] = []
         report = ExecutionReport()
-        parsed, plan, columns, rows = self._executor.stream(
+        _, plan, columns, rows = self._executor.stream(
             query,
-            bound,
+            params,
             step_counts=step_counts,
             guard=guard,
             trace=trace_obj,
             report=report,
             chunks=True,
         )
-        text = query if isinstance(query, str) else query_text(parsed)
         result = Result(
-            self, text, bound, columns, rows, plan, step_counts,
-            trace=trace_obj, report=report,
+            self, query, params, columns, rows, plan, step_counts,
+            trace_obj, report, started,
         )
         self._open_result = result
         return result

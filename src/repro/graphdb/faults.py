@@ -233,9 +233,6 @@ class FaultRegistry:
             self.disarm(prepared.point)
 
     # -- counters ------------------------------------------------------
-    def counters(self) -> dict[str, int]:
-        return {"injected": self.injected, "retries": self.retries}
-
     def record_retry(self) -> None:
         self.retries += 1
         _IO_RETRIES.inc()

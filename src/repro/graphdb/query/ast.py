@@ -8,6 +8,7 @@ trees instead of mutating.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Union
 
 #: Aggregate function names recognized by the executor.
@@ -166,6 +167,19 @@ class Query:
 
     def with_(self, **changes) -> "Query":
         return replace(self, **changes)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        """The dataclass hash of the fields, taken once: the plan cache
+        probes a query AST on every run, and hashing re-walks the whole
+        tree in Python.  Kept per process, like every ``str`` hash."""
+        return hash((
+            self.patterns, self.return_items, self.where, self.distinct,
+            self.order_by, self.limit,
+        ))
 
 
 # ----------------------------------------------------------------------

@@ -49,7 +49,6 @@ import itertools
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Iterable, Iterator
 
 from repro.exceptions import (
@@ -165,6 +164,8 @@ class _Prepared:
 
     query: Query
     plan: Plan
+    #: The ``$names`` the query uses, sorted: found once, at planning.
+    params: tuple[str, ...] = ()
     #: Why the batch compiler refuses this pair whatever the data and
     #: the parameters are (``Refusal.shape``); None until it has.
     refusal: str | None = None
@@ -322,24 +323,15 @@ def _resolve_props(
     return tuple(resolved)
 
 
-@lru_cache(maxsize=256)
-def _parameters_of(query: Query) -> frozenset[str]:
-    return frozenset(parameters_used(query))
-
-
 #: Parameter value types a compiled pipeline may be keyed on.
 _KEYED_TYPES = (type(None), bool, int, str)
 
 
-def _binding_key(query: Query, params: dict[str, object]) -> tuple | None:
-    """The values of the parameters ``query`` uses, as an exact key:
-    ``1``, ``1.0`` and ``True`` differ, and so do ``0.0`` and ``-0.0``.
-    None for a value no key can stand for exactly (a list, a map,
-    EXPLAIN's unbound marker): that binding is compiled, never kept."""
-    try:
-        names = sorted(_parameters_of(query))
-    except TypeError:  # an unhashable AST is never plan-cached either
-        return None
+def _binding_key(names: tuple, params: dict) -> tuple | None:
+    """The values of the parameters ``names``, as an exact key: ``1``,
+    ``1.0`` and ``True`` differ, and so do ``0.0`` and ``-0.0``.  None
+    for a value no key can stand for exactly (a list, a map, EXPLAIN's
+    unbound marker): that binding is compiled, never kept."""
     key = []
     for name in names:
         value = params[name]
@@ -353,21 +345,15 @@ def _binding_key(query: Query, params: dict[str, object]) -> tuple | None:
 
 
 def _validate_params(
-    query: Query, parameters: dict[str, object] | None
+    names: tuple[str, ...], parameters: dict[str, object] | None
 ) -> dict[str, object]:
-    """The bound-parameter dict; every ``$name`` used must be present."""
-    params = dict(parameters) if parameters else {}
-    try:
-        # Memoized per AST: the hot parameterized path re-executes the
-        # same (cached) query thousands of times and must not re-walk
-        # its tree per run.
-        required = _parameters_of(query)
-    except TypeError:  # AST embeds an unhashable (list) literal
-        required = parameters_used(query)
-    missing = required - params.keys()
+    """``parameters`` itself, not a copy, once every name of ``names``
+    is bound in it."""
+    params = parameters or {}
+    missing = [name for name in names if name not in params]
     if missing:
-        names = ", ".join(f"${name}" for name in sorted(missing))
-        raise ParameterError(f"missing query parameter(s): {names}")
+        listed = ", ".join(f"${name}" for name in missing)
+        raise ParameterError(f"missing query parameter(s): {listed}")
     return params
 
 
@@ -576,6 +562,7 @@ class Executor:
         ``step_counts`` EXPLAIN ANALYZE uses).  ``report`` (a
         :class:`~repro.graphdb.query.vectorized.ExecutionReport`)
         receives which pipeline path this execution took and why.
+        ``parameters`` is read, not copied, until the rows are drained.
         """
         prepared = self._prepare(query, trace)
         plan = prepared.plan
@@ -601,12 +588,14 @@ class Executor:
         """Parse and plan, consulting the per-graph plan cache.
 
         The cache key is the query text, or - AST nodes are frozen
-        dataclasses - the :class:`Query` itself; the one unhashable
-        case (a list literal embedded in an expression) is planned
-        afresh.  The rewriter's pre-parsed OPT queries therefore cache
-        just like text does.  With ``trace``, parse and plan each get
-        a phase span; a cache hit collapses them into one instant
-        ``plan`` span tagged ``cached``.
+        dataclasses - the :class:`Query` itself, whose hash is taken
+        once per AST; the one unhashable case (a list literal embedded
+        in an expression) is planned afresh.  The rewriter's pre-parsed
+        OPT queries therefore cache just like text does, and a warm run
+        walks no tree: the parameter names it checks are found here,
+        once.  With ``trace``, parse and plan each get a phase span; a
+        cache hit collapses them into one instant ``plan`` span tagged
+        ``cached``.
         """
         graph = self.session.graph
         stats = key = None
@@ -632,7 +621,8 @@ class Executor:
             plan = build_plan(
                 parsed, graph, statistics=stats, cost_based=self.cost_based
             )
-        prepared = _Prepared(parsed, plan)
+        names = tuple(sorted(parameters_used(parsed)))
+        prepared = _Prepared(parsed, plan, names)
         if key is not None:
             stats.plan_cache.put(key, prepared)
         return prepared
@@ -664,7 +654,7 @@ class Executor:
             from repro.graphdb.query import vectorized
 
             arrays = vectorized.graph_arrays(self.session.graph)
-            key = _binding_key(prepared.query, params)
+            key = _binding_key(prepared.params, params)
             compiled = prepared.compiled
             if (
                 compiled is not None
@@ -702,7 +692,7 @@ class Executor:
     ) -> tuple[list[str], Iterator[tuple]]:
         """Compile one execution: ``(columns, lazy row iterator)``."""
         query, plan = prepared.query, prepared.plan
-        params = _validate_params(query, parameters)
+        params = _validate_params(prepared.params, parameters)
         pipeline = self._batch_pipeline(prepared, params, report)
         if pipeline is None:
             _QUERY_PATHS.inc("tuple")
@@ -789,9 +779,7 @@ class Executor:
                 prepared, parameters, step_counts=counts, report=report
             )
         else:
-            params = dict.fromkeys(
-                parameters_used(prepared.query), vectorized.UNBOUND
-            )
+            params = dict.fromkeys(prepared.params, vectorized.UNBOUND)
             params.update(parameters or {})
             if self._batch_pipeline(prepared, params, report) is not None:
                 report.mode = "vectorized"

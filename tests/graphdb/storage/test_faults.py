@@ -269,7 +269,7 @@ def test_torture_probabilistic_crash_sites(tmp_path):
 # ----------------------------------------------------------------------
 class TestTransientRetry:
     def test_eintr_is_absorbed_and_counted(self, tmp_path):
-        before = faults.REGISTRY.counters()["retries"]
+        before = faults.REGISTRY.retries
         with faults.REGISTRY.armed(
             "wal.flush.fsync", mode="error",
             errno_code=__import__("errno").EINTR, times=2,
@@ -277,7 +277,7 @@ class TestTransientRetry:
             store = GraphStore.open(tmp_path / "d", sync="always")
             store.graph.add_vertex("A", {"n": 1})
             store.close()
-        assert faults.REGISTRY.counters()["retries"] - before >= 2
+        assert faults.REGISTRY.retries - before >= 2
         with GraphStore.open(tmp_path / "d") as reopened:
             assert reopened.graph.num_vertices == 1
 

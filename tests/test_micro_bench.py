@@ -1,7 +1,7 @@
 """The micro-benchmark harness still runs and still writes its schema.
 
 CI's ``bench-smoke`` job runs every section of ``benchmarks/micro.py``;
-this runs the cheapest one in-process so the harness cannot rot where
+this runs the two cheapest in-process so the harness cannot rot where
 that job is not looked at.
 """
 
@@ -13,14 +13,18 @@ from pathlib import Path
 MICRO = Path(__file__).resolve().parent.parent / "benchmarks" / "micro.py"
 
 
-def test_smoke_section_writes_the_schema(tmp_path, capsys):
+def load_micro():
     spec = importlib.util.spec_from_file_location("bench_micro", MICRO)
     micro = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(micro)
-    threads = set(threading.enumerate())
-    out = tmp_path / "micro.json"
+    return micro
 
-    code = micro.main(["--smoke", "--only", "derived", "--out", str(out)])
+
+def run_section(micro, section, tmp_path, capsys) -> dict:
+    threads = set(threading.enumerate())
+    out = tmp_path / f"{section}.json"
+
+    code = micro.main(["--smoke", "--only", section, "--out", str(out)])
 
     captured = capsys.readouterr()
     assert code == 0 and captured.err == ""
@@ -29,13 +33,34 @@ def test_smoke_section_writes_the_schema(tmp_path, capsys):
         "commit", "dirty", "python", "numpy", "cpus", "host.slowdown_p50"
     } <= set(report["header"])
     assert report["header"]["smoke"] is True
-    assert [row["name"] for row in report["rows"]] == [
-        "derived.segments_build",
-        "derived.adjacency_build",
-        "derived.pagerank_kernel",
-    ]
     for row in report["rows"]:
         assert set(row) == {"name", "unit", "median", "iqr", "n", "extra"}
-        assert row["unit"] == "ms" and row["median"] > 0 and row["n"] == 1
-        assert row["name"] in captured.out
+        assert row["n"] == 1 and row["name"] in captured.out
     assert set(threading.enumerate()) == threads
+    return report
+
+
+def test_smoke_section_writes_the_schema(tmp_path, capsys):
+    report = run_section(load_micro(), "derived", tmp_path, capsys)
+    assert [(row["name"], row["unit"]) for row in report["rows"]] == [
+        ("derived.segments_build", "ms"),
+        ("derived.adjacency_build", "ms"),
+        ("derived.ontology_pagerank.med", "us"),
+        ("derived.ontology_pagerank.fin", "us"),
+    ]
+    for row in report["rows"]:
+        assert row["median"] > 0
+    # The ontology PageRank runs over tens of concepts, not a graph.
+    assert all(
+        row["extra"]["concepts"] < 100
+        for row in report["rows"] if "pagerank" in row["name"]
+    )
+
+
+def test_smoke_driver_section(tmp_path, capsys):
+    report = run_section(load_micro(), "driver", tmp_path, capsys)
+    (row,) = report["rows"]
+    assert row["name"] == "driver.fixed_us" and row["unit"] == "us"
+    assert row["extra"]["rows"] == 1
+    assert row["extra"]["mode"] == "vectorized"
+    assert row["extra"]["driver_us"] > 0 and row["extra"]["executor_us"] > 0
