@@ -51,7 +51,7 @@ from repro.graphdb.graph import Edge, PropertyGraph, Vertex
 from repro.graphdb.metrics import ExecutionMetrics, LruPageCache
 from repro.graphdb.query.executor import Executor, QueryResult
 from repro.graphdb.session import GraphSession
-from repro.graphdb.view import GraphView, graph_pagerank
+from repro.graphdb.view import GraphView
 
 __all__ = [
     # Driver API (the supported application surface)
@@ -90,5 +90,4 @@ __all__ = [
     "SymbolTable",
     "Vertex",
     "VertexTable",
-    "graph_pagerank",
 ]

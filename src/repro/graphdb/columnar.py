@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from array import array
 from itertools import compress
-from typing import Iterator
 
 _I64_MIN = -(1 << 63)
 _I64_MAX = (1 << 63) - 1
@@ -357,19 +356,6 @@ class VertexTable:
             sid for sid, column in self.columns.items()
             if column.present(row)
         ]
-
-    def iter_prop_items(
-        self, key_sid: int
-    ) -> Iterator[tuple[int, object]]:
-        """(vid, value) pairs of one column, live present rows only."""
-        column = self.columns.get(key_sid)
-        if column is None:
-            return
-        for vid, present, value in zip(
-            self.vids, column.mask, column.data
-        ):
-            if present and vid >= 0:
-                yield vid, value
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         labels = "+".join(sorted(self.labels))

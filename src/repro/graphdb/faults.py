@@ -60,18 +60,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from repro.graphdb.observe import REGISTRY as _OBS
-
-_FAULTS_INJECTED = _OBS.labeled_counter(
-    "repro_faults_injected_total",
-    "point",
-    "Faults the failpoint harness injected, by failpoint name.",
-)
-_IO_RETRIES = _OBS.counter(
-    "repro_io_retries_total",
-    "Transient I/O errors absorbed by bounded retry.",
-)
-
 __all__ = [
     "FaultError",
     "FaultRegistry",
@@ -232,11 +220,6 @@ class FaultRegistry:
         finally:
             self.disarm(prepared.point)
 
-    # -- counters ------------------------------------------------------
-    def record_retry(self) -> None:
-        self.retries += 1
-        _IO_RETRIES.inc()
-
     # -- hooks (hot path) ----------------------------------------------
     def fire(self, point: str) -> None:
         """The basic hook: raise if ``point`` is armed and eligible."""
@@ -246,7 +229,6 @@ class FaultRegistry:
         if not state.should_fire(self._rng):
             return
         self.injected += 1
-        _FAULTS_INJECTED.inc(point)
         spec = state.spec
         if spec.mode == "error":
             raise OSError(
@@ -268,7 +250,6 @@ class FaultRegistry:
         state = self._armed.get(point)
         if state is not None and state.should_fire(self._rng):
             self.injected += 1
-            _FAULTS_INJECTED.inc(point)
             spec = state.spec
             if spec.mode == "error":
                 raise OSError(
@@ -360,8 +341,8 @@ def retrying(
     Only :data:`TRANSIENT_ERRNOS` (``EINTR``/``EAGAIN``) are retried -
     hard errors (``EIO``, ``ENOSPC``, permissions) propagate
     immediately so the caller can poison or roll back.  Each retry is
-    counted on the global registry (surfaced as ``io_retries`` in
-    query metrics).
+    counted in :attr:`FaultRegistry.retries` (surfaced as
+    ``io_retries`` in query metrics).
     """
     delay = base_delay
     for attempt in range(attempts):
@@ -373,7 +354,7 @@ def retrying(
                 or attempt == attempts - 1
             ):
                 raise
-            REGISTRY.record_retry()
+            REGISTRY.retries += 1
             time.sleep(delay)
             delay *= 2
     raise AssertionError("unreachable")  # pragma: no cover

@@ -516,10 +516,6 @@ class PropertyGraph:
             self._muted = False
         self._emit("tx_rollback")
 
-    def _record_undo(self, entry: tuple) -> None:
-        if self._undo is not None:
-            self._undo.append(entry)
-
     def _apply_undo(self, entry: tuple) -> None:
         op = entry[0]
         if op == "unadd_vertex":

@@ -79,11 +79,12 @@ def render_prometheus(registry: MetricsRegistry | None = None) -> str:
                 )
         elif isinstance(instrument, Histogram):
             lines.append(f"# TYPE {name} histogram")
-            for bound, cumulative in instrument.bucket_counts():
+            buckets, total, count = instrument.read()
+            for bound, cumulative in buckets:
                 lines.append(
                     f'{name}_bucket{{le="{_bound_text(bound)}"}} '
                     f"{cumulative}"
                 )
-            lines.append(f"{name}_sum {repr(instrument.sum)}")
-            lines.append(f"{name}_count {instrument.count}")
+            lines.append(f"{name}_sum {repr(total)}")
+            lines.append(f"{name}_count {count}")
     return "\n".join(lines) + "\n"

@@ -197,15 +197,24 @@ class Histogram(_Instrument):
 
     def bucket_counts(self) -> list[tuple[float, int]]:
         """Cumulative ``(le, count)`` pairs, ending with ``+Inf``."""
+        return self.read()[0]
+
+    def read(self) -> tuple[list[tuple[float, int]], float, int]:
+        """:meth:`bucket_counts`, ``sum`` and ``count`` from one hold
+        of the lock, so a concurrent :meth:`observe` lands before all
+        three or after all three: ``count`` always equals the ``+Inf``
+        bucket, as Prometheus requires."""
         with self._lock:
-            raw = list(self._counts)
-        out = []
+            return self._read()
+
+    def _read(self) -> tuple[list[tuple[float, int]], float, int]:
+        # The caller holds the registry's value lock.
+        buckets = []
         running = 0
-        for bound, n in zip(self.bounds, raw):
+        for bound, n in zip((*self.bounds, float("inf")), self._counts):
             running += n
-            out.append((bound, running))
-        out.append((float("inf"), running + raw[-1]))
-        return out
+            buckets.append((bound, running))
+        return buckets, self._sum, self._count
 
     def _reset(self) -> None:
         self._counts = [0] * (len(self.bounds) + 1)
@@ -287,16 +296,16 @@ class MetricsRegistry:
                         "label": instrument.label,
                         "values": dict(instrument._values),
                     }
-        for instrument in self._instruments.values():
-            if isinstance(instrument, Histogram):
-                histograms[instrument.name] = {
-                    "count": instrument.count,
-                    "sum": round(instrument.sum, 9),
-                    "buckets": [
-                        ["+Inf" if bound == float("inf") else bound, n]
-                        for bound, n in instrument.bucket_counts()
-                    ],
-                }
+                elif isinstance(instrument, Histogram):
+                    buckets, total, count = instrument._read()
+                    histograms[instrument.name] = {
+                        "count": count,
+                        "sum": round(total, 9),
+                        "buckets": [
+                            ["+Inf" if bound == float("inf") else bound, n]
+                            for bound, n in buckets
+                        ],
+                    }
         return {
             "enabled": self.enabled,
             "counters": counters,

@@ -29,7 +29,10 @@ kernels over the columnar core's flat arrays:
 The contract with the tuple path is *strict equivalence*: identical
 rows in identical order, and identical work counters (the session's
 vertex/property reads, index lookups, edge traversals, and page
-touches), so the differential harness in
+touches - always equal in total, split equally into hits and misses
+when the cache holds the query's pages: the two paths touch in
+different orders, which an LRU that evicts mid-query can tell apart,
+docs/ARCHITECTURE.md "Caveats"), so the differential harness in
 ``tests/graphdb/test_differential.py`` can assert multiset equality
 and every existing metrics-sensitive test keeps passing regardless of
 which path ran.  Page touches are charged one operator call at a time

@@ -21,18 +21,15 @@ pass - ``zip`` over the vid list and the property column instead of a
 per-vertex dict probe - while staying lazy so ``LIMIT`` still
 short-circuits.
 
-A session can also own a durable backing store:
-:meth:`GraphSession.open` recovers a data directory (snapshot + WAL
-replay, see :mod:`repro.graphdb.storage`) and from then on every graph
-mutation is write-ahead logged; :meth:`GraphSession.checkpoint`
-compacts the log into a fresh snapshot and :meth:`GraphSession.close`
-flushes and detaches.  Sessions created directly from an in-memory
-graph behave exactly as before - ``store`` stays ``None``.
+A session is the read and charge model only: it owns no store.  A
+durable graph is opened through :func:`repro.graphdb.api.connect`,
+whose :class:`~repro.graphdb.api.database.Database` is the one owner
+of a :class:`~repro.graphdb.storage.GraphStore`, and whose sessions
+wrap a :class:`GraphSession` over the store's graph.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
 from typing import Iterator
 
 from repro.exceptions import GraphError
@@ -57,8 +54,6 @@ class GraphSession:
             LruPageCache(profile.cache_pages) if cache is None else cache
         )
         self.metrics = ExecutionMetrics()
-        #: Durable backing store; set by :meth:`GraphSession.open`.
-        self.store = None
         self._vertices_per_page = max(1, profile.vertices_per_page)
         self._adjacency_per_page = max(1, profile.adjacency_per_page)
         #: Edge-label tuple -> interned-sid tuple (symbol ids are
@@ -414,48 +409,6 @@ class GraphSession:
         return self.graph.lookup_property(label, prop, value)
 
     # ------------------------------------------------------------------
-    # Durability
-    # ------------------------------------------------------------------
-    @classmethod
-    def open(
-        cls,
-        data_dir: str | Path,
-        profile: BackendProfile = NEO4J_LIKE,
-        cache: LruPageCache | None = None,
-        create: bool = True,
-        sync: str = "batch",
-    ) -> GraphSession:
-        """Open (or create) a durable data directory as a session.
-
-        Recovery loads the latest valid snapshot and replays the WAL
-        tail; afterwards every mutation of ``session.graph`` is
-        write-ahead logged until :meth:`close`.
-        """
-        from repro.graphdb.storage import GraphStore
-
-        store = GraphStore.open(data_dir, create=create, sync=sync)
-        session = cls(store.graph, profile, cache)
-        session.store = store
-        return session
-
-    def checkpoint(self) -> Path:
-        """Compact the WAL into a fresh snapshot (durable stores only)."""
-        if self.store is None:
-            raise GraphError("session has no backing store")
-        return self.store.checkpoint()
-
-    def close(self) -> None:
-        """Flush and detach the backing store, if any."""
-        if self.store is not None:
-            self.store.close()
-
-    def __enter__(self) -> GraphSession:
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     def reset_metrics(self) -> ExecutionMetrics:
@@ -463,6 +416,3 @@ class GraphSession:
         finished = self.metrics
         self.metrics = ExecutionMetrics()
         return finished
-
-    def latency_ms(self) -> float:
-        return self.profile.latency_ms(self.metrics)

@@ -46,10 +46,6 @@ _PLAN_CACHE_MISSES = _OBS.counter(
     "repro_plan_cache_misses_total",
     "Plan-cache lookups that required planning (includes rebuilds).",
 )
-_PLAN_CACHE_EVICTIONS = _OBS.counter(
-    "repro_plan_cache_evictions_total",
-    "Cached plans dropped by LRU capacity pressure.",
-)
 
 
 def is_hashable(value: object) -> bool:
@@ -137,7 +133,6 @@ class PlanCache:
         while len(self._entries) >= self.capacity:
             oldest = next(iter(self._entries))
             del self._entries[oldest]
-            _PLAN_CACHE_EVICTIONS.inc()
         self._entries[query] = value
 
     def __len__(self) -> int:

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import os
 import re
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -62,25 +61,6 @@ FP_SWEEP = faults.REGISTRY.register("store.open.sweep")
 
 _RECOVERIES = observe.REGISTRY.counter(
     "repro_recoveries_total", "Recovery passes (store opens)."
-)
-_RECOVERY_REPLAYED = observe.REGISTRY.counter(
-    "repro_recovery_replayed_records_total",
-    "WAL records replayed during recovery.",
-)
-_RECOVERY_TRUNCATED = observe.REGISTRY.counter(
-    "repro_recovery_truncated_bytes_total",
-    "Torn WAL-tail bytes found by recovery.",
-)
-_RECOVERY_QUARANTINED = observe.REGISTRY.counter(
-    "repro_recovery_quarantined_total",
-    "Corrupt snapshots renamed aside during recovery.",
-)
-_RECOVERY_SWEPT_TMP = observe.REGISTRY.counter(
-    "repro_recovery_swept_tmp_total",
-    "Orphaned tmp files swept on writable open.",
-)
-_RECOVERY_SECONDS = observe.REGISTRY.histogram(
-    "repro_recovery_seconds", help="Recovery pass wall time."
 )
 
 
@@ -191,7 +171,6 @@ class RecoveryManager:
         ``*.quarantined`` - degrading to the newest older valid
         generation instead of re-tripping on the bad file forever.
         """
-        started = time.perf_counter()
         report = RecoveryReport(data_dir=self.data_dir)
         if truncate:
             self._sweep_tmp(report)
@@ -236,10 +215,6 @@ class RecoveryManager:
 
         self._replay_wal(graph, report, truncate)
         _RECOVERIES.inc()
-        _RECOVERY_REPLAYED.inc(report.replayed_ops)
-        _RECOVERY_TRUNCATED.inc(report.truncated_bytes)
-        _RECOVERY_SWEPT_TMP.inc(len(report.removed_tmp))
-        _RECOVERY_SECONDS.observe(time.perf_counter() - started)
         observe.EVENTS.emit(
             "recovery",
             data_dir=str(self.data_dir),
@@ -330,7 +305,6 @@ class RecoveryManager:
         except OSError:
             return
         report.quarantined.append(path)
-        _RECOVERY_QUARANTINED.inc()
         observe.EVENTS.emit("quarantine", path=str(path))
 
 

@@ -65,7 +65,6 @@ import gc
 import os
 import struct
 import sys
-import time
 import zlib
 from array import array
 from pathlib import Path
@@ -120,10 +119,6 @@ _SNAP_WRITES = observe.REGISTRY.counter(
 _SNAP_WRITTEN_BYTES = observe.REGISTRY.counter(
     "repro_snapshot_written_bytes_total", "Bytes written into snapshots."
 )
-_SNAP_WRITE_SECONDS = observe.REGISTRY.histogram(
-    "repro_snapshot_write_seconds",
-    help="Snapshot serialize+fsync+rename wall time.",
-)
 
 _I64_MIN = -(1 << 63)
 _I64_MAX = (1 << 63) - 1
@@ -153,7 +148,6 @@ def write_snapshot(
 ) -> int:
     """Serialize ``graph`` to ``path`` atomically; returns bytes written."""
     path = Path(path)
-    started = time.perf_counter()
     sections = _encode_sections(graph, generation)
     table = bytearray()
     payload = bytearray()
@@ -199,7 +193,6 @@ def write_snapshot(
     _fsync_dir(path.parent)
     _SNAP_WRITES.inc()
     _SNAP_WRITTEN_BYTES.inc(written)
-    _SNAP_WRITE_SECONDS.observe(time.perf_counter() - started)
     return written
 
 

@@ -49,16 +49,8 @@ FP_CKPT_NEW = faults.REGISTRY.register("store.checkpoint.new_wal")
 _CHECKPOINTS = observe.REGISTRY.counter(
     "repro_checkpoints_total", "Completed checkpoints (WAL compactions)."
 )
-_CHECKPOINT_ROLLBACKS = observe.REGISTRY.counter(
-    "repro_checkpoint_rollbacks_total",
-    "Half-finished checkpoints rolled back after a failure.",
-)
 _CHECKPOINT_SECONDS = observe.REGISTRY.histogram(
     "repro_checkpoint_seconds", help="Checkpoint wall time."
-)
-_STORE_GENERATION = observe.REGISTRY.gauge(
-    "repro_store_generation",
-    "Generation of the most recently opened/checkpointed store.",
 )
 
 
@@ -111,7 +103,6 @@ class GraphStore:
             data_dir, graph, report.generation, wal, recovery=report
         )
         store._prune(keep=report.generation)
-        _STORE_GENERATION.set(report.generation)
         return store
 
     @classmethod
@@ -251,7 +242,6 @@ class GraphStore:
         self._prune(keep=new_generation)
         _CHECKPOINTS.inc()
         _CHECKPOINT_SECONDS.observe(time.perf_counter() - started)
-        _STORE_GENERATION.set(new_generation)
         observe.EVENTS.emit(
             "checkpoint",
             data_dir=str(self.data_dir),
@@ -271,7 +261,6 @@ class GraphStore:
         be removed the store is poisoned, because appends to the old
         WAL would be invisible to a recovery that prefers ``g+1``.
         """
-        _CHECKPOINT_ROLLBACKS.inc()
         try:
             os.unlink(snapshot_path)
         except FileNotFoundError:

@@ -67,20 +67,12 @@ FORMAT_VERSION = 1
 _WAL_APPENDS = observe.REGISTRY.counter(
     "repro_wal_appends_total", "Records appended to the WAL."
 )
-_WAL_FLUSHES = observe.REGISTRY.counter(
-    "repro_wal_flushes_total", "WAL flushes (batch or explicit)."
-)
 _WAL_FLUSHED_BYTES = observe.REGISTRY.counter(
     "repro_wal_flushed_bytes_total", "Record bytes written by WAL flushes."
 )
 _WAL_POISONED = observe.REGISTRY.counter(
     "repro_wal_poisoned_total",
     "Times a WAL poisoned itself after an uncertain write.",
-)
-_WAL_BATCH_RECORDS = observe.REGISTRY.histogram(
-    "repro_wal_batch_records",
-    buckets=observe.DEFAULT_SIZE_BUCKETS,
-    help="Records per flushed WAL batch.",
 )
 _WAL_FSYNC_SECONDS = observe.REGISTRY.histogram(
     "repro_wal_fsync_seconds", help="WAL fsync wall time."
@@ -89,11 +81,6 @@ _WAL_GROUP_COMMIT_BATCH = observe.REGISTRY.histogram(
     "repro_wal_group_commit_batch_size",
     buckets=observe.DEFAULT_SIZE_BUCKETS,
     help="Transaction commits made durable per group-commit fsync.",
-)
-_WAL_SIZE_BYTES = observe.REGISTRY.gauge(
-    "repro_wal_size_bytes",
-    "On-disk size of the most recently flushed WAL (buffered tail "
-    "included).",
 )
 
 #: Failpoints threaded through this module (see
@@ -439,17 +426,12 @@ class WriteAheadLog:
                 # Detach *before* writing: a torn write must not be
                 # re-attempted after the same bytes partially landed.
                 with self._buffer_lock:
-                    batch_records = len(self._pending)
-                    if batch_records:
-                        batch = b"".join(self._pending)
-                        self._pending.clear()
-                        self._pending_bytes = 0
-                    else:
-                        batch = b""
+                    batch = b"".join(self._pending)
+                    self._pending.clear()
+                    self._pending_bytes = 0
                 if batch:
                     faults.write(FP_FLUSH_WRITE, self._fh, batch)
                     _WAL_FLUSHED_BYTES.inc(len(batch))
-                    _WAL_BATCH_RECORDS.observe(batch_records)
                 self._fh.flush()
                 if fsync is None:
                     fsync = self.sync != "never"
@@ -468,8 +450,6 @@ class WriteAheadLog:
                         _WAL_FSYNC_SECONDS.observe(
                             time.perf_counter() - started
                         )
-                _WAL_FLUSHES.inc()
-                _WAL_SIZE_BYTES.set(self._fh.tell())
             except BaseException:
                 self._failed = True
                 _WAL_POISONED.inc()

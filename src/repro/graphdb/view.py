@@ -5,11 +5,12 @@ every edge type, compressed-sparse-row adjacency in both directions -
 three read-only int64 arrays, an offsets array indexed by vid plus
 flat neighbor and edge-id arrays - and nothing else.  The vectorized
 executor adopts those arrays as they are (:meth:`GraphArrays.csr
-<repro.graphdb.query.vectorized.GraphArrays.csr>`); PageRank flattens
-them with :func:`undirected_edge_index`.  The build is one stable sort
-of the live eids on (edge type, anchor vid) per direction, offsets
-from ``bincount`` / ``cumsum``: O(E log E), no Python loop over vid
-slots or edges; the only per-type cost is the offsets array itself.
+<repro.graphdb.query.vectorized.GraphArrays.csr>`), and the tuple
+executor's segments below are cut from them.  The build is one stable
+sort of the live eids on (edge type, anchor vid) per direction,
+offsets from ``bincount`` / ``cumsum``: O(E log E), no Python loop
+over vid slots or edges; the only per-type cost is the offsets array
+itself.
 
 The tuple executor's expand reads *segments*: per (direction, edge
 type) a dict vid -> tuple of plain-int (eid, neighbor) pairs.  They
@@ -181,67 +182,3 @@ def _cut_segments(csr: Csr) -> dict[int, tuple]:
         vid: tuple(pairs[start:end])
         for vid, start, end in zip(vids.tolist(), bounds, bounds[1:])
     }
-
-
-def undirected_edge_index(graph) -> tuple[list[int], np.ndarray, np.ndarray]:
-    """Live vids plus the graph's edges as undirected index arrays.
-
-    Freezes the graph (reusing a valid cached view) and flattens the
-    out-CSRs into parallel ``(src, dst)`` arrays of positions in the
-    returned vid list, both directions per edge - the adjacency
-    :func:`graph_pagerank` iterates.
-    """
-    vids = graph.vertex_ids()
-    view = graph.freeze()
-    index = np.full(view.num_vid_slots, -1, dtype=np.int64)
-    index[np.asarray(vids, dtype=np.int64)] = np.arange(len(vids))
-    slots = np.arange(view.num_vid_slots)
-    srcs = []
-    dsts = []
-    for _sid, (offsets, neighbors, _eids) in view.iter_csr("out"):
-        s = index[np.repeat(slots, np.diff(offsets))]
-        d = index[neighbors]
-        srcs.extend((s, d))
-        dsts.extend((d, s))
-    if not srcs:
-        empty = np.zeros(0, dtype=np.int64)
-        return vids, empty, empty
-    return vids, np.concatenate(srcs), np.concatenate(dsts)
-
-
-def graph_pagerank(
-    graph,
-    damping: float = 0.85,
-    tol: float = 1e-8,
-    max_iterations: int = 100,
-) -> dict[int, float]:
-    """PageRank over the property graph's frozen CSR adjacency.
-
-    Treats the graph as undirected (every edge feeds rank both ways),
-    matching the out-degree rule of the paper's OntologyPR.  Freezes
-    the graph (reusing a valid cached view) and runs the power
-    iteration of :func:`repro.optimizer.pagerank.pagerank_kernel` -
-    same teleport base, uniform dangling-mass redistribution and L1
-    convergence test - as numpy passes over the flat edge arrays.
-    Returns vid -> score over live vertices.
-    """
-    vids, src, dst = undirected_edge_index(graph)
-    n = len(vids)
-    if n == 0:
-        return {}
-    out_degree = np.bincount(src, minlength=n)
-    dangling = out_degree == 0
-    inv_degree = np.zeros(n)
-    inv_degree[~dangling] = 1.0 / out_degree[~dangling]
-    rank = np.full(n, 1.0 / n)
-    for _ in range(max_iterations):
-        base = (1.0 - damping) / n + damping * rank[dangling].sum() / n
-        incoming = np.bincount(
-            dst, weights=(rank * inv_degree)[src], minlength=n
-        )
-        new_rank = base + damping * incoming
-        delta = np.abs(new_rank - rank).sum()
-        rank = new_rank
-        if delta < tol:
-            break
-    return dict(zip(vids, rank.tolist()))

@@ -1,6 +1,9 @@
 """MetricsRegistry: instruments, thread safety, snapshots."""
 
+import re
+import sys
 import threading
+import time
 
 import pytest
 
@@ -11,6 +14,7 @@ from repro.graphdb.observe import (
     Histogram,
     LabeledCounter,
     MetricsRegistry,
+    render_prometheus,
 )
 
 
@@ -139,6 +143,40 @@ class TestThreadSafety:
         assert lc.value("k") == total
         assert h.count == total
         assert h.sum == pytest.approx(0.5 * total)
+
+    def test_histogram_reads_are_not_torn(self, reg):
+        # Buckets, sum and count come from one hold of the lock: an
+        # observe between them would leave _count != the +Inf bucket.
+        h = reg.histogram("h", buckets=(0.5,))
+        stop = threading.Event()
+
+        def hammer():
+            while not stop.is_set():
+                h.observe(1)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        t = threading.Thread(target=hammer)
+        t.start()
+        try:
+            deadline = time.monotonic() + 1.0
+            reads = 0
+            while time.monotonic() < deadline:
+                snap = reg.snapshot()["histograms"]["h"]
+                assert snap["count"] == snap["buckets"][-1][1] == snap["sum"]
+                text = render_prometheus(reg)
+                count = int(re.search(r"^h_count (\d+)$", text, re.M)[1])
+                inf = int(re.search(r'^h_bucket\{le="\+Inf"\} (\d+)$',
+                                    text, re.M)[1])
+                total = float(re.search(r"^h_sum (\S+)$", text, re.M)[1])
+                assert count == inf == total
+                reads += 1
+        finally:
+            stop.set()
+            t.join(timeout=5)
+            sys.setswitchinterval(switch)
+        assert not t.is_alive()
+        assert reads and h.count
 
     def test_snapshot_during_updates_does_not_deadlock(self, reg):
         c = reg.counter("c")

@@ -181,11 +181,15 @@ def test_connection_capacity_backpressure(server_factory, small_graph):
     harness = server_factory(
         connect(small_graph), ServerConfig(port=0, max_connections=2)
     )
+    rejected = observe.REGISTRY.counter("repro_server_rejected_total")
     db = connect(harness.url)  # probe connection closes right away
     s1 = _session_with_retry(db)
     s2 = _session_with_retry(db)
+    before = rejected.value
     with pytest.raises(GraphError, match="capacity"):
         db.session().run("MATCH (d) RETURN d")
+    # A refused connection leaves no object: the counter is its record.
+    assert rejected.value == before + 1
     # Freeing a slot lets the next client in.
     s2.close()
     s3 = _session_with_retry(db)

@@ -26,7 +26,7 @@ from pathlib import Path
 import pytest
 
 from repro.exceptions import StorageError
-from repro.graphdb import faults
+from repro.graphdb import faults, observe
 from repro.graphdb.faults import FaultSpec, SimulatedCrash
 from repro.graphdb.graph import PropertyGraph
 from repro.graphdb.storage import (  # noqa: F401 - imports register fps
@@ -285,12 +285,16 @@ class TestTransientRetry:
         import errno
 
         store = GraphStore.open(tmp_path / "d", sync="always")
+        poisoned = observe.REGISTRY.counter("repro_wal_poisoned_total")
+        before = poisoned.value
         with faults.REGISTRY.armed(
             "wal.flush.fsync", mode="error", errno_code=errno.ENOSPC,
         ):
             with pytest.raises(OSError):
                 store.graph.add_vertex("A", {"n": 1})
         assert store.poisoned
+        # The one record of the event: a reopen clears the poison.
+        assert poisoned.value == before + 1
         with pytest.raises(WalPoisonedError):
             store.graph.add_vertex("A", {"n": 2})
         # Reopen clears the poison.  The failed-fsync record is in an

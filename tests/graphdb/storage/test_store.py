@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.exceptions import StorageError
+from repro.exceptions import GraphError, StorageError
+from repro.graphdb.api import connect
 from repro.graphdb.graph import PropertyGraph
-from repro.graphdb.session import GraphSession
 from repro.graphdb.storage import (
     GraphStore,
     graph_state,
@@ -151,18 +151,21 @@ class TestSessionIntegration:
     def test_session_open_checkpoint_close(self, tmp_path):
         target = tmp_path / "d"
         GraphStore.create(target, small_graph()).close()
-        with GraphSession.open(target) as session:
-            vid = session.graph.add_vertex("C")
-            assert session.accept_vertex(vid, frozenset({"C"}), ())
-            session.checkpoint()
+        with connect(target) as db:
+            db.graph.add_vertex("C")
+            with db.session() as session:
+                assert session.run(
+                    "MATCH (c:C) RETURN count(c) AS n"
+                ).single()["n"] == 1
+            db.checkpoint()
         recovered = recover_graph(target)
         assert recovered.num_vertices == 3
 
     def test_session_without_store_raises_on_checkpoint(self):
-        session = GraphSession(small_graph())
-        with pytest.raises(Exception):
-            session.checkpoint()
-        session.close()  # no-op without a store
+        db = connect(small_graph())
+        with pytest.raises(GraphError, match="no backing store"):
+            db.checkpoint()
+        db.close()  # no store to flush
 
 
 class TestFallbackSafety:
