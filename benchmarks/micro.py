@@ -11,9 +11,9 @@ no e2e workload that would notice it, and lives here, in five sections:
   seven shapes (MED-DIR, frozen): per-query medians of both, their
   ratio, and the mode the batch leg really ran in;
 * ``derived`` - first-use cost of state no e2e workload ever builds:
-  the tuple path's segments on a frozen graph, the dict adjacency of a
-  bulk-loaded one, and the ontology PageRank on the MED and FIN
-  ontologies (the only inputs it ever gets);
+  the dict adjacency of a bulk-loaded graph (what the first tuple-path
+  read pays, frozen or not), and the ontology PageRank on the MED and
+  FIN ontologies (the only inputs it ever gets);
 * ``group_commit`` - fsyncs per commit at 1 / 8 / 32 remote writers;
 * ``budgets`` - what switched-off instrumentation may cost: the
   observe registry disabled against no-op handles (< 2 %), a traced
@@ -223,28 +223,16 @@ def paths(bench: Bench) -> None:
 # ----------------------------------------------------------------------
 def derived(bench: Bench) -> None:
     graph = build_pipeline(build_fin(), scale=bench.scale).dir_graph
-    size = {"vertices": graph.num_vertices, "edges": graph.num_edges}
-    view = graph.freeze()
-    session = GraphSession(graph)
-
-    def segments_build():
-        view._out_segments.clear()      # as freeze leaves them
-        view._in_segments.clear()
-        session.expand_pairs(0, (), "any")
 
     def adjacency_build():
         graph._adjacency = None         # as a bulk load leaves it
         graph.out_edges(0)
 
-    for fn, extra in (
-        (segments_build, {"edge_types": len(view.edge_types())}),
-        (adjacency_build, {}),
-    ):
-        (samples,) = bench.time([fn], 7)
-        bench.row(
-            f"derived.{fn.__name__}", "ms", samples * 1e3,
-            dataset="fin-dir", **size, **extra,
-        )
+    (samples,) = bench.time([adjacency_build], 7)
+    bench.row(
+        "derived.adjacency_build", "ms", samples * 1e3, dataset="fin-dir",
+        vertices=graph.num_vertices, edges=graph.num_edges,
+    )
     # The paper's PageRank runs over an ontology's concepts (tens of
     # them), once per optimization, never over an instance graph.
     runs = 1 if bench.smoke else PAGERANK_RUNS

@@ -30,20 +30,20 @@ optimizers, tests) are untouched while scans, statistics builds and
 the snapshot codec iterate flat columns.
 
 Every secondary structure (label index, adjacency lists, property
-indexes, the endpoint-pair index) still uses insertion-ordered dict
-buckets keyed by id, so membership tests, insertion and removal are
-all O(1) while iteration order stays deterministic.  The
-endpoint-pair index additionally gives ``has_edge_between`` an O(1)
-answer to "is there a :T edge from u to v?", which the executor's
-join-check step uses instead of scanning a full adjacency list.
+indexes) still uses insertion-ordered dict buckets keyed by id, so
+membership tests, insertion and removal are all O(1) while iteration
+order stays deterministic.  The adjacency serves every per-element
+read, frozen or not: the tuple path's expand, its join check and
+``has_edge_between``, which scans the source's buckets for the far
+endpoint.  The frozen view's CSR arrays serve the batch path only.
 
-The adjacency lists and the endpoint-pair index are *derived* state:
-bulk ingest (``add_vertices`` / ``add_edges`` / ``set_properties``) and
-the snapshot loader leave them unbuilt; the first reader or per-element
-mutation builds each whole from the edge columns.  So are the planner's
-statistics: :meth:`PropertyGraph.statistics` builds them from the
-columns and rebuilds them when enough mutations have made them stale;
-no mutation updates them.
+The adjacency lists are *derived* state: bulk ingest (``add_vertices``
+/ ``add_edges`` / ``set_properties``) and the snapshot loader leave
+them unbuilt; the first reader or per-element mutation builds them
+whole from the edge columns.  So are the planner's statistics:
+:meth:`PropertyGraph.statistics` builds them from the columns and
+rebuilds them when enough mutations have made them stale; no mutation
+updates them.
 
 Ids only ever grow, so adding an element appends it to every bucket;
 a rolled-back removal puts it back where it was: in its table row, and
@@ -70,7 +70,7 @@ from repro.graphdb.view import GraphView
 
 #: Insertion-ordered bucket keyed by id.  Adjacency buckets map
 #: eid -> neighbor vid (so expansion never dereferences edge records);
-#: the label/property/pair indexes ignore the values.
+#: the label/property indexes ignore the values.
 _Bucket = dict
 _Adjacency = dict[int, dict[str, _Bucket]]
 
@@ -102,6 +102,23 @@ def _place_edge(
 
 def _first_eid(item: tuple[str, _Bucket]) -> int:
     return next(iter(item[1]))
+
+
+def _first_to(
+    by_label: dict[str, _Bucket] | None, far: int, label: str | None
+) -> int | None:
+    """The smallest eid of one vertex's ``label`` bucket (of every
+    bucket for ``None``) whose neighbor is ``far``, or None."""
+    if not by_label:
+        return None
+    buckets = by_label.values() if label is None else (
+        by_label.get(label, {}),
+    )
+    return min(
+        (eid for bucket in buckets
+         for eid, neighbor in bucket.items() if neighbor == far),
+        default=None,
+    )
 
 
 def _insert(mapping: dict, at: int, key: object, value: object) -> None:
@@ -371,7 +388,7 @@ class _EdgesView:
 
 
 class PropertyGraph:
-    """Columnar vertex/edge stores with label, adjacency, pair indexes."""
+    """Columnar vertex/edge stores with label and adjacency indexes."""
 
     def __init__(self, name: str = "graph"):
         self.name = name
@@ -399,17 +416,8 @@ class PropertyGraph:
         #: per-element mutation needs it, then built whole from the
         #: edge columns, maintained by every mutation from there on
         #: and never dropped.  ``_out`` / ``_in`` read it, building
-        #: first; frozen reads expand over the CSR view instead.
+        #: first; the batch path reads the frozen view's CSR instead.
         self._adjacency: tuple[_Adjacency, _Adjacency] | None = None
-        #: (src, dst) -> label -> ordered set of eids.  ``None`` means
-        #: "not materialized yet": bulk ingest and the snapshot loader
-        #: defer building this index until the first endpoint probe,
-        #: because batch construction from the edge columns is cheaper
-        #: than the per-edge incremental path and many workloads never
-        #: probe at all.  While deferred, mutations leave it deferred
-        #: (they are visible to the eventual batch build); they must
-        #: never create a partially-populated index.
-        self._pairs: dict[tuple[int, int], dict[str, _Bucket]] | None = {}
         self._property_indexes: dict[tuple[str, str], dict] = {}
         self._next_vid = 0
         self._next_eid = 0
@@ -607,8 +615,7 @@ class PropertyGraph:
         """The CSR read view of the current epoch (built on demand).
 
         O(V + E) when (re)built, O(1) while the graph stays unmutated.
-        Hot read paths (the session's expand, PageRank, benchmarks)
-        use a valid view automatically; they never build one
+        The batch path runs over a valid view; nothing builds one
         implicitly.
         """
         view = self._view
@@ -855,24 +862,17 @@ class PropertyGraph:
         """Secondary-structure bookkeeping for a materialized edge.
 
         Shared by :meth:`add_edge` and the rollback path's
-        :meth:`_restore_edge` - adjacency, the endpoint-pair index and
-        the epoch bump stay in one place.  Placed as vertices are.
+        :meth:`_restore_edge` - adjacency and the epoch bump stay in
+        one place.  Placed as vertices are.
         """
         self._num_edges += 1
         out, into = self._adjacency or self._build_adjacency()
-        pairs = self._pairs
         if eid == self._next_eid - 1:
             out[src].setdefault(label, {})[eid] = dst
             into[dst].setdefault(label, {})[eid] = src
-            if pairs is not None:
-                pair = pairs.setdefault((src, dst), {})
-                pair.setdefault(label, {})[eid] = None
         else:
             _place_edge(out[src], label, eid, dst)
             _place_edge(into[dst], label, eid, src)
-            if pairs is not None:
-                pair = pairs.setdefault((src, dst), {})
-                _place_edge(pair, label, eid, None)
         # _touch, inlined: this is the per-element hot path.
         self._epoch += 1
         self._view = None
@@ -889,9 +889,8 @@ class PropertyGraph:
 
         An unobserved graph - no listener or open transaction, which is
         every loader build - takes one pass: the edge columns are
-        extended, the adjacency filled if built, the epoch bumped once,
-        and the endpoint-pair index left deferred for its first probe to
-        build whole.  An observed graph goes through :meth:`add_edge`
+        extended, the adjacency filled if built and the epoch bumped
+        once.  An observed graph goes through :meth:`add_edge`
         per element, so listener events (WAL bytes) and undo entries
         are the per-element ones, in eid order.
         """
@@ -917,7 +916,6 @@ class PropertyGraph:
             self._link(zip(eids, repeat(label), srcs, dsts))
         self._next_eid = eids.stop
         self._num_edges += count
-        self._pairs = None
         self._touch(count)
         return eids
 
@@ -1065,11 +1063,6 @@ class PropertyGraph:
         props = self._e_props.pop(eid, None)
         self._adjacency_discard(out[src], label, eid)
         self._adjacency_discard(into[dst], label, eid)
-        if self._pairs is not None:
-            pair = self._pairs[(src, dst)]
-            self._adjacency_discard(pair, label, eid)
-            if not pair:
-                del self._pairs[(src, dst)]
         self._touch()
         if self._undo is not None:
             self._undo.append(
@@ -1226,11 +1219,7 @@ class PropertyGraph:
         label: str | None = None,
         direction: str = "out",
     ) -> bool:
-        """O(1) adjacency membership: is there a matching edge?
-
-        ``direction`` follows pattern semantics relative to ``src``:
-        ``out`` means src->dst, ``in`` means dst->src, ``any`` either.
-        """
+        """Is there a matching edge?  See :meth:`first_edge_between`."""
         return self.first_edge_between(src, dst, label, direction) is not None
 
     def first_edge_between(
@@ -1240,61 +1229,19 @@ class PropertyGraph:
         label: str | None = None,
         direction: str = "out",
     ) -> int | None:
-        """The first matching eid between two endpoints, or None."""
-        if direction in ("out", "any"):
-            eid = self._first_in_pair((src, dst), label)
-            if eid is not None:
-                return eid
-        if direction in ("in", "any"):
-            return self._first_in_pair((dst, src), label)
-        return None
+        """The smallest matching eid between two endpoints, or None.
 
-    def _build_pairs(self) -> dict[tuple[int, int], dict[str, _Bucket]]:
-        """Materialize the endpoint-pair index from the edge columns.
-
-        Runs over the *current* edge columns in ascending-eid order,
-        so any mutations applied while the index was deferred are
-        fully reflected - a deferred index is only ever built whole,
-        never patched incrementally.
+        ``direction`` follows pattern semantics relative to ``src``:
+        ``out`` means src->dst, ``in`` means dst->src, ``any`` either,
+        an ``out`` edge first.  A scan of ``src``'s adjacency for
+        ``dst``: O(degree of src).
         """
-        pairs: dict[tuple[int, int], dict[str, _Bucket]] = {}
-        name = self._symbols.name
-        for eid, (sid, src, dst) in enumerate(
-            zip(self._e_label, self._e_src, self._e_dst)
-        ):
-            if sid < 0:
-                continue
-            key = (src, dst)
-            by_label = pairs.get(key)
-            if by_label is None:
-                by_label = pairs[key] = {}
-            label = name(sid)
-            bucket = by_label.get(label)
-            if bucket is None:
-                bucket = by_label[label] = {}
-            bucket[eid] = None
-        self._pairs = pairs
-        return pairs
-
-    def _first_in_pair(
-        self, key: tuple[int, int], label: str | None
-    ) -> int | None:
-        pairs = self._pairs
-        if pairs is None:
-            pairs = self._build_pairs()
-        pair = pairs.get(key)
-        if not pair:
-            return None
-        if label is None:
-            for bucket in pair.values():
-                for eid in bucket:
-                    return eid
-            return None
-        bucket = pair.get(label)
-        if bucket:
-            for eid in bucket:
-                return eid
-        return None
+        eid = None
+        if direction in ("out", "any"):
+            eid = _first_to(self._out.get(src), dst, label)
+        if eid is None and direction in ("in", "any"):
+            eid = _first_to(self._in.get(src), dst, label)
+        return eid
 
     def degree(self, vid: int) -> int:
         out_deg = sum(len(v) for v in self._out.get(vid, {}).values())

@@ -148,7 +148,8 @@ RowFn = Callable[[Binding], object]
 
 @dataclass
 class _Prepared:
-    """What the plan cache holds per (query, statistics epoch).
+    """What the plan cache holds per query (a statistics rebuild
+    empties the cache).
 
     Besides the plan, two memos of the batch compiler's work on it:
     a refusal that holds whatever the data and the parameters are, and
@@ -506,7 +507,7 @@ class Executor:
 
     ``cost_based=False`` disables statistics-driven planning (and the
     plan cache) and falls back to the legacy syntactic ordering - the
-    baseline the planner benchmarks compare against.
+    tests' reference plan order.
     ``vectorize=False`` pins every execution to the tuple-at-a-time
     generator pipeline; by default an execution runs the batch
     pipeline of :mod:`~repro.graphdb.query.vectorized` whenever its
@@ -943,7 +944,7 @@ class Executor:
             src_vid = binding[step.src_slot]
             dst_vid = binding[step.dst_slot]
             if plain:
-                # O(1) endpoint-pair probe instead of an adjacency scan.
+                # One probe of src's adjacency for dst, not an expand.
                 matched_eid = self.session.edge_between(
                     src_vid, dst_vid, edge_spec.labels, edge_spec.direction
                 )

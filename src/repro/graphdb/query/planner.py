@@ -13,8 +13,7 @@ Turns the MATCH patterns of a query into an ordered list of steps:
 * ``ExpandStep`` - extend bindings along one relationship pattern via
   adjacency, checking the far node's labels/property filters inline;
 * ``JoinCheckStep`` - verify a relationship between two already-bound
-  variables (cycles in the pattern graph) with an O(1) endpoint-pair
-  probe.
+  variables (cycles in the pattern graph) with one endpoint probe.
 
 Two orderings are implemented:
 
@@ -248,7 +247,7 @@ class Plan:
                     f"{_edge_text(step.edge)}({step.edge.dst_var})"
                 )
                 if step.edge.is_plain_hop:
-                    text += " [O(1) pair probe]"
+                    text += " [edge probe]"
             for predicate in step.filters:
                 text += f" filter[{expr_text(predicate)}]"
             texts.append(text)

@@ -332,8 +332,9 @@ class GraphArrays:
         """``(sid -> (offsets, neighbors, eids), sid order)`` arrays.
 
         Mirrors the valid frozen view for one direction; the sid order
-        is the segment-dict insertion order the tuple path's untyped
-        expand iterates, so batch expansion emits pairs identically.
+        is the view's type order, by which the tuple path's untyped
+        expand on a frozen graph orders a vertex's types too, so batch
+        expansion emits pairs identically.
         """
         cached = self._csr.get(direction)
         if cached is not None:
@@ -758,8 +759,8 @@ def _build_scan(ctx: _KernelContext, step: ScanStep, params, nslots):
     def gen_checked(session):
         metrics = session.metrics
         metrics.index_lookups += 1
-        for tid, tbl_labels, tbl_label_sids, vids in tables:
-            if label_sid is not None and label_sid not in tbl_label_sids:
+        for tid, tbl_labels, tbl_sids, vids in tables:
+            if label_sid is not None and label_sid not in tbl_sids:
                 continue
             if check_labels is not None and not (
                 check_labels <= tbl_labels
@@ -808,8 +809,8 @@ def _build_expand(ctx: _KernelContext, step, spec, params):
     CSR offset arrays (repeat/cumsum arithmetic instead of per-vertex
     dict probes) and preserves the tuple path's emission order: source
     row first, then edge-type rank (the spec's label order, or the
-    view's segment order untyped, out before in for undirected hops),
-    then ascending edge id within a segment.
+    view's type order untyped, out before in for undirected hops),
+    then ascending edge id within a type.
     """
     far_labels = frozenset(spec.labels) if spec.labels else None
     props = _resolve_props(tuple(spec.props.items()), params)

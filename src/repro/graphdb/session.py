@@ -9,12 +9,12 @@ approximates how both Neo4j record stores and JanusGraph's adjacency
 layout behave.
 
 The reads are the fused paths the streaming executor uses:
-:meth:`GraphSession.expand_pairs` (raw (eid, neighbor) pairs - served
-from the graph's frozen CSR view when one is valid, from the mutable
-dict adjacency otherwise), :meth:`GraphSession.accept_vertex` (label
-+ property check in one call, reading property columns directly),
-:meth:`GraphSession.property_reader` (one property per call) and
-:meth:`GraphSession.edge_between` (O(1) endpoint-pair join probe).
+:meth:`GraphSession.expand_pairs` (raw (eid, neighbor) pairs from the
+graph's dict adjacency, frozen or not), :meth:`GraphSession.accept_vertex`
+(label + property check in one call, reading property columns
+directly), :meth:`GraphSession.property_reader` (one property per
+call) and :meth:`GraphSession.edge_between` (the join check: a scan of
+the source's adjacency for the far endpoint).
 :meth:`GraphSession.scan_rows` streams an entire label (or
 all-vertices) scan with a folded equality predicate as one columnar
 pass - ``zip`` over the vid list and the property column instead of a
@@ -56,10 +56,6 @@ class GraphSession:
         self.metrics = ExecutionMetrics()
         self._vertices_per_page = max(1, profile.vertices_per_page)
         self._adjacency_per_page = max(1, profile.adjacency_per_page)
-        #: Edge-label tuple -> interned-sid tuple (symbol ids are
-        #: append-only, so entries never go stale; labels the graph
-        #: has not seen yet re-resolve on each miss until interned).
-        self._label_sids: dict[tuple[str, ...], tuple] = {}
 
     # ------------------------------------------------------------------
     # Page simulation
@@ -159,55 +155,55 @@ class GraphSession:
     ) -> list[tuple[int, int]]:
         """(eid, neighbor) pairs of ``vid``; one page touch per expand.
 
-        The fast path behind pattern expansion.  When the graph holds
-        a valid frozen CSR view the pairs come from its per-type
-        segments (cut from the CSR arrays the first time a type is
-        asked for); otherwise the mutable adjacency dicts serve them
-        (buckets store the neighbor id, so no edge record is
-        dereferenced either way).
+        The fast path behind pattern expansion, served by the graph's
+        dict adjacency frozen or not (built on first need; buckets
+        store the neighbor id, so no edge record is dereferenced).
+        Pairs of one type ascend by eid; types come in ``labels``
+        order or, untyped, in the vertex's dict order - in the frozen
+        view's type order while the graph holds a valid view, which
+        is the order the batch path emits.
         """
         self._touch_page(("a", vid // self._adjacency_per_page))
         graph = self.graph
-        view = graph._view
-        if view is not None and view.epoch == graph._epoch:
-            if labels:
-                sids = self._label_sids.get(labels)
-                if sids is None:
-                    sid = graph._symbols.sid
-                    sids = tuple(sid(label) for label in labels)
-                    if None not in sids:
-                        self._label_sids[labels] = sids
-            else:
-                sids = None
-            pairs = view.expand_pairs(vid, sids, direction)
-            self.metrics.edge_traversals += len(pairs)
-            return pairs
-        # Derived state: the graph builds the dicts on first need.
         out, into = graph._adjacency or graph._build_adjacency()
+        rank = None
+        if not labels:
+            view = graph._view
+            if view is not None and view.epoch == graph._epoch:
+                rank = view.type_rank
         pairs: list[tuple[int, int]] = []
         if direction != "in":
             adjacency = out.get(vid)
             if adjacency:
-                self._collect_pairs(adjacency, labels, pairs)
+                self._collect_pairs(adjacency, labels, rank, pairs)
         if direction != "out":
             adjacency = into.get(vid)
             if adjacency:
-                self._collect_pairs(adjacency, labels, pairs)
+                self._collect_pairs(adjacency, labels, rank, pairs)
         self.metrics.edge_traversals += len(pairs)
         return pairs
 
     @staticmethod
     def _collect_pairs(
-        adjacency: dict, labels: tuple[str, ...], pairs: list
+        adjacency: dict,
+        labels: tuple[str, ...],
+        rank: dict[str, int] | None,
+        pairs: list,
     ) -> None:
         if labels:
             for label in labels:
                 bucket = adjacency.get(label)
                 if bucket:
                     pairs.extend(bucket.items())
-        else:
-            for bucket in adjacency.values():
-                pairs.extend(bucket.items())
+            return
+        buckets = adjacency.values()
+        if rank is not None and len(adjacency) > 1:
+            buckets = [
+                adjacency[label]
+                for label in sorted(adjacency, key=rank.__getitem__)
+            ]
+        for bucket in buckets:
+            pairs.extend(bucket.items())
 
     def accept_vertex(
         self,
@@ -386,11 +382,13 @@ class GraphSession:
         labels: tuple[str, ...],
         direction: str,
     ) -> int | None:
-        """O(1) join-check probe: the first matching eid, or None.
+        """Join-check probe: the smallest matching eid, or None.
 
-        Costs one adjacency-page touch and one edge traversal - the
-        executor's join-check step uses this instead of scanning and
-        re-counting the full adjacency list of ``src``.
+        A typed check answers for the first of ``labels`` with a match
+        (:meth:`PropertyGraph.first_edge_between` scans ``src``'s
+        buckets).  Costs one adjacency-page touch and one edge
+        traversal: the executor's join-check step uses this instead of
+        expanding and re-counting the full adjacency list of ``src``.
         """
         self._touch_page(("a", src // self._adjacency_per_page))
         self.metrics.edge_traversals += 1

@@ -49,8 +49,8 @@ iteration order, id sequences and index bucket order exactly - deleted
 ids stay holes, ``_next_vid``/``_next_eid`` keep monotonic.  (Vertex
 and edge ids are never reused, so insertion order is ascending id
 order; the loader relies on this when regrouping label buckets.)  The
-adjacency dicts and the endpoint-pair index are left unmaterialized
-(``None``) - the graph rebuilds each in one batch pass on first need.
+adjacency dicts are left unmaterialized (``None``) - the graph
+rebuilds them in one batch pass on first need.
 Planner statistics are not stored either: the reopened graph builds
 them from its columns on its first query.
 
@@ -654,9 +654,8 @@ def _decode_graph(
     except (KeyError, IndexError):
         raise CodecError("property column references unknown id") from None
 
-    # EDGE (columnar; adjacency and the endpoint-pair index stay
-    # unmaterialized - the graph builds each whole on first need, see
-    # PropertyGraph._build_adjacency / _build_pairs)
+    # EDGE (columnar; the adjacency stays unmaterialized - the graph
+    # builds it whole on first need, see PropertyGraph._build_adjacency)
     pos = sections[SECTION_EDGES][0]
     count, pos = read_uvarint(data, pos)
     if count != num_edges:
@@ -685,7 +684,6 @@ def _decode_graph(
         graph._num_edges = count
     except (GraphError, IndexError) as exc:
         raise CodecError(f"edge references unknown id: {exc}") from None
-    graph._pairs = None
     nprops_edges, pos = read_uvarint(data, pos)
     for _ in range(nprops_edges):
         eid, pos = read_uvarint(data, pos)
@@ -721,7 +719,7 @@ def graph_state(graph: PropertyGraph) -> dict:
 
     Used by the recovery tests to assert that a recovered graph is
     *exactly* the graph that was persisted - ids, labels, properties,
-    index keys and id counters included.  The endpoint-pair index is
+    index keys and id counters included.  The dict adjacency is
     intentionally absent: it is derived state that may or may not be
     materialized.
     """

@@ -3,36 +3,30 @@
 :meth:`PropertyGraph.freeze` materializes a :class:`GraphView`: for
 every edge type, compressed-sparse-row adjacency in both directions -
 three read-only int64 arrays, an offsets array indexed by vid plus
-flat neighbor and edge-id arrays - and nothing else.  The vectorized
-executor adopts those arrays as they are (:meth:`GraphArrays.csr
-<repro.graphdb.query.vectorized.GraphArrays.csr>`), and the tuple
-executor's segments below are cut from them.  The build is one stable
-sort of the live eids on (edge type, anchor vid) per direction,
-offsets from ``bincount`` / ``cumsum``: O(E log E), no Python loop
-over vid slots or edges; the only per-type cost is the offsets array
-itself.
-
-The tuple executor's expand reads *segments*: per (direction, edge
-type) a dict vid -> tuple of plain-int (eid, neighbor) pairs.  They
-are derived state, like the graph's ``_pairs`` and ``_adjacency``:
-the first :meth:`GraphView.expand_pairs` that asks for a type cuts
-its dict from that type's CSR triple into a local and publishes it
-with one assignment (racing readers build equal dicts; either may
-win), and it stays for the life of the view.  A graph that only runs
-batch-path queries never allocates a pair tuple.
+flat neighbor and edge-id arrays - and the order of the types, nothing
+else.  The vectorized executor adopts those arrays as they are
+(:meth:`GraphArrays.csr <repro.graphdb.query.vectorized.GraphArrays.csr>`);
+the tuple executor reads the graph's dict adjacency, frozen or not.
+The build is one stable sort of the live eids on (edge type, anchor
+vid) per direction, offsets from ``bincount`` / ``cumsum``: O(E log E),
+no Python loop over vid slots or edges; the only per-type cost is the
+offsets array itself.
 
 The view is *immutable by contract* and epoch-stamped: every graph
 mutation advances the graph's mutation epoch, which drops the graph's
 cached view and lets an outstanding reference detect staleness via
-:attr:`valid`.  Readers use the view while it is valid and fall back
-to the mutable dict adjacency otherwise; freezing is a deliberate act
-for read-heavy phases, never an implicit per-query cost.
+:attr:`valid`.  Freezing is a deliberate act for read-heavy phases,
+never an implicit per-query cost.
 
-Within a (vertex, edge type) bucket pairs ascend by edge id, as in
-the mutable adjacency, so a *typed* expansion reads the same frozen
-or not.  An *untyped* one concatenates types by first live eid
-graph-wide, the mutable adjacency by first edge at that vertex
+Edge types rank by their first live eid graph-wide: the key order of
+the per-direction dicts, in which batch expansion concatenates an
+untyped hop's types, and :attr:`GraphView.type_rank`, by which the
+tuple path orders a vertex's types on a frozen graph - so both emit
+pairs in one order.  Unfrozen, the dict adjacency orders a vertex's
+types by its first edge at that vertex
 (``test_freeze.py::test_untyped_type_order_is_global_when_frozen``).
+Within a (vertex, edge type) bucket pairs ascend by edge id in both
+structures, so a *typed* expansion reads the same frozen or not.
 """
 
 from __future__ import annotations
@@ -51,7 +45,7 @@ class GraphView:
     """Immutable CSR adjacency snapshot of one graph epoch."""
 
     __slots__ = ("graph", "epoch", "num_vid_slots", "_out", "_in",
-                 "_out_segments", "_in_segments")
+                 "type_rank")
 
     def __init__(self, graph):
         self.graph = graph
@@ -59,10 +53,8 @@ class GraphView:
         self.num_vid_slots = len(graph._v_tid)
         self._out: dict[int, Csr] = {}
         self._in: dict[int, Csr] = {}
-        #: Derived state: edge type -> vid -> tuple of (eid, neighbor)
-        #: pairs, one type cut per first :meth:`expand_pairs` asking.
-        self._out_segments: dict[int, dict[int, tuple]] = {}
-        self._in_segments: dict[int, dict[int, tuple]] = {}
+        #: Edge-type name -> rank, the key order of ``_out`` / ``_in``.
+        self.type_rank: dict[str, int] = {}
         self._build(graph)
 
     # ------------------------------------------------------------------
@@ -83,6 +75,8 @@ class GraphView:
         ranks = rank_of[labels]
         cuts = np.cumsum(np.bincount(ranks))[:-1]  # where each type ends
         sids = sids.tolist()
+        names = graph._symbols.names()
+        self.type_rank = {names[sid]: rank for rank, sid in enumerate(sids)}
         src = np.array(graph._e_src, dtype=np.int64)[live]
         dst = np.array(graph._e_dst, dtype=np.int64)[live]
         stride = self.num_vid_slots + 1
@@ -111,47 +105,6 @@ class GraphView:
         """Whether the graph is still at the epoch this view froze."""
         return self.epoch == self.graph.mutation_epoch
 
-    # ------------------------------------------------------------------
-    # Reads
-    # ------------------------------------------------------------------
-    def expand_pairs(
-        self,
-        vid: int,
-        label_sids: tuple[int | None, ...] | None,
-        direction: str,
-    ) -> list[tuple[int, int]]:
-        """(eid, neighbor) pairs of ``vid``; one segment per edge type.
-
-        ``label_sids`` of ``None`` means every edge type, in rank
-        order; a ``None`` entry (a label the graph never interned)
-        matches nothing.
-        """
-        pairs: list[tuple[int, int]] = []
-        if direction != "in":
-            self._collect(
-                self._out, self._out_segments, vid, label_sids, pairs
-            )
-        if direction != "out":
-            self._collect(
-                self._in, self._in_segments, vid, label_sids, pairs
-            )
-        return pairs
-
-    @staticmethod
-    def _collect(
-        csrs: dict[int, Csr], segments: dict, vid: int, label_sids, pairs: list
-    ) -> None:
-        for sid in csrs if label_sids is None else label_sids:
-            per_vid = segments.get(sid)
-            if per_vid is None:
-                csr = csrs.get(sid)
-                if csr is None:
-                    continue
-                per_vid = segments[sid] = _cut_segments(csr)
-            seg = per_vid.get(vid)
-            if seg:
-                pairs.extend(seg)
-
     def edge_types(self) -> list[int]:
         """Symbol ids of the edge types present in the view."""
         return sorted(self._out)
@@ -170,15 +123,3 @@ class GraphView:
             f"{'valid' if self.valid else 'stale'}>"
         )
 
-
-def _cut_segments(csr: Csr) -> dict[int, tuple]:
-    """One type's CSR triple as vid -> tuple of (eid, neighbor) pairs
-    of plain ints, ascending vid, vertices with edges only."""
-    offsets, neighbors, eids = csr
-    vids = np.flatnonzero(offsets[1:] != offsets[:-1])
-    bounds = [*offsets[vids].tolist(), len(eids)]
-    pairs = list(zip(eids.tolist(), neighbors.tolist()))
-    return {
-        vid: tuple(pairs[start:end])
-        for vid, start, end in zip(vids.tolist(), bounds, bounds[1:])
-    }

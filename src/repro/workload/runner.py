@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from repro.graphdb.api import Database
 from repro.graphdb.backends import BackendProfile
@@ -68,39 +67,16 @@ class WorkloadReport:
         )
 
 
-def resolve_graph(graph: PropertyGraph | str | Path) -> PropertyGraph:
-    """Accept a live graph, a snapshot file, or a durable data dir.
-
-    Paths are recovered read-only through the storage subsystem: a
-    directory goes through snapshot + WAL replay
-    (:func:`repro.graphdb.storage.recover_graph`), a file is loaded as
-    a bare snapshot.  Mutations made through the returned graph are
-    *not* logged - open a :class:`~repro.graphdb.storage.GraphStore`
-    for that.
-    """
-    if isinstance(graph, PropertyGraph):
-        return graph
-    from repro.graphdb.storage import read_snapshot, recover_graph
-
-    path = Path(graph)
-    if path.is_dir():
-        return recover_graph(path)
-    return read_snapshot(path)
-
-
 def run_queries(
-    graph: PropertyGraph | str | Path,
+    graph: PropertyGraph,
     profile: BackendProfile,
     queries: list[tuple[str, Query | str]],
     collect_rows: bool = False,
 ) -> WorkloadReport:
     """Execute ``queries`` (qid, text-or-AST pairs) on one session.
 
-    ``graph`` may also be a path to a snapshot file or a durable data
-    directory (see :func:`resolve_graph`), so persisted workloads can
-    be replayed without manually recovering the store first.
+    A stored graph is opened first: ``connect(path, readonly=True).graph``.
     """
-    graph = resolve_graph(graph)
     # Materialize statistics outside the timed loop: the one-time
     # O(V+E) batch build must not inflate the first query's wall_ms.
     graph.statistics()
@@ -129,7 +105,7 @@ def run_queries(
 
 
 def run_single(
-    graph: PropertyGraph | str | Path,
+    graph: PropertyGraph,
     profile: BackendProfile,
     query: Query | str,
     qid: str = "q",

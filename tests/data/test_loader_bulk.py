@@ -40,7 +40,6 @@ def assert_identical(graph, reference) -> None:
     assert ordered(graph._out) == ordered(reference._out)
     assert ordered(graph._in) == ordered(reference._in)
     assert ordered(graph._label_index) == ordered(reference._label_index)
-    assert ordered(graph._build_pairs()) == ordered(reference._build_pairs())
 
 
 def test_load_direct_matches_per_element_loader(pipeline):

@@ -4,7 +4,7 @@ These tests pin down the behaviours the generator rewrite introduced:
 ``LIMIT`` must stop pulling work out of the match pipeline (observable
 through the session's work counters), ``ORDER BY + LIMIT`` must agree
 with a full sort, pushed-down WHERE conjuncts must agree with
-post-filtering, and the O(1) join-check probe must agree with the old
+post-filtering, and the join-check probe must agree with the old
 adjacency scan.
 """
 
@@ -293,7 +293,7 @@ class TestExplain:
             "RETURN a.name"
         )
         assert "JoinCheck" in text
-        assert "O(1) pair probe" in text
+        assert "edge probe" in text
 
     def test_accepts_parsed_query(self, med_graph):
         executor = Executor(GraphSession(med_graph, NEO4J_LIKE))

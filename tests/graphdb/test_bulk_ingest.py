@@ -51,7 +51,6 @@ def structures(graph: PropertyGraph) -> dict:
         "out": ordered(graph._out),
         "in": ordered(graph._in),
         "label_index": ordered(graph._label_index),
-        "pairs": ordered(graph._build_pairs()),
     }
 
 
@@ -150,19 +149,13 @@ class TestContract:
         assert graph.symbols.sid("never") is None
         assert view.valid
 
-    def test_one_epoch_bump_and_a_deferred_pair_index(self, graph):
+    def test_one_epoch_bump_and_the_endpoint_probes(self, graph):
         epoch = graph.mutation_epoch
         graph.add_edges("T", [0, 1, 0], [1, 2, 1])
         assert graph.mutation_epoch == epoch + 1
-        assert graph._pairs is None
         assert graph.first_edge_between(0, 1, "T") == 0
         assert graph.first_edge_between(2, 1, "T", direction="in") == 1
         assert not graph.has_edge_between(2, 0)
-
-    def test_observed_graph_keeps_a_materialized_pair_index(self, graph):
-        graph.add_listener(lambda op, args: None)
-        graph.add_edges("T", [0], [1])
-        assert graph._pairs is not None and graph.has_edge_between(0, 1)
 
     @pytest.mark.parametrize("srcs, dsts, culprit", [
         ([0, -1], [1, 1], "-1"),

@@ -205,25 +205,22 @@ class TestFreezeLifecycle:
             assert got == expected[vid], (vid, labels, direction)
 
     def test_csr_segments_match_offsets(self, graph):
-        from tests.graphdb.freeze_oracle import reference_freeze
-        from tests.graphdb.randgraph import ordered
+        # A typed tuple-path expand on the frozen graph reads the dict
+        # adjacency and returns each vertex's CSR segment.
+        from repro.graphdb.session import GraphSession
 
         view = graph.freeze()
-        assert view._out_segments == {} and view._in_segments == {}
-        view.expand_pairs(0, None, "any")  # cuts every type, both ways
-        reference = reference_freeze(graph)
-        for direction, built in (
-            ("out", view._out_segments), ("in", view._in_segments)
-        ):
-            assert ordered(built) == ordered(reference[direction][1])
+        session = GraphSession(graph)
+        for direction in ("out", "in"):
             for sid, (offsets, neighbors, eids) in view.iter_csr(direction):
-                segments = built[sid]
+                labels = (graph.symbols.name(sid),)
                 for vid in graph.vertex_ids():
                     start, end = offsets[vid], offsets[vid + 1]
-                    expected = tuple(
-                        zip(eids[start:end], neighbors[start:end])
-                    )
-                    assert segments.get(vid, ()) == expected
+                    got = session.expand_pairs(vid, labels, direction)
+                    assert got == list(zip(
+                        eids[start:end].tolist(),
+                        neighbors[start:end].tolist(),
+                    ))
 
     def test_stale_view_not_used_after_mutation(self, graph):
         from repro.graphdb.session import GraphSession

@@ -43,7 +43,6 @@ def run_section(micro, section, tmp_path, capsys) -> dict:
 def test_smoke_section_writes_the_schema(tmp_path, capsys):
     report = run_section(load_micro(), "derived", tmp_path, capsys)
     assert [(row["name"], row["unit"]) for row in report["rows"]] == [
-        ("derived.segments_build", "ms"),
         ("derived.adjacency_build", "ms"),
         ("derived.ontology_pagerank.med", "us"),
         ("derived.ontology_pagerank.fin", "us"),
