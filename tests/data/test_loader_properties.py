@@ -7,12 +7,7 @@ from repro.data.generator import generate_logical
 from repro.data.loader import load_direct, load_optimized
 from repro.ontology.stats import synthesize_statistics
 from repro.schema.generate import optimize_schema_nsc
-
-import sys
-from pathlib import Path
-
-sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
-from rules.test_confluence import random_ontology  # noqa: E402
+from tests.ontology_gen import random_ontology
 
 
 @settings(max_examples=12, deadline=None)
