@@ -51,7 +51,6 @@ from repro.graphdb.graph import Edge, PropertyGraph, Vertex
 from repro.graphdb.metrics import ExecutionMetrics, LruPageCache
 from repro.graphdb.query.executor import Executor, QueryResult
 from repro.graphdb.session import GraphSession
-from repro.graphdb.view import GraphView
 
 __all__ = [
     # Driver API (the supported application surface)
@@ -79,7 +78,6 @@ __all__ = [
     "ExecutionMetrics",
     "Executor",
     "GraphSession",
-    "GraphView",
     "JANUSGRAPH_LIKE",
     "LruPageCache",
     "NEO4J_LIKE",

@@ -18,10 +18,12 @@ column-oriented (the layout analytical graph engines use):
 * edges live in parallel columns indexed directly by eid
   (``_e_src`` / ``_e_dst`` / ``_e_label``); the rare edges with
   properties keep a sparse side dict;
-* :meth:`PropertyGraph.freeze` materializes an immutable per-edge-type
-  CSR read view (see :mod:`repro.graphdb.view`), invalidated by the
-  graph's mutation epoch - the counter every mutation advances
-  alongside the WAL listener callbacks.
+* :meth:`PropertyGraph.arrays` hands out the numpy projections the
+  batch path reads (see :mod:`repro.graphdb.view`), and
+  :meth:`PropertyGraph.freeze` adds immutable per-edge-type CSR
+  adjacency to them; the graph drops them whenever it advances its
+  mutation epoch - the counter every mutation advances alongside the
+  WAL listener callbacks.
 
 The classic object API survives as façades: :class:`Vertex` and
 :class:`Edge` are id-holding views whose ``labels`` / ``properties``
@@ -29,13 +31,16 @@ attributes read through to the columns, so existing callers (loaders,
 optimizers, tests) are untouched while scans, statistics builds and
 the snapshot codec iterate flat columns.
 
-Every secondary structure (label index, adjacency lists, property
-indexes) still uses insertion-ordered dict buckets keyed by id, so
-membership tests, insertion and removal are all O(1) while iteration
-order stays deterministic.  The adjacency serves every per-element
-read, frozen or not: the tuple path's expand, its join check and
-``has_edge_between``, which scans the source's buckets for the far
-endpoint.  The frozen view's CSR arrays serve the batch path only.
+Label lookups read the label-set tables: a table's live vids ascend
+(a rollback restores a vertex to its own row), so merging the tables
+that carry a label lists its vertices in vid order.  The other
+secondary structures (adjacency lists, property indexes) use
+insertion-ordered dict buckets keyed by id, so membership tests,
+insertion and removal are all O(1) while iteration order stays
+deterministic.  The adjacency serves every per-element read, frozen or
+not: the tuple path's expand, its join check and ``has_edge_between``,
+which scans the source's buckets for the far endpoint.  The frozen
+CSR arrays serve the batch path only.
 
 The adjacency lists are *derived* state: bulk ingest (``add_vertices``
 / ``add_edges`` / ``set_properties``) and the snapshot loader leave
@@ -66,15 +71,17 @@ from repro.graphdb.columnar import (
     VertexTable,
 )
 from repro.graphdb.statistics import GraphStatistics, hashable
-from repro.graphdb.view import GraphView
+from repro.graphdb.view import GraphArrays
 
 #: Insertion-ordered bucket keyed by id.  Adjacency buckets map
 #: eid -> neighbor vid (so expansion never dereferences edge records);
-#: the label/property indexes ignore the values.
+#: property index buckets map vid -> None.
 _Bucket = dict
 _Adjacency = dict[int, dict[str, _Bucket]]
 
 _MISSING = object()
+#: Whether a table row's vid is live (tombstoned rows hold -1).
+_live = (0).__le__
 
 
 def _place(bucket: dict, key: int, value: object) -> None:
@@ -397,8 +404,6 @@ class PropertyGraph:
         #: One table per distinct label set; index == label-set id.
         self._tables: list[VertexTable] = []
         self._labelset_ids: dict[frozenset[int], int] = {}
-        #: label-set id -> frozenset of label strings (façade reads).
-        self._labelset_strs: list[frozenset[str]] = []
         #: vid -> owning table id (-1 = removed) / table-local row.
         self._v_tid: list[int] = []
         self._v_row: list[int] = []
@@ -409,14 +414,12 @@ class PropertyGraph:
         #: Sparse eid -> property dict (most edges carry none).
         self._e_props: dict[int, dict] = {}
         self._num_edges = 0
-        #: label sid -> insertion-ordered vid bucket.
-        self._label_index: dict[int, _Bucket] = {}
         #: (out, in) adjacency, each vid -> label -> eid -> neighbor
         #: vid.  Derived state: ``None`` until a reader or a
         #: per-element mutation needs it, then built whole from the
         #: edge columns, maintained by every mutation from there on
         #: and never dropped.  ``_out`` / ``_in`` read it, building
-        #: first; the batch path reads the frozen view's CSR instead.
+        #: first; the batch path reads the frozen CSR instead.
         self._adjacency: tuple[_Adjacency, _Adjacency] | None = None
         self._property_indexes: dict[tuple[str, str], dict] = {}
         self._next_vid = 0
@@ -440,11 +443,11 @@ class PropertyGraph:
         #: them in :meth:`_touch`).  An index change drops them.
         self._stats: GraphStatistics | None = None
         self._stats_age = 0
-        #: Mutation epoch + cached frozen CSR view.  Every mutation
-        #: advances the epoch and drops the view; :meth:`freeze`
-        #: rebuilds it on demand.
+        #: Mutation epoch + this epoch's arrays.  Every mutation
+        #: advances the epoch and drops the arrays; :meth:`arrays`
+        #: rebuilds them on demand, :meth:`freeze` adds the CSR.
         self._epoch = 0
-        self._view: GraphView | None = None
+        self._arrays: GraphArrays | None = None
         #: labels-argument -> VertexTable memo for add_vertex: loaders
         #: pass the same str/tuple/frozenset label arguments millions
         #: of times, so the intern + frozenset work runs once per
@@ -598,35 +601,38 @@ class PropertyGraph:
         self._touch()
 
     # ------------------------------------------------------------------
-    # Epoch / frozen view
+    # Epoch / arrays
     # ------------------------------------------------------------------
     @property
     def mutation_epoch(self) -> int:
         return self._epoch
 
     def _touch(self, elements: int = 1) -> None:
-        """Advance the mutation epoch (invalidating any frozen view) and
-        age the statistics by the ``elements`` mutated."""
+        """Advance the mutation epoch (dropping the arrays) and age the
+        statistics by the ``elements`` mutated."""
         self._epoch += 1
-        self._view = None
+        self._arrays = None
         self._stats_age += elements
 
-    def freeze(self) -> GraphView:
-        """The CSR read view of the current epoch (built on demand).
+    def arrays(self) -> GraphArrays:
+        """This epoch's :class:`~repro.graphdb.view.GraphArrays`,
+        frozen or not (created on demand, O(1))."""
+        arrays = self._arrays
+        if arrays is None:
+            arrays = self._arrays = GraphArrays(self)
+        return arrays
 
-        O(V + E) when (re)built, O(1) while the graph stays unmutated.
-        The batch path runs over a valid view; nothing builds one
-        implicitly.
+    def freeze(self) -> GraphArrays:
+        """This epoch's arrays with their CSR adjacency built.
+
+        O(V + E) when built, O(1) while the graph stays unmutated.
+        The batch path expands only over frozen arrays; nothing
+        freezes them implicitly.
         """
-        view = self._view
-        if view is None or view.epoch != self._epoch:
-            view = self._view = GraphView(self)
-        return view
-
-    @property
-    def frozen_view(self) -> GraphView | None:
-        """The cached CSR view if still valid, else ``None``."""
-        return self._view
+        arrays = self.arrays()
+        if arrays.type_rank is None:
+            arrays._build(self)
+        return arrays
 
     # ------------------------------------------------------------------
     # Internal columnar plumbing
@@ -649,7 +655,6 @@ class PropertyGraph:
             name = self._symbols.name
             labels = frozenset(name(sid) for sid in label_sids)
             self._tables.append(VertexTable(tid, label_sids, labels))
-            self._labelset_strs.append(labels)
         return self._tables[tid]
 
     def _table_of(self, labels: Iterable[str] | str) -> VertexTable:
@@ -707,21 +712,18 @@ class PropertyGraph:
         """Secondary-structure bookkeeping for a materialized vertex.
 
         Shared by :meth:`add_vertex` and the rollback path's
-        :meth:`_restore_vertex`, so the label index, property indexes
+        :meth:`_restore_vertex`, so the adjacency, property indexes
         and epoch bump can never diverge between the two.  An add
         brings the greatest vid and appends; only a rollback brings
         back an older one, which goes back where it was.
         """
-        put = dict.__setitem__ if vid == self._next_vid - 1 else _place
-        label_index = self._label_index
-        for sid in table.label_sids:
-            put(label_index.setdefault(sid, {}), vid, None)
         # (A build just now has the new element already: no-op writes.)
         out, into = self._adjacency or self._build_adjacency()
         out[vid] = {}
         into[vid] = {}
-        label_set = table.labels
         if self._property_indexes:
+            put = dict.__setitem__ if vid == self._next_vid - 1 else _place
+            label_set = table.labels
             for (label, prop), index in self._property_indexes.items():
                 if label in label_set:
                     value = props.get(prop)
@@ -729,7 +731,7 @@ class PropertyGraph:
                         put(index.setdefault(hashable(value), {}), vid, None)
         # _touch, inlined: this is the per-element hot path.
         self._epoch += 1
-        self._view = None
+        self._arrays = None
         self._stats_age += 1
 
     def add_vertices(
@@ -804,9 +806,6 @@ class PropertyGraph:
                     values = [props.get(name, _MISSING) for props in rows]
                     mask = bytearray(v is not _MISSING for v in values)
                 table.append_column(sid, row, values, mask)
-        self._index_labels(
-            (table, members) for table, members, _, _ in batches.values()
-        )
         self._v_tid.extend(v_tid)
         self._v_row.extend(v_row)
         if self._adjacency is not None:
@@ -815,20 +814,6 @@ class PropertyGraph:
         self._next_vid = vids.stop
         self._touch(count)
         return vids
-
-    def _index_labels(
-        self, batches: Iterable[tuple[VertexTable, list[int]]]
-    ) -> None:
-        """Append each table's new ``members`` (ascending vids) to its
-        labels' buckets; tables sharing a label interleave by vid."""
-        by_label: dict[int, list[list[int]]] = {}
-        for table, members in batches:
-            for sid in table.label_sids:
-                by_label.setdefault(sid, []).append(members)
-        for sid, groups in by_label.items():
-            self._label_index.setdefault(sid, {}).update(
-                dict.fromkeys(sorted(chain.from_iterable(groups)))
-            )
 
     def add_edge(
         self,
@@ -875,7 +860,7 @@ class PropertyGraph:
             _place_edge(into[dst], label, eid, src)
         # _touch, inlined: this is the per-element hot path.
         self._epoch += 1
-        self._view = None
+        self._arrays = None
         self._stats_age += 1
 
     def add_edges(
@@ -1109,11 +1094,6 @@ class PropertyGraph:
                 self.remove_edge(eid)
         labels = table.labels
         props = self._row_properties(table, row)
-        for sid in table.label_sids:
-            bucket = self._label_index[sid]
-            del bucket[vid]
-            if not bucket:
-                del self._label_index[sid]
         if self._property_indexes:
             for (label, prop), index in self._property_indexes.items():
                 if label in labels:
@@ -1162,7 +1142,7 @@ class PropertyGraph:
             raise GraphError(f"unknown vertex {vid}") from None
         if tid < 0:
             raise GraphError(f"unknown vertex {vid}")
-        return self._labelset_strs[tid]
+        return self._tables[tid].labels
 
     def get_property(
         self, vid: int, name: str, default: object = None
@@ -1174,21 +1154,34 @@ class PropertyGraph:
     def has_label(self, vid: int, label: str) -> bool:
         return label in self.labels_of(vid)
 
-    def vertices_with_label(self, label: str) -> list[int]:
+    def _label_tables(self, label: str) -> list[VertexTable]:
+        """The tables whose label set holds ``label``."""
         sid = self._symbols.sid(label)
-        if sid is None:
-            return []
-        return list(self._label_index.get(sid, ()))
+        return [table for table in self._tables if sid in table.label_sids]
+
+    def vertices_with_label(self, label: str) -> list[int]:
+        """Live vids carrying ``label``, ascending: each table's live
+        vids ascend, so one table's are in order as they stand."""
+        vids: list[int] = []
+        runs = 0
+        for table in self._label_tables(label):
+            if table.live:
+                runs += 1
+                vids += (
+                    table.vids if table.live == len(table.vids)
+                    else filter(_live, table.vids)
+                )
+        return vids if runs < 2 else sorted(vids)
 
     def label_count(self, label: str) -> int:
-        sid = self._symbols.sid(label)
-        if sid is None:
-            return 0
-        return len(self._label_index.get(sid, ()))
+        return sum(table.live for table in self._label_tables(label))
 
     def labels(self) -> list[str]:
-        name = self._symbols.name
-        return sorted(name(sid) for sid in self._label_index)
+        """The labels some live vertex carries, sorted."""
+        return sorted({
+            label for table in self._tables if table.live
+            for label in table.labels
+        })
 
     def vertex_ids(self) -> list[int]:
         """Live vertex ids in ascending (== insertion) order."""
@@ -1274,10 +1267,9 @@ class PropertyGraph:
         if key in self._property_indexes:
             return
         index: dict = {}
-        sid = self._symbols.sid(label)
         prop_sid = self._symbols.sid(prop)
-        if sid is not None and prop_sid is not None:
-            for vid in self._label_index.get(sid, ()):
+        if prop_sid is not None:
+            for vid in self.vertices_with_label(label):
                 table = self._tables[self._v_tid[vid]]
                 value = table.get_prop(self._v_row[vid], prop_sid)
                 if value is not None:
@@ -1364,7 +1356,7 @@ class PropertyGraph:
     def summary(self) -> str:
         return (
             f"PropertyGraph {self.name!r}: {self.num_vertices:,} vertices, "
-            f"{self.num_edges:,} edges, {len(self._label_index)} labels"
+            f"{self.num_edges:,} edges, {len(self.labels())} labels"
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -38,8 +38,8 @@ compiler for this execution's pipeline and takes its refusal as the
 answer.  Running a query and EXPLAINing it both go through it, so the
 ``mode=`` line EXPLAIN prints is the verdict the run would reach; a
 refusal that follows from the query and plan alone is remembered
-beside the cached plan, one that depends on the data, the frozen view
-or the parameters never is.
+beside the cached plan, one that depends on the data, on whether the
+graph is frozen or on the parameters never is.
 """
 
 from __future__ import annotations
@@ -154,10 +154,10 @@ class _Prepared:
     Besides the plan, two memos of the batch compiler's work on it:
     a refusal that holds whatever the data and the parameters are, and
     the last compiled :class:`~repro.graphdb.query.vectorized.Pipeline`
-    with its key - the ``GraphArrays`` it was compiled over (rebuilt
-    every mutation epoch, so it stands for the frozen view, the vid
-    sets and the interned symbols too) and the values of the
-    parameters the query uses.  A run whose key matches executes the
+    with its key - the graph's ``GraphArrays`` it was compiled over
+    (the graph drops it every mutation epoch, so it stands for the
+    CSR, the vid sets and the interned symbols too) and the values of
+    the parameters the query uses.  A run whose key matches executes the
     pipeline as it is, binding only its own session, guard and
     counters; any other run compiles and replaces it, so one entry
     keeps at most one ``GraphArrays`` alive.
@@ -642,8 +642,8 @@ class Executor:
         The batch compiler decides, by compiling.  A refusal that
         follows from the query and plan alone is kept with the
         plan-cache entry, so a plan it cannot run pays for finding
-        that out once per planning; any other (a column's kind, a
-        missing frozen view, a parameter's value) is this execution's
+        that out once per planning; any other (a column's kind, an
+        unfrozen graph, a parameter's value) is this execution's
         only.  An accepted compile is kept there too, keyed by the
         graph's arrays and the parameter values (see
         :class:`_Prepared`), and handed out again while both match.
@@ -654,7 +654,7 @@ class Executor:
         if reason is None:
             from repro.graphdb.query import vectorized
 
-            arrays = vectorized.graph_arrays(self.session.graph)
+            arrays = self.session.graph.arrays()
             key = _binding_key(prepared.params, params)
             compiled = prepared.compiled
             if (

@@ -14,7 +14,7 @@ kernels over the columnar core's flat arrays:
   (``= <> < <= > >=``, ``IS [NOT] NULL``, AND/OR/NOT folding) over
   int64/float64 columns with presence-mask handling;
 * **CSR-slice expansion** joins a whole batch of source vertices over
-  the frozen :class:`~repro.graphdb.view.GraphView` offset arrays
+  the frozen :class:`~repro.graphdb.view.GraphArrays` offset arrays
   (``repeat``/``cumsum`` arithmetic) instead of per-vertex iteration;
 * **Column aggregation**: every aggregating RETURN, global or
   grouped, goes through one consumer (:func:`_compile_grouped`).  It
@@ -58,7 +58,7 @@ guard that looks at it: object-typed (string, bool, list, mixed)
 columns behind a comparison or a numeric fold - returning, grouping
 on, counting and collecting them is fine, they are gathered as they
 are - constants that are not numbers, int64 ranges where float
-promotion loses precision, an expansion without a valid frozen view.
+promotion loses precision, an expansion over arrays not yet frozen.
 Nothing qualifies a plan ahead of the compile and nothing predicts
 its outcome beside it: the executor runs :func:`build_pipeline` to
 execute, runs it and drops the result to EXPLAIN, and remembers a
@@ -111,6 +111,7 @@ from repro.graphdb.query.executor import (
 from repro.graphdb.query.functions import apply_aggregate, apply_scalar
 from repro.graphdb.query.planner import ExpandStep, Plan, ScanStep
 from repro.graphdb.statistics import hashable
+from repro.graphdb.view import GraphArrays, _Column
 
 #: Rows per scan batch.  Large enough to amortize kernel dispatch,
 #: small enough that a batch's column slices stay cache-resident.
@@ -148,7 +149,7 @@ class ExecutionReport:
 
 #: The refusals that follow from the query and its plan alone: those
 #: the executor may remember with the cached plan.  Every other one
-#: depends on column kinds, the frozen view or this run's parameters,
+#: depends on column kinds, the frozen CSR or this run's parameters,
 #: and is found out again by every execution.
 _SHAPE_REASONS = frozenset({
     "plan", "limit", "return-shape", "aggregate-shape", "unbound-variable",
@@ -172,189 +173,6 @@ class Refusal(Exception):
 #: guards (:func:`_check_const`, :func:`_eq_spec`) let it through, so
 #: an unknown value refuses nothing - the pipeline is dropped unrun.
 UNBOUND = object()
-
-
-# ----------------------------------------------------------------------
-# Columnar array cache
-# ----------------------------------------------------------------------
-class _Column:
-    """One property key's values scattered into vid-indexed arrays.
-
-    ``kind`` is ``"int64"``/``"float64"`` (typed values + presence),
-    ``"object"``/``"mixed"`` (``values`` has dtype ``object`` and
-    holds the stored objects themselves, ``None`` where absent -
-    readable, never compared or added; ``present`` is already the
-    *reads-non-null* mask, so a stored ``None`` counts as absent,
-    exactly as every read path reports it), or ``"absent"`` (key
-    never stored; reads are None everywhere).
-    """
-
-    __slots__ = ("kind", "values", "present", "has_tids", "vmin", "vmax")
-
-    def __init__(self, kind, values, present, has_tids, vmin, vmax):
-        self.kind = kind
-        self.values = values
-        self.present = present
-        #: Table ids that materialized a column for this key (drives
-        #: scan_rows' column-missing charging shortcut).
-        self.has_tids = has_tids
-        self.vmin = vmin
-        self.vmax = vmax
-
-
-class GraphArrays:
-    """Epoch-cached numpy projections of one graph's columnar state.
-
-    Built lazily per consumer (column, label bucket, CSR direction)
-    and dropped wholesale when the graph's mutation epoch advances -
-    the same invalidation rule the frozen view uses.
-    """
-
-    def __init__(self, graph):
-        self.graph = graph
-        self.epoch = graph.mutation_epoch
-        self.nslots = len(graph._v_tid)
-        self._v_tid = None
-        self._columns: dict[str, _Column] = {}
-        self._label_vids: dict[str, object] = {}
-        self._table_vids: dict[int, object] = {}
-        self._all_vids = None
-        self._csr: dict[str, tuple[dict, list]] = {}
-
-    # -- columns -------------------------------------------------------
-    def column(self, name: str) -> _Column:
-        cached = self._columns.get(name)
-        if cached is not None:
-            return cached
-        column = self._build_column(name)
-        self._columns[name] = column
-        return column
-
-    def _build_column(self, name: str) -> _Column:
-        graph = self.graph
-        sid = graph._symbols.sid(name)
-        parts = []
-        kinds = set()
-        has_tids = set()
-        if sid is not None:
-            for tid, table in enumerate(graph._tables):
-                col = table.columns.get(sid)
-                if col is None:
-                    continue
-                has_tids.add(tid)
-                kinds.add(col.kind)
-                parts.append((tid, table, col))
-        if not parts:
-            return _Column(
-                "absent", None, np.zeros(self.nslots, dtype=bool),
-                has_tids, None, None,
-            )
-        if kinds == {KIND_INT}:
-            kind, dtype = KIND_INT, np.int64
-        elif kinds == {KIND_FLOAT}:
-            kind, dtype = KIND_FLOAT, np.float64
-        else:
-            kind, dtype = ("object" if len(kinds) == 1 else "mixed"), object
-        present = np.zeros(self.nslots, dtype=bool)
-        # An object array starts out all-None: absent reads as None.
-        values = (
-            np.empty(self.nslots, dtype=object) if dtype is object
-            else np.zeros(self.nslots, dtype=dtype)
-        )
-        for tid, table, col in parts:
-            vids = np.asarray(table.vids, dtype=np.int64)
-            mask = np.zeros(len(vids), dtype=bool)
-            if col.mask:
-                nn = col.notnull_mask()
-                mask[: len(nn)] = np.frombuffer(
-                    bytes(nn), dtype=np.uint8
-                ).astype(bool)
-            mask &= vids >= 0
-            rows = np.flatnonzero(mask)
-            if not len(rows):
-                continue
-            targets = vids[rows]
-            present[targets] = True
-            if dtype is object:
-                # Element by element: a list-valued property stays
-                # one element instead of becoming an array axis.
-                data = np.fromiter(
-                    col.data, dtype=object, count=len(col.data)
-                )
-            else:
-                # Copy, not frombuffer: a shared buffer export would
-                # forbid the live column from ever resizing again.
-                data = np.array(col.data, dtype=dtype)
-            values[targets] = data[rows]
-        vmin = vmax = None
-        if dtype is not object and present.any():
-            selected = values[present]
-            vmin = selected.min().item()
-            vmax = selected.max().item()
-        return _Column(kind, values, present, has_tids, vmin, vmax)
-
-    # -- vid sets ------------------------------------------------------
-    def v_tid(self):
-        """vid -> table id (every row of a table shares one label set)."""
-        if self._v_tid is None:
-            self._v_tid = np.asarray(self.graph._v_tid, dtype=np.int64)
-        return self._v_tid
-
-    def label_vids(self, label: str):
-        cached = self._label_vids.get(label)
-        if cached is None:
-            cached = np.asarray(
-                self.graph.vertices_with_label(label), dtype=np.int64
-            )
-            self._label_vids[label] = cached
-        return cached
-
-    def all_vids(self):
-        if self._all_vids is None:
-            self._all_vids = np.asarray(
-                self.graph.vertex_ids(), dtype=np.int64
-            )
-        return self._all_vids
-
-    def table_vids(self, tid: int):
-        """Live vids of one table, in row (insertion) order."""
-        cached = self._table_vids.get(tid)
-        if cached is None:
-            vids = np.asarray(
-                self.graph._tables[tid].vids, dtype=np.int64
-            )
-            cached = vids[vids >= 0]
-            self._table_vids[tid] = cached
-        return cached
-
-    # -- CSR adjacency -------------------------------------------------
-    def csr(self, direction: str) -> tuple[dict, list]:
-        """``(sid -> (offsets, neighbors, eids), sid order)`` arrays.
-
-        Mirrors the valid frozen view for one direction; the sid order
-        is the view's type order, by which the tuple path's untyped
-        expand on a frozen graph orders a vertex's types too, so batch
-        expansion emits pairs identically.
-        """
-        cached = self._csr.get(direction)
-        if cached is not None:
-            return cached
-        view = self.graph.frozen_view
-        if view is None:
-            raise Refusal("no-frozen-view")
-        arrays = dict(view.iter_csr(direction))
-        cached = (arrays, list(arrays))
-        self._csr[direction] = cached
-        return cached
-
-
-def graph_arrays(graph) -> GraphArrays:
-    """The graph's cached :class:`GraphArrays`, rebuilt per epoch."""
-    arrays = getattr(graph, "_vec_arrays", None)
-    if arrays is None or arrays.epoch != graph.mutation_epoch:
-        arrays = GraphArrays(graph)
-        graph._vec_arrays = arrays
-    return arrays
 
 
 # ----------------------------------------------------------------------
@@ -711,7 +529,7 @@ def _build_scan(ctx: _KernelContext, step: ScanStep, params, nslots):
 
     if check_labels is None and not props:
         # No residual checks: the tuple path streams raw candidates
-        # (label bucket order / ascending all-vertices) untouched.
+        # (ascending label vids / all vertices) untouched.
         if access == "label":
             candidates = arrays.label_vids(access_label)
 
@@ -805,11 +623,11 @@ def _build_expand(ctx: _KernelContext, step, spec, params):
     """Compile one plain-hop expansion into a batch-to-batch operator,
     ``op(session, batch)``.
 
-    Pair production joins the whole batch against the frozen view's
-    CSR offset arrays (repeat/cumsum arithmetic instead of per-vertex
+    Pair production joins the whole batch against the frozen CSR
+    offset arrays (repeat/cumsum arithmetic instead of per-vertex
     dict probes) and preserves the tuple path's emission order: source
     row first, then edge-type rank (the spec's label order, or the
-    view's type order untyped, out before in for undirected hops),
+    frozen type order untyped, out before in for undirected hops),
     then ascending edge id within a type.
     """
     far_labels = frozenset(spec.labels) if spec.labels else None
@@ -830,17 +648,19 @@ def _build_expand(ctx: _KernelContext, step, spec, params):
         ("out", "in") if direction == "any" else (direction,)
     )
     edge_labels = step.edge.labels
+    if arrays.type_rank is None:
+        raise Refusal("no-frozen-view")
     ranked = []
     for d in directions:
-        segments, order = arrays.csr(d)
+        csrs = arrays._out if d == "out" else arrays._in
         if edge_labels:
             keys = [graph._symbols.sid(label) for label in edge_labels]
         else:
-            keys = order
+            keys = csrs
         for sid in keys:
             if sid is None:
                 continue  # a label the graph never interned
-            triple = segments.get(sid)
+            triple = csrs.get(sid)
             if triple is not None:
                 ranked.append(triple)
     tid_ok = v_tid = None
@@ -1387,7 +1207,7 @@ def build_pipeline(
     dropping it unrun (EXPLAIN does) leaves no trace.
 
     What is compiled depends on three inputs only: the plan, the
-    graph's ``arrays`` (its epoch's columns, vid sets and frozen view)
+    graph's ``arrays`` (its epoch's columns, vid sets and CSR)
     and the values of the parameters the query uses.  A caller may
     keep the result and run it again while all three are unchanged -
     the executor does, one entry per cached plan.

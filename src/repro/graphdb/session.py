@@ -160,17 +160,14 @@ class GraphSession:
         store the neighbor id, so no edge record is dereferenced).
         Pairs of one type ascend by eid; types come in ``labels``
         order or, untyped, in the vertex's dict order - in the frozen
-        view's type order while the graph holds a valid view, which
-        is the order the batch path emits.
+        type order while the graph's arrays are frozen, which is the
+        order the batch path emits.
         """
         self._touch_page(("a", vid // self._adjacency_per_page))
         graph = self.graph
         out, into = graph._adjacency or graph._build_adjacency()
-        rank = None
-        if not labels:
-            view = graph._view
-            if view is not None and view.epoch == graph._epoch:
-                rank = view.type_rank
+        arrays = graph._arrays
+        rank = None if labels or arrays is None else arrays.type_rank
         pairs: list[tuple[int, int]] = []
         if direction != "in":
             adjacency = out.get(vid)

@@ -257,7 +257,7 @@ class GraphStatistics:
                         )
 
         v_tid = graph._v_tid
-        labelsets = graph._labelset_strs
+        tables = graph._tables
         combos = Counter(
             (sid, v_tid[src], v_tid[dst])
             for sid, src, dst in zip(
@@ -267,8 +267,8 @@ class GraphStatistics:
         )
         for (sid, src_tid, dst_tid), count in combos.items():
             label = symbols.name(sid)
-            src_labels = labelsets[src_tid]
-            dst_labels = labelsets[dst_tid]
+            src_labels = tables[src_tid].labels
+            dst_labels = tables[dst_tid].labels
             stats.num_edges += count
             _add(stats.edge_label_counts, label, count)
             for src_label in src_labels:

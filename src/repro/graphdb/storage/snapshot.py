@@ -48,7 +48,7 @@ ids are stored explicitly, so a reloaded graph reproduces the original
 iteration order, id sequences and index bucket order exactly - deleted
 ids stay holes, ``_next_vid``/``_next_eid`` keep monotonic.  (Vertex
 and edge ids are never reused, so insertion order is ascending id
-order; the loader relies on this when regrouping label buckets.)  The
+order; the loader relies on this when filling each table's rows.)  The
 adjacency dicts are left unmaterialized (``None``) - the graph
 rebuilds them in one batch pass on first need.
 Planner statistics are not stored either: the reopened graph builds
@@ -274,7 +274,7 @@ def _encode_sections(
     vbuf += _to_le_bytes(vids)
     write_uvarint(vbuf, len(ls_order))
     for tid in ls_order:
-        ordered = sorted(graph._labelset_strs[tid])
+        ordered = sorted(graph._tables[tid].labels)
         write_uvarint(vbuf, len(ordered))
         for label in ordered:
             write_uvarint(vbuf, intern(label))
@@ -583,12 +583,6 @@ def _decode_graph(
             table.live += 1
     except IndexError:
         raise CodecError("vertex references unknown label set") from None
-
-    # Label buckets: vertices were decoded in ascending-vid order, so
-    # each table's vid list is ascending.
-    graph._index_labels(
-        (table, table.vids) for table in tables if table.vids
-    )
 
     # Property columns: split each section column by owning table,
     # then bulk-adopt (dense prefix) or scatter into typed columns.

@@ -1,26 +1,29 @@
-"""Frozen CSR read view over a :class:`PropertyGraph`.
+"""The arrays the batch path reads of one graph epoch.
 
-:meth:`PropertyGraph.freeze` materializes a :class:`GraphView`: for
-every edge type, compressed-sparse-row adjacency in both directions -
-three read-only int64 arrays, an offsets array indexed by vid plus
-flat neighbor and edge-id arrays - and the order of the types, nothing
-else.  The vectorized executor adopts those arrays as they are
-(:meth:`GraphArrays.csr <repro.graphdb.query.vectorized.GraphArrays.csr>`);
+A :class:`PropertyGraph` owns one :class:`GraphArrays` at a time
+(:meth:`PropertyGraph.arrays`) and drops it wherever it advances its
+mutation epoch, so an arrays object stands for one epoch: a caller that
+still holds the same object is reading the graph as it is, and nothing
+compares epochs.  The object holds numpy projections of the columnar
+state, each built on its first read - a property key's values scattered
+into vid-indexed arrays (:meth:`GraphArrays.column`), the live vids of
+a label, of a table and of the whole graph, and vid -> table id - and,
+once :meth:`PropertyGraph.freeze` has frozen it, the CSR adjacency.
+
+Freezing builds, for every edge type, compressed-sparse-row adjacency
+in both directions - three read-only int64 arrays, an offsets array
+indexed by vid plus flat neighbor and edge-id arrays - and the order of
+the types, nothing else.  The batch path's expand reads those arrays;
 the tuple executor reads the graph's dict adjacency, frozen or not.
 The build is one stable sort of the live eids on (edge type, anchor
 vid) per direction, offsets from ``bincount`` / ``cumsum``: O(E log E),
 no Python loop over vid slots or edges; the only per-type cost is the
-offsets array itself.
-
-The view is *immutable by contract* and epoch-stamped: every graph
-mutation advances the graph's mutation epoch, which drops the graph's
-cached view and lets an outstanding reference detect staleness via
-:attr:`valid`.  Freezing is a deliberate act for read-heavy phases,
-never an implicit per-query cost.
+offsets array itself.  Freezing is a deliberate act for read-heavy
+phases, never an implicit per-query cost.
 
 Edge types rank by their first live eid graph-wide: the key order of
 the per-direction dicts, in which batch expansion concatenates an
-untyped hop's types, and :attr:`GraphView.type_rank`, by which the
+untyped hop's types, and :attr:`GraphArrays.type_rank`, by which the
 tuple path orders a vertex's types on a frozen graph - so both emit
 pairs in one order.  Unfrozen, the dict adjacency orders a vertex's
 types by its first edge at that vertex
@@ -31,36 +34,63 @@ structures, so a *typed* expansion reads the same frozen or not.
 
 from __future__ import annotations
 
-from typing import Iterator
-
 import numpy as np
 
+from repro.graphdb.columnar import KIND_FLOAT, KIND_INT
+
 #: One direction of one edge type: (offsets, neighbors, eids), all
-#: int64 arrays.  ``offsets`` has length num_vid_slots+1; ``neighbors``
-#: and ``eids`` are flat and sliced by consecutive offsets.
+#: int64 arrays.  ``offsets`` has length nslots+1; ``neighbors`` and
+#: ``eids`` are flat and sliced by consecutive offsets.
 Csr = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
-class GraphView:
-    """Immutable CSR adjacency snapshot of one graph epoch."""
+class _Column:
+    """One property key's values scattered into vid-indexed arrays.
 
-    __slots__ = ("graph", "epoch", "num_vid_slots", "_out", "_in",
-                 "type_rank")
+    ``kind`` is ``"int64"``/``"float64"`` (typed values + presence),
+    ``"object"``/``"mixed"`` (``values`` has dtype ``object`` and
+    holds the stored objects themselves, ``None`` where absent -
+    readable, never compared or added; ``present`` is already the
+    *reads-non-null* mask, so a stored ``None`` counts as absent,
+    exactly as every read path reports it), or ``"absent"`` (key
+    never stored; reads are None everywhere).
+    """
+
+    __slots__ = ("kind", "values", "present", "has_tids", "vmin", "vmax")
+
+    def __init__(self, kind, values, present, has_tids, vmin, vmax):
+        self.kind = kind
+        self.values = values
+        self.present = present
+        #: Table ids that materialized a column for this key (drives
+        #: scan_rows' column-missing charging shortcut).
+        self.has_tids = has_tids
+        self.vmin = vmin
+        self.vmax = vmax
+
+
+class GraphArrays:
+    """Numpy projections of one graph epoch, built per consumer."""
 
     def __init__(self, graph):
         self.graph = graph
-        self.epoch = graph.mutation_epoch
-        self.num_vid_slots = len(graph._v_tid)
-        self._out: dict[int, Csr] = {}
-        self._in: dict[int, Csr] = {}
-        #: Edge-type name -> rank, the key order of ``_out`` / ``_in``.
-        self.type_rank: dict[str, int] = {}
-        self._build(graph)
+        self.nslots = len(graph._v_tid)
+        self._v_tid = None
+        self._columns: dict[str, _Column] = {}
+        self._label_vids: dict[str, np.ndarray] = {}
+        self._table_vids: dict[int, np.ndarray] = {}
+        self._all_vids = None
+        #: Per direction, edge-type sid -> CSR, in type-rank order;
+        #: None until frozen.
+        self._out: dict[int, Csr] | None = None
+        self._in: dict[int, Csr] | None = None
+        #: Edge-type name -> rank, the key order of ``_out`` / ``_in``;
+        #: None until frozen.
+        self.type_rank: dict[str, int] | None = None
 
-    # ------------------------------------------------------------------
-    # Construction
-    # ------------------------------------------------------------------
+    # -- CSR adjacency (built by PropertyGraph.freeze) -----------------
     def _build(self, graph) -> None:
+        self._out, self._in, self.type_rank = {}, {}, {}
         labels = np.array(graph._e_label, dtype=np.int64)
         live = np.flatnonzero(labels >= 0)
         if not len(live):
@@ -79,7 +109,7 @@ class GraphView:
         self.type_rank = {names[sid]: rank for rank, sid in enumerate(sids)}
         src = np.array(graph._e_src, dtype=np.int64)[live]
         dst = np.array(graph._e_dst, dtype=np.int64)[live]
-        stride = self.num_vid_slots + 1
+        stride = self.nslots + 1
         for anchors, fars, csrs in (
             (src, dst, self._out), (dst, src, self._in)
         ):
@@ -100,26 +130,108 @@ class GraphView:
                 offsets, np.split(neighbors, cuts), np.split(eids, cuts)
             )))
 
-    @property
-    def valid(self) -> bool:
-        """Whether the graph is still at the epoch this view froze."""
-        return self.epoch == self.graph.mutation_epoch
+    # -- columns -------------------------------------------------------
+    def column(self, name: str) -> _Column:
+        cached = self._columns.get(name)
+        if cached is not None:
+            return cached
+        column = self._build_column(name)
+        self._columns[name] = column
+        return column
 
-    def edge_types(self) -> list[int]:
-        """Symbol ids of the edge types present in the view."""
-        return sorted(self._out)
-
-    def iter_csr(
-        self, direction: str = "out"
-    ) -> Iterator[tuple[int, Csr]]:
-        """(edge-type sid, CSR triple) pairs for one direction."""
-        csrs = self._out if direction == "out" else self._in
-        return iter(csrs.items())
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<GraphView epoch={self.epoch} "
-            f"types={len(self._out)} "
-            f"{'valid' if self.valid else 'stale'}>"
+    def _build_column(self, name: str) -> _Column:
+        graph = self.graph
+        sid = graph._symbols.sid(name)
+        parts = []
+        kinds = set()
+        has_tids = set()
+        if sid is not None:
+            for tid, table in enumerate(graph._tables):
+                col = table.columns.get(sid)
+                if col is None:
+                    continue
+                has_tids.add(tid)
+                kinds.add(col.kind)
+                parts.append((tid, table, col))
+        if not parts:
+            return _Column(
+                "absent", None, np.zeros(self.nslots, dtype=bool),
+                has_tids, None, None,
+            )
+        if kinds == {KIND_INT}:
+            kind, dtype = KIND_INT, np.int64
+        elif kinds == {KIND_FLOAT}:
+            kind, dtype = KIND_FLOAT, np.float64
+        else:
+            kind, dtype = ("object" if len(kinds) == 1 else "mixed"), object
+        present = np.zeros(self.nslots, dtype=bool)
+        # An object array starts out all-None: absent reads as None.
+        values = (
+            np.empty(self.nslots, dtype=object) if dtype is object
+            else np.zeros(self.nslots, dtype=dtype)
         )
+        for tid, table, col in parts:
+            vids = np.asarray(table.vids, dtype=np.int64)
+            mask = np.zeros(len(vids), dtype=bool)
+            if col.mask:
+                nn = col.notnull_mask()
+                mask[: len(nn)] = np.frombuffer(
+                    bytes(nn), dtype=np.uint8
+                ).astype(bool)
+            mask &= vids >= 0
+            rows = np.flatnonzero(mask)
+            if not len(rows):
+                continue
+            targets = vids[rows]
+            present[targets] = True
+            if dtype is object:
+                # Element by element: a list-valued property stays
+                # one element instead of becoming an array axis.
+                data = np.fromiter(
+                    col.data, dtype=object, count=len(col.data)
+                )
+            else:
+                # Copy, not frombuffer: a shared buffer export would
+                # forbid the live column from ever resizing again.
+                data = np.array(col.data, dtype=dtype)
+            values[targets] = data[rows]
+        vmin = vmax = None
+        if dtype is not object and present.any():
+            selected = values[present]
+            vmin = selected.min().item()
+            vmax = selected.max().item()
+        return _Column(kind, values, present, has_tids, vmin, vmax)
 
+    # -- vid sets ------------------------------------------------------
+    def v_tid(self):
+        """vid -> table id (every row of a table shares one label set)."""
+        if self._v_tid is None:
+            self._v_tid = np.asarray(self.graph._v_tid, dtype=np.int64)
+        return self._v_tid
+
+    def label_vids(self, label: str):
+        cached = self._label_vids.get(label)
+        if cached is None:
+            cached = np.asarray(
+                self.graph.vertices_with_label(label), dtype=np.int64
+            )
+            self._label_vids[label] = cached
+        return cached
+
+    def all_vids(self):
+        if self._all_vids is None:
+            self._all_vids = np.asarray(
+                self.graph.vertex_ids(), dtype=np.int64
+            )
+        return self._all_vids
+
+    def table_vids(self, tid: int):
+        """Live vids of one table, in row (insertion) order."""
+        cached = self._table_vids.get(tid)
+        if cached is None:
+            vids = np.asarray(
+                self.graph._tables[tid].vids, dtype=np.int64
+            )
+            cached = vids[vids >= 0]
+            self._table_vids[tid] = cached
+        return cached

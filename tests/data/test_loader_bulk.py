@@ -13,7 +13,7 @@ from tests.data.loader_oracle import (
     reference_load_direct,
     reference_load_optimized,
 )
-from tests.graphdb.randgraph import ordered
+from tests.graphdb.randgraph import label_lists, ordered
 
 
 @pytest.fixture(scope="module", params=["med", "fin"])
@@ -39,7 +39,7 @@ def assert_identical(graph, reference) -> None:
     # ... and the adjacency order expansion walks.
     assert ordered(graph._out) == ordered(reference._out)
     assert ordered(graph._in) == ordered(reference._in)
-    assert ordered(graph._label_index) == ordered(reference._label_index)
+    assert label_lists(graph) == label_lists(reference)
 
 
 def test_load_direct_matches_per_element_loader(pipeline):

@@ -1,11 +1,13 @@
-"""Test-only reference for :meth:`GraphView._build`.
+"""Test-only reference for :meth:`GraphArrays._build
+<repro.graphdb.view.GraphArrays._build>` (what ``graph.freeze()`` runs).
 
 The pure-Python CSR build the numpy freeze replaced: a count pass, a
-prefix-sum pass and a fill pass per direction over every edge, then
-one segment tuple per (edge type, vid) that has edges.  Kept as the
-oracle the array-based build is compared against - same offsets,
-neighbors, eids and segment tuples, and the same key order of every
-dict.
+prefix-sum pass and a fill pass per direction over every edge.  Kept
+as the oracle the array-based build is compared against - same
+offsets, neighbors and eids, and the same key order of every dict.
+Its ``segments`` - per edge type, vid -> the vertex's (eid, neighbor)
+pairs in CSR order - are the order a frozen expand must emit
+(``test_derived_state.py``).
 """
 
 from array import array

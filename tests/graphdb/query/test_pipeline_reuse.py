@@ -191,7 +191,7 @@ class TestInvalidation:
         graph.freeze()
         assert graph.statistics() is stats  # same plan-cache entries
         want = reloaded(lambda g: add_patients(g, 3))
-        arrays = vectorized.graph_arrays(graph)
+        arrays = graph.arrays()
         for q in QUERIES:
             got = run(new_executor(graph), q, {})
             old_arrays, _, old_pipeline = before[q][1]
@@ -214,7 +214,7 @@ class TestInvalidation:
             got = run(new_executor(graph), q, {})
             prepared = executor._prepare(q)
             assert prepared is not old[q]
-            assert prepared.compiled[0] is vectorized.graph_arrays(graph)
+            assert prepared.compiled[0] is graph.arrays()
             assert prepared.compiled[2] is not old[q].compiled[2]
             assert got == want[q], q
 

@@ -319,12 +319,12 @@ class TestFallbackDecisions:
         )
         assert rows == [(1,)]
 
-    def test_expand_needs_frozen_view(self):
+    def test_expand_needs_frozen_arrays(self):
         g = PropertyGraph()
         a = g.add_vertex("P", {"x": 1})
         b = g.add_vertex("Q", {"y": 2})
         g.add_edge(a, b, "r")
-        assert g.frozen_view is None
+        assert g.arrays().type_rank is None  # not frozen
         self.expect(g, "MATCH (a:P)-[:r]->(b:Q) RETURN b.y", "no-frozen-view")
         # Frozen, the same query vectorizes.
         g.freeze()

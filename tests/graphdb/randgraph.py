@@ -131,3 +131,10 @@ def ordered(mapping):
     if isinstance(mapping, dict):
         return [(key, ordered(value)) for key, value in mapping.items()]
     return mapping
+
+
+def label_lists(graph: PropertyGraph) -> list:
+    """Each label some live vertex carries, with its vertex list."""
+    return [
+        (label, graph.vertices_with_label(label)) for label in graph.labels()
+    ]

@@ -17,7 +17,7 @@ from tests.graphdb.randgraph import ordered
 
 @pytest.fixture()
 def loaded(tmp_path):
-    g = PropertyGraph("pairs")
+    g = PropertyGraph("deferred")
     a = g.add_vertex("N", {"i": 0})
     b = g.add_vertex("N", {"i": 1})
     c = g.add_vertex("N", {"i": 2})
@@ -65,7 +65,7 @@ def test_deferred_build_matches_incremental(loaded):
     loaded.add_edges("e", [2], [0])
     loaded.remove_edge(1)
 
-    fresh = PropertyGraph("pairs")
+    fresh = PropertyGraph("deferred")
     for _ in range(3):
         fresh.add_vertex("N", {})
     fresh.add_edge(0, 1, "e")

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from repro.exceptions import GraphError
 from repro.graphdb.graph import PropertyGraph
 from repro.graphdb.storage import GraphStore, graph_state, recover_graph
-from tests.graphdb.randgraph import SCRIPTS, ordered, run_script
+from tests.graphdb.randgraph import SCRIPTS, label_lists, ordered, run_script
 from tests.graphdb.test_statistics import snapshot_of
 
 
@@ -50,7 +50,7 @@ def structures(graph: PropertyGraph) -> dict:
         "next_eid": graph._next_eid,
         "out": ordered(graph._out),
         "in": ordered(graph._in),
-        "label_index": ordered(graph._label_index),
+        "labels": label_lists(graph),
     }
 
 
@@ -144,10 +144,10 @@ class TestContract:
         assert [graph.edge(eid).label for eid in range(4)] == list("TTTU")
 
     def test_empty_batch_interns_nothing_and_keeps_the_view(self, graph):
-        view = graph.freeze()
+        arrays = graph.freeze()
         graph.add_edges("never", [], [])
         assert graph.symbols.sid("never") is None
-        assert view.valid
+        assert graph.arrays() is arrays
 
     def test_one_epoch_bump_and_the_endpoint_probes(self, graph):
         epoch = graph.mutation_epoch
@@ -202,11 +202,11 @@ class TestContract:
     def test_empty_vertex_batch_interns_nothing_and_keeps_the_view(
         self, graph
     ):
-        view = graph.freeze()
+        arrays = graph.freeze()
         symbols = len(graph.symbols)
         graph.add_vertices([], [])
         assert len(graph.symbols) == symbols
-        assert view.valid
+        assert graph.arrays() is arrays
 
     def test_vertices_take_one_epoch_bump_and_typed_columns(self, graph):
         epoch = graph.mutation_epoch

@@ -158,15 +158,13 @@ class TestColumnarLayout:
 
 class TestFreezeLifecycle:
     def test_freeze_returns_cached_until_mutation(self, graph):
-        view = graph.freeze()
-        assert view.valid
-        assert graph.freeze() is view
-        assert graph.frozen_view is view
+        arrays = graph.freeze()
+        assert graph.freeze() is arrays and graph.arrays() is arrays
         graph.add_vertex("A", {})
-        assert not view.valid
-        assert graph.frozen_view is None
+        assert graph.arrays() is not arrays
+        assert graph.arrays().type_rank is None  # not frozen
         rebuilt = graph.freeze()
-        assert rebuilt is not view and rebuilt.valid
+        assert rebuilt is not arrays and rebuilt.type_rank is not None
 
     def test_every_mutation_invalidates(self, graph):
         mutations = [
@@ -179,9 +177,9 @@ class TestFreezeLifecycle:
             lambda g: g.create_property_index("A", "name"),
         ]
         for mutate in mutations:
-            view = graph.freeze()
+            arrays = graph.freeze()
             mutate(graph)
-            assert not view.valid
+            assert graph.arrays() is not arrays
 
     @pytest.mark.parametrize("direction", ["out", "in", "any"])
     @pytest.mark.parametrize("labels", [(), ("knows",), ("knows", "likes"),
@@ -197,8 +195,7 @@ class TestFreezeLifecycle:
             expected[vid] = sorted(
                 session.expand_pairs(vid, labels, direction)
             )
-        view = graph.freeze()
-        assert view.valid
+        graph.freeze()
         for vid in graph.vertex_ids():
             session = GraphSession(graph)
             got = sorted(session.expand_pairs(vid, labels, direction))
@@ -209,10 +206,10 @@ class TestFreezeLifecycle:
         # adjacency and returns each vertex's CSR segment.
         from repro.graphdb.session import GraphSession
 
-        view = graph.freeze()
+        arrays = graph.freeze()
         session = GraphSession(graph)
-        for direction in ("out", "in"):
-            for sid, (offsets, neighbors, eids) in view.iter_csr(direction):
+        for direction, csrs in (("out", arrays._out), ("in", arrays._in)):
+            for sid, (offsets, neighbors, eids) in csrs.items():
                 labels = (graph.symbols.name(sid),)
                 for vid in graph.vertex_ids():
                     start, end = offsets[vid], offsets[vid + 1]

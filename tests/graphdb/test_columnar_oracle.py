@@ -174,7 +174,7 @@ def test_churn_matches_oracle(ops):
     # must agree with the oracle (and therefore with each other).
     _check(graph, oracle)
     graph.freeze()
-    assert graph.frozen_view is not None
+    assert graph.arrays().type_rank is not None
     _check(graph, oracle)
 
 
@@ -189,9 +189,9 @@ def test_churn_across_freeze_boundary(before, after):
     graph = PropertyGraph("churn")
     oracle = Oracle()
     _apply(before, graph, oracle)
-    view = graph.freeze()
+    arrays = graph.freeze()
     epoch = graph.mutation_epoch
     _apply(after, graph, oracle)
     if graph.mutation_epoch != epoch:  # some ops are no-ops
-        assert not view.valid
+        assert graph.arrays() is not arrays
     _check(graph, oracle)

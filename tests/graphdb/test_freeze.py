@@ -1,10 +1,11 @@
 """The array-based freeze against the pure-Python reference build.
 
-Freeze builds the CSR arrays and their type order only; the tuple
-path reads the dict adjacency, frozen or not.  Untyped batch expansion
-iterates the per-direction type dicts and the differential harness
-pins row order, so equality here includes the key order of every
-dict, not only the contents.
+Freeze adds the CSR arrays and their type order to the graph's
+``GraphArrays``, nothing else; the tuple path reads the dict
+adjacency, frozen or not.  Untyped batch expansion iterates the
+per-direction type dicts and the differential harness pins row order,
+so equality here includes the key order of every dict, not only the
+contents.
 """
 
 import numpy as np
@@ -12,27 +13,27 @@ import pytest
 from hypothesis import given, settings
 
 from repro.graphdb.graph import PropertyGraph
+from repro.graphdb.query.executor import Executor
 from repro.graphdb.session import GraphSession
 from tests.graphdb.freeze_oracle import reference_freeze
 from tests.graphdb.randgraph import SCRIPTS, run_script
 
 
 def assert_matches_reference(graph: PropertyGraph) -> None:
-    view = graph.freeze()
+    arrays = graph.freeze()
     reference = reference_freeze(graph)
-    for direction in ("out", "in"):
+    for direction, csrs in (("out", arrays._out), ("in", arrays._in)):
         want_csrs, _ = reference[direction]
-        csrs = dict(view.iter_csr(direction))
         assert list(csrs) == list(want_csrs)
         for sid, triple in csrs.items():
             for got, want in zip(triple, want_csrs[sid]):
                 assert got.dtype == np.int64
+                assert not got.flags.writeable
                 assert got.tolist() == list(want)
     name = graph.symbols.name
-    assert view.type_rank == {
+    assert arrays.type_rank == {
         name(sid): rank for rank, sid in enumerate(reference["out"][0])
     }
-    assert view.edge_types() == sorted(reference["out"][0])
 
 
 @settings(max_examples=60, deadline=None)
@@ -44,8 +45,7 @@ def test_random_graphs_match_reference(script):
 def test_empty_graph():
     graph = PropertyGraph()
     assert_matches_reference(graph)
-    view = graph.freeze()
-    assert view.edge_types() == []
+    assert graph.freeze()._out == {}
     assert GraphSession(graph).expand_pairs(0, (), "any") == []
 
 
@@ -54,7 +54,7 @@ def test_vertices_without_edges():
     graph.add_vertex("A", {})
     graph.add_vertex("B", {})
     assert_matches_reference(graph)
-    assert list(graph.freeze().iter_csr("out")) == []
+    assert graph.freeze()._out == {}
 
 
 def test_single_type_with_parallel_edges_and_self_loop():
@@ -83,7 +83,7 @@ def test_untyped_type_order_is_global_when_frozen():
         GraphSession(graph).expand_pairs(a, labels, direction)
         for labels, direction in calls
     ]
-    assert graph.frozen_view is None
+    assert graph.arrays().type_rank is None  # not frozen
     graph.freeze()
     frozen = [
         GraphSession(graph).expand_pairs(a, labels, direction)
@@ -103,9 +103,7 @@ def test_type_order_is_first_live_eid_not_sid_order():
     graph.remove_edge(first)           # ... but U now has the lowest eid
     assert_matches_reference(graph)
     sid = graph.symbols.sid
-    assert [s for s, _ in graph.freeze().iter_csr("out")] == [
-        sid("U"), sid("T")
-    ]
+    assert list(graph.freeze()._out) == [sid("U"), sid("T")]
 
 
 def test_all_edges_removed_and_tail_vertices_gone():
@@ -117,33 +115,34 @@ def test_all_edges_removed_and_tail_vertices_gone():
     for eid in list(graph._edges):
         graph.remove_edge(eid)
     assert_matches_reference(graph)
-    assert graph.freeze().edge_types() == []
+    assert graph.freeze()._out == {}
 
 
 def test_view_is_cached_until_the_epoch_moves():
     graph = PropertyGraph()
     a, b = graph.add_vertex("N", {}), graph.add_vertex("N", {})
     graph.add_edge(a, b, "T")
-    view = graph.freeze()
-    assert view.valid and graph.freeze() is view
+    arrays = graph.freeze()
+    assert graph.freeze() is arrays and graph.arrays() is arrays
     graph.add_edges("T", [b], [a])
-    assert not view.valid and graph.frozen_view is None
+    assert graph._arrays is None
     rebuilt = graph.freeze()
-    assert rebuilt is not view and rebuilt.valid
+    assert rebuilt is not arrays and rebuilt is graph.arrays()
     assert GraphSession(graph).expand_pairs(b, (), "out") == [(1, a)]
     assert_matches_reference(graph)
 
 
 def test_csr_arrays_are_adopted_by_the_vectorized_cache():
-    from repro.graphdb.query.vectorized import graph_arrays
-
+    """The batch path's cache is the graph's arrays: the CSR a freeze
+    builds is what a compile reads, not a copy."""
     graph = PropertyGraph()
     a, b = graph.add_vertex("N", {}), graph.add_vertex("N", {})
     graph.add_edges("T", [a, b], [b, a])
-    view = graph.freeze()
-    arrays, order = graph_arrays(graph).csr("out")
-    assert order == [sid for sid, _ in view.iter_csr("out")]
-    for sid, triple in view.iter_csr("out"):
-        assert all(x is y for x, y in zip(arrays[sid], triple))
+    arrays = graph.freeze()
+    executor = Executor(GraphSession(graph))
+    query = "MATCH (x:N)-[:T]->(y) RETURN y"
+    assert [y.vid for y, in executor.run(query).rows] == [b, a]
+    assert executor._prepare(query).compiled[0] is arrays
+    (offsets, _neighbors, _eids), = arrays._out.values()
     with pytest.raises(ValueError):
-        triple[0][0] = 1  # read-only: the view is immutable
+        offsets[0] = 1  # read-only: the CSR is immutable

@@ -32,7 +32,7 @@ class TestVertices:
         assert graph.has_label(1, "B")
         assert not graph.has_label(0, "B")
 
-    def test_label_index(self, graph):
+    def test_label_lookup(self, graph):
         assert graph.vertices_with_label("A") == [0, 1]
         assert graph.vertices_with_label("B") == [1]
         assert graph.vertices_with_label("Nope") == []

@@ -38,7 +38,7 @@ class TestRemoveVertex:
         assert graph.num_edges == 1  # only a-likes->c survives
         assert graph.out_edges(0, "knows") == []
 
-    def test_label_index_updated(self, graph):
+    def test_label_lookup_updated(self, graph):
         graph.remove_vertex(0)
         assert graph.vertices_with_label("A") == [1]
         assert graph.label_count("A") == 1

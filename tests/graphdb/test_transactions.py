@@ -211,11 +211,11 @@ def test_removing_a_stored_none_is_a_mutation():
     vid = graph.add_vertex("N", {"kept": None, "other": 1})
     events = []
     graph.add_listener(lambda op, args: events.append((op, *args)))
-    view, epoch = graph.freeze(), graph.mutation_epoch
+    arrays, epoch = graph.freeze(), graph.mutation_epoch
     graph.begin_transaction()
     graph.remove_property(vid, "kept")
     assert dict(graph.vertex(vid).properties) == {"other": 1}
-    assert graph.mutation_epoch > epoch and not view.valid
+    assert graph.mutation_epoch > epoch and graph.arrays() is not arrays
     assert ("remove_property", vid, "kept") in events
     graph.remove_property(vid, "kept")     # absent now: not a mutation
     graph.remove_property(vid, "unknown")  # never interned: neither
