@@ -146,9 +146,9 @@ def build_pipeline(
             build_opt,
         )
     # Pipeline graphs are read-only from here on (benchmarks, demos,
-    # workload runs): freeze both so query expansion runs over the
-    # immutable CSR view instead of the mutable dict adjacency.  Any
-    # later mutation invalidates the view and falls back seamlessly.
+    # workload runs): freeze both so batch-path expansion runs over the
+    # immutable CSR arrays.  Any later mutation drops them, and an
+    # expansion refuses the batch path until the next freeze.
     dir_graph.freeze()
     opt_graph.freeze()
     rewriter = QueryRewriter(dataset.ontology, result.mapping)
