@@ -4,7 +4,9 @@ Presents the same Database / Session / Result / Transaction surface as
 the in-process driver, backed by one TCP connection per session
 speaking the framed protocol in :mod:`repro.graphdb.server.protocol`.
 Rows stream in batches of ``fetch_size``: the first arrives with the
-RUN response (one round trip for a result that fits), and a
+RUN response (one round trip for a result that fits: its RECORD
+frames, then one SUCCESS that carries the column names with the
+batch's meta, read by :meth:`RemoteSession.run` itself), and a
 :class:`RemoteResult` PULLs the later ones on demand, so consuming the
 first record of a large result transfers one batch, not the whole
 thing.  A RECORD frame decodes into one column chunk of the cursor
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 import socket
 
-from repro.exceptions import GraphError, TransactionError
+from repro.exceptions import GraphError, ReproError, TransactionError
 from repro.graphdb.api.result import _Cursor
 from repro.graphdb.backends import BackendProfile, NEO4J_LIKE
 from repro.graphdb.server import protocol as wire
@@ -94,14 +96,23 @@ class _Connection:
     def request(self, payload: bytes) -> dict:
         """Send one message, expect SUCCESS; ERROR re-raises."""
         self.send(payload)
-        msg_type, fields = self.recv()
-        if msg_type == wire.MSG_ERROR:
-            raise wire.exception_for(fields["code"], fields["message"])
-        if msg_type != wire.MSG_SUCCESS:
-            raise wire.ProtocolError(
-                f"expected SUCCESS, got {wire.MSG_NAMES[msg_type]!r}"
-            )
-        return fields["meta"]
+        return self.read_response(None)
+
+    def read_response(self, chunks: list | None) -> dict:
+        """Read one response: ``(count, columns)`` of each RECORD
+        appended to ``chunks`` (``None``: none may come), then the
+        SUCCESS meta, returned.  ERROR re-raises."""
+        while True:
+            msg_type, fields = self.recv()
+            if msg_type == wire.MSG_SUCCESS:
+                return fields["meta"]
+            if msg_type == wire.MSG_ERROR:
+                raise wire.exception_for(fields["code"], fields["message"])
+            if msg_type != wire.MSG_RECORD or chunks is None:
+                raise wire.ProtocolError(
+                    f"unexpected {wire.MSG_NAMES[msg_type]!r} response"
+                )
+            chunks.append((fields["count"], fields["columns"]))
 
     def close(self) -> None:
         if self._closed:
@@ -242,12 +253,14 @@ class RemoteSession:
             options["timeout"] = timeout
         if max_rows is not None:
             options["max_rows"] = max_rows
-        meta = self._conn.request(
-            wire.encode_run(query, bound, options)
-        )
+        # The first pull rides on the RUN: its RECORD frames, then one
+        # SUCCESS holding the columns and the pull's meta.
+        self._conn.send(wire.encode_run(query, bound, options))
+        chunks: list[tuple[int, list[list]]] = []
+        meta = self._conn.read_response(chunks)
         result = RemoteResult(self, query, bound, meta)
         self._open_result = result
-        result._read_batch()  # the first pull rode on the RUN
+        result._take(chunks, meta)
         return result
 
     def explain(
@@ -407,34 +420,23 @@ class RemoteResult(_Cursor):
     def _pull(self) -> tuple[int, list[list]] | None:
         session = self._session
         session._conn.send(wire.encode_pull(session._fetch_size))
-        self._read_batch()
+        chunks: list[tuple[int, list[list]]] = []
+        try:
+            meta = session._conn.read_response(chunks)
+        except ReproError:
+            # The server dropped the result (or the connection): the
+            # cursor ends at the rows that did arrive.
+            self._settle({**self._header, "rows": self._pulled})
+            raise
+        self._take(chunks, meta)
         return self._chunks.popleft() if self._chunks else None
 
-    def _read_batch(self) -> None:
-        """Read the answer to one pull: RECORD chunks, then SUCCESS."""
-        conn = self._session._conn
-        while True:
-            msg_type, fields = conn.recv()
-            if msg_type == wire.MSG_RECORD:
-                self._pulled += fields["count"]
-                self._chunks.append((fields["count"], fields["columns"]))
-            elif msg_type == wire.MSG_SUCCESS:
-                meta = fields["meta"]
-                if not meta.get("has_more"):
-                    self._settle(meta)
-                return
-            elif msg_type == wire.MSG_ERROR:
-                # The server dropped the result: the cursor ends at
-                # the rows that did arrive.
-                self._settle({**self._header, "rows": self._pulled})
-                raise wire.exception_for(
-                    fields["code"], fields["message"]
-                )
-            else:
-                raise wire.ProtocolError(
-                    f"unexpected {wire.MSG_NAMES[msg_type]!r} "
-                    "during PULL"
-                )
+    def _take(self, chunks: list, meta: dict) -> None:
+        """Queue one pull's chunks; settle if it was the last pull."""
+        self._pulled += sum(n for n, _ in chunks)
+        self._chunks.extend(chunks)
+        if not meta.get("has_more"):
+            self._settle(meta)
 
     def _settle(self, meta: dict) -> None:
         self._summary = RemoteSummary(

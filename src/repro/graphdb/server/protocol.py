@@ -35,30 +35,43 @@ executor's batch path produces and the client cursor reads - so
 neither side dispatches on a value's type once per value.  A column
 is a tag byte and a body::
 
-    0x01  str:    count x uvarint byte length | the strings' UTF-8,
-                  concatenated          (every value a ``str``)
-    0x02  bytes:  count x u8            (every value an int in 0..255)
-    0x03  int64:  count x i64 LE        (every value an int)
-    0x00  values: count x wire value    (anything else: a ``bool``, a
-                  ``None`` among strings, floats, lists, entity refs)
+    0x01  str:     uvarint byte length | UTF-8 of the values joined
+                   by NUL   (every value a ``str``, none holding a NUL)
+    0x02  bytes:   count x u8        (every value an int in 0..255)
+    0x03  int64:   count x i64 LE    (every value an int that fits)
+    0x04  list:    lengths column | column of the flattened items
+                   (every value a ``list``)
+    0x05  vertex:  int column of vids  (every value a VertexBinding)
+    0x06  edge:    int column of eids  (every value an EdgeBinding)
+    0x00  values:  count x wire value  (anything else: a ``bool``, a
+                   ``None`` among strings, floats, mixed columns)
 
-A pull is answered by its rows as ``RECORD`` frames and one
-``SUCCESS`` whose ``has_more`` says whether to ``PULL`` again.  Frames
+An "int column" is a bytes or an int64 column.  No form but the values
+form takes a Python step per value on either side (a ref column's
+decoder still builds one binding per value): a string column is one
+``join`` and ``encode``, and one ``decode`` and ``split``.
+
+A ``RUN`` is answered by its first pull's ``RECORD`` frames and one
+``SUCCESS`` that carries ``columns``, ``epoch`` and ``mode`` with the
+pull's own meta; a ``PULL`` by its ``RECORD`` frames and one
+``SUCCESS``.  That meta's ``has_more`` says whether to ``PULL`` again;
+once it is false the same map holds the run's summary.  Frames
 are cut by rows: a piece of more than :data:`RECORD_FRAME_VALUES`
 values is halved before anything is encoded, and again should a frame
 still come out over :data:`MAX_FRAME_BYTES`, so a pull fails only on
 a row too big for a frame of its own.  A message's fields fill its
-payload exactly: trailing bytes are an error.
+payload exactly: trailing bytes are an error, and so is nesting too
+deep for the decoder's recursion.
 
 ``RUN`` options: ``timeout`` (float seconds), ``max_rows`` (int),
 ``explain`` (1 = plan only, 2 = EXPLAIN ANALYZE), ``pull`` (int >= 1:
 the response carries the first pull of that many rows, so a result
-that fits is one round trip).  ``MUTATE`` ops use
+that fits is one round trip of two frames).  ``MUTATE`` ops use
 the WAL's mutation vocabulary (``add_vertex``, ``add_edge``,
 ``set_property``, ``remove_property``, ``remove_edge``,
 ``remove_vertex``, ``create_property_index``).
 
-Wire values extend the codec's tagged values with three tags from the
+Wire values extend the codec's tagged values with four tags from the
 reserved range, so result rows can carry graph entity references::
 
     0x40  vertex ref: uvarint vid   -> VertexBinding(vid)
@@ -78,7 +91,8 @@ from __future__ import annotations
 
 import struct
 import zlib
-from itertools import accumulate
+from itertools import accumulate, chain, pairwise
+from operator import attrgetter
 
 from repro.exceptions import (
     GraphError,
@@ -104,7 +118,7 @@ from repro.graphdb.storage.codec import (
 )
 
 #: Protocol revision carried in HELLO; the server refuses mismatches.
-PROTOCOL_VERSION = 3
+PROTOCOL_VERSION = 4
 
 #: Default TCP port (one off Bolt's 7687, to coexist with a real Neo4j).
 DEFAULT_PORT = 7688
@@ -155,6 +169,16 @@ COL_VALUES = 0x00
 COL_STR = 0x01
 COL_BYTES = 0x02
 COL_INT64 = 0x03
+COL_LIST = 0x04
+COL_VERTEX = 0x05
+COL_EDGE = 0x06
+
+#: Ref column type -> (tag, id getter), and tag -> type.
+_REF_COLUMNS = {
+    VertexBinding: (COL_VERTEX, attrgetter("vid")),
+    EdgeBinding: (COL_EDGE, attrgetter("eid")),
+}
+_REF_TYPES = {COL_VERTEX: VertexBinding, COL_EDGE: EdgeBinding}
 
 # Wire value tags (alongside the codec's 0-6 range).
 WIRE_VERTEX = 0x40
@@ -360,27 +384,38 @@ def _record_frames(columns: list[list], start: int, stop: int) -> list:
 
 
 def _write_column(buf: bytearray, column: list) -> None:
+    """Append one column in the first form of the module docstring's
+    table that takes every value of it."""
     kinds = set(map(type, column))
-    if kinds == {str}:
-        encoded = list(map(str.encode, column))
-        lengths = list(map(len, encoded))
-        buf.append(COL_STR)
-        if max(lengths) < 0x80:
-            buf += bytes(lengths)
-        else:
-            for length in lengths:
-                write_uvarint(buf, length)
-        buf += b"".join(encoded)
-        return
-    if kinds == {int}:
-        low, high = min(column), max(column)
-        if 0 <= low and high <= 0xFF:
-            buf.append(COL_BYTES)
-            buf += bytes(column)
+    kind = kinds.pop() if len(kinds) == 1 else None
+    if kind is str:
+        text = "\x00".join(column)
+        if text.count("\x00") == len(column) - 1:  # no value holds a NUL
+            data = text.encode()
+            buf.append(COL_STR)
+            write_uvarint(buf, len(data))
+            buf += data
             return
+    elif kind is list:
+        buf.append(COL_LIST)
+        _write_column(buf, list(map(len, column)))
+        _write_column(buf, list(chain.from_iterable(column)))
+        return
+    elif kind is int or kind in _REF_COLUMNS:
+        ids = column
+        if kind is not int:
+            tag, get_id = _REF_COLUMNS[kind]
+            ids = list(map(get_id, column))
+        low, high = min(ids), max(ids)
         if -(2 ** 63) <= low and high < 2 ** 63:
-            buf.append(COL_INT64)
-            buf += struct.pack(f"<{len(column)}q", *column)
+            if kind is not int:
+                buf.append(tag)
+            if 0 <= low and high <= 0xFF:
+                buf.append(COL_BYTES)
+                buf += bytes(ids)
+            else:
+                buf.append(COL_INT64)
+                buf += struct.pack(f"<{len(ids)}q", *ids)
             return
     buf.append(COL_VALUES)
     for value in column:
@@ -395,61 +430,86 @@ def encode_record(values: tuple | list) -> bytes:
 def _read_chunk(payload: bytes, pos: int) -> tuple[int, list[list], int]:
     count, pos = read_uvarint(payload, pos)
     width, pos = read_uvarint(payload, pos)
-    # A column is its tag and at least a byte per value: whatever the
-    # header claims, nothing below allocates or loops past the frame.
+    # A column of n values takes at least n + 1 bytes (its tag, then a
+    # byte per value or, for strings, a length and n - 1 separators):
+    # whatever the header claims, nothing below allocates or loops
+    # past the frame.
     if width * (count + 1) > len(payload) - pos or count and not width:
         raise CodecError(f"no room for {count} rows of width {width}")
     columns = []
     for _ in range(width):
-        if pos >= len(payload):
-            raise CodecError("truncated column")
-        tag = payload[pos]
-        pos += 1
-        if tag == COL_STR:
-            column, pos = _read_str_column(payload, pos, count)
-        elif tag == COL_BYTES or tag == COL_INT64:
-            end = pos + (count if tag == COL_BYTES else 8 * count)
-            if end > len(payload):
-                raise CodecError("truncated int column")
-            column = list(
-                payload[pos:end] if tag == COL_BYTES
-                else struct.unpack_from(f"<{count}q", payload, pos)
-            )
-            pos = end
-        elif tag == COL_VALUES:
-            column = []
-            for _ in range(count):
-                value, pos = read_wire_value(payload, pos)
-                column.append(value)
-        else:
-            raise CodecError(f"unknown column tag 0x{tag:02x}")
+        column, pos = _read_column(payload, pos, count)
         columns.append(column)
     return count, columns, pos
 
 
-def _read_str_column(payload: bytes, pos: int, count: int):
-    lengths = payload[pos:pos + count]
-    if len(lengths) == count and max(lengths, default=0) < 0x80:
-        pos += count  # every length is a one-byte uvarint
-    else:
-        lengths = []
+def _read_column(payload: bytes, pos: int, count: int) -> tuple[list, int]:
+    """The column of ``count`` values at ``pos``, and the position past
+    it.  Callers pass only counts the rest of the frame has room for;
+    each length read here is checked against the bytes present before
+    anything is allocated."""
+    if pos >= len(payload):
+        raise CodecError("truncated column")
+    tag = payload[pos]
+    pos += 1
+    if tag == COL_STR:
+        size, pos = read_uvarint(payload, pos)
+        end = pos + size
+        if end > len(payload):
+            raise CodecError("truncated string column")
+        if count > size + 1:
+            raise CodecError(
+                f"no room for {count} strings in {size} bytes"
+            )
+        try:
+            text = payload[pos:end].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CodecError(f"invalid utf-8: {exc}") from None
+        column = text.split("\x00") if text or count else []
+        if len(column) != count:
+            raise CodecError(
+                f"string column splits into {len(column)} values, "
+                f"not {count}"
+            )
+        return column, end
+    if tag == COL_BYTES or tag == COL_INT64:
+        end = pos + (count if tag == COL_BYTES else 8 * count)
+        if end > len(payload):
+            raise CodecError("truncated int column")
+        column = list(
+            payload[pos:end] if tag == COL_BYTES
+            else struct.unpack_from(f"<{count}q", payload, pos)
+        )
+        return column, end
+    if tag == COL_LIST:
+        lengths, pos = _read_int_column(payload, pos, count)
+        if min(lengths, default=0) < 0:
+            raise CodecError("negative list length")
+        total = sum(lengths)
+        if total > len(payload) - pos:
+            raise CodecError(f"no room for {total} list items")
+        items, pos = _read_column(payload, pos, total)
+        cuts = pairwise(accumulate(lengths, initial=0))
+        return [items[a:b] for a, b in cuts], pos
+    if tag in _REF_TYPES:
+        ids, pos = _read_int_column(payload, pos, count)
+        return list(map(_REF_TYPES[tag], ids)), pos
+    if tag == COL_VALUES:
+        column = []
         for _ in range(count):
-            length, pos = read_uvarint(payload, pos)
-            lengths.append(length)
-    cuts = list(accumulate(lengths, initial=0))
-    blob = payload[pos:pos + cuts[-1]]
-    if len(blob) != cuts[-1]:
-        raise CodecError("truncated string column")
-    spans = zip(cuts, cuts[1:])
-    try:
-        if blob.isascii():  # decoded once: a character is a byte
-            text = blob.decode("ascii")
-            column = [text[a:b] for a, b in spans]
-        else:  # per value: a cut inside a UTF-8 sequence is an error
-            column = [blob[a:b].decode("utf-8") for a, b in spans]
-    except UnicodeDecodeError as exc:
-        raise CodecError(f"invalid utf-8: {exc}") from None
-    return column, pos + cuts[-1]
+            value, pos = read_wire_value(payload, pos)
+            column.append(value)
+        return column, pos
+    raise CodecError(f"unknown column tag 0x{tag:02x}")
+
+
+def _read_int_column(payload: bytes, pos: int, count: int):
+    """A list column's lengths or a ref column's ids: an int column."""
+    if pos < len(payload) and payload[pos] not in (COL_BYTES, COL_INT64):
+        raise CodecError(
+            f"column tag 0x{payload[pos]:02x} is not an int column"
+        )
+    return _read_column(payload, pos, count)
 
 
 def encode_error(code: str, message: str) -> bytes:
@@ -530,6 +590,13 @@ def decode_message(payload: bytes) -> tuple[int, dict]:
             f"malformed {MSG_NAMES.get(msg_type, hex(msg_type))} "
             f"message: {exc}"
         ) from exc
+    except RecursionError:
+        # Lists nested past the interpreter's recursion limit (wire
+        # lists, codec lists in params, list columns): one hostile
+        # frame must cost its connection an ERROR, not the handler.
+        raise ProtocolError(
+            f"malformed {MSG_NAMES[msg_type]} message: nested too deep"
+        ) from None
     if pos != len(payload):
         raise ProtocolError(
             f"trailing bytes after {MSG_NAMES[msg_type]} message"

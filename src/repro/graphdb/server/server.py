@@ -8,8 +8,10 @@ the engine underneath:
 * **Readers are epoch-pinned (MVCC-style).**  A ``RUN`` executes on
   the event loop without yielding, pinned to the graph's mutation
   epoch at that instant, and buffers its rows server-side; the first
-  client-paced batch rides on the ``RUN`` response (one round trip
-  for a result that fits) and ``PULL`` streams the rest.  Every row of a
+  client-paced batch rides on the ``RUN`` response - its ``RECORD``
+  frames, then one ``SUCCESS`` holding the columns and epoch with the
+  batch's meta, so a result that fits is one round trip of two
+  frames - and ``PULL`` streams the rest.  Every row of a
   result therefore comes from exactly one epoch, no matter how many
   writes commit while the client is still pulling - the buffer *is*
   the snapshot.  Readers never take a lock and never block each
@@ -409,16 +411,18 @@ class _ClientConnection:
             "plan_digest": summary.plan_digest,
         }
         self._result = _ServerResult(columns, meta)
-        header = wire.encode_success({
-            "columns": summary.columns,
-            "epoch": epoch,
-            "mode": summary.mode,
-        })
-        await self._send(header, *(self._pull(pull) if pull else ()))
+        head = {
+            "columns": summary.columns, "epoch": epoch, "mode": summary.mode,
+        }
+        if pull:
+            await self._send(*self._pull(pull, head))
+        else:
+            await self._send(wire.encode_success({**head, "has_more": True}))
 
-    def _pull(self, n: int) -> list[bytes]:
+    def _pull(self, n: int, head: dict | None = None) -> list[bytes]:
         """The payloads answering one pull: the next ``n`` rows as
-        RECORD batches, then a SUCCESS saying whether more remain."""
+        RECORD batches, then one SUCCESS saying whether more remain -
+        with ``head`` merged in when the pull rides on its RUN."""
         result = self._result
         if result is None:
             raise wire.ProtocolError("PULL without an open result")
@@ -430,12 +434,11 @@ class _ClientConnection:
         )
         result.pos = end
         if end < total:
-            payloads.append(wire.encode_success({"has_more": True}))
+            meta = {"has_more": True}
         else:
             self._result = None
-            payloads.append(wire.encode_success(
-                {"has_more": False, **result.meta}
-            ))
+            meta = {"has_more": False, **result.meta}
+        payloads.append(wire.encode_success({**(head or {}), **meta}))
         return payloads
 
     async def _handle_discard(self) -> None:

@@ -177,7 +177,14 @@ strings = st.one_of(
     st.text(max_size=8),  # the empty string included
     st.text(alphabet="a\u00e9\u4e2d\U0001f600", min_size=40, max_size=140),
     st.sampled_from(["x" * 127, "x" * 128, "\u00e9" * 63, "\u00e9" * 64]),
+    # A NUL sends its column to the values form.
+    st.text(alphabet="a\x00\u00e9", max_size=3),
 )
+#: Ref ids in a byte, in int64 and one past int64 (the values form).
+vertex_refs = st.builds(VertexBinding, st.one_of(
+    st.integers(0, 300), st.sampled_from([2**40, 2**63 - 1, 2**63]),
+))
+edge_refs = st.builds(EdgeBinding, st.integers(0, 2**40))
 scalars = st.one_of(
     st.none(),
     st.booleans(),
@@ -191,9 +198,23 @@ scalars = st.one_of(
 values = st.recursive(
     scalars, lambda inner: st.lists(inner, max_size=4), max_leaves=8
 )
+#: Lists only, of any depth: empty, nested, holding None, refs or a
+#: mix - a column of them takes the list form.  Their items are short:
+#: the flattened items are an ordinary column, which the long strings
+#: above already exercise.
+lists = st.recursive(
+    st.lists(st.one_of(
+        st.none(), st.booleans(), st.integers(-70, 300),
+        st.floats(allow_nan=True), st.text(alphabet="a\x00\u00e9", max_size=3),
+        vertex_refs, edge_refs,
+    ), max_size=4),
+    lambda inner: st.lists(inner, max_size=3),
+    max_leaves=8,
+)
 #: What one column may hold: the typed forms, and every neighbour that
 #: must leave them - a bool beside ints (and come back a bool), an int
-#: one past either end of int64 or of a byte, a None among strings.
+#: one past either end of int64 or of a byte, a None among strings, a
+#: string holding a NUL, a ref id past int64.
 column_values = [
     strings,
     st.integers(0, 255),
@@ -206,6 +227,11 @@ column_values = [
     st.one_of(st.none(), strings),
     st.floats(allow_nan=True),
     values,
+    vertex_refs,
+    edge_refs,
+    lists,
+    st.lists(st.text(max_size=8), max_size=3),
+    st.lists(vertex_refs, max_size=3),
 ]
 
 
@@ -244,8 +270,14 @@ def test_record_batch_roundtrip(chunk):
     ([-(2**63) - 1], wire.COL_VALUES),
     ([1, True], wire.COL_VALUES),
     (["a", None], wire.COL_VALUES),
+    (["a\x00", "b"], wire.COL_VALUES),
     ([1.5, 2.5], wire.COL_VALUES),
     ([1, "a"], wire.COL_VALUES),
+    ([[], [1, None]], wire.COL_LIST),
+    ([VertexBinding(1), VertexBinding(2**63 - 1)], wire.COL_VERTEX),
+    ([VertexBinding(2**63)], wire.COL_VALUES),
+    ([EdgeBinding(0)], wire.COL_EDGE),
+    ([VertexBinding(0), EdgeBinding(0)], wire.COL_VALUES),
 ])
 def test_which_form_a_column_takes(column, tag):
     payload = wire.encode_chunk(len(column), [column])[0]
@@ -254,12 +286,13 @@ def test_which_form_a_column_takes(column, tag):
 
 
 def test_the_layout_is_pinned():
-    """Three fixed chunks against their bytes: the layout cannot
-    drift without this test - and PROTOCOL_VERSION - changing."""
+    """Fixed chunks against their bytes, one per column form: the
+    layout cannot drift without this test - and PROTOCOL_VERSION -
+    changing."""
     golden = [
-        # str (one-byte lengths, a 2-byte char) | bytes | int64
+        # str (a NUL-joined blob, a 2-byte char) | bytes | int64
         ((3, [["ab", "", "d\u00e9"], [0, 7, 255], [-1, 256, 2**40]]),
-         "710303" "01" "020003" "616264c3a9" "02" "0007ff"
+         "710303" "01" "07" "616200" "00" "64c3a9" "02" "0007ff"
          "03" "ffffffffffffffff" "0001000000000000" "0000000000010000"),
         # values: None, bool, float, big int, vertex / edge ref, list
         ((2, [[None, True], [1.5, 2**64], [VertexBinding(5), [EdgeBinding(6), "x"]]]),
@@ -267,6 +300,19 @@ def test_the_layout_is_pinned():
          "0380808080808080808004" "00" "4005" "4202" "4106" "050178"),
         # str with a two-byte length (130 x "x")
         ((1, [["x" * 130]]), "710101" "01" "8201" + "78" * 130),
+        # list: lengths [2, 0, 1] | items ["a", None, "b"] (values form)
+        ((3, [[["a", None], [], ["b"]]]),
+         "710301" "04" "02" "020001" "00" "050161" "00" "050162"),
+        # list of lists of vertex refs: 2 lists of 1 and 2 items, then
+        # 3 lists of 1, 0 and 1 refs
+        ((1, [[[[VertexBinding(3)], [], [VertexBinding(300)]]]]),
+         "710101" "04" "02" "03" "04" "02" "010001"
+         "05" "03" "0300000000000000" "2c01000000000000"),
+        # vertex refs in a byte | edge refs in int64
+        ((2, [[VertexBinding(5), VertexBinding(6)],
+              [EdgeBinding(6), EdgeBinding(2**40)]]),
+         "710202" "05" "02" "0506"
+         "06" "03" "0600000000000000" "0000000000010000"),
     ]
     for (count, columns), hexed in golden:
         payload, = wire.encode_chunk(count, columns)
@@ -281,7 +327,9 @@ def test_empty_batch_and_one_row_form():
     assert wire.encode_chunk(0, [[], [], []]) == []
     # An empty chunk is still a well-formed message: every column is
     # there, with nothing in it.
-    empty = bytes((wire.MSG_RECORD, 0, 2, wire.COL_STR, wire.COL_VALUES))
+    empty = bytes(
+        (wire.MSG_RECORD, 0, 2, wire.COL_STR, 0, wire.COL_VALUES)
+    )
     assert wire.decode_message(empty) == (
         wire.MSG_RECORD, {"count": 0, "columns": [[], []]}
     )
@@ -344,11 +392,17 @@ def test_batch_header_cannot_claim_more_than_the_frame_holds():
     # 2**40 rows of width 0, of width 1 with no bytes behind them and
     # of width 1 with a few: refused before anything is allocated or
     # looped over.  So is a width with no room for its column tags.
+    # Inside a column the same holds: a string blob too short for
+    # count - 1 separators, list lengths summing past the frame.
     for count, width, tail in [
         (2**40, 0, b""), (2**40, 1, b""), (1, 0, b""),
         (2**40, 1, bytes((wire.COL_INT64,)) + b"\0" * 64),
         (2**40, 1, bytes((wire.COL_STR,)) + b"\0" * 64),
-        (0, 2**40, b""), (0, 3, bytes((wire.COL_STR,)) * 2),
+        (0, 2**40, b""), (0, 3, bytes((wire.COL_STR, 0))),
+        (3, 1, bytes((wire.COL_STR, 1)) + b"a\0\0"),
+        (1, 1, bytes((wire.COL_LIST, wire.COL_INT64))
+         + struct.pack("<q", 2**40) + bytes((wire.COL_VALUES, 0))),
+        (2, 1, bytes((wire.COL_LIST, wire.COL_BYTES, 200, 200, 0))),
     ]:
         payload = bytearray((wire.MSG_RECORD,))
         wire.write_uvarint(payload, count)
@@ -364,16 +418,35 @@ def record(count: int, width: int, *parts) -> bytes:
 
 
 @pytest.mark.parametrize("payload, match", [
-    # a length block shorter than count (the frame ends inside it)
-    (record(3, 1, [wire.COL_STR, 1, 0x81, 0x81]), "truncated uvarint"),
-    # sum(lengths) past the end, by one byte and by 2**62
-    (record(2, 1, [wire.COL_STR, 1, 2], b"ab"), "truncated string"),
-    (record(2, 1, [wire.COL_STR, 0], b"\xff" * 8 + b"\x3f", b"ab"),
+    # a string blob's length cut off, or past the end by one byte and
+    # by 2**62
+    (record(1, 1, [wire.COL_STR, 0x81]), "truncated uvarint"),
+    (record(2, 1, [wire.COL_STR, 4], b"a\0b"), "truncated string"),
+    (record(2, 1, [wire.COL_STR], b"\xff" * 8 + b"\x3f", b"a\0b"),
      "truncated string"),
+    # a blob that splits into more or fewer values than count
+    (record(2, 1, [wire.COL_STR, 1], b"a", b"\0"), "splits into 1"),
+    (record(1, 1, [wire.COL_STR, 3], b"a\0b"), "splits into 2"),
     # an int column cut mid-value, a bytes column one short
     (record(2, 1, [wire.COL_INT64], b"\0" * 15), "truncated int"),
-    (record(2, 2, [wire.COL_STR, 1, 0], b"a", [wire.COL_BYTES, 1]),
+    (record(2, 2, [wire.COL_STR, 3], b"a\0b", [wire.COL_BYTES, 1]),
      "truncated int"),
+    # list lengths that are not an int column, negative, or whose
+    # items column ends early
+    (record(1, 1, [wire.COL_LIST, wire.COL_STR, 1], b"1", [0, 0]),
+     "not an int column"),
+    (record(1, 1, [wire.COL_LIST, wire.COL_INT64],
+            struct.pack("<q", -1), [0, 0]), "negative list length"),
+    (record(1, 1, [wire.COL_LIST, wire.COL_BYTES, 2, wire.COL_BYTES, 1]),
+     "truncated int"),
+    # a ref column whose body is not an int column, or is cut off
+    (record(1, 1, [wire.COL_VERTEX, wire.COL_STR, 1], b"a"),
+     "not an int column"),
+    (record(1, 1, [wire.COL_EDGE, wire.COL_VALUES, wire.WIRE_EDGE, 1]),
+     "not an int column"),
+    (record(2, 1, [wire.COL_VERTEX, wire.COL_INT64], b"\0" * 9),
+     "truncated int"),
+    (record(1, 1, [wire.COL_EDGE, wire.COL_BYTES]), "truncated int"),
     # a values column cut off, an unknown tag, a missing last column
     (record(2, 1, [wire.COL_VALUES, 0, 5, 9]), "truncated"),
     (record(1, 1, [0x7E, 0]), "unknown column tag"),
@@ -385,6 +458,16 @@ def record(count: int, width: int, *parts) -> bytes:
 def test_hostile_column_frames(payload, match):
     with pytest.raises(wire.ProtocolError, match=match):
         wire.decode_message(payload)
+
+
+def test_list_columns_nested_past_the_recursion_limit():
+    """One list of one list ... 50,000 deep: an error, not a crash."""
+    deep = record(
+        1, 1, [wire.COL_LIST, wire.COL_BYTES, 1] * 50_000,
+        [wire.COL_VALUES, 0],
+    )
+    with pytest.raises(wire.ProtocolError, match="nested too deep"):
+        wire.decode_message(deep)
 
 
 @settings(max_examples=60, deadline=None)
@@ -418,13 +501,13 @@ def test_bad_utf8_in_an_inlined_string():
     bad = record(1, 1, [wire.COL_STR, 2, 0xC3, 0x28])
     with pytest.raises(wire.ProtocolError, match="utf-8"):
         wire.decode_message(bad)
-    # A cut between two strings that splits a UTF-8 sequence is an
-    # error, not two mojibake values - though the blob as a whole is
-    # valid UTF-8.
-    split = record(2, 1, [wire.COL_STR, 2, 2], "a\u00e9b".encode())
+    # NUL is no byte of a multi-byte UTF-8 sequence: a separator that
+    # cuts a character in two leaves a blob that does not decode, not
+    # two mojibake values.
+    split = record(2, 1, [wire.COL_STR, 4], b"a\xc3\0\xa9")
     with pytest.raises(wire.ProtocolError, match="utf-8"):
         wire.decode_message(split)
-    whole = record(2, 1, [wire.COL_STR, 3, 1], "a\u00e9b".encode())
+    whole = record(2, 1, [wire.COL_STR, 5], "a\u00e9\0b".encode())
     assert wire.decode_message(whole)[1]["columns"] == [["a\u00e9", "b"]]
 
 

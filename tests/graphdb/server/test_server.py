@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import time
 import urllib.request
@@ -20,13 +21,15 @@ from repro.graphdb.api.database import connect
 from repro.graphdb.metrics import LruPageCache
 from repro.graphdb.query.executor import VertexBinding
 from repro.graphdb.server import ServerConfig
+from repro.graphdb.server import protocol as wire
+from repro.graphdb.storage.codec import TAG_LIST, TAG_NONE
 
 
 def test_hello_reports_server_identity(server_factory, small_graph):
     harness = server_factory(connect(small_graph))
     remote = connect(harness.url)
     assert remote.server_info["server"] == "repro"
-    assert remote.server_info["protocol"] == 3
+    assert remote.server_info["protocol"] == 4
     assert remote.server_info["graph"] == "wire-test"
     assert remote.server_info["readonly"] is False
     remote.close()
@@ -214,6 +217,58 @@ def test_idle_timeout_reaps_connections(server_factory, small_graph):
     with pytest.raises(GraphError):
         session.run("MATCH (d:Drug) RETURN d.name").consume()
     db.close()
+
+
+def _nested(tag: int, depth: int = 50_000) -> bytes:
+    """A list of one list of one list ... ``depth`` deep, of None."""
+    return bytes((tag, 1)) * depth + bytes((TAG_NONE,))
+
+
+def _hostile_run() -> bytes:
+    """RUN with a codec list 50,000 deep in its params."""
+    buf = bytearray((wire.MSG_RUN,))
+    wire.write_str(buf, "RETURN $p AS p")
+    wire.write_uvarint(buf, 1)
+    wire.write_str(buf, "p")
+    buf += _nested(TAG_LIST)
+    wire.write_props(buf, {})
+    return bytes(buf)
+
+
+def _hostile_mutate() -> bytes:
+    """MUTATE with a wire list 50,000 deep as its args."""
+    buf = bytearray((wire.MSG_MUTATE,))
+    wire.write_str(buf, "remove_edge")
+    return bytes(buf) + _nested(wire.WIRE_LIST)
+
+
+@pytest.mark.parametrize("frame", [_hostile_run, _hostile_mutate])
+def test_hostile_nesting_costs_one_error(server_factory, small_graph, frame):
+    """Nesting past the decoder's recursion is answered like any
+    malformed frame: one ERROR, then the connection is closed - and
+    the server keeps serving everyone else."""
+    harness = server_factory(connect(small_graph))
+    with socket.create_connection(harness.server.address) as sock:
+        sock.sendall(
+            wire.pack_frame(wire.encode_hello({"app": "t"}))
+            + wire.pack_frame(frame())
+        )
+        stream = sock.makefile("rb")
+        replies = []
+        while header := stream.read(wire.FRAME_HEADER_BYTES):
+            payload = stream.read(wire.frame_length(header))
+            replies.append(
+                wire.decode_message(wire.check_frame(header, payload))
+            )
+    assert [msg_type for msg_type, _ in replies] == [
+        wire.MSG_SUCCESS, wire.MSG_ERROR,
+    ]
+    assert replies[1][1]["code"] == "ProtocolError"
+    assert "nested too deep" in replies[1][1]["message"]
+    with connect(harness.url) as db, db.session() as session:
+        assert session.run(
+            "MATCH (d:Drug) RETURN count(*) AS n"
+        ).single()["n"] == 6
 
 
 # ----------------------------------------------------------------------

@@ -76,6 +76,72 @@ def test_the_refusal_reason_crosses_the_wire(server_factory, small_graph):
     assert summary.fallback_reason == "limit"
 
 
+def recorded(session) -> list[tuple[int, dict]]:
+    """Every message the session's connection reads from now on."""
+    conn = session._conn
+    seen = []
+    recv = conn.recv
+
+    def recording_recv():
+        message = recv()
+        seen.append(message)
+        return message
+
+    conn.recv = recording_recv
+    return seen
+
+
+def test_a_run_is_its_records_and_one_success(server_factory, small_graph):
+    """A result that fits is RECORD frames and one SUCCESS holding the
+    columns with the summary; a zero-row result is that SUCCESS alone."""
+    harness = server_factory(connect(small_graph))
+    epoch = small_graph.mutation_epoch
+    with connect(harness.url) as db, db.session() as session:
+        seen = recorded(session)
+        result = session.run(QUERY)
+        assert [msg_type for msg_type, _ in seen] == [
+            wire.MSG_RECORD, wire.MSG_SUCCESS,
+        ]
+        meta = seen[-1][1]["meta"]
+        assert meta["columns"] == ["name", "tier"]
+        assert (meta["has_more"], meta["rows"]) == (False, ROWS)
+        assert (meta["epoch"], meta["mode"]) == (epoch, "vectorized")
+        assert len(result.values()) == ROWS
+        assert result.consume().rows == ROWS
+        seen.clear()
+        empty = session.run(
+            "MATCH (d:Drug {name: 'none'}) RETURN d.name AS name"
+        )
+        assert [msg_type for msg_type, _ in seen] == [wire.MSG_SUCCESS]
+        meta = seen[0][1]["meta"]
+        assert meta["columns"] == ["name"]
+        assert (meta["has_more"], meta["rows"], meta["epoch"]) == (
+            False, 0, epoch,
+        )
+        assert empty.keys() == ["name"] and empty.values() == []
+        assert empty.consume().rows == 0
+
+
+def test_a_run_without_pull_answers_with_the_head_only(
+    server_factory, small_graph
+):
+    harness = server_factory(connect(small_graph))
+    with connect(harness.url) as db, db.session() as session:
+        conn = session._conn
+        head = conn.request(wire.encode_run(QUERY, {}, {}))
+        assert head == {
+            "columns": ["name", "tier"],
+            "epoch": small_graph.mutation_epoch,
+            "mode": "vectorized",
+            "has_more": True,
+        }
+        conn.send(wire.encode_pull(ROWS))
+        chunks = []
+        assert conn.read_response(chunks)["rows"] == ROWS
+        assert [count for count, _ in chunks] == [ROWS]
+        assert session.run(QUERY).consume().rows == ROWS
+
+
 def test_a_big_batch_arrives_as_several_frames(server_factory):
     graph = PropertyGraph("big")
     for i in range(4000):
@@ -83,25 +149,15 @@ def test_a_big_batch_arrives_as_several_frames(server_factory):
     harness = server_factory(connect(graph))
     with connect(harness.url) as db:
         with db.session(fetch_size=10_000) as session:
-            conn = session._conn
-            frames = []
-            recv = conn.recv
-
-            def counting_recv():
-                message = recv()
-                frames.append(message[0])
-                return message
-
-            conn.recv = counting_recv
+            seen = recorded(session)
             before = requests()
             result = session.run("MATCH (n:N) RETURN n.name, n.i")
             rows = [tuple(record) for record in result]
             assert moved(before, "pull") == 0
     assert rows == [(f"vertex-name-{i:08d}", i) for i in range(4000)]
-    # ~100 KB of rows against the 64 KiB chunk: one pull, two frames.
-    assert frames == [
-        wire.MSG_SUCCESS, wire.MSG_RECORD, wire.MSG_RECORD,
-        wire.MSG_SUCCESS,
+    # 8000 values against RECORD_FRAME_VALUES: one pull, two frames.
+    assert [msg_type for msg_type, _ in seen] == [
+        wire.MSG_RECORD, wire.MSG_RECORD, wire.MSG_SUCCESS,
     ]
 
 
@@ -202,14 +258,21 @@ def test_failed_pull_settles_the_cursor(
 
 @pytest.mark.parametrize("at", [1, 2, 3])
 def test_write_fault_mid_response_drops_the_connection(
-    server_factory, small_graph, at
+    server_factory, small_graph, at, monkeypatch
 ):
     """``server.write`` fires per frame before the first byte is
-    written: armed at any frame of header | rows | trailer, the client
+    written: armed at any frame of rows | rows | SUCCESS, the client
     sees a lost connection - not a hang, not a short result."""
+    # Six rows of width 2 against a 6-value budget: two RECORD frames.
+    monkeypatch.setattr(wire, "RECORD_FRAME_VALUES", 6)
     harness = server_factory(connect(small_graph))
     with connect(harness.url) as db:
         session = db.session()
+        seen = recorded(session)
+        assert session.run(QUERY).consume().rows == ROWS
+        assert [msg_type for msg_type, _ in seen] == [
+            wire.MSG_RECORD, wire.MSG_RECORD, wire.MSG_SUCCESS,
+        ]
         faults.REGISTRY.arm("server.write", mode="error", at=at)
         with pytest.raises(GraphError, match="connection"):
             session.run(QUERY)
@@ -219,7 +282,8 @@ def test_write_fault_mid_response_drops_the_connection(
 
 
 def test_v1_peer_is_refused_at_hello(server_factory, small_graph):
-    """So is a v2 peer: its row-major RECORD frames are gone."""
+    """So is a v2 or v3 peer: row-major RECORD frames (v2), the header
+    SUCCESS and per-value string lengths (v3) are gone."""
     harness = server_factory(connect(small_graph))
     for version in range(1, wire.PROTOCOL_VERSION):
         hello = bytearray((wire.MSG_HELLO,))
