@@ -10,10 +10,11 @@ no e2e workload that would notice it, and lives here, in five sections:
 * ``paths`` - the tuple and the batch executor on one query each of
   seven shapes (MED-DIR, frozen): per-query medians of both, their
   ratio, and the mode the batch leg really ran in;
-* ``derived`` - first-use cost of state no e2e workload ever builds:
-  the dict adjacency of a bulk-loaded graph (what the first tuple-path
-  read pays, frozen or not), and the ontology PageRank on the MED and
-  FIN ontologies (the only inputs it ever gets);
+* ``derived`` - first-use cost of derived state: the dict adjacency
+  of a bulk-loaded graph (what the first tuple-path read pays, frozen
+  or not), the freeze with the bytes of the CSR it builds (e2e times
+  the freeze but never sizes it), and the ontology PageRank on the MED
+  and FIN ontologies (the only inputs it ever gets);
 * ``group_commit`` - fsyncs per commit at 1 / 8 / 32 remote writers;
 * ``budgets`` - what switched-off instrumentation may cost: the
   observe registry disabled against no-op handles (< 2 %), a traced
@@ -232,6 +233,17 @@ def derived(bench: Bench) -> None:
     bench.row(
         "derived.adjacency_build", "ms", samples * 1e3, dataset="fin-dir",
         vertices=graph.num_vertices, edges=graph.num_edges,
+    )
+
+    def freeze():
+        graph._arrays = None            # a new epoch, not yet frozen
+        graph.freeze()
+
+    (samples,) = bench.time([freeze], 7)
+    csr_bytes, payload_bytes = graph.freeze().csr_nbytes()
+    bench.row(
+        "derived.freeze", "ms", samples * 1e3, dataset="fin-dir",
+        csr_bytes=csr_bytes, payload_bytes=payload_bytes,
     )
     # The paper's PageRank runs over an ontology's concepts (tens of
     # them), once per optimization, never over an instance graph.

@@ -625,7 +625,8 @@ class PropertyGraph:
     def freeze(self) -> GraphArrays:
         """This epoch's arrays with their CSR adjacency built.
 
-        O(V + E) when built, O(1) while the graph stays unmutated.
+        O(E log E) plus each edge type's anchor range when built,
+        O(1) while the graph stays unmutated.
         The batch path expands only over frozen arrays; nothing
         freezes them implicitly.
         """

@@ -14,8 +14,9 @@ kernels over the columnar core's flat arrays:
   (``= <> < <= > >=``, ``IS [NOT] NULL``, AND/OR/NOT folding) over
   int64/float64 columns with presence-mask handling;
 * **CSR-slice expansion** joins a whole batch of source vertices over
-  the frozen :class:`~repro.graphdb.view.GraphArrays` offset arrays
-  (``repeat``/``cumsum`` arithmetic) instead of per-vertex iteration;
+  the frozen :class:`~repro.graphdb.view.Csr` of each edge type
+  (``Csr.span``, then ``repeat``/``cumsum`` arithmetic) instead of
+  per-vertex iteration;
 * **Column aggregation**: every aggregating RETURN, global or
   grouped, goes through one consumer (:func:`_compile_grouped`).  It
   keeps the id columns, groups on ids, replays the tuple path's
@@ -624,11 +625,12 @@ def _build_expand(ctx: _KernelContext, step, spec, params):
     ``op(session, batch)``.
 
     Pair production joins the whole batch against the frozen CSR
-    offset arrays (repeat/cumsum arithmetic instead of per-vertex
-    dict probes) and preserves the tuple path's emission order: source
-    row first, then edge-type rank (the spec's label order, or the
-    frozen type order untyped, out before in for undirected hops),
-    then ascending edge id within a type.
+    (each type's ``Csr.span`` of the sources, then repeat/cumsum
+    arithmetic instead of per-vertex dict probes) and preserves the
+    tuple path's emission order: source row first, then edge-type rank
+    (the spec's label order, or the frozen type order untyped, out
+    before in for undirected hops), then ascending edge id within a
+    type.
     """
     far_labels = frozenset(spec.labels) if spec.labels else None
     props = _resolve_props(tuple(spec.props.items()), params)
@@ -660,9 +662,9 @@ def _build_expand(ctx: _KernelContext, step, spec, params):
         for sid in keys:
             if sid is None:
                 continue  # a label the graph never interned
-            triple = csrs.get(sid)
-            if triple is not None:
-                ranked.append(triple)
+            csr = csrs.get(sid)
+            if csr is not None:
+                ranked.append(csr)
     tid_ok = v_tid = None
     if far_labels is not None:
         tid_ok = np.array(
@@ -679,9 +681,8 @@ def _build_expand(ctx: _KernelContext, step, spec, params):
         _charge_pages(session, "a", src, dedup=False)
         reps, nbrs, eids = [], [], []
         total = 0
-        for offsets, neighbors, edge_ids in ranked:
-            starts = offsets[src]
-            counts = offsets[src + 1] - starts
+        for csr in ranked:
+            starts, counts = csr.span(src)
             seg_total = int(counts.sum())
             if seg_total == 0:
                 continue
@@ -691,8 +692,8 @@ def _build_expand(ctx: _KernelContext, step, spec, params):
                 starts - (cum - counts), counts
             )
             reps.append(rep)
-            nbrs.append(neighbors[pos])
-            eids.append(edge_ids[pos])
+            nbrs.append(csr.neighbors[pos])
+            eids.append(csr.eids[pos])
             total += seg_total
         metrics.edge_traversals += total
         if total == 0:

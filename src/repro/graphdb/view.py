@@ -11,15 +11,18 @@ a label, of a table and of the whole graph, and vid -> table id - and,
 once :meth:`PropertyGraph.freeze` has frozen it, the CSR adjacency.
 
 Freezing builds, for every edge type, compressed-sparse-row adjacency
-in both directions - three read-only int64 arrays, an offsets array
-indexed by vid plus flat neighbor and edge-id arrays - and the order of
-the types, nothing else.  The batch path's expand reads those arrays;
-the tuple executor reads the graph's dict adjacency, frozen or not.
+in both directions (:class:`Csr`) and the order of the types, nothing
+else.  The batch path's expand reads those arrays through
+:meth:`Csr.span`; the tuple executor reads the graph's dict adjacency,
+frozen or not.  A type's per-vid index covers only its *anchor range*
+in that direction, the smallest to the largest vid with such an edge:
+loaders create vertices concept by concept, so each type's anchors sit
+in one narrow vid range and the index costs O(range), not O(vid slots).
 The build is one stable sort of the live eids on (edge type, anchor
-vid) per direction, offsets from ``bincount`` / ``cumsum``: O(E log E),
-no Python loop over vid slots or edges; the only per-type cost is the
-offsets array itself.  Freezing is a deliberate act for read-heavy
-phases, never an implicit per-query cost.
+vid) per direction and one ``bincount`` per type over its run of the
+sorted anchors: O(E log E + sum of ranges), no Python loop over vid
+slots or edges.  Freezing is a deliberate act for read-heavy phases,
+never an implicit per-query cost.
 
 Edge types rank by their first live eid graph-wide: the key order of
 the per-direction dicts, in which batch expansion concatenates an
@@ -38,10 +41,43 @@ import numpy as np
 
 from repro.graphdb.columnar import KIND_FLOAT, KIND_INT
 
-#: One direction of one edge type: (offsets, neighbors, eids), all
-#: int64 arrays.  ``offsets`` has length nslots+1; ``neighbors`` and
-#: ``eids`` are flat and sliced by consecutive offsets.
-Csr = tuple[np.ndarray, np.ndarray, np.ndarray]
+class Csr:
+    """One direction of one edge type: read-only int64 arrays.
+
+    ``neighbors`` and ``eids`` are flat, grouped by anchor vid and
+    eid-ordered within a vid.  ``starts`` / ``counts`` index them over
+    the anchor range ``[lo, hi]`` only, with one zero-count pad at each
+    end: entry ``vid - base`` (``base = lo - 1``) is ``vid``'s segment.
+    Nothing outside this module indexes them; :meth:`span` does.
+    """
+
+    __slots__ = ("base", "starts", "counts", "neighbors", "eids")
+
+    def __init__(self, anchors, neighbors, eids):
+        # ``anchors``: this type's run of the sorted anchor vids.
+        lo = int(anchors[0])
+        self.base = lo - 1
+        self.counts = np.zeros(int(anchors[-1]) - lo + 3, dtype=np.int64)
+        self.counts[1:-1] = np.bincount(anchors - lo)
+        self.starts = np.zeros_like(self.counts)
+        np.cumsum(self.counts[:-1], out=self.starts[1:])
+        self.neighbors = neighbors
+        self.eids = eids
+        for column in (self.starts, self.counts, neighbors, eids):
+            column.flags.writeable = False
+
+    def span(self, vids):
+        """Per vid, the (starts, counts) of its segment in ``neighbors``
+        / ``eids``.  A vid outside the anchor range clips onto a pad
+        and reads as zero edges - no branch, no mask.  ``take`` with
+        ``mode="clip"`` costs what a dense ``offsets[vids]`` did;
+        ``np.clip`` first, or one array read at ``i`` and ``i + 1``,
+        cost more per lookup."""
+        i = vids - self.base
+        return (
+            self.starts.take(i, mode="clip"),
+            self.counts.take(i, mode="clip"),
+        )
 
 
 class _Column:
@@ -80,7 +116,7 @@ class GraphArrays:
         self._label_vids: dict[str, np.ndarray] = {}
         self._table_vids: dict[int, np.ndarray] = {}
         self._all_vids = None
-        #: Per direction, edge-type sid -> CSR, in type-rank order;
+        #: Per direction, edge-type sid -> Csr, in type-rank order;
         #: None until frozen.
         self._out: dict[int, Csr] | None = None
         self._in: dict[int, Csr] | None = None
@@ -115,20 +151,24 @@ class GraphArrays:
         ):
             # Stable sort on (type, anchor): live eids ascend, so each
             # (type, vid) run ends up eid-ordered.
-            key = ranks * stride + anchors
-            order = np.argsort(key, kind="stable")
-            neighbors = fars[order]
-            eids = live[order]
-            # Row t: how many type-t edges anchor below each vid slot.
-            offsets = np.bincount(
-                key + 1, minlength=len(sids) * stride
-            ).reshape(len(sids), stride)
-            np.cumsum(offsets, axis=1, out=offsets)
-            for column in (offsets, neighbors, eids):
-                column.flags.writeable = False
-            csrs.update(zip(sids, zip(
-                offsets, np.split(neighbors, cuts), np.split(eids, cuts)
-            )))
+            order = np.argsort(ranks * stride + anchors, kind="stable")
+            csrs.update(
+                (sid, Csr(*run)) for sid, run in zip(sids, zip(
+                    np.split(anchors[order], cuts),
+                    np.split(fars[order], cuts),
+                    np.split(live[order], cuts),
+                ))
+            )
+
+    def csr_nbytes(self) -> tuple[int, int]:
+        """(index, payload) bytes of the frozen CSR, both directions:
+        ``starts`` + ``counts``, and ``neighbors`` + ``eids``."""
+        index = payload = 0
+        for csrs in (self._out, self._in):
+            for csr in csrs.values():
+                index += csr.starts.nbytes + csr.counts.nbytes
+                payload += csr.neighbors.nbytes + csr.eids.nbytes
+        return index, payload
 
     # -- columns -------------------------------------------------------
     def column(self, name: str) -> _Column:

@@ -3,8 +3,10 @@
 
 The pure-Python CSR build the numpy freeze replaced: a count pass, a
 prefix-sum pass and a fill pass per direction over every edge.  Kept
-as the oracle the array-based build is compared against - same
-offsets, neighbors and eids, and the same key order of every dict.
+as the oracle the array-based build is compared against - every vid
+slot's segment (start, count) read through ``Csr.span`` against these
+dense offsets, the same neighbors and eids, and the same key order of
+every dict.
 Its ``segments`` - per edge type, vid -> the vertex's (eid, neighbor)
 pairs in CSR order - are the order a frozen expand must emit
 (``test_derived_state.py``).

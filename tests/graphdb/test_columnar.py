@@ -1,5 +1,6 @@
 """Columnar core: symbol table, typed columns, tables, frozen CSR view."""
 
+import numpy as np
 import pytest
 
 from repro.exceptions import GraphError
@@ -209,14 +210,16 @@ class TestFreezeLifecycle:
         arrays = graph.freeze()
         session = GraphSession(graph)
         for direction, csrs in (("out", arrays._out), ("in", arrays._in)):
-            for sid, (offsets, neighbors, eids) in csrs.items():
+            for sid, csr in csrs.items():
                 labels = (graph.symbols.name(sid),)
-                for vid in graph.vertex_ids():
-                    start, end = offsets[vid], offsets[vid + 1]
+                vids = graph.vertex_ids()
+                starts, counts = csr.span(np.array(vids, dtype=np.int64))
+                for vid, start, count in zip(vids, starts, counts):
+                    end = start + count
                     got = session.expand_pairs(vid, labels, direction)
                     assert got == list(zip(
-                        eids[start:end].tolist(),
-                        neighbors[start:end].tolist(),
+                        csr.eids[start:end].tolist(),
+                        csr.neighbors[start:end].tolist(),
                     ))
 
     def test_stale_view_not_used_after_mutation(self, graph):

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 
 from repro.graphdb.graph import PropertyGraph
 from repro.graphdb.query.executor import Executor
+from repro.graphdb.query.vectorized import ExecutionReport
 from repro.graphdb.session import GraphSession
 from tests.graphdb.freeze_oracle import reference_freeze
 from tests.graphdb.randgraph import SCRIPTS, run_script
@@ -22,14 +23,22 @@ from tests.graphdb.randgraph import SCRIPTS, run_script
 def assert_matches_reference(graph: PropertyGraph) -> None:
     arrays = graph.freeze()
     reference = reference_freeze(graph)
+    # Every vid slot, the anchor ranges' outsides included.
+    vids = np.arange(len(graph._v_tid), dtype=np.int64)
     for direction, csrs in (("out", arrays._out), ("in", arrays._in)):
         want_csrs, _ = reference[direction]
         assert list(csrs) == list(want_csrs)
-        for sid, triple in csrs.items():
-            for got, want in zip(triple, want_csrs[sid]):
+        for sid, csr in csrs.items():
+            for got in (csr.starts, csr.counts, csr.neighbors, csr.eids):
                 assert got.dtype == np.int64
                 assert not got.flags.writeable
-                assert got.tolist() == list(want)
+            offsets, neighbors, eids = want_csrs[sid]
+            offsets = np.frombuffer(offsets, dtype=np.int64)
+            starts, counts = csr.span(vids)
+            assert np.array_equal(starts, offsets[:-1])
+            assert np.array_equal(counts, np.diff(offsets))
+            assert csr.neighbors.tolist() == neighbors
+            assert csr.eids.tolist() == eids
     name = graph.symbols.name
     assert arrays.type_rank == {
         name(sid): rank for rank, sid in enumerate(reference["out"][0])
@@ -132,9 +141,9 @@ def test_view_is_cached_until_the_epoch_moves():
     assert_matches_reference(graph)
 
 
-def test_csr_arrays_are_adopted_by_the_vectorized_cache():
-    """The batch path's cache is the graph's arrays: the CSR a freeze
-    builds is what a compile reads, not a copy."""
+def test_a_compile_reads_the_frozen_csr_not_a_copy():
+    """The batch path reads the graph's arrays: the CSR a freeze builds
+    is what a compile reads, not a copy."""
     graph = PropertyGraph()
     a, b = graph.add_vertex("N", {}), graph.add_vertex("N", {})
     graph.add_edges("T", [a, b], [b, a])
@@ -143,6 +152,78 @@ def test_csr_arrays_are_adopted_by_the_vectorized_cache():
     query = "MATCH (x:N)-[:T]->(y) RETURN y"
     assert [y.vid for y, in executor.run(query).rows] == [b, a]
     assert executor._prepare(query).compiled[0] is arrays
-    (offsets, _neighbors, _eids), = arrays._out.values()
-    with pytest.raises(ValueError):
-        offsets[0] = 1  # read-only: the CSR is immutable
+    csr, = arrays._out.values()
+    starts, counts = csr.span(np.array([a, b]))
+    assert starts.tolist() == [0, 1] and counts.tolist() == [1, 1]
+    for column in (csr.starts, csr.counts, csr.neighbors, csr.eids):
+        with pytest.raises(ValueError):
+            column[0] = 1  # read-only: the CSR is immutable
+
+
+# -- a graph whose edge types each anchor on their own block of vids ---
+BLOCKS = 40
+BLOCK = 100
+#: Within a block, the offsets that anchor an out-edge: every other
+#: vid, so each range has gaps, and the block's last vid.
+OUT_OFFSETS = [*range(0, BLOCK, 2), BLOCK - 1]
+
+
+@pytest.fixture(scope="module")
+def blocked():
+    """Type ``T<k>`` anchors on block k's vids only (plus type ``S``
+    inside block 0); isolated vertices sit before, between and after
+    the blocks, so vid 0 and the last slot have no edges."""
+    graph = PropertyGraph()
+    isolated = [graph.add_vertex("I", {}) for _ in range(3)]
+    lows = []
+    for _ in range(BLOCKS):
+        lows.append(graph.add_vertex("N", {}))
+        for _ in range(BLOCK - 1):
+            graph.add_vertex("N", {})
+        isolated += [graph.add_vertex("I", {}) for _ in range(2)]
+    for k, lo in enumerate(lows):
+        srcs = [lo + i for i in OUT_OFFSETS]
+        dsts = [lo + (i * 37 + 11) % BLOCK for i in OUT_OFFSETS]
+        # A parallel edge and a self-loop at the block's ends.
+        last = lo + BLOCK - 1
+        graph.add_edges(f"T{k}", srcs + [lo, last], dsts + [dsts[0], last])
+    graph.add_edges("S", [lows[0] + 1, lows[0] + 3], [lows[0], lows[0] + 5])
+    graph.freeze()
+    return graph, isolated
+
+
+def test_csr_bytes_are_bounded_by_anchor_ranges(blocked):
+    graph, isolated = blocked
+    assert isolated[0] == 0 and isolated[-1] == len(graph._v_tid) - 1
+    arrays = graph.freeze()
+    types = len(arrays.type_rank)
+    # The dense layout: an int64 row of slots + 1 per type, twice.
+    dense = types * (arrays.nslots + 1) * 8 * 2
+    index, payload = arrays.csr_nbytes()
+    assert index + payload < 0.1 * dense, (index, payload, dense)
+
+
+@pytest.mark.parametrize("direction", ["out", "in", "any"])
+def test_batch_expand_at_range_edges_matches_expand_pairs(blocked, direction):
+    """Every vid is a source: vid 0, the last slot, each range's
+    ``lo - 1``, ``lo``, ``hi``, ``hi + 1`` and the gaps inside it."""
+    graph, _ = blocked
+    arrow = {"out": ("-", "->"), "in": ("<-", "-"), "any": ("-", "-")}
+    left, right = arrow[direction]
+    # Typed in an order other than the type rank, then untyped.
+    typed = ["S", *(f"T{k}" for k in reversed(range(BLOCKS)))]
+    session = GraphSession(graph)
+    for labels in (tuple(typed), ()):
+        rel = f"[r:{'|'.join(labels)}]" if labels else "[r]"
+        report = ExecutionReport()
+        _, _, _, rows = Executor(GraphSession(graph)).stream(
+            f"MATCH (x){left}{rel}{right}(y) RETURN x, r, y", {},
+            report=report,
+        )
+        got = {}
+        for x, r, y in rows:
+            got.setdefault(x.vid, []).append((r.eid, y.vid))
+        assert report.mode == "vectorized", report.fallback_reason
+        for vid in graph.vertex_ids():
+            want = session.expand_pairs(vid, labels, direction)
+            assert got.get(vid, []) == [tuple(p) for p in want], vid

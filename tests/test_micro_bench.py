@@ -44,11 +44,16 @@ def test_smoke_section_writes_the_schema(tmp_path, capsys):
     report = run_section(load_micro(), "derived", tmp_path, capsys)
     assert [(row["name"], row["unit"]) for row in report["rows"]] == [
         ("derived.adjacency_build", "ms"),
+        ("derived.freeze", "ms"),
         ("derived.ontology_pagerank.med", "us"),
         ("derived.ontology_pagerank.fin", "us"),
     ]
     for row in report["rows"]:
         assert row["median"] > 0
+    # The CSR index is sized by anchor ranges: it stays below the
+    # neighbor / eid payload it indexes.
+    freeze = report["rows"][1]["extra"]
+    assert 0 < freeze["csr_bytes"] < freeze["payload_bytes"]
     # The ontology PageRank runs over tens of concepts, not a graph.
     assert all(
         row["extra"]["concepts"] < 100
