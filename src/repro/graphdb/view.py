@@ -41,6 +41,7 @@ import numpy as np
 
 from repro.graphdb.columnar import KIND_FLOAT, KIND_INT
 
+
 class Csr:
     """One direction of one edge type: read-only int64 arrays.
 
@@ -152,13 +153,13 @@ class GraphArrays:
             # Stable sort on (type, anchor): live eids ascend, so each
             # (type, vid) run ends up eid-ordered.
             order = np.argsort(ranks * stride + anchors, kind="stable")
-            csrs.update(
-                (sid, Csr(*run)) for sid, run in zip(sids, zip(
-                    np.split(anchors[order], cuts),
-                    np.split(fars[order], cuts),
-                    np.split(live[order], cuts),
-                ))
+            runs = zip(
+                np.split(anchors[order], cuts),
+                np.split(fars[order], cuts),
+                np.split(live[order], cuts),
             )
+            for sid, run in zip(sids, runs):
+                csrs[sid] = Csr(*run)
 
     def csr_nbytes(self) -> tuple[int, int]:
         """(index, payload) bytes of the frozen CSR, both directions:
