@@ -14,16 +14,43 @@ ontology and its :class:`~repro.ontology.stats.DataStatistics`:
 Property values are drawn from seeded pools so that groupings and
 filters hit multiple instances; everything is deterministic given the
 seed.
+
+The rng draw order is a contract, pinned by the per-element oracle
+(``tests/data/generator_oracle.py``) and by the digests in
+``benchmarks/e2e/expected.json``:
+
+1. base concepts in ``ontology.concepts`` order, instance by instance,
+   one ``randrange(7)`` per non-identity property in property order;
+2. derived concepts in sorted order, each after the concepts its
+   structural relationships point at, the same draws per new twin;
+3. functional relationships in ``iter_relationships()`` order: one
+   ``shuffle`` for 1:1, one ``choice`` per destination for 1:M, one
+   ``sample`` per source for M:N.
+
+Within that order the work is batched: each concept's property layout
+(name, identity or pooled, value formatter) is resolved once, the
+pooled values are looked up in a seven-entry table, and each concept's
+instances and each relationship's links are added in one call.
 """
 
 from __future__ import annotations
 
 import random
+from itertools import repeat
+from typing import Callable
 
 from repro.data.logical import LogicalDataset
 from repro.exceptions import DataGenerationError
 from repro.ontology.model import DataType, Ontology, RelationshipType
 from repro.ontology.stats import DataStatistics
+
+#: Non-identity properties draw their token from ``range(POOL)``.
+POOL = 7
+
+#: One property of a concept: its name, and either the formatter of an
+#: identity property's token (the instance index) or the table of a
+#: pooled property's ``POOL`` values.
+_Slot = tuple[str, "Callable[[int], object] | None", "list[object] | None"]
 
 
 def generate_logical(
@@ -53,13 +80,15 @@ def _materialize_instances(
     for concept in ontology.concepts:
         if concept in derived:
             continue
-        for i in range(stats.card(concept)):
-            uid = f"{concept}#{i}"
-            dataset.add_instance(
-                concept, uid, _properties_for(ontology, concept, i, rng)
-            )
+        count = stats.card(concept)
+        dataset.add_instances(
+            concept,
+            [f"{concept}#{i}" for i in range(count)],
+            _property_rows(_layout(ontology, concept), range(count), rng),
+        )
 
     resolved: set[str] = set(ontology.concepts) - derived
+    concept_of = dataset.concept_of
 
     def resolve(concept: str, trail: tuple[str, ...] = ()) -> None:
         if concept in resolved:
@@ -74,60 +103,103 @@ def _materialize_instances(
             if rel.rel_type
             in (RelationshipType.INHERITANCE, RelationshipType.UNION)
         ]
+        layout = _layout(ontology, concept)
         counter = 0
         for rel in structural:
             resolve(rel.dst, trail + (concept,))
-            for part_uid in dataset.instances_of(rel.dst):
-                twin_uid = f"{concept}|{part_uid}"
-                if twin_uid not in dataset.concept_of:
-                    # A concept can relate to the same child through
-                    # several structural relationships (e.g. both
-                    # unionOf and isA); the twin is shared.
-                    dataset.add_instance(
-                        concept,
-                        twin_uid,
-                        _properties_for(ontology, concept, counter, rng),
-                    )
-                    counter += 1
-                # Instance-level structural link: parent/union twins are
-                # the *source* side of the ontology relationship.
-                dataset.add_link(rel.rel_id, twin_uid, part_uid)
+            parts = dataset.instances_of(rel.dst)
+            twins = [f"{concept}|{part_uid}" for part_uid in parts]
+            # A concept can relate to the same child through several
+            # structural relationships (e.g. both unionOf and isA); the
+            # twin is shared.
+            new = [uid for uid in twins if uid not in concept_of]
+            dataset.add_instances(
+                concept,
+                new,
+                _property_rows(
+                    layout, range(counter, counter + len(new)), rng
+                ),
+            )
+            counter += len(new)
+            # Instance-level structural link: parent/union twins are
+            # the *source* side of the ontology relationship.
+            dataset.add_links(rel.rel_id, list(zip(twins, parts)))
         resolved.add(concept)
 
     for concept in sorted(derived):
         resolve(concept)
 
 
+def _layout(ontology: Ontology, concept: str) -> list[_Slot]:
+    """``concept``'s properties in order, each resolved once.
+
+    Properties whose name suggests identity (``*id``, ``name``) get
+    near-unique values formatted from the instance index; everything
+    else draws from a pool of ``POOL`` values so that grouping queries
+    produce multi-row groups.
+    """
+    layout: list[_Slot] = []
+    for prop in ontology.concept(concept).properties.values():
+        lowered = prop.name.lower()
+        fmt = _formatter(concept, prop.name, prop.data_type)
+        if lowered.endswith("id") or lowered == "name":
+            layout.append((prop.name, fmt, None))
+        else:
+            layout.append((prop.name, None, [fmt(t) for t in range(POOL)]))
+    return layout
+
+
+def _formatter(
+    concept: str, name: str, data_type: DataType
+) -> Callable[[int], object]:
+    """The value a property of ``data_type`` takes for ``token``."""
+    if data_type is DataType.STRING:
+        prefix = f"{concept[:4].lower()}_{name}_"
+        return lambda token: f"{prefix}{token}"
+    if data_type is DataType.TEXT:
+        prefix = f"text about {concept} {name} variant "
+        return lambda token: f"{prefix}{token}"
+    if data_type is DataType.INT:
+        return int
+    if data_type is DataType.FLOAT:
+        return lambda token: round(token * 1.5 + 0.25, 2)
+    if data_type is DataType.DATE:
+        return lambda token: (
+            f"2020-{(token % 12) + 1:02d}-{(token % 27) + 1:02d}"
+        )
+    return lambda token: bool(token % 2)  # DataType.BOOL
+
+
+def _property_rows(
+    layout: list[_Slot], indices: range, rng: random.Random
+) -> list[dict[str, object]]:
+    """One property dict per instance index, drawing instance by
+    instance and, within an instance, pooled property by pooled
+    property - the draw order of one ``_properties_for`` per instance.
+    """
+    if not layout:
+        return [{} for _ in indices]
+    pooled = sum(1 for _, _, table in layout if table is not None)
+    draws = list(map(rng.randrange, repeat(POOL, len(indices) * pooled)))
+    columns = []
+    slot = 0
+    for _, fmt, table in layout:
+        if table is None:
+            columns.append(map(fmt, indices))
+        else:
+            columns.append(map(table.__getitem__, draws[slot::pooled]))
+            slot += 1
+    names = [name for name, _, _ in layout]
+    return list(map(dict, map(zip, repeat(names), zip(*columns))))
+
+
 def _properties_for(
     ontology: Ontology, concept: str, index: int, rng: random.Random
 ) -> dict[str, object]:
-    """Deterministic property values with controlled selectivity.
-
-    Properties whose name suggests identity (``*id``, ``name``) get
-    near-unique values; everything else draws from a small pool so that
-    grouping queries produce multi-row groups.
-    """
-    props: dict[str, object] = {}
-    for prop in ontology.concept(concept).properties.values():
-        lowered = prop.name.lower()
-        identity = lowered.endswith("id") or lowered == "name"
-        pool = 1_000_000 if identity else 7
-        token = index if identity else rng.randrange(pool)
-        if prop.data_type is DataType.STRING:
-            props[prop.name] = f"{concept[:4].lower()}_{prop.name}_{token}"
-        elif prop.data_type is DataType.TEXT:
-            props[prop.name] = (
-                f"text about {concept} {prop.name} variant {token}"
-            )
-        elif prop.data_type is DataType.INT:
-            props[prop.name] = int(token)
-        elif prop.data_type is DataType.FLOAT:
-            props[prop.name] = round(token * 1.5 + 0.25, 2)
-        elif prop.data_type is DataType.DATE:
-            props[prop.name] = f"2020-{(token % 12) + 1:02d}-{(token % 27) + 1:02d}"
-        elif prop.data_type is DataType.BOOL:
-            props[prop.name] = bool(token % 2)
-    return props
+    """The property values of ``concept``'s instance number ``index``."""
+    return _property_rows(
+        _layout(ontology, concept), range(index, index + 1), rng
+    )[0]
 
 
 # ----------------------------------------------------------------------
@@ -149,23 +221,20 @@ def _materialize_functional_links(
                 f"relationship {rel.rel_id} has an empty endpoint"
             )
         if rel.rel_type is RelationshipType.ONE_TO_ONE:
-            count = min(len(src_pool), len(dst_pool))
             shuffled = list(dst_pool)
             rng.shuffle(shuffled)
-            for src_uid, dst_uid in zip(src_pool[:count], shuffled[:count]):
-                dataset.add_link(rel.rel_id, src_uid, dst_uid)
+            pairs = list(zip(src_pool, shuffled))
         elif rel.rel_type is RelationshipType.ONE_TO_MANY:
             # Each "many"-side instance points back to one source.
-            for dst_uid in dst_pool:
-                dataset.add_link(
-                    rel.rel_id, rng.choice(src_pool), dst_uid
-                )
+            sources = map(rng.choice, repeat(src_pool, len(dst_pool)))
+            pairs = list(zip(sources, dst_pool))
         else:  # MANY_TO_MANY
             total = stats.rel_card(rel.rel_id)
-            fanout = max(1, round(total / len(src_pool)))
-            for src_uid in src_pool:
-                partners = rng.sample(
-                    dst_pool, min(fanout, len(dst_pool))
-                )
-                for dst_uid in partners:
-                    dataset.add_link(rel.rel_id, src_uid, dst_uid)
+            fanout = min(max(1, round(total / len(src_pool))), len(dst_pool))
+            sample = rng.sample
+            pairs = [
+                (src_uid, dst_uid)
+                for src_uid in src_pool
+                for dst_uid in sample(dst_pool, fanout)
+            ]
+        dataset.add_links(rel.rel_id, pairs)

@@ -17,6 +17,7 @@ the paper's Figure 1(b), where ``di1`` (a DrugInteraction) sits between
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 from repro.exceptions import DataGenerationError
 from repro.ontology.model import Ontology
@@ -42,17 +43,67 @@ class LogicalDataset:
     def add_instance(
         self, concept: str, uid: str, props: dict[str, object]
     ) -> None:
-        if uid in self.concept_of:
-            raise DataGenerationError(f"duplicate instance uid {uid!r}")
-        self.instances.setdefault(concept, []).append(uid)
-        self.properties[uid] = props
-        self.concept_of[uid] = concept
+        self.add_instances(concept, [uid], [props])
+
+    def add_instances(
+        self,
+        concept: str,
+        uids: list[str],
+        props: list[dict[str, object]],
+    ) -> None:
+        """Add ``uids`` (with their ``props``, pairwise) to ``concept``.
+
+        A duplicate uid - known already or repeated in ``uids`` -
+        raises before anything is added.  The ``uids`` list becomes
+        ``concept``'s instance list when it has none yet: the caller
+        hands it over.
+        """
+        if not uids:
+            return
+        concept_of = self.concept_of
+        batch = dict.fromkeys(uids, concept)
+        if len(batch) < len(uids) or not concept_of.keys().isdisjoint(batch):
+            seen = set()
+            for uid in uids:
+                if uid in concept_of or uid in seen:
+                    raise DataGenerationError(
+                        f"duplicate instance uid {uid!r}"
+                    )
+                seen.add(uid)
+        existing = self.instances.get(concept)
+        if existing is None:
+            self.instances[concept] = uids
+        else:
+            existing.extend(uids)
+        self.properties.update(zip(uids, props, strict=True))
+        concept_of.update(batch)
 
     def add_link(self, rel_id: str, src_uid: str, dst_uid: str) -> None:
-        for uid in (src_uid, dst_uid):
-            if uid not in self.concept_of:
-                raise DataGenerationError(f"unknown instance {uid!r}")
-        self.links.setdefault(rel_id, []).append((src_uid, dst_uid))
+        self.add_links(rel_id, [(src_uid, dst_uid)])
+
+    def add_links(self, rel_id: str, pairs: list[tuple[str, str]]) -> None:
+        """Append ``pairs`` to ``rel_id``'s links.
+
+        An endpoint that is no known instance raises, naming the first
+        one, before anything is added.  The ``pairs`` list becomes
+        ``rel_id``'s link list when it has none yet: the caller hands it
+        over.  An empty batch adds no key (the key order of ``links``
+        is the order edge labels are interned in).
+        """
+        if not pairs:
+            return
+        concept_of = self.concept_of
+        if not all(map(concept_of.__contains__, chain.from_iterable(pairs))):
+            missing = next(
+                uid for uid in chain.from_iterable(pairs)
+                if uid not in concept_of
+            )
+            raise DataGenerationError(f"unknown instance {missing!r}")
+        existing = self.links.get(rel_id)
+        if existing is None:
+            self.links[rel_id] = pairs
+        else:
+            existing.extend(pairs)
 
     def remove_link(self, rel_id: str, src_uid: str, dst_uid: str) -> None:
         """Remove one ``src -> dst`` link of ``rel_id`` (the first, if

@@ -17,6 +17,13 @@ and adopts an FPTAS.  Three solvers are provided:
   cap binds, ``K`` grows and the guarantee degrades gracefully (the
   effective epsilon is reported on the result).
 
+  The DP runs in ``int32`` when the priced items' summed cost is below
+  ``INT32_COST_LIMIT`` (``np.iinfo(np.int32).max // 4``) and in
+  ``int64`` otherwise.  Keyed on the summed cost, the bound needs no
+  argument about the DP's updates: every finite state is at most that
+  sum, below ``INF``, and ``INF + cost`` stays below ``2**31``.  Both
+  dtypes select the same items.
+
 * :func:`knapsack_exact` - textbook cost-dimension DP, exponential-free
   but only practical for small integer capacities; used by the tests as
   ground truth.
@@ -35,6 +42,9 @@ from typing import Protocol, Sequence
 import numpy as np
 
 from repro.exceptions import OptimizationError
+
+#: Below this summed cost of the priced items the FPTAS runs in int32.
+INT32_COST_LIMIT = np.iinfo(np.int32).max // 4
 
 
 class KnapsackItem(Protocol):
@@ -62,6 +72,10 @@ def _validated(items: Sequence[KnapsackItem], capacity: int) -> None:
     if capacity < 0:
         raise OptimizationError("knapsack capacity must be >= 0")
     for i, item in enumerate(items):
+        if not math.isfinite(item.benefit):
+            raise OptimizationError(
+                f"item {i} has non-finite benefit {item.benefit!r}"
+            )
         if item.cost < 0:
             raise OptimizationError(f"item {i} has negative cost")
         if item.benefit < 0:
@@ -102,15 +116,14 @@ def knapsack_fptas(
         # reported effective epsilon.
         scale *= total_scaled / max_states
         effective_eps = eps * total_scaled / max_states
-        total_scaled = sum(
-            int(item.benefit // scale) for _, item in priced
-        )
 
     scaled = [max(1, int(item.benefit // scale)) for _, item in priced]
     n_states = sum(scaled) + 1
 
-    INF = np.iinfo(np.int64).max // 4
-    dp = np.full(n_states, INF, dtype=np.int64)
+    total_cost = sum(item.cost for _, item in priced)
+    dtype = np.int32 if total_cost < INT32_COST_LIMIT else np.int64
+    INF = np.iinfo(dtype).max // 4
+    dp = np.full(n_states, INF, dtype=dtype)
     dp[0] = 0
     improved: list[np.ndarray] = []
     reach = 1  # only states below it can be finite before this item
@@ -120,11 +133,13 @@ def knapsack_fptas(
         candidate = dp[:reach] + item.cost
         target = dp[sb:reach + sb]
         better = candidate < target
-        np.copyto(target, candidate, where=better)
+        np.minimum(target, candidate, out=target)
         improved.append(better)  # better[s - sb]: this item improved s
         reach += sb
 
-    feasible = np.nonzero(dp <= capacity)[0]
+    # Every finite state is at most total_cost, which fits the dtype;
+    # a larger capacity is compared as that sum.
+    feasible = np.nonzero(dp <= min(capacity, total_cost))[0]
     best_state = int(feasible[-1]) if len(feasible) else 0
 
     chosen: list[int] = []

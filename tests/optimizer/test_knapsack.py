@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.exceptions import OptimizationError
 from repro.optimizer.knapsack import (
+    INT32_COST_LIMIT,
     _result,
     knapsack_exact,
     knapsack_fptas,
@@ -185,20 +186,65 @@ class TestFptas:
         capacity=st.integers(0, 1500),
         eps=st.sampled_from([0.01, 0.1, 0.5, 2.0]),
         max_states=st.sampled_from([3, 40, 60_000]),  # 3 and 40 bind
+        # 2**22 puts summed costs on both sides of INT32_COST_LIMIT:
+        # the oracle checks the int32 and the int64 DP.
+        multiplier=st.sampled_from([1, 2**22]),
     )
     def test_reachable_prefix_dp_equals_the_full_width_dp(
-        self, items, capacity, eps, max_states
+        self, items, capacity, eps, max_states, multiplier
     ):
+        items = [Item(item.benefit, item.cost * multiplier)
+                 for item in items]
+        capacity *= multiplier
         result = knapsack_fptas(items, capacity, eps, max_states)
         assert result == full_width_fptas(items, capacity, eps, max_states)
         optimum = knapsack_exact(items, capacity).benefit
         assert result.benefit >= (1 - result.effective_eps) * optimum - 1e-6
+
+    @pytest.mark.parametrize("total", [INT32_COST_LIMIT - 1,
+                                       INT32_COST_LIMIT])
+    @pytest.mark.parametrize("fits", [1, 2, 3])
+    def test_summed_cost_at_the_dtype_boundary(self, total, fits):
+        # Three items summing to ``total``: the int32 DP just below the
+        # limit, the int64 DP at it; ``fits`` of them fit the capacity.
+        costs = [total // 3, total // 3, total - 2 * (total // 3)]
+        items = [Item(b, c) for b, c in zip([5.0, 3.0, 4.0], costs)]
+        capacity = sum(sorted(costs)[:fits])
+        result = knapsack_fptas(items, capacity)
+        assert result == full_width_fptas(items, capacity)
+        assert result.benefit == pytest.approx(brute_force(items, capacity))
+
+    def test_summed_cost_past_int32_under_a_small_capacity(self):
+        # The capacity fits int32 but ten items' costs sum past 2**31,
+        # so the DP runs in int64.  (An int32 DP keyed on the capacity
+        # would also be right here: min(dp, candidate) caps every state
+        # at INF and every priced cost is at most the capacity.)
+        items = [Item(float(i + 1), 2**28 - i) for i in range(10)]
+        capacity = 2**28  # any one item fits, no two do
+        assert capacity < INT32_COST_LIMIT
+        assert sum(item.cost for item in items) > 2**31
+        result = knapsack_fptas(items, capacity)
+        assert result == full_width_fptas(items, capacity)
+        assert result.cost <= capacity
+        assert result.benefit == pytest.approx(brute_force(items, capacity))
 
     def test_max_states_cap_reports_effective_eps(self):
         items = [Item(float(i + 1), i + 1) for i in range(40)]
         result = knapsack_fptas(items, 100, eps=0.01, max_states=50)
         assert result.effective_eps > 0.01
         assert result.cost <= 100
+
+
+@pytest.mark.parametrize(
+    "solver", [knapsack_fptas, knapsack_exact, knapsack_greedy],
+    ids=["fptas", "exact", "greedy"],
+)
+@pytest.mark.parametrize("benefit", [float("nan"), float("inf")],
+                         ids=["nan", "inf"])
+def test_non_finite_benefit_is_rejected_by_index(solver, benefit):
+    items = [Item(1.0, 1), Item(benefit, 1)]
+    with pytest.raises(OptimizationError, match="item 1 has non-finite"):
+        solver(items, 10)
 
 
 class TestExact:
