@@ -13,8 +13,10 @@ no e2e workload that would notice it, and lives here, in five sections:
 * ``derived`` - first-use cost of derived state: the dict adjacency
   of a bulk-loaded graph (what the first tuple-path read pays, frozen
   or not), the freeze with the bytes of the CSR it builds (e2e times
-  the freeze but never sizes it), and the ontology PageRank on the MED
-  and FIN ontologies (the only inputs it ever gets);
+  the freeze but never sizes it), the page traces a session builds
+  the first time it charges a vid array (every warm e2e charge finds
+  its trace kept), and the ontology PageRank on the MED and FIN
+  ontologies (the only inputs it ever gets);
 * ``group_commit`` - fsyncs per commit at 1 / 8 / 32 remote writers;
 * ``budgets`` - what switched-off instrumentation may cost: the
   observe registry disabled against no-op handles (< 2 %), a traced
@@ -75,6 +77,7 @@ from repro.graphdb import connect, faults, observe  # noqa: E402
 from repro.graphdb.api import result as result_mod  # noqa: E402
 from repro.graphdb.backends import NEO4J_LIKE  # noqa: E402
 from repro.graphdb.graph import PropertyGraph  # noqa: E402
+from repro.graphdb.metrics import LruPageCache  # noqa: E402
 from repro.graphdb.query.executor import Executor  # noqa: E402
 from repro.graphdb.query.vectorized import ExecutionReport  # noqa: E402
 from repro.graphdb.server import GraphServer, ServerConfig  # noqa: E402
@@ -89,6 +92,8 @@ SMOKE_SCALE = 0.25
 RUNS_PER_SAMPLE = 40
 #: ``ontology_pagerank`` calls per timed sample (one is ~0.1-1 ms).
 PAGERANK_RUNS = 20
+#: Replays of the FIN-DIR ops' page charges per ``page_traces`` sample.
+TRACE_RUNS = 20
 #: Warm driver and executor runs per timed ``driver`` sample.
 DRIVER_RUNS = 200
 WRITERS = (1, 8, 32)
@@ -223,7 +228,8 @@ def paths(bench: Bench) -> None:
 # derived: state the first reader builds
 # ----------------------------------------------------------------------
 def derived(bench: Bench) -> None:
-    graph = build_pipeline(build_fin(), scale=bench.scale).dir_graph
+    fin = build_fin()
+    graph = build_pipeline(fin, scale=bench.scale).dir_graph
 
     def adjacency_build():
         graph._adjacency = None         # as a bulk load leaves it
@@ -245,6 +251,7 @@ def derived(bench: Bench) -> None:
         "derived.freeze", "ms", samples * 1e3, dataset="fin-dir",
         csr_bytes=csr_bytes, payload_bytes=payload_bytes,
     )
+    page_traces(bench, graph, fin.queries)
     # The paper's PageRank runs over an ontology's concepts (tens of
     # them), once per optimization, never over an instance graph.
     runs = 1 if bench.smoke else PAGERANK_RUNS
@@ -261,6 +268,66 @@ def derived(bench: Bench) -> None:
             samples / runs * 1e6, concepts=len(ontology.concepts),
             iterations=ontology_pagerank(ontology).iterations,
         )
+
+
+def page_traces(bench: Bench, graph, queries) -> None:
+    """The page charges of one run of the paper ops on ``graph``,
+    replayed on a fresh ``GraphSession`` per replay - each array's
+    trace built, bar arrays an op charges twice - against one kept
+    session, where every trace is a hit.  Both share one page cache,
+    so the LRU settles the same touches."""
+    charges = []
+    recorder = GraphSession(graph, NEO4J_LIKE)
+    charge = recorder.charge_pages
+
+    def record(kind, vids, dedup):
+        if len(vids):
+            charges.append((kind, vids.copy(), dedup))
+        charge(kind, vids, dedup)
+
+    recorder.charge_pages = record
+    executor = Executor(recorder)
+    for query in queries.values():
+        executor.run(query)
+    cache = LruPageCache(NEO4J_LIKE.cache_pages)
+    kept = GraphSession(graph, NEO4J_LIKE, cache)
+    runs = 1 if bench.smoke else TRACE_RUNS
+
+    def hit_share(session) -> float:
+        hits = 0
+        for kind, vids, dedup in charges:
+            kept_before = len(session._traces)
+            session.charge_pages(kind, vids, dedup)
+            hits += len(session._traces) == kept_before
+        return hits / len(charges)
+
+    def replay(session):
+        for kind, vids, dedup in charges:
+            session.charge_pages(kind, vids, dedup)
+
+    fresh_hits = hit_share(GraphSession(graph, NEO4J_LIKE, cache))
+    replay(kept)
+    kept_hits = hit_share(kept)
+
+    def fresh():
+        for _ in range(runs):
+            replay(GraphSession(graph, NEO4J_LIKE, cache))
+
+    def warm():
+        for _ in range(runs):
+            replay(kept)
+
+    built, hit = bench.time([fresh, warm], 15)
+    _, kept_us, _ = bench.quartiles(hit / runs * 1e6)
+    q1, ratio, q3 = bench.quartiles(built / hit)
+    bench.row(
+        "derived.page_traces", "us", built / runs * 1e6, dataset="fin-dir",
+        kept_us=round(kept_us, 1), ratio=round(ratio, 2),
+        ratio_iqr=round(q3 - q1, 2), calls=len(charges),
+        vids=sum(len(vids) for _, vids, _ in charges),
+        traces=len(kept._traces), fresh_hit_share=round(fresh_hits, 3),
+        kept_hit_share=round(kept_hits, 3),
+    )
 
 
 # ----------------------------------------------------------------------

@@ -12,6 +12,7 @@ authors' testbed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from typing import Callable, Collection, Iterable
 
 
 @dataclass
@@ -58,6 +59,14 @@ class LruPageCache:
     capacity: int
     _pages: dict[tuple, None] = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        # A negative size would make touch() keep nothing while
+        # touch_many() counts repeats as hits: the two disagree.
+        if self.capacity < 0:
+            raise ValueError(
+                f"page cache capacity must be >= 0, got {self.capacity}"
+            )
+
     def touch(self, page_id: tuple) -> bool:
         """Access a page; returns True on a hit."""
         pages = self._pages
@@ -72,7 +81,13 @@ class LruPageCache:
             pages[page_id] = None
         return False
 
-    def touch_many(self, kind: str, pages: list[int]) -> int:
+    def touch_many(
+        self,
+        kind: str,
+        pages: list[int],
+        last: Collection[int] | None = None,
+        first: Callable[[], Iterable[int]] | None = None,
+    ) -> int:
         """Access ``(kind, p)`` for every ``p`` of ``pages`` in order;
         returns the number of misses.
 
@@ -85,20 +100,28 @@ class LruPageCache:
         before it ends.  Hence repeats always hit, what a first touch
         finds depends only on the order of first touches, and the
         touched pages end up in order of their last touch.
+
+        ``last`` (the distinct pages, latest last touch first) and
+        ``first`` (a callable returning them in first-touch order,
+        called only when a miss can evict) let a caller that charges
+        the same pages again pass orders it computed before; both are
+        derived from ``pages`` when absent.
         """
-        touch = self.touch
-        last = dict.fromkeys(reversed(pages))  # latest last touch first
-        if len(last) > self.capacity:
+        if last is None:
+            last = dict.fromkeys(reversed(pages))
+        capacity = self.capacity
+        if len(last) > capacity:
+            touch = self.touch
             return sum(not touch((kind, p)) for p in pages)
         resident = self._pages
         keys = [(kind, p) for p in last]
-        misses = len(keys) - len(resident.keys() & keys)
-        if len(resident) + misses > self.capacity:
+        misses = len(keys) - sum(map(resident.__contains__, keys))
+        if len(resident) + misses > capacity:
             # Some miss evicts, and its victim may be a page this call
             # only reaches later: make the first touches, in order.
-            misses = sum(
-                not touch((kind, p)) for p in dict.fromkeys(pages)
-            )
+            touch = self.touch
+            order = dict.fromkeys(pages) if first is None else first()
+            misses = sum(not touch((kind, p)) for p in order)
         for key in reversed(keys):
             resident.pop(key, None)
             resident[key] = None

@@ -36,14 +36,17 @@ different orders, which an LRU that evicts mid-query can tell apart,
 docs/ARCHITECTURE.md "Caveats"), so the differential harness in
 ``tests/graphdb/test_differential.py`` can assert multiset equality
 and every existing metrics-sensitive test keeps passing regardless of
-which path ran.  Page touches are charged one operator call at a time
-(:func:`_charge_pages` -> ``GraphSession.charge_pages``): every row's
-page in access order, settled by ``LruPageCache.touch_many`` in two
-passes over the call's distinct pages.  That is exact at every cache
-size - while the distinct pages fit the cache none of them can be
-evicted before the call ends, so repeats hit, first touches decide the
-misses and last touches the recency order; a call that does not fit
-runs the per-touch loop itself.
+which path ran.  Page touches are charged one operator call at a time:
+a kernel hands the vids it read, in access order, to
+``GraphSession.charge_pages``, the one place that knows the page
+geometry.  The session settles them by ``LruPageCache.touch_many`` in
+two passes over the call's distinct pages, read from a page trace it
+keeps per vid array - a warm run's operators charge the arrays of the
+run before, so a repeat costs one dict lookup.  That is exact at every
+cache size - while the distinct pages fit the cache none of them can
+be evicted before the call ends, so repeats hit, first touches decide
+the misses and last touches the recency order; a call that does not
+fit runs the per-touch loop itself.
 
 **One gate.**  Whether a query can run here is decided in one place:
 the compile itself.  Every construct the batch path has no operator
@@ -179,33 +182,11 @@ UNBOUND = object()
 # ----------------------------------------------------------------------
 # Page charging (the bulk equivalent of the per-row LRU touches)
 # ----------------------------------------------------------------------
-def _charge_pages(session, kind: str, vids, dedup: bool) -> None:
-    """Charge page touches for ``vids`` accessed in order.
-
-    One element handed to ``session.charge_pages`` is one counted
-    touch.  ``dedup=False`` is the per-row flavor (``accept_vertex`` /
-    ``property_reader`` / ``expand_pairs``): every row touches its
-    page.  ``dedup=True`` is the ``scan_rows`` flavor, which skips a
-    row on the same page as the row before it: only run starts touch.
-    """
-    n = len(vids)
-    if n == 0:
-        return
-    pages = vids // (
-        session._vertices_per_page if kind == "v"
-        else session._adjacency_per_page
-    )
-    starts = np.ones(n, dtype=bool)
-    np.not_equal(pages[1:], pages[:-1], out=starts[1:])
-    runs = pages[starts]
-    session.charge_pages(kind, runs.tolist(), 0 if dedup else n - len(runs))
-
-
 def _charge_reads(session, vids) -> None:
     """One property read and one vertex-page touch per row of
     ``vids``: what ``GraphSession.property_reader`` charges a call."""
     session.metrics.property_reads += len(vids)
-    _charge_pages(session, "v", vids, dedup=False)
+    session.charge_pages("v", vids, dedup=False)
 
 
 # ----------------------------------------------------------------------
@@ -603,7 +584,7 @@ def _build_scan(ctx: _KernelContext, step: ScanStep, params, nslots):
             # Page touches cover exactly the rows the primary check
             # admitted, before residual property checks - one touch
             # per run of consecutive same-page vids.
-            _charge_pages(session, "v", passing, dedup=True)
+            session.charge_pages("v", passing, dedup=True)
             for mode, col, value in rest_specs:
                 if not len(passing):
                     break
@@ -678,7 +659,7 @@ def _build_expand(ctx: _KernelContext, step, spec, params):
         src = cols[from_slot]
         metrics = session.metrics
         # One adjacency-page touch per source binding, pairs or not.
-        _charge_pages(session, "a", src, dedup=False)
+        session.charge_pages("a", src, dedup=False)
         reps, nbrs, eids = [], [], []
         total = 0
         for csr in ranked:
@@ -713,7 +694,7 @@ def _build_expand(ctx: _KernelContext, step, spec, params):
             # accept_vertex charges the label read and its page touch
             # for every pair, pass or fail.
             metrics.vertex_reads += total
-            _charge_pages(session, "v", nbr, dedup=False)
+            session.charge_pages("v", nbr, dedup=False)
             alive = alive[tid_ok[v_tid[nbr]]]
         for mode, col, value in prop_specs:
             if not len(alive):
@@ -907,7 +888,7 @@ def _compile_grouped(items, ctx: _KernelContext):
     the page LRU makes observable: per group in first-seen order and
     per RETURN item in order, a row-level leaf on the group's first
     binding and an aggregate's argument on every binding of the group
-    - one ``property_reads`` bump and one :func:`_charge_pages` call
+    - one ``property_reads`` bump and one ``session.charge_pages`` call
     over that concatenated vid sequence.  Each RETURN item is then one
     column function over the sorted rows, exact to the tuple path's
     ``apply_aggregate``: ``count`` - and ``size(collect(x))``, which is
@@ -1035,7 +1016,7 @@ def _compile_grouped(items, ctx: _KernelContext):
         pages = [cols[slot] for slot, *_ in keys if slot is not None]
         if pages:
             vids = np.stack(pages, axis=1).ravel()
-            _charge_pages(session, "v", vids, dedup=False)
+            session.charge_pages("v", vids, dedup=False)
         session.metrics.property_reads += n * sum(
             charged for _, charged, *_ in keys
         )
@@ -1114,7 +1095,7 @@ def _compile_grouped(items, ctx: _KernelContext):
                     seq[at] = vids
                     at = at + 1
         if paged:
-            _charge_pages(session, "v", seq, dedup=False)
+            session.charge_pages("v", seq, dedup=False)
         session.metrics.property_reads += sum(
             (total if whole else ngroups)
             for _, charged, whole in rereads if charged

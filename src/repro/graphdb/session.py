@@ -19,7 +19,9 @@ the source's adjacency for the far endpoint).
 all-vertices) scan with a folded equality predicate as one columnar
 pass - ``zip`` over the vid list and the property column instead of a
 per-vertex dict probe - while staying lazy so ``LIMIT`` still
-short-circuits.
+short-circuits.  The batch path charges the pages of a whole vid
+array at once through :meth:`GraphSession.charge_pages`, the one place
+that knows the page geometry.
 
 A session is the read and charge model only: it owns no store.  A
 durable graph is opened through :func:`repro.graphdb.api.connect`,
@@ -32,10 +34,41 @@ from __future__ import annotations
 
 from typing import Iterator
 
+import numpy as np
+
 from repro.exceptions import GraphError
 from repro.graphdb.backends import BackendProfile, NEO4J_LIKE
 from repro.graphdb.graph import PropertyGraph
 from repro.graphdb.metrics import ExecutionMetrics, LruPageCache
+
+
+#: Bound on the vid bytes of the page traces one session keeps.  The
+#: paper's sessions keep 9-15 traces and at most ~52 KB.
+TRACE_KEY_BYTES = 1 << 20
+
+
+class _PageTrace:
+    """What settling a charge in the page LRU needs from a vid array:
+    its same-page runs (one touch each; the rest of a run, ``repeats``,
+    hits), its distinct pages latest last touch first, and - built on
+    the first call of :meth:`first`, when a miss can evict - its
+    distinct pages in first-touch order."""
+
+    __slots__ = ("runs", "repeats", "last", "_first")
+
+    def __init__(self, pages: np.ndarray, dedup: bool):
+        starts = np.ones(len(pages), dtype=bool)
+        np.not_equal(pages[1:], pages[:-1], out=starts[1:])
+        runs = pages[starts].tolist()
+        self.runs = runs
+        self.repeats = 0 if dedup else len(pages) - len(runs)
+        self.last = dict.fromkeys(reversed(runs))
+        self._first: dict[int, None] | None = None
+
+    def first(self) -> dict[int, None]:
+        if self._first is None:
+            self._first = dict.fromkeys(self.runs)
+        return self._first
 
 
 class GraphSession:
@@ -56,6 +89,10 @@ class GraphSession:
         self.metrics = ExecutionMetrics()
         self._vertices_per_page = max(1, profile.vertices_per_page)
         self._adjacency_per_page = max(1, profile.adjacency_per_page)
+        # charge_pages' memo: (page size, dedup, dtype, vid bytes) ->
+        # _PageTrace, oldest first; _trace_bytes sums the vid bytes.
+        self._traces: dict[tuple, _PageTrace] = {}
+        self._trace_bytes = 0
 
     # ------------------------------------------------------------------
     # Page simulation
@@ -67,27 +104,56 @@ class GraphSession:
         else:
             self.metrics.page_misses += 1
 
-    def charge_pages(self, kind: str, pages: list[int], repeats: int) -> None:
-        """Bulk page charging for the batch path: one counted touch
-        per element of ``pages``, in order, through
-        :meth:`LruPageCache.touch_many` - the hit/miss split and the
-        recency order of that many :meth:`_touch_page` calls at every
-        cache size, for O(distinct pages) Python work.  Readers that
-        suppress repeats (:meth:`scan_rows`) pass run starts only and
-        ``repeats=0``.
+    def charge_pages(self, kind: str, vids: np.ndarray, dedup: bool) -> None:
+        """Bulk page charging for the batch path: the touches of the
+        vertex (``kind="v"``) or adjacency (``"a"``) pages of ``vids``,
+        accessed in order, settled by :meth:`LruPageCache.touch_many` -
+        the hit/miss split and the recency order of one
+        :meth:`_touch_page` per touch at every cache size, for
+        O(distinct pages) Python work.  ``dedup=False`` is the per-row
+        flavor (``accept_vertex`` / ``property_reader`` /
+        ``expand_pairs``): every row touches its page.  ``dedup=True``
+        is the :meth:`scan_rows` flavor, which skips a row on the same
+        page as the row before it: only run starts touch.
 
-        ``repeats`` counts further touches that each repeat the page
-        touched just before them (the rest of a run of same-page rows,
-        passed once in ``pages``): on a cache with room for a page such
-        a touch hits and moves nothing, on a zero-capacity one it
-        misses.
+        The settle reads ``vids`` through a :class:`_PageTrace`, a pure
+        function of the vids' bytes, the page size and ``dedup``, so
+        the session keeps the traces it builds: charging an array it
+        has charged before costs one ``tobytes`` and one dict lookup.
+        The kept traces' key bytes stay under :data:`TRACE_KEY_BYTES`,
+        oldest evicted first, and an array larger than that is traced
+        and dropped.
         """
-        misses = self.cache.touch_many(kind, pages)
-        if not self.cache.capacity:
-            misses += repeats
+        if not len(vids):
+            return
+        per_page = (
+            self._vertices_per_page if kind == "v"
+            else self._adjacency_per_page
+        )
+        if vids.nbytes > TRACE_KEY_BYTES:
+            trace = _PageTrace(vids // per_page, dedup)
+        else:
+            key = (per_page, dedup, vids.dtype, vids.tobytes())
+            traces = self._traces
+            trace = traces.get(key)
+            if trace is None:
+                trace = _PageTrace(vids // per_page, dedup)
+                self._trace_bytes += vids.nbytes
+                while self._trace_bytes > TRACE_KEY_BYTES:
+                    oldest = next(iter(traces))
+                    self._trace_bytes -= len(oldest[3])
+                    del traces[oldest]
+                traces[key] = trace
+        cache = self.cache
+        runs = trace.runs
+        misses = cache.touch_many(kind, runs, trace.last, trace.first)
+        if not cache.capacity:
+            # A repeat touches the page touched just before it: on a
+            # cache with room for a page it hits and moves nothing.
+            misses += trace.repeats
         metrics = self.metrics
         metrics.page_misses += misses
-        metrics.page_hits += len(pages) + repeats - misses
+        metrics.page_hits += len(runs) + trace.repeats - misses
 
     # ------------------------------------------------------------------
     # Instrumented reads

@@ -10,6 +10,8 @@ from repro.graphdb.metrics import LruPageCache
 
 
 class LoopLruPageCache(LruPageCache):
-    def touch_many(self, kind: str, pages: list[int]) -> int:
+    def touch_many(self, kind, pages, last=None, first=None) -> int:
+        # ``last`` / ``first`` are orders derived from ``pages``: the
+        # definition needs neither.
         touch = self.touch
         return sum(not touch((kind, page)) for page in pages)

@@ -1,16 +1,19 @@
 """Tests for the instrumented graph session and metrics."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.graphdb import session as session_module
 from repro.graphdb.api import connect
 from repro.graphdb.backends import JANUSGRAPH_LIKE, NEO4J_LIKE
 from repro.graphdb.graph import PropertyGraph
 from repro.graphdb.metrics import ExecutionMetrics, LruPageCache
 from repro.graphdb.query.executor import Executor
-from repro.graphdb.query.vectorized import ExecutionReport, _charge_pages
+from repro.graphdb.query.vectorized import ExecutionReport
 from repro.graphdb.session import GraphSession
 from tests.graphdb.lru_oracle import LoopLruPageCache
 
@@ -163,47 +166,146 @@ class TestTouchMany:
         assert list(cache._pages) == [("v", 1), ("a", 1)]
 
 
+#: ``adjacency_per_page`` differs from ``vertices_per_page``: an array
+#: charged as both kinds must not share one trace.
+SPLIT_PAGES = replace(NEO4J_LIKE, adjacency_per_page=8)
+
+
 @st.composite
 def charge_scripts(draw):
-    """``(capacity, warm-up pages, [(vids, dedup)])``: vid arrays that
-    are often ascending (long same-page runs) and sometimes not."""
+    """``(profile, capacity, warm-up pages, steps)``.  A step charges a
+    vid array - often ascending (long same-page runs), sometimes not -
+    or charges an earlier step's array again, as either kind, or makes
+    one single-page touch, so a kept trace meets a changed LRU."""
+    profile = draw(st.sampled_from([NEO4J_LIKE, SPLIT_PAGES]))
     capacity = draw(st.sampled_from([0, 1, 4, 96]))
     vid = st.integers(0, draw(st.integers(1, 400)))
     vids = st.lists(vid, max_size=80)
-    call = st.tuples(
-        st.one_of(vids.map(sorted), vids), st.booleans()
+    kind = st.sampled_from(["v", "a"])
+    step = st.one_of(
+        st.tuples(
+            st.just("charge"), kind, st.one_of(vids.map(sorted), vids),
+            st.booleans(),
+        ),
+        st.tuples(st.just("again"), kind, st.integers(0, 7), st.booleans()),
+        st.tuples(st.just("touch"), kind, st.integers(0, 40)),
     )
     warm_up = draw(st.lists(st.integers(0, 40), max_size=20))
-    return capacity, warm_up, draw(st.lists(call, min_size=1, max_size=8))
+    return profile, capacity, warm_up, draw(
+        st.lists(step, min_size=1, max_size=12)
+    )
+
+
+def touch_rows(session, kind, vids, dedup):
+    """The reference: one ``_touch_page`` per row, or per run start."""
+    size = (
+        session._vertices_per_page if kind == "v"
+        else session._adjacency_per_page
+    )
+    last = None
+    for vid in vids:
+        page = vid // size
+        if not (dedup and page == last):
+            session._touch_page((kind, page))
+        last = page
+
+
+def paired_sessions(profile=NEO4J_LIKE, capacity=96):
+    """A session and its reference, which settles no page in bulk."""
+    graph = PropertyGraph()
+    return (
+        GraphSession(graph, profile, LruPageCache(capacity)),
+        GraphSession(graph, profile, LoopLruPageCache(capacity)),
+    )
 
 
 class TestChargePages:
-    """The batch path's ``_charge_pages`` hands the cache one page per
-    same-page run: every counter and the recency order must equal one
+    """``GraphSession.charge_pages`` settles a vid array from its page
+    trace - kept per array, so a repeat reads the trace it built
+    before: every counter and the recency order must equal one
     ``_touch_page`` per row (``dedup=False``) or per run start
     (``dedup=True``)."""
 
     @given(charge_scripts())
     @settings(max_examples=300, deadline=None)
     def test_equals_one_touch_per_row(self, script):
-        capacity, warm_up, calls = script
-        graph = PropertyGraph()
-        bulk = GraphSession(graph, NEO4J_LIKE, LruPageCache(capacity))
-        loop = GraphSession(graph, NEO4J_LIKE, LoopLruPageCache(capacity))
+        profile, capacity, warm_up, steps = script
+        bulk, loop = paired_sessions(profile, capacity)
         for session in (bulk, loop):
             for page in warm_up:
                 session.cache.touch(("v", page))
-        per_page = bulk._vertices_per_page
-        for vids, dedup in calls:
-            _charge_pages(bulk, "v", np.array(vids, dtype=np.int64), dedup)
-            last = None
-            for vid in vids:
-                page = vid // per_page
-                if not (dedup and page == last):
-                    loop._touch_page(("v", page))
-                last = page
-            assert bulk.metrics == loop.metrics, (capacity, vids, dedup)
+        arrays = []
+        for step in steps:
+            op, kind, arg = step[:3]
+            if op == "touch":
+                for session in (bulk, loop):
+                    session._touch_page((kind, arg))
+            else:
+                if op == "charge":
+                    arrays.append(np.array(arg, dtype=np.int64))
+                    vids = arrays[-1]
+                elif arrays:
+                    vids = arrays[arg % len(arrays)]
+                else:
+                    continue
+                dedup = step[3]
+                bulk.charge_pages(kind, vids, dedup)
+                touch_rows(loop, kind, vids.tolist(), dedup)
+            assert bulk.metrics == loop.metrics, (capacity, step)
             assert list(bulk.cache._pages) == list(loop.cache._pages)
+
+    def test_kept_key_bytes_stay_under_the_bound(self, monkeypatch):
+        monkeypatch.setattr(session_module, "TRACE_KEY_BYTES", 256)
+        session, _ = paired_sessions()
+        for start in range(0, 400, 10):
+            # 80, 160 or 240 bytes each: old traces make room.
+            n = 10 * (1 + start % 3)
+            session.charge_pages("v", np.arange(start, start + n), False)
+            kept = sum(len(key[3]) for key in session._traces)
+            assert kept == session._trace_bytes <= 256
+        newest = np.arange(390, 400).tobytes()
+        assert list(session._traces)[-1][3] == newest
+
+    def test_array_over_the_bound_is_charged_and_not_kept(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(session_module, "TRACE_KEY_BYTES", 256)
+        bulk, loop = paired_sessions(capacity=4)
+        vids = np.array([0, 1, 40, 200, 3] * 8)  # 320 bytes
+        for dedup in (False, True, False):
+            bulk.charge_pages("v", vids, dedup)
+            touch_rows(loop, "v", vids.tolist(), dedup)
+            assert bulk.metrics == loop.metrics
+            assert list(bulk.cache._pages) == list(loop.cache._pages)
+        assert not bulk._traces and bulk._trace_bytes == 0
+
+    def test_sessions_share_no_trace(self):
+        one, two = paired_sessions()
+        vids = np.arange(100)
+        one.charge_pages("v", vids, False)
+        two.charge_pages("v", vids, False)
+        assert one._traces.keys() == two._traces.keys()
+        key, = one._traces
+        assert one._traces[key] is not two._traces[key]
+
+    def test_loop_oracle_ignores_the_orders(self):
+        # The reference must not read what the bulk path precomputed.
+        def first():
+            raise AssertionError("first-touch order read")
+
+        cache = LoopLruPageCache(4)
+        assert cache.touch_many("v", [1, 1, 2], last=[7], first=first) == 2
+        assert order(cache) == [1, 2]
+
+
+class TestNegativeCacheSize:
+    def test_cache_rejects_it(self):
+        with pytest.raises(ValueError, match="capacity"):
+            LruPageCache(-1)
+
+    def test_session_from_such_a_profile_rejects_it(self, graph):
+        with pytest.raises(ValueError, match="capacity"):
+            GraphSession(graph, replace(NEO4J_LIKE, cache_pages=-4))
 
 
 class TestSession:

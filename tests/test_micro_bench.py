@@ -45,6 +45,7 @@ def test_smoke_section_writes_the_schema(tmp_path, capsys):
     assert [(row["name"], row["unit"]) for row in report["rows"]] == [
         ("derived.adjacency_build", "ms"),
         ("derived.freeze", "ms"),
+        ("derived.page_traces", "us"),
         ("derived.ontology_pagerank.med", "us"),
         ("derived.ontology_pagerank.fin", "us"),
     ]
@@ -54,6 +55,11 @@ def test_smoke_section_writes_the_schema(tmp_path, capsys):
     # neighbor / eid payload it indexes.
     freeze = report["rows"][1]["extra"]
     assert 0 < freeze["csr_bytes"] < freeze["payload_bytes"]
+    # A kept session finds every trace; a fresh one only the arrays a
+    # run charges twice.
+    traces = report["rows"][2]["extra"]
+    assert traces["kept_hit_share"] == 1.0
+    assert 0 <= traces["fresh_hit_share"] < 1
     # The ontology PageRank runs over tens of concepts, not a graph.
     assert all(
         row["extra"]["concepts"] < 100
