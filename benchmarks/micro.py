@@ -15,7 +15,9 @@ no e2e workload that would notice it, and lives here, in five sections:
   or not), the freeze with the bytes of the CSR it builds (e2e times
   the freeze but never sizes it), the page traces a session builds
   the first time it charges a vid array (every warm e2e charge finds
-  its trace kept), and the ontology PageRank on the MED and FIN
+  its trace kept), the planner statistics build on FIN-OPT (FIN-DIR
+  in ``extra``; e2e's ``graph.stats_build`` sums four graphs inside a
+  noisy cold round), and the ontology PageRank on the MED and FIN
   ontologies (the only inputs it ever gets);
 * ``group_commit`` - fsyncs per commit at 1 / 8 / 32 remote writers;
 * ``budgets`` - what switched-off instrumentation may cost: the
@@ -82,6 +84,7 @@ from repro.graphdb.query.executor import Executor  # noqa: E402
 from repro.graphdb.query.vectorized import ExecutionReport  # noqa: E402
 from repro.graphdb.server import GraphServer, ServerConfig  # noqa: E402
 from repro.graphdb.session import GraphSession  # noqa: E402
+from repro.graphdb.statistics import GraphStatistics  # noqa: E402
 from repro.graphdb.storage import GraphStore  # noqa: E402
 from repro.graphdb.storage.wal import WriteAheadLog  # noqa: E402
 from repro.optimizer.pagerank import ontology_pagerank  # noqa: E402
@@ -229,7 +232,8 @@ def paths(bench: Bench) -> None:
 # ----------------------------------------------------------------------
 def derived(bench: Bench) -> None:
     fin = build_fin()
-    graph = build_pipeline(fin, scale=bench.scale).dir_graph
+    pipeline = build_pipeline(fin, scale=bench.scale)
+    graph = pipeline.dir_graph
 
     def adjacency_build():
         graph._adjacency = None         # as a bulk load leaves it
@@ -252,6 +256,16 @@ def derived(bench: Bench) -> None:
         csr_bytes=csr_bytes, payload_bytes=payload_bytes,
     )
     page_traces(bench, graph, fin.queries)
+    opt_graph = pipeline.opt_graph
+    opt, dir_ = bench.time([
+        lambda: GraphStatistics.build(opt_graph),
+        lambda: GraphStatistics.build(graph),
+    ], 15)
+    bench.row(
+        "derived.stats_build", "ms", opt * 1e3, dataset="fin-opt",
+        dir_ms=round(bench.quartiles(dir_ * 1e3)[1], 2),
+        vertices=opt_graph.num_vertices, edges=opt_graph.num_edges,
+    )
     # The paper's PageRank runs over an ontology's concepts (tens of
     # them), once per optimization, never over an instance graph.
     runs = 1 if bench.smoke else PAGERANK_RUNS

@@ -14,14 +14,14 @@
 
 Statistics are derived state with one producer,
 :meth:`GraphStatistics.build` - one batch pass over the graph's
-columns.  :meth:`PropertyGraph.statistics` caches the build and
-rebuilds it once the element mutations since then reach
-``max(64, size >> 4)`` (about 6% of the graph); an index created or
-dropped discards it at once.  Plans stay *correct* on stale
-statistics - only their optimality decays - so the numbers may lag
-the graph by up to that many mutations.  Nothing is persisted: a
-reopened store builds on its first query, from the same columns, the
-same numbers.
+columns, with one ``np.unique`` over the edges' packed codes.
+:meth:`PropertyGraph.statistics` caches the build and rebuilds it once
+the element mutations since then reach ``max(64, size >> 4)`` (about
+6% of the graph); an index created or dropped discards it at once.
+Plans stay *correct* on stale statistics - only their optimality
+decays - so the numbers may lag the graph by up to that many
+mutations.  Nothing is persisted: a reopened store builds on its first
+query, from the same columns, the same numbers.
 
 The **plan cache** lives here because its lifetime is the statistics
 object's lifetime: a small LRU mapping a query (text or AST) to its
@@ -35,6 +35,8 @@ from __future__ import annotations
 from collections import Counter
 from itertools import combinations, compress
 from typing import Iterable
+
+import numpy as np
 
 from repro.graphdb.columnar import KIND_OBJ
 from repro.graphdb.observe import REGISTRY as _OBS
@@ -152,25 +154,21 @@ def _column_histogram(table, column) -> tuple[Counter, int, int]:
     a pure ``compress`` + ``Counter`` fast path.
     """
     mask = column.mask
-    data = column.data
     if table.live != len(table.vids):
         # Tombstoned rows have their presence bits cleared, but guard
         # against vid<0 anyway so a future partial-unset cannot leak
         # removed rows into planner statistics.
         # Columns pad lazily, so the mask may be shorter than the vid
         # list; rows past its end are absent and need no clearing.
-        selectors = bytearray(mask)
-        for row, vid in enumerate(table.vids[:len(selectors)]):
-            if vid < 0:
-                selectors[row] = 0
-        values = list(compress(data, selectors))
-    else:
-        values = list(compress(data, mask))
+        vids = np.fromiter(table.vids[:len(mask)], np.int64)
+        mask = (np.frombuffer(mask, np.uint8) * (vids >= 0)).tobytes()
+    values = list(compress(column.data, mask))
     if column.kind != KIND_OBJ:
         return Counter(values), 0, len(values)
     values = [v for v in values if v is not None]
+    hashables = [v for v in values if type(v) is not list]
     try:
-        return Counter(values), 0, len(values)
+        return Counter(hashables), len(values) - len(hashables), len(values)
     except TypeError:
         hist: Counter = Counter()
         unhashable = 0
@@ -223,9 +221,11 @@ class GraphStatistics:
         the build iterates the graph's per-label-set tables: label and
         label-pair counts fall out of table sizes, each property
         histogram is one :class:`collections.Counter` pass over a flat
-        column, and edge degree statistics aggregate one
-        ``(edge type, src label set, dst label set)`` Counter over the
-        edge columns before fanning out to per-label counters.
+        column (lists count as unhashable unhashed), and edge degree
+        statistics count each live edge's packed ``(edge type, src
+        table, dst table)`` code with one ``np.unique`` - frozen or not,
+        never the CSR - then fan the few distinct triples out to
+        per-label counters in first-live-eid order.
         """
         stats = cls()
         symbols = graph._symbols
@@ -251,21 +251,31 @@ class GraphStatistics:
                     stat.count += total
                     stat.unhashable += unhashable
                     stat_hist = stat.hist
+                    if not stat_hist:
+                        stat.hist = dict(hist)
+                        continue
                     for value, occurrences in hist.items():
                         stat_hist[value] = (
                             stat_hist.get(value, 0) + occurrences
                         )
 
-        v_tid = graph._v_tid
         tables = graph._tables
-        combos = Counter(
-            (sid, v_tid[src], v_tid[dst])
-            for sid, src, dst in zip(
-                graph._e_label, graph._e_src, graph._e_dst
+        n = len(tables)
+        sids, v_tid, srcs, dsts = (
+            np.fromiter(column, np.int64, len(column)) for column in (
+                graph._e_label, graph._v_tid, graph._e_src, graph._e_dst
             )
-            if sid >= 0
         )
-        for (sid, src_tid, dst_tid), count in combos.items():
+        live = sids >= 0
+        codes, first, counts = np.unique(
+            (sids[live] * n + v_tid[srcs[live]]) * n + v_tid[dsts[live]],
+            return_index=True, return_counts=True,
+        )
+        order = np.argsort(first)  # the key order a per-edge pass gives
+        for code, count in zip(codes[order].tolist(),
+                               counts[order].tolist()):
+            code, dst_tid = divmod(code, n)
+            sid, src_tid = divmod(code, n)
             label = symbols.name(sid)
             src_labels = tables[src_tid].labels
             dst_labels = tables[dst_tid].labels

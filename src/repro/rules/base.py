@@ -403,6 +403,14 @@ class SchemaState:
                 changed = True
         return changed
 
+    def held_names(self, node_key: str):
+        """Names every live node of a key has: adding one is a no-op."""
+        keys = self.resolve(node_key)
+        if len(keys) == 1:
+            return self.nodes[keys[0]].properties
+        held = [set(self.nodes[k].properties) for k in keys]
+        return set.intersection(*held) if held else set()
+
     def edges_touching(self, node_key: str) -> list[SchemaEdge]:
         # Iteration order is irrelevant: every consumer performs
         # commutative monotone set updates, so no sort is needed (it

@@ -38,7 +38,8 @@ def transform(
     """Run the enabled rules to a fixpoint and return the final state.
 
     ``rule_order`` overrides the per-iteration dispatch order (used by the
-    confluence tests); ids not present are appended in sorted order.
+    confluence tests); a repeated id is dispatched once, at its first
+    place, and ids not present are appended in sorted order.
     """
     selection = selection or Selection.all()
     state = SchemaState(ontology, thresholds)
@@ -70,9 +71,8 @@ def _resolve_order(
     all_ids = sorted(ontology.relationships)
     if not rule_order:
         return all_ids
-    ordered = [rid for rid in rule_order if rid in ontology.relationships]
-    ordered.extend(rid for rid in all_ids if rid not in set(ordered))
-    return ordered
+    known = ontology.relationships
+    return list(dict.fromkeys([r for r in rule_order if r in known] + all_ids))
 
 
 def _dispatch(

@@ -68,7 +68,10 @@ def _propagate_up(
     """Copy the child's properties and non-inheritance edges upward."""
     changed = False
     child_keys = set(state.resolve(child_key))
+    held = state.held_names(parent_key)
     for prop in state.properties_of(child_key).values():
+        if prop.name in held:
+            continue
         copied = replace(
             prop,
             provenance=(
@@ -120,7 +123,10 @@ def _propagate_down(
     """Copy the parent's properties and non-inheritance edges to a child."""
     changed = False
     parent_keys = set(state.resolve(parent_key))
+    held = state.held_names(child_key)
     for prop in state.properties_of(parent_key).values():
+        if prop.name in held:
+            continue
         copied = replace(
             prop,
             provenance=(

@@ -67,12 +67,15 @@ def _propagate_lists(
     if props is not None and not props:
         return False
     changed = False
+    held = state.held_names(owner)
     for prop in state.properties_of(source).values():
         if props is not None and not _is_selected(prop, source, props):
             continue
         list_name = (
             prop.name if "." in prop.name else f"{source}.{prop.name}"
         )
+        if list_name in held:
+            continue
         replicated = SchemaProperty(
             name=list_name,
             data_type=prop.data_type,

@@ -16,18 +16,23 @@ transaction rolls back:
   the smallest matching eid of a scan of ``_e_src`` / ``_e_dst`` /
   ``_e_label``;
 * ``vertices_with_label``, ``label_count`` and ``labels``: a pass over
-  ``_v_tid`` and ``labels_of``, with label sets that share a label.
+  ``_v_tid`` and ``labels_of``, with label sets that share a label;
+* ``GraphStatistics.build``, every field: a pass over ``vertex_ids``,
+  ``labels_of``, each vertex's property dict (``is_hashable`` decides
+  histogram or unhashable) and every live eid of the edge columns.
 
 ``REPRO_DIFF_SEED`` seeds the draw, as for the differential query
 fuzzer; CI runs one extra logged random seed per build.
 """
 
 import os
+from itertools import combinations
 
 from hypothesis import example, given, seed, settings
 
 from repro.graphdb.graph import PropertyGraph
 from repro.graphdb.session import GraphSession
+from repro.graphdb.statistics import GraphStatistics, is_hashable
 from tests.graphdb.freeze_oracle import reference_freeze
 from tests.graphdb.randgraph import EDGE_TYPES, SCRIPTS, run_script
 
@@ -146,16 +151,66 @@ def check_labels(graph: PropertyGraph) -> None:
     )
 
 
+def check_statistics(graph: PropertyGraph, edges) -> None:
+    def bump(counts: dict, key, by=1) -> None:
+        counts[key] = counts.get(key, 0) + by
+
+    want = {name: {} for name in (
+        "label_counts", "edge_label_counts", "_src", "_dst", "_triples",
+        "_src_total", "_dst_total", "_label_pairs",
+    )}
+    props: dict = {}  # (label, name) -> [count, unhashable, hist]
+    vertices = graph.vertex_ids()
+    for vid in vertices:
+        labels = graph.labels_of(vid)
+        for label in labels:
+            bump(want["label_counts"], label)
+        for pair in combinations(sorted(labels), 2):
+            bump(want["_label_pairs"], pair)
+        for name, value in graph.vertex(vid).properties.items():
+            if value is None:
+                continue
+            for label in labels:
+                stat = props.setdefault((label, name), [0, 0, {}])
+                stat[0] += 1
+                if is_hashable(value):
+                    bump(stat[2], value)
+                else:
+                    stat[1] += 1
+    for _eid, src, dst, label in edges:
+        bump(want["edge_label_counts"], label)
+        for near in graph.labels_of(src):
+            bump(want["_src"], (label, near))
+            bump(want["_src_total"], near)
+            for far in graph.labels_of(dst):
+                bump(want["_triples"], (label, near, far))
+        for near in graph.labels_of(dst):
+            bump(want["_dst"], (label, near))
+            bump(want["_dst_total"], near)
+    stats = GraphStatistics.build(graph)
+    assert (stats.num_vertices, stats.num_edges) == (
+        len(vertices), len(edges)
+    )
+    for name, counts in want.items():
+        assert getattr(stats, name) == counts, name
+    assert {
+        key: [stat.count, stat.unhashable, stat.hist]
+        for key, stat in stats.props.items()
+    } == props
+
+
 def check(graph: PropertyGraph, frozen: bool) -> None:
     edges = column_edges(graph)
     if frozen:
         graph.freeze()
         check_expand(graph, edges, frozen)
+        check_statistics(graph, edges)
         return  # nothing else reads the CSR
     assert graph.arrays().type_rank is None  # not frozen
     check_expand(graph, edges, frozen)
     check_probes(graph, edges)
     check_labels(graph)
+    check_statistics(graph, edges)
 
 
 #: Pinned: vertex 0 meets U before T but the graph meets T first, so
@@ -167,12 +222,23 @@ PINNED = (
     ],
     [("v", ("B",)), ("v", ("B",)), ("rm_v", 0)],
 )
+#: Pinned: a list-valued object column on a table with a tombstoned
+#: row: the lists count as unhashable, the removed row not at all.
+LISTS = (
+    [("v", ("A",))] * 2 + [
+        ("vs", [(("A",), {"x": ["a"]}), (("A",), {"x": "b"}),
+                (("A",), {"x": ["a"]})]),
+        ("rm_v", 2), ("e", "T", [(0, 2), (2, 1)]),
+    ],
+    [("rm_v", 0)],
+)
 
 
 @seed(SEED)
 @settings(max_examples=25, deadline=None, database=None)
 @given(script=SCRIPTS, more=SCRIPTS)
 @example(*PINNED)
+@example(*LISTS)
 def test_derived_reads_match_the_columns(script, more):
     graph = run_script(script, bulk=True)
     check(graph, frozen=False)
@@ -183,3 +249,17 @@ def test_derived_reads_match_the_columns(script, more):
     graph.rollback_transaction()
     check(graph, frozen=False)
     check(graph, frozen=True)
+
+
+def test_statistics_skip_a_tombstoned_row_that_keeps_its_values():
+    """The build's tombstone guard: a row removed without clearing its
+    presence bits (a partial unset) counts for nothing, its list value
+    included.  The last vertex of ``LISTS`` has no edges."""
+    graph = run_script(LISTS[0], bulk=True)
+    vid = graph.vertex_ids()[-1]
+    table = graph._tables[graph._v_tid[vid]]
+    assert table.get_prop(graph._v_row[vid], graph.symbols.sid("x")) == ["a"]
+    table.vids[graph._v_row[vid]] = -1
+    table.live -= 1
+    graph._v_tid[vid] = -1
+    check_statistics(graph, column_edges(graph))

@@ -46,6 +46,7 @@ def test_smoke_section_writes_the_schema(tmp_path, capsys):
         ("derived.adjacency_build", "ms"),
         ("derived.freeze", "ms"),
         ("derived.page_traces", "us"),
+        ("derived.stats_build", "ms"),
         ("derived.ontology_pagerank.med", "us"),
         ("derived.ontology_pagerank.fin", "us"),
     ]
@@ -60,6 +61,9 @@ def test_smoke_section_writes_the_schema(tmp_path, capsys):
     traces = report["rows"][2]["extra"]
     assert traces["kept_hit_share"] == 1.0
     assert 0 <= traces["fresh_hit_share"] < 1
+    # The statistics row times FIN-OPT and carries FIN-DIR's time.
+    stats = report["rows"][3]["extra"]
+    assert stats["dataset"] == "fin-opt" and stats["dir_ms"] > 0
     # The ontology PageRank runs over tens of concepts, not a graph.
     assert all(
         row["extra"]["concepts"] < 100
