@@ -261,15 +261,18 @@ class GraphStatistics:
 
         tables = graph._tables
         n = len(tables)
-        sids, v_tid, srcs, dsts = (
-            np.fromiter(column, np.int64, len(column)) for column in (
-                graph._e_label, graph._v_tid, graph._e_src, graph._e_dst
-            )
-        )
-        live = sids >= 0
+
+        def ints(column: list[int]) -> np.ndarray:
+            return np.fromiter(column, np.int64, len(column))
+
+        # (sid * n + src tid) * n + dst tid, packed in place.
+        v_tid, codes = ints(graph._v_tid), ints(graph._e_label)
+        live = codes >= 0
+        for ends in (graph._e_src, graph._e_dst):
+            codes *= n
+            codes += v_tid[ints(ends)]
         codes, first, counts = np.unique(
-            (sids[live] * n + v_tid[srcs[live]]) * n + v_tid[dsts[live]],
-            return_index=True, return_counts=True,
+            codes[live], return_index=True, return_counts=True
         )
         order = np.argsort(first)  # the key order a per-edge pass gives
         for code, count in zip(codes[order].tolist(),
