@@ -221,7 +221,7 @@ class GraphStatistics:
         the build iterates the graph's per-label-set tables: label and
         label-pair counts fall out of table sizes, each property
         histogram is one :class:`collections.Counter` pass over a flat
-        column (lists count as unhashable unhashed), and edge degree
+        column (lists count as unhashable, never hashed), and edge degree
         statistics count each live edge's packed ``(edge type, src
         table, dst table)`` code with one ``np.unique`` - frozen or not,
         never the CSR - then fan the few distinct triples out to

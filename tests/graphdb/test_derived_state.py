@@ -152,8 +152,8 @@ def check_labels(graph: PropertyGraph) -> None:
 
 
 def check_statistics(graph: PropertyGraph, edges) -> None:
-    def bump(counts: dict, key, by=1) -> None:
-        counts[key] = counts.get(key, 0) + by
+    def bump(counts: dict, key) -> None:
+        counts[key] = counts.get(key, 0) + 1
 
     want = {name: {} for name in (
         "label_counts", "edge_label_counts", "_src", "_dst", "_triples",
