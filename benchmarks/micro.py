@@ -51,6 +51,7 @@ commit, no resolved budget is exceeded.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import platform
@@ -74,6 +75,7 @@ from run import git_commit  # noqa: E402
 from workloads import ServerThread  # noqa: E402
 
 from repro.bench.harness import build_pipeline  # noqa: E402
+from repro.data import load_direct, load_optimized  # noqa: E402
 from repro.datasets import build_fin, build_med  # noqa: E402
 from repro.graphdb import connect, faults, observe  # noqa: E402
 from repro.graphdb.api import result as result_mod  # noqa: E402
@@ -266,6 +268,7 @@ def derived(bench: Bench) -> None:
         dir_ms=round(bench.quartiles(dir_ * 1e3)[1], 2),
         vertices=opt_graph.num_vertices, edges=opt_graph.num_edges,
     )
+    load(bench, fin, pipeline.result.mapping)
     # The paper's PageRank runs over an ontology's concepts (tens of
     # them), once per optimization, never over an instance graph.
     runs = 1 if bench.smoke else PAGERANK_RUNS
@@ -282,6 +285,44 @@ def derived(bench: Bench) -> None:
             samples / runs * 1e6, concepts=len(ontology.concepts),
             iterations=ontology_pagerank(ontology).iterations,
         )
+
+
+def load(bench: Bench, dataset, mapping) -> None:
+    """The cold build of one dataset's two graphs: generate, then
+    ``load_direct`` and ``load_optimized``, each part's ms (corrected
+    as the total is) and the collector's passes by generation a
+    round."""
+    parts: list[tuple[float, ...]] = []
+    passes: list[list[int]] = []
+
+    def build():
+        before = [stat["collections"] for stat in gc.get_stats()]
+        start = perf_counter()
+        logical = dataset.logical(scale=bench.scale)
+        generated = perf_counter()
+        load_direct(logical)
+        loaded = perf_counter()
+        load_optimized(logical, mapping)
+        parts.append((start, generated, loaded, perf_counter()))
+        passes.append([
+            stat["collections"] - was
+            for stat, was in zip(gc.get_stats(), before)
+        ])
+
+    (samples,) = bench.time([build], 9)
+    timed = np.array(parts[1:])     # the first run is the untimed one
+    scale = samples / (timed[:, 3] - timed[:, 0])
+    spans = np.diff(timed, axis=1) * scale[:, None] * 1e3
+    generate_ms, dir_ms, opt_ms = np.median(spans, axis=0)
+    bench.row(
+        "derived.load", "ms", samples * 1e3, dataset="fin",
+        generate_ms=round(float(generate_ms), 2),
+        load_dir_ms=round(float(dir_ms), 2),
+        load_opt_ms=round(float(opt_ms), 2),
+        gc_collections=[
+            float(np.median(column)) for column in zip(*passes[1:])
+        ],
+    )
 
 
 def page_traces(bench: Bench, graph, queries) -> None:

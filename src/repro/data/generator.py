@@ -30,13 +30,17 @@ The rng draw order is a contract, pinned by the per-element oracle
 Within that order the work is batched: each concept's property layout
 (name, identity or pooled, value formatter) is resolved once, the
 pooled values are looked up in a seven-entry table, and each concept's
-instances and each relationship's links are added in one call.
+instances and each relationship's links are added in one call.  What
+it adds is columns (:mod:`repro.data.logical`): one value list per
+property and two int arrays per relationship.  The draws run over
+instance-id lists; ``shuffle``, ``choice`` and ``sample`` draw the same
+whatever the elements are, so the ids pair up as the uids once did.
 """
 
 from __future__ import annotations
 
 import random
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Callable
 
 from repro.data.logical import LogicalDataset
@@ -84,50 +88,60 @@ def _materialize_instances(
         dataset.add_instances(
             concept,
             [f"{concept}#{i}" for i in range(count)],
-            _property_rows(_layout(ontology, concept), range(count), rng),
+            columns=_property_columns(
+                _layout(ontology, concept), range(count), rng
+            ),
         )
 
     resolved: set[str] = set(ontology.concepts) - derived
-    concept_of = dataset.concept_of
-
-    def resolve(concept: str, trail: tuple[str, ...] = ()) -> None:
-        if concept in resolved:
-            return
-        if concept in trail:
-            raise DataGenerationError(
-                f"cyclic twin derivation at {concept!r}"
-            )
-        structural = [
-            rel
-            for rel in ontology.out_edges(concept)
-            if rel.rel_type
-            in (RelationshipType.INHERITANCE, RelationshipType.UNION)
-        ]
-        layout = _layout(ontology, concept)
-        counter = 0
-        for rel in structural:
-            resolve(rel.dst, trail + (concept,))
-            parts = dataset.instances_of(rel.dst)
-            twins = [f"{concept}|{part_uid}" for part_uid in parts]
-            # A concept can relate to the same child through several
-            # structural relationships (e.g. both unionOf and isA); the
-            # twin is shared.
-            new = [uid for uid in twins if uid not in concept_of]
-            dataset.add_instances(
-                concept,
-                new,
-                _property_rows(
-                    layout, range(counter, counter + len(new)), rng
-                ),
-            )
-            counter += len(new)
-            # Instance-level structural link: parent/union twins are
-            # the *source* side of the ontology relationship.
-            dataset.add_links(rel.rel_id, list(zip(twins, parts)))
-        resolved.add(concept)
-
     for concept in sorted(derived):
-        resolve(concept)
+        _add_twins(ontology, dataset, rng, concept, resolved)
+
+
+def _add_twins(
+    ontology: Ontology,
+    dataset: LogicalDataset,
+    rng: random.Random,
+    concept: str,
+    resolved: set[str],
+    trail: tuple[str, ...] = (),
+) -> None:
+    """The twins of derived ``concept`` (after those of the derived
+    concepts its structural relationships point at) and their links."""
+    if concept in resolved:
+        return
+    if concept in trail:
+        raise DataGenerationError(f"cyclic twin derivation at {concept!r}")
+    structural = [
+        rel
+        for rel in ontology.out_edges(concept)
+        if rel.rel_type
+        in (RelationshipType.INHERITANCE, RelationshipType.UNION)
+    ]
+    layout = _layout(ontology, concept)
+    uids = dataset.uids
+    #: part id -> its twin's id.  A concept can relate to the same
+    #: child through several structural relationships (e.g. both
+    #: unionOf and isA); the twin is shared.
+    twin_of: dict[int, int] = {}
+    for rel in structural:
+        _add_twins(ontology, dataset, rng, rel.dst, resolved,
+                   trail + (concept,))
+        parts = dataset.ids_of(rel.dst).tolist()
+        new = [part for part in parts if part not in twin_of]
+        twin_of.update(zip(new, dataset.add_instances(
+            concept,
+            [f"{concept}|{uids[part]}" for part in new],
+            columns=_property_columns(
+                layout, range(len(twin_of), len(twin_of) + len(new)), rng
+            ),
+        )))
+        # Instance-level structural link: parent/union twins are the
+        # *source* side of the ontology relationship.
+        dataset.add_link_ids(
+            rel.rel_id, list(map(twin_of.__getitem__, parts)), parts
+        )
+    resolved.add(concept)
 
 
 def _layout(ontology: Ontology, concept: str) -> list[_Slot]:
@@ -170,36 +184,35 @@ def _formatter(
     return lambda token: bool(token % 2)  # DataType.BOOL
 
 
-def _property_rows(
+def _property_columns(
     layout: list[_Slot], indices: range, rng: random.Random
-) -> list[dict[str, object]]:
-    """One property dict per instance index, drawing instance by
-    instance and, within an instance, pooled property by pooled
-    property - the draw order of one ``_properties_for`` per instance.
+) -> dict[str, list]:
+    """One value list per property, one value per instance index,
+    drawing instance by instance and, within an instance, pooled
+    property by pooled property - the draw order of one
+    ``_properties_for`` per instance.
     """
-    if not layout:
-        return [{} for _ in indices]
     pooled = sum(1 for _, _, table in layout if table is not None)
     draws = list(map(rng.randrange, repeat(POOL, len(indices) * pooled)))
-    columns = []
+    columns = {}
     slot = 0
-    for _, fmt, table in layout:
+    for name, fmt, table in layout:
         if table is None:
-            columns.append(map(fmt, indices))
+            columns[name] = list(map(fmt, indices))
         else:
-            columns.append(map(table.__getitem__, draws[slot::pooled]))
+            columns[name] = list(map(table.__getitem__, draws[slot::pooled]))
             slot += 1
-    names = [name for name, _, _ in layout]
-    return list(map(dict, map(zip, repeat(names), zip(*columns))))
+    return columns
 
 
 def _properties_for(
     ontology: Ontology, concept: str, index: int, rng: random.Random
 ) -> dict[str, object]:
     """The property values of ``concept``'s instance number ``index``."""
-    return _property_rows(
+    columns = _property_columns(
         _layout(ontology, concept), range(index, index + 1), rng
-    )[0]
+    )
+    return {name: values[0] for name, values in columns.items()}
 
 
 # ----------------------------------------------------------------------
@@ -214,8 +227,8 @@ def _materialize_functional_links(
     for rel in ontology.iter_relationships():
         if not rel.rel_type.is_functional:
             continue
-        src_pool = dataset.instances_of(rel.src)
-        dst_pool = dataset.instances_of(rel.dst)
+        src_pool = dataset.ids_of(rel.src).tolist()
+        dst_pool = dataset.ids_of(rel.dst).tolist()
         if not src_pool or not dst_pool:
             raise DataGenerationError(
                 f"relationship {rel.rel_id} has an empty endpoint"
@@ -223,18 +236,18 @@ def _materialize_functional_links(
         if rel.rel_type is RelationshipType.ONE_TO_ONE:
             shuffled = list(dst_pool)
             rng.shuffle(shuffled)
-            pairs = list(zip(src_pool, shuffled))
+            count = min(len(src_pool), len(shuffled))
+            srcs, dsts = src_pool[:count], shuffled[:count]
         elif rel.rel_type is RelationshipType.ONE_TO_MANY:
             # Each "many"-side instance points back to one source.
-            sources = map(rng.choice, repeat(src_pool, len(dst_pool)))
-            pairs = list(zip(sources, dst_pool))
+            srcs = list(map(rng.choice, repeat(src_pool, len(dst_pool))))
+            dsts = dst_pool
         else:  # MANY_TO_MANY
             total = stats.rel_card(rel.rel_id)
             fanout = min(max(1, round(total / len(src_pool))), len(dst_pool))
-            sample = rng.sample
-            pairs = [
-                (src_uid, dst_uid)
-                for src_uid in src_pool
-                for dst_uid in sample(dst_pool, fanout)
-            ]
-        dataset.add_links(rel.rel_id, pairs)
+            srcs = [src for src in src_pool for _ in range(fanout)]
+            dsts = list(chain.from_iterable(map(
+                rng.sample, repeat(dst_pool, len(src_pool)),
+                repeat(fanout),
+            )))
+        dataset.add_link_ids(rel.rel_id, srcs, dsts)

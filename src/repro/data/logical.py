@@ -12,112 +12,302 @@ instance carrying the parent's/union's properties, linked by an
 instance-level ``isA``/``unionOf`` edge - exactly the structure shown in
 the paper's Figure 1(b), where ``di1`` (a DrugInteraction) sits between
 ``drug1`` and the ``dfi1``/``dli1`` vertices.
+
+The data is stored by column:
+
+* every instance has a dense int id, in insertion order, and
+  ``uids[id]`` its uid string (for display and the uid-keyed API);
+* ``ids[concept]`` lists a concept's instance ids, and
+  ``columns[concept][name]`` holds one value per id of that list
+  (:data:`ABSENT` where an instance lacks the property);
+* ``link_ids[rel_id]`` is a pair of ``array('q')`` (source ids, target
+  ids), in link order.
+
+The loaders and the updater read these; ``instances``, ``properties``,
+``links`` and ``concept_of`` are read-only dict views keyed by uid,
+built on first use and dropped by every mutation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import chain
+from array import array
+from itertools import chain, repeat
+from types import MappingProxyType
+
+import numpy as np
 
 from repro.exceptions import DataGenerationError
+from repro.graphdb.columnar import ABSENT
 from repro.ontology.model import Ontology
 
 
-@dataclass
+def as_numpy(ids) -> np.ndarray:
+    """An int64 copy of an id sequence: a copy, not a view, since a
+    view would pin an ``array('q')``'s buffer against appends."""
+    return np.array(ids, dtype=np.int64)
+
+
 class LogicalDataset:
     """Instances, property values, and instance-level links."""
 
-    ontology: Ontology
-    #: concept name -> ordered list of instance uids
-    instances: dict[str, list[str]] = field(default_factory=dict)
-    #: instance uid -> property values
-    properties: dict[str, dict[str, object]] = field(default_factory=dict)
-    #: relationship id -> list of (src uid, dst uid) pairs
-    links: dict[str, list[tuple[str, str]]] = field(default_factory=dict)
-    #: instance uid -> concept name (reverse index)
-    concept_of: dict[str, str] = field(default_factory=dict)
+    def __init__(self, ontology: Ontology):
+        self.ontology = ontology
+        #: instance id -> uid
+        self.uids: list[str] = []
+        #: concept position -> name, in order of first instance
+        self.concepts: list[str] = []
+        #: instance id -> position of its concept in ``concepts``
+        self.concept_index = array("q")
+        #: instance id -> its row in its concept's columns
+        self.row_of = array("q")
+        #: concept -> instance ids, in insertion order
+        self.ids: dict[str, array] = {}
+        #: concept -> property name -> one value per row
+        self.columns: dict[str, dict[str, list]] = {}
+        #: relationship id -> (source ids, target ids)
+        self.link_ids: dict[str, tuple[array, array]] = {}
+        #: uid -> id, built by the first uid-keyed call, then kept
+        self._id_of: dict[str, int] | None = None
+        #: the dict views, built on first use
+        self._views: dict[str, MappingProxyType] = {}
 
     # ------------------------------------------------------------------
-    # Construction helpers
+    # Construction
     # ------------------------------------------------------------------
     def add_instance(
         self, concept: str, uid: str, props: dict[str, object]
-    ) -> None:
-        self.add_instances(concept, [uid], [props])
+    ) -> int:
+        return self.add_instances(concept, [uid], [props])[0]
 
     def add_instances(
         self,
         concept: str,
         uids: list[str],
-        props: list[dict[str, object]],
-    ) -> None:
-        """Add ``uids`` (with their ``props``, pairwise) to ``concept``.
+        props: list[dict[str, object]] | None = None,
+        columns: dict[str, list] | None = None,
+    ) -> range:
+        """Add ``uids`` to ``concept`` and return their ids.
 
-        A duplicate uid - known already or repeated in ``uids`` -
-        raises before anything is added.  The ``uids`` list becomes
-        ``concept``'s instance list when it has none yet: the caller
-        hands it over.
+        The values come as one dict per uid (``props``) or as one list
+        per property name (``columns``, :data:`ABSENT` for a missing
+        value).  A column list becomes the concept's column when the
+        concept has none yet: the caller hands it over.  A duplicate
+        uid - known already or repeated in ``uids`` - raises before
+        anything is added.
         """
-        if not uids:
-            return
-        concept_of = self.concept_of
-        batch = dict.fromkeys(uids, concept)
-        if len(batch) < len(uids) or not concept_of.keys().isdisjoint(batch):
+        count = len(uids)
+        if props is not None:
+            if len(props) != count:
+                raise DataGenerationError(
+                    f"{count} uids for {len(props)} property dicts"
+                )
+            names = dict.fromkeys(chain.from_iterable(props))
+            columns = {
+                name: [row.get(name, ABSENT) for row in props]
+                for name in names
+            }
+        columns = columns or {}
+        if any(len(values) != count for values in columns.values()):
+            raise DataGenerationError(
+                f"{count} uids for property columns of another length"
+            )
+        start = len(self.uids)
+        if not count:
+            return range(start, start)
+        id_of = self._index()
+        batch = dict(zip(uids, range(start, start + count)))
+        if len(batch) < count or not id_of.keys().isdisjoint(batch):
             seen = set()
             for uid in uids:
-                if uid in concept_of or uid in seen:
+                if uid in id_of or uid in seen:
                     raise DataGenerationError(
                         f"duplicate instance uid {uid!r}"
                     )
                 seen.add(uid)
-        existing = self.instances.get(concept)
-        if existing is None:
-            self.instances[concept] = uids
-        else:
-            existing.extend(uids)
-        self.properties.update(zip(uids, props, strict=True))
-        concept_of.update(batch)
+        id_of.update(batch)
+        ids = self.ids.get(concept)
+        if ids is None:
+            ids = self.ids[concept] = array("q")
+            self.columns[concept] = {}
+            self.concepts.append(concept)
+        held = self.columns[concept]
+        rows = len(ids)
+        for name, values in columns.items():
+            column = held.get(name)
+            if column is None:
+                held[name] = (
+                    values if not rows and type(values) is list
+                    else [ABSENT] * rows + list(values)
+                )
+            else:
+                column.extend(values)
+        for name, column in held.items():
+            if name not in columns:
+                column.extend(repeat(ABSENT, count))
+        ids.extend(range(start, start + count))
+        self.uids.extend(uids)
+        self.concept_index.extend(
+            repeat(self.concepts.index(concept), count)
+        )
+        self.row_of.extend(range(rows, rows + count))
+        self._views.clear()
+        return range(start, start + count)
 
     def add_link(self, rel_id: str, src_uid: str, dst_uid: str) -> None:
         self.add_links(rel_id, [(src_uid, dst_uid)])
 
     def add_links(self, rel_id: str, pairs: list[tuple[str, str]]) -> None:
-        """Append ``pairs`` to ``rel_id``'s links.
+        """Append the uid ``pairs`` to ``rel_id``'s links.
 
         An endpoint that is no known instance raises, naming the first
-        one, before anything is added.  The ``pairs`` list becomes
-        ``rel_id``'s link list when it has none yet: the caller hands it
-        over.  An empty batch adds no key (the key order of ``links``
-        is the order edge labels are interned in).
+        one, before anything is added.
         """
-        if not pairs:
-            return
-        concept_of = self.concept_of
-        if not all(map(concept_of.__contains__, chain.from_iterable(pairs))):
+        id_of = self._index()
+        try:
+            srcs = [id_of[src] for src, _dst in pairs]
+            dsts = [id_of[dst] for _src, dst in pairs]
+        except KeyError:
             missing = next(
                 uid for uid in chain.from_iterable(pairs)
-                if uid not in concept_of
+                if uid not in id_of
             )
-            raise DataGenerationError(f"unknown instance {missing!r}")
-        existing = self.links.get(rel_id)
-        if existing is None:
-            self.links[rel_id] = pairs
-        else:
-            existing.extend(pairs)
+            raise DataGenerationError(
+                f"unknown instance {missing!r}"
+            ) from None
+        self.add_link_ids(rel_id, srcs, dsts)
+
+    def add_link_ids(self, rel_id: str, srcs, dsts) -> None:
+        """Append the links ``srcs[i] -> dsts[i]`` by instance id.
+
+        The ids are taken as given: :meth:`validate` checks them.  An
+        empty batch adds no key (the key order of ``link_ids`` is the
+        order edge labels are interned in).
+        """
+        if len(srcs) != len(dsts):
+            raise DataGenerationError(
+                f"{len(srcs)} link sources for {len(dsts)} targets"
+            )
+        if not len(srcs):
+            return
+        held = self.link_ids.get(rel_id)
+        if held is None:
+            held = self.link_ids[rel_id] = (array("q"), array("q"))
+        held[0].extend(srcs)
+        held[1].extend(dsts)
+        self._views.clear()
 
     def remove_link(self, rel_id: str, src_uid: str, dst_uid: str) -> None:
         """Remove one ``src -> dst`` link of ``rel_id`` (the first, if
         the pair is linked more than once)."""
-        try:
-            self.links_of(rel_id).remove((src_uid, dst_uid))
-        except ValueError:
-            raise DataGenerationError(
-                f"no link {src_uid} -> {dst_uid} in {rel_id}"
-            ) from None
+        id_of = self._index()
+        src, dst = id_of.get(src_uid), id_of.get(dst_uid)
+        srcs, dsts = self.link_ids.get(rel_id, ((), ()))
+        for at, (a, b) in enumerate(zip(srcs, dsts)):
+            if a == src and b == dst:
+                del srcs[at], dsts[at]
+                self._views.clear()
+                return
+        raise DataGenerationError(
+            f"no link {src_uid} -> {dst_uid} in {rel_id}"
+        )
+
+    def set_property(self, uid: str, name: str, value: object) -> None:
+        """Set one property of one instance."""
+        iid = self.id_of(uid)
+        held = self.columns[self.concept_name(iid)]
+        column = held.get(name)
+        if column is None:
+            column = held[name] = [ABSENT] * len(
+                self.ids[self.concept_name(iid)]
+            )
+        column[self.row_of[iid]] = value
+        self._views.clear()
 
     # ------------------------------------------------------------------
-    # Access
+    # Access by id
     # ------------------------------------------------------------------
+    def _index(self) -> dict[str, int]:
+        if self._id_of is None:
+            self._id_of = dict(zip(self.uids, range(len(self.uids))))
+        return self._id_of
+
+    def id_of(self, uid: str) -> int:
+        try:
+            return self._index()[uid]
+        except KeyError:
+            raise DataGenerationError(f"unknown instance {uid!r}") from None
+
+    def has_instance(self, uid: str) -> bool:
+        return uid in self._index()
+
+    def concept_name(self, iid: int) -> str:
+        return self.concepts[self.concept_index[iid]]
+
+    def ids_of(self, concept: str) -> array:
+        return self.ids.get(concept, array("q"))
+
+    def links_by_id(self, rel_id: str) -> tuple[array, array]:
+        return self.link_ids.get(rel_id, (array("q"), array("q")))
+
+    def properties_of(self, iid: int) -> dict[str, object]:
+        """The properties instance ``iid`` carries, in column order."""
+        row = self.row_of[iid]
+        return {
+            name: values[row]
+            for name, values in self.columns[self.concept_name(iid)].items()
+            if values[row] is not ABSENT
+        }
+
+    # ------------------------------------------------------------------
+    # Access by uid: the read-only dict views
+    # ------------------------------------------------------------------
+    def _view(self, name: str, build) -> MappingProxyType:
+        view = self._views.get(name)
+        if view is None:
+            view = self._views[name] = MappingProxyType(build())
+        return view
+
+    @property
+    def instances(self) -> MappingProxyType:
+        """concept -> its instance uids, in insertion order."""
+        uid = self.uids.__getitem__
+        return self._view("instances", lambda: {
+            concept: list(map(uid, ids)) for concept, ids in self.ids.items()
+        })
+
+    @property
+    def concept_of(self) -> MappingProxyType:
+        """uid -> concept, in id order."""
+        return self._view("concept_of", lambda: dict(zip(
+            self.uids, map(self.concepts.__getitem__, self.concept_index)
+        )))
+
+    @property
+    def properties(self) -> MappingProxyType:
+        """uid -> property dict (column order), in id order."""
+        def build():
+            rows: list[dict | None] = [None] * len(self.uids)
+            for concept, ids in self.ids.items():
+                columns = self.columns[concept]
+                names = list(columns)
+                for iid, values in zip(ids, zip(*columns.values()) if names
+                                       else repeat(())):
+                    rows[iid] = {
+                        name: value for name, value in zip(names, values)
+                        if value is not ABSENT
+                    }
+            return dict(zip(self.uids, rows))
+        return self._view("properties", build)
+
+    @property
+    def links(self) -> MappingProxyType:
+        """relationship id -> its (source uid, target uid) pairs."""
+        uid = self.uids.__getitem__
+        return self._view("links", lambda: {
+            rel_id: list(zip(map(uid, srcs), map(uid, dsts)))
+            for rel_id, (srcs, dsts) in self.link_ids.items()
+        })
+
     def instances_of(self, concept: str) -> list[str]:
         return self.instances.get(concept, [])
 
@@ -126,11 +316,11 @@ class LogicalDataset:
 
     @property
     def num_instances(self) -> int:
-        return len(self.concept_of)
+        return len(self.uids)
 
     @property
     def num_links(self) -> int:
-        return sum(len(pairs) for pairs in self.links.values())
+        return sum(len(srcs) for srcs, _dsts in self.link_ids.values())
 
     def summary(self) -> str:
         return (
@@ -139,15 +329,30 @@ class LogicalDataset:
         )
 
     def validate(self) -> None:
-        """Check referential integrity and endpoint concepts of links."""
-        for rel_id, pairs in self.links.items():
+        """Check referential integrity and endpoint concepts of links:
+        per relationship, one gather of the per-id concept index."""
+        concept_of = as_numpy(self.concept_index)
+        count = len(concept_of)
+        position = {c: i for i, c in enumerate(self.concepts)}
+        for rel_id, ends in self.link_ids.items():
             rel = self.ontology.relationship(rel_id)
-            for src_uid, dst_uid in pairs:
-                src_concept = self.concept_of.get(src_uid)
-                dst_concept = self.concept_of.get(dst_uid)
-                if src_concept != rel.src or dst_concept != rel.dst:
+            for ids, want in zip(map(as_numpy, ends), (rel.src, rel.dst)):
+                bad = (ids < 0) | (ids >= count)
+                if bad.any():
                     raise DataGenerationError(
-                        f"link {rel_id} connects {src_concept!r} -> "
-                        f"{dst_concept!r}, expected {rel.src!r} -> "
-                        f"{rel.dst!r}"
+                        f"link {rel_id} names unknown instance id "
+                        f"{int(ids[bad.argmax()])}"
                     )
+            srcs, dsts = (concept_of[as_numpy(ids)] for ids in ends)
+            wrong = (srcs != position.get(rel.src, -1)) | (
+                dsts != position.get(rel.dst, -1)
+            )
+            if wrong.any():
+                at = int(wrong.argmax())
+                src_concept = self.concepts[srcs[at]]
+                dst_concept = self.concepts[dsts[at]]
+                raise DataGenerationError(
+                    f"link {rel_id} connects {src_concept!r} -> "
+                    f"{dst_concept!r}, expected {rel.src!r} -> "
+                    f"{rel.dst!r}"
+                )

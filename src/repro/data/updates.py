@@ -7,10 +7,10 @@ changes."*
 :class:`GraphUpdater` applies an instance-level update to the logical
 dataset, then re-derives what it touched in the materialized DIR and
 OPT graphs **with the loader's own functions** (:mod:`repro.data.loader`:
-``_add_link_edges``, ``_UnionFind``, ``_group_labels``,
-``_merged_properties``, ``_replicated_lists``).  It holds no rule of
-its own about what a :class:`SchemaMapping` does to instances, so an
-updated pair of graphs equals ``load_direct(logical)`` /
+``_add_link_edges``, ``_components``, ``_group_vertices``,
+``_group_runs``, ``_replicated_lists``).  It holds no rule of its own
+about what a :class:`SchemaMapping` does to instances, so an updated
+pair of graphs equals ``load_direct(logical)`` /
 ``load_optimized(logical, mapping)`` of the updated data, vertex by
 vertex and list order included (``tests/data/test_update_parity.py``):
 
@@ -25,8 +25,11 @@ vertex and list order included (``tests/data/test_update_parity.py``):
   vertex and its neighbours (a list may read the value through any
   member of the merged group).
 
-Lists are recomputed from the logical links, the single source of
-truth; an entry-level delta would be the next optimization.  Updates
+The updater works in instance ids, as the loaders do: an update takes
+uids, resolves them once, and appends the new instances' vids and
+group roots to the :class:`LoadRegistry` arrays.  Lists are recomputed
+from the logical link arrays, the single source of truth; an
+entry-level delta would be the next optimization.  Updates
 that change which vertices exist are refused, not patched: links of a
 *structural* relationship belong to ``insert_instance``, and links of
 a relationship the mapping *collapsed* merge or split vertices.
@@ -37,16 +40,19 @@ transformation overheads is left as future work").
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.data.loader import (
     LoadRegistry,
     _add_link_edges,
-    _group_labels,
-    _link_vids,
-    _merged_properties,
+    _components,
+    _gather,
+    _group_runs,
+    _group_vertices,
+    _grouped,
     _replicated_lists,
-    _UnionFind,
 )
-from repro.data.logical import LogicalDataset
+from repro.data.logical import LogicalDataset, as_numpy
 from repro.exceptions import DataGenerationError
 from repro.graphdb.graph import PropertyGraph
 from repro.ontology.model import Relationship, RelationshipType
@@ -95,38 +101,31 @@ class GraphUpdater:
                 f"{concept!r} is a derived concept; insert a member or "
                 f"child instance instead"
             )
+        logical = self.logical
         self._uid_counter += 1
         uid = f"{concept}#u{self._uid_counter}"
-        self.logical.add_instance(concept, uid, dict(props))
-        twin_links: dict[str, list[tuple[str, str]]] = {}
-        created = [uid] + self._create_twin_chain(
-            concept, uid, props, twin_links
-        )
+        first = logical.add_instance(concept, uid, dict(props))
+        twin_links: dict[str, tuple[list[int], list[int]]] = {}
+        self._create_twin_chain(concept, first, props, twin_links)
+        created = range(first, logical.num_instances)
 
         for member in created:  # DIR: one vertex per instance
-            self.dir_registry.vertex_of[member] = self.dir_graph.add_vertex(
-                (self.logical.concept_of[member],),
-                self.logical.properties[member],
-            )
+            self.dir_registry.vid_of.append(self.dir_graph.add_vertex(
+                (logical.concept_name(member),),
+                logical.properties_of(member),
+            ))
         # OPT: one vertex per group merged along collapsed twin links.
-        registry = self.opt_registry
-        uf = _UnionFind(registry.root_of)
-        for rel_id, pairs in twin_links.items():
-            if self.mapping.is_collapsed(rel_id):
-                for src_uid, dst_uid in pairs:
-                    uf.union(src_uid, dst_uid)
-        groups = uf.groups(created)
-        registry.groups.update(groups)
-        for members in groups.values():
-            vid = self.opt_graph.add_vertex(
-                _group_labels(self.mapping, frozenset(
-                    self.logical.concept_of[member] for member in members
-                )),
-                _merged_properties(self.logical, members),
-            )
-            registry.vertex_of.update(dict.fromkeys(members, vid))
-        for rel_id, pairs in twin_links.items():
-            self._add_edges(self.ontology.relationship(rel_id), pairs)
+        root = _components(first, len(created), [
+            ends for rel_id, ends in twin_links.items()
+            if self.mapping.is_collapsed(rel_id)
+        ])
+        vids = _group_vertices(
+            self.opt_graph, logical, self.mapping, root, first
+        )
+        self.opt_registry.vid_of.extend(vids.tolist())
+        self.opt_registry.root_of.extend(root.tolist())
+        for rel_id, ends in twin_links.items():
+            self._add_edges(self.ontology.relationship(rel_id), ends)
         return uid
 
     def insert_link(
@@ -134,9 +133,10 @@ class GraphUpdater:
     ) -> None:
         """Insert a functional link and maintain edges + lists."""
         rel = self._patchable(rel_id)
-        self.logical.add_link(rel_id, src_uid, dst_uid)
-        self._add_edges(rel, [(src_uid, dst_uid)])
-        self._refresh_endpoint_lists(src_uid, dst_uid)
+        ends = [self.logical.id_of(src_uid)], [self.logical.id_of(dst_uid)]
+        self.logical.add_link_ids(rel_id, *ends)
+        self._add_edges(rel, ends)
+        self._refresh_endpoint_lists(ends[0][0], ends[1][0])
 
     def delete_link(
         self, rel_id: str, src_uid: str, dst_uid: str
@@ -144,11 +144,14 @@ class GraphUpdater:
         """Delete one functional link and maintain edges + lists."""
         rel = self._patchable(rel_id)
         self.logical.remove_link(rel_id, src_uid, dst_uid)
+        src_id, dst_id = self.logical.id_of(src_uid), self.logical.id_of(
+            dst_uid
+        )
         for graph, registry in (
             (self.dir_graph, self.dir_registry),
             (self.opt_graph, self.opt_registry),
         ):
-            src, dst = registry.vertex_of[src_uid], registry.vertex_of[dst_uid]
+            src, dst = registry.vid_of[src_id], registry.vid_of[dst_id]
             for edge in graph.out_edges(src, rel.label):
                 if edge.dst == dst:
                     graph.remove_edge(edge.eid)
@@ -157,52 +160,60 @@ class GraphUpdater:
                 raise DataGenerationError(
                     f"no {rel.label!r} edge {src} -> {dst} in {graph.name}"
                 )
-        self._refresh_endpoint_lists(src_uid, dst_uid)
+        self._refresh_endpoint_lists(src_id, dst_id)
 
     def set_property(self, uid: str, name: str, value: object) -> None:
         """Modify a property and refresh every list that may read it."""
-        self.logical.properties[uid][name] = value
+        logical = self.logical
+        logical.set_property(uid, name, value)
+        iid = logical.id_of(uid)
         self.dir_graph.set_property(
-            self.dir_registry.vertex_of[uid], name, value
+            self.dir_registry.vid_of[iid], name, value
         )
         registry, graph = self.opt_registry, self.opt_graph
-        vid = registry.vertex_of[uid]
-        members = registry.groups[registry.root_of[uid]]
-        graph.set_property(
-            vid, name, _merged_properties(self.logical, members)[name]
+        vid = registry.vid_of[iid]
+        root = as_numpy(registry.root_of)
+        group = root == root[iid]
+        members, bounds, _group = _grouped(
+            logical, np.flatnonzero(group), root[group]
         )
+        ((_labels, columns, _count),) = _group_runs(
+            logical, self.mapping, members, bounds
+        )
+        graph.set_property(vid, name, columns[name][0])
         edges = graph.out_edges(vid) + graph.in_edges(vid)
         self._refresh_lists(
             {vid} | {e.src for e in edges} | {e.dst for e in edges}
         )
 
     def _create_twin_chain(
-        self, concept: str, uid: str, props: dict, links: dict
-    ) -> list[str]:
-        """Twins for every derived ancestor, recursively, each holding
-        the ``props`` its concept declares (an empty twin would answer
-        ``parent.name`` with null on DIR, with the child's value on the
-        merged OPT vertex); the structural links go into ``links``."""
-        created: list[str] = []
+        self, concept: str, iid: int, props: dict, links: dict
+    ) -> None:
+        """Twins for every derived ancestor of instance ``iid``,
+        recursively, each holding the ``props`` its concept declares
+        (an empty twin would answer ``parent.name`` with null on DIR,
+        with the child's value on the merged OPT vertex); the
+        structural links go into ``links``."""
+        logical = self.logical
         for rel in self.ontology.in_edges(concept):
             if rel.rel_type not in (
                 RelationshipType.INHERITANCE, RelationshipType.UNION
             ):
                 continue
             parent = rel.src
-            twin_uid = f"{parent}|{uid}"
-            if twin_uid not in self.logical.concept_of:
+            twin_uid = f"{parent}|{logical.uids[iid]}"
+            if logical.has_instance(twin_uid):
+                twin = logical.id_of(twin_uid)
+            else:
                 declared = self.ontology.concept(parent).properties
-                self.logical.add_instance(parent, twin_uid, {
+                twin = logical.add_instance(parent, twin_uid, {
                     name: props[name] for name in declared if name in props
                 })
-                created.append(twin_uid)
-                created += self._create_twin_chain(
-                    parent, twin_uid, props, links
-                )
-            self.logical.add_link(rel.rel_id, twin_uid, uid)
-            links.setdefault(rel.rel_id, []).append((twin_uid, uid))
-        return created
+                self._create_twin_chain(parent, twin, props, links)
+            logical.add_link_ids(rel.rel_id, [twin], [iid])
+            srcs, dsts = links.setdefault(rel.rel_id, ([], []))
+            srcs.append(twin)
+            dsts.append(iid)
 
     def _patchable(self, rel_id: str) -> Relationship:
         """The relationship, if its links can change without changing
@@ -221,22 +232,21 @@ class GraphUpdater:
             )
         return rel
 
-    def _add_edges(
-        self, rel: Relationship, pairs: list[tuple[str, str]]
-    ) -> None:
-        """The links' edges, in both graphs, as the loaders add them."""
+    def _add_edges(self, rel: Relationship, ends) -> None:
+        """The links ``ends`` (source ids, target ids)' edges, in both
+        graphs, as the loaders add them."""
         _add_link_edges(
             self.dir_graph, rel,
-            *_link_vids(pairs, self.dir_registry.vertex_of),
+            *_gather(self.dir_registry.vid_of, ends),
         )
         if not self.mapping.is_collapsed(rel.rel_id):
             _add_link_edges(
                 self.opt_graph, rel,
-                *_link_vids(pairs, self.opt_registry.vertex_of),
+                *_gather(self.opt_registry.vid_of, ends),
             )
 
-    def _refresh_endpoint_lists(self, *uids: str) -> None:
-        self._refresh_lists({self.opt_registry.vertex_of[u] for u in uids})
+    def _refresh_endpoint_lists(self, *ids: int) -> None:
+        self._refresh_lists({self.opt_registry.vid_of[i] for i in ids})
 
     def _refresh_lists(self, owners: set[int]) -> None:
         """Make every replicated list of the OPT vertices ``owners``
@@ -246,7 +256,8 @@ class GraphUpdater:
             vid: {} for vid in owners
         }
         for list_name, lists in _replicated_lists(
-            self.logical, self.mapping, graph, registry, {}, owners
+            self.logical, self.mapping, graph,
+            as_numpy(registry.vid_of), as_numpy(registry.root_of), owners,
         ):
             for vid, values in lists.items():
                 wanted[vid][list_name] = values

@@ -39,6 +39,10 @@ KIND_OBJ = "object"
 
 _TYPECODE = {KIND_INT: "q", KIND_FLOAT: "d"}
 
+#: The value slot of a property an element does not carry (in a
+#: bulk-ingest column: ``PropertyGraph.add_vertices(columns=)``).
+ABSENT = object()
+
 
 class SymbolTable:
     """Dense string interning: name -> small int, and back."""

@@ -64,6 +64,7 @@ from typing import Iterable, Iterator
 
 from repro.exceptions import GraphError, TransactionError
 from repro.graphdb.columnar import (
+    ABSENT,
     KIND_FLOAT,
     KIND_INT,
     PropertyColumn,
@@ -79,7 +80,6 @@ from repro.graphdb.view import GraphArrays
 _Bucket = dict
 _Adjacency = dict[int, dict[str, _Bucket]]
 
-_MISSING = object()
 #: Whether a table row's vid is live (tombstoned rows hold -1).
 _live = (0).__le__
 
@@ -159,8 +159,8 @@ class VertexProperties(MutableMapping):
     def __getitem__(self, name: str) -> object:
         table, row = self._locate()
         sid = self._graph._symbols.sid(name)
-        value = table.get_prop(row, sid, _MISSING)
-        if value is _MISSING:
+        value = table.get_prop(row, sid, ABSENT)
+        if value is ABSENT:
             raise KeyError(name)
         return value
 
@@ -454,8 +454,6 @@ class PropertyGraph:
         #: distinct argument.  Symbol ids and tables are append-only,
         #: so entries never go stale.
         self._table_cache: dict = {}
-        self._vertices = _VerticesView(self)
-        self._edges = _EdgesView(self)
 
     # ------------------------------------------------------------------
     # Mutation listeners (write-ahead logging hook)
@@ -600,6 +598,16 @@ class PropertyGraph:
         self._stats = None
         self._touch()
 
+    # The views are made per access: a graph holds no reference to
+    # itself, so dropping it frees it without the cyclic collector.
+    @property
+    def _vertices(self) -> _VerticesView:
+        return _VerticesView(self)
+
+    @property
+    def _edges(self) -> _EdgesView:
+        return _EdgesView(self)
+
     # ------------------------------------------------------------------
     # Epoch / arrays
     # ------------------------------------------------------------------
@@ -738,17 +746,23 @@ class PropertyGraph:
     def add_vertices(
         self,
         labels: Iterable[Iterable[str] | str],
-        properties: Iterable[dict[str, object] | None],
+        properties: Iterable[dict[str, object] | None] | None = None,
+        columns: dict[str, list] | None = None,
     ) -> range:
         """Bulk :meth:`add_vertex`: vertex ``i`` gets ``labels[i]``
         and ``properties[i]``; returns the (consecutive) vids.
+
+        By column, ``columns`` maps each property name to one value per
+        vertex, :data:`~repro.graphdb.columnar.ABSENT` where the vertex
+        lacks it.  It adds what the dict form adds for the rows'
+        dicts in column order.
 
         Lengths and label sets are validated before anything is
         applied.  An observed graph (see :meth:`add_edges`; a property
         index observes vertices too) goes through :meth:`add_vertex`
         per element.  Otherwise the batch goes in by column: vertices
-        are bucketed by label-set table, each table's dicts transposed
-        into one value list per key and appended to that column in one
+        are bucketed by label-set table, each table's values gathered
+        into one list per key and appended to that column in one
         step, and the epoch is bumped once.  Symbols are interned in
         the per-element order: a vertex's labels, then its keys.
         """
@@ -756,22 +770,62 @@ class PropertyGraph:
             arg if isinstance(arg, (str, tuple, frozenset)) else tuple(arg)
             for arg in labels
         ]
-        properties = [props or {} for props in properties]
         count = len(labels)
-        if len(properties) != count:
-            raise GraphError(
-                f"add_vertices: {count} label sets for "
-                f"{len(properties)} property dicts"
-            )
+        if columns is None:
+            properties = [props or {} for props in properties or ()]
+            if len(properties) != count:
+                raise GraphError(
+                    f"add_vertices: {count} label sets for "
+                    f"{len(properties)} property dicts"
+                )
+        elif properties is not None:
+            raise GraphError("add_vertices: properties or columns, not both")
+        else:
+            for name, values in columns.items():
+                if len(values) != count:
+                    raise GraphError(
+                        f"add_vertices: {count} label sets for "
+                        f"{len(values)} values of {name!r}"
+                    )
         vids = range(self._next_vid, self._next_vid + count)
-        if any(not arg and not isinstance(arg, str) for arg in set(labels)):
+        distinct = set(labels)
+        if any(not arg and not isinstance(arg, str) for arg in distinct):
             raise GraphError("a vertex needs at least one label")
         if self._observed() or self._property_indexes:
+            if columns is not None:
+                properties = [
+                    {
+                        name: value
+                        for name, value in zip(columns, row)
+                        if value is not ABSENT
+                    }
+                    for row in zip(*columns.values())
+                ] if columns else [{}] * count
             for arg, props in zip(labels, properties):
                 self.add_vertex(arg, props)
             return vids
         if not count:
             return vids
+        if columns is not None:
+            v_tid, v_row = self._append_columns(
+                vids, labels, len(distinct) == 1, columns
+            )
+        else:
+            v_tid, v_row = self._append_rows(vids, labels, properties)
+        self._v_tid.extend(v_tid)
+        self._v_row.extend(v_row)
+        if self._adjacency is not None:
+            for adjacency in self._adjacency:
+                adjacency.update((vid, {}) for vid in vids)
+        self._next_vid = vids.stop
+        self._touch(count)
+        return vids
+
+    def _append_rows(
+        self, vids: range, labels: list, properties: list[dict]
+    ) -> tuple[list[int], list[int]]:
+        """:meth:`add_vertices`' dict form, applied; returns the new
+        vertices' table ids and rows."""
         # Gather: label argument -> its table's batch of
         # (table, vids, property dicts, property name -> symbol id).
         intern = self._symbols.intern
@@ -804,17 +858,91 @@ class PropertyGraph:
                     values = list(map(itemgetter(name), rows))
                     mask = None
                 except KeyError:  # some vertex lacks the key
-                    values = [props.get(name, _MISSING) for props in rows]
-                    mask = bytearray(v is not _MISSING for v in values)
+                    values = [props.get(name, ABSENT) for props in rows]
+                    mask = bytearray(v is not ABSENT for v in values)
                 table.append_column(sid, row, values, mask)
-        self._v_tid.extend(v_tid)
-        self._v_row.extend(v_row)
-        if self._adjacency is not None:
-            for adjacency in self._adjacency:
-                adjacency.update((vid, {}) for vid in vids)
-        self._next_vid = vids.stop
-        self._touch(count)
-        return vids
+        return v_tid, v_row
+
+    def _append_columns(
+        self, vids: range, labels: list, uniform: bool,
+        columns: dict[str, list],
+    ) -> tuple[list[int], list[int]]:
+        """:meth:`add_vertices`' column form, applied; returns the new
+        vertices' table ids and rows.  ``uniform``: one label argument
+        for every vertex."""
+        # Rows by label set, in first-row order.
+        if uniform:
+            buckets = {None: (labels[0], range(len(labels)))}
+        else:
+            names_of: dict = {}
+            buckets = {}
+            for row, arg in enumerate(labels):
+                key = names_of.get(arg)
+                if key is None:
+                    key = names_of[arg] = frozenset(
+                        (arg,) if isinstance(arg, str) else arg
+                    )
+                bucket = buckets.get(key)
+                if bucket is None:
+                    buckets[key] = (arg, [row])
+                else:
+                    bucket[1].append(row)
+        # Each table's slice of each column that it carries, as a step
+        # at the first row carrying it; its labels are a step at its
+        # first row.  In (row, column) order, the steps intern symbols
+        # and create tables as the dict form does, row by row.
+        steps = []
+        for at, (_arg, rows) in enumerate(buckets.values()):
+            steps.append((rows[0], -1, at, None))
+            for position, (name, values) in enumerate(columns.items()):
+                taken = (
+                    values if uniform
+                    else list(map(values.__getitem__, rows))
+                )
+                mask, first = None, 0
+                if ABSENT in taken:
+                    mask = bytearray(v is not ABSENT for v in taken)
+                    first = mask.find(1)
+                    if first < 0:
+                        continue
+                steps.append(
+                    (rows[first], position, at, (name, taken, mask))
+                )
+        steps.sort(key=itemgetter(0, 1))
+        intern = self._symbols.intern
+        tables: list = [None] * len(buckets)
+        slices: list[list] = [[] for _ in buckets]
+        args = [arg for arg, _rows in buckets.values()]
+        for _row, _position, at, step in steps:
+            if step is None:
+                tables[at] = self._table_of(args[at])
+            else:
+                name, taken, mask = step
+                slices[at].append((intern(name), taken, mask))
+        # Apply, table by table and column by column.
+        start = vids.start
+        if uniform:
+            (table,) = tables
+            base = len(table.vids)
+            v_tid = [table.labelset_id] * len(vids)
+            v_row = list(range(base, base + len(vids)))
+        else:
+            v_tid = [0] * len(vids)
+            v_row = [0] * len(vids)
+        for table, (_arg, rows), taken_columns in zip(
+            tables, buckets.values(), slices
+        ):
+            base = len(table.vids)
+            table.vids.extend([start + row for row in rows])
+            table.live += len(rows)
+            for sid, taken, mask in taken_columns:
+                table.append_column(sid, base, taken, mask)
+            if not uniform:
+                tid = table.labelset_id
+                for local, row in enumerate(rows, base):
+                    v_tid[row] = tid
+                    v_row[row] = local
+        return v_tid, v_row
 
     def add_edge(
         self,

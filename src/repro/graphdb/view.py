@@ -37,6 +37,8 @@ structures, so a *typed* expansion reads the same frozen or not.
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 
 from repro.graphdb.columnar import KIND_FLOAT, KIND_INT
@@ -110,7 +112,9 @@ class GraphArrays:
     """Numpy projections of one graph epoch, built per consumer."""
 
     def __init__(self, graph):
-        self.graph = graph
+        # Weak: the graph caches its arrays, and a cycle would leave
+        # both to the cyclic collector.
+        self._graph = weakref.ref(graph)
         self.nslots = len(graph._v_tid)
         self._v_tid = None
         self._columns: dict[str, _Column] = {}
@@ -124,6 +128,11 @@ class GraphArrays:
         #: Edge-type name -> rank, the key order of ``_out`` / ``_in``;
         #: None until frozen.
         self.type_rank: dict[str, int] | None = None
+
+    @property
+    def graph(self):
+        """The graph these arrays project."""
+        return self._graph()
 
     # -- CSR adjacency (built by PropertyGraph.freeze) -----------------
     def _build(self, graph) -> None:

@@ -237,21 +237,21 @@ class SchemaState:
         """Live node keys currently representing ``key`` (transitive)."""
         if key in self.nodes:
             return (key,)
+        # Depth-first, successors in order, by an explicit stack: a
+        # recursive closure would be a reference cycle per call.
         resolved: list[str] = []
         seen: set[str] = set()
-
-        def walk(k: str) -> None:
+        stack = [key]
+        while stack:
+            k = stack.pop()
             if k in seen:
-                return
+                continue
             seen.add(k)
             if k in self.nodes:
                 if k not in resolved:
                     resolved.append(k)
-                return
-            for successor in self._successors.get(k, ()):
-                walk(successor)
-
-        walk(key)
+                continue
+            stack.extend(reversed(tuple(self._successors.get(k, ()))))
         return tuple(resolved)
 
     def is_live(self, key: str) -> bool:

@@ -13,6 +13,14 @@ from repro.ontology.samples import (
 from repro.ontology.stats import synthesize_statistics
 
 
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers",
+        "diff_seed: reads REPRO_DIFF_SEED; CI reruns these at a fresh "
+        "random seed (python -m pytest -m diff_seed)",
+    )
+
+
 @pytest.fixture()
 def fig2():
     return figure2_medical_ontology()

@@ -39,6 +39,45 @@ class TestLogicalDataset:
             ds.validate()
 
 
+class TestValidateByArray:
+    """``validate`` gathers each relationship's endpoint concepts from
+    the per-id concept index; what it reports is pinned here."""
+
+    @pytest.fixture()
+    def treat(self, fig2):
+        return next(
+            r for r in fig2.iter_relationships() if r.label == "treat"
+        )
+
+    def test_wrong_endpoint_concept_names_the_relationship(
+        self, logical, treat
+    ):
+        drugs = logical.ids_of("Drug")
+        logical.add_link_ids(treat.rel_id, [drugs[0]], [drugs[1]])
+        with pytest.raises(DataGenerationError) as raised:
+            logical.validate()
+        message = str(raised.value)
+        assert treat.rel_id in message
+        assert "'Drug' -> 'Drug'" in message
+        assert "expected 'Drug' -> 'Indication'" in message
+
+    def test_unknown_id_names_the_relationship(self, logical, treat):
+        drug = logical.ids_of("Drug")[0]
+        unknown = logical.num_instances
+        logical.add_link_ids(treat.rel_id, [drug], [unknown])
+        with pytest.raises(DataGenerationError) as raised:
+            logical.validate()
+        message = str(raised.value)
+        assert treat.rel_id in message and str(unknown) in message
+
+    def test_negative_id_is_unknown(self, logical, treat):
+        logical.add_link_ids(treat.rel_id, [-1], [logical.ids_of(
+            "Indication"
+        )[0]])
+        with pytest.raises(DataGenerationError, match="unknown instance"):
+            logical.validate()
+
+
 class TestGenerator:
     def test_validates(self, logical):
         logical.validate()

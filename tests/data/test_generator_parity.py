@@ -28,6 +28,8 @@ from repro.ontology.stats import synthesize_statistics
 from tests.data.generator_oracle import reference_generate_logical
 from tests.ontology_gen import random_ontology
 
+pytestmark = pytest.mark.diff_seed
+
 SEED = int(os.environ.get("REPRO_DIFF_SEED", "20260808"))
 RANDOM_DRAWS = 12
 

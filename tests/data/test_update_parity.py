@@ -42,6 +42,8 @@ from repro.optimizer.pgsg import optimize
 from repro.schema.generate import optimize_schema_nsc
 from repro.workload.rewriter import QueryRewriter
 
+pytestmark = pytest.mark.diff_seed
+
 SEED = int(os.environ.get("REPRO_DIFF_SEED", "20260808"))
 SCALE = 0.05
 SCHEMAS = ("pgsg-0.1", "pgsg-0.5", "pgsg-1.0", "nsc")

@@ -114,7 +114,7 @@ class TestInsertLink:
             "MATCH (d:Drug)-[:treat]->(i:Indication) RETURN count(*)",
         ) == dir_before + 1
         # The drug's Indication.desc list includes the partner's desc.
-        vid = setup["opt_registry"].vertex_of[drug]
+        vid = setup["opt_registry"].vid_of[logical.id_of(drug)]
         values = setup["opt"].vertex(vid).properties["Indication.desc"]
         assert logical.properties[ind]["desc"] in values
 
@@ -165,7 +165,7 @@ class TestDeleteLink:
             (s, ds) for s, ds in by_drug.items() if len(ds) == 1
         )
         updater.delete_link(treat.rel_id, drug, inds[0])
-        vid = setup["opt_registry"].vertex_of[drug]
+        vid = setup["opt_registry"].vid_of[logical.id_of(drug)]
         assert "Indication.desc" not in setup["opt"].vertex(
             vid
         ).properties
@@ -179,7 +179,7 @@ class TestSetProperty:
         treat = onto.find_relationship("treat", "Drug", "Indication")
         drug, ind = logical.links_of(treat.rel_id)[0]
         updater.set_property(ind, "desc", "FRESH")
-        vid = setup["opt_registry"].vertex_of[drug]
+        vid = setup["opt_registry"].vid_of[logical.id_of(drug)]
         values = setup["opt"].vertex(vid).properties["Indication.desc"]
         assert "FRESH" in values
         # DIR vertex updated too.
@@ -244,7 +244,7 @@ class TestReloadParity:
         dataset = build_med()
         harness = Harness(dataset, build_mapping(dataset, "pgsg-0.5"))
         uid = harness.updater.insert_instance("Indication", {"desc": "x"})
-        vid = harness.opt_registry.vertex_of[uid]
+        vid = harness.opt_registry.vid_of[harness.logical.id_of(uid)]
         assert harness.opt_graph.labels_of(vid) == {
             "Indication", "IndicationCondition",
         }

@@ -31,6 +31,8 @@ from tests.graphdb.diffquery import (
 from tests.graphdb.query.test_pipeline_reuse import corpus
 from tests.graphdb.test_differential import SEED
 
+pytestmark = pytest.mark.diff_seed
+
 
 def iterate(session, text, params):
     result = session.run(text, params)

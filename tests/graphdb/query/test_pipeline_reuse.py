@@ -30,6 +30,8 @@ from tests.graphdb.diffquery import (
 )
 from tests.graphdb.test_differential import CORPUS_SIZE, SEED
 
+pytestmark = pytest.mark.diff_seed
+
 
 def corpus():
     gen = QueryGen(random.Random(SEED))

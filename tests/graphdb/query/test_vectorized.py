@@ -590,6 +590,7 @@ def assert_same_at_capacity(graph, query, capacity):
     assert outcomes[0] == outcomes[1], (capacity, outcomes)
 
 
+@pytest.mark.diff_seed
 class TestGroupedConsumer:
     """The batch consumer of every aggregating RETURN, on the edges
     the differential corpus reaches only by luck."""

@@ -8,11 +8,14 @@ edges and batches of one property's values, with removals in between
 endpoints).  :func:`run_script` applies it either through per-element
 ``add_vertex`` / ``add_edge`` / ``set_property`` or through bulk
 ``add_vertices`` / ``add_edges`` / ``set_properties``; everything else
-is identical, so the two graphs must be too.
+is identical, so the two graphs must be too.  ``bulk="columns"`` takes
+vertex batches through ``add_vertices``' column form, which is the dict
+form of the rows in column order (:func:`in_column_order`).
 """
 
 from hypothesis import strategies as st
 
+from repro.graphdb.columnar import ABSENT
 from repro.graphdb.graph import PropertyGraph
 
 LABELSETS = [("A",), ("B",), ("A", "B")]
@@ -76,8 +79,33 @@ SCRIPTS = st.tuples(
 ).map(lambda parts: [("v", labels) for labels in parts[0]] + parts[1])
 
 
+def by_column(rows) -> dict[str, list]:
+    """A vertex batch's ``(labels, props)`` rows as property columns,
+    names in order of first appearance."""
+    names = dict.fromkeys(name for _labels, props in rows for name in props or ())
+    return {
+        name: [(props or {}).get(name, ABSENT) for _labels, props in rows]
+        for name in names
+    }
+
+
+def in_column_order(script) -> list:
+    """``script`` with each vertex batch's dicts in its column order:
+    what the column form of the batch adds."""
+    out = []
+    for step in script:
+        if step[0] == "vs":
+            names = list(by_column(step[1]))
+            step = ("vs", [
+                (labels, {n: props[n] for n in names if n in (props or {})})
+                for labels, props in step[1]
+            ])
+        out.append(step)
+    return out
+
+
 def run_script(
-    script, bulk: bool, graph: PropertyGraph | None = None
+    script, bulk: bool | str, graph: PropertyGraph | None = None
 ) -> PropertyGraph:
     """Apply ``script`` to ``graph`` (a new one by default)."""
     if graph is None:
@@ -88,7 +116,12 @@ def run_script(
             graph.add_vertex(step[1], {"n": graph.num_vertices})
             continue
         if kind == "vs":
-            if bulk:
+            if bulk == "columns":
+                graph.add_vertices(
+                    [labels for labels, _props in step[1]],
+                    columns=by_column(step[1]),
+                )
+            elif bulk:
                 graph.add_vertices(
                     [labels for labels, _props in step[1]],
                     [props for _labels, props in step[1]],

@@ -10,9 +10,13 @@ stay server-side, so that half of the contract is not checked here.
 
 import random
 
+import pytest
+
 from repro.graphdb.api.database import connect
 from tests.graphdb.diffquery import QueryGen, norm_rows
 from tests.graphdb.test_differential import CORPUS_SIZE, SEED
+
+pytestmark = pytest.mark.diff_seed
 
 
 def test_corpus_rows_survive_the_wire(diff_graph, server_factory):

@@ -11,7 +11,14 @@ from hypothesis import given, settings
 from repro.exceptions import GraphError
 from repro.graphdb.graph import PropertyGraph
 from repro.graphdb.storage import GraphStore, graph_state, recover_graph
-from tests.graphdb.randgraph import SCRIPTS, label_lists, ordered, run_script
+from repro.graphdb.columnar import ABSENT
+from tests.graphdb.randgraph import (
+    SCRIPTS,
+    in_column_order,
+    label_lists,
+    ordered,
+    run_script,
+)
 from tests.graphdb.test_statistics import snapshot_of
 
 
@@ -82,6 +89,27 @@ def test_listener_events_and_live_statistics_agree(script):
     (bulk, bulk_events), (single, single_events) = graphs
     assert bulk_events == single_events
     assert_same_graph(bulk, single)
+
+
+@settings(max_examples=60, deadline=None)
+@given(SCRIPTS)
+def test_column_form_is_the_dict_form_in_column_order(script):
+    # Unobserved (one pass by column) and observed (per element, with
+    # the listener events the dict rows give).
+    assert_same_graph(
+        run_script(script, bulk="columns"),
+        run_script(in_column_order(script), bulk=False),
+    )
+    graphs = []
+    for bulk, steps in (("columns", script), (False, in_column_order(script))):
+        graph = PropertyGraph("scripted")
+        events: list = []
+        graph.add_listener(lambda op, args, log=events: log.append((op, args)))
+        run_script(steps, bulk, graph)
+        graphs.append((graph, events))
+    (by_column, column_events), (single, single_events) = graphs
+    assert column_events == single_events
+    assert_same_graph(by_column, single)
 
 
 @settings(max_examples=40, deadline=None)
@@ -240,6 +268,36 @@ class TestContract:
             graph.add_vertices(labels, properties)
         assert structures(graph) == before
         assert graph.mutation_epoch == epoch
+
+    def test_column_form_interns_in_row_order(self, graph):
+        symbols = len(graph.symbols)
+        vids = graph.add_vertices(
+            ["P", "Q", "P"],
+            columns={"a": [ABSENT, 1, 2], "b": [3, ABSENT, ABSENT],
+                     "c": [ABSENT] * 3},
+        )
+        assert vids == range(3, 6)
+        # Row 0 brings P and b; row 1 Q and a; c is on no row.
+        assert graph.symbols.names()[symbols:] == ["P", "b", "Q", "a"]
+        assert [dict(graph.vertex(v).properties) for v in vids] == [
+            {"b": 3}, {"a": 1}, {"a": 2}
+        ]
+        table = graph._locate(3)[0]
+        assert [graph.symbols.name(sid) for sid in table.columns] == [
+            "b", "a"
+        ]
+
+    @pytest.mark.parametrize("properties, columns, message", [
+        ([{}], {"a": [1]}, "properties or columns, not both"),
+        (None, {"a": [1, 2]}, "1 label sets for 2 values of 'a'"),
+    ])
+    def test_bad_column_batch_leaves_the_graph_untouched(
+        self, graph, properties, columns, message
+    ):
+        before = structures(graph)
+        with pytest.raises(GraphError, match=message):
+            graph.add_vertices(["N"], properties, columns=columns)
+        assert structures(graph) == before
 
     def test_property_index_forces_the_per_element_path(self, graph):
         graph.create_property_index("N", "n")

@@ -28,6 +28,7 @@ fuzzer; CI runs one extra logged random seed per build.
 import os
 from itertools import combinations
 
+import pytest
 from hypothesis import example, given, seed, settings
 
 from repro.graphdb.graph import PropertyGraph
@@ -35,6 +36,8 @@ from repro.graphdb.session import GraphSession
 from repro.graphdb.statistics import GraphStatistics, is_hashable
 from tests.graphdb.freeze_oracle import reference_freeze
 from tests.graphdb.randgraph import EDGE_TYPES, SCRIPTS, run_script
+
+pytestmark = pytest.mark.diff_seed
 
 SEED = int(os.environ.get("REPRO_DIFF_SEED", "20260808"))
 #: Typed label tuples (one never interned) and the untyped ``()``.

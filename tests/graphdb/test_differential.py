@@ -27,6 +27,7 @@ import dataclasses
 import os
 import random
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -37,6 +38,8 @@ from tests.graphdb.diffquery import (
     assert_equivalent,
     build_differential_graph,
 )
+
+pytestmark = pytest.mark.diff_seed
 
 #: Default corpus seed; override with REPRO_DIFF_SEED=<int> (the CI
 #: job runs one extra randomized seed and logs it for replay).

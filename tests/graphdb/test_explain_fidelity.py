@@ -29,6 +29,8 @@ from tests.graphdb.diffquery import (
 )
 from tests.graphdb.test_differential import CORPUS_SIZE, SEED
 
+pytestmark = pytest.mark.diff_seed
+
 
 def run_line(graph, text, params=()):
     """Run to the last row; the mode line that execution reports."""

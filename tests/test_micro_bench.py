@@ -47,6 +47,7 @@ def test_smoke_section_writes_the_schema(tmp_path, capsys):
         ("derived.freeze", "ms"),
         ("derived.page_traces", "us"),
         ("derived.stats_build", "ms"),
+        ("derived.load", "ms"),
         ("derived.ontology_pagerank.med", "us"),
         ("derived.ontology_pagerank.fin", "us"),
     ]
@@ -64,6 +65,15 @@ def test_smoke_section_writes_the_schema(tmp_path, capsys):
     # The statistics row times FIN-OPT and carries FIN-DIR's time.
     stats = report["rows"][3]["extra"]
     assert stats["dataset"] == "fin-opt" and stats["dir_ms"] > 0
+    # The cold build row splits its time into its three parts and
+    # counts the collector's passes by generation.
+    build = report["rows"][4]["extra"]
+    assert build["dataset"] == "fin"
+    assert all(
+        build[part] > 0
+        for part in ("generate_ms", "load_dir_ms", "load_opt_ms")
+    )
+    assert len(build["gc_collections"]) == 3
     # The ontology PageRank runs over tens of concepts, not a graph.
     assert all(
         row["extra"]["concepts"] < 100
