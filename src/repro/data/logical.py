@@ -66,8 +66,8 @@ class LogicalDataset:
         self.columns: dict[str, dict[str, list]] = {}
         #: relationship id -> (source ids, target ids)
         self.link_ids: dict[str, tuple[array, array]] = {}
-        #: uid -> id, built by the first uid-keyed call, then kept
-        self._id_of: dict[str, int] | None = None
+        #: uid -> id
+        self._id_of: dict[str, int] = {}
         #: the dict views, built on first use
         self._views: dict[str, MappingProxyType] = {}
 
@@ -114,7 +114,7 @@ class LogicalDataset:
         start = len(self.uids)
         if not count:
             return range(start, start)
-        id_of = self._index()
+        id_of = self._id_of
         batch = dict(zip(uids, range(start, start + count)))
         if len(batch) < count or not id_of.keys().isdisjoint(batch):
             seen = set()
@@ -162,19 +162,8 @@ class LogicalDataset:
         An endpoint that is no known instance raises, naming the first
         one, before anything is added.
         """
-        id_of = self._index()
-        try:
-            srcs = [id_of[src] for src, _dst in pairs]
-            dsts = [id_of[dst] for _src, dst in pairs]
-        except KeyError:
-            missing = next(
-                uid for uid in chain.from_iterable(pairs)
-                if uid not in id_of
-            )
-            raise DataGenerationError(
-                f"unknown instance {missing!r}"
-            ) from None
-        self.add_link_ids(rel_id, srcs, dsts)
+        ids = list(map(self.id_of, chain.from_iterable(pairs)))
+        self.add_link_ids(rel_id, ids[0::2], ids[1::2])
 
     def add_link_ids(self, rel_id: str, srcs, dsts) -> None:
         """Append the links ``srcs[i] -> dsts[i]`` by instance id.
@@ -199,8 +188,7 @@ class LogicalDataset:
     def remove_link(self, rel_id: str, src_uid: str, dst_uid: str) -> None:
         """Remove one ``src -> dst`` link of ``rel_id`` (the first, if
         the pair is linked more than once)."""
-        id_of = self._index()
-        src, dst = id_of.get(src_uid), id_of.get(dst_uid)
+        src, dst = self._id_of.get(src_uid), self._id_of.get(dst_uid)
         srcs, dsts = self.link_ids.get(rel_id, ((), ()))
         for at, (a, b) in enumerate(zip(srcs, dsts)):
             if a == src and b == dst:
@@ -214,11 +202,11 @@ class LogicalDataset:
     def set_property(self, uid: str, name: str, value: object) -> None:
         """Set one property of one instance."""
         iid = self.id_of(uid)
-        held = self.columns[self.concept_name(iid)]
-        column = held.get(name)
+        concept = self.concept_name(iid)
+        column = self.columns[concept].get(name)
         if column is None:
-            column = held[name] = [ABSENT] * len(
-                self.ids[self.concept_name(iid)]
+            column = self.columns[concept][name] = (
+                [ABSENT] * len(self.ids[concept])
             )
         column[self.row_of[iid]] = value
         self._views.clear()
@@ -226,19 +214,14 @@ class LogicalDataset:
     # ------------------------------------------------------------------
     # Access by id
     # ------------------------------------------------------------------
-    def _index(self) -> dict[str, int]:
-        if self._id_of is None:
-            self._id_of = dict(zip(self.uids, range(len(self.uids))))
-        return self._id_of
-
     def id_of(self, uid: str) -> int:
         try:
-            return self._index()[uid]
+            return self._id_of[uid]
         except KeyError:
             raise DataGenerationError(f"unknown instance {uid!r}") from None
 
     def has_instance(self, uid: str) -> bool:
-        return uid in self._index()
+        return uid in self._id_of
 
     def concept_name(self, iid: int) -> str:
         return self.concepts[self.concept_index[iid]]

@@ -84,6 +84,18 @@ _Adjacency = dict[int, dict[str, _Bucket]]
 _live = (0).__le__
 
 
+def _column_rows(columns: dict[str, list], count: int) -> list[dict]:
+    """The dict form of ``add_vertices``' column form: each row's
+    present values, in column order."""
+    if not columns:
+        return [{}] * count
+    return [
+        {name: value for name, value in zip(columns, row)
+         if value is not ABSENT}
+        for row in zip(*columns.values())
+    ]
+
+
 def _place(bucket: dict, key: int, value: object) -> None:
     """``bucket[key] = value``, before the first greater id: where a
     removal rolled back took ``key`` from, in O(len(bucket))."""
@@ -761,10 +773,12 @@ class PropertyGraph:
         applied.  An observed graph (see :meth:`add_edges`; a property
         index observes vertices too) goes through :meth:`add_vertex`
         per element.  Otherwise the batch goes in by column: vertices
-        are bucketed by label-set table, each table's values gathered
-        into one list per key and appended to that column in one
-        step, and the epoch is bumped once.  Symbols are interned in
-        the per-element order: a vertex's labels, then its keys.
+        are bucketed by label-set table, each table's dicts transposed
+        into one value list per key and appended to that column in one
+        step, and the epoch is bumped once; the column form with one
+        label set for every vertex appends its lists as they are.
+        Symbols are interned in the per-element order: a vertex's
+        labels, then its keys.
         """
         labels = [
             arg if isinstance(arg, (str, tuple, frozenset)) else tuple(arg)
@@ -791,25 +805,17 @@ class PropertyGraph:
         distinct = set(labels)
         if any(not arg and not isinstance(arg, str) for arg in distinct):
             raise GraphError("a vertex needs at least one label")
-        if self._observed() or self._property_indexes:
-            if columns is not None:
-                properties = [
-                    {
-                        name: value
-                        for name, value in zip(columns, row)
-                        if value is not ABSENT
-                    }
-                    for row in zip(*columns.values())
-                ] if columns else [{}] * count
+        observed = self._observed() or self._property_indexes
+        if columns is not None and (observed or len(distinct) > 1):
+            properties, columns = _column_rows(columns, count), None
+        if observed:
             for arg, props in zip(labels, properties):
                 self.add_vertex(arg, props)
             return vids
         if not count:
             return vids
         if columns is not None:
-            v_tid, v_row = self._append_columns(
-                vids, labels, len(distinct) == 1, columns
-            )
+            v_tid, v_row = self._append_columns(vids, labels[0], columns)
         else:
             v_tid, v_row = self._append_rows(vids, labels, properties)
         self._v_tid.extend(v_tid)
@@ -864,85 +870,33 @@ class PropertyGraph:
         return v_tid, v_row
 
     def _append_columns(
-        self, vids: range, labels: list, uniform: bool,
-        columns: dict[str, list],
+        self, vids: range, arg, columns: dict[str, list]
     ) -> tuple[list[int], list[int]]:
-        """:meth:`add_vertices`' column form, applied; returns the new
-        vertices' table ids and rows.  ``uniform``: one label argument
-        for every vertex."""
-        # Rows by label set, in first-row order.
-        if uniform:
-            buckets = {None: (labels[0], range(len(labels)))}
-        else:
-            names_of: dict = {}
-            buckets = {}
-            for row, arg in enumerate(labels):
-                key = names_of.get(arg)
-                if key is None:
-                    key = names_of[arg] = frozenset(
-                        (arg,) if isinstance(arg, str) else arg
-                    )
-                bucket = buckets.get(key)
-                if bucket is None:
-                    buckets[key] = (arg, [row])
-                else:
-                    bucket[1].append(row)
-        # Each table's slice of each column that it carries, as a step
-        # at the first row carrying it; its labels are a step at its
-        # first row.  In (row, column) order, the steps intern symbols
-        # and create tables as the dict form does, row by row.
-        steps = []
-        for at, (_arg, rows) in enumerate(buckets.values()):
-            steps.append((rows[0], -1, at, None))
-            for position, (name, values) in enumerate(columns.items()):
-                taken = (
-                    values if uniform
-                    else list(map(values.__getitem__, rows))
-                )
-                mask, first = None, 0
-                if ABSENT in taken:
-                    mask = bytearray(v is not ABSENT for v in taken)
-                    first = mask.find(1)
-                    if first < 0:
-                        continue
-                steps.append(
-                    (rows[first], position, at, (name, taken, mask))
-                )
-        steps.sort(key=itemgetter(0, 1))
+        """:meth:`add_vertices`' column form for one label argument,
+        applied; returns the new vertices' table ids and rows.  Row by
+        row, the dict form would intern the labels, then each key at
+        the first row carrying it (in column order within a row), and
+        add the table's columns in that order."""
+        table = self._table_of(arg)
+        carried = []
+        for position, (name, values) in enumerate(columns.items()):
+            mask, first = None, 0
+            if ABSENT in values:
+                mask = bytearray(v is not ABSENT for v in values)
+                first = mask.find(1)
+                if first < 0:
+                    continue
+            carried.append((first, position, name, values, mask))
+        carried.sort(key=itemgetter(0, 1))
+        row = len(table.vids)
+        table.vids.extend(vids)
+        table.live += len(vids)
         intern = self._symbols.intern
-        tables: list = [None] * len(buckets)
-        slices: list[list] = [[] for _ in buckets]
-        args = [arg for arg, _rows in buckets.values()]
-        for _row, _position, at, step in steps:
-            if step is None:
-                tables[at] = self._table_of(args[at])
-            else:
-                name, taken, mask = step
-                slices[at].append((intern(name), taken, mask))
-        # Apply, table by table and column by column.
-        start = vids.start
-        if uniform:
-            (table,) = tables
-            base = len(table.vids)
-            v_tid = [table.labelset_id] * len(vids)
-            v_row = list(range(base, base + len(vids)))
-        else:
-            v_tid = [0] * len(vids)
-            v_row = [0] * len(vids)
-        for table, (_arg, rows), taken_columns in zip(
-            tables, buckets.values(), slices
-        ):
-            base = len(table.vids)
-            table.vids.extend([start + row for row in rows])
-            table.live += len(rows)
-            for sid, taken, mask in taken_columns:
-                table.append_column(sid, base, taken, mask)
-            if not uniform:
-                tid = table.labelset_id
-                for local, row in enumerate(rows, base):
-                    v_tid[row] = tid
-                    v_row[row] = local
-        return v_tid, v_row
+        for _first, _position, name, values, mask in carried:
+            table.append_column(intern(name), row, values, mask)
+        return [table.labelset_id] * len(vids), list(
+            range(row, row + len(vids))
+        )
 
     def add_edge(
         self,
