@@ -370,7 +370,26 @@ def _replicated_lists(
     concept_of = as_numpy(logical.concept_index)
     row_of = as_numpy(logical.row_of)
     position = {c: i for i, c in enumerate(logical.concepts)}
+    vertex_count = int(vid_of.max()) + 1 if len(vid_of) else 0
+    #: label -> the vids carrying it, as a mask
     labelled: dict[str, np.ndarray] = {}
+
+    def owner_mask(owner_nodes: frozenset[str]) -> np.ndarray:
+        """The vids with a label in ``owner_nodes`` (and in
+        ``owners``, unless ``None``), as a mask."""
+        is_owner = np.zeros(vertex_count, dtype=bool)
+        if owners is None:
+            for owner in owner_nodes:
+                if owner not in labelled:
+                    labelled[owner] = np.zeros(vertex_count, dtype=bool)
+                    labelled[owner][graph.vertices_with_label(owner)] = True
+                is_owner |= labelled[owner]
+        else:
+            for vid in owners:
+                if not owner_nodes.isdisjoint(graph.labels_of(vid)):
+                    is_owner[vid] = True
+        return is_owner
+
     layouts: dict[tuple, tuple | None] = {}
     #: (concept, property) -> whether every row holds a value
     clean: dict[tuple[str, str], bool] = {}
@@ -388,8 +407,10 @@ def _replicated_lists(
     for at, (key, shape) in enumerate(zip(grouped, shapes)):
         _rel_id, _direction, list_name, concept, prop = key
         if shape not in layouts:
+            rel_id, direction, owner_nodes = shape
             layouts[shape] = _list_layout(
-                logical, graph, vid_of, owners, labelled, *shape
+                logical.links_by_id(rel_id), direction, vid_of, row_of,
+                owner_mask(owner_nodes),
             )
         # A layout is dropped after its last entry: they are the
         # largest arrays the load holds.
@@ -441,28 +462,16 @@ def _replicated_lists(
 
 
 def _list_layout(
-    logical, graph, vid_of, owners, labelled, rel_id, direction, owner_nodes
+    links, direction: str, vid_of: np.ndarray, row_of: np.ndarray,
+    is_owner: np.ndarray,
 ):
-    """The links of ``rel_id`` whose owner end (``direction``) is a
-    vertex with a label in ``owner_nodes`` (and in ``owners``, unless
-    ``None``), stably sorted by owner vid: ``(owner vids, partner ids,
-    partner rows, owner cuts)``, or ``None`` when there is no owner.
-    ``labelled`` caches one vid mask per label."""
-    is_owner = np.zeros(len(vid_of) and int(vid_of.max()) + 1, dtype=bool)
-    if owners is None:
-        for owner in owner_nodes:
-            mask = labelled.get(owner)
-            if mask is None:
-                mask = labelled[owner] = np.zeros(len(is_owner), dtype=bool)
-                mask[graph.vertices_with_label(owner)] = True
-            is_owner |= mask
-    else:
-        for vid in owners:
-            if not owner_nodes.isdisjoint(graph.labels_of(vid)):
-                is_owner[vid] = True
+    """The ``links`` whose owner end (``direction``) is a vertex
+    ``is_owner`` marks, stably sorted by owner vid: ``(owner vids,
+    partner ids, partner rows, owner cuts)``, or ``None`` when no
+    vertex is an owner."""
     if not is_owner.any():
         return None
-    srcs, dsts = map(as_numpy, logical.links_by_id(rel_id))
+    srcs, dsts = map(as_numpy, links)
     owner_ids, partners = (srcs, dsts) if direction == "fwd" else (
         dsts, srcs
     )
@@ -471,7 +480,7 @@ def _list_layout(
     order = np.argsort(owner_vids[keep], kind="stable")
     owner_vids = owner_vids[keep][order]
     partners = partners[keep][order]
-    rows = _to_array(as_numpy(logical.row_of)[partners])
+    rows = _to_array(row_of[partners])
     return owner_vids, partners, rows, _owner_cuts(owner_vids)
 
 
