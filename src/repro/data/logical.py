@@ -268,19 +268,9 @@ class LogicalDataset:
     @property
     def properties(self) -> MappingProxyType:
         """uid -> property dict (column order), in id order."""
-        def build():
-            rows: list[dict | None] = [None] * len(self.uids)
-            for concept, ids in self.ids.items():
-                columns = self.columns[concept]
-                names = list(columns)
-                for iid, values in zip(ids, zip(*columns.values()) if names
-                                       else repeat(())):
-                    rows[iid] = {
-                        name: value for name, value in zip(names, values)
-                        if value is not ABSENT
-                    }
-            return dict(zip(self.uids, rows))
-        return self._view("properties", build)
+        return self._view("properties", lambda: dict(zip(
+            self.uids, map(self.properties_of, range(len(self.uids)))
+        )))
 
     @property
     def links(self) -> MappingProxyType:
@@ -319,14 +309,15 @@ class LogicalDataset:
         position = {c: i for i, c in enumerate(self.concepts)}
         for rel_id, ends in self.link_ids.items():
             rel = self.ontology.relationship(rel_id)
-            for ids, want in zip(map(as_numpy, ends), (rel.src, rel.dst)):
+            ends = [as_numpy(ids) for ids in ends]
+            for ids in ends:
                 bad = (ids < 0) | (ids >= count)
                 if bad.any():
                     raise DataGenerationError(
                         f"link {rel_id} names unknown instance id "
                         f"{int(ids[bad.argmax()])}"
                     )
-            srcs, dsts = (concept_of[as_numpy(ids)] for ids in ends)
+            srcs, dsts = (concept_of[ids] for ids in ends)
             wrong = (srcs != position.get(rel.src, -1)) | (
                 dsts != position.get(rel.dst, -1)
             )
