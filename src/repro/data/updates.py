@@ -144,9 +144,8 @@ class GraphUpdater:
         """Delete one functional link and maintain edges + lists."""
         rel = self._patchable(rel_id)
         self.logical.remove_link(rel_id, src_uid, dst_uid)
-        src_id, dst_id = self.logical.id_of(src_uid), self.logical.id_of(
-            dst_uid
-        )
+        src_id = self.logical.id_of(src_uid)
+        dst_id = self.logical.id_of(dst_uid)
         for graph, registry in (
             (self.dir_graph, self.dir_registry),
             (self.opt_graph, self.opt_registry),
