@@ -1,23 +1,15 @@
-"""Logical instance data, generation, loading, observation, updates."""
+"""Logical instance data: generation, loading, updates."""
 
 from repro.data.generator import generate_logical
 from repro.data.loader import LoadRegistry, load_direct, load_optimized
 from repro.data.logical import LogicalDataset
-from repro.data.observe import (
-    WorkloadRecorder,
-    statistics_from_graph,
-    statistics_from_logical,
-)
 from repro.data.updates import GraphUpdater
 
 __all__ = [
     "GraphUpdater",
     "LoadRegistry",
     "LogicalDataset",
-    "WorkloadRecorder",
     "generate_logical",
     "load_direct",
     "load_optimized",
-    "statistics_from_graph",
-    "statistics_from_logical",
 ]

@@ -127,7 +127,7 @@ def _add_twins(
     for rel in structural:
         _add_twins(ontology, dataset, rng, rel.dst, resolved,
                    trail + (concept,))
-        parts = dataset.ids_of(rel.dst).tolist()
+        parts = list(dataset.ids.get(rel.dst, ()))
         new = [part for part in parts if part not in twin_of]
         twin_of.update(zip(new, dataset.add_instances(
             concept,
@@ -189,8 +189,8 @@ def _property_columns(
 ) -> dict[str, list]:
     """One value list per property, one value per instance index,
     drawing instance by instance and, within an instance, pooled
-    property by pooled property - the draw order of one
-    ``_properties_for`` per instance.
+    property by pooled property - the draw order of the per-element
+    oracle (``tests/data/generator_oracle.py``).
     """
     pooled = sum(1 for _, _, table in layout if table is not None)
     draws = list(map(rng.randrange, repeat(POOL, len(indices) * pooled)))
@@ -205,15 +205,6 @@ def _property_columns(
     return columns
 
 
-def _properties_for(
-    ontology: Ontology, concept: str, index: int, rng: random.Random
-) -> dict[str, object]:
-    """The property values of ``concept``'s instance number ``index``."""
-    columns = _property_columns(
-        _layout(ontology, concept), range(index, index + 1), rng
-    )
-    return {name: values[0] for name, values in columns.items()}
-
 
 # ----------------------------------------------------------------------
 # Functional links
@@ -227,8 +218,8 @@ def _materialize_functional_links(
     for rel in ontology.iter_relationships():
         if not rel.rel_type.is_functional:
             continue
-        src_pool = dataset.ids_of(rel.src).tolist()
-        dst_pool = dataset.ids_of(rel.dst).tolist()
+        src_pool = list(dataset.ids.get(rel.src, ()))
+        dst_pool = list(dataset.ids.get(rel.dst, ()))
         if not src_pool or not dst_pool:
             raise DataGenerationError(
                 f"relationship {rel.rel_id} has an empty endpoint"

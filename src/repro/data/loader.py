@@ -19,9 +19,9 @@
      empty lists are left absent so existence semantics match DIR.
 
 Both work on the dataset's columns and id arrays
-(:mod:`repro.data.logical`), never on its uid-keyed views:
+(:mod:`repro.data.logical`):
 
-* DIR adds each concept with one column-form ``add_vertices``, and each
+* DIR adds each concept with one ``add_vertices``, and each
   relationship's edges with one ``add_edges`` whose endpoints are a
   gather of the id -> vid array;
 * OPT finds the groups by min-label propagation plus pointer jumping
@@ -71,19 +71,6 @@ class LoadRegistry:
     #: instance id -> the least id of its merged group (OPT graphs only)
     root_of: array = field(default_factory=lambda: array("q"))
 
-    @property
-    def vertex_of(self) -> dict[int, int]:
-        """instance id -> vertex id, as a dict."""
-        return dict(enumerate(self.vid_of))
-
-    @property
-    def groups(self) -> dict[int, list[int]]:
-        """root id -> member ids, in first-member order (OPT only)."""
-        groups: dict[int, list[int]] = {}
-        for member, root in enumerate(self.root_of):
-            groups.setdefault(root, []).append(member)
-        return groups
-
 
 def _to_array(values: np.ndarray) -> array:
     held = array("q")
@@ -101,7 +88,7 @@ def load_direct(
     vid_of = np.zeros(logical.num_instances, dtype=np.int64)
     for concept, ids in logical.ids.items():
         vids = graph.add_vertices(
-            [(concept,)] * len(ids), columns=logical.columns[concept]
+            (concept,), len(ids), logical.columns[concept]
         )
         vid_of[as_numpy(ids)] = np.arange(vids.start, vids.stop)
     vids = vid_of.tolist()
@@ -145,7 +132,7 @@ def load_optimized(
 
     # 1. Merge along collapsed links.
     root = _components(0, logical.num_instances, [
-        logical.links_by_id(rel_id) for rel_id in mapping.collapsed
+        logical.link_ids.get(rel_id, ((), ())) for rel_id in mapping.collapsed
     ])
 
     # 2. One vertex per group, in first-member order.
@@ -234,7 +221,7 @@ def _group_vertices(
     ids = np.arange(first, first + len(root), dtype=np.int64)
     members, bounds, group = _grouped(logical, ids, root)
     vids = [
-        graph.add_vertices([labels] * count, columns=columns)
+        graph.add_vertices(labels, count, columns)
         for labels, columns, count in _group_runs(
             logical, mapping, members, bounds
         )
@@ -409,8 +396,8 @@ def _replicated_lists(
         if shape not in layouts:
             rel_id, direction, owner_nodes = shape
             layouts[shape] = _list_layout(
-                logical.links_by_id(rel_id), direction, vid_of, row_of,
-                owner_mask(owner_nodes),
+                logical.link_ids.get(rel_id, ((), ())), direction,
+                vid_of, row_of, owner_mask(owner_nodes),
             )
         # A layout is dropped after its last entry: they are the
         # largest arrays the load holds.

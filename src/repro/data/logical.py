@@ -23,16 +23,15 @@ The data is stored by column:
 * ``link_ids[rel_id]`` is a pair of ``array('q')`` (source ids, target
   ids), in link order.
 
-The loaders and the updater read these; ``instances``, ``properties``,
-``links`` and ``concept_of`` are read-only dict views keyed by uid,
-built on first use and dropped by every mutation.
+These are the only form: the generator writes them, and the loaders
+and the updater read them.  Uid strings enter and leave at the edge
+(``id_of``, ``has_instance``, ``remove_link``, ``set_property``).
 """
 
 from __future__ import annotations
 
 from array import array
-from itertools import chain, repeat
-from types import MappingProxyType
+from itertools import repeat
 
 import numpy as np
 
@@ -68,8 +67,6 @@ class LogicalDataset:
         self.link_ids: dict[str, tuple[array, array]] = {}
         #: uid -> id
         self._id_of: dict[str, int] = {}
-        #: the dict views, built on first use
-        self._views: dict[str, MappingProxyType] = {}
 
     # ------------------------------------------------------------------
     # Construction
@@ -77,35 +74,25 @@ class LogicalDataset:
     def add_instance(
         self, concept: str, uid: str, props: dict[str, object]
     ) -> int:
-        return self.add_instances(concept, [uid], [props])[0]
+        return self.add_instances(concept, [uid], {
+            name: [value] for name, value in props.items()
+        })[0]
 
     def add_instances(
         self,
         concept: str,
         uids: list[str],
-        props: list[dict[str, object]] | None = None,
         columns: dict[str, list] | None = None,
     ) -> range:
         """Add ``uids`` to ``concept`` and return their ids.
 
-        The values come as one dict per uid (``props``) or as one list
-        per property name (``columns``, :data:`ABSENT` for a missing
-        value).  A column list becomes the concept's column when the
-        concept has none yet: the caller hands it over.  A duplicate
-        uid - known already or repeated in ``uids`` - raises before
-        anything is added.
+        ``columns`` holds one value list per property name
+        (:data:`ABSENT` for a missing value).  A column list becomes the
+        concept's column when the concept has none yet: the caller
+        hands it over.  A duplicate uid - known already or repeated in
+        ``uids`` - raises before anything is added.
         """
         count = len(uids)
-        if props is not None:
-            if len(props) != count:
-                raise DataGenerationError(
-                    f"{count} uids for {len(props)} property dicts"
-                )
-            names = dict.fromkeys(chain.from_iterable(props))
-            columns = {
-                name: [row.get(name, ABSENT) for row in props]
-                for name in names
-            }
         columns = columns or {}
         if any(len(values) != count for values in columns.values()):
             raise DataGenerationError(
@@ -150,20 +137,7 @@ class LogicalDataset:
             repeat(self.concepts.index(concept), count)
         )
         self.row_of.extend(range(rows, rows + count))
-        self._views.clear()
         return range(start, start + count)
-
-    def add_link(self, rel_id: str, src_uid: str, dst_uid: str) -> None:
-        self.add_links(rel_id, [(src_uid, dst_uid)])
-
-    def add_links(self, rel_id: str, pairs: list[tuple[str, str]]) -> None:
-        """Append the uid ``pairs`` to ``rel_id``'s links.
-
-        An endpoint that is no known instance raises, naming the first
-        one, before anything is added.
-        """
-        ids = list(map(self.id_of, chain.from_iterable(pairs)))
-        self.add_link_ids(rel_id, ids[0::2], ids[1::2])
 
     def add_link_ids(self, rel_id: str, srcs, dsts) -> None:
         """Append the links ``srcs[i] -> dsts[i]`` by instance id.
@@ -183,7 +157,6 @@ class LogicalDataset:
             held = self.link_ids[rel_id] = (array("q"), array("q"))
         held[0].extend(srcs)
         held[1].extend(dsts)
-        self._views.clear()
 
     def remove_link(self, rel_id: str, src_uid: str, dst_uid: str) -> None:
         """Remove one ``src -> dst`` link of ``rel_id`` (the first, if
@@ -193,7 +166,6 @@ class LogicalDataset:
         for at, (a, b) in enumerate(zip(srcs, dsts)):
             if a == src and b == dst:
                 del srcs[at], dsts[at]
-                self._views.clear()
                 return
         raise DataGenerationError(
             f"no link {src_uid} -> {dst_uid} in {rel_id}"
@@ -209,7 +181,6 @@ class LogicalDataset:
                 [ABSENT] * len(self.ids[concept])
             )
         column[self.row_of[iid]] = value
-        self._views.clear()
 
     # ------------------------------------------------------------------
     # Access by id
@@ -226,12 +197,6 @@ class LogicalDataset:
     def concept_name(self, iid: int) -> str:
         return self.concepts[self.concept_index[iid]]
 
-    def ids_of(self, concept: str) -> array:
-        return self.ids.get(concept, array("q"))
-
-    def links_by_id(self, rel_id: str) -> tuple[array, array]:
-        return self.link_ids.get(rel_id, (array("q"), array("q")))
-
     def properties_of(self, iid: int) -> dict[str, object]:
         """The properties instance ``iid`` carries, in column order."""
         row = self.row_of[iid]
@@ -240,52 +205,6 @@ class LogicalDataset:
             for name, values in self.columns[self.concept_name(iid)].items()
             if values[row] is not ABSENT
         }
-
-    # ------------------------------------------------------------------
-    # Access by uid: the read-only dict views
-    # ------------------------------------------------------------------
-    def _view(self, name: str, build) -> MappingProxyType:
-        view = self._views.get(name)
-        if view is None:
-            view = self._views[name] = MappingProxyType(build())
-        return view
-
-    @property
-    def instances(self) -> MappingProxyType:
-        """concept -> its instance uids, in insertion order."""
-        uid = self.uids.__getitem__
-        return self._view("instances", lambda: {
-            concept: list(map(uid, ids)) for concept, ids in self.ids.items()
-        })
-
-    @property
-    def concept_of(self) -> MappingProxyType:
-        """uid -> concept, in id order."""
-        return self._view("concept_of", lambda: dict(zip(
-            self.uids, map(self.concepts.__getitem__, self.concept_index)
-        )))
-
-    @property
-    def properties(self) -> MappingProxyType:
-        """uid -> property dict (column order), in id order."""
-        return self._view("properties", lambda: dict(zip(
-            self.uids, map(self.properties_of, range(len(self.uids)))
-        )))
-
-    @property
-    def links(self) -> MappingProxyType:
-        """relationship id -> its (source uid, target uid) pairs."""
-        uid = self.uids.__getitem__
-        return self._view("links", lambda: {
-            rel_id: list(zip(map(uid, srcs), map(uid, dsts)))
-            for rel_id, (srcs, dsts) in self.link_ids.items()
-        })
-
-    def instances_of(self, concept: str) -> list[str]:
-        return self.instances.get(concept, [])
-
-    def links_of(self, rel_id: str) -> list[tuple[str, str]]:
-        return self.links.get(rel_id, [])
 
     @property
     def num_instances(self) -> int:

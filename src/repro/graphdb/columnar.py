@@ -39,8 +39,8 @@ KIND_OBJ = "object"
 
 _TYPECODE = {KIND_INT: "q", KIND_FLOAT: "d"}
 
-#: The value slot of a property an element does not carry (in a
-#: bulk-ingest column: ``PropertyGraph.add_vertices(columns=)``).
+#: The value slot of a property an element does not carry, in a
+#: column of ``PropertyGraph.add_vertices`` or ``LogicalDataset``.
 ABSENT = object()
 
 

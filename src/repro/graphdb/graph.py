@@ -52,7 +52,9 @@ updates them.
 
 Ids only ever grow, so adding an element appends it to every bucket;
 a rolled-back removal puts it back where it was: in its table row, and
-before the first greater id of every bucket it was taken out of.
+before the first greater id of every bucket it was taken out of.  A
+vertex's adjacency labels stay in first-eid order through removals and
+rollbacks, so the maintained adjacency always equals a rebuild.
 """
 
 from __future__ import annotations
@@ -85,8 +87,8 @@ _live = (0).__le__
 
 
 def _column_rows(columns: dict[str, list], count: int) -> list[dict]:
-    """The dict form of ``add_vertices``' column form: each row's
-    present values, in column order."""
+    """Each row's present values of ``add_vertices``' columns, in
+    column order: what the per-element path adds."""
     if not columns:
         return [{}] * count
     return [
@@ -110,10 +112,27 @@ def _place_edge(
     by_label: dict[str, _Bucket], label: str, eid: int, value: object
 ) -> None:
     """:func:`_place` ``eid`` in its label's bucket, then put the
-    labels back in first-eid order (the order
-    :meth:`PropertyGraph._build_adjacency` gives), which a new label or
-    a new first eid can have broken."""
+    labels back in first-eid order, which a new label or a new first
+    eid can have broken."""
     _place(by_label.setdefault(label, {}), eid, value)
+    _by_first_eid(by_label)
+
+
+def _discard_edge(by_label: dict[str, _Bucket], label: str, eid: int) -> None:
+    """Take ``eid`` out of its label's bucket, then put the labels back
+    in first-eid order if it was the bucket's first."""
+    bucket = by_label[label]
+    first = next(iter(bucket)) == eid
+    del bucket[eid]
+    if not bucket:
+        del by_label[label]
+    elif first:
+        _by_first_eid(by_label)
+
+
+def _by_first_eid(by_label: dict[str, _Bucket]) -> None:
+    """Order one vertex's labels by their buckets' first eids: the
+    order :meth:`PropertyGraph._build_adjacency` gives."""
     items = sorted(by_label.items(), key=_first_eid)
     by_label.clear()
     by_label.update(items)
@@ -460,11 +479,11 @@ class PropertyGraph:
         #: rebuilds them on demand, :meth:`freeze` adds the CSR.
         self._epoch = 0
         self._arrays: GraphArrays | None = None
-        #: labels-argument -> VertexTable memo for add_vertex: loaders
-        #: pass the same str/tuple/frozenset label arguments millions
-        #: of times, so the intern + frozenset work runs once per
-        #: distinct argument.  Symbol ids and tables are append-only,
-        #: so entries never go stale.
+        #: labels-argument -> VertexTable memo for add_vertex and
+        #: add_vertices: callers pass the same str/tuple/frozenset label
+        #: arguments over and over, so the intern + frozenset work runs
+        #: once per distinct argument.  Symbol ids and tables are
+        #: append-only, so entries never go stale.
         self._table_cache: dict = {}
 
     # ------------------------------------------------------------------
@@ -757,69 +776,51 @@ class PropertyGraph:
 
     def add_vertices(
         self,
-        labels: Iterable[Iterable[str] | str],
-        properties: Iterable[dict[str, object] | None] | None = None,
+        labels: Iterable[str] | str,
+        count: int,
         columns: dict[str, list] | None = None,
     ) -> range:
-        """Bulk :meth:`add_vertex`: vertex ``i`` gets ``labels[i]``
-        and ``properties[i]``; returns the (consecutive) vids.
+        """Bulk :meth:`add_vertex` of ``count`` vertices with the label
+        set ``labels``; returns the (consecutive) vids.
 
-        By column, ``columns`` maps each property name to one value per
-        vertex, :data:`~repro.graphdb.columnar.ABSENT` where the vertex
-        lacks it.  It adds what the dict form adds for the rows'
-        dicts in column order.
+        ``columns`` maps each property name to one value per vertex,
+        :data:`~repro.graphdb.columnar.ABSENT` where the vertex lacks
+        it: vertex ``i`` gets what ``add_vertex`` would give it for the
+        dict of its values in column order.
 
-        Lengths and label sets are validated before anything is
-        applied.  An observed graph (see :meth:`add_edges`; a property
-        index observes vertices too) goes through :meth:`add_vertex`
-        per element.  Otherwise the batch goes in by column: vertices
-        are bucketed by label-set table, each table's dicts transposed
-        into one value list per key and appended to that column in one
-        step, and the epoch is bumped once; the column form with one
-        label set for every vertex appends its lists as they are.
-        Symbols are interned in the per-element order: a vertex's
-        labels, then its keys.
+        The labels and the column lengths are validated before anything
+        is applied.  An observed graph (see :meth:`add_edges`; a
+        property index observes vertices too) goes through
+        :meth:`add_vertex` per element.  Otherwise each column list is
+        appended to the table's column in one step and the epoch is
+        bumped once.  Symbols are interned in the per-element order: the
+        labels, then each key at the first vertex carrying it.
         """
-        labels = [
-            arg if isinstance(arg, (str, tuple, frozenset)) else tuple(arg)
-            for arg in labels
-        ]
-        count = len(labels)
-        if columns is None:
-            properties = [props or {} for props in properties or ()]
-            if len(properties) != count:
-                raise GraphError(
-                    f"add_vertices: {count} label sets for "
-                    f"{len(properties)} property dicts"
-                )
-        elif properties is not None:
-            raise GraphError("add_vertices: properties or columns, not both")
-        else:
-            for name, values in columns.items():
-                if len(values) != count:
-                    raise GraphError(
-                        f"add_vertices: {count} label sets for "
-                        f"{len(values)} values of {name!r}"
-                    )
-        vids = range(self._next_vid, self._next_vid + count)
-        distinct = set(labels)
-        if any(not arg and not isinstance(arg, str) for arg in distinct):
+        if not isinstance(labels, (str, tuple, frozenset)):
+            labels = tuple(labels)
+        if not labels and not isinstance(labels, str):
             raise GraphError("a vertex needs at least one label")
-        observed = self._observed() or self._property_indexes
-        if columns is not None and (observed or len(distinct) > 1):
-            properties, columns = _column_rows(columns, count), None
-        if observed:
-            for arg, props in zip(labels, properties):
-                self.add_vertex(arg, props)
+        columns = columns or {}
+        for name, values in columns.items():
+            if len(values) != count:
+                raise GraphError(
+                    f"add_vertices: {count} vertices for "
+                    f"{len(values)} values of {name!r}"
+                )
+        vids = range(self._next_vid, self._next_vid + count)
+        if self._observed() or self._property_indexes:
+            for props in _column_rows(columns, count):
+                self.add_vertex(labels, props)
             return vids
         if not count:
             return vids
-        if columns is not None:
-            v_tid, v_row = self._append_columns(vids, labels[0], columns)
-        else:
-            v_tid, v_row = self._append_rows(vids, labels, properties)
-        self._v_tid.extend(v_tid)
-        self._v_row.extend(v_row)
+        table = self._table_of(labels)
+        row = len(table.vids)
+        table.vids.extend(vids)
+        table.live += count
+        self._append_columns(table, row, columns)
+        self._v_tid.extend(repeat(table.labelset_id, count))
+        self._v_row.extend(range(row, row + count))
         if self._adjacency is not None:
             for adjacency in self._adjacency:
                 adjacency.update((vid, {}) for vid in vids)
@@ -827,57 +828,13 @@ class PropertyGraph:
         self._touch(count)
         return vids
 
-    def _append_rows(
-        self, vids: range, labels: list, properties: list[dict]
-    ) -> tuple[list[int], list[int]]:
-        """:meth:`add_vertices`' dict form, applied; returns the new
-        vertices' table ids and rows."""
-        # Gather: label argument -> its table's batch of
-        # (table, vids, property dicts, property name -> symbol id).
-        intern = self._symbols.intern
-        by_arg: dict = {}
-        batches: dict[int, tuple[VertexTable, list, list, dict]] = {}
-        v_tid: list[int] = []
-        v_row: list[int] = []
-        for vid, arg, props in zip(vids, labels, properties):
-            batch = by_arg.get(arg)
-            if batch is None:
-                table = self._table_of(arg)
-                batch = by_arg[arg] = batches.setdefault(
-                    table.labelset_id, (table, [], [], {})
-                )
-            table, members, rows, keys = batch
-            if not props.keys() <= keys.keys():
-                for name in props:
-                    keys[name] = intern(name)
-            v_tid.append(table.labelset_id)
-            v_row.append(len(table.vids) + len(members))
-            members.append(vid)
-            rows.append(props)
-        # Apply, table by table and column by column.
-        for table, members, rows, keys in batches.values():
-            row = len(table.vids)
-            table.vids.extend(members)
-            table.live += len(members)
-            for name, sid in keys.items():
-                try:
-                    values = list(map(itemgetter(name), rows))
-                    mask = None
-                except KeyError:  # some vertex lacks the key
-                    values = [props.get(name, ABSENT) for props in rows]
-                    mask = bytearray(v is not ABSENT for v in values)
-                table.append_column(sid, row, values, mask)
-        return v_tid, v_row
-
     def _append_columns(
-        self, vids: range, arg, columns: dict[str, list]
-    ) -> tuple[list[int], list[int]]:
-        """:meth:`add_vertices`' column form for one label argument,
-        applied; returns the new vertices' table ids and rows.  Row by
-        row, the dict form would intern the labels, then each key at
-        the first row carrying it (in column order within a row), and
-        add the table's columns in that order."""
-        table = self._table_of(arg)
+        self, table: VertexTable, row: int, columns: dict[str, list]
+    ) -> None:
+        """Append ``columns`` to ``table`` from ``row`` on.  Row by
+        row, per-element adds would intern each key at the first row
+        carrying it (in column order within a row) and add the table's
+        columns in that order."""
         carried = []
         for position, (name, values) in enumerate(columns.items()):
             mask, first = None, 0
@@ -888,15 +845,9 @@ class PropertyGraph:
                     continue
             carried.append((first, position, name, values, mask))
         carried.sort(key=itemgetter(0, 1))
-        row = len(table.vids)
-        table.vids.extend(vids)
-        table.live += len(vids)
         intern = self._symbols.intern
         for _first, _position, name, values, mask in carried:
             table.append_column(intern(name), row, values, mask)
-        return [table.labelset_id] * len(vids), list(
-            range(row, row + len(vids))
-        )
 
     def add_edge(
         self,
@@ -1129,8 +1080,8 @@ class PropertyGraph:
         labels[eid] = -1
         self._num_edges -= 1
         props = self._e_props.pop(eid, None)
-        self._adjacency_discard(out[src], label, eid)
-        self._adjacency_discard(into[dst], label, eid)
+        _discard_edge(out[src], label, eid)
+        _discard_edge(into[dst], label, eid)
         self._touch()
         if self._undo is not None:
             self._undo.append(
@@ -1138,15 +1089,6 @@ class PropertyGraph:
             )
         if self._listeners:
             self._emit("remove_edge", eid)
-
-    @staticmethod
-    def _adjacency_discard(
-        adjacency: dict[str, _Bucket], label: str, eid: int
-    ) -> None:
-        bucket = adjacency[label]
-        del bucket[eid]
-        if not bucket:
-            del adjacency[label]
 
     def remove_vertex(self, vid: int) -> None:
         """Remove a vertex and every incident edge.

@@ -1,11 +1,12 @@
-"""Test-only reference generator: one ``add_instance`` / ``add_link``
+"""Test-only reference generator: one ``add_instance`` / ``add_link_ids``
 and one ``_properties_for`` per element.
 
 The per-element ``generate_logical`` that the batched generator
 replaced, kept as the oracle it is compared against
 (``tests/data/test_generator_parity.py``): the rng draws, the
 instances, property values, links and every dict's key order must not
-change.
+change.  It reads the dataset through its id API, as the batched
+generator does.
 """
 
 from __future__ import annotations
@@ -68,13 +69,15 @@ def _materialize_instances(
         counter = 0
         for rel in structural:
             resolve(rel.dst, trail + (concept,))
-            for part_uid in dataset.instances_of(rel.dst):
-                twin_uid = f"{concept}|{part_uid}"
-                if twin_uid not in dataset.concept_of:
+            for part in list(dataset.ids.get(rel.dst, ())):
+                twin_uid = f"{concept}|{dataset.uids[part]}"
+                if dataset.has_instance(twin_uid):
                     # A concept can relate to the same child through
                     # several structural relationships (e.g. both
                     # unionOf and isA); the twin is shared.
-                    dataset.add_instance(
+                    twin = dataset.id_of(twin_uid)
+                else:
+                    twin = dataset.add_instance(
                         concept,
                         twin_uid,
                         _properties_for(ontology, concept, counter, rng),
@@ -82,7 +85,7 @@ def _materialize_instances(
                     counter += 1
                 # Instance-level structural link: parent/union twins are
                 # the *source* side of the ontology relationship.
-                dataset.add_link(rel.rel_id, twin_uid, part_uid)
+                dataset.add_link_ids(rel.rel_id, [twin], [part])
         resolved.add(concept)
 
     for concept in sorted(derived):
@@ -133,8 +136,8 @@ def _materialize_functional_links(
     for rel in ontology.iter_relationships():
         if not rel.rel_type.is_functional:
             continue
-        src_pool = dataset.instances_of(rel.src)
-        dst_pool = dataset.instances_of(rel.dst)
+        src_pool = list(dataset.ids.get(rel.src, ()))
+        dst_pool = list(dataset.ids.get(rel.dst, ()))
         if not src_pool or not dst_pool:
             raise DataGenerationError(
                 f"relationship {rel.rel_id} has an empty endpoint"
@@ -143,20 +146,18 @@ def _materialize_functional_links(
             count = min(len(src_pool), len(dst_pool))
             shuffled = list(dst_pool)
             rng.shuffle(shuffled)
-            for src_uid, dst_uid in zip(src_pool[:count], shuffled[:count]):
-                dataset.add_link(rel.rel_id, src_uid, dst_uid)
+            for src, dst in zip(src_pool[:count], shuffled[:count]):
+                dataset.add_link_ids(rel.rel_id, [src], [dst])
         elif rel.rel_type is RelationshipType.ONE_TO_MANY:
             # Each "many"-side instance points back to one source.
-            for dst_uid in dst_pool:
-                dataset.add_link(
-                    rel.rel_id, rng.choice(src_pool), dst_uid
-                )
+            for dst in dst_pool:
+                dataset.add_link_ids(rel.rel_id, [rng.choice(src_pool)], [dst])
         else:  # MANY_TO_MANY
             total = stats.rel_card(rel.rel_id)
             fanout = max(1, round(total / len(src_pool)))
-            for src_uid in src_pool:
+            for src in src_pool:
                 partners = rng.sample(
                     dst_pool, min(fanout, len(dst_pool))
                 )
-                for dst_uid in partners:
-                    dataset.add_link(rel.rel_id, src_uid, dst_uid)
+                for dst in partners:
+                    dataset.add_link_ids(rel.rel_id, [src], [dst])

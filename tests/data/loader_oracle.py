@@ -4,7 +4,8 @@ The per-element ``load_direct`` / ``load_optimized`` that the bulk
 loaders replaced, kept as the oracle they are compared against:
 vertex ids, edge ids, labels, properties, list-property element order
 and the :class:`LoadRegistry` contents must not change.  They read the
-dataset through its uid-keyed dict views and merge with a union-find.
+dataset one instance and one link at a time through its id API, and
+merge with a union-find.
 """
 
 from array import array
@@ -14,9 +15,9 @@ from repro.graphdb.graph import PropertyGraph
 
 class _UnionFind:
     def __init__(self) -> None:
-        self._parent: dict[str, str] = {}
+        self._parent: dict[int, int] = {}
 
-    def find(self, item: str) -> str:
+    def find(self, item: int) -> int:
         parent = self._parent
         root = parent.setdefault(item, item)
         while parent[root] != root:
@@ -27,62 +28,64 @@ class _UnionFind:
             parent[item], item = root, parent[item]
         return root
 
-    def union(self, a: str, b: str) -> None:
+    def union(self, a: int, b: int) -> None:
         root_a, root_b = self.find(a), self.find(b)
         if root_a != root_b:
             self._parent[root_b] = root_a
 
-    def groups(self, items) -> dict[str, list[str]]:
-        grouped: dict[str, list[str]] = {}
+    def components(self, items) -> dict[int, list[int]]:
+        grouped: dict[int, list[int]] = {}
         for item in items:
             grouped.setdefault(self.find(item), []).append(item)
         return grouped
 
 
-def _fill(registry, logical, vertex_of, root_of=None):
-    """Record ``vertex_of`` / ``root_of`` (uid-keyed) as the loaders'
+def _fill(registry, logical, vid_of, root_of=None):
+    """Record ``vid_of`` / ``root_of`` (id-keyed) as the loaders'
     id-indexed arrays."""
     if registry is None:
         return
-    id_of = {uid: iid for iid, uid in enumerate(logical.uids)}
-    registry.vid_of = array("q", [vertex_of[uid] for uid in logical.uids])
+    ids = range(logical.num_instances)
+    registry.vid_of = array("q", [vid_of[iid] for iid in ids])
     if root_of is not None:
-        registry.root_of = array(
-            "q", [id_of[root_of[uid]] for uid in logical.uids]
-        )
+        registry.root_of = array("q", [root_of[iid] for iid in ids])
+
+
+def _links(logical, rel_id):
+    """``rel_id``'s links, one ``(source id, target id)`` at a time."""
+    return zip(*logical.link_ids.get(rel_id, ((), ())))
 
 
 def reference_load_direct(logical, name="direct", registry=None):
     graph = PropertyGraph(name)
-    vertex_of = {}
-    for concept, uids in logical.instances.items():
-        for uid in uids:
-            vertex_of[uid] = graph.add_vertex(
-                (concept,), logical.properties[uid]
+    vid_of = {}
+    for concept, ids in logical.ids.items():
+        for iid in ids:
+            vid_of[iid] = graph.add_vertex(
+                (concept,), logical.properties_of(iid)
             )
-    for rel_id, pairs in logical.links.items():
+    for rel_id in logical.link_ids:
         rel = logical.ontology.relationship(rel_id)
-        for src_uid, dst_uid in pairs:
-            src_vid, dst_vid = vertex_of[src_uid], vertex_of[dst_uid]
+        for src, dst in _links(logical, rel_id):
+            src_vid, dst_vid = vid_of[src], vid_of[dst]
             if rel.rel_type.is_structural:
                 src_vid, dst_vid = dst_vid, src_vid
             graph.add_edge(src_vid, dst_vid, rel.label)
-    _fill(registry, logical, vertex_of)
+    _fill(registry, logical, vid_of)
     return graph
 
 
-def _group_property(logical, groups, root_of, uid, source_concept, prop):
-    """Read ``source_concept.prop`` from the merged group of ``uid``."""
-    properties, concept_of = logical.properties, logical.concept_of
-    direct = properties[uid].get(prop)
-    if direct is not None and concept_of[uid] == source_concept:
+def _group_property(logical, groups, root_of, iid, source_concept, prop):
+    """Read ``source_concept.prop`` from the merged group of ``iid``."""
+    direct = logical.properties_of(iid).get(prop)
+    if direct is not None and logical.concept_name(iid) == source_concept:
         return direct
     fallback = None
-    for other_uid in groups[root_of[uid]]:
-        value = properties[other_uid].get(prop)
+    for other in groups[root_of[iid]]:
+        value = logical.properties_of(other).get(prop)
         if value is None:
             continue
-        if concept_of[other_uid] == source_concept:
+        if logical.concept_name(other) == source_concept:
             return value
         fallback = value if fallback is None else fallback
     return fallback
@@ -95,21 +98,21 @@ def reference_load_optimized(
     graph = PropertyGraph(name)
     uf = _UnionFind()
     for rel_id in mapping.collapsed:
-        for src_uid, dst_uid in logical.links_of(rel_id):
-            uf.union(src_uid, dst_uid)
-    # Each group is named by its first member.
+        for src, dst in _links(logical, rel_id):
+            uf.union(src, dst)
+    # Each group is named by its first (least) member.
     groups = {
         members[0]: members
-        for members in uf.groups(logical.concept_of).values()
+        for members in uf.components(range(logical.num_instances)).values()
     }
     root_of = {
-        uid: root for root, members in groups.items() for uid in members
+        iid: root for root, members in groups.items() for iid in members
     }
-    vertex_of = {}
+    vid_of = {}
     for root, members in groups.items():
         # A label set's iteration order is the order its labels are
         # interned in: built as the loaders build it, member by member.
-        concepts = frozenset(logical.concept_of[uid] for uid in members)
+        concepts = frozenset(logical.concept_name(iid) for iid in members)
         node_keys = None
         for concept in concepts:
             resolved = set(mapping.resolve_concept(concept))
@@ -118,17 +121,17 @@ def reference_load_optimized(
             )
         labels = concepts | (node_keys or set())
         properties = {}
-        for uid in sorted(members):
-            properties.update(logical.properties[uid])
+        for iid in sorted(members, key=logical.uids.__getitem__):
+            properties.update(logical.properties_of(iid))
         vid = graph.add_vertex(labels, properties)
-        for uid in members:
-            vertex_of[uid] = vid
-    for rel_id, pairs in logical.links.items():
+        for iid in members:
+            vid_of[iid] = vid
+    for rel_id in logical.link_ids:
         if mapping.is_collapsed(rel_id):
             continue
         rel = ontology.relationship(rel_id)
-        for src_uid, dst_uid in pairs:
-            src_vid, dst_vid = vertex_of[src_uid], vertex_of[dst_uid]
+        for src, dst in _links(logical, rel_id):
+            src_vid, dst_vid = vid_of[src], vid_of[dst]
             if rel.rel_type.is_structural:
                 src_vid, dst_vid = dst_vid, src_vid
             graph.add_edge(src_vid, dst_vid, rel.label)
@@ -145,14 +148,13 @@ def reference_load_optimized(
         owners = entry["owners"]
         owner_is_src = repl.direction == "fwd"
         lists = {}
-        for src_uid, dst_uid in logical.links_of(repl.rel_id):
-            owner_uid = src_uid if owner_is_src else dst_uid
-            partner_uid = dst_uid if owner_is_src else src_uid
-            owner_vid = vertex_of[owner_uid]
+        for src, dst in _links(logical, repl.rel_id):
+            owner, partner = (src, dst) if owner_is_src else (dst, src)
+            owner_vid = vid_of[owner]
             if not owners & graph.vertex(owner_vid).labels:
                 continue
             value = _group_property(
-                logical, groups, root_of, partner_uid,
+                logical, groups, root_of, partner,
                 repl.source_concept, repl.source_property,
             )
             if value is None:
@@ -164,5 +166,5 @@ def reference_load_optimized(
                 existing.extend(values)
             else:
                 graph.set_property(vid, repl.list_name, values)
-    _fill(registry, logical, vertex_of, root_of)
+    _fill(registry, logical, vid_of, root_of)
     return graph

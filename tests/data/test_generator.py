@@ -24,8 +24,10 @@ class TestLogicalDataset:
     def test_link_requires_known_instances(self, fig2):
         ds = LogicalDataset(fig2)
         ds.add_instance("Drug", "d1", {})
-        with pytest.raises(DataGenerationError):
-            ds.add_link("r0001", "d1", "missing")
+        # Links go in by id; an unknown uid stops at the lookup.
+        with pytest.raises(DataGenerationError, match="'missing'"):
+            ds.add_link_ids("r0001", [ds.id_of("d1")], [ds.id_of("missing")])
+        assert ds.link_ids == {}
 
     def test_validate_checks_endpoint_concepts(self, fig2):
         ds = LogicalDataset(fig2)
@@ -34,7 +36,7 @@ class TestLogicalDataset:
         treat = next(
             r for r in fig2.iter_relationships() if r.label == "treat"
         )
-        ds.add_link(treat.rel_id, "d1", "d2")  # dst should be Indication
+        ds.add_link_ids(treat.rel_id, [0], [1])  # dst should be Indication
         with pytest.raises(DataGenerationError):
             ds.validate()
 
@@ -52,7 +54,7 @@ class TestValidateByArray:
     def test_wrong_endpoint_concept_names_the_relationship(
         self, logical, treat
     ):
-        drugs = logical.ids_of("Drug")
+        drugs = logical.ids["Drug"]
         logical.add_link_ids(treat.rel_id, [drugs[0]], [drugs[1]])
         with pytest.raises(DataGenerationError) as raised:
             logical.validate()
@@ -62,7 +64,7 @@ class TestValidateByArray:
         assert "expected 'Drug' -> 'Indication'" in message
 
     def test_unknown_id_names_the_relationship(self, logical, treat):
-        drug = logical.ids_of("Drug")[0]
+        drug = logical.ids["Drug"][0]
         unknown = logical.num_instances
         logical.add_link_ids(treat.rel_id, [drug], [unknown])
         with pytest.raises(DataGenerationError) as raised:
@@ -71,9 +73,9 @@ class TestValidateByArray:
         assert treat.rel_id in message and str(unknown) in message
 
     def test_negative_id_is_unknown(self, logical, treat):
-        logical.add_link_ids(treat.rel_id, [-1], [logical.ids_of(
-            "Indication"
-        )[0]])
+        logical.add_link_ids(
+            treat.rel_id, [-1], [logical.ids["Indication"][0]]
+        )
         with pytest.raises(DataGenerationError, match="unknown instance"):
             logical.validate()
 
@@ -84,40 +86,37 @@ class TestGenerator:
 
     def test_cardinalities_match_stats(self, fig2, fig2_stats, logical):
         for concept in fig2.concepts:
-            assert len(logical.instances_of(concept)) == fig2_stats.card(
-                concept
-            )
+            assert len(logical.ids[concept]) == fig2_stats.card(concept)
 
     def test_deterministic(self, fig2, fig2_stats):
         a = generate_logical(fig2, fig2_stats, seed=3)
         b = generate_logical(fig2, fig2_stats, seed=3)
-        assert a.properties == b.properties
-        assert a.links == b.links
+        assert a.uids == b.uids
+        assert a.columns == b.columns
+        assert a.link_ids == b.link_ids
 
     def test_union_twins(self, fig2, logical):
         union_rels = fig2.relationships_of_type(RelationshipType.UNION)
         for rel in union_rels:
-            pairs = logical.links_of(rel.rel_id)
+            twins, members = logical.link_ids[rel.rel_id]
             # One twin per member instance.
-            assert len(pairs) == len(logical.instances_of(rel.dst))
-            for twin_uid, member_uid in pairs:
-                assert logical.concept_of[twin_uid] == "Risk"
-                assert twin_uid == f"Risk|{member_uid}"
+            assert len(twins) == len(logical.ids[rel.dst])
+            for twin, member in zip(twins, members):
+                assert logical.concept_name(twin) == "Risk"
+                assert logical.uids[twin] == f"Risk|{logical.uids[member]}"
 
     def test_inheritance_twins(self, fig2, logical):
         for rel in fig2.relationships_of_type(
             RelationshipType.INHERITANCE
         ):
-            pairs = logical.links_of(rel.rel_id)
-            assert len(pairs) == len(logical.instances_of(rel.dst))
-            for twin_uid, child_uid in pairs:
-                assert logical.concept_of[twin_uid] == rel.src
+            twins, _children = logical.link_ids[rel.rel_id]
+            assert len(twins) == len(logical.ids[rel.dst])
+            for twin in twins:
+                assert logical.concept_name(twin) == rel.src
 
     def test_one_to_one_bijection(self, fig2, logical):
         rel = fig2.relationships_of_type(RelationshipType.ONE_TO_ONE)[0]
-        pairs = logical.links_of(rel.rel_id)
-        srcs = [s for s, _ in pairs]
-        dsts = [d for _, d in pairs]
+        srcs, dsts = logical.link_ids[rel.rel_id]
         assert len(set(srcs)) == len(srcs)
         assert len(set(dsts)) == len(dsts)
 
@@ -125,18 +124,17 @@ class TestGenerator:
         treat = next(
             r for r in fig2.iter_relationships() if r.label == "treat"
         )
-        pairs = logical.links_of(treat.rel_id)
-        dsts = [d for _, d in pairs]
+        _srcs, dsts = logical.link_ids[treat.rel_id]
         assert len(set(dsts)) == len(dsts)  # each indication: one drug
-        assert len(pairs) == len(logical.instances_of("Indication"))
+        assert len(dsts) == len(logical.ids["Indication"])
 
     def test_mn_fanout(self, med_small):
         logical = med_small.logical()
         mn = med_small.ontology.relationships_of_type(
             RelationshipType.MANY_TO_MANY
         )[0]
-        pairs = logical.links_of(mn.rel_id)
-        src_count = len(logical.instances_of(mn.src))
+        pairs = list(zip(*logical.link_ids[mn.rel_id]))
+        src_count = len(logical.ids[mn.src])
         assert len(pairs) >= src_count  # fanout >= 1 per source
         # No duplicate partners per source.
         seen = set()
@@ -145,24 +143,24 @@ class TestGenerator:
             seen.add(pair)
 
     def test_property_values_typed(self, fig2, logical):
-        for uid in logical.instances_of("Drug"):
-            props = logical.properties[uid]
+        for iid in logical.ids["Drug"]:
+            props = logical.properties_of(iid)
             assert isinstance(props["name"], str)
             assert isinstance(props["brand"], str)
 
     def test_identity_properties_unique(self, fig2, logical):
         names = [
-            logical.properties[uid]["name"]
-            for uid in logical.instances_of("Drug")
+            logical.properties_of(iid)["name"]
+            for iid in logical.ids["Drug"]
         ]
         assert len(set(names)) == len(names)
 
     def test_non_identity_properties_pooled(self, fig2, logical):
         descs = {
-            logical.properties[uid]["desc"]
-            for uid in logical.instances_of("Indication")
+            logical.properties_of(iid)["desc"]
+            for iid in logical.ids["Indication"]
         }
-        assert len(descs) < len(logical.instances_of("Indication"))
+        assert len(descs) < len(logical.ids["Indication"])
 
     def test_summary(self, logical):
         text = logical.summary()

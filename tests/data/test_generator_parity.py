@@ -2,8 +2,8 @@
 per-element oracle (``tests/data/generator_oracle.py``).
 
 The draw order is a contract (``benchmarks/e2e/expected.json`` pins
-its digests), so the comparison is strict: the same instances, property
-values, links and concepts, with every dict's key order - ``links``'s
+its digests), so the comparison is strict, id by id: the same uids,
+concepts, property values (in key order) and links - ``link_ids``'s
 key order is the order the loader interns edge labels in.  MED and FIN
 run at scale 0.1 (validate small); random ontologies from
 ``tests/ontology_gen.py``, with every data type, identity properties
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import os
 import random
+from array import array
 
 import pytest
 
@@ -23,6 +24,7 @@ from repro.data.generator import generate_logical
 from repro.data.logical import LogicalDataset
 from repro.datasets import build_fin, build_med
 from repro.exceptions import DataGenerationError
+from repro.graphdb.columnar import ABSENT
 from repro.ontology.model import DataProperty, DataType, RelationshipType
 from repro.ontology.stats import synthesize_statistics
 from tests.data.generator_oracle import reference_generate_logical
@@ -35,18 +37,17 @@ RANDOM_DRAWS = 12
 
 
 def assert_same_dataset(actual, expected):
-    assert list(actual.instances.items()) == list(expected.instances.items())
-    assert list(actual.links.items()) == list(expected.links.items())
-    assert list(actual.concept_of.items()) == list(
-        expected.concept_of.items()
-    )
-    assert list(actual.properties) == list(expected.properties)
-    for uid, props in expected.properties.items():
-        got = actual.properties[uid]
-        assert list(got.items()) == list(props.items()), uid
+    """Equal id by id: uid, concept, properties (key order and value
+    types included), and each relationship's links in key order."""
+    assert actual.uids == expected.uids
+    for iid, uid in enumerate(expected.uids):
+        assert actual.concept_name(iid) == expected.concept_name(iid), uid
+        got, want = actual.properties_of(iid), expected.properties_of(iid)
+        assert list(got.items()) == list(want.items()), uid
         assert [type(v) for v in got.values()] == [
-            type(v) for v in props.values()
+            type(v) for v in want.values()
         ], uid
+    assert list(actual.link_ids.items()) == list(expected.link_ids.items())
 
 
 def assert_parity(ontology, stats, seed):
@@ -105,34 +106,42 @@ def test_shared_twin_and_empty_layout_equal_the_oracle(fig2, fig2_stats):
     stats = synthesize_statistics(fig2, base_cardinality=10, seed=5)
     assert_parity(fig2, stats, 5)
     logical = generate_logical(fig2, stats, seed=5)
-    assert len(logical.instances_of("Either")) == stats.card("Bare")
-    assert all(logical.properties[u] == {} for u in
-               logical.instances_of("Bare"))
+    assert len(logical.ids["Either"]) == stats.card("Bare")
+    assert all(logical.properties_of(i) == {} for i in logical.ids["Bare"])
 
 
 class TestBatchChecks:
-    def test_unknown_endpoint_names_the_first_and_adds_nothing(self, fig2):
-        ds = LogicalDataset(fig2)
-        ds.add_instances("Drug", ["d1", "d2"], [{}, {}])
-        pairs = [("d1", "d2"), ("d2", "ghost"), ("phantom", "d1")]
-        with pytest.raises(DataGenerationError, match="'ghost'"):
-            ds.add_links("r0001", pairs)
-        assert ds.links == {}
-
     def test_empty_batch_adds_no_key(self, fig2):
         ds = LogicalDataset(fig2)
-        ds.add_links("r0001", [])
-        ds.add_instances("Drug", [], [])
-        assert ds.links == {} and ds.instances == {}
+        ds.add_link_ids("r0001", [], [])
+        ds.add_instances("Drug", [])
+        assert ds.link_ids == {} and ds.ids == {}
 
     def test_batches_append_in_order(self, fig2):
         ds = LogicalDataset(fig2)
-        ds.add_instances("Drug", ["d1"], [{}])
-        ds.add_instances("Drug", ["d2", "d3"], [{}, {}])
-        ds.add_links("r0001", [("d1", "d2")])
-        ds.add_links("r0001", [("d3", "d1")])
-        assert ds.instances == {"Drug": ["d1", "d2", "d3"]}
-        assert ds.links == {"r0001": [("d1", "d2"), ("d3", "d1")]}
+        ds.add_instances("Drug", ["d1"], {"name": ["a"]})
+        ds.add_instances("Drug", ["d2", "d3"], {"dose": [1, 2]})
+        ds.add_link_ids("r0001", [0], [1])
+        ds.add_link_ids("r0001", [2], [0])
+        assert ds.uids == ["d1", "d2", "d3"]
+        assert ds.ids == {"Drug": array("q", [0, 1, 2])}
+        assert ds.columns == {"Drug": {
+            "name": ["a", ABSENT, ABSENT], "dose": [ABSENT, 1, 2],
+        }}
+        assert [ds.properties_of(i) for i in range(3)] == [
+            {"name": "a"}, {"dose": 1}, {"dose": 2}
+        ]
+        assert ds.link_ids == {
+            "r0001": (array("q", [0, 2]), array("q", [1, 0]))
+        }
+
+    def test_column_length_mismatch_raises_before_adding(self, fig2):
+        ds = LogicalDataset(fig2)
+        with pytest.raises(DataGenerationError, match="another length"):
+            ds.add_instances("Drug", ["d1", "d2"], {"name": ["a"]})
+        with pytest.raises(DataGenerationError, match="1 link sources"):
+            ds.add_link_ids("r0001", [0], [])
+        assert ds.uids == [] and ds.ids == {} and ds.link_ids == {}
 
     @pytest.mark.parametrize("uids", [["d1", "d2"], ["d3", "d3"]],
                              ids=["known", "repeated"])
@@ -140,6 +149,6 @@ class TestBatchChecks:
         ds = LogicalDataset(fig2)
         ds.add_instance("Drug", "d1", {})
         with pytest.raises(DataGenerationError, match="duplicate"):
-            ds.add_instances("Drug", uids, [{}, {}])
-        assert ds.concept_of == {"d1": "Drug"}
-        assert ds.instances == {"Drug": ["d1"]}
+            ds.add_instances("Drug", uids)
+        assert ds.uids == ["d1"]
+        assert ds.ids == {"Drug": array("q", [0])}

@@ -58,7 +58,7 @@ class TestLoadOptimized:
     def test_collapsed_links_merge_vertices(self, logical, nsc_mapping):
         graph = load_optimized(logical, nsc_mapping)
         collapsed_links = sum(
-            len(logical.links_of(rel_id))
+            len(logical.link_ids[rel_id][0])
             for rel_id in nsc_mapping.collapsed
         )
         assert graph.num_vertices == logical.num_instances - collapsed_links
@@ -94,10 +94,10 @@ class TestLoadOptimized:
             r for r in fig2.iter_relationships() if r.label == "treat"
         )
         # List contents must equal the partner multiset per drug.
-        partner_values: dict[str, list] = {}
-        for drug_uid, ind_uid in logical.links_of(treat.rel_id):
-            partner_values.setdefault(drug_uid, []).append(
-                logical.properties[ind_uid]["desc"]
+        partner_values: dict[int, list] = {}
+        for drug, ind in zip(*logical.link_ids[treat.rel_id]):
+            partner_values.setdefault(drug, []).append(
+                logical.properties_of(ind)["desc"]
             )
         drugs_with_list = 0
         for vid in graph.vertices_with_label("Drug"):
@@ -141,8 +141,8 @@ class TestLoadOptimized:
         assert a.num_edges == b.num_edges
 
     def test_long_merge_chain_does_not_recurse(self):
-        # A collapsed 1:1 relationship whose links form one chain: the
-        # union-find walks it hop by hop, far past the recursion limit.
+        # A collapsed 1:1 relationship whose links form one chain, far
+        # longer than the recursion limit: one group, no recursion.
         ontology = (
             OntologyBuilder("versions")
             .concept("Version", tag="STRING")
@@ -152,14 +152,14 @@ class TestLoadOptimized:
         mapping = optimize_nsc(ontology).mapping
         (rel_id,) = mapping.collapsed
         logical = LogicalDataset(ontology)
-        for i in range(3000):
-            logical.add_instance("Version", f"v{i}", {"tag": f"t{i}"})
-            if i:
-                logical.add_link(rel_id, f"v{i}", f"v{i - 1}")
+        logical.add_instances(
+            "Version", [f"v{i}" for i in range(3000)],
+            {"tag": [f"t{i}" for i in range(3000)]},
+        )
+        logical.add_link_ids(rel_id, range(1, 3000), range(2999))
         registry = LoadRegistry()
         graph = load_optimized(logical, mapping, registry=registry)
         assert graph.num_vertices == 1 and graph.num_edges == 0
         assert graph.labels_of(0) >= {"Version"}
-        assert len(registry.groups) == 1
-        assert set(registry.vertex_of.values()) == {0}
-        assert len(registry.vertex_of) == 3000
+        assert list(registry.root_of) == [0] * 3000
+        assert list(registry.vid_of) == [0] * 3000

@@ -29,22 +29,22 @@ def test_loader_invariants(seed):
     # Vertex count: one vertex per connected component of instances
     # under collapsed links (computed here with an independent
     # union-find as a cross-check of the loader's merging).
-    parent = {uid: uid for uid in logical.concept_of}
+    parent = list(range(logical.num_instances))
 
-    def find(uid):
-        while parent[uid] != uid:
-            parent[uid] = parent[parent[uid]]
-            uid = parent[uid]
-        return uid
+    def find(iid):
+        while parent[iid] != iid:
+            parent[iid] = parent[parent[iid]]
+            iid = parent[iid]
+        return iid
 
     collapsed_links = 0
     for rel_id in mapping.collapsed:
-        for src_uid, dst_uid in logical.links_of(rel_id):
+        for src, dst in zip(*logical.link_ids.get(rel_id, ((), ()))):
             collapsed_links += 1
-            ra, rb = find(src_uid), find(dst_uid)
+            ra, rb = find(src), find(dst)
             if ra != rb:
                 parent[rb] = ra
-    components = len({find(uid) for uid in logical.concept_of})
+    components = len({find(iid) for iid in range(logical.num_instances)})
     assert opt_graph.num_vertices == components
     assert opt_graph.num_vertices >= (
         logical.num_instances - collapsed_links
@@ -59,9 +59,8 @@ def test_loader_invariants(seed):
 
     # Per-concept vertex coverage: each concept's instances map onto
     # at least one OPT vertex carrying the concept label.
-    for concept, uids in logical.instances.items():
-        if uids:
-            assert opt_graph.label_count(concept) >= 1
+    for concept in logical.ids:
+        assert opt_graph.label_count(concept) >= 1
 
 
 @settings(max_examples=8, deadline=None)
@@ -83,7 +82,7 @@ def test_replicated_lists_well_formed(seed):
             (repl.rel_id, repl.direction, repl.source_concept,
              repl.source_property)
         )
-    total_links = sum(len(p) for p in logical.links.values())
+    total_links = logical.num_links
     for name in list_names:
         total = 0
         for vertex in opt_graph.iter_vertices():

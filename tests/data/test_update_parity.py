@@ -33,7 +33,6 @@ from repro.data import (
     load_direct,
     load_optimized,
 )
-from repro.data.generator import _properties_for
 from repro.datasets import build_fin, build_med
 from repro.graphdb import Executor, GraphSession, NEO4J_LIKE
 from repro.graphdb.query import EdgeBinding, VertexBinding
@@ -41,6 +40,7 @@ from repro.optimizer.costmodel import CostBenefitModel
 from repro.optimizer.pgsg import optimize
 from repro.schema.generate import optimize_schema_nsc
 from repro.workload.rewriter import QueryRewriter
+from tests.data.generator_oracle import _properties_for
 
 pytestmark = pytest.mark.diff_seed
 
@@ -103,24 +103,28 @@ class Harness:
             updater.insert_instance(concept, self.values(concept, b))
         elif kind == "insert_link":
             rel = self.patchable[a % len(self.patchable)]
-            srcs = logical.instances_of(rel.src)
-            dsts = logical.instances_of(rel.dst)
+            srcs = logical.ids.get(rel.src, ())
+            dsts = logical.ids.get(rel.dst, ())
             if srcs and dsts:
                 updater.insert_link(
-                    rel.rel_id, srcs[b % len(srcs)], dsts[c % len(dsts)]
+                    rel.rel_id, logical.uids[srcs[b % len(srcs)]],
+                    logical.uids[dsts[c % len(dsts)]],
                 )
         elif kind == "delete_link":
             linked = [
                 rel for rel in self.patchable
-                if logical.links_of(rel.rel_id)
+                if logical.link_ids.get(rel.rel_id, ((),))[0]
             ]
             rel = linked[a % len(linked)]
-            links = logical.links_of(rel.rel_id)
-            updater.delete_link(rel.rel_id, *links[b % len(links)])
+            srcs, dsts = logical.link_ids[rel.rel_id]
+            at = b % len(srcs)
+            updater.delete_link(
+                rel.rel_id, logical.uids[srcs[at]], logical.uids[dsts[at]]
+            )
         else:
-            uids = list(logical.concept_of)
-            uid = uids[a % len(uids)]
-            concept = logical.concept_of[uid]
+            iid = a % logical.num_instances
+            uid = logical.uids[iid]
+            concept = logical.concept_name(iid)
             names = list(self.ontology.concept(concept).properties)
             if names:
                 name = names[b % len(names)]
@@ -198,12 +202,12 @@ def flattened(rows) -> list:
 
 def materialized(graph, registry):
     """What a graph holds, keyed by logical identity instead of vids:
-    ``{uid group: (labels, properties)}`` and the edge multiset over
-    ``(source uid group, label, target uid group)``."""
-    members: dict[int, set[str]] = {}
-    for uid, vid in registry.vertex_of.items():
-        members.setdefault(vid, set()).add(uid)
-    group_of = {vid: frozenset(uids) for vid, uids in members.items()}
+    ``{instance id group: (labels, properties)}`` and the edge multiset
+    over ``(source id group, label, target id group)``."""
+    members: dict[int, set[int]] = {}
+    for iid, vid in enumerate(registry.vid_of):
+        members.setdefault(vid, set()).add(iid)
+    group_of = {vid: frozenset(ids) for vid, ids in members.items()}
     assert len(group_of) == graph.num_vertices
     vertices = {
         group: (graph.labels_of(vid), dict(graph.vertex(vid).properties))

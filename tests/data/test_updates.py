@@ -41,6 +41,17 @@ def setup(fig2, fig2_stats):
     }
 
 
+def link_uids(logical, rel_id, at=0):
+    """The uids of ``rel_id``'s link number ``at``: a link as the
+    updater takes it."""
+    srcs, dsts = logical.link_ids[rel_id]
+    return logical.uids[srcs[at]], logical.uids[dsts[at]]
+
+
+def first_uid(logical, concept):
+    return logical.uids[logical.ids[concept][0]]
+
+
 def count(graph, query):
     return Executor(
         GraphSession(graph, NEO4J_LIKE)
@@ -55,7 +66,8 @@ class TestInsertInstance:
         )
         assert setup["dir"].label_count("Drug") == before + 1
         assert setup["opt"].label_count("Drug") == before + 1
-        assert setup["logical"].concept_of[uid] == "Drug"
+        logical = setup["logical"]
+        assert logical.concept_name(logical.id_of(uid)) == "Drug"
 
     def test_member_creates_union_twin(self, setup):
         updater = setup["updater"]
@@ -64,7 +76,8 @@ class TestInsertInstance:
         )
         # DIR: member vertex + Risk twin + unionOf edge.
         twin = f"Risk|{uid}"
-        assert setup["logical"].concept_of[twin] == "Risk"
+        logical = setup["logical"]
+        assert logical.concept_name(logical.id_of(twin)) == "Risk"
         dir_q = (
             "MATCH (ci:ContraIndication {description: 'x'})-"
             "[:unionOf]->(r:Risk) RETURN count(*)"
@@ -82,7 +95,7 @@ class TestInsertInstance:
         uid = updater.insert_instance(
             "DrugFoodInteraction", {"risk": "high"}
         )
-        assert f"DrugInteraction|{uid}" in setup["logical"].concept_of
+        assert setup["logical"].has_instance(f"DrugInteraction|{uid}")
         opt_q = (
             "MATCH (v:DrugFoodInteraction:DrugInteraction "
             "{risk: 'high'}) RETURN count(*)"
@@ -102,8 +115,8 @@ class TestInsertLink:
         logical = setup["logical"]
         onto = setup["ontology"]
         treat = onto.find_relationship("treat", "Drug", "Indication")
-        drug = logical.instances_of("Drug")[0]
-        ind = logical.instances_of("Indication")[0]
+        drug = first_uid(logical, "Drug")
+        ind = first_uid(logical, "Indication")
         dir_before = count(
             setup["dir"],
             "MATCH (d:Drug)-[:treat]->(i:Indication) RETURN count(*)",
@@ -116,7 +129,7 @@ class TestInsertLink:
         # The drug's Indication.desc list includes the partner's desc.
         vid = setup["opt_registry"].vid_of[logical.id_of(drug)]
         values = setup["opt"].vertex(vid).properties["Indication.desc"]
-        assert logical.properties[ind]["desc"] in values
+        assert logical.properties_of(logical.id_of(ind))["desc"] in values
 
     def test_structural_link_rejected(self, setup):
         onto = setup["ontology"]
@@ -133,7 +146,7 @@ class TestDeleteLink:
         logical = setup["logical"]
         onto = setup["ontology"]
         treat = onto.find_relationship("treat", "Drug", "Indication")
-        src, dst = logical.links_of(treat.rel_id)[0]
+        src, dst = link_uids(logical, treat.rel_id)
         updater.delete_link(treat.rel_id, src, dst)
         dir_count = count(
             setup["dir"],
@@ -158,14 +171,16 @@ class TestDeleteLink:
         onto = setup["ontology"]
         treat = onto.find_relationship("treat", "Drug", "Indication")
         # Find a drug with exactly one indication.
-        by_drug: dict[str, list[str]] = {}
-        for s, d in logical.links_of(treat.rel_id):
+        by_drug: dict[int, list[int]] = {}
+        for s, d in zip(*logical.link_ids[treat.rel_id]):
             by_drug.setdefault(s, []).append(d)
         drug, inds = next(
             (s, ds) for s, ds in by_drug.items() if len(ds) == 1
         )
-        updater.delete_link(treat.rel_id, drug, inds[0])
-        vid = setup["opt_registry"].vid_of[logical.id_of(drug)]
+        updater.delete_link(
+            treat.rel_id, logical.uids[drug], logical.uids[inds[0]]
+        )
+        vid = setup["opt_registry"].vid_of[drug]
         assert "Indication.desc" not in setup["opt"].vertex(
             vid
         ).properties
@@ -177,7 +192,7 @@ class TestSetProperty:
         logical = setup["logical"]
         onto = setup["ontology"]
         treat = onto.find_relationship("treat", "Drug", "Indication")
-        drug, ind = logical.links_of(treat.rel_id)[0]
+        drug, ind = link_uids(logical, treat.rel_id)
         updater.set_property(ind, "desc", "FRESH")
         vid = setup["opt_registry"].vid_of[logical.id_of(drug)]
         values = setup["opt"].vertex(vid).properties["Indication.desc"]
@@ -194,13 +209,13 @@ class TestSetProperty:
         logical = setup["logical"]
         onto = setup["ontology"]
         treat = onto.find_relationship("treat", "Drug", "Indication")
-        drug = logical.instances_of("Drug")[0]
+        drug = first_uid(logical, "Drug")
         new_ci = updater.insert_instance(
             "ContraIndication", {"description": "added"}
         )
         cause = onto.find_relationship("cause", "Drug", "Risk")
         updater.insert_link(cause.rel_id, drug, f"Risk|{new_ci}")
-        src, dst = logical.links_of(treat.rel_id)[0]
+        src, dst = link_uids(logical, treat.rel_id)
         updater.delete_link(treat.rel_id, src, dst)
         dir_q = (
             "MATCH (d:Drug)-[:cause]->(r:Risk)<-[:unionOf]-"
@@ -236,7 +251,7 @@ class TestReloadParity:
         rel = dataset.ontology.find_relationship(
             "finAssoc10", "FinancialInstrument", "Officer"
         )
-        link = harness.logical.links_of(rel.rel_id)[0]
+        link = link_uids(harness.logical, rel.rel_id)
         harness.updater.delete_link(rel.rel_id, *link)
         assert harness.difference() == ([], Counter(), Counter())
 
@@ -260,7 +275,8 @@ class TestReloadParity:
         uid = harness.updater.insert_instance(
             "Officer", {"hasName": "n", "title": "t"}
         )
-        assert harness.logical.properties[f"Person|{uid}"] == {"hasName": "n"}
+        twin = harness.logical.id_of(f"Person|{uid}")
+        assert harness.logical.properties_of(twin) == {"hasName": "n"}
         harness.assert_queries_equivalent()
         assert harness.difference() == ([], Counter(), Counter())
 
@@ -274,9 +290,9 @@ class TestCollapsedRelationship:
             "has", "Indication", "Condition"
         )
         assert mapping.collapse_kind(has.rel_id) is CollapseKind.MERGE_1_1
-        links = list(logical.links_of(has.rel_id))
+        links = [list(ends) for ends in logical.link_ids[has.rel_id]]
         edges = setup["dir"].num_edges, setup["opt"].num_edges
-        src, dst = links[0]
+        src, dst = link_uids(logical, has.rel_id)
         for change in (
             setup["updater"].insert_link, setup["updater"].delete_link
         ):
@@ -284,7 +300,7 @@ class TestCollapsedRelationship:
                 DataGenerationError, match=f"{has.rel_id}.*merge_1_1"
             ):
                 change(has.rel_id, src, dst)
-        assert logical.links_of(has.rel_id) == links
+        assert [list(ends) for ends in logical.link_ids[has.rel_id]] == links
         assert (setup["dir"].num_edges, setup["opt"].num_edges) == edges
 
 
@@ -294,11 +310,16 @@ class TestRemoveLink:
         treat = setup["ontology"].find_relationship(
             "treat", "Drug", "Indication"
         )
-        src, dst = logical.links_of(treat.rel_id)[0]
-        logical.add_link(treat.rel_id, src, dst)
-        before = logical.links_of(treat.rel_id).count((src, dst))
+        src, dst = link_uids(logical, treat.rel_id)
+        pair = logical.id_of(src), logical.id_of(dst)
+        logical.add_link_ids(treat.rel_id, [pair[0]], [pair[1]])
+
+        def occurrences():
+            return list(zip(*logical.link_ids[treat.rel_id])).count(pair)
+
+        before = occurrences()
         logical.remove_link(treat.rel_id, src, dst)
-        assert logical.links_of(treat.rel_id).count((src, dst)) == before - 1
+        assert occurrences() == before - 1
 
     def test_missing_link_rejected(self, setup):
         with pytest.raises(DataGenerationError, match="no link"):

@@ -8,9 +8,10 @@ edges and batches of one property's values, with removals in between
 endpoints).  :func:`run_script` applies it either through per-element
 ``add_vertex`` / ``add_edge`` / ``set_property`` or through bulk
 ``add_vertices`` / ``add_edges`` / ``set_properties``; everything else
-is identical, so the two graphs must be too.  ``bulk="columns"`` takes
-vertex batches through ``add_vertices``' column form, which is the dict
-form of the rows in column order (:func:`in_column_order`).
+is identical, so the two graphs must be too.  A vertex batch goes in
+as one ``add_vertices`` per run of rows with the same label argument,
+its rows as property columns (:func:`vertex_runs`); the per-element
+path adds the same rows, each dict in its run's column order.
 """
 
 from hypothesis import strategies as st
@@ -79,33 +80,26 @@ SCRIPTS = st.tuples(
 ).map(lambda parts: [("v", labels) for labels in parts[0]] + parts[1])
 
 
-def by_column(rows) -> dict[str, list]:
-    """A vertex batch's ``(labels, props)`` rows as property columns,
-    names in order of first appearance."""
-    names = dict.fromkeys(name for _labels, props in rows for name in props or ())
-    return {
-        name: [(props or {}).get(name, ABSENT) for _labels, props in rows]
-        for name in names
-    }
-
-
-def in_column_order(script) -> list:
-    """``script`` with each vertex batch's dicts in its column order:
-    what the column form of the batch adds."""
-    out = []
-    for step in script:
-        if step[0] == "vs":
-            names = list(by_column(step[1]))
-            step = ("vs", [
-                (labels, {n: props[n] for n in names if n in (props or {})})
-                for labels, props in step[1]
-            ])
-        out.append(step)
-    return out
+def vertex_runs(rows) -> list[tuple[object, int, dict[str, list]]]:
+    """A vertex batch's ``(labels, props)`` rows as ``(labels, count,
+    property columns)``, one per run of rows with the same label
+    argument; names in order of first appearance within the run."""
+    runs: list[tuple[object, list[dict]]] = []
+    for labels, props in rows:
+        if not runs or runs[-1][0] != labels:
+            runs.append((labels, []))
+        runs[-1][1].append(props or {})
+    return [
+        (labels, len(dicts), {
+            name: [props.get(name, ABSENT) for props in dicts]
+            for name in dict.fromkeys(n for props in dicts for n in props)
+        })
+        for labels, dicts in runs
+    ]
 
 
 def run_script(
-    script, bulk: bool | str, graph: PropertyGraph | None = None
+    script, bulk: bool, graph: PropertyGraph | None = None
 ) -> PropertyGraph:
     """Apply ``script`` to ``graph`` (a new one by default)."""
     if graph is None:
@@ -116,19 +110,16 @@ def run_script(
             graph.add_vertex(step[1], {"n": graph.num_vertices})
             continue
         if kind == "vs":
-            if bulk == "columns":
-                graph.add_vertices(
-                    [labels for labels, _props in step[1]],
-                    columns=by_column(step[1]),
-                )
-            elif bulk:
-                graph.add_vertices(
-                    [labels for labels, _props in step[1]],
-                    [props for _labels, props in step[1]],
-                )
-            else:
-                for labels, props in step[1]:
-                    graph.add_vertex(labels, props)
+            for labels, count, columns in vertex_runs(step[1]):
+                if bulk:
+                    graph.add_vertices(labels, count, columns)
+                    continue
+                for row in range(count):
+                    graph.add_vertex(labels, {
+                        name: values[row]
+                        for name, values in columns.items()
+                        if values[row] is not ABSENT
+                    })
             continue
         live = graph.vertex_ids()
         if kind == "e":

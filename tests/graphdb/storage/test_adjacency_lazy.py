@@ -49,7 +49,8 @@ def with_tombstones(graph: PropertyGraph) -> PropertyGraph:
 
 def bulk_loaded() -> PropertyGraph:
     graph = PropertyGraph("g")
-    graph.add_vertices(LABELS, [{"i": vid} for vid in range(len(LABELS))])
+    for vid, labels in enumerate(LABELS):
+        graph.add_vertices(labels, 1, {"i": [vid]})
     for label, (srcs, dsts) in EDGES.items():
         graph.add_edges(label, srcs, dsts)
     return graph
@@ -104,7 +105,7 @@ def test_first_need_builds_what_an_eager_graph_has(lazy_and_twin, trigger):
     assert ordered(lazy._in) == ordered(twin._in)
     # ... and is maintained from there on, bulk appends included.
     for graph in (lazy, twin):
-        new = graph.add_vertices(["M", "N"], [{}, {}])
+        new = [graph.add_vertices(labels, 1)[0] for labels in "MN"]
         graph.add_edges("T", [new[0], 0], [0, new[1]])
         graph.remove_edge(3)
     assert ordered(lazy._out) == ordered(twin._out)
@@ -113,7 +114,7 @@ def test_first_need_builds_what_an_eager_graph_has(lazy_and_twin, trigger):
 
 def test_bulk_appends_and_frozen_reads_leave_it_unbuilt(lazy_and_twin):
     lazy, _twin = lazy_and_twin
-    new = lazy.add_vertices(["M"], [{"i": 9}])
+    new = lazy.add_vertices("M", 1, {"i": [9]})
     lazy.add_edges("T", [new[0]], [0])
     lazy.freeze()
     session = GraphSession(lazy)

@@ -14,7 +14,6 @@ from repro.graphdb.storage import GraphStore, graph_state, recover_graph
 from repro.graphdb.columnar import ABSENT
 from tests.graphdb.randgraph import (
     SCRIPTS,
-    in_column_order,
     label_lists,
     ordered,
     run_script,
@@ -89,27 +88,6 @@ def test_listener_events_and_live_statistics_agree(script):
     (bulk, bulk_events), (single, single_events) = graphs
     assert bulk_events == single_events
     assert_same_graph(bulk, single)
-
-
-@settings(max_examples=60, deadline=None)
-@given(SCRIPTS)
-def test_column_form_is_the_dict_form_in_column_order(script):
-    # Unobserved (one pass by column) and observed (per element, with
-    # the listener events the dict rows give).
-    assert_same_graph(
-        run_script(script, bulk="columns"),
-        run_script(in_column_order(script), bulk=False),
-    )
-    graphs = []
-    for bulk, steps in (("columns", script), (False, in_column_order(script))):
-        graph = PropertyGraph("scripted")
-        events: list = []
-        graph.add_listener(lambda op, args, log=events: log.append((op, args)))
-        run_script(steps, bulk, graph)
-        graphs.append((graph, events))
-    (by_column, column_events), (single, single_events) = graphs
-    assert column_events == single_events
-    assert_same_graph(by_column, single)
 
 
 @settings(max_examples=40, deadline=None)
@@ -214,11 +192,10 @@ class TestContract:
 
     # -- add_vertices --------------------------------------------------
     def test_returns_consecutive_vids(self, graph):
-        assert graph.add_vertices(["N", ("M", "N")], [{"n": 1}, None]) == (
-            range(3, 5)
-        )
-        assert graph.add_vertices([], []) == range(5, 5)
-        assert graph.add_vertices(iter([["M"]]), ({"m": "x"},)) == range(5, 6)
+        assert graph.add_vertices("N", 1, {"n": [1]}) == range(3, 4)
+        assert graph.add_vertices(("M", "N"), 1) == range(4, 5)
+        assert graph.add_vertices("M", 0) == range(5, 5)
+        assert graph.add_vertices(iter(["M"]), 1, {"m": ["x"]}) == range(5, 6)
         assert [sorted(graph.labels_of(vid)) for vid in range(2, 6)] == [
             ["N"], ["N"], ["M", "N"], ["M"]
         ]
@@ -232,15 +209,13 @@ class TestContract:
     ):
         arrays = graph.freeze()
         symbols = len(graph.symbols)
-        graph.add_vertices([], [])
+        graph.add_vertices("fresh", 0, {"key": []})
         assert len(graph.symbols) == symbols
         assert graph.arrays() is arrays
 
     def test_vertices_take_one_epoch_bump_and_typed_columns(self, graph):
         epoch = graph.mutation_epoch
-        graph.add_vertices(
-            ["N", "M", "N"], [{"n": 1, "f": 0.5}, {"n": 2}, {"f": 1.5}]
-        )
+        graph.add_vertices("N", 2, {"n": [1, ABSENT], "f": [0.5, 1.5]})
         assert graph.mutation_epoch == epoch + 1
         columns = {
             graph.symbols.name(sid): column
@@ -252,33 +227,41 @@ class TestContract:
         assert columns["f"].kind == "float64"
         assert bytes(columns["f"].mask) == b"\x00\x00\x00\x01\x01"
 
-    @pytest.mark.parametrize("labels, properties, message", [
-        (["N", ()], [{}, {}], "at least one label"),
-        (["N", []], [{}, {}], "at least one label"),
-        (["N", frozenset()], [{"fresh": 1}, {}], "at least one label"),
-        (["N", "M"], [{"fresh": 1}], "2 label sets for 1 property dicts"),
-        (["N"], [{}, {}], "1 label sets for 2 property dicts"),
+    @pytest.mark.parametrize("labels, columns, message", [
+        ((), None, "at least one label"),
+        ([], {}, "at least one label"),
+        (frozenset(), {"fresh": [1, 2]}, "at least one label"),
     ])
     def test_bad_vertex_batch_leaves_the_graph_untouched(
-        self, graph, labels, properties, message
+        self, graph, labels, columns, message
     ):
         before = structures(graph)
         epoch = graph.mutation_epoch
         with pytest.raises(GraphError, match=message):
-            graph.add_vertices(labels, properties)
+            graph.add_vertices(labels, 2, columns)
         assert structures(graph) == before
         assert graph.mutation_epoch == epoch
 
+    @pytest.mark.parametrize("columns, message", [
+        ({"fresh": [1, 2, 3]}, "2 vertices for 3 values of 'fresh'"),
+        ({"a": [1, 2], "fresh": [1]}, "2 vertices for 1 values of 'fresh'"),
+    ], ids=["more-values", "fewer-values"])
+    def test_bad_column_batch_leaves_the_graph_untouched(
+        self, graph, columns, message
+    ):
+        before = structures(graph)
+        with pytest.raises(GraphError, match=message):
+            graph.add_vertices("N", 2, columns)
+        assert structures(graph) == before
+
     def test_column_form_interns_in_row_order(self, graph):
         symbols = len(graph.symbols)
-        vids = graph.add_vertices(
-            ["P", "Q", "P"],
-            columns={"a": [ABSENT, 1, 2], "b": [3, ABSENT, ABSENT],
-                     "c": [ABSENT] * 3},
-        )
+        vids = graph.add_vertices("P", 3, {
+            "a": [ABSENT, 1, 2], "b": [3, ABSENT, ABSENT], "c": [ABSENT] * 3,
+        })
         assert vids == range(3, 6)
-        # Row 0 brings P and b; row 1 Q and a; c is on no row.
-        assert graph.symbols.names()[symbols:] == ["P", "b", "Q", "a"]
+        # The label first; row 0 brings b, row 1 a; c is on no row.
+        assert graph.symbols.names()[symbols:] == ["P", "b", "a"]
         assert [dict(graph.vertex(v).properties) for v in vids] == [
             {"b": 3}, {"a": 1}, {"a": 2}
         ]
@@ -287,33 +270,23 @@ class TestContract:
             "b", "a"
         ]
 
-    @pytest.mark.parametrize("properties, columns, message", [
-        ([{}], {"a": [1]}, "properties or columns, not both"),
-        (None, {"a": [1, 2]}, "1 label sets for 2 values of 'a'"),
-    ])
-    def test_bad_column_batch_leaves_the_graph_untouched(
-        self, graph, properties, columns, message
-    ):
-        before = structures(graph)
-        with pytest.raises(GraphError, match=message):
-            graph.add_vertices(["N"], properties, columns=columns)
-        assert structures(graph) == before
-
     def test_property_index_forces_the_per_element_path(self, graph):
         graph.create_property_index("N", "n")
         epoch = graph.mutation_epoch
-        graph.add_vertices(["N", "M", "N"], [{"n": 7}, {"n": 7}, {"n": 0}])
+        graph.add_vertices("N", 2, {"n": [7, 0]})
+        graph.add_vertices("M", 1, {"n": [7]})
         assert graph.mutation_epoch == epoch + 3  # one per element
         assert graph.lookup_property("N", "n", 7) == [3]
-        assert graph.lookup_property("N", "n", 0) == [5]
-        graph.set_properties("n", {0: 7, 4: 7, 5: None})
+        assert graph.lookup_property("N", "n", 0) == [4]
+        graph.set_properties("n", {0: 7, 5: 7, 4: None})
         assert graph.mutation_epoch == epoch + 6
         assert graph.lookup_property("N", "n", 7) == [3, 0]
         assert graph.lookup_property("N", "n", 0) == []
 
     # -- set_properties ------------------------------------------------
     def test_properties_take_one_epoch_bump_and_keep_the_dtype(self, graph):
-        graph.add_vertices(["N", "M"], [{"n": 0}, {}])
+        graph.add_vertices("N", 1, {"n": [0]})
+        graph.add_vertices("M", 1)
         epoch = graph.mutation_epoch
         graph.set_properties("n", {1: 5, 4: [1, 2]})
         graph.set_properties("never", {})

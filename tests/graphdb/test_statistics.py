@@ -119,13 +119,13 @@ class TestDerived:
     def test_a_bulk_call_counts_each_element(self):
         graph = PropertyGraph()
         stats = graph.statistics()
-        graph.add_vertices(["A"] * 63, [{}] * 63)
+        graph.add_vertices("A", 63)
         assert graph.statistics() is stats  # 63 of 64
         graph.add_vertex("A")
         stats = graph.statistics()
         assert stats.label_count("A") == 64
         # Past 1024 elements the trigger is a sixteenth of the graph.
-        graph.add_vertices(["B"] * 2048, [{}] * 2048)
+        graph.add_vertices("B", 2048)
         stats = graph.statistics()
         graph.set_properties("p", dict.fromkeys(range(130), 1))
         assert graph.statistics() is stats  # 130 of 2112 >> 4 = 132
