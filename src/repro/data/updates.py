@@ -151,14 +151,12 @@ class GraphUpdater:
             (self.opt_graph, self.opt_registry),
         ):
             src, dst = registry.vid_of[src_id], registry.vid_of[dst_id]
-            for edge in graph.out_edges(src, rel.label):
-                if edge.dst == dst:
-                    graph.remove_edge(edge.eid)
-                    break
-            else:
+            eid = graph.first_edge_between(src, dst, rel.label)
+            if eid is None:
                 raise DataGenerationError(
                     f"no {rel.label!r} edge {src} -> {dst} in {graph.name}"
                 )
+            graph.remove_edge(eid)
         self._refresh_endpoint_lists(src_id, dst_id)
 
     def set_property(self, uid: str, name: str, value: object) -> None:

@@ -6,10 +6,11 @@ Two API levels live here:
   application surface: :func:`connect` → :class:`Database` →
   :class:`Session` → :class:`Result`, with ``$name`` query parameters
   and explicit :class:`Transaction` handles.  Start there;
-* the **engine API** - :class:`PropertyGraph`, the instrumented
-  :class:`GraphSession`, and the :class:`Executor`, for
-  instrumentation-level work (benchmarks, planner experiments) and
-  backward compatibility.
+* the **engine API** - :class:`PropertyGraph` (whose reads hand out
+  read-only :class:`Vertex` / :class:`Edge` records), the
+  instrumented :class:`GraphSession`, and the :class:`Executor`, for
+  instrumentation-level work (loaders, benchmarks, planner
+  experiments).
 
 The structured exception hierarchy roots at :class:`GraphError`:
 :class:`QueryError` (with :class:`QuerySyntaxError` and

@@ -289,7 +289,7 @@ class VertexTable:
     ):
         self.labelset_id = labelset_id
         self.label_sids = label_sids
-        #: The label set as strings (what facades hand out).
+        #: The label set as strings (what ``labels_of`` hands out).
         self.labels = labels
         #: row -> vid; -1 marks a tombstoned (removed) row.
         self.vids: list[int] = []
@@ -353,13 +353,6 @@ class VertexTable:
         column = self.columns.get(key_sid)
         if column is not None:
             column.unset(row)
-
-    def row_keys(self, row: int) -> list[int]:
-        """Symbol ids of the properties present on one row."""
-        return [
-            sid for sid, column in self.columns.items()
-            if column.present(row)
-        ]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         labels = "+".join(sorted(self.labels))

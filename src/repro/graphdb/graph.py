@@ -25,11 +25,12 @@ column-oriented (the layout analytical graph engines use):
   mutation epoch - the counter every mutation advances alongside the
   WAL listener callbacks.
 
-The classic object API survives as façades: :class:`Vertex` and
-:class:`Edge` are id-holding views whose ``labels`` / ``properties``
-attributes read through to the columns, so existing callers (loaders,
-optimizers, tests) are untouched while scans, statistics builds and
-the snapshot codec iterate flat columns.
+Reads of one element hand out records: :class:`Vertex` and
+:class:`Edge` are frozen copies whose ``properties`` mapping is
+read-only.  The graph's mutation methods are the only property writers
+(``set_property``, ``remove_property``, and ``add_vertex`` /
+``add_edge`` with ``properties=``), so every write keeps the property
+indexes, the undo log and the WAL listeners in step.
 
 Label lookups read the label-set tables: a table's live vids ascend
 (a rollback restores a vertex to its own row), so merging the tables
@@ -59,17 +60,16 @@ rollbacks, so the maintained adjacency always equals a rebuild.
 
 from __future__ import annotations
 
-from collections.abc import MutableMapping
+from collections.abc import Mapping
+from dataclasses import dataclass, field
 from itertools import chain, repeat
 from operator import itemgetter
+from types import MappingProxyType
 from typing import Iterable, Iterator
 
 from repro.exceptions import GraphError, TransactionError
 from repro.graphdb.columnar import (
     ABSENT,
-    KIND_FLOAT,
-    KIND_INT,
-    PropertyColumn,
     SymbolTable,
     VertexTable,
 )
@@ -167,262 +167,32 @@ def _insert(mapping: dict, at: int, key: object, value: object) -> None:
     mapping.update(items)
 
 
-class VertexProperties(MutableMapping):
-    """Dict-like façade over one vertex's property columns.
-
-    Reads go straight to the columns.  Writes mirror the old
-    plain-dict semantics: they update the stored value *without*
-    touching property indexes or WAL listeners - code that needs
-    those side effects calls
-    :meth:`PropertyGraph.set_property` (exactly as before, when
-    mutating ``vertex.properties`` bypassed the same machinery).
-    """
-
-    __slots__ = ("_graph", "_vid")
-
-    def __init__(self, graph: "PropertyGraph", vid: int):
-        self._graph = graph
-        self._vid = vid
-
-    def _locate(self) -> tuple[VertexTable, int]:
-        return self._graph._locate(self._vid)
-
-    def __getitem__(self, name: str) -> object:
-        table, row = self._locate()
-        sid = self._graph._symbols.sid(name)
-        value = table.get_prop(row, sid, ABSENT)
-        if value is ABSENT:
-            raise KeyError(name)
-        return value
-
-    def get(self, name: str, default: object = None) -> object:
-        table, row = self._locate()
-        return table.get_prop(row, self._graph._symbols.sid(name), default)
-
-    def __setitem__(self, name: str, value: object) -> None:
-        table, row = self._locate()
-        table.set_prop(row, self._graph._symbols.intern(name), value)
-        self._graph._touch()
-
-    def __delitem__(self, name: str) -> None:
-        table, row = self._locate()
-        sid = self._graph._symbols.sid(name)
-        if sid is None or not table.has_prop(row, sid):
-            raise KeyError(name)
-        table.unset_prop(row, sid)
-        self._graph._touch()
-
-    def __contains__(self, name: str) -> bool:
-        table, row = self._locate()
-        return table.has_prop(row, self._graph._symbols.sid(name))
-
-    def __iter__(self) -> Iterator[str]:
-        table, row = self._locate()
-        name = self._graph._symbols.name
-        return iter([name(sid) for sid in table.row_keys(row)])
-
-    def __len__(self) -> int:
-        table, row = self._locate()
-        return len(table.row_keys(row))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return repr(dict(self))
+#: The properties of every edge that carries none.
+_NO_PROPERTIES: Mapping[str, object] = MappingProxyType({})
 
 
+@dataclass(frozen=True, slots=True)
 class Vertex:
-    """Lightweight façade over one row of a vertex table."""
+    """One vertex as read: a record, not a handle.  ``properties`` is a
+    read-only copy of its row; a write goes through
+    :meth:`PropertyGraph.set_property` / ``remove_property``."""
 
-    __slots__ = ("_graph", "vid")
-
-    def __init__(self, graph: "PropertyGraph", vid: int):
-        self._graph = graph
-        self.vid = vid
-
-    @property
-    def labels(self) -> frozenset[str]:
-        return self._graph.labels_of(self.vid)
-
-    @property
-    def properties(self) -> VertexProperties:
-        return VertexProperties(self._graph, self.vid)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Vertex)
-            and other.vid == self.vid
-            and other._graph is self._graph
-        )
-
-    def __hash__(self) -> int:
-        return hash((id(self._graph), self.vid))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"Vertex(vid={self.vid}, labels={set(self.labels)!r}, "
-            f"properties={dict(self.properties)!r})"
-        )
+    vid: int
+    labels: frozenset[str]
+    properties: Mapping[str, object] = field(hash=False)
 
 
-class EdgeProperties(MutableMapping):
-    """Dict-like façade over one edge's sparse property dict.
-
-    Reads never allocate: property-less edges stay absent from the
-    graph's sparse side table.  The backing dict is created (and
-    registered) only on the first write.
-    """
-
-    __slots__ = ("_graph", "_eid")
-
-    def __init__(self, graph: "PropertyGraph", eid: int):
-        self._graph = graph
-        self._eid = eid
-
-    def _props(self) -> dict:
-        return self._graph._e_props.get(self._eid) or {}
-
-    def __getitem__(self, name: str) -> object:
-        return self._props()[name]
-
-    def get(self, name: str, default: object = None) -> object:
-        return self._props().get(name, default)
-
-    def __setitem__(self, name: str, value: object) -> None:
-        graph = self._graph
-        eid = self._eid
-        labels = graph._e_label
-        if not (0 <= eid < len(labels)) or labels[eid] < 0:
-            raise GraphError(f"unknown edge {eid}")
-        props = graph._e_props.get(eid)
-        if props is None:
-            props = graph._e_props[eid] = {}
-        props[name] = value
-
-    def __delitem__(self, name: str) -> None:
-        del self._props()[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._props()
-
-    def __iter__(self):
-        return iter(self._props())
-
-    def __len__(self) -> int:
-        return len(self._props())
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return repr(dict(self._props()))
-
-
+@dataclass(frozen=True, slots=True)
 class Edge:
-    """Lightweight façade over one row of the edge columns."""
+    """One edge as read.  ``properties`` is a read-only view of its
+    sparse property dict, which only :meth:`PropertyGraph.add_edge`
+    writes."""
 
-    __slots__ = ("_graph", "eid")
-
-    def __init__(self, graph: "PropertyGraph", eid: int):
-        self._graph = graph
-        self.eid = eid
-
-    @property
-    def src(self) -> int:
-        return self._graph._e_src[self.eid]
-
-    @property
-    def dst(self) -> int:
-        return self._graph._e_dst[self.eid]
-
-    @property
-    def label(self) -> str:
-        sid = self._graph._e_label[self.eid]
-        if sid < 0:  # stale facade of a removed edge
-            raise GraphError(f"unknown edge {self.eid}")
-        return self._graph._symbols.name(sid)
-
-    @property
-    def properties(self) -> EdgeProperties:
-        """Dict-like view of the edge's (sparse) properties."""
-        return EdgeProperties(self._graph, self.eid)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Edge)
-            and other.eid == self.eid
-            and other._graph is self._graph
-        )
-
-    def __hash__(self) -> int:
-        return hash((id(self._graph), self.eid))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"Edge(eid={self.eid}, src={self.src}, dst={self.dst}, "
-            f"label={self.label!r})"
-        )
-
-
-class _VerticesView:
-    """Mapping-flavored view of the live vertex ids (test/debug aid)."""
-
-    __slots__ = ("_graph",)
-
-    def __init__(self, graph: "PropertyGraph"):
-        self._graph = graph
-
-    def __contains__(self, vid: object) -> bool:
-        tids = self._graph._v_tid
-        return (
-            isinstance(vid, int) and 0 <= vid < len(tids) and tids[vid] >= 0
-        )
-
-    def __len__(self) -> int:
-        return sum(table.live for table in self._graph._tables)
-
-    def __iter__(self) -> Iterator[int]:
-        for vid, tid in enumerate(self._graph._v_tid):
-            if tid >= 0:
-                yield vid
-
-    def __getitem__(self, vid: int) -> Vertex:
-        if vid not in self:
-            raise KeyError(vid)
-        return Vertex(self._graph, vid)
-
-    def values(self) -> Iterator[Vertex]:
-        graph = self._graph
-        return (Vertex(graph, vid) for vid in self)
-
-
-class _EdgesView:
-    """Mapping-flavored view of the live edge ids (test/debug aid)."""
-
-    __slots__ = ("_graph",)
-
-    def __init__(self, graph: "PropertyGraph"):
-        self._graph = graph
-
-    def __contains__(self, eid: object) -> bool:
-        labels = self._graph._e_label
-        return (
-            isinstance(eid, int)
-            and 0 <= eid < len(labels)
-            and labels[eid] >= 0
-        )
-
-    def __len__(self) -> int:
-        return self._graph._num_edges
-
-    def __iter__(self) -> Iterator[int]:
-        for eid, sid in enumerate(self._graph._e_label):
-            if sid >= 0:
-                yield eid
-
-    def __getitem__(self, eid: int) -> Edge:
-        if eid not in self:
-            raise KeyError(eid)
-        return Edge(self._graph, eid)
-
-    def values(self) -> Iterator[Edge]:
-        graph = self._graph
-        return (Edge(graph, eid) for eid in self)
+    eid: int
+    src: int
+    dst: int
+    label: str
+    properties: Mapping[str, object] = field(hash=False)
 
 
 class PropertyGraph:
@@ -628,16 +398,6 @@ class PropertyGraph:
         # Cached plans may embed the dropped index as their access path.
         self._stats = None
         self._touch()
-
-    # The views are made per access: a graph holds no reference to
-    # itself, so dropping it frees it without the cyclic collector.
-    @property
-    def _vertices(self) -> _VerticesView:
-        return _VerticesView(self)
-
-    @property
-    def _edges(self) -> _EdgesView:
-        return _EdgesView(self)
 
     # ------------------------------------------------------------------
     # Epoch / arrays
@@ -1146,8 +906,11 @@ class PropertyGraph:
     # Access
     # ------------------------------------------------------------------
     def vertex(self, vid: int) -> Vertex:
-        self._locate(vid)  # raises GraphError when unknown
-        return Vertex(self, vid)
+        table, row = self._locate(vid)  # raises GraphError when unknown
+        return Vertex(
+            vid, table.labels,
+            MappingProxyType(self._row_properties(table, row)),
+        )
 
     def edge(self, eid: int) -> Edge:
         labels = self._e_label
@@ -1157,10 +920,19 @@ class PropertyGraph:
             or labels[eid] < 0
         ):
             raise GraphError(f"unknown edge {eid}")
-        return Edge(self, eid)
+        return self._edge(eid)
+
+    def _edge(self, eid: int) -> Edge:
+        """The record of a live edge."""
+        props = self._e_props.get(eid)
+        return Edge(
+            eid, self._e_src[eid], self._e_dst[eid],
+            self._symbols.name(self._e_label[eid]),
+            _NO_PROPERTIES if props is None else MappingProxyType(props),
+        )
 
     def labels_of(self, vid: int) -> frozenset[str]:
-        """The label set of one vertex (no façade construction)."""
+        """The label set of one vertex (no record construction)."""
         try:
             tid = self._v_tid[vid] if vid >= 0 else -1
         except (IndexError, TypeError):
@@ -1223,12 +995,11 @@ class PropertyGraph:
     def _edges_from(
         self, adjacency: dict[str, _Bucket], label: str | None
     ) -> list[Edge]:
-        if label is not None:
-            return [Edge(self, e) for e in adjacency.get(label, ())]
-        result: list[Edge] = []
-        for edge_ids in adjacency.values():
-            result.extend(Edge(self, e) for e in edge_ids)
-        return result
+        eids = (
+            adjacency.get(label, ()) if label is not None
+            else chain.from_iterable(adjacency.values())
+        )
+        return [self._edge(eid) for eid in eids]
 
     def has_edge_between(
         self,
@@ -1269,12 +1040,12 @@ class PropertyGraph:
     def iter_vertices(self) -> Iterator[Vertex]:
         for vid, tid in enumerate(self._v_tid):
             if tid >= 0:
-                yield Vertex(self, vid)
+                yield self.vertex(vid)
 
     def iter_edges(self) -> Iterator[Edge]:
         for eid, sid in enumerate(self._e_label):
             if sid >= 0:
-                yield Edge(self, eid)
+                yield self._edge(eid)
 
     def iter_tables(self) -> list[VertexTable]:
         """The per-label-set vertex tables (statistics / codec use)."""
@@ -1349,34 +1120,6 @@ class PropertyGraph:
     @property
     def num_edges(self) -> int:
         return self._num_edges
-
-    def size_bytes(self, edge_bytes: int = 16) -> int:
-        """Approximate storage footprint (used to sanity-check budgets)."""
-        from repro.ontology.model import DataType
-
-        total = 0
-        for table in self._tables:
-            for column in table.columns.values():
-                if column.kind == KIND_INT:
-                    total += DataType.INT.size_bytes * column.count
-                elif column.kind == KIND_FLOAT:
-                    total += DataType.FLOAT.size_bytes * column.count
-                else:
-                    for present, value in zip(column.mask, column.data):
-                        if not present:
-                            continue
-                        if isinstance(value, list):
-                            total += DataType.STRING.size_bytes * len(value)
-                        elif isinstance(value, bool):
-                            total += DataType.BOOL.size_bytes
-                        elif isinstance(value, int):
-                            total += DataType.INT.size_bytes
-                        elif isinstance(value, float):
-                            total += DataType.FLOAT.size_bytes
-                        else:
-                            total += DataType.STRING.size_bytes
-        total += edge_bytes * self._num_edges
-        return total
 
     def summary(self) -> str:
         return (

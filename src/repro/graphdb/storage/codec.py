@@ -7,9 +7,9 @@ Everything on disk is built from three building blocks:
 * **svarint** - zigzag-mapped signed varint, so small negative ints stay
   short;
 * **tagged values** - one tag byte followed by a tag-specific payload,
-  covering every property type a :class:`~repro.graphdb.graph.Vertex`
-  or :class:`~repro.graphdb.graph.Edge` can carry (``None``, bools,
-  ints, floats, strings and nested lists thereof).
+  covering every value a vertex or edge property of a
+  :class:`~repro.graphdb.graph.PropertyGraph` can hold (``None``,
+  bools, ints, floats, strings and nested lists thereof).
 
 Encoders append to a ``bytearray``; decoders take ``(data, pos)`` and
 return ``(value, new_pos)`` so callers can walk a buffer without

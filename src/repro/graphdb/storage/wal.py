@@ -293,7 +293,8 @@ def apply_mutation(graph: PropertyGraph, op: str, args: tuple) -> None:
         eid = args[0]
         # remove_vertex logs its cascaded edge removals individually,
         # so a replayed remove_edge may find the edge already gone.
-        if eid in graph._edges:
+        labels = graph._e_label
+        if eid < len(labels) and labels[eid] >= 0:
             graph.remove_edge(eid)
     elif op == "remove_vertex":
         graph.remove_vertex(args[0])

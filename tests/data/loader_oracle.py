@@ -151,7 +151,7 @@ def reference_load_optimized(
         for src, dst in _links(logical, repl.rel_id):
             owner, partner = (src, dst) if owner_is_src else (dst, src)
             owner_vid = vid_of[owner]
-            if not owners & graph.vertex(owner_vid).labels:
+            if not owners & graph.labels_of(owner_vid):
                 continue
             value = _group_property(
                 logical, groups, root_of, partner,
@@ -161,10 +161,9 @@ def reference_load_optimized(
                 continue
             lists.setdefault(owner_vid, []).append(value)
         for vid, values in lists.items():
-            existing = graph.vertex(vid).properties.get(repl.list_name)
+            existing = graph.get_property(vid, repl.list_name)
             if isinstance(existing, list):
-                existing.extend(values)
-            else:
-                graph.set_property(vid, repl.list_name, values)
+                values = existing + values
+            graph.set_property(vid, repl.list_name, values)
     _fill(registry, logical, vid_of, root_of)
     return graph

@@ -142,7 +142,7 @@ def run_script(
                 for vid, value in values.items():
                     graph.set_property(vid, step[1], value)
         elif kind == "rm_e":
-            eids = list(graph._edges)
+            eids = [e.eid for e in graph.iter_edges()]
             if eids:
                 graph.remove_edge(eids[step[1] % len(eids)])
         elif live:  # rm_v

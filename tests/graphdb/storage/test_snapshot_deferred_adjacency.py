@@ -44,7 +44,7 @@ def test_add_edge_while_deferred_is_visible(loaded):
 
 
 def test_remove_edge_while_deferred_is_visible(loaded):
-    eid = next(iter(loaded._edges))
+    eid = next(loaded.iter_edges()).eid
     edge = loaded.edge(eid)
     src, dst, label = edge.src, edge.dst, edge.label
     loaded.remove_edge(eid)

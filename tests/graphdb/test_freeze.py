@@ -121,7 +121,7 @@ def test_all_edges_removed_and_tail_vertices_gone():
     graph.add_edges("T", vids[:-1], vids[1:])
     graph.remove_vertex(vids[-1])
     graph.remove_vertex(vids[-2])
-    for eid in list(graph._edges):
+    for eid in [e.eid for e in graph.iter_edges()]:
         graph.remove_edge(eid)
     assert_matches_reference(graph)
     assert graph.freeze()._out == {}

@@ -102,8 +102,23 @@ class TestPropertyIndex:
         assert graph.has_property_index("A", "name")
 
 
-class TestSize:
-    def test_size_bytes_grows(self, graph):
-        before = graph.size_bytes()
-        graph.add_vertex("A", {"name": "x", "list": [1, 2, 3]})
-        assert graph.size_bytes() > before
+class TestRecords:
+    def test_writes_through_record_properties_raise(self, graph):
+        # A write through a record would skip the property indexes, the
+        # undo log and the WAL: only the graph's mutation methods write.
+        graph.create_property_index("A", "k")
+        props = graph.vertex(0).properties
+        with pytest.raises(TypeError):
+            props["k"] = 2
+        with pytest.raises(TypeError):
+            del props["k"]
+        for eid in (0, 1):  # one edge without properties, one with
+            with pytest.raises(TypeError):
+                graph.edge(eid).properties["weight"] = 9
+        assert graph.get_property(0, "k") == 1
+        assert graph.lookup_property("A", "k", 1) == [0]
+        assert dict(graph.edge(1).properties) == {"weight": 2}
+
+    def test_equal_records_hash_alike(self, graph):
+        assert len({graph.vertex(1), graph.vertex(1)}) == 1
+        assert len({graph.edge(0), graph.edge(0), graph.edge(2)}) == 2

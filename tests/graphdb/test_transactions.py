@@ -286,6 +286,11 @@ def test_rollback_puts_a_removed_vertex_back_where_it_was():
             ("e", "T", [(0, 1)]), ("rm_e", 0)],
     bulk=False, vertex=2, edge=1,
 )
+# A script that removes every vertex leaves none to remove here.
+@example(
+    script=[("v", ("A",)), ("v", ("A",)), ("rm_v", 0), ("rm_v", 0)],
+    bulk=False, vertex=0, edge=0,
+)
 def test_rolled_back_removals_leave_every_order_as_it_was(
     script, bulk, vertex, edge
 ):
@@ -294,8 +299,9 @@ def test_rolled_back_removals_leave_every_order_as_it_was(
     before = orders(g)
     g.begin_transaction()
     live = g.vertex_ids()
-    g.remove_vertex(live[vertex % len(live)])
-    eids = list(g._edges)
+    if live:
+        g.remove_vertex(live[vertex % len(live)])
+    eids = [e.eid for e in g.iter_edges()]
     if eids:
         g.remove_edge(eids[edge % len(eids)])
     g.rollback_transaction()

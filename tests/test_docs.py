@@ -79,9 +79,10 @@ def test_readme_quickstart_executes(tmp_path, capsys):
 
 
 def test_doc_identifiers_name_existing_code():
-    """Every backticked identifier in docs/*.md and the storage README
-    occurs as a word in a code file, and every backticked file name
-    names a file.  EXPERIMENTS.md is history and is not checked."""
+    """Every backticked identifier in README.md, docs/*.md and the
+    storage README occurs as a word in a code file, and every
+    backticked file name names a file.  EXPERIMENTS.md is history and
+    is not checked."""
     words: set[str] = set()
     files: set[str] = set()
     for top in (*_CODE_DIRS, "docs", ".github"):
@@ -99,8 +100,11 @@ def test_doc_identifiers_name_existing_code():
                 continue  # binary artifacts name nothing
     files.update(path.name for path in REPO_ROOT.iterdir())
     missing = []
-    docs = sorted((REPO_ROOT / "docs").glob("*.md"))
-    docs.append(REPO_ROOT / "src/repro/graphdb/storage/README.md")
+    docs = [
+        REPO_ROOT / "README.md",
+        *sorted((REPO_ROOT / "docs").glob("*.md")),
+        REPO_ROOT / "src/repro/graphdb/storage/README.md",
+    ]
     for doc in docs:
         text = doc.read_text()
         found = [
