@@ -76,6 +76,7 @@ from workloads import ServerThread  # noqa: E402
 
 from repro.bench.harness import build_pipeline  # noqa: E402
 from repro.data import load_direct, load_optimized  # noqa: E402
+from repro.data import loader  # noqa: E402
 from repro.datasets import build_fin, build_med  # noqa: E402
 from repro.graphdb import connect, faults, observe  # noqa: E402
 from repro.graphdb.api import result as result_mod  # noqa: E402
@@ -291,11 +292,34 @@ def load(bench: Bench, dataset, mapping) -> None:
     """The cold build of one dataset's two graphs: generate, then
     ``load_direct`` and ``load_optimized``, each part's ms (corrected
     as the total is) and the collector's passes by generation a
-    round."""
+    round.  Two phases of ``load_optimized`` are attributed too: the
+    replicated lists' build (``lists_ms``, the time inside the
+    ``_replicated_lists`` generator) and their writes
+    (``set_properties_ms``)."""
     parts: list[tuple[float, ...]] = []
     passes: list[list[int]] = []
+    phases: list[list[float]] = []
+    spent = [0.0, 0.0]              # lists, set_properties
+    lists = loader._replicated_lists
+    write = PropertyGraph.set_properties
+
+    def timed_lists(*args, **kwargs):
+        entries = lists(*args, **kwargs)
+        while True:
+            start = perf_counter()
+            entry = next(entries, None)
+            spent[0] += perf_counter() - start
+            if entry is None:
+                return
+            yield entry
+
+    def timed_write(graph, name, values):
+        start = perf_counter()
+        write(graph, name, values)
+        spent[1] += perf_counter() - start
 
     def build():
+        spent[:] = [0.0, 0.0]
         before = [stat["collections"] for stat in gc.get_stats()]
         start = perf_counter()
         logical = dataset.logical(scale=bench.scale)
@@ -304,21 +328,33 @@ def load(bench: Bench, dataset, mapping) -> None:
         loaded = perf_counter()
         load_optimized(logical, mapping)
         parts.append((start, generated, loaded, perf_counter()))
+        phases.append(list(spent))
         passes.append([
             stat["collections"] - was
             for stat, was in zip(gc.get_stats(), before)
         ])
 
-    (samples,) = bench.time([build], 9)
+    loader._replicated_lists = timed_lists
+    PropertyGraph.set_properties = timed_write
+    try:
+        (samples,) = bench.time([build], 9)
+    finally:
+        loader._replicated_lists = lists
+        PropertyGraph.set_properties = write
     timed = np.array(parts[1:])     # the first run is the untimed one
     scale = samples / (timed[:, 3] - timed[:, 0])
     spans = np.diff(timed, axis=1) * scale[:, None] * 1e3
     generate_ms, dir_ms, opt_ms = np.median(spans, axis=0)
+    lists_ms, set_properties_ms = np.median(
+        np.array(phases[1:]) * scale[:, None] * 1e3, axis=0
+    )
     bench.row(
         "derived.load", "ms", samples * 1e3, dataset="fin",
         generate_ms=round(float(generate_ms), 2),
         load_dir_ms=round(float(dir_ms), 2),
         load_opt_ms=round(float(opt_ms), 2),
+        lists_ms=round(float(lists_ms), 2),
+        set_properties_ms=round(float(set_properties_ms), 2),
         gc_collections=[
             float(np.median(column)) for column in zip(*passes[1:])
         ],

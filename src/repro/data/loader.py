@@ -91,23 +91,21 @@ def load_direct(
             (concept,), len(ids), logical.columns[concept]
         )
         vid_of[as_numpy(ids)] = np.arange(vids.start, vids.stop)
-    vids = vid_of.tolist()
     for rel_id, ends in logical.link_ids.items():
         _add_link_edges(
             graph, logical.ontology.relationship(rel_id),
-            *_gather(vids, ends),
+            *_gather(vid_of, ends),
         )
     if registry is not None:
         registry.vid_of = _to_array(vid_of)
     return graph
 
 
-def _gather(vid_of: list[int], ends) -> list[list[int]]:
-    """A relationship's (source vids, target vids), in link order.
-
-    ``vid_of`` is a list, so that every edge endpoint is one of its
-    int objects - one per vertex, not one per edge end."""
-    return [list(map(vid_of.__getitem__, ids)) for ids in ends]
+def _gather(vid_of: np.ndarray, ends) -> list[np.ndarray]:
+    """A relationship's (source vids, target vids), in link order: two
+    int64 arrays, which ``add_edges`` appends to the graph's edge
+    columns as they are."""
+    return [vid_of[as_numpy(ids)] for ids in ends]
 
 
 def _add_link_edges(graph, rel, srcs, dsts) -> None:
@@ -139,11 +137,10 @@ def load_optimized(
     vid_of = _group_vertices(graph, logical, mapping, root)
 
     # 3. Edges for surviving relationships.
-    vids = vid_of.tolist()
     for rel_id, ends in logical.link_ids.items():
         if not mapping.is_collapsed(rel_id):
             _add_link_edges(
-                graph, ontology.relationship(rel_id), *_gather(vids, ends)
+                graph, ontology.relationship(rel_id), *_gather(vid_of, ends)
             )
 
     # 4. Replicated list properties, one bulk write per entry.

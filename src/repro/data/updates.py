@@ -234,12 +234,12 @@ class GraphUpdater:
         graphs, as the loaders add them."""
         _add_link_edges(
             self.dir_graph, rel,
-            *_gather(self.dir_registry.vid_of, ends),
+            *_gather(as_numpy(self.dir_registry.vid_of), ends),
         )
         if not self.mapping.is_collapsed(rel.rel_id):
             _add_link_edges(
                 self.opt_graph, rel,
-                *_gather(self.opt_registry.vid_of, ends),
+                *_gather(as_numpy(self.opt_registry.vid_of), ends),
             )
 
     def _refresh_endpoint_lists(self, *ids: int) -> None:

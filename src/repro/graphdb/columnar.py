@@ -240,16 +240,7 @@ class PropertyColumn:
             present = list(compress(values, mask))
         if not present:
             return
-        kind = self.kind
-        if kind is KIND_INT:
-            fits = (
-                set(map(type, present)) == {int}
-                and _I64_MIN <= min(present) and max(present) <= _I64_MAX
-            )
-        else:
-            fits = kind is KIND_OBJ or set(map(type, present)) == {float}
-        if not fits:
-            self._promote()
+        self._hold(present)
         if len(present) < len(values):
             hole = None if self.kind is KIND_OBJ else 0
             values = [v if bit else hole for v, bit in zip(values, mask)]
@@ -257,6 +248,34 @@ class PropertyColumn:
         self.mask.extend(mask)
         self.data.extend(values)
         self.count += len(present)
+
+    def assign(self, rows: list[int], values: list) -> None:
+        """Bulk ``set(rows[i], values[i])`` over distinct ``rows``: one
+        dtype decision for the batch (:meth:`extend`'s), one pad to
+        the greatest row, and the mask and count updated."""
+        self._hold(values)
+        self._pad_to(max(rows) + 1)
+        mask, data = self.mask, self.data
+        present = sum(map(mask.__getitem__, rows)) if self.count else 0
+        self.count += len(rows) - present
+        for row, value in zip(rows, values):
+            mask[row] = 1
+            data[row] = value
+
+    def _hold(self, values: list) -> None:
+        """Promote the column unless its dtype holds every one of
+        ``values`` (non-empty): where the per-value :meth:`set` guard
+        would leave it."""
+        kind = self.kind
+        if kind is KIND_INT:
+            fits = (
+                set(map(type, values)) == {int}
+                and _I64_MIN <= min(values) and max(values) <= _I64_MAX
+            )
+        else:
+            fits = kind is KIND_OBJ or set(map(type, values)) == {float}
+        if not fits:
+            self._promote()
 
     def unset(self, row: int) -> None:
         """Clear a slot (absent); frees object references."""
@@ -332,6 +351,19 @@ class VertexTable:
             first = values[mask.index(1)] if mask is not None else values[0]
             column = self.columns[key_sid] = PropertyColumn.for_value(first)
         column.extend(row, values, mask)
+
+    def assign_column(
+        self, key_sid: int, rows: list[int], values: list
+    ) -> None:
+        """Bulk ``set_prop(rows[i], key_sid, values[i])`` over distinct,
+        non-empty ``rows``: a new column takes the first value's dtype,
+        as :meth:`set_prop` would give it."""
+        column = self.columns.get(key_sid)
+        if column is None:
+            column = self.columns[key_sid] = PropertyColumn.for_value(
+                values[0]
+            )
+        column.assign(rows, values)
 
     def get_prop(
         self, row: int, key_sid: int | None, default: object = None

@@ -18,6 +18,12 @@ column-oriented (the layout analytical graph engines use):
 * edges live in parallel columns indexed directly by eid
   (``_e_src`` / ``_e_dst`` / ``_e_label``); the rare edges with
   properties keep a sparse side dict;
+* those five id columns are ``array("q")``, so the bulk paths move
+  them as int64 buffers: ``add_edges`` validates its endpoints with
+  numpy and appends them with ``frombytes``, and the numpy readers
+  (freeze, statistics) take a memcpy of them.  Nothing keeps a numpy
+  *view* of one: while a buffer is exported, the column cannot grow
+  or be truncated (``BufferError``);
 * :meth:`PropertyGraph.arrays` hands out the numpy projections the
   batch path reads (see :mod:`repro.graphdb.view`), and
   :meth:`PropertyGraph.freeze` adds immutable per-edge-type CSR
@@ -60,12 +66,15 @@ rollbacks, so the maintained adjacency always equals a rebuild.
 
 from __future__ import annotations
 
+from array import array
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import chain, repeat
-from operator import itemgetter
+from operator import index, itemgetter
 from types import MappingProxyType
 from typing import Iterable, Iterator
+
+import numpy as np
 
 from repro.exceptions import GraphError, TransactionError
 from repro.graphdb.columnar import (
@@ -96,6 +105,20 @@ def _column_rows(columns: dict[str, list], count: int) -> list[dict]:
          if value is not ABSENT}
         for row in zip(*columns.values())
     ]
+
+
+def _int64(values) -> np.ndarray | None:
+    """``values`` as a 1-d int64 array (an ndarray as it is, a copy of
+    any other sequence), or None where some value is not an int."""
+    try:
+        column = (
+            values if isinstance(values, np.ndarray) else np.array(values)
+        )
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if column.ndim != 1 or column.dtype.kind not in "iub":
+        return None
+    return column.astype(np.int64, copy=False)
 
 
 def _place(bucket: dict, key: int, value: object) -> None:
@@ -206,12 +229,12 @@ class PropertyGraph:
         self._tables: list[VertexTable] = []
         self._labelset_ids: dict[frozenset[int], int] = {}
         #: vid -> owning table id (-1 = removed) / table-local row.
-        self._v_tid: list[int] = []
-        self._v_row: list[int] = []
+        self._v_tid = array("q")
+        self._v_row = array("q")
         #: Edge columns indexed directly by eid (-1 label = removed).
-        self._e_src: list[int] = []
-        self._e_dst: list[int] = []
-        self._e_label: list[int] = []
+        self._e_src = array("q")
+        self._e_dst = array("q")
+        self._e_label = array("q")
         #: Sparse eid -> property dict (most edges carry none).
         self._e_props: dict[int, dict] = {}
         self._num_edges = 0
@@ -579,8 +602,10 @@ class PropertyGraph:
         table.vids.extend(vids)
         table.live += count
         self._append_columns(table, row, columns)
-        self._v_tid.extend(repeat(table.labelset_id, count))
-        self._v_row.extend(range(row, row + count))
+        self._v_tid.extend(array("q", [table.labelset_id]) * count)
+        self._v_row.frombytes(
+            np.arange(row, row + count, dtype=np.int64).tobytes()
+        )
         if self._adjacency is not None:
             for adjacency in self._adjacency:
                 adjacency.update((vid, {}) for vid in vids)
@@ -657,24 +682,27 @@ class PropertyGraph:
         self._arrays = None
         self._stats_age += 1
 
-    def add_edges(
-        self, label: str, srcs: list[int], dsts: list[int]
-    ) -> range:
+    def add_edges(self, label: str, srcs, dsts) -> range:
         """Bulk :meth:`add_edge` of property-less ``label`` edges.
 
         Adds ``srcs[i] -> dsts[i]`` for every ``i`` and returns the
-        (consecutive) eids.  Every endpoint is validated before
-        anything is applied, so a bad one leaves the graph untouched.
+        (consecutive) eids.  ``srcs`` and ``dsts`` are int arrays
+        (numpy or ``array``) or any other iterables of ints.  Every
+        endpoint is validated before anything is applied, so a bad one
+        leaves the graph untouched.
 
         An unobserved graph - no listener or open transaction, which is
-        every loader build - takes one pass: the edge columns are
-        extended, the adjacency filled if built and the epoch bumped
-        once.  An observed graph goes through :meth:`add_edge`
-        per element, so listener events (WAL bytes) and undo entries
-        are the per-element ones, in eid order.
+        every loader build - takes one pass: the endpoints are appended
+        to the edge columns as int64 bytes, the adjacency filled if
+        built and the epoch bumped once.  An observed graph goes
+        through :meth:`add_edge` per element, with Python ints, so
+        listener events (WAL bytes) and undo entries are the
+        per-element ones, in eid order.
         """
-        srcs = list(srcs)
-        dsts = list(dsts)
+        if not isinstance(srcs, (np.ndarray, array, list, tuple)):
+            srcs = list(srcs)
+        if not isinstance(dsts, (np.ndarray, array, list, tuple)):
+            dsts = list(dsts)
         count = len(srcs)
         if len(dsts) != count:
             raise GraphError(
@@ -683,36 +711,46 @@ class PropertyGraph:
         eids = range(self._next_eid, self._next_eid + count)
         if not count:
             return eids
-        self._require_vertices(srcs, dsts)
+        srcs, dsts = self._require_vertices(srcs, dsts)
         if self._observed():
-            for src, dst in zip(srcs, dsts):
+            for src, dst in zip(srcs.tolist(), dsts.tolist()):
                 self.add_edge(src, dst, label)
             return eids
-        self._e_src.extend(srcs)
-        self._e_dst.extend(dsts)
-        self._e_label.extend([self._symbols.intern(label)] * count)
+        self._e_src.frombytes(srcs.tobytes())
+        self._e_dst.frombytes(dsts.tobytes())
+        self._e_label.extend(
+            array("q", [self._symbols.intern(label)]) * count
+        )
         if self._adjacency is not None:
-            self._link(zip(eids, repeat(label), srcs, dsts))
+            self._link(
+                zip(eids, repeat(label), srcs.tolist(), dsts.tolist())
+            )
         self._next_eid = eids.stop
         self._num_edges += count
         self._touch(count)
         return eids
 
-    def _require_vertices(self, *columns) -> None:
-        """Raise for the first unknown vid of the (non-empty, equally
-        long) ``columns``, read row by row as per element."""
-        tids = self._v_tid
-        try:
-            # min() first: a negative vid must not index from the end.
-            known = all(
-                min(vids) >= 0 and min(map(tids.__getitem__, vids)) >= 0
-                for vids in columns
-            )
-        except (IndexError, TypeError):
-            known = False
-        if not known:
-            for vid in chain.from_iterable(zip(*columns)):
-                self._locate(vid)
+    def _require_vertices(self, *columns) -> list[np.ndarray]:
+        """The (non-empty, equally long) ``columns`` as int64 arrays,
+        each value a live vid; else raise for the first unknown one,
+        read row by row as per element.  One numpy pass over a copy of
+        ``_v_tid`` checks them all."""
+        vids = [_int64(column) for column in columns]
+        if all(column is not None for column in vids):
+            tids = np.array(self._v_tid, dtype=np.int64)
+            if all(
+                column.min() >= 0 and column.max() < len(tids)
+                and tids[column].min() >= 0
+                for column in vids
+            ):
+                return vids
+        for vid in chain.from_iterable(zip(*columns)):
+            self._locate(vid)
+        # Every value located: each is an int, or has __index__.
+        return [
+            np.fromiter(map(index, column), np.int64, len(column))
+            for column in columns
+        ]
 
     def _observed(self) -> bool:
         """Whether mutations have per-element side effects to keep:
@@ -730,9 +768,10 @@ class PropertyGraph:
         names = self._symbols.names()
         self._link(
             (eid, names[sid], src, dst)
-            for eid, (sid, src, dst) in enumerate(
-                zip(self._e_label, self._e_src, self._e_dst)
-            )
+            for eid, (sid, src, dst) in enumerate(zip(
+                self._e_label.tolist(), self._e_src.tolist(),
+                self._e_dst.tolist(),
+            ))
             if sid >= 0
         )
         return adjacency
@@ -785,19 +824,38 @@ class PropertyGraph:
 
     def set_properties(self, name: str, values: dict[int, object]) -> None:
         """Bulk :meth:`set_property` of one key, ``values`` mapping vid
-        to value.  Every vid is validated first; an unobserved graph (as
-        for :meth:`add_vertices`) takes one epoch bump for the batch."""
+        to value.  Every vid is validated first.
+
+        An observed graph (as for :meth:`add_vertices`) goes through
+        :meth:`set_property` per element.  Otherwise the vids are
+        grouped by table, in order of each table's first vid; each
+        table takes one ``VertexTable.assign_column`` write (the column
+        it creates, and the dtype it ends with, are the per-element
+        ones) and the batch one epoch bump."""
         if not values:
             return
-        self._require_vertices(values)
+        (vids,) = self._require_vertices(list(values))
         if self._observed() or self._property_indexes:
             for vid, value in values.items():
                 self.set_property(vid, name, value)
             return
         sid = self._symbols.intern(name)
-        tids, rows, tables = self._v_tid, self._v_row, self._tables
-        for vid, value in values.items():
-            tables[tids[vid]].set_prop(rows[vid], sid, value)
+        tids = np.array(self._v_tid, dtype=np.int64)[vids]
+        rows = np.array(self._v_row, dtype=np.int64)[vids].tolist()
+        items = list(values.values())
+        # One slice per run of vids in one table; each table's runs
+        # joined, tables in first-vid order.
+        cuts = (np.flatnonzero(tids[1:] != tids[:-1]) + 1).tolist()
+        tids = tids.tolist()
+        by_table: dict[int, tuple[list, list]] = {}
+        for lo, hi in zip([0] + cuts, cuts + [len(tids)]):
+            held = by_table.get(tids[lo])
+            if held is None:
+                held = by_table[tids[lo]] = ([], [])
+            held[0].extend(rows[lo:hi])
+            held[1].extend(items[lo:hi])
+        for tid, (rows, items) in by_table.items():
+            self._tables[tid].assign_column(sid, rows, items)
         self._touch(len(values))
 
     def remove_property(self, vid: int, name: str) -> None:
@@ -982,7 +1040,9 @@ class PropertyGraph:
 
     def vertex_ids(self) -> list[int]:
         """Live vertex ids in ascending (== insertion) order."""
-        return [vid for vid, tid in enumerate(self._v_tid) if tid >= 0]
+        return np.flatnonzero(
+            np.array(self._v_tid, dtype=np.int64) >= 0
+        ).tolist()
 
     def out_edges(self, vid: int, label: str | None = None) -> list[Edge]:
         adjacency = self._out.get(vid, {})

@@ -262,15 +262,14 @@ class GraphStatistics:
         tables = graph._tables
         n = len(tables)
 
-        def ints(column: list[int]) -> np.ndarray:
-            return np.fromiter(column, np.int64, len(column))
-
-        # (sid * n + src tid) * n + dst tid, packed in place.
-        v_tid, codes = ints(graph._v_tid), ints(graph._e_label)
+        # (sid * n + src tid) * n + dst tid, packed in place, over
+        # copies of the id columns (see view.py: copy, not frombuffer).
+        v_tid = np.array(graph._v_tid, dtype=np.int64)
+        codes = np.array(graph._e_label, dtype=np.int64)
         live = codes >= 0
         for ends in (graph._e_src, graph._e_dst):
             codes *= n
-            codes += v_tid[ints(ends)]
+            codes += v_tid[np.array(ends, dtype=np.int64)]
         codes, first, counts = np.unique(
             codes[live], return_index=True, return_counts=True
         )

@@ -69,6 +69,8 @@ import zlib
 from array import array
 from pathlib import Path
 
+import numpy as np
+
 from repro.exceptions import GraphError, StorageError
 from repro.graphdb import faults, observe
 from repro.graphdb.columnar import KIND_FLOAT, KIND_INT, KIND_OBJ, PropertyColumn
@@ -289,29 +291,26 @@ def _encode_sections(
         _encode_column(vbuf, ctype, values)
 
     # EDGE (columnar) --------------------------------------------------
-    eids = array("q")
-    srcs = array("q")
-    dsts = array("q")
-    label_ids = array("i")
-    for eid, (sid, src, dst) in enumerate(
-        zip(graph._e_label, graph._e_src, graph._e_dst)
-    ):
-        if sid < 0:
-            continue
-        eids.append(eid)
-        srcs.append(src)
-        dsts.append(dst)
-        label_ids.append(intern(sym_name(sid)))
+    # One mask over copies of the edge columns selects the live edges;
+    # their edge types are interned in first-eid order, the order a
+    # per-edge pass interns them in.
+    sids = np.array(graph._e_label, dtype=np.int64)
+    eids = np.flatnonzero(sids >= 0)
+    sids = sids[eids]
+    distinct, first = np.unique(sids, return_index=True)
+    label_of = np.zeros(int(distinct.max(initial=-1)) + 1, np.int64)
+    for sid in distinct[np.argsort(first)].tolist():
+        label_of[sid] = intern(sym_name(sid))
     with_props = sorted(
         eid for eid, props in graph._e_props.items()
         if props and graph._e_label[eid] >= 0
     )
     ebuf = bytearray()
     write_uvarint(ebuf, len(eids))
-    ebuf += _to_le_bytes(eids)
-    ebuf += _to_le_bytes(srcs)
-    ebuf += _to_le_bytes(dsts)
-    ebuf += _to_le_bytes(label_ids)
+    ebuf += eids.astype("<i8").tobytes()
+    for ends in (graph._e_src, graph._e_dst):
+        ebuf += np.array(ends, dtype=np.int64)[eids].astype("<i8").tobytes()
+    ebuf += label_of[sids].astype("<i4").tobytes()
     write_uvarint(ebuf, len(with_props))
     for eid in with_props:
         write_uvarint(ebuf, eid)
@@ -490,6 +489,18 @@ def _read_array(
     return arr.tolist(), end
 
 
+def _read_int64(
+    data: bytes, pos: int, dtype: str, count: int
+) -> tuple[np.ndarray, int]:
+    """``count`` little-endian ints of ``dtype`` at ``pos``, as a
+    native int64 copy (no view of ``data`` outlives the call)."""
+    end = pos + count * np.dtype(dtype).itemsize
+    if end > len(data):
+        raise CodecError("truncated array")
+    values = np.frombuffer(data, dtype=dtype, count=count, offset=pos)
+    return values.astype(np.int64), end
+
+
 def _read_str_blob(
     data: bytes, pos: int, lengths: list[int]
 ) -> tuple[list[str], int]:
@@ -573,8 +584,8 @@ def _decode_graph(
         num_vid_slots = max(next_vid, max(vid_list, default=-1) + 1)
         v_tid = graph._v_tid
         v_row = graph._v_row
-        v_tid.extend([-1] * num_vid_slots)
-        v_row.extend([0] * num_vid_slots)
+        v_tid.extend(array("q", [-1]) * num_vid_slots)
+        v_row.extend(array("q", [0]) * num_vid_slots)
         for vid, lsid in zip(vid_list, lsid_list):
             table = tables[lsid]
             v_tid[vid] = table.labelset_id
@@ -654,30 +665,30 @@ def _decode_graph(
     count, pos = read_uvarint(data, pos)
     if count != num_edges:
         raise CodecError("edge count mismatch with META")
-    eid_list, pos = _read_array(data, pos, "q", count)
-    src_list, pos = _read_array(data, pos, "q", count)
-    dst_list, pos = _read_array(data, pos, "q", count)
-    lid_list, pos = _read_array(data, pos, "i", count)
+    eids, pos = _read_int64(data, pos, "<i8", count)
+    srcs, pos = _read_int64(data, pos, "<i8", count)
+    dsts, pos = _read_int64(data, pos, "<i8", count)
+    lids, pos = _read_int64(data, pos, "<i4", count)
     try:
         if count:
-            graph._require_vertices(src_list, dst_list)
+            graph._require_vertices(srcs, dsts)
         # Same id-space rule as vertices: removed tail eids stay holes.
-        num_eid_slots = max(next_eid, max(eid_list, default=-1) + 1)
-        e_src = graph._e_src
-        e_dst = graph._e_dst
-        e_label = graph._e_label
-        e_src.extend([0] * num_eid_slots)
-        e_dst.extend([0] * num_eid_slots)
-        e_label.extend([-1] * num_eid_slots)
-        for eid, src, dst, lid in zip(
-            eid_list, src_list, dst_list, lid_list
+        num_eid_slots = max(next_eid, int(eids.max()) + 1 if count else 0)
+        # One scatter of the live edges into the slots, then one
+        # frombytes per column.
+        columns = np.zeros((3, num_eid_slots), dtype=np.int64)
+        columns[2] = -1
+        columns[:, eids] = (
+            srcs, dsts, np.array(sym_ids, dtype=np.int64)[lids]
+        )
+        for column, values in zip(
+            (graph._e_src, graph._e_dst, graph._e_label), columns
         ):
-            e_src[eid] = src
-            e_dst[eid] = dst
-            e_label[eid] = sym_ids[lid]
+            column.frombytes(values.tobytes())
         graph._num_edges = count
     except (GraphError, IndexError) as exc:
         raise CodecError(f"edge references unknown id: {exc}") from None
+    e_label = graph._e_label
     nprops_edges, pos = read_uvarint(data, pos)
     for _ in range(nprops_edges):
         eid, pos = read_uvarint(data, pos)

@@ -241,8 +241,11 @@ class GraphArrays:
                     col.data, dtype=object, count=len(col.data)
                 )
             else:
-                # Copy, not frombuffer: a shared buffer export would
-                # forbid the live column from ever resizing again.
+                # Copy, not frombuffer (nor np.asarray: the same view),
+                # as for the graph's id maps and edge columns in _build
+                # and v_tid: while a view exports a growable array's
+                # buffer, its next append, or a rollback's truncation
+                # of its tail, raises BufferError.
                 data = np.array(col.data, dtype=dtype)
             values[targets] = data[rows]
         vmin = vmax = None
@@ -256,7 +259,7 @@ class GraphArrays:
     def v_tid(self):
         """vid -> table id (every row of a table shares one label set)."""
         if self._v_tid is None:
-            self._v_tid = np.asarray(self.graph._v_tid, dtype=np.int64)
+            self._v_tid = np.array(self.graph._v_tid, dtype=np.int64)
         return self._v_tid
 
     def label_vids(self, label: str):
@@ -270,9 +273,7 @@ class GraphArrays:
 
     def all_vids(self):
         if self._all_vids is None:
-            self._all_vids = np.asarray(
-                self.graph.vertex_ids(), dtype=np.int64
-            )
+            self._all_vids = np.flatnonzero(self.v_tid() >= 0)
         return self._all_vids
 
     def table_vids(self, tid: int):

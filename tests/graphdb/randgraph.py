@@ -8,12 +8,15 @@ edges and batches of one property's values, with removals in between
 endpoints).  :func:`run_script` applies it either through per-element
 ``add_vertex`` / ``add_edge`` / ``set_property`` or through bulk
 ``add_vertices`` / ``add_edges`` / ``set_properties``; everything else
-is identical, so the two graphs must be too.  A vertex batch goes in
+is identical, so the two graphs must be too.  Bulk mode passes every
+other edge batch as two int64 numpy arrays, the form the loaders pass,
+and the rest as lists.  A vertex batch goes in
 as one ``add_vertices`` per run of rows with the same label argument,
 its rows as property columns (:func:`vertex_runs`); the per-element
 path adds the same rows, each dict in its run's column order.
 """
 
+import numpy as np
 from hypothesis import strategies as st
 
 from repro.graphdb.columnar import ABSENT
@@ -104,6 +107,7 @@ def run_script(
     """Apply ``script`` to ``graph`` (a new one by default)."""
     if graph is None:
         graph = PropertyGraph("scripted")
+    edge_batches = 0
     for step in script:
         kind = step[0]
         if kind == "v":
@@ -128,6 +132,10 @@ def run_script(
             srcs = [live[i % len(live)] for i, _j in step[2]]
             dsts = [live[j % len(live)] for _i, j in step[2]]
             if bulk:
+                edge_batches += 1
+                if edge_batches % 2:
+                    srcs = np.array(srcs, dtype=np.int64)
+                    dsts = np.array(dsts, dtype=np.int64)
                 graph.add_edges(step[1], srcs, dsts)
             else:
                 for src, dst in zip(srcs, dsts):

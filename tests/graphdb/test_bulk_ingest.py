@@ -5,11 +5,17 @@ order), edge columns, adjacency (order included), indexes, statistics,
 listener events, undo behaviour and WAL recovery.
 """
 
+from array import array
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
 from repro.exceptions import GraphError
 from repro.graphdb.graph import PropertyGraph
+from repro.graphdb.query.executor import Executor
+from repro.graphdb.query.vectorized import ExecutionReport
+from repro.graphdb.session import GraphSession
 from repro.graphdb.storage import GraphStore, graph_state, recover_graph
 from repro.graphdb.columnar import ABSENT
 from tests.graphdb.randgraph import (
@@ -170,6 +176,10 @@ class TestContract:
         ([0, "x"], [1, 1], "x"),
         ([0, 1.0], [1, 1], "1.0"),
         ([0, None], [1, 1], "None"),
+        (np.array([0, 1]), np.array([1, 9]), "9"),
+        (array("q", [0, -1]), array("q", [1, 1]), "-1"),
+        # A float is no vid, in an array as in a list.
+        (np.array([0, 1.0]), np.array([1, 1]), "0.0"),
     ])
     def test_bad_endpoint_leaves_the_graph_untouched(
         self, graph, srcs, dsts, culprit
@@ -308,3 +318,51 @@ class TestContract:
             graph.set_properties("fresh", {0: 1, 1: 2})  # removed vertex
         assert structures(graph) == before
         assert graph.mutation_epoch == epoch
+
+
+def csr_lists(arrays) -> list:
+    """Every CSR array of frozen ``arrays``, as lists."""
+    return [
+        [column.tolist() for column in (
+            csr.starts, csr.counts, csr.neighbors, csr.eids
+        )]
+        for csrs in (arrays._out, arrays._in) for csr in csrs.values()
+    ]
+
+
+def test_held_arrays_survive_every_mutation():
+    """What one epoch hands out - the frozen arrays, ``v_tid``, the
+    statistics and a half-consumed batch-path result - keeps no view of
+    the graph's growable id columns: every mutation after it goes
+    through (a view would make the next append, or the rollback's
+    truncation of the tails, raise ``BufferError``), and what is held
+    still reads its own epoch."""
+    graph = PropertyGraph()
+    graph.add_vertices("A", 40, {"n": list(range(40))})
+    graph.add_edges("T", np.arange(40), (np.arange(40) + 1) % 40)
+    query = "MATCH (a:A)-[:T]->(b:A) RETURN a.n, b.n"
+    executor = Executor(GraphSession(graph))
+    frozen = graph.freeze()
+    expected = executor.run(query).rows
+    v_tid = graph.arrays().v_tid()
+    stats = graph.statistics()
+    held = (v_tid.tolist(), csr_lists(frozen), snapshot_of(stats))
+    report = ExecutionReport()
+    rows = executor.stream(query, report=report)[3]
+    first = next(rows)
+    assert report.mode == "vectorized"
+
+    graph.add_vertex("A", {"n": 40})
+    graph.add_vertices("B", 3, {"n": [1, 2, 3]})
+    graph.add_edges("T", np.array([40, 41]), np.array([0, 40]))
+    graph.add_edges("T", [42], [43])
+    graph.set_properties("n", {0: 100, 41: 101})
+    graph.begin_transaction()
+    graph.add_vertex("A")
+    graph.add_edge(44, 0, "T")
+    graph.rollback_transaction()  # truncates the id columns' tails
+    assert (len(graph._v_tid), len(graph._e_src)) == (44, 43)
+
+    assert [first, *rows] == expected
+    assert (v_tid.tolist(), csr_lists(frozen), snapshot_of(stats)) == held
+    assert graph.arrays().v_tid()[:40].tolist() == held[0]

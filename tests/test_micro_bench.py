@@ -65,14 +65,18 @@ def test_smoke_section_writes_the_schema(tmp_path, capsys):
     # The statistics row times FIN-OPT and carries FIN-DIR's time.
     stats = report["rows"][3]["extra"]
     assert stats["dataset"] == "fin-opt" and stats["dir_ms"] > 0
-    # The cold build row splits its time into its three parts and
-    # counts the collector's passes by generation.
+    # The cold build row splits its time into its three parts, names
+    # two phases inside the OPT load and counts the collector's passes
+    # by generation.
     build = report["rows"][4]["extra"]
     assert build["dataset"] == "fin"
     assert all(
         build[part] > 0
         for part in ("generate_ms", "load_dir_ms", "load_opt_ms")
     )
+    assert 0 < build["lists_ms"] + build["set_properties_ms"] < build[
+        "load_opt_ms"
+    ]
     assert len(build["gc_collections"]) == 3
     # The ontology PageRank runs over tens of concepts, not a graph.
     assert all(
