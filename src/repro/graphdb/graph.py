@@ -768,10 +768,9 @@ class PropertyGraph:
         names = self._symbols.names()
         self._link(
             (eid, names[sid], src, dst)
-            for eid, (sid, src, dst) in enumerate(zip(
-                self._e_label.tolist(), self._e_src.tolist(),
-                self._e_dst.tolist(),
-            ))
+            for eid, (sid, src, dst) in enumerate(
+                zip(self._e_label, self._e_src, self._e_dst)
+            )
             if sid >= 0
         )
         return adjacency
