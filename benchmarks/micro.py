@@ -17,8 +17,9 @@ no e2e workload that would notice it, and lives here, in five sections:
   the first time it charges a vid array (every warm e2e charge finds
   its trace kept), the planner statistics build on FIN-OPT (FIN-DIR
   in ``extra``; e2e's ``graph.stats_build`` sums four graphs inside a
-  noisy cold round), and the ontology PageRank on the MED and FIN
-  ontologies (the only inputs it ever gets);
+  noisy cold round), and the ontology PageRank and one ``optimize()``
+  (split into its five stages) on the MED and FIN ontologies (the
+  only inputs they ever get);
 * ``group_commit`` - fsyncs per commit at 1 / 8 / 32 remote writers;
 * ``budgets`` - what switched-off instrumentation may cost: the
   observe registry disabled against no-op handles (< 2 %), a traced
@@ -74,7 +75,11 @@ from hostspeed import HostSpeed  # noqa: E402
 from run import git_commit  # noqa: E402
 from workloads import ServerThread  # noqa: E402
 
-from repro.bench.harness import build_pipeline  # noqa: E402
+from repro.bench.harness import (  # noqa: E402
+    MICROBENCH_BUDGET_FRACTION,
+    MICROBENCH_THRESHOLDS,
+    build_pipeline,
+)
 from repro.data import load_direct, load_optimized  # noqa: E402
 from repro.data import loader  # noqa: E402
 from repro.datasets import build_fin, build_med  # noqa: E402
@@ -90,6 +95,9 @@ from repro.graphdb.session import GraphSession  # noqa: E402
 from repro.graphdb.statistics import GraphStatistics  # noqa: E402
 from repro.graphdb.storage import GraphStore  # noqa: E402
 from repro.graphdb.storage.wal import WriteAheadLog  # noqa: E402
+from repro.optimizer import pgsg  # noqa: E402
+from repro.optimizer import result as optimizer_result  # noqa: E402
+from repro.optimizer.costmodel import CostBenefitModel  # noqa: E402
 from repro.optimizer.pagerank import ontology_pagerank  # noqa: E402
 
 SMOKE_SCALE = 0.25
@@ -273,7 +281,8 @@ def derived(bench: Bench) -> None:
     # The paper's PageRank runs over an ontology's concepts (tens of
     # them), once per optimization, never over an instance graph.
     runs = 1 if bench.smoke else PAGERANK_RUNS
-    for dataset in (build_med(), build_fin()):
+    paper = (build_med(), build_fin())
+    for dataset in paper:
         ontology = dataset.ontology
 
         def ranks():
@@ -286,6 +295,66 @@ def derived(bench: Bench) -> None:
             samples / runs * 1e6, concepts=len(ontology.concepts),
             iterations=ontology_pagerank(ontology).iterations,
         )
+    for dataset in paper:
+        optimizer_stages(bench, dataset)
+
+
+def optimizer_stages(bench: Bench, dataset) -> None:
+    """One ``optimize()`` on a paper dataset at the microbenchmark's
+    budget and thresholds, and the ms of its five stages (corrected as
+    the total is): pricing the rules (``model_ms``), RC's and CC's
+    selection (``rc_ms``, ``cc_ms``), and the winner's rule fixpoint
+    (``transform_ms``) and schema generation (``schema_ms``).  The
+    loser is not realized.  e2e times the optimizer whole, inside a
+    round that also generates and loads data."""
+    workload = dataset.query_workload()
+    model = CostBenefitModel(
+        dataset.ontology, dataset.stats, workload, MICROBENCH_THRESHOLDS
+    )
+    budget = model.budget_for_fraction(MICROBENCH_BUDGET_FRACTION)
+    stages = {
+        "model": (pgsg, "CostBenefitModel"),
+        "rc": (pgsg, "select_relation_centric"),
+        "cc": (pgsg, "select_concept_centric"),
+        "transform": (optimizer_result, "transform"),
+        "schema": (optimizer_result, "generate_schema"),
+    }
+    spent = dict.fromkeys(stages, 0.0)
+
+    def timed(stage, call):
+        def run(*args, **kwargs):
+            start = perf_counter()
+            value = call(*args, **kwargs)
+            spent[stage] += perf_counter() - start
+            return value
+        return run
+
+    runs: list[tuple[float, dict]] = []
+
+    def optimize():
+        spent.update(dict.fromkeys(spent, 0.0))
+        start = perf_counter()
+        pgsg.optimize(
+            dataset.ontology, dataset.stats, budget, workload,
+            MICROBENCH_THRESHOLDS,
+        )
+        runs.append((perf_counter() - start, dict(spent)))
+
+    with patched({
+        key: timed(stage, getattr(*key)) for stage, key in stages.items()
+    }):
+        (samples,) = bench.time([optimize], 15)
+    raw = np.array([total for total, _ in runs[1:]])   # [0] is untimed
+    scale = samples / raw
+    bench.row(
+        f"derived.optimize.{dataset.name.lower()}", "ms", samples * 1e3,
+        budget=budget, **{
+            f"{stage}_ms": round(float(np.median(np.array(
+                [parts[stage] for _, parts in runs[1:]]
+            ) * scale * 1e3)), 2)
+            for stage in stages
+        },
+    )
 
 
 def load(bench: Bench, dataset, mapping) -> None:

@@ -30,7 +30,7 @@ from repro.optimizer.knapsack import (
     knapsack_fptas,
     knapsack_greedy,
 )
-from repro.optimizer.pgsg import optimize
+from repro.optimizer.pgsg import select_pgsg
 from repro.optimizer.relation_centric import optimize_relation_centric
 from repro.optimizer.result import OptimizationResult
 from repro.rules.base import Thresholds
@@ -105,13 +105,12 @@ def build_pipeline(
     custom_workload = workload is not None
     if workload is None:
         workload = dataset.query_workload()
+    started = time.perf_counter()
     model = CostBenefitModel(
         dataset.ontology, dataset.stats, workload, thresholds
     )
     budget = model.budget_for_fraction(budget_fraction)
-    result = optimize(
-        dataset.ontology, dataset.stats, budget, workload, thresholds
-    )
+    result = select_pgsg(model, budget).realize(started)
 
     logical: LogicalDataset | None = None
 

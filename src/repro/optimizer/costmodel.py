@@ -24,6 +24,7 @@ unit (see DESIGN.md).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.exceptions import OptimizationError
 from repro.ontology.model import (
@@ -179,13 +180,22 @@ class CostBenefitModel:
         return list(self._items)
 
     def items_touching(self, concept: str) -> list[RuleItem]:
-        """Items whose relationship has ``concept`` as an endpoint."""
-        result = []
+        """Items whose relationship has ``concept`` as an endpoint, in
+        item order."""
+        return list(self._items_by_concept.get(concept, ()))
+
+    @cached_property
+    def _items_by_concept(self) -> dict[str, list[RuleItem]]:
+        """The items grouped by endpoint concept, once: concept-centric
+        selection asks for every concept.  A self-loop's items are
+        listed once under its one concept."""
+        grouped: dict[str, list[RuleItem]] = {}
+        relationship = self.ontology.relationship
         for item in self._items:
-            rel = self.ontology.relationship(item.rel_id)
-            if rel.touches(concept):
-                result.append(item)
-        return result
+            rel = relationship(item.rel_id)
+            for concept in dict.fromkeys((rel.src, rel.dst)):
+                grouped.setdefault(concept, []).append(item)
+        return grouped
 
     @property
     def total_benefit(self) -> float:

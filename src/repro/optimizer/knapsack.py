@@ -13,6 +13,10 @@ and adopts an FPTAS.  Three solvers are provided:
   the *latest* item that improved a state is the one the optimal chain
   used, and its predecessor state must have been improved by an earlier
   item - so the chain is recovered without storing the full DP table.
+  The bitmaps are consecutive slices of one pooled boolean array, sized
+  up front from the items' scaled benefits, and every item's candidate
+  row is computed into one reused buffer (``out=``): the DP loop
+  allocates no array data per item.
   A ``max_states`` cap bounds memory on large skewed instances; when the
   cap binds, ``K`` grows and the guarantee degrades gracefully (the
   effective epsilon is reported on the result).
@@ -36,6 +40,7 @@ and adopts an FPTAS.  Three solvers are provided:
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 from dataclasses import dataclass
 from typing import Protocol, Sequence
 
@@ -125,17 +130,23 @@ def knapsack_fptas(
     INF = np.iinfo(dtype).max // 4
     dp = np.full(n_states, INF, dtype=dtype)
     dp[0] = 0
-    improved: list[np.ndarray] = []
-    reach = 1  # only states below it can be finite before this item
-    for (_, item), sb in zip(priced, scaled):
+    # Item i's improvement row covers the states reachable before it:
+    # ``reaches[i]`` = 1 + the scaled benefits of the items ahead of it.
+    # The rows are consecutive slices of one pooled array, row i from
+    # ``offsets[i]`` on, and every candidate row goes into one buffer.
+    reaches = list(accumulate(scaled[:-1], initial=1))
+    offsets = list(accumulate(reaches, initial=0))
+    improved = np.empty(offsets[-1], dtype=bool)
+    buffer = np.empty(n_states, dtype=dtype)
+    for (_, item), sb, reach, offset in zip(priced, scaled, reaches,
+                                            offsets):
         # dp[s] = min(dp[s], dp[s - sb] + cost), done in place on the
         # shifted view (INF + cost stays < 2*INF, no overflow).
-        candidate = dp[:reach] + item.cost
+        candidate = np.add(dp[:reach], item.cost, out=buffer[:reach])
         target = dp[sb:reach + sb]
-        better = candidate < target
+        # improved[offset + s - sb]: this item improved state s.
+        np.less(candidate, target, out=improved[offset:offset + reach])
         np.minimum(target, candidate, out=target)
-        improved.append(better)  # better[s - sb]: this item improved s
-        reach += sb
 
     # Every finite state is at most total_cost, which fits the dtype;
     # a larger capacity is compared as that sum.
@@ -149,8 +160,9 @@ def knapsack_fptas(
         found = False
         for idx in range(limit - 1, -1, -1):
             before = state - scaled[idx]
-            better = improved[idx]
-            if 0 <= before < len(better) and better[before]:
+            if 0 <= before < reaches[idx] and (
+                improved[offsets[idx] + before]
+            ):
                 chosen.append(priced[idx][0])
                 state = before
                 limit = idx

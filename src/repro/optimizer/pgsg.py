@@ -3,7 +3,7 @@
 Section 5.1: *"PGSG chooses the property graph schema with a higher total
 benefit score from relation-centric (RC) and concept-centric (CC)
 algorithms."*  The score is a sum over the selected items, so
-:func:`optimize` prices once, lets both *select* and runs the rule
+:func:`select_pgsg` prices once, lets both *select* and runs the rule
 engine for the winner only (ties go to RC, which has the optimality
 bound); both stay under ``extras["candidates"]``, the loser's schema
 computed if and when somebody reads it.
@@ -45,10 +45,19 @@ def optimize(
         return optimize_nsc(ontology, stats, workload, thresholds)
     started = time.perf_counter()
     model = CostBenefitModel(ontology, stats, workload, thresholds)
+    return select_pgsg(model, space_limit, eps).realize(started)
+
+
+def select_pgsg(
+    model: CostBenefitModel, space_limit: int, eps: float = 0.1
+) -> OptimizationResult:
+    """PGSG's winner under ``space_limit`` bytes, not yet realized: a
+    caller that priced the rules already (to size the budget, say)
+    passes its ``model`` instead of pricing them again."""
     rc = select_relation_centric(model, space_limit, eps)
     cc = select_concept_centric(model, space_limit)
     winner = rc if rc.total_benefit >= cc.total_benefit else cc
     winner.extras["rc_benefit"] = rc.total_benefit
     winner.extras["cc_benefit"] = cc.total_benefit
     winner.extras["candidates"] = {"RC": rc, "CC": cc}
-    return winner.realize(started)
+    return winner

@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
+from itertools import count
+from typing import NamedTuple
 
 from repro.exceptions import SchemaError
 from repro.ontology.model import (
@@ -58,6 +60,11 @@ class SchemaProperty:
         return replace(self, name=name)
 
 
+#: One counter for every node's :attr:`SchemaNode.version`, so that a
+#: version names one node in one state of its properties.
+_VERSIONS = count()
+
+
 @dataclass
 class SchemaNode:
     """A vertex type in the evolving schema."""
@@ -65,6 +72,11 @@ class SchemaNode:
     key: str
     concepts: frozenset[str]
     properties: dict[str, SchemaProperty] = field(default_factory=dict)
+    #: Drawn anew on creation and on every property added: a pass
+    #: that read this node at this version would read the same again.
+    version: int = field(
+        default_factory=_VERSIONS.__next__, repr=False, compare=False
+    )
 
     def add_property(self, prop: SchemaProperty) -> bool:
         """Add ``prop`` unless a property with the same name exists.
@@ -77,12 +89,17 @@ class SchemaNode:
         if prop.name in self.properties:
             return False
         self.properties[prop.name] = prop
+        self.version = next(_VERSIONS)
         return True
 
 
-@dataclass(frozen=True)
-class SchemaEdge:
-    """An edge type in the evolving schema."""
+class SchemaEdge(NamedTuple):
+    """An edge type in the evolving schema.
+
+    A tuple, not a dataclass: the rule engine probes edge sets tens of
+    thousands of times a transform, and a tuple hashes in C - to the
+    value the frozen dataclass's generated ``__hash__`` computed, so
+    every set iterates in the order it did."""
 
     src: str
     dst: str
@@ -188,6 +205,10 @@ class SchemaState:
         self._requested_successors: dict[str, tuple[str, ...]] = {}
         #: frozen Jaccard similarity per inheritance relationship
         self.jaccard: dict[str, float] = {}
+        #: (rel id, direction) -> what its list propagation last read:
+        #: the enabled properties and the owner and source nodes with
+        #: their versions (see ``rules/one_to_many.py``)
+        self.list_passes: dict[tuple[str, str], tuple] = {}
         self._init_from_ontology()
 
     # ------------------------------------------------------------------
@@ -354,7 +375,6 @@ class SchemaState:
     def _rewrite_edges(
         self, key: str, live_successors: tuple[str, ...]
     ) -> None:
-        self._successors[key] = live_successors
         rewritten: set[SchemaEdge] = set()
         for edge in self.edges:
             if edge.src != key and edge.dst != key:

@@ -63,8 +63,24 @@ def _propagate_lists(
     props: frozenset[str] | None,
     direction: str,
 ) -> bool:
-    """Copy ``source``'s properties onto ``owner`` as LIST properties."""
+    """Copy ``source``'s properties onto ``owner`` as LIST properties.
+
+    The pass reads only the live nodes ``owner`` and ``source`` resolve
+    to, and running it twice in a row changes nothing the second time;
+    so when those nodes are the ones it last ran on, at the versions it
+    left them at, it is skipped.
+    """
     if props is not None and not props:
+        return False
+    nodes = state.nodes
+    owners, sources = state.resolve(owner), state.resolve(source)
+
+    def inputs() -> tuple:
+        return (props, owners, sources,
+                tuple(nodes[key].version for key in owners + sources))
+
+    pass_key = (rel.rel_id, direction)
+    if state.list_passes.get(pass_key) == inputs():
         return False
     changed = False
     held = state.held_names(owner)
@@ -87,6 +103,7 @@ def _propagate_lists(
             via_direction=direction,
         )
         changed |= state.add_property(owner, replicated)
+    state.list_passes[pass_key] = inputs()
     return changed
 
 

@@ -3,6 +3,7 @@ algorithms run eagerly, on the paper's two ontologies."""
 
 import pytest
 
+from repro.bench import harness
 from repro.bench.harness import MICROBENCH_THRESHOLDS
 from repro.optimizer import result as result_module
 from repro.optimizer.concept_centric import optimize_concept_centric
@@ -111,3 +112,27 @@ def test_both_algorithms_lose_somewhere(priced):
         for fraction in FRACTIONS
     }
     assert winners == {"RC", "CC"}
+
+
+def test_build_pipeline_prices_the_rules_once(med_small, monkeypatch):
+    """``build_pipeline`` sizes the budget with the model it hands to
+    PGSG, and realizes what ``optimize()`` would have."""
+    models = []
+    model_class = harness.CostBenefitModel
+
+    def counted(*args):
+        models.append(model_class(*args))
+        return models[-1]
+
+    monkeypatch.setattr(harness, "CostBenefitModel", counted)
+    pipeline = harness.build_pipeline(med_small, scale=0.1)
+    (model,) = models
+    assert pipeline.result.model is model
+    expected = optimize(
+        med_small.ontology, med_small.stats,
+        model.budget_for_fraction(harness.MICROBENCH_BUDGET_FRACTION),
+        med_small.query_workload(), MICROBENCH_THRESHOLDS,
+    )
+    assert pipeline.result.selected_items == expected.selected_items
+    assert realized(pipeline.result) == realized(expected)
+    assert pipeline.result.elapsed_seconds > 0

@@ -50,6 +50,8 @@ def test_smoke_section_writes_the_schema(tmp_path, capsys):
         ("derived.load", "ms"),
         ("derived.ontology_pagerank.med", "us"),
         ("derived.ontology_pagerank.fin", "us"),
+        ("derived.optimize.med", "ms"),
+        ("derived.optimize.fin", "ms"),
     ]
     for row in report["rows"]:
         assert row["median"] > 0
@@ -83,6 +85,14 @@ def test_smoke_section_writes_the_schema(tmp_path, capsys):
         row["extra"]["concepts"] < 100
         for row in report["rows"] if "pagerank" in row["name"]
     )
+    # An optimize() row splits its time into five stages, which sum to
+    # no more than the whole (each stage is rounded to 0.01 ms).
+    stages = ("model_ms", "rc_ms", "cc_ms", "transform_ms", "schema_ms")
+    for row in report["rows"][-2:]:
+        extra = row["extra"]
+        assert set(extra) == {"budget", *stages}
+        assert all(extra[stage] > 0 for stage in stages)
+        assert sum(extra[stage] for stage in stages) < row["median"] + 0.025
 
 
 def test_smoke_driver_section(tmp_path, capsys):
