@@ -13,10 +13,10 @@ and adopts an FPTAS.  Three solvers are provided:
   the *latest* item that improved a state is the one the optimal chain
   used, and its predecessor state must have been improved by an earlier
   item - so the chain is recovered without storing the full DP table.
-  The bitmaps are consecutive slices of one pooled boolean array, sized
-  up front from the items' scaled benefits, and every item's candidate
-  row is computed into one reused buffer (``out=``): the DP loop
-  allocates no array data per item.
+  The bitmaps are packed eight states a byte into consecutive slices
+  of one pooled array, sized up front from the items' scaled benefits,
+  and every item's candidate and improvement rows are computed into two
+  reused buffers (``out=``).
   A ``max_states`` cap bounds memory on large skewed instances; when the
   cap binds, ``K`` grows and the guarantee degrades gracefully (the
   effective epsilon is reported on the result).
@@ -40,8 +40,8 @@ and adopts an FPTAS.  Three solvers are provided:
 from __future__ import annotations
 
 import math
-from itertools import accumulate
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Protocol, Sequence
 
 import numpy as np
@@ -132,21 +132,27 @@ def knapsack_fptas(
     dp[0] = 0
     # Item i's improvement row covers the states reachable before it:
     # ``reaches[i]`` = 1 + the scaled benefits of the items ahead of it.
-    # The rows are consecutive slices of one pooled array, row i from
-    # ``offsets[i]`` on, and every candidate row goes into one buffer.
+    # Each row is computed into one reused bool buffer and kept packed,
+    # eight states a byte, in one pooled array, row i from byte
+    # ``offsets[i]`` on.  Unpacked, FIN's rows would be one 13 MB block,
+    # and freeing a block that size raises glibc's mmap threshold: the
+    # heap then keeps more of what the process frees later.
     reaches = list(accumulate(scaled[:-1], initial=1))
-    offsets = list(accumulate(reaches, initial=0))
-    improved = np.empty(offsets[-1], dtype=bool)
-    buffer = np.empty(n_states, dtype=dtype)
-    for (_, item), sb, reach, offset in zip(priced, scaled, reaches,
-                                            offsets):
+    offsets = list(accumulate(((r + 7) // 8 for r in reaches), initial=0))
+    improved = np.empty(offsets[-1], dtype=np.uint8)
+    candidates = np.empty(n_states, dtype=dtype)
+    better = np.empty(n_states, dtype=bool)
+    for (_, item), sb, reach, start, end in zip(
+        priced, scaled, reaches, offsets, offsets[1:]
+    ):
         # dp[s] = min(dp[s], dp[s - sb] + cost), done in place on the
         # shifted view (INF + cost stays < 2*INF, no overflow).
-        candidate = np.add(dp[:reach], item.cost, out=buffer[:reach])
+        candidate = np.add(dp[:reach], item.cost, out=candidates[:reach])
         target = dp[sb:reach + sb]
-        # improved[offset + s - sb]: this item improved state s.
-        np.less(candidate, target, out=improved[offset:offset + reach])
+        row = np.less(candidate, target, out=better[:reach])
         np.minimum(target, candidate, out=target)
+        # Bit s - sb of row i: this item improved state s.
+        improved[start:end] = np.packbits(row, bitorder="little")
 
     # Every finite state is at most total_cost, which fits the dtype;
     # a larger capacity is compared as that sum.
@@ -161,7 +167,7 @@ def knapsack_fptas(
         for idx in range(limit - 1, -1, -1):
             before = state - scaled[idx]
             if 0 <= before < reaches[idx] and (
-                improved[offsets[idx] + before]
+                improved[offsets[idx] + (before >> 3)] >> (before & 7) & 1
             ):
                 chosen.append(priced[idx][0])
                 state = before

@@ -2,11 +2,12 @@
 
 Section 5.1: *"PGSG chooses the property graph schema with a higher total
 benefit score from relation-centric (RC) and concept-centric (CC)
-algorithms."*  The score is a sum over the selected items, so
-:func:`select_pgsg` prices once, lets both *select* and runs the rule
-engine for the winner only (ties go to RC, which has the optimality
-bound); both stay under ``extras["candidates"]``, the loser's schema
-computed if and when somebody reads it.
+algorithms."*  The score is a sum over the selected items, so PGSG
+prices once, lets both *select* (:func:`select_pgsg`, on a cost model
+the caller may already hold) and runs the rule engine for the winner
+only (ties go to RC, which has the optimality bound); both stay under
+``extras["candidates"]``, the loser's schema computed if and when
+somebody reads it.
 
 Reproduces: the schemas behind the Figure 11 microbenchmark and the
 Figure 12 mixed-workload comparison (PGSG is the optimizer the paper

@@ -13,14 +13,14 @@ rule operation is monotone the fixpoint is order-independent (Theorem 3);
 orders.
 
 Each iteration re-dispatches every rule, and most of those re-runs
-change nothing.  The 1:M / M:N list propagation, the rule dispatched
-most, skips one outright: every :class:`~repro.rules.base.SchemaNode`
-draws a new ``version`` when it is created and whenever it gains a
-property, and a (relationship, direction) pass whose owner and source
-nodes are the ones it last ran on, at the versions it left them at,
-would read what it read then (``SchemaState.list_passes``).  The
-skip changes no output: ``tests/optimizer/test_output_pinned.py``
-holds the schemas by digest.
+change nothing.  The 1:M / M:N list propagation skips such a re-run
+outright.  Every :class:`~repro.rules.base.SchemaNode` draws a new
+``version`` when it is created and whenever it gains a property, and
+``SchemaState.list_passes`` keeps the nodes and versions each
+(relationship, direction) pass left behind; a pass that would find
+the same ones would read what it read then and add nothing, so it is
+skipped.  The skip changes no output:
+``tests/optimizer/test_output_pinned.py`` holds the schemas by digest.
 """
 
 from __future__ import annotations
