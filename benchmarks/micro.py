@@ -329,7 +329,7 @@ def optimizer_stages(bench: Bench, dataset) -> None:
             return value
         return run
 
-    runs: list[tuple[float, dict]] = []
+    runs: list[tuple[float, list[float]]] = []
 
     def optimize():
         spent.update(dict.fromkeys(spent, 0.0))
@@ -338,21 +338,19 @@ def optimizer_stages(bench: Bench, dataset) -> None:
             dataset.ontology, dataset.stats, budget, workload,
             MICROBENCH_THRESHOLDS,
         )
-        runs.append((perf_counter() - start, dict(spent)))
+        runs.append((perf_counter() - start, list(spent.values())))
 
     with patched({
         key: timed(stage, getattr(*key)) for stage, key in stages.items()
     }):
         (samples,) = bench.time([optimize], 15)
-    raw = np.array([total for total, _ in runs[1:]])   # [0] is untimed
-    scale = samples / raw
+    totals, parts = map(np.array, zip(*runs[1:]))    # [0] is untimed
+    stage_ms = np.median(parts * (samples / totals)[:, None] * 1e3, axis=0)
     bench.row(
         f"derived.optimize.{dataset.name.lower()}", "ms", samples * 1e3,
         budget=budget, **{
-            f"{stage}_ms": round(float(np.median(np.array(
-                [parts[stage] for _, parts in runs[1:]]
-            ) * scale * 1e3)), 2)
-            for stage in stages
+            f"{stage}_ms": round(float(ms), 2)
+            for stage, ms in zip(stages, stage_ms)
         },
     )
 

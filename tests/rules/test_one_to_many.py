@@ -3,7 +3,7 @@
 from repro.ontology.builder import OntologyBuilder
 from repro.ontology.model import RelationshipType
 from repro.ontology.samples import chain_ontology
-from repro.rules.base import Provenance, SchemaState
+from repro.rules.base import Provenance, SchemaNode, SchemaState
 from repro.rules.engine import transform
 from repro.rules.one_to_many import (
     apply_many_to_many,
@@ -152,3 +152,60 @@ class TestManyToMany:
         assert apply_many_to_many(state, rel, None, None)
         assert "A.pa" in state.nodes["A"].properties
         assert "pa" in state.nodes["A"].properties
+
+
+class TestSkippedPass:
+    """A pass whose owner and source nodes are as it left them reads
+    nothing; any property added to either, or a new node under one of
+    their keys, makes it run again."""
+
+    @staticmethod
+    def reads(state, monkeypatch) -> list:
+        calls = []
+        properties_of = state.properties_of
+        monkeypatch.setattr(
+            state, "properties_of",
+            lambda key: calls.append(key) or properties_of(key),
+        )
+        return calls
+
+    def test_rerun_on_unchanged_nodes_is_skipped(self, monkeypatch):
+        onto = _onto()
+        state = SchemaState(onto)
+        rel = next(iter(onto.relationships.values()))
+        calls = self.reads(state, monkeypatch)
+        assert apply_one_to_many(state, rel, None)
+        assert not apply_one_to_many(state, rel, None)
+        assert calls == ["Indication"]
+
+    def test_a_new_source_property_runs_it_again(self, monkeypatch):
+        onto = _onto()
+        state = SchemaState(onto)
+        rel = next(iter(onto.relationships.values()))
+        apply_one_to_many(state, rel, None)
+        calls = self.reads(state, monkeypatch)
+        desc = state.nodes["Indication"].properties["desc"]
+        state.add_property("Indication", desc.renamed("code"))
+        assert apply_one_to_many(state, rel, None)
+        assert calls == ["Indication"]
+        assert "Indication.code" in state.nodes["Drug"].properties
+
+    def test_a_replaced_node_runs_it_again(self, monkeypatch):
+        onto = _onto()
+        state = SchemaState(onto)
+        rel = next(iter(onto.relationships.values()))
+        apply_one_to_many(state, rel, None)
+        calls = self.reads(state, monkeypatch)
+        # The owner node replaced under its key: as many properties,
+        # but not the list.
+        drug = state.nodes["Drug"]
+        properties = {
+            name: prop for name, prop in drug.properties.items()
+            if not prop.is_list
+        }
+        properties["code"] = properties["name"].renamed("code")
+        assert len(properties) == len(drug.properties)
+        state.nodes["Drug"] = SchemaNode("Drug", drug.concepts, properties)
+        assert apply_one_to_many(state, rel, None)
+        assert calls == ["Indication"]
+        assert "Indication.desc" in state.nodes["Drug"].properties
