@@ -96,10 +96,8 @@ class SchemaNode:
 class SchemaEdge(NamedTuple):
     """An edge type in the evolving schema.
 
-    A tuple, not a dataclass: the rule engine probes edge sets tens of
-    thousands of times a transform, and a tuple hashes in C - to the
-    value the frozen dataclass's generated ``__hash__`` computed, so
-    every set iterates in the order it did."""
+    A tuple, so that it hashes in C: the rule engine probes edge sets
+    tens of thousands of times a transform."""
 
     src: str
     dst: str
