@@ -23,7 +23,10 @@ from repro.graphdb.backends import JANUSGRAPH_LIKE, NEO4J_LIKE
 from repro.graphdb.graph import PropertyGraph
 from repro.graphdb.query.ast import Query
 from repro.ontology.workload import WorkloadSummary
-from repro.optimizer.concept_centric import optimize_concept_centric
+from repro.optimizer.concept_centric import (
+    optimize_concept_centric,
+    select_concept_centric,
+)
 from repro.optimizer.costmodel import CostBenefitModel
 from repro.optimizer.knapsack import (
     knapsack_exact,
@@ -31,7 +34,10 @@ from repro.optimizer.knapsack import (
     knapsack_greedy,
 )
 from repro.optimizer.pgsg import select_pgsg
-from repro.optimizer.relation_centric import optimize_relation_centric
+from repro.optimizer.relation_centric import (
+    optimize_relation_centric,
+    select_relation_centric,
+)
 from repro.optimizer.result import OptimizationResult
 from repro.rules.base import Thresholds
 from repro.workload.generator import mixed_workload
@@ -186,15 +192,11 @@ def run_space_sweep(
             dataset.ontology, dataset.stats, workload, thresholds
         )
         for fraction in fractions:
+            # The figure reads only the benefit ratios: price the rules
+            # once per workload, realize no schema.
             budget = model.budget_for_fraction(fraction)
-            rc = optimize_relation_centric(
-                dataset.ontology, dataset.stats, budget, workload,
-                thresholds,
-            )
-            cc = optimize_concept_centric(
-                dataset.ontology, dataset.stats, budget, workload,
-                thresholds,
-            )
+            rc = select_relation_centric(model, budget)
+            cc = select_concept_centric(model, budget)
             table.add_row(
                 kind, f"{fraction:.4%}".rstrip("0").rstrip("."),
                 round(rc.benefit_ratio, 4), round(cc.benefit_ratio, 4),
@@ -230,14 +232,8 @@ def run_jaccard_sweep(
             # The paper sets the budget to (S_NSC - S_DIR) / 2 *under
             # each threshold pair* because rule costs change with theta.
             budget = model.budget_for_fraction(budget_fraction)
-            rc = optimize_relation_centric(
-                dataset.ontology, dataset.stats, budget, workload,
-                thresholds,
-            )
-            cc = optimize_concept_centric(
-                dataset.ontology, dataset.stats, budget, workload,
-                thresholds,
-            )
+            rc = select_relation_centric(model, budget)
+            cc = select_concept_centric(model, budget)
             table.add_row(
                 kind, f"({theta1}, {theta2})",
                 round(rc.benefit_ratio, 4), round(cc.benefit_ratio, 4),

@@ -40,36 +40,53 @@ indexes, the undo log and the WAL listeners in step.
 
 Label lookups read the label-set tables: a table's live vids ascend
 (a rollback restores a vertex to its own row), so merging the tables
-that carry a label lists its vertices in vid order.  The other
-secondary structures (adjacency lists, property indexes) use
-insertion-ordered dict buckets keyed by id, so membership tests,
+that carry a label lists its vertices in vid order.  Property indexes
+use insertion-ordered dict buckets keyed by vid, so membership tests,
 insertion and removal are all O(1) while iteration order stays
-deterministic.  The adjacency serves every per-element read, frozen or
-not: the tuple path's expand, its join check and ``has_edge_between``,
-which scans the source's buckets for the far endpoint.  The frozen
-CSR arrays serve the batch path only.
+deterministic; a rolled-back removal puts a vid back before the first
+greater one.
 
-The adjacency lists are *derived* state: bulk ingest (``add_vertices``
-/ ``add_edges`` / ``set_properties``) and the snapshot loader leave
-them unbuilt; the first reader or per-element mutation builds them
-whole from the edge columns.  So are the planner's statistics:
+One adjacency serves every per-element read, frozen or not:
+``out_edges`` / ``in_edges``, ``degree``, ``first_edge_between``,
+``remove_vertex``'s cascade and the tuple path's expand and join check.
+It is two parts over the edge columns:
+
+* the *base*, both directions' per-type CSR of
+  :func:`~repro.graphdb.view.build_csr`, over the eids below
+  ``_base_eids``.  Mutations leave it as it is: a removed base edge is
+  masked by its tombstone in ``_e_label``, and a rolled-back removal
+  clears the tombstone;
+* the *tail*, per direction vid -> the live eids at or past
+  ``_base_eids``, ascending: an add appends, a removal takes the eid
+  out and a rolled-back removal puts it back in eid order.
+
+A read of one vertex and type is its base segment under the mask, then
+its tail: ascending eid.  An untyped read orders the types by their
+first eid at that vertex; the tuple path's untyped expand on a frozen
+graph reads them in ``type_rank`` order instead, as the batch path
+does.
+
+The base is *derived* state: bulk ingest (``add_vertices`` /
+``add_edges`` / ``set_properties``), the snapshot loader, WAL replay
+and every other mutation leave it unbuilt, and while there is none no
+mutation touches the adjacency.  :meth:`PropertyGraph.freeze` makes
+the frozen CSR the base; otherwise the first per-element read builds
+it from the columns.  Nothing else folds the tail into it.  A base
+built inside a transaction may lack an edge removed before the build,
+so the rollback drops it (an undo entry) and the next read builds
+again.  The planner's statistics are derived too:
 :meth:`PropertyGraph.statistics` builds them from the columns and
 rebuilds them when enough mutations have made them stale; no mutation
 updates them.
-
-Ids only ever grow, so adding an element appends it to every bucket;
-a rolled-back removal puts it back where it was: in its table row, and
-before the first greater id of every bucket it was taken out of.  A
-vertex's adjacency labels stay in first-eid order through removals and
-rollbacks, so the maintained adjacency always equals a rebuild.
 """
 
 from __future__ import annotations
 
 from array import array
+from bisect import insort
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import chain
 from operator import index, itemgetter
 from types import MappingProxyType
 from typing import Iterable, Iterator
@@ -83,13 +100,7 @@ from repro.graphdb.columnar import (
     VertexTable,
 )
 from repro.graphdb.statistics import GraphStatistics, hashable
-from repro.graphdb.view import GraphArrays
-
-#: Insertion-ordered bucket keyed by id.  Adjacency buckets map
-#: eid -> neighbor vid (so expansion never dereferences edge records);
-#: property index buckets map vid -> None.
-_Bucket = dict
-_Adjacency = dict[int, dict[str, _Bucket]]
+from repro.graphdb.view import Csr, GraphArrays, build_csr
 
 #: Whether a table row's vid is live (tombstoned rows hold -1).
 _live = (0).__le__
@@ -131,63 +142,19 @@ def _place(bucket: dict, key: int, value: object) -> None:
         bucket[key] = value
 
 
-def _place_edge(
-    by_label: dict[str, _Bucket], label: str, eid: int, value: object
-) -> None:
-    """:func:`_place` ``eid`` in its label's bucket, then put the
-    labels back in first-eid order, which a new label or a new first
-    eid can have broken."""
-    _place(by_label.setdefault(label, {}), eid, value)
-    _by_first_eid(by_label)
-
-
-def _discard_edge(by_label: dict[str, _Bucket], label: str, eid: int) -> None:
-    """Take ``eid`` out of its label's bucket, then put the labels back
-    in first-eid order if it was the bucket's first."""
-    bucket = by_label[label]
-    first = next(iter(bucket)) == eid
-    del bucket[eid]
-    if not bucket:
-        del by_label[label]
-    elif first:
-        _by_first_eid(by_label)
-
-
-def _by_first_eid(by_label: dict[str, _Bucket]) -> None:
-    """Order one vertex's labels by their buckets' first eids: the
-    order :meth:`PropertyGraph._build_adjacency` gives."""
-    items = sorted(by_label.items(), key=_first_eid)
-    by_label.clear()
-    by_label.update(items)
-
-
-def _first_eid(item: tuple[str, _Bucket]) -> int:
-    return next(iter(item[1]))
-
-
-def _first_to(
-    by_label: dict[str, _Bucket] | None, far: int, label: str | None
-) -> int | None:
-    """The smallest eid of one vertex's ``label`` bucket (of every
-    bucket for ``None``) whose neighbor is ``far``, or None."""
-    if not by_label:
-        return None
-    buckets = by_label.values() if label is None else (
-        by_label.get(label, {}),
-    )
-    return min(
-        (eid for bucket in buckets
-         for eid, neighbor in bucket.items() if neighbor == far),
-        default=None,
-    )
-
-
 def _insert(mapping: dict, at: int, key: object, value: object) -> None:
     """Insert ``key: value`` at position ``at`` of ``mapping``."""
     items = list(mapping.items())
     items.insert(at, (key, value))
     mapping.clear()
     mapping.update(items)
+
+
+def _copy(value: object) -> object:
+    """A stored value as a reader gets it: a list as a fresh list, so
+    that changing it changes nothing stored (only the mutation methods
+    write, keeping the indexes, the undo log and the WAL in step)."""
+    return list(value) if isinstance(value, list) else value
 
 
 #: The properties of every edge that carries none.
@@ -207,7 +174,7 @@ class Vertex:
 
 @dataclass(frozen=True, slots=True)
 class Edge:
-    """One edge as read.  ``properties`` is a read-only view of its
+    """One edge as read.  ``properties`` is a read-only copy of its
     sparse property dict, which only :meth:`PropertyGraph.add_edge`
     writes."""
 
@@ -238,13 +205,13 @@ class PropertyGraph:
         #: Sparse eid -> property dict (most edges carry none).
         self._e_props: dict[int, dict] = {}
         self._num_edges = 0
-        #: (out, in) adjacency, each vid -> label -> eid -> neighbor
-        #: vid.  Derived state: ``None`` until a reader or a
-        #: per-element mutation needs it, then built whole from the
-        #: edge columns, maintained by every mutation from there on
-        #: and never dropped.  ``_out`` / ``_in`` read it, building
-        #: first; the batch path reads the frozen CSR instead.
-        self._adjacency: tuple[_Adjacency, _Adjacency] | None = None
+        #: The adjacency (see the module docstring): the base, (out,
+        #: in) edge-type sid -> Csr over the eids below ``_base_eids``,
+        #: or None until freeze or a per-element read builds it; and
+        #: the tail, (out, in) vid -> the live eids past the base.
+        self._base: tuple[dict[int, Csr], dict[int, Csr]] | None = None
+        self._base_eids = 0
+        self._tail: tuple[dict[int, list], dict[int, list]] = ({}, {})
         self._property_indexes: dict[tuple[str, str], dict] = {}
         self._next_vid = 0
         self._next_eid = 0
@@ -366,6 +333,9 @@ class PropertyGraph:
         elif op == "restore_vertex":
             _op, vid, tid, row, props = entry
             self._restore_vertex(vid, tid, row, props)
+        elif op == "drop_base":
+            self._base = None
+            self._tail = ({}, {})
         elif op == "counters":
             # Applied last (it is the frame's first entry): every id
             # at or past the saved counters belonged to a rolled-back
@@ -413,7 +383,7 @@ class PropertyGraph:
         self._e_label[eid] = self._symbols.intern(label)
         if props:
             self._e_props[eid] = dict(props)
-        self._attach_edge(eid, src, dst, label)
+        self._attach_edge(eid, src, dst)
 
     def _drop_property_index(self, label: str, prop: str) -> None:
         """Undo of :meth:`create_property_index` (rollback only)."""
@@ -445,7 +415,8 @@ class PropertyGraph:
         return arrays
 
     def freeze(self) -> GraphArrays:
-        """This epoch's arrays with their CSR adjacency built.
+        """This epoch's arrays with their CSR adjacency built, which
+        becomes the adjacency base too.
 
         O(E log E) plus each edge type's anchor range when built,
         O(1) while the graph stays unmutated.
@@ -454,8 +425,23 @@ class PropertyGraph:
         """
         arrays = self.arrays()
         if arrays.type_rank is None:
-            arrays._build(self)
+            arrays._out, arrays._in, arrays.type_rank = self._build_base()
         return arrays
+
+    def _build_base(self) -> tuple:
+        """Build the CSR of the columns as they stand and make it the
+        adjacency base, with an empty tail; return :func:`build_csr`'s
+        triple.  Only :meth:`freeze` installs it as frozen arrays: the
+        batch path still refuses a graph that a read gave a base.
+        Inside a transaction the rollback drops it, for it lacks any
+        edge removed before now."""
+        out, into, type_rank = build_csr(self)
+        if self._undo is not None:
+            self._undo.append(("drop_base",))
+        self._base_eids = len(self._e_label)
+        self._tail = ({}, {})
+        self._base = out, into
+        return out, into, type_rank
 
     # ------------------------------------------------------------------
     # Internal columnar plumbing
@@ -498,7 +484,7 @@ class PropertyGraph:
     def _row_properties(self, table: VertexTable, row: int) -> dict:
         name = self._symbols.name
         return {
-            name(sid): column.data[row]
+            name(sid): _copy(column.data[row])
             for sid, column in table.columns.items()
             if column.present(row)
         }
@@ -535,15 +521,11 @@ class PropertyGraph:
         """Secondary-structure bookkeeping for a materialized vertex.
 
         Shared by :meth:`add_vertex` and the rollback path's
-        :meth:`_restore_vertex`, so the adjacency, property indexes
-        and epoch bump can never diverge between the two.  An add
-        brings the greatest vid and appends; only a rollback brings
-        back an older one, which goes back where it was.
+        :meth:`_restore_vertex`, so the property indexes and epoch
+        bump can never diverge between the two.  An add brings the
+        greatest vid and appends; only a rollback brings back an older
+        one, which goes back where it was.
         """
-        # (A build just now has the new element already: no-op writes.)
-        out, into = self._adjacency or self._build_adjacency()
-        out[vid] = {}
-        into[vid] = {}
         if self._property_indexes:
             put = dict.__setitem__ if vid == self._next_vid - 1 else _place
             label_set = table.labels
@@ -606,9 +588,6 @@ class PropertyGraph:
         self._v_row.frombytes(
             np.arange(row, row + count, dtype=np.int64).tobytes()
         )
-        if self._adjacency is not None:
-            for adjacency in self._adjacency:
-                adjacency.update((vid, {}) for vid in vids)
         self._next_vid = vids.stop
         self._touch(count)
         return vids
@@ -653,30 +632,24 @@ class PropertyGraph:
         self._e_label.append(self._symbols.intern(label))
         if props:
             self._e_props[eid] = props
-        self._attach_edge(eid, src, dst, label)
+        self._attach_edge(eid, src, dst)
         if self._undo is not None:
             self._undo.append(("unadd_edge", eid))
         if self._listeners:
             self._emit("add_edge", eid, src, dst, label, props)
         return eid
 
-    def _attach_edge(
-        self, eid: int, src: int, dst: int, label: str
-    ) -> None:
+    def _attach_edge(self, eid: int, src: int, dst: int) -> None:
         """Secondary-structure bookkeeping for a materialized edge.
 
         Shared by :meth:`add_edge` and the rollback path's
         :meth:`_restore_edge` - adjacency and the epoch bump stay in
-        one place.  Placed as vertices are.
+        one place.  An eid past the base goes into the tail; a base
+        eid is back once its tombstone is cleared.
         """
         self._num_edges += 1
-        out, into = self._adjacency or self._build_adjacency()
-        if eid == self._next_eid - 1:
-            out[src].setdefault(label, {})[eid] = dst
-            into[dst].setdefault(label, {})[eid] = src
-        else:
-            _place_edge(out[src], label, eid, dst)
-            _place_edge(into[dst], label, eid, src)
+        if self._base is not None and eid >= self._base_eids:
+            self._to_tail(((eid, src, dst),))
         # _touch, inlined: this is the per-element hot path.
         self._epoch += 1
         self._arrays = None
@@ -693,8 +666,8 @@ class PropertyGraph:
 
         An unobserved graph - no listener or open transaction, which is
         every loader build - takes one pass: the endpoints are appended
-        to the edge columns as int64 bytes, the adjacency filled if
-        built and the epoch bumped once.  An observed graph goes
+        to the edge columns as int64 bytes, the tail filled if there
+        is a base and the epoch bumped once.  An observed graph goes
         through :meth:`add_edge` per element, with Python ints, so
         listener events (WAL bytes) and undo entries are the
         per-element ones, in eid order.
@@ -721,10 +694,8 @@ class PropertyGraph:
         self._e_label.extend(
             array("q", [self._symbols.intern(label)]) * count
         )
-        if self._adjacency is not None:
-            self._link(
-                zip(eids, repeat(label), srcs.tolist(), dsts.tolist())
-            )
+        if self._base is not None:
+            self._to_tail(zip(eids, srcs.tolist(), dsts.tolist()))
         self._next_eid = eids.stop
         self._num_edges += count
         self._touch(count)
@@ -757,47 +728,13 @@ class PropertyGraph:
         a listener (WAL) or an open transaction."""
         return bool(self._listeners or self._undo is not None)
 
-    def _build_adjacency(self) -> tuple[_Adjacency, _Adjacency]:
-        """Materialize the adjacency from the id maps and edge columns
-        in ascending vid / eid order - insertion order, since only bulk
-        appends can have happened while it was unmaterialized."""
-        out: _Adjacency = {
-            vid: {} for vid, tid in enumerate(self._v_tid) if tid >= 0
-        }
-        adjacency = self._adjacency = (out, {vid: {} for vid in out})
-        names = self._symbols.names()
-        self._link(
-            (eid, names[sid], src, dst)
-            for eid, (sid, src, dst) in enumerate(
-                zip(self._e_label, self._e_src, self._e_dst)
-            )
-            if sid >= 0
-        )
-        return adjacency
-
-    @property
-    def _out(self) -> _Adjacency:
-        return (self._adjacency or self._build_adjacency())[0]
-
-    @property
-    def _in(self) -> _Adjacency:
-        return (self._adjacency or self._build_adjacency())[1]
-
-    def _link(self, edges: Iterable[tuple[int, str, int, int]]) -> None:
-        """Append ``(eid, label, src, dst)`` edges to both directions
-        of the materialized adjacency."""
-        out, into = self._adjacency
-        for eid, label, src, dst in edges:
-            adjacency = out[src]
-            bucket = adjacency.get(label)
-            if bucket is None:
-                bucket = adjacency[label] = {}
-            bucket[eid] = dst
-            adjacency = into[dst]
-            bucket = adjacency.get(label)
-            if bucket is None:
-                bucket = adjacency[label] = {}
-            bucket[eid] = src
+    def _to_tail(self, edges: Iterable[tuple[int, int, int]]) -> None:
+        """Put ``(eid, src, dst)`` edges past the base into the tail,
+        each in eid order: an add appends, a rollback inserts."""
+        out, into = self._tail
+        for eid, src, dst in edges:
+            insort(out.setdefault(src, []), eid)
+            insort(into.setdefault(dst, []), eid)
 
     def set_property(self, vid: int, name: str, value: object) -> None:
         table, row = self._locate(vid)
@@ -890,15 +827,18 @@ class PropertyGraph:
         labels = self._e_label
         if not (0 <= eid < len(labels)) or labels[eid] < 0:
             raise GraphError(f"unknown edge {eid}")
-        out, into = self._adjacency or self._build_adjacency()
         src = self._e_src[eid]
         dst = self._e_dst[eid]
         label = self._symbols.name(labels[eid])
-        labels[eid] = -1
+        labels[eid] = -1  # masks a base eid
         self._num_edges -= 1
         props = self._e_props.pop(eid, None)
-        _discard_edge(out[src], label, eid)
-        _discard_edge(into[dst], label, eid)
+        if self._base is not None and eid >= self._base_eids:
+            for tail, vid in zip(self._tail, (src, dst)):
+                eids = tail[vid]
+                eids.remove(eid)
+                if not eids:
+                    del tail[vid]
         self._touch()
         if self._undo is not None:
             self._undo.append(
@@ -918,11 +858,7 @@ class PropertyGraph:
         gone.
         """
         table, row = self._locate(vid)
-        out, into = self._adjacency or self._build_adjacency()
-        incident: list[int] = []
-        for adjacency in (out[vid], into[vid]):
-            for bucket in adjacency.values():
-                incident.extend(bucket)
+        incident = self._incident(vid)
         e_labels = self._e_label
         frame = bool(
             self._listeners
@@ -944,8 +880,6 @@ class PropertyGraph:
                         self._index_discard(index, value, vid)
         table.tombstone(row)
         self._v_tid[vid] = -1
-        del out[vid]
-        del into[vid]
         self._touch()
         if self._undo is not None:
             # Cascaded remove_edge calls above recorded their own
@@ -985,7 +919,9 @@ class PropertyGraph:
         return Edge(
             eid, self._e_src[eid], self._e_dst[eid],
             self._symbols.name(self._e_label[eid]),
-            _NO_PROPERTIES if props is None else MappingProxyType(props),
+            _NO_PROPERTIES if props is None else MappingProxyType(
+                {name: _copy(value) for name, value in props.items()}
+            ),
         )
 
     def labels_of(self, vid: int) -> frozenset[str]:
@@ -1001,9 +937,10 @@ class PropertyGraph:
     def get_property(
         self, vid: int, name: str, default: object = None
     ) -> object:
-        """One property value straight from its column."""
+        """One property value straight from its column (a list as a
+        copy)."""
         table, row = self._locate(vid)
-        return table.get_prop(row, self._symbols.sid(name), default)
+        return _copy(table.get_prop(row, self._symbols.sid(name), default))
 
     def has_label(self, vid: int, label: str) -> bool:
         return label in self.labels_of(vid)
@@ -1044,21 +981,60 @@ class PropertyGraph:
         ).tolist()
 
     def out_edges(self, vid: int, label: str | None = None) -> list[Edge]:
-        adjacency = self._out.get(vid, {})
-        return self._edges_from(adjacency, label)
+        return [self._edge(eid) for eid in self._eids(vid, 0, label)]
 
     def in_edges(self, vid: int, label: str | None = None) -> list[Edge]:
-        adjacency = self._in.get(vid, {})
-        return self._edges_from(adjacency, label)
+        return [self._edge(eid) for eid in self._eids(vid, 1, label)]
 
-    def _edges_from(
-        self, adjacency: dict[str, _Bucket], label: str | None
-    ) -> list[Edge]:
-        eids = (
-            adjacency.get(label, ()) if label is not None
-            else chain.from_iterable(adjacency.values())
-        )
-        return [self._edge(eid) for eid in eids]
+    def _eids(self, vid: int, d: int, label: str | None = None) -> list[int]:
+        """The adjacency read: ``vid``'s live eids out (``d`` 0) or in
+        (1) of type ``label``, ascending - its base segment under the
+        tombstone mask, then its tail - or of every type, the types in
+        order of their first eid here.  The first read without a base
+        builds it."""
+        if self._base is None:
+            self._build_base()
+        csrs = self._base[d]
+        tail = self._tail[d].get(vid)
+        labels = self._e_label
+        if label is None:
+            return self._grouped([
+                eid for csr in csrs.values() for eid in csr.segment(vid)
+                if labels[eid] >= 0
+            ] + (tail or []))
+        sid = self._symbols.sid(label)
+        csr = csrs.get(sid)
+        eids = [] if csr is None else [
+            eid for eid in csr.segment(vid) if labels[eid] >= 0
+        ]
+        if tail:
+            eids += [eid for eid in tail if labels[eid] == sid]
+        return eids
+
+    def _grouped(self, eids: list[int]) -> list[int]:
+        """Live ``eids`` (each type's ascending) by edge type, the
+        types in order of their first eid: a vertex's untyped order."""
+        labels = self._e_label
+        groups: dict[int, list[int]] = {}
+        for eid in eids:
+            groups.setdefault(labels[eid], []).append(eid)
+        if len(groups) < 2:
+            return eids
+        return [eid for group in sorted(groups.values()) for eid in group]
+
+    def _incident(self, vid: int) -> list[int]:
+        """``vid``'s out eids, then its in eids, each in untyped read
+        order.  Without a base, one pass over the edge columns: a
+        mutation builds none."""
+        if self._base is not None:
+            return self._eids(vid, 0) + self._eids(vid, 1)
+        live = np.array(self._e_label, dtype=np.int64) >= 0
+        return [
+            eid for ends in (self._e_src, self._e_dst)
+            for eid in self._grouped(np.flatnonzero(
+                live & (np.array(ends, dtype=np.int64) == vid)
+            ).tolist())
+        ]
 
     def has_edge_between(
         self,
@@ -1084,17 +1060,20 @@ class PropertyGraph:
         an ``out`` edge first.  A scan of ``src``'s adjacency for
         ``dst``: O(degree of src).
         """
-        eid = None
-        if direction in ("out", "any"):
-            eid = _first_to(self._out.get(src), dst, label)
-        if eid is None and direction in ("in", "any"):
-            eid = _first_to(self._in.get(src), dst, label)
-        return eid
+        for d, (side, far) in enumerate(
+            (("out", self._e_dst), ("in", self._e_src))
+        ):
+            if direction in (side, "any"):
+                eid = min(
+                    (e for e in self._eids(src, d, label) if far[e] == dst),
+                    default=None,
+                )
+                if eid is not None:
+                    return eid
+        return None
 
     def degree(self, vid: int) -> int:
-        out_deg = sum(len(v) for v in self._out.get(vid, {}).values())
-        in_deg = sum(len(v) for v in self._in.get(vid, {}).values())
-        return out_deg + in_deg
+        return len(self._eids(vid, 0)) + len(self._eids(vid, 1))
 
     def iter_vertices(self) -> Iterator[Vertex]:
         for vid, tid in enumerate(self._v_tid):

@@ -10,7 +10,7 @@ layout behave.
 
 The reads are the fused paths the streaming executor uses:
 :meth:`GraphSession.expand_pairs` (raw (eid, neighbor) pairs from the
-graph's dict adjacency, frozen or not), :meth:`GraphSession.accept_vertex`
+graph's adjacency, frozen or not), :meth:`GraphSession.accept_vertex`
 (label + property check in one call, reading property columns
 directly), :meth:`GraphSession.property_reader` (one property per
 call) and :meth:`GraphSession.edge_between` (the join check: a scan of
@@ -222,51 +222,28 @@ class GraphSession:
         """(eid, neighbor) pairs of ``vid``; one page touch per expand.
 
         The fast path behind pattern expansion, served by the graph's
-        dict adjacency frozen or not (built on first need; buckets
-        store the neighbor id, so no edge record is dereferenced).
-        Pairs of one type ascend by eid; types come in ``labels``
-        order or, untyped, in the vertex's dict order - in the frozen
-        type order while the graph's arrays are frozen, which is the
-        order the batch path emits.
+        one adjacency (base CSR plus tail, see
+        :mod:`repro.graphdb.graph`), frozen or not.  Pairs of one type
+        ascend by eid; types come in ``labels`` order or, untyped, in
+        order of the vertex's first eid of each type - in the frozen
+        ``type_rank`` order while the graph's arrays are frozen, which
+        is the order the batch path emits.
         """
         self._touch_page(("a", vid // self._adjacency_per_page))
         graph = self.graph
-        out, into = graph._adjacency or graph._build_adjacency()
         arrays = graph._arrays
-        rank = None if labels or arrays is None else arrays.type_rank
+        if not labels and arrays is not None and arrays.type_rank:
+            labels = tuple(arrays.type_rank)  # in rank order
+        read = graph._eids
+        sides = ((0, graph._e_dst, "in"), (1, graph._e_src, "out"))
         pairs: list[tuple[int, int]] = []
-        if direction != "in":
-            adjacency = out.get(vid)
-            if adjacency:
-                self._collect_pairs(adjacency, labels, rank, pairs)
-        if direction != "out":
-            adjacency = into.get(vid)
-            if adjacency:
-                self._collect_pairs(adjacency, labels, rank, pairs)
+        for d, far, skip in sides:
+            if direction == skip:
+                continue
+            for label in labels or (None,):
+                pairs += [(eid, far[eid]) for eid in read(vid, d, label)]
         self.metrics.edge_traversals += len(pairs)
         return pairs
-
-    @staticmethod
-    def _collect_pairs(
-        adjacency: dict,
-        labels: tuple[str, ...],
-        rank: dict[str, int] | None,
-        pairs: list,
-    ) -> None:
-        if labels:
-            for label in labels:
-                bucket = adjacency.get(label)
-                if bucket:
-                    pairs.extend(bucket.items())
-            return
-        buckets = adjacency.values()
-        if rank is not None and len(adjacency) > 1:
-            buckets = [
-                adjacency[label]
-                for label in sorted(adjacency, key=rank.__getitem__)
-            ]
-        for bucket in buckets:
-            pairs.extend(bucket.items())
 
     def accept_vertex(
         self,
@@ -449,7 +426,7 @@ class GraphSession:
 
         A typed check answers for the first of ``labels`` with a match
         (:meth:`PropertyGraph.first_edge_between` scans ``src``'s
-        buckets).  Costs one adjacency-page touch and one edge
+        edges).  Costs one adjacency-page touch and one edge
         traversal: the executor's join-check step uses this instead of
         expanding and re-counting the full adjacency list of ``src``.
         """

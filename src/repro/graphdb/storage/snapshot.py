@@ -49,8 +49,8 @@ iteration order, id sequences and index bucket order exactly - deleted
 ids stay holes, ``_next_vid``/``_next_eid`` keep monotonic.  (Vertex
 and edge ids are never reused, so insertion order is ascending id
 order; the loader relies on this when filling each table's rows.)  The
-adjacency dicts are left unmaterialized (``None``) - the graph
-rebuilds them in one batch pass on first need.
+adjacency base is left unbuilt (``None``) - the graph builds it from
+the edge columns on its first per-element read, or freezes it.
 Planner statistics are not stored either: the reopened graph builds
 them from its columns on its first query.
 
@@ -659,8 +659,8 @@ def _decode_graph(
     except (KeyError, IndexError):
         raise CodecError("property column references unknown id") from None
 
-    # EDGE (columnar; the adjacency stays unmaterialized - the graph
-    # builds it whole on first need, see PropertyGraph._build_adjacency)
+    # EDGE (columnar; the adjacency base stays unbuilt - the graph
+    # builds it whole on first need, see PropertyGraph._build_base)
     pos = sections[SECTION_EDGES][0]
     count, pos = read_uvarint(data, pos)
     if count != num_edges:
@@ -724,9 +724,9 @@ def graph_state(graph: PropertyGraph) -> dict:
 
     Used by the recovery tests to assert that a recovered graph is
     *exactly* the graph that was persisted - ids, labels, properties,
-    index keys and id counters included.  The dict adjacency is
+    index keys and id counters included.  The adjacency base is
     intentionally absent: it is derived state that may or may not be
-    materialized.
+    built.
     """
     return {
         "name": graph.name,

@@ -13,11 +13,15 @@ once :meth:`PropertyGraph.freeze` has frozen it, the CSR adjacency.
 Freezing builds, for every edge type, compressed-sparse-row adjacency
 in both directions (:class:`Csr`) and the order of the types, nothing
 else.  The batch path's expand reads those arrays through
-:meth:`Csr.span`; the tuple executor reads the graph's dict adjacency,
-frozen or not.  A type's per-vid index covers only its *anchor range*
-in that direction, the smallest to the largest vid with such an edge:
-loaders create vertices concept by concept, so each type's anchors sit
-in one narrow vid range and the index costs O(range), not O(vid slots).
+:meth:`Csr.span`.  The same build (:func:`build_csr`) is the graph's
+adjacency *base*, which outlives the epoch: per-element reads, the
+tuple executor's included, read one vid's segment through
+:meth:`Csr.segment` and add the edges appended since (see
+:mod:`repro.graphdb.graph`).  A type's per-vid index covers only its
+*anchor range* in that direction, the smallest to the largest vid with
+such an edge: loaders create vertices concept by concept, so each
+type's anchors sit in one narrow vid range and the index costs
+O(range), not O(vid slots).
 The build is one stable sort of the live eids on (edge type, anchor
 vid) per direction and one ``bincount`` per type over its run of the
 sorted anchors: O(E log E + sum of ranges), no Python loop over vid
@@ -26,13 +30,13 @@ never an implicit per-query cost.
 
 Edge types rank by their first live eid graph-wide: the key order of
 the per-direction dicts, in which batch expansion concatenates an
-untyped hop's types, and :attr:`GraphArrays.type_rank`, by which the
-tuple path orders a vertex's types on a frozen graph - so both emit
-pairs in one order.  Unfrozen, the dict adjacency orders a vertex's
-types by its first edge at that vertex
+untyped hop's types, and :attr:`GraphArrays.type_rank`, in which the
+tuple path's untyped expand reads a vertex's types on a frozen graph -
+so both emit pairs in one order.  Unfrozen, a per-element read orders
+a vertex's types by its first edge at that vertex
 (``test_freeze.py::test_untyped_type_order_is_global_when_frozen``).
-Within a (vertex, edge type) bucket pairs ascend by edge id in both
-structures, so a *typed* expansion reads the same frozen or not.
+Within a (vertex, edge type) segment pairs ascend by edge id, base and
+tail alike, so a *typed* expansion reads the same frozen or not.
 """
 
 from __future__ import annotations
@@ -51,7 +55,8 @@ class Csr:
     eid-ordered within a vid.  ``starts`` / ``counts`` index them over
     the anchor range ``[lo, hi]`` only, with one zero-count pad at each
     end: entry ``vid - base`` (``base = lo - 1``) is ``vid``'s segment.
-    Nothing outside this module indexes them; :meth:`span` does.
+    Nothing outside this module indexes them; :meth:`span` and
+    :meth:`segment` do.
     """
 
     __slots__ = ("base", "starts", "counts", "neighbors", "eids")
@@ -81,6 +86,57 @@ class Csr:
             self.starts.take(i, mode="clip"),
             self.counts.take(i, mode="clip"),
         )
+
+    def segment(self, vid: int) -> list[int]:
+        """One vid's eids, ascending: the per-element read (scalar
+        indexing and one slice), ``[]`` outside the anchor range."""
+        i = vid - self.base
+        if 0 <= i < len(self.counts):
+            start = self.starts[i]
+            return self.eids[start:start + self.counts[i]].tolist()
+        return []
+
+
+def build_csr(
+    graph,
+) -> tuple[dict[int, Csr], dict[int, Csr], dict[str, int]]:
+    """The CSR of ``graph``'s live edges as they stand: per direction,
+    edge-type sid -> :class:`Csr` in type-rank order, and each type
+    name's rank.  :meth:`PropertyGraph.freeze` installs it in the
+    epoch's arrays; the graph's adjacency base is the same build."""
+    out: dict[int, Csr] = {}
+    into: dict[int, Csr] = {}
+    labels = np.array(graph._e_label, dtype=np.int64)
+    live = np.flatnonzero(labels >= 0)
+    if not len(live):
+        return out, into, {}
+    labels = labels[live]
+    # Edge types rank by their first live eid: the key order of the
+    # per-direction dicts, which untyped expansion iterates.
+    sids, first = np.unique(labels, return_index=True)
+    sids = sids[np.argsort(first)]
+    rank_of = np.empty(int(sids.max()) + 1, dtype=np.int64)
+    rank_of[sids] = np.arange(len(sids))
+    ranks = rank_of[labels]
+    cuts = np.cumsum(np.bincount(ranks))[:-1]  # where each type ends
+    sids = sids.tolist()
+    names = graph._symbols.names()
+    type_rank = {names[sid]: rank for rank, sid in enumerate(sids)}
+    src = np.array(graph._e_src, dtype=np.int64)[live]
+    dst = np.array(graph._e_dst, dtype=np.int64)[live]
+    stride = len(graph._v_tid) + 1
+    for anchors, fars, csrs in ((src, dst, out), (dst, src, into)):
+        # Stable sort on (type, anchor): live eids ascend, so each
+        # (type, vid) run ends up eid-ordered.
+        order = np.argsort(ranks * stride + anchors, kind="stable")
+        runs = zip(
+            np.split(anchors[order], cuts),
+            np.split(fars[order], cuts),
+            np.split(live[order], cuts),
+        )
+        for sid, run in zip(sids, runs):
+            csrs[sid] = Csr(*run)
+    return out, into, type_rank
 
 
 class _Column:
@@ -134,42 +190,7 @@ class GraphArrays:
         """The graph these arrays project."""
         return self._graph()
 
-    # -- CSR adjacency (built by PropertyGraph.freeze) -----------------
-    def _build(self, graph) -> None:
-        self._out, self._in, self.type_rank = {}, {}, {}
-        labels = np.array(graph._e_label, dtype=np.int64)
-        live = np.flatnonzero(labels >= 0)
-        if not len(live):
-            return
-        labels = labels[live]
-        # Edge types rank by their first live eid: the key order of
-        # the per-direction dicts, which untyped expansion iterates.
-        sids, first = np.unique(labels, return_index=True)
-        sids = sids[np.argsort(first)]
-        rank_of = np.empty(int(sids.max()) + 1, dtype=np.int64)
-        rank_of[sids] = np.arange(len(sids))
-        ranks = rank_of[labels]
-        cuts = np.cumsum(np.bincount(ranks))[:-1]  # where each type ends
-        sids = sids.tolist()
-        names = graph._symbols.names()
-        self.type_rank = {names[sid]: rank for rank, sid in enumerate(sids)}
-        src = np.array(graph._e_src, dtype=np.int64)[live]
-        dst = np.array(graph._e_dst, dtype=np.int64)[live]
-        stride = self.nslots + 1
-        for anchors, fars, csrs in (
-            (src, dst, self._out), (dst, src, self._in)
-        ):
-            # Stable sort on (type, anchor): live eids ascend, so each
-            # (type, vid) run ends up eid-ordered.
-            order = np.argsort(ranks * stride + anchors, kind="stable")
-            runs = zip(
-                np.split(anchors[order], cuts),
-                np.split(fars[order], cuts),
-                np.split(live[order], cuts),
-            )
-            for sid, run in zip(sids, runs):
-                csrs[sid] = Csr(*run)
-
+    # -- CSR adjacency (installed by PropertyGraph.freeze) -------------
     def csr_nbytes(self) -> tuple[int, int]:
         """(index, payload) bytes of the frozen CSR, both directions:
         ``starts`` + ``counts``, and ``neighbors`` + ``eids``."""

@@ -8,6 +8,7 @@ numbers live in benchmarks/ and EXPERIMENTS.md.
 import pytest
 
 from repro.bench.harness import (
+    MICROBENCH_THRESHOLDS,
     build_pipeline,
     run_efficiency,
     run_jaccard_sweep,
@@ -16,6 +17,10 @@ from repro.bench.harness import (
     run_space_sweep,
     run_workload_experiment,
 )
+from repro.optimizer.concept_centric import optimize_concept_centric
+from repro.optimizer.costmodel import CostBenefitModel
+from repro.optimizer.relation_centric import optimize_relation_centric
+from repro.rules.base import Thresholds
 
 
 class TestPipeline:
@@ -53,6 +58,35 @@ class TestSpaceSweep:
         )
         for rc, cc in zip(table.column("RC BR"), table.column("CC BR")):
             assert rc >= cc - 0.05
+
+
+    def test_rows_are_the_optimizers_benefit_ratios(self, med_small):
+        """The sweeps price the rules once and realize nothing, yet
+        read what the realizing optimizer calls report."""
+        fractions, pairs = (0.1, 0.5), ((0.9, 0.1), (0.5, 0.5))
+        rows = run_space_sweep(
+            med_small, fractions=fractions, workload_kinds=("zipf",),
+        ).rows + run_jaccard_sweep(
+            med_small, pairs=pairs, workload_kinds=("zipf",),
+        ).rows
+        ontology, stats = med_small.ontology, med_small.stats
+        workload = med_small.workload("zipf")
+        settings = [(MICROBENCH_THRESHOLDS, f) for f in fractions] + [
+            (Thresholds(*pair), 0.5) for pair in pairs
+        ]
+        want = []
+        for thresholds, fraction in settings:
+            model = CostBenefitModel(ontology, stats, workload, thresholds)
+            budget = model.budget_for_fraction(fraction)
+            want.append([
+                round(optimize(
+                    ontology, stats, budget, workload, thresholds
+                ).benefit_ratio, 4)
+                for optimize in (
+                    optimize_relation_centric, optimize_concept_centric
+                )
+            ])
+        assert [row[2:] for row in rows] == want
 
 
 class TestJaccardSweep:

@@ -13,7 +13,7 @@ from tests.data.loader_oracle import (
     reference_load_direct,
     reference_load_optimized,
 )
-from tests.graphdb.randgraph import label_lists, ordered
+from tests.graphdb.randgraph import adjacency_reads, label_lists
 
 
 @pytest.fixture(scope="module", params=["med", "fin"])
@@ -37,8 +37,7 @@ def assert_identical(graph, reference) -> None:
         t.labels for t in reference.iter_tables()
     ]
     # ... and the adjacency order expansion walks.
-    assert ordered(graph._out) == ordered(reference._out)
-    assert ordered(graph._in) == ordered(reference._in)
+    assert adjacency_reads(graph) == adjacency_reads(reference)
     assert label_lists(graph) == label_lists(reference)
 
 

@@ -158,11 +158,13 @@ def run_script(
     return graph
 
 
-def ordered(mapping):
-    """Nested dicts as nested item lists: equality includes key order."""
-    if isinstance(mapping, dict):
-        return [(key, ordered(value)) for key, value in mapping.items()]
-    return mapping
+def adjacency_reads(graph: PropertyGraph) -> list:
+    """Each live vertex's untyped out and in eids, in read order."""
+    return [
+        (vid, [e.eid for e in graph.out_edges(vid)],
+         [e.eid for e in graph.in_edges(vid)])
+        for vid in graph.vertex_ids()
+    ]
 
 
 def label_lists(graph: PropertyGraph) -> list:

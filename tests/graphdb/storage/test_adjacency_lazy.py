@@ -1,18 +1,21 @@
-"""The dict adjacency is derived state.
+"""The adjacency base is derived state.
 
-A bulk-loaded or snapshot-recovered graph carries none
-(``_adjacency is None``); the first reader or per-element mutation
-builds it whole from the edge columns, in the order a graph that kept
-it from its first vertex would have, and it is maintained from there
-on.  The batch path never needs it - the guard at the bottom fails if
-that stops being true, because the memory and load time this saves
-would silently come back.  Every tuple-path read needs it, frozen or
-not.
+A bulk-loaded or snapshot-recovered graph has none (``_base is None``),
+and no mutation builds one: while there is none, adds, removals and
+rollbacks touch the columns only.  The first per-element read builds
+it whole from the edge columns, and the graph then answers as one whose
+base was built before its first vertex, so that every edge went
+through the tail.  A freeze makes the frozen CSR the base itself, so a
+frozen graph's tuple-path reads build nothing, and the batch path and
+the statistics never need a base.  The guard at the bottom fails if
+the paper's queries start building one of their own, because the
+memory and load time this saves would silently come back.
 """
 
 import pytest
 
 from repro.bench.harness import build_pipeline
+from repro.data.loader import load_direct
 from repro.graphdb.api import connect
 from repro.graphdb.graph import PropertyGraph
 from repro.graphdb.query.executor import Executor
@@ -22,22 +25,23 @@ from repro.graphdb.storage.snapshot import (
     read_snapshot,
     write_snapshot,
 )
-from tests.graphdb.randgraph import ordered
+from tests.graphdb.randgraph import adjacency_reads
 
 LABELS = ["N", ("N", "M"), "N", "M", "N"]
 EDGES = {"T": ([0, 0, 1, 3, 0], [1, 2, 2, 3, 1]), "U": ([2, 4], [0, 0])}
 
 
 def eager_twin() -> PropertyGraph:
-    """Built per element, so the adjacency exists from vertex one;
-    then a vertex (with its edges) and an edge are removed."""
+    """Built per element on an empty base, read before the first
+    vertex, so every edge goes through the tail; then a vertex (with
+    its edges) and an edge are removed."""
     graph = PropertyGraph("g")
+    assert graph.degree(0) == 0 and graph._base is not None
     for vid, labels in enumerate(LABELS):
         graph.add_vertex(labels, {"i": vid})
     for label, (srcs, dsts) in EDGES.items():
         for src, dst in zip(srcs, dsts):
             graph.add_edge(src, dst, label)
-    assert graph._adjacency is not None
     return graph
 
 
@@ -67,7 +71,7 @@ def lazy_and_twin(request, tmp_path):
         pair = bulk_loaded(), eager_twin()
     else:
         pair = recovered(tmp_path), with_tombstones(eager_twin())
-    assert pair[0]._adjacency is None
+    assert pair[0]._base is None
     return pair
 
 
@@ -78,15 +82,10 @@ def rolled_back_removal(graph: PropertyGraph) -> None:
     graph.rollback_transaction()
 
 
-TRIGGERS = {
+READS = {
     "out_edges": lambda graph: [e.eid for e in graph.out_edges(0)],
     "in_edges": lambda graph: [e.eid for e in graph.in_edges(2, "T")],
     "degree": lambda graph: graph.degree(3),
-    "add_edge": lambda graph: graph.add_edge(3, 0, "V"),
-    "add_vertex": lambda graph: graph.add_vertex("M", {}),
-    "remove_edge": lambda graph: graph.remove_edge(0),
-    "remove_vertex": lambda graph: graph.remove_vertex(2),
-    "rollback": rolled_back_removal,
     "session.expand": lambda graph: GraphSession(graph).expand_pairs(
         0, (), "any"
     ),
@@ -94,38 +93,49 @@ TRIGGERS = {
         0, ("T",), "out"
     ),
 }
+MUTATIONS = {
+    "add_edge": lambda graph: graph.add_edge(3, 0, "V"),
+    "add_vertex": lambda graph: graph.add_vertex("M", {}),
+    "remove_edge": lambda graph: graph.remove_edge(0),
+    "remove_vertex": lambda graph: graph.remove_vertex(2),
+    "rollback": rolled_back_removal,
+}
 
 
-@pytest.mark.parametrize("trigger", TRIGGERS.values(), ids=list(TRIGGERS))
+@pytest.mark.parametrize("trigger", [*READS, *MUTATIONS])
 def test_first_need_builds_what_an_eager_graph_has(lazy_and_twin, trigger):
     lazy, twin = lazy_and_twin
-    assert trigger(lazy) == trigger(twin)
-    assert lazy._adjacency is not None
-    assert ordered(lazy._out) == ordered(twin._out)
-    assert ordered(lazy._in) == ordered(twin._in)
-    # ... and is maintained from there on, bulk appends included.
+    run = READS.get(trigger) or MUTATIONS[trigger]
+    assert run(lazy) == run(twin)
+    # A read builds the base; a mutation builds none.
+    assert (lazy._base is not None) == (trigger in READS)
+    assert adjacency_reads(lazy) == adjacency_reads(twin)
+    # ... and base plus tail answer alike from there on, bulk appends
+    # included.
     for graph in (lazy, twin):
         new = [graph.add_vertices(labels, 1)[0] for labels in "MN"]
         graph.add_edges("T", [new[0], 0], [0, new[1]])
         graph.remove_edge(3)
-    assert ordered(lazy._out) == ordered(twin._out)
-    assert ordered(lazy._in) == ordered(twin._in)
+    assert adjacency_reads(lazy) == adjacency_reads(twin)
 
 
 def test_bulk_appends_and_frozen_reads_leave_it_unbuilt(lazy_and_twin):
+    """Nothing builds a base beside the frozen CSR."""
     lazy, _twin = lazy_and_twin
     new = lazy.add_vertices("M", 1, {"i": [9]})
     lazy.add_edges("T", [new[0]], [0])
-    lazy.freeze()
+    assert lazy._base is None
+    arrays = lazy.freeze()
+    # The frozen CSR is the base: the same objects, not a copy.
+    assert lazy._base[0] is arrays._out and lazy._base[1] is arrays._in
     session = GraphSession(lazy)
-    # A frozen read on the batch path reads the CSR arrays only.
-    result = Executor(session).run("MATCH (a:M)-[:T]->(b) RETURN count(*)")
-    assert result.rows == [(3,)]
+    query = "MATCH (a:M)-[:T]->(b) RETURN count(*)"
+    assert Executor(session).run(query).rows == [(3,)]
     lazy.statistics()
-    assert lazy._adjacency is None
-    # A tuple-path read needs the adjacency, frozen or not.
+    # A tuple-path read of the frozen graph reads that base.
     assert session.expand_pairs(0, ("T",), "in") == [(7, new[0])]
-    assert lazy._adjacency is not None
+    assert Executor(session, vectorize=False).run(query).rows == [(3,)]
+    assert lazy._base[0] is arrays._out and lazy._base[1] is arrays._in
 
 
 @pytest.mark.parametrize("endpoint", [1, 7, -1])
@@ -146,14 +156,18 @@ def test_snapshot_edge_to_a_dead_vertex_is_still_refused(tmp_path, endpoint):
 def test_paper_queries_never_build_it(name, med_small, fin_small):
     dataset = med_small if name == "med" else fin_small
     pipeline = build_pipeline(dataset, scale=0.2, cache_dir=None)
+    assert load_direct(pipeline.logical, "g")._base is None
     runs = (
         (pipeline.dir_graph, dataset.queries),
         (pipeline.opt_graph, pipeline.rewritten),
     )
     for graph, queries in runs:
+        # build_pipeline froze it: the frozen CSR is its base.
+        arrays = graph.freeze()
         graph.statistics()
         with connect(graph).session() as session:
             for query in queries.values():
                 session.run(query).consume()
-        assert graph.num_edges and graph.arrays().type_rank is not None
-        assert graph._adjacency is None, f"{graph.name}: adjacency built"
+        assert graph.num_edges and graph.arrays() is arrays
+        assert graph._base[0] is arrays._out, f"{graph.name}: base built"
+        assert graph._base[1] is arrays._in, f"{graph.name}: base built"

@@ -89,11 +89,11 @@ class TestRoundTrip:
         path = tmp_path / "g.rpgs"
         write_snapshot(g, path)
         loaded = read_snapshot(path)
-        assert loaded._adjacency is None  # deferred
+        assert loaded._base is None  # deferred
         assert loaded.has_edge_between(0, 2, "treat")
         assert not loaded.has_edge_between(2, 0, "treat")
         assert loaded.has_edge_between(2, 0, "treat", direction="in")
-        assert loaded._adjacency is not None
+        assert loaded._base is not None
 
     def test_mutable_after_load(self, tmp_path):
         g = sample_graph()

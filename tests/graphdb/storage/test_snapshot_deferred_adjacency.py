@@ -1,18 +1,18 @@
 """Endpoint probes on a snapshot-loaded graph under post-load mutation.
 
-A snapshot load defers the dict adjacency (``_adjacency = None``); the
-first probe, reader or per-element mutation builds it whole from the
-edge columns, and a bulk add leaves it deferred.  The invariant pinned
-here: mutations that arrive *while it is deferred* never cause a
-partial build - the eventual build reflects every mutation, and the
-probe answers match a graph that was never deferred at all.
+A snapshot load defers the adjacency base (``_base is None``); the
+first probe or reader builds it whole from the edge columns, and no
+mutation builds it.  The invariant pinned here: mutations that arrive
+*while it is deferred* never cause a partial build - the eventual
+build reflects every mutation, and the probe answers match a graph
+that was never deferred at all.
 """
 
 import pytest
 
 from repro.graphdb.graph import PropertyGraph
 from repro.graphdb.storage.snapshot import read_snapshot, write_snapshot
-from tests.graphdb.randgraph import ordered
+from tests.graphdb.randgraph import adjacency_reads
 
 
 @pytest.fixture()
@@ -27,15 +27,15 @@ def loaded(tmp_path):
     path = tmp_path / "g.rpgs"
     write_snapshot(g, path)
     loaded = read_snapshot(path)
-    assert loaded._adjacency is None  # deferred by the loader
+    assert loaded._base is None  # deferred by the loader
     return loaded
 
 
 def test_add_edge_while_deferred_is_visible(loaded):
     (eid,) = loaded.add_edges("g", [1], [0])
-    assert loaded._adjacency is None  # a bulk add must not build it
+    assert loaded._base is None  # a bulk add must not build it
     assert loaded.first_edge_between(1, 0, "g") == eid
-    assert loaded._adjacency is not None
+    assert loaded._base is not None
     # ... and the pre-existing edges are all present too (no partial
     # adjacency built from only the post-load mutations).
     assert loaded.has_edge_between(0, 1, "e")
@@ -48,12 +48,14 @@ def test_remove_edge_while_deferred_is_visible(loaded):
     edge = loaded.edge(eid)
     src, dst, label = edge.src, edge.dst, edge.label
     loaded.remove_edge(eid)
+    assert loaded._base is None  # nor a removal
     assert not loaded.has_edge_between(src, dst, label)
     assert loaded.has_edge_between(1, 2, "e")  # untouched edge intact
 
 
 def test_remove_vertex_while_deferred(loaded):
     loaded.remove_vertex(1)
+    assert loaded._base is None  # its cascade reads the columns
     assert not loaded.has_edge_between(0, 1, "e")
     assert not loaded.has_edge_between(1, 2, "e")
     assert loaded.has_edge_between(0, 2, "f")
@@ -73,8 +75,7 @@ def test_deferred_build_matches_incremental(loaded):
     fresh.add_edge(0, 2, "f")
     fresh.add_edge(2, 0, "e")
     fresh.remove_edge(1)
-    assert ordered(loaded._out) == ordered(fresh._out)
-    assert ordered(loaded._in) == ordered(fresh._in)
+    assert adjacency_reads(loaded) == adjacency_reads(fresh)
 
 
 def test_direction_any_after_deferred_mutation(loaded):

@@ -20,8 +20,8 @@ from repro.graphdb.storage import GraphStore, graph_state, recover_graph
 from repro.graphdb.columnar import ABSENT
 from tests.graphdb.randgraph import (
     SCRIPTS,
+    adjacency_reads,
     label_lists,
-    ordered,
     run_script,
 )
 from tests.graphdb.test_statistics import snapshot_of
@@ -60,8 +60,7 @@ def structures(graph: PropertyGraph) -> dict:
         ],
         "num_edges": graph.num_edges,
         "next_eid": graph._next_eid,
-        "out": ordered(graph._out),
-        "in": ordered(graph._in),
+        "adjacency": adjacency_reads(graph),
         "labels": label_lists(graph),
     }
 

@@ -1,20 +1,25 @@
-"""Every derived read of a graph against a brute-force pass over its
-columns.
+"""Every derived read of a graph against an oracle over its columns.
 
 The graph keeps its facts once, in the id maps and the vertex / edge
-columns; everything else is derived: the dict adjacency behind
-per-element reads, the label lookups over the label-set tables and
-the CSR arrays a freeze adds to the graph's ``GraphArrays``.  Each
-random script (``tests/graphdb/randgraph.py``) is checked unfrozen,
-frozen, inside a transaction of further steps and again after that
-transaction rolls back:
+columns; everything else is derived: the adjacency behind per-element
+reads (a base CSR plus a tail of newer edges), the label lookups over
+the label-set tables and the CSR arrays a freeze adds to the graph's
+``GraphArrays``.  Each random script (``tests/graphdb/randgraph.py``)
+is checked in every state the adjacency can be in: with no base when a
+transaction starts and one built inside it, and after its rollback;
+unfrozen with a base the first read built; frozen; frozen and then
+mutated (base plus tail), inside a transaction, frozen again inside it
+and after its rollback, which truncates eids that base covers; and
+base plus tail outside a transaction.  In each:
 
+* ``out_edges`` / ``in_edges`` typed and untyped, ``degree`` and
+  ``remove_vertex``'s cascade: ``adjacency_oracle.py``'s dict
+  adjacency, in value and in order;
 * ``GraphSession.expand_pairs``, typed and untyped, in every
   direction: frozen, in ``freeze_oracle.py``'s CSR order; unfrozen, in
-  the vertex's dict order, each type's pairs as the columns list them;
+  the oracle's bucket order;
 * ``edge_between``, ``has_edge_between`` and ``first_edge_between``:
-  the smallest matching eid of a scan of ``_e_src`` / ``_e_dst`` /
-  ``_e_label``;
+  the smallest matching eid of the oracle's buckets;
 * ``vertices_with_label``, ``label_count`` and ``labels``: a pass over
   ``_v_tid`` and ``labels_of``, with label sets that share a label;
 * ``GraphStatistics.build``, every field: a pass over ``vertex_ids``,
@@ -34,6 +39,11 @@ from hypothesis import example, given, seed, settings
 from repro.graphdb.graph import PropertyGraph
 from repro.graphdb.session import GraphSession
 from repro.graphdb.statistics import GraphStatistics, is_hashable
+from tests.graphdb.adjacency_oracle import (
+    first_to,
+    reference_adjacency,
+    untyped,
+)
 from tests.graphdb.freeze_oracle import reference_freeze
 from tests.graphdb.randgraph import EDGE_TYPES, SCRIPTS, run_script
 
@@ -59,33 +69,42 @@ def column_edges(graph: PropertyGraph) -> list[tuple[int, int, int, str]]:
     ]
 
 
-def check_expand(graph: PropertyGraph, edges, frozen: bool) -> None:
-    # (vid, direction) -> label -> the (eid, far) pairs, ascending eid.
-    by_type: dict[tuple[int, str], dict[str, list]] = {}
-    for eid, src, dst, label in edges:
-        by_type.setdefault((src, "out"), {}).setdefault(label, []).append(
-            (eid, dst)
-        )
-        by_type.setdefault((dst, "in"), {}).setdefault(label, []).append(
-            (eid, src)
-        )
+def check_reads(graph: PropertyGraph, adjacency) -> None:
+    """``out_edges`` / ``in_edges`` typed and untyped, ``degree`` and
+    ``remove_vertex``'s cascade, per vid slot and one past them."""
+    slots = range(len(graph._v_tid) + 1)
+    had_base = graph._base is not None
+    # The cascade first: without a base it is a pass over the columns,
+    # which must not build one (a mutation builds none).
+    cascades = [graph._incident(vid) for vid in slots]
+    assert (graph._base is not None) == had_base
+    for vid, cascade in zip(slots, cascades):
+        sides = [by_vid.get(vid, {}) for by_vid in adjacency]
+        want = untyped(sides[0]) + untyped(sides[1])
+        assert cascade == want, vid
+        for read, by_label in zip((graph.out_edges, graph.in_edges), sides):
+            assert [e.eid for e in read(vid)] == untyped(by_label), vid
+            for label in (*EDGE_TYPES, "X"):
+                assert [e.eid for e in read(vid, label)] == list(
+                    by_label.get(label, ())
+                ), (vid, label)
+        assert graph.degree(vid) == sum(
+            len(bucket) for side in sides for bucket in side.values()
+        ), vid
+        assert graph._incident(vid) == want, vid
+
+
+def check_expand(graph: PropertyGraph, adjacency, frozen: bool) -> None:
     reference = reference_freeze(graph) if frozen else None
     sid = graph.symbols.sid
     session = GraphSession(graph)
     for vid in range(len(graph._v_tid)):
-        if not frozen and graph._v_tid[vid] >= 0:
-            for direction, adjacency in (("out", graph._out),
-                                         ("in", graph._in)):
-                assert set(adjacency[vid]) == set(
-                    by_type.get((vid, direction), {})
-                ), (vid, direction)
         for labels in EDGE_LABELS:
             for direction in DIRECTIONS:
                 want = []
-                for d in ("out", "in"):
+                for d, by_vid in zip(("out", "in"), adjacency):
                     if direction not in (d, "any"):
                         continue
-                    pairs = by_type.get((vid, d), {})
                     if frozen:
                         csrs, segments = reference[d]
                         sids = [sid(label) for label in labels] or csrs
@@ -94,38 +113,33 @@ def check_expand(graph: PropertyGraph, edges, frozen: bool) -> None:
                                 segments.get(type_sid, {}).get(vid, ())
                             )
                         continue
-                    order = labels or (
-                        (graph._out if d == "out" else graph._in).get(vid, ())
-                    )
-                    for label in order:
-                        want.extend(pairs.get(label, ()))
+                    by_label = by_vid.get(vid, {})
+                    for label in labels or by_label:
+                        want.extend(by_label.get(label, {}).items())
                 got = session.expand_pairs(vid, labels, direction)
                 assert [tuple(p) for p in got] == [
                     tuple(p) for p in want
                 ], (vid, labels, direction, frozen)
 
 
-def check_probes(graph: PropertyGraph, edges) -> None:
-    # (src, dst, label) -> smallest eid; label None: any label.
-    first: dict[tuple[int, int, str | None], int] = {}
-    near: dict[int, set[int]] = {}
-    for eid, src, dst, label in edges:
-        first.setdefault((src, dst, label), eid)
-        first.setdefault((src, dst, None), eid)
-        near.setdefault(src, set()).add(dst)
-        near.setdefault(dst, set()).add(src)
-    live = graph.vertex_ids()
+def check_probes(graph: PropertyGraph, adjacency) -> None:
+    out, into = adjacency
     session = GraphSession(graph)
+    live = graph.vertex_ids()
     for src in live:
         # Every endpoint src has an edge with, and a few it may not.
-        for dst in sorted(near.get(src, set()).union(live[:3], (src,))):
+        near = {
+            far for side in (out, into)
+            for bucket in side[src].values() for far in bucket.values()
+        }
+        for dst in sorted(near.union(live[:3], (src,))):
             want = {}
             for label in (None, *EDGE_TYPES, "X"):
-                out = first.get((src, dst, label))
-                into = first.get((dst, src, label))
+                forward = first_to(out[src], dst, label)
+                backward = first_to(into[src], dst, label)
                 for direction, eid in (
-                    ("out", out), ("in", into),
-                    ("any", into if out is None else out),
+                    ("out", forward), ("in", backward),
+                    ("any", backward if forward is None else forward),
                 ):
                     want[label, direction] = eid
                     assert graph.first_edge_between(
@@ -203,15 +217,18 @@ def check_statistics(graph: PropertyGraph, edges) -> None:
 
 
 def check(graph: PropertyGraph, frozen: bool) -> None:
+    """Every per-element read against the adjacency oracle, expand
+    frozen against the CSR oracle, and the label and statistics reads
+    against the columns."""
     edges = column_edges(graph)
+    adjacency = reference_adjacency(graph)
     if frozen:
         graph.freeze()
-        check_expand(graph, edges, frozen)
-        check_statistics(graph, edges)
-        return  # nothing else reads the CSR
-    assert graph.arrays().type_rank is None  # not frozen
-    check_expand(graph, edges, frozen)
-    check_probes(graph, edges)
+    else:
+        assert graph.arrays().type_rank is None  # not frozen
+    check_reads(graph, adjacency)
+    check_expand(graph, adjacency, frozen)
+    check_probes(graph, adjacency)
     check_labels(graph)
     check_statistics(graph, edges)
 
@@ -237,19 +254,48 @@ LISTS = (
 )
 
 
+#: Pinned: vertex 0's out types interleave (T, U, T), so its untyped
+#: read, T's eids then U's, is not in eid order.
+INTERLEAVED = (
+    [("v", ("A",))] * 2
+    + [("e", label, [(0, 1)]) for label in ("T", "U", "T")],
+    [("rm_e", 1), ("e", "U", [(0, 1)])],
+)
+
+
 @seed(SEED)
 @settings(max_examples=25, deadline=None, database=None)
 @given(script=SCRIPTS, more=SCRIPTS)
 @example(*PINNED)
 @example(*LISTS)
+@example(*INTERLEAVED)
 def test_derived_reads_match_the_columns(script, more):
     graph = run_script(script, bulk=True)
-    check(graph, frozen=False)
-    check(graph, frozen=True)
+    # No base at the transaction's start: the first read builds one
+    # after its removals, so the rollback, which restores edges that
+    # base lacks, must not keep it.
     graph.begin_transaction()
     run_script(more, bulk=True, graph=graph)
     check(graph, frozen=False)
     graph.rollback_transaction()
+    check(graph, frozen=False)
+    check(graph, frozen=True)
+    # The frozen CSR as base plus a tail, inside a transaction: the
+    # rollback prunes the tail and clears the base's tombstones.
+    graph.begin_transaction()
+    run_script(more, bulk=True, graph=graph)
+    check(graph, frozen=False)
+    graph.rollback_transaction()
+    check(graph, frozen=False)
+    # Frozen inside a transaction: its rollback truncates eids that
+    # base covers.
+    graph.begin_transaction()
+    run_script(more, bulk=True, graph=graph)
+    check(graph, frozen=True)
+    graph.rollback_transaction()
+    check(graph, frozen=False)
+    # Base plus tail outside a transaction: bulk appends go to the tail.
+    run_script(more, bulk=True, graph=graph)
     check(graph, frozen=False)
     check(graph, frozen=True)
 

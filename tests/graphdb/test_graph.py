@@ -119,6 +119,18 @@ class TestRecords:
         assert graph.lookup_property("A", "k", 1) == [0]
         assert dict(graph.edge(1).properties) == {"weight": 2}
 
+    def test_list_values_are_copies(self, graph):
+        # A list read out of the graph is the reader's own: changing it
+        # must not change the graph behind the undo log and the WAL.
+        graph.set_property(0, "xs", [1, 2])
+        eid = graph.add_edge(0, 1, "tags", {"ys": ["a"]})
+        graph.get_property(0, "xs").append(3)
+        graph.vertex(0).properties["xs"].append(3)
+        graph.edge(eid).properties["ys"].append("b")
+        assert graph.get_property(0, "xs") == [1, 2]
+        assert graph.vertex(0).properties["xs"] == [1, 2]
+        assert graph.edge(eid).properties["ys"] == ["a"]
+
     def test_equal_records_hash_alike(self, graph):
         assert len({graph.vertex(1), graph.vertex(1)}) == 1
         assert len({graph.edge(0), graph.edge(0), graph.edge(2)}) == 2

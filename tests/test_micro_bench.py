@@ -43,7 +43,7 @@ def run_section(micro, section, tmp_path, capsys) -> dict:
 def test_smoke_section_writes_the_schema(tmp_path, capsys):
     report = run_section(load_micro(), "derived", tmp_path, capsys)
     assert [(row["name"], row["unit"]) for row in report["rows"]] == [
-        ("derived.adjacency_build", "ms"),
+        ("derived.adjacency_fold", "ms"),
         ("derived.freeze", "ms"),
         ("derived.page_traces", "us"),
         ("derived.stats_build", "ms"),
