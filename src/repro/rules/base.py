@@ -11,6 +11,16 @@ Monotonicity gives both termination of the fixpoint loop and the
 order-independence of Theorem 3.  The Jaccard similarity of every
 inheritance relationship is frozen on the input ontology before any rule
 fires (Section 3 of the paper).
+
+The state also holds the two steps the rules share.
+:meth:`SchemaState.consume` marks a relationship consumed and removes
+its edges (every structural rule and the 1:1 rule).
+:meth:`SchemaState.absorb` is the union and inheritance rules' one
+operation with the roles as arguments: an absorber node takes the
+absorbed node's properties and its edges other than the rule's own
+type, and the absorbed node drops once every structural relationship
+rooted at it is consumed.  Every mutation reports whether it changed
+the state, which is what ends the fixpoint loop.
 """
 
 from __future__ import annotations
@@ -25,6 +35,7 @@ from repro.exceptions import SchemaError
 from repro.ontology.model import (
     DataType,
     Ontology,
+    Relationship,
     RelationshipType,
     jaccard_similarity,
 )
@@ -165,9 +176,6 @@ class Selection:
             return None
         return self._props_by_rel.get((rel_id, direction), frozenset())
 
-    def is_empty(self) -> bool:
-        return not self.select_all and not self.rel_ids and not self.list_props
-
 
 class SchemaState:
     """The evolving schema graph plus drop/resolution bookkeeping."""
@@ -185,12 +193,9 @@ class SchemaState:
         self._successors: dict[str, tuple[str, ...]] = {}
         #: rel ids whose schema edge was consumed by a rule
         self.consumed: set[str] = set()
-        #: union node key -> member node keys that consumed their rel
-        self.union_absorbers: dict[str, set[str]] = {}
-        #: parent node key -> child node keys that absorbed it (js < theta2)
-        self.parent_absorbers: dict[str, set[str]] = {}
-        #: child node key -> parent node keys that absorbed it (js > theta1)
-        self.up_absorbers: dict[str, set[str]] = {}
+        #: absorbed node key -> the node keys that absorbed it: union
+        #: members, merge-down children and merge-up parents
+        self.absorbers: dict[str, set[str]] = {}
         #: concept -> structural rel ids that must be consumed before a
         #: node carrying the concept may drop (static: derived from the
         #: input ontology and the frozen Jaccard bands)
@@ -294,9 +299,10 @@ class SchemaState:
             suffix += 1
         return candidate
 
-    def drop_node(self, key: str, successors: tuple[str, ...]) -> None:
+    def drop_node(self, key: str, successors: tuple[str, ...]) -> bool:
         """Drop ``key``, rewriting its incident edges - and copying its
-        properties and concept set - onto ``successors``.
+        properties and concept set - onto ``successors``.  True if the
+        state changed.
 
         Copying the content makes dropping information-preserving: an
         absorber that ran its propagation *before* the dropped node
@@ -322,8 +328,7 @@ class SchemaState:
             )
         )
         if not live_successors:
-            self._merge_identity(key, successors)
-            return
+            return self._merge_identity(key, successors)
         dropped = self.nodes[key]
         for successor in live_successors:
             node = self.nodes[successor]
@@ -334,16 +339,19 @@ class SchemaState:
         self._requested_successors[key] = tuple(successors)
         self._successors[key] = live_successors
         self._rewrite_edges(key, live_successors)
+        return True
 
     def _merge_identity(
         self, key: str, successors: tuple[str, ...]
-    ) -> None:
+    ) -> bool:
         """Rename a mutually-absorbed node to its canonical merged key.
 
         The cycle members (the dropped nodes whose successor chains
         loop back to ``key``) denote the same instance set as ``key``;
         the canonical name is computed over exactly their concepts, so
         it is independent of when unrelated drops delivered content.
+        When ``key`` already is that name, only the concept set can
+        change; True if anything did.
         """
         node = self.nodes[key]
         concepts = set(node.concepts)
@@ -359,8 +367,9 @@ class SchemaState:
         merged_concepts = frozenset(concepts)
         canonical = self.canonical_key(merged_concepts)
         if canonical == key:
+            changed = merged_concepts != node.concepts
             node.concepts = merged_concepts
-            return
+            return changed
         self.nodes[canonical] = SchemaNode(
             canonical, merged_concepts, dict(node.properties)
         )
@@ -369,6 +378,7 @@ class SchemaState:
         self._requested_successors[key] = (canonical,)
         self._successors[key] = (canonical,)
         self._rewrite_edges(key, (canonical,))
+        return True
 
     def _rewrite_edges(
         self, key: str, live_successors: tuple[str, ...]
@@ -438,19 +448,6 @@ class SchemaState:
             e for e in self.edges if e.src in keys or e.dst in keys
         ]
 
-    def has_edge_of_type(
-        self, node_key: str, rel_type: RelationshipType, as_src: bool
-    ) -> bool:
-        keys = set(self.resolve(node_key))
-        for edge in self.edges:
-            if edge.rel_type is not rel_type:
-                continue
-            if as_src and edge.src in keys:
-                return True
-            if not as_src and edge.dst in keys:
-                return True
-        return False
-
     def properties_of(self, node_key: str) -> dict[str, SchemaProperty]:
         """Union of properties over the live nodes representing a key."""
         merged: dict[str, SchemaProperty] = {}
@@ -459,8 +456,64 @@ class SchemaState:
         return merged
 
     # ------------------------------------------------------------------
-    # Structural drops (shared by the union and inheritance rules)
+    # The steps the structural and 1:1 rules share
     # ------------------------------------------------------------------
+    def consume(self, rel_id: str) -> bool:
+        """Mark ``rel_id`` consumed and drop its edges.  True the first
+        time only."""
+        if rel_id in self.consumed:
+            return False
+        self.consumed.add(rel_id)
+        self.edges = {e for e in self.edges if e.origin_rel != rel_id}
+        return True
+
+    def absorb(
+        self,
+        rel: Relationship,
+        absorbed: str,
+        absorber: str,
+        provenance: Provenance,
+    ) -> bool:
+        """One application of a structural rule: ``absorber`` takes in
+        ``absorbed`` through ``rel``.  True if the state changed.
+
+        The first application consumes ``rel`` and records ``absorber``
+        as a successor of ``absorbed``.  While ``absorbed`` is live,
+        every application copies its properties (a native one tagged
+        with ``provenance``) and its edges other than ``rel``'s type to
+        the absorber, so content it gains from other rules flows on
+        (Appendix A, cases (i) and (ii)); then it drops if nothing
+        structural still holds it.
+        """
+        changed = self.consume(rel.rel_id)
+        if changed:
+            for key in self.resolve(absorbed):
+                self.absorbers.setdefault(key, set()).add(absorber)
+        if absorbed not in self.nodes:
+            return changed
+        held = self.held_names(absorber)
+        for prop in self.properties_of(absorbed).values():
+            if prop.name in held:
+                continue
+            if prop.provenance is Provenance.NATIVE:
+                prop = replace(prop, provenance=provenance)
+            changed |= self.add_property(absorber, prop)
+        absorbed_keys = set(self.resolve(absorbed))
+        for edge in self.edges_touching(absorbed):
+            if edge.rel_type is rel.rel_type:
+                continue
+            if edge.src in absorbed_keys:
+                changed |= self.add_edge(
+                    absorber, edge.dst, edge.label, edge.rel_type,
+                    edge.origin_rel,
+                )
+            if edge.dst in absorbed_keys:
+                changed |= self.add_edge(
+                    edge.src, absorber, edge.label, edge.rel_type,
+                    edge.origin_rel,
+                )
+        return self.maybe_drop_structural(absorbed) or changed
+
     def pending_structural(self, key: str) -> set[str]:
         """Unconsumed structural rel ids gating a node's drop.
 
@@ -481,40 +534,16 @@ class SchemaState:
         A concept can hold several structural roles at once (union
         concept, inheritance parent, merged-up child); the node drops
         only when *every* structural relationship rooted at it has been
-        consumed, and its successors are the union of all recorded
-        absorbers.  Dropping for one role while another is pending
-        would send content to only part of the successors and break
-        order-independence.
+        consumed, and its successors are all its recorded absorbers.
+        Dropping for one role while another is pending would send
+        content to only part of the successors and break
+        order-independence.  True if the state changed.
         """
         for key in tuple(self.resolve(node_key)):
             if not self.is_live(key):
                 continue
-            absorbers = (
-                set(self.union_absorbers.get(key, ()))
-                | set(self.parent_absorbers.get(key, ()))
-                | set(self.up_absorbers.get(key, ()))
-            )
-            if not absorbers:
+            absorbers = self.absorbers.get(key)
+            if not absorbers or self.pending_structural(key):
                 continue
-            if self.pending_structural(key):
-                continue
-            self.drop_node(key, tuple(sorted(absorbers)))
-            return True
+            return self.drop_node(key, tuple(sorted(absorbers)))
         return False
-
-    # ------------------------------------------------------------------
-    # Fingerprint used by the fixpoint loop ("until O = O_prev")
-    # ------------------------------------------------------------------
-    def fingerprint(self) -> tuple:
-        node_part = tuple(
-            sorted(
-                (key, tuple(sorted(node.properties)))
-                for key, node in self.nodes.items()
-            )
-        )
-        edge_part = tuple(
-            sorted(
-                (e.src, e.dst, e.label, e.origin_rel) for e in self.edges
-            )
-        )
-        return (node_part, edge_part, tuple(sorted(self.consumed)))

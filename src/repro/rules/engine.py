@@ -2,7 +2,14 @@
 
 :func:`transform` starts from the direct mapping of an ontology and
 repeatedly applies the enabled rules until the schema state stops changing
-("repeat ... until O = O_prev" in Algorithm 5).  With
+("repeat ... until O = O_prev" in Algorithm 5).  Every rule reports
+whether its application changed the state, so the loop ends after the
+first full pass in which none did: that pass left the state as it found
+it, which is Algorithm 5's "O = O_prev" without comparing two copies of
+the state.  That needs every report to be exact: a rule that reported
+a change it did not make could keep the loop going to
+``MAX_ITERATIONS``, and one that hid a change could stop it early
+(``tests/rules/test_fixpoint_oracle.py`` replays the literal loop).  With
 ``Selection.all()`` this is exactly the paper's space-unconstrained
 optimization; space-constrained algorithms pass the subset of rule
 applications they selected.
@@ -53,16 +60,14 @@ def transform(
     """
     selection = selection or Selection.all()
     state = SchemaState(ontology, thresholds)
-    order = _resolve_order(ontology, rule_order)
+    rels = [ontology.relationships[rel_id]
+            for rel_id in _resolve_order(ontology, rule_order)]
 
     for _ in range(MAX_ITERATIONS):
-        before = state.fingerprint()
-        for rel_id in order:
-            rel = ontology.relationships.get(rel_id)
-            if rel is None:
-                continue
-            _dispatch(state, rel, selection)
-        if state.fingerprint() == before:
+        changed = False
+        for rel in rels:
+            changed |= _dispatch(state, rel, selection)
+        if not changed:
             return state
     raise OptimizationError(
         f"rule engine did not converge within {MAX_ITERATIONS} iterations"

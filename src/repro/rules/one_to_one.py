@@ -17,10 +17,8 @@ from repro.rules.base import Provenance, SchemaNode, SchemaState
 
 def apply_one_to_one(state: SchemaState, rel: Relationship) -> bool:
     """Merge the endpoints of a 1:1 relationship into one node."""
-    if rel.rel_id in state.consumed:
+    if not state.consume(rel.rel_id):
         return False
-    state.consumed.add(rel.rel_id)
-    state.edges = {e for e in state.edges if e.origin_rel != rel.rel_id}
 
     keys = []
     for endpoint in (rel.src, rel.dst):

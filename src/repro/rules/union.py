@@ -12,63 +12,18 @@ The copy step re-fires on every fixpoint iteration while the union node is
 still live, so edges and properties the union node acquires from *other*
 rules also flow to the members (required for Theorem 3's
 order-independence; see Appendix A, case (i)).
+
+The member is the absorber and the union node the absorbed node of
+:meth:`~repro.rules.base.SchemaState.absorb`, which does all of the
+above.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-
-from repro.ontology.model import Relationship, RelationshipType
+from repro.ontology.model import Relationship
 from repro.rules.base import Provenance, SchemaState
 
 
 def apply_union(state: SchemaState, rel: Relationship) -> bool:
     """Apply the union rule for one union relationship.  True if changed."""
-    union_key, member_key = rel.src, rel.dst
-    changed = False
-
-    if rel.rel_id not in state.consumed:
-        state.consumed.add(rel.rel_id)
-        state.edges = {
-            e for e in state.edges if e.origin_rel != rel.rel_id
-        }
-        for key in state.resolve(union_key):
-            state.union_absorbers.setdefault(key, set()).add(member_key)
-        changed = True
-
-    if state.is_live(union_key):
-        changed |= _propagate(state, union_key, member_key)
-        changed |= state.maybe_drop_structural(union_key)
-    return changed
-
-
-def _propagate(state: SchemaState, union_key: str, member_key: str) -> bool:
-    """Copy the union node's non-union edges and properties to a member."""
-    changed = False
-    union_keys = set(state.resolve(union_key))
-    for edge in state.edges_touching(union_key):
-        if edge.rel_type is RelationshipType.UNION:
-            continue
-        if edge.src in union_keys:
-            changed |= state.add_edge(
-                member_key, edge.dst, edge.label, edge.rel_type,
-                edge.origin_rel,
-            )
-        if edge.dst in union_keys:
-            changed |= state.add_edge(
-                edge.src, member_key, edge.label, edge.rel_type,
-                edge.origin_rel,
-            )
-    for prop in state.properties_of(union_key).values():
-        copied = replace(
-            prop,
-            provenance=(
-                prop.provenance
-                if prop.provenance is not Provenance.NATIVE
-                else Provenance.FROM_UNION
-            ),
-        )
-        changed |= state.add_property(member_key, copied)
-    return changed
-
-
+    return state.absorb(rel, rel.src, rel.dst, Provenance.FROM_UNION)

@@ -307,5 +307,5 @@ def test_rolled_back_removals_leave_every_order_as_it_was(
     g.rollback_transaction()
     assert orders(g) == before
     # The maintained adjacency is the one a rebuild gives.
-    g._adjacency = None
+    g._base = None
     assert orders(g) == before

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from repro.exceptions import SchemaError
 from repro.ontology.model import RelationshipType
-from repro.ontology.samples import figure2_medical_ontology
 from repro.rules.base import (
     Provenance,
     SchemaProperty,
@@ -49,13 +48,11 @@ class TestSelection:
         sel = Selection.all()
         assert sel.has_rel("anything")
         assert sel.props_for("r1", "fwd") is None
-        assert not sel.is_empty()
 
     def test_none(self):
         sel = Selection.none()
         assert not sel.has_rel("r1")
         assert sel.props_for("r1", "fwd") == frozenset()
-        assert sel.is_empty()
 
     def test_specific(self):
         sel = Selection(
@@ -165,26 +162,6 @@ class TestSchemaState:
             "Drug", "Drug", "isA", RelationshipType.INHERITANCE, "rX"
         )
         assert not changed
-
-    def test_has_edge_of_type(self, fig2):
-        state = SchemaState(fig2)
-        assert state.has_edge_of_type(
-            "Risk", RelationshipType.UNION, as_src=True
-        )
-        assert not state.has_edge_of_type(
-            "Drug", RelationshipType.UNION, as_src=True
-        )
-
-    def test_fingerprint_changes_on_mutation(self, fig2):
-        state = SchemaState(fig2)
-        before = state.fingerprint()
-        state.add_property("Drug", _prop("extra"))
-        assert state.fingerprint() != before
-
-    def test_fingerprint_stable(self, fig2):
-        a = SchemaState(fig2).fingerprint()
-        b = SchemaState(figure2_medical_ontology()).fingerprint()
-        assert a == b
 
     def test_properties_of_merges_resolved(self, fig2):
         state = SchemaState(fig2)
