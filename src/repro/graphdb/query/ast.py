@@ -185,27 +185,67 @@ class Query:
 # ----------------------------------------------------------------------
 # Tree utilities
 # ----------------------------------------------------------------------
-def walk(expr: Expr):
-    """Yield every node of an expression tree (pre-order).
-
-    Leaf nodes (:class:`Literal`, :class:`Variable`,
-    :class:`Parameter`, :class:`PropertyRef`, :class:`Star`) yield
-    themselves; composite nodes recurse into their operands.
-    """
-    yield expr
+def children(expr: Expr) -> tuple[Expr, ...]:
+    """The operands of a node, in order; a leaf (:class:`Literal`,
+    :class:`Variable`, :class:`Parameter`, :class:`PropertyRef`,
+    :class:`Star`) has none."""
     if isinstance(expr, FuncCall):
-        for arg in expr.args:
-            yield from walk(arg)
-    elif isinstance(expr, Comparison):
-        yield from walk(expr.lhs)
-        yield from walk(expr.rhs)
-    elif isinstance(expr, BoolOp):
-        for operand in expr.operands:
-            yield from walk(operand)
-    elif isinstance(expr, NotOp):
-        yield from walk(expr.operand)
-    elif isinstance(expr, NullCheck):
-        yield from walk(expr.expr)
+        return expr.args
+    if isinstance(expr, Comparison):
+        return (expr.lhs, expr.rhs)
+    if isinstance(expr, BoolOp):
+        return expr.operands
+    if isinstance(expr, NotOp):
+        return (expr.operand,)
+    if isinstance(expr, NullCheck):
+        return (expr.expr,)
+    return ()
+
+
+def walk(expr: Expr):
+    """Yield every node of an expression tree (pre-order)."""
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(children(node)))
+
+
+def map_expr(expr: Expr, fn) -> Expr:
+    """Rebuild ``expr`` top-down.  Where ``fn(node)`` returns a node,
+    that replaces ``node`` (and its operands are not visited); where it
+    returns None, ``node`` is rebuilt from its mapped operands."""
+    new = fn(expr)
+    if new is not None:
+        return new
+    kids = tuple(map_expr(child, fn) for child in children(expr))
+    if isinstance(expr, FuncCall):
+        return FuncCall(expr.name, kids, expr.distinct, expr.flatten)
+    if isinstance(expr, Comparison):
+        return Comparison(kids[0], expr.op, kids[1])
+    if isinstance(expr, BoolOp):
+        return BoolOp(expr.op, kids)
+    if isinstance(expr, NotOp):
+        return NotOp(kids[0])
+    if isinstance(expr, NullCheck):
+        return NullCheck(kids[0], expr.negated)
+    return expr
+
+
+def map_query(query: Query, fn) -> Query:
+    """``query`` with :func:`map_expr` applied to its RETURN, WHERE and
+    ORDER BY expressions; the patterns are left as they are."""
+    return query.with_(
+        return_items=tuple(
+            replace(item, expr=map_expr(item.expr, fn))
+            for item in query.return_items
+        ),
+        where=None if query.where is None else map_expr(query.where, fn),
+        order_by=tuple(
+            replace(order, expr=map_expr(order.expr, fn))
+            for order in query.order_by
+        ),
+    )
 
 
 def contains_aggregate(expr: Expr) -> bool:
@@ -250,35 +290,15 @@ def parameters_used(query: "Query") -> set[str]:
 
 def substitute_variable(expr: Expr, old: str, new: str) -> Expr:
     """Return ``expr`` with every use of variable ``old`` renamed."""
-    if isinstance(expr, Variable):
-        return Variable(new) if expr.name == old else expr
-    if isinstance(expr, PropertyRef):
-        return PropertyRef(new, expr.prop) if expr.var == old else expr
-    if isinstance(expr, FuncCall):
-        return replace(
-            expr,
-            args=tuple(substitute_variable(a, old, new) for a in expr.args),
-        )
-    if isinstance(expr, Comparison):
-        return Comparison(
-            substitute_variable(expr.lhs, old, new),
-            expr.op,
-            substitute_variable(expr.rhs, old, new),
-        )
-    if isinstance(expr, BoolOp):
-        return BoolOp(
-            expr.op,
-            tuple(
-                substitute_variable(o, old, new) for o in expr.operands
-            ),
-        )
-    if isinstance(expr, NotOp):
-        return NotOp(substitute_variable(expr.operand, old, new))
-    if isinstance(expr, NullCheck):
-        return NullCheck(
-            substitute_variable(expr.expr, old, new), expr.negated
-        )
-    return expr
+
+    def rename(node: Expr) -> Expr | None:
+        if isinstance(node, Variable) and node.name == old:
+            return Variable(new)
+        if isinstance(node, PropertyRef) and node.var == old:
+            return PropertyRef(new, node.prop)
+        return None
+
+    return map_expr(expr, rename)
 
 
 def expr_text(expr: Expr) -> str:

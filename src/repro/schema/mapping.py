@@ -49,6 +49,7 @@ class SchemaMapping:
         self.collapsed: dict[str, CollapseKind] = {}
         self.node_labels: dict[str, frozenset[str]] = {}
         self.replications: list[Replication] = []
+        self._by_rel: dict[str, list[Replication]] = {}
         self._component: dict[str, str] = {}
         self._build_collapsed()
         self._build_labels()
@@ -96,16 +97,16 @@ class SchemaMapping:
                     continue
                 if prop.via_rel is None:  # pragma: no cover - guarded
                     continue
-                self.replications.append(
-                    Replication(
-                        rel_id=prop.via_rel,
-                        owner_node=key,
-                        source_concept=prop.origin_concept,
-                        source_property=prop.origin_name,
-                        list_name=prop.name,
-                        direction=prop.via_direction or "fwd",
-                    )
+                repl = Replication(
+                    rel_id=prop.via_rel,
+                    owner_node=key,
+                    source_concept=prop.origin_concept,
+                    source_property=prop.origin_name,
+                    list_name=prop.name,
+                    direction=prop.via_direction or "fwd",
                 )
+                self.replications.append(repl)
+                self._by_rel.setdefault(repl.rel_id, []).append(repl)
 
     def _build_components(self) -> None:
         """Union-find over concepts along collapsed relationships.
@@ -165,34 +166,9 @@ class SchemaMapping:
     def collapse_kind(self, rel_id: str) -> CollapseKind | None:
         return self.collapsed.get(rel_id)
 
-    def find_replication(
-        self, rel_id: str, source_concept: str, prop_name: str
-    ) -> Replication | None:
-        """The replication of ``source_concept.prop_name`` via ``rel_id``.
-
-        Used by the rewriter: a pattern hop over ``rel_id`` reading
-        ``prop_name`` on the far node can be replaced by the local list
-        when such a replication exists.
-        """
-        for repl in self.replications:
-            if (
-                repl.rel_id == rel_id
-                and repl.source_concept == source_concept
-                and repl.source_property == prop_name
-            ):
-                return repl
-        return None
-
     def replications_for_rel(self, rel_id: str) -> list[Replication]:
-        return [r for r in self.replications if r.rel_id == rel_id]
-
-    def collapsed_rel_ids(self, *kinds: CollapseKind) -> set[str]:
-        wanted = set(kinds) if kinds else set(CollapseKind)
-        return {
-            rel_id
-            for rel_id, kind in self.collapsed.items()
-            if kind in wanted
-        }
+        """The replications via ``rel_id``, in ``replications`` order."""
+        return list(self._by_rel.get(rel_id, ()))
 
     def summary(self) -> str:
         by_kind: dict[CollapseKind, int] = {}

@@ -21,6 +21,12 @@ equivalent quer[y] over OPT"; this module mechanizes that using the
   whose relationships survive unchanged keep their edges in OPT, so
   skipping this rewrite is always safe, just slower.
 
+Each pass of :meth:`QueryRewriter.rewrite` applies the first rewrite
+that fits one hop, until none does.  Expressions are read by recursion
+over :func:`~repro.graphdb.query.ast.children` and rebuilt by
+:func:`~repro.graphdb.query.ast.map_query`; ``_covering`` is the one
+lookup of the list that replaces a far property read or ``count(f)``.
+
 Queries that cannot be resolved against the ontology (unknown labels or
 edge labels) raise :class:`~repro.exceptions.RewriteError` in strict
 mode and are returned unchanged otherwise.
@@ -29,6 +35,7 @@ mode and are returned unchanged otherwise.
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import cached_property
 
 from repro.exceptions import RewriteError
 from repro.graphdb.query.ast import (
@@ -38,20 +45,21 @@ from repro.graphdb.query.ast import (
     FuncCall,
     NodePattern,
     NullCheck,
-    OrderItem,
     PathPattern,
     PropertyRef,
     Query,
-    ReturnItem,
     Star,
     Variable,
+    children,
     contains_aggregate,
+    map_expr,
+    map_query,
     substitute_variable,
     walk,
 )
 from repro.graphdb.query.parser import parse_query
 from repro.ontology.model import Ontology, Relationship
-from repro.schema.mapping import SchemaMapping
+from repro.schema.mapping import Replication, SchemaMapping
 
 #: Safety bound; every rewrite removes one hop, so this is generous.
 _MAX_PASSES = 100
@@ -98,11 +106,12 @@ class QueryRewriter:
                     continue
                 if self.mapping.is_collapsed(rel.rel_id):
                     return self._collapse_hop(query, p_index, h_index)
-                rewritten = self._try_replication(
-                    query, p_index, h_index, rel, left, right
-                )
-                if rewritten is not None:
-                    return rewritten
+                for far, near in ((right, left), (left, right)):
+                    rewritten = self._try_replication(
+                        query, p_index, h_index, rel, far, near
+                    )
+                    if rewritten is not None:
+                        return rewritten
         return None
 
     def _resolve_rel(
@@ -148,11 +157,10 @@ class QueryRewriter:
             + pattern.nodes[h_index + 2:]
         )
         new_rels = pattern.rels[:h_index] + pattern.rels[h_index + 1:]
-        new_pattern = PathPattern(new_nodes, new_rels, None)
         query = query.with_(
             patterns=(
                 query.patterns[:p_index]
-                + ((new_pattern,) if new_rels or len(new_nodes) == 1 else (new_pattern,))
+                + (PathPattern(new_nodes, new_rels, None),)
                 + query.patterns[p_index + 1:]
             )
         )
@@ -164,23 +172,6 @@ class QueryRewriter:
     # Replication rewrite
     # ------------------------------------------------------------------
     def _try_replication(
-        self,
-        query: Query,
-        p_index: int,
-        h_index: int,
-        rel: Relationship,
-        left: NodePattern,
-        right: NodePattern,
-    ) -> Query | None:
-        for far, near in ((right, left), (left, right)):
-            rewritten = self._try_replication_oriented(
-                query, p_index, h_index, rel, far, near
-            )
-            if rewritten is not None:
-                return rewritten
-        return None
-
-    def _try_replication_oriented(
         self,
         query: Query,
         p_index: int,
@@ -200,7 +191,7 @@ class QueryRewriter:
         # The far node must be an endpoint of its chain (interior nodes
         # connect two hops and cannot be dropped).
         pattern = query.patterns[p_index]
-        position = h_index if pattern.nodes[h_index].var == far_var else h_index + 1
+        position = h_index + (pattern.nodes[h_index].var != far_var)
         if position not in (0, len(pattern.nodes) - 1):
             return None
 
@@ -250,20 +241,17 @@ class QueryRewriter:
             return None
         substitutions: dict[str, str] = {}
         for prop in usages["props"]:
-            repl = self._find_owned_replication(
+            list_name = self._find_owned_replication(
                 rel.rel_id, far_concepts, prop, near_nodes
             )
-            if repl is None:
+            if list_name is None:
                 return None
-            substitutions[prop] = repl.list_name
+            substitutions[prop] = list_name
         count_list_name: str | None = None
         if usages["bare_in_count"]:
-            repl = self._any_owned_replication(
-                rel.rel_id, far_concepts, near_nodes
-            )
-            if repl is None:
+            count_list_name = self._covering(rel.rel_id, near_nodes)
+            if count_list_name is None:
                 return None
-            count_list_name = repl.list_name
 
         # Rebuild the pattern without the far node and its hop.
         new_nodes = tuple(
@@ -303,8 +291,8 @@ class QueryRewriter:
         far_concepts: list[str],
         prop: str,
         near_nodes: set[str],
-    ):
-        """A replication of the far property covering *every* near node.
+    ) -> str | None:
+        """The list name of a far property that *every* near node holds.
 
         The rewritten query reads the list property off every vertex
         matching the near label, which spans all schema nodes the near
@@ -322,32 +310,58 @@ class QueryRewriter:
                 if prop in self.ontology.concept(c).properties
             )
             for source in dict.fromkeys(source_candidates):
-                repl = self._covering_replication(
-                    rel_id, source, prop, near_nodes
+                list_name = self._covering(
+                    rel_id, near_nodes, (source, prop)
                 )
-                if repl is not None:
-                    return repl
+                if list_name is not None:
+                    return list_name
         return None
 
-    def _covering_replication(
-        self, rel_id: str, source: str, prop: str, near_nodes: set[str]
-    ):
-        owners = {
-            r.owner_node: r
-            for r in self.mapping.replications_for_rel(rel_id)
-            if r.source_concept == source and r.source_property == prop
-        }
-        if not near_nodes or not near_nodes <= set(owners):
-            return None
-        names = {owners[node].list_name for node in near_nodes}
-        if len(names) != 1:
-            return None
-        repl = owners[next(iter(near_nodes))]
-        if self._list_name_ambiguous(repl, near_nodes):
-            return None
-        return repl
+    def _covering(
+        self,
+        rel_id: str,
+        near_nodes: set[str],
+        source: tuple[str, str] | None = None,
+    ) -> str | None:
+        """The first list replicated via ``rel_id`` (of the ``source``
+        concept and property, if given) that every near node carries
+        under one unambiguous name.
 
-    def _list_name_ambiguous(self, repl, near_nodes: set[str]) -> bool:
+        A node can hold two lists of one source property under two
+        names (MED under NSC: ``Drug`` holds ``Indication.desc`` via
+        ``treat`` as ``Indication.desc`` and ``Condition.desc``).  A
+        property read takes each node's last such list; ``count(f)``,
+        which reads any list, takes the first (source, property, name)
+        group.
+        """
+        groups: dict[tuple, dict[str, str]] = {}
+        for repl in self.mapping.replications_for_rel(rel_id):
+            key = (repl.source_concept, repl.source_property)
+            if source is None:
+                key += (repl.list_name,)
+            elif key != source:
+                continue
+            groups.setdefault(key, {})[repl.owner_node] = repl.list_name
+        for owners in groups.values():
+            if not near_nodes <= owners.keys():
+                continue
+            names = {owners[node] for node in near_nodes}
+            if len(names) == 1 and not self._list_name_ambiguous(
+                rel_id, *names, near_nodes
+            ):
+                return names.pop()
+        return None
+
+    @cached_property
+    def _by_list_name(self) -> dict[str, list[Replication]]:
+        by_name: dict[str, list[Replication]] = {}
+        for repl in self.mapping.replications:
+            by_name.setdefault(repl.list_name, []).append(repl)
+        return by_name
+
+    def _list_name_ambiguous(
+        self, rel_id: str, list_name: str, near_nodes: set[str]
+    ) -> bool:
         """Could another relationship's values share this list name?
 
         Vertices merge along collapsed relationships, so a vertex
@@ -363,10 +377,8 @@ class QueryRewriter:
             for node in near_nodes
             for concept in self.mapping.node_concepts(node)
         }
-        for other in self.mapping.replications:
-            if other.rel_id == repl.rel_id:
-                continue
-            if other.list_name != repl.list_name:
+        for other in self._by_list_name.get(list_name, ()):
+            if other.rel_id == rel_id:
                 continue
             other_components = {
                 self.mapping.component_of(concept)
@@ -377,27 +389,6 @@ class QueryRewriter:
             if near_components & other_components:
                 return True
         return False
-
-    def _any_owned_replication(
-        self,
-        rel_id: str,
-        far_concepts: list[str],
-        near_nodes: set[str],
-    ):
-        by_key: dict[tuple[str, str, str], set[str]] = {}
-        candidates: dict[tuple[str, str, str], object] = {}
-        for repl in self.mapping.replications_for_rel(rel_id):
-            key = (
-                repl.source_concept, repl.source_property, repl.list_name
-            )
-            by_key.setdefault(key, set()).add(repl.owner_node)
-            candidates[key] = repl
-        for key, owners in by_key.items():
-            if near_nodes <= owners and not self._list_name_ambiguous(
-                candidates[key], near_nodes
-            ):
-                return candidates[key]
-        return None
 
 
 # ----------------------------------------------------------------------
@@ -421,49 +412,32 @@ def _ensure_node_vars(query: Query) -> Query:
 
 
 def _substitute_everywhere(query: Query, old: str, new: str) -> Query:
-    patterns = []
-    for pattern in query.patterns:
-        nodes = tuple(
+    patterns = tuple(
+        replace(pattern, nodes=tuple(
             replace(node, var=new) if node.var == old else node
             for node in pattern.nodes
-        )
-        patterns.append(PathPattern(nodes, pattern.rels, pattern.path_var))
-    return Query(
-        patterns=tuple(patterns),
-        return_items=tuple(
-            ReturnItem(substitute_variable(item.expr, old, new), item.alias)
-            for item in query.return_items
-        ),
-        where=(
-            substitute_variable(query.where, old, new)
-            if query.where is not None else None
-        ),
-        distinct=query.distinct,
-        order_by=tuple(
-            OrderItem(substitute_variable(o.expr, old, new), o.descending)
-            for o in query.order_by
-        ),
-        limit=query.limit,
+        ))
+        for pattern in query.patterns
+    )
+    return map_query(
+        query.with_(patterns=patterns),
+        lambda expr: substitute_variable(expr, old, new),
     )
 
 
 def _uses_star(query: Query) -> bool:
-    for item in query.return_items:
-        for node in walk(item.expr):
-            if isinstance(node, Star):
-                return True
-    return False
+    return any(
+        isinstance(node, Star)
+        for item in query.return_items for node in walk(item.expr)
+    )
 
 
 def _hop_count(query: Query, var: str) -> int:
-    count = 0
-    for pattern in query.patterns:
-        for left, _rel, right in pattern.hops():
-            if left.var == var:
-                count += 1
-            if right.var == var:
-                count += 1
-    return count
+    return sum(
+        (left.var == var) + (right.var == var)
+        for pattern in query.patterns
+        for left, _rel, right in pattern.hops()
+    )
 
 
 def _far_usages(query: Query, var: str) -> dict | None:
@@ -499,16 +473,15 @@ def _far_usages(query: Query, var: str) -> dict | None:
                             bare_in_count = True
                         else:
                             return None
-    # Grouping-key check: with aggregation, every far property use must
-    # sit inside an aggregate argument.
-    if has_aggregates:
-        for expr in exprs:
-            if _prop_use_outside_aggregate(expr, var):
-                return None
-    # Re-scan for bare variable uses not wrapped in count().
-    for expr in exprs:
-        if _has_unwrapped_bare(expr, var):
-            return None
+    # With aggregation, every far property use must sit inside an
+    # aggregate argument (it is no grouping key); and no bare use may
+    # sit outside count().
+    if any(
+        has_aggregates and _prop_use_outside_aggregate(expr, var)
+        or _has_unwrapped_bare(expr, var)
+        for expr in exprs
+    ):
+        return None
     return {"props": props, "bare_in_count": bare_in_count}
 
 
@@ -516,51 +489,20 @@ def _prop_use_outside_aggregate(expr: Expr, var: str) -> bool:
     """Does ``var.prop`` appear outside every aggregate function?"""
     if isinstance(expr, PropertyRef):
         return expr.var == var
-    if isinstance(expr, FuncCall):
-        if expr.name in AGGREGATE_FUNCTIONS:
-            return False  # inside an aggregate: fine
-        return any(
-            _prop_use_outside_aggregate(a, var) for a in expr.args
-        )
-    if isinstance(expr, BoolOp):
-        return any(
-            _prop_use_outside_aggregate(o, var) for o in expr.operands
-        )
-    if isinstance(expr, NullCheck):
-        return _prop_use_outside_aggregate(expr.expr, var)
-    if hasattr(expr, "lhs"):
-        return _prop_use_outside_aggregate(
-            expr.lhs, var
-        ) or _prop_use_outside_aggregate(expr.rhs, var)
-    if hasattr(expr, "operand"):
-        return _prop_use_outside_aggregate(expr.operand, var)
-    return False
+    if isinstance(expr, FuncCall) and expr.name in AGGREGATE_FUNCTIONS:
+        return False  # inside an aggregate: fine
+    return any(_prop_use_outside_aggregate(c, var) for c in children(expr))
 
 
 def _has_unwrapped_bare(expr: Expr, var: str) -> bool:
+    """Is ``var`` used bare anywhere but as an argument of ``count``?"""
     if isinstance(expr, Variable):
         return expr.name == var
-    if isinstance(expr, PropertyRef):
-        return False
-    if isinstance(expr, FuncCall):
-        if expr.name == "count" and not expr.distinct:
-            return any(
-                _has_unwrapped_bare(arg, var)
-                for arg in expr.args
-                if not isinstance(arg, Variable)
-            )
-        return any(_has_unwrapped_bare(arg, var) for arg in expr.args)
-    if isinstance(expr, NullCheck):
-        return _has_unwrapped_bare(expr.expr, var)
-    if isinstance(expr, BoolOp):
-        return any(_has_unwrapped_bare(o, var) for o in expr.operands)
-    if hasattr(expr, "lhs"):
-        return _has_unwrapped_bare(expr.lhs, var) or _has_unwrapped_bare(
-            expr.rhs, var
-        )
-    if hasattr(expr, "operand"):
-        return _has_unwrapped_bare(expr.operand, var)
-    return False
+    operands = children(expr)
+    if isinstance(expr, FuncCall) and expr.name == "count":
+        if not expr.distinct:
+            operands = [a for a in operands if not isinstance(a, Variable)]
+    return any(_has_unwrapped_bare(c, var) for c in operands)
 
 
 def _replace_far_usages(
@@ -570,58 +512,30 @@ def _replace_far_usages(
     substitutions: dict[str, str],
     count_list_name: str | None,
 ) -> Query:
-    def transform(expr: Expr) -> Expr:
+    """Read the near node's lists where the query read the far node:
+    ``f.p`` becomes ``n.<list>``, ``count(f)`` a count over the count
+    list, and an aggregate over either gets ``flatten``."""
+
+    def far(arg: Expr) -> bool:
+        return (
+            isinstance(arg, Variable) and arg.name == far_var
+            or isinstance(arg, PropertyRef) and arg.var == far_var
+        )
+
+    def swap(expr: Expr) -> Expr | None:
         if isinstance(expr, PropertyRef) and expr.var == far_var:
             return PropertyRef(near_var, substitutions[expr.prop])
-        if isinstance(expr, FuncCall):
-            new_args = tuple(transform(arg) for arg in expr.args)
-            flatten = expr.flatten
-            if expr.name in AGGREGATE_FUNCTIONS:
-                if any(
-                    isinstance(a, Variable) and a.name == far_var
-                    for a in expr.args
-                ):
-                    # count(f) -> count over the flattened list property
-                    new_args = tuple(
-                        PropertyRef(near_var, count_list_name)
-                        if isinstance(a, Variable) and a.name == far_var
-                        else a
-                        for a in new_args
-                    )
-                    flatten = True
-                elif any(
-                    isinstance(a, PropertyRef) and a.var == far_var
-                    for a in expr.args
-                ):
-                    flatten = True
-            return replace(expr, args=new_args, flatten=flatten)
-        if isinstance(expr, BoolOp):
-            return BoolOp(
-                expr.op, tuple(transform(o) for o in expr.operands)
-            )
-        if isinstance(expr, NullCheck):
-            return NullCheck(transform(expr.expr), expr.negated)
-        if hasattr(expr, "lhs"):
-            return replace(
-                expr, lhs=transform(expr.lhs), rhs=transform(expr.rhs)
-            )
-        if hasattr(expr, "operand"):
-            return replace(expr, operand=transform(expr.operand))
-        return expr
+        if (
+            isinstance(expr, FuncCall)
+            and expr.name in AGGREGATE_FUNCTIONS
+            and any(far(arg) for arg in expr.args)
+        ):
+            return replace(expr, flatten=True, args=tuple(
+                PropertyRef(near_var, count_list_name)
+                if isinstance(arg, Variable) and arg.name == far_var
+                else map_expr(arg, swap)
+                for arg in expr.args
+            ))
+        return None
 
-    return Query(
-        patterns=query.patterns,
-        return_items=tuple(
-            ReturnItem(transform(item.expr), item.alias)
-            for item in query.return_items
-        ),
-        where=(
-            transform(query.where) if query.where is not None else None
-        ),
-        distinct=query.distinct,
-        order_by=tuple(
-            OrderItem(transform(o.expr), o.descending)
-            for o in query.order_by
-        ),
-        limit=query.limit,
-    )
+    return map_query(query, swap)

@@ -33,10 +33,12 @@ class TestCollapseKinds:
 
     def test_collapsed_rel_ids_filter(self, fig2):
         _, mapping = optimize_schema_nsc(fig2)
-        unions = mapping.collapsed_rel_ids(CollapseKind.UNION)
+        unions = {
+            rel_id for rel_id, kind in mapping.collapsed.items()
+            if kind is CollapseKind.UNION
+        }
         assert len(unions) == 2
-        everything = mapping.collapsed_rel_ids()
-        assert unions <= everything
+        assert unions <= set(mapping.collapsed)
 
 
 class TestLabels:
@@ -75,14 +77,18 @@ class TestReplications:
         treat = next(
             r for r in fig2.iter_relationships() if r.label == "treat"
         )
-        repl = mapping.find_replication(treat.rel_id, "Indication", "desc")
-        assert repl is not None
+        repl = next(
+            r for r in mapping.replications
+            if (r.rel_id, r.source_concept, r.source_property)
+            == (treat.rel_id, "Indication", "desc")
+        )
         assert repl.owner_node == "Drug"
         assert repl.list_name == "Indication.desc"
 
     def test_find_replication_missing(self, fig2):
         _, mapping = optimize_schema_nsc(fig2)
-        assert mapping.find_replication("r9999", "X", "y") is None
+        assert not any(r.rel_id == "r9999" for r in mapping.replications)
+        assert mapping.replications_for_rel("r9999") == []
 
     def test_replications_for_rel(self, fig2):
         _, mapping = optimize_schema_nsc(fig2)
