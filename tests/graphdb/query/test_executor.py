@@ -289,3 +289,63 @@ class TestMetricsAndErrors:
     def test_aggregate_in_where_rejected(self, ex):
         with pytest.raises(QueryError):
             ex.run("MATCH (d:Drug) WHERE count(d) > 1 RETURN d")
+
+
+class TestResultListsAreFresh:
+    """A list in a query result is the caller's: changing it changes
+    nothing stored.  A write through it would skip the undo log, the
+    WAL and the indexes."""
+
+    QUERIES = (
+        ("MATCH (a:A) RETURN a.xs", lambda value: value),
+        ("MATCH (a:A) RETURN coalesce(a.xs, 0)", lambda value: value),
+        ("MATCH (a:A) RETURN collect(a.xs) AS c", lambda value: value[0]),
+        (
+            "MATCH (a:A) RETURN a.xs ORDER BY a.xs LIMIT 1",
+            lambda value: value,
+        ),
+    )
+
+    @staticmethod
+    def list_graph(frozen):
+        g = PropertyGraph()
+        vid = g.add_vertex("A", {"xs": [1, 2]})
+        if frozen:
+            g.freeze()
+        return g, vid
+
+    @pytest.mark.parametrize("frozen", [False, True])
+    @pytest.mark.parametrize("vectorize", [True, False])
+    @pytest.mark.parametrize("text,stored", QUERIES)
+    def test_executor_rows(self, vectorize, frozen, text, stored):
+        g, vid = self.list_graph(frozen)
+        result = Executor(GraphSession(g), vectorize=vectorize).run(text)
+        stored(result.rows[0][0]).append(9)
+        assert g.get_property(vid, "xs") == [1, 2]
+
+    def test_streamed_chunks(self):
+        from repro.graphdb.query.vectorized import ExecutionReport
+
+        g, vid = self.list_graph(frozen=True)
+        report = ExecutionReport()
+        _, _, _, chunks = Executor(GraphSession(g)).stream(
+            "MATCH (a:A) RETURN a.xs", report=report, chunks=True
+        )
+        for _, cols in chunks:
+            cols[0][0].append(9)
+        assert report.chunked
+        assert g.get_property(vid, "xs") == [1, 2]
+
+    def test_driver(self):
+        from repro.graphdb import connect
+
+        g, vid = self.list_graph(frozen=False)
+        with connect(g).session() as session:
+            session.run("MATCH (a:A) RETURN a.xs AS xs").single()[
+                "xs"
+            ].append(9)
+            for _, cols in session.run(
+                "MATCH (a:A) RETURN a.xs AS xs"
+            ).batches():
+                cols[0][0].append(9)
+        assert g.get_property(vid, "xs") == [1, 2]

@@ -669,7 +669,7 @@ class TestGroupedConsumer:
         )
         assert rows == [("a", 1), (None, 0)]
 
-    def test_projected_list_is_the_stored_object(self):
+    def test_projected_list_is_a_fresh_copy(self):
         tags = ["t0", "t1"]
         graph = PropertyGraph("lists")
         vid = graph.add_vertex("L", {"tags": tags})
@@ -677,12 +677,12 @@ class TestGroupedConsumer:
         rows = assert_matches_tuple(graph, "MATCH (n:L) RETURN n.tags")
         assert rows == [(["t0", "t1"],), (["t0", "t1", "t2"],)]
         stored = GraphSession(graph, NEO4J_LIKE).property_reader("tags")(vid)
-        assert rows[0][0] is stored
-        # Grouping on a list hashes a tuple copy but returns the list.
+        assert rows[0][0] == stored and rows[0][0] is not stored
+        # Grouping on a list hashes a tuple copy and returns a list.
         rows = assert_matches_tuple(
             graph, "MATCH (n:L) RETURN n.tags, count(*) AS c"
         )
-        assert rows[0][0] is stored
+        assert rows[0][0] == stored and rows[0][0] is not stored
 
     # -- the column folds, drawn ------------------------------------------
     @seed(SEED)
