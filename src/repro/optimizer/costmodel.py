@@ -128,12 +128,12 @@ class CostBenefitModel:
         content becomes locally available).  See DESIGN.md.
         """
         js = self.jaccard[rel.rel_id]
-        thresholds = self.thresholds
-        if thresholds.theta2 <= js <= thresholds.theta1:
+        merge = self.thresholds.merge(js)
+        if merge is None:
             return None
-        # js > theta1: the child's content moves to the parent;
-        # js < theta2: the parent's content moves to the child.
-        merge_up = js > thresholds.theta1
+        # Up: the child's content moves to the parent; down: the
+        # parent's content moves to the child.
+        merge_up = merge == "up"
         mover = rel.dst if merge_up else rel.src
         mover_concept = self.ontology.concept(mover)
         prop_bytes = sum(

@@ -131,6 +131,17 @@ class Thresholds:
                 f"got ({self.theta1}, {self.theta2})"
             )
 
+    def merge(self, js: float) -> str | None:
+        """The inheritance rule's band for Jaccard similarity ``js``:
+        ``"up"`` above theta1 (the parent absorbs the child), ``"down"``
+        below theta2 (the child absorbs the parent), None in between
+        (the ``isA`` edge stays)."""
+        if js > self.theta1:
+            return "up"
+        if js < self.theta2:
+            return "down"
+        return None
+
 
 @dataclass(frozen=True)
 class Selection:
@@ -247,7 +258,7 @@ class SchemaState:
                     self.ontology.concept(rel.dst).property_names(),
                 )
                 self.jaccard[rel.rel_id] = js
-                if js > self.thresholds.theta1:
+                if self.thresholds.merge(js) == "up":
                     # Merge-up: the child (dst) is absorbed, so this
                     # relationship also gates the child's drop.
                     self._structural_blockers.setdefault(

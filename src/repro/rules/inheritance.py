@@ -28,10 +28,10 @@ from repro.rules.base import Provenance, SchemaState
 
 def apply_inheritance(state: SchemaState, rel: Relationship) -> bool:
     """Apply the inheritance rule for one ``isA`` relationship."""
-    js = state.jaccard[rel.rel_id]
+    merge = state.thresholds.merge(state.jaccard[rel.rel_id])
     parent, child = rel.src, rel.dst
-    if js > state.thresholds.theta1:
+    if merge == "up":
         return state.absorb(rel, child, parent, Provenance.FROM_CHILD)
-    if js < state.thresholds.theta2:
+    if merge == "down":
         return state.absorb(rel, parent, child, Provenance.FROM_PARENT)
     return False  # middle band: the isA edge schema is kept as-is

@@ -60,7 +60,7 @@ class SchemaMapping:
     # Construction
     # ------------------------------------------------------------------
     def _build_collapsed(self) -> None:
-        thresholds = self._state.thresholds
+        merge = self._state.thresholds.merge
         for rel_id in self._state.consumed:
             rel = self.ontology.relationship(rel_id)
             if rel.rel_type is RelationshipType.UNION:
@@ -68,11 +68,11 @@ class SchemaMapping:
             elif rel.rel_type is RelationshipType.ONE_TO_ONE:
                 kind = CollapseKind.MERGE_1_1
             elif rel.rel_type is RelationshipType.INHERITANCE:
-                js = self._state.jaccard[rel_id]
-                if js > thresholds.theta1:
-                    kind = CollapseKind.INHERIT_UP
-                else:
-                    kind = CollapseKind.INHERIT_DOWN
+                kind = (
+                    CollapseKind.INHERIT_UP
+                    if merge(self._state.jaccard[rel_id]) == "up"
+                    else CollapseKind.INHERIT_DOWN
+                )
             else:  # pragma: no cover - only structural/1:1 rels consume
                 raise SchemaError(
                     f"unexpected consumed relationship {rel_id}"
