@@ -39,6 +39,14 @@ Exits 0 when every run exited 0 with ``"correct": true`` and nothing
 on standard error, whatever the verdicts say; 1 otherwise.
 ``--smoke`` passes ``--smoke`` through (scale 0.2, a few rounds): a
 check of the tool, not a measurement.
+
+Each side runs with a bytecode cache of its own, an empty temporary
+``PYTHONPYCACHEPREFIX`` kept for the whole session, and with bytecode
+writing on: both sides compile on their first run and reuse the cache
+after it.  ``setup_s`` includes the imports, so a side that found a
+warm ``__pycache__`` (a working tree) against one that compiles every
+run (a fresh clone under ``PYTHONDONTWRITEBYTECODE``) would read faster
+for no change of its own.
 """
 
 from __future__ import annotations
@@ -46,6 +54,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import shutil
 import statistics
 import subprocess
@@ -69,16 +78,21 @@ def git(*args: str) -> str:
     return done.stdout.strip()
 
 
-def run_benchmark(root: Path, manifest: dict, args) -> tuple[dict | None, str]:
-    """One run of the declared command in ``root``; returns the last
-    JSON line of its output and what went wrong (empty if nothing)."""
+def run_benchmark(
+    root: Path, manifest: dict, args, env: dict
+) -> tuple[dict | None, str]:
+    """One run of the declared command in ``root`` under ``env``;
+    returns the last JSON line of its output and what went wrong (empty
+    if nothing)."""
     command = list(manifest["command"]) + [
         "--workload", args.workload, "--seed", str(args.seed),
         "--seconds", str(manifest["run_seconds"]), "--trace", "0",
     ]
     if args.smoke:
         command.append("--smoke")
-    done = subprocess.run(command, cwd=root, capture_output=True, text=True)
+    done = subprocess.run(
+        command, cwd=root, env=env, capture_output=True, text=True
+    )
     lines = done.stdout.strip().splitlines()
     try:
         result = json.loads(lines[-1])
@@ -173,6 +187,14 @@ def print_tables(title: str, rows: list[dict]) -> None:
         print("| " + " | ".join(row_cells(row, markdown=True)) + " |")
 
 
+def side_env(cache: Path) -> dict:
+    """The environment of one side's runs: its own bytecode cache
+    ``cache``, written to."""
+    env = dict(os.environ, PYTHONPYCACHEPREFIX=str(cache))
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+    return env
+
+
 def parse_args(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parent = parser.add_mutually_exclusive_group(required=True)
@@ -225,8 +247,11 @@ def main(argv=None) -> int:
         else:
             parent = git("rev-parse", "--short=12", args.parent)
             checked_out = parent_checkout(parent)
-        with checked_out as checkout:
+        with checked_out as checkout, tempfile.TemporaryDirectory(
+            prefix="ab_pairs-pycache-"
+        ) as caches:
             roots = {"parent": checkout, "change": ROOT}
+            envs = {side: side_env(Path(caches) / side) for side in SIDES}
             print(
                 f"# ab_pairs parent={parent} change=working tree "
                 f"workload={args.workload} seed={args.seed} "
@@ -239,7 +264,9 @@ def main(argv=None) -> int:
             for run in range(2 * args.pairs):
                 pair, second = divmod(run, 2)
                 side = SIDES[(pair + second) % 2]  # who goes first alternates
-                result, problem = run_benchmark(roots[side], manifest, args)
+                result, problem = run_benchmark(
+                    roots[side], manifest, args, envs[side]
+                )
                 if problem:
                     problems.append(f"run {run + 1} ({side}): {problem}")
                 if result is None:
