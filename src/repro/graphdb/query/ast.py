@@ -265,27 +265,23 @@ def variables_used(expr: Expr) -> set[str]:
     return used
 
 
+def query_exprs(query: Query) -> list[Expr]:
+    """The RETURN, WHERE and ORDER BY expressions, in that order."""
+    where = [] if query.where is None else [query.where]
+    return (
+        [item.expr for item in query.return_items] + where
+        + [order.expr for order in query.order_by]
+    )
+
+
 def parameters_used(query: "Query") -> set[str]:
     """Every ``$name`` the query references, in patterns and clauses."""
-    names: set[str] = set()
-
-    def scan(expr: Expr) -> None:
-        for node in walk(expr):
-            if isinstance(node, Parameter):
-                names.add(node.name)
-
-    for pattern in query.patterns:
-        for node in pattern.nodes:
-            for _name, value in node.props:
-                if isinstance(value, Parameter):
-                    names.add(value.name)
-    if query.where is not None:
-        scan(query.where)
-    for item in query.return_items:
-        scan(item.expr)
-    for order in query.order_by:
-        scan(order.expr)
-    return names
+    values = [
+        value for pattern in query.patterns for node in pattern.nodes
+        for _name, value in node.props
+    ]
+    values += [node for expr in query_exprs(query) for node in walk(expr)]
+    return {value.name for value in values if isinstance(value, Parameter)}
 
 
 def substitute_variable(expr: Expr, old: str, new: str) -> Expr:

@@ -34,6 +34,7 @@ mode and are returned unchanged otherwise.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import replace
 from functools import cached_property
 
@@ -54,6 +55,7 @@ from repro.graphdb.query.ast import (
     contains_aggregate,
     map_expr,
     map_query,
+    query_exprs,
     substitute_variable,
     walk,
 )
@@ -142,30 +144,19 @@ class QueryRewriter:
     def _collapse_hop(
         self, query: Query, p_index: int, h_index: int
     ) -> Query:
-        pattern = query.patterns[p_index]
-        left = pattern.nodes[h_index]
-        right = pattern.nodes[h_index + 1]
-        keep_var, drop_var = left.var, right.var
+        nodes = query.patterns[p_index].nodes
+        left, right = nodes[h_index], nodes[h_index + 1]
         merged = NodePattern(
-            keep_var,
+            left.var,
             tuple(dict.fromkeys(left.labels + right.labels)),
             tuple(dict.fromkeys(left.props + right.props)),
         )
-        new_nodes = (
-            pattern.nodes[:h_index]
-            + (merged,)
-            + pattern.nodes[h_index + 2:]
+        query = _drop_hop(
+            query, p_index, h_index,
+            nodes[:h_index] + (merged,) + nodes[h_index + 2:],
         )
-        new_rels = pattern.rels[:h_index] + pattern.rels[h_index + 1:]
-        query = query.with_(
-            patterns=(
-                query.patterns[:p_index]
-                + (PathPattern(new_nodes, new_rels, None),)
-                + query.patterns[p_index + 1:]
-            )
-        )
-        if drop_var != keep_var:
-            query = _substitute_everywhere(query, drop_var, keep_var)
+        if right.var != left.var:
+            query = _substitute_everywhere(query, right.var, left.var)
         return query
 
     # ------------------------------------------------------------------
@@ -215,19 +206,17 @@ class QueryRewriter:
 
         # Collect every usage of the far variable and find the list
         # property that will replace it.
-        usages = _far_usages(query, far_var)
-        if usages is None:
-            return None
-        if not usages["props"] and not usages["bare_in_count"]:
-            # The hop is a pure existence/multiplicity constraint
-            # (e.g. count(*) over matches); removing it would change
-            # row multiplicity.
-            return None
-        if _uses_star(query):
-            return None
         has_aggregates = any(
             contains_aggregate(item.expr) for item in query.return_items
         )
+        usages = _far_usages(query, far_var, has_aggregates)
+        if usages is None or not any(usages):
+            # No far use left, the hop is a pure existence/multiplicity
+            # constraint (e.g. count(*) over matches); removing it would
+            # change row multiplicity.
+            return None
+        if _uses_star(query):
+            return None
         if not has_aggregates and not all(
             isinstance(item.expr, PropertyRef)
             and item.expr.var == far_var
@@ -239,8 +228,9 @@ class QueryRewriter:
             # the query returns nothing but far-node properties (Q6);
             # mixed projections keep their hop.
             return None
+        props, counted = usages
         substitutions: dict[str, str] = {}
-        for prop in usages["props"]:
+        for prop in props:
             list_name = self._find_owned_replication(
                 rel.rel_id, far_concepts, prop, near_nodes
             )
@@ -248,7 +238,7 @@ class QueryRewriter:
                 return None
             substitutions[prop] = list_name
         count_list_name: str | None = None
-        if usages["bare_in_count"]:
+        if counted:
             count_list_name = self._covering(rel.rel_id, near_nodes)
             if count_list_name is None:
                 return None
@@ -257,33 +247,21 @@ class QueryRewriter:
         new_nodes = tuple(
             node for node in pattern.nodes if node.var != far_var
         )
-        new_rels = pattern.rels[:h_index] + pattern.rels[h_index + 1:]
         if len(new_nodes) != len(pattern.nodes) - 1:
             return None  # far var appears twice in the chain: keep hop
-        new_pattern = PathPattern(new_nodes, new_rels, None)
-        new_query = query.with_(
-            patterns=(
-                query.patterns[:p_index]
-                + (new_pattern,)
-                + query.patterns[p_index + 1:]
-            )
-        )
         new_query = _replace_far_usages(
-            new_query, far_var, near_var, substitutions, count_list_name
+            _drop_hop(query, p_index, h_index, new_nodes),
+            far_var, near_var, substitutions, count_list_name,
         )
 
         # Guard: the near vertex must actually have partners.
-        guard_list = (
-            next(iter(substitutions.values()), None) or count_list_name
+        guard = NullCheck(PropertyRef(
+            near_var, next(iter(substitutions.values()), count_list_name)
+        ), True)
+        where = new_query.where
+        return new_query.with_(
+            where=guard if where is None else BoolOp("and", (where, guard))
         )
-        if guard_list is not None:
-            guard = NullCheck(PropertyRef(near_var, guard_list), True)
-            where = (
-                guard if new_query.where is None
-                else BoolOp("and", (new_query.where, guard))
-            )
-            new_query = new_query.with_(where=where)
-        return new_query
 
     def _find_owned_replication(
         self,
@@ -396,19 +374,14 @@ class QueryRewriter:
 # ----------------------------------------------------------------------
 def _ensure_node_vars(query: Query) -> Query:
     """Give every anonymous node pattern a fresh variable."""
-    counter = 0
-    new_patterns = []
-    for pattern in query.patterns:
-        nodes = []
-        for node in pattern.nodes:
-            if node.var is None:
-                node = replace(node, var=f"_rw{counter}")
-                counter += 1
-            nodes.append(node)
-        new_patterns.append(
-            PathPattern(tuple(nodes), pattern.rels, pattern.path_var)
-        )
-    return query.with_(patterns=tuple(new_patterns))
+    names = (f"_rw{i}" for i in itertools.count())
+    return query.with_(patterns=tuple(
+        PathPattern(tuple(
+            replace(node, var=next(names)) if node.var is None else node
+            for node in pattern.nodes
+        ), pattern.rels, pattern.path_var)
+        for pattern in query.patterns
+    ))
 
 
 def _substitute_everywhere(query: Query, old: str, new: str) -> Query:
@@ -423,6 +396,19 @@ def _substitute_everywhere(query: Query, old: str, new: str) -> Query:
         query.with_(patterns=patterns),
         lambda expr: substitute_variable(expr, old, new),
     )
+
+
+def _drop_hop(
+    query: Query, p_index: int, h_index: int, nodes: tuple
+) -> Query:
+    """``query`` without hop ``h_index`` of pattern ``p_index``, whose
+    nodes become ``nodes`` (and which loses its path variable)."""
+    patterns = list(query.patterns)
+    rels = patterns[p_index].rels
+    patterns[p_index] = PathPattern(
+        nodes, rels[:h_index] + rels[h_index + 1:], None
+    )
+    return query.with_(patterns=tuple(patterns))
 
 
 def _uses_star(query: Query) -> bool:
@@ -440,39 +426,30 @@ def _hop_count(query: Query, var: str) -> int:
     )
 
 
-def _far_usages(query: Query, var: str) -> dict | None:
+def _far_usages(
+    query: Query, var: str, has_aggregates: bool
+) -> tuple[set[str], bool] | None:
     """Classify uses of ``var`` outside the pattern.
 
-    Returns ``{"props": set of property names, "bare_in_count": bool}``
-    or None when the variable is used in a way that blocks the rewrite:
+    Returns the property names read off ``var`` and whether a plain
+    ``count(var)`` counts it, or None when the variable is used in a
+    way that blocks the rewrite:
 
     * returned bare / collected as a vertex / ordered on;
     * used as a *grouping key* (a property reference outside any
       aggregate) while the query aggregates - replacing a scalar
       grouping key with a list property would change the grouping.
     """
+    exprs = query_exprs(query)
     props: set[str] = set()
-    bare_in_count = False
-    has_aggregates = any(
-        contains_aggregate(item.expr) for item in query.return_items
-    )
-
-    exprs: list[Expr] = [item.expr for item in query.return_items]
-    if query.where is not None:
-        exprs.append(query.where)
-    exprs.extend(order.expr for order in query.order_by)
-
-    for expr in exprs:
-        for node in walk(expr):
-            if isinstance(node, PropertyRef) and node.var == var:
-                props.add(node.prop)
-            elif isinstance(node, FuncCall):
-                for arg in node.args:
-                    if isinstance(arg, Variable) and arg.name == var:
-                        if node.name == "count" and not node.distinct:
-                            bare_in_count = True
-                        else:
-                            return None
+    counted = False
+    for node in (node for expr in exprs for node in walk(expr)):
+        if isinstance(node, PropertyRef) and node.var == var:
+            props.add(node.prop)
+        elif isinstance(node, FuncCall) and Variable(var) in node.args:
+            if node.name != "count" or node.distinct:
+                return None
+            counted = True
     # With aggregation, every far property use must sit inside an
     # aggregate argument (it is no grouping key); and no bare use may
     # sit outside count().
@@ -482,7 +459,7 @@ def _far_usages(query: Query, var: str) -> dict | None:
         for expr in exprs
     ):
         return None
-    return {"props": props, "bare_in_count": bare_in_count}
+    return props, counted
 
 
 def _prop_use_outside_aggregate(expr: Expr, var: str) -> bool:
