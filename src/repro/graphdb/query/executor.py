@@ -77,7 +77,6 @@ from repro.graphdb.query.ast import (
     Variable,
     contains_aggregate,
     parameters_used,
-    walk,
 )
 from repro.graphdb.query.functions import (
     apply_aggregate,
@@ -173,9 +172,6 @@ class _Prepared:
     refusal: str | None = None
     #: ``(arrays, binding key, pipeline)`` of the last compile, or None.
     compiled: tuple | None = None
-    #: The RETURN columns whose values can hold a list that the graph or
-    #: the query keeps (:func:`_shares_lists`): copied on the way out.
-    fresh: tuple[int, ...] = ()
 
 
 class _Evaluator:
@@ -627,11 +623,7 @@ class Executor:
                 parsed, graph, statistics=stats, cost_based=self.cost_based
             )
         names = tuple(sorted(parameters_used(parsed)))
-        fresh = tuple(
-            i for i, item in enumerate(parsed.return_items)
-            if _shares_lists(item.expr)
-        )
-        prepared = _Prepared(parsed, plan, names, fresh=fresh)
+        prepared = _Prepared(parsed, plan, names)
         if key is not None:
             stats.plan_cache.put(key, prepared)
         return prepared
@@ -715,15 +707,16 @@ class Executor:
                 # the match stream eagerly still honor the deadline.
                 stream = _guarded_bindings(stream, guard)
             columns, rows = self._project(query, stream, evaluator)
-            if prepared.fresh:
-                rows = _fresh_rows(rows, prepared.fresh)
+            rows = (
+                tuple(map(_fresh, row)) if list in set(map(type, row))
+                else row for row in rows
+            )
         else:
             _QUERY_PATHS.inc("vectorized")
             columns, rows = pipeline.run(
                 self.session, guard, step_counts, step_times, report
             )
-            if prepared.fresh:
-                rows = _fresh_chunks(rows, prepared.fresh)
+            rows = _fresh_columns(rows)
             if chunks and report is not None and not (
                 query.distinct or query.order_by or guard and guard.armed
             ):
@@ -1139,30 +1132,11 @@ def _dedupe(rows: Iterable[tuple]) -> Iterator[tuple]:
             yield row
 
 
-#: Functions whose value is never a list.
-_NOT_LISTS = frozenset({"count", "sum", "avg", "size"})
-
-
-def _shares_lists(expr: Expr) -> bool:
-    """Can a value of ``expr`` hold a list the graph stores (a property
-    read, a ``collect`` of one) or the query holds (a list literal, a
-    parameter)?"""
-    if isinstance(expr, (Comparison, NullCheck, BoolOp, NotOp)) or (
-        isinstance(expr, FuncCall) and expr.name in _NOT_LISTS
-    ):
-        return False
-    return any(
-        isinstance(node, (PropertyRef, Parameter))
-        or isinstance(node, Literal) and isinstance(node.value, list)
-        for node in walk(expr)
-    )
-
-
 def _fresh(value: object) -> object:
-    """A value as it leaves the executor: a list, and each list in it,
-    fresh, so that changing a result changes nothing stored (only the
-    graph's mutation methods write, keeping the indexes, the undo log
-    and the WAL in step)."""
+    """A value as it leaves the executor: a list, and each list in it, a
+    fresh copy, so that changing a result changes nothing stored (only
+    the graph's mutation methods write, keeping the indexes, the undo
+    log and the WAL in step)."""
     if not isinstance(value, list):
         return value
     for item in value:
@@ -1171,26 +1145,11 @@ def _fresh(value: object) -> object:
     return value.copy()
 
 
-def _fresh_rows(
-    rows: Iterable[tuple], at: tuple[int, ...]
-) -> Iterator[tuple]:
-    """Rows with :func:`_fresh` values in the columns ``at``; a row that
-    holds no list there passes as it is."""
-    for row in rows:
-        for i in at:
-            if isinstance(row[i], list):
-                row = tuple(_fresh(v) for v in row)
-                break
-        yield row
-
-
-def _fresh_chunks(chunks, at: tuple[int, ...]):
-    """:func:`_fresh_rows` over ``(n, column lists)`` chunks; the type
-    scan of a column runs in C, so a column of no lists costs little."""
+def _fresh_columns(chunks):
+    """``(n, column lists)`` chunks with :func:`_fresh` lists; a column
+    that holds none (one type scan, in C) passes as it is."""
     for n, cols in chunks:
-        for i in at:
-            if list in set(map(type, cols[i])):
-                cols[i] = [
-                    _fresh(v) if type(v) is list else v for v in cols[i]
-                ]
-        yield n, cols
+        yield n, [
+            list(map(_fresh, col)) if list in set(map(type, col)) else col
+            for col in cols
+        ]
