@@ -25,8 +25,7 @@ class ServerThread:
     """One GraphServer running on its own event loop thread."""
 
     def __init__(self, database, config: ServerConfig | None = None):
-        config = config or ServerConfig()
-        config.port = config.port or 0
+        config = config or ServerConfig(port=0)
         self.server = GraphServer(database, config)
         self._started = threading.Event()
         self._loop: asyncio.AbstractEventLoop | None = None
@@ -69,6 +68,11 @@ class ServerThread:
     def stop(self, timeout: float = 10.0) -> BaseException | None:
         if self._loop is not None and self._thread.is_alive():
             self._loop.call_soon_threadsafe(self.server.request_stop)
+        return self.wait(timeout)
+
+    def wait(self, timeout: float = 10.0) -> BaseException | None:
+        """Wait for the server to go down (by itself, after a crash)
+        and return what it raised."""
         self._thread.join(timeout)
         assert not self._thread.is_alive(), "server did not stop"
         return self.error

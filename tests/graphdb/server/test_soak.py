@@ -218,7 +218,7 @@ def test_kill_server_mid_commit_recovers(server_factory, tmp_path):
                 break
         assert crashed, "fault never fired"
     assert acked == 2
-    error = harness.stop()
+    error = harness.wait()
     assert isinstance(error, faults.SimulatedCrash)
     # The store was abandoned, not flushed: like a killed process.
     assert harness.server.database.store.closed
@@ -257,7 +257,7 @@ def test_crash_on_accept_failpoint(server_factory, small_graph):
     with pytest.raises(GraphError):
         with connect(harness.url) as db:
             db.session()
-    assert isinstance(harness.stop(), faults.SimulatedCrash)
+    assert isinstance(harness.wait(), faults.SimulatedCrash)
 
 
 def test_read_write_failpoints_drop_the_connection(
