@@ -7,7 +7,7 @@ trees instead of mutating.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Union
 
