@@ -428,10 +428,11 @@ def _hop_count(query: Query, var: str) -> int:
 
 def _far_usages(
     query: Query, var: str, has_aggregates: bool
-) -> tuple[set[str], bool] | None:
+) -> tuple[dict[str, None], bool] | None:
     """Classify uses of ``var`` outside the pattern.
 
-    Returns the property names read off ``var`` and whether a plain
+    Returns the property names read off ``var``, in first-use order
+    (the guard reads the first one's list), and whether a plain
     ``count(var)`` counts it, or None when the variable is used in a
     way that blocks the rewrite:
 
@@ -441,11 +442,11 @@ def _far_usages(
       grouping key with a list property would change the grouping.
     """
     exprs = query_exprs(query)
-    props: set[str] = set()
+    props: dict[str, None] = {}
     counted = False
     for node in (node for expr in exprs for node in walk(expr)):
         if isinstance(node, PropertyRef) and node.var == var:
-            props.add(node.prop)
+            props[node.prop] = None
         elif isinstance(node, FuncCall) and Variable(var) in node.args:
             if node.name != "count" or node.distinct:
                 return None

@@ -4,6 +4,7 @@ import pytest
 
 from repro.data.generator import generate_logical
 from repro.data.loader import load_direct, load_optimized
+from repro.datasets import build_med
 from repro.graphdb.backends import NEO4J_LIKE
 from repro.graphdb.query.ast import (
     FuncCall,
@@ -182,6 +183,22 @@ class TestReplicationRewrites:
             for pattern in rewritten.patterns
             for node in pattern.nodes
         )
+
+    def test_guard_reads_the_first_used_far_property(self):
+        """Two far properties, both replicated onto Drug under MED NSC:
+        the existence guard reads the list of the one used first, in
+        either RETURN order, whatever the hash seed."""
+        med = build_med()
+        _, mapping = optimize_schema_nsc(med.ontology)
+        rewriter = QueryRewriter(med.ontology, mapping)
+        for first, second in (("desc", "name"), ("name", "desc")):
+            rewritten = rewriter.rewrite(
+                "MATCH (d:Drug)-[:treat]->(i:Indication) "
+                f"RETURN collect(i.{first}) AS a, collect(i.{second}) AS b"
+            )
+            guard = rewritten.where
+            assert isinstance(guard, NullCheck)
+            assert guard.expr == PropertyRef("d", f"Condition.{first}")
 
 
 class TestRewriterEdgeCases:
