@@ -17,7 +17,8 @@ no e2e workload that would notice it, and lives here, in five sections:
   the first time it charges a vid array (every warm e2e charge finds
   its trace kept), the planner statistics build on FIN-OPT (FIN-DIR
   in ``extra``; e2e's ``graph.stats_build`` sums four graphs inside a
-  noisy cold round), and the ontology PageRank and one ``optimize()``
+  noisy cold round), a FIN-OPT snapshot written and read back (its
+  bytes, write and read ms), and the ontology PageRank and one ``optimize()``
   (split into its five stages) on the MED and FIN ontologies (the
   only inputs they ever get);
 * ``group_commit`` - fsyncs per commit at 1 / 8 / 32 remote writers;
@@ -93,7 +94,11 @@ from repro.graphdb.query.vectorized import ExecutionReport  # noqa: E402
 from repro.graphdb.server import GraphServer, ServerConfig  # noqa: E402
 from repro.graphdb.session import GraphSession  # noqa: E402
 from repro.graphdb.statistics import GraphStatistics  # noqa: E402
-from repro.graphdb.storage import GraphStore  # noqa: E402
+from repro.graphdb.storage import (  # noqa: E402
+    GraphStore,
+    read_snapshot,
+    write_snapshot,
+)
 from repro.graphdb.storage.wal import WriteAheadLog  # noqa: E402
 from repro.optimizer import pgsg  # noqa: E402
 from repro.optimizer import result as optimizer_result  # noqa: E402
@@ -278,6 +283,7 @@ def derived(bench: Bench) -> None:
         dir_ms=round(bench.quartiles(dir_ * 1e3)[1], 2),
         vertices=opt_graph.num_vertices, edges=opt_graph.num_edges,
     )
+    snapshot(bench, opt_graph)
     load(bench, fin, pipeline.result.mapping)
     # The paper's PageRank runs over an ontology's concepts (tens of
     # them), once per optimization, never over an instance graph.
@@ -298,6 +304,25 @@ def derived(bench: Bench) -> None:
         )
     for dataset in paper:
         optimizer_stages(bench, dataset)
+
+
+def snapshot(bench: Bench, graph) -> None:
+    """FIN-OPT written to a snapshot (fsync included) and read back:
+    the bytes and ms of the column codec the snapshot shares with the
+    wire (e2e's ``storage.*`` rows time MED-DIR only)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fin-opt.rpgs"
+        written = []
+        write, read = bench.time([
+            lambda: written.append(write_snapshot(graph, path)),
+            lambda: read_snapshot(path),
+        ], 7)
+    bench.row(
+        "derived.snapshot", "ms", (write + read) * 1e3, dataset="fin-opt",
+        bytes=written[-1],
+        write_ms=round(bench.quartiles(write * 1e3)[1], 2),
+        read_ms=round(bench.quartiles(read * 1e3)[1], 2),
+    )
 
 
 def optimizer_stages(bench: Bench, dataset) -> None:

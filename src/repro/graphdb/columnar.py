@@ -125,20 +125,14 @@ class PropertyColumn:
         rows: list[int],
         values: list[object],
         kind: str,
-        check: bool = False,
     ) -> "PropertyColumn":
         """Bulk-build a column from (row, value) pairs.
 
         When ``rows`` is exactly ``0..n-1`` (the common case for a
         snapshot section: every vertex of the label set carries the
         property) the arrays are adopted wholesale - one C call, no
-        per-row Python work.  ``check=True`` re-verifies that ``kind``
-        can actually hold every value (snapshot MIXED columns) and
-        falls back to OBJ otherwise.
+        per-row Python work.
         """
-        if check and kind != KIND_OBJ:
-            if any(_kind_for(v) != kind for v in values):
-                kind = KIND_OBJ
         column = cls(kind)
         n = len(rows)
         if n and rows[0] == 0 and rows[-1] == n - 1:

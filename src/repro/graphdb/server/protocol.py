@@ -33,23 +33,15 @@ and (server -> client)::
 A ``RECORD`` carries ``count`` rows column by column - what the
 executor's batch path produces and the client cursor reads - so
 neither side dispatches on a value's type once per value.  A column
-is a tag byte and a body::
+is a tag byte and a body in a form of the one column codec,
+:mod:`repro.graphdb.storage.columns` (str, bytes, int64, float64,
+list and values - here wire values), which the snapshot's property
+columns use too, or in one of two ref forms::
 
-    0x01  str:     uvarint byte length | UTF-8 of the values joined
-                   by NUL   (every value a ``str``, none holding a NUL)
-    0x02  bytes:   count x u8        (every value an int in 0..255)
-    0x03  int64:   count x i64 LE    (every value an int that fits)
-    0x04  list:    lengths column | column of the flattened items
-                   (every value a ``list``)
     0x05  vertex:  int column of vids  (every value a VertexBinding)
     0x06  edge:    int column of eids  (every value an EdgeBinding)
-    0x00  values:  count x wire value  (anything else: a ``bool``, a
-                   ``None`` among strings, floats, mixed columns)
 
-An "int column" is a bytes or an int64 column.  No form but the values
-form takes a Python step per value on either side (a ref column's
-decoder still builds one binding per value): a string column is one
-``join`` and ``encode``, and one ``decode`` and ``split``.
+Protocol 5 added the float64 form (protocol 4 sent floats as values).
 
 A ``RUN`` is answered by its first pull's ``RECORD`` frames and one
 ``SUCCESS`` that carries ``columns``, ``epoch`` and ``mode`` with the
@@ -91,7 +83,6 @@ from __future__ import annotations
 
 import struct
 import zlib
-from itertools import accumulate, chain, pairwise
 from operator import attrgetter
 
 from repro.exceptions import (
@@ -116,9 +107,10 @@ from repro.graphdb.storage.codec import (
     write_uvarint,
     write_value,
 )
+from repro.graphdb.storage.columns import Dialect, read_column, write_column
 
 #: Protocol revision carried in HELLO; the server refuses mismatches.
-PROTOCOL_VERSION = 4
+PROTOCOL_VERSION = 5
 
 #: Default TCP port (one off Bolt's 7687, to coexist with a real Neo4j).
 DEFAULT_PORT = 7688
@@ -164,21 +156,10 @@ MSG_NAMES = {
     MSG_ERROR: "error",
 }
 
-# RECORD column tags.
-COL_VALUES = 0x00
-COL_STR = 0x01
-COL_BYTES = 0x02
-COL_INT64 = 0x03
-COL_LIST = 0x04
+# RECORD ref column tags, beside the shared forms of
+# :mod:`repro.graphdb.storage.columns`.
 COL_VERTEX = 0x05
 COL_EDGE = 0x06
-
-#: Ref column type -> (tag, id getter), and tag -> type.
-_REF_COLUMNS = {
-    VertexBinding: (COL_VERTEX, attrgetter("vid")),
-    EdgeBinding: (COL_EDGE, attrgetter("eid")),
-}
-_REF_TYPES = {COL_VERTEX: VertexBinding, COL_EDGE: EdgeBinding}
 
 # Wire value tags (alongside the codec's 0-6 range).
 WIRE_VERTEX = 0x40
@@ -308,6 +289,14 @@ def read_wire_value(data: bytes, pos: int) -> tuple[object, int]:
     return read_value(data, pos)
 
 
+#: RECORD columns: the shared forms, wire values as the values form,
+#: and vertex and edge refs.
+WIRE = Dialect(write_wire_value, read_wire_value, (
+    (VertexBinding, COL_VERTEX, attrgetter("vid")),
+    (EdgeBinding, COL_EDGE, attrgetter("eid")),
+))
+
+
 # ----------------------------------------------------------------------
 # Message encoders
 # ----------------------------------------------------------------------
@@ -374,52 +363,13 @@ def _record_frames(columns: list[list], start: int, stop: int) -> list:
         write_uvarint(buf, count)
         write_uvarint(buf, len(columns))
         for column in columns:
-            _write_column(buf, column[start:stop])
+            write_column(buf, column[start:stop], WIRE)
         if count == 1 or len(buf) <= MAX_FRAME_BYTES:
             return [bytes(buf)]
     half = (start + stop) // 2
     return _record_frames(columns, start, half) + _record_frames(
         columns, half, stop
     )
-
-
-def _write_column(buf: bytearray, column: list) -> None:
-    """Append one column in the first form of the module docstring's
-    table that takes every value of it."""
-    kinds = set(map(type, column))
-    kind = kinds.pop() if len(kinds) == 1 else None
-    if kind is str:
-        text = "\x00".join(column)
-        if text.count("\x00") == len(column) - 1:  # no value holds a NUL
-            data = text.encode()
-            buf.append(COL_STR)
-            write_uvarint(buf, len(data))
-            buf += data
-            return
-    elif kind is list:
-        buf.append(COL_LIST)
-        _write_column(buf, list(map(len, column)))
-        _write_column(buf, list(chain.from_iterable(column)))
-        return
-    elif kind is int or kind in _REF_COLUMNS:
-        ids = column
-        if kind is not int:
-            tag, get_id = _REF_COLUMNS[kind]
-            ids = list(map(get_id, column))
-        low, high = min(ids), max(ids)
-        if -(2 ** 63) <= low and high < 2 ** 63:
-            if kind is not int:
-                buf.append(tag)
-            if 0 <= low and high <= 0xFF:
-                buf.append(COL_BYTES)
-                buf += bytes(ids)
-            else:
-                buf.append(COL_INT64)
-                buf += struct.pack(f"<{len(ids)}q", *ids)
-            return
-    buf.append(COL_VALUES)
-    for value in column:
-        write_wire_value(buf, value)
 
 
 def encode_record(values: tuple | list) -> bytes:
@@ -438,78 +388,9 @@ def _read_chunk(payload: bytes, pos: int) -> tuple[int, list[list], int]:
         raise CodecError(f"no room for {count} rows of width {width}")
     columns = []
     for _ in range(width):
-        column, pos = _read_column(payload, pos, count)
+        column, pos = read_column(payload, pos, count, WIRE)
         columns.append(column)
     return count, columns, pos
-
-
-def _read_column(payload: bytes, pos: int, count: int) -> tuple[list, int]:
-    """The column of ``count`` values at ``pos``, and the position past
-    it.  Callers pass only counts the rest of the frame has room for;
-    each length read here is checked against the bytes present before
-    anything is allocated."""
-    if pos >= len(payload):
-        raise CodecError("truncated column")
-    tag = payload[pos]
-    pos += 1
-    if tag == COL_STR:
-        size, pos = read_uvarint(payload, pos)
-        end = pos + size
-        if end > len(payload):
-            raise CodecError("truncated string column")
-        if count > size + 1:
-            raise CodecError(
-                f"no room for {count} strings in {size} bytes"
-            )
-        try:
-            text = payload[pos:end].decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise CodecError(f"invalid utf-8: {exc}") from None
-        column = text.split("\x00") if text or count else []
-        if len(column) != count:
-            raise CodecError(
-                f"string column splits into {len(column)} values, "
-                f"not {count}"
-            )
-        return column, end
-    if tag == COL_BYTES or tag == COL_INT64:
-        end = pos + (count if tag == COL_BYTES else 8 * count)
-        if end > len(payload):
-            raise CodecError("truncated int column")
-        column = list(
-            payload[pos:end] if tag == COL_BYTES
-            else struct.unpack_from(f"<{count}q", payload, pos)
-        )
-        return column, end
-    if tag == COL_LIST:
-        lengths, pos = _read_int_column(payload, pos, count)
-        if min(lengths, default=0) < 0:
-            raise CodecError("negative list length")
-        total = sum(lengths)
-        if total > len(payload) - pos:
-            raise CodecError(f"no room for {total} list items")
-        items, pos = _read_column(payload, pos, total)
-        cuts = pairwise(accumulate(lengths, initial=0))
-        return [items[a:b] for a, b in cuts], pos
-    if tag in _REF_TYPES:
-        ids, pos = _read_int_column(payload, pos, count)
-        return list(map(_REF_TYPES[tag], ids)), pos
-    if tag == COL_VALUES:
-        column = []
-        for _ in range(count):
-            value, pos = read_wire_value(payload, pos)
-            column.append(value)
-        return column, pos
-    raise CodecError(f"unknown column tag 0x{tag:02x}")
-
-
-def _read_int_column(payload: bytes, pos: int, count: int):
-    """A list column's lengths or a ref column's ids: an int column."""
-    if pos < len(payload) and payload[pos] not in (COL_BYTES, COL_INT64):
-        raise CodecError(
-            f"column tag 0x{payload[pos]:02x} is not an int column"
-        )
-    return _read_column(payload, pos, count)
 
 
 def encode_error(code: str, message: str) -> bytes:

@@ -11,6 +11,9 @@ Everything on disk is built from three building blocks:
   :class:`~repro.graphdb.graph.PropertyGraph` can hold (``None``,
   bools, ints, floats, strings and nested lists thereof).
 
+A column of values is :mod:`.columns`' job; its fallback form is
+these tagged values.
+
 Encoders append to a ``bytearray``; decoders take ``(data, pos)`` and
 return ``(value, new_pos)`` so callers can walk a buffer without
 slicing it.  Malformed input raises :class:`CodecError`, which the

@@ -19,9 +19,9 @@ id        payload
 ========  =============================================================
 1 META    graph name, generation, next_vid / next_eid, counts
 2 STRING  interned label / property-name table (uvarint count + strs)
-3 VERTEX  columnar: vid array (i64), label-set table + per-vertex
-          label-set ids (i32), then one column per property name
-          (typed: int64 / f64 / utf-8 blob / tagged mixed)
+3 VERTEX  columnar: vid int column, label-set table + per-vertex
+          label-set-id int column, then per property name its vid
+          int column and its value column (:mod:`.columns`)
 4 EDGE    columnar: eid / src / dst arrays (i64) + label-id array
           (i32), then a sparse list of edges with properties
 5 INDEX   (label id, property id) pairs of existing property indexes
@@ -36,12 +36,15 @@ the decoder maps each section straight back into them - splitting
 every property column by owning label-set table and adopting
 dense-prefix int/float columns wholesale as arrays - with no
 per-vertex object or property-dict rehydration anywhere.  That bulk
-``array.frombytes`` / bulk-adopt path is what makes a snapshot load
-several times faster than regenerating the same graph (the point of
-the dataset memoization cache).  Property columns are typed - a column
-whose values are all ints/floats/strings becomes a packed vector; any
-other mix falls back to the tagged value codec, the same encoding the
-WAL uses.
+decode / bulk-adopt path is what makes a snapshot load several times
+faster than regenerating the same graph (the point of the dataset
+memoization cache).  Every vertex-section array is a column of
+:mod:`repro.graphdb.storage.columns`, the codec the wire's RECORD
+frames use: ints packed as bytes or int64, floats as f64, strings as
+one NUL-joined blob, lists as a lengths column over one column of
+their items, and any other mix as the tagged value codec, the same
+encoding the WAL uses.  Format version 2 took that codec; no reader
+of version 1 is kept.
 
 Vertices and edges are written in iteration (= insertion) order and
 ids are stored explicitly, so a reloaded graph reproduces the original
@@ -64,7 +67,6 @@ from __future__ import annotations
 import gc
 import os
 import struct
-import sys
 import zlib
 from array import array
 from pathlib import Path
@@ -80,15 +82,22 @@ from repro.graphdb.storage.codec import (
     read_props,
     read_str,
     read_uvarint,
-    read_value,
     write_props,
     write_str,
     write_uvarint,
-    write_value,
+)
+from repro.graphdb.storage.columns import (
+    COL_BYTES,
+    COL_FLOAT64,
+    COL_INT64,
+    read_column,
+    read_int_column,
+    write_column,
+    write_int_column,
 )
 
 MAGIC = b"RPGSNAP1"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 SECTION_META = 1
 SECTION_STRINGS = 2
@@ -96,12 +105,10 @@ SECTION_VERTICES = 3
 SECTION_EDGES = 4
 SECTION_INDEXES = 5
 
-#: Property-column types (mirroring the value-codec tags).
-COL_MIXED = 0
-COL_INT = 3
-COL_FLOAT = 4
-COL_STR = 5
-COL_STR_LIST = 6
+#: The column kind a property column's form decodes into.
+_KIND_OF_FORM = {
+    COL_BYTES: KIND_INT, COL_INT64: KIND_INT, COL_FLOAT64: KIND_FLOAT,
+}
 
 _HEADER = struct.Struct("<8sHHII")  # magic, version, flags, nsect, table_crc
 _TABLE_ENTRY = struct.Struct("<BQQI")  # id, offset, length, crc
@@ -121,10 +128,6 @@ _SNAP_WRITES = observe.REGISTRY.counter(
 _SNAP_WRITTEN_BYTES = observe.REGISTRY.counter(
     "repro_snapshot_written_bytes_total", "Bytes written into snapshots."
 )
-
-_I64_MIN = -(1 << 63)
-_I64_MAX = (1 << 63) - 1
-
 
 class SnapshotError(StorageError):
     """Raised when a snapshot file is missing, torn, or corrupt."""
@@ -213,13 +216,6 @@ def _fsync_dir(directory: Path) -> None:
         os.close(fd)
 
 
-def _to_le_bytes(arr: array) -> bytes:
-    if sys.byteorder == "big":  # pragma: no cover - x86/arm are little
-        arr = array(arr.typecode, arr)
-        arr.byteswap()
-    return arr.tobytes()
-
-
 def _encode_sections(
     graph: PropertyGraph, generation: int
 ) -> list[tuple[int, bytes]]:
@@ -239,8 +235,8 @@ def _encode_sections(
     # property name.  Snapshot label-set ids are assigned in
     # first-vertex order (as the object-walking encoder did).
     sym_name = graph._symbols.name
-    vids = array("q")
-    lsids = array("i")
+    vids: list[int] = []
+    lsids: list[int] = []
     ls_of_tid: dict[int, int] = {}
     ls_order: list[int] = []
     for vid, tid in enumerate(graph._v_tid):
@@ -273,22 +269,20 @@ def _encode_sections(
 
     vbuf = bytearray()
     write_uvarint(vbuf, len(vids))
-    vbuf += _to_le_bytes(vids)
+    write_int_column(vbuf, vids)
     write_uvarint(vbuf, len(ls_order))
     for tid in ls_order:
         ordered = sorted(graph._tables[tid].labels)
         write_uvarint(vbuf, len(ordered))
         for label in ordered:
             write_uvarint(vbuf, intern(label))
-    vbuf += _to_le_bytes(lsids)
+    write_int_column(vbuf, lsids)
     write_uvarint(vbuf, len(columns))
     for name, (col_vids, values) in columns.items():
         write_uvarint(vbuf, intern(name))
         write_uvarint(vbuf, len(col_vids))
-        ctype = _column_type(values)
-        vbuf.append(ctype)
-        vbuf += _to_le_bytes(array("q", col_vids))
-        _encode_column(vbuf, ctype, values)
+        write_int_column(vbuf, col_vids)
+        write_column(vbuf, values)
 
     # EDGE (columnar) --------------------------------------------------
     # One mask over copies of the edge columns selects the live edges;
@@ -307,10 +301,10 @@ def _encode_sections(
     )
     ebuf = bytearray()
     write_uvarint(ebuf, len(eids))
-    ebuf += eids.astype("<i8").tobytes()
+    write_int_column(ebuf, eids)
     for ends in (graph._e_src, graph._e_dst):
-        ebuf += np.array(ends, dtype=np.int64)[eids].astype("<i8").tobytes()
-    ebuf += label_of[sids].astype("<i4").tobytes()
+        write_int_column(ebuf, np.array(ends, dtype=np.int64)[eids])
+    write_int_column(ebuf, label_of[sids])
     write_uvarint(ebuf, len(with_props))
     for eid in with_props:
         write_uvarint(ebuf, eid)
@@ -346,53 +340,6 @@ def _encode_sections(
         (SECTION_EDGES, bytes(ebuf)),
         (SECTION_INDEXES, bytes(xbuf)),
     ]
-
-
-def _column_type(values: list[object]) -> int:
-    """The tightest packed representation for a property column."""
-    kinds = {type(v) for v in values}
-    if kinds == {int} and all(_I64_MIN <= v <= _I64_MAX for v in values):
-        return COL_INT
-    if kinds == {float}:
-        return COL_FLOAT
-    if kinds == {str}:
-        return COL_STR
-    if kinds == {list} and all(
-        type(item) is str for v in values for item in v
-    ):
-        # Replicated list properties (COLLECT semantics) are almost
-        # always lists of strings; pack them flat instead of paying
-        # the tagged codec per element.
-        return COL_STR_LIST
-    return COL_MIXED
-
-
-def _encode_column(
-    buf: bytearray, ctype: int, values: list[object]
-) -> None:
-    if ctype == COL_INT:
-        buf += _to_le_bytes(array("q", values))
-    elif ctype == COL_FLOAT:
-        buf += _to_le_bytes(array("d", values))
-    elif ctype == COL_STR:
-        encoded = [v.encode("utf-8") for v in values]
-        buf += _to_le_bytes(array("i", [len(e) for e in encoded]))
-        blob = b"".join(encoded)
-        write_uvarint(buf, len(blob))
-        buf += blob
-    elif ctype == COL_STR_LIST:
-        buf += _to_le_bytes(array("i", [len(v) for v in values]))
-        encoded = [
-            item.encode("utf-8") for v in values for item in v
-        ]
-        write_uvarint(buf, len(encoded))
-        buf += _to_le_bytes(array("i", [len(e) for e in encoded]))
-        blob = b"".join(encoded)
-        write_uvarint(buf, len(blob))
-        buf += blob
-    else:
-        for value in values:
-            write_value(buf, value)
 
 
 # ----------------------------------------------------------------------
@@ -475,61 +422,6 @@ def _validate_layout(
     return sections
 
 
-def _read_array(
-    data: bytes, pos: int, typecode: str, count: int
-) -> tuple[list, int]:
-    arr = array(typecode)
-    nbytes = count * arr.itemsize
-    end = pos + nbytes
-    if end > len(data):
-        raise CodecError("truncated array")
-    arr.frombytes(data[pos:end])
-    if sys.byteorder == "big":  # pragma: no cover
-        arr.byteswap()
-    return arr.tolist(), end
-
-
-def _read_int64(
-    data: bytes, pos: int, dtype: str, count: int
-) -> tuple[np.ndarray, int]:
-    """``count`` little-endian ints of ``dtype`` at ``pos``, as a
-    native int64 copy (no view of ``data`` outlives the call)."""
-    end = pos + count * np.dtype(dtype).itemsize
-    if end > len(data):
-        raise CodecError("truncated array")
-    values = np.frombuffer(data, dtype=dtype, count=count, offset=pos)
-    return values.astype(np.int64), end
-
-
-def _read_str_blob(
-    data: bytes, pos: int, lengths: list[int]
-) -> tuple[list[str], int]:
-    """Decode one utf-8 blob into ``len(lengths)`` strings."""
-    blob_len, pos = read_uvarint(data, pos)
-    end = pos + blob_len
-    if end > len(data):
-        raise CodecError("truncated string column")
-    if sum(lengths) != blob_len:
-        raise CodecError("string column length mismatch")
-    raw = data[pos:end]
-    decoded = raw.decode("utf-8")
-    values = []
-    offset = 0
-    if len(decoded) == blob_len:
-        # Pure ASCII: byte offsets == character offsets, so slice the
-        # single decoded string (fast path).
-        for length in lengths:
-            cut = offset + length
-            values.append(decoded[offset:cut])
-            offset = cut
-    else:
-        for length in lengths:
-            cut = offset + length
-            values.append(raw[offset:cut].decode("utf-8"))
-            offset = cut
-    return values, end
-
-
 def _decode_graph(
     data: bytes, sections: dict[int, tuple[int, int]]
 ) -> tuple[PropertyGraph, int]:
@@ -562,22 +454,18 @@ def _decode_graph(
     count, pos = read_uvarint(data, pos)
     if count != num_vertices:
         raise CodecError("vertex count mismatch with META")
-    vid_list, pos = _read_array(data, pos, "q", count)
+    vid_list, pos = read_int_column(data, pos, count)
     n_labelsets, pos = read_uvarint(data, pos)
     tables = []
-    labelset_names: list[tuple[str, ...]] = []
     try:
         for _ in range(n_labelsets):
             nlabels, pos = read_uvarint(data, pos)
-            names = []
             label_sids = []
             for _ in range(nlabels):
                 sid, pos = read_uvarint(data, pos)
-                names.append(strings[sid])
                 label_sids.append(sym_ids[sid])
             tables.append(graph._table_for(frozenset(label_sids)))
-            labelset_names.append(tuple(names))
-        lsid_list, pos = _read_array(data, pos, "i", count)
+        lsid_list, pos = read_int_column(data, pos, count)
         # Size the id-space to next_vid, not max live id + 1: removed
         # tail ids must stay tombstoned holes so add_vertex's
         # "vid == len(_v_tid)" append invariant survives the reload.
@@ -603,43 +491,10 @@ def _decode_graph(
             name_sid, pos = read_uvarint(data, pos)
             key_sid = sym_ids[name_sid]
             nentries, pos = read_uvarint(data, pos)
-            if pos >= len(data):
-                raise CodecError("truncated column header")
-            ctype = data[pos]
-            pos += 1
-            col_vids, pos = _read_array(data, pos, "q", nentries)
-            if ctype == COL_INT:
-                values, pos = _read_array(data, pos, "q", nentries)
-                kind = KIND_INT
-            elif ctype == COL_FLOAT:
-                values, pos = _read_array(data, pos, "d", nentries)
-                kind = KIND_FLOAT
-            elif ctype == COL_STR:
-                lengths, pos = _read_array(data, pos, "i", nentries)
-                values, pos = _read_str_blob(data, pos, lengths)
-                kind = KIND_OBJ
-            elif ctype == COL_STR_LIST:
-                counts, pos = _read_array(data, pos, "i", nentries)
-                nitems, pos = read_uvarint(data, pos)
-                if sum(counts) != nitems:
-                    raise CodecError("string-list column count mismatch")
-                lengths, pos = _read_array(data, pos, "i", nitems)
-                flat, pos = _read_str_blob(data, pos, lengths)
-                values = []
-                offset = 0
-                for count_items in counts:
-                    cut = offset + count_items
-                    values.append(flat[offset:cut])
-                    offset = cut
-                kind = KIND_OBJ
-            elif ctype == COL_MIXED:
-                values = []
-                for _ in range(nentries):
-                    value, pos = read_value(data, pos)
-                    values.append(value)
-                kind = KIND_OBJ
-            else:
-                raise CodecError(f"unknown column type {ctype}")
+            col_vids, pos = read_int_column(data, pos, nentries)
+            start = pos
+            values, pos = read_column(data, pos, nentries)
+            kind = _KIND_OF_FORM.get(data[start], KIND_OBJ)
             per_table: dict[int, tuple[list, list]] = {}
             for vid, value in zip(col_vids, values):
                 tid = v_tid[vid]
@@ -665,10 +520,10 @@ def _decode_graph(
     count, pos = read_uvarint(data, pos)
     if count != num_edges:
         raise CodecError("edge count mismatch with META")
-    eids, pos = _read_int64(data, pos, "<i8", count)
-    srcs, pos = _read_int64(data, pos, "<i8", count)
-    dsts, pos = _read_int64(data, pos, "<i8", count)
-    lids, pos = _read_int64(data, pos, "<i4", count)
+    eids, pos = read_int_column(data, pos, count, array=True)
+    srcs, pos = read_int_column(data, pos, count, array=True)
+    dsts, pos = read_int_column(data, pos, count, array=True)
+    lids, pos = read_int_column(data, pos, count, array=True)
     try:
         if count:
             graph._require_vertices(srcs, dsts)

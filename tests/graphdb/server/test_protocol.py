@@ -20,6 +20,7 @@ from repro.exceptions import (
 from repro.graphdb.api.result import _Cursor
 from repro.graphdb.query.executor import EdgeBinding, VertexBinding
 from repro.graphdb.server import protocol as wire
+from repro.graphdb.storage import columns
 
 
 def roundtrip(payload: bytes):
@@ -261,23 +262,24 @@ def test_record_batch_roundtrip(chunk):
 
 
 @pytest.mark.parametrize("column, tag", [
-    (["a", "", "\u4e2d"], wire.COL_STR),
-    ([0, 255], wire.COL_BYTES),
-    ([0, 256], wire.COL_INT64),
-    ([-1, 0], wire.COL_INT64),
-    ([-(2**63), 2**63 - 1], wire.COL_INT64),
-    ([0, 2**63], wire.COL_VALUES),
-    ([-(2**63) - 1], wire.COL_VALUES),
-    ([1, True], wire.COL_VALUES),
-    (["a", None], wire.COL_VALUES),
-    (["a\x00", "b"], wire.COL_VALUES),
-    ([1.5, 2.5], wire.COL_VALUES),
-    ([1, "a"], wire.COL_VALUES),
-    ([[], [1, None]], wire.COL_LIST),
+    (["a", "", "\u4e2d"], columns.COL_STR),
+    ([0, 255], columns.COL_BYTES),
+    ([0, 256], columns.COL_INT64),
+    ([-1, 0], columns.COL_INT64),
+    ([-(2**63), 2**63 - 1], columns.COL_INT64),
+    ([0, 2**63], columns.COL_VALUES),
+    ([-(2**63) - 1], columns.COL_VALUES),
+    ([1, True], columns.COL_VALUES),
+    (["a", None], columns.COL_VALUES),
+    (["a\x00", "b"], columns.COL_VALUES),
+    ([1.5, 2.5], columns.COL_FLOAT64),
+    ([1, "a"], columns.COL_VALUES),
+    ([[], [1, None]], columns.COL_LIST),
     ([VertexBinding(1), VertexBinding(2**63 - 1)], wire.COL_VERTEX),
-    ([VertexBinding(2**63)], wire.COL_VALUES),
+    ([VertexBinding(2**63)], columns.COL_VALUES),
     ([EdgeBinding(0)], wire.COL_EDGE),
-    ([VertexBinding(0), EdgeBinding(0)], wire.COL_VALUES),
+    ([VertexBinding(0), EdgeBinding(0)], columns.COL_VALUES),
+    ([1.5, 2], columns.COL_VALUES),
 ])
 def test_which_form_a_column_takes(column, tag):
     payload = wire.encode_chunk(len(column), [column])[0]
@@ -298,6 +300,9 @@ def test_the_layout_is_pinned():
         ((2, [[None, True], [1.5, 2**64], [VertexBinding(5), [EdgeBinding(6), "x"]]]),
          "710203" "00" "0002" "00" "04000000000000f83f"
          "0380808080808080808004" "00" "4005" "4202" "4106" "050178"),
+        # float64 (protocol 5; protocol 4 sent wire values)
+        ((2, [[1.5, -0.25]]),
+         "710201" "07" "000000000000f83f" "000000000000d0bf"),
         # str with a two-byte length (130 x "x")
         ((1, [["x" * 130]]), "710101" "01" "8201" + "78" * 130),
         # list: lengths [2, 0, 1] | items ["a", None, "b"] (values form)
@@ -328,7 +333,7 @@ def test_empty_batch_and_one_row_form():
     # An empty chunk is still a well-formed message: every column is
     # there, with nothing in it.
     empty = bytes(
-        (wire.MSG_RECORD, 0, 2, wire.COL_STR, 0, wire.COL_VALUES)
+        (wire.MSG_RECORD, 0, 2, columns.COL_STR, 0, columns.COL_VALUES)
     )
     assert wire.decode_message(empty) == (
         wire.MSG_RECORD, {"count": 0, "columns": [[], []]}
@@ -396,13 +401,13 @@ def test_batch_header_cannot_claim_more_than_the_frame_holds():
     # count - 1 separators, list lengths summing past the frame.
     for count, width, tail in [
         (2**40, 0, b""), (2**40, 1, b""), (1, 0, b""),
-        (2**40, 1, bytes((wire.COL_INT64,)) + b"\0" * 64),
-        (2**40, 1, bytes((wire.COL_STR,)) + b"\0" * 64),
-        (0, 2**40, b""), (0, 3, bytes((wire.COL_STR, 0))),
-        (3, 1, bytes((wire.COL_STR, 1)) + b"a\0\0"),
-        (1, 1, bytes((wire.COL_LIST, wire.COL_INT64))
-         + struct.pack("<q", 2**40) + bytes((wire.COL_VALUES, 0))),
-        (2, 1, bytes((wire.COL_LIST, wire.COL_BYTES, 200, 200, 0))),
+        (2**40, 1, bytes((columns.COL_INT64,)) + b"\0" * 64),
+        (2**40, 1, bytes((columns.COL_STR,)) + b"\0" * 64),
+        (0, 2**40, b""), (0, 3, bytes((columns.COL_STR, 0))),
+        (3, 1, bytes((columns.COL_STR, 1)) + b"a\0\0"),
+        (1, 1, bytes((columns.COL_LIST, columns.COL_INT64))
+         + struct.pack("<q", 2**40) + bytes((columns.COL_VALUES, 0))),
+        (2, 1, bytes((columns.COL_LIST, columns.COL_BYTES, 200, 200, 0))),
     ]:
         payload = bytearray((wire.MSG_RECORD,))
         wire.write_uvarint(payload, count)
@@ -420,40 +425,40 @@ def record(count: int, width: int, *parts) -> bytes:
 @pytest.mark.parametrize("payload, match", [
     # a string blob's length cut off, or past the end by one byte and
     # by 2**62
-    (record(1, 1, [wire.COL_STR, 0x81]), "truncated uvarint"),
-    (record(2, 1, [wire.COL_STR, 4], b"a\0b"), "truncated string"),
-    (record(2, 1, [wire.COL_STR], b"\xff" * 8 + b"\x3f", b"a\0b"),
+    (record(1, 1, [columns.COL_STR, 0x81]), "truncated uvarint"),
+    (record(2, 1, [columns.COL_STR, 4], b"a\0b"), "truncated string"),
+    (record(2, 1, [columns.COL_STR], b"\xff" * 8 + b"\x3f", b"a\0b"),
      "truncated string"),
     # a blob that splits into more or fewer values than count
-    (record(2, 1, [wire.COL_STR, 1], b"a", b"\0"), "splits into 1"),
-    (record(1, 1, [wire.COL_STR, 3], b"a\0b"), "splits into 2"),
+    (record(2, 1, [columns.COL_STR, 1], b"a", b"\0"), "splits into 1"),
+    (record(1, 1, [columns.COL_STR, 3], b"a\0b"), "splits into 2"),
     # an int column cut mid-value, a bytes column one short
-    (record(2, 1, [wire.COL_INT64], b"\0" * 15), "truncated int"),
-    (record(2, 2, [wire.COL_STR, 3], b"a\0b", [wire.COL_BYTES, 1]),
+    (record(2, 1, [columns.COL_INT64], b"\0" * 15), "truncated int"),
+    (record(2, 2, [columns.COL_STR, 3], b"a\0b", [columns.COL_BYTES, 1]),
      "truncated int"),
     # list lengths that are not an int column, negative, or whose
     # items column ends early
-    (record(1, 1, [wire.COL_LIST, wire.COL_STR, 1], b"1", [0, 0]),
+    (record(1, 1, [columns.COL_LIST, columns.COL_STR, 1], b"1", [0, 0]),
      "not an int column"),
-    (record(1, 1, [wire.COL_LIST, wire.COL_INT64],
+    (record(1, 1, [columns.COL_LIST, columns.COL_INT64],
             struct.pack("<q", -1), [0, 0]), "negative list length"),
-    (record(1, 1, [wire.COL_LIST, wire.COL_BYTES, 2, wire.COL_BYTES, 1]),
+    (record(1, 1, [columns.COL_LIST, columns.COL_BYTES, 2, columns.COL_BYTES, 1]),
      "truncated int"),
     # a ref column whose body is not an int column, or is cut off
-    (record(1, 1, [wire.COL_VERTEX, wire.COL_STR, 1], b"a"),
+    (record(1, 1, [wire.COL_VERTEX, columns.COL_STR, 1], b"a"),
      "not an int column"),
-    (record(1, 1, [wire.COL_EDGE, wire.COL_VALUES, wire.WIRE_EDGE, 1]),
+    (record(1, 1, [wire.COL_EDGE, columns.COL_VALUES, wire.WIRE_EDGE, 1]),
      "not an int column"),
-    (record(2, 1, [wire.COL_VERTEX, wire.COL_INT64], b"\0" * 9),
+    (record(2, 1, [wire.COL_VERTEX, columns.COL_INT64], b"\0" * 9),
      "truncated int"),
-    (record(1, 1, [wire.COL_EDGE, wire.COL_BYTES]), "truncated int"),
+    (record(1, 1, [wire.COL_EDGE, columns.COL_BYTES]), "truncated int"),
     # a values column cut off, an unknown tag, a missing last column
-    (record(2, 1, [wire.COL_VALUES, 0, 5, 9]), "truncated"),
+    (record(2, 1, [columns.COL_VALUES, 0, 5, 9]), "truncated"),
     (record(1, 1, [0x7E, 0]), "unknown column tag"),
-    (record(1, 2, [wire.COL_BYTES, 1, 0]), "no room"),
-    (record(1, 2, [wire.COL_STR, 3], b"abc"), "truncated column"),
+    (record(1, 2, [columns.COL_BYTES, 1, 0]), "no room"),
+    (record(1, 2, [columns.COL_STR, 3], b"abc"), "truncated column"),
     # bytes left after the last column
-    (record(1, 1, [wire.COL_BYTES, 1, 0]), "trailing"),
+    (record(1, 1, [columns.COL_BYTES, 1, 0]), "trailing"),
 ])
 def test_hostile_column_frames(payload, match):
     with pytest.raises(wire.ProtocolError, match=match):
@@ -463,8 +468,8 @@ def test_hostile_column_frames(payload, match):
 def test_list_columns_nested_past_the_recursion_limit():
     """One list of one list ... 50,000 deep: an error, not a crash."""
     deep = record(
-        1, 1, [wire.COL_LIST, wire.COL_BYTES, 1] * 50_000,
-        [wire.COL_VALUES, 0],
+        1, 1, [columns.COL_LIST, columns.COL_BYTES, 1] * 50_000,
+        [columns.COL_VALUES, 0],
     )
     with pytest.raises(wire.ProtocolError, match="nested too deep"):
         wire.decode_message(deep)
@@ -498,16 +503,16 @@ def test_damaged_batch_is_a_protocol_error(chunk, data):
 
 
 def test_bad_utf8_in_an_inlined_string():
-    bad = record(1, 1, [wire.COL_STR, 2, 0xC3, 0x28])
+    bad = record(1, 1, [columns.COL_STR, 2, 0xC3, 0x28])
     with pytest.raises(wire.ProtocolError, match="utf-8"):
         wire.decode_message(bad)
     # NUL is no byte of a multi-byte UTF-8 sequence: a separator that
     # cuts a character in two leaves a blob that does not decode, not
     # two mojibake values.
-    split = record(2, 1, [wire.COL_STR, 4], b"a\xc3\0\xa9")
+    split = record(2, 1, [columns.COL_STR, 4], b"a\xc3\0\xa9")
     with pytest.raises(wire.ProtocolError, match="utf-8"):
         wire.decode_message(split)
-    whole = record(2, 1, [wire.COL_STR, 5], "a\u00e9\0b".encode())
+    whole = record(2, 1, [columns.COL_STR, 5], "a\u00e9\0b".encode())
     assert wire.decode_message(whole)[1]["columns"] == [["a\u00e9", "b"]]
 
 

@@ -29,7 +29,7 @@ def test_hello_reports_server_identity(server_factory, small_graph):
     harness = server_factory(connect(small_graph))
     remote = connect(harness.url)
     assert remote.server_info["server"] == "repro"
-    assert remote.server_info["protocol"] == 4
+    assert remote.server_info["protocol"] == 5
     assert remote.server_info["graph"] == "wire-test"
     assert remote.server_info["readonly"] is False
     remote.close()

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.graphdb.columnar import KIND_FLOAT, KIND_INT, KIND_OBJ
 from repro.graphdb.graph import PropertyGraph
 from repro.graphdb.storage import (
     SnapshotError,
@@ -112,8 +113,13 @@ class TestRoundTrip:
         g.add_vertex("T", {
             "i": 42, "f": 2.5, "s": "str", "b": True, "n": None,
             "big": 2**80, "lst": ["x", "y"], "mixed": [1, "a"],
+            "fl": [1.5, -0.0], "il": [3, 2**40], "bl": [True],
+            "nul": "a\x00b",
         })
-        g.add_vertex("T", {"i": -7, "f": 0.0, "s": "", "b": False})
+        g.add_vertex("T", {
+            "i": -7, "f": 0.0, "s": "", "b": False,
+            "fl": [], "il": [-1], "bl": [False, True], "nul": "c",
+        })
         path = tmp_path / "g.rpgs"
         write_snapshot(g, path)
         loaded = read_snapshot(path)
@@ -123,6 +129,18 @@ class TestRoundTrip:
         assert type(props["b"]) is bool
         assert props["big"] == 2**80
         assert props["lst"] == ["x", "y"]
+        assert props["nul"] == "a\x00b"
+        assert [type(v) for v in props["fl"] + props["il"] + props["bl"]] \
+            == [float, float, int, int, bool]
+        assert str(props["fl"][1]) == "-0.0"
+        table, = loaded.iter_tables()
+        kinds = {
+            loaded._symbols.name(sid): col.kind
+            for sid, col in table.columns.items()
+        }
+        assert (kinds["i"], kinds["f"], kinds["s"]) == (
+            KIND_INT, KIND_FLOAT, KIND_OBJ,
+        )
 
 
 class TestCorruption:

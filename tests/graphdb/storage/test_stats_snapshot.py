@@ -21,23 +21,20 @@ from repro.graphdb.storage import (
 from repro.graphdb.storage.snapshot import _validate_layout
 from tests.graphdb.test_statistics import snapshot_of
 
-#: A snapshot as the encoder wrote it while statistics were stored, in
-#: a section 6 after the other five: three ``Drug`` vertices (``name``
+#: A snapshot with the section 6 the encoder wrote while statistics
+#: were stored, after the other five (format version 2, whose sections
+#: 1-5 the current encoder wrote): three ``Drug`` vertices (``name``
 #: d0-d2, ``tier`` 0/1/0), one ``Condition:Tagged`` (``desc`` "x"),
 #: three ``treats`` edges into it, an index on ``Drug.name``.
 SECTION_6_SNAPSHOT = base64.b64decode(
-    "UlBHU05BUDEBAAAABgAAAIf9oFcBkgAAAAAAAAATAAAAAAAAAPnxwGoCpQAAAAAAAAAt"
-    "AAAAAAAAAMLzb34D0gAAAAAAAACqAAAAAAAAAAhRWzUEfAEAAAAAAABWAAAAAAAAAPkh"
-    "F4YF0gEAAAAAAAADAAAAAAAAAJ/iimcG1QEAAAAAAABjAAAAAAAAAICNQmgNcGFyZW50"
-    "LWxheW91dAMEAwQDBwREcnVnCUNvbmRpdGlvbgZUYWdnZWQEbmFtZQR0aWVyBGRlc2MG"
-    "dHJlYXRzBAAAAAAAAAAAAQAAAAAAAAACAAAAAAAAAAMAAAAAAAAAAgEAAgECAAAAAAAA"
-    "AAAAAAAAAQAAAAMDAwUAAAAAAAAAAAEAAAAAAAAAAgAAAAAAAAACAAAAAgAAAAIAAAAG"
-    "ZDBkMWQyBAMDAAAAAAAAAAABAAAAAAAAAAIAAAAAAAAAAAAAAAAAAAABAAAAAAAAAAAA"
-    "AAAAAAAABQEFAwAAAAAAAAABAAAAAXgDAAAAAAAAAAABAAAAAAAAAAIAAAAAAAAAAAAA"
-    "AAAAAAABAAAAAAAAAAIAAAAAAAAAAwAAAAAAAAADAAAAAAAAAAMAAAAAAAAABgAAAAYA"
-    "AAAGAAAAAAEAAwAEAwMAAwEBAgEBBgMBBgADAgYBAwYCAwEAAwIBAwIDAQECAQIGAAED"
-    "BgACAwQAAwMAAwMFAmQwAQUCZDEBBQJkMgEABAMAAgIDAAIDAgEBBQEAAQEFAXgBAgUB"
-    "AAEBBQF4AQ=="
+    "UlBHU05BUDECAAAABgAAAAoy75MBkgAAAAAAAAATAAAAAAAAACmLYC0CpQAAAAAAAAAt"
+    "AAAAAAAAAMLzb34D0gAAAAAAAAAzAAAAAAAAAL1TJ0AEBQEAAAAAAAASAAAAAAAAAMW3"
+    "ar4FFwEAAAAAAAADAAAAAAAAAJ/iimcGGgEAAAAAAABjAAAAAAAAAICNQmgNcGFyZW50"
+    "LWxheW91dAAEAwQDBwREcnVnCUNvbmRpdGlvbgZUYWdnZWQEbmFtZQR0aWVyBGRlc2MG"
+    "dHJlYXRzBAIAAQIDAgEAAgECAgAAAAEDAwMCAAECAQhkMABkMQBkMgQDAgABAgIAAQAF"
+    "AQIDAQF4AwIAAQICAAECAgMDAwIGBgYAAQADAAQDAwADAQECAQEGAwEGAAMCBgEDBgID"
+    "AQADAgEDAgMBAQIBAgYAAQMGAAIDBAADAwADAwUCZDABBQJkMQEFAmQyAQAEAwACAgMA"
+    "AgMCAQEFAQABAQUBeAECBQEAAQEFAXgB"
 )
 
 

@@ -47,6 +47,7 @@ def test_smoke_section_writes_the_schema(tmp_path, capsys):
         ("derived.freeze", "ms"),
         ("derived.page_traces", "us"),
         ("derived.stats_build", "ms"),
+        ("derived.snapshot", "ms"),
         ("derived.load", "ms"),
         ("derived.ontology_pagerank.med", "us"),
         ("derived.ontology_pagerank.fin", "us"),
@@ -67,10 +68,14 @@ def test_smoke_section_writes_the_schema(tmp_path, capsys):
     # The statistics row times FIN-OPT and carries FIN-DIR's time.
     stats = report["rows"][3]["extra"]
     assert stats["dataset"] == "fin-opt" and stats["dir_ms"] > 0
+    # The snapshot row sizes FIN-OPT's snapshot and splits its time.
+    snap = report["rows"][4]["extra"]
+    assert snap["dataset"] == "fin-opt" and snap["bytes"] > 0
+    assert snap["write_ms"] > 0 and snap["read_ms"] > 0
     # The cold build row splits its time into its three parts, names
     # two phases inside the OPT load and counts the collector's passes
     # by generation.
-    build = report["rows"][4]["extra"]
+    build = report["rows"][5]["extra"]
     assert build["dataset"] == "fin"
     assert all(
         build[part] > 0
