@@ -7,6 +7,7 @@ from __future__ import annotations
 import math
 import struct
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -71,7 +72,7 @@ def a_column(draw, min_size=0):
     return draw(st.lists(values, min_size=min_size, max_size=7))
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(column=a_column())
 def test_roundtrip(column):
     data = encode(column)
@@ -115,7 +116,23 @@ def test_list_items_take_their_own_form():
     ) + b"ab\0c"
 
 
-@settings(max_examples=80, deadline=None)
+@pytest.mark.parametrize("ints", [[], [0, 255], [-1, 2**40], [7]])
+def test_an_array_and_a_list_of_ints_encode_alike(ints):
+    """The snapshot's edge ids go in and out as numpy arrays, in the
+    same bytes as a list of the same ints."""
+    as_list, as_array = bytearray(), bytearray()
+    columns.write_int_column(as_list, ints)
+    columns.write_int_column(as_array, np.array(ints, dtype=np.int64))
+    assert as_list == as_array
+    data = bytes(as_array)
+    decoded, pos = columns.read_int_column(data, 0, len(ints), array=True)
+    assert decoded.dtype == np.int64 and decoded.tolist() == ints
+    assert pos == len(data)
+    with pytest.raises(CodecError, match="truncated"):
+        columns.read_int_column(data, 0, len(ints) + 1, array=True)
+
+
+@settings(max_examples=50, deadline=None)
 @given(column=a_column(min_size=1), data=st.data())
 def test_damaged_column_is_a_codec_error(column, data):
     """Every strict prefix fails; a flipped byte or a wrong count
