@@ -22,8 +22,8 @@ id        payload
 3 VERTEX  columnar: vid int column, label-set table + per-vertex
           label-set-id int column, then per property name its vid
           int column and its value column (:mod:`.columns`)
-4 EDGE    columnar: eid / src / dst arrays (i64) + label-id array
-          (i32), then a sparse list of edges with properties
+4 EDGE    columnar: eid / src / dst / label-id int columns, then a
+          sparse list of edges with properties
 5 INDEX   (label id, property id) pairs of existing property indexes
 6         retired (planner statistics); no longer written, and skipped
           on read like any id the decoder does not know
@@ -38,7 +38,7 @@ dense-prefix int/float columns wholesale as arrays - with no
 per-vertex object or property-dict rehydration anywhere.  That bulk
 decode / bulk-adopt path is what makes a snapshot load several times
 faster than regenerating the same graph (the point of the dataset
-memoization cache).  Every vertex-section array is a column of
+memoization cache).  Every array of the two sections is a column of
 :mod:`repro.graphdb.storage.columns`, the codec the wire's RECORD
 frames use: ints packed as bytes or int64, floats as f64, strings as
 one NUL-joined blob, lists as a lengths column over one column of
@@ -128,6 +128,7 @@ _SNAP_WRITES = observe.REGISTRY.counter(
 _SNAP_WRITTEN_BYTES = observe.REGISTRY.counter(
     "repro_snapshot_written_bytes_total", "Bytes written into snapshots."
 )
+
 
 class SnapshotError(StorageError):
     """Raised when a snapshot file is missing, torn, or corrupt."""
