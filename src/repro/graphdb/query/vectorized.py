@@ -19,12 +19,13 @@ kernels over the columnar core's flat arrays:
   per-vertex iteration;
 * **Column aggregation**: every aggregating RETURN, global or
   grouped, goes through one consumer (:func:`_compile_grouped`).  It
-  keeps the id columns, groups on ids, replays the tuple path's
-  re-read charges in its order and folds each RETURN item as one
-  column function: COUNT (and SIZE of COLLECT) and int SUM/AVG/MIN/
-  MAX by one ``reduceat`` - exact to ``apply_aggregate``, int sums
-  only while they cannot overflow - and DISTINCT, COLLECT, float
-  folds and SIZE/HEAD/COALESCE wrappers by the tuple path's own
+  keeps the id columns it reads, groups on the epoch's per-slot value
+  codes (:meth:`~repro.graphdb.view._Column.codes`), replays the
+  tuple path's re-read charges in its order and folds each RETURN
+  item as one column function: COUNT (and SIZE of COLLECT) and int
+  SUM/AVG/MIN/MAX by one ``reduceat`` - exact to ``apply_aggregate``,
+  int sums only while they cannot overflow - and DISTINCT, COLLECT,
+  float folds and SIZE/HEAD/COALESCE wrappers by the tuple path's own
   ``apply_aggregate`` / ``apply_scalar``, group by group.
 
 The contract with the tuple path is *strict equivalence*: identical
@@ -114,7 +115,6 @@ from repro.graphdb.query.executor import (
 )
 from repro.graphdb.query.functions import apply_aggregate, apply_scalar
 from repro.graphdb.query.planner import ExpandStep, Plan, ScanStep
-from repro.graphdb.statistics import hashable
 from repro.graphdb.view import GraphArrays, _Column
 
 #: Rows per scan batch.  Large enough to amortize kernel dispatch,
@@ -844,44 +844,157 @@ def _leaf_charge(ctx: _KernelContext, leaf: Expr) -> tuple:
     return (ctx.slots[leaf.var] if paged else None), is_prop
 
 
+def _leaf_column(ctx: _KernelContext, leaf: Expr):
+    """``(id slot, column)`` of a property leaf - a vertex property's
+    :meth:`GraphArrays.column`, an edge property's
+    :meth:`GraphArrays.edge_column` - or None for any other leaf."""
+    if not isinstance(leaf, PropertyRef):
+        return None
+    slot = ctx.slot(leaf.var)
+    if ctx.slot_kinds[leaf.var] == "edge":
+        return slot, ctx.arrays.edge_column(leaf.prop)
+    return slot, ctx.arrays.column(leaf.prop)
+
+
 def _group_key(ctx: _KernelContext, expr: Expr):
-    """One grouping key as ``(page slot, charged, codes, read)``.
+    """One grouping key as ``(page slot, charged, id slot, codes)``.
 
-    The first two are :func:`_leaf_charge`'s; ``codes(cols, n)``
-    numbers a batch's rows so that rows reading the same element share
-    a code - the key's id column; None for a constant - and ``read``
-    (:func:`_compile_item`'s signature) reads values uncharged.  A
-    typed float column hands out a fresh float per read and a fresh NaN
-    equals no dict key, so a NaN row is a code (and a group) of its
-    own, exactly as reading every row would make it.
+    The first two are :func:`_leaf_charge`'s; the id slot is the one
+    the key reads, None for a constant.  ``codes(cols, row0)``
+    gives a batch's rows int64 codes that are equal exactly when the
+    tuple path's grouping dict would merge the values they read: a
+    variable's ids, or a property's :meth:`~repro.graphdb.view._Column.codes`
+    gathered at its ids; None for a constant, which every row shares.
+    A read that makes a new NaN float (a float64 table's) equals no
+    dict key, not even a read of the same slot, so each such row gets
+    a code of its own, ``-1 - (row0 + its row)``: negative and unique
+    over the drain, whose rows before this batch number ``row0``.
     """
-    read = _compile_item(ctx, expr, charge=False, otherwise="aggregate-shape")
-    if not isinstance(expr, (Variable, PropertyRef)):
-        return None, False, None, read
+    if isinstance(expr, (Literal, Parameter)):
+        return None, False, None, None
+    if isinstance(expr, Variable):
+        ids_slot = ctx.slot(expr.name)
+        return None, False, ids_slot, lambda cols, row0: cols[ids_slot]
+    if not isinstance(expr, PropertyRef):
+        raise Refusal("aggregate-shape")
+    ids_slot, col = _leaf_column(ctx, expr)
     slot, charged = _leaf_charge(ctx, expr)
-    col = None if slot is None else ctx.arrays.column(expr.prop)
-    ids_slot = ctx.slots[expr.var if charged else expr.name]
+    try:
+        table = col.codes()
+    except TypeError:  # a value no dict can key (a set stored in memory)
+        raise Refusal("unhashable-value") from None
+    if col.kind != KIND_FLOAT and col.fresh is None:
+        return slot, charged, ids_slot, (
+            lambda cols, row0: table[cols[ids_slot]]
+        )
 
-    def codes(cols, n):
-        ids = cols[ids_slot]
-        if col is not None and col.kind == KIND_FLOAT:
-            nan = np.isnan(col.values[ids])  # an absent slot holds 0.0
-            if nan.any():
-                return np.where(nan, -1 - np.arange(n), ids)
-        return ids
+    def codes(cols, row0):
+        out = table[cols[ids_slot]]
+        fresh = out < 0
+        if fresh.any():
+            rows = np.flatnonzero(fresh)
+            out[rows] = -1 - row0 - rows
+        return out
 
-    return slot, charged, codes, read
+    return slot, charged, ids_slot, codes
+
+
+def _stable_order(keys):
+    """``np.argsort(keys, kind="stable")``, as a radix sort (numpy's
+    stable sort of 16-bit ints) where every key fits in 16 bits."""
+    if len(keys) and 0 <= keys.min() and keys.max() < 1 << 16:
+        keys = keys.astype(np.uint16)
+    return np.argsort(keys, kind="stable")
+
+
+class _Numbering:
+    """One drain's group ids, new groups numbered in first-row order.
+
+    A batch is sorted stably on its keys' codes; each run of equal
+    codes is one group, found by the codes of its first row - one
+    key's through a code -> group id array (``-1``: not seen yet),
+    several keys' through a dict over their code tuples - or, new,
+    numbered in the order of its first row.  Nothing is hashed per
+    row."""
+
+    __slots__ = ("count", "rows", "by_code", "by_tuple")
+
+    def __init__(self):
+        self.count = 0  # groups so far
+        self.rows = 0  # rows numbered so far
+        self.by_code = np.empty(0, dtype=np.int64)
+        self.by_tuple: dict = {}
+
+    def number(self, parts, n):
+        """Each of ``n`` rows' group id, from the keys' codes."""
+        self.rows += n
+        if not parts:  # constant keys only: one group
+            self.count = 1
+            return np.zeros(n, dtype=np.int64)
+        # A stable sort (lexsort is one) puts each run's first row first.
+        order = (
+            _stable_order(parts[0]) if len(parts) == 1
+            else np.lexsort(parts)
+        )
+        head = np.zeros(n, dtype=bool)
+        head[0] = True
+        for part in parts:
+            ordered = part[order]
+            head[1:] |= ordered[1:] != ordered[:-1]
+        firsts = order[head]
+        if len(parts) == 1:
+            codes = parts[0][firsts]
+            gid = self._known(codes)
+        else:
+            keys = list(zip(*(part[firsts].tolist() for part in parts)))
+            get = self.by_tuple.get
+            gid = np.array([get(key, -1) for key in keys], dtype=np.int64)
+        new = np.flatnonzero(gid < 0)
+        if len(new):
+            new = new[np.argsort(firsts[new])]
+            ids = np.arange(self.count, self.count + len(new))
+            gid[new] = ids
+            self.count += len(new)
+            if len(parts) == 1:
+                codes = codes[new]
+                keyed = codes >= 0  # a negative code is one row's own
+                self.by_code[codes[keyed]] = ids[keyed]
+            else:
+                self.by_tuple.update(
+                    zip(map(keys.__getitem__, new), ids.tolist())
+                )
+        out = np.empty(n, dtype=np.int64)
+        out[order] = gid[np.cumsum(head) - 1]
+        return out
+
+    def _known(self, codes):
+        """The group id of each of one key's distinct ascending codes,
+        ``-1`` for one not seen yet (a negative one never is)."""
+        if codes[-1] >= len(self.by_code):
+            grow = max(int(codes[-1]) + 1, 2 * len(self.by_code))
+            self.by_code = np.concatenate((
+                self.by_code,
+                np.full(grow - len(self.by_code), -1, dtype=np.int64),
+            ))
+        if codes[0] >= 0:
+            return self.by_code[codes]
+        lo = int(np.searchsorted(codes, 0))
+        gid = np.full(len(codes), -1, dtype=np.int64)
+        gid[lo:] = self.by_code[codes[lo:]]
+        return gid
 
 
 def _compile_grouped(items, ctx: _KernelContext):
     """The batch consumer for every aggregating RETURN.
 
-    Groups come from ids.  As the match streams, each batch pays its
-    grouping-key reads binding by binding, as the tuple path makes
-    them; ``np.unique`` over the keys' id columns (:func:`_group_key`)
-    finds the batch's distinct id combinations, each reads its key
-    values once, and the hashed values take group ids from one dict in
-    first-row order - the tuple path's first-seen order.
+    Groups come from codes, not values.  As the match streams, each
+    batch pays its grouping-key reads binding by binding, as the tuple
+    path makes them, and gathers each key's codes (:func:`_group_key`:
+    the epoch's per-slot codes of a property, a variable's ids);
+    :class:`_Numbering` turns them into group ids in first-row order -
+    the tuple path's first-seen order - without reading or hashing a
+    value.  Of a batch's id columns the drain keeps only those the
+    keys and the RETURN items read.
 
     After the drain the rows are stably sorted by group id and the
     re-reads of ``Executor._project`` are charged in its order, which
@@ -893,17 +1006,22 @@ def _compile_grouped(items, ctx: _KernelContext):
     column function over the sorted rows, exact to the tuple path's
     ``apply_aggregate``: ``count`` - and ``size(collect(x))``, which is
     ``count(x)`` by ``functions.py`` - is one ``np.add.reduceat`` of
-    per-row weights, int ``sum`` / ``avg`` / ``min`` / ``max`` one
+    per-row weights (the column's presence, or under ``flatten`` its
+    :meth:`~repro.graphdb.view._Column.weights`, gathered at the
+    ids), int ``sum`` / ``avg`` / ``min`` / ``max`` one
     ``reduceat`` while no sum can overflow; DISTINCT, ``collect``,
     float folds and the ``size`` / ``head`` / ``coalesce`` wrappers
     fold each group in Python inside theirs.  The consumer,
     ``consume(session, batches)``, yields the result as one
     ``(n_groups, column lists)`` chunk; what one drain accumulates
-    (the group-id dict, the kept id columns) is local to its call.
+    (the numbering, the kept id columns) is local to its call.
     """
     #: Post-drain re-reads in evaluation order: ``(page slot or None,
     #: charged as a property read, reads the whole group)``.
     rereads: list[tuple] = []
+    #: The id slots the keys and the RETURN items read: the only ones
+    #: the drain keeps.
+    used: set[int] = set()
 
     def reader(leaf: Expr, whole: bool):
         if isinstance(leaf, Star):
@@ -912,6 +1030,10 @@ def _compile_grouped(items, ctx: _KernelContext):
             gather = _compile_item(
                 ctx, leaf, charge=False, otherwise="aggregate-shape"
             )
+            if isinstance(leaf, Variable):
+                used.add(ctx.slots[leaf.name])
+            elif isinstance(leaf, PropertyRef):
+                used.add(ctx.slots[leaf.var])
         rereads.append((*_leaf_charge(ctx, leaf), whole))
         return gather
 
@@ -943,18 +1065,25 @@ def _compile_grouped(items, ctx: _KernelContext):
         if name == "count" and isinstance(arg, (Star, Variable)):
             return lambda gr: gr.counts.tolist()
         if name == "count":
+            leaf = _leaf_column(ctx, arg)
+            if leaf is None:  # a constant: one weight for every row
+                value = (
+                    arg.value if isinstance(arg, Literal)
+                    else _resolve_value(arg, ctx.params)
+                )
+                weight = (
+                    len(value) if flatten and isinstance(value, list)
+                    else int(value is not None)
+                )
+                return lambda gr: (gr.counts * weight).tolist()
+            ids_slot, counted = leaf
+
             def count(gr):
-                if col is not None and not (
-                    flatten and col.kind in _BOXED_REASONS
-                ):
-                    weights = col.present[gr.cols[slot]].astype(np.int64)
-                else:  # what _flatten / _non_null keep of each row
-                    weights = np.fromiter((
-                        len(v) if flatten and isinstance(v, list)
-                        else v is not None
-                        for v in gather(gr.session, gr.cols, gr.total)
-                    ), dtype=np.int64, count=gr.total)
-                return gr.reduceat(np.add, weights).tolist()
+                # What _flatten / _non_null keep of each row.
+                weights = counted.weights() if flatten else counted.present
+                return gr.reduceat(
+                    np.add, weights[gr.cols[ids_slot]].astype(np.int64)
+                ).tolist()
 
             return count
         if col is None or col.kind != KIND_INT or name == "collect":
@@ -1009,49 +1138,32 @@ def _compile_grouped(items, ctx: _KernelContext):
         if not contains_aggregate(item.expr)
     ]
     fns = [compile_column(item.expr) for item in items]
+    used.update(ids_slot for *_, ids_slot, _ in keys if ids_slot is not None)
+    kept_slots = [slot in used for slot in range(len(ctx.slots))]
+    coded = [codes for *_, codes in keys if codes is not None]
+    pages = [slot for slot, *_ in keys if slot is not None]
+    charged_keys = sum(charged for _, charged, *_ in keys)
 
-    def group_ids(session, cols, n, ids: dict):
+    def group_ids(session, cols, n, numbering: _Numbering):
         """Each row's group id; new groups numbered in first-row order."""
         # The key reads, binding by binding as the tuple path makes them.
-        pages = [cols[slot] for slot, *_ in keys if slot is not None]
         if pages:
-            vids = np.stack(pages, axis=1).ravel()
+            vids = np.stack([cols[slot] for slot in pages], axis=1).ravel()
             session.charge_pages("v", vids, dedup=False)
-        session.metrics.property_reads += n * sum(
-            charged for _, charged, *_ in keys
-        )
-        parts = [codes(cols, n) for *_, codes, _ in keys if codes]
-        if len(parts) > 1:
-            _, first, inverse = np.unique(
-                np.stack(parts, axis=1), axis=0,
-                return_index=True, return_inverse=True,
-            )
-        else:
-            _, first, inverse = np.unique(
-                parts[0] if parts else np.zeros(n, dtype=np.int64),
-                return_index=True, return_inverse=True,
-            )
-        order = np.argsort(first)
-        rows = first[order]
-        sub = [None if c is None else c[rows] for c in cols]
-        values = [
-            map(hashable, read(session, sub, len(rows))) for *_, read in keys
-        ]
-        gid = np.empty(len(rows), dtype=np.int64)
-        gid[order] = np.fromiter(
-            (ids.setdefault(key, len(ids)) for key in zip(*values)),
-            dtype=np.int64, count=len(rows),
-        )
-        return gid[inverse.reshape(-1)]
+        session.metrics.property_reads += n * charged_keys
+        row0 = numbering.rows
+        return numbering.number([codes(cols, row0) for codes in coded], n)
 
     def consume_grouped(session, batches):
-        ids: dict = {}
+        numbering = _Numbering()
         kept, gids, total = [], [], 0
         for cols, n in batches:
-            kept.append(cols)
+            kept.append([
+                c if keep else None for c, keep in zip(cols, kept_slots)
+            ])
             total += n
             if keys:
-                gids.append(group_ids(session, cols, n, ids))
+                gids.append(group_ids(session, cols, n, numbering))
         if total == 0:
             if not keys:
                 # A global aggregate over zero matches is still a row.
@@ -1065,9 +1177,9 @@ def _compile_grouped(items, ctx: _KernelContext):
         ]
         if keys:
             gid = np.concatenate(gids)
-            order = np.argsort(gid, kind="stable")
+            order = _stable_order(gid)
             cols = [None if c is None else c[order] for c in cols]
-            counts = np.bincount(gid, minlength=len(ids))
+            counts = np.bincount(gid, minlength=numbering.count)
         else:
             counts = np.array([total])
         gr = _Groups(session, cols, counts, total)

@@ -6,9 +6,20 @@ mutation epoch, so an arrays object stands for one epoch: a caller that
 still holds the same object is reading the graph as it is, and nothing
 compares epochs.  The object holds numpy projections of the columnar
 state, each built on its first read - a property key's values scattered
-into vid-indexed arrays (:meth:`GraphArrays.column`), the live vids of
-a label, of a table and of the whole graph, and vid -> table id - and,
-once :meth:`PropertyGraph.freeze` has frozen it, the CSR adjacency.
+into vid-indexed arrays (:meth:`GraphArrays.column`; an edge property's
+into eid-indexed ones, :meth:`GraphArrays.edge_column`), the live vids
+of a label, of a table and of the whole graph, and vid -> table id -
+and, once :meth:`PropertyGraph.freeze` has frozen it, the CSR
+adjacency.
+
+A column carries two further projections, each built on its first read
+over the present slots only (:meth:`_Column.codes`,
+:meth:`_Column.weights`): a dense int code per slot, equal for two
+slots exactly when a grouping dict would merge the values they read,
+and what a flattening ``count`` keeps of each value.  The batch path
+groups and counts over these instead of reading and hashing values.
+Every projection is published by one assignment, so concurrent readers
+of one epoch at worst build one twice.
 
 Freezing builds, for every edge type, compressed-sparse-row adjacency
 in both directions (:class:`Csr`) and the order of the types, nothing
@@ -46,6 +57,7 @@ import weakref
 import numpy as np
 
 from repro.graphdb.columnar import KIND_FLOAT, KIND_INT
+from repro.graphdb.statistics import hashable
 
 
 class Csr:
@@ -140,7 +152,7 @@ def build_csr(
 
 
 class _Column:
-    """One property key's values scattered into vid-indexed arrays.
+    """One property key's values scattered into id-indexed arrays.
 
     ``kind`` is ``"int64"``/``"float64"`` (typed values + presence),
     ``"object"``/``"mixed"`` (``values`` has dtype ``object`` and
@@ -148,12 +160,20 @@ class _Column:
     readable, never compared or added; ``present`` is already the
     *reads-non-null* mask, so a stored ``None`` counts as absent,
     exactly as every read path reports it), or ``"absent"`` (key
-    never stored; reads are None everywhere).
+    never stored; reads are None everywhere).  ``fresh`` holds the
+    slots of a ``"mixed"`` column that a float64 table stores: a read
+    of one makes a new float, as every read of a ``"float64"`` column
+    does.
     """
 
-    __slots__ = ("kind", "values", "present", "has_tids", "vmin", "vmax")
+    __slots__ = (
+        "kind", "values", "present", "has_tids", "vmin", "vmax", "fresh",
+        "_codes", "_weights",
+    )
 
-    def __init__(self, kind, values, present, has_tids, vmin, vmax):
+    def __init__(
+        self, kind, values, present, has_tids, vmin, vmax, fresh=None
+    ):
         self.kind = kind
         self.values = values
         self.present = present
@@ -162,6 +182,74 @@ class _Column:
         self.has_tids = has_tids
         self.vmin = vmin
         self.vmax = vmax
+        self.fresh = fresh
+        self._codes = None
+        self._weights = None
+
+    def codes(self) -> np.ndarray:
+        """Slot -> an int64 group code, built on first use.
+
+        Two slots share a code >= 0 exactly when the dict a grouping
+        keys by (:func:`~repro.graphdb.statistics.hashable` of the
+        value read) would merge their reads: ``0`` for every slot that
+        reads None, ``True``, ``1`` and ``1.0`` as one, a stored NaN
+        object as itself.  ``-1`` marks a slot whose every read is a
+        new NaN float, which equals no earlier key: each row reading
+        it is a group of its own.  Raises ``TypeError`` on a value no
+        dict can key, as the grouping dict would."""
+        codes = self._codes
+        if codes is None:
+            codes = self._codes = self._build_codes()
+        return codes
+
+    def _build_codes(self) -> np.ndarray:
+        codes = np.zeros(len(self.present), dtype=np.int64)
+        slots = np.flatnonzero(self.present)
+        if not len(slots):
+            return codes
+        values = self.values[slots]
+        if self.kind == KIND_INT or self.kind == KIND_FLOAT:
+            if self.kind == KIND_FLOAT:
+                # Coded apart first: np.unique's equal_nan would merge
+                # the NaNs into one code.
+                nan = np.isnan(values)
+                codes[slots[nan]] = -1
+                slots, values = slots[~nan], values[~nan]
+            _, inverse = np.unique(values, return_inverse=True)
+            codes[slots] = inverse.reshape(-1) + 1
+            return codes
+        keys = values.tolist()
+        try:
+            first = dict.fromkeys(keys)  # the grouping dict's merges
+        except TypeError:  # a list: keyed by its hashable form
+            keys = list(map(hashable, keys))
+            first = dict.fromkeys(keys)
+        index = dict(zip(first, range(1, len(first) + 1)))
+        codes[slots] = np.fromiter(
+            map(index.__getitem__, keys), dtype=np.int64, count=len(keys)
+        )
+        if self.fresh is not None:
+            floats = self.values[self.fresh].astype(np.float64)
+            codes[self.fresh[np.isnan(floats)]] = -1
+        return codes
+
+    def weights(self) -> np.ndarray:
+        """Slot -> what a flattening ``count`` keeps of its value:
+        ``len`` of a list, 1 of any other non-null value, 0 of a null
+        (int64, or the bool ``present`` where no slot holds a list)."""
+        weights = self._weights
+        if weights is None:
+            weights = self.present
+            if self.kind == "object" or self.kind == "mixed":
+                slots = np.flatnonzero(self.present)
+                kept = self.values[slots].tolist()
+                weights = np.zeros(len(self.present), dtype=np.int64)
+                weights[slots] = (
+                    list(map(len, kept)) if set(map(type, kept)) == {list}
+                    else [len(v) if isinstance(v, list) else 1 for v in kept]
+                )
+            self._weights = weights
+        return weights
 
 
 class GraphArrays:
@@ -174,6 +262,7 @@ class GraphArrays:
         self.nslots = len(graph._v_tid)
         self._v_tid = None
         self._columns: dict[str, _Column] = {}
+        self._edge_columns: dict[str, _Column] = {}
         self._label_vids: dict[str, np.ndarray] = {}
         self._table_vids: dict[int, np.ndarray] = {}
         self._all_vids = None
@@ -241,6 +330,7 @@ class GraphArrays:
             np.empty(self.nslots, dtype=object) if dtype is object
             else np.zeros(self.nslots, dtype=dtype)
         )
+        fresh = []
         for tid, table, col in parts:
             vids = np.asarray(table.vids, dtype=np.int64)
             mask = np.zeros(len(vids), dtype=bool)
@@ -255,6 +345,8 @@ class GraphArrays:
                 continue
             targets = vids[rows]
             present[targets] = True
+            if kind == "mixed" and col.kind == KIND_FLOAT:
+                fresh.append(targets)
             if dtype is object:
                 # Element by element: a list-valued property stays
                 # one element instead of becoming an array axis.
@@ -274,7 +366,33 @@ class GraphArrays:
             selected = values[present]
             vmin = selected.min().item()
             vmax = selected.max().item()
-        return _Column(kind, values, present, has_tids, vmin, vmax)
+        return _Column(
+            kind, values, present, has_tids, vmin, vmax,
+            np.concatenate(fresh) if fresh else None,
+        )
+
+    def edge_column(self, name: str) -> _Column:
+        """One edge property key's values scattered into eid-indexed
+        arrays: an ``"object"`` column (the stored objects, ``present``
+        the reads-non-null mask), from one pass over the edge property
+        maps."""
+        cached = self._edge_columns.get(name)
+        if cached is not None:
+            return cached
+        graph = self.graph
+        eids, stored = [], []
+        for eid, props in graph._e_props.items():
+            value = props.get(name)
+            if value is not None:
+                eids.append(eid)
+                stored.append(value)
+        values = np.empty(len(graph._e_label), dtype=object)
+        present = np.zeros(len(values), dtype=bool)
+        present[eids] = True
+        values[eids] = np.fromiter(stored, dtype=object, count=len(stored))
+        column = _Column("object", values, present, set(), None, None)
+        self._edge_columns[name] = column
+        return column
 
     # -- vid sets ------------------------------------------------------
     def v_tid(self):

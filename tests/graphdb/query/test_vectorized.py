@@ -550,6 +550,51 @@ FOLD_AGGREGATES = (
 )
 
 
+#: The one NaN object the drawn object values share: an object column
+#: stores it as itself, so every read of it is the same key.
+NAN = float("nan")
+#: Per label set, each property's stored values.  ``i`` is int64, ``f``
+#: float64 and ``o`` object (``True``, ``1``, ``1.0``, lists, the shared
+#: NaN and a stored None) on both; ``m`` is float64 on ``G`` and object
+#: on ``H``, a mixed column.
+HOP_COLUMNS = {
+    label: {
+        "i": st.sampled_from([1, 2, 3, -4]),
+        "f": st.sampled_from([0.5, 0.0, -0.0, NAN, 2.25]),
+        "o": st.sampled_from(
+            [True, 1, 1.0, 0, "a", None, NAN, [1, 2], [], ["a"]]
+        ),
+        "m": st.sampled_from(
+            [1.0, 0.5, NAN] if label == "G" else [1, True, "a", [1], None]
+        ),
+    }
+    for label in ("G", "H")
+}
+#: One vertex: a label set, each property stored or absent.
+HOP_VERTEX = st.sampled_from(sorted(HOP_COLUMNS)).flatmap(
+    lambda label: st.tuples(st.just(label), st.tuples(*(
+        st.one_of(st.just(KeyError), values)
+        for values in HOP_COLUMNS[label].values()
+    )).map(lambda row: {
+        name: value for name, value in zip(HOP_COLUMNS[label], row)
+        if value is not KeyError
+    }))
+)
+HOP_EDGE_VALUE = st.sampled_from(
+    [KeyError, 1, 1.0, True, "a", None, NAN, [1], ["a", "b"]]
+)
+HOP_KEYS = (
+    "s.i", "s.f", "s.o", "s.m", "t.i", "t.f", "t.o", "t.m", "e.w",
+    "s", "t", "e",
+)
+HOP_AGGREGATES = (
+    "count(*)", "count(s.o)", "count(t.m)", "count(e.w)",
+    "size(collect(t.o))", "size(collect(e.w))", "collect(s.f)",
+    "count(DISTINCT t.o)", "sum(s.i)", "count(t.f)", "count(null)",
+    "count([1, 2])",
+)
+
+
 def with_flatten(query):
     """``query`` with every count / collect flattening list values:
     the rewriter's ``FuncCall.flatten`` has no surface syntax."""
@@ -573,6 +618,9 @@ SMALL_PAGES = dataclasses.replace(NEO4J_LIKE, vertices_per_page=4)
 
 
 def assert_same_at_capacity(graph, query, capacity):
+    """Columns, rows in order (with each value's type: ``True``, ``1``
+    and ``1.0`` are equal), the six counters and the LRU's final
+    recency order equal the tuple path's."""
     outcomes = []
     for vectorize in (False, True):
         session = GraphSession(graph, SMALL_PAGES, LruPageCache(capacity))
@@ -580,7 +628,8 @@ def assert_same_at_capacity(graph, query, capacity):
         _, _, columns, rows = Executor(session, vectorize=vectorize).stream(
             query, {}, report=report
         )
-        rows = norm_rows(rows)
+        rows = list(rows)
+        rows = list(zip(norm_rows(rows), (tuple(map(type, r)) for r in rows)))
         work = session.reset_metrics().as_dict()
         outcomes.append((
             columns, rows, {k: work[k] for k in WORK_COUNTERS},
@@ -716,6 +765,94 @@ class TestGroupedConsumer:
         with mock.patch.object(vectorized, "BATCH_ROWS", batch_rows):
             for capacity in (0, 1, 4, 96):
                 assert_same_at_capacity(graph, query, capacity)
+
+    # -- grouping keys over a hop, drawn ----------------------------------
+    @seed(SEED)
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(
+        vertices=st.lists(HOP_VERTEX, min_size=2, max_size=7),
+        edges=st.lists(
+            st.tuples(st.integers(0, 6), st.integers(0, 6), HOP_EDGE_VALUE),
+            min_size=1, max_size=24,
+        ),
+        keys=st.lists(st.sampled_from(HOP_KEYS), min_size=1, max_size=2,
+                      unique=True),
+        aggregates=st.lists(st.sampled_from(HOP_AGGREGATES), min_size=1,
+                            max_size=3),
+        flatten=st.booleans(),
+        batch_rows=st.integers(1, 9),
+    )
+    def test_keys_over_a_hop_equal_the_tuple_path(
+        self, vertices, edges, keys, aggregates, flatten, batch_rows
+    ):
+        """Keys on either end of a hop, whose values repeat across
+        vertices and whose vertices repeat across rows, group as the
+        tuple path's dict does: ``True``, ``1`` and ``1.0`` as one, a
+        stored None with an absent key, a stored NaN object as itself,
+        every read of a float64 table's NaN apart - in a float64 column
+        and in a column two label sets store with different kinds."""
+        graph = PropertyGraph("hop")
+        vids = [graph.add_vertex(label, props) for label, props in vertices]
+        for src, dst, value in edges:
+            graph.add_edge(
+                vids[src % len(vids)], vids[dst % len(vids)], "E",
+                None if value is KeyError else {"w": value},
+            )
+        graph.freeze()
+        items = keys + [f"{agg} AS a{i}" for i, agg in enumerate(aggregates)]
+        query = parse_query(f"MATCH (s)-[e:E]->(t) RETURN {', '.join(items)}")
+        if flatten:
+            query = with_flatten(query)
+        with mock.patch.object(vectorized, "BATCH_ROWS", batch_rows):
+            for capacity in (0, 96):
+                assert_same_at_capacity(graph, query, capacity)
+
+    def test_a_float_tables_nan_in_a_mixed_column_is_a_group_per_row(self):
+        # ``k`` is float64 on G and object on H: the column is mixed,
+        # and each read of G's NaN is a new float, as in a float64
+        # column.
+        graph = PropertyGraph("mixed")
+        a = graph.add_vertex("G", {"k": float("nan")})
+        b = graph.add_vertex("H", {"k": "s"})
+        for src in (a, b, a):
+            graph.add_edge(src, a, "E")
+        graph.freeze()
+        text = "MATCH (s)-[:E]->(t) RETURN t.k, count(*) AS c"
+        assert_same_at_capacity(graph, parse_query(text), 96)
+        rows, _ = run_vectorized(graph, text)
+        assert [c for _, c in rows] == [1, 1, 1]
+
+    def test_an_unhashable_key_value_runs_on_the_tuple_path(self):
+        # No dict can key a set: the batch path leaves the column to
+        # the tuple path, which hashes only the rows it groups.
+        graph = column_graph(["a", "b", "a"], prop="s")
+        graph.add_vertex("M", {"s": {1}})
+        rows, report = run_vectorized(
+            graph, "MATCH (n:L) RETURN n.s, count(*) AS c"
+        )
+        assert rows == [("a", 2), ("b", 1)]
+        assert report.reason == "unhashable-value"
+
+    def test_the_drain_keeps_only_the_slots_it_reads(self):
+        graph = PropertyGraph("slots")
+        a, b = (graph.add_vertex("L", {"x": i}) for i in range(2))
+        graph.add_edge(a, b, "E")
+        graph.add_edge(b, b, "E")
+        graph.freeze()
+        kept = []
+        groups = vectorized._Groups
+
+        def spy(session, cols, counts, total):
+            kept.append([c is not None for c in cols])
+            return groups(session, cols, counts, total)
+
+        with mock.patch.object(vectorized, "_Groups", spy):
+            rows, report = run_vectorized(
+                graph, "MATCH (s:L)-[r:E]->(t:L) RETURN t.x, count(*) AS c"
+            )
+        assert rows == [(1, 2)] and report.mode == "vectorized"
+        # Of the slots of s, r and t, only the key's outlives its batch.
+        assert [len(k) for k in kept] == [3] and sum(kept[0]) == 1
 
     def test_a_nan_key_is_a_group_per_row_even_on_one_vertex(self):
         # Rows of one vertex share a group code, but two reads of its
