@@ -883,17 +883,12 @@ def _group_key(ctx: _KernelContext, expr: Expr):
         table = col.codes()
     except TypeError:  # a value no dict can key (a set stored in memory)
         raise Refusal("unhashable-value") from None
-    if col.kind != KIND_FLOAT and col.fresh is None:
-        return slot, charged, ids_slot, (
-            lambda cols, row0: table[cols[ids_slot]]
-        )
 
     def codes(cols, row0):
         out = table[cols[ids_slot]]
-        fresh = out < 0
-        if fresh.any():
-            rows = np.flatnonzero(fresh)
-            out[rows] = -1 - row0 - rows
+        fresh = np.flatnonzero(out < 0)
+        if len(fresh):
+            out[fresh] = -1 - row0 - fresh
         return out
 
     return slot, charged, ids_slot, codes
