@@ -618,8 +618,8 @@ SMALL_PAGES = dataclasses.replace(NEO4J_LIKE, vertices_per_page=4)
 
 
 def assert_same_at_capacity(graph, query, capacity):
-    """Columns, rows in order (with each value's type: ``True``, ``1``
-    and ``1.0`` are equal), the six counters and the LRU's final
+    """Columns, rows in order with each value's type (``True``, ``1``
+    and ``1.0`` compare equal), the six counters and the LRU's final
     recency order equal the tuple path's."""
     outcomes = []
     for vectorize in (False, True):
