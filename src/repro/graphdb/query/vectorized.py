@@ -905,12 +905,12 @@ def _stable_order(keys):
 class _Numbering:
     """One drain's group ids, new groups numbered in first-row order.
 
-    A batch is sorted stably on its keys' codes; each run of equal
-    codes is one group, found by the codes of its first row - one
-    key's through a code -> group id array (``-1``: not seen yet),
-    several keys' through a dict over their code tuples - or, new,
-    numbered in the order of its first row.  Nothing is hashed per
-    row."""
+    A batch is sorted stably on its keys' codes, so each run of equal
+    codes is one group and starts at its first row.  A run's group is
+    looked up by its codes: one key's in a code -> group id array
+    (``-1``: not seen yet), several keys' in a dict over their code
+    tuples.  Runs not seen before get new ids in the order of their
+    first rows.  No value is read, and nothing is hashed per row."""
 
     __slots__ = ("count", "rows", "by_code", "by_tuple")
 
