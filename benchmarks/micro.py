@@ -28,7 +28,9 @@ no e2e workload that would notice it, and lives here, in five sections:
   pass-throughs (< 2 %), and metrics on against off as information;
 * ``driver`` - the driver's fixed cost per query: a warm one-row query
   through ``Session.run`` + iterate + ``consume`` minus the same query
-  through ``Executor.run``.
+  through ``Executor.run``; and its cost per row: a warm 1,000-row
+  projection iterated as ``Record`` s minus the same read by
+  ``result.values()``.
 
 Everything is timed by one loop on the e2e benchmark's clock (wall
 time divided by the host's slowdown at that moment,
@@ -61,6 +63,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+from collections import deque
 from contextlib import contextmanager
 from pathlib import Path
 from time import perf_counter
@@ -115,6 +118,10 @@ PAGERANK_RUNS = 20
 TRACE_RUNS = 20
 #: Warm driver and executor runs per timed ``driver`` sample.
 DRIVER_RUNS = 200
+#: Rows of the ``driver.record_ns`` projection, and its warm runs per
+#: timed sample.
+RECORD_ROWS = 1000
+RECORD_RUNS = 20
 WRITERS = (1, 8, 32)
 COMMITS_EACH = 8
 #: How long the group committer lingers for more commits.  At the
@@ -710,6 +717,7 @@ def budgets(bench: Bench) -> None:
 # driver: what Session.run + iterate + consume adds to Executor.run
 # ----------------------------------------------------------------------
 DRIVER_QUERY = "MATCH (d:Drug) WHERE d.id = $id RETURN d.name"
+RECORD_QUERY = "MATCH (r:Row) RETURN r.i AS i, r.name AS name"
 
 
 def driver(bench: Bench) -> None:
@@ -718,7 +726,13 @@ def driver(bench: Bench) -> None:
     ``Session.run`` + iterate + ``consume`` against the same query
     through ``Executor.run`` on a twin session, as alternating pairs.
     Their difference is the seam alone: every end-to-end workload
-    times it together with the executor's work."""
+    times it together with the executor's work.
+
+    Then the seam's cost per row: a warm projection of
+    ``RECORD_ROWS`` rows iterated as ``Record`` s against the same
+    query read by ``result.values()`` (plain lists), as alternating
+    pairs; their difference, per row, is what building a ``Record``
+    costs over building a list."""
     graph = PropertyGraph("driver")
     for i in range(200):
         graph.add_vertex("Drug", {"id": i, "name": f"d{i}"})
@@ -748,6 +762,35 @@ def driver(bench: Bench) -> None:
         "driver.fixed_us", "us", (seam - bare) / runs * 1e6,
         driver_us=round(driver_us, 2), executor_us=round(executor_us, 2),
         rows=rows, mode=report.mode,
+    )
+
+    graph = PropertyGraph("records")
+    for i in range(RECORD_ROWS):
+        graph.add_vertex("Row", {"i": i, "name": f"r{i}"})
+    graph.freeze()
+    runs = 1 if bench.smoke else RECORD_RUNS
+    with connect(graph) as db, db.session() as session:
+        def as_records():
+            """Each row built as a ``Record``, drained in C."""
+            for _ in range(runs):
+                result = session.run(RECORD_QUERY)
+                deque(result, maxlen=0)
+                result.consume()
+
+        def as_values():
+            for _ in range(runs):
+                result = session.run(RECORD_QUERY)
+                result.values()
+                result.consume()
+
+        records, values = bench.time([as_records, as_values], 41)
+    _, records_us, _ = bench.quartiles(records / runs * 1e6)
+    _, values_us, _ = bench.quartiles(values / runs * 1e6)
+    bench.row(
+        "driver.record_ns", "ns",
+        (records - values) / (runs * RECORD_ROWS) * 1e9,
+        records_us=round(records_us, 1), values_us=round(values_us, 1),
+        rows=RECORD_ROWS,
     )
 
 

@@ -7,12 +7,12 @@ row-level execution (the tuple path, aggregation, ``DISTINCT`` /
 consuming only the first record of an un-aggregated query never
 materializes the full match; the batch path's plain projection
 arrives as ``(n, column lists)`` chunks.  Iterating yields
-:class:`Record` s - ordered, field-addressable views
-(`record["name"]`, ``record[0]``, ``record.data()``) built one per row
-actually iterated, by ``map`` over the chunk's rows: no Python frame
-runs per row but ``Record.__init__``.  :meth:`Result.batches` hands
-out column chunks and builds none.  The cursor itself
-(:class:`_Cursor`) is shared with
+:class:`Record` s - tuples keyed by column name (``record["name"]``,
+``record[0]``, ``record.data()``) built one per row actually
+iterated, by ``map`` of the column tuple's cached row class over the
+chunk's rows: tuple's own constructor, no Python frame per row.
+:meth:`Result.batches` hands out column chunks and builds none.  The
+cursor itself (:class:`_Cursor`) is shared with
 :class:`~repro.graphdb.api.remote.RemoteResult`.
 
 ``consume()`` drains whatever the caller did not read and returns a
@@ -35,7 +35,8 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from itertools import chain, count, islice, repeat
+from functools import lru_cache
+from itertools import chain, count, islice
 from operator import itemgetter
 from typing import Iterator
 
@@ -58,64 +59,105 @@ _QUERY_SECONDS = observe.REGISTRY.histogram(
 )
 
 
-class Record:
-    """One result row: ordered values addressable by column name."""
+class _Row(tuple):
+    """A :class:`Record`'s accessors.  One subclass per column tuple
+    (:func:`_row_class`) adds its ``_keys``; neither defines
+    ``__new__`` or ``__init__``, so ``row_class(values)`` is tuple's
+    own constructor, and ``map`` builds a result's rows with no Python
+    frame per row."""
 
-    __slots__ = ("_keys", "_values")
-
-    def __init__(self, keys: list[str], values: tuple):
-        self._keys = keys
-        self._values = values
+    __slots__ = ()
+    _keys: tuple[str, ...] = ()
 
     def keys(self) -> list[str]:
         return list(self._keys)
 
     def values(self) -> list:
-        return list(self._values)
+        return list(self)
 
     def items(self) -> list[tuple[str, object]]:
-        return list(zip(self._keys, self._values))
+        return list(zip(self._keys, self))
 
     def data(self) -> dict[str, object]:
         """The record as a plain ``{column: value}`` dict."""
-        return dict(zip(self._keys, self._values))
+        return dict(zip(self._keys, self))
 
     def get(self, key: str, default: object = None) -> object:
         try:
-            return self._values[self._keys.index(key)]
+            return tuple.__getitem__(self, self._keys.index(key))
         except ValueError:
             return default
 
     def __getitem__(self, key: str | int) -> object:
         if isinstance(key, str):
             try:
-                return self._values[self._keys.index(key)]
+                key = self._keys.index(key)
             except ValueError:
                 raise KeyError(key) from None
-        return self._values[key]
+        return tuple.__getitem__(self, key)
 
     def __contains__(self, key: str) -> bool:
         return key in self._keys
 
-    def __iter__(self) -> Iterator[object]:
-        return iter(self._values)
-
-    def __len__(self) -> int:
-        return len(self._values)
-
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, Record):
-            return (
-                other._keys == self._keys
-                and other._values == self._values
-            )
-        return NotImplemented
+        if isinstance(other, _Row):
+            return self._keys == other._keys and tuple.__eq__(self, other)
+        # tuple's own == would match a plain tuple of the same values.
+        return False if isinstance(other, tuple) else NotImplemented
+
+    def __ne__(self, other: object) -> bool:
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
+
+    def _unordered(self, other: object) -> bool:
+        raise TypeError("Records have no order")
+
+    __lt__ = __le__ = __gt__ = __ge__ = _unordered
+
+    def __reduce__(self):
+        return Record, (list(self._keys), tuple(self))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        inner = ", ".join(
-            f"{k}={v!r}" for k, v in zip(self._keys, self._values)
-        )
+        inner = ", ".join(f"{k}={v!r}" for k, v in zip(self._keys, self))
         return f"<Record {inner}>"
+
+
+@lru_cache(maxsize=256)
+def _row_class(keys: tuple[str, ...]) -> type[_Row]:
+    """The row class of one column tuple, shared by every result with
+    those columns: ``type()`` costs ~17 us, paid once per tuple."""
+    return type("Record", (_Row,), {"__slots__": (), "_keys": keys})
+
+
+class _RecordType(type):
+    """``Record``'s metaclass: calling ``Record`` builds a row of the
+    cached class, and every row class counts as a ``Record``."""
+
+    def __call__(cls, keys, values):
+        return _row_class(tuple(keys))(values)
+
+    def __instancecheck__(cls, instance: object) -> bool:
+        return isinstance(instance, _Row)
+
+    def __subclasscheck__(cls, subclass: type) -> bool:
+        return issubclass(subclass, _Row)
+
+
+class Record(metaclass=_RecordType):
+    """One result row: ordered values addressable by column name.
+
+    ``Record(keys, values)`` returns a tuple of ``values`` whose class
+    holds ``keys``: ``record["name"]`` (the first column of that name;
+    ``KeyError`` when there is none), ``record[0]``, slices, ``get``,
+    ``keys()`` / ``values()`` / ``items()`` / ``data()``, ``len`` and
+    iteration, and ``in`` tests column names.  A record equals only a
+    record with equal keys and values - never a tuple or a list - and
+    has neither a hash nor an order.  Being a tuple, it also has
+    tuple's ``count``, ``index`` and ``+``, and another tuple subclass
+    (a namedtuple) on the left of ``==`` compares by values alone.
+    """
+
+    __slots__ = ()
 
 
 class ResultSummary:
@@ -269,7 +311,8 @@ class _Cursor:
 
     def __iter__(self) -> Iterator[Record]:
         return map(
-            Record, repeat(self._columns), chain.from_iterable(self._runs())
+            _row_class(tuple(self._columns)),
+            chain.from_iterable(self._runs()),
         )
 
     def single(self) -> Record:
@@ -280,7 +323,7 @@ class _Cursor:
         if not records:
             raise QueryError("expected a single record, got none")
         # Put them back so the cursor stays usable for debugging.
-        self._rows = chain([r._values for r in records], self._rows)
+        self._rows = chain([tuple(r) for r in records], self._rows)
         raise QueryError("expected a single record, got more than one")
 
     def values(self) -> list[list]:

@@ -393,15 +393,17 @@ def mode_line(report) -> str:
 
 
 def _norm_value(value):
+    if isinstance(value, (list, tuple)):
+        return type(value), tuple(map(_norm_value, value))
     if isinstance(value, float) and math.isnan(value):
-        return "<NaN>"
-    if isinstance(value, list):
-        return tuple(_norm_value(v) for v in value)
-    return value
+        return type(value), "<NaN>"
+    return type(value), value
 
 
 def norm_rows(rows):
-    """Rows as comparable tuples (NaN != NaN would hide a match)."""
+    """Rows as comparable tuples: NaN != NaN would hide a match, and
+    ``True == 1 == 1.0`` (or a list against a tuple) a mismatch, so
+    each value, and each item of a list, keeps its type."""
     return [tuple(_norm_value(v) for v in row) for row in rows]
 
 

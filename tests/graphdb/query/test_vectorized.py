@@ -72,7 +72,8 @@ def run_vectorized(graph, text, params=None, guard=None):
 
 def assert_matches_tuple(graph, text, params=None):
     """The batch path ran, and agrees with the tuple path on rows (in
-    order) and on all six work counters."""
+    order, each value of the same type) and on all six work
+    counters."""
     outcomes = []
     for vectorize in (False, True):
         session = GraphSession(graph, NEO4J_LIKE)
@@ -84,11 +85,11 @@ def assert_matches_tuple(graph, text, params=None):
         rows = [tuple(r) for r in rows]
         metrics = session.reset_metrics().as_dict()
         outcomes.append(
-            (columns, rows, {k: metrics[k] for k in WORK_COUNTERS})
+            (columns, norm_rows(rows), {k: metrics[k] for k in WORK_COUNTERS})
         )
     assert report.mode == "vectorized", (text, report.reason)
     assert outcomes[0] == outcomes[1], text
-    return outcomes[1][1]
+    return rows
 
 
 def norm(value):
@@ -628,8 +629,7 @@ def assert_same_at_capacity(graph, query, capacity):
         _, _, columns, rows = Executor(session, vectorize=vectorize).stream(
             query, {}, report=report
         )
-        rows = list(rows)
-        rows = list(zip(norm_rows(rows), (tuple(map(type, r)) for r in rows)))
+        rows = norm_rows(rows)
         work = session.reset_metrics().as_dict()
         outcomes.append((
             columns, rows, {k: work[k] for k in WORK_COUNTERS},

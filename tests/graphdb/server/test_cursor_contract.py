@@ -128,6 +128,15 @@ def test_records_are_built_when_iterated(env):
     )
 
 
+def test_rows_are_of_one_cached_class_per_column_tuple(env):
+    first, second = list(env.run()), list(env.run())
+    assert len(first) == len(second) == ROWS
+    assert {type(r) for r in first + second} == {
+        type(Record(["name", "i"], ()))
+    }
+    assert isinstance(first[0], Record)
+
+
 # ----------------------------------------------------------------------
 # single()
 # ----------------------------------------------------------------------

@@ -37,6 +37,7 @@ from tests.graphdb.diffquery import (
     QueryGen,
     assert_equivalent,
     build_differential_graph,
+    norm_rows,
 )
 
 pytestmark = pytest.mark.diff_seed
@@ -262,3 +263,13 @@ def test_module_level_graph_matches_fixture(diff_graph):
     builder is deterministic, so logged CI seeds replay exactly)."""
     fresh = build_differential_graph()
     assert fresh.summary() == diff_graph.summary()
+
+
+def test_norm_rows_keeps_each_value_type():
+    """``True == 1 == 1.0`` and ``[1] == (1,)`` in Python; a path that
+    returned one for the other would pass a plain ``==``."""
+    assert norm_rows([(True,)]) != norm_rows([(1,)])
+    assert norm_rows([(1.0,)]) != norm_rows([(1,)])
+    assert norm_rows([([1],)]) != norm_rows([((1,),)])
+    assert norm_rows([([True],)]) != norm_rows([([1],)])
+    assert norm_rows([(float("nan"), [1])]) == norm_rows([(float("nan"), [1])])

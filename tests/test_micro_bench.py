@@ -102,8 +102,12 @@ def test_smoke_section_writes_the_schema(tmp_path, capsys):
 
 def test_smoke_driver_section(tmp_path, capsys):
     report = run_section(load_micro(), "driver", tmp_path, capsys)
-    (row,) = report["rows"]
+    row, records = report["rows"]
     assert row["name"] == "driver.fixed_us" and row["unit"] == "us"
     assert row["extra"]["rows"] == 1
     assert row["extra"]["mode"] == "vectorized"
     assert row["extra"]["driver_us"] > 0 and row["extra"]["executor_us"] > 0
+    assert records["name"] == "driver.record_ns" and records["unit"] == "ns"
+    assert records["extra"]["rows"] == 1000
+    assert records["extra"]["records_us"] > 0
+    assert records["extra"]["values_us"] > 0
