@@ -157,8 +157,6 @@ class Record(metaclass=_RecordType):
     (a namedtuple) on the left of ``==`` compares by values alone.
     """
 
-    __slots__ = ()
-
 
 class ResultSummary:
     """What one consumed query execution did."""
