@@ -11,18 +11,15 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from pathlib import Path
 
 from repro.bench.reporting import ExperimentTable, speedup
 from repro.data.loader import load_direct, load_optimized
 from repro.data.logical import LogicalDataset
 from repro.datasets.base import Dataset
-from repro.datasets.cache import graph_cache_key, memoized_graph
 from repro.graphdb.api import Database
 from repro.graphdb.backends import JANUSGRAPH_LIKE, NEO4J_LIKE
 from repro.graphdb.graph import PropertyGraph
 from repro.graphdb.query.ast import Query
-from repro.ontology.workload import WorkloadSummary
 from repro.optimizer.concept_centric import (
     optimize_concept_centric,
     select_concept_centric,
@@ -68,13 +65,16 @@ MICROBENCH_BUDGET_FRACTION = 0.5
 # ----------------------------------------------------------------------
 @dataclass
 class Pipeline:
-    """Everything needed to run queries against DIR and OPT graphs."""
+    """Everything needed to run queries against DIR and OPT graphs.
+
+    ``build_pipeline`` builds every field from the dataset each call:
+    the optimized schema, the logical instance data, both graphs
+    (frozen) and the rewritten paper queries.
+    """
 
     dataset: Dataset
     result: OptimizationResult
-    #: ``None`` when both graphs came out of the snapshot cache (the
-    #: logical instance data is only materialized on a cache miss).
-    logical: LogicalDataset | None
+    logical: LogicalDataset
     dir_graph: PropertyGraph
     opt_graph: PropertyGraph
     rewriter: QueryRewriter
@@ -94,62 +94,32 @@ def build_pipeline(
     dataset: Dataset,
     budget_fraction: float = MICROBENCH_BUDGET_FRACTION,
     thresholds: Thresholds = MICROBENCH_THRESHOLDS,
-    workload: WorkloadSummary | None = None,
     scale: float = 1.0,
-    cache_dir: str | Path | None = None,
+    cache_dir: None = None,
 ) -> Pipeline:
     """Optimize, load both graphs, and rewrite the benchmark queries.
 
-    ``cache_dir`` (or the ``REPRO_SNAPSHOT_CACHE`` environment
-    variable) memoizes the generated DIR/OPT graphs as binary
-    snapshots keyed by every generation input, so repeat runs skip
-    data generation and graph loading entirely.  The cache is only
-    consulted for the default query-driven workload - an explicit
-    ``workload`` changes the optimized schema, which the key does not
-    cover.
+    ``cache_dir`` is a placeholder for the removed snapshot memo cache:
+    only ``None`` is accepted.  It stays while ``benchmarks/e2e``
+    passes it, and goes when that call does.
     """
-    custom_workload = workload is not None
-    if workload is None:
-        workload = dataset.query_workload()
+    if cache_dir is not None:
+        raise TypeError(
+            "build_pipeline(cache_dir=...) was removed with the snapshot "
+            "memo cache; every call builds the graphs from the dataset"
+        )
+    workload = dataset.query_workload()
     started = time.perf_counter()
     model = CostBenefitModel(
         dataset.ontology, dataset.stats, workload, thresholds
     )
     budget = model.budget_for_fraction(budget_fraction)
     result = select_pgsg(model, budget).realize(started)
-
-    logical: LogicalDataset | None = None
-
-    def get_logical() -> LogicalDataset:
-        nonlocal logical
-        if logical is None:
-            logical = dataset.logical(scale=scale)
-        return logical
-
-    def build_dir() -> PropertyGraph:
-        return load_direct(get_logical(), name=f"{dataset.name}-DIR")
-
-    def build_opt() -> PropertyGraph:
-        return load_optimized(
-            get_logical(), result.mapping, name=f"{dataset.name}-OPT"
-        )
-
-    if custom_workload:
-        # A custom workload changes the optimized schema in ways the
-        # cache key does not cover: never read or write the cache.
-        dir_graph = build_dir()
-        opt_graph = build_opt()
-    else:
-        dir_graph = memoized_graph(
-            graph_cache_key(dataset, "dir", scale), cache_dir, build_dir
-        )
-        opt_graph = memoized_graph(
-            graph_cache_key(
-                dataset, "opt", scale, budget_fraction, thresholds
-            ),
-            cache_dir,
-            build_opt,
-        )
+    logical = dataset.logical(scale=scale)
+    dir_graph = load_direct(logical, name=f"{dataset.name}-DIR")
+    opt_graph = load_optimized(
+        logical, result.mapping, name=f"{dataset.name}-OPT"
+    )
     # Pipeline graphs are read-only from here on (benchmarks, demos,
     # workload runs): freeze both so batch-path expansion runs over the
     # immutable CSR arrays.  Any later mutation drops them, and an

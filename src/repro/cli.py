@@ -24,9 +24,8 @@ Commands
     ``--explain`` additionally prints each query's ``EXPLAIN ANALYZE``
     plan (scan access path, expand order, pushed-down predicates, and
     the cost-based planner's estimated vs. actual rows per step) on
-    both the direct and the optimized graph.  ``--data-dir DIR`` memoizes
-    the generated graphs as binary snapshots under ``DIR``, so repeat
-    runs load in milliseconds instead of regenerating.
+    both the direct and the optimized graph.  Every run builds both
+    graphs from the dataset.
 
 ``save``
     Materialize a built-in dataset graph into a durable data
@@ -216,9 +215,7 @@ def _build_dataset(name: str):
 
 def cmd_demo(args) -> int:
     dataset = _build_dataset(args.dataset)
-    pipeline = build_pipeline(
-        dataset, scale=args.scale, cache_dir=args.data_dir
-    )
+    pipeline = build_pipeline(dataset, scale=args.scale)
     print(pipeline.result.summary())
     print(pipeline.dir_graph.summary())
     print(pipeline.opt_graph.summary())
@@ -579,17 +576,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_demo.add_argument(
         "--scale", type=float, default=0.5, metavar="FACTOR",
         help="cardinality multiplier for the generated data (10-100x "
-             "supported; snapshot-cache keys include the scale)",
+             "supported)",
     )
     p_demo.add_argument(
         "--explain", action="store_true",
         help="print each query's EXPLAIN ANALYZE plan (estimated vs "
              "actual rows per step) before the latency table",
-    )
-    p_demo.add_argument(
-        "--data-dir", default=None, metavar="DIR",
-        help="memoize the generated graphs as snapshots under DIR "
-             "(repeat runs load instead of regenerating)",
     )
     p_demo.set_defaults(fn=cmd_demo)
 

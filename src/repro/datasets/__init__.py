@@ -1,11 +1,6 @@
 """The MED and FIN evaluation datasets (Section 5.1 of the paper)."""
 
 from repro.datasets.base import Dataset, fill_relationships
-from repro.datasets.cache import (
-    default_cache_dir,
-    graph_cache_key,
-    memoized_graph,
-)
 from repro.datasets.fin import (
     FIN_EXPECTED,
     FIN_QUERIES,
@@ -29,8 +24,5 @@ __all__ = [
     "build_fin_ontology",
     "build_med",
     "build_med_ontology",
-    "default_cache_dir",
     "fill_relationships",
-    "graph_cache_key",
-    "memoized_graph",
 ]

@@ -37,11 +37,10 @@ every property column by owning label-set table and adopting
 dense-prefix int/float columns wholesale as arrays - with no
 per-vertex object or property-dict rehydration anywhere.  That bulk
 decode / bulk-adopt path is what makes a snapshot load several times
-faster than regenerating the same graph (the point of the dataset
-memoization cache).  Every array of the two sections is a column of
-:mod:`repro.graphdb.storage.columns`, the codec the wire's RECORD
-frames use: ints packed as bytes or int64, floats as f64, strings as
-one NUL-joined blob, lists as a lengths column over one column of
+faster than regenerating the same graph.  Every array of the two
+sections is a column of :mod:`repro.graphdb.storage.columns`, the
+codec the wire's RECORD frames use: ints packed as bytes or int64,
+floats as f64, strings as one NUL-joined blob, lists as a lengths column over one column of
 their items, and any other mix as the tagged value codec, the same
 encoding the WAL uses.  Format version 2 took that codec; no reader
 of version 1 is kept.

@@ -10,7 +10,7 @@
   ``create_property_index`` on the graph is logged before the call
   returns (durability is governed by the WAL's sync mode);
 * :meth:`GraphStore.create` initializes a directory from an existing
-  in-memory graph (the dataset memoization and ``repro save`` path);
+  in-memory graph (the ``repro save`` path);
 * :meth:`GraphStore.checkpoint` compacts: it folds the current WAL
   into a fresh snapshot of generation ``g+1`` (written atomically),
   starts an empty ``wal-<g+1>``, and prunes the old generation's

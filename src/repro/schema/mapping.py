@@ -95,15 +95,13 @@ class SchemaMapping:
             for prop in node.properties.values():
                 if prop.provenance is not Provenance.REPLICATED:
                     continue
-                if prop.via_rel is None:  # pragma: no cover - guarded
-                    continue
                 repl = Replication(
                     rel_id=prop.via_rel,
                     owner_node=key,
                     source_concept=prop.origin_concept,
                     source_property=prop.origin_name,
                     list_name=prop.name,
-                    direction=prop.via_direction or "fwd",
+                    direction=prop.via_direction,
                 )
                 self.replications.append(repl)
                 self._by_rel.setdefault(repl.rel_id, []).append(repl)

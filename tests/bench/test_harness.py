@@ -17,6 +17,7 @@ from repro.bench.harness import (
     run_space_sweep,
     run_workload_experiment,
 )
+from repro.datasets import build_med
 from repro.optimizer.concept_centric import optimize_concept_centric
 from repro.optimizer.costmodel import CostBenefitModel
 from repro.optimizer.relation_centric import optimize_relation_centric
@@ -33,6 +34,21 @@ class TestPipeline:
         assert set(med_pipeline.rewritten) == set(
             med_pipeline.dataset.queries
         )
+
+    def test_snapshot_cache_variable_is_ignored(
+        self, tmp_path, monkeypatch
+    ):
+        """Every build generates and loads both graphs: the removed
+        snapshot memo cache's variable neither writes nor reads."""
+        monkeypatch.setenv("REPRO_SNAPSHOT_CACHE", str(tmp_path))
+        for _ in range(2):
+            pipeline = build_pipeline(build_med(), scale=0.1)
+            assert pipeline.logical is not None
+        assert list(tmp_path.iterdir()) == []
+
+    def test_cache_dir_accepts_only_none(self, med_small, tmp_path):
+        with pytest.raises(TypeError, match="cache_dir"):
+            build_pipeline(med_small, cache_dir=tmp_path)
 
     def test_budget_respected(self, med_pipeline):
         result = med_pipeline.result

@@ -19,7 +19,7 @@ from tests.graphdb.randgraph import adjacency_reads, label_lists
 @pytest.fixture(scope="module", params=["med", "fin"])
 def pipeline(request, med_small, fin_small):
     dataset = med_small if request.param == "med" else fin_small
-    return build_pipeline(dataset, scale=0.3, cache_dir=None)
+    return build_pipeline(dataset, scale=0.3)
 
 
 def assert_identical(graph, reference) -> None:

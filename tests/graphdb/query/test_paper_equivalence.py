@@ -48,7 +48,7 @@ def paper_ops(request):
     """``[(label, graph, query)]``: DIR runs the query text, OPT the
     rewriter's ``Query`` object."""
     dataset = request.param()
-    pipeline = build_pipeline(dataset, scale=1.0, cache_dir=None)
+    pipeline = build_pipeline(dataset, scale=1.0)
     ops = []
     for side, graph, queries in (
         ("dir", pipeline.dir_graph, dataset.queries),

@@ -155,7 +155,7 @@ def test_snapshot_edge_to_a_dead_vertex_is_still_refused(tmp_path, endpoint):
 @pytest.mark.parametrize("name", ["med", "fin"])
 def test_paper_queries_never_build_it(name, med_small, fin_small):
     dataset = med_small if name == "med" else fin_small
-    pipeline = build_pipeline(dataset, scale=0.2, cache_dir=None)
+    pipeline = build_pipeline(dataset, scale=0.2)
     assert load_direct(pipeline.logical, "g")._base is None
     runs = (
         (pipeline.dir_graph, dataset.queries),

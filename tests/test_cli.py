@@ -99,3 +99,8 @@ class TestDemoCommand:
         out = capsys.readouterr().out
         assert "MED microbenchmark" in out
         assert "Q1" in out
+
+    def test_removed_data_dir_flag_exits_2(self, tmp_path):
+        with pytest.raises(SystemExit) as exc_info:
+            main(["demo", "med", "--data-dir", str(tmp_path)])
+        assert exc_info.value.code == 2
