@@ -91,11 +91,10 @@ from repro.graphdb import connect, faults, observe  # noqa: E402
 from repro.graphdb.api import result as result_mod  # noqa: E402
 from repro.graphdb.backends import NEO4J_LIKE  # noqa: E402
 from repro.graphdb.graph import PropertyGraph  # noqa: E402
-from repro.graphdb.metrics import LruPageCache  # noqa: E402
 from repro.graphdb.query.executor import Executor  # noqa: E402
 from repro.graphdb.query.vectorized import ExecutionReport  # noqa: E402
 from repro.graphdb.server import GraphServer, ServerConfig  # noqa: E402
-from repro.graphdb.session import GraphSession  # noqa: E402
+from repro.graphdb.session import GraphSession, PageTraces  # noqa: E402
 from repro.graphdb.statistics import GraphStatistics  # noqa: E402
 from repro.graphdb.storage import (  # noqa: E402
     GraphStore,
@@ -114,7 +113,7 @@ SMOKE_SCALE = 0.25
 RUNS_PER_SAMPLE = 40
 #: ``ontology_pagerank`` calls per timed sample (one is ~0.1-1 ms).
 PAGERANK_RUNS = 20
-#: Replays of the FIN-DIR ops' page charges per ``page_traces`` sample.
+#: Passes over the FIN-DIR ops' page charges per ``page_traces`` sample.
 TRACE_RUNS = 20
 #: Warm driver and executor runs per timed ``driver`` sample.
 DRIVER_RUNS = 200
@@ -461,63 +460,108 @@ def load(bench: Bench, dataset, mapping) -> None:
     )
 
 
+class _LoggedRun:
+    """A pipeline run's page charges, settled as usual and logged in
+    order: ``(kind, vids, dedup)`` per call, ``None`` where rows left
+    the run."""
+
+    def __init__(self, run, log):
+        self.run = run
+        self.log = log
+
+    @property
+    def metrics(self):
+        return self.run.metrics
+
+    def charge_pages(self, kind, vids, dedup):
+        self.log.append((kind, vids.copy(), dedup))
+        self.run.charge_pages(kind, vids, dedup)
+
+    def settled(self, chunks):
+        for chunk in self.run.settled(chunks):
+            self.log.append(None)
+            yield chunk
+
+
+class _LoggedSession(GraphSession):
+    log: list
+
+    def page_run(self, pages):
+        return _LoggedRun(super().page_run(pages), self.log)
+
+
+def _settle_log(session, pages: PageTraces, log) -> None:
+    """One pipeline run's charges, as ``log`` has them, on ``session``:
+    recorded when ``pages`` keeps nothing yet, else replayed."""
+    run = session.page_run(pages)
+
+    def chunks():
+        for event in log:
+            if event is None:
+                yield None
+            else:
+                run.charge_pages(*event)
+
+    for _ in run.settled(chunks()):
+        pass
+
+
 def page_traces(bench: Bench, graph, queries) -> None:
     """The page charges of one run of the paper ops on ``graph``,
-    replayed on a fresh ``GraphSession`` per replay - each array's
-    trace built, bar arrays an op charges twice - against one kept
-    session, where every trace is a hit.  Both share one page cache,
-    so the LRU settles the same touches."""
-    charges = []
-    recorder = GraphSession(graph, NEO4J_LIKE)
-    charge = recorder.charge_pages
-
-    def record(kind, vids, dedup):
-        if len(vids):
-            charges.append((kind, vids.copy(), dedup))
-        charge(kind, vids, dedup)
-
-    recorder.charge_pages = record
-    executor = Executor(recorder)
+    settled as a pipeline's first run settles them (each call traced
+    from its vids and settled alone, the traces recorded) against a
+    later run (the recording's calls by ordinal, merged while their
+    pages fit the cache).  Both share one page cache, so the LRU
+    settles the same touches; ``settles`` counts a replaying run's
+    cache settles, one per merged unit."""
+    logs = []
+    logged = _LoggedSession(graph, NEO4J_LIKE)
+    executor = Executor(logged)
     for query in queries.values():
+        logged.log = []
         executor.run(query)
-    cache = LruPageCache(NEO4J_LIKE.cache_pages)
-    kept = GraphSession(graph, NEO4J_LIKE, cache)
+        logs.append(logged.log)
+    kept = [PageTraces() for _ in logs]
     runs = 1 if bench.smoke else TRACE_RUNS
 
-    def hit_share(session) -> float:
-        hits = 0
-        for kind, vids, dedup in charges:
-            kept_before = len(session._traces)
-            session.charge_pages(kind, vids, dedup)
-            hits += len(session._traces) == kept_before
-        return hits / len(charges)
+    def one_pass(session, traces):
+        for pages, log in zip(traces, logs):
+            _settle_log(session, pages, log)
 
-    def replay(session):
-        for kind, vids, dedup in charges:
-            session.charge_pages(kind, vids, dedup)
+    def counters(traces):
+        session = GraphSession(graph, NEO4J_LIKE)
+        one_pass(session, traces)
+        metrics = session.metrics
+        return [metrics.page_hits, metrics.page_misses], list(
+            session.cache._pages
+        )
 
-    fresh_hits = hit_share(GraphSession(graph, NEO4J_LIKE, cache))
-    replay(kept)
-    kept_hits = hit_share(kept)
+    recorded = counters(kept)  # also keeps every op's traces
+    replayed = counters(kept)
+    session = GraphSession(graph, NEO4J_LIKE)
 
-    def fresh():
+    def record():
         for _ in range(runs):
-            replay(GraphSession(graph, NEO4J_LIKE, cache))
+            one_pass(session, [PageTraces() for _ in logs])
 
-    def warm():
+    def replay():
         for _ in range(runs):
-            replay(kept)
+            one_pass(session, kept)
 
-    built, hit = bench.time([fresh, warm], 15)
-    _, kept_us, _ = bench.quartiles(hit / runs * 1e6)
-    q1, ratio, q3 = bench.quartiles(built / hit)
+    fresh, warm = bench.time([record, replay], 15)
+    _, record_us, _ = bench.quartiles(fresh / runs * 1e6)
+    _, replay_us, _ = bench.quartiles(warm / runs * 1e6)
+    q1, ratio, q3 = bench.quartiles(fresh / warm)
+    capacity = session.cache.capacity
     bench.row(
-        "derived.page_traces", "us", built / runs * 1e6, dataset="fin-dir",
-        kept_us=round(kept_us, 1), ratio=round(ratio, 2),
-        ratio_iqr=round(q3 - q1, 2), calls=len(charges),
-        vids=sum(len(vids) for _, vids, _ in charges),
-        traces=len(kept._traces), fresh_hit_share=round(fresh_hits, 3),
-        kept_hit_share=round(kept_hits, 3),
+        "derived.page_traces", "us", warm / runs * 1e6, dataset="fin-dir",
+        record_us=round(record_us, 1), replay_us=round(replay_us, 1),
+        ratio=round(ratio, 2), ratio_iqr=round(q3 - q1, 2),
+        calls=sum(event is not None for log in logs for event in log),
+        settles=sum(len(pages.kept.units(capacity)) for pages in kept),
+        vids=sum(len(event[1]) for log in logs for event in log if event),
+        record_pages=recorded[0], replay_pages=replayed[0],
+        same_order=recorded[1] == replayed[1],
     )
 
 

@@ -54,8 +54,9 @@ It is two parts over the edge columns:
 * the *base*, both directions' per-type CSR of
   :func:`~repro.graphdb.view.build_csr`, over the eids below
   ``_base_eids``.  Mutations leave it as it is: a removed base edge is
-  masked by its tombstone in ``_e_label``, and a rolled-back removal
-  clears the tombstone;
+  masked by its tombstone in ``_e_label`` (a typed read looks at the
+  mask only once some base edge has been removed), and a rolled-back
+  removal clears the tombstone;
 * the *tail*, per direction vid -> the live eids at or past
   ``_base_eids``, ascending: an add appends, a removal takes the eid
   out and a rolled-back removal puts it back in eid order.
@@ -211,6 +212,9 @@ class PropertyGraph:
         #: the tail, (out, in) vid -> the live eids past the base.
         self._base: tuple[dict[int, Csr], dict[int, Csr]] | None = None
         self._base_eids = 0
+        #: Whether a base eid has been removed since the base was
+        #: built: until then a typed read skips the tombstone mask.
+        self._base_dead = False
         self._tail: tuple[dict[int, list], dict[int, list]] = ({}, {})
         self._property_indexes: dict[tuple[str, str], dict] = {}
         self._next_vid = 0
@@ -439,6 +443,7 @@ class PropertyGraph:
         if self._undo is not None:
             self._undo.append(("drop_base",))
         self._base_eids = len(self._e_label)
+        self._base_dead = False
         self._tail = ({}, {})
         self._base = out, into
         return out, into, type_rank
@@ -833,12 +838,15 @@ class PropertyGraph:
         labels[eid] = -1  # masks a base eid
         self._num_edges -= 1
         props = self._e_props.pop(eid, None)
-        if self._base is not None and eid >= self._base_eids:
-            for tail, vid in zip(self._tail, (src, dst)):
-                eids = tail[vid]
-                eids.remove(eid)
-                if not eids:
-                    del tail[vid]
+        if self._base is not None:
+            if eid < self._base_eids:
+                self._base_dead = True
+            else:
+                for tail, vid in zip(self._tail, (src, dst)):
+                    eids = tail[vid]
+                    eids.remove(eid)
+                    if not eids:
+                        del tail[vid]
         self._touch()
         if self._undo is not None:
             self._undo.append(
@@ -1004,9 +1012,9 @@ class PropertyGraph:
             ] + (tail or []))
         sid = self._symbols.sid(label)
         csr = csrs.get(sid)
-        eids = [] if csr is None else [
-            eid for eid in csr.segment(vid) if labels[eid] >= 0
-        ]
+        eids = [] if csr is None else csr.segment(vid)
+        if self._base_dead:
+            eids = [eid for eid in eids if labels[eid] >= 0]
         if tail:
             eids += [eid for eid in tail if labels[eid] == sid]
         return eids

@@ -12,7 +12,7 @@ authors' testbed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Callable, Collection, Iterable
+from typing import Callable, Iterable
 
 
 @dataclass
@@ -54,10 +54,14 @@ _FIELD_NAMES: tuple[str, ...] = tuple(
 
 @dataclass
 class LruPageCache:
-    """A tiny LRU page cache; only hit/miss accounting matters here."""
+    """A tiny LRU page cache; only hit/miss accounting matters here.
+
+    A page is an int key, ``page * 2 + kind``: kind 0 is a vertex
+    (property) page, 1 an adjacency page (``GraphSession`` computes
+    them)."""
 
     capacity: int
-    _pages: dict[tuple, None] = field(default_factory=dict)
+    _pages: dict[int, None] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         # A negative size would make touch() keep nothing while
@@ -67,7 +71,7 @@ class LruPageCache:
                 f"page cache capacity must be >= 0, got {self.capacity}"
             )
 
-    def touch(self, page_id: tuple) -> bool:
+    def touch(self, page_id: int) -> bool:
         """Access a page; returns True on a hit."""
         pages = self._pages
         if page_id in pages:
@@ -83,18 +87,17 @@ class LruPageCache:
 
     def touch_many(
         self,
-        kind: str,
         pages: list[int],
-        last: Collection[int] | None = None,
+        last: dict[int, None] | list[int] | None = None,
         first: Callable[[], Iterable[int]] | None = None,
     ) -> int:
-        """Access ``(kind, p)`` for every ``p`` of ``pages`` in order;
-        returns the number of misses.
+        """Access every key of ``pages`` in order; returns the number of
+        misses.
 
-        Exactly ``sum(not self.touch((kind, p)) for p in pages)`` and
-        the same final recency order, in two passes over the call's
-        *distinct* pages.  While those are at most ``capacity``, every
-        page touched in the call sits behind all untouched residents in
+        Exactly ``sum(not self.touch(p) for p in pages)`` and the same
+        final recency order, in two passes over the call's *distinct*
+        pages.  While those are at most ``capacity``, every page
+        touched in the call sits behind all untouched residents in
         eviction order and a miss on a full cache still finds an
         untouched one to evict, so no page touched in the call leaves
         before it ends.  Hence repeats always hit, what a first touch
@@ -103,7 +106,7 @@ class LruPageCache:
 
         ``last`` (the distinct pages, latest last touch first) and
         ``first`` (a callable returning them in first-touch order,
-        called only when a miss can evict) let a caller that charges
+        called only when a miss can evict) let a caller that settles
         the same pages again pass orders it computed before; both are
         derived from ``pages`` when absent.
         """
@@ -112,18 +115,18 @@ class LruPageCache:
         capacity = self.capacity
         if len(last) > capacity:
             touch = self.touch
-            return sum(not touch((kind, p)) for p in pages)
+            return sum(not touch(p) for p in pages)
         resident = self._pages
-        keys = [(kind, p) for p in last]
-        misses = len(keys) - sum(map(resident.__contains__, keys))
+        misses = len(last) - sum(map(resident.__contains__, last))
         if len(resident) + misses > capacity:
             # Some miss evicts, and its victim may be a page this call
             # only reaches later: make the first touches, in order.
             touch = self.touch
             order = dict.fromkeys(pages) if first is None else first()
-            misses = sum(not touch((kind, p)) for p in order)
-        for key in reversed(keys):
-            resident.pop(key, None)
+            misses = sum(not touch(p) for p in order)
+        pop = resident.pop
+        for key in reversed(last):
+            pop(key, None)
             resident[key] = None
         return misses
 

@@ -38,16 +38,20 @@ docs/ARCHITECTURE.md "Caveats"), so the differential harness in
 ``tests/graphdb/test_differential.py`` can assert multiset equality
 and every existing metrics-sensitive test keeps passing regardless of
 which path ran.  Page touches are charged one operator call at a time:
-a kernel hands the vids it read, in access order, to
-``GraphSession.charge_pages``, the one place that knows the page
-geometry.  The session settles them by ``LruPageCache.touch_many`` in
-two passes over the call's distinct pages, read from a page trace it
-keeps per vid array - a warm run's operators charge the arrays of the
-run before, so a repeat costs one dict lookup.  That is exact at every
-cache size - while the distinct pages fit the cache none of them can
-be evicted before the call ends, so repeats hit, first touches decide
-the misses and last touches the recency order; a call that does not
-fit runs the per-touch loop itself.
+a kernel hands the vids it read, in access order, to the
+``charge_pages`` of its run's ``session.PageRun``, which the session
+(the one place that knows the page geometry) makes.  A pipeline's
+first run traces each call and settles it by
+``LruPageCache.touch_many`` in two passes over the call's distinct
+pages; the pipeline keeps those traces by call ordinal, since a
+compiled pipeline charges the same vids at its k-th call on every run,
+and a repeat run reads call k's trace without looking at the vids and
+settles consecutive calls as one merged trace while their distinct
+pages fit the cache.  That is exact at every cache size - while the
+distinct pages fit, none of them can be evicted before the settle
+ends, so repeats hit, first touches decide the misses and last
+touches the recency order; a settle that does not fit runs the
+per-touch loop itself.
 
 **One gate.**  Whether a query can run here is decided in one place:
 the compile itself.  Every construct the batch path has no operator
@@ -115,6 +119,7 @@ from repro.graphdb.query.executor import (
 )
 from repro.graphdb.query.functions import apply_aggregate, apply_scalar
 from repro.graphdb.query.planner import ExpandStep, Plan, ScanStep
+from repro.graphdb.session import PageTraces
 from repro.graphdb.view import GraphArrays, _Column
 
 #: Rows per scan batch.  Large enough to amortize kernel dispatch,
@@ -249,7 +254,8 @@ class _KernelContext:
     """What compiled kernels close over: the graph's arrays, the plan's
     slots and one binding of the parameters - nothing of an execution.
     The session a run charges is an argument of every compiled
-    function instead."""
+    function instead: its ``PageRun``, whose ``metrics`` are the
+    session's."""
 
     __slots__ = ("arrays", "slots", "slot_kinds", "params")
 
@@ -1244,7 +1250,7 @@ class Pipeline:
     stay independent.
     """
 
-    __slots__ = ("columns", "source", "ops", "consume")
+    __slots__ = ("columns", "source", "ops", "consume", "pages")
 
     def __init__(self, columns, source, ops, consume):
         self.columns = columns
@@ -1253,6 +1259,8 @@ class Pipeline:
         self.source = source
         self.ops = ops
         self.consume = consume
+        #: The page traces of a complete run, replayed by later ones.
+        self.pages = PageTraces()
 
     def run(
         self,
@@ -1266,16 +1274,18 @@ class Pipeline:
         ``(n, column lists)`` chunks charged to ``session``."""
         if report is not None:
             report.mode = "vectorized"
+        # The kernels charge this run's pages, not the session's.
+        charges = session.page_run(self.pages)
         if self.source is None:
             # Still route through the consumer: a global aggregate over
             # zero matches must produce its one (0/null) row.
             batches = iter(())
         else:
             batches = _drive(
-                session, self.source, self.ops,
+                charges, self.source, self.ops,
                 guard, step_counts, step_times, report,
             )
-        return self.columns, self.consume(session, batches)
+        return self.columns, charges.settled(self.consume(charges, batches))
 
 
 def build_pipeline(

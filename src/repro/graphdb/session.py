@@ -21,7 +21,9 @@ pass - ``zip`` over the vid list and the property column instead of a
 per-vertex dict probe - while staying lazy so ``LIMIT`` still
 short-circuits.  The batch path charges the pages of a whole vid
 array at once through :meth:`GraphSession.charge_pages`, the one place
-that knows the page geometry.
+that knows the page geometry, by way of a :class:`PageRun` per run of
+a compiled pipeline, which keeps the pipeline's page traces by call
+ordinal and settles a repeat run's calls from them, merged.
 
 A session is the read and charge model only: it owns no store.  A
 durable graph is opened through :func:`repro.graphdb.api.connect`,
@@ -42,33 +44,191 @@ from repro.graphdb.graph import PropertyGraph
 from repro.graphdb.metrics import ExecutionMetrics, LruPageCache
 
 
-#: Bound on the vid bytes of the page traces one session keeps.  The
-#: paper's sessions keep 9-15 traces and at most ~52 KB.
-TRACE_KEY_BYTES = 1 << 20
+#: Bound on the page touches (same-page runs) the kept traces of one
+#: compiled pipeline hold; a pipeline whose runs charge more re-traces
+#: every run and keeps nothing.  A paper op's pipeline charges at most
+#: a few thousand.
+TRACE_PAGES = 1 << 14
 
 
 class _PageTrace:
-    """What settling a charge in the page LRU needs from a vid array:
-    its same-page runs (one touch each; the rest of a run, ``repeats``,
-    hits), its distinct pages latest last touch first, and - built on
-    the first call of :meth:`first`, when a miss can evict - its
-    distinct pages in first-touch order."""
+    """What settling page touches in the LRU needs from them: the keys
+    of their same-page runs, in order (one touch each; the rest of a
+    run, ``repeats``, hits), the distinct keys latest last touch first,
+    and - built on the first call of :meth:`first`, when a miss can
+    evict - the distinct keys in first-touch order."""
 
     __slots__ = ("runs", "repeats", "last", "_first")
 
-    def __init__(self, pages: np.ndarray, dedup: bool):
-        starts = np.ones(len(pages), dtype=bool)
-        np.not_equal(pages[1:], pages[:-1], out=starts[1:])
-        runs = pages[starts].tolist()
+    def __init__(self, runs: list[int], repeats: int):
         self.runs = runs
-        self.repeats = 0 if dedup else len(pages) - len(runs)
+        self.repeats = repeats
         self.last = dict.fromkeys(reversed(runs))
         self._first: dict[int, None] | None = None
+
+    @classmethod
+    def of(cls, keys: np.ndarray, dedup: bool) -> _PageTrace:
+        """The trace of one charge's page keys, in access order:
+        ``dedup`` touches run starts only, else every key."""
+        starts = np.ones(len(keys), dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=starts[1:])
+        runs = keys[starts].tolist()
+        return cls(runs, 0 if dedup else len(keys) - len(runs))
 
     def first(self) -> dict[int, None]:
         if self._first is None:
             self._first = dict.fromkeys(self.runs)
         return self._first
+
+
+_NO_PAGES = _PageTrace([], 0)
+
+
+class PageTraces:
+    """What a compiled pipeline keeps of its page charges: the per-call
+    traces of its last complete run, by call ordinal (``kept``, None
+    until a run completes).  A pipeline is a pure function of its
+    plan, arrays and parameters, so its k-th charge is the same on
+    every run; only the page geometry, a session's, is not, and
+    ``kept`` names it.  Runs read ``kept`` once and replace it by one
+    assignment, so concurrent runs never see a partial recording."""
+
+    __slots__ = ("kept",)
+
+    def __init__(self):
+        self.kept: _Recording | None = None
+
+
+class _Recording:
+    """One complete run's charges: ``traces[k]`` is call ``k``'s;
+    ``cuts`` the call counts at which the run yielded rows."""
+
+    __slots__ = ("geometry", "traces", "cuts", "plans")
+
+    def __init__(self, geometry, traces, cuts):
+        self.geometry = geometry
+        self.traces = traces
+        self.cuts = frozenset(cuts)
+        #: cache capacity -> settle units (see :meth:`units`).
+        self.plans: dict[int, list[tuple[int, _PageTrace]]] = {}
+
+    def units(self, capacity: int) -> list[tuple[int, _PageTrace]]:
+        """``(stop, trace)`` per settle: the calls up to ``stop``
+        since the unit before, as one trace.  Consecutive calls merge
+        while their distinct pages fit ``capacity``, so the merged
+        settle takes :meth:`LruPageCache.touch_many`'s two passes, and
+        never across a cut, so no charge waits while rows are out; a
+        call that does not fit alone settles alone."""
+        plan = self.plans.get(capacity)
+        if plan is not None:
+            return plan
+        traces = self.traces
+        cuts = self.cuts
+        plan = []
+        start = 0
+        while start < len(traces):
+            stop = start + 1
+            union = set(traces[start].last)
+            while stop < len(traces) and stop not in cuts:
+                wider = union.union(traces[stop].last)
+                if len(wider) > capacity:
+                    break
+                union = wider
+                stop += 1
+            group = traces[start:stop]
+            trace = group[0] if len(group) == 1 else _PageTrace(
+                [key for t in group for key in t.runs],
+                sum(t.repeats for t in group),
+            )
+            plan.append((stop, trace))
+            start = stop
+        self.plans[capacity] = plan
+        return plan
+
+
+#: The unit a replay waits for once its plan is spent: no call count
+#: reaches -1.
+_SPENT = (-1, _NO_PAGES)
+
+
+class PageRun:
+    """One run of a compiled pipeline, as its kernels see the session:
+    ``metrics`` and ``charge_pages``.  The first run over a page
+    geometry records every call's trace and settles it at once; a
+    complete recording is kept on the pipeline's :class:`PageTraces`,
+    and later runs settle call ``k`` from it by ordinal - the vids are
+    not read - merged into the units :meth:`_Recording.units` plans.
+    A unit never spans a yield, and :meth:`settled` settles what an
+    error or a closed cursor leaves of one, so a run stopped,
+    abandoned or interleaved with another leaves the cache as
+    per-touch charging would."""
+
+    __slots__ = (
+        "session", "charge_pages", "_pages", "_geometry", "_traces",
+        "_cuts", "_size", "_plan", "_unit", "_k", "_done",
+    )
+
+    def __init__(self, session: GraphSession, pages: PageTraces):
+        self.session = session
+        self._pages = pages
+        self._geometry = geometry = (
+            session._vertices_per_page, session._adjacency_per_page,
+        )
+        kept = pages.kept
+        if kept is not None and kept.geometry == geometry:
+            self._traces = kept.traces
+            self._plan = iter(kept.units(session.cache.capacity))
+            self._unit = next(self._plan, _SPENT)
+            self._k = self._done = 0
+            self.charge_pages = self._replay
+        else:
+            self._plan = None
+            self._traces: list[_PageTrace] | None = []
+            self._cuts: list[int] = []
+            self._size = 0
+            self.charge_pages = self._record
+
+    @property
+    def metrics(self) -> ExecutionMetrics:
+        return self.session.metrics
+
+    def _record(self, kind: str, vids: np.ndarray, dedup: bool) -> None:
+        trace = self.session.charge_pages(kind, vids, dedup)
+        traces = self._traces
+        if traces is not None:
+            self._size += len(trace.runs)
+            if self._size > TRACE_PAGES:
+                self._traces = None  # too big to keep: keep nothing
+            else:
+                traces.append(trace)
+
+    def _replay(self, kind: str, vids: np.ndarray, dedup: bool) -> None:
+        k = self._k = self._k + 1
+        stop, trace = self._unit
+        if k == stop:
+            self.session._settle(trace)
+            self._done = k
+            self._unit = next(self._plan, _SPENT)
+
+    def settled(self, chunks):
+        """``chunks``, passed through; the calls of a unit cut short
+        by an error or a close are settled one by one, and a complete
+        recording is kept."""
+        recording = self._plan is None
+        try:
+            for chunk in chunks:
+                if recording and self._traces is not None:
+                    self._cuts.append(len(self._traces))
+                yield chunk
+        finally:
+            if not recording:
+                settle = self.session._settle
+                for trace in self._traces[self._done:self._k]:
+                    settle(trace)
+        if recording and self._traces is not None:
+            self._pages.kept = _Recording(
+                self._geometry, self._traces, self._cuts
+            )
 
 
 class GraphSession:
@@ -89,71 +249,64 @@ class GraphSession:
         self.metrics = ExecutionMetrics()
         self._vertices_per_page = max(1, profile.vertices_per_page)
         self._adjacency_per_page = max(1, profile.adjacency_per_page)
-        # charge_pages' memo: (page size, dedup, dtype, vid bytes) ->
-        # _PageTrace, oldest first; _trace_bytes sums the vid bytes.
-        self._traces: dict[tuple, _PageTrace] = {}
-        self._trace_bytes = 0
 
     # ------------------------------------------------------------------
     # Page simulation
     # ------------------------------------------------------------------
-    def _touch_page(self, page: tuple) -> None:
-        """Record one page access as a cache hit or miss."""
+    def _touch_page(self, page: int) -> None:
+        """Record one page access (a key: ``page * 2 + kind``, kind 0
+        vertex, 1 adjacency) as a cache hit or miss."""
         if self.cache.touch(page):
             self.metrics.page_hits += 1
         else:
             self.metrics.page_misses += 1
 
-    def charge_pages(self, kind: str, vids: np.ndarray, dedup: bool) -> None:
-        """Bulk page charging for the batch path: the touches of the
-        vertex (``kind="v"``) or adjacency (``"a"``) pages of ``vids``,
-        accessed in order, settled by :meth:`LruPageCache.touch_many` -
-        the hit/miss split and the recency order of one
-        :meth:`_touch_page` per touch at every cache size, for
-        O(distinct pages) Python work.  ``dedup=False`` is the per-row
-        flavor (``accept_vertex`` / ``property_reader`` /
-        ``expand_pairs``): every row touches its page.  ``dedup=True``
-        is the :meth:`scan_rows` flavor, which skips a row on the same
-        page as the row before it: only run starts touch.
+    def charge_pages(
+        self, kind: str, vids: np.ndarray, dedup: bool
+    ) -> _PageTrace:
+        """Bulk page charging: the touches of the vertex (``kind="v"``)
+        or adjacency (``"a"``) pages of ``vids``, accessed in order,
+        settled by :meth:`LruPageCache.touch_many` - the hit/miss split
+        and the recency order of one :meth:`_touch_page` per touch at
+        every cache size, for O(distinct pages) Python work.
+        ``dedup=False`` is the per-row flavor (``accept_vertex`` /
+        ``property_reader`` / ``expand_pairs``): every row touches its
+        page.  ``dedup=True`` is the :meth:`scan_rows` flavor, which
+        skips a row on the same page as the row before it: only run
+        starts touch.  Returns the trace it settled.
 
-        The settle reads ``vids`` through a :class:`_PageTrace`, a pure
-        function of the vids' bytes, the page size and ``dedup``, so
-        the session keeps the traces it builds: charging an array it
-        has charged before costs one ``tobytes`` and one dict lookup.
-        The kept traces' key bytes stay under :data:`TRACE_KEY_BYTES`,
-        oldest evicted first, and an array larger than that is traced
-        and dropped.
+        A compiled batch pipeline's kernels charge through the
+        :class:`PageRun` of :meth:`page_run`: its first run charges
+        each call here and keeps the traces, by call ordinal, on the
+        pipeline; a later run settles them from there, merged, and
+        reads no vids.
         """
         if not len(vids):
-            return
-        per_page = (
-            self._vertices_per_page if kind == "v"
-            else self._adjacency_per_page
-        )
-        if vids.nbytes > TRACE_KEY_BYTES:
-            trace = _PageTrace(vids // per_page, dedup)
+            return _NO_PAGES
+        if kind == "v":
+            keys = vids // self._vertices_per_page * 2
         else:
-            key = (per_page, dedup, vids.dtype, vids.tobytes())
-            traces = self._traces
-            trace = traces.get(key)
-            if trace is None:
-                trace = _PageTrace(vids // per_page, dedup)
-                self._trace_bytes += vids.nbytes
-                while self._trace_bytes > TRACE_KEY_BYTES:
-                    oldest = next(iter(traces))
-                    self._trace_bytes -= len(oldest[3])
-                    del traces[oldest]
-                traces[key] = trace
+            keys = vids // self._adjacency_per_page * 2 + 1
+        trace = _PageTrace.of(keys, dedup)
+        self._settle(trace)
+        return trace
+
+    def _settle(self, trace: _PageTrace) -> None:
+        """Charge ``trace``'s touches, in order."""
         cache = self.cache
-        runs = trace.runs
-        misses = cache.touch_many(kind, runs, trace.last, trace.first)
+        misses = cache.touch_many(trace.runs, trace.last, trace.first)
         if not cache.capacity:
             # A repeat touches the page touched just before it: on a
             # cache with room for a page it hits and moves nothing.
             misses += trace.repeats
         metrics = self.metrics
         metrics.page_misses += misses
-        metrics.page_hits += len(runs) + trace.repeats - misses
+        metrics.page_hits += len(trace.runs) + trace.repeats - misses
+
+    def page_run(self, pages: PageTraces) -> PageRun:
+        """What one run of a compiled pipeline charges, given the
+        traces that pipeline keeps."""
+        return PageRun(self, pages)
 
     # ------------------------------------------------------------------
     # Instrumented reads
@@ -179,7 +332,7 @@ class GraphSession:
 
         def read(vid: int) -> object:
             metrics.property_reads += 1
-            touch(("v", vid // per_page))
+            touch(vid // per_page * 2)
             tid = v_tid[vid]
             if tid < 0:
                 raise GraphError(f"unknown vertex {vid}")
@@ -197,7 +350,7 @@ class GraphSession:
             # accounting as a probing read).
             def read_absent(vid: int) -> object:
                 metrics.property_reads += 1
-                touch(("v", vid // per_page))
+                touch(vid // per_page * 2)
                 if v_tid[vid] < 0:
                     raise GraphError(f"unknown vertex {vid}")
                 return None
@@ -229,7 +382,7 @@ class GraphSession:
         ``type_rank`` order while the graph's arrays are frozen, which
         is the order the batch path emits.
         """
-        self._touch_page(("a", vid // self._adjacency_per_page))
+        self._touch_page(vid // self._adjacency_per_page * 2 + 1)
         graph = self.graph
         arrays = graph._arrays
         if not labels and arrays is not None and arrays.type_rank:
@@ -241,7 +394,8 @@ class GraphSession:
             if direction == skip:
                 continue
             for label in labels or (None,):
-                pairs += [(eid, far[eid]) for eid in read(vid, d, label)]
+                eids = read(vid, d, label)
+                pairs += zip(eids, map(far.__getitem__, eids))
         self.metrics.edge_traversals += len(pairs)
         return pairs
 
@@ -260,7 +414,7 @@ class GraphSession:
         """
         metrics = self.metrics
         touch_page = self._touch_page
-        page = ("v", vid // self._vertices_per_page)
+        page = vid // self._vertices_per_page * 2
         graph = self.graph
         try:
             tid = graph._v_tid[vid]
@@ -351,7 +505,7 @@ class GraphSession:
                         examined += 1
                         page = vid // per_page
                         if page != last_page:
-                            touch(("v", page))
+                            touch(page * 2)
                             last_page = page
                         yield vid
                     continue
@@ -391,7 +545,7 @@ class GraphSession:
                         continue
                     page = vid // per_page
                     if page != last_page:
-                        touch(("v", page))
+                        touch(page * 2)
                         last_page = page
                     if rest_sids:
                         row = graph._v_row[vid]
@@ -430,7 +584,7 @@ class GraphSession:
         traversal: the executor's join-check step uses this instead of
         expanding and re-counting the full adjacency list of ``src``.
         """
-        self._touch_page(("a", src // self._adjacency_per_page))
+        self._touch_page(src // self._adjacency_per_page * 2 + 1)
         self.metrics.edge_traversals += 1
         for label in labels or (None,):
             eid = self.graph.first_edge_between(src, dst, label, direction)

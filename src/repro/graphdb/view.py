@@ -71,7 +71,7 @@ class Csr:
     :meth:`segment` do.
     """
 
-    __slots__ = ("base", "starts", "counts", "neighbors", "eids")
+    __slots__ = ("base", "starts", "counts", "neighbors", "eids", "_lists")
 
     def __init__(self, anchors, neighbors, eids):
         # ``anchors``: this type's run of the sorted anchor vids.
@@ -85,6 +85,9 @@ class Csr:
         self.eids = eids
         for column in (self.starts, self.counts, neighbors, eids):
             column.flags.writeable = False
+        #: ``(bounds, eids)`` as lists for :meth:`segment`, built on its
+        #: first call: segment ``i`` is ``eids[bounds[i]:bounds[i + 1]]``.
+        self._lists: tuple[list[int], list[int]] | None = None
 
     def span(self, vids):
         """Per vid, the (starts, counts) of its segment in ``neighbors``
@@ -100,12 +103,19 @@ class Csr:
         )
 
     def segment(self, vid: int) -> list[int]:
-        """One vid's eids, ascending: the per-element read (scalar
-        indexing and one slice), ``[]`` outside the anchor range."""
+        """One vid's eids, ascending: the per-element read, ``[]``
+        outside the anchor range.  It slices list copies of the
+        segment bounds and eids, built on the first read (one
+        assignment), since a numpy scalar read or slice costs more
+        than the few eids it returns."""
+        lists = self._lists
+        if lists is None:
+            bounds = np.append(self.starts, self.starts[-1] + self.counts[-1])
+            lists = self._lists = bounds.tolist(), self.eids.tolist()
+        bounds, eids = lists
         i = vid - self.base
-        if 0 <= i < len(self.counts):
-            start = self.starts[i]
-            return self.eids[start:start + self.counts[i]].tolist()
+        if 0 <= i < len(bounds) - 1:
+            return eids[bounds[i]:bounds[i + 1]]
         return []
 
 

@@ -23,11 +23,14 @@ depend on it.
 
 What *is* pinned under eviction is the batch path against itself:
 ``LruPageCache.touch_many`` settles an operator's touches in two
-passes over its distinct pages, and on caches of 1, 4, 22 and 96 pages
-- thrashing, smaller than one op's working set, about equal to it, the
-shipped size - the six ops of a session leave the same six counters
-and the same recency order as an LRU that touches page by page
-(``tests/graphdb/lru_oracle.py``).
+passes over its distinct pages, and a compiled pipeline's repeat runs
+settle the traces its first run recorded, consecutive calls merged
+while their pages fit the cache.  On caches of 0, 1, 4, 22 and 96
+pages - none, thrashing, smaller than one op's working set, about
+equal to it, the shipped size - the six ops of a session, cold and
+warm, leave the same six counters and the same recency order as a
+session that touches page by page for every row the kernels produce
+(``PerRowSession``, ``tests/graphdb/lru_oracle.py``).
 """
 
 import pytest
@@ -40,7 +43,7 @@ from repro.graphdb.query.executor import Executor
 from repro.graphdb.query.vectorized import ExecutionReport
 from repro.graphdb.session import GraphSession
 from tests.graphdb.diffquery import WORK_COUNTERS
-from tests.graphdb.lru_oracle import LoopLruPageCache
+from tests.graphdb.lru_oracle import PerRowSession
 
 
 @pytest.fixture(scope="module", params=[build_med, build_fin])
@@ -87,15 +90,16 @@ def test_batch_path_equals_tuple_path(paper_ops, profile):
             assert got[:3] == expected[:3], (label, profile.name, cache)
 
 
-@pytest.mark.parametrize("capacity", [1, 4, 22, 96])
+@pytest.mark.parametrize("capacity", [0, 1, 4, 22, 96])
 def test_bulk_charging_equals_per_touch_charging(paper_ops, capacity):
     for ops in (paper_ops[:6], paper_ops[6:]):  # one session per graph
         graph = ops[0][1]
         bulk = GraphSession(graph, NEO4J_LIKE, LruPageCache(capacity))
-        loop = GraphSession(graph, NEO4J_LIKE, LoopLruPageCache(capacity))
+        loop = PerRowSession(graph, NEO4J_LIKE, LruPageCache(capacity))
         assert bulk.cache.capacity == loop.cache.capacity == capacity
-        # First pass warms the cache: the second finds it full of the
-        # other five ops' pages.
+        # The first pass records each op's traces and warms the cache:
+        # the second replays them into a cache full of the other five
+        # ops' pages - and the reference still touches every row.
         for cache in ("cold", "warm"):
             for label, _, query in ops:
                 got = run_once(bulk, query, vectorize=True)

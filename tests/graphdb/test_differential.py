@@ -31,14 +31,21 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.graphdb.backends import NEO4J_LIKE
+from repro.graphdb.metrics import LruPageCache
 from repro.graphdb.query.ast import FuncCall
+from repro.graphdb.query.executor import Executor
 from repro.graphdb.query.parser import parse_query
+from repro.graphdb.query.vectorized import ExecutionReport
+from repro.graphdb.session import GraphSession
 from tests.graphdb.diffquery import (
+    WORK_COUNTERS,
     QueryGen,
     assert_equivalent,
     build_differential_graph,
     norm_rows,
 )
+from tests.graphdb.lru_oracle import PerRowSession
 
 pytestmark = pytest.mark.diff_seed
 
@@ -75,6 +82,35 @@ class TestCorpus:
         assert fallbacks >= 10, (
             f"seed={SEED}: only {fallbacks} queries fell back"
         )
+
+    @pytest.mark.parametrize("capacity", [0, 1, 4, 22, 96])
+    def test_repeat_runs_charge_as_per_row_touches(self, diff_graph, capacity):
+        """Each corpus query twice on one session - the batch path's
+        second run settles the traces its first recorded - against a
+        session that touches every row the kernels produce: the six
+        counters and the LRU's recency order after every run."""
+        gen = QueryGen(random.Random(SEED))
+        bulk = GraphSession(diff_graph, NEO4J_LIKE, LruPageCache(capacity))
+        loop = PerRowSession(diff_graph, NEO4J_LIKE, LruPageCache(capacity))
+        vectorized = 0
+        for i in range(CORPUS_SIZE):
+            text, params = gen.query()
+            for run in ("cold", "warm"):
+                outcomes = []
+                for session in (bulk, loop):
+                    report = ExecutionReport()
+                    _, _, _, rows = Executor(session).stream(
+                        text, dict(params), report=report
+                    )
+                    vectorized += report.mode == "vectorized"
+                    rows = norm_rows(list(rows))
+                    work = session.reset_metrics().as_dict()
+                    outcomes.append((
+                        rows, {k: work[k] for k in WORK_COUNTERS},
+                        list(session.cache._pages),
+                    ))
+                assert outcomes[0] == outcomes[1], (i, text, run)
+        assert vectorized >= 4 * 100
 
     def test_object_column_queries_fall_back_and_agree(self, diff_graph):
         """String/mixed columns are the designed fallback case; pin a

@@ -1,5 +1,7 @@
 """Tests for the instrumented graph session and metrics."""
 
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -7,15 +9,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.exceptions import QueryTimeoutError, ResourceLimitError
 from repro.graphdb import session as session_module
 from repro.graphdb.api import connect
+from repro.graphdb.api import session as api_session
 from repro.graphdb.backends import JANUSGRAPH_LIKE, NEO4J_LIKE
 from repro.graphdb.graph import PropertyGraph
 from repro.graphdb.metrics import ExecutionMetrics, LruPageCache
-from repro.graphdb.query.executor import Executor
+from repro.graphdb.query import vectorized
+from repro.graphdb.query.executor import ExecutionGuard, Executor
 from repro.graphdb.query.vectorized import ExecutionReport
 from repro.graphdb.session import GraphSession
-from tests.graphdb.lru_oracle import LoopLruPageCache
+from tests.graphdb.lru_oracle import (
+    LoopLruPageCache,
+    PerRowSession,
+    touch_rows,
+)
 
 
 N = frozenset({"N"})
@@ -49,57 +58,58 @@ class TestMetrics:
 class TestLruCache:
     def test_hit_after_touch(self):
         cache = LruPageCache(2)
-        assert not cache.touch(("v", 1))
-        assert cache.touch(("v", 1))
+        assert not cache.touch(1)
+        assert cache.touch(1)
 
     def test_eviction_order(self):
         cache = LruPageCache(2)
-        cache.touch(("v", 1))
-        cache.touch(("v", 2))
-        cache.touch(("v", 1))     # 1 becomes most recent
-        cache.touch(("v", 3))     # evicts 2
-        assert cache.touch(("v", 1))
-        assert not cache.touch(("v", 2))
+        cache.touch(1)
+        cache.touch(2)
+        cache.touch(1)     # 1 becomes most recent
+        cache.touch(3)     # evicts 2
+        assert cache.touch(1)
+        assert not cache.touch(2)
 
     def test_zero_capacity_never_hits(self):
         cache = LruPageCache(0)
-        assert not cache.touch(("v", 1))
-        assert not cache.touch(("v", 1))
+        assert not cache.touch(1)
+        assert not cache.touch(1)
 
     def test_clear(self):
         cache = LruPageCache(4)
-        cache.touch(("v", 1))
+        cache.touch(1)
         cache.clear()
         assert len(cache) == 0
-        assert not cache.touch(("v", 1))
+        assert not cache.touch(1)
 
 
 def warm(capacity, pages):
-    """A cache that has touched ``("v", p)`` for ``pages``, in order."""
+    """A cache that has touched the keys ``pages``, in order."""
     cache = LruPageCache(capacity)
     for page in pages:
-        cache.touch(("v", page))
+        cache.touch(page)
     return cache
 
 
 def order(cache):
-    """Resident page numbers, least recently used first."""
-    return [page for _, page in cache._pages]
+    """Resident page keys, least recently used first."""
+    return list(cache._pages)
 
 
 @st.composite
 def touch_scripts(draw):
-    """``(capacity, steps)``: interleaved single and bulk touches of
-    two kinds over a small page alphabet, so that calls repeat pages,
+    """``(capacity, steps)``: interleaved single and bulk touches over
+    a small alphabet of page keys, so that calls repeat pages,
     straddle the capacity and find their pages half-evicted."""
     capacity = draw(st.sampled_from([0, 1, 2, 4, 7, 96]))
-    page = st.integers(0, draw(st.integers(2, 30)) - 1)
-    kind = st.sampled_from(["v", "a"])
-    step = st.one_of(
-        st.tuples(kind, page),
-        st.tuples(kind, st.lists(page, min_size=1, max_size=60)),
-    )
+    page = st.integers(0, 2 * draw(st.integers(2, 30)) - 1)
+    step = st.one_of(page, st.lists(page, min_size=1, max_size=60))
     return capacity, draw(st.lists(step, min_size=1, max_size=25))
+
+
+#: ``adjacency_per_page`` differs from ``vertices_per_page``: an array
+#: charged as both kinds must not share one trace.
+SPLIT_PAGES = replace(NEO4J_LIKE, adjacency_per_page=8)
 
 
 class TestTouchMany:
@@ -111,64 +121,61 @@ class TestTouchMany:
     def test_equals_the_loop(self, script):
         capacity, steps = script
         cache, oracle = LruPageCache(capacity), LoopLruPageCache(capacity)
-        for kind, arg in steps:
+        for arg in steps:
             if isinstance(arg, list):
                 before = list(arg)
-                got = cache.touch_many(kind, arg)
+                got = cache.touch_many(arg)
                 assert arg == before
-                want = oracle.touch_many(kind, arg)
+                want = oracle.touch_many(arg)
             else:
-                got = cache.touch((kind, arg))
-                want = oracle.touch((kind, arg))
-            assert got == want, (capacity, kind, arg)
-            assert list(cache._pages) == list(oracle._pages), (kind, arg)
+                got = cache.touch(arg)
+                want = oracle.touch(arg)
+            assert got == want, (capacity, arg)
+            assert list(cache._pages) == list(oracle._pages), arg
 
     def test_victim_of_an_earlier_miss_is_touched_later(self):
         # Page 1 is resident and least recent; the miss on 9 evicts it
         # before the call reaches it, so its own touch misses too (and
         # evicts 2).  Counting the absent pages up front would say 1.
         cache = warm(3, [1, 2, 3])
-        assert cache.touch_many("v", [9, 1, 9]) == 2
+        assert cache.touch_many([9, 1, 9]) == 2
         assert order(cache) == [3, 1, 9]
 
     def test_distinct_pages_fill_the_cache_exactly(self):
         cache = warm(3, [1, 2, 3])
-        assert cache.touch_many("v", [4, 5, 6, 4, 4]) == 3
+        assert cache.touch_many([4, 5, 6, 4, 4]) == 3
         assert order(cache) == [5, 6, 4]
-        assert cache.touch_many("v", [6, 5, 6]) == 0
+        assert cache.touch_many([6, 5, 6]) == 0
         assert order(cache) == [4, 5, 6]
 
     def test_one_distinct_page_too_many_thrashes(self):
         # Four distinct pages, three frames: 1 is gone when the call
         # comes back to it - within-call repeats are not hits here.
         cache = warm(3, [1, 2, 3])
-        assert cache.touch_many("v", [1, 4, 5, 6, 1]) == 4
+        assert cache.touch_many([1, 4, 5, 6, 1]) == 4
         assert order(cache) == [5, 6, 1]
 
     def test_no_eviction_keeps_untouched_pages_in_place(self):
         cache = warm(8, [1, 2, 3, 4])
-        assert cache.touch_many("v", [3, 7, 1, 3]) == 1
+        assert cache.touch_many([3, 7, 1, 3]) == 1
         assert order(cache) == [2, 4, 7, 1, 3]
 
     def test_empty_call(self):
         cache = warm(3, [1, 2])
-        assert cache.touch_many("v", []) == 0
+        assert cache.touch_many([]) == 0
         assert order(cache) == [1, 2]
 
     def test_zero_capacity_misses_every_touch(self):
         cache = LruPageCache(0)
-        assert cache.touch_many("v", [1, 1, 2, 1]) == 4
+        assert cache.touch_many([1, 1, 2, 1]) == 4
         assert len(cache) == 0
 
     def test_kinds_do_not_alias(self):
-        cache = warm(4, [1])
-        assert cache.touch_many("a", [1, 1]) == 1
-        assert list(cache._pages) == [("v", 1), ("a", 1)]
-
-
-#: ``adjacency_per_page`` differs from ``vertices_per_page``: an array
-#: charged as both kinds must not share one trace.
-SPLIT_PAGES = replace(NEO4J_LIKE, adjacency_per_page=8)
+        # Vertex page 1 is key 2, adjacency page 1 key 3.
+        session = GraphSession(PropertyGraph(), SPLIT_PAGES, warm(4, [2]))
+        session.charge_pages("a", np.array([8, 9]), False)
+        assert session.metrics.page_misses == 1
+        assert order(session.cache) == [2, 3]
 
 
 @st.composite
@@ -196,20 +203,6 @@ def charge_scripts(draw):
     )
 
 
-def touch_rows(session, kind, vids, dedup):
-    """The reference: one ``_touch_page`` per row, or per run start."""
-    size = (
-        session._vertices_per_page if kind == "v"
-        else session._adjacency_per_page
-    )
-    last = None
-    for vid in vids:
-        page = vid // size
-        if not (dedup and page == last):
-            session._touch_page((kind, page))
-        last = page
-
-
 def paired_sessions(profile=NEO4J_LIKE, capacity=96):
     """A session and its reference, which settles no page in bulk."""
     graph = PropertyGraph()
@@ -221,8 +214,7 @@ def paired_sessions(profile=NEO4J_LIKE, capacity=96):
 
 class TestChargePages:
     """``GraphSession.charge_pages`` settles a vid array from its page
-    trace - kept per array, so a repeat reads the trace it built
-    before: every counter and the recency order must equal one
+    trace: every counter and the recency order must equal one
     ``_touch_page`` per row (``dedup=False``) or per run start
     (``dedup=True``)."""
 
@@ -233,13 +225,13 @@ class TestChargePages:
         bulk, loop = paired_sessions(profile, capacity)
         for session in (bulk, loop):
             for page in warm_up:
-                session.cache.touch(("v", page))
+                session.cache.touch(page * 2)
         arrays = []
         for step in steps:
             op, kind, arg = step[:3]
             if op == "touch":
                 for session in (bulk, loop):
-                    session._touch_page((kind, arg))
+                    session._touch_page(arg * 2 + (kind == "a"))
             else:
                 if op == "charge":
                     arrays.append(np.array(arg, dtype=np.int64))
@@ -254,48 +246,237 @@ class TestChargePages:
             assert bulk.metrics == loop.metrics, (capacity, step)
             assert list(bulk.cache._pages) == list(loop.cache._pages)
 
-    def test_kept_key_bytes_stay_under_the_bound(self, monkeypatch):
-        monkeypatch.setattr(session_module, "TRACE_KEY_BYTES", 256)
-        session, _ = paired_sessions()
-        for start in range(0, 400, 10):
-            # 80, 160 or 240 bytes each: old traces make room.
-            n = 10 * (1 + start % 3)
-            session.charge_pages("v", np.arange(start, start + n), False)
-            kept = sum(len(key[3]) for key in session._traces)
-            assert kept == session._trace_bytes <= 256
-        newest = np.arange(390, 400).tobytes()
-        assert list(session._traces)[-1][3] == newest
-
-    def test_array_over_the_bound_is_charged_and_not_kept(
-        self, monkeypatch
-    ):
-        monkeypatch.setattr(session_module, "TRACE_KEY_BYTES", 256)
-        bulk, loop = paired_sessions(capacity=4)
-        vids = np.array([0, 1, 40, 200, 3] * 8)  # 320 bytes
-        for dedup in (False, True, False):
-            bulk.charge_pages("v", vids, dedup)
-            touch_rows(loop, "v", vids.tolist(), dedup)
-            assert bulk.metrics == loop.metrics
-            assert list(bulk.cache._pages) == list(loop.cache._pages)
-        assert not bulk._traces and bulk._trace_bytes == 0
-
-    def test_sessions_share_no_trace(self):
-        one, two = paired_sessions()
-        vids = np.arange(100)
-        one.charge_pages("v", vids, False)
-        two.charge_pages("v", vids, False)
-        assert one._traces.keys() == two._traces.keys()
-        key, = one._traces
-        assert one._traces[key] is not two._traces[key]
-
     def test_loop_oracle_ignores_the_orders(self):
         # The reference must not read what the bulk path precomputed.
         def first():
             raise AssertionError("first-touch order read")
 
         cache = LoopLruPageCache(4)
-        assert cache.touch_many("v", [1, 1, 2], last=[7], first=first) == 2
+        assert cache.touch_many([1, 1, 2], last=[7], first=first) == 2
         assert order(cache) == [1, 2]
+
+
+#: Four vertices and four adjacency lists a page: the chain below
+#: spans 15 pages of each kind.
+FOUR_PAGES = replace(NEO4J_LIKE, vertices_per_page=4, adjacency_per_page=4)
+HOP = "MATCH (a:N)-[:next]->(b:N) RETURN a.x, b.x"
+GROUPED = "MATCH (a:N)-[:next]->(b:N) RETURN b.x, count(*) AS c"
+
+
+@pytest.fixture()
+def chain(monkeypatch):
+    """A frozen 60-vertex chain, scanned 7 rows a batch: every run of
+    ``HOP`` yields nine chunks, ``GROUPED`` one after nine batches."""
+    monkeypatch.setattr(vectorized, "BATCH_ROWS", 7)
+    g = PropertyGraph()
+    for i in range(60):
+        g.add_vertex("N", {"x": i % 7})
+    for i in range(59):
+        g.add_edge(i, i + 1, "next")
+    g.freeze()
+    return g
+
+
+def sessions(graph, capacity, profile=FOUR_PAGES):
+    """A session and its reference, which touches every row."""
+    return (
+        GraphSession(graph, profile, LruPageCache(capacity)),
+        PerRowSession(graph, profile, LruPageCache(capacity)),
+    )
+
+
+def stream(session, query, guard=None):
+    report = ExecutionReport()
+    _, _, _, rows = Executor(session).stream(
+        query, {}, guard=guard, report=report
+    )
+    assert report.mode == "vectorized", report.reason
+    return rows
+
+
+def state(session):
+    return session.metrics.as_dict(), list(session.cache._pages)
+
+
+def pipeline_of(graph, query):
+    session = GraphSession(graph)
+    return Executor(session)._prepare(query).compiled[2]
+
+
+class TripAfter(ExecutionGuard):
+    """A deadline that passes at the ``checks + 1``-th check."""
+
+    def __init__(self, checks):
+        super().__init__(timeout=3600.0)
+        self.left = checks
+
+    def check_deadline(self):
+        self.left -= 1
+        if self.left < 0:
+            raise QueryTimeoutError("deadline passed")
+
+
+class TestPipelineTraces:
+    """A compiled pipeline keeps its first complete run's page traces
+    by call ordinal, and later runs settle them merged: after every
+    run, however it ends, the counters and the recency order equal a
+    session that touches each row the kernels produce."""
+
+    @pytest.mark.parametrize("capacity", [0, 1, 4, 22, 96])
+    def test_repeat_runs_equal_per_row_charging(self, chain, capacity):
+        bulk, loop = sessions(chain, capacity)
+        for query in (HOP, GROUPED, HOP, GROUPED, HOP, GROUPED):
+            for session in (bulk, loop):
+                list(stream(session, query))
+            assert state(bulk) == state(loop), (capacity, query)
+        for query in (HOP, GROUPED):
+            kept = pipeline_of(chain, query).pages.kept
+            assert kept is not None and kept.plans.keys() == {capacity}
+            # A cache the run's pages fit in settles merged units.
+            if capacity == 96:
+                assert len(kept.units(capacity)) < len(kept.traces)
+        # HOP's rows leave the run nine times: no unit spans that.
+        hop = pipeline_of(chain, HOP).pages.kept
+        assert len(hop.cuts) == 9
+        stops = [stop for stop, _ in hop.units(capacity)]
+        assert hop.cuts <= set(stops)
+
+    @pytest.mark.parametrize("capacity", [1, 22, 96])
+    def test_max_rows_trip_settles_what_was_charged(self, chain, capacity):
+        bulk, loop = sessions(chain, capacity)
+        tripped = []
+        for session in (bulk, loop):
+            list(stream(session, HOP))  # recorded
+            # Held open, as a cursor holds it: the trip is read while
+            # the run is suspended, not after it is closed.
+            rows = stream(session, HOP, ExecutionGuard(max_rows=10))
+            with pytest.raises(ResourceLimitError):
+                for _ in rows:
+                    pass
+            tripped.append((rows, state(session)))
+        assert tripped[0][1] == tripped[1][1]
+        for session in (bulk, loop):
+            list(stream(session, HOP))
+        assert state(bulk) == state(loop)
+
+    @pytest.mark.parametrize("capacity", [1, 22, 96])
+    @pytest.mark.parametrize("query", [HOP, GROUPED])
+    def test_timeout_trip_settles_what_was_charged(
+        self, chain, capacity, query
+    ):
+        bulk, loop = sessions(chain, capacity)
+        for session in (bulk, loop):
+            list(stream(session, query))  # recorded
+            with pytest.raises(QueryTimeoutError):
+                list(stream(session, query, TripAfter(4)))
+        # GROUPED merged all nine batches' charges into one unit: the
+        # trip left four batches of it to settle one call at a time.
+        assert state(bulk) == state(loop)
+        for session in (bulk, loop):
+            list(stream(session, query))
+        assert state(bulk) == state(loop)
+
+    def test_cursor_detached_by_the_next_run(self, chain, monkeypatch):
+        summaries, caches = [], []
+        for oracle in (False, True):
+            if oracle:
+                monkeypatch.setattr(api_session, "GraphSession", PerRowSession)
+            cache = LruPageCache(22)
+            with connect(chain, profile=FOUR_PAGES) as db:
+                with db.session(cache=cache) as session:
+                    session.run(HOP).consume()
+                    abandoned = session.run(HOP)
+                    next(iter(abandoned))
+                    last = session.run(GROUPED).consume()
+                    summaries.append((
+                        abandoned.consume().metrics.as_dict(),
+                        last.metrics.as_dict(),
+                    ))
+            caches.append(list(cache._pages))
+        assert summaries[0] == summaries[1]
+        assert caches[0] == caches[1]
+
+    @pytest.mark.parametrize("capacity", [4, 96])
+    def test_interleaved_cursors(self, chain, capacity):
+        bulk, loop = sessions(chain, capacity)
+        # Cold, both cursors record; warm, both replay.
+        for _ in ("cold", "warm"):
+            for session in (bulk, loop):
+                one, two = stream(session, HOP), stream(session, HOP)
+                for _ in zip(one, two):
+                    pass
+                list(one)
+                list(two)
+            assert state(bulk) == state(loop)
+
+    def test_threads_running_one_pipeline(self, chain):
+        # More threads than cores, switching often: each records or
+        # replays on its own session, one pipeline under them all.
+        runs, width = 8, 4
+        barrier = threading.Barrier(width, timeout=30)
+        states = [None] * width
+
+        def work(i):
+            session = GraphSession(chain, FOUR_PAGES, LruPageCache(22))
+            barrier.wait()
+            for _ in range(runs):
+                for query in (HOP, GROUPED):
+                    list(stream(session, query))
+            states[i] = state(session)
+
+        threads = [
+            threading.Thread(target=work, args=(i,)) for i in range(width)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        _, loop = sessions(chain, 22)
+        for _ in range(runs):
+            for query in (HOP, GROUPED):
+                list(stream(loop, query))
+        assert states == [state(loop)] * width
+
+    def test_kept_traces_stay_under_the_bound(self, chain, monkeypatch):
+        bulk, _ = sessions(chain, 96)
+        list(stream(bulk, HOP))
+        kept = pipeline_of(chain, HOP).pages.kept
+        size = sum(len(trace.runs) for trace in kept.traces)
+        assert size <= session_module.TRACE_PAGES
+        # A bound the recording exactly meets keeps it.
+        monkeypatch.setattr(session_module, "TRACE_PAGES", size)
+        pipeline_of(chain, HOP).pages.kept = None
+        list(stream(bulk, HOP))
+        assert pipeline_of(chain, HOP).pages.kept is not None
+
+    def test_pipeline_over_the_bound_retraces_and_keeps_nothing(
+        self, chain, monkeypatch
+    ):
+        monkeypatch.setattr(session_module, "TRACE_PAGES", 20)
+        bulk, loop = sessions(chain, 4)
+        for _ in range(3):
+            for session in (bulk, loop):
+                list(stream(session, HOP))
+            assert state(bulk) == state(loop)
+            assert pipeline_of(chain, HOP).pages.kept is None
+
+    def test_sessions_of_another_page_size_share_no_trace(self, chain):
+        for profile in (FOUR_PAGES, SPLIT_PAGES, FOUR_PAGES):
+            bulk, loop = sessions(chain, 22, profile)
+            for _ in range(2):
+                for session in (bulk, loop):
+                    list(stream(session, HOP))
+                assert state(bulk) == state(loop), profile
+            kept = pipeline_of(chain, HOP).pages.kept
+            assert kept.geometry == (
+                profile.vertices_per_page, profile.adjacency_per_page,
+            )
 
 
 class TestNegativeCacheSize:

@@ -60,11 +60,12 @@ def test_smoke_section_writes_the_schema(tmp_path, capsys):
     # neighbor / eid payload it indexes.
     freeze = report["rows"][1]["extra"]
     assert 0 < freeze["csr_bytes"] < freeze["payload_bytes"]
-    # A kept session finds every trace; a fresh one only the arrays a
-    # run charges twice.
+    # A replaying run merges calls into fewer settles, and leaves the
+    # counters and the recency order a recording run leaves.
     traces = report["rows"][2]["extra"]
-    assert traces["kept_hit_share"] == 1.0
-    assert 0 <= traces["fresh_hit_share"] < 1
+    assert 0 < traces["settles"] < traces["calls"]
+    assert traces["replay_pages"] == traces["record_pages"]
+    assert traces["record_pages"][1] > 0 and traces["same_order"]
     # The statistics row times FIN-OPT and carries FIN-DIR's time.
     stats = report["rows"][3]["extra"]
     assert stats["dataset"] == "fin-opt" and stats["dir_ms"] > 0
