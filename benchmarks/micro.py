@@ -12,15 +12,18 @@ no e2e workload that would notice it, and lives here, in five sections:
   ratio, and the mode the batch leg really ran in;
 * ``derived`` - first-use cost of derived state: the adjacency base
   of an unfrozen bulk-loaded graph (what its first per-element read
-  pays; a freeze makes its CSR the base instead), the freeze with the bytes of the CSR it builds (e2e times
-  the freeze but never sizes it), the page traces a session builds
-  the first time it charges a vid array (every warm e2e charge finds
-  its trace kept), the planner statistics build on FIN-OPT (FIN-DIR
-  in ``extra``; e2e's ``graph.stats_build`` sums four graphs inside a
-  noisy cold round), a FIN-OPT snapshot written and read back (its
-  bytes, write and read ms), and the ontology PageRank and one ``optimize()``
-  (split into its five stages) on the MED and FIN ontologies (the
-  only inputs they ever get);
+  pays; a freeze makes its CSR the base instead), the freeze with the
+  bytes of the CSR it builds (e2e times the freeze but never sizes it),
+  the page traces a session builds the first time it charges a vid
+  array (every warm e2e charge finds its trace kept), the planner
+  statistics build on FIN-OPT (FIN-DIR in ``extra``; e2e's
+  ``graph.stats_build`` sums four graphs inside a noisy cold round)
+  with what an epoch's first equality estimate costs (the column and
+  its codes; FIN-OPT's largest string column), a FIN-OPT snapshot
+  written and read back (its bytes, write and read ms), and the
+  ontology PageRank and one ``optimize()`` (split into its five
+  stages) on the MED and FIN ontologies (the only inputs they ever
+  get);
 * ``group_commit`` - fsyncs per commit at 1 / 8 / 32 remote writers;
 * ``budgets`` - what switched-off instrumentation may cost: the
   observe registry disabled against no-op handles (< 2 %), a traced
@@ -28,9 +31,7 @@ no e2e workload that would notice it, and lives here, in five sections:
   pass-throughs (< 2 %), and metrics on against off as information;
 * ``driver`` - the driver's fixed cost per query: a warm one-row query
   through ``Session.run`` + iterate + ``consume`` minus the same query
-  through ``Executor.run``; and its cost per row: a warm 1,000-row
-  projection iterated as ``Record`` s minus the same read by
-  ``result.values()``.
+  through ``Executor.run``.
 
 Everything is timed by one loop on the e2e benchmark's clock (wall
 time divided by the host's slowdown at that moment,
@@ -63,7 +64,6 @@ import subprocess
 import sys
 import tempfile
 import threading
-from collections import deque
 from contextlib import contextmanager
 from pathlib import Path
 from time import perf_counter
@@ -117,10 +117,6 @@ PAGERANK_RUNS = 20
 TRACE_RUNS = 20
 #: Warm driver and executor runs per timed ``driver`` sample.
 DRIVER_RUNS = 200
-#: Rows of the ``driver.record_ns`` projection, and its warm runs per
-#: timed sample.
-RECORD_ROWS = 1000
-RECORD_RUNS = 20
 WRITERS = (1, 8, 32)
 COMMITS_EACH = 8
 #: How long the group committer lingers for more commits.  At the
@@ -252,6 +248,26 @@ def paths(bench: Bench) -> None:
 # ----------------------------------------------------------------------
 # derived: state the first reader builds
 # ----------------------------------------------------------------------
+def largest_string_column(graph) -> tuple[str, str]:
+    """``(label, property)``: the vertex property with the most values,
+    all of them strings, and of the labels carrying it the one with
+    the most."""
+    arrays = graph.arrays()
+    strings = {}  # property -> its present mask
+    for name in graph.symbols.names():
+        column = arrays.column(name)
+        values = column.values[column.present].tolist() if (
+            column.kind == "object"
+        ) else ()
+        if values and all(type(value) is str for value in values):
+            strings[name] = column.present
+    prop = max(strings, key=lambda name: np.count_nonzero(strings[name]))
+    label = max(graph.labels(), key=lambda label: np.count_nonzero(
+        strings[prop][arrays.label_vids(label)]
+    ))
+    return label, prop
+
+
 def derived(bench: Bench) -> None:
     fin = build_fin()
     pipeline = build_pipeline(fin, scale=bench.scale)
@@ -280,14 +296,27 @@ def derived(bench: Bench) -> None:
     )
     page_traces(bench, graph, fin.queries)
     opt_graph = pipeline.opt_graph
-    opt, dir_ = bench.time([
+    label, prop = largest_string_column(opt_graph)
+    stats = opt_graph.statistics()
+    frozen = opt_graph.arrays()
+
+    def first_ask():
+        opt_graph._arrays = None        # a new epoch: no column, no codes
+        stats.avg_eq_estimate(label, prop)
+
+    opt, dir_, ask = bench.time([
         lambda: GraphStatistics.build(opt_graph),
         lambda: GraphStatistics.build(graph),
+        first_ask,
     ], 15)
+    opt_graph._arrays = frozen          # the frozen epoch back
     bench.row(
         "derived.stats_build", "ms", opt * 1e3, dataset="fin-opt",
         dir_ms=round(bench.quartiles(dir_ * 1e3)[1], 2),
         vertices=opt_graph.num_vertices, edges=opt_graph.num_edges,
+        first_ask_ms=round(bench.quartiles(ask * 1e3)[1], 3),
+        first_ask_column=f"{label}.{prop}",
+        first_ask_rows=len(frozen.label_vids(label)),
     )
     snapshot(bench, opt_graph)
     load(bench, fin, pipeline.result.mapping)
@@ -761,7 +790,6 @@ def budgets(bench: Bench) -> None:
 # driver: what Session.run + iterate + consume adds to Executor.run
 # ----------------------------------------------------------------------
 DRIVER_QUERY = "MATCH (d:Drug) WHERE d.id = $id RETURN d.name"
-RECORD_QUERY = "MATCH (r:Row) RETURN r.i AS i, r.name AS name"
 
 
 def driver(bench: Bench) -> None:
@@ -770,13 +798,7 @@ def driver(bench: Bench) -> None:
     ``Session.run`` + iterate + ``consume`` against the same query
     through ``Executor.run`` on a twin session, as alternating pairs.
     Their difference is the seam alone: every end-to-end workload
-    times it together with the executor's work.
-
-    Then the seam's cost per row: a warm projection of
-    ``RECORD_ROWS`` rows iterated as ``Record`` s against the same
-    query read by ``result.values()`` (plain lists), as alternating
-    pairs; their difference, per row, is what building a ``Record``
-    costs over building a list."""
+    times it together with the executor's work."""
     graph = PropertyGraph("driver")
     for i in range(200):
         graph.add_vertex("Drug", {"id": i, "name": f"d{i}"})
@@ -806,35 +828,6 @@ def driver(bench: Bench) -> None:
         "driver.fixed_us", "us", (seam - bare) / runs * 1e6,
         driver_us=round(driver_us, 2), executor_us=round(executor_us, 2),
         rows=rows, mode=report.mode,
-    )
-
-    graph = PropertyGraph("records")
-    for i in range(RECORD_ROWS):
-        graph.add_vertex("Row", {"i": i, "name": f"r{i}"})
-    graph.freeze()
-    runs = 1 if bench.smoke else RECORD_RUNS
-    with connect(graph) as db, db.session() as session:
-        def as_records():
-            """Each row built as a ``Record``, drained in C."""
-            for _ in range(runs):
-                result = session.run(RECORD_QUERY)
-                deque(result, maxlen=0)
-                result.consume()
-
-        def as_values():
-            for _ in range(runs):
-                result = session.run(RECORD_QUERY)
-                result.values()
-                result.consume()
-
-        records, values = bench.time([as_records, as_values], 41)
-    _, records_us, _ = bench.quartiles(records / runs * 1e6)
-    _, values_us, _ = bench.quartiles(values / runs * 1e6)
-    bench.row(
-        "driver.record_ns", "ns",
-        (records - values) / (runs * RECORD_ROWS) * 1e9,
-        records_us=round(records_us, 1), values_us=round(values_us, 1),
-        rows=RECORD_ROWS,
     )
 
 

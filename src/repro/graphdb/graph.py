@@ -76,9 +76,10 @@ it from the columns.  Nothing else folds the tail into it.  A base
 built inside a transaction may lack an edge removed before the build,
 so the rollback drops it (an undo entry) and the next read builds
 again.  The planner's statistics are derived too:
-:meth:`PropertyGraph.statistics` builds them from the columns and
-rebuilds them when enough mutations have made them stale; no mutation
-updates them.
+:meth:`PropertyGraph.statistics` builds its counts from the tables
+and rebuilds them when enough mutations have made them stale, and its
+equality estimates read the arrays of the epoch a plan is made in; no
+mutation updates them.
 """
 
 from __future__ import annotations
@@ -1145,8 +1146,8 @@ class PropertyGraph:
     def statistics(self) -> GraphStatistics:
         """Planner statistics: the cached build, rebuilt once stale.
 
-        A build is one batch pass over the property and edge columns;
-        it is reused until the element mutations since reach
+        A build is one batch pass over the vertex tables and the edge
+        columns; it is reused until the element mutations since reach
         ``max(64, size >> 4)`` (a bulk call counts each element it
         applies), or an index is created or dropped.  A rebuild brings
         an empty plan cache.  See :mod:`repro.graphdb.statistics`.

@@ -20,15 +20,16 @@ Two orderings are implemented:
 * **Cost-based** (the default): candidate orderings are *priced*
   against :class:`~repro.graphdb.statistics.GraphStatistics` - label
   and edge-type cardinalities, per-(edge type, label) average fan-out,
-  and property-value histograms.  For every pattern component the
-  enumerator tries each variable as the start point, grows the
-  ordering greedily by the cheapest next expansion, and keeps the
-  candidate with the lowest total cost (sum of rows examined and rows
-  produced across steps - the classic C_out flavor).  The same
-  histograms price the scan access path, so a poorly-selective
-  property index loses to a highly-selective label scan instead of
-  winning by fiat.  Every step carries its estimated row count, which
-  ``EXPLAIN`` renders and ``EXPLAIN ANALYZE`` pairs with actual rows.
+  and equality estimates counted on the graph's value codes.  For
+  every pattern component the enumerator tries each variable as the
+  start point, grows the ordering greedily by the cheapest next
+  expansion, and keeps the candidate with the lowest total cost (sum
+  of rows examined and rows produced across steps - the classic C_out
+  flavor).  The same estimates price the scan access path, so a
+  poorly-selective property index loses to a highly-selective label
+  scan instead of winning by fiat.  Every step carries its estimated
+  row count, which ``EXPLAIN`` renders and ``EXPLAIN ANALYZE`` pairs
+  with actual rows.
 * **Syntactic** (``cost_based=False``): the legacy heuristic - start
   at the variable whose access path looks categorically cheapest
   (index beats label-with-props beats label beats all-vertices, sizes
@@ -49,7 +50,7 @@ The planner also owns two jobs the executor used to do per row:
 * **Predicate pushdown** - WHERE is decomposed into AND-conjuncts;
   single-variable equality conjuncts (``x.p = literal``) are folded
   into the variable's :class:`NodeSpec` props (where they can hit a
-  property index, drive scan selection, and sharpen the histogram
+  property index, drive scan selection, and sharpen the equality
   estimates), and every remaining conjunct is attached to the earliest
   step that binds all of its variables, so non-matching bindings die
   as soon as possible.
@@ -513,7 +514,7 @@ def _choose_access(
     """(access kind, label, prop): the syntactic scan selection.
 
     Index access wins categorically, then the smallest label.  The
-    cost-based path prices the same candidates with histograms instead
+    cost-based path prices the same candidates with estimates instead
     (see :func:`_scan_estimate`).
     """
     for prop, value in spec.props.items():
@@ -827,7 +828,7 @@ def _expand_estimate(
 def _eq_estimate(
     stats: GraphStatistics, label: str, prop: str, value: object
 ) -> float:
-    """Histogram estimate, value-agnostic for ``$parameter`` values."""
+    """Equality estimate, value-agnostic for ``$parameter`` values."""
     if isinstance(value, Parameter):
         return stats.avg_eq_estimate(label, prop)
     return stats.eq_estimate(label, prop, value)

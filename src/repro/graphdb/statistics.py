@@ -7,20 +7,25 @@
   how many edges of that type start (or end) at a vertex carrying that
   label, which gives the planner average expansion fan-out and the
   label composition of an edge type's endpoints;
-* **property-value histograms** - for every (label, property) pair, a
-  value -> occurrence-count histogram plus the number of distinct
-  values (NDV), which prices equality predicates (``x.p = literal``)
-  and the label-scan vs. property-index choice.
 
-Statistics are derived state with one producer,
-:meth:`GraphStatistics.build` - one batch pass over the graph's
-columns, with one ``np.unique`` over the edges' packed codes.
+and prices **equality predicates** (``x.p = literal``, ``x.p = $p``)
+and the label-scan vs. property-index choice from the graph's value
+coding: the codes of ``p``'s column in the graph's current
+:class:`~repro.graphdb.view.GraphArrays`, at the live vertices carrying
+the label (:meth:`GraphStatistics.eq_estimate`).  The grouping kernels
+read the same codes, so one coding decides when two values are one
+key, and no histogram is kept.
+
+The counts are derived state with one producer,
+:meth:`GraphStatistics.build` - one pass over the graph's tables,
+with one ``np.unique`` over the edges' packed codes.
 :meth:`PropertyGraph.statistics` caches the build and rebuilds it once
 the element mutations since then reach ``max(64, size >> 4)`` (about
 6% of the graph); an index created or dropped discards it at once.
-Plans stay *correct* on stale statistics - only their optimality
-decays - so the numbers may lag the graph by up to that many
-mutations.  Nothing is persisted: a reopened store builds on its first
+So the counts are as of the build and may lag the graph by up to that
+many mutations, while an equality estimate is as of the plan that asks
+for it.  Plans stay *correct* on stale numbers - only their optimality
+decays.  Nothing is persisted: a reopened store builds on its first
 query, from the same columns, the same numbers.
 
 The **plan cache** lives here because its lifetime is the statistics
@@ -32,13 +37,12 @@ which is what invalidates plans priced on the old numbers.
 
 from __future__ import annotations
 
-from collections import Counter
-from itertools import combinations, compress
+import weakref
+from itertools import combinations
 from typing import Iterable
 
 import numpy as np
 
-from repro.graphdb.columnar import KIND_OBJ
 from repro.graphdb.observe import REGISTRY as _OBS
 
 _PLAN_CACHE_HITS = _OBS.counter(
@@ -51,11 +55,11 @@ _PLAN_CACHE_MISSES = _OBS.counter(
 
 
 def is_hashable(value: object) -> bool:
-    """Whether ``value`` can key a histogram as it is.
+    """Whether ``value`` can key a dict as it is.
 
-    The single hashability test shared by the histograms here and the
-    planner's fold/access logic - both must agree on which literals an
-    index lookup is priced and planned for.
+    The single hashability test shared by the equality estimates here
+    and the planner's fold/access logic - both must agree on which
+    literals an index lookup is priced and planned for.
     """
     try:
         hash(value)
@@ -73,35 +77,6 @@ def hashable(value: object) -> object:
     if isinstance(value, list):
         return tuple(hashable(v) for v in value)
     return value
-
-
-class PropertyStats:
-    """Value histogram for one (vertex label, property name) pair.
-
-    ``hist`` maps each *hashable* value to its occurrence count among
-    vertices carrying the label.  Unhashable values (lists) are only
-    counted in aggregate - they can never drive an index lookup, so
-    their individual identities are irrelevant to planning.
-    """
-
-    __slots__ = ("count", "unhashable", "hist")
-
-    def __init__(self) -> None:
-        self.count = 0          # vertices with a non-null value
-        self.unhashable = 0     # of which: unhashable (list) values
-        self.hist: dict = {}    # value -> occurrences (hashable only)
-
-    @property
-    def ndv(self) -> int:
-        """Number of distinct (hashable) values."""
-        return len(self.hist)
-
-    def eq_estimate(self, value: object) -> float:
-        """Estimated rows matching ``prop = value``."""
-        if is_hashable(value):
-            return float(self.hist.get(value, 0))
-        # Unhashable literals can only match unhashable stored values.
-        return float(self.unhashable)
 
 
 class PlanCache:
@@ -145,43 +120,9 @@ def _add(counter: dict, key, count: int) -> None:
     counter[key] = counter.get(key, 0) + count
 
 
-def _column_histogram(table, column) -> tuple[Counter, int, int]:
-    """(value histogram, unhashable count, non-null count) of a column.
-
-    Considers live, present rows only and skips stored ``None`` values
-    (a null property is no value to plan on).
-    Typed columns can never hold ``None`` or unhashables, so they take
-    a pure ``compress`` + ``Counter`` fast path.
-    """
-    mask = column.mask
-    if table.live != len(table.vids):
-        # Tombstoned rows have their presence bits cleared, but guard
-        # against vid<0 anyway so a future partial-unset cannot leak
-        # removed rows into planner statistics.
-        # Columns pad lazily, so the mask may be shorter than the vid
-        # list; rows past its end are absent and need no clearing.
-        vids = np.fromiter(table.vids[:len(mask)], np.int64)
-        mask = (np.frombuffer(mask, np.uint8) * (vids >= 0)).tobytes()
-    values = list(compress(column.data, mask))
-    if column.kind != KIND_OBJ:
-        return Counter(values), 0, len(values)
-    values = [v for v in values if v is not None]
-    hashables = [v for v in values if type(v) is not list]
-    try:
-        return Counter(hashables), len(values) - len(hashables), len(values)
-    except TypeError:
-        hist: Counter = Counter()
-        unhashable = 0
-        for value in values:
-            if is_hashable(value):
-                hist[value] += 1
-            else:
-                unhashable += 1
-        return hist, unhashable, len(values)
-
-
 class GraphStatistics:
-    """Cardinality statistics of one graph, as of one :meth:`build`."""
+    """Cardinality statistics of one graph: counts as of one
+    :meth:`build`, equality estimates as of the call."""
 
     def __init__(self) -> None:
         self.num_vertices = 0
@@ -206,8 +147,10 @@ class GraphStatistics:
         #: whose labels correlate near-perfectly, so conjunctions must
         #: not be priced under independence.
         self._label_pairs: dict[tuple[str, str], int] = {}
-        #: (vertex label, property name) -> histogram
-        self.props: dict[tuple[str, str], PropertyStats] = {}
+        #: Weak, as :class:`~repro.graphdb.view.GraphArrays`'s: the
+        #: graph caches its statistics.  Equality estimates read its
+        #: arrays.
+        self._graph = None
         self.plan_cache = PlanCache()
 
     # ------------------------------------------------------------------
@@ -215,19 +158,18 @@ class GraphStatistics:
     # ------------------------------------------------------------------
     @classmethod
     def build(cls, graph) -> "GraphStatistics":
-        """One batch pass over the columns of a live :class:`PropertyGraph`.
+        """One batch pass over a live :class:`PropertyGraph`.
 
-        Instead of walking per-vertex label sets and property dicts,
-        the build iterates the graph's per-label-set tables: label and
-        label-pair counts fall out of table sizes, each property
-        histogram is one :class:`collections.Counter` pass over a flat
-        column (lists count as unhashable, never hashed), and edge degree
-        statistics count each live edge's packed ``(edge type, src
-        table, dst table)`` code with one ``np.unique`` - frozen or not,
-        never the CSR - then fan the few distinct triples out to
-        per-label counters in first-live-eid order.
+        Instead of walking per-vertex label sets, the build iterates
+        the graph's per-label-set tables: label and label-pair counts
+        fall out of table sizes, and edge degree statistics count each
+        live edge's packed ``(edge type, src table, dst table)`` code
+        with one ``np.unique`` - frozen or not, never the CSR - then fan
+        the few distinct triples out to per-label counters in
+        first-live-eid order.  No property value is read.
         """
         stats = cls()
+        stats._graph = weakref.ref(graph)
         symbols = graph._symbols
         for table in graph._tables:
             live = table.live
@@ -239,25 +181,6 @@ class GraphStatistics:
                 _add(stats._label_pairs, pair, live)
             for label in labels:
                 _add(stats.label_counts, label, live)
-            for key_sid, column in table.columns.items():
-                hist, unhashable, total = _column_histogram(table, column)
-                if total == 0:
-                    continue
-                name = symbols.name(key_sid)
-                for label in labels:
-                    stat = stats.props.get((label, name))
-                    if stat is None:
-                        stat = stats.props[(label, name)] = PropertyStats()
-                    stat.count += total
-                    stat.unhashable += unhashable
-                    stat_hist = stat.hist
-                    if not stat_hist:
-                        stat.hist = dict(hist)
-                        continue
-                    for value, occurrences in hist.items():
-                        stat_hist[value] = (
-                            stat_hist.get(value, 0) + occurrences
-                        )
 
         tables = graph._tables
         n = len(tables)
@@ -431,12 +354,35 @@ class GraphStatistics:
             return self.endpoint_label_fraction(edge_labels, to_label, end)
         return min(1.0, numerator / denominator)
 
+    def _coded(self, label: str, prop: str):
+        """``prop``'s value coding at the live vertices carrying
+        ``label``, as the graph stands: ``(index, codes, lists)`` - the
+        column's value -> code dict, the codes of the slots holding no
+        list (0 where null, -1 where every read is a new NaN), and how
+        many slots hold a list.  A column no dict can key (a set stored
+        in memory) counts every value as a list."""
+        arrays = self._graph().arrays()
+        column = arrays.column(prop)
+        vids = arrays.label_vids(label)
+        try:
+            codes, index, lists = column.coding()
+        except TypeError:
+            return {}, vids[:0], int(np.count_nonzero(column.present[vids]))
+        codes = codes[vids]
+        if lists is None:
+            return index, codes, 0
+        lists = lists[vids]
+        return index, codes[~lists], int(np.count_nonzero(lists))
+
     def eq_estimate(self, label: str, prop: str, value: object) -> float:
-        """Estimated vertices of ``label`` with ``prop = value``."""
-        stat = self.props.get((label, prop))
-        if stat is None:
-            return 0.0
-        return stat.eq_estimate(value)
+        """Estimated vertices of ``label`` with ``prop = value``: the
+        slots holding ``value``'s code.  Unhashable literals can only
+        match unhashable stored values, so a list counts the lists."""
+        index, codes, lists = self._coded(label, prop)
+        if not is_hashable(value):
+            return float(lists)
+        code = index.get(value, 0)
+        return float(np.count_nonzero(codes == code)) if code else 0.0
 
     def eq_selectivity(
         self, label: str, prop: str, value: object
@@ -451,16 +397,17 @@ class GraphStatistics:
         """Estimated rows matching ``prop = ?`` for an unknown value.
 
         Prices ``$parameter`` equality predicates, whose value is only
-        bound at execution time: the average histogram bucket
-        (count / NDV), i.e. the uniform-spread assumption.
+        bound at execution time: the hashable values per distinct one
+        (the uniform-spread assumption).  Distinct values are the
+        distinct codes, each new-NaN slot one of its own; with none,
+        the lists.
         """
-        stat = self.props.get((label, prop))
-        if stat is None:
-            return 0.0
-        distinct = stat.ndv
+        _, codes, lists = self._coded(label, prop)
+        distinct = np.count_nonzero(np.bincount(codes[codes > 0]))
+        distinct += np.count_nonzero(codes == -1)
         if distinct <= 0:
-            return float(stat.unhashable)
-        return (stat.count - stat.unhashable) / distinct
+            return float(lists)
+        return float(np.count_nonzero(codes) / distinct)
 
     def avg_eq_selectivity(self, label: str, prop: str) -> float:
         """``avg_eq_estimate`` as a fraction of the label cardinality."""
@@ -474,7 +421,7 @@ class GraphStatistics:
             f"GraphStatistics: {self.num_vertices:,} vertices / "
             f"{self.num_edges:,} edges, "
             f"{len(self.label_counts)} labels, "
-            f"{len(self.props)} property histograms"
+            f"{len(self.edge_label_counts)} edge types"
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -17,7 +17,10 @@ over the present slots only (:meth:`_Column.codes`,
 :meth:`_Column.weights`): a dense int code per slot, equal for two
 slots exactly when a grouping dict would merge the values they read,
 and what a flattening ``count`` keeps of each value.  The batch path
-groups and counts over these instead of reading and hashing values.
+groups and counts over these instead of reading and hashing values, and
+the planner's equality estimates count them
+(:meth:`~repro.graphdb.statistics.GraphStatistics.eq_estimate`): one
+coding decides, for both, when two values are one key.
 Every projection is published by one assignment, so concurrent readers
 of one epoch at worst build one twice.
 
@@ -178,7 +181,7 @@ class _Column:
 
     __slots__ = (
         "kind", "values", "present", "has_tids", "vmin", "vmax", "fresh",
-        "_codes", "_weights",
+        "_coding", "_weights",
     )
 
     def __init__(
@@ -193,7 +196,7 @@ class _Column:
         self.vmin = vmin
         self.vmax = vmax
         self.fresh = fresh
-        self._codes = None
+        self._coding = None
         self._weights = None
 
     def codes(self) -> np.ndarray:
@@ -207,16 +210,24 @@ class _Column:
         new NaN float, which equals no earlier key: each row reading
         it is a group of its own.  Raises ``TypeError`` on a value no
         dict can key, as the grouping dict would."""
-        codes = self._codes
-        if codes is None:
-            codes = self._codes = self._build_codes()
-        return codes
+        return self.coding()[0]
 
-    def _build_codes(self) -> np.ndarray:
+    def coding(self) -> tuple[np.ndarray, dict, np.ndarray | None]:
+        """``(codes, index, lists)``, built together on first use:
+        :meth:`codes`; the value -> code dict a lookup of a hashable
+        value keys into (a list's code is its tuple form's); and the
+        bool mask of the slots holding a list, None where none does.
+        Raises as :meth:`codes` does."""
+        coding = self._coding
+        if coding is None:
+            coding = self._coding = self._build_codes()
+        return coding
+
+    def _build_codes(self) -> tuple[np.ndarray, dict, np.ndarray | None]:
         codes = np.zeros(len(self.present), dtype=np.int64)
         slots = np.flatnonzero(self.present)
         if not len(slots):
-            return codes
+            return codes, {}, None
         values = self.values[slots]
         if self.kind == KIND_INT or self.kind == KIND_FLOAT:
             if self.kind == KIND_FLOAT:
@@ -225,13 +236,17 @@ class _Column:
                 nan = np.isnan(values)
                 codes[slots[nan]] = -1
                 slots, values = slots[~nan], values[~nan]
-            _, inverse = np.unique(values, return_inverse=True)
+            distinct, inverse = np.unique(values, return_inverse=True)
             codes[slots] = inverse.reshape(-1) + 1
-            return codes
+            index = dict(zip(distinct.tolist(), range(1, len(distinct) + 1)))
+            return codes, index, None
         keys = values.tolist()
+        lists = None
         try:
             first = dict.fromkeys(keys)  # the grouping dict's merges
         except TypeError:  # a list: keyed by its hashable form
+            lists = np.zeros(len(codes), dtype=bool)
+            lists[slots] = [type(key) is list for key in keys]
             keys = list(map(hashable, keys))
             first = dict.fromkeys(keys)
         index = dict(zip(first, range(1, len(first) + 1)))
@@ -241,7 +256,7 @@ class _Column:
         if self.fresh is not None:
             floats = self.values[self.fresh].astype(np.float64)
             codes[self.fresh[np.isnan(floats)]] = -1
-        return codes
+        return codes, index, lists
 
     def weights(self) -> np.ndarray:
         """Slot -> what a flattening ``count`` keeps of its value:

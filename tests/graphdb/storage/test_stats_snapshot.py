@@ -1,10 +1,11 @@
 """Statistics across snapshots and stores: derived, never stored.
 
 A snapshot carries no planner statistics (section 6 is retired and
-skipped on read).  A reopened graph builds them on its first query
-from the columns it decoded, so they equal the statistics of the graph
-that was written - exactly, histograms included - and a snapshot that
-still carries a section 6 opens and plans.
+skipped on read).  A reopened graph builds its counts on its first
+query from the columns it decoded, and its equality estimates read
+those columns, so both equal the statistics of the graph that was
+written - exactly - and a snapshot that still carries a section 6
+opens and plans.
 """
 
 import base64
@@ -19,6 +20,7 @@ from repro.graphdb.storage import (
     write_snapshot,
 )
 from repro.graphdb.storage.snapshot import _validate_layout
+from tests.graphdb.stats_oracle import assert_estimates_match
 from tests.graphdb.test_statistics import snapshot_of
 
 #: A snapshot with the section 6 the encoder wrote while statistics
@@ -67,6 +69,9 @@ class TestSnapshotRoundtrip:
         loaded = read_snapshot(path)
         assert loaded._stats is None
         assert snapshot_of(loaded.statistics()) == snapshot_of(stats)
+        assert assert_estimates_match(
+            loaded.statistics(), loaded
+        ) == assert_estimates_match(stats, g)
         assert loaded.statistics().eq_estimate("Drug", "tier", 0) == 2.0
 
     def test_without_stats_section(self, tmp_path):
@@ -82,12 +87,15 @@ class TestSnapshotRoundtrip:
         for i in range(3 * 64):
             value = "common" if i % 3 == 0 else f"rare{i}"
             g.add_vertex("P", {"v": value})
-        full = g.statistics().props[("P", "v")]
+        full = assert_estimates_match(g.statistics(), g)
         path = tmp_path / "snap"
         write_snapshot(g, path, 1)
-        restored = read_snapshot(path).statistics().props[("P", "v")]
-        assert restored.hist == full.hist
-        assert restored.eq_estimate("rare-nonexistent") == 0.0
+        loaded = read_snapshot(path)
+        restored = loaded.statistics()
+        assert assert_estimates_match(restored, loaded) == full
+        assert restored.eq_estimate("P", "v", "common") == 64.0
+        assert restored.eq_estimate("P", "v", "rare-nonexistent") == 0.0
+        assert restored.avg_eq_estimate("P", "v") == 192 / 129
 
     def test_loaded_stats_stay_live(self, tmp_path):
         path = tmp_path / "snap"
@@ -101,6 +109,7 @@ class TestSnapshotRoundtrip:
         assert rebuilt is not stats
         fresh = GraphStatistics.build(loaded)
         assert snapshot_of(rebuilt) == snapshot_of(fresh)
+        assert_estimates_match(rebuilt, loaded)  # after the 64 mutations
 
     def test_a_section_6_is_skipped_and_the_graph_plans(self, tmp_path):
         path = tmp_path / "old.rpgs"
@@ -134,6 +143,10 @@ class TestStoreRecovery:
             assert snapshot_of(recovered.statistics()) == snapshot_of(
                 GraphStatistics.build(g)
             )
+            # The live graph after its three post-snapshot mutations.
+            assert assert_estimates_match(
+                recovered.statistics(), recovered
+            ) == assert_estimates_match(g.statistics(), g)
 
     def test_checkpointed_store_plans_from_its_graph(self, tmp_path):
         g = build_graph()

@@ -22,9 +22,11 @@ base plus tail outside a transaction.  In each:
   the smallest matching eid of the oracle's buckets;
 * ``vertices_with_label``, ``label_count`` and ``labels``: a pass over
   ``_v_tid`` and ``labels_of``, with label sets that share a label;
-* ``GraphStatistics.build``, every field: a pass over ``vertex_ids``,
-  ``labels_of``, each vertex's property dict (``is_hashable`` decides
-  histogram or unhashable) and every live eid of the edge columns.
+* ``GraphStatistics.build``, every count: a pass over ``vertex_ids``,
+  ``labels_of`` and every live eid of the edge columns; its equality
+  estimates: ``stats_oracle.py``'s, whose histograms equal a pass over
+  each vertex's property dict (``is_hashable`` decides bucket or
+  unhashable).
 
 ``REPRO_DIFF_SEED`` seeds the draw, as for the differential query
 fuzzer; CI runs one extra logged random seed per build.
@@ -46,6 +48,10 @@ from tests.graphdb.adjacency_oracle import (
 )
 from tests.graphdb.freeze_oracle import reference_freeze
 from tests.graphdb.randgraph import EDGE_TYPES, SCRIPTS, run_script
+from tests.graphdb.stats_oracle import (
+    assert_estimates_match,
+    reference_histograms,
+)
 
 pytestmark = pytest.mark.diff_seed
 
@@ -212,8 +218,9 @@ def check_statistics(graph: PropertyGraph, edges) -> None:
         assert getattr(stats, name) == counts, name
     assert {
         key: [stat.count, stat.unhashable, stat.hist]
-        for key, stat in stats.props.items()
+        for key, stat in reference_histograms(graph).items()
     } == props
+    assert_estimates_match(stats, graph)
 
 
 def check(graph: PropertyGraph, frozen: bool) -> None:
@@ -301,9 +308,10 @@ def test_derived_reads_match_the_columns(script, more):
 
 
 def test_statistics_skip_a_tombstoned_row_that_keeps_its_values():
-    """The build's tombstone guard: a row removed without clearing its
-    presence bits (a partial unset) counts for nothing, its list value
-    included.  The last vertex of ``LISTS`` has no edges."""
+    """The tombstone guards of the build and of the column projection
+    the estimates read: a row removed without clearing its presence
+    bits (a partial unset) counts for nothing, its list value included.
+    The last vertex of ``LISTS`` has no edges."""
     graph = run_script(LISTS[0], bulk=True)
     vid = graph.vertex_ids()[-1]
     table = graph._tables[graph._v_tid[vid]]

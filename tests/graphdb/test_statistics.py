@@ -3,8 +3,10 @@
 Statistics are derived state: ``PropertyGraph.statistics()`` is the
 cached build until enough element mutations have made it stale, and
 then a build of the current graph again - never a copy kept current
-by hand.  The estimation API is pinned down against hand-computable
-fixtures.
+by hand.  Equality estimates read the graph as it stands whichever
+build asks, so they equal ``stats_oracle.py``'s histograms of the
+current graph.  The estimation API is pinned down against
+hand-computable fixtures.
 """
 
 import pytest
@@ -16,10 +18,11 @@ from repro.graphdb.query.executor import Executor
 from repro.graphdb.session import GraphSession
 from repro.graphdb.statistics import GraphStatistics, PlanCache
 from tests.graphdb.randgraph import SCRIPTS, run_script
+from tests.graphdb.stats_oracle import assert_estimates_match
 
 
 def snapshot_of(stats: GraphStatistics) -> dict:
-    """Comparable dump of every counter (histograms included)."""
+    """Comparable dump of every counter a build keeps."""
     return {
         "num_vertices": stats.num_vertices,
         "num_edges": stats.num_edges,
@@ -31,10 +34,6 @@ def snapshot_of(stats: GraphStatistics) -> dict:
         "dst_total": dict(stats._dst_total),
         "pairs": dict(stats._label_pairs),
         "triples": dict(stats._triples),
-        "props": {
-            key: (stat.count, stat.unhashable, dict(stat.hist))
-            for key, stat in stats.props.items()
-        },
     }
 
 
@@ -91,7 +90,8 @@ class TestBatchBuild:
         assert stats.eq_estimate("Drug", "name", "d1") == 1.0
         assert stats.eq_estimate("Drug", "name", "zzz") == 0.0
         assert stats.eq_estimate("Drug", "nope", 1) == 0.0
-        assert stats.props[("Indication", "desc")].ndv == 3
+        # Eight values, three distinct.
+        assert stats.avg_eq_estimate("Indication", "desc") == 8 / 3
 
     def test_conditional_endpoint_fraction(self, graph):
         stats = graph.statistics()
@@ -135,6 +135,7 @@ class TestDerived:
         assert rebuilt is not stats
         fresh = GraphStatistics.build(graph)
         assert snapshot_of(rebuilt) == snapshot_of(fresh)
+        assert_estimates_match(rebuilt, graph)  # the graph as it stands
 
     def test_no_cached_plan_survives_an_index_or_its_rollback(self):
         graph = PropertyGraph()
@@ -184,6 +185,8 @@ def test_rebuilt_once_the_element_mutations_reach_the_trigger(
         assert snapshot_of(rebuilt) == snapshot_of(fresh)
         stats = rebuilt
         events.clear()
+    # Stale or rebuilt, the estimates read the graph the script left.
+    assert_estimates_match(graph.statistics(), graph)
 
 
 class TestPropertyStats:
@@ -191,12 +194,39 @@ class TestPropertyStats:
         graph = PropertyGraph()
         graph.add_vertex("A", {"v": [1, 2]})
         graph.add_vertex("A", {"v": "x"})
-        stat = graph.statistics().props[("A", "v")]
-        assert stat.count == 2
-        assert stat.unhashable == 1
-        assert stat.eq_estimate([1, 2]) == 1.0
-        assert stat.eq_estimate("x") == 1.0
-        assert stat.ndv == 1
+        graph.add_vertex("A", {"v": (1, 2)})  # a list's key, not a list
+        stats = graph.statistics()
+        assert stats.eq_estimate("A", "v", [1, 2]) == 1.0
+        assert stats.eq_estimate("A", "v", [3]) == 1.0  # any list
+        assert stats.eq_estimate("A", "v", "x") == 1.0
+        assert stats.eq_estimate("A", "v", (1, 2)) == 1.0
+        # Two hashable values, two distinct: the list is no bucket.
+        assert stats.avg_eq_estimate("A", "v") == 1.0
+        assert_estimates_match(stats, graph)
+
+    def test_a_column_no_dict_can_key_prices_every_value_as_a_list(self):
+        # Only in memory: a set.  The column has no codes, so its
+        # estimates are the lists' (the histograms bucketed "x").
+        graph = PropertyGraph()
+        graph.add_vertex("A", {"v": {1}})
+        graph.add_vertex("A", {"v": "x"})
+        stats = graph.statistics()
+        assert stats.eq_estimate("A", "v", "x") == 0.0
+        assert stats.eq_estimate("A", "v", [1]) == 2.0
+        assert stats.avg_eq_estimate("A", "v") == 2.0
+
+    def test_estimates_read_the_graph_as_it_stands(self):
+        graph = PropertyGraph()
+        for i in range(4):
+            graph.add_vertex("A", {"v": i % 2})
+        stats = graph.statistics()
+        assert stats.eq_estimate("A", "v", 1) == 2.0
+        graph.set_property(0, "v", 1)  # one mutation: the build stays
+        assert graph.statistics() is stats
+        assert stats.eq_estimate("A", "v", 1) == 3.0
+        assert stats.eq_estimate("A", "v", True) == 3.0
+        assert stats.avg_eq_estimate("A", "v") == 2.0
+        assert stats.label_count("A") == 4
 
 
 class TestPlanCache:

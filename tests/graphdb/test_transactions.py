@@ -17,6 +17,7 @@ from repro.graphdb.session import GraphSession
 from repro.graphdb.statistics import GraphStatistics
 from repro.graphdb.storage import graph_state
 from tests.graphdb.randgraph import SCRIPTS, run_script
+from tests.graphdb.stats_oracle import assert_estimates_match
 
 
 def seed_graph() -> PropertyGraph:
@@ -47,16 +48,15 @@ def churn(g: PropertyGraph) -> None:
 
 
 def assert_stats_consistent(g: PropertyGraph) -> None:
-    """The graph's statistics equal a from-scratch batch build."""
+    """The graph's statistics equal a from-scratch batch build, and its
+    equality estimates the histograms of ``g`` as it stands."""
     live = g.statistics()
     fresh = GraphStatistics.build(g)
     assert live.num_vertices == fresh.num_vertices
     assert live.num_edges == fresh.num_edges
     assert live.label_counts == fresh.label_counts
     assert live.edge_label_counts == fresh.edge_label_counts
-    for key, stat in fresh.props.items():
-        assert live.props[key].count == stat.count, key
-        assert live.props[key].hist == stat.hist, key
+    assert_estimates_match(live, g)
 
 
 class TestRollback:
@@ -70,10 +70,24 @@ class TestRollback:
 
     def test_rollback_restores_statistics(self):
         g = seed_graph()
-        g.statistics()  # built before the tx
+        stats = g.statistics()  # built before the tx
+
+        def estimates():
+            return [
+                stats.eq_estimate("Drug", "name", "d0"),
+                stats.eq_estimate("Drug", "id", 99),
+                stats.eq_estimate("Drug", "fresh", True),
+                stats.avg_eq_estimate("Drug", "name"),
+            ]
+
+        before = estimates()
         g.begin_transaction()
         churn(g)
+        # The estimates read the churned graph: d0 renamed, 99 added.
+        assert estimates() != before
         g.rollback_transaction()
+        # ... and the rolled-back one, which is the graph before the tx.
+        assert estimates() == before
         assert_stats_consistent(g)
 
     def test_rollback_restores_property_indexes(self):
