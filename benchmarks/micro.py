@@ -248,24 +248,10 @@ def paths(bench: Bench) -> None:
 # ----------------------------------------------------------------------
 # derived: state the first reader builds
 # ----------------------------------------------------------------------
-def largest_string_column(graph) -> tuple[str, str]:
-    """``(label, property)``: the vertex property with the most values,
-    all of them strings, and of the labels carrying it the one with
-    the most."""
-    arrays = graph.arrays()
-    strings = {}  # property -> its present mask
-    for name in graph.symbols.names():
-        column = arrays.column(name)
-        values = column.values[column.present].tolist() if (
-            column.kind == "object"
-        ) else ()
-        if values and all(type(value) is str for value in values):
-            strings[name] = column.present
-    prop = max(strings, key=lambda name: np.count_nonzero(strings[name]))
-    label = max(graph.labels(), key=lambda label: np.count_nonzero(
-        strings[prop][arrays.label_vids(label)]
-    ))
-    return label, prop
+#: FIN-OPT's largest string column: of the vertex properties holding
+#: only strings, the one with the most values, at the label carrying
+#: the most of them (2,933 vertices at scale 1).
+FIRST_ASK_COLUMN = ("AutonomousAgent", "agentId")
 
 
 def derived(bench: Bench) -> None:
@@ -296,27 +282,33 @@ def derived(bench: Bench) -> None:
     )
     page_traces(bench, graph, fin.queries)
     opt_graph = pipeline.opt_graph
-    label, prop = largest_string_column(opt_graph)
-    stats = opt_graph.statistics()
-    frozen = opt_graph.arrays()
+    label, prop = FIRST_ASK_COLUMN
+    rows = opt_graph.arrays().label_vids(label)
+    vid = int(rows[0])
+    value = opt_graph.vertex(vid).properties[prop]
+    rounds = 15
+    # One build per call (the untimed one too) whose estimates are
+    # unasked: a build keeps what its first ask counts.
+    builds = [GraphStatistics.build(opt_graph)
+              for _ in range(2 if bench.smoke else rounds + 1)]
 
     def first_ask():
-        opt_graph._arrays = None        # a new epoch: no column, no codes
-        stats.avg_eq_estimate(label, prop)
+        opt_graph.set_property(vid, prop, value)  # a new epoch, no codes
+        builds.pop().avg_eq_estimate(label, prop)
 
     opt, dir_, ask = bench.time([
         lambda: GraphStatistics.build(opt_graph),
         lambda: GraphStatistics.build(graph),
         first_ask,
-    ], 15)
-    opt_graph._arrays = frozen          # the frozen epoch back
+    ], rounds)
+    opt_graph.freeze()                  # frozen again, as built
     bench.row(
         "derived.stats_build", "ms", opt * 1e3, dataset="fin-opt",
         dir_ms=round(bench.quartiles(dir_ * 1e3)[1], 2),
         vertices=opt_graph.num_vertices, edges=opt_graph.num_edges,
         first_ask_ms=round(bench.quartiles(ask * 1e3)[1], 3),
         first_ask_column=f"{label}.{prop}",
-        first_ask_rows=len(frozen.label_vids(label)),
+        first_ask_rows=len(rows),
     )
     snapshot(bench, opt_graph)
     load(bench, fin, pipeline.result.mapping)

@@ -78,8 +78,8 @@ so the rollback drops it (an undo entry) and the next read builds
 again.  The planner's statistics are derived too:
 :meth:`PropertyGraph.statistics` builds its counts from the tables
 and rebuilds them when enough mutations have made them stale, and its
-equality estimates read the arrays of the epoch a plan is made in; no
-mutation updates them.
+equality estimates count the arrays of the epoch of their first ask
+after the build; no mutation updates them.
 """
 
 from __future__ import annotations

@@ -10,11 +10,12 @@
 
 and prices **equality predicates** (``x.p = literal``, ``x.p = $p``)
 and the label-scan vs. property-index choice from the graph's value
-coding: the codes of ``p``'s column in the graph's current
+coding: the codes of ``p``'s column in the graph's
 :class:`~repro.graphdb.view.GraphArrays`, at the live vertices carrying
-the label (:meth:`GraphStatistics.eq_estimate`).  The grouping kernels
-read the same codes, so one coding decides when two values are one
-key, and no histogram is kept.
+the label (:meth:`GraphStatistics.eq_estimate`), counted at the first
+ask of that (label, property) after the build and kept with the
+counts.  The grouping kernels read the same codes, so one coding
+decides when two values are one key, and no histogram is kept.
 
 The counts are derived state with one producer,
 :meth:`GraphStatistics.build` - one pass over the graph's tables,
@@ -23,8 +24,9 @@ with one ``np.unique`` over the edges' packed codes.
 the element mutations since then reach ``max(64, size >> 4)`` (about
 6% of the graph); an index created or dropped discards it at once.
 So the counts are as of the build and may lag the graph by up to that
-many mutations, while an equality estimate is as of the plan that asks
-for it.  Plans stay *correct* on stale numbers - only their optimality
+many mutations, and an equality estimate is as of the first plan after
+the build that asked for its (label, property): a write between plans
+costs no column build until the next rebuild.  Plans stay *correct* on stale numbers - only their optimality
 decays.  Nothing is persisted: a reopened store builds on its first
 query, from the same columns, the same numbers.
 
@@ -122,7 +124,7 @@ def _add(counter: dict, key, count: int) -> None:
 
 class GraphStatistics:
     """Cardinality statistics of one graph: counts as of one
-    :meth:`build`, equality estimates as of the call."""
+    :meth:`build`, equality estimates as of their first ask since."""
 
     def __init__(self) -> None:
         self.num_vertices = 0
@@ -151,6 +153,9 @@ class GraphStatistics:
         #: graph caches its statistics.  Equality estimates read its
         #: arrays.
         self._graph = None
+        #: (label, prop) -> its value coding, as of the first estimate
+        #: that asked (:meth:`_coded`).
+        self._codings: dict[tuple[str, str], tuple] = {}
         self.plan_cache = PlanCache()
 
     # ------------------------------------------------------------------
@@ -356,33 +361,56 @@ class GraphStatistics:
 
     def _coded(self, label: str, prop: str):
         """``prop``'s value coding at the live vertices carrying
-        ``label``, as the graph stands: ``(index, codes, lists)`` - the
-        column's value -> code dict, the codes of the slots holding no
-        list (0 where null, -1 where every read is a new NaN), and how
-        many slots hold a list.  A column no dict can key (a set stored
-        in memory) counts every value as a list."""
-        arrays = self._graph().arrays()
+        ``label``, counted at the first ask after the build and kept
+        for its life: ``(index, counts, nan, lists)`` - the column's
+        :meth:`~repro.graphdb.view._Column.coding` index, slots per
+        code among the slots holding no list, the slots whose every
+        read is a new NaN, and the slots holding a list."""
+        coded = self._codings.get((label, prop))
+        if coded is not None:
+            return coded
+        graph = self._graph() if self._graph is not None else None
+        if graph is None:
+            return {}, np.zeros(1, dtype=np.int64), 0, 0
+        arrays = graph.arrays()
         column = arrays.column(prop)
         vids = arrays.label_vids(label)
         try:
             codes, index, lists = column.coding()
         except TypeError:
-            return {}, vids[:0], int(np.count_nonzero(column.present[vids]))
-        codes = codes[vids]
-        if lists is None:
-            return index, codes, 0
-        lists = lists[vids]
-        return index, codes[~lists], int(np.count_nonzero(lists))
+            # No dict can key a value (a set stored in memory), so no
+            # codes: every literal gets code 0, which counts one slot,
+            # as if each value were distinct.
+            present = int(np.count_nonzero(column.present[vids]))
+            coded = {}, np.array([min(present, 1)]), 0, present
+        else:
+            lists = np.zeros(len(vids), bool) if lists is None else lists[vids]
+            codes = codes[vids][~lists]
+            coded = (
+                index, np.bincount(codes[codes > 0]),
+                int(np.count_nonzero(codes == -1)),
+                int(np.count_nonzero(lists)),
+            )
+        self._codings[label, prop] = coded
+        return coded
 
     def eq_estimate(self, label: str, prop: str, value: object) -> float:
         """Estimated vertices of ``label`` with ``prop = value``: the
         slots holding ``value``'s code.  Unhashable literals can only
         match unhashable stored values, so a list counts the lists."""
-        index, codes, lists = self._coded(label, prop)
+        index, counts, _, lists = self._coded(label, prop)
         if not is_hashable(value):
             return float(lists)
-        code = index.get(value, 0)
-        return float(np.count_nonzero(codes == code)) if code else 0.0
+        if isinstance(index, dict):
+            code = index.get(value, 0)
+        elif isinstance(value, (int, float)):  # a bool is an int
+            # An int or float column's sorted distinct values: compared
+            # as a dict keyed by them would compare.
+            i = int(np.searchsorted(index, value))
+            code = i + 1 if i < len(index) and index[i].item() == value else 0
+        else:
+            code = 0
+        return float(counts[code]) if code < len(counts) else 0.0
 
     def eq_selectivity(
         self, label: str, prop: str, value: object
@@ -402,12 +430,11 @@ class GraphStatistics:
         distinct codes, each new-NaN slot one of its own; with none,
         the lists.
         """
-        _, codes, lists = self._coded(label, prop)
-        distinct = np.count_nonzero(np.bincount(codes[codes > 0]))
-        distinct += np.count_nonzero(codes == -1)
+        _, counts, nan, lists = self._coded(label, prop)
+        distinct = np.count_nonzero(counts) + nan
         if distinct <= 0:
             return float(lists)
-        return float(np.count_nonzero(codes) / distinct)
+        return float((counts.sum() + nan) / distinct)
 
     def avg_eq_selectivity(self, label: str, prop: str) -> float:
         """``avg_eq_estimate`` as a fraction of the label cardinality."""

@@ -212,18 +212,21 @@ class _Column:
         dict can key, as the grouping dict would."""
         return self.coding()[0]
 
-    def coding(self) -> tuple[np.ndarray, dict, np.ndarray | None]:
+    def coding(self) -> tuple[np.ndarray, dict | np.ndarray,
+                              np.ndarray | None]:
         """``(codes, index, lists)``, built together on first use:
-        :meth:`codes`; the value -> code dict a lookup of a hashable
-        value keys into (a list's code is its tuple form's); and the
-        bool mask of the slots holding a list, None where none does.
-        Raises as :meth:`codes` does."""
+        :meth:`codes`; what a hashable value's code is looked up in -
+        the value -> code dict (a list's code is its tuple form's), or
+        for an int or float column its sorted distinct values, code
+        ``i + 1`` at ``index[i]``; and the bool mask of the slots
+        holding a list, None where none does.  Raises as :meth:`codes`
+        does."""
         coding = self._coding
         if coding is None:
             coding = self._coding = self._build_codes()
         return coding
 
-    def _build_codes(self) -> tuple[np.ndarray, dict, np.ndarray | None]:
+    def _build_codes(self):
         codes = np.zeros(len(self.present), dtype=np.int64)
         slots = np.flatnonzero(self.present)
         if not len(slots):
@@ -238,8 +241,7 @@ class _Column:
                 slots, values = slots[~nan], values[~nan]
             distinct, inverse = np.unique(values, return_inverse=True)
             codes[slots] = inverse.reshape(-1) + 1
-            index = dict(zip(distinct.tolist(), range(1, len(distinct) + 1)))
-            return codes, index, None
+            return codes, distinct, None
         keys = values.tolist()
         lists = None
         try:

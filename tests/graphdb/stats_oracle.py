@@ -11,9 +11,12 @@ its ``build``.  ``build_plan(..., statistics=OracleStatistics.build(g))``
 gives the plan the histograms priced.
 
 :func:`assert_estimates_match` asks a statistics object and the oracle
-of the graph as it stands the same questions: every stored value read
-back, an absent value, a NaN, a list literal and ``True``, and the
-value-agnostic estimate, for every (label, property) pair.
+of the graph as it stands the same :func:`questions`: every stored
+value read back, an absent value, a NaN, a list literal and ``True``,
+and the value-agnostic estimate, for every (label, property) pair.  A
+statistics object answers a pair as the graph stood at its first ask
+after the build, so a test that mutates the graph between asks
+re-asks the earlier :func:`questions` with :func:`estimates`.
 """
 
 from collections import Counter
@@ -117,18 +120,21 @@ class OracleStatistics(GraphStatistics):
         return (stat.count - stat.unhashable) / stat.ndv
 
 
-#: Literals no stored value needs to hold: absent, a NaN, a list, and a
-#: bool that an int column's 1 answers.
-PROBES = ("no such value", float("nan"), [1, 2], True)
+#: Literals no stored value needs to hold: absent, a NaN, a list, a
+#: bool and a float that an int column's 1 answers, a float between
+#: ints and an int past int64.
+PROBES = ("no such value", float("nan"), [1, 2], True, 1.0, 2.5, 2 ** 70)
+
+#: The value of a :func:`questions` entry that asks ``avg_eq_estimate``.
+ANY = object()
 
 
-def assert_estimates_match(stats: GraphStatistics, graph) -> dict:
-    """``stats``' equality estimates equal the oracle's of ``graph`` as
-    it stands, for every (label, property) pair the graph has (and one
-    label and one property it has not).  Returns the answers, keyed by
-    (label, property, ``repr`` of the value), ``"?"`` for the
-    value-agnostic one."""
-    oracle = OracleStatistics.build(graph)
+def questions(graph) -> list[tuple[str, str, object]]:
+    """``(label, property, value)`` for every (label, property) pair
+    ``graph`` has as it stands (and one label and one property it has
+    not): every stored value read back and :data:`PROBES`, then
+    :data:`ANY` for the value-agnostic estimate."""
+    props = reference_histograms(graph)
     stored: dict[tuple[str, str], dict] = {}  # one value per key
     for vid in graph.vertex_ids():
         vertex = graph.vertex(vid)
@@ -136,20 +142,42 @@ def assert_estimates_match(stats: GraphStatistics, graph) -> dict:
             key = type(value), hashable(value)
             for label in vertex.labels:
                 stored.setdefault((label, name), {}).setdefault(key, value)
-    pairs = set(stored) | set(oracle.props)
+    pairs = set(stored) | set(props)
     pairs |= {("no such label", "v"), (next(iter(graph.labels()), "A"),
                                         "no such property")}
+    return [
+        (label, prop, value)
+        for label, prop in pairs
+        for value in [*stored.get((label, prop), {}).values(), *PROBES, ANY]
+    ]
+
+
+def _ask(stats: GraphStatistics, label: str, prop: str, value) -> float:
+    if value is ANY:
+        return stats.avg_eq_estimate(label, prop)
+    return stats.eq_estimate(label, prop, value)
+
+
+def _key(label: str, prop: str, value) -> tuple[str, str, str]:
+    return label, prop, "?" if value is ANY else repr(value)
+
+
+def estimates(stats: GraphStatistics, asked) -> dict:
+    """``stats``' answers to :func:`questions`, keyed by (label,
+    property, ``repr`` of the value), ``"?"`` for :data:`ANY`."""
+    return {_key(*question): _ask(stats, *question) for question in asked}
+
+
+def assert_estimates_match(stats: GraphStatistics, graph) -> dict:
+    """``stats``' equality estimates equal the oracle's of ``graph`` as
+    it stands, for all its :func:`questions`: so each pair ``stats``
+    had been asked about before must have been asked of the graph as
+    it stands now.  Returns the answers (:func:`estimates`)."""
+    oracle = OracleStatistics.build(graph)
     answers = {}
-    for label, prop in pairs:
-        for value in [*stored.get((label, prop), {}).values(), *PROBES]:
-            got = stats.eq_estimate(label, prop, value)
-            want = oracle.eq_estimate(label, prop, value)
-            assert got == want and type(got) is float, (
-                label, prop, value, got, want
-            )
-            answers[label, prop, repr(value)] = got
-        got = stats.avg_eq_estimate(label, prop)
-        want = oracle.avg_eq_estimate(label, prop)
-        assert got == want and type(got) is float, (label, prop, got, want)
-        answers[label, prop, "?"] = got
+    for question in questions(graph):
+        got = _ask(stats, *question)
+        want = _ask(oracle, *question)
+        assert got == want and type(got) is float, (question, got, want)
+        answers[_key(*question)] = got
     return answers

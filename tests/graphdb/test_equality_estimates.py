@@ -2,14 +2,16 @@
 
 ``GraphStatistics.eq_estimate`` / ``avg_eq_estimate`` count the codes
 of a property's column (``view._Column.coding``) at a label's live
-vertices, as the graph stands when a plan asks.  ``stats_oracle.py``
-keeps the eager histograms they replaced; every answer and every plan
-priced on them must be the same:
+vertices, as the graph stood at the first ask of that (label,
+property) after the build.  ``stats_oracle.py`` keeps the eager
+histograms they replaced; every answer and every plan priced on them
+must be the same:
 
 * on random scripts (``randgraph.py``), unfrozen and frozen, after
-  more mutations inside a transaction - the estimates of a build made
-  before them read the mutated graph - and after its rollback, whose
-  answers are the ones before the transaction;
+  more mutations inside a transaction - a build asked before them
+  keeps its answers, a build asked first after them reads the mutated
+  graph - and after its rollback, where both give the answers from
+  before the transaction;
 * on the NaN shapes no script draws (a float64 column's NaNs, a mixed
   column's, one NaN object stored twice) and ``True`` against 1;
 * on the paper's MED and FIN graphs at scale 0.05, where the 24 paper
@@ -29,8 +31,14 @@ from repro.datasets import build_fin, build_med
 from repro.graphdb.graph import PropertyGraph
 from repro.graphdb.query.parser import parse_query
 from repro.graphdb.query.planner import build_plan
+from repro.graphdb.statistics import GraphStatistics
 from tests.graphdb.randgraph import SCRIPTS, run_script
-from tests.graphdb.stats_oracle import OracleStatistics, assert_estimates_match
+from tests.graphdb.stats_oracle import (
+    OracleStatistics,
+    assert_estimates_match,
+    estimates,
+    questions,
+)
 
 pytestmark = pytest.mark.diff_seed
 
@@ -47,12 +55,17 @@ def test_estimates_equal_the_histograms_of_the_graph_as_it_stands(
     stats = graph.statistics()
     before = assert_estimates_match(stats, graph)
     graph.freeze()
-    assert assert_estimates_match(stats, graph) == before
+    frozen = GraphStatistics.build(graph)
+    assert assert_estimates_match(frozen, graph) == before
+    asked = questions(graph)
     graph.begin_transaction()
     run_script(more, bulk, graph)
-    assert_estimates_match(stats, graph)  # the mutated graph
+    assert estimates(stats, asked) == before  # as first asked
+    assert_estimates_match(GraphStatistics.build(graph), graph)  # mutated
     graph.rollback_transaction()
-    assert assert_estimates_match(stats, graph) == before
+    assert estimates(stats, asked) == before
+    rolled_back = GraphStatistics.build(graph)
+    assert assert_estimates_match(rolled_back, graph) == before
     assert assert_estimates_match(graph.statistics(), graph) == before
 
 

@@ -3,11 +3,13 @@
 Statistics are derived state: ``PropertyGraph.statistics()`` is the
 cached build until enough element mutations have made it stale, and
 then a build of the current graph again - never a copy kept current
-by hand.  Equality estimates read the graph as it stands whichever
-build asks, so they equal ``stats_oracle.py``'s histograms of the
-current graph.  The estimation API is pinned down against
-hand-computable fixtures.
+by hand.  An equality estimate reads the graph as it stood at the
+first ask of its (label, property) after the build, so it equals
+``stats_oracle.py``'s histograms of that graph.  The estimation API is
+pinned down against hand-computable fixtures.
 """
+
+import gc
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from repro.graphdb.graph import PropertyGraph
 from repro.graphdb.query.executor import Executor
 from repro.graphdb.session import GraphSession
 from repro.graphdb.statistics import GraphStatistics, PlanCache
+from repro.graphdb.view import _Column
 from tests.graphdb.randgraph import SCRIPTS, run_script
 from tests.graphdb.stats_oracle import assert_estimates_match
 
@@ -185,7 +188,8 @@ def test_rebuilt_once_the_element_mutations_reach_the_trigger(
         assert snapshot_of(rebuilt) == snapshot_of(fresh)
         stats = rebuilt
         events.clear()
-    # Stale or rebuilt, the estimates read the graph the script left.
+    # Stale or rebuilt, a build first asked now reads the graph the
+    # script left.
     assert_estimates_match(graph.statistics(), graph)
 
 
@@ -204,29 +208,62 @@ class TestPropertyStats:
         assert stats.avg_eq_estimate("A", "v") == 1.0
         assert_estimates_match(stats, graph)
 
-    def test_a_column_no_dict_can_key_prices_every_value_as_a_list(self):
-        # Only in memory: a set.  The column has no codes, so its
-        # estimates are the lists' (the histograms bucketed "x").
+    def test_a_column_no_dict_can_key_takes_each_value_for_a_distinct_one(
+        self, monkeypatch
+    ):
+        # Only in memory: a set.  The column has no codes; the
+        # histograms bucketed "x", and a hashable literal is not priced
+        # as matching nothing.
         graph = PropertyGraph()
         graph.add_vertex("A", {"v": {1}})
         graph.add_vertex("A", {"v": "x"})
+        graph.add_vertex("B", {"v": "x"})
         stats = graph.statistics()
-        assert stats.eq_estimate("A", "v", "x") == 0.0
+        assert stats.eq_estimate("A", "v", "x") == 1.0
+        assert stats.eq_estimate("A", "v", "y") == 1.0
         assert stats.eq_estimate("A", "v", [1]) == 2.0
-        assert stats.avg_eq_estimate("A", "v") == 2.0
+        assert stats.avg_eq_estimate("A", "v") == 1.0
+        assert stats.eq_estimate("B", "v", "x") == 1.0
+        # The failed coding is kept with the build: no ask hashes again.
+        monkeypatch.setattr(_Column, "coding", None)
+        assert stats.eq_estimate("A", "v", "x") == 1.0
+        assert stats.avg_eq_estimate("B", "v") == 1.0
 
-    def test_estimates_read_the_graph_as_it_stands(self):
+    def test_without_a_graph_nothing_matches(self):
+        graph = PropertyGraph()
+        graph.add_vertex("A", {"v": 1})
+        stats = GraphStatistics.build(graph)
+        del graph
+        gc.collect()
+        for orphan in (GraphStatistics(), stats):
+            assert orphan.eq_estimate("A", "v", 1) == 0.0
+            assert orphan.eq_estimate("A", "v", [1]) == 0.0
+            assert orphan.avg_eq_estimate("A", "v") == 0.0
+
+    def test_an_estimate_is_as_of_its_first_ask_after_the_build(self):
         graph = PropertyGraph()
         for i in range(4):
-            graph.add_vertex("A", {"v": i % 2})
+            graph.add_vertex("A", {"v": i % 2, "w": i})
         stats = graph.statistics()
         assert stats.eq_estimate("A", "v", 1) == 2.0
-        graph.set_property(0, "v", 1)  # one mutation: the build stays
+        graph.set_property(0, "v", 1)  # two mutations: the build stays
+        graph.set_property(0, "w", 1)
         assert graph.statistics() is stats
-        assert stats.eq_estimate("A", "v", 1) == 3.0
-        assert stats.eq_estimate("A", "v", True) == 3.0
+        # v as first asked, before the writes; w first asked after them.
+        assert stats.eq_estimate("A", "v", 1) == 2.0
         assert stats.avg_eq_estimate("A", "v") == 2.0
+        assert stats.eq_estimate("A", "w", 1) == 2.0
+        assert stats.eq_estimate("A", "w", True) == 2.0
+        assert stats.eq_estimate("A", "w", 1.0) == 2.0
+        assert stats.eq_estimate("A", "w", 1.5) == 0.0
+        assert stats.avg_eq_estimate("A", "w") == 4 / 3
         assert stats.label_count("A") == 4
+        for _ in range(62):  # the 64th mutation: a rebuild reads v again
+            graph.set_property(1, "v", 1)
+        rebuilt = graph.statistics()
+        assert rebuilt is not stats
+        assert rebuilt.eq_estimate("A", "v", 1) == 3.0
+        assert_estimates_match(rebuilt, graph)
 
 
 class TestPlanCache:

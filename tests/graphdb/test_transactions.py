@@ -72,7 +72,7 @@ class TestRollback:
         g = seed_graph()
         stats = g.statistics()  # built before the tx
 
-        def estimates():
+        def estimates(stats):
             return [
                 stats.eq_estimate("Drug", "name", "d0"),
                 stats.eq_estimate("Drug", "id", 99),
@@ -80,14 +80,17 @@ class TestRollback:
                 stats.avg_eq_estimate("Drug", "name"),
             ]
 
-        before = estimates()
+        before = estimates(stats)
         g.begin_transaction()
         churn(g)
-        # The estimates read the churned graph: d0 renamed, 99 added.
-        assert estimates() != before
+        # The build keeps its answers as first asked, before the tx; a
+        # new build reads the churned graph: d0 renamed, 99 added.
+        assert estimates(stats) == before
+        assert estimates(GraphStatistics.build(g)) != before
         g.rollback_transaction()
-        # ... and the rolled-back one, which is the graph before the tx.
-        assert estimates() == before
+        # ... and a build after the rollback the graph before the tx.
+        assert estimates(stats) == before
+        assert estimates(GraphStatistics.build(g)) == before
         assert_stats_consistent(g)
 
     def test_rollback_restores_property_indexes(self):
