@@ -124,11 +124,10 @@ COMMITS_EACH = 8
 #: writer's transaction arrives, and every count reads 1.0.
 GROUP_WINDOW_S = 0.005
 MAX_FSYNC_PER_COMMIT = 0.25
-#: The ``paths`` shapes the batch path refuses today, and why (string
-#: equality does not vectorize): the row then shows what the refused
-#: attempt costs the default executor.  Every other shape must run
-#: vectorized.
-REFUSED = {"full_label_scan": "object-column"}
+#: The ``paths`` shapes the batch path refuses today, and why: the row
+#: then shows what the refused attempt costs the default executor.
+#: Every other shape must run vectorized.
+REFUSED: dict[str, str] = {}
 
 
 class Bench:

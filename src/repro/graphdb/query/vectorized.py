@@ -11,8 +11,10 @@ kernels over the columnar core's flat arrays:
   :class:`~repro.graphdb.columnar.VertexTable` column per batch
   instead of probing it per row;
 * **Mask kernels** compile single-column predicates
-  (``= <> < <= > >=``, ``IS [NOT] NULL``, AND/OR/NOT folding) over
-  int64/float64 columns with presence-mask handling;
+  (``= <> < <= > >=``, ``IS [NOT] NULL``, AND/OR/NOT folding) into
+  comparisons of the epoch's per-slot value codes
+  (:meth:`~repro.graphdb.view._Column.coding`) with the constant's
+  code, or for an order on an int64/float64 column its rank;
 * **CSR-slice expansion** joins a whole batch of source vertices over
   the frozen :class:`~repro.graphdb.view.Csr` of each edge type
   (``Csr.span``, then ``repeat``/``cumsum`` arithmetic) instead of
@@ -62,12 +64,13 @@ and a predicate that is not a single vertex column against a constant
 laziness batch execution would coarsen (``limit``), a RETURN item
 that is not a leaf or an aggregate of one (``return-shape`` /
 ``aggregate-shape`` / ``unbound-variable``) - and every value the
-kernels cannot treat exactly as the tuple path does raises in the one
-guard that looks at it: object-typed (string, bool, list, mixed)
-columns behind a comparison or a numeric fold - returning, grouping
-on, counting and collecting them is fine, they are gathered as they
-are - constants that are not numbers, int64 ranges where float
-promotion loses precision, an expansion over arrays not yet frozen.
+kernels cannot treat exactly as the tuple path does raises where it
+is read: an object-typed (string, bool, list, mixed) column behind an
+order or a numeric fold - equality, returning, grouping on, counting
+and collecting one is fine, it is compared by code or gathered as it
+is - a value no code stands for (a tuple or list constant against a
+column holding lists, a column no dict can key), an expansion over
+arrays not yet frozen.
 Nothing qualifies a plan ahead of the compile and nothing predicts
 its outcome beside it: the executor runs :func:`build_pipeline` to
 execute, runs it and drops the result to EXPLAIN, and remembers a
@@ -87,12 +90,13 @@ while the arrays object and the parameter values are the same.
 from __future__ import annotations
 
 import time
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from repro.graphdb.columnar import KIND_FLOAT, KIND_INT
+from repro.graphdb.columnar import KIND_INT
 from repro.graphdb.query.ast import (
     AGGREGATE_FUNCTIONS,
     SCALAR_FUNCTIONS,
@@ -120,15 +124,13 @@ from repro.graphdb.query.executor import (
 from repro.graphdb.query.functions import apply_aggregate, apply_scalar
 from repro.graphdb.query.planner import ExpandStep, Plan, ScanStep
 from repro.graphdb.session import PageTraces
+from repro.graphdb.statistics import is_hashable, value_code
 from repro.graphdb.view import GraphArrays, _Column
 
 #: Rows per scan batch.  Large enough to amortize kernel dispatch,
 #: small enough that a batch's column slices stay cache-resident.
 BATCH_ROWS = 4096
 
-#: Integers beyond this magnitude do not round-trip through float64;
-#: comparisons and sums that would promote past it fall back.
-_EXACT_FLOAT_INT = 2 ** 53
 #: An int64 sum over rows of magnitude at most ``bound`` cannot
 #: overflow while ``rows * bound`` stays below this.
 _SAFE_SUM = 2 ** 62
@@ -178,9 +180,10 @@ class Refusal(Exception):
         self.shape = reason in _SHAPE_REASONS
 
 
-#: What EXPLAIN binds a ``$param`` it was not given to: the constant
-#: guards (:func:`_check_const`, :func:`_eq_spec`) let it through, so
-#: an unknown value refuses nothing - the pipeline is dropped unrun.
+#: What EXPLAIN binds a ``$param`` it was not given to: a comparison
+#: takes it for a constant that equals nothing and refuses nothing for
+#: it, so an unknown value refuses nothing - the pipeline is dropped
+#: unrun.
 UNBOUND = object()
 
 
@@ -206,38 +209,41 @@ _BOXED_REASONS = {"object": "object-column", "mixed": "mixed-kind"}
 
 
 # ----------------------------------------------------------------------
-# Constant guards
+# Constants as codes
 # ----------------------------------------------------------------------
-def _check_const(col: _Column, value: object) -> None:
-    """Refuse a comparison numpy cannot make exactly as ``compare``."""
-    if value is None or value is UNBOUND or col.kind == "absent":
-        # A null constant or a never-stored key needs no values
-        # (null-is-false for every op): every column kind qualifies.
-        return
-    _require_typed(col)
-    if isinstance(value, bool):
-        raise Refusal("bool-value")
-    if isinstance(value, int):
-        if not (-(2 ** 63) <= value < 2 ** 63):
-            raise Refusal("int-precision")
-        if col.kind == KIND_FLOAT and abs(value) > _EXACT_FLOAT_INT:
-            raise Refusal("int-precision")
-        return
-    if isinstance(value, float):
-        if col.kind == KIND_INT and not _int_range_float_exact(col):
-            raise Refusal("int-precision")
-        return
-    raise Refusal("non-numeric-value")
+#: The code no slot holds: what a constant no read equals compares
+#: with (``0`` is the code of the slots that read None).
+_NO_CODE = -2
 
 
-def _int_range_float_exact(col: _Column) -> bool:
-    return (
-        col.vmin is None
-        or (
-            -_EXACT_FLOAT_INT <= col.vmin
-            and col.vmax <= _EXACT_FLOAT_INT
-        )
-    )
+def _eq_code(col: _Column, value: object) -> int:
+    """The code of the slots whose read equals ``value`` in
+    :meth:`~repro.graphdb.view._Column.coding`: ``0`` for None (the
+    slots that read None, as a node map matches them), else
+    :func:`~repro.graphdb.statistics.value_code`'s, or :data:`_NO_CODE`
+    where no read equals it - a NaN equals nothing, not even the very
+    object stored, which a dict would find."""
+    if value is None:
+        return 0
+    nan = isinstance(value, float) and value != value
+    if nan or value is UNBOUND or col.kind == "absent":
+        return _NO_CODE
+    index, lists = _coding(col)[1:]
+    if not isinstance(value, (str, int, float)) and (
+        lists is not None or not is_hashable(value)
+    ):
+        # A tuple or a list: a stored list's code is its tuple form's,
+        # so codes would make a tuple equal a list, which ``==`` does
+        # not.
+        raise Refusal("unhashable-value")
+    return value_code(index, value) or _NO_CODE
+
+
+def _coding(col: _Column):
+    try:
+        return col.coding()
+    except TypeError:  # a value no dict can key (a set stored in memory)
+        raise Refusal("unhashable-value") from None
 
 
 def _require_typed(col: _Column) -> None:
@@ -360,35 +366,48 @@ def _compile_comparison(ctx: _KernelContext, expr: Comparison):
         else const_expr.value
     )
     col = ctx.arrays.column(ref.prop)
-    _check_const(col, value)
-    if col.kind == "absent" or value is None:
+    if value is None or value is UNBOUND or col.kind == "absent":
         # Every read is None (or the constant is): null-is-false, but
         # the tuple path still pays the reads before deciding that.
-        def k_false(session, batch, idx):
-            vids = gather(session, batch, idx)
-            return np.zeros(len(vids), dtype=bool)
-
-        return k_false
-    values, present = col.values, col.present
+        return lambda session, batch, idx: np.zeros(
+            len(gather(session, batch, idx)), dtype=bool
+        )
+    if op == "=" or op == "<>":
+        lo = hi = _eq_code(col, value)
+    else:
+        lo, hi = _rank_codes(col, op, value)
+    codes, present = _coding(col)[0], col.present
 
     def kernel(session, batch, idx):
         vids = gather(session, batch, idx)
-        stored = values[vids]
-        if op == "=":
-            hit = stored == value
-        elif op == "<>":
-            hit = stored != value
-        elif op == "<":
-            hit = stored < value
-        elif op == "<=":
-            hit = stored <= value
-        elif op == ">":
-            hit = stored > value
-        else:
-            hit = stored >= value
-        return present[vids] & hit
+        read = codes[vids]
+        if op == "<>":
+            return present[vids] & (read != lo)
+        return (lo <= read) & (read <= hi)
 
     return kernel
+
+
+def _rank_codes(col: _Column, op: str, value: object) -> tuple[int, int]:
+    """The codes ``lo..hi`` of the slots whose read ``op value`` holds,
+    for an ordering ``op``: by ``value``'s rank among an int or float
+    column's sorted distinct values, in Python's exact order.  A NaN,
+    or a constant Python cannot order with a number, holds for none
+    (``lo > hi``)."""
+    _require_typed(col)
+    if isinstance(value, float) and value != value:
+        return 1, 0
+    index = _coding(col)[1]
+    try:
+        below = bisect_left(index, value, key=np.generic.item)
+        upto = bisect_right(index, value, key=np.generic.item)
+    except TypeError:
+        return 1, 0
+    # Code k is index[k - 1]; NaN reads (-1) and None (0) are below 1.
+    return {
+        "<": (1, below), "<=": (1, upto),
+        ">": (upto + 1, len(index)), ">=": (below + 1, len(index)),
+    }[op]
 
 
 def _compile_nullcheck(ctx: _KernelContext, expr: NullCheck):
@@ -424,49 +443,19 @@ def _apply_filters(session, filters, cols, n):
 
 
 # ----------------------------------------------------------------------
-# Equality checks (scan residuals and expand far-node property maps)
+# Node-map equality (scan residuals and expand far-node property maps)
 # ----------------------------------------------------------------------
-#: Node-map equality against one column, resolved at build time:
-#: ``presence`` (a None target: matches exactly the rows that read as
-#: null), ``compare`` (numeric equality on the value array), or
-#: ``nothing`` (a constant that cannot equal any stored value - the
-#: rows are still examined and charged, they just never match).
-def _eq_spec(
-    arrays: GraphArrays, name: str, value: object
-) -> tuple[str, _Column, object]:
+def _map_check(arrays: GraphArrays, name: str, value: object):
+    """``{name: value}`` as ``(column, codes, code)``: it admits the
+    slots whose code is ``code`` - a None target the slots that read
+    None, a constant no read equals none (the rows are still examined
+    and charged, they just never match)."""
     col = arrays.column(name)
-    if value is None:
-        return ("presence", col, None)
-    if col.kind == "absent" or value is UNBOUND:
-        return ("nothing", col, value)
-    _require_typed(col)
-    if isinstance(value, bool):
-        raise Refusal("bool-value")
-    if isinstance(value, int):
-        if not (-(2 ** 63) <= value < 2 ** 63):
-            # Beyond int64 it cannot equal a stored int64; a float64
-            # column could still hold it exactly, which numpy's
-            # promotion would mis-compare.
-            if col.kind == KIND_FLOAT:
-                raise Refusal("int-precision")
-            return ("nothing", col, value)
-        if col.kind == KIND_FLOAT and abs(value) > _EXACT_FLOAT_INT:
-            raise Refusal("int-precision")
-        return ("compare", col, value)
-    if isinstance(value, float):
-        if col.kind == KIND_INT and not _int_range_float_exact(col):
-            raise Refusal("int-precision")
-        return ("compare", col, value)
-    # Strings/lists/etc. never equal a stored number.
-    return ("nothing", col, value)
-
-
-def _eq_mask(mode: str, col: _Column, value: object, vids):
-    if mode == "presence":
-        return ~col.present[vids]
-    if mode == "nothing":
-        return np.zeros(len(vids), dtype=bool)
-    return col.present[vids] & (col.values[vids] == value)
+    code = _eq_code(col, value)
+    # No slot's code is _NO_CODE, so that check needs no codes (and
+    # builds none): any array the vids index will do.
+    codes = col.present if code == _NO_CODE else _coding(col)[0]
+    return col, codes, code
 
 
 # ----------------------------------------------------------------------
@@ -534,14 +523,7 @@ def _build_scan(ctx: _KernelContext, step: ScanStep, params, nslots):
 
         return gen_all
 
-    primary = props[0] if props else None
-    primary_spec = (
-        _eq_spec(arrays, primary[0], primary[1])
-        if primary is not None else None
-    )
-    rest_specs = [
-        _eq_spec(arrays, name, value) for name, value in props[1:]
-    ]
+    checks = [_map_check(arrays, name, value) for name, value in props]
     n_props = len(props)
     count_labels = check_labels is not None
     label_sid = None
@@ -576,25 +558,25 @@ def _build_scan(ctx: _KernelContext, step: ScanStep, params, nslots):
                 metrics.vertex_reads += len(vids)
                 continue
             live = len(vids)
-            if primary is not None:
-                mode, col, value = primary_spec
-                if tid not in col.has_tids and value is not None:
+            if checks:
+                col, codes, code = checks[0]
+                if tid not in col.has_tids and code:
                     # Column never materialized on this table: the
                     # probe pays one read per live row and nothing
                     # else (no rows examined, no pages touched).
                     metrics.property_reads += live
                     continue
-                passing = vids[_eq_mask(mode, col, value, vids)]
+                passing = vids[codes[vids] == code]
             else:
                 passing = vids
             # Page touches cover exactly the rows the primary check
             # admitted, before residual property checks - one touch
             # per run of consecutive same-page vids.
             session.charge_pages("v", passing, dedup=True)
-            for mode, col, value in rest_specs:
+            for _, codes, code in checks[1:]:
                 if not len(passing):
                     break
-                passing = passing[_eq_mask(mode, col, value, passing)]
+                passing = passing[codes[passing] == code]
             if count_labels:
                 metrics.vertex_reads += live
             metrics.property_reads += live * n_props
@@ -625,9 +607,7 @@ def _build_expand(ctx: _KernelContext, step, spec, params):
         return _UNSAT
     arrays = ctx.arrays
     graph = arrays.graph
-    prop_specs = [
-        _eq_spec(arrays, name, value) for name, value in props
-    ]
+    checks = [_map_check(arrays, name, value) for name, value in props]
     filters = [compile_mask(ctx, f) for f in step.filters]
     from_slot = step.from_slot
     to_slot = step.to_slot
@@ -702,12 +682,12 @@ def _build_expand(ctx: _KernelContext, step, spec, params):
             metrics.vertex_reads += total
             session.charge_pages("v", nbr, dedup=False)
             alive = alive[tid_ok[v_tid[nbr]]]
-        for mode, col, value in prop_specs:
+        for _, codes, code in checks:
             if not len(alive):
                 break
             sel = nbr[alive]
             _charge_reads(session, sel)
-            alive = alive[_eq_mask(mode, col, value, sel)]
+            alive = alive[codes[sel] == code]
         if not len(alive):
             return None
         rep_out = rep[alive]

@@ -14,8 +14,10 @@ coding: the codes of ``p``'s column in the graph's
 :class:`~repro.graphdb.view.GraphArrays`, at the live vertices carrying
 the label (:meth:`GraphStatistics.eq_estimate`), counted at the first
 ask of that (label, property) after the build and kept with the
-counts.  The grouping kernels read the same codes, so one coding
-decides when two values are one key, and no histogram is kept.
+counts.  The batch path's grouping and comparison kernels read the
+same codes, and look a constant up with the same :func:`value_code`,
+so one coding decides when two values are one key, and no histogram
+is kept.
 
 The counts are derived state with one producer,
 :meth:`GraphStatistics.build` - one pass over the graph's tables,
@@ -40,6 +42,7 @@ which is what invalidates plans priced on the old numbers.
 from __future__ import annotations
 
 import weakref
+from bisect import bisect_left
 from itertools import combinations
 from typing import Iterable
 
@@ -59,9 +62,10 @@ _PLAN_CACHE_MISSES = _OBS.counter(
 def is_hashable(value: object) -> bool:
     """Whether ``value`` can key a dict as it is.
 
-    The single hashability test shared by the equality estimates here
-    and the planner's fold/access logic - both must agree on which
-    literals an index lookup is priced and planned for.
+    The single hashability test shared by the equality estimates here,
+    the planner's fold/access logic and the batch path's equality
+    kernels - all must agree on which literals an index lookup is
+    priced and planned for, and which have a value code.
     """
     try:
         hash(value)
@@ -79,6 +83,22 @@ def hashable(value: object) -> object:
     if isinstance(value, list):
         return tuple(hashable(v) for v in value)
     return value
+
+
+def value_code(index, value) -> int:
+    """``value``'s code in a column coding's ``index`` (see
+    :meth:`~repro.graphdb.view._Column.coding`), 0 where no slot holds
+    it: what a dict keyed by the stored values finds.  ``value`` must
+    be hashable.  An int or float column's sorted distinct values are
+    searched in Python's exact int/float/bool order, so ``2**53 + 1``
+    equals no float and ``True`` is ``1``."""
+    if isinstance(index, dict):
+        return index.get(value, 0)
+    try:
+        i = bisect_left(index, value, key=np.generic.item)
+    except TypeError:  # no order with a number: equal to none
+        return 0
+    return i + 1 if i < len(index) and index[i].item() == value else 0
 
 
 class PlanCache:
@@ -401,15 +421,7 @@ class GraphStatistics:
         index, counts, _, lists = self._coded(label, prop)
         if not is_hashable(value):
             return float(lists)
-        if isinstance(index, dict):
-            code = index.get(value, 0)
-        elif isinstance(value, (int, float)):  # a bool is an int
-            # An int or float column's sorted distinct values: compared
-            # as a dict keyed by them would compare.
-            i = int(np.searchsorted(index, value))
-            code = i + 1 if i < len(index) and index[i].item() == value else 0
-        else:
-            code = 0
+        code = value_code(index, value)
         return float(counts[code]) if code < len(counts) else 0.0
 
     def eq_selectivity(

@@ -94,6 +94,7 @@ from repro.graphdb.storage.columns import (
     write_column,
     write_int_column,
 )
+from repro.graphdb.storage.wal import fsync_dir
 
 MAGIC = b"RPGSNAP1"
 FORMAT_VERSION = 2
@@ -195,25 +196,10 @@ def write_snapshot(
         except OSError:  # pragma: no cover - nothing more to do
             pass
         raise
-    _fsync_dir(path.parent)
+    fsync_dir(path.parent, FP_DIR_FSYNC)
     _SNAP_WRITES.inc()
     _SNAP_WRITTEN_BYTES.inc(written)
     return written
-
-
-def _fsync_dir(directory: Path) -> None:
-    """Make a rename durable by fsyncing the containing directory."""
-    try:
-        fd = os.open(directory, os.O_RDONLY)
-    except OSError:  # pragma: no cover - platform without dir fds
-        return
-    try:
-        faults.retrying(
-            lambda: (faults.fire(FP_DIR_FSYNC), os.fsync(fd)),
-            "fsync snapshot directory",
-        )
-    finally:
-        os.close(fd)
 
 
 def _encode_sections(

@@ -159,16 +159,18 @@ class WalPoisonedError(WalError):
     """
 
 
-def fsync_dir(directory: Path) -> None:
-    """Make a file creation/rename durable by fsyncing its directory."""
+def fsync_dir(directory: Path, failpoint: str) -> None:
+    """Make a file creation/rename durable by fsyncing its directory;
+    ``failpoint`` is the caller's (``wal.dir_fsync`` or
+    ``snapshot.dir_fsync``), fired before each attempt."""
     try:
         fd = os.open(directory, os.O_RDONLY)
     except OSError:  # pragma: no cover - platform without dir fds
         return
     try:
         faults.retrying(
-            lambda: (faults.fire(FP_DIR_FSYNC), os.fsync(fd)),
-            "fsync WAL directory",
+            lambda: (faults.fire(failpoint), os.fsync(fd)),
+            "fsync directory",
         )
     finally:
         os.close(fd)
@@ -374,7 +376,7 @@ class WriteAheadLog:
             # The file itself must survive a crash, not just its
             # contents - otherwise fsynced records vanish with the
             # unflushed directory entry.
-            fsync_dir(self.path.parent)
+            fsync_dir(self.path.parent, FP_DIR_FSYNC)
 
     # -- appends -------------------------------------------------------
     def append(self, op: str, args: tuple) -> None:

@@ -215,8 +215,9 @@ class _Column:
     def coding(self) -> tuple[np.ndarray, dict | np.ndarray,
                               np.ndarray | None]:
         """``(codes, index, lists)``, built together on first use:
-        :meth:`codes`; what a hashable value's code is looked up in -
-        the value -> code dict (a list's code is its tuple form's), or
+        :meth:`codes`; what a hashable value's code is looked up in (by
+        :func:`~repro.graphdb.statistics.value_code`) - the value -> code
+        dict (a list's code is its tuple form's), or
         for an int or float column its sorted distinct values, code
         ``i + 1`` at ``index[i]``; and the bool mask of the slots
         holding a list, None where none does.  Raises as :meth:`codes`

@@ -24,6 +24,7 @@ pipeline against itself.
 """
 
 import dataclasses
+import math
 import os
 import random
 
@@ -32,6 +33,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.graphdb.backends import NEO4J_LIKE
+from repro.graphdb.graph import PropertyGraph
 from repro.graphdb.metrics import LruPageCache
 from repro.graphdb.query.ast import FuncCall
 from repro.graphdb.query.executor import Executor
@@ -40,10 +42,12 @@ from repro.graphdb.query.vectorized import ExecutionReport
 from repro.graphdb.session import GraphSession
 from tests.graphdb.diffquery import (
     WORK_COUNTERS,
+    OPS,
     QueryGen,
     assert_equivalent,
     build_differential_graph,
     norm_rows,
+    run_path,
 )
 from tests.graphdb.lru_oracle import PerRowSession
 
@@ -113,12 +117,12 @@ class TestCorpus:
         assert vectorized >= 4 * 100
 
     def test_object_column_queries_fall_back_and_agree(self, diff_graph):
-        """String/mixed columns are the designed fallback case; pin a
-        few explicit shapes on top of whatever the corpus drew."""
+        """Ordering or folding a string / mixed column is the designed
+        fallback case; pin a few explicit shapes on top of whatever the
+        corpus drew."""
         cases = [
-            "MATCH (p:Patient) WHERE p.name = 'p3' RETURN p.name",
-            "MATCH (d:Drug) WHERE d.code = 30 RETURN d.dose",
-            "MATCH (d:Drug) WHERE d.code = 'c21' RETURN d.name",
+            "MATCH (p:Patient) WHERE p.name < 'p3' RETURN p.name",
+            "MATCH (d:Drug) WHERE d.code >= 30 RETURN d.dose",
             "MATCH (d:Drug) RETURN min(d.name) AS first",
         ]
         for text in cases:
@@ -134,6 +138,10 @@ class TestCorpus:
             "MATCH (p:Patient) RETURN sum(p.age) AS total",
             "MATCH (p:Patient)-[:takes]->(d:Drug) RETURN count(*) AS n",
             "MATCH (v:Visit) WHERE v.cost >= 0.0 OR v.day < 5 RETURN v.day",
+            # Equality on a string or mixed column compares value codes.
+            "MATCH (p:Patient) WHERE p.name = 'p3' RETURN p.name",
+            "MATCH (d:Drug) WHERE d.code = 30 RETURN d.dose",
+            "MATCH (d:Drug) WHERE d.code = 'c21' RETURN d.name",
         ]
         for text in cases:
             report = assert_equivalent(diff_graph, text)
@@ -283,10 +291,148 @@ class TestHypothesis:
         )
 
 
+#: One NaN object: stored in an object column and bound as a ``$param``,
+#: it must still equal nothing (a dict would find it by identity).
+NAN = float("nan")
+
+#: Per label set (one table each), per property, the values stored in
+#: row order (None: not stored).  ``i`` is an int64 column, ``f`` a
+#: float64 one, ``o`` an object one holding strings, bools, an int and
+#: ``NAN``, ``m`` a mixed one (int, float and str tables), ``t`` a
+#: list column.
+EDGE_TABLES = {
+    ("V", "A"): {
+        "i": [-(2**63), -1, 0, 1, 2**53, 2**53 + 1, 2**63 - 1, None],
+        "f": [-math.inf, -0.0, 0.0, 0.5, 1.0, 2.0**53, math.inf, math.nan],
+        "o": ["a", "b", True, False, NAN, 1, None, "a"],
+        "m": [0, 1, 2**53 + 1, -5, None, 7, 2**62, 3],
+        "t": [[1], ["a"], [1, 2], None, [], [True], ["a"], None],
+    },
+    ("V", "B"): {
+        "i": [5, None, 2**53, -1],
+        "f": [math.nan, 0.0, 1.5, None],
+        "m": [0.0, math.nan, 2.0**53, -0.0],
+    },
+    ("V", "C"): {"m": ["a", "b", None]},
+}
+
+#: Constants at the edges of exact comparison: past int64, past exact
+#: float64 ints, bools, NaN, signed zeros, infinities and strings; plus
+#: two that hit stored values.
+EDGE_CONSTANTS = [
+    2**63, -(2**63), 2**53 + 1, 2**70, -(2**70), True, False, math.nan,
+    NAN, 0.0, -0.0, math.inf, -math.inf, "a", 1, 0.5,
+]
+
+
+def _edge_graph():
+    g = PropertyGraph("edge-constants")
+    vids = []
+    for labels, columns in EDGE_TABLES.items():
+        rows = max(map(len, columns.values()))
+        for row in range(rows):
+            props = {
+                name: values[row] for name, values in columns.items()
+                if row < len(values) and values[row] is not None
+            }
+            vids.append(g.add_vertex(labels, props))
+    for k, vid in enumerate(vids):
+        g.add_edge(vid, vids[(3 * k + 1) % len(vids)], "E")
+    g.freeze()
+    return g
+
+
+def _literal(value):
+    """``value`` as query text, or None where the grammar has no
+    literal for it (NaN, infinities)."""
+    if isinstance(value, str):
+        return f"'{value}'"
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return repr(value)
+
+
+class TestEdgeConstants:
+    """Every comparison of an edge constant with every column kind runs
+    on the batch path - only an order on an object or mixed column
+    refuses - and equals the tuple path on rows and the six counters,
+    as a literal and as a ``$param``."""
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        return _edge_graph()
+
+    @pytest.mark.parametrize("prop", ["i", "f", "o", "m"])
+    def test_edge_constants_agree(self, graph, prop):
+        kind = {"i": "int64", "f": "float64", "o": "object", "m": "mixed"}
+        assert graph.arrays().column(prop).kind == kind[prop]
+        refusal = {"o": "object-column", "m": "mixed-kind"}.get(prop)
+        shapes = [
+            (f"MATCH (n:V) WHERE n.{prop} {op} {{c}} RETURN n.i, n.{prop}",
+             refusal if op not in ("=", "<>") else None)
+            for op in OPS
+        ] + [
+            (f"MATCH (n:V {{{{{prop}: {{c}}}}}}) RETURN n.i", None),
+            (f"MATCH (a)-[:E]->(b {{{{{prop}: {{c}}}}}}) RETURN a.i, b.f",
+             None),
+        ]
+        for const in EDGE_CONSTANTS:
+            forms = [("$c", {"c": const})]
+            if _literal(const) is not None:
+                forms.append((_literal(const), {}))
+            for shape, reason in shapes:
+                for text, params in forms:
+                    query = shape.format(c=text)
+                    report = assert_equivalent(graph, query, params)
+                    assert report.reason == reason, (query, const)
+
+    def test_null_is_false_and_a_null_map_matches_absent(self, graph):
+        for op in OPS:
+            for text, params in (("null", {}), ("$c", {"c": None})):
+                rows = _checked(
+                    graph, f"MATCH (n:V) WHERE n.i {op} {text} RETURN n.i",
+                    params,
+                )
+                assert rows == [], op
+        # A literal null in a node map matches the slots reading None
+        # (code 0): 1 of A's rows and 1 of B's lack ``i``, C has none.
+        assert len(_checked(graph, "MATCH (n:V {i: null}) RETURN n.m")) == 5
+
+    def test_nan_equals_nothing_not_even_the_object_stored(self, graph):
+        for shape in (
+            "MATCH (n:V) WHERE n.o = $c RETURN n.i",
+            "MATCH (n:V {o: $c}) RETURN n.i",
+            "MATCH (a)-[:E]->(b {o: $c}) RETURN a.i",
+        ):
+            assert _checked(graph, shape, {"c": NAN}) == [], shape
+        rows = _checked(graph, "MATCH (n:V) WHERE n.o <> $c RETURN n.o",
+                        {"c": NAN})
+        assert len(rows) == 7  # every row that reads a value
+
+    @pytest.mark.parametrize("const", [(1,), [1], ("a",), ["a"]])
+    def test_a_container_against_a_list_column_refuses(self, graph, const):
+        # A stored list's code is its tuple form's: a tuple would equal
+        # it by code and not by ``==``.
+        for shape in (
+            "MATCH (n:V) WHERE n.t = $c RETURN n.i",
+            "MATCH (n:V {t: $c}) RETURN n.i",
+        ):
+            report = assert_equivalent(graph, shape, {"c": const})
+            assert report.reason == "unhashable-value", (shape, const)
+
+
+def _checked(graph, text, params=()):
+    """Rows of the batch path, which must have run and agreed with the
+    tuple path."""
+    report = assert_equivalent(graph, text, params)
+    assert report.mode == "vectorized", (text, report.reason)
+    return run_path(graph, text, dict(params), vectorize=True)[1]
+
+
 def _column_graph(prop, values):
     """One label, one column, exactly these values (None = absent)."""
-    from repro.graphdb.graph import PropertyGraph
-
     g = PropertyGraph("col")
     for v in values:
         g.add_vertex("L", {} if v is None else {prop: v})
