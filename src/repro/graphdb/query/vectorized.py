@@ -865,10 +865,7 @@ def _group_key(ctx: _KernelContext, expr: Expr):
         raise Refusal("aggregate-shape")
     ids_slot, col = _leaf_column(ctx, expr)
     slot, charged = _leaf_charge(ctx, expr)
-    try:
-        table = col.codes()
-    except TypeError:  # a value no dict can key (a set stored in memory)
-        raise Refusal("unhashable-value") from None
+    table = _coding(col)[0]
 
     def codes(cols, row0):
         out = table[cols[ids_slot]]
