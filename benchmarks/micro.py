@@ -47,7 +47,9 @@ two commits is ``tools/ab_pairs.py``'s job, so there is no
     python3 benchmarks/micro.py [--out PATH] [--only SECTION] [--smoke]
 
 ``--smoke`` runs every row once at scale 0.25 (CI's complexity canary:
-no timing gate, nothing written unless ``--out`` is given).  Exit 0
+no timing gate, nothing written unless ``--out`` is given).  ``--only``
+runs one section and, like ``--smoke``, writes nothing unless ``--out``
+is given: ``BENCH_micro.json`` is only ever rewritten whole.  Exit 0
 means every row was produced and no gate failed: the batch leg of a
 ``paths`` row ran vectorized, 32 writers share under 0.25 fsync per
 commit, no resolved budget is exceeded.
@@ -851,7 +853,9 @@ def main(argv=None) -> int:
     parser.add_argument("--only", choices=sorted(SECTIONS), metavar="SECTION")
     parser.add_argument("--smoke", action="store_true")
     args = parser.parse_args(argv)
-    out = args.out or (None if args.smoke else ROOT / "BENCH_micro.json")
+    out = args.out or (
+        None if args.smoke or args.only else ROOT / "BENCH_micro.json"
+    )
 
     host = HostSpeed()
     bench = Bench(host, args.smoke)

@@ -144,7 +144,8 @@ class LogicalDataset:
 
         The ids are taken as given: :meth:`validate` checks them.  An
         empty batch adds no key (the key order of ``link_ids`` is the
-        order edge labels are interned in).
+        order edge labels are interned in).  An ndarray side is appended
+        as its int64 bytes, any other sequence id by id.
         """
         if len(srcs) != len(dsts):
             raise DataGenerationError(
@@ -155,8 +156,11 @@ class LogicalDataset:
         held = self.link_ids.get(rel_id)
         if held is None:
             held = self.link_ids[rel_id] = (array("q"), array("q"))
-        held[0].extend(srcs)
-        held[1].extend(dsts)
+        for column, ids in zip(held, (srcs, dsts)):
+            if isinstance(ids, np.ndarray):
+                column.frombytes(ids.astype(np.int64, copy=False).tobytes())
+            else:
+                column.extend(ids)
 
     def remove_link(self, rel_id: str, src_uid: str, dst_uid: str) -> None:
         """Remove one ``src -> dst`` link of ``rel_id`` (the first, if

@@ -332,7 +332,6 @@ def parse_fault(part: str) -> FaultSpec:
 # ----------------------------------------------------------------------
 def retrying(
     op: Callable[[], object],
-    what: str,
     attempts: int = 5,
     base_delay: float = 0.0005,
 ) -> object:

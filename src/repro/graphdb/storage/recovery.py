@@ -265,10 +265,7 @@ class RecoveryManager:
             with open(wal_path, "r+b") as fh:
                 fh.truncate(scan.valid_end)
                 fh.flush()
-                faults.retrying(
-                    lambda: os.fsync(fh.fileno()),
-                    "fsync truncated WAL",
-                )
+                faults.retrying(lambda: os.fsync(fh.fileno()))
 
     # -- hygiene -------------------------------------------------------
     def _sweep_tmp(self, report: RecoveryReport) -> None:

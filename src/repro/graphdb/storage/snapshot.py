@@ -182,8 +182,7 @@ def write_snapshot(
                 lambda: (
                     faults.fire(FP_WRITE_FSYNC),
                     os.fsync(fh.fileno()),
-                ),
-                "fsync snapshot",
+                )
             )
         faults.fire(FP_RENAME)
         os.replace(tmp, path)

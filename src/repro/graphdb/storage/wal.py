@@ -168,10 +168,7 @@ def fsync_dir(directory: Path, failpoint: str) -> None:
     except OSError:  # pragma: no cover - platform without dir fds
         return
     try:
-        faults.retrying(
-            lambda: (faults.fire(failpoint), os.fsync(fd)),
-            "fsync directory",
-        )
+        faults.retrying(lambda: (faults.fire(failpoint), os.fsync(fd)))
     finally:
         os.close(fd)
 
@@ -361,8 +358,7 @@ class WriteAheadLog:
                     lambda: (
                         faults.fire(FP_CREATE_FSYNC),
                         os.fsync(self._fh.fileno()),
-                    ),
-                    "fsync new WAL header",
+                    )
                 )
             except BaseException:
                 self._failed = True
@@ -446,8 +442,7 @@ class WriteAheadLog:
                         lambda: (
                             faults.fire(FP_FLUSH_FSYNC),
                             os.fsync(self._fh.fileno()),
-                        ),
-                        "fsync WAL",
+                        )
                     )
                     if timing:
                         _WAL_FSYNC_SECONDS.observe(

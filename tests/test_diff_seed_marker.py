@@ -81,11 +81,13 @@ def seed_readers(trees: dict[str, ast.Module]) -> set[str]:
 def test_every_seed_reading_module_is_marked():
     trees = parse_tests()
     readers = seed_readers(trees)
-    # The differential fuzzer and the generator parity test read it
-    # directly; the remote differential test through an import.
+    # The differential fuzzer, the generator parity test and the bulk
+    # draw test read it directly; the remote differential test through
+    # an import.
     assert {
         "tests.graphdb.test_differential",
         "tests.data.test_generator_parity",
+        "tests.data.test_bulk_draws",
         "tests.graphdb.server.test_differential_remote",
     } <= readers
     unmarked = sorted(

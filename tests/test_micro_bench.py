@@ -110,3 +110,17 @@ def test_smoke_driver_section(tmp_path, capsys):
     assert row["extra"]["rows"] == 1
     assert row["extra"]["mode"] == "vectorized"
     assert row["extra"]["driver_us"] > 0 and row["extra"]["executor_us"] > 0
+
+
+def test_only_a_whole_run_writes_the_default_file(tmp_path, monkeypatch):
+    # One section (without --out) would leave the committed file with
+    # that section's rows alone, so it writes nothing; a full run
+    # rewrites the file whole.
+    micro = load_micro()
+    monkeypatch.setattr(micro, "ROOT", tmp_path)
+    monkeypatch.setattr(micro, "SECTIONS", {"noop": lambda bench: None})
+    assert micro.main(["--only", "noop"]) == 0
+    assert not (tmp_path / "BENCH_micro.json").exists()
+    assert micro.main([]) == 0
+    report = json.loads((tmp_path / "BENCH_micro.json").read_text())
+    assert report["rows"] == []
