@@ -319,17 +319,12 @@ def _peek_randbelow(
     return np.concatenate(values), np.concatenate(ends)
 
 
-def _skip_words(rng: random.Random, words: int) -> None:
-    """Advance ``rng`` by ``words`` 32-bit words."""
-    if words:
-        rng.getrandbits(32 * words)
-
-
 def _randbelow(rng: random.Random, n: int, count: int) -> np.ndarray:
     """``[rng._randbelow(n) for _ in range(count)]`` as an int64 array,
     leaving ``rng`` where those calls leave it."""
     values, ends = _peek_randbelow(rng, n, count)
-    _skip_words(rng, int(ends[-1]) if count else 0)
+    if count:
+        rng.getrandbits(32 * int(ends[-1]))
     return values
 
 
@@ -367,7 +362,7 @@ def _sample_set(
             break
         length *= 2
     used, repeats = cut
-    _skip_words(rng, int(ends[used - 1]))
+    rng.getrandbits(32 * int(ends[used - 1]))
     keep = np.ones(used, bool)
     keep[repeats] = False
     return stream[:used][keep]
