@@ -32,23 +32,26 @@ Within that order the work is batched: each concept's property layout
 pooled values are looked up in a seven-entry table, and each concept's
 instances and each relationship's links are added in one call.  What
 it adds is columns (:mod:`repro.data.logical`): one value list per
-property and two int arrays per relationship.  The draws run over
-instance-id lists; ``shuffle``, ``choice`` and ``sample`` draw the same
-whatever the elements are, so the ids pair up as the uids once did.
+property and two int arrays per relationship.  The draws pick
+positions in instance-id arrays; ``shuffle``, ``choice`` and ``sample``
+draw the same whatever the elements are, so the ids pair up as the uids
+once did.
 
-The draws themselves are taken in bulk from the same 32-bit word
-stream of the Mersenne Twister: ``getrandbits(32 * w)`` returns the
-next ``w`` words, and numpy applies CPython's ``_randbelow`` rule to
-all of them at once (:func:`_randbelow`), which is what ``randrange``
-and ``choice`` call.  A set-path ``sample`` (:func:`_sample_uses_set`,
-CPython's set-size rule) draws only ``_randbelow(n)`` and redraws a
-repeat, so one relationship's calls read one accepted stream
-(:func:`_sample_set`).  After each bulk draw ``rng`` stands exactly
-where the scalar calls would leave it, so the two draws left scalar -
-the 1:1 ``shuffle`` and a pool-path ``sample`` (``n`` at most the set
-size) - call it directly and stay exact.  ``tests/data/test_bulk_draws.py``
-pins both helpers, values and final ``rng`` state, against the scalar
-calls of the running interpreter.
+That draw order is unchanged, but the draws are taken in bulk from the
+same 32-bit word stream of the Mersenne Twister: ``getrandbits(32 *
+w)`` returns the next ``w`` words, and numpy applies CPython's
+``_randbelow`` rule (the top ``n.bit_length()`` bits of a word, a value
+``>= n`` rejected) to all of them at once (:func:`_randbelow`); that
+rule is all ``randrange`` and ``choice`` draw.  A ``sample`` on
+CPython's set path (:func:`_sample_uses_set`, its set-size rule) draws
+only ``_randbelow(n)`` and draws a repeat again, so one relationship's
+calls read one stream of accepted values (:func:`_sample_set`).  After
+each bulk draw ``rng`` stands exactly where the scalar calls leave it,
+so the two draws left scalar - the 1:1 ``shuffle`` and a pool-path
+``sample`` - call it directly and stay exact.
+``tests/data/test_bulk_draws.py`` pins both helpers, their values and
+the final ``rng`` state, to the scalar calls of the interpreter that
+runs them.
 """
 
 from __future__ import annotations
@@ -408,18 +411,18 @@ def _distinct_runs(
         np.minimum.accumulate(grid[::-1], axis=0)[::-1] * k + np.arange(k)
     ).ravel()
     start, left, repeats = 0, calls, []
-    before = None
+    prev_list = None
     while left:
         clean = min((int(nearest[start]) - start) // k, left)
         start += clean * k
         left -= clean
         if not left:
             break
-        if before is None:
-            before = prev.tolist()
+        if prev_list is None:
+            prev_list = prev.tolist()
         taken = 0
         for at in range(start, length):
-            if before[at] >= start:
+            if prev_list[at] >= start:
                 repeats.append(at)
                 continue
             taken += 1
