@@ -717,7 +717,7 @@ def budgets(bench: Bench) -> None:
     passthrough = {
         (faults, "fire"): lambda point: None,
         (faults, "write"): lambda point, fh, data: fh.write(data),
-        (faults, "retrying"): lambda op, what: op(),
+        (faults, "retrying"): lambda op: op(),
     }
     # A leg is ~20 ms: on a shared host longer legs meet more of its
     # stalls and their ratios spread wider, not narrower.
