@@ -353,7 +353,7 @@ def _sample_set(
     one stream of accepted values: each takes the first ``k`` distinct
     values from where the one before stopped, and stops at its ``k``-th.
     """
-    if not calls or not k:
+    if not calls:
         return np.empty(0, np.int64)
     # The i-th distinct value of a call takes n / (n - i) draws.
     expected = calls * sum(n / (n - i) for i in range(k))
