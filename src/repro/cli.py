@@ -116,6 +116,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -532,6 +533,19 @@ def _param_kv(text: str) -> tuple[str, object]:
     return name, value
 
 
+def _scale(text: str) -> float:
+    """``--scale FACTOR``: a finite number above 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"expected a finite number > 0, got {text!r}"
+        )
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -574,7 +588,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_demo = sub.add_parser("demo", help="run a built-in dataset demo")
     p_demo.add_argument("dataset", choices=("med", "fin"))
     p_demo.add_argument(
-        "--scale", type=float, default=0.5, metavar="FACTOR",
+        "--scale", type=_scale, default=0.5, metavar="FACTOR",
         help="cardinality multiplier for the generated data (10-100x "
              "supported)",
     )
@@ -591,7 +605,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_save.add_argument("dataset", choices=("med", "fin"))
     p_save.add_argument("data_dir", help="target data directory")
     p_save.add_argument(
-        "--scale", type=float, default=0.5, metavar="FACTOR",
+        "--scale", type=_scale, default=0.5, metavar="FACTOR",
         help="cardinality multiplier for the generated data (10-100x "
              "supported)",
     )

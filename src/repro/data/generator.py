@@ -37,29 +37,23 @@ positions in instance-id arrays; ``shuffle``, ``choice`` and ``sample``
 draw the same whatever the elements are, so the ids pair up as the uids
 once did.
 
-That draw order is unchanged, but the draws are taken in bulk from the
-same 32-bit word stream of the Mersenne Twister: ``getrandbits(32 *
-w)`` returns the next ``w`` words, and numpy applies CPython's
-``_randbelow`` rule (the top ``n.bit_length()`` bits of a word, a value
-``>= n`` rejected) to all of them at once (:func:`_randbelow`); that
-rule is all ``randrange`` and ``choice`` draw.  A ``sample`` on
-CPython's set path (:func:`_sample_uses_set`, its set-size rule) draws
-only ``_randbelow(n)`` and draws a repeat again, so one relationship's
-calls read one stream of accepted values (:func:`_sample_set`).  After
-each bulk draw ``rng`` stands exactly where the scalar calls leave it,
-so the two draws left scalar - the 1:1 ``shuffle`` and a pool-path
-``sample`` - call it directly and stay exact.
-``tests/data/test_bulk_draws.py`` pins both helpers, their values and
-the final ``rng`` state, to the scalar calls of the interpreter that
-runs them.
+Every draw comes from one private :class:`_Draws`: ``rng``'s 32-bit
+words, read ahead with ``getrandbits(32 * w)``, and a cursor.  A draw
+below ``n`` is CPython's ``_randbelow`` rule - the top
+``n.bit_length()`` bits of the next word, a value ``>= n`` drawn again
+- so the values are the scalar calls' own, with no ``rng`` state kept
+or restored.  numpy applies the rule to many words at once for
+``randrange`` and ``choice``; the 1:1 ``shuffle`` and a pool-path
+``sample`` run CPython's loops; set-path ``sample`` calls walk one
+stream of values below ``n``.  ``tests/data/test_bulk_draws.py`` pins
+each draw to ``random.Random``'s, step by step.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from itertools import chain, repeat
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -71,8 +65,8 @@ from repro.ontology.stats import DataStatistics
 #: Non-identity properties draw their token from ``range(POOL)``.
 POOL = 7
 
-#: A bulk draw reads the expected number of words plus this many
-#: standard deviations (roughly), and reads more if that runs short.
+#: A draw reads the words (or values) it expects to need plus this many
+#: standard deviations (roughly), and twice as many if that runs short.
 _HEADROOM = 4
 
 #: One property of a concept: its name, and either the formatter of an
@@ -88,10 +82,10 @@ def generate_logical(
 ) -> LogicalDataset:
     """Generate a logical dataset for ``ontology`` sized by ``stats``."""
     stats.validate_against(ontology)
-    rng = random.Random(seed)
+    draws = _Draws(random.Random(seed))
     dataset = LogicalDataset(ontology)
-    _materialize_instances(ontology, stats, dataset, rng)
-    _materialize_functional_links(ontology, stats, dataset, rng)
+    _materialize_instances(ontology, stats, dataset, draws)
+    _materialize_functional_links(ontology, stats, dataset, draws)
     return dataset
 
 
@@ -102,7 +96,7 @@ def _materialize_instances(
     ontology: Ontology,
     stats: DataStatistics,
     dataset: LogicalDataset,
-    rng: random.Random,
+    draws: _Draws,
 ) -> None:
     derived = ontology.derived_concepts()
     for concept in ontology.concepts:
@@ -113,19 +107,19 @@ def _materialize_instances(
             concept,
             [f"{concept}#{i}" for i in range(count)],
             columns=_property_columns(
-                _layout(ontology, concept), range(count), rng
+                _layout(ontology, concept), range(count), draws
             ),
         )
 
     resolved: set[str] = set(ontology.concepts) - derived
     for concept in sorted(derived):
-        _add_twins(ontology, dataset, rng, concept, resolved)
+        _add_twins(ontology, dataset, draws, concept, resolved)
 
 
 def _add_twins(
     ontology: Ontology,
     dataset: LogicalDataset,
-    rng: random.Random,
+    draws: _Draws,
     concept: str,
     resolved: set[str],
     trail: tuple[str, ...] = (),
@@ -149,7 +143,7 @@ def _add_twins(
     #: unionOf and isA); the twin is shared.
     twin_of: dict[int, int] = {}
     for rel in structural:
-        _add_twins(ontology, dataset, rng, rel.dst, resolved,
+        _add_twins(ontology, dataset, draws, rel.dst, resolved,
                    trail + (concept,))
         parts = list(dataset.ids.get(rel.dst, ()))
         new = [part for part in parts if part not in twin_of]
@@ -157,7 +151,7 @@ def _add_twins(
             concept,
             [f"{concept}|{uids[part]}" for part in new],
             columns=_property_columns(
-                layout, range(len(twin_of), len(twin_of) + len(new)), rng
+                layout, range(len(twin_of), len(twin_of) + len(new)), draws
             ),
         )))
         # Instance-level structural link: parent/union twins are the
@@ -209,7 +203,7 @@ def _formatter(
 
 
 def _property_columns(
-    layout: list[_Slot], indices: range, rng: random.Random
+    layout: list[_Slot], indices: range, draws: _Draws
 ) -> dict[str, list]:
     """One value list per property, one value per instance index,
     drawing instance by instance and, within an instance, pooled
@@ -217,17 +211,16 @@ def _property_columns(
     oracle (``tests/data/generator_oracle.py``).
     """
     pooled = sum(1 for _, _, table in layout if table is not None)
-    draws = _randbelow(rng, POOL, len(indices) * pooled).tolist()
+    tokens = draws.below(POOL, len(indices) * pooled).tolist()
     columns = {}
     slot = 0
     for name, fmt, table in layout:
         if table is None:
             columns[name] = list(map(fmt, indices))
         else:
-            columns[name] = list(map(table.__getitem__, draws[slot::pooled]))
+            columns[name] = list(map(table.__getitem__, tokens[slot::pooled]))
             slot += 1
     return columns
-
 
 
 # ----------------------------------------------------------------------
@@ -237,7 +230,7 @@ def _materialize_functional_links(
     ontology: Ontology,
     stats: DataStatistics,
     dataset: LogicalDataset,
-    rng: random.Random,
+    draws: _Draws,
 ) -> None:
     for rel in ontology.iter_relationships():
         if not rel.rel_type.is_functional:
@@ -250,87 +243,26 @@ def _materialize_functional_links(
             )
         if rel.rel_type is RelationshipType.ONE_TO_ONE:
             shuffled = dst_pool.tolist()
-            rng.shuffle(shuffled)
+            draws.shuffle(shuffled)
             count = min(len(src_pool), len(shuffled))
             srcs, dsts = src_pool[:count], shuffled[:count]
         elif rel.rel_type is RelationshipType.ONE_TO_MANY:
             # Each "many"-side instance points back to one source:
             # ``choice(src_pool)`` per destination.
-            srcs = src_pool[_randbelow(rng, len(src_pool), len(dst_pool))]
+            srcs = src_pool[draws.below(len(src_pool), len(dst_pool))]
             dsts = dst_pool
         else:  # MANY_TO_MANY
             total = stats.rel_card(rel.rel_id)
             n = len(dst_pool)
             fanout = min(max(1, round(total / len(src_pool))), n)
             srcs = np.repeat(src_pool, fanout)
-            if _sample_uses_set(n, fanout):
-                dsts = dst_pool[_sample_set(rng, n, fanout, len(src_pool))]
-            else:
-                dsts = list(chain.from_iterable(map(
-                    rng.sample, repeat(dst_pool.tolist(), len(src_pool)),
-                    repeat(fanout),
-                )))
+            dsts = dst_pool[draws.samples(n, fanout, len(src_pool))]
         dataset.add_link_ids(rel.rel_id, srcs, dsts)
 
 
 # ----------------------------------------------------------------------
-# Bulk draws, equal to CPython's scalar ones
+# The draw source
 # ----------------------------------------------------------------------
-def _peek_randbelow(
-    rng: random.Random, n: int, count: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The next ``count`` values of ``rng._randbelow(n)`` as int64, and
-    after each the number of 32-bit words read up to it; ``rng`` is left
-    where it was.
-
-    CPython's rule (``random.py``, 3.10 to 3.13): with ``k =
-    n.bit_length()``, each attempt is ``getrandbits(k)`` - the top ``k``
-    bits of one word, or of two words (low word first) past ``2**32`` -
-    and an attempt ``>= n`` is rejected.  ``getrandbits(32 * w)`` returns
-    the next ``w`` words, least significant first.
-    """
-    if not 0 < n < 1 << 63:
-        raise ValueError(f"bulk draws need 1 <= n < 2**63, not {n}")
-    if not count:
-        return np.empty(0, np.int64), np.empty(0, np.int64)
-    k = n.bit_length()
-    width = 1 if k <= 32 else 2
-    shift = 32 * width - k
-    state = rng.getstate()
-    values, ends = [], []
-    read = 0
-    while count:
-        expected = count * (1 << k) / n
-        attempts = max(count, int(expected + _HEADROOM * math.sqrt(expected)))
-        words = np.frombuffer(
-            rng.getrandbits(32 * width * attempts).to_bytes(
-                4 * width * attempts, "little"
-            ),
-            "<u4",
-        )
-        if width == 1:
-            drawn = words >> shift
-        else:
-            pairs = words.astype(np.uint64).reshape(-1, 2)
-            drawn = pairs[:, 0] | (pairs[:, 1] >> np.uint64(shift)) << 32
-        hits = np.flatnonzero(drawn < n)[:count]
-        values.append(drawn[hits].astype(np.int64))
-        ends.append(read + (hits + 1) * width)
-        read += width * attempts
-        count -= len(hits)
-    rng.setstate(state)
-    return np.concatenate(values), np.concatenate(ends)
-
-
-def _randbelow(rng: random.Random, n: int, count: int) -> np.ndarray:
-    """``[rng._randbelow(n) for _ in range(count)]`` as an int64 array,
-    leaving ``rng`` where those calls leave it."""
-    values, ends = _peek_randbelow(rng, n, count)
-    if count:
-        rng.getrandbits(32 * int(ends[-1]))
-    return values
-
-
 def _sample_uses_set(n: int, k: int) -> bool:
     """Whether ``rng.sample`` of ``k`` from ``n`` takes CPython's set
     path (every draw ``_randbelow(n)``, repeats drawn again) rather than
@@ -341,95 +273,120 @@ def _sample_uses_set(n: int, k: int) -> bool:
     return n > setsize
 
 
-def _sample_set(
-    rng: random.Random, n: int, k: int, calls: int
-) -> np.ndarray:
-    """The indices ``calls`` calls of ``rng.sample(population, k)`` pick
-    from a population of ``n``, concatenated as one int64 array, leaving
-    ``rng`` where those calls leave it.  Only for the set path
-    (:func:`_sample_uses_set`).
-
-    Every draw of the set path is ``_randbelow(n)``, so the calls read
-    one stream of accepted values: each takes the first ``k`` distinct
-    values from where the one before stopped, and stops at its ``k``-th.
-    """
-    if not calls:
-        return np.empty(0, np.int64)
-    # The i-th distinct value of a call takes n / (n - i) draws.
-    expected = calls * sum(n / (n - i) for i in range(k))
-    length = max(calls * k, int(expected + _HEADROOM * math.sqrt(expected)))
-    while True:
-        stream, ends = _peek_randbelow(rng, n, length)
-        cut = _distinct_runs(stream, k, calls)
-        if cut is not None:
-            break
-        length *= 2
-    used, repeats = cut
-    rng.getrandbits(32 * int(ends[used - 1]))
-    keep = np.ones(used, bool)
-    keep[repeats] = False
-    return stream[:used][keep]
+def _reading(expected: float, least: int) -> int:
+    """How many words or values a draw reads for an ``expected`` need."""
+    return max(least, int(expected + _HEADROOM * math.sqrt(expected)))
 
 
-def _distinct_runs(
-    stream: np.ndarray, k: int, calls: int
-) -> tuple[int, list[int]] | None:
-    """Cut ``stream`` into ``calls`` runs, each ending at its ``k``-th
-    distinct value: how much of the stream they use and the positions
-    of the repeats they skip, or None when the stream is too short.
+class _Draws:
+    """The generator's one reader of ``rng``: its words, read ahead, and
+    a cursor at the first word no draw has used.  Each draw returns what
+    the same calls on ``rng`` return (``random.py``, 3.10 to 3.13), for
+    bounds ``1 <= n < 2**32`` (one word per attempt)."""
 
-    A run starting at ``s`` skips position ``j`` when ``prev[j] >= s``
-    (``prev[j]``: the last earlier position of the same value).  It is
-    *clean* - its first ``k`` values distinct - unless a pair
-    ``prev[j], j`` closer than ``k`` lies inside it, which is every
-    start in ``(j - k, prev[j]]``.  Clean runs are stepped over ``k`` at
-    a time; only the others are read value by value.
-    """
-    length = len(stream)
-    # A stable sort; radix when the values fit 16 bits.
-    order = np.argsort(
-        stream.astype(np.uint16) if stream.max() < 1 << 16
-        else stream,
-        kind="stable",
-    )
-    same = stream[order[1:]] == stream[order[:-1]]
-    prev = np.full(length, -1)
-    prev[order[1:][same]] = order[:-1][same]
-    close = np.flatnonzero((prev >= 0) & (np.arange(length) - prev < k))
-    marks = np.bincount(
-        np.maximum(close - k + 1, 0), minlength=length + 1
-    ) - np.bincount(prev[close] + 1, minlength=length + 1)
-    # A run starting past ``length - k`` reads beyond the stream: it
-    # counts as dirty, and reading it finds the stream short.
-    inside = max(length - k + 1, 0)
-    rows = -(-length // k) + 1
-    dirty = np.ones(rows * k, bool)
-    dirty[:inside] = np.cumsum(marks[:inside]) > 0
-    # nearest[s]: the first dirty start among s, s + k, s + 2k, ...
-    grid = np.where(dirty.reshape(rows, k), np.arange(rows)[:, None], rows)
-    nearest = (
-        np.minimum.accumulate(grid[::-1], axis=0)[::-1] * k + np.arange(k)
-    ).ravel()
-    start, left, repeats = 0, calls, []
-    prev_list = None
-    while left:
-        clean = min((int(nearest[start]) - start) // k, left)
-        start += clean * k
-        left -= clean
-        if not left:
-            break
-        if prev_list is None:
-            prev_list = prev.tolist()
-        taken = 0
-        for at in range(start, length):
-            if prev_list[at] >= start:
-                repeats.append(at)
+    def __init__(self, rng: random.Random) -> None:
+        self._rng = rng
+        self._words = np.empty(0, np.uint32)
+        self._at = 0
+
+    def _window(self, size: int) -> np.ndarray:
+        """The next ``size`` words, read if need be; the cursor stays."""
+        short = self._at + size - len(self._words)
+        if short > 0:
+            fresh = self._rng.getrandbits(32 * short)
+            self._words = np.concatenate((
+                self._words[self._at:],
+                np.frombuffer(fresh.to_bytes(4 * short, "little"), "<u4"),
+            ))
+            self._at = 0
+        return self._words[self._at:self._at + size]
+
+    def _accepted(self, n: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+        """The next ``count`` values below ``n`` (int64) and the offset of
+        each one's word past the cursor; the cursor stays."""
+        if not 1 <= n < 1 << 32:
+            raise ValueError(f"draws need 1 <= n < 2**32, not {n}")
+        shift = 32 - n.bit_length()
+        size = _reading(count * (1 << 32 - shift) / n, count)
+        while True:
+            drawn = self._window(size) >> shift
+            hits = np.flatnonzero(drawn < n)[:count]
+            if len(hits) == count:
+                return drawn[hits].astype(np.int64), hits
+            size *= 2
+
+    def below(self, n: int, count: int) -> np.ndarray:
+        """``[rng._randbelow(n) for _ in range(count)]`` as int64."""
+        values, hits = self._accepted(n, count)
+        if count:
+            self._at += int(hits[-1]) + 1
+        return values
+
+    def each(self, bounds: Sequence[int]) -> list[int]:
+        """``[rng._randbelow(n) for n in bounds]``."""
+        if not bounds:
+            return []
+        low, high = min(bounds), max(bounds)
+        if not 1 <= low <= high < 1 << 32:
+            raise ValueError(f"draws need 1 <= n < 2**32, not {low}..{high}")
+        # A value takes fewer than two words on average.
+        size = _reading(2 * len(bounds), len(bounds))
+        while True:
+            words = self._window(size).tolist()
+            values, at = [], 0
+            try:
+                for n in bounds:
+                    shift = 32 - n.bit_length()
+                    while words[at] >> shift >= n:
+                        at += 1
+                    values.append(words[at] >> shift)
+                    at += 1
+            except IndexError:
+                size *= 2
                 continue
-            taken += 1
-            if taken == k:
-                break
-        else:
-            return None
-        start = at + 1
-        left -= 1
-    return start, repeats
+            self._at += at
+            return values
+
+    def shuffle(self, x: list) -> None:
+        """``rng.shuffle(x)``."""
+        last = len(x) - 1
+        for i, j in zip(range(last, 0, -1), self.each(range(last + 1, 1, -1))):
+            x[i], x[j] = x[j], x[i]
+
+    def samples(self, n: int, k: int, calls: int) -> np.ndarray:
+        """The indices ``calls`` calls of ``rng.sample(population, k)``
+        pick from a population of ``n``, concatenated, as int64."""
+        if not _sample_uses_set(n, k):
+            picks = iter(self.each(list(range(n, n - k, -1)) * calls))
+            indices = []
+            for _ in range(calls):
+                pool = list(range(n))
+                for last, j in zip(range(n - 1, n - k - 1, -1), picks):
+                    indices.append(pool[j])
+                    pool[j] = pool[last]
+            return np.fromiter(indices, np.int64, len(indices))
+        # Set path: each call takes the first ``k`` distinct values of
+        # one stream below ``n`` from where the call before stopped; its
+        # i-th distinct value takes n / (n - i) values.
+        size = _reading(calls * sum(n / (n - i) for i in range(k)), calls * k)
+        while True:
+            values, hits = self._accepted(n, size)
+            stream = values.tolist()
+            indices, at = [], 0
+            try:
+                for _ in range(calls):
+                    run = stream[at:at + k]
+                    at += k
+                    if len(set(run)) < k:
+                        # A dict keeps each value's first place.
+                        run = dict.fromkeys(run)
+                        while len(run) < k:
+                            run[stream[at]] = None
+                            at += 1
+                    indices += run
+            except IndexError:
+                size *= 2
+                continue
+            if at:
+                self._at += int(hits[at - 1]) + 1
+            return np.fromiter(indices, np.int64, len(indices))

@@ -1,14 +1,18 @@
-"""The generator's bulk draws equal CPython's scalar ones.
+"""The generator's draw object draws what ``random.Random`` draws.
 
-``_randbelow(rng, n, count)`` must return what ``count`` calls of
-``rng._randbelow(n)`` return, and ``_sample_set(rng, n, k, calls)`` the
-indices ``calls`` calls of ``rng.sample(range(n), k)`` pick; after
-either, ``rng.getstate()`` must equal the scalar loop's, because the
-generator's remaining scalar draws continue from it.  Fixed cases cover
-the edges of CPython's rules (the rejection rule's powers of two, one
-and two words per attempt, the set-size threshold, calls full of
-repeats); more are drawn from ``REPRO_DIFF_SEED``, so CI's
-randomized-seed step checks fresh cases on each interpreter it runs.
+One ``_Draws`` and one ``random.Random`` start from the same seed and
+get the same requests in the same order: ``below(n, count)`` against
+``count`` calls of ``_randbelow(n)``, ``shuffle`` against
+``rng.shuffle``, and ``samples(n, k, calls)`` against ``calls`` calls
+of ``rng.sample(range(n), k)``, on the pool path and on the set path.
+Every step must return the scalar calls' values, so each request also
+checks that the one before left the cursor where ``rng`` stands.  Each
+test's fixed requests cover an edge of CPython's rules (the rejection
+rule's powers of two up to ``2**32 - 1``, counts 0, 1 and 40, the
+set-size threshold, calls full of repeats); as many requests of every
+kind are mixed in, and the order is drawn, from ``REPRO_DIFF_SEED``,
+so CI's randomized-seed step checks fresh sequences on each
+interpreter it runs.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import numpy as np
 import pytest
 
 from repro.data import generator
-from repro.data.generator import _randbelow, _sample_set, _sample_uses_set
+from repro.data.generator import _Draws, _sample_uses_set
 from repro.data.logical import LogicalDataset
 from repro.exceptions import DataGenerationError
 
@@ -30,7 +34,10 @@ pytestmark = pytest.mark.diff_seed
 
 SEED = int(os.environ.get("REPRO_DIFF_SEED", "20260808"))
 
-POWERS = [n for j in range(1, 33) for n in (2**j - 1, 2**j, 2**j + 1)]
+#: One word per attempt: ``n.bit_length() <= 32``.
+POWERS = [
+    n for j in range(1, 33) for n in (2**j - 1, 2**j, 2**j + 1) if n < 2**32
+]
 
 
 def setsize(k: int) -> int:
@@ -38,43 +45,93 @@ def setsize(k: int) -> int:
     return 21 + (4 ** math.ceil(math.log(k * 3, 4)) if k > 5 else 0)
 
 
-def assert_randbelow(seed, n, count):
-    bulk, scalar = random.Random(seed), random.Random(seed)
-    got = _randbelow(bulk, n, count)
-    assert got.dtype == np.int64
-    assert got.tolist() == [scalar._randbelow(n) for _ in range(count)]
-    assert bulk.getstate() == scalar.getstate()
+def set_path(k: int) -> list[int]:
+    """Set-path population sizes: full of repeats just past the set
+    size, few far above it."""
+    return [setsize(k) + 1, setsize(k) + 2, 40 * setsize(k)]
 
 
-def assert_sample(seed, n, k, calls):
-    assert _sample_uses_set(n, k)
-    bulk, scalar = random.Random(seed), random.Random(seed)
-    population = range(n)
-    got = _sample_set(bulk, n, k, calls)
-    assert got.dtype == np.int64
-    assert got.tolist() == [
-        index for _ in range(calls) for index in scalar.sample(population, k)
-    ]
-    assert bulk.getstate() == scalar.getstate()
+def seeded_request(picker: random.Random, kind: str | None = None) -> tuple:
+    kind = kind or picker.choice(["below", "shuffle", "pool", "set"])
+    if kind == "below":
+        n = picker.choice([picker.randrange(1, 64), picker.randrange(2**32)])
+        return ("below", n or 1, picker.randrange(300))
+    if kind == "shuffle":
+        return ("shuffle", picker.randrange(300))
+    k = picker.choice([picker.randrange(1, 6), picker.randrange(6, 80)])
+    if kind == "pool":
+        n = picker.randrange(k, setsize(k) + 1)
+    else:
+        n = setsize(k) + picker.choice([1, picker.randrange(1, 50), 5000])
+    return ("samples", n, k, picker.randrange(80))
+
+
+def scalar(rng: random.Random, request: tuple) -> list[int]:
+    kind, *args = request
+    if kind == "below":
+        n, count = args
+        return [rng._randbelow(n) for _ in range(count)]
+    if kind == "shuffle":
+        x = list(range(args[0]))
+        rng.shuffle(x)
+        return x
+    n, k, calls = args
+    return [i for _ in range(calls) for i in rng.sample(range(n), k)]
+
+
+def drawn(draws: _Draws, request: tuple) -> list[int]:
+    kind, *args = request
+    if kind == "shuffle":
+        x = list(range(args[0]))
+        draws.shuffle(x)
+        return x
+    values = getattr(draws, kind)(*args)
+    assert values.dtype == np.int64
+    return values.tolist()
+
+
+def assert_in_step(requests: list[tuple], seed: int = SEED) -> None:
+    """Fixed ``requests`` and as many seeded ones, in a seeded order,
+    give the draw object and ``random.Random`` the same values."""
+    picker = random.Random(f"{seed} {requests}")
+    requests = requests + [seeded_request(picker) for _ in requests]
+    picker.shuffle(requests)
+    draws, rng = _Draws(random.Random(seed)), random.Random(seed)
+    for step, request in enumerate(requests):
+        assert drawn(draws, request) == scalar(rng, request), (step, request)
 
 
 @pytest.mark.parametrize("n", [1, 2, 7] + POWERS)
 def test_randbelow_equals_the_scalar_calls(n):
-    for count in (0, 1, 40):
-        assert_randbelow(n * 3 + count, n, count)
+    assert_in_step([("below", n, count) for count in (0, 1, 40)])
 
 
 def test_randbelow_seeded_cases():
-    rng = random.Random(SEED)
-    for _ in range(20):
-        n = rng.choice([rng.randrange(1, 64), rng.randrange(1, 2**33)])
-        assert_randbelow(rng.randrange(2**32), n, rng.randrange(300))
+    picker = random.Random(SEED)
+    assert_in_step([seeded_request(picker, "below") for _ in range(20)])
 
 
 def test_randbelow_refuses_what_it_cannot_draw():
-    for n in (0, 2**63):
+    # 2**32 is a 33-bit bound: CPython draws it two words per attempt.
+    draws = _Draws(random.Random(1))
+    for n in (0, -1, 2**32, 2**32 + 1):
         with pytest.raises(ValueError):
-            _randbelow(random.Random(1), n, 1)
+            draws.below(n, 1)
+        with pytest.raises(ValueError):
+            draws.each([5, n])
+    with pytest.raises(ValueError):  # more than the population
+        draws.samples(3, 4, 1)
+
+
+def test_shuffles_and_pool_samples_equal_the_scalar_calls():
+    requests = [("shuffle", length) for length in (0, 1, 2, 3, 30, 500)]
+    for k in (1, 3, 5, 6, 9, 22):
+        assert not _sample_uses_set(setsize(k), k)
+        requests += [
+            ("samples", n, k, calls)
+            for n in (k, k + 1, setsize(k)) for calls in (0, 1, 60)
+        ]
+    assert_in_step(requests)
 
 
 def test_set_size_rule():
@@ -87,28 +144,34 @@ def test_set_size_rule():
 
 @pytest.mark.parametrize("k", [1, 3, 5, 6, 9, 22])
 def test_sample_set_equals_the_scalar_calls(k):
-    # At setsize + 1 calls are full of repeats; far above, few have any.
-    for n in (setsize(k) + 1, setsize(k) + 2, 40 * setsize(k)):
-        for calls in (0, 1, 60):
-            assert_sample(n * 7 + calls, n, k, calls)
+    assert all(_sample_uses_set(n, k) for n in set_path(k))
+    assert_in_step([
+        ("samples", n, k, calls) for n in set_path(k) for calls in (0, 1, 60)
+    ])
 
 
 def test_sample_set_seeded_cases():
-    rng = random.Random(SEED + 1)
-    for _ in range(20):
-        k = rng.choice([rng.randrange(1, 6), rng.randrange(6, 80)])
-        n = setsize(k) + rng.choice([1, rng.randrange(1, 50), 5000])
-        assert_sample(rng.randrange(2**32), n, k, rng.randrange(80))
+    picker = random.Random(SEED + 1)
+    assert_in_step([seeded_request(picker, "set") for _ in range(20)])
 
 
 def test_short_buffers_are_topped_up(monkeypatch):
-    # Below the expected need, every bulk draw reads words again and
-    # every sample stream is drawn again, longer.
+    # Below the expected need, draws run out of words (or values) and
+    # read again, twice as many.
     monkeypatch.setattr(generator, "_HEADROOM", -4)
-    for n in (7, 2**31 + 1, 2**32 + 1):
-        assert_randbelow(n, n, 500)
-    assert_sample(3, 22, 5, 100)
-    assert_sample(4, 5000, 40, 30)
+    reads = []
+    window = _Draws._window
+    monkeypatch.setattr(
+        _Draws, "_window", lambda self, size: reads.append(size)
+        or window(self, size)
+    )
+    requests = [
+        ("below", 7, 500), ("below", 2**31 + 1, 500), ("shuffle", 30),
+        ("samples", 20, 9, 12), ("samples", 22, 5, 100),
+        ("samples", 5000, 40, 30),
+    ]
+    assert_in_step(requests)
+    assert len(reads) > 2 * len(requests)
 
 
 class TestAddLinkIds:

@@ -104,3 +104,15 @@ class TestDemoCommand:
         with pytest.raises(SystemExit) as exc_info:
             main(["demo", "med", "--data-dir", str(tmp_path)])
         assert exc_info.value.code == 2
+
+    @pytest.mark.parametrize("scale", ["-1", "0", "nan", "inf"])
+    @pytest.mark.parametrize("command", ["demo", "save"])
+    def test_scale_must_be_finite_and_positive(
+        self, command, scale, tmp_path, capsys
+    ):
+        target = [str(tmp_path / "data")] if command == "save" else []
+        with pytest.raises(SystemExit) as exc_info:
+            main([command, "med", *target, "--scale", scale])
+        assert exc_info.value.code == 2
+        assert "finite number > 0" in capsys.readouterr().err
+        assert not (tmp_path / "data").exists()

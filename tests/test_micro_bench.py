@@ -1,8 +1,10 @@
 """The micro-benchmark harness still runs and still writes its schema.
 
 CI's ``bench-smoke`` job runs every section of ``benchmarks/micro.py``;
-this runs the two cheapest in-process so the harness cannot rot where
-that job is not looked at.
+this runs four of them in-process so the harness cannot rot where that
+job is not looked at: ``derived`` and ``driver``, the cheapest, and
+``budgets`` and ``paths``, which swap in pass-throughs for the fault
+hooks by their signatures and gate the batch path.
 """
 
 import importlib.util
@@ -110,6 +112,34 @@ def test_smoke_driver_section(tmp_path, capsys):
     assert row["extra"]["rows"] == 1
     assert row["extra"]["mode"] == "vectorized"
     assert row["extra"]["driver_us"] > 0 and row["extra"]["executor_us"] > 0
+
+
+def test_smoke_budgets_and_paths_sections(tmp_path, capsys):
+    micro = load_micro()
+    names = {
+        section: [
+            (row["name"], row["unit"])
+            for row in run_section(micro, section, tmp_path, capsys)["rows"]
+        ]
+        for section in ("budgets", "paths")
+    }
+    assert names == {
+        "budgets": [
+            ("budgets.observe_disabled_vs_noop", "ratio"),
+            ("budgets.observe_traced_vs_untraced", "ratio"),
+            ("budgets.observe_enabled_vs_disabled", "ratio"),
+            ("budgets.failpoints_disarmed_vs_passthrough", "ratio"),
+        ],
+        "paths": [
+            ("paths.full_label_scan", "us"),
+            ("paths.label_project_scan", "us"),
+            ("paths.filtered_sum_aggregate", "us"),
+            ("paths.string_project_scan", "us"),
+            ("paths.grouped_count", "us"),
+            ("paths.expand_collect_size", "us"),
+            ("paths.two_hop_expand", "us"),
+        ],
+    }
 
 
 def test_only_a_whole_run_writes_the_default_file(tmp_path, monkeypatch):
