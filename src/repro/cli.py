@@ -535,10 +535,7 @@ def _param_kv(text: str) -> tuple[str, object]:
 
 def _scale(text: str) -> float:
     """``--scale FACTOR``: a finite number above 0."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
+    value = float(text)  # argparse reports a ValueError as usage
     if not 0 < value < math.inf:
         raise argparse.ArgumentTypeError(
             f"expected a finite number > 0, got {text!r}"
