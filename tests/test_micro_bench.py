@@ -2,9 +2,9 @@
 
 CI's ``bench-smoke`` job runs every section of ``benchmarks/micro.py``;
 this runs four of them in-process so the harness cannot rot where that
-job is not looked at: ``derived`` and ``driver``, the cheapest, and
-``budgets`` and ``paths``, which swap in pass-throughs for the fault
-hooks by their signatures and gate the batch path.
+job is not looked at: the two cheapest, and ``budgets`` and ``paths``,
+which swap in pass-throughs for the fault hooks by their signatures
+and gate the batch path.
 """
 
 import importlib.util
