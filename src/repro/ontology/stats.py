@@ -22,6 +22,7 @@ derives a *consistent* set of cardinalities from an ontology:
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 
@@ -64,7 +65,13 @@ class DataStatistics:
         )
 
     def scaled(self, factor: float) -> "DataStatistics":
-        """A copy with every cardinality multiplied by ``factor`` (>=1)."""
+        """A copy with every cardinality multiplied by ``factor``, a
+        finite number above 0 (below 1 shrinks); each count is rounded
+        and kept at least 1."""
+        if not 0 < factor < math.inf:  # NaN compares false
+            raise OntologyError(
+                f"scale factor must be finite and > 0, got {factor!r}"
+            )
         return DataStatistics(
             {c: max(1, int(round(n * factor)))
              for c, n in self.concept_cardinality.items()},

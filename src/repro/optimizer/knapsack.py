@@ -6,17 +6,38 @@ and adopts an FPTAS.  Three solvers are provided:
 * :func:`knapsack_fptas` - benefit-scaling dynamic program over
   ``min-cost-to-reach-benefit`` states.  With scale factor
   ``K = eps * max_benefit / n`` the selected set's benefit is within
-  ``(1 - eps)`` of optimal.  The DP rows are numpy-vectorized over the
-  states reachable so far (the items' scaled benefits sum up to them;
-  everything beyond is still infinite) and exact
-  reconstruction uses per-item improvement bitmaps: walking backwards,
-  the *latest* item that improved a state is the one the optimal chain
-  used, and its predecessor state must have been improved by an earlier
-  item - so the chain is recovered without storing the full DP table.
-  The bitmaps are packed eight states a byte into consecutive slices
-  of one pooled array, sized up front from the items' scaled benefits,
-  and every item's candidate and improvement rows are computed into two
-  reused buffers (``out=``).
+  ``(1 - eps)`` of optimal.  The DP rows are numpy-vectorized over a
+  *band* of states, and exact reconstruction uses per-item improvement
+  bitmaps: walking backwards, the *latest* item that improved a state
+  is the one the optimal chain used, and its predecessor state must
+  have been improved by an earlier item - so the chain is recovered
+  without storing the full DP table.
+
+  The band.  A ratio-greedy pass under the capacity (or the best
+  single item, whichever is larger) gives ``floor``, the scaled
+  benefit of one feasible set, so the best state is at least
+  ``floor``.  A state ``s`` after item ``i`` can still end at or above
+  ``floor`` only if ``s >= floor - (scaled sum of the items after
+  i)``; item ``i`` updates only those target states, from sources
+  ``max(0, that - sb_i)`` up to the states reachable before it.  The
+  result is exact - the same as the DP over every state:
+
+  - the band's lower edge only rises from row to row, and row ``i``'s
+    sources start at row ``i - 1``'s lower edge.  So every state a row
+    reads or writes lies inside every earlier band, and its ``dp``
+    value and improvement bit are the full DP's.  States below a band
+    go stale, and no later row reads them;
+  - the best state is at least ``floor``, inside every band, so the
+    final feasibility scan finds the same state;
+  - the walk back starts there, and each step back by ``sb_i`` lands
+    at or above row ``i - 1``'s lower edge, so every bit it reads is
+    stored and equal to the full DP's.
+
+  On FIN at the microbenchmark's half budget the band sums to about a
+  tenth of the full rows' widths.  The bitmaps are packed eight states
+  a byte into consecutive slices of one pooled array, sized up front
+  from the band widths, and every item's candidate and improvement
+  rows are computed into two reused buffers (``out=``).
   A ``max_states`` cap bounds memory on large skewed instances; when the
   cap binds, ``K`` grows and the guarantee degrades gracefully (the
   effective epsilon is reported on the result).
@@ -123,35 +144,40 @@ def knapsack_fptas(
         effective_eps = eps * total_scaled / max_states
 
     scaled = [max(1, int(item.benefit // scale)) for _, item in priced]
+    costs = [item.cost for _, item in priced]
     n_states = sum(scaled) + 1
 
-    total_cost = sum(item.cost for _, item in priced)
+    total_cost = sum(costs)
     dtype = np.int32 if total_cost < INT32_COST_LIMIT else np.int64
     INF = np.iinfo(dtype).max // 4
     dp = np.full(n_states, INF, dtype=dtype)
     dp[0] = 0
-    # Item i's improvement row covers the states reachable before it:
-    # ``reaches[i]`` = 1 + the scaled benefits of the items ahead of it.
-    # Each row is computed into one reused bool buffer and kept packed,
-    # eight states a byte, in one pooled array, row i from byte
-    # ``offsets[i]`` on.  Unpacked, FIN's rows would be one 13 MB block,
-    # and freeing a block that size raises glibc's mmap threshold: the
-    # heap then keeps more of what the process frees later.
+    # Item i reads the band's sources ``lows[i]`` up to ``reaches[i]``
+    # (1 + the scaled benefits of the items ahead of it) and writes
+    # them shifted by its scaled benefit.  Each improvement row is
+    # computed into one reused bool buffer and kept packed, eight
+    # states a byte, in one pooled array, row i from byte
+    # ``offsets[i]`` on.
     reaches = list(accumulate(scaled[:-1], initial=1))
-    offsets = list(accumulate(((r + 7) // 8 for r in reaches), initial=0))
+    lows = band_lows(scaled, costs, capacity)
+    offsets = list(accumulate(
+        ((reach - low + 7) // 8 for reach, low in zip(reaches, lows)),
+        initial=0,
+    ))
     improved = np.empty(offsets[-1], dtype=np.uint8)
     candidates = np.empty(n_states, dtype=dtype)
     better = np.empty(n_states, dtype=bool)
-    for (_, item), sb, reach, start, end in zip(
-        priced, scaled, reaches, offsets, offsets[1:]
+    for cost, sb, low, reach, start, end in zip(
+        costs, scaled, lows, reaches, offsets, offsets[1:]
     ):
         # dp[s] = min(dp[s], dp[s - sb] + cost), done in place on the
         # shifted view (INF + cost stays < 2*INF, no overflow).
-        candidate = np.add(dp[:reach], item.cost, out=candidates[:reach])
-        target = dp[sb:reach + sb]
-        row = np.less(candidate, target, out=better[:reach])
+        width = reach - low
+        candidate = np.add(dp[low:reach], cost, out=candidates[:width])
+        target = dp[low + sb:reach + sb]
+        row = np.less(candidate, target, out=better[:width])
         np.minimum(target, candidate, out=target)
-        # Bit s - sb of row i: this item improved state s.
+        # Bit s - sb - low of row i: this item improved state s.
         improved[start:end] = np.packbits(row, bitorder="little")
 
     # Every finite state is at most total_cost, which fits the dtype;
@@ -166,14 +192,14 @@ def knapsack_fptas(
         found = False
         for idx in range(limit - 1, -1, -1):
             before = state - scaled[idx]
-            if 0 <= before < reaches[idx] and (
-                improved[offsets[idx] + (before >> 3)] >> (before & 7) & 1
-            ):
-                chosen.append(priced[idx][0])
-                state = before
-                limit = idx
-                found = True
-                break
+            if lows[idx] <= before < reaches[idx]:
+                bit = before - lows[idx]
+                if improved[offsets[idx] + (bit >> 3)] >> (bit & 7) & 1:
+                    chosen.append(priced[idx][0])
+                    state = before
+                    limit = idx
+                    found = True
+                    break
         if not found:  # pragma: no cover - dp[0]=0 guarantees progress
             raise OptimizationError("knapsack reconstruction failed")
 
@@ -181,6 +207,30 @@ def knapsack_fptas(
         items, free + chosen, effective_eps=effective_eps,
         states=n_states,
     )
+
+
+def band_lows(
+    scaled: Sequence[int], costs: Sequence[int], capacity: int
+) -> list[int]:
+    """Per item, the first source state its DP row reads.
+
+    ``floor`` is the larger of the best single item's scaled benefit
+    and a ratio-greedy pass's under ``capacity`` (every item's cost is
+    at most ``capacity``), so some state at or above it is feasible.
+    Item ``i``'s targets start at ``floor`` less the scaled benefits of
+    the items from ``i + 1`` on, so its sources start ``scaled[i]``
+    lower: ``floor`` less the scaled benefits from ``i`` on."""
+    ranked = sorted(
+        range(len(scaled)), key=lambda i: (-scaled[i] / costs[i], i)
+    )
+    remaining, greedy = capacity, 0
+    for i in ranked:
+        if costs[i] <= remaining:
+            remaining -= costs[i]
+            greedy += scaled[i]
+    floor = max(greedy, max(scaled))
+    tails = list(accumulate(reversed(scaled)))[::-1]
+    return [max(0, floor - tail) for tail in tails]
 
 
 def knapsack_exact(

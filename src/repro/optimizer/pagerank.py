@@ -157,22 +157,23 @@ def ontology_pagerank(
     scores, iterations = pagerank(adjacency, damping, tol, max_iterations)
 
     # Re-attach inheritance: a child inherits the best ancestor score.
+    # Validation keeps the isA relation acyclic, so each concept's best
+    # is found once and reused by all of its descendants.
+    inherited: dict[str, float] = {}
+
+    def ancestor_max(concept: str) -> float:
+        if concept not in inherited:
+            inherited[concept] = max([scores.get(concept, 0.0)] + [
+                ancestor_max(parent)
+                for parent in ontology.parents_of(concept)
+                if parent not in union_concepts
+            ])
+        return inherited[concept]
+
     final = dict(scores)
-
-    def ancestor_max(concept: str, seen: frozenset[str]) -> float:
-        best = final.get(concept, 0.0)
-        for parent in ontology.parents_of(concept):
-            if parent in seen or parent in union_concepts:
-                continue
-            best = max(
-                best, ancestor_max(parent, seen | {concept})
-            )
-        return best
-
     for concept in ontology.concepts:
-        if concept in union_concepts:
-            continue
-        final[concept] = ancestor_max(concept, frozenset())
+        if concept not in union_concepts:
+            final[concept] = ancestor_max(concept)
 
     # Union concepts take the best member score (they were dissolved).
     for union_concept in union_concepts:

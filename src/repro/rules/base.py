@@ -25,6 +25,7 @@ the state, which is what ends the fixpoint loop.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
@@ -200,6 +201,11 @@ class SchemaState:
         self.thresholds = thresholds or Thresholds()
         self.nodes: dict[str, SchemaNode] = {}
         self.edges: set[SchemaEdge] = set()
+        #: endpoint key -> the edges with that key as src or dst, and
+        #: origin rel id -> its edges: indexes over ``edges``, kept by
+        #: ``_add`` / ``_remove``, the only two writers of all three
+        self._by_key: defaultdict[str, set[SchemaEdge]] = defaultdict(set)
+        self._by_rel: defaultdict[str, set[SchemaEdge]] = defaultdict(set)
         #: dropped node key -> direct successor keys
         self._successors: dict[str, tuple[str, ...]] = {}
         #: rel ids whose schema edge was consumed by a rule
@@ -244,7 +250,7 @@ class SchemaState:
                 )
             self.nodes[node.key] = node
         for rel in self.ontology.iter_relationships():
-            self.edges.add(
+            self._add(
                 SchemaEdge(rel.src, rel.dst, rel.label, rel.rel_type,
                            rel.rel_id)
             )
@@ -394,22 +400,35 @@ class SchemaState:
     def _rewrite_edges(
         self, key: str, live_successors: tuple[str, ...]
     ) -> None:
-        rewritten: set[SchemaEdge] = set()
-        for edge in self.edges:
-            if edge.src != key and edge.dst != key:
-                rewritten.add(edge)
-                continue
+        # No successor is ``key``, so no rewritten edge touches it.
+        for edge in tuple(self._by_key.get(key, ())):
+            self._remove(edge)
             src_keys = live_successors if edge.src == key else (edge.src,)
             dst_keys = live_successors if edge.dst == key else (edge.dst,)
             for src in src_keys:
                 for dst in dst_keys:
                     if src == dst and edge.rel_type.is_structural:
                         continue  # collapse structural self-loops
-                    rewritten.add(
+                    self._add(
                         SchemaEdge(src, dst, edge.label, edge.rel_type,
                                    edge.origin_rel)
                     )
-        self.edges = rewritten
+
+    def _add(self, edge: SchemaEdge) -> bool:
+        """Add ``edge`` to the set and its indexes.  True if new."""
+        if edge in self.edges:
+            return False
+        self.edges.add(edge)
+        self._by_key[edge.src].add(edge)
+        self._by_key[edge.dst].add(edge)
+        self._by_rel[edge.origin_rel].add(edge)
+        return True
+
+    def _remove(self, edge: SchemaEdge) -> None:
+        self.edges.remove(edge)
+        self._by_key[edge.src].discard(edge)
+        self._by_key[edge.dst].discard(edge)
+        self._by_rel[edge.origin_rel].discard(edge)
 
     # ------------------------------------------------------------------
     # Monotone mutation helpers used by the rules
@@ -428,9 +447,7 @@ class SchemaState:
             for d in self.resolve(dst):
                 if s == d and rel_type.is_structural:
                     continue
-                edge = SchemaEdge(s, d, label, rel_type, origin_rel)
-                if edge not in self.edges:
-                    self.edges.add(edge)
+                if self._add(SchemaEdge(s, d, label, rel_type, origin_rel)):
                     changed = True
         return changed
 
@@ -454,10 +471,9 @@ class SchemaState:
         # Iteration order is irrelevant: every consumer performs
         # commutative monotone set updates, so no sort is needed (it
         # dominated the fixpoint cost on inheritance-heavy ontologies).
-        keys = set(self.resolve(node_key))
-        return [
-            e for e in self.edges if e.src in keys or e.dst in keys
-        ]
+        return list(set().union(
+            *(self._by_key.get(key, ()) for key in self.resolve(node_key))
+        ))
 
     def properties_of(self, node_key: str) -> dict[str, SchemaProperty]:
         """Union of properties over the live nodes representing a key."""
@@ -475,7 +491,8 @@ class SchemaState:
         if rel_id in self.consumed:
             return False
         self.consumed.add(rel_id)
-        self.edges = {e for e in self.edges if e.origin_rel != rel_id}
+        for edge in tuple(self._by_rel.get(rel_id, ())):
+            self._remove(edge)
         return True
 
     def absorb(

@@ -18,6 +18,7 @@ from repro.bench.harness import (
     run_workload_experiment,
 )
 from repro.datasets import build_med
+from repro.exceptions import OntologyError
 from repro.optimizer.concept_centric import optimize_concept_centric
 from repro.optimizer.costmodel import CostBenefitModel
 from repro.optimizer.relation_centric import optimize_relation_centric
@@ -49,6 +50,13 @@ class TestPipeline:
     def test_cache_dir_accepts_only_none(self, med_small, tmp_path):
         with pytest.raises(TypeError, match="cache_dir"):
             build_pipeline(med_small, cache_dir=tmp_path)
+
+    @pytest.mark.parametrize("scale", [0.0, float("nan")])
+    def test_scale_not_finite_and_positive_is_rejected(
+        self, med_small, scale
+    ):
+        with pytest.raises(OntologyError, match="finite and > 0"):
+            build_pipeline(med_small, scale=scale)
 
     def test_budget_respected(self, med_pipeline):
         result = med_pipeline.result

@@ -9,7 +9,7 @@ from repro.datasets import (
     build_med_ontology,
 )
 from repro.datasets.base import fill_relationships
-from repro.exceptions import DataGenerationError
+from repro.exceptions import DataGenerationError, OntologyError
 from repro.ontology.model import RelationshipType
 from repro.ontology.validation import validate_ontology
 
@@ -132,6 +132,13 @@ class TestDataset:
         small = med_small.logical(scale=0.5)
         big = med_small.logical(scale=1.0)
         assert big.num_instances > small.num_instances
+
+    @pytest.mark.parametrize("scale", [0.0, -1.0, float("nan")])
+    def test_logical_rejects_a_scale_not_finite_and_positive(
+        self, med_small, scale
+    ):
+        with pytest.raises(OntologyError, match="finite and > 0"):
+            med_small.logical(scale=scale)
 
     def test_queries_parse(self, med_small, fin_small):
         from repro.graphdb.query.parser import parse_query

@@ -35,6 +35,14 @@ class TestDataStatistics:
         stats = DataStatistics({"A": 2}, {"r1": 2})
         assert stats.scaled(0.01).card("A") == 1
 
+    @pytest.mark.parametrize(
+        "factor", [0, 0.0, -1, float("nan"), float("inf"), -float("inf")]
+    )
+    def test_scaled_rejects_a_factor_not_finite_and_positive(self, factor):
+        stats = DataStatistics({"A": 2}, {"r1": 2})
+        with pytest.raises(OntologyError, match="finite and > 0"):
+            stats.scaled(factor)
+
     def test_validate_against(self, fig2, fig2_stats):
         fig2_stats.validate_against(fig2)
         incomplete = DataStatistics({"Drug": 5}, {})

@@ -1,9 +1,64 @@
 """Tests for OntologyPR (Algorithm 6)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.ontology.builder import OntologyBuilder
+from repro.ontology.model import Ontology, RelationshipType
 from repro.optimizer.pagerank import ontology_pagerank, pagerank
+from tests.ontology_gen import random_ontology
+
+
+def recursive_ontology_pagerank(ontology: Ontology) -> dict[str, float]:
+    """``ontology_pagerank``'s scores with the inheritance step in its
+    first, memo-free form: every concept walks all of its ancestor
+    paths again.  Kept as the oracle for the memoized walk."""
+    union_concepts = ontology.union_concepts()
+    members = {u: ontology.members_of(u) for u in union_concepts}
+    edges = [
+        (rel.src, rel.dst) for rel in ontology.iter_relationships()
+        if rel.rel_type not in (RelationshipType.INHERITANCE,
+                                RelationshipType.UNION)
+    ]
+
+    def expand(concept: str) -> list[str]:
+        if concept not in union_concepts:
+            return [concept]
+        expanded: list[str] = []
+        for member in members[concept]:
+            expanded.extend(expand(member))
+        return expanded
+
+    adjacency: dict[str, list[str]] = {
+        c: [] for c in ontology.concepts if c not in union_concepts
+    }
+    for src, dst in edges:
+        for s in expand(src):
+            for d in expand(dst):
+                if s == d:
+                    continue
+                adjacency[s].append(d)
+                adjacency[d].append(s)
+    scores, _ = pagerank(adjacency)
+    final = dict(scores)
+
+    def ancestor_max(concept: str, seen: frozenset[str]) -> float:
+        best = final.get(concept, 0.0)
+        for parent in ontology.parents_of(concept):
+            if parent in seen or parent in union_concepts:
+                continue
+            best = max(best, ancestor_max(parent, seen | {concept}))
+        return best
+
+    for concept in ontology.concepts:
+        if concept in union_concepts:
+            continue
+        final[concept] = ancestor_max(concept, frozenset())
+    for union_concept in union_concepts:
+        member_scores = [final.get(m, 0.0) for m in expand(union_concept)]
+        final[union_concept] = max(member_scores) if member_scores else 0.0
+    return final
 
 
 class TestPlainPageRank:
@@ -131,3 +186,31 @@ class TestOntologyPageRank:
         a = ontology_pagerank(med_small.ontology)
         b = ontology_pagerank(med_small.ontology)
         assert a.scores == b.scores
+
+
+class TestInheritanceMemo:
+    """Each concept's ancestor best is found once; the scores stay
+    bit-identical to the recursive walk's."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        draw=st.integers(0, 10**6),
+        n_concepts=st.integers(2, 14),
+        n_rels=st.integers(1, 30),
+    )
+    def test_random_ontologies_score_as_the_recursive_walk(
+        self, draw, n_concepts, n_rels
+    ):
+        ontology = random_ontology(draw, n_concepts, n_rels)
+        assert ontology_pagerank(ontology).scores == (
+            recursive_ontology_pagerank(ontology)
+        )
+
+    def test_paper_datasets_score_as_the_recursive_walk(
+        self, med_small, fin_small
+    ):
+        for dataset in (med_small, fin_small):
+            ontology = dataset.ontology
+            assert ontology_pagerank(ontology).scores == (
+                recursive_ontology_pagerank(ontology)
+            )

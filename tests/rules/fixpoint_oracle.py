@@ -9,6 +9,8 @@ the rule reported against what it did.
 
 from __future__ import annotations
 
+from typing import Callable
+
 from repro.ontology.model import Ontology
 from repro.rules.base import SchemaState, Selection, Thresholds
 from repro.rules.engine import MAX_ITERATIONS, _dispatch, _resolve_order
@@ -41,9 +43,11 @@ def reference_transform(
     selection: Selection | None = None,
     thresholds: Thresholds | None = None,
     rule_order: list[str] | None = None,
+    check: Callable[[SchemaState], None] | None = None,
 ) -> tuple[SchemaState, list[tuple[str, bool, bool]]]:
     """The final state and, per dispatch in order, ``(rel id, what the
-    rule reported, whether the state changed)``."""
+    rule reported, whether the state changed)``.  ``check``, when
+    given, is called with the state after every dispatch."""
     selection = selection or Selection.all()
     state = SchemaState(ontology, thresholds)
     order = _resolve_order(ontology, rule_order)
@@ -56,6 +60,8 @@ def reference_transform(
                 state, ontology.relationships[rel_id], selection
             )
             reports.append((rel_id, reported, _observed(state) != seen))
+            if check is not None:
+                check(state)
         if fingerprint(state) == before:
             return state, reports
     raise AssertionError(

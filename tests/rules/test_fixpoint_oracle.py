@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import os
 import random
+from collections import defaultdict
 
 import pytest
 from hypothesis import given, seed, settings
@@ -70,12 +71,29 @@ def summary(state: SchemaState) -> tuple:
     return nodes, state.edges, state.consumed, labels
 
 
+def assert_indexes_match_edges(state: SchemaState) -> None:
+    """The edge set's indexes (endpoint key -> edges, origin rel ->
+    edges) hold, in their non-empty entries, exactly what rebuilding
+    them from ``state.edges`` gives."""
+    by_key, by_rel = defaultdict(set), defaultdict(set)
+    for edge in state.edges:
+        by_key[edge.src].add(edge)
+        by_key[edge.dst].add(edge)
+        by_rel[edge.origin_rel].add(edge)
+    assert {k: v for k, v in state._by_key.items() if v} == by_key
+    assert {k: v for k, v in state._by_rel.items() if v} == by_rel
+
+
 def assert_as_the_oracle(ontology, selection=None, order=None, context=""):
-    """``transform`` ends where the literal loop does, and every
-    dispatch on the way reported exactly whether it changed the state.
-    Returns the oracle's reports."""
+    """``transform`` ends where the literal loop does, every dispatch
+    on the way reported exactly whether it changed the state, and left
+    the edge indexes matching the edge set.  Returns the oracle's
+    reports."""
     got = transform(ontology, selection, rule_order=order)
-    want, reports = reference_transform(ontology, selection, rule_order=order)
+    want, reports = reference_transform(
+        ontology, selection, rule_order=order,
+        check=assert_indexes_match_edges,
+    )
     assert summary(got) == summary(want), context
     wrong = [r for r in reports if r[1] != r[2]]
     assert not wrong, f"{context}: (rel, reported, changed) {wrong}"
