@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.exceptions import OntologyError
 from repro.ontology.model import Ontology, RelationshipType
 
 
@@ -160,9 +161,15 @@ def ontology_pagerank(
     # Validation keeps the isA relation acyclic, so each concept's best
     # is found once and reused by all of its descendants.
     inherited: dict[str, float] = {}
+    walking: set[str] = set()
 
     def ancestor_max(concept: str) -> float:
         if concept not in inherited:
+            if concept in walking:
+                raise OntologyError(
+                    f"inheritance cycle through concept {concept!r}"
+                )
+            walking.add(concept)
             inherited[concept] = max([scores.get(concept, 0.0)] + [
                 ancestor_max(parent)
                 for parent in ontology.parents_of(concept)

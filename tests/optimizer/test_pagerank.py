@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.exceptions import OntologyError
 from repro.ontology.builder import OntologyBuilder
 from repro.ontology.model import Ontology, RelationshipType
 from repro.optimizer.pagerank import ontology_pagerank, pagerank
@@ -214,3 +215,15 @@ class TestInheritanceMemo:
             assert ontology_pagerank(ontology).scores == (
                 recursive_ontology_pagerank(ontology)
             )
+
+    def test_an_inheritance_cycle_is_named(self):
+        """Validation rejects an isA cycle; an unvalidated ontology
+        with one gets an error naming it, not a bottomless walk."""
+        onto = Ontology("cyclic")
+        for name in ("A", "B", "C"):
+            onto.add_concept(name)
+        onto.add_relationship("r1", "A", "B", RelationshipType.INHERITANCE)
+        onto.add_relationship("r2", "B", "A", RelationshipType.INHERITANCE)
+        onto.add_relationship("r3", "A", "C", RelationshipType.ONE_TO_MANY)
+        with pytest.raises(OntologyError, match="inheritance cycle"):
+            ontology_pagerank(onto)
