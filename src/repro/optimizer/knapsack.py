@@ -220,9 +220,7 @@ def band_lows(
     Item ``i``'s targets start at ``floor`` less the scaled benefits of
     the items from ``i + 1`` on, so its sources start ``scaled[i]``
     lower: ``floor`` less the scaled benefits from ``i`` on."""
-    ranked = sorted(
-        range(len(scaled)), key=lambda i: (-scaled[i] / costs[i], i)
-    )
+    ranked = sorted(range(len(scaled)), key=lambda i: -scaled[i] / costs[i])
     remaining, greedy = capacity, 0
     for i in ranked:
         if costs[i] <= remaining:
